@@ -73,6 +73,9 @@ func (p *PageRank) Gather(srcVal float64, e graph.Edge, srcOutDeg uint32) float6
 // Merge implements core.Program.
 func (p *PageRank) Merge(a, b float64) float64 { return a + b }
 
+// EdgeKernel declares the scatter loop that computes this Gather and Merge.
+func (p *PageRank) EdgeKernel() core.EdgeKernel { return core.KernelSumOverOutDegree }
+
 // Apply implements core.Program.
 func (p *PageRank) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
 	return (1-Damping)/float64(n) + Damping*merged, true
@@ -149,6 +152,9 @@ func (p *PageRankDelta) Gather(srcVal float64, e graph.Edge, srcOutDeg uint32) f
 // Merge implements core.Program.
 func (p *PageRankDelta) Merge(a, b float64) float64 { return a + b }
 
+// EdgeKernel declares the scatter loop that computes this Gather and Merge.
+func (p *PageRankDelta) EdgeKernel() core.EdgeKernel { return core.KernelSumOverOutDegree }
+
 // Apply implements core.Program: the received delta mass becomes the new
 // delta; it is folded into the rank and propagated further only if it
 // exceeds the tolerance.
@@ -217,7 +223,10 @@ func (c *ConnectedComponents) Gather(srcVal float64, e graph.Edge, srcOutDeg uin
 }
 
 // Merge implements core.Program.
-func (c *ConnectedComponents) Merge(a, b float64) float64 { return math.Min(a, b) }
+func (c *ConnectedComponents) Merge(a, b float64) float64 { return min(a, b) }
+
+// EdgeKernel declares the scatter loop that computes this Gather and Merge.
+func (c *ConnectedComponents) EdgeKernel() core.EdgeKernel { return core.KernelMinCopy }
 
 // Apply implements core.Program.
 func (c *ConnectedComponents) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
@@ -285,7 +294,10 @@ func (s *SSSP) Gather(srcVal float64, e graph.Edge, srcOutDeg uint32) float64 {
 }
 
 // Merge implements core.Program.
-func (s *SSSP) Merge(a, b float64) float64 { return math.Min(a, b) }
+func (s *SSSP) Merge(a, b float64) float64 { return min(a, b) }
+
+// EdgeKernel declares the scatter loop that computes this Gather and Merge.
+func (s *SSSP) EdgeKernel() core.EdgeKernel { return core.KernelMinPlusWeight }
 
 // Apply implements core.Program.
 func (s *SSSP) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
@@ -348,7 +360,10 @@ func (b *BFS) Identity() float64 { return math.Inf(1) }
 func (b *BFS) Gather(srcVal float64, e graph.Edge, srcOutDeg uint32) float64 { return srcVal + 1 }
 
 // Merge implements core.Program.
-func (b *BFS) Merge(x, y float64) float64 { return math.Min(x, y) }
+func (b *BFS) Merge(x, y float64) float64 { return min(x, y) }
+
+// EdgeKernel declares the scatter loop that computes this Gather and Merge.
+func (b *BFS) EdgeKernel() core.EdgeKernel { return core.KernelMinPlusOne }
 
 // Apply implements core.Program.
 func (b *BFS) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {

@@ -37,19 +37,10 @@ func (s *ActiveSet) Activate(v int) bool {
 	return true
 }
 
-// ActivateNoCount marks vertex v active without maintaining the cached
-// population count, reporting whether v was newly activated. It exists for
-// the engine's destination-partitioned parallel scatter: each worker owns a
-// 64-aligned, word-disjoint vertex range, activates within it, and the
-// workers' newly-activated totals are folded back in one AddCount call
-// after the merge barrier. Callers that cannot guarantee word-disjoint
-// ranges must use Activate.
-func (s *ActiveSet) ActivateNoCount(v int) bool {
-	return !s.bits.TestAndSet(v)
-}
-
-// AddCount adjusts the cached population count by delta, the summed
-// newly-activated counts returned by ActivateNoCount across workers.
+// AddCount adjusts the cached population count by delta: the number of bits
+// a caller newly set through Words. The engine's scatter and apply loops set
+// bits in the raw words — several workers at once, each within its own
+// 64-aligned range — and fold their totals back in one call.
 func (s *ActiveSet) AddCount(delta int) { s.count += delta }
 
 // Deactivate clears vertex v. It reports whether v was previously active.
@@ -75,6 +66,9 @@ func (s *ActiveSet) ForEach(fn func(v int) bool) { s.bits.ForEach(fn) }
 func (s *ActiveSet) ForEachRange(lo, hi int, fn func(v int) bool) {
 	s.bits.ForEachRange(lo, hi, fn)
 }
+
+// ClearRange deactivates every vertex in [lo, hi).
+func (s *ActiveSet) ClearRange(lo, hi int) { s.count -= s.bits.ClearRange(lo, hi) }
 
 // Reset deactivates every vertex.
 func (s *ActiveSet) Reset() {
@@ -125,8 +119,8 @@ func (s *ActiveSet) Slice() []int {
 // Bits exposes the underlying dense bitset for read-only use.
 func (s *ActiveSet) Bits() *Bitset { return s.bits }
 
-// Words exposes the underlying bit words for serialization (see
-// Bitset.Words). Read-only.
+// Words exposes the underlying bit words (see Bitset.Words). A caller that
+// sets bits through them must report how many were new to AddCount.
 func (s *ActiveSet) Words() []uint64 { return s.bits.Words() }
 
 // LoadWords overwrites the set from a Words snapshot, recomputing the

@@ -174,16 +174,18 @@ func TestPropertyActiveSetIntervalCounts(t *testing.T) {
 	}
 }
 
-// TestActiveSetActivateNoCount checks the deferred-count activation used by
-// the parallel scatter: word-disjoint concurrent activation plus one
-// AddCount must be indistinguishable from serial Activate calls.
-func TestActiveSetActivateNoCount(t *testing.T) {
+// TestActiveSetWordsAddCount checks the raw-word activation the engine's
+// parallel loops use: workers setting bits in word-disjoint ranges through
+// Words, plus one AddCount of the bits that were new, must be
+// indistinguishable from serial Activate calls.
+func TestActiveSetWordsAddCount(t *testing.T) {
 	const n = 1024
 	s := NewActiveSet(n)
 	s.Activate(5)
 	s.Activate(700)
 
 	// Two workers over 64-aligned halves, with duplicates.
+	words := s.Words()
 	var wg sync.WaitGroup
 	newly := make([]int, 2)
 	for w := 0; w < 2; w++ {
@@ -193,7 +195,8 @@ func TestActiveSetActivateNoCount(t *testing.T) {
 			lo, hi := w*512, (w+1)*512
 			cnt := 0
 			for _, v := range []int{lo, lo + 5, lo + 5, lo + 188, hi - 1} {
-				if s.ActivateNoCount(v) {
+				if m := uint64(1) << (v % 64); words[v/64]&m == 0 {
+					words[v/64] |= m
 					cnt++
 				}
 			}
@@ -213,6 +216,55 @@ func TestActiveSetActivateNoCount(t *testing.T) {
 	for v := 0; v < n; v++ {
 		if s.Contains(v) != want.Contains(v) {
 			t.Fatalf("vertex %d: contains = %t, want %t", v, s.Contains(v), want.Contains(v))
+		}
+	}
+}
+
+// TestPropertyActiveSetClearRange checks ClearRange against the per-bit
+// Deactivate loop: same bits, same count, for ranges that start and end
+// inside a word, on a word boundary, in the same word, outside the set and
+// the wrong way round.
+func TestPropertyActiveSetClearRange(t *testing.T) {
+	check := func(n int, members []uint16, lo, hi int) bool {
+		got, want := NewActiveSet(n), NewActiveSet(n)
+		for _, m := range members {
+			got.Activate(int(m) % n)
+			want.Activate(int(m) % n)
+		}
+		got.ClearRange(lo, hi)
+		for v := max(lo, 0); v < min(hi, n); v++ {
+			want.Deactivate(v)
+		}
+		return got.Count() == want.Count() && got.Bits().Equal(want.Bits()) && got.Count() == got.Bits().Count()
+	}
+	f := func(size uint16, members []uint16, a, b uint16, edge uint8) bool {
+		n := int(size)%1000 + 1
+		lo, hi := int(a)%(n+1), int(b)%(n+1)
+		switch edge % 6 {
+		case 0: // as drawn, possibly reversed
+		case 1:
+			lo &^= 63
+		case 2:
+			hi &^= 63
+		case 3:
+			lo, hi = lo&^63, min(n, lo&^63+64)
+		case 4:
+			lo, hi = -3, n+70
+		case 5:
+			hi = min(n, lo+int(edge)%64)
+		}
+		return check(n, members, lo, hi)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	// A full set makes every cleared bit count.
+	for _, r := range [][2]int{{0, 64}, {63, 65}, {64, 128}, {1, 63}, {0, 200}, {130, 131}, {128, 128}, {199, 200}} {
+		s := NewActiveSet(200)
+		s.ActivateAll()
+		s.ClearRange(r[0], r[1])
+		if want := 200 - (r[1] - r[0]); s.Count() != want || s.Bits().Count() != want || s.CountRange(r[0], r[1]) != 0 {
+			t.Fatalf("ClearRange(%d,%d) of a full set: count %d, bits %d, want %d", r[0], r[1], s.Count(), s.Bits().Count(), want)
 		}
 	}
 }

@@ -43,34 +43,43 @@ func (b *Bitset) Len() int { return b.n }
 // Set sets bit i. It panics if i is out of range.
 func (b *Bitset) Set(i int) {
 	b.check(i)
-	b.words[i/wordBits] |= 1 << (uint(i) % wordBits)
+	b.words[uint(i)/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
 // Clear clears bit i. It panics if i is out of range.
 func (b *Bitset) Clear(i int) {
 	b.check(i)
-	b.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
+	b.words[uint(i)/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Test reports whether bit i is set. It panics if i is out of range.
 func (b *Bitset) Test(i int) bool {
 	b.check(i)
-	return b.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
+	return b.words[uint(i)/wordBits]&(1<<(uint(i)%wordBits)) != 0
 }
 
 // TestAndSet sets bit i and reports whether it was previously set.
 func (b *Bitset) TestAndSet(i int) bool {
 	b.check(i)
-	w, m := i/wordBits, uint64(1)<<(uint(i)%wordBits)
-	old := b.words[w]&m != 0
-	b.words[w] |= m
-	return old
+	w, m := uint(i)/wordBits, uint64(1)<<(uint(i)%wordBits)
+	old := b.words[w]
+	b.words[w] = old | m
+	return old&m != 0
 }
 
+// check panics with an indexError when i is out of range. The message is
+// formatted only if the panic is printed: a call to fmt here would cost the
+// one-word accessors above their place in the inliner's budget.
 func (b *Bitset) check(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, b.n))
+	if uint(i) >= uint(b.n) {
+		panic(indexError{i, b.n})
 	}
+}
+
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitset: index %d out of range [0,%d)", e.i, e.n)
 }
 
 // Count returns the number of set bits.
@@ -105,6 +114,38 @@ func (b *Bitset) CountRange(lo, hi int) int {
 	}
 	last := uint((hi-1)%wordBits) + 1
 	c += bits.OnesCount64(b.words[hiW] & rangeMask(0, last))
+	return c
+}
+
+// ClearRange clears every bit in the half-open range [lo, hi), clamped to
+// the capacity like CountRange, and returns how many bits it cleared.
+func (b *Bitset) ClearRange(lo, hi int) int {
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > b.n {
+		hi = b.n
+	}
+	if lo >= hi {
+		return 0
+	}
+	loW, hiW := lo/wordBits, (hi-1)/wordBits
+	last := uint((hi-1)%wordBits) + 1
+	if loW == hiW {
+		return b.clearMask(loW, rangeMask(uint(lo%wordBits), last))
+	}
+	c := b.clearMask(loW, rangeMask(uint(lo%wordBits), wordBits))
+	for w := loW + 1; w < hiW; w++ {
+		c += bits.OnesCount64(b.words[w])
+		b.words[w] = 0
+	}
+	return c + b.clearMask(hiW, rangeMask(0, last))
+}
+
+// clearMask clears the bits of mask in word w and returns how many were set.
+func (b *Bitset) clearMask(w int, mask uint64) int {
+	c := bits.OnesCount64(b.words[w] & mask)
+	b.words[w] &^= mask
 	return c
 }
 
@@ -145,8 +186,8 @@ func (b *Bitset) Fill() {
 }
 
 // Words exposes the underlying 64-bit words (LSB-first within each word)
-// for serialization. The returned slice aliases the bitset; callers must
-// treat it as read-only.
+// for serialization and for loops that test or set many bits without a call
+// per bit. The returned slice aliases the bitset.
 func (b *Bitset) Words() []uint64 { return b.words }
 
 // SetWords overwrites the bitset from a Words snapshot of a bitset with the
@@ -241,12 +282,28 @@ func (b *Bitset) ForEach(fn func(i int) bool) {
 	}
 }
 
-// ForEachRange calls fn for every set bit in [lo, hi) in ascending order.
-// If fn returns false, iteration stops early.
+// ForEachRange calls fn for every set bit in [lo, hi), clamped to the
+// capacity, in ascending order. If fn returns false, iteration stops early.
+// Like ForEach it reads each word once, before visiting that word's bits.
 func (b *Bitset) ForEachRange(lo, hi int, fn func(i int) bool) {
-	for i := b.NextSet(lo); i >= 0 && i < hi; i = b.NextSet(i + 1) {
-		if !fn(i) {
-			return
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > b.n {
+		hi = b.n
+	}
+	for w := lo / wordBits; w*wordBits < hi; w++ {
+		word := b.words[w]
+		if w == lo/wordBits {
+			word &= ^uint64(0) << (uint(lo) % wordBits)
+		}
+		if rest := hi - w*wordBits; rest < wordBits {
+			word &= rangeMask(0, uint(rest))
+		}
+		for ; word != 0; word &= word - 1 {
+			if !fn(w*wordBits + bits.TrailingZeros64(word)) {
+				return
+			}
 		}
 	}
 }

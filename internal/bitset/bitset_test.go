@@ -2,6 +2,8 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -54,14 +56,16 @@ func TestSetTestClear(t *testing.T) {
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(10)
 	for name, fn := range map[string]func(){
-		"Set":   func() { b.Set(10) },
-		"Clear": func() { b.Clear(-1) },
-		"Test":  func() { b.Test(11) },
+		"Set":        func() { b.Set(10) },
+		"Clear":      func() { b.Clear(-1) },
+		"Test":       func() { b.Test(11) },
+		"TestAndSet": func() { b.TestAndSet(10) },
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s out of range did not panic", name)
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "out of range [0,10)") {
+					t.Errorf("%s out of range: recovered %v, want the index and the range", name, err)
 				}
 			}()
 			fn()
@@ -172,6 +176,37 @@ func TestForEachRange(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
+	}
+}
+
+// TestPropertyForEachRange: the word-at-a-time walk visits exactly the set
+// bits of the clamped range, ascending, and stops when told to.
+func TestPropertyForEachRange(t *testing.T) {
+	f := func(size uint16, members []uint16, a, b int16, stopAfter uint8) bool {
+		n := int(size)%700 + 1
+		bs := New(n)
+		for _, m := range members {
+			bs.Set(int(m) % n)
+		}
+		lo, hi := int(a)%(n+80)-40, int(b)%(n+80)-40
+		var want []int
+		for i := max(lo, 0); i < min(hi, n); i++ {
+			if bs.Test(i) {
+				want = append(want, i)
+			}
+		}
+		if k := int(stopAfter); k > 0 && k < len(want) {
+			want = want[:k]
+		}
+		var got []int
+		bs.ForEachRange(lo, hi, func(i int) bool {
+			got = append(got, i)
+			return len(got) != int(stopAfter)
+		})
+		return slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -67,6 +67,11 @@ type State struct {
 	Async        bool
 	EnqueueSteps []uint64
 	Consumed     []uint64
+	// Threads is the scatter parallelism of the run that wrote the
+	// checkpoint. A parallel floating-point sum associates by thread count,
+	// so a resume adopts it to stay bit-identical on a host with a different
+	// core count. Zero in checkpoints written before it was recorded.
+	Threads int
 }
 
 // Path returns the checkpoint file path inside dir.
@@ -188,6 +193,7 @@ const (
 	flagSecondaryPending = 1 << 0
 	flagHasAux           = 1 << 1
 	flagAsync            = 1 << 2
+	flagHasThreads       = 1 << 3
 )
 
 func (s *State) appendBody(buf []byte) []byte {
@@ -206,6 +212,9 @@ func (s *State) appendBody(buf []byte) []byte {
 	if s.Async {
 		flags |= flagAsync
 	}
+	if s.Threads > 0 {
+		flags |= flagHasThreads
+	}
 	buf = append(buf, flags)
 	buf = appendFloats(buf, s.Values)
 	if s.Aux != nil {
@@ -217,6 +226,9 @@ func (s *State) appendBody(buf []byte) []byte {
 	if s.Async {
 		buf = appendWords(buf, s.EnqueueSteps)
 		buf = appendWords(buf, s.Consumed)
+	}
+	if s.Threads > 0 {
+		buf = binary.AppendUvarint(buf, uint64(s.Threads))
 	}
 	return buf
 }
@@ -242,6 +254,9 @@ func (s *State) parseBody(data []byte) error {
 		s.Async = true
 		s.EnqueueSteps = r.words("enqueue steps")
 		s.Consumed = r.words("consumed bitset")
+	}
+	if flags&flagHasThreads != 0 {
+		s.Threads = int(r.uvarint("thread count"))
 	}
 	if r.err != nil {
 		return r.err

@@ -20,6 +20,7 @@ func sampleState() *State {
 		AccNext:          []float64{3, 2, 1},
 		Active:           []uint64{0xdeadbeef, 0, ^uint64(0)},
 		TouchedNext:      []uint64{1, 2, 3, 4},
+		Threads:          6,
 	}
 }
 
@@ -46,6 +47,7 @@ func TestNilAuxRoundTrip(t *testing.T) {
 	want := sampleState()
 	want.Aux = nil
 	want.SecondaryPending = false
+	want.Threads = 0 // as written before the thread count was recorded
 	if err := Save(dir, want); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 // is streamed (through the prefetch pipeline and shared cache) or loaded
 // selectively (per-vertex reads, when the row's frontier is sparse enough
 // that the cost model prices them below streaming), its contributions are
-// scattered with the lock-free two-phase scatter and applied immediately
+// scattered through the program's kernel and applied immediately
 // into the live values, and finally every frozen source is settled with
 // AsyncConsume. Rows whose pending mass changed are re-keyed in the queue;
 // the run converges when the queue drains or total residual falls to
@@ -32,7 +32,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
@@ -127,6 +126,11 @@ type asyncRun struct {
 	consumed  *bitset.ActiveSet
 	dirty     []bool // rows whose mass must be recomputed after the step
 
+	// applied is each apply worker's outcome and applyTask the bound method
+	// the fan-out runs (see parallel).
+	applied   []asyncApplied
+	applyTask func(w int)
+
 	blocks   int64 // sub-blocks processed
 	reacts   int64 // consumed vertices re-entering the frontier
 	selSteps int   // steps that took the selective path
@@ -147,6 +151,7 @@ func (e *Engine) runAsync() (*Result, error) {
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
+	defer e.stopParallel()
 	dev := e.layout.Dev
 	ioBase := dev.Stats()
 	decodeStart := e.layout.DecodeTime()
@@ -168,6 +173,7 @@ func (e *Engine) runAsync() (*Result, error) {
 		consumed:      bitset.NewActiveSet(e.n),
 		dirty:         make([]bool, e.p),
 	}
+	a.applyTask = a.applyWorker
 	for i := 0; i < e.p; i++ {
 		a.rows[i] = &asyncRow{i: i, tie: asyncTie(e.opts.AsyncSeed, i), pos: -1}
 		var cost time.Duration
@@ -195,6 +201,7 @@ func (e *Engine) runAsync() (*Result, error) {
 		resumed = true
 	}
 	resumedFrom := int(a.step)
+	a.applied = make([]asyncApplied, e.threads) // after restore: a resume adopts the checkpoint's thread count
 
 	// Seed (or, after a resume, rebuild) the queue from the live frontier.
 	for i := 0; i < e.p; i++ {
@@ -590,86 +597,83 @@ func (a *asyncRun) scatterApplyBlock(edges []graph.Edge, j int) int64 {
 	return a.applyAsyncInterval(j)
 }
 
+// asyncApplied is what applying one span of an interval did: vertices newly
+// put on the frontier, how many of those had been consumed before, and
+// whether any vertex asked to be active at all.
+type asyncApplied struct {
+	woken, reacts int
+	any           bool
+}
+
 // applyAsyncInterval folds interval j's touched accumulators into the live
 // values with AsyncApply, activating woken vertices (counting those that
-// had already been consumed as reactivations) and marking their rows dirty
-// for re-keying. Apply is per-vertex independent, so large batches are
-// chunked across the configured threads exactly like the BSP apply;
-// activation, reactivation and dirty bookkeeping merge serially so counts
-// and heap updates stay deterministic.
+// had already been consumed as reactivations) and marking the row dirty
+// for re-keying. Apply is per-vertex independent, so large batches are cut
+// at word boundaries across the configured threads exactly like the BSP
+// apply; each worker counts its own span and the counts are summed, so they
+// and the heap updates stay deterministic.
 func (a *asyncRun) applyAsyncInterval(j int) int64 {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()
 	defer func() { e.computeTime += time.Since(t0) }()
-	id := e.prog.Identity()
 
-	var pending []int
-	e.touched.ForEachRange(lo, hi, func(v int) bool {
-		pending = append(pending, v)
-		return true
-	})
-	if len(pending) == 0 {
+	count := e.touched.CountRange(lo, hi)
+	if count == 0 {
 		return 0
 	}
-
-	activate := func(v int) {
-		if !e.active.Contains(v) {
-			e.active.Activate(v)
-			if a.consumed.Contains(v) {
-				a.reacts++
-			}
+	var total asyncApplied
+	if count < serialApplyThreshold || e.threads <= 1 {
+		total = a.applySpan(lo, hi)
+	} else {
+		p := e.parallelState()
+		p.lo, p.hi = lo, hi
+		p.pool.run(a.applyTask)
+		for _, out := range a.applied {
+			total.woken += out.woken
+			total.reacts += out.reacts
+			total.any = total.any || out.any
 		}
+	}
+	e.active.AddCount(total.woken)
+	a.reacts += int64(total.reacts)
+	if total.any {
 		a.dirty[j] = true
 	}
+	e.touched.ClearRange(lo, hi)
+	return int64(count)
+}
 
-	workers := e.opts.threads()
-	if len(pending) < serialApplyThreshold || workers <= 1 {
-		for _, v := range pending {
-			nv, act := a.mono.AsyncApply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
-			e.valPrev[v] = nv
-			if act {
-				activate(v)
-			}
-			e.acc[v] = id
-			e.touched.Deactivate(v)
-		}
-		return int64(len(pending))
+func (a *asyncRun) applyWorker(w int) {
+	p := a.e.par
+	a.applied[w] = a.applySpan(spanCut(p.lo, p.hi, w, p.pool.n))
+}
+
+// applySpan applies the touched vertices of [lo, hi) in ascending order. It
+// leaves touched alone: the caller clears the whole interval.
+func (a *asyncRun) applySpan(lo, hi int) (out asyncApplied) {
+	if lo >= hi {
+		return out
 	}
-
-	chunk := (len(pending) + workers - 1) / workers
-	activated := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		loK, hiK := w*chunk, min((w+1)*chunk, len(pending))
-		if loK >= hiK {
-			continue
-		}
-		wg.Add(1)
-		go func(w, loK, hiK int) {
-			defer wg.Done()
-			var acts []int
-			for _, v := range pending[loK:hiK] {
-				nv, act := a.mono.AsyncApply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
-				e.valPrev[v] = nv
-				if act {
-					acts = append(acts, v)
+	e := a.e
+	id := e.prog.Identity()
+	active, consumed := e.active.Words(), a.consumed.Words()
+	e.touched.ForEachRange(lo, hi, func(v int) bool {
+		nv, act := a.mono.AsyncApply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
+		e.valPrev[v] = nv
+		if act {
+			out.any = true
+			if setBit(active, v) == 1 {
+				out.woken++
+				if hasBit(consumed, uint32(v)) {
+					out.reacts++
 				}
-				e.acc[v] = id
 			}
-			activated[w] = acts
-		}(w, loK, hiK)
-	}
-	wg.Wait()
-	for _, acts := range activated {
-		for _, v := range acts {
-			activate(v)
 		}
-	}
-	for _, v := range pending {
-		e.touched.Deactivate(v)
-	}
-	return int64(len(pending))
+		e.acc[v] = id
+		return true
+	})
+	return out
 }
 
 // save captures the async engine state at a step boundary: live values and
@@ -695,6 +699,7 @@ func (a *asyncRun) save(dir string) error {
 		Async:        true,
 		EnqueueSteps: enq,
 		Consumed:     a.consumed.Words(),
+		Threads:      e.threads,
 	}
 	return checkpoint.Save(dir, st)
 }
@@ -737,5 +742,6 @@ func (a *asyncRun) restore(st *checkpoint.State) error {
 		r.enq = int64(st.EnqueueSteps[i])
 	}
 	a.step = int64(st.Iteration)
+	e.adoptThreads(st.Threads)
 	return nil
 }

@@ -24,6 +24,7 @@ func (e *Engine) saveCheckpoint(dir string, iter int, secondaryPending bool) err
 		AccNext:          e.accNext,
 		Active:           e.active.Words(),
 		TouchedNext:      e.touchedNext.Words(),
+		Threads:          e.threads,
 	}
 	return checkpoint.Save(dir, st)
 }
@@ -63,5 +64,16 @@ func (e *Engine) restoreCheckpoint(st *checkpoint.State) error {
 	if err := e.touchedNext.LoadWords(st.TouchedNext); err != nil {
 		return fmt.Errorf("core: checkpoint touched set: %w", err)
 	}
+	e.adoptThreads(st.Threads)
 	return nil
+}
+
+// adoptThreads makes a resumed run scatter on as many threads as the run
+// that wrote the checkpoint, whatever Options.Threads resolves to here: the
+// parallel reduce associates a sum by thread count, and a resume must not
+// change the bits. Checkpoints from before the count was recorded carry 0.
+func (e *Engine) adoptThreads(recorded int) {
+	if recorded > 0 {
+		e.threads = recorded
+	}
 }

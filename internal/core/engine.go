@@ -19,9 +19,16 @@ import (
 )
 
 // serialScatterThreshold is the edge count below which scatter runs
-// single-threaded; goroutine fan-out costs more than it saves on tiny
-// batches.
-const serialScatterThreshold = 4096
+// single-threaded. A fan-out has a fixed cost — about 10µs to wake a parked
+// helper, then a reduce over the destination interval — against roughly 3ns
+// of kernel work per edge. The value is the smallest power of two at which
+// two threads measured no slower than one (CHANGES.md, PR 13).
+const serialScatterThreshold = 1 << 17
+
+// serialApplyThreshold is the vertex count below which the apply phase runs
+// single-threaded, chosen the same way: one wake against roughly 6ns per
+// applied vertex.
+const serialApplyThreshold = 1 << 16
 
 // Engine executes a vertex program over a partitioned on-disk graph using
 // GraphSD's state- and dependency-aware update strategy. Create one with
@@ -66,9 +73,18 @@ type Engine struct {
 	// lines 15–23).
 	sciuCache map[graph.VertexID][]graph.Edge
 
-	// scatterBufs is the reusable per-(worker, range) contribution scratch
-	// of the two-phase parallel scatter.
-	scatterBufs [][]contrib
+	// crossEdges is runSCIU's reusable batch of the cached edges it scatters
+	// across the iteration boundary.
+	crossEdges []graph.Edge
+
+	// kernel is the scatter loop the program declared (see kernel.go).
+	kernel EdgeKernel
+
+	// threads is Options.Threads resolved; par is the parallel scatter/apply
+	// state, nil until a batch is large enough to fan out. run stops its
+	// helpers before returning.
+	threads int
+	par     *parallel
 
 	// ioBufs pools the raw byte buffers the pipeline's fetch workers read
 	// sub-blocks through; decoded edge slices are freshly allocated because
@@ -141,6 +157,10 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
+	kernel, err := kernelOf(prog)
+	if err != nil {
+		return nil, err
+	}
 	bufBytes := opts.BufferBytes
 	if bufBytes == 0 && opts.DefaultBuffer {
 		bufBytes = layout.Meta.EdgeBytesTotal() / 4
@@ -149,6 +169,8 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	e := &Engine{
 		layout:       layout,
 		prog:         prog,
+		kernel:       kernel,
+		threads:      opts.threads(),
 		opts:         opts,
 		sched:        sched,
 		n:            n,
@@ -217,6 +239,7 @@ func (e *Engine) run() (*Result, error) {
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
+	defer e.stopParallel()
 	dev := e.layout.Dev
 	ioBase := dev.Stats()
 	decodeStart := e.layout.DecodeTime()
@@ -436,82 +459,68 @@ func (e *Engine) index(i, j int) (*partition.Index, error) {
 	return idx, nil
 }
 
-// serialApplyThreshold is the vertex count below which the apply phase
-// runs single-threaded.
-const serialApplyThreshold = 8192
-
 // applyInterval runs the apply phase for every touched vertex of interval j
 // (every vertex, for always-active programs), filling newActive and
 // restoring the accumulator identity invariant. Apply is embarrassingly
 // parallel per vertex — each touches only its own value, accumulator and
-// aux slot — so large intervals are chunked across Options.Threads
-// workers, with activations gathered per worker and merged serially.
+// aux slot — so large intervals are cut at word boundaries across
+// Options.Threads workers, each setting its own words of newActive.
 func (e *Engine) applyInterval(j int) {
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()
 	defer func() { e.computeTime += time.Since(t0) }()
-	id := e.prog.Identity()
 
-	var pending []int
-	if e.prog.AlwaysActive() {
-		pending = make([]int, hi-lo)
-		for k := range pending {
-			pending[k] = lo + k
-		}
-	} else {
-		// Collect first: applying mutates the set being iterated.
-		e.touched.ForEachRange(lo, hi, func(v int) bool {
-			pending = append(pending, v)
-			return true
-		})
+	all := e.prog.AlwaysActive()
+	count := hi - lo
+	if !all {
+		count = e.touched.CountRange(lo, hi)
 	}
-
-	workers := e.opts.threads()
-	if len(pending) < serialApplyThreshold || workers <= 1 {
-		for _, v := range pending {
-			nv, act := e.prog.Apply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
-			e.valCur[v] = nv
-			if act {
-				e.newActive.Activate(v)
-			}
-			e.acc[v] = id
-			e.touched.Deactivate(v)
-		}
+	if count == 0 {
 		return
 	}
+	if count < serialApplyThreshold || e.threads <= 1 {
+		e.newActive.AddCount(e.applySpan(lo, hi, all))
+	} else {
+		p := e.parallelState()
+		p.lo, p.hi, p.all = lo, hi, all
+		p.pool.run(p.applyTask)
+		e.newActive.AddCount(p.sum())
+	}
+	e.touched.ClearRange(lo, hi)
+}
 
-	chunk := (len(pending) + workers - 1) / workers
-	activated := make([][]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		loK, hiK := w*chunk, min((w+1)*chunk, len(pending))
-		if loK >= hiK {
-			continue
+func (e *Engine) applyWorker(w int) {
+	p := e.par
+	lo, hi := spanCut(p.lo, p.hi, w, p.pool.n)
+	p.counts[w] = e.applySpan(lo, hi, p.all)
+}
+
+// applySpan applies the vertices of [lo, hi) in ascending order — all of
+// them, or those in touched — and returns how many it newly set in
+// newActive. It leaves touched alone: the caller clears the whole interval.
+func (e *Engine) applySpan(lo, hi int, all bool) (newly int) {
+	if lo >= hi {
+		return 0
+	}
+	id := e.prog.Identity()
+	newActive := e.newActive.Words()
+	apply := func(v int) bool {
+		nv, act := e.prog.Apply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
+		e.valCur[v] = nv
+		if act {
+			newly += setBit(newActive, v)
 		}
-		wg.Add(1)
-		go func(w, loK, hiK int) {
-			defer wg.Done()
-			var acts []int
-			for _, v := range pending[loK:hiK] {
-				nv, act := e.prog.Apply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
-				e.valCur[v] = nv
-				if act {
-					acts = append(acts, v)
-				}
-				e.acc[v] = id
-			}
-			activated[w] = acts
-		}(w, loK, hiK)
+		e.acc[v] = id
+		return true
 	}
-	wg.Wait()
-	for _, acts := range activated {
-		for _, v := range acts {
-			e.newActive.Activate(v)
+	if all {
+		for v := lo; v < hi; v++ {
+			apply(v)
 		}
+		return newly
 	}
-	for _, v := range pending {
-		e.touched.Deactivate(v)
-	}
+	e.touched.ForEachRange(lo, hi, apply)
+	return newly
 }
 
 // applyAll applies every interval (used by SCIU and the single full pass,
@@ -522,113 +531,82 @@ func (e *Engine) applyAll() {
 	}
 }
 
-// contrib is one gathered edge contribution staged between the two scatter
-// phases: the destination vertex and its Gather value.
-type contrib struct {
-	dst uint32
-	g   float64
-}
-
 // scatter merges the contributions of edges whose source is in filter into
 // acc/touched, reading source values from vals. dstLo/dstHi bound the
-// destinations of edges (the destination interval for sub-block scatters,
-// [0, n) otherwise) and size the parallel path's destination partitioning.
+// destinations of edges: the touched bits the call sets are counted over that
+// range, before and after, and it sizes the parallel path's private
+// accumulators — (Threads-1)·8·(dstHi-dstLo) bytes kept for the rest of the
+// run, so this is for sub-block batches, whose destinations are one interval.
 //
-// The parallel path is a lock-free two-phase scheme: phase 1 workers gather
-// their edge chunks and bucket contributions by destination range; after a
-// barrier, phase 2 gives each destination range to exactly one worker,
-// which merges its buckets into acc and touched without synchronisation —
-// ranges are disjoint and 64-aligned, so accumulator slots and bitset words
-// are exclusively owned. Merge must be commutative and associative, which
-// makes the merge order irrelevant.
+// Small batches and Threads=1 go to scatterSerial. Larger ones cut the edges
+// into one contiguous chunk per worker: worker 0 runs the kernel into
+// acc/touched, every other worker into private arrays spanning the
+// destination interval that hold the identity everywhere between calls.
+// After a barrier the destination span is cut at word boundaries and each
+// worker folds its cut of every private array into acc/touched, in worker
+// order, restoring the identity as it goes. A destination's contributions
+// are therefore merged as (chunk 0 in edge order) ⊕ chunk 1's total ⊕
+// chunk 2's total …: fixed for a fixed thread count, and equal to the serial
+// result whenever Merge is exact (min); a floating-point sum may differ from
+// it in the last bits.
 func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
+	if len(edges) < serialScatterThreshold || e.threads <= 1 {
+		e.scatterSerial(edges, vals, filter, acc, touched, dstLo, dstHi)
+		return
+	}
+	t0 := time.Now()
+	before := touched.CountRange(dstLo, dstHi)
+	p := e.parallelState()
+	p.edges = edges
+	p.args = scatterArgs{vals: vals, degrees: e.degrees, filter: filter.Words(), acc: acc, touched: touched.Words()}
+	p.base = dstLo &^ 63
+	p.span = dstHi - p.base
+	p.pool.run(p.scatterTask)
+	p.pool.run(p.reduceTask)
+	p.edges, p.args = nil, scatterArgs{}
+	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
+	e.computeTime += time.Since(t0)
+}
+
+// scatterSerial is scatter on the calling goroutine alone: the program's
+// kernel over all edges, in order, straight into acc/touched. It keeps no
+// memory, whatever the destination range.
+func (e *Engine) scatterSerial(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	if len(edges) == 0 {
 		return
 	}
 	t0 := time.Now()
-	defer func() { e.computeTime += time.Since(t0) }()
-
-	workers := e.opts.threads()
-	if len(edges) < serialScatterThreshold || workers <= 1 {
-		for _, ed := range edges {
-			if !filter.Contains(int(ed.Src)) {
-				continue
-			}
-			g := e.prog.Gather(vals[ed.Src], ed, e.degrees[ed.Src])
-			acc[ed.Dst] = e.prog.Merge(acc[ed.Dst], g)
-			touched.Activate(int(ed.Dst))
-		}
-		return
-	}
-
-	// Destination ranges start at a 64-aligned base and span a multiple of
-	// 64 vertices, so every bitset word belongs to exactly one range.
-	base := dstLo &^ 63
-	span := dstHi - base
-	rangeSize := (span + workers - 1) / workers
-	rangeSize = (rangeSize + 63) &^ 63
-	ranges := (span + rangeSize - 1) / rangeSize
-
-	buckets := e.scatterScratch(workers * ranges)
-	chunk := (len(edges) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, len(edges))
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			mine := buckets[w*ranges : (w+1)*ranges]
-			for _, ed := range edges[lo:hi] {
-				if !filter.Contains(int(ed.Src)) {
-					continue
-				}
-				g := e.prog.Gather(vals[ed.Src], ed, e.degrees[ed.Src])
-				r := (int(ed.Dst) - base) / rangeSize
-				mine[r] = append(mine[r], contrib{dst: uint32(ed.Dst), g: g})
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	newly := make([]int, ranges)
-	for r := 0; r < ranges; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cnt := 0
-			for w := 0; w < workers; w++ {
-				for _, c := range buckets[w*ranges+r] {
-					acc[c.dst] = e.prog.Merge(acc[c.dst], c.g)
-					if touched.ActivateNoCount(int(c.dst)) {
-						cnt++
-					}
-				}
-			}
-			newly[r] = cnt
-		}(r)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range newly {
-		total += c
-	}
-	touched.AddCount(total)
+	before := touched.CountRange(dstLo, dstHi)
+	runKernel(e.kernel, e.prog, edges, scatterArgs{vals: vals, degrees: e.degrees, filter: filter.Words(), acc: acc, touched: touched.Words()})
+	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
+	e.computeTime += time.Since(t0)
 }
 
-// scatterScratch returns n reusable contribution buckets, each reset to
-// length zero with capacity retained across scatter calls.
-func (e *Engine) scatterScratch(n int) [][]contrib {
-	for len(e.scatterBufs) < n {
-		e.scatterBufs = append(e.scatterBufs, nil)
+// scatterWorker runs the kernel over worker w's chunk of the edges.
+func (e *Engine) scatterWorker(w int) {
+	p := e.par
+	chunk := (len(p.edges) + p.pool.n - 1) / p.pool.n
+	lo, hi := min(w*chunk, len(p.edges)), min((w+1)*chunk, len(p.edges))
+	args := p.args
+	if w > 0 {
+		mine := &p.privates[w]
+		mine.grow(p.span, e.prog.Identity())
+		args.acc, args.touched, args.base = mine.acc, mine.touched, p.base
 	}
-	buckets := e.scatterBufs[:n]
-	for i := range buckets {
-		buckets[i] = buckets[i][:0]
+	runKernel(e.kernel, e.prog, p.edges[lo:hi], args)
+}
+
+// reduceWorker folds worker w's cut of the destination span out of every
+// private array, in worker order.
+func (e *Engine) reduceWorker(w int) {
+	p := e.par
+	words := (p.span + 63) >> 6
+	per := (words + p.pool.n - 1) / p.pool.n
+	loW, hiW := min(w*per, words), min((w+1)*per, words)
+	id := e.prog.Identity()
+	for k := 1; k < p.pool.n; k++ {
+		p.privates[k].reduce(e.kernel, e.prog, loW, hiW, p.args.acc, p.args.touched, p.base>>6, id)
 	}
-	return buckets
 }
 
 // activeEdgeCount returns how many of edges have an active source, the

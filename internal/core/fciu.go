@@ -168,17 +168,41 @@ func (e *Engine) nextFCIUBlock(p *fciuPass, i, j int) ([]graph.Edge, error) {
 			return nil, err
 		}
 	}
-	priority := activeEdgeCount(edges, e.active)
-	if e.opts.SEM {
-		payload := e.encodePayload(i, j, edges)
-		if e.buf.PutBytes(k, payload, e.layout.Meta.SubBlockBytes(i, j), priority) {
-			e.semCompBytes.Add(int64(len(payload)))
-			e.semDecBytes.Add(e.layout.Meta.SubBlockBytes(i, j))
-		}
-	} else {
-		e.buf.Put(k, edges, e.layout.Meta.SubBlockBytes(i, j), priority)
-	}
+	e.offerSecondary(k, edges)
 	return edges, nil
+}
+
+// offerSecondary offers the just-loaded secondary sub-block k to the priority
+// buffer. Its priority — a scan of the block's edges — and, under SEM, its
+// encoded payload are computed only when they can decide the admission: an
+// entry larger than the whole buffer is rejected, and counted, by Put before
+// it looks at either.
+func (e *Engine) offerSecondary(k buffer.Key, edges []graph.Edge) {
+	size := e.layout.Meta.SubBlockBytes(k.I, k.J)
+	capacity := e.buf.Capacity()
+	switch {
+	case size > capacity && (!e.opts.SEM || capacity <= 0):
+		// Under SEM the entry is charged its encoded size, known only once
+		// encoded; but no payload fits a buffer of no capacity.
+		e.buf.Put(k, edges, size, 0)
+	case e.opts.SEM:
+		payload := e.encodePayload(k.I, k.J, edges)
+		if e.buf.PutBytes(k, payload, size, e.offerPriority(edges)) {
+			e.semCompBytes.Add(int64(len(payload)))
+			e.semDecBytes.Add(size)
+		}
+	default:
+		e.buf.Put(k, edges, size, e.offerPriority(edges))
+	}
+}
+
+// offerPriority is the active-edge count of edges under the current
+// frontier: all of them when every vertex is active.
+func (e *Engine) offerPriority(edges []graph.Edge) int64 {
+	if e.active.Count() == e.n {
+		return int64(len(edges))
+	}
+	return activeEdgeCount(edges, e.active)
 }
 
 // runFCIUFirst executes the first half of a full cross-iteration update

@@ -1,0 +1,225 @@
+package core
+
+import (
+	"fmt"
+	"math/bits"
+
+	"github.com/graphsd/graphsd/internal/graph"
+)
+
+// EdgeKernel names an edge algebra — a Gather and the Merge that folds it —
+// for which the engine has a hand-specialised scatter loop. A Program
+// declares one through the optional method
+//
+//	EdgeKernel() core.EdgeKernel
+//
+// and by doing so promises that its Gather and Merge compute exactly what the
+// constant's comment says; the engine then never calls them on the scatter
+// path. A program without the method runs the generic loop, which calls
+// Gather and Merge through the interface for every edge.
+type EdgeKernel uint8
+
+const (
+	// KernelGeneric is the zero value: no specialised loop.
+	KernelGeneric EdgeKernel = iota
+	// KernelSumOverOutDegree: Gather is srcVal/outdeg(src), or 0 for a source
+	// of out-degree zero; Merge is a+b (PageRank, PageRank-Delta).
+	KernelSumOverOutDegree
+	// KernelMinCopy: Gather is srcVal; Merge is the built-in min (label
+	// propagation).
+	KernelMinCopy
+	// KernelMinPlusOne: Gather is srcVal+1; Merge is the built-in min (BFS).
+	KernelMinPlusOne
+	// KernelMinPlusWeight: Gather is srcVal+float64(e.Weight); Merge is the
+	// built-in min (SSSP).
+	KernelMinPlusWeight
+	numEdgeKernels
+)
+
+// kernelOf returns the kernel prog declares, KernelGeneric when it declares
+// none.
+func kernelOf(prog Program) (EdgeKernel, error) {
+	d, ok := prog.(interface{ EdgeKernel() EdgeKernel })
+	if !ok {
+		return KernelGeneric, nil
+	}
+	k := d.EdgeKernel()
+	if k >= numEdgeKernels {
+		return 0, fmt.Errorf("core: program %s declares unknown edge kernel %d", prog.Name(), k)
+	}
+	return k, nil
+}
+
+// scatterArgs is what every scatter loop reads and writes. filter and touched
+// are the raw words of the source filter and the touched set. Destination d
+// lands in acc[d-base] and bit d-base of touched: base is 0 when they are the
+// engine's own arrays and the 64-aligned start of the destination interval
+// when they are a worker's private ones.
+type scatterArgs struct {
+	vals    []float64
+	degrees []uint32
+	filter  []uint64
+	acc     []float64
+	touched []uint64
+	base    int
+}
+
+// hasBit reports whether bit i of words is set.
+func hasBit(words []uint64, i uint32) bool {
+	return words[i>>6]&(1<<(i&63)) != 0
+}
+
+// setBit sets bit i of words and returns 1 if it was clear, else 0.
+func setBit(words []uint64, i int) int {
+	w, m := uint(i)>>6, uint64(1)<<(uint(i)&63)
+	old := words[w]
+	words[w] = old | m
+	if old&m != 0 {
+		return 0
+	}
+	return 1
+}
+
+// markBit sets bit i of words.
+func markBit(words []uint64, i int) {
+	words[uint(i)>>6] |= 1 << (uint(i) & 63)
+}
+
+// runKernel scatters the edges whose source is in the filter. Every
+// specialised loop performs the floating-point operations of
+// Merge(acc, Gather(val, e, deg)) for its algebra, in edge order, so its
+// results are bit-identical to the generic loop's. No loop counts the touched
+// bits it sets: a running count is one live value too many for the register
+// allocator, which then keeps it in memory and chains every edge to the last
+// through a store and a load (15–25% of the loop, measured). The
+// caller takes the difference of two population counts instead.
+func runKernel(k EdgeKernel, prog Program, edges []graph.Edge, a scatterArgs) {
+	switch k {
+	case KernelSumOverOutDegree:
+		scatterSumOverOutDegree(edges, a)
+	case KernelMinCopy:
+		scatterMinCopy(edges, a)
+	case KernelMinPlusOne:
+		scatterMinPlusOne(edges, a)
+	case KernelMinPlusWeight:
+		scatterMinPlusWeight(edges, a)
+	default:
+		scatterGeneric(prog, edges, a)
+	}
+}
+
+func scatterGeneric(prog Program, edges []graph.Edge, a scatterArgs) {
+	for _, ed := range edges {
+		if !hasBit(a.filter, uint32(ed.Src)) {
+			continue
+		}
+		g := prog.Gather(a.vals[ed.Src], ed, a.degrees[ed.Src])
+		d := int(ed.Dst) - a.base
+		a.acc[d] = prog.Merge(a.acc[d], g)
+		markBit(a.touched, d)
+	}
+}
+
+func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
+	vals, degrees, filter, acc, touched, base := a.vals, a.degrees, a.filter, a.acc, a.touched, a.base
+	for _, ed := range edges {
+		if !hasBit(filter, uint32(ed.Src)) {
+			continue
+		}
+		var g float64
+		if deg := degrees[ed.Src]; deg != 0 {
+			g = vals[ed.Src] / float64(deg)
+		}
+		d := int(ed.Dst) - base
+		acc[d] += g
+		markBit(touched, d)
+	}
+}
+
+// The three min kernels, and the programs that declare them, merge with the
+// built-in min, which the compiler expands in place; math.Min is an assembly
+// routine on amd64 and arm64. The two are not interchangeable: they agree on
+// every pair of floats except -Inf with NaN, where math.Min gives -Inf and
+// min gives NaN — a pair an SSSP over non-finite input weights can produce.
+
+func scatterMinCopy(edges []graph.Edge, a scatterArgs) {
+	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	for _, ed := range edges {
+		if !hasBit(filter, uint32(ed.Src)) {
+			continue
+		}
+		d := int(ed.Dst) - base
+		acc[d] = min(acc[d], vals[ed.Src])
+		markBit(touched, d)
+	}
+}
+
+func scatterMinPlusOne(edges []graph.Edge, a scatterArgs) {
+	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	for _, ed := range edges {
+		if !hasBit(filter, uint32(ed.Src)) {
+			continue
+		}
+		d := int(ed.Dst) - base
+		acc[d] = min(acc[d], vals[ed.Src]+1)
+		markBit(touched, d)
+	}
+}
+
+func scatterMinPlusWeight(edges []graph.Edge, a scatterArgs) {
+	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	for _, ed := range edges {
+		if !hasBit(filter, uint32(ed.Src)) {
+			continue
+		}
+		d := int(ed.Dst) - base
+		acc[d] = min(acc[d], vals[ed.Src]+float64(ed.Weight))
+		markBit(touched, d)
+	}
+}
+
+// private is one parallel-scatter worker's own accumulators over the current
+// destination interval. Between scatter calls every acc slot holds the
+// program's identity and every touched word is zero.
+type private struct {
+	acc     []float64
+	touched []uint64
+}
+
+// grow makes p span at least n destinations, filling new slots with id.
+func (p *private) grow(n int, id float64) {
+	if len(p.acc) >= n {
+		return
+	}
+	p.acc = make([]float64, n)
+	for k := range p.acc {
+		p.acc[k] = id
+	}
+	p.touched = make([]uint64, (n+63)/64)
+}
+
+// reduce folds words [loW, hiW) of p into acc/touched — whose destination
+// base sits at word baseW — and restores p's invariant over them.
+func (p *private) reduce(k EdgeKernel, prog Program, loW, hiW int, acc []float64, touched []uint64, baseW int, id float64) {
+	for w := loW; w < hiW; w++ {
+		word := p.touched[w]
+		if word == 0 {
+			continue
+		}
+		p.touched[w] = 0
+		touched[baseW+w] |= word
+		for ; word != 0; word &= word - 1 {
+			s := w<<6 + bits.TrailingZeros64(word)
+			d := baseW<<6 + s
+			switch k {
+			case KernelSumOverOutDegree:
+				acc[d] += p.acc[s]
+			case KernelMinCopy, KernelMinPlusOne, KernelMinPlusWeight:
+				acc[d] = min(acc[d], p.acc[s])
+			default:
+				acc[d] = prog.Merge(acc[d], p.acc[s])
+			}
+			p.acc[s] = id
+		}
+	}
+}

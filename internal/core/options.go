@@ -56,7 +56,12 @@ type Options struct {
 	// instead of modelled charges. Same bytes, but the final values are
 	// inspectable on the device after the run.
 	PersistValues bool
-	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS.
+	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS. Batches
+	// below serialScatterThreshold edges or serialApplyThreshold vertices
+	// run on the calling goroutine whatever the value. Outputs are
+	// reproducible for a fixed value; see Engine.scatter for how they relate
+	// across values. A run resumed from a checkpoint uses the value the
+	// checkpoint records instead, so that the resume changes no bit.
 	Threads int
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero

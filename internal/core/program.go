@@ -32,6 +32,18 @@ import (
 // or every vertex, if AlwaysActive — then computes its next value with
 // Apply. Apply reports whether the vertex becomes active in the next
 // iteration.
+//
+// Gather and Merge are called through the interface once per edge. A
+// program whose pair is one of the algebras named by the EdgeKernel
+// constants may also implement
+//
+//	EdgeKernel() EdgeKernel
+//
+// and the engine then scatters with the loop written for that algebra,
+// which performs the same floating-point operations in the same order
+// without the calls (see kernel.go). The method is optional and changes no
+// result: a program without it, or one declaring KernelGeneric, runs the
+// Gather/Merge loop on every path.
 type Program interface {
 	// Name identifies the algorithm ("pagerank", "cc", ...).
 	Name() string

@@ -206,22 +206,22 @@ func (e *Engine) runSCIU() error {
 	if cross {
 		// Cross-iteration value computation (Alg 2 lines 15–23): vertices
 		// re-activated while their edges are memory-resident propagate
-		// their just-computed value to iteration t+1 now.
-		var reactivated []int
+		// their just-computed value to iteration t+1 now. Their cached
+		// edges are scattered as one batch, in vertex order: a scatter's
+		// fixed costs (timing, counting the touched bits over [0, n)) are
+		// paid once, not per vertex. The batch goes anywhere in [0, n), so it
+		// is scattered serially: private accumulators spanning every vertex,
+		// per helper, are memory an out-of-core run does not have.
+		batch := e.crossEdges[:0]
 		e.newActive.ForEach(func(v int) bool {
-			if e.active.Contains(v) {
-				reactivated = append(reactivated, v)
+			if edges := e.sciuCache[graph.VertexID(v)]; len(edges) > 0 && e.active.Contains(v) {
+				batch = append(batch, edges...)
+				e.prescattered.Activate(v)
 			}
 			return true
 		})
-		for _, v := range reactivated {
-			edges := e.sciuCache[graph.VertexID(v)]
-			if len(edges) == 0 {
-				continue
-			}
-			e.scatter(edges, e.valCur, e.newActive, e.accNext, e.touchedNext, 0, e.n)
-			e.prescattered.Activate(v)
-		}
+		e.scatterSerial(batch, e.valCur, e.newActive, e.accNext, e.touchedNext, 0, e.n)
+		e.crossEdges = batch
 		e.sciuCache = nil
 	}
 	return e.writeValues()

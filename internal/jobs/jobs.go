@@ -331,6 +331,9 @@ func (j *Job) Status() Status {
 		st.Iterations = j.res.Iterations
 		st.Resumed = j.res.Resumed
 	}
+	if !j.finished.IsZero() {
+		st.Finished = j.finished.UTC().Format(time.RFC3339Nano)
+	}
 	if !j.started.IsZero() {
 		st.Started = j.started.UTC().Format(time.RFC3339Nano)
 		st.WaitMS = j.started.Sub(j.submitted).Milliseconds()

@@ -302,3 +302,79 @@ func TestSchedulerStress(t *testing.T) {
 	}
 	t.Logf("finished: %v (total %d)", counts, total)
 }
+
+// TestStatusFinished: Status reports when a job reached its terminal state —
+// to the nanosecond, which run_ms does not give — for a job that ran and for
+// the three kinds that finish without running: cancelled while queued,
+// expired while queued, and recovered as terminal from the journal.
+func TestStatusFinished(t *testing.T) {
+	finishedAt := func(t *testing.T, j *Job) time.Time {
+		t.Helper()
+		st := j.Status()
+		at, err := time.Parse(time.RFC3339Nano, st.Finished)
+		if err != nil {
+			t.Fatalf("state %s: finished = %q: %v", st.State, st.Finished, err)
+		}
+		submitted, _ := time.Parse(time.RFC3339Nano, st.Submitted)
+		if at.Before(submitted) || at.After(time.Now()) {
+			t.Fatalf("state %s: finished %v outside [submitted %v, now]", st.State, at, submitted)
+		}
+		return at
+	}
+
+	dir := t.TempDir()
+	jr, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newBlockingRunner()
+	s := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr})
+
+	running, _ := s.Submit(Request{Graph: "g1", Algorithm: "pr"})
+	<-r.started
+	if st := running.Status(); st.Finished != "" {
+		t.Fatalf("running job reports finished = %q", st.Finished)
+	}
+	cancelled, _ := s.Submit(Request{Graph: "g2", Algorithm: "pr"})
+	if st := cancelled.Status(); st.Finished != "" {
+		t.Fatalf("queued job reports finished = %q", st.Finished)
+	}
+	dl := time.Now().Add(10 * time.Millisecond)
+	expired, _ := s.Submit(Request{Graph: "g3", Algorithm: "pr", Deadline: &dl})
+	if err := s.Cancel(cancelled.ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cancelled, Cancelled)
+	finishedAt(t, cancelled)
+
+	time.Sleep(20 * time.Millisecond) // past the queued job's deadline
+	close(r.release)
+	waitState(t, running, Done)
+	ranUntil := finishedAt(t, running)
+	waitState(t, expired, Expired)
+	finishedAt(t, expired)
+
+	s.Close(context.Background())
+	jr.Close()
+
+	// A restarted scheduler recovers all three as terminal, each with the
+	// time its final record carried.
+	jr2, err := OpenJournal(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr2})
+	defer func() { s2.Close(context.Background()); jr2.Close() }()
+	for _, id := range []string{running.ID(), cancelled.ID(), expired.ID()} {
+		j, ok := s2.Get(id)
+		if !ok || !j.Recovered() || !j.State().Final() {
+			t.Fatalf("job %s after restart: found %v, state %v", id, ok, j.State())
+		}
+		finishedAt(t, j)
+	}
+	// The final record is stamped as it is appended, just after the job's own
+	// finish time is taken.
+	if j, _ := s2.Get(running.ID()); finishedAt(t, j).Sub(ranUntil).Abs() > time.Second {
+		t.Fatalf("recovered done job finished at %v, ran until %v", finishedAt(t, j), ranUntil)
+	}
+}
