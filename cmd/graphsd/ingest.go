@@ -25,9 +25,9 @@ type ingestMutation struct {
 // cmdIngest streams an edge-mutation file into a running mutable server.
 // Line formats (one mutation per line, '#' comments and blanks skipped):
 //
-//	+ src dst [weight]   insert
-//	- src dst            delete
-//	src dst [weight]     insert (bare edge-list lines ingest as inserts)
+//   - src dst [weight]   insert
+//   - src dst            delete
+//     src dst [weight]     insert (bare edge-list lines ingest as inserts)
 //
 // Mutations are batched; each 200 response means that batch is fsynced in
 // the server's WAL, so a kill -9 after the last acknowledged batch loses

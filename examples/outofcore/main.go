@@ -6,8 +6,9 @@
 //     runs to disk and never holds more than one grid row (that is exactly
 //     how P is chosen);
 //
-//  2. the engine runs with chunked sub-block streaming (peak residency =
-//     one chunk) and persisted vertex values (real on-device array);
+//  2. the engine runs with a priority buffer of a quarter of the edge data
+//     and reads sub-blocks ahead of the compute on its block stream, whose
+//     window bounds what is resident beyond the buffer;
 //
 //  3. an I/O trace records every device operation, and its summary shows
 //     the access pattern is overwhelmingly sequential — the whole point of
@@ -88,9 +89,8 @@ func main() {
 	rec.Attach(dev)
 
 	res, err := core.Run(layout, &algorithms.PageRankDelta{Iterations: 20, Tolerance: 1e-6}, core.Options{
-		DefaultBuffer:    true,
-		StreamChunkBytes: 64 << 10, // 64 KiB residency per cell read
-		PersistValues:    true,     // vertex values live on the device
+		DefaultBuffer: true,
+		PrefetchBytes: 1 << 20, // at most 1 MiB of sub-blocks read ahead
 	})
 	if err != nil {
 		log.Fatal(err)

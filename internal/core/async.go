@@ -131,10 +131,12 @@ type asyncRun struct {
 	applied   []asyncApplied
 	applyTask func(w int)
 
+	// selBlock is the selective path's reusable block.
+	selBlock selectiveBlock
+
 	blocks   int64 // sub-blocks processed
 	reacts   int64 // consumed vertices re-entering the frontier
 	selSteps int   // steps that took the selective path
-	fallback int   // pipelined blocks re-loaded synchronously after a degrade
 }
 
 // runAsync executes the engine asynchronously. It mirrors run()'s setup and
@@ -143,9 +145,6 @@ func (e *Engine) runAsync() (*Result, error) {
 	mono, ok := e.prog.(Monotonic)
 	if !ok {
 		return nil, fmt.Errorf("core: program %s is not monotonic; -async needs label-correcting or residual form (use prd instead of pr)", e.prog.Name())
-	}
-	if e.opts.PersistValues {
-		return nil, fmt.Errorf("core: PersistValues is incompatible with Async (values are live, not iteration-versioned)")
 	}
 	start := time.Now()
 	if e.ctx == nil {
@@ -275,54 +274,23 @@ func (e *Engine) runAsync() (*Result, error) {
 	if a.h.Len() == 0 {
 		converged = true
 	}
-	e.plStats.Fallbacks += a.fallback
 
-	outputs := make([]float64, e.n)
-	tOut := time.Now()
-	for v := range outputs {
-		outputs[v] = e.prog.Output(graph.VertexID(v), e.valPrev[v], e.aux)
+	res := e.result(start, ioBase, decodeStart)
+	res.Iterations = int(a.step)
+	res.Converged = converged
+	res.IterStats = iterStats
+	res.Resumed = resumed
+	res.ResumedFrom = resumedFrom
+	res.Checkpoints = checkpoints
+	res.Async = AsyncStats{
+		Enabled:         true,
+		Steps:           int(a.step),
+		SelectiveSteps:  a.selSteps,
+		BlocksScheduled: a.blocks,
+		Reactivations:   a.reacts,
+		FinalResidual:   a.totalResidual(),
 	}
-	e.computeTime += time.Since(tOut)
-
-	return &Result{
-		Algorithm:         e.prog.Name(),
-		Iterations:        int(a.step),
-		Converged:         converged,
-		Outputs:           outputs,
-		WallTime:          time.Since(start),
-		ComputeTime:       e.computeTime,
-		DecodeTime:        e.layout.DecodeTime() - decodeStart + time.Duration(e.semDecodeNanos.Load()),
-		Codec:             e.layout.Meta.BlockCodec().String(),
-		CompressRatio:     compressRatio(&e.layout.Meta),
-		IO:                dev.Stats().Sub(ioBase),
-		SharedHits:        e.sharedHits.Load(),
-		SharedMisses:      e.sharedMisses.Load(),
-		SchedulerOverhead: e.sched.TotalOverhead(),
-		SchedAccuracy:     e.sched.Accuracy(),
-		Buffer:            e.buf.Stats(),
-		Pipeline:          e.plStats,
-		IterStats:         iterStats,
-		Resumed:           resumed,
-		ResumedFrom:       resumedFrom,
-		Checkpoints:       checkpoints,
-		SEM: SEMStats{
-			Enabled:         e.opts.SEM || (e.opts.SharedBlocks != nil && e.opts.SharedBlocks.Compressed()),
-			BlocksSkipped:   int64(e.plStats.Skipped),
-			BytesSkipped:    e.plStats.SkippedBytes,
-			CompressedHits:  e.semCompHits.Load(),
-			DecodeTime:      time.Duration(e.semDecodeNanos.Load()),
-			CompressedBytes: e.semCompBytes.Load(),
-			DecodedBytes:    e.semDecBytes.Load(),
-		},
-		Async: AsyncStats{
-			Enabled:         true,
-			Steps:           int(a.step),
-			SelectiveSteps:  a.selSteps,
-			BlocksScheduled: a.blocks,
-			Reactivations:   a.reacts,
-			FinalResidual:   a.totalResidual(),
-		},
-	}, nil
+	return res, nil
 }
 
 // totalResidual sums the canonical pending mass over all rows (queued rows
@@ -437,7 +405,7 @@ func (a *asyncRun) processRow(i int) (string, error) {
 	var err error
 	if selective {
 		a.selSteps++
-		applied, err = a.scatterRowSelective(i, lo)
+		applied, err = a.scatterRowOnDemand(i)
 	} else {
 		applied, err = a.scatterRowStreamed(i)
 	}
@@ -479,9 +447,8 @@ func (a *asyncRun) processRow(i int) (string, error) {
 }
 
 // scatterRowStreamed processes row i by streaming its non-empty sub-blocks
-// whole, prefetched through the I/O pipeline (transient faults degrade the
-// rest of the row to synchronous loads, as in the BSP passes). Each block
-// is scattered and applied before the next is consumed.
+// whole through a block stream. Each block is scattered and applied before
+// the next is consumed.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
@@ -492,93 +459,45 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	for _, j := range cols {
 		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 	}
-	pf := e.newBlockPrefetcher(reqs)
-	if pf != nil {
-		defer e.finishPrefetch(pf)
-	}
-	degraded := false
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, e.src.full)
+	defer st.close()
 	var applied int64
-	for _, req := range reqs {
-		if err := e.checkCtx(); err != nil {
+	for _, j := range cols {
+		edges, err := st.take(i, j)
+		if err != nil {
 			return applied, err
 		}
-		var edges []graph.Edge
-		var err error
-		if pf != nil && !degraded {
-			_, edges, err = pf.NextCtx(e.ctx)
-			if err != nil {
-				if !storage.IsTransient(err) {
-					return applied, err
-				}
-				degraded = true
-			}
-		}
-		if pf == nil || degraded {
-			if degraded {
-				a.fallback++
-			}
-			edges, err = e.loadBlock(req.I, req.J)
-			if err != nil {
-				return applied, err
-			}
-		}
-		applied += a.scatterApplyBlock(edges, req.J)
+		applied += a.scatterApplyBlock(edges, j)
 	}
 	return applied, nil
 }
 
-// scatterRowSelective processes row i by reading only the frozen frontier's
+// scatterRowOnDemand processes row i by reading only the frozen frontier's
 // edge runs through each sub-block's vertex index — the async analogue of
 // SCIU's on-demand loads. It runs synchronously: frontier rows this sparse
 // spend their time seeking, not streaming, and the frozen frontier keeps
 // the reads deterministic.
-func (a *asyncRun) scatterRowSelective(i, lo int) (int64, error) {
+func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 	e := a.e
 	// Modelled per-step index consultation, the per-interval slice of
 	// SCIU's 2|V| term.
-	_, hi := e.layout.Meta.Interval(i)
+	lo, hi := e.layout.Meta.Interval(i)
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
 
 	var applied int64
-	bufp, _ := e.ioBufs.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	defer e.ioBufs.Put(bufp)
-	var edges []graph.Edge
 	for _, j := range a.rowBlocks[i] {
 		if err := e.checkCtx(); err != nil {
 			return applied, err
 		}
-		idx, err := e.index(i, j)
+		// The frozen frontier holds exactly this row's active vertices. Each
+		// block is applied before the next is read, so one block's memory
+		// serves the whole row.
+		blk, err := e.src.selective(i, j, a.frontier, a.selBlock)
 		if err != nil {
 			return applied, err
 		}
-		r, err := e.layout.OpenSubBlock(i, j)
-		if err != nil {
-			return applied, err
-		}
-		edges = edges[:0]
-		var loopErr error
-		for _, v := range a.frontList {
-			var runEdges []graph.Edge
-			runEdges, *bufp, loopErr = e.layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), *bufp)
-			if loopErr != nil {
-				break
-			}
-			edges = append(edges, runEdges...)
-		}
-		var closeErr error
-		if r != nil { // nil reader: the block lives entirely in the overlay
-			closeErr = r.Close()
-		}
-		if loopErr != nil {
-			return applied, fmt.Errorf("core: async interval %d sub-block %d: %w", i, j, loopErr)
-		}
-		if closeErr != nil {
-			return applied, closeErr
-		}
-		applied += a.scatterApplyBlock(edges, j)
+		a.selBlock = blk
+		applied += a.scatterApplyBlock(blk.edges, j)
 	}
 	return applied, nil
 }

@@ -396,19 +396,13 @@ func TestAsyncCheckpointModeMismatch(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsUnsupported: non-monotonic programs and PersistValues are
-// refused at run start, not silently misexecuted.
+// TestAsyncRejectsUnsupported: non-monotonic programs are refused at run
+// start, not silently misexecuted.
 func TestAsyncRejectsUnsupported(t *testing.T) {
 	l := chaosLayout(t, graph.CodecRaw, 9)
 	_, err := core.Run(l, &algorithms.PageRank{Iterations: 3}, asyncOpts())
 	if err == nil || !strings.Contains(err.Error(), "not monotonic") {
 		t.Fatalf("plain pagerank accepted under async: %v", err)
-	}
-	opts := asyncOpts()
-	opts.PersistValues = true
-	_, err = core.Run(l, &algorithms.ConnectedComponents{}, opts)
-	if err == nil || !strings.Contains(err.Error(), "PersistValues") {
-		t.Fatalf("PersistValues accepted under async: %v", err)
 	}
 }
 

@@ -50,9 +50,6 @@ func TestEngineOutputsIdenticalAcrossCodecs(t *testing.T) {
 		{"bfs/full", rmat,
 			func() core.Program { return &algorithms.BFS{Source: 0} },
 			core.Options{ForceModel: core.ForceFull}},
-		{"cc/streamed", rmat,
-			func() core.Program { return &algorithms.ConnectedComponents{} },
-			core.Options{StreamChunkBytes: 256}},
 		{"sssp/weighted", weighted,
 			func() core.Program { return &algorithms.SSSP{Source: 0} },
 			core.Options{DefaultBuffer: true}},

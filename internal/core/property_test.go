@@ -21,8 +21,6 @@ func TestPropertyEngineEqualsOracle(t *testing.T) {
 		{DisableCrossIteration: true},
 		{ForceModel: core.ForceFull, DefaultBuffer: true},
 		{ForceModel: core.ForceOnDemand},
-		{StreamChunkBytes: 128, DefaultBuffer: true},
-		{PersistValues: true},
 	}
 	f := func(raw []uint16, pRaw, cfgRaw, srcRaw uint8) bool {
 		const n = 48

@@ -1,72 +1,9 @@
 package core
 
 import (
-	"fmt"
-
-	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/pipeline"
-	"github.com/graphsd/graphsd/internal/storage"
 )
-
-// sciuRun records that edges[prev.end:end] of a sciuBlock belong to vertex
-// v, where prev is the preceding run (or 0 for the first).
-type sciuRun struct {
-	v   graph.VertexID
-	end int
-}
-
-// sciuBlock is the selectively-loaded content of one sub-block under the
-// on-demand model: the active vertices' edge runs concatenated in vertex
-// order, with per-vertex boundaries for the cross-iteration cache.
-type sciuBlock struct {
-	edges []graph.Edge
-	runs  []sciuRun
-}
-
-// fetchSCIUBlock selectively loads the active vertices' edges of sub-block
-// (req.I, req.J). It is safe on pipeline worker goroutines: the vertex
-// index was preloaded by the consumer (indexCache is read-only here), the
-// active set is not mutated until the apply phase, and each call owns its
-// reader — so the sequential/random access classification of AutoReadAt
-// stays per-sub-block, exactly as in the synchronous path.
-func (e *Engine) fetchSCIUBlock(req pipeline.Request) (sciuBlock, error) {
-	i, j := req.I, req.J
-	var blk sciuBlock
-	idx := e.indexCache[buffer.Key{I: i, J: j}]
-	r, err := e.layout.OpenSubBlock(i, j)
-	if err != nil {
-		return blk, err
-	}
-	bufp, _ := e.ioBufs.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
-	lo, hi := e.layout.Meta.Interval(i)
-	var loopErr error
-	e.active.ForEachRange(lo, hi, func(v int) bool {
-		var edges []graph.Edge
-		edges, *bufp, loopErr = e.layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), *bufp)
-		if loopErr != nil {
-			return false
-		}
-		if len(edges) == 0 {
-			return true
-		}
-		blk.edges = append(blk.edges, edges...)
-		blk.runs = append(blk.runs, sciuRun{v: graph.VertexID(v), end: len(blk.edges)})
-		return true
-	})
-	e.ioBufs.Put(bufp)
-	var closeErr error
-	if r != nil { // nil reader: the block lives entirely in the overlay
-		closeErr = r.Close()
-	}
-	if loopErr != nil {
-		return blk, fmt.Errorf("core: sciu interval %d sub-block %d: %w", i, j, loopErr)
-	}
-	return blk, closeErr
-}
 
 // runSCIU executes one iteration under the selective cross-iteration
 // update model (paper Algorithm 2). Under the on-demand I/O model it loads
@@ -78,7 +15,7 @@ func (e *Engine) fetchSCIUBlock(req pipeline.Request) (sciuBlock, error) {
 // contribution immediately into the staged accumulator, and is removed
 // from the next frontier so its edges are not read again.
 //
-// Selective loads run ahead of the scatter work on the I/O pipeline; each
+// Selective loads run ahead of the scatter work on the block stream; each
 // request's byte size is the sub-block's active-run total, so the window
 // budget meters what is actually read.
 func (e *Engine) runSCIU() error {
@@ -86,9 +23,7 @@ func (e *Engine) runSCIU() error {
 	// value array read/write-back (the 2|V|·N/B_sr + |V|·N/B_sw terms of
 	// the paper's C_r).
 	e.chargeIndexAccess()
-	if err := e.readValues(); err != nil {
-		return err
-	}
+	e.layout.ChargeVertexValueRead()
 
 	cross := !e.opts.DisableCrossIteration
 	if cross {
@@ -106,11 +41,10 @@ func (e *Engine) runSCIU() error {
 		dropped = make(map[graph.VertexID]bool)
 	}
 
-	// Build the selective-load sequence, preloading every touched vertex
-	// index so the pipeline's fetch workers see a read-only cache. Under
-	// SEM the dead-row check consults the block-activity bitmap (built once
-	// per pass) instead of recounting the frontier per row; the skip
-	// semantics are identical, so SCIU traffic is unchanged either way.
+	// Build the selective-load sequence. Under SEM the dead-row check
+	// consults the block-activity bitmap (built once per pass) instead of
+	// recounting the frontier per row; the skip semantics are identical, so
+	// SCIU traffic is unchanged either way.
 	e.semBegin()
 	var reqs []pipeline.Request
 	for i := 0; i < e.p; i++ {
@@ -126,7 +60,7 @@ func (e *Engine) runSCIU() error {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
-			idx, err := e.index(i, j)
+			idx, err := e.src.index(i, j)
 			if err != nil {
 				return err
 			}
@@ -140,38 +74,17 @@ func (e *Engine) runSCIU() error {
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: n * recBytes})
 		}
 	}
-	var pf *pipeline.Prefetcher[sciuBlock]
-	if e.opts.prefetchEnabled() && len(reqs) >= 2 {
-		pf = pipeline.New(reqs, e.fetchSCIUBlock, e.opts.prefetchOptions())
-		defer e.finishPrefetch(pf)
-	}
+	// The frontier is not mutated until the apply phase, so the stream's
+	// fetch workers may read it.
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (selectiveBlock, error) {
+		return e.src.selective(i, j, e.active, selectiveBlock{})
+	})
+	defer st.close()
 
-	// Scatter: sub-block by sub-block in request order, consuming from the
-	// pipeline when enabled. Cache bookkeeping stays on the consumer. A
-	// transient fetch fault mid-stream degrades the rest of the iteration
-	// to synchronous selective loads (retried by the device) instead of
-	// cancelling the run; the abandoned pipeline is still closed by the
-	// deferred finishPrefetch.
-	degraded := false
-	fallbacks := 0
+	// Scatter: sub-block by sub-block in request order. Cache bookkeeping
+	// stays on the consumer.
 	for _, req := range reqs {
-		if err := e.checkCtx(); err != nil {
-			return err
-		}
-		var blk sciuBlock
-		var err error
-		if pf != nil && !degraded {
-			_, blk, err = pf.NextCtx(e.ctx)
-			if err != nil && storage.IsTransient(err) {
-				degraded = true
-			}
-		}
-		if pf == nil || degraded {
-			if degraded {
-				fallbacks++
-			}
-			blk, err = e.fetchSCIUBlock(req)
-		}
+		blk, err := st.take(req.I, req.J)
 		if err != nil {
 			return err
 		}
@@ -199,7 +112,6 @@ func (e *Engine) runSCIU() error {
 		jLo, jHi := e.layout.Meta.Interval(req.J)
 		e.scatter(blk.edges, e.valPrev, e.active, e.acc, e.touched, jLo, jHi)
 	}
-	e.plStats.Fallbacks += fallbacks
 
 	e.applyAll()
 
@@ -224,5 +136,6 @@ func (e *Engine) runSCIU() error {
 		e.crossEdges = batch
 		e.sciuCache = nil
 	}
-	return e.writeValues()
+	e.layout.ChargeVertexValueWrite()
+	return nil
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
-	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 )
 
@@ -68,32 +66,6 @@ func (e *Engine) semSkip(i, j int) {
 	e.plStats.SkippedBytes += e.layout.Meta.SubBlockDiskBytes(i, j)
 }
 
-// decodePayload decodes a delta-coded sub-block payload from either
-// compressed cache tier back into edges. EncodeDeltaBlock/AppendDeltaBlock
-// round-trip any edge order exactly with bit-preserved weights, so the
-// scatter consumes the identical edge sequence the device would have
-// delivered. Safe on pipeline worker goroutines; decode wall time is
-// accumulated atomically.
-func (e *Engine) decodePayload(i, j int, payload []byte) ([]graph.Edge, error) {
-	iLo, _ := e.layout.Meta.Interval(i)
-	jLo, _ := e.layout.Meta.Interval(j)
-	t0 := time.Now()
-	edges, err := graph.AppendDeltaBlock(nil, payload, graph.VertexID(iLo), graph.VertexID(jLo), e.layout.Meta.Weighted)
-	e.semDecodeNanos.Add(time.Since(t0).Nanoseconds())
-	if err != nil {
-		return nil, fmt.Errorf("core: decoding cached sub-block (%d,%d): %w", i, j, err)
-	}
-	return edges, nil
-}
-
-// encodePayload delta-codes a decoded sub-block for the compressed buffer
-// tier.
-func (e *Engine) encodePayload(i, j int, edges []graph.Edge) []byte {
-	iLo, _ := e.layout.Meta.Interval(i)
-	jLo, _ := e.layout.Meta.Interval(j)
-	return graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), e.layout.Meta.Weighted)
-}
-
 // payloadPriority estimates the active-edge count of a compressed-tier
 // resident without decoding it: the block's edge count scaled by its source
 // interval's active fraction, clamped to ≥1 while the bitmap says the block
@@ -109,40 +81,6 @@ func (e *Engine) payloadPriority(k buffer.Key, set *bitset.ActiveSet) int64 {
 		est = 1
 	}
 	return est
-}
-
-// loadBlockCompressed is loadBlock through a compressed shared cache: the
-// cache stores verified delta payloads, and every caller — pipeline fetch
-// workers included — decodes its hit in its own goroutine, so decode
-// overlaps compute exactly like the reads themselves.
-func (e *Engine) loadBlockCompressed(sc *buffer.Shared, i, j int) ([]graph.Edge, error) {
-	payload, hit, err := sc.GetOrLoadBytes(buffer.Key{I: i, J: j, Gen: e.layout.BlockVersion(i, j)}, func() ([]byte, int64, error) {
-		p, err := e.layout.LoadSubBlockPayload(i, j)
-		return p, e.layout.Meta.SubBlockBytes(i, j), err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		e.sharedHits.Add(1)
-	} else {
-		e.sharedMisses.Add(1)
-		e.semCompBytes.Add(int64(len(payload)))
-		e.semDecBytes.Add(e.layout.Meta.SubBlockBytes(i, j))
-	}
-	if payload == nil {
-		return nil, nil
-	}
-	t0 := time.Now()
-	edges, err := e.decodePayload(i, j, payload)
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		e.semCompHits.Add(1)
-		sc.NoteDecode(time.Since(t0))
-	}
-	return edges, nil
 }
 
 // SEMStats reports a run's semi-external-memory outcomes.

@@ -1,0 +1,301 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/buffer"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/pipeline"
+	"github.com/graphsd/graphsd/internal/storage"
+)
+
+// blockSource is the one route from grid coordinates to scatter-ready edges.
+// Every driver — the FCIU/full passes, SCIU, the async row step — asks it for
+// a whole sub-block (full) or for a frontier's edge runs (selective) and gets
+// back edges it may read but not mutate; which cache tier answered, in which
+// representation, through which pooled buffer, is the source's business, and
+// so are the counters that record it. Safe for concurrent use: prefetch
+// workers call it while the consumer does.
+type blockSource struct {
+	layout *partition.Layout
+	shared *buffer.Shared // cross-job cache in front of full loads; may be nil
+
+	// ioBufs pools the raw byte buffers device reads go through; decoded edge
+	// slices are freshly allocated because consumers may retain them
+	// (priority buffer, FCIU diagonal, shared cache).
+	ioBufs sync.Pool
+
+	// indexes holds the per-sub-block vertex indexes once loaded; they are
+	// immutable, so they are kept for the whole run.
+	idxMu   sync.Mutex
+	indexes map[buffer.Key]*partition.Index
+
+	// sharedHits/sharedMisses count full loads served by / missed in the
+	// shared cache. The comp* counters are the compressed tiers' accounting
+	// (see SEMStats): hits decoded, payload and decoded bytes admitted, and
+	// the wall clock spent decoding.
+	sharedHits, sharedMisses              atomic.Int64
+	compHits, compBytes, compDecodedBytes atomic.Int64
+	decodeNanos                           atomic.Int64
+}
+
+func newBlockSource(layout *partition.Layout, shared *buffer.Shared) *blockSource {
+	return &blockSource{layout: layout, shared: shared, indexes: make(map[buffer.Key]*partition.Index)}
+}
+
+// full returns sub-block (i, j) decoded in full, overlay mutations merged in.
+// With a shared cache configured the load goes through it, so concurrent
+// jobs deduplicate device reads of the same block; a compressed cache hands
+// back the payload and the caller's goroutine — a prefetch worker, usually —
+// decodes it, so decode overlaps compute exactly like the reads themselves.
+// Empty sub-blocks cost no I/O and no cache entry.
+func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
+	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
+		return nil, nil
+	}
+	if s.shared == nil {
+		return s.read(i, j)
+	}
+	key := buffer.Key{I: i, J: j, Gen: s.layout.BlockVersion(i, j)}
+	size := s.layout.Meta.SubBlockBytes(i, j)
+	if !s.shared.Compressed() {
+		edges, hit, err := s.shared.GetOrLoad(key, func() ([]graph.Edge, int64, error) {
+			edges, err := s.read(i, j)
+			return edges, size, err
+		})
+		if err != nil {
+			return nil, err
+		}
+		s.noteShared(hit)
+		return edges, nil
+	}
+	payload, hit, err := s.shared.GetOrLoadBytes(key, func() ([]byte, int64, error) {
+		p, err := s.layout.LoadSubBlockPayload(i, j)
+		return p, size, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.noteShared(hit)
+	if payload == nil {
+		return nil, nil
+	}
+	if !hit {
+		s.notePacked(payload, size)
+		return s.decode(i, j, payload)
+	}
+	t0 := time.Now()
+	edges, err := s.unpack(i, j, payload)
+	if err == nil {
+		s.shared.NoteDecode(time.Since(t0))
+	}
+	return edges, err
+}
+
+// read is the device route of full: one sequential read through a pooled raw
+// buffer, CRC verify, decode and overlay merge, all inside the layout.
+func (s *blockSource) read(i, j int) ([]graph.Edge, error) {
+	bufp := s.getBuf()
+	edges, buf, err := s.layout.LoadSubBlockInto(i, j, nil, *bufp)
+	*bufp = buf
+	s.ioBufs.Put(bufp)
+	return edges, err
+}
+
+func (s *blockSource) getBuf() *[]byte {
+	if bufp, _ := s.ioBufs.Get().(*[]byte); bufp != nil {
+		return bufp
+	}
+	return new([]byte)
+}
+
+func (s *blockSource) noteShared(hit bool) {
+	if hit {
+		s.sharedHits.Add(1)
+	} else {
+		s.sharedMisses.Add(1)
+	}
+}
+
+// vertexRun records that edges[prev.end:end] of a selectiveBlock belong to
+// vertex v, where prev is the preceding run (or 0 for the first).
+type vertexRun struct {
+	v   graph.VertexID
+	end int
+}
+
+// selectiveBlock is the selectively-loaded content of one sub-block: the
+// frontier vertices' edge runs concatenated in vertex order, with per-vertex
+// boundaries for SCIU's cross-iteration cache.
+type selectiveBlock struct {
+	edges []graph.Edge
+	runs  []vertexRun
+}
+
+// selective reads only the edges of sub-block (i, j) whose source is in
+// frontier, located through the block's vertex index, so runs of consecutive
+// frontier vertices become sequential reads. Each call owns its reader, which
+// keeps the sequential/random classification of AutoReadAt per sub-block
+// whether the call runs on a prefetch worker or on the consumer. frontier
+// must not change during the call. The result is appended to into (reset to
+// length zero); pass the zero value unless the previous block is dead.
+func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selectiveBlock) (selectiveBlock, error) {
+	blk := selectiveBlock{edges: into.edges[:0], runs: into.runs[:0]}
+	idx, err := s.index(i, j)
+	if err != nil {
+		return blk, err
+	}
+	r, err := s.layout.OpenSubBlock(i, j)
+	if err != nil {
+		return blk, err
+	}
+	bufp := s.getBuf()
+	lo, hi := s.layout.Meta.Interval(i)
+	var loopErr error
+	frontier.ForEachRange(lo, hi, func(v int) bool {
+		var edges []graph.Edge
+		edges, *bufp, loopErr = s.layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), *bufp)
+		if loopErr != nil {
+			return false
+		}
+		if len(edges) > 0 {
+			blk.edges = append(blk.edges, edges...)
+			blk.runs = append(blk.runs, vertexRun{v: graph.VertexID(v), end: len(blk.edges)})
+		}
+		return true
+	})
+	s.ioBufs.Put(bufp)
+	var closeErr error
+	if r != nil { // nil reader: the block lives entirely in the overlay
+		closeErr = r.Close()
+	}
+	if loopErr != nil {
+		return blk, fmt.Errorf("core: selective read of sub-block (%d,%d): %w", i, j, loopErr)
+	}
+	return blk, closeErr
+}
+
+// index returns the vertex index of sub-block (i, j), loading and caching it
+// on first use.
+func (s *blockSource) index(i, j int) (*partition.Index, error) {
+	s.idxMu.Lock()
+	defer s.idxMu.Unlock()
+	k := buffer.Key{I: i, J: j}
+	if idx, ok := s.indexes[k]; ok {
+		return idx, nil
+	}
+	idx, err := s.layout.LoadIndex(i, j)
+	if err != nil {
+		return nil, err
+	}
+	s.indexes[k] = idx
+	return idx, nil
+}
+
+// pack delta-codes a decoded sub-block for a compressed cache tier.
+func (s *blockSource) pack(i, j int, edges []graph.Edge) []byte {
+	iLo, _ := s.layout.Meta.Interval(i)
+	jLo, _ := s.layout.Meta.Interval(j)
+	return graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+}
+
+// notePacked records that a compressed tier admitted payload in place of
+// decodedSize bytes of edges.
+func (s *blockSource) notePacked(payload []byte, decodedSize int64) {
+	s.compBytes.Add(int64(len(payload)))
+	s.compDecodedBytes.Add(decodedSize)
+}
+
+// unpack decodes a payload a compressed cache tier was hit for, paying a
+// decode instead of a device read.
+func (s *blockSource) unpack(i, j int, payload []byte) ([]graph.Edge, error) {
+	edges, err := s.decode(i, j, payload)
+	if err == nil {
+		s.compHits.Add(1)
+	}
+	return edges, err
+}
+
+// decode turns a delta-coded payload back into edges.
+// EncodeDeltaBlock/AppendDeltaBlock round-trip any edge order exactly with
+// bit-preserved weights, so the scatter consumes the identical edge sequence
+// the device would have delivered.
+func (s *blockSource) decode(i, j int, payload []byte) ([]graph.Edge, error) {
+	iLo, _ := s.layout.Meta.Interval(i)
+	jLo, _ := s.layout.Meta.Interval(j)
+	t0 := time.Now()
+	edges, err := graph.AppendDeltaBlock(nil, payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	s.decodeNanos.Add(time.Since(t0).Nanoseconds())
+	if err != nil {
+		return nil, fmt.Errorf("core: decoding cached sub-block (%d,%d): %w", i, j, err)
+	}
+	return edges, nil
+}
+
+// blockStream hands a driver the blocks it asks for, in the order it asks.
+// reqs is the driver's consumption order as far as it is known up front:
+// when prefetching is enabled those loads run ahead on an I/O pipeline, and a
+// take of the list's head is served from it. Any other take — prefetching
+// off, a cell left off the list, a block expected in a buffer and evicted
+// since — is a synchronous load.
+//
+// A transient fault on a prefetched block does not abort the pass: the
+// pipeline has cancelled its remaining admissions, so that block and every
+// listed one after it are loaded synchronously (which carries the device's
+// own retry policy). Those loads are the stream's fallbacks, counted into
+// total once per consumed request from the degrading one onward. Permanent
+// errors surface as-is.
+type blockStream[T any] struct {
+	ctx      context.Context
+	reqs     []pipeline.Request
+	load     func(i, j int) (T, error)
+	pf       *pipeline.Prefetcher[T] // nil: nothing is prefetched
+	next     int                     // reqs[next] is the pipeline's next delivery
+	degraded bool
+	total    *pipeline.Stats
+}
+
+// openBlockStream starts a stream over reqs; load must be safe on pipeline
+// worker goroutines. close folds the pipeline's outcomes into total. A
+// sequence too short to overlap anything is not prefetched.
+func openBlockStream[T any](ctx context.Context, opts Options, total *pipeline.Stats, reqs []pipeline.Request, load func(i, j int) (T, error)) *blockStream[T] {
+	s := &blockStream[T]{ctx: ctx, reqs: reqs, load: load, total: total}
+	if opts.prefetchEnabled() && len(reqs) >= 2 {
+		s.pf = pipeline.New(reqs, func(r pipeline.Request) (T, error) { return load(r.I, r.J) }, opts.prefetchOptions())
+	}
+	return s
+}
+
+// take returns block (i, j), or ctx's error once the run is cancelled.
+func (s *blockStream[T]) take(i, j int) (T, error) {
+	if err := s.ctx.Err(); err != nil {
+		var zero T
+		return zero, err
+	}
+	if s.pf != nil && s.next < len(s.reqs) && s.reqs[s.next].I == i && s.reqs[s.next].J == j {
+		s.next++
+		if !s.degraded {
+			_, blk, err := s.pf.NextCtx(s.ctx)
+			if err == nil || !storage.IsTransient(err) {
+				return blk, err
+			}
+			s.degraded = true
+		}
+		s.total.Fallbacks++
+	}
+	return s.load(i, j)
+}
+
+// close shuts the pipeline down, cancelling any in-flight fetches.
+func (s *blockStream[T]) close() {
+	if s.pf != nil {
+		s.pf.Close()
+		*s.total = s.total.Add(s.pf.Stats())
+	}
+}

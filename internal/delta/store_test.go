@@ -190,12 +190,12 @@ func TestDeleteRemovesDuplicateBaseCopies(t *testing.T) {
 	dev := buildBase(t, g, 2, graph.CodecRaw)
 	s := openStore(t, dev, delta.Options{})
 	script := []delta.Mutation{
-		{Op: delta.OpDelete, Src: 1, Dst: 2},              // removes all three copies
-		{Op: delta.OpInsert, Src: 2, Dst: 3},              // re-insert over existing: still one copy
-		{Op: delta.OpDelete, Src: 6, Dst: 7},              // absent: no-op
-		{Op: delta.OpInsert, Src: 0, Dst: 7},              // fresh edge
-		{Op: delta.OpInsert, Src: 5, Dst: 1},              // fresh edge, then
-		{Op: delta.OpDelete, Src: 5, Dst: 1},              // deleted again in the same batch
+		{Op: delta.OpDelete, Src: 1, Dst: 2}, // removes all three copies
+		{Op: delta.OpInsert, Src: 2, Dst: 3}, // re-insert over existing: still one copy
+		{Op: delta.OpDelete, Src: 6, Dst: 7}, // absent: no-op
+		{Op: delta.OpInsert, Src: 0, Dst: 7}, // fresh edge
+		{Op: delta.OpInsert, Src: 5, Dst: 1}, // fresh edge, then
+		{Op: delta.OpDelete, Src: 5, Dst: 1}, // deleted again in the same batch
 	}
 	if err := s.Apply(script); err != nil {
 		t.Fatal(err)

@@ -26,14 +26,14 @@ const (
 
 // semRunRecord is one SEM-on/SEM-off pair in the BENCH_sem.json artifact.
 type semRunRecord struct {
-	Algorithm     string  `json:"algorithm"`
-	Frontier      string  `json:"frontier"` // "sparse" or "dense"
-	BaseReadBytes int64   `json:"base_read_bytes"`
-	SEMReadBytes  int64   `json:"sem_read_bytes"`
-	BlocksSkipped int64   `json:"blocks_skipped"`
-	BytesSkipped  int64   `json:"bytes_skipped"`
-	Iterations    int     `json:"iterations"`
-	Identical     bool    `json:"bit_identical"`
+	Algorithm     string `json:"algorithm"`
+	Frontier      string `json:"frontier"` // "sparse" or "dense"
+	BaseReadBytes int64  `json:"base_read_bytes"`
+	SEMReadBytes  int64  `json:"sem_read_bytes"`
+	BlocksSkipped int64  `json:"blocks_skipped"`
+	BytesSkipped  int64  `json:"bytes_skipped"`
+	Iterations    int    `json:"iterations"`
+	Identical     bool   `json:"bit_identical"`
 }
 
 // semArtifact is the JSON written to $SEM_OUT for the CI trend line.

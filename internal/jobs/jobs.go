@@ -984,9 +984,12 @@ func (s *Scheduler) worker() {
 			return
 		}
 		s.mu.Lock()
-		dead := s.killed
+		closed := s.closed
 		s.mu.Unlock()
-		if !dead { // killed: crash simulation — nothing runs, nothing is journaled
+		// Closed: nothing starts. Under Kill nothing is journaled either (crash
+		// simulation); under Close a job still Queued here was dequeued while
+		// the drain was on its way to it, and the drain finishes it in order.
+		if !closed {
 			s.runJob(j)
 		}
 		s.mu.Lock()
@@ -1155,10 +1158,10 @@ func (s *Scheduler) journalProgress(id string, iter int) {
 }
 
 // Close stops admission, deterministically cancels every still-queued job
-// (journaling each before any worker can race the drain), cancels running
-// jobs' contexts (a cancelled engine stops at the next sub-block, so
-// shutdown is prompt), and waits for the workers. It returns ctx.Err() if
-// the workers outlive ctx.
+// (journaling each, in submission order, before any worker can race the
+// drain), then cancels running jobs' contexts (a cancelled engine stops at
+// the next sub-block, so shutdown is prompt), and waits for the workers. It
+// returns ctx.Err() if the workers outlive ctx.
 func (s *Scheduler) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1174,25 +1177,30 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	// First pass: flip every still-Queued job to Cancelled under its own
-	// lock. A worker that dequeues one afterwards sees state != Queued and
-	// skips it; a job the worker moved to Running first is cancelled via
-	// its context like any running job. Either way the outcome is terminal
-	// and journaled — the drain cannot silently drop a queued job.
+	// First pass, in submission order: flip every still-Queued job to
+	// Cancelled under its own lock and journal it. No running job is touched
+	// yet — cancelling one frees its worker, which could dequeue and start a
+	// later queued job before this loop reached it. A worker that dequeues
+	// one of these afterwards sees state != Queued and skips it.
 	now := time.Now()
 	for _, j := range jobs {
 		j.mu.Lock()
-		if j.state == Queued {
+		queued := j.state == Queued
+		if queued {
 			j.state = Cancelled
 			j.err = ErrClosed
 			j.finished = now
-			j.mu.Unlock()
-			j.cancel()
-			s.finishQueued(j, Cancelled, ErrClosed)
-			continue
 		}
 		j.mu.Unlock()
-		j.cancel() // running: prompt stop; terminal: no-op
+		if queued {
+			j.cancel()
+			s.finishQueued(j, Cancelled, ErrClosed)
+		}
+	}
+	// Second pass: every queued job is terminal and journaled, so now stop
+	// the running ones promptly (terminal jobs: no-op).
+	for _, j := range jobs {
+		j.cancel()
 	}
 	// The cancelled jobs still sit in their tenants' FIFOs; woken workers
 	// pop and skip them until the queues drain, then exit.

@@ -188,6 +188,14 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
 
+	return buildReport(tenants, tallies, opts.Workers, elapsed), nil
+}
+
+// buildReport distils the merged per-tenant tallies of a run of elapsed
+// seconds: totals, rates, latency percentiles, and each tenant's share of
+// the completed jobs. defaultWorkers stands in for a tenant that did not set
+// its own worker count.
+func buildReport(tenants []Tenant, tallies map[string]*tally, defaultWorkers int, elapsed float64) Report {
 	rep := Report{DurationS: elapsed, MinShare: 1}
 	var allLat []float64
 	for _, t := range tenants {
@@ -200,7 +208,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 			P50ms:  percentile(agg.lat, 50), P99ms: percentile(agg.lat, 99),
 		}
 		if tr.Workers <= 0 {
-			tr.Workers = opts.Workers
+			tr.Workers = defaultWorkers
 		}
 		rep.Tenants = append(rep.Tenants, tr)
 		rep.Jobs += agg.jobs
@@ -220,7 +228,7 @@ func Run(ctx context.Context, opts Options) (Report, error) {
 			rep.MinShare = rep.Tenants[i].Share
 		}
 	}
-	return rep, nil
+	return rep
 }
 
 // runWorker is one closed-loop worker: it keeps Burst operations in

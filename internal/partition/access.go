@@ -50,12 +50,9 @@ func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gra
 // loadBaseBlockInto reads and decodes sub-block (i, j)'s base payload —
 // LoadSubBlockInto without the overlay merge.
 func (l *Layout) loadBaseBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	buf, err := l.Dev.ReadFileInto(l.Meta.BlockName(i, j), buf)
+	buf, err := l.readBlockVerified(i, j, buf)
 	if err != nil {
-		return dst, buf, fmt.Errorf("partition: loading sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
-	}
-	if err := l.Meta.VerifyBlockSum(i, j, buf); err != nil {
-		return dst, buf, fmt.Errorf("partition: sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+		return dst, buf, err
 	}
 	t0 := time.Now()
 	if l.Meta.BlockCodec() == graph.CodecDelta {
@@ -70,6 +67,20 @@ func (l *Layout) loadBaseBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gr
 		return dst, buf, fmt.Errorf("partition: decoding sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
 	}
 	return dst, buf, nil
+}
+
+// readBlockVerified reads sub-block (i, j)'s on-disk payload through buf in
+// one sequential stream and checks it against the manifest's CRC: the step
+// every whole-block read starts with.
+func (l *Layout) readBlockVerified(i, j int, buf []byte) ([]byte, error) {
+	buf, err := l.Dev.ReadFileInto(l.Meta.BlockName(i, j), buf)
+	if err != nil {
+		return buf, fmt.Errorf("partition: loading sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+	}
+	if err := l.Meta.VerifyBlockSum(i, j, buf); err != nil {
+		return buf, fmt.Errorf("partition: sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+	}
+	return buf, nil
 }
 
 // LoadSubBlockPayload reads sub-block (i, j) in full and returns its edges
@@ -102,12 +113,9 @@ func (l *Layout) LoadSubBlockPayload(i, j int) ([]byte, error) {
 		l.noteDecode(t0)
 		return payload, nil
 	}
-	buf, err := l.Dev.ReadFile(l.Meta.BlockName(i, j))
+	buf, err := l.readBlockVerified(i, j, nil)
 	if err != nil {
-		return nil, fmt.Errorf("partition: loading sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
-	}
-	if err := l.Meta.VerifyBlockSum(i, j, buf); err != nil {
-		return nil, fmt.Errorf("partition: sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+		return nil, err
 	}
 	if l.Meta.BlockCodec() == graph.CodecDelta {
 		return buf, nil
@@ -123,141 +131,6 @@ func (l *Layout) LoadSubBlockPayload(i, j int) ([]byte, error) {
 	payload := graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), l.Meta.Weighted)
 	l.noteDecode(t0)
 	return payload, nil
-}
-
-// StreamSubBlock reads sub-block (i, j) in chunks of at most chunkBytes of
-// decoded edges (rounded down to whole records, minimum one record — for
-// delta blocks, minimum one source run) and invokes fn for each decoded
-// chunk. Peak memory is one chunk instead of the whole cell, which is how a
-// production engine keeps its residency bounded even when a skewed grid
-// produces an oversized cell. The chunk slice passed to fn is reused; fn
-// must not retain it.
-func (l *Layout) StreamSubBlock(i, j int, chunkBytes int64, fn func(edges []graph.Edge) error) error {
-	total := l.Meta.SubBlockEdges(i, j)
-	if total == 0 {
-		return nil
-	}
-	if od := l.overlayDelta(i, j); od != nil {
-		// Mutated blocks are merged in full and handed out in record-count
-		// chunks: the overlay must interleave with the base stream, and a
-		// memtable-bounded delta keeps the merged cell's residency close to
-		// the base cell's.
-		edges, _, err := l.LoadSubBlockInto(i, j, nil, nil)
-		if err != nil {
-			return err
-		}
-		per := int(chunkBytes / int64(l.Meta.EdgeRecordBytes()))
-		if per < 1 {
-			per = 1
-		}
-		for off := 0; off < len(edges); off += per {
-			end := off + per
-			if end > len(edges) {
-				end = len(edges)
-			}
-			if err := fn(edges[off:end]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if l.Meta.BlockCodec() == graph.CodecDelta {
-		return l.streamDeltaSubBlock(i, j, chunkBytes, fn)
-	}
-	rec := int64(l.Meta.EdgeRecordBytes())
-	perChunk := chunkBytes / rec
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	r, err := l.OpenSubBlock(i, j)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	buf := make([]byte, perChunk*rec)
-	var edges []graph.Edge
-	for off := int64(0); off < total; off += perChunk {
-		n := perChunk
-		if off+n > total {
-			n = total - off
-		}
-		chunk := buf[:n*rec]
-		if _, err := r.AutoReadAt(chunk, off*rec); err != nil {
-			return fmt.Errorf("partition: streaming sub-block (%d,%d)@%d [raw]: %w", i, j, off, err)
-		}
-		t0 := time.Now()
-		edges, err = graph.AppendEdges(edges[:0], chunk, l.Meta.Weighted)
-		l.noteDecode(t0)
-		if err != nil {
-			return fmt.Errorf("partition: decoding sub-block (%d,%d)@%d [raw]: %w", i, j, off, err)
-		}
-		if err := fn(edges); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// streamDeltaSubBlock streams a delta-codec sub-block. Varint runs have no
-// fixed record boundaries, so chunks are cut at source-run boundaries using
-// the per-vertex byte index; the index read is charged like any other.
-func (l *Layout) streamDeltaSubBlock(i, j int, chunkBytes int64, fn func(edges []graph.Edge) error) error {
-	idx, err := l.LoadIndex(i, j)
-	if err != nil {
-		return err
-	}
-	r, err := l.OpenSubBlock(i, j)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	rec := int64(l.Meta.EdgeRecordBytes())
-	perChunk := chunkBytes / rec
-	if perChunk < 1 {
-		perChunk = 1
-	}
-	nv := len(idx.Rec) - 1
-	wbase := idx.Off[nv]
-	var buf []byte
-	var edges []graph.Edge
-	for a := 0; a < nv; {
-		b := a + 1
-		for b < nv && idx.Rec[b+1]-idx.Rec[a] <= perChunk {
-			b++
-		}
-		r0, r1 := idx.Rec[a], idx.Rec[b]
-		if r0 == r1 {
-			a = b
-			continue
-		}
-		o0, o1 := idx.Off[a], idx.Off[b]
-		if int64(cap(buf)) < o1-o0 {
-			buf = make([]byte, o1-o0)
-		}
-		buf = buf[:o1-o0]
-		if _, err := r.AutoReadAt(buf, o0); err != nil {
-			return fmt.Errorf("partition: streaming sub-block (%d,%d)@%d [delta]: %w", i, j, o0, err)
-		}
-		t0 := time.Now()
-		edges, err = graph.AppendDeltaRuns(edges[:0], buf, idx.srcBase, idx.dstBase)
-		l.noteDecode(t0)
-		if err != nil {
-			return fmt.Errorf("partition: decoding sub-block (%d,%d) chunk [delta]: %w", i, j, err)
-		}
-		if int64(len(edges)) != r1-r0 {
-			return fmt.Errorf("partition: sub-block (%d,%d) chunk decoded %d edges, index says %d", i, j, len(edges), r1-r0)
-		}
-		if l.Meta.Weighted {
-			if buf, err = l.readWeightColumn(r, buf, wbase, r0, r1, edges); err != nil {
-				return fmt.Errorf("partition: sub-block (%d,%d) weights: %w", i, j, err)
-			}
-		}
-		if err := fn(edges); err != nil {
-			return err
-		}
-		a = b
-	}
-	return nil
 }
 
 // readWeightColumn fills edges' weights from the trailing float32 column:

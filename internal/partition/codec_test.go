@@ -161,43 +161,6 @@ func TestDeltaReadVertexEdges(t *testing.T) {
 	}
 }
 
-func TestDeltaStreamSubBlock(t *testing.T) {
-	for name, g := range codecTestGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			const p = 3
-			_, delta := buildPair(t, g, p)
-			for _, chunk := range []int64{1, 64, 1 << 20} {
-				for i := 0; i < p; i++ {
-					for j := 0; j < p; j++ {
-						want, err := delta.LoadSubBlock(i, j)
-						if err != nil {
-							t.Fatal(err)
-						}
-						var got []graph.Edge
-						err = delta.StreamSubBlock(i, j, chunk, func(edges []graph.Edge) error {
-							got = append(got, edges...)
-							return nil
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if len(got) != len(want) {
-							t.Fatalf("cell (%d,%d) chunk %d: streamed %d edges, want %d",
-								i, j, chunk, len(got), len(want))
-						}
-						for k := range want {
-							if got[k] != want[k] {
-								t.Fatalf("cell (%d,%d) chunk %d edge %d: %v vs %v",
-									i, j, chunk, k, got[k], want[k])
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 func TestBuildExternalDeltaMatchesInMemory(t *testing.T) {
 	g, err := gen.RMAT(9, 8, gen.Graph500, 23)
 	if err != nil {

@@ -123,8 +123,8 @@ type Layout struct {
 	Meta Manifest
 	// Overlay, when non-nil, is a pinned set of pending edge mutations
 	// (sealed delta layers plus a frozen memtable snapshot) merged into
-	// every read: LoadSubBlockInto, StreamSubBlock, LoadSubBlockPayload,
-	// ReadVertexEdges and LoadDegrees all return the merged view. In that
+	// every read: LoadSubBlockInto, LoadSubBlockPayload, ReadVertexEdges
+	// and LoadDegrees all return the merged view. In that
 	// case Meta must be the *merged* manifest — EdgeCounts, NumEdges and
 	// BlockBytes adjusted for the overlay — while BlockSums keep the base
 	// sums (only base payloads are verified; overlay output is synthesized

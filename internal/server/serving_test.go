@@ -650,9 +650,9 @@ func TestServeSLO(t *testing.T) {
 		NumVertices:   g.NumVertices,
 		MaxIterations: 10,
 		MutateEvery:   9, MutateBatch: 8,
-		PollInterval:  time.Millisecond,
-		Duration:      3 * time.Second,
-		Seed:          42,
+		PollInterval: time.Millisecond,
+		Duration:     3 * time.Second,
+		Seed:         42,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -259,8 +259,13 @@ func (l *Log) Dir() string { return l.dir }
 // the frame is fsynced before returning (durability precedes
 // acknowledgement); without it the loss of the frame must cost the caller
 // nothing more than a progress display. After the first failure every call
-// returns ErrUnavailable.
+// returns ErrUnavailable. A payload over MaxFrameBytes is refused without
+// failing the log: replay would take its frame for a torn tail and drop every
+// later frame of the segment with it.
 func (l *Log) Append(payload []byte, sync bool) error {
+	if len(payload) > l.opt.MaxFrameBytes {
+		return fmt.Errorf("wal: %d-byte payload exceeds the %d-byte frame limit", len(payload), l.opt.MaxFrameBytes)
+	}
 	frame := make([]byte, 0, 8+len(payload))
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
 	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
