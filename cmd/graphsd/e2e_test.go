@@ -116,7 +116,7 @@ func TestEndToEndExternalPreprocessAndCompare(t *testing.T) {
 	}
 
 	out = run(t, graphsdBin, "compare", "-graph", graphPath, "-algorithm", "cc", "-p", "3")
-	for _, sys := range []string{"graphsd", "husgraph", "lumos", "gridgraph"} {
+	for _, sys := range []string{"graphsd", "husgraph", "lumos"} {
 		if !strings.Contains(out, sys) {
 			t.Fatalf("compare output missing %s:\n%s", sys, out)
 		}

@@ -530,28 +530,6 @@ func cmdCompare(args []string) error {
 	}
 	addRow("lumos", res)
 
-	prog, _ = mkProg()
-	res, err = baseline.RunGridGraph(lumL, prog, baseline.Options{})
-	if err != nil {
-		return err
-	}
-	addRow("gridgraph", res)
-
-	xDev, err := storage.OpenDevice(dir+"/xstream", prof)
-	if err != nil {
-		return err
-	}
-	xL, err := baseline.BuildXStream(xDev, g, *p)
-	if err != nil {
-		return err
-	}
-	prog, _ = mkProg()
-	res, err = baseline.RunXStream(xL, prog, baseline.Options{})
-	if err != nil {
-		return err
-	}
-	addRow("xstream", res)
-
 	return t.Render(os.Stdout)
 }
 

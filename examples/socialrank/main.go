@@ -1,7 +1,7 @@
 // Socialrank: the paper's motivating workload — ranking a Twitter-like
-// social graph — run under all four systems (GraphSD, HUS-Graph, Lumos,
-// GridGraph) with both plain PageRank and PageRank-Delta, demonstrating
-// where each optimization pays off:
+// social graph — run under the paper's three systems (GraphSD, HUS-Graph,
+// Lumos) with both plain PageRank and PageRank-Delta, demonstrating where
+// each optimization pays off:
 //
 //   - on PR (every vertex active every iteration) GraphSD still wins via
 //     cross-iteration updates and secondary sub-block buffering;
@@ -75,11 +75,6 @@ func main() {
 		must(err)
 		t.AddRow("lumos", metrics.Dur(lum.ExecTime()), storage.FormatBytes(lum.IO.TotalBytes()),
 			metrics.Ratio(lum.ExecTime(), gsd.ExecTime()))
-
-		grid, err := baseline.RunGridGraph(lumLayout, alg.mk(), baseline.Options{})
-		must(err)
-		t.AddRow("gridgraph", metrics.Dur(grid.ExecTime()), storage.FormatBytes(grid.IO.TotalBytes()),
-			metrics.Ratio(grid.ExecTime(), gsd.ExecTime()))
 
 		must(t.Render(os.Stdout))
 	}

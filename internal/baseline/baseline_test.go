@@ -37,7 +37,7 @@ func almostEqual(a, b, tol float64) bool {
 	return d <= tol || d <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestBaselinesMatchReference: all three baseline engines are BSP-exact.
+// TestBaselinesMatchReference: both baseline engines are BSP-exact.
 func TestBaselinesMatchReference(t *testing.T) {
 	rmat, err := gen.RMAT(7, 6, gen.Graph500, 13)
 	if err != nil {
@@ -51,9 +51,8 @@ func TestBaselinesMatchReference(t *testing.T) {
 		build builder
 		run   runner
 	}{
-		"husgraph":  {partition.BuildHUSGraph, baseline.RunHUSGraph},
-		"lumos":     {partition.BuildLumos, baseline.RunLumos},
-		"gridgraph": {partition.BuildLumos, baseline.RunGridGraph},
+		"husgraph": {partition.BuildHUSGraph, baseline.RunHUSGraph},
+		"lumos":    {partition.BuildLumos, baseline.RunLumos},
 	}
 	progs := map[string]func() core.Program{
 		"pagerank": func() core.Program { return &algorithms.PageRank{Iterations: 5} },
@@ -90,9 +89,8 @@ func TestBaselineSSSP(t *testing.T) {
 		build builder
 		run   runner
 	}{
-		"husgraph":  {partition.BuildHUSGraph, baseline.RunHUSGraph},
-		"lumos":     {partition.BuildLumos, baseline.RunLumos},
-		"gridgraph": {partition.BuildLumos, baseline.RunGridGraph},
+		"husgraph": {partition.BuildHUSGraph, baseline.RunHUSGraph},
+		"lumos":    {partition.BuildLumos, baseline.RunLumos},
 	} {
 		l := buildWith(t, sys.build, g, 2, storage.HDD)
 		res, err := sys.run(l, &algorithms.SSSP{Source: 0}, baseline.Options{})
@@ -116,14 +114,6 @@ func TestLayoutSystemChecks(t *testing.T) {
 	if _, err := baseline.RunLumos(gsd, &algorithms.PageRank{}, baseline.Options{}); err == nil {
 		t.Error("Lumos engine accepted graphsd layout")
 	}
-	// GridGraph runs on either grid layout.
-	if _, err := baseline.RunGridGraph(gsd, &algorithms.PageRank{Iterations: 2}, baseline.Options{}); err != nil {
-		t.Errorf("GridGraph rejected graphsd layout: %v", err)
-	}
-	hus := buildWith(t, partition.BuildHUSGraph, g, 2, storage.HDD)
-	if _, err := baseline.RunGridGraph(hus, &algorithms.PageRank{}, baseline.Options{}); err == nil {
-		t.Error("GridGraph accepted husgraph layout")
-	}
 	lum := buildWith(t, partition.BuildLumos, g, 2, storage.HDD)
 	if _, err := baseline.RunLumos(lum, &algorithms.SSSP{Source: 0}, baseline.Options{}); err == nil {
 		t.Error("weighted program accepted on unweighted lumos layout")
@@ -136,8 +126,7 @@ func TestLayoutSystemChecks(t *testing.T) {
 //   - shrinking-frontier algorithms (BFS stands in for CC/SSSP/PR-D):
 //     GraphSD < HUS-Graph (cross-iteration savings) and
 //     GraphSD < Lumos (inactive-edge savings);
-//   - Lumos reads more than HUS-Graph when frontiers are small;
-//   - GridGraph reads the most.
+//   - Lumos reads more than HUS-Graph when frontiers are small.
 func TestSystemIOOrdering(t *testing.T) {
 	g, err := gen.RMAT(10, 8, gen.Graph500, 17)
 	if err != nil {
@@ -162,20 +151,15 @@ func TestSystemIOOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gridLayout := buildWith(t, partition.BuildLumos, g, p, prof)
-	grid, err := baseline.RunGridGraph(gridLayout, prog(), baseline.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	gsdB, husB, lumB, gridB := gsd.IO.ReadBytes(), hus.IO.ReadBytes(), lum.IO.ReadBytes(), grid.IO.ReadBytes()
+	gsdB, husB, lumB := gsd.IO.ReadBytes(), hus.IO.ReadBytes(), lum.IO.ReadBytes()
 	if gsdB >= husB {
 		t.Errorf("GraphSD read %d >= HUS-Graph %d", gsdB, husB)
 	}
 	if gsdB >= lumB {
 		t.Errorf("GraphSD read %d >= Lumos %d", gsdB, lumB)
 	}
-	if lumB >= gridB {
-		t.Errorf("Lumos read %d >= GridGraph %d", lumB, gridB)
+	if lumB <= husB {
+		t.Errorf("Lumos read %d <= HUS-Graph %d on a small frontier", lumB, husB)
 	}
 }

@@ -28,7 +28,7 @@ func RunHUSGraph(layout *partition.Layout, prog core.Program, opts Options) (*co
 	}
 	start := time.Now()
 	dev := layout.Dev
-	dev.ResetStats()
+	ioBase := dev.Stats()
 
 	degrees, err := layout.LoadDegrees()
 	if err != nil {
@@ -82,7 +82,7 @@ func RunHUSGraph(layout *partition.Layout, prog core.Program, opts Options) (*co
 		Outputs:           s.outputs(),
 		WallTime:          time.Since(start),
 		ComputeTime:       s.computeTime,
-		IO:                dev.Stats(),
+		IO:                dev.Stats().Sub(ioBase),
 		Decisions:         append([]iosched.Decision(nil), sched.History()...),
 		SchedulerOverhead: sched.TotalOverhead(),
 	}, nil

@@ -31,7 +31,7 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 	}
 	start := time.Now()
 	dev := layout.Dev
-	dev.ResetStats()
+	ioBase := dev.Stats()
 
 	degrees, err := layout.LoadDegrees()
 	if err != nil {
@@ -141,6 +141,6 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 		Outputs:     s.outputs(),
 		WallTime:    time.Since(start),
 		ComputeTime: s.computeTime,
-		IO:          dev.Stats(),
+		IO:          dev.Stats().Sub(ioBase),
 	}, nil
 }

@@ -7,11 +7,6 @@
 //   - Lumos (Vora, ATC '19): dependency-driven out-of-order execution that
 //     propagates future-iteration values in the same pass, but always
 //     streams the whole graph (no active-vertex awareness, no buffering).
-//   - GridGraph (Zhu et al., ATC '15): plain 2-level streaming with
-//     neither optimization, as a floor baseline.
-//   - X-Stream (Roy et al., SOSP '13): edge-centric scatter-gather over
-//     the raw unsorted edge list with intermediate update streams, the
-//     generation before 2-level layouts.
 //
 // Neither HUS-Graph nor Lumos is open source; these engines implement the
 // published behaviour as summarized in the GraphSD paper (Table 1, §5.1)

@@ -89,7 +89,7 @@ type entry struct {
 // be accessed from one goroutine at a time, with no concurrent readers. In
 // the engine that goroutine is the FCIU pass driver; the I/O pipeline's
 // fetch workers never touch the buffer (residency is snapshotted before a
-// pass starts, see core.newFCIUPass). Code that needs a cache shared across
+// pass starts, see core.openPass). Code that needs a cache shared across
 // goroutines — such as the job server deduplicating sub-block loads between
 // concurrent engines — must use the mutex-guarded Shared type instead.
 type Buffer struct {

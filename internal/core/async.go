@@ -30,7 +30,6 @@ package core
 
 import (
 	"container/heap"
-	"context"
 	"fmt"
 	"time"
 
@@ -103,14 +102,14 @@ func asyncTie(seed uint64, i int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// asyncRun is the asynchronous driver state layered over an Engine.
+// asyncRun is the asynchronous schedule (see schedule.go): each step of
+// Engine.run's loop pops one row and processes it.
 type asyncRun struct {
 	e    *Engine
 	mono Monotonic
 
 	rows []*asyncRow
 	h    rowHeap
-	step int64
 
 	// rowBlocks lists each row's non-empty destination columns and
 	// rowStreamCost prices streaming all of them (seek + sequential read
@@ -126,11 +125,6 @@ type asyncRun struct {
 	consumed  *bitset.ActiveSet
 	dirty     []bool // rows whose mass must be recomputed after the step
 
-	// applied is each apply worker's outcome and applyTask the bound method
-	// the fan-out runs (see parallel).
-	applied   []asyncApplied
-	applyTask func(w int)
-
 	// selBlock is the selective path's reusable block.
 	selBlock selectiveBlock
 
@@ -139,29 +133,13 @@ type asyncRun struct {
 	selSteps int   // steps that took the selective path
 }
 
-// runAsync executes the engine asynchronously. It mirrors run()'s setup and
-// result assembly but replaces the iteration loop with the scheduler loop.
-func (e *Engine) runAsync() (*Result, error) {
+// newAsyncRun builds the schedule's static state: the rows, their non-empty
+// columns and what streaming each row costs.
+func newAsyncRun(e *Engine) (*asyncRun, error) {
 	mono, ok := e.prog.(Monotonic)
 	if !ok {
 		return nil, fmt.Errorf("core: program %s is not monotonic; -async needs label-correcting or residual form (use prd instead of pr)", e.prog.Name())
 	}
-	start := time.Now()
-	if e.ctx == nil {
-		e.ctx = context.Background()
-	}
-	defer e.stopParallel()
-	dev := e.layout.Dev
-	ioBase := dev.Stats()
-	decodeStart := e.layout.DecodeTime()
-
-	var err error
-	e.degrees, err = e.layout.LoadDegrees()
-	if err != nil {
-		return nil, err
-	}
-	e.prog.Init(e.n, e.valPrev, e.aux, e.active)
-
 	a := &asyncRun{
 		e:             e,
 		mono:          mono,
@@ -172,7 +150,7 @@ func (e *Engine) runAsync() (*Result, error) {
 		consumed:      bitset.NewActiveSet(e.n),
 		dirty:         make([]bool, e.p),
 	}
-	a.applyTask = a.applyWorker
+	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
 		a.rows[i] = &asyncRow{i: i, tie: asyncTie(e.opts.AsyncSeed, i), pos: -1}
 		var cost time.Duration
@@ -185,112 +163,75 @@ func (e *Engine) runAsync() (*Result, error) {
 		}
 		a.rowStreamCost[i] = cost
 	}
+	return a, nil
+}
 
-	resumed := false
-	checkpoints := 0
-	ck := e.opts.Checkpoint
-	if ck.Resume && ck.Dir != "" && checkpoint.Exists(ck.Dir) {
-		st, err := checkpoint.Load(ck.Dir)
-		if err != nil {
-			return nil, err
+// start seeds the queue from the live frontier — or, after a resume, takes
+// the ever-consumed set and every row's enqueue step from the checkpoint and
+// rebuilds it: the queue itself is never saved, every row's mass is
+// recomputed canonically, reproducing identical keys.
+func (a *asyncRun) start(ck *checkpoint.State, maxIter int) (int, error) {
+	e := a.e
+	if ck != nil {
+		if len(ck.EnqueueSteps) != e.p {
+			return 0, fmt.Errorf("core: checkpoint enqueue steps sized %d, want P=%d", len(ck.EnqueueSteps), e.p)
 		}
-		if err := a.restore(st); err != nil {
-			return nil, err
+		if err := a.consumed.LoadWords(ck.Consumed); err != nil {
+			return 0, fmt.Errorf("core: checkpoint consumed set: %w", err)
 		}
-		resumed = true
+		for i, r := range a.rows {
+			r.enq = int64(ck.EnqueueSteps[i])
+		}
 	}
-	resumedFrom := int(a.step)
-	a.applied = make([]asyncApplied, e.threads) // after restore: a resume adopts the checkpoint's thread count
-
-	// Seed (or, after a resume, rebuild) the queue from the live frontier.
 	for i := 0; i < e.p; i++ {
 		a.refreshRow(i, a.rows[i].enq)
 	}
-
-	maxIter := e.prog.MaxIterations()
-	if e.opts.MaxIterations > 0 {
-		maxIter = e.opts.MaxIterations
-	}
 	// One BSP iteration touches up to P live rows, so the equivalent async
 	// step budget is maxIter rows per interval.
-	maxSteps := int64(maxIter) * int64(e.p)
+	return maxIter * e.p, nil
+}
 
-	eps := e.opts.AsyncEpsilon
-	var iterStats []IterStat
-	converged := false
-	for a.h.Len() > 0 {
-		if err := e.checkCtx(); err != nil {
-			return nil, err
-		}
-		if eps > 0 && a.totalResidual() <= eps {
-			converged = true
-			break
-		}
-		if a.step >= maxSteps {
-			break
-		}
+// pending: the queue holds a row and the total residual is still above
+// Options.AsyncEpsilon.
+func (a *asyncRun) pending() bool {
+	eps := a.e.opts.AsyncEpsilon
+	return a.h.Len() > 0 && !(eps > 0 && a.totalResidual() <= eps)
+}
 
-		row := a.popRow()
-		ioBefore := dev.Stats()
-		computeBefore := e.computeTime
-		decodeBefore := e.layout.DecodeTime()
-		plBefore := e.plStats
-		blocksBefore := a.blocks
-		reactsBefore := a.reacts
-		activeBefore := e.active.Count()
+func (a *asyncRun) step(n int, st *IterStat) error {
+	blocksBefore, reactsBefore := a.blocks, a.reacts
+	row := a.popRow(int64(n))
+	var err error
+	st.Path, err = a.processRow(row.i, int64(n))
+	st.Blocks = int(a.blocks - blocksBefore)
+	st.Reactivations = a.reacts - reactsBefore
+	st.Residual = a.totalResidual()
+	return err
+}
 
-		path, err := a.processRow(row.i)
-		if err != nil {
-			return nil, err
-		}
-		a.step++
+func (a *asyncRun) measured(*IterStat) {}
 
-		ioDelta := dev.Stats().Sub(ioBefore)
-		st := IterStat{
-			Index:         int(a.step) - 1,
-			Path:          path,
-			Active:        activeBefore,
-			Blocks:        int(a.blocks - blocksBefore),
-			Reactivations: a.reacts - reactsBefore,
-			Residual:      a.totalResidual(),
-			IO:            ioDelta,
-			IOTime:        ioDelta.TotalTime(),
-			ComputeTime:   e.computeTime - computeBefore,
-			DecodeTime:    e.layout.DecodeTime() - decodeBefore,
-			Pipeline:      e.plStats.Sub(plBefore),
-		}
-		iterStats = append(iterStats, st)
-		if e.opts.OnIteration != nil {
-			e.opts.OnIteration(st)
-		}
-
-		if ck.saveEnabled() && a.step%int64(ck.Every) == 0 {
-			if err := a.save(ck.Dir); err != nil {
-				return nil, err
-			}
-			checkpoints++
-		}
+// capture adds the ever-consumed set and every row's enqueue step. The
+// staged arrays the loop captures are at identity/empty here: this schedule
+// never stages anything across a step boundary.
+func (a *asyncRun) capture(ck *checkpoint.State) {
+	ck.Async = true
+	ck.EnqueueSteps = make([]uint64, len(a.rows))
+	for i, r := range a.rows {
+		ck.EnqueueSteps[i] = uint64(r.enq)
 	}
-	if a.h.Len() == 0 {
-		converged = true
-	}
+	ck.Consumed = a.consumed.Words()
+}
 
-	res := e.result(start, ioBase, decodeStart)
-	res.Iterations = int(a.step)
-	res.Converged = converged
-	res.IterStats = iterStats
-	res.Resumed = resumed
-	res.ResumedFrom = resumedFrom
-	res.Checkpoints = checkpoints
+func (a *asyncRun) finish(res *Result) {
 	res.Async = AsyncStats{
 		Enabled:         true,
-		Steps:           int(a.step),
+		Steps:           res.Iterations,
 		SelectiveSteps:  a.selSteps,
 		BlocksScheduled: a.blocks,
 		Reactivations:   a.reacts,
 		FinalResidual:   a.totalResidual(),
 	}
-	return res, nil
 }
 
 // totalResidual sums the canonical pending mass over all rows (queued rows
@@ -349,8 +290,8 @@ func (a *asyncRun) refreshRow(i int, enq int64) {
 // popRow extracts the next row to process: normally the heap maximum, but
 // every asyncAgingEvery-th step the longest-queued row, so low-mass rows
 // are never starved. Aging depends only on the persisted step counter.
-func (a *asyncRun) popRow() *asyncRow {
-	if (a.step+1)%asyncAgingEvery == 0 && a.h.Len() > 1 {
+func (a *asyncRun) popRow(step int64) *asyncRow {
+	if (step+1)%asyncAgingEvery == 0 && a.h.Len() > 1 {
 		oldest := 0
 		for k := 1; k < len(a.h); k++ {
 			r, o := a.h[k], a.h[oldest]
@@ -363,10 +304,10 @@ func (a *asyncRun) popRow() *asyncRow {
 	return heap.Pop(&a.h).(*asyncRow)
 }
 
-// processRow runs one scheduler step on row i, returning the executed path
+// processRow runs scheduler step `step` on row i, returning the executed path
 // ("async" streamed, "async-sel" selective). See the package comment for
 // the step's phases and why the row is processed atomically.
-func (a *asyncRun) processRow(i int) (string, error) {
+func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 
@@ -440,7 +381,7 @@ func (a *asyncRun) processRow(i int) (string, error) {
 	// destination row the applies activated into.
 	for r := 0; r < e.p; r++ {
 		if a.dirty[r] {
-			a.refreshRow(r, a.step+1)
+			a.refreshRow(r, step+1)
 		}
 	}
 	return path, nil
@@ -513,64 +454,23 @@ func (a *asyncRun) scatterApplyBlock(edges []graph.Edge, j int) int64 {
 	}
 	jLo, jHi := e.layout.Meta.Interval(j)
 	e.scatter(edges, e.valCur, a.frontier, e.acc, e.touched, jLo, jHi)
-	return a.applyAsyncInterval(j)
-}
 
-// asyncApplied is what applying one span of an interval did: vertices newly
-// put on the frontier, how many of those had been consumed before, and
-// whether any vertex asked to be active at all.
-type asyncApplied struct {
-	woken, reacts int
-	any           bool
-}
-
-// applyAsyncInterval folds interval j's touched accumulators into the live
-// values with AsyncApply, activating woken vertices (counting those that
-// had already been consumed as reactivations) and marking the row dirty
-// for re-keying. Apply is per-vertex independent, so large batches are cut
-// at word boundaries across the configured threads exactly like the BSP
-// apply; each worker counts its own span and the counts are summed, so they
-// and the heap updates stay deterministic.
-func (a *asyncRun) applyAsyncInterval(j int) int64 {
-	e := a.e
-	lo, hi := e.layout.Meta.Interval(j)
-	t0 := time.Now()
-	defer func() { e.computeTime += time.Since(t0) }()
-
-	count := e.touched.CountRange(lo, hi)
-	if count == 0 {
-		return 0
-	}
-	var total asyncApplied
-	if count < serialApplyThreshold || e.threads <= 1 {
-		total = a.applySpan(lo, hi)
-	} else {
-		p := e.parallelState()
-		p.lo, p.hi = lo, hi
-		p.pool.run(a.applyTask)
-		for _, out := range a.applied {
-			total.woken += out.woken
-			total.reacts += out.reacts
-			total.any = total.any || out.any
-		}
-	}
-	e.active.AddCount(total.woken)
-	a.reacts += int64(total.reacts)
-	if total.any {
+	// Fold interval j's touched accumulators into the live values with
+	// AsyncApply (applySpan, under the shared apply frame): woken vertices
+	// join the frontier, those that had already been consumed count as
+	// reactivations, and the row is marked for re-keying.
+	count, out := e.applyInterval(j)
+	e.active.AddCount(out.woken)
+	a.reacts += int64(out.reacts)
+	if out.any {
 		a.dirty[j] = true
 	}
-	e.touched.ClearRange(lo, hi)
 	return int64(count)
-}
-
-func (a *asyncRun) applyWorker(w int) {
-	p := a.e.par
-	a.applied[w] = a.applySpan(spanCut(p.lo, p.hi, w, p.pool.n))
 }
 
 // applySpan applies the touched vertices of [lo, hi) in ascending order. It
 // leaves touched alone: the caller clears the whole interval.
-func (a *asyncRun) applySpan(lo, hi int) (out asyncApplied) {
+func (a *asyncRun) applySpan(lo, hi int) (out applied) {
 	if lo >= hi {
 		return out
 	}
@@ -593,74 +493,4 @@ func (a *asyncRun) applySpan(lo, hi int) (out asyncApplied) {
 		return true
 	})
 	return out
-}
-
-// save captures the async engine state at a step boundary: live values and
-// aux, the frontier, the ever-consumed set, the step counter and every
-// row's enqueue step. The queue itself is not saved — restore recomputes
-// every row's mass canonically, reproducing identical keys.
-func (a *asyncRun) save(dir string) error {
-	e := a.e
-	enq := make([]uint64, e.p)
-	for i, r := range a.rows {
-		enq[i] = uint64(r.enq)
-	}
-	st := &checkpoint.State{
-		Algorithm:    e.prog.Name(),
-		NumVertices:  e.n,
-		P:            e.p,
-		Iteration:    int(a.step),
-		Values:       e.valPrev,
-		Aux:          e.aux,
-		AccNext:      e.accNext, // identity by the step invariant
-		Active:       e.active.Words(),
-		TouchedNext:  e.touched.Words(), // empty by the step invariant
-		Async:        true,
-		EnqueueSteps: enq,
-		Consumed:     a.consumed.Words(),
-		Threads:      e.threads,
-	}
-	return checkpoint.Save(dir, st)
-}
-
-// restore loads an async checkpoint into the engine. The caller rebuilds
-// the queue by refreshing every row afterwards.
-func (a *asyncRun) restore(st *checkpoint.State) error {
-	e := a.e
-	if !st.Async {
-		return fmt.Errorf("core: checkpoint was taken by the BSP engine; cannot resume it under -async")
-	}
-	if st.Algorithm != e.prog.Name() {
-		return fmt.Errorf("core: checkpoint is for algorithm %q, running %q", st.Algorithm, e.prog.Name())
-	}
-	if st.NumVertices != e.n || st.P != e.p {
-		return fmt.Errorf("core: checkpoint shape %d vertices / P=%d, layout has %d / P=%d",
-			st.NumVertices, st.P, e.n, e.p)
-	}
-	if len(st.Values) != e.n {
-		return fmt.Errorf("core: checkpoint values sized %d, want %d", len(st.Values), e.n)
-	}
-	if (st.Aux == nil) != (e.aux == nil) || len(st.Aux) != len(e.aux) {
-		return fmt.Errorf("core: checkpoint aux state length %d, program %s keeps %d",
-			len(st.Aux), e.prog.Name(), len(e.aux))
-	}
-	if len(st.EnqueueSteps) != e.p {
-		return fmt.Errorf("core: checkpoint enqueue steps sized %d, want P=%d", len(st.EnqueueSteps), e.p)
-	}
-	copy(e.valPrev, st.Values)
-	if e.aux != nil {
-		copy(e.aux, st.Aux)
-	}
-	if err := e.active.LoadWords(st.Active); err != nil {
-		return fmt.Errorf("core: checkpoint active frontier: %w", err)
-	}
-	if err := a.consumed.LoadWords(st.Consumed); err != nil {
-		return fmt.Errorf("core: checkpoint consumed set: %w", err)
-	}
-	for i, r := range a.rows {
-		r.enq = int64(st.EnqueueSteps[i])
-	}
-	a.step = int64(st.Iteration)
-	e.adoptThreads(st.Threads)
-	return nil
 }

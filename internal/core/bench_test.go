@@ -2,8 +2,6 @@ package core_test
 
 import (
 	"cmp"
-	"encoding/json"
-	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -277,9 +275,6 @@ func BenchmarkEnginePrefetch(b *testing.B) {
 // on-disk size, emulating a throughput-limited disk, so moving fewer bytes
 // directly shortens the run. Decode runs on the pipeline's fetch workers,
 // overlapped with compute.
-//
-// When BENCH_COMPRESS_OUT names a file, a JSON artifact with the per-codec
-// disk bytes, compression ratio, and wall times is written for CI.
 func BenchmarkEngineCompressed(b *testing.B) {
 	g, err := gen.RMAT(12, 16, gen.Graph500, 9)
 	if err != nil {
@@ -287,17 +282,6 @@ func BenchmarkEngineCompressed(b *testing.B) {
 	}
 	// Emulated cold-read throughput for the sleep-per-block injector.
 	const coldBytesPerSecond = 200 << 20
-
-	type record struct {
-		Codec        string  `json:"codec"`
-		DiskBytes    int64   `json:"disk_bytes"`
-		DecodedBytes int64   `json:"decoded_bytes"`
-		Ratio        float64 `json:"compression_ratio"`
-		WallMs       float64 `json:"cold_wall_ms"`
-		ReadKiB      float64 `json:"read_kib_per_run"`
-		DecodeMs     float64 `json:"decode_ms"`
-	}
-	var records []record
 
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		b.Run(codec.String(), func(b *testing.B) {
@@ -317,42 +301,18 @@ func BenchmarkEngineCompressed(b *testing.B) {
 				}
 				return nil
 			})
-			var last *core.Result
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(l, &algorithms.PageRank{Iterations: 3}, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				last = res
 				b.ReportMetric(float64(res.WallTime.Microseconds())/1000, "wall-ms")
 				b.ReportMetric(float64(res.IO.ReadBytes())/1024, "read-KiB")
 				b.ReportMetric(float64(res.DecodeTime.Microseconds())/1000, "decode-ms")
 				b.ReportMetric(res.CompressRatio, "ratio")
 			}
-			b.StopTimer()
-			if last != nil {
-				records = append(records, record{
-					Codec:        codec.String(),
-					DiskBytes:    l.Meta.EdgeDiskBytesTotal(),
-					DecodedBytes: l.Meta.EdgeBytesTotal(),
-					Ratio:        last.CompressRatio,
-					WallMs:       float64(last.WallTime.Microseconds()) / 1000,
-					ReadKiB:      float64(last.IO.ReadBytes()) / 1024,
-					DecodeMs:     float64(last.DecodeTime.Microseconds()) / 1000,
-				})
-			}
 		})
-	}
-
-	if path := os.Getenv("BENCH_COMPRESS_OUT"); path != "" && len(records) > 0 {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package core_test
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"math"
 	"os"
@@ -55,24 +55,11 @@ func chaosLayout(t *testing.T, codec graph.Codec, seed int64) *partition.Layout 
 	return l
 }
 
-// chaosRecord is one row of the BENCH_chaos.json-style CI artifact.
-type chaosRecord struct {
-	Path       string `json:"path"`
-	Codec      string `json:"codec"`
-	Ops        int64  `json:"chaos_ops"`
-	Transient  int64  `json:"transient_faults"`
-	Retries    int64  `json:"device_retries"`
-	Fallbacks  int    `json:"pipeline_fallbacks"`
-	Iterations int    `json:"iterations"`
-	Identical  bool   `json:"bit_identical"`
-}
-
 // TestChaosRunsBitIdentical injects transient read faults into every
 // combination of update path (FCIU via PageRank, SCIU via on-demand BFS) and
 // sub-block codec, and requires the faulty run to converge to outputs
 // bit-identical to the fault-free baseline, with the recovery machinery
-// demonstrably exercised (device retries observed). When CHAOS_OUT names a
-// file, a JSON artifact summarising each combination is written for CI.
+// demonstrably exercised (device retries observed).
 func TestChaosRunsBitIdentical(t *testing.T) {
 	paths := []struct {
 		name string
@@ -82,7 +69,6 @@ func TestChaosRunsBitIdentical(t *testing.T) {
 		{"fciu", func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}},
 		{"sciu", func() core.Program { return &algorithms.BFS{Source: 0} }, core.Options{ForceModel: core.ForceOnDemand}},
 	}
-	var records []chaosRecord
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		for _, p := range paths {
 			t.Run(p.name+"/"+codec.String(), func(t *testing.T) {
@@ -125,27 +111,7 @@ func TestChaosRunsBitIdentical(t *testing.T) {
 						res.Iterations, res.Converged, base.Iterations, base.Converged)
 				}
 				requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-				records = append(records, chaosRecord{
-					Path:       p.name,
-					Codec:      codec.String(),
-					Ops:        cs.Ops,
-					Transient:  cs.Transient,
-					Retries:    res.IO.Retries,
-					Fallbacks:  res.Pipeline.Fallbacks,
-					Iterations: res.Iterations,
-					Identical:  true,
-				})
 			})
-		}
-	}
-
-	if path := os.Getenv("CHAOS_OUT"); path != "" && len(records) > 0 {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }
@@ -262,45 +228,152 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeValidation covers the resume edge cases: an empty directory
-// starts fresh, a checkpoint from another algorithm is refused, and a
-// corrupted checkpoint fails the run instead of silently restarting.
+// TestResumeValidation covers the resume edge cases under both schedules: an
+// empty directory starts fresh; a checkpoint from another algorithm, another
+// layout shape or the other schedule is refused; and a corrupted checkpoint
+// fails the run instead of silently restarting.
 func TestResumeValidation(t *testing.T) {
-	l := chaosLayout(t, graph.CodecRaw, 8)
-	ckDir := t.TempDir()
+	for name, async := range map[string]bool{"bsp": false, "async": true} {
+		t.Run(name, func(t *testing.T) {
+			l := chaosLayout(t, graph.CodecRaw, 8)
+			ckDir := t.TempDir()
+			prog := func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }
+			resume := func(l *partition.Layout, p core.Program, async bool) error {
+				_, err := core.Run(l, p, core.Options{
+					Async:      async,
+					Checkpoint: core.CheckpointOptions{Dir: ckDir, Resume: true},
+				})
+				return err
+			}
 
-	res, err := core.Run(l, &algorithms.PageRank{Iterations: 4}, core.Options{
-		Checkpoint: core.CheckpointOptions{Every: 2, Dir: ckDir, Resume: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resumed {
-		t.Fatal("run resumed from an empty checkpoint dir")
-	}
-	if res.Checkpoints == 0 {
-		t.Fatal("checkpointed run wrote no checkpoints")
-	}
+			res, err := core.Run(l, prog(), core.Options{
+				Async:      async,
+				Checkpoint: core.CheckpointOptions{Every: 2, Dir: ckDir, Resume: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resumed {
+				t.Fatal("run resumed from an empty checkpoint dir")
+			}
+			if res.Checkpoints == 0 {
+				t.Fatal("checkpointed run wrote no checkpoints")
+			}
 
-	_, err = core.Run(l, &algorithms.BFS{Source: 0}, core.Options{
-		Checkpoint: core.CheckpointOptions{Dir: ckDir, Resume: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "algorithm") {
-		t.Fatalf("pagerank checkpoint resumed by bfs: %v", err)
-	}
+			err = resume(l, &algorithms.ConnectedComponents{}, async)
+			if err == nil || !strings.Contains(err.Error(), `checkpoint is for algorithm "pagerank-delta", running "cc"`) {
+				t.Fatalf("pagerank-delta checkpoint resumed by cc: %v", err)
+			}
 
-	data, err := os.ReadFile(checkpoint.Path(ckDir))
-	if err != nil {
-		t.Fatal(err)
+			dev, err := storage.OpenDevice(t.TempDir(), storage.ScaledHDD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := gen.RMAT(9, 8, gen.Graph500, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := partition.Build(dev, g, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = resume(other, prog(), async)
+			if err == nil || !strings.Contains(err.Error(), "checkpoint shape 512 vertices / P=4, layout has 512 / P=2") {
+				t.Fatalf("P=4 checkpoint resumed on a P=2 layout: %v", err)
+			}
+
+			err = resume(l, prog(), !async)
+			if want := map[bool]string{false: "taken by the BSP engine", true: "taken by the async engine"}[async]; err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("checkpoint resumed under the other schedule: %v", err)
+			}
+
+			data, err := os.ReadFile(checkpoint.Path(ckDir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)-1] ^= 0xff
+			if err := os.WriteFile(checkpoint.Path(ckDir), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = resume(l, prog(), async)
+			if err == nil || !strings.Contains(err.Error(), "crc32c") {
+				t.Fatalf("corrupt checkpoint resumed: %v", err)
+			}
+		})
 	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(checkpoint.Path(ckDir), data, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestGoldenCheckpointsResume resumes the two checkpoints in testdata, which
+// the commit before the engine-core merge wrote — one by its BSP loop (at an
+// FCIU second-half boundary), one by its async loop — and requires outputs
+// bit-identical to an uninterrupted run, which in turn must write the same
+// bytes at that step: the single capture/restore reads what the two old pairs
+// wrote, and writes it. The files were written on amd64; a platform that
+// fuses multiply-adds may round PR-Delta differently.
+func TestGoldenCheckpointsResume(t *testing.T) {
+	golden := []struct {
+		file string
+		prog func() core.Program
+		opts core.Options
+		from int
+	}{
+		{"ckpt_bsp.bin", func() core.Program { return &algorithms.PageRankDelta{Iterations: 12} },
+			core.Options{ForceModel: core.ForceFull, DefaultBuffer: true, Threads: 1}, 3},
+		{"ckpt_async.bin", func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} },
+			core.Options{Async: true, DefaultBuffer: true, Threads: 1}, 8},
 	}
-	_, err = core.Run(l, &algorithms.PageRank{Iterations: 4}, core.Options{
-		Checkpoint: core.CheckpointOptions{Dir: ckDir, Resume: true},
-	})
-	if err == nil || !strings.Contains(err.Error(), "crc32c") {
-		t.Fatalf("corrupt checkpoint resumed: %v", err)
+	for _, c := range golden {
+		t.Run(c.file, func(t *testing.T) {
+			dev, err := storage.OpenDevice(t.TempDir(), storage.ScaledHDD)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := gen.RMAT(8, 8, gen.Graph500, 21)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := partition.Build(dev, g, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile("testdata/" + c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The uninterrupted run checkpoints at the same step, and must
+			// write the very bytes the old loop wrote there.
+			ckDir := t.TempDir()
+			opts := c.opts
+			opts.Checkpoint = core.CheckpointOptions{Every: c.from, Dir: ckDir}
+			opts.OnIteration = func(st core.IterStat) {
+				if st.Index != c.from {
+					return
+				}
+				if now, err := os.ReadFile(checkpoint.Path(ckDir)); err != nil || !bytes.Equal(now, data) {
+					t.Errorf("checkpoint after step %d differs from testdata/%s (read error: %v)", c.from, c.file, err)
+				}
+			}
+			base, err := core.Run(l, c.prog(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if err := os.WriteFile(checkpoint.Path(ckDir), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			opts = c.opts
+			opts.Checkpoint = core.CheckpointOptions{Dir: ckDir, Resume: true}
+			res, err := core.Run(l, c.prog(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Resumed || res.ResumedFrom != c.from {
+				t.Fatalf("resumed=%t from %d, want resume from step %d", res.Resumed, res.ResumedFrom, c.from)
+			}
+			if res.Iterations != base.Iterations || len(res.IterStats) != base.Iterations-c.from {
+				t.Fatalf("resumed run: %d steps total, %d run here; uninterrupted took %d", res.Iterations, len(res.IterStats), base.Iterations)
+			}
+			requireIdenticalOutputs(t, base.Outputs, res.Outputs)
+		})
 	}
 }

@@ -77,6 +77,13 @@ type Engine struct {
 	threads int
 	par     *parallel
 
+	// applySpan is the schedule's per-vertex apply loop over one span of an
+	// interval, bound once by newSchedule so that applyInterval allocates
+	// nothing; applyEvery makes it (and applyInterval) visit every vertex
+	// rather than the touched ones.
+	applySpan  func(lo, hi int) applied
+	applyEvery bool
+
 	// plStats accumulates block-stream outcomes across all passes.
 	plStats pipeline.Stats
 
@@ -180,18 +187,16 @@ func RunContext(ctx context.Context, layout *partition.Layout, prog Program, opt
 // checkCtx reports the run's cancellation state; called between sub-blocks
 // and at iteration boundaries so a cancelled run stops promptly without
 // tearing down mid-scatter.
-func (e *Engine) checkCtx() error {
-	select {
-	case <-e.ctx.Done():
-		return e.ctx.Err()
-	default:
-		return nil
-	}
-}
+func (e *Engine) checkCtx() error { return e.ctx.Err() }
 
+// run is the engine's one loop: set-up, resume, then step after step of the
+// schedule Options.Async selects, each measured as deltas over the engine's
+// counters, reported to OnIteration and checkpointed on the configured
+// cadence.
 func (e *Engine) run() (*Result, error) {
-	if e.opts.Async {
-		return e.runAsync()
+	s, err := e.newSchedule()
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	if e.ctx == nil {
@@ -202,129 +207,72 @@ func (e *Engine) run() (*Result, error) {
 	ioBase := dev.Stats()
 	decodeStart := e.layout.DecodeTime()
 
-	var err error
 	e.degrees, err = e.layout.LoadDegrees()
 	if err != nil {
 		return nil, err
 	}
 	e.prog.Init(e.n, e.valPrev, e.aux, e.active)
-	copy(e.valCur, e.valPrev)
 
-	iter := 0
-	secondaryPending := false
-	resumed := false
-	checkpoints := 0
 	ck := e.opts.Checkpoint
+	var from *checkpoint.State
 	if ck.Resume && ck.Dir != "" && checkpoint.Exists(ck.Dir) {
-		st, err := checkpoint.Load(ck.Dir)
-		if err != nil {
+		if from, err = checkpoint.Load(ck.Dir); err != nil {
 			return nil, err
 		}
-		if err := e.restoreCheckpoint(st); err != nil {
+		if err := e.restore(from); err != nil {
 			return nil, err
 		}
-		iter = st.Iteration
-		secondaryPending = st.SecondaryPending
-		resumed = true
 	}
-	resumedFrom := iter
-
 	maxIter := e.prog.MaxIterations()
 	if e.opts.MaxIterations > 0 {
 		maxIter = e.opts.MaxIterations
 	}
+	bound, err := s.start(from, maxIter)
+	if err != nil {
+		return nil, err
+	}
+	n := 0 // completed steps
+	if from != nil {
+		n = from.Iteration
+	}
+	resumedFrom := n
 
+	// One IterStat serves every step: the schedule fills it through a
+	// pointer, which would otherwise cost an allocation per step.
+	var st IterStat
 	var iterStats []IterStat
-	for iter < maxIter {
+	checkpoints := 0
+	for n < bound {
 		if err := e.checkCtx(); err != nil {
 			return nil, err
 		}
-		if !secondaryPending && e.active.Empty() && e.touchedNext.Empty() {
+		if !s.pending() {
 			break
 		}
-		// Promote staged next-iteration contributions to current. The
-		// outgoing acc/touched were fully consumed (and identity-reset) by
-		// the previous apply phase.
-		e.acc, e.accNext = e.accNext, e.acc
-		e.touched, e.touchedNext = e.touchedNext, e.touched
-
 		ioBefore := dev.Stats()
 		computeBefore := e.computeTime
 		plBefore := e.plStats
 		decodeBefore := e.layout.DecodeTime()
-		path := ""
 
-		if secondaryPending {
-			// Second half of an FCIU pass: only secondary sub-blocks.
-			path = "fciu-2"
-			if err := e.runPass(fciuSecondCells); err != nil {
-				return nil, err
-			}
-			secondaryPending = false
-		} else {
-			model := e.decide(iter)
-			switch {
-			case model == iosched.OnDemandIO:
-				path = "sciu"
-				if err := e.runSCIU(); err != nil {
-					return nil, err
-				}
-			case !e.opts.DisableCrossIteration && iter+1 < maxIter:
-				path = "fciu-1"
-				if err := e.runFCIUFirst(); err != nil {
-					return nil, err
-				}
-				// The second half applies staged contributions and scatters
-				// the secondary sub-blocks from the new frontier; if the
-				// first half activated nothing, both are no-ops and the
-				// algorithm has converged.
-				secondaryPending = !e.newActive.Empty() || !e.touchedNext.Empty()
-			default:
-				path = "full-single"
-				if err := e.runPass(fullCells); err != nil {
-					return nil, err
-				}
-			}
+		st = IterStat{Index: n, Active: e.active.Count()}
+		if err := s.step(n, &st); err != nil {
+			return nil, err
 		}
+		n++
 
-		ioDelta := dev.Stats().Sub(ioBefore)
-		st := IterStat{
-			Index:       iter,
-			Path:        path,
-			Active:      e.active.Count(),
-			IO:          ioDelta,
-			IOTime:      ioDelta.TotalTime(),
-			ComputeTime: e.computeTime - computeBefore,
-			DecodeTime:  e.layout.DecodeTime() - decodeBefore,
-			Pipeline:    e.plStats.Sub(plBefore),
-		}
-		// Feed the measured charge back into the scheduler's calibration
-		// loop. fciu-2 consumes the second half of the previous decision's
-		// pass, so it carries no decision of its own to observe.
-		if path != "fciu-2" && !e.opts.DisableCalibration {
-			executed := iosched.FullIO
-			if path == "sciu" {
-				executed = iosched.OnDemandIO
-			}
-			st.Predicted, st.Mispredict = e.sched.Observe(executed, ioDelta.TotalTime())
-		}
+		st.IO = dev.Stats().Sub(ioBefore)
+		st.IOTime = st.IO.TotalTime()
+		st.ComputeTime = e.computeTime - computeBefore
+		st.DecodeTime = e.layout.DecodeTime() - decodeBefore
+		st.Pipeline = e.plStats.Sub(plBefore)
+		s.measured(&st)
 		iterStats = append(iterStats, st)
 		if e.opts.OnIteration != nil {
 			e.opts.OnIteration(st)
 		}
 
-		// Advance the BSP frontier: next actives are this iteration's
-		// activations minus vertices whose next scatter was already
-		// performed by cross-iteration computation.
-		e.active.CopyFrom(e.newActive)
-		e.active.Subtract(e.prescattered)
-		e.newActive.Reset()
-		e.prescattered.Reset()
-		e.valPrev, e.valCur = e.valCur, e.valPrev
-		copy(e.valCur, e.valPrev)
-		iter++
-		if ck.saveEnabled() && iter%ck.Every == 0 {
-			if err := e.saveCheckpoint(ck.Dir, iter, secondaryPending); err != nil {
+		if ck.saveEnabled() && n%ck.Every == 0 {
+			if err := checkpoint.Save(ck.Dir, e.capture(n, s)); err != nil {
 				return nil, err
 			}
 			checkpoints++
@@ -332,18 +280,18 @@ func (e *Engine) run() (*Result, error) {
 	}
 
 	res := e.result(start, ioBase, decodeStart)
-	res.Iterations = iter
-	res.Converged = e.active.Empty() && e.touchedNext.Empty() && !secondaryPending
-	res.Decisions = append([]iosched.Decision(nil), e.sched.History()...)
+	res.Iterations = n
+	res.Converged = !s.pending()
 	res.IterStats = iterStats
-	res.Resumed = resumed
+	res.Resumed = from != nil
 	res.ResumedFrom = resumedFrom
 	res.Checkpoints = checkpoints
+	s.finish(res)
 	return res, nil
 }
 
-// result computes the program outputs from valPrev and fills in what a BSP
-// and an async run report the same way; the caller adds its loop's outcomes.
+// result computes the program outputs from valPrev and fills in everything
+// that is not an outcome of run's loop.
 func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart time.Duration) *Result {
 	outputs := make([]float64, e.n)
 	tOut := time.Now()
@@ -365,6 +313,7 @@ func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart ti
 		IO:                e.layout.Dev.Stats().Sub(ioBase),
 		SharedHits:        src.sharedHits.Load(),
 		SharedMisses:      src.sharedMisses.Load(),
+		Decisions:         append([]iosched.Decision(nil), e.sched.History()...),
 		SchedulerOverhead: e.sched.TotalOverhead(),
 		SchedAccuracy:     e.sched.Accuracy(),
 		Buffer:            e.buf.Stats(),
@@ -401,48 +350,67 @@ func (e *Engine) decide(iter int) iosched.Model {
 	return d.Model
 }
 
-// applyInterval runs the apply phase for every touched vertex of interval j
-// (every vertex, for always-active programs), filling newActive and
-// restoring the accumulator identity invariant. Apply is embarrassingly
-// parallel per vertex — each touches only its own value, accumulator and
-// aux slot — so large intervals are cut at word boundaries across
-// Options.Threads workers, each setting its own words of newActive.
-func (e *Engine) applyInterval(j int) {
+// applied is what applying one span of an interval did: vertices newly set
+// in the schedule's frontier, and — async only — how many of those had been
+// consumed before and whether any vertex asked to be active at all.
+type applied struct {
+	woken, reacts int
+	any           bool
+}
+
+// applyInterval is the apply frame both schedules share. It runs the
+// schedule's applySpan over interval j — over every vertex of it for
+// always-active programs under BSP, otherwise over those in touched — and
+// restores the accumulator identity invariant: touched is cleared here, the
+// accumulators by the span. It returns how many vertices it applied and the
+// spans' summed outcome. Apply is embarrassingly parallel per vertex — each
+// touches only its own value, accumulator and aux slot — so large intervals
+// are cut at word boundaries across Options.Threads workers, each setting
+// its own words of the frontier and counting its own span; the sums are
+// therefore the same at every thread count.
+//
+// The per-vertex loop is the schedule's, bound once in applySpan, not a
+// callback per vertex: one indirect call per span keeps Apply/AsyncApply
+// the only dynamic call in the loop.
+func (e *Engine) applyInterval(j int) (count int, total applied) {
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()
 	defer func() { e.computeTime += time.Since(t0) }()
 
-	all := e.prog.AlwaysActive()
-	count := hi - lo
-	if !all {
+	count = hi - lo
+	if !e.applyEvery {
 		count = e.touched.CountRange(lo, hi)
 	}
 	if count == 0 {
-		return
+		return 0, total
 	}
 	if count < serialApplyThreshold || e.threads <= 1 {
-		e.newActive.AddCount(e.applySpan(lo, hi, all))
+		total = e.applySpan(lo, hi)
 	} else {
 		p := e.parallelState()
-		p.lo, p.hi, p.all = lo, hi, all
+		p.lo, p.hi = lo, hi
 		p.pool.run(p.applyTask)
-		e.newActive.AddCount(p.sum())
+		for _, out := range p.applied {
+			total.woken += out.woken
+			total.reacts += out.reacts
+			total.any = total.any || out.any
+		}
 	}
 	e.touched.ClearRange(lo, hi)
+	return count, total
 }
 
 func (e *Engine) applyWorker(w int) {
 	p := e.par
-	lo, hi := spanCut(p.lo, p.hi, w, p.pool.n)
-	p.counts[w] = e.applySpan(lo, hi, p.all)
+	p.applied[w] = e.applySpan(spanCut(p.lo, p.hi, w, p.pool.n))
 }
 
-// applySpan applies the vertices of [lo, hi) in ascending order — all of
-// them, or those in touched — and returns how many it newly set in
-// newActive. It leaves touched alone: the caller clears the whole interval.
-func (e *Engine) applySpan(lo, hi int, all bool) (newly int) {
+// applySpanBSP applies the vertices of [lo, hi) in ascending order — all of
+// them, or those in touched — into valCur, and counts those it newly set in
+// newActive. It leaves touched alone: applyInterval clears the whole interval.
+func (e *Engine) applySpanBSP(lo, hi int) (out applied) {
 	if lo >= hi {
-		return 0
+		return out
 	}
 	id := e.prog.Identity()
 	newActive := e.newActive.Words()
@@ -450,27 +418,25 @@ func (e *Engine) applySpan(lo, hi int, all bool) (newly int) {
 		nv, act := e.prog.Apply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
 		e.valCur[v] = nv
 		if act {
-			newly += setBit(newActive, v)
+			out.woken += setBit(newActive, v)
 		}
 		e.acc[v] = id
 		return true
 	}
-	if all {
+	if e.applyEvery {
 		for v := lo; v < hi; v++ {
 			apply(v)
 		}
-		return newly
+		return out
 	}
 	e.touched.ForEachRange(lo, hi, apply)
-	return newly
+	return out
 }
 
-// applyAll applies every interval (used by SCIU and the single full pass,
-// which scatter everything before applying).
-func (e *Engine) applyAll() {
-	for j := 0; j < e.p; j++ {
-		e.applyInterval(j)
-	}
+// applyBSP runs the apply phase of interval j into newActive.
+func (e *Engine) applyBSP(j int) {
+	_, out := e.applyInterval(j)
+	e.newActive.AddCount(out.woken)
 }
 
 // scatter merges the contributions of edges whose source is in filter into
@@ -601,12 +567,4 @@ func clampedActiveEdgeEstimate(edges []graph.Edge, set *bitset.ActiveSet, meta *
 		}
 	}
 	return est
-}
-
-// chargeIndexAccess charges the per-iteration modelled cost of consulting
-// the vertex index under the on-demand model (the paper's C_r includes a
-// 2|V|·N sequential-read term for index plus vertex values; the vertex
-// value half is charged separately).
-func (e *Engine) chargeIndexAccess() {
-	e.layout.Dev.Charge(storage.SeqRead, int64(e.n)*graph.IndexEntryBytes)
 }

@@ -199,7 +199,7 @@ func (e *Engine) runFCIUFirst() error {
 				diag = edges
 			}
 		}
-		e.applyInterval(j)
+		e.applyBSP(j)
 		if diag != nil {
 			// Diagonal cross-iteration after interval j's own apply
 			// (Alg 3 lines 13–16).
@@ -280,7 +280,7 @@ func (e *Engine) runPass(cells passCells) error {
 			}
 			e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
 		}
-		e.applyInterval(j)
+		e.applyBSP(j)
 	}
 	e.layout.ChargeVertexValueWrite()
 	return nil

@@ -18,7 +18,7 @@ import (
 //   - b1: DisableCrossIteration = true (current-iteration updates only)
 //   - b2/b3: ForceModel = &FullIO (load all sub-blocks every iteration)
 //   - b4: ForceModel = &OnDemandIO (selective loads every iteration)
-//   - "no buffering": BufferBytes = 0 with DisableBufferDefault = true
+//   - "no buffering": BufferBytes = 0 with DefaultBuffer unset
 type Options struct {
 	// MaxIterations overrides the program's iteration bound when positive.
 	MaxIterations int
@@ -118,12 +118,13 @@ type Options struct {
 }
 
 // CheckpointOptions controls checkpoint/resume of an engine run. A
-// checkpoint captures the complete BSP loop state at an iteration boundary
-// (vertex values, staged cross-iteration accumulators, frontier bitsets),
-// so a run resumed from it produces results bit-identical to one that was
-// never interrupted.
+// checkpoint captures the complete loop state at a step boundary (vertex
+// values, staged cross-iteration accumulators, frontier bitsets, and under
+// Async the scheduler's step state), so a run resumed from it produces
+// results bit-identical to one that was never interrupted.
 type CheckpointOptions struct {
-	// Every saves a checkpoint after every Every completed iterations.
+	// Every saves a checkpoint after every Every completed iterations (under
+	// Async: scheduler steps).
 	// Zero (with Resume unset) disables checkpointing.
 	Every int
 	// Dir is the host directory holding the checkpoint file. It is a plain

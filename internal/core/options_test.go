@@ -9,23 +9,33 @@ import (
 	"github.com/graphsd/graphsd/internal/gen"
 )
 
+// TestOnIterationHook: under either schedule the hook fires once per
+// IterStat, in order, and a checkpoint is written every Every steps.
 func TestOnIterationHook(t *testing.T) {
-	g := gen.Chain(40)
-	layout := buildLayout(t, g, 2)
-	var seen []core.IterStat
-	res, err := core.Run(layout, &algorithms.BFS{Source: 0}, core.Options{
-		OnIteration: func(st core.IterStat) { seen = append(seen, st) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != res.Iterations {
-		t.Fatalf("hook fired %d times for %d iterations", len(seen), res.Iterations)
-	}
-	for i, st := range seen {
-		if st.Index != i {
-			t.Fatalf("hook %d got index %d", i, st.Index)
-		}
+	for name, async := range map[string]bool{"bsp": false, "async": true} {
+		t.Run(name, func(t *testing.T) {
+			layout := buildLayout(t, gen.Chain(40), 2)
+			var seen []core.IterStat
+			res, err := core.Run(layout, &algorithms.BFS{Source: 0}, core.Options{
+				Async:       async,
+				Checkpoint:  core.CheckpointOptions{Every: 3, Dir: t.TempDir()},
+				OnIteration: func(st core.IterStat) { seen = append(seen, st) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(seen) != res.Iterations || len(res.IterStats) != res.Iterations {
+				t.Fatalf("hook fired %d times, %d IterStats, for %d iterations", len(seen), len(res.IterStats), res.Iterations)
+			}
+			for i, st := range seen {
+				if st.Index != i {
+					t.Fatalf("hook %d got index %d", i, st.Index)
+				}
+			}
+			if res.Iterations < 3 || res.Checkpoints != res.Iterations/3 {
+				t.Fatalf("%d checkpoints over %d steps at Every=3", res.Checkpoints, res.Iterations)
+			}
+		})
 	}
 }
 

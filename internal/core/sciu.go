@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/pipeline"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // runSCIU executes one iteration under the selective cross-iteration
@@ -22,7 +23,7 @@ func (e *Engine) runSCIU() error {
 	// Modelled per-iteration I/O: the index consultation and the vertex
 	// value array read/write-back (the 2|V|·N/B_sr + |V|·N/B_sw terms of
 	// the paper's C_r).
-	e.chargeIndexAccess()
+	e.layout.Dev.Charge(storage.SeqRead, int64(e.n)*graph.IndexEntryBytes)
 	e.layout.ChargeVertexValueRead()
 
 	cross := !e.opts.DisableCrossIteration
@@ -113,7 +114,9 @@ func (e *Engine) runSCIU() error {
 		e.scatter(blk.edges, e.valPrev, e.active, e.acc, e.touched, jLo, jHi)
 	}
 
-	e.applyAll()
+	for j := 0; j < e.p; j++ {
+		e.applyBSP(j)
+	}
 
 	if cross {
 		// Cross-iteration value computation (Alg 2 lines 15–23): vertices

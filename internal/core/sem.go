@@ -10,17 +10,14 @@ import (
 
 // semBitmap is the semi-external-memory activity summary consulted on every
 // sub-block skip decision: a P-bit "interval has any active vertex" row
-// vector, refined to a P×P "block may carry active edges" test by the
-// layout's per-block non-empty structure (a block in a live row is live only
-// if it holds edges at all). All vertex state is in RAM, so the row vector
-// is derived in O(P · interval/64) bitset popcounts — no per-vertex index
-// walk — and rebuilt at the start of every pass, which is exactly when
-// activity flips: the frontier a pass scatters from is frozen for the whole
-// pass (applyInterval mutates touched/newActive, never active).
-type semBitmap struct {
-	meta *partition.Manifest
-	rows []bool
-}
+// vector. A sub-block in a dead row scatters nothing (the scatter filter
+// excludes every one of its edges), so skipping its read cannot change any
+// result. All vertex state is in RAM, so the row vector is derived in
+// O(P · interval/64) bitset popcounts — no per-vertex index walk — and
+// rebuilt at the start of every pass, which is exactly when activity flips:
+// the frontier a pass scatters from is frozen for the whole pass
+// (applyInterval mutates touched/newActive, never active).
+type semBitmap struct{ rows []bool }
 
 // newSEMBitmap derives the row-activity vector of set.
 func newSEMBitmap(meta *partition.Manifest, set *bitset.ActiveSet) *semBitmap {
@@ -29,19 +26,11 @@ func newSEMBitmap(meta *partition.Manifest, set *bitset.ActiveSet) *semBitmap {
 		lo, hi := meta.Interval(i)
 		rows[i] = set.CountRange(lo, hi) > 0
 	}
-	return &semBitmap{meta: meta, rows: rows}
+	return &semBitmap{rows: rows}
 }
 
 // rowLive reports whether source interval i holds any active vertex.
 func (b *semBitmap) rowLive(i int) bool { return b.rows[i] }
-
-// blockLive reports whether sub-block (i, j) may carry active edges: its
-// source interval is live and the block is non-empty. A dead block scatters
-// nothing (the scatter filter excludes every one of its edges), so skipping
-// its read cannot change any result.
-func (b *semBitmap) blockLive(i, j int) bool {
-	return b.rows[i] && b.meta.SubBlockEdges(i, j) > 0
-}
 
 // semBegin rebuilds the block-activity bitmap from the pass's frontier, or
 // clears it when SEM is off. Every pass driver calls this before building

@@ -62,7 +62,7 @@ func (p *workers) stop() {
 type parallel struct {
 	pool     *workers
 	privates []private // privates[0] is unused: worker 0 writes the engine's arrays
-	counts   []int     // per-worker result of an apply task
+	applied  []applied // per-worker result of an apply task
 
 	scatterTask, reduceTask, applyTask func(w int)
 
@@ -72,10 +72,8 @@ type parallel struct {
 	args       scatterArgs
 	base, span int
 
-	// Apply job: the vertex range, and whether every vertex of it or only
-	// the touched ones are applied.
+	// Apply job: the vertex range.
 	lo, hi int
-	all    bool
 }
 
 // parallelState returns the fan-out state, starting the helpers on first use.
@@ -84,7 +82,7 @@ func (e *Engine) parallelState() *parallel {
 		e.par = &parallel{
 			pool:        startWorkers(e.threads),
 			privates:    make([]private, e.threads),
-			counts:      make([]int, e.threads),
+			applied:     make([]applied, e.threads),
 			scatterTask: e.scatterWorker,
 			reduceTask:  e.reduceWorker,
 			applyTask:   e.applyWorker,
@@ -98,15 +96,6 @@ func (e *Engine) stopParallel() {
 		e.par.pool.stop()
 		e.par = nil
 	}
-}
-
-// sum returns the total of the per-worker counts.
-func (p *parallel) sum() int {
-	total := 0
-	for _, c := range p.counts {
-		total += c
-	}
-	return total
 }
 
 // spanCut returns worker w's share [a, b) of the vertex range [lo, hi) cut

@@ -1,12 +1,9 @@
 package delta_test
 
 import (
-	"encoding/json"
 	"errors"
-	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/graphsd/graphsd/internal/delta"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -18,24 +15,12 @@ import (
 // appends, delta-layer writes, manifest publishes, compaction rewrites —
 // and verifies after each simulated crash that a reopened store holds
 // exactly the acknowledged mutations: zero acknowledged-write loss, no
-// resurrection of unacknowledged batches, and no orphan files. Results are
-// emitted as BENCH_mutate.json when MUTATE_OUT is set.
+// resurrection of unacknowledged batches, and no orphan files.
 func TestCrashPointSweep(t *testing.T) {
 	g := testGraph(t, 100, 500, 41)
 	script := mutationScript(g, 10, 15, 42)
 
-	type sweepResult struct {
-		CrashPoints   int   `json:"crash_points"`
-		AckedBatches  int64 `json:"acked_batches"`
-		AckedMuts     int64 `json:"acked_mutations"`
-		LostMuts      int64 `json:"lost_mutations"`
-		Recovered     int   `json:"recovered_opens"`
-		ReplayRecords int64 `json:"replay_records"`
-		WallMS        int64 `json:"wall_ms"`
-	}
-	var res sweepResult
-	start := time.Now()
-
+	ackedMuts := 0 // over all crash points
 	for point := 0; point < 20; point++ {
 		crashAfter := int64(2 + point*2) // ops 2,4,...,40 across the write path
 		dir := t.TempDir()
@@ -63,13 +48,11 @@ func TestCrashPointSweep(t *testing.T) {
 		s.SetWALFaultInjector(chaos.Injector())
 
 		var acked []delta.Mutation
-		var ackedBatches int64
 		for k, b := range script {
 			if err := s.Apply(b); err != nil {
 				break // crashed: nothing from this batch was acknowledged
 			}
 			acked = append(acked, b...)
-			ackedBatches++
 			if k%3 == 2 {
 				// Compaction errors are not acknowledgement losses.
 				_ = s.Compact()
@@ -109,24 +92,10 @@ func TestCrashPointSweep(t *testing.T) {
 		}
 		s2.Close()
 
-		res.CrashPoints++
-		res.AckedBatches += ackedBatches
-		res.AckedMuts += int64(len(acked))
-		res.Recovered++
-		res.ReplayRecords += s3.WAL.ReplayRecords
+		ackedMuts += len(acked)
 	}
-	res.WallMS = time.Since(start).Milliseconds()
-	if res.AckedMuts == 0 {
+	if ackedMuts == 0 {
 		t.Fatal("no batch was ever acknowledged; crash points all landed before the first append")
-	}
-	if out := os.Getenv("MUTATE_OUT"); out != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 )
 
 // Acceptance thresholds for the asynchronous-execution experiment, enforced
-// here so the harness test (and the CI async job) fail on regression.
+// here so the harness test fails on regression.
 const (
 	// asyncByteReductionMin is the minimum device-byte reduction async
 	// execution must deliver over the BSP baseline on the sparse-frontier
@@ -37,29 +37,16 @@ const (
 	asyncPRDTolerance = 1e-2
 )
 
-// asyncRunRecord is one async/BSP pair in the BENCH_async.json artifact.
-type asyncRunRecord struct {
-	Algorithm       string  `json:"algorithm"`
-	Config          string  `json:"config"`
-	BaseBytes       int64   `json:"base_device_bytes"`
-	AsyncBytes      int64   `json:"async_device_bytes"`
-	Reduction       float64 `json:"byte_reduction"`
-	BSPIterations   int     `json:"bsp_iterations"`
-	Steps           int64   `json:"async_steps"`
-	SelectiveSteps  int64   `json:"async_selective_steps"`
-	BlocksScheduled int64   `json:"async_blocks_scheduled"`
-	Reactivations   int64   `json:"async_reactivations"`
-	Identical       bool    `json:"bit_identical"`
-}
-
-// asyncArtifact is the JSON written to $ASYNC_OUT for the CI trend line.
-type asyncArtifact struct {
-	Dataset       string           `json:"dataset"`
-	Seed          int64            `json:"seed"`
-	Quick         bool             `json:"quick"`
-	ReductionMin  float64          `json:"byte_reduction_min"`
-	RegressionMax float64          `json:"regression_max"`
-	Runs          []asyncRunRecord `json:"runs"`
+// asyncBaseline is what the regression gate reads of the committed
+// testdata/async_baseline.json: the configuration it was measured under and
+// each algorithm's async device bytes.
+type asyncBaseline struct {
+	Seed  int64 `json:"seed"`
+	Quick bool  `json:"quick"`
+	Runs  []struct {
+		Algorithm  string `json:"algorithm"`
+		AsyncBytes int64  `json:"async_device_bytes"`
+	} `json:"runs"`
 }
 
 // asyncBaselineJSON is the committed reference for the regression gate. It
@@ -148,7 +135,7 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 
 	t := metrics.NewTable("Asynchronous priority scheduling vs BSP",
 		"algorithm", "config", "frontier", "bsp bytes", "async bytes", "reduction", "blocks", "bsp iters×P²", "identical")
-	var records []asyncRunRecord
+	asyncBytes := map[string]int64{} // by algorithm, for the regression gate
 	for _, wl := range workloads {
 		l, err := wl.layout()
 		if err != nil {
@@ -167,27 +154,17 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 		}
 
 		identical := identicalOutputs(base.Outputs, async.Outputs)
-		rec := asyncRunRecord{
-			Algorithm:       wl.alg.Name,
-			Config:          wl.config,
-			BaseBytes:       base.IO.TotalBytes(),
-			AsyncBytes:      async.IO.TotalBytes(),
-			BSPIterations:   base.Iterations,
-			Steps:           int64(async.Async.Steps),
-			SelectiveSteps:  int64(async.Async.SelectiveSteps),
-			BlocksScheduled: async.Async.BlocksScheduled,
-			Reactivations:   async.Async.Reactivations,
-			Identical:       identical,
+		baseB, asyncB, blocks := base.IO.TotalBytes(), async.IO.TotalBytes(), async.Async.BlocksScheduled
+		asyncBytes[wl.alg.Name] = asyncB
+		reduction := 0.0
+		if baseB > 0 {
+			reduction = 1 - float64(asyncB)/float64(baseB)
 		}
-		if rec.BaseBytes > 0 {
-			rec.Reduction = 1 - float64(rec.AsyncBytes)/float64(rec.BaseBytes)
-		}
-		records = append(records, rec)
 		gridSweeps := int64(base.Iterations) * int64(l.Meta.P) * int64(l.Meta.P)
 		t.AddRow(wl.alg.Name, wl.config, wl.frontier,
-			storage.FormatBytes(rec.BaseBytes), storage.FormatBytes(rec.AsyncBytes),
-			fmt.Sprintf("%.1f%%", rec.Reduction*100),
-			fmt.Sprint(rec.BlocksScheduled), fmt.Sprint(gridSweeps),
+			storage.FormatBytes(baseB), storage.FormatBytes(asyncB),
+			fmt.Sprintf("%.1f%%", reduction*100),
+			fmt.Sprint(blocks), fmt.Sprint(gridSweeps),
 			fmt.Sprint(identical))
 
 		switch wl.frontier {
@@ -195,14 +172,14 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 			if !identical {
 				return fmt.Errorf("harness: async %s outputs differ from the BSP fixed point", wl.alg.Name)
 			}
-			if rec.Reduction < asyncByteReductionMin {
+			if reduction < asyncByteReductionMin {
 				return fmt.Errorf("harness: async %s moved %d device bytes vs %d BSP (%.1f%% reduction, floor %.0f%%)",
-					wl.alg.Name, rec.AsyncBytes, rec.BaseBytes, rec.Reduction*100, asyncByteReductionMin*100)
+					wl.alg.Name, asyncB, baseB, reduction*100, asyncByteReductionMin*100)
 			}
 		case "decaying":
-			if rec.BlocksScheduled >= gridSweeps {
+			if blocks >= gridSweeps {
 				return fmt.Errorf("harness: async %s scheduled %d sub-blocks, BSP swept %d (%d iters × %d²) — no activation win",
-					wl.alg.Name, rec.BlocksScheduled, gridSweeps, base.Iterations, l.Meta.P)
+					wl.alg.Name, blocks, gridSweeps, base.Iterations, l.Meta.P)
 			}
 			var maxDiff float64
 			for i := range base.Outputs {
@@ -221,44 +198,18 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 		return err
 	}
 
-	if out := os.Getenv("ASYNC_OUT"); out != "" {
-		art := asyncArtifact{
-			Dataset:       ds.Name,
-			Seed:          cfg.Seed,
-			Quick:         cfg.Quick,
-			ReductionMin:  asyncByteReductionMin,
-			RegressionMax: asyncRegressionMax,
-			Runs:          records,
-		}
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("harness: writing ASYNC_OUT: %w", err)
-		}
-		fmt.Fprintf(w, "wrote async artifact to %s\n", out)
-	}
-
 	// Regression gate against the committed baseline, enforced only when
 	// this run reproduces the baseline's configuration.
-	var baseline asyncArtifact
+	var baseline asyncBaseline
 	if err := json.Unmarshal(asyncBaselineJSON, &baseline); err != nil {
 		return fmt.Errorf("harness: corrupt committed async baseline: %w", err)
 	}
 	if cfg.Quick == baseline.Quick && cfg.Seed == baseline.Seed && cfg.profile() == storage.ScaledHDD {
-		byAlg := map[string]asyncRunRecord{}
-		for _, r := range baseline.Runs {
-			byAlg[r.Algorithm] = r
-		}
-		for _, r := range records {
-			b, ok := byAlg[r.Algorithm]
-			if !ok {
-				continue
-			}
-			if float64(r.AsyncBytes) > float64(b.AsyncBytes)*asyncRegressionMax {
+		for _, b := range baseline.Runs {
+			got, ok := asyncBytes[b.Algorithm]
+			if ok && float64(got) > float64(b.AsyncBytes)*asyncRegressionMax {
 				return fmt.Errorf("harness: async %s moved %d device bytes, committed baseline %d — >%.2fx regression",
-					r.Algorithm, r.AsyncBytes, b.AsyncBytes, asyncRegressionMax)
+					b.Algorithm, got, b.AsyncBytes, asyncRegressionMax)
 			}
 		}
 	}

@@ -238,7 +238,7 @@ func (e *env) layout(system string, weighted bool) (*partition.Layout, error) {
 
 // run executes an algorithm on the dataset under the named system.
 // System names: graphsd, graphsd-b1, graphsd-b2 (= b3, forced full),
-// graphsd-b4 (forced on-demand), graphsd-nobuf, husgraph, lumos, gridgraph.
+// graphsd-b4 (forced on-demand), graphsd-nobuf, husgraph, lumos.
 func (e *env) run(system string, alg Algorithm) (*core.Result, error) {
 	prog := alg.New(e.source)
 	switch system {
@@ -271,12 +271,6 @@ func (e *env) run(system string, alg Algorithm) (*core.Result, error) {
 			return nil, err
 		}
 		return baseline.RunLumos(l, prog, baseline.Options{})
-	case "gridgraph":
-		l, err := e.layout("lumos", alg.Weighted)
-		if err != nil {
-			return nil, err
-		}
-		return baseline.RunGridGraph(l, prog, baseline.Options{})
 	default:
 		return nil, fmt.Errorf("harness: unknown system %q", system)
 	}

@@ -170,8 +170,7 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 // TestSEMExperiment runs the semi-external-memory study on its own: it
-// enforces the skip/byte-reduction and effective-capacity floors and, when
-// SEM_OUT is set (CI), writes the BENCH_sem.json artifact.
+// enforces the skip/byte-reduction and effective-capacity floors.
 func TestSEMExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment is slow; skipped with -short")
@@ -195,8 +194,7 @@ func TestSEMExperiment(t *testing.T) {
 
 // TestAsyncExperiment runs the asynchronous-execution study on its own: it
 // enforces the device-byte reduction, block-activation, and baseline
-// regression gates and, when ASYNC_OUT is set (CI), writes the
-// BENCH_async.json artifact.
+// regression gates.
 func TestAsyncExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment is slow; skipped with -short")
@@ -219,8 +217,7 @@ func TestAsyncExperiment(t *testing.T) {
 }
 
 // TestSchedAccuracyExperiment runs the scheduler-accuracy study on its own:
-// it enforces the envelope and post-warmup misprediction tolerances and, when
-// SCHED_OUT is set (CI), writes the BENCH_sched.json artifact.
+// it enforces the envelope and post-warmup misprediction tolerances.
 func TestSchedAccuracyExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment is slow; skipped with -short")

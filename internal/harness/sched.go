@@ -1,21 +1,18 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/graph"
-	"github.com/graphsd/graphsd/internal/iosched"
 	"github.com/graphsd/graphsd/internal/metrics"
 )
 
 // Tolerances for the scheduler-accuracy experiment. These are the PR's
-// acceptance criteria, enforced here so the harness test (and the CI smoke
-// job) fail when the calibrated scheduler regresses.
+// acceptance criteria, enforced here so the harness test fails when the
+// calibrated scheduler regresses.
 const (
 	// schedEnvelopeTol bounds the adaptive run's total simulated I/O
 	// relative to the better of the two forced models.
@@ -28,30 +25,6 @@ const (
 	// alpha=0.5 four observations shrink the initial model error 16x.
 	schedWarmup = 4
 )
-
-// schedIterSample is one observed iteration in the SCHED_OUT artifact.
-type schedIterSample struct {
-	Index      int     `json:"index"`
-	Path       string  `json:"path"`
-	PredNs     int64   `json:"pred_ns"`
-	ActualNs   int64   `json:"actual_ns"`
-	Mispredict float64 `json:"mispredict"`
-	Checked    bool    `json:"checked"`
-}
-
-// schedArtifact is the JSON written to $SCHED_OUT for the CI trend line.
-type schedArtifact struct {
-	Dataset       string            `json:"dataset"`
-	AdaptiveIONs  int64             `json:"adaptive_io_ns"`
-	FullIONs      int64             `json:"full_io_ns"`
-	OnDemandIONs  int64             `json:"on_demand_io_ns"`
-	Envelope      float64           `json:"envelope_ratio"`
-	EnvelopeTol   float64           `json:"envelope_tol"`
-	MispredictTol float64           `json:"mispredict_tol"`
-	Warmup        int               `json:"warmup_iterations"`
-	Accuracy      iosched.Accuracy  `json:"accuracy"`
-	Iterations    []schedIterSample `json:"iterations"`
-}
 
 // runSchedAccuracy is the Figure-10 companion study for the self-calibrating
 // scheduler. Two checks, both hard-enforced:
@@ -115,7 +88,6 @@ func runSchedAccuracy(cfg *Config, w io.Writer) error {
 	t := metrics.NewTable("Scheduler accuracy — PR(12) on "+ds.Name,
 		"iteration", "path", "predicted", "actual I/O", "mispredict", "checked")
 	last := len(prRes.IterStats) - 1
-	var samples []schedIterSample
 	observed := 0
 	worst, worstIter := 0.0, -1
 	for _, st := range prRes.IterStats {
@@ -133,11 +105,6 @@ func runSchedAccuracy(cfg *Config, w io.Writer) error {
 		}
 		t.AddRow(fmt.Sprint(st.Index), st.Path, metrics.Dur(st.Predicted),
 			metrics.Dur(st.IOTime), fmt.Sprintf("%.1f%%", 100*st.Mispredict), mark)
-		samples = append(samples, schedIterSample{
-			Index: st.Index, Path: st.Path,
-			PredNs: int64(st.Predicted), ActualNs: int64(st.IOTime),
-			Mispredict: st.Mispredict, Checked: checked,
-		})
 	}
 	acc := prRes.SchedAccuracy
 	t.AddNote("CC totals — adaptive %v, full-only %v, on-demand-only %v: envelope %.2fx (tolerance %.2fx)",
@@ -147,26 +114,6 @@ func runSchedAccuracy(cfg *Config, w io.Writer) error {
 		100*worst, 100*schedMispredictTol, acc.CorrFull, acc.CorrOnDemand)
 	if err := t.Render(w); err != nil {
 		return err
-	}
-
-	if out := os.Getenv("SCHED_OUT"); out != "" {
-		art := schedArtifact{
-			Dataset:      ds.Name,
-			AdaptiveIONs: int64(adaptive.IOTime()),
-			FullIONs:     int64(full.IOTime()),
-			OnDemandIONs: int64(ondemand.IOTime()),
-			Envelope:     envelope, EnvelopeTol: schedEnvelopeTol,
-			MispredictTol: schedMispredictTol, Warmup: schedWarmup,
-			Accuracy: acc, Iterations: samples,
-		}
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("harness: writing SCHED_OUT: %w", err)
-		}
-		fmt.Fprintf(w, "wrote scheduler-accuracy artifact to %s\n", out)
 	}
 
 	if envelope > schedEnvelopeTol {

@@ -1,11 +1,9 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/buffer"
@@ -16,36 +14,13 @@ import (
 )
 
 // Acceptance thresholds for the semi-external-memory experiment, enforced
-// here so the harness test (and the CI sem job) fail on regression.
+// here so the harness test fails on regression.
 const (
 	// semCapacityRatioMin is the minimum effective-capacity multiplier the
 	// compressed cache tier must deliver on an unweighted run: decoded graph
 	// bytes represented per RAM byte spent.
 	semCapacityRatioMin = 2.0
 )
-
-// semRunRecord is one SEM-on/SEM-off pair in the BENCH_sem.json artifact.
-type semRunRecord struct {
-	Algorithm     string `json:"algorithm"`
-	Frontier      string `json:"frontier"` // "sparse" or "dense"
-	BaseReadBytes int64  `json:"base_read_bytes"`
-	SEMReadBytes  int64  `json:"sem_read_bytes"`
-	BlocksSkipped int64  `json:"blocks_skipped"`
-	BytesSkipped  int64  `json:"bytes_skipped"`
-	Iterations    int    `json:"iterations"`
-	Identical     bool   `json:"bit_identical"`
-}
-
-// semArtifact is the JSON written to $SEM_OUT for the CI trend line.
-type semArtifact struct {
-	Dataset          string         `json:"dataset"`
-	CapacityRatioMin float64        `json:"capacity_ratio_min"`
-	CapacityRatio    float64        `json:"capacity_ratio"`
-	CompressedBytes  int64          `json:"compressed_bytes"`
-	DecodedBytes     int64          `json:"decoded_bytes"`
-	WarmHits         int64          `json:"warm_compressed_hits"`
-	Runs             []semRunRecord `json:"runs"`
-}
 
 // identicalOutputs reports whether two output vectors match bit for bit.
 func identicalOutputs(a, b []float64) bool {
@@ -94,7 +69,6 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 
 	t := metrics.NewTable("Semi-external-memory fast path — forced-full on "+ds.Name,
 		"algorithm", "frontier", "base read", "sem read", "saved", "blocks skipped", "identical")
-	var records []semRunRecord
 	for _, wl := range workloads {
 		l, err := e.layout("graphsd", wl.alg.Weighted)
 		if err != nil {
@@ -114,21 +88,11 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 
 		identical := identicalOutputs(base.Outputs, sem.Outputs) &&
 			sem.Iterations == base.Iterations && sem.Converged == base.Converged
-		rec := semRunRecord{
-			Algorithm:     wl.alg.Name,
-			Frontier:      wl.frontier,
-			BaseReadBytes: base.IO.ReadBytes(),
-			SEMReadBytes:  sem.IO.ReadBytes(),
-			BlocksSkipped: sem.SEM.BlocksSkipped,
-			BytesSkipped:  sem.SEM.BytesSkipped,
-			Iterations:    sem.Iterations,
-			Identical:     identical,
-		}
-		records = append(records, rec)
+		baseRead, semRead, skipped := base.IO.ReadBytes(), sem.IO.ReadBytes(), sem.SEM.BlocksSkipped
 		t.AddRow(wl.alg.Name, wl.frontier,
-			storage.FormatBytes(rec.BaseReadBytes), storage.FormatBytes(rec.SEMReadBytes),
-			storage.FormatBytes(rec.BaseReadBytes-rec.SEMReadBytes),
-			fmt.Sprintf("%d (%s)", rec.BlocksSkipped, storage.FormatBytes(rec.BytesSkipped)),
+			storage.FormatBytes(baseRead), storage.FormatBytes(semRead),
+			storage.FormatBytes(baseRead-semRead),
+			fmt.Sprintf("%d (%s)", skipped, storage.FormatBytes(sem.SEM.BytesSkipped)),
 			fmt.Sprint(identical))
 
 		if !identical {
@@ -136,21 +100,21 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 		}
 		switch wl.frontier {
 		case "sparse":
-			if rec.BlocksSkipped == 0 {
+			if skipped == 0 {
 				return fmt.Errorf("harness: sparse-frontier %s skipped no sub-blocks under SEM", wl.alg.Name)
 			}
-			if rec.SEMReadBytes >= rec.BaseReadBytes {
+			if semRead >= baseRead {
 				return fmt.Errorf("harness: %s read %d device bytes under SEM, baseline %d — skips saved nothing",
-					wl.alg.Name, rec.SEMReadBytes, rec.BaseReadBytes)
+					wl.alg.Name, semRead, baseRead)
 			}
 		case "dense":
-			if rec.BlocksSkipped != 0 {
+			if skipped != 0 {
 				return fmt.Errorf("harness: dense-frontier %s skipped %d sub-blocks — bitmap miscounts activity",
-					wl.alg.Name, rec.BlocksSkipped)
+					wl.alg.Name, skipped)
 			}
-			if rec.SEMReadBytes > rec.BaseReadBytes {
+			if semRead > baseRead {
 				return fmt.Errorf("harness: dense-frontier %s read %d bytes under SEM, baseline %d — SEM added traffic",
-					wl.alg.Name, rec.SEMReadBytes, rec.BaseReadBytes)
+					wl.alg.Name, semRead, baseRead)
 			}
 		}
 	}
@@ -184,26 +148,6 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 		ratio, semCapacityRatioMin, warm.SEM.CompressedHits, shared.Stats().DecodeTime.Round(1000))
 	if err := t.Render(w); err != nil {
 		return err
-	}
-
-	if out := os.Getenv("SEM_OUT"); out != "" {
-		art := semArtifact{
-			Dataset:          ds.Name,
-			CapacityRatioMin: semCapacityRatioMin,
-			CapacityRatio:    ratio,
-			CompressedBytes:  cold.SEM.CompressedBytes,
-			DecodedBytes:     cold.SEM.DecodedBytes,
-			WarmHits:         warm.SEM.CompressedHits,
-			Runs:             records,
-		}
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			return fmt.Errorf("harness: writing SEM_OUT: %w", err)
-		}
-		fmt.Fprintf(w, "wrote semi-external-memory artifact to %s\n", out)
 	}
 
 	if ratio < semCapacityRatioMin {

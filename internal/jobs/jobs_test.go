@@ -24,8 +24,9 @@ func newBlockingRunner() *blockingRunner {
 }
 
 func (b *blockingRunner) run(ctx context.Context, req Request, info RunInfo) (*core.Result, error) {
-	b.started <- req.Graph
+	// Progress first: a test that has received from started reads it.
 	info.OnIteration(core.IterStat{Index: 0, Active: 42})
+	b.started <- req.Graph
 	select {
 	case <-b.release:
 		b.mu.Lock()

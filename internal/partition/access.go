@@ -179,7 +179,7 @@ func (l *Layout) LoadIndex(i, j int) (*Index, error) {
 		return nil, fmt.Errorf("partition: loading index (%d,%d): %w", i, j, err)
 	}
 	delta := l.Meta.BlockCodec() == graph.CodecDelta
-	rec, off, err := l.decodeIndexData(data, delta)
+	rec, off, err := decodeIndexData(data, delta)
 	if err != nil {
 		return nil, fmt.Errorf("partition: index (%d,%d): %w", i, j, err)
 	}
@@ -188,21 +188,10 @@ func (l *Layout) LoadIndex(i, j int) (*Index, error) {
 	return &Index{Rec: rec, Off: off, srcBase: graph.VertexID(iLo), dstBase: graph.VertexID(jLo), blockJ: j}, nil
 }
 
-// decodeIndexData parses an index file. Format v1 stores fixed 8-byte
-// entries; v2 stores a uvarint count followed by uvarint deltas of the
-// monotone offsets — and, when delta is true, a second delta sequence of
-// run byte offsets.
-func (l *Layout) decodeIndexData(data []byte, delta bool) (rec, off []int64, err error) {
-	if l.Meta.FormatVersion < 2 {
-		if len(data)%graph.IndexEntryBytes != 0 {
-			return nil, nil, fmt.Errorf("index size %d not a multiple of %d", len(data), graph.IndexEntryBytes)
-		}
-		rec = make([]int64, len(data)/graph.IndexEntryBytes)
-		for k := range rec {
-			rec[k] = int64(binary.LittleEndian.Uint64(data[k*graph.IndexEntryBytes:]))
-		}
-		return rec, nil, nil
-	}
+// decodeIndexData parses an index file: a uvarint count followed by uvarint
+// deltas of the monotone offsets — and, when delta is true, a second delta
+// sequence of run byte offsets.
+func decodeIndexData(data []byte, delta bool) (rec, off []int64, err error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("bad index entry count")
@@ -401,7 +390,7 @@ func (l *Layout) LoadRowIndex(i int) (*Index, error) {
 	if err != nil {
 		return nil, fmt.Errorf("partition: loading row index %d: %w", i, err)
 	}
-	rec, _, err := l.decodeIndexData(data, false)
+	rec, _, err := decodeIndexData(data, false)
 	if err != nil {
 		return nil, fmt.Errorf("partition: row index %d: %w", i, err)
 	}
@@ -434,8 +423,8 @@ func (l *Layout) LoadColInto(j int, dst []graph.Edge, buf []byte) ([]graph.Edge,
 }
 
 // loadRawFileInto reads a raw fixed-record edge file (row or column block)
-// through reusable buffers, verifying its payload against sums[i] when the
-// manifest recorded checksums; absent files decode to zero edges.
+// through reusable buffers, verifying its payload against sums[i]; absent
+// files decode to zero edges.
 func (l *Layout) loadRawFileInto(name, kind string, i int, sums []uint32, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	dst = dst[:0]
 	if !l.Dev.Exists(name) {
@@ -445,10 +434,8 @@ func (l *Layout) loadRawFileInto(name, kind string, i int, sums []uint32, dst []
 	if err != nil {
 		return dst, buf, fmt.Errorf("partition: loading %s %d [raw]: %w", kind, i, err)
 	}
-	if sums != nil {
-		if err := verifySum(sums[i], buf); err != nil {
-			return dst, buf, fmt.Errorf("partition: %s %d [raw]: %w", kind, i, err)
-		}
+	if err := verifySum(sums[i], buf); err != nil {
+		return dst, buf, fmt.Errorf("partition: %s %d [raw]: %w", kind, i, err)
 	}
 	t0 := time.Now()
 	dst, err = graph.AppendEdges(dst, buf, l.Meta.Weighted)

@@ -1,8 +1,8 @@
 package partition
 
 import (
-	"encoding/binary"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/gen"
@@ -203,43 +203,25 @@ func TestDeltaRejectedOutsideGraphSDGrid(t *testing.T) {
 	}
 }
 
-// TestLegacyV1LayoutStillLoads rewrites a freshly built raw layout into the
-// pre-v2 on-disk shape — format_version 1 manifest without codec/block_bytes,
-// fixed 8-byte little-endian index entries — and verifies the current reader
-// still serves it.
-func TestLegacyV1LayoutStillLoads(t *testing.T) {
+// TestV1LayoutRejected downgrades a freshly built layout's manifest to
+// format_version 1 — the pre-checksum format, which nothing writes — and
+// requires Load to refuse it: serving it would mean serving blocks with no
+// CRC verification.
+func TestV1LayoutRejected(t *testing.T) {
 	g, err := gen.RMAT(8, 8, gen.Graph500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const p = 3
 	dev := testDevice(t)
-	l, err := Build(dev, g, p)
+	l, err := Build(dev, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Downgrade the index files to the v1 fixed-width encoding.
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			idx, err := l.LoadIndex(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := make([]byte, 0, 8*len(idx.Rec))
-			for _, o := range idx.Rec {
-				old = binary.LittleEndian.AppendUint64(old, uint64(o))
-			}
-			if err := dev.WriteFile(IndexName(i, j), old); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Downgrade the manifest.
 	m := l.Meta
 	m.FormatVersion = 1
 	m.Codec = ""
 	m.BlockBytes = nil
+	m.BlockSums = nil
 	data, err := json.Marshal(&m)
 	if err != nil {
 		t.Fatal(err)
@@ -247,55 +229,8 @@ func TestLegacyV1LayoutStillLoads(t *testing.T) {
 	if err := dev.WriteFile(ManifestName, data); err != nil {
 		t.Fatal(err)
 	}
-
-	v1, err := Load(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.Meta.FormatVersion != 1 || v1.Meta.BlockCodec() != graph.CodecRaw {
-		t.Fatalf("reloaded v1 manifest: %+v", v1.Meta)
-	}
-	for i := 0; i < p; i++ {
-		lo, hi := v1.Meta.Interval(i)
-		for j := 0; j < p; j++ {
-			edges, err := v1.LoadSubBlock(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(edges)) != v1.Meta.SubBlockEdges(i, j) {
-				t.Fatalf("cell (%d,%d): %d edges, manifest says %d",
-					i, j, len(edges), v1.Meta.SubBlockEdges(i, j))
-			}
-			idx, err := v1.LoadIndex(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(idx.Rec) != hi-lo+1 {
-				t.Fatalf("cell (%d,%d) v1 index has %d entries, want %d", i, j, len(idx.Rec), hi-lo+1)
-			}
-			r, err := v1.OpenSubBlock(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r == nil {
-				continue
-			}
-			var buf []byte
-			var n int
-			for v := lo; v < hi; v++ {
-				var es []graph.Edge
-				es, buf, err = v1.ReadVertexEdges(r, idx, i, graph.VertexID(v), buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				n += len(es)
-			}
-			r.Close()
-			if int64(n) != v1.Meta.SubBlockEdges(i, j) {
-				t.Fatalf("cell (%d,%d): per-vertex reads found %d edges, want %d",
-					i, j, n, v1.Meta.SubBlockEdges(i, j))
-			}
-		}
+	if _, err := Load(dev); err == nil || !strings.Contains(err.Error(), "unsupported format version 1") {
+		t.Fatalf("v1 manifest loaded: %v", err)
 	}
 }
 
@@ -344,20 +279,22 @@ func TestLoadRowColInto(t *testing.T) {
 	}
 }
 
-func TestManifestValidateDeltaRequiresV2(t *testing.T) {
+func TestManifestValidateRequiresSizesAndSums(t *testing.T) {
 	m := Manifest{
-		FormatVersion: 1, System: "graphsd", NumVertices: 4, NumEdges: 1, P: 1,
+		FormatVersion: 2, System: "graphsd", NumVertices: 4, NumEdges: 1, P: 1,
 		Codec:      "delta",
 		EdgeCounts: [][]int64{{1}},
+		BlockSums:  [][]uint32{{0}},
 	}
-	if err := m.Validate(); err == nil {
-		t.Error("v1 manifest with delta codec accepted")
-	}
-	m.FormatVersion = 2
 	if err := m.Validate(); err == nil {
 		t.Error("delta manifest without block_bytes accepted")
 	}
 	m.BlockBytes = [][]int64{{3}}
+	m.BlockSums = nil
+	if err := m.Validate(); err == nil {
+		t.Error("grid manifest without block_sums accepted")
+	}
+	m.BlockSums = [][]uint32{{0}}
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid delta manifest rejected: %v", err)
 	}

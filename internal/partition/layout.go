@@ -32,21 +32,21 @@ type Manifest struct {
 	// row-major layouts (husgraph, lumos) only EdgeCounts[i][0] is used.
 	EdgeCounts [][]int64 `json:"edge_counts"`
 	// Codec names the sub-block payload encoding: "raw" (fixed-width
-	// records, also the meaning of the empty string in pre-v2 manifests)
-	// or "delta" (per-source-run zigzag varints, graph.CodecDelta).
+	// records, also the meaning of the empty string) or "delta"
+	// (per-source-run zigzag varints, graph.CodecDelta).
 	Codec string `json:"codec,omitempty"`
 	// BlockBytes[i][j] is the on-disk payload size of sub-block (i, j) in
-	// bytes. Recorded by v2 grid builds; nil in v1 manifests and row-major
-	// layouts, where payload size follows from the edge count.
+	// bytes. Recorded by grid builds; nil in row-major layouts, where
+	// payload size follows from the edge count.
 	BlockBytes [][]int64 `json:"block_bytes,omitempty"`
 	// BlockSums[i][j] is the CRC32C (Castagnoli) checksum of sub-block
 	// (i, j)'s on-disk payload, verified on every full-block load so
-	// corruption is reported at the block that caused it. Recorded by v2
-	// grid builds; nil in v1 manifests, which load unverified.
+	// corruption is reported at the block that caused it. Recorded by grid
+	// builds and required of them by Validate; nil in row-major layouts.
 	BlockSums [][]uint32 `json:"block_sums,omitempty"`
 	// RowSums[i] / ColSums[j] are the CRC32C checksums of row and column
 	// block payloads in row-major layouts (HUS-Graph writes both copies,
-	// Lumos uses the grid). Nil when unrecorded.
+	// Lumos uses the grid). Required of row-major layouts by Validate.
 	RowSums []uint32 `json:"row_sums,omitempty"`
 	ColSums []uint32 `json:"col_sums,omitempty"`
 
@@ -153,15 +153,16 @@ func (l *Layout) DecodeTime() time.Duration { return time.Duration(l.decodeNanos
 // FormatVersion is the manifest format version written by this package.
 // Version history:
 //
-//	1 — fixed-width edge records, fixed 8-byte index entries
+//	1 — fixed-width edge records, fixed 8-byte index entries; no payload
+//	    checksums. Nothing writes it and nothing reads it any more.
 //	2 — optional delta payload codec, varint-delta index entries,
-//	    per-block on-disk sizes in the manifest
+//	    per-block on-disk sizes and CRC32C sums in the manifest
 //
 // Readers accept every version back to minFormatVersion.
 const FormatVersion = 2
 
 // minFormatVersion is the oldest manifest version still readable.
-const minFormatVersion = 1
+const minFormatVersion = 2
 
 // Interval returns the half-open vertex range [lo, hi) of interval i.
 // Intervals split [0, NumVertices) into P near-equal contiguous ranges.
@@ -324,11 +325,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // VerifyBlockSum checks payload against the recorded checksum of sub-block
-// (i, j). Layouts without recorded sums (v1 manifests) verify nothing.
+// (i, j) of a grid layout.
 func (m *Manifest) VerifyBlockSum(i, j int, payload []byte) error {
-	if m.BlockSums == nil {
-		return nil
-	}
 	return verifySum(m.BlockSums[i][j], payload)
 }
 
@@ -350,8 +348,14 @@ func (m *Manifest) Validate() error {
 	if err != nil {
 		return fmt.Errorf("partition: %w", err)
 	}
-	if codec != graph.CodecRaw && m.FormatVersion < 2 {
-		return fmt.Errorf("partition: codec %q requires format version >= 2, got %d", m.Codec, m.FormatVersion)
+	// Every whole-block read is verified against a recorded sum, so a
+	// manifest without the sums of its layout shape is not loadable.
+	if m.System == "husgraph" {
+		if m.RowSums == nil || m.ColSums == nil {
+			return fmt.Errorf("partition: row-major manifest without row/column checksums")
+		}
+	} else if m.BlockSums == nil {
+		return fmt.Errorf("partition: grid manifest without block checksums")
 	}
 	if codec == graph.CodecDelta && m.BlockBytes == nil {
 		return fmt.Errorf("partition: codec %q without recorded block sizes", m.Codec)

@@ -316,18 +316,6 @@ func TestServerRestartModeMismatch(t *testing.T) {
 	}
 }
 
-// durabilityArtifact is the JSON written to $DURABILITY_OUT for the CI
-// trend line.
-type durabilityArtifact struct {
-	CrashPoints      int     `json:"crash_points"`
-	JobsSubmitted    int64   `json:"jobs_submitted"`
-	JobsRecovered    int64   `json:"jobs_recovered"`
-	JobsRequeued     int64   `json:"jobs_requeued"`
-	JobsLost         int64   `json:"jobs_lost"`
-	MaxReplaySeconds float64 `json:"max_replay_seconds"`
-	RecoverySeconds  float64 `json:"recovery_seconds"`
-}
-
 // TestServerRestartCrashPoints sweeps a seeded crash point across the job
 // journal's append stream — including the very first submit append — kills
 // the server at each, restarts it, and asserts the accounting invariant:
@@ -337,9 +325,6 @@ type durabilityArtifact struct {
 func TestServerRestartCrashPoints(t *testing.T) {
 	layoutDir, _ := buildLayoutDir(t, 9, 5, 4)
 	const points = 20
-	art := durabilityArtifact{CrashPoints: points}
-	recoverStart := time.Now()
-
 	for k := 1; k <= points; k++ {
 		jdir := t.TempDir()
 		s1, err := New(durableConfig(layoutDir, jdir, false))
@@ -367,7 +352,6 @@ func TestServerRestartCrashPoints(t *testing.T) {
 			accepted = append(accepted, j)
 			waitJob(t, j, jobs.Done)
 		}
-		art.JobsSubmitted += int64(len(accepted))
 		killCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		err = s1.Kill(killCtx)
 		cancel()
@@ -392,29 +376,11 @@ func TestServerRestartCrashPoints(t *testing.T) {
 		for _, j := range s2.Scheduler().Jobs() {
 			waitJob(t, j, jobs.Done)
 		}
-		art.JobsRecovered += rec.Recovered
-		art.JobsRequeued += rec.Requeued
-		art.JobsLost += rec.Lost
-		if rec.ReplaySeconds > art.MaxReplaySeconds {
-			art.MaxReplaySeconds = rec.ReplaySeconds
-		}
 		closeCtx, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
 		err = s2.Close(closeCtx)
 		cancel2()
 		if err != nil {
 			t.Fatalf("point %d: close: %v", k, err)
-		}
-	}
-	art.RecoverySeconds = time.Since(recoverStart).Seconds()
-	t.Logf("crash sweep: %+v", art)
-
-	if out := os.Getenv("DURABILITY_OUT"); out != "" {
-		data, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -531,8 +531,8 @@ func (s *Server) resumableCheckpoint(dir, progName string, async bool, g *graphE
 
 // estimateBytes predicts a job's peak engine memory for admission control:
 // the BSP vertex arrays (two float64 values, two accumulators, two
-// bitsets), the default secondary buffer (1/4 of edge data), and the
-// default prefetch window.
+// bitsets, and the aux array of a program that keeps one), the default
+// secondary buffer (1/4 of edge data), and the default prefetch window.
 func (s *Server) estimateBytes(req jobs.Request) int64 {
 	g, ok := s.graphs[req.Graph]
 	if !ok {
@@ -540,7 +540,10 @@ func (s *Server) estimateBytes(req jobs.Request) int64 {
 	}
 	m := g.manifest() // live snapshot: mutable graphs' edge volume drifts
 	n := int64(m.NumVertices)
-	const perVertex = 4*8 + 2 // valPrev/valCur/acc/accNext + 2 bitsets
+	perVertex := int64(4*8 + 2) // valPrev/valCur/acc/accNext + 2 bitsets
+	if prog, err := algorithms.ByName(req.Algorithm, graph.VertexID(req.Source)); err == nil && prog.HasAux() {
+		perVertex += 8
+	}
 	return n*perVertex + m.EdgeBytesTotal()/4 + 16<<20
 }
 

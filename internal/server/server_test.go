@@ -249,7 +249,7 @@ func TestServerCancel(t *testing.T) {
 }
 
 func TestServerAdmissionControl(t *testing.T) {
-	dir, _ := buildLayoutDir(t, 9, 1, 4)
+	dir, g := buildLayoutDir(t, 9, 1, 4)
 	s, ts := newTestServer(t, Config{
 		Graphs:     []GraphConfig{{Name: "g", Dir: dir, Profile: storage.HDD}},
 		Workers:    1,
@@ -303,6 +303,13 @@ func TestServerAdmissionControl(t *testing.T) {
 	release()
 	if est := s.estimateBytes(jobs.Request{Graph: "g"}); est <= 16<<20 {
 		t.Fatalf("memory estimate suspiciously small: %d", est)
+	}
+	// PR-Delta keeps an aux array the engine allocates beside the four
+	// shared ones; admission must price it.
+	pr := s.estimateBytes(jobs.Request{Graph: "g", Algorithm: "pr"})
+	prd := s.estimateBytes(jobs.Request{Graph: "g", Algorithm: "prd"})
+	if want := int64(8 * g.NumVertices); prd-pr != want {
+		t.Fatalf("prd estimate %d − pr estimate %d = %d, want the aux array's %d bytes", prd, pr, prd-pr, want)
 	}
 }
 

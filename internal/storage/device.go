@@ -72,16 +72,6 @@ func (d *Device) Stats() Snapshot {
 	return s
 }
 
-// ResetStats zeroes the I/O counters.
-func (d *Device) ResetStats() {
-	for c := 0; c < int(numClasses); c++ {
-		d.stats.bytes[c].Store(0)
-		d.stats.ops[c].Store(0)
-		d.stats.nanos[c].Store(0)
-	}
-	d.stats.retries.Store(0)
-}
-
 // Charge records an I/O of n bytes in class c without touching any file.
 // Engines use it for modelled transfers whose payload is already resident
 // (e.g. the vertex-value write-back, which lives in memory but must be

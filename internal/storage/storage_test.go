@@ -183,7 +183,7 @@ func TestReaderClasses(t *testing.T) {
 	if err := d.WriteFile("f.bin", payload); err != nil {
 		t.Fatal(err)
 	}
-	d.ResetStats()
+	base := d.Stats()
 
 	r, err := d.Open("f.bin")
 	if err != nil {
@@ -204,7 +204,7 @@ func TestReaderClasses(t *testing.T) {
 	if _, err := r.ReadAt(buf, 100, SeqRead); err != nil {
 		t.Fatal(err)
 	}
-	s := d.Stats()
+	s := d.Stats().Sub(base)
 	if s.Bytes[RandRead] != 100 || s.Bytes[SeqRead] != 100 {
 		t.Fatalf("class accounting wrong: %+v", s)
 	}
@@ -222,7 +222,7 @@ func TestReaderAutoClassification(t *testing.T) {
 	if err := d.WriteFile("f.bin", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	d.ResetStats()
+	base := d.Stats()
 	r, err := d.Open("f.bin")
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestReaderAutoClassification(t *testing.T) {
 	r.AutoReadAt(buf, 200)
 	// Jump: random again.
 	r.AutoReadAt(buf, 700)
-	s := d.Stats()
+	s := d.Stats().Sub(base)
 	if s.Ops[RandRead] != 2 || s.Ops[SeqRead] != 2 {
 		t.Fatalf("auto classification wrong: %+v", s)
 	}
@@ -286,15 +286,6 @@ func TestCharge(t *testing.T) {
 	s := d.Stats()
 	if s.Bytes[SeqWrite] != 1e6 || s.Ops[SeqWrite] != 1 {
 		t.Fatalf("Charge not recorded: %+v", s)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	d := testDevice(t)
-	d.Charge(SeqRead, 100)
-	d.ResetStats()
-	if d.Stats().TotalOps() != 0 {
-		t.Fatal("stats survive reset")
 	}
 }
 
@@ -425,7 +416,7 @@ func TestPropertyCostMonotonic(t *testing.T) {
 func TestPropertyStatsConservation(t *testing.T) {
 	d := testDevice(t)
 	f := func(ops []uint16) bool {
-		d.ResetStats()
+		base := d.Stats()
 		var want [4]int64
 		for _, op := range ops {
 			c := Class(op % 4)
@@ -433,7 +424,7 @@ func TestPropertyStatsConservation(t *testing.T) {
 			d.Charge(c, n)
 			want[c] += n
 		}
-		s := d.Stats()
+		s := d.Stats().Sub(base)
 		total := int64(0)
 		for c := 0; c < 4; c++ {
 			if s.Bytes[c] != want[c] {
