@@ -26,9 +26,10 @@ type blockSource struct {
 	layout *partition.Layout
 	shared *buffer.Shared // cross-job cache in front of full loads; may be nil
 
-	// ioBufs pools the raw byte buffers device reads go through; decoded edge
-	// slices are freshly allocated because consumers may retain them
-	// (priority buffer, FCIU diagonal, shared cache).
+	// ioBufs pools the raw byte buffers device reads go through. Decoded edge
+	// slices are not pooled: consumers may retain them (priority buffer, FCIU
+	// diagonal, shared cache), and since every decoder allocates exactly once,
+	// exactly its size, recycling them measured no gain (DESIGN.md §17).
 	ioBufs sync.Pool
 
 	// indexes holds the per-sub-block vertex indexes once loaded; they are

@@ -55,19 +55,13 @@ func DecodeEdge(buf []byte, weighted bool) Edge {
 // DecodeEdges decodes all edge records in buf into a slice. It returns an
 // error if buf is not a whole number of records.
 func DecodeEdges(buf []byte, weighted bool) ([]Edge, error) {
-	rec := EdgeBytes
-	if weighted {
-		rec += WeightBytes
-	}
-	if len(buf)%rec != 0 {
-		return nil, fmt.Errorf("graph: %d bytes is not a multiple of record size %d", len(buf), rec)
-	}
-	return AppendEdges(make([]Edge, 0, len(buf)/rec), buf, weighted)
+	return AppendEdges(nil, buf, weighted)
 }
 
 // AppendEdges decodes all edge records in buf, appending them to dst and
-// returning the extended slice. Callers that hold a sized dst (block
-// readers, the I/O pipeline's fetch workers) decode without allocating.
+// returning the extended slice. dst is sized once from the record count:
+// callers that hold an adequate dst decode without allocating, everyone else
+// pays exactly one allocation of exactly that size.
 func AppendEdges(dst []Edge, buf []byte, weighted bool) ([]Edge, error) {
 	rec := EdgeBytes
 	if weighted {
@@ -76,10 +70,24 @@ func AppendEdges(dst []Edge, buf []byte, weighted bool) ([]Edge, error) {
 	if len(buf)%rec != 0 {
 		return dst, fmt.Errorf("graph: %d bytes is not a multiple of record size %d", len(buf), rec)
 	}
-	for off := 0; off < len(buf); off += rec {
-		dst = append(dst, DecodeEdge(buf[off:], weighted))
+	n := len(buf) / rec
+	dst = reserve(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for i := range out {
+		out[i] = DecodeEdge(buf[i*rec:], weighted)
 	}
-	return dst, nil
+	return dst[:len(dst)+n], nil
+}
+
+// reserve returns dst with room for n more edges. Short of room, it moves dst
+// to one allocation of exactly len(dst)+n — decoders know their output size
+// up front, and append's amortised doubling would copy every edge once more
+// and round the capacity up.
+func reserve(dst []Edge, n int) []Edge {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]Edge, 0, len(dst)+n), dst...)
 }
 
 // WriteBinary writes the graph in the binary interchange format:

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Delta codec for edge payloads ("delta" in partition manifests). Sub-blocks
@@ -82,58 +83,79 @@ func EncodeDeltaRun(buf []byte, edges []Edge, srcBase, dstBase VertexID) []byte 
 	return buf
 }
 
-// DecodeDeltaRun decodes one run from the front of data, appending its edges
-// to dst. It returns the extended slice and the number of bytes consumed.
-// Weights are left zero; block-level decoders fill them from the weight
-// column.
-func DecodeDeltaRun(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, int, error) {
-	srcRel, k := binary.Uvarint(data)
-	if k <= 0 {
-		return dst, 0, fmt.Errorf("graph: delta run: bad source varint")
-	}
-	off := k
-	src := uint64(srcBase) + srcRel
-	if src > math.MaxUint32 {
-		return dst, 0, fmt.Errorf("graph: delta run: source %d overflows uint32", src)
-	}
-	runLen, k := binary.Uvarint(data[off:])
-	if k <= 0 {
-		return dst, 0, fmt.Errorf("graph: delta run: bad length varint")
-	}
-	off += k
-	// Each gap takes at least one byte, so a valid runLen never exceeds the
-	// remaining payload — reject early instead of allocating for it.
-	if runLen > uint64(len(data)-off) {
-		return dst, 0, fmt.Errorf("graph: delta run: length %d exceeds %d remaining bytes", runLen, len(data)-off)
-	}
-	prev := int64(dstBase)
-	for i := uint64(0); i < runLen; i++ {
-		gap, k := binary.Varint(data[off:])
-		if k <= 0 {
-			return dst, 0, fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
-		}
-		off += k
-		prev += gap
-		if prev < 0 || prev > math.MaxUint32 {
-			return dst, 0, fmt.Errorf("graph: delta run: destination %d out of uint32 range", prev)
-		}
-		dst = append(dst, Edge{Src: VertexID(src), Dst: VertexID(prev)})
-	}
-	return dst, off, nil
+// AppendDeltaRuns decodes consecutive runs until data is exhausted,
+// appending the edges to dst. Used for per-vertex selective decodes, where
+// the byte range is known to cover whole runs. Weights are left zero: the
+// selective path fetches them from the weight column by record offset.
+func AppendDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, error) {
+	return decodeDeltaRuns(dst, data, nil, len(data), srcBase, dstBase)
 }
 
-// AppendDeltaRuns decodes consecutive runs until data is exhausted,
-// appending the edges to dst. Used for whole-block and chunked decodes where
-// the byte range is known to cover whole runs.
-func AppendDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, error) {
-	for len(data) > 0 {
-		var n int
-		var err error
-		dst, n, err = DecodeDeltaRun(dst, data, srcBase, dstBase)
-		if err != nil {
-			return dst, err
+// decodeDeltaRuns is the one delta-run decoder: it decodes the runs of body
+// until body is exhausted, appending at most max edges to dst. When weights
+// is non-nil the k-th edge appended takes its weight from record k of that
+// column in the same pass (the caller has checked it holds max records), so
+// a decoded edge is written once and never revisited. dst is grown only when
+// a run does not fit its spare capacity, and only by a run length already
+// checked against the bytes left (a gap takes at least one), so no
+// unvalidated count sizes an allocation. On error dst comes back at its
+// original length.
+func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase VertexID) ([]Edge, error) {
+	base := len(dst)
+	for off := 0; off < len(body); {
+		srcRel, k := binary.Uvarint(body[off:])
+		if k <= 0 {
+			return dst[:base], fmt.Errorf("graph: delta run: bad source varint")
 		}
-		data = data[n:]
+		off += k
+		if srcRel > math.MaxUint32-uint64(srcBase) {
+			return dst[:base], fmt.Errorf("graph: delta run: source %d+%d overflows uint32", srcBase, srcRel)
+		}
+		src := srcBase + VertexID(srcRel)
+		runLen, k := binary.Uvarint(body[off:])
+		if k <= 0 {
+			return dst[:base], fmt.Errorf("graph: delta run: bad length varint")
+		}
+		off += k
+		if runLen > uint64(len(body)-off) {
+			return dst[:base], fmt.Errorf("graph: delta run: length %d exceeds %d remaining bytes", runLen, len(body)-off)
+		}
+		done := len(dst) - base
+		if runLen > uint64(max-done) {
+			return dst[:base], fmt.Errorf("graph: delta run: length %d exceeds the %d edges left of %d", runLen, max-done, max)
+		}
+		if int(runLen) > cap(dst)-len(dst) {
+			dst = slices.Grow(dst, int(runLen))
+		}
+		run := dst[len(dst) : len(dst)+int(runLen)]
+		prev := int64(dstBase)
+		for i := range run {
+			// Zigzag gap: 1-3 byte varints inline (a gap inside a sub-block's
+			// destination interval rarely needs more), the rest and every
+			// varint near the end of body through binary.Uvarint.
+			var ux uint64
+			if b := body[off:]; len(b) >= 3 && b[0] < 0x80 {
+				ux, off = uint64(b[0]), off+1
+			} else if len(b) >= 3 && b[1] < 0x80 {
+				ux, off = uint64(b[0]&0x7f)|uint64(b[1])<<7, off+2
+			} else if len(b) >= 3 && b[2] < 0x80 {
+				ux, off = uint64(b[0]&0x7f)|uint64(b[1]&0x7f)<<7|uint64(b[2])<<14, off+3
+			} else {
+				if ux, k = binary.Uvarint(b); k <= 0 {
+					return dst[:base], fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
+				}
+				off += k
+			}
+			prev += int64(ux>>1) ^ -int64(ux&1)
+			if uint64(prev) > math.MaxUint32 {
+				return dst[:base], fmt.Errorf("graph: delta run: destination %d out of uint32 range", prev)
+			}
+			run[i] = Edge{Src: src, Dst: VertexID(prev)}
+			if weights != nil {
+				run[i].Weight = bitsToFloat(binary.LittleEndian.Uint32(weights[(done+i)*WeightBytes:]))
+			}
+		}
+		dst = dst[:len(dst)+len(run)]
 	}
 	return dst, nil
 }
@@ -161,7 +183,12 @@ func EncodeDeltaBlock(buf []byte, edges []Edge, srcBase, dstBase VertexID, weigh
 }
 
 // AppendDeltaBlock decodes a delta block produced by EncodeDeltaBlock,
-// appending the edges to dst and returning the extended slice.
+// appending the edges to dst and returning the extended slice. The header's
+// edge count sizes dst once, exactly, after it has been checked against the
+// payload: a gap takes at least one byte, so a count above len(data) — or,
+// weighted, a weight column longer than the payload — is rejected before
+// anything is reserved, and the reservation never exceeds 12 bytes per
+// payload byte.
 func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weighted bool) ([]Edge, error) {
 	n, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -170,27 +197,22 @@ func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weight
 	if n > uint64(len(data)) {
 		return dst, fmt.Errorf("graph: delta block: count %d exceeds %d payload bytes", n, len(data))
 	}
-	weightBytes := 0
+	body := data[k:]
+	var weights []byte
 	if weighted {
-		weightBytes = int(n) * WeightBytes
-		if weightBytes > len(data)-k {
+		weightBytes := int(n) * WeightBytes
+		if weightBytes > len(body) {
 			return dst, fmt.Errorf("graph: delta block: weight column truncated")
 		}
+		body, weights = body[:len(body)-weightBytes], body[len(body)-weightBytes:]
 	}
 	base := len(dst)
-	body := data[k : len(data)-weightBytes]
-	dst, err := AppendDeltaRuns(dst, body, srcBase, dstBase)
+	dst, err := decodeDeltaRuns(reserve(dst, int(n)), body, weights, int(n), srcBase, dstBase)
 	if err != nil {
 		return dst, err
 	}
 	if got := len(dst) - base; uint64(got) != n {
-		return dst, fmt.Errorf("graph: delta block: decoded %d edges, header says %d", got, n)
-	}
-	if weighted {
-		col := data[len(data)-weightBytes:]
-		for i := range dst[base:] {
-			dst[base+i].Weight = bitsToFloat(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
-		}
+		return dst[:base], fmt.Errorf("graph: delta block: decoded %d edges, header says %d", got, n)
 	}
 	return dst, nil
 }

@@ -2,9 +2,97 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// The oracle: the per-run decoder every read path used before the fused loop
+// (one call per run, one append per edge, weights in a second pass), kept
+// verbatim but for a wrap-proof source check. The differential and fuzz tests
+// hold decodeDeltaRuns to it edge for edge and error for error.
+
+func oracleDeltaRun(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, int, error) {
+	srcRel, k := binary.Uvarint(data)
+	if k <= 0 {
+		return dst, 0, fmt.Errorf("bad source varint")
+	}
+	off := k
+	if srcRel > math.MaxUint32-uint64(srcBase) {
+		return dst, 0, fmt.Errorf("source overflows uint32")
+	}
+	src := uint64(srcBase) + srcRel
+	runLen, k := binary.Uvarint(data[off:])
+	if k <= 0 {
+		return dst, 0, fmt.Errorf("bad length varint")
+	}
+	off += k
+	if runLen > uint64(len(data)-off) {
+		return dst, 0, fmt.Errorf("length %d exceeds %d remaining bytes", runLen, len(data)-off)
+	}
+	prev := int64(dstBase)
+	for i := uint64(0); i < runLen; i++ {
+		gap, k := binary.Varint(data[off:])
+		if k <= 0 {
+			return dst, 0, fmt.Errorf("bad gap varint at edge %d", i)
+		}
+		off += k
+		prev += gap
+		if prev < 0 || prev > math.MaxUint32 {
+			return dst, 0, fmt.Errorf("destination %d out of uint32 range", prev)
+		}
+		dst = append(dst, Edge{Src: VertexID(src), Dst: VertexID(prev)})
+	}
+	return dst, off, nil
+}
+
+func oracleDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, error) {
+	for len(data) > 0 {
+		var n int
+		var err error
+		dst, n, err = oracleDeltaRun(dst, data, srcBase, dstBase)
+		if err != nil {
+			return dst, err
+		}
+		data = data[n:]
+	}
+	return dst, nil
+}
+
+func oracleDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weighted bool) ([]Edge, error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 {
+		return dst, fmt.Errorf("bad count varint")
+	}
+	if n > uint64(len(data)) {
+		return dst, fmt.Errorf("count %d exceeds %d payload bytes", n, len(data))
+	}
+	weightBytes := 0
+	if weighted {
+		weightBytes = int(n) * WeightBytes
+		if weightBytes > len(data)-k {
+			return dst, fmt.Errorf("weight column truncated")
+		}
+	}
+	base := len(dst)
+	dst, err := oracleDeltaRuns(dst, data[k:len(data)-weightBytes], srcBase, dstBase)
+	if err != nil {
+		return dst, err
+	}
+	if got := len(dst) - base; uint64(got) != n {
+		return dst, fmt.Errorf("decoded %d edges, header says %d", got, n)
+	}
+	if weighted {
+		col := data[len(data)-weightBytes:]
+		for i := range dst[base:] {
+			dst[base+i].Weight = bitsToFloat(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
+		}
+	}
+	return dst, nil
+}
 
 func deltaTestEdges(weighted bool) []Edge {
 	// A src-sorted cell over intervals src [100,200), dst [300,400) with
@@ -88,32 +176,26 @@ func TestDeltaRunSelfContained(t *testing.T) {
 	// block decode — this property is what per-vertex byte indexes rely on.
 	edges := deltaTestEdges(false)
 	var buf []byte
-	var offs []int
+	var offs, starts []int
 	for start := 0; start < len(edges); {
 		end := start + 1
 		for end < len(edges) && edges[end].Src == edges[start].Src {
 			end++
 		}
-		offs = append(offs, len(buf))
+		offs, starts = append(offs, len(buf)), append(starts, start)
 		buf = EncodeDeltaRun(buf, edges[start:end], 100, 300)
 		start = end
 	}
-	offs = append(offs, len(buf))
-	// Decode the runs in reverse order.
-	var got []Edge
+	offs, starts = append(offs, len(buf)), append(starts, len(edges))
+	// Decode the runs in reverse order, each from exactly its byte range.
 	for k := len(offs) - 2; k >= 0; k-- {
-		var err error
-		var n int
-		got, n, err = DecodeDeltaRun(got, buf[offs[k]:offs[k+1]], 100, 300)
+		got, err := AppendDeltaRuns(nil, buf[offs[k]:offs[k+1]], 100, 300)
 		if err != nil {
 			t.Fatalf("run %d: %v", k, err)
 		}
-		if n != offs[k+1]-offs[k] {
-			t.Fatalf("run %d consumed %d bytes, want %d", k, n, offs[k+1]-offs[k])
+		if !slices.Equal(got, edges[starts[k]:starts[k+1]]) {
+			t.Fatalf("run %d decoded %v, want %v", k, got, edges[starts[k]:starts[k+1]])
 		}
-	}
-	if len(got) != len(edges) {
-		t.Fatalf("decoded %d edges, want %d", len(got), len(edges))
 	}
 }
 

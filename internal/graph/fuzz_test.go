@@ -83,12 +83,18 @@ func FuzzDeltaBlockRoundTrip(f *testing.F) {
 }
 
 // FuzzDeltaBlockDecode feeds arbitrary bytes to the delta block decoder: it
-// may reject them, but must never panic, hang, or allocate unboundedly.
+// may reject them, but must never panic, hang, or hold more capacity than a
+// validated header count — and must agree with the per-run oracle on the
+// verdict and on every edge, as a block and as a bare run section.
 func FuzzDeltaBlockDecode(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint32(0), false)
 	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 5, Dst: 9}, {Src: 5, Dst: 11}}, 0, 0, false), uint32(0), uint32(0), false)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(0), uint32(0), true)
+	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 9, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true), uint32(4), uint32(1<<21), true)
 	f.Fuzz(func(t *testing.T, data []byte, srcBase, dstBase uint32, weighted bool) {
+		prefix := []Edge{{Src: 1, Dst: 2, Weight: 3}}
+		checkBlockAgainstOracle(t, prefix, data, VertexID(srcBase), VertexID(dstBase), weighted)
+		checkRunsAgainstOracle(t, prefix, data, VertexID(srcBase), VertexID(dstBase))
 		edges, err := AppendDeltaBlock(nil, data, VertexID(srcBase), VertexID(dstBase), weighted)
 		if err != nil {
 			return

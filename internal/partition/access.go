@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -44,7 +45,10 @@ func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gra
 			return dst, buf, err
 		}
 	}
-	return MergeOverlay(dst, base, od), buf, nil
+	// Meta carries the merged count, so the merge too writes into memory
+	// sized once; no merge outgrows its inputs, whatever a manifest claims.
+	n := min(int(l.Meta.SubBlockEdges(i, j)), len(base)+len(od))
+	return MergeOverlay(slices.Grow(dst, n), base, od), buf, nil
 }
 
 // loadBaseBlockInto reads and decodes sub-block (i, j)'s base payload —
@@ -340,8 +344,13 @@ func (l *Layout) readVertexEdgesDelta(r *storage.Reader, idx *Index, v graph.Ver
 	if err != nil {
 		return nil, buf, fmt.Errorf("partition: %s [delta]: decoding edges of vertex %d: %w", r.Name(), v, err)
 	}
+	// Positional reads are never CRC-verified, so the index's record count is
+	// the one check on a damaged run — and what sizes the weight read below.
+	r0, r1 := idx.Rec[k], idx.Rec[k+1]
+	if int64(len(edges)) != r1-r0 {
+		return nil, buf, fmt.Errorf("partition: %s [delta]: vertex %d decoded %d edges, index says %d", r.Name(), v, len(edges), r1-r0)
+	}
 	if l.Meta.Weighted {
-		r0, r1 := idx.Rec[k], idx.Rec[k+1]
 		wbase := idx.Off[len(idx.Off)-1]
 		if buf, err = l.readWeightColumn(r, buf, wbase, r0, r1, edges); err != nil {
 			return nil, buf, fmt.Errorf("partition: %s [delta]: reading weights of vertex %d: %w", r.Name(), v, err)

@@ -63,19 +63,24 @@ func BenchmarkBuildLumos(b *testing.B) {
 }
 
 func BenchmarkLoadSubBlock(b *testing.B) {
-	dev, err := storage.OpenDevice(b.TempDir(), storage.HDD)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := Build(dev, benchGraph(b), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := l.LoadSubBlock(0, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		b.Run(codec.String(), func(b *testing.B) {
+			dev, err := storage.OpenDevice(b.TempDir(), storage.HDD)
+			if err != nil {
+				b.Fatal(err)
+			}
+			l, err := Build(dev, benchGraph(b), 4, WithCodec(codec))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := l.LoadSubBlock(0, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

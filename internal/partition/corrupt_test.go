@@ -1,9 +1,12 @@
 package partition
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/gen"
+	"github.com/graphsd/graphsd/internal/graph"
 )
 
 func TestLoadRowColMissing(t *testing.T) {
@@ -72,5 +75,68 @@ func TestCorruptSubBlockRejected(t *testing.T) {
 	}
 	if _, err := l.LoadSubBlock(0, 0); err == nil {
 		t.Fatal("corrupt sub-block accepted")
+	}
+}
+
+// TestDamagedDeltaRunRejectedOnSelectiveRead covers the one read the block
+// CRC never sees: a positional per-vertex read. A damaged run that still
+// parses must be caught by the index's record count — before that count sizes
+// the weight read — whether it now decodes to fewer edges (run-length byte
+// lowered, the tail parsing as a further, empty run) or to more.
+func TestDamagedDeltaRunRejectedOnSelectiveRead(t *testing.T) {
+	// Vertex 0's run is {srcRel 0, runLen 4, gaps +1 +1 +1 +0}: bytes
+	// 00 04 02 02 02 00; vertex 1's is {1, 2, +1, +8192}: 01 02 02 80 80 01.
+	g := &graph.Graph{NumVertices: 8200, Weighted: true, Edges: []graph.Edge{
+		{Src: 0, Dst: 1, Weight: 1}, {Src: 0, Dst: 2, Weight: 2}, {Src: 0, Dst: 3, Weight: 3}, {Src: 0, Dst: 3, Weight: 4},
+		{Src: 1, Dst: 1, Weight: 5}, {Src: 1, Dst: 8193, Weight: 6},
+	}}
+	for _, c := range []struct {
+		name   string
+		vertex graph.VertexID
+		damage func(run []byte)
+	}{
+		{"fewer", 0, func(run []byte) { run[1] = 2 }},              // 00 02 02 02 | 02 00
+		{"more", 1, func(run []byte) { run[1], run[3] = 3, 0x00 }}, // 01 03 02 00 80 01
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := testDevice(t)
+			l, err := Build(dev, g, 1, WithCodec(graph.CodecDelta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := l.LoadIndex(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := func() ([]graph.Edge, error) {
+				r, err := l.OpenSubBlock(0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				edges, _, err := l.ReadVertexEdges(r, idx, 0, c.vertex, nil)
+				return edges, err
+			}
+			if edges, err := read(); err != nil || int64(len(edges)) != idx.Rec[c.vertex+1]-idx.Rec[c.vertex] {
+				t.Fatalf("intact run: %d edges, %v", len(edges), err)
+			}
+			data, err := dev.ReadFile(SubBlockName(0, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.damage(data[idx.Off[c.vertex]:idx.Off[c.vertex+1]])
+			if err := dev.WriteFile(SubBlockName(0, 0), data); err != nil {
+				t.Fatal(err)
+			}
+			edges, err := read()
+			if err == nil {
+				t.Fatalf("damaged run accepted: %d edges", len(edges))
+			}
+			for _, want := range []string{SubBlockName(0, 0), fmt.Sprintf("vertex %d", c.vertex), "index says"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not name %q", err, want)
+				}
+			}
+		})
 	}
 }
