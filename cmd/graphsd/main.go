@@ -205,7 +205,7 @@ func cmdRun(args []string) error {
 	profile := fs.String("profile", "scaled-hdd", "disk model: hdd, scaled-hdd, ssd, pmem")
 	noCross := fs.Bool("no-cross-iteration", false, "disable cross-iteration updates (ablation b1)")
 	force := fs.String("force-model", "", "pin the I/O model: full (b3) or on-demand (b4)")
-	bufBytes := fs.Int64("buffer", -1, "secondary sub-block buffer bytes (-1: auto, 0: disabled)")
+	bufBytes := fs.Int64("buffer", -1, "per-run sub-block buffer bytes: FCIU's secondary sub-blocks, or with -async the hottest rows' blocks (-1: auto, 0: disabled)")
 	top := fs.Int("top", 10, "print the top-N vertices by output value")
 	trace := fs.Bool("trace", false, "print the per-iteration scheduler trace")
 	tracePath := fs.String("iotrace", "", "record a JSONL I/O trace to this file")
@@ -371,8 +371,8 @@ func cmdRun(args []string) error {
 		fmt.Println(line)
 	}
 	if a := res.Async; a.Enabled {
-		fmt.Printf("async: %d steps (%d selective), %d sub-blocks scheduled, %d reactivations, final residual %.3e\n",
-			a.Steps, a.SelectiveSteps, a.BlocksScheduled, a.Reactivations, a.FinalResidual)
+		fmt.Printf("async: %d steps (%d selective), %d sub-blocks scheduled (%d served from memory), %d reactivations, final residual %.3e\n",
+			a.Steps, a.SelectiveSteps, a.BlocksScheduled, res.Buffer.Hits, a.Reactivations, a.FinalResidual)
 	}
 	if acc := res.SchedAccuracy; acc.Observed > 0 {
 		fmt.Printf("scheduler accuracy: %d observed iterations, mispredict mean %.1f%% last %.1f%%, corrections full=%.2f on-demand=%.2f\n",

@@ -1,9 +1,13 @@
 // Package buffer implements GraphSD's sub-block buffering scheme (paper
-// §4.3): secondary sub-blocks — the strictly-lower-triangle grid cells that
-// the FCIU model must read twice — are cached in a bounded in-memory buffer.
-// Each cached sub-block carries a priority equal to its active-edge count;
-// when space is needed the lowest-priority resident is evicted, and a
-// candidate whose priority is below every resident's is simply not cached.
+// §4.3): sub-blocks a run will need again are cached in a bounded in-memory
+// buffer. Each cached sub-block carries a priority the engine assigns — how
+// much pending work it holds; when space is needed the lowest-priority
+// resident is evicted, and a candidate whose priority is below every
+// resident's is simply not cached. The engine has two users of it: the FCIU
+// passes keep secondary sub-blocks (the strictly-lower-triangle grid cells
+// the model must read twice), prioritised by active-edge count, and the
+// async row step keeps the blocks of the rows its scheduler ranks highest,
+// prioritised by the row's queue key.
 package buffer
 
 import (
@@ -38,7 +42,8 @@ type Stats struct {
 	Insertions int64
 	Evictions  int64
 	Rejections int64
-	// BytesSaved is the total I/O bytes avoided by hits.
+	// BytesSaved is the device bytes hits avoided reading: the on-disk size
+	// of every block served from memory, whatever form it was resident in.
 	BytesSaved int64
 }
 
@@ -74,9 +79,8 @@ type entry struct {
 	edges   []graph.Edge
 	payload []byte
 	// size is the capacity charge (decoded bytes for edge entries, encoded
-	// bytes for payload entries); saved is the I/O volume a hit avoids
-	// (always the decoded sub-block size, so BytesSaved is comparable
-	// across tiers).
+	// bytes for payload entries); saved is the device volume a hit avoids
+	// (the sub-block's on-disk size in either tier).
 	size     int64
 	saved    int64
 	priority int64
@@ -87,9 +91,10 @@ type entry struct {
 //
 // Concurrency contract: Buffer is single-writer, zero-reader — it must only
 // be accessed from one goroutine at a time, with no concurrent readers. In
-// the engine that goroutine is the FCIU pass driver; the I/O pipeline's
-// fetch workers never touch the buffer (residency is snapshotted before a
-// pass starts, see core.openPass). Code that needs a cache shared across
+// the engine that goroutine is the one running the schedule — the FCIU pass
+// driver or the async row step; the I/O pipeline's fetch workers never touch
+// the buffer (residency is sampled before a block stream opens, see
+// core.openPass and the async row step). Code that needs a cache shared across
 // goroutines — such as the job server deduplicating sub-block loads between
 // concurrent engines — must use the mutex-guarded Shared type instead.
 type Buffer struct {
@@ -191,20 +196,21 @@ func (b *Buffer) Contains(k Key) bool {
 	return ok
 }
 
-// Put offers sub-block k (decoded edges, on-disk size, priority) to the
-// buffer. If k is already resident only its priority is refreshed. To make
-// room, resident sub-blocks with priority strictly below the candidate's
-// are evicted lowest-first; if that cannot free enough space the candidate
-// is rejected. Returns whether the sub-block is resident afterwards.
-func (b *Buffer) Put(k Key, edges []graph.Edge, size int64, priority int64) bool {
-	return b.put(k, &entry{edges: edges, size: size, saved: size, priority: priority})
+// Put offers sub-block k to the buffer as decoded edges: size is the capacity
+// charge (the decoded bytes the edges occupy), saved the on-disk bytes a
+// future hit avoids reading — the two differ on compressed layouts. If k is
+// already resident only its priority is refreshed. To make room, resident
+// sub-blocks with priority strictly below the candidate's are evicted
+// lowest-first; if that cannot free enough space the candidate is rejected.
+// Returns whether the sub-block is resident afterwards.
+func (b *Buffer) Put(k Key, edges []graph.Edge, size, saved int64, priority int64) bool {
+	return b.put(k, &entry{edges: edges, size: size, saved: saved, priority: priority})
 }
 
 // PutBytes offers sub-block k to the buffer as a delta-coded payload — the
 // semi-external-memory compressed tier. Capacity is charged by the encoded
-// size (len(payload)); saved is the decoded sub-block size a future hit
-// avoids loading, so BytesSaved stays comparable with the decoded tier.
-// Admission and eviction follow Put exactly.
+// size (len(payload)); saved is, as for Put, the on-disk bytes a future hit
+// avoids reading. Admission and eviction follow Put exactly.
 func (b *Buffer) PutBytes(k Key, payload []byte, saved int64, priority int64) bool {
 	return b.put(k, &entry{payload: payload, size: int64(len(payload)), saved: saved, priority: priority})
 }

@@ -33,7 +33,8 @@ func TestBufferPayloadEntries(t *testing.T) {
 		t.Fatal("Peek returned a payload entry")
 	}
 
-	// The entry accessors see it, with hit accounting at the decoded size.
+	// The entry accessors see it, with hit accounting at the saved (on-disk)
+	// size it was put with.
 	gotE, gotP, ok := b.GetEntry(k)
 	if !ok || gotE != nil || string(gotP) != string(payload) {
 		t.Fatalf("GetEntry = (%v, %v, %t)", gotE, gotP, ok)

@@ -12,7 +12,12 @@ import (
 type SharedStats struct {
 	// Hits served a sub-block with zero device I/O in the calling
 	// goroutine — from residency or by a successful dedup wait; BytesSaved
-	// is the on-disk volume those hits avoided re-reading.
+	// sums, over those hits, the size the block's loader reported. The
+	// engine's loaders report the decoded sub-block size (what the entry
+	// occupies decoded, the capacity unit), so on a delta layout this is the
+	// volume of edges served from memory, 2–5× the device bytes the hits
+	// avoided — unlike Stats.BytesSaved of the per-run Buffer, which is
+	// on-disk bytes.
 	Hits       int64
 	BytesSaved int64
 	// Misses triggered a device load (the single flight for the key).
@@ -68,8 +73,9 @@ func (s SharedStats) Add(o SharedStats) SharedStats {
 }
 
 // flight is one in-progress load that late arrivals for the same key wait
-// on instead of duplicating the device read. size is the loaded on-disk
-// size, set before done closes so waiters can account the read they saved.
+// on instead of duplicating the device read. size is what the loader
+// reported, set before done closes so waiters can account the read they
+// saved.
 type flight struct {
 	done    chan struct{}
 	edges   []graph.Edge
@@ -80,9 +86,9 @@ type flight struct {
 
 // sharedEntry is one resident sub-block of a Shared cache. Decoded caches
 // set edges; compressed caches set payload. size is the capacity charge
-// (decoded bytes, or encoded bytes for payload entries); saved is the
-// device volume a hit avoids (always decoded bytes, so BytesSaved stays
-// comparable across tiers).
+// (decoded bytes, or encoded bytes for payload entries); saved is what a
+// hit adds to BytesSaved: the loader-reported size, in both tiers (see
+// SharedStats).
 type sharedEntry struct {
 	edges   []graph.Edge
 	payload []byte
@@ -189,8 +195,8 @@ func (s *Shared) Stats() SharedStats {
 }
 
 // GetOrLoad returns the edges for k, loading them through load on a miss.
-// load must return the decoded edges and their cacheable size in bytes (the
-// on-disk size, matching what a hit saves the device). hit reports whether
+// load must return the decoded edges and their size in bytes, which is both
+// the capacity charge and what a hit adds to BytesSaved. hit reports whether
 // the call was actually served without invoking load in this goroutine —
 // from residency, or by waiting on another caller's in-flight load that
 // succeeded. Successful waits count as Hits/BytesSaved: they saved a device
@@ -248,8 +254,8 @@ func (s *Shared) GetOrLoad(k Key, load func() ([]graph.Edge, int64, error)) (edg
 // delta-coded payload for k, loading it through load on a miss. load must
 // return the encoded payload and the decoded sub-block size in bytes — the
 // capacity charge is the encoded size (what the payload occupies in RAM),
-// while hits save the decoded size (what a hit avoids materializing from
-// the device). The caller decodes the payload itself, in its own worker,
+// while a hit adds the decoded size to BytesSaved, as on a decoded cache.
+// The caller decodes the payload itself, in its own worker,
 // and should report the decode wall time of hits via NoteDecode. Hit,
 // dedup, and failure semantics match GetOrLoad exactly; hits additionally
 // count as CompressedHits.

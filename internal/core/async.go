@@ -5,14 +5,15 @@
 // One scheduler step pops the pending-mass-richest interval and processes
 // its whole grid row atomically: the row's frontier is frozen, the frozen
 // vertices' live values are snapshotted, every non-empty sub-block (i, j)
-// is streamed (through the prefetch pipeline and shared cache) or loaded
+// is served from the per-run buffer when resident there, and otherwise
+// streamed (through the prefetch pipeline and shared cache) or loaded
 // selectively (per-vertex reads, when the row's frontier is sparse enough
-// that the cost model prices them below streaming), its contributions are
-// scattered through the program's kernel and applied immediately
-// into the live values, and finally every frozen source is settled with
-// AsyncConsume. Rows whose pending mass changed are re-keyed in the queue;
-// the run converges when the queue drains or total residual falls to
-// Options.AsyncEpsilon.
+// that the cost model prices them below streaming what is not resident);
+// its contributions are scattered through the program's kernel and applied
+// immediately into the live values, and finally every frozen source is
+// settled with AsyncConsume. Rows whose pending mass changed are re-keyed in
+// the queue; the run converges when the queue drains or total residual falls
+// to Options.AsyncEpsilon.
 //
 // Processing a whole row per pop is what keeps PR-Delta's mass accounting
 // exact: a source's residual is consumed only after it has been pushed to
@@ -26,14 +27,23 @@
 // seeded hash then the row index, aging is a pure function of the persisted
 // step counter, and checkpoints capture the step counter and per-row
 // enqueue steps, so a resumed run replays the identical schedule.
+//
+// Residency: the per-run buffer (Options.BufferBytes) keeps decoded blocks of
+// the rows the scheduler ranks highest — a resident block's priority is its
+// row's queue key, so the buffer evicts what the queue will pop last. The
+// queue key itself never looks at the buffer: checkpoints do not carry it, a
+// resumed run starts cold, and it has to pop the same rows in the same order.
+// Residency changes which bytes move, never which row runs.
 package core
 
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/pipeline"
@@ -112,8 +122,9 @@ type asyncRun struct {
 	h    rowHeap
 
 	// rowBlocks lists each row's non-empty destination columns and
-	// rowStreamCost prices streaming all of them (seek + sequential read
-	// per block), the denominator of the priority key.
+	// rowStreamCost prices streaming all of them (blockCost each: seek +
+	// sequential read), the denominator of the priority key — which is
+	// static: what is resident never moves it.
 	rowBlocks     [][]int
 	rowStreamCost []time.Duration
 
@@ -153,15 +164,13 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
 		a.rows[i] = &asyncRow{i: i, tie: asyncTie(e.opts.AsyncSeed, i), pos: -1}
-		var cost time.Duration
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
 			a.rowBlocks[i] = append(a.rowBlocks[i], j)
-			cost += e.sched.BlockCost(e.layout.Meta.SubBlockDiskBytes(i, j))
+			a.rowStreamCost[i] += a.blockCost(i, j)
 		}
-		a.rowStreamCost[i] = cost
 	}
 	return a, nil
 }
@@ -329,16 +338,25 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	}
 	a.dirty[i] = true
 
-	// Pick the row's load path: stream every non-empty block, or read the
-	// frontier's edges selectively through the per-vertex index. The value
-	// terms are identical either way, so the comparison is edges-only.
+	// The row in hand outranks every queued one: what it already holds in the
+	// buffer, and what it is about to offer, cannot be evicted by its own
+	// later cells.
+	a.setResidentPriority(i, math.MaxInt64)
+
+	// Pick the row's load path: stream every block that is not resident, or
+	// read the frontier's edges selectively through the per-vertex index;
+	// resident blocks are scattered from memory either way, and a row that is
+	// all resident has no device path to choose. The value terms are
+	// identical either way, so the comparison is edges-only.
 	path := "async"
 	selective := false
-	if len(a.frontList) > 0 && len(a.rowBlocks[i]) > 0 {
-		seqB, ranB, seeks := e.sched.EstimateOnDemand(a.frontier, e.degrees)
-		if e.sched.RowSelectiveCost(seqB, ranB, seeks, hi-lo) < a.rowStreamCost[i] {
-			selective = true
-			path = "async-sel"
+	if len(a.frontList) > 0 {
+		if stream := a.missCost(i); stream > 0 {
+			seqB, ranB, seeks := e.sched.EstimateOnDemand(a.frontier, e.degrees)
+			if e.sched.RowSelectiveCost(seqB, ranB, seeks, hi-lo) < stream {
+				selective = true
+				path = "async-sel"
+			}
 		}
 	}
 
@@ -378,33 +396,85 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	}
 
 	// Re-key every row whose mass moved: this row (consumed) and every
-	// destination row the applies activated into.
+	// destination row the applies activated into — and with each row the
+	// blocks of it the buffer holds.
 	for r := 0; r < e.p; r++ {
 		if a.dirty[r] {
 			a.refreshRow(r, step+1)
+			a.setResidentPriority(r, a.rows[r].residentPriority())
 		}
 	}
 	return path, nil
 }
 
-// scatterRowStreamed processes row i by streaming its non-empty sub-blocks
-// whole through a block stream. Each block is scattered and applied before
-// the next is consumed.
+// residentPriority is the eviction priority of the row's resident blocks: an
+// order-preserving image of its heap key (non-negative floats order as their
+// bit patterns do), so the buffer gives up the blocks of the row the queue
+// ranks last; a row that left the queue ranks below every queued one.
+func (r *asyncRow) residentPriority() int64 {
+	if r.pos < 0 {
+		return 0
+	}
+	return int64(math.Float64bits(r.key))
+}
+
+// setResidentPriority re-prioritises whichever blocks of row i the buffer
+// holds.
+func (a *asyncRun) setResidentPriority(i int, priority int64) {
+	if a.e.buf.Len() == 0 {
+		return
+	}
+	for _, j := range a.rowBlocks[i] {
+		a.e.buf.UpdatePriority(buffer.Key{I: i, J: j}, priority)
+	}
+}
+
+// blockCost prices streaming sub-block (i, j) whole.
+func (a *asyncRun) blockCost(i, j int) time.Duration {
+	return a.e.sched.BlockCost(a.e.layout.Meta.SubBlockDiskBytes(i, j))
+}
+
+// missCost prices streaming the blocks of row i that are not resident: what
+// the streamed path would read. With nothing resident it is rowStreamCost.
+func (a *asyncRun) missCost(i int) time.Duration {
+	var cost time.Duration
+	for _, j := range a.rowBlocks[i] {
+		if !a.e.buf.Contains(buffer.Key{I: i, J: j}) {
+			cost += a.blockCost(i, j)
+		}
+	}
+	return cost
+}
+
+// topPriority admits the blocks of the row being processed (see processRow).
+func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
+
+// scatterRowStreamed processes row i block by block: a block resident in the
+// per-run buffer is scattered from memory, the others are streamed whole
+// through a block stream and offered to the buffer as decoded edges — under
+// SEM too: the point of a hit here is to skip the decode. Each block is
+// scattered and applied before the next is consumed.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
 	if len(a.frontList) == 0 {
 		return 0, nil
 	}
-	reqs := make([]pipeline.Request, 0, len(cols))
+	var reqs []pipeline.Request // the non-resident cells
 	for _, j := range cols {
+		if e.buf.Contains(buffer.Key{I: i, J: j}) {
+			continue
+		}
+		if reqs == nil {
+			reqs = make([]pipeline.Request, 0, len(cols))
+		}
 		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 	}
 	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, e.src.full)
 	defer st.close()
 	var applied int64
 	for _, j := range cols {
-		edges, err := st.take(i, j)
+		edges, err := e.bufferedBlock(st, buffer.Key{I: i, J: j}, false, topPriority)
 		if err != nil {
 			return applied, err
 		}
@@ -415,9 +485,10 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 
 // scatterRowOnDemand processes row i by reading only the frozen frontier's
 // edge runs through each sub-block's vertex index — the async analogue of
-// SCIU's on-demand loads. It runs synchronously: frontier rows this sparse
-// spend their time seeking, not streaming, and the frozen frontier keeps
-// the reads deterministic.
+// SCIU's on-demand loads; a resident block is scattered from memory through
+// the same frontier filter instead. It runs synchronously: frontier rows
+// this sparse spend their time seeking, not streaming, and the frozen
+// frontier keeps the reads deterministic.
 func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 	e := a.e
 	// Modelled per-step index consultation, the per-interval slice of
@@ -430,15 +501,21 @@ func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 		if err := e.checkCtx(); err != nil {
 			return applied, err
 		}
-		// The frozen frontier holds exactly this row's active vertices. Each
-		// block is applied before the next is read, so one block's memory
-		// serves the whole row.
-		blk, err := e.src.selective(i, j, a.frontier, a.selBlock)
-		if err != nil {
-			return applied, err
+		// Peek, not get: the buffer's counters describe whole-block requests,
+		// and what this saves is a few runs of the block, not the block.
+		edges, ok := e.buf.Peek(buffer.Key{I: i, J: j})
+		if !ok {
+			// The frozen frontier holds exactly this row's active vertices.
+			// Each block is applied before the next is read, so one block's
+			// memory serves the whole row.
+			blk, err := e.src.selective(i, j, a.frontier, a.selBlock)
+			if err != nil {
+				return applied, err
+			}
+			a.selBlock = blk
+			edges = blk.edges
 		}
-		a.selBlock = blk
-		applied += a.scatterApplyBlock(blk.edges, j)
+		applied += a.scatterApplyBlock(edges, j)
 	}
 	return applied, nil
 }

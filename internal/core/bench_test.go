@@ -16,13 +16,13 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-func benchLayout(b *testing.B, g *graph.Graph, p int) *partition.Layout {
+func benchLayout(b *testing.B, g *graph.Graph, p int, opts ...partition.BuildOption) *partition.Layout {
 	b.Helper()
 	dev, err := storage.OpenDevice(b.TempDir(), storage.ScaledHDD)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l, err := partition.Build(dev, g, p)
+	l, err := partition.Build(dev, g, p, opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -316,36 +316,42 @@ func BenchmarkEngineCompressed(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAsync compares asynchronous and BSP execution on the two
+// BenchmarkEngineAsync compares asynchronous and BSP execution on the
 // workloads the scheduler targets: a sparse-frontier traversal (SSSP, where
-// async touches only live rows while BSP sweeps the grid) and PageRank-Delta
-// run to a residual epsilon (where async retires mass richest-row-first).
-// Device bytes and block activations are reported alongside wall time — they
-// are the figures the fig-async experiment asserts on.
+// async touches only live rows while BSP sweeps the grid), PageRank-Delta
+// run to a residual epsilon (where async retires mass richest-row-first), and
+// SSSP over a weighted row-major lattice, delta-coded — the shape of bench/'s
+// sssp_async, whose wavefront returns to the same few diagonal blocks step
+// after step — with and without the per-run buffer that keeps those blocks
+// decoded. Device bytes, block activations and the buffer's hit ratio are
+// reported alongside wall time — bytes are the figure the fig-async
+// experiment asserts on, wall time the one bench/ does.
 func BenchmarkEngineAsync(b *testing.B) {
 	sparse := gen.Weighted(gen.Chain(4096), 7, 11)
 	rmat, err := gen.RMAT(12, 12, gen.Graph500, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
+	lattice := gen.Weighted(gen.Grid(96), 16, 3)
+	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	prd := func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} }
 	cases := []struct {
-		name string
-		g    *graph.Graph
-		prog func() core.Program
-		opts core.Options
+		name  string
+		g     *graph.Graph
+		codec graph.Codec
+		prog  func() core.Program
+		opts  core.Options
 	}{
-		{"sssp-sparse/bsp", sparse, func() core.Program { return &algorithms.SSSP{Source: 0} },
-			core.Options{DefaultBuffer: true}},
-		{"sssp-sparse/async", sparse, func() core.Program { return &algorithms.SSSP{Source: 0} },
-			core.Options{Async: true, DefaultBuffer: true}},
-		{"prd-epsilon/bsp", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} },
-			core.Options{DefaultBuffer: true}},
-		{"prd-epsilon/async", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} },
-			core.Options{Async: true, AsyncEpsilon: 1e-6, DefaultBuffer: true}},
+		{"sssp-sparse/bsp", sparse, graph.CodecRaw, sssp, core.Options{DefaultBuffer: true}},
+		{"sssp-sparse/async", sparse, graph.CodecRaw, sssp, core.Options{Async: true, DefaultBuffer: true}},
+		{"prd-epsilon/bsp", rmat, graph.CodecRaw, prd, core.Options{DefaultBuffer: true}},
+		{"prd-epsilon/async", rmat, graph.CodecRaw, prd, core.Options{Async: true, AsyncEpsilon: 1e-6, DefaultBuffer: true}},
+		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
+		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			l := benchLayout(b, c.g, 8)
+			l := benchLayout(b, c.g, 8, partition.WithCodec(c.codec))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := core.Run(l, c.prog(), c.opts)
@@ -356,6 +362,9 @@ func BenchmarkEngineAsync(b *testing.B) {
 				b.ReportMetric(float64(res.WallTime.Microseconds())/1000, "wall-ms")
 				if res.Async.Enabled {
 					b.ReportMetric(float64(res.Async.BlocksScheduled), "blocks")
+					if asked := res.Buffer.Hits + res.Buffer.Misses; asked > 0 {
+						b.ReportMetric(float64(res.Buffer.Hits)/float64(asked), "hit-ratio")
+					}
 				} else {
 					b.ReportMetric(float64(res.Iterations), "iters")
 				}

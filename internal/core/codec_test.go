@@ -120,3 +120,44 @@ func TestDeltaLowersEngineTraffic(t *testing.T) {
 		t.Fatalf("raw compression ratio = %v", rawRes.CompressRatio)
 	}
 }
+
+// TestBufferBytesSavedAreDeviceBytes: Buffer.BytesSaved is on-disk bytes. On a
+// delta layout — where a block occupies 2–5× more decoded than on the device —
+// what a buffered full-model run reports saved is exactly what it read less
+// than the same run without a buffer, in the decoded tier and in SEM's
+// compressed tier alike.
+func TestBufferBytesSavedAreDeviceBytes(t *testing.T) {
+	g, err := gen.RMAT(9, 8, gen.Graph500, 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := codecLayout(t, g, 4, graph.CodecDelta)
+	runs := map[string]struct {
+		prog func() core.Program
+		opts core.Options
+	}{
+		"fciu":     {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{ForceModel: core.ForceFull}},
+		"fciu/sem": {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{ForceModel: core.ForceFull, SEM: true}},
+	}
+	for name, r := range runs {
+		t.Run(name, func(t *testing.T) {
+			without, err := core.Run(l, r.prog(), r.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := r.opts
+			opts.BufferBytes = 2 * l.Meta.EdgeBytesTotal()
+			with, err := core.Run(l, r.prog(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if without.Buffer.BytesSaved != 0 || with.Buffer.Hits == 0 {
+				t.Fatalf("buffer stats without %+v, with %+v", without.Buffer, with.Buffer)
+			}
+			if avoided := without.IO.ReadBytes() - with.IO.ReadBytes(); with.Buffer.BytesSaved != avoided {
+				t.Fatalf("BytesSaved %d, but the buffered run read %d bytes fewer (%d against %d)",
+					with.Buffer.BytesSaved, avoided, with.IO.ReadBytes(), without.IO.ReadBytes())
+			}
+		})
+	}
+}

@@ -66,9 +66,9 @@ func (e *Engine) openPass(cells passCells) *blockStream[[]graph.Edge] {
 }
 
 // passBlock returns sub-block (i, j) for a full-model pass. Secondary
-// sub-blocks of a buffered pass consult the priority buffer first and are
-// offered to it after a miss, with priority equal to their current
-// active-edge count; the buffer is touched on the consumer only, so its
+// sub-blocks of a buffered pass go through the priority buffer (see
+// bufferedBlock) at a priority equal to their current active-edge count, as a
+// delta payload under SEM; the buffer is touched on the consumer only, so its
 // hit/miss statistics are unchanged by pipelining.
 func (e *Engine) passBlock(st *blockStream[[]graph.Edge], cells passCells, i, j int) ([]graph.Edge, error) {
 	if !cells.buffered(i, j) {
@@ -77,44 +77,7 @@ func (e *Engine) passBlock(st *blockStream[[]graph.Edge], cells passCells, i, j 
 	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return nil, nil
 	}
-	k := buffer.Key{I: i, J: j}
-	if edges, payload, ok := e.buf.GetEntry(k); ok {
-		if payload == nil {
-			return edges, nil
-		}
-		// Compressed buffer tier (SEM): the resident is a delta payload,
-		// decoded on hit.
-		return e.src.unpack(i, j, payload)
-	}
-	edges, err := st.take(i, j)
-	if err != nil {
-		return nil, err
-	}
-	e.offerSecondary(k, edges)
-	return edges, nil
-}
-
-// offerSecondary offers the just-loaded secondary sub-block k to the priority
-// buffer. Its priority — a scan of the block's edges — and, under SEM, its
-// encoded payload are computed only when they can decide the admission: an
-// entry larger than the whole buffer is rejected, and counted, by Put before
-// it looks at either.
-func (e *Engine) offerSecondary(k buffer.Key, edges []graph.Edge) {
-	size := e.layout.Meta.SubBlockBytes(k.I, k.J)
-	capacity := e.buf.Capacity()
-	switch {
-	case size > capacity && (!e.opts.SEM || capacity <= 0):
-		// Under SEM the entry is charged its encoded size, known only once
-		// encoded; but no payload fits a buffer of no capacity.
-		e.buf.Put(k, edges, size, 0)
-	case e.opts.SEM:
-		payload := e.src.pack(k.I, k.J, edges)
-		if e.buf.PutBytes(k, payload, size, e.offerPriority(edges)) {
-			e.src.notePacked(payload, size)
-		}
-	default:
-		e.buf.Put(k, edges, size, e.offerPriority(edges))
-	}
+	return e.bufferedBlock(st, buffer.Key{I: i, J: j}, e.opts.SEM, e.offerPriority)
 }
 
 // offerPriority is the active-edge count of edges under the current

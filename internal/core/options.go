@@ -28,7 +28,10 @@ type Options struct {
 	// ForceModel pins the I/O access model instead of consulting the
 	// state-aware scheduler (ablations GraphSD-b3 / GraphSD-b4).
 	ForceModel *iosched.Model
-	// BufferBytes is the secondary sub-block buffer capacity. Zero
+	// BufferBytes is the capacity of the per-run sub-block buffer: under BSP
+	// it keeps FCIU's secondary sub-blocks between the two halves of a pass,
+	// ranked by active-edge count; under Async it keeps the blocks of the
+	// rows the scheduler ranks highest, ranked by the row's queue key. Zero
 	// disables buffering (the Figure 12 "without buffering" variant)
 	// unless DefaultBuffer is set, in which case a capacity of 1/4 of the
 	// edge data is used.
@@ -80,11 +83,13 @@ type Options struct {
 	// bitmaps let every full-model pass (and its prefetch pipeline) skip
 	// non-empty sub-blocks whose source interval holds no active vertex —
 	// no bytes, no seeks — and the cost model prices the full model per
-	// frontier accordingly. The per-run buffer switches to the compressed
-	// tier: residents are delta-coded payloads decoded on hit, so the same
-	// BufferBytes holds 2–5× more graph. Results are bit-identical to a
-	// SEM-off run of the same forced path; under the adaptive scheduler the
-	// cheaper full model may flip some iterations from SCIU to FCIU.
+	// frontier accordingly. The FCIU passes keep their buffer residents in
+	// the compressed tier: delta-coded payloads decoded on hit, so the same
+	// BufferBytes holds 2–5× more graph (the async row step keeps decoded
+	// edges — there a hit exists to skip the decode). Results are
+	// bit-identical to a SEM-off run of the same forced path; under the
+	// adaptive scheduler the cheaper full model may flip some iterations
+	// from SCIU to FCIU.
 	SEM bool
 	// SharedBlocks, when non-nil, routes full sub-block loads (pipelined
 	// and synchronous) through a concurrency-safe cache shared with other
@@ -104,7 +109,9 @@ type Options struct {
 	// non-monotonic programs are rejected at run start. Results reach the
 	// same fixed point as BSP (bit-exact labels for min-programs, within
 	// Program tolerance for PR-Delta) but the iteration trace, paths, and
-	// traffic differ. ForceModel is ignored.
+	// traffic differ. ForceModel is ignored. The per-run buffer (BufferBytes)
+	// keeps hot rows' blocks decoded in memory; its size changes which bytes
+	// move, never which row runs next.
 	Async bool
 	// AsyncEpsilon stops an async run once the total pending residual over
 	// active vertices falls to or below it. Zero means run until the
@@ -223,7 +230,9 @@ type Result struct {
 	SchedulerOverhead time.Duration
 	SchedAccuracy     iosched.Accuracy
 
-	// Buffer reports the secondary sub-block buffer outcomes (Figure 12).
+	// Buffer reports the per-run sub-block buffer's outcomes over whole-block
+	// requests: FCIU's secondary sub-blocks (Figure 12) or, under Async, the
+	// blocks of streamed rows. BytesSaved is on-disk bytes.
 	Buffer buffer.Stats
 
 	// Pipeline aggregates the I/O–compute pipeline outcomes across all

@@ -1,8 +1,8 @@
 // Package core implements the GraphSD execution engine: the driver loop of
 // the paper's Algorithm 1, the selective cross-iteration update model SCIU
 // (Algorithm 2), the full cross-iteration update model FCIU (Algorithm 3),
-// the state-aware I/O scheduling hookup, and the secondary sub-block
-// buffering scheme.
+// the state-aware I/O scheduling hookup, the sub-block buffering scheme, and
+// the asynchronous row schedule that shares the engine's loop and buffer.
 //
 // # Programming model
 //

@@ -300,3 +300,51 @@ func (s *blockStream[T]) close() {
 		*s.total = s.total.Add(s.pf.Stats())
 	}
 }
+
+// bufferedBlock is the one get → miss → offer route through the per-run
+// buffer, under the FCIU passes and the async row step alike. A resident block
+// is served from memory — decoded edges as they are, a delta payload (SEM's
+// compressed tier) decoded on the spot; every CRC, count and range check ran
+// when the block was loaded, and a hit serves those verified edges again.
+// Anything else is taken from st and offered at priority(edges), in the
+// representation packed selects. Like every buffer access it belongs to the
+// goroutine running the schedule.
+func (e *Engine) bufferedBlock(st *blockStream[[]graph.Edge], k buffer.Key, packed bool, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
+	if edges, payload, ok := e.buf.GetEntry(k); ok {
+		if payload != nil {
+			return e.src.unpack(k.I, k.J, payload)
+		}
+		return edges, nil
+	}
+	edges, err := st.take(k.I, k.J)
+	if err != nil {
+		return nil, err
+	}
+	e.offer(k, edges, packed, priority)
+	return edges, nil
+}
+
+// offer offers the just-loaded sub-block k to the per-run buffer: packed as a
+// delta payload charged its encoded size, or as the decoded edges themselves.
+// A hit saves the block's on-disk bytes either way. The priority — for FCIU a
+// scan of the block's edges — and the payload are computed only when they can
+// decide the admission: an entry larger than the whole buffer is rejected,
+// and counted, by Put before it looks at either.
+func (e *Engine) offer(k buffer.Key, edges []graph.Edge, packed bool, priority func([]graph.Edge) int64) {
+	size := e.layout.Meta.SubBlockBytes(k.I, k.J)
+	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
+	capacity := e.buf.Capacity()
+	switch {
+	case size > capacity && (!packed || capacity <= 0):
+		// A packed entry is charged its encoded size, known only once
+		// encoded; but no payload fits a buffer of no capacity.
+		e.buf.Put(k, edges, size, disk, 0)
+	case packed:
+		payload := e.src.pack(k.I, k.J, edges)
+		if e.buf.PutBytes(k, payload, disk, priority(edges)) {
+			e.src.notePacked(payload, size)
+		}
+	default:
+		e.buf.Put(k, edges, size, disk, priority(edges))
+	}
+}

@@ -240,6 +240,31 @@ func Star(n int) *graph.Graph {
 	return g
 }
 
+// Grid returns the side×side 4-neighbour lattice with row-major vertex ids
+// and an edge in each direction between neighbours: high diameter and a
+// narrow frontier, and — partitioned into intervals of whole rows — almost all
+// of every interval's edges in its diagonal sub-block.
+func Grid(side int) *graph.Graph {
+	g := &graph.Graph{NumVertices: side * side}
+	link := func(u, v int) {
+		g.Edges = append(g.Edges,
+			graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)},
+			graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(u)})
+	}
+	for row := 0; row < side; row++ {
+		for col := 0; col < side; col++ {
+			v := row*side + col
+			if col+1 < side {
+				link(v, v+1)
+			}
+			if row+1 < side {
+				link(v, v+side)
+			}
+		}
+	}
+	return g
+}
+
 // Complete returns the complete directed graph on n vertices (no loops).
 func Complete(n int) *graph.Graph {
 	g := &graph.Graph{NumVertices: n}

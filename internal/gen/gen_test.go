@@ -172,6 +172,12 @@ func TestFixtures(t *testing.T) {
 	if g := Chain(0); g.NumEdges() != 0 {
 		t.Error("chain(0) has edges")
 	}
+	if g := Grid(4); g.NumVertices != 16 || g.NumEdges() != 48 || g.Validate() != nil {
+		t.Errorf("grid(4): %d vertices, %d edges", g.NumVertices, g.NumEdges())
+	}
+	if g := Grid(1); g.NumEdges() != 0 {
+		t.Error("grid(1) has edges")
+	}
 	if g := Star(6); g.NumEdges() != 5 || g.Validate() != nil {
 		t.Errorf("star(6): %d edges", g.NumEdges())
 	}

@@ -196,7 +196,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_misses_total", s.graphs[name].shared.Stats().Misses, metrics.L("graph", name))
 	}
-	p.Header("graphsd_shared_cache_bytes_saved_total", "counter", "Device bytes avoided by shared-cache hits.")
+	p.Header("graphsd_shared_cache_bytes_saved_total", "counter", "Decoded sub-block bytes served by shared-cache hits (the device read less than this on compressed layouts).")
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_bytes_saved_total", s.graphs[name].shared.Stats().BytesSaved, metrics.L("graph", name))
 	}

@@ -532,7 +532,9 @@ func (s *Server) resumableCheckpoint(dir, progName string, async bool, g *graphE
 // estimateBytes predicts a job's peak engine memory for admission control:
 // the BSP vertex arrays (two float64 values, two accumulators, two
 // bitsets, and the aux array of a program that keeps one), the default
-// secondary buffer (1/4 of edge data), and the default prefetch window.
+// per-run sub-block buffer (1/4 of edge data: FCIU's secondary sub-blocks
+// under BSP, the blocks of the scheduler's highest-ranked rows under async),
+// and the default prefetch window.
 func (s *Server) estimateBytes(req jobs.Request) int64 {
 	g, ok := s.graphs[req.Graph]
 	if !ok {
