@@ -474,7 +474,7 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	defer st.close()
 	var applied int64
 	for _, j := range cols {
-		edges, err := e.bufferedBlock(st, buffer.Key{I: i, J: j}, false, topPriority)
+		edges, err := e.bufferedBlock(st.take, buffer.Key{I: i, J: j}, false, topPriority)
 		if err != nil {
 			return applied, err
 		}

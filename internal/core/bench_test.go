@@ -346,6 +346,7 @@ func BenchmarkEngineAsync(b *testing.B) {
 		{"sssp-sparse/async", sparse, graph.CodecRaw, sssp, core.Options{Async: true, DefaultBuffer: true}},
 		{"prd-epsilon/bsp", rmat, graph.CodecRaw, prd, core.Options{DefaultBuffer: true}},
 		{"prd-epsilon/async", rmat, graph.CodecRaw, prd, core.Options{Async: true, AsyncEpsilon: 1e-6, DefaultBuffer: true}},
+		{"sssp-lattice/bsp", lattice, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
 		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 	}

@@ -22,6 +22,19 @@ import (
 // two threads measured no slower than one (CHANGES.md, PR 13).
 const serialScatterThreshold = 1 << 17
 
+// sparseViewDensity is how sparse a full-model pass's frontier must be — at
+// most one active vertex in this many — for the pass to take its blocks as run
+// views and decode only the active sources' runs (fciu.go, sparsePass). A view
+// costs one directory scan per block (1.1–3.4 ns/edge) and a per-run decode of
+// the active edges on the consumer, per scatter, where the decoded route pays
+// 8.8 ns/edge once on a prefetch worker (BenchmarkRunView,
+// BenchmarkDecodeDeltaBlock). Timed pass by pass over frontiers drawn at a
+// fixed density, on an R-MAT and a lattice layout, a plain full pass crosses
+// over between one in 2 and one in 4 and an FCIU first pass, which scatters
+// most blocks twice, between one in 4 and one in 8; this is the first power of
+// two at which views measured faster on all four (CHANGES.md, PR 18).
+const sparseViewDensity = 8
+
 // serialApplyThreshold is the vertex count below which the apply phase runs
 // single-threaded, chosen the same way: one wake against roughly 6ns per
 // applied vertex.
@@ -67,6 +80,10 @@ type Engine struct {
 	// crossEdges is runSCIU's reusable batch of the cached edges it scatters
 	// across the iteration boundary.
 	crossEdges []graph.Edge
+
+	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
+	// run view: those of the scatter's active sources, dead once scattered.
+	runEdges []graph.Edge
 
 	// kernel is the scatter loop the program declared (see kernel.go).
 	kernel EdgeKernel

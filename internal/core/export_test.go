@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
 )
 
 // Scatterer drives Engine.scatter over caller-built arrays, with no layout
@@ -32,3 +33,31 @@ const (
 	SerialScatterThreshold = serialScatterThreshold
 	SerialApplyThreshold   = serialApplyThreshold
 )
+
+// SparseViewDensity is the frontier density at or below which a full-model
+// pass takes run views.
+const SparseViewDensity = sparseViewDensity
+
+// RunCountingViews is Run that also reports, per iteration, how many
+// sub-blocks reached the pass as run views. With poison set the source
+// scribbles over each view's payload as the pass releases it, so a scatter
+// from a released block fails the run.
+func RunCountingViews(layout *partition.Layout, prog Program, opts Options, poison bool) (*Result, []int64, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.src.poison = poison
+	var views []int64
+	var seen int64
+	onIter := opts.OnIteration
+	e.opts.OnIteration = func(st IterStat) {
+		now := e.src.viewBlocks.Load()
+		views, seen = append(views, now-seen), now
+		if onIter != nil {
+			onIter(st)
+		}
+	}
+	res, err := e.run()
+	return res, views, err
+}

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"fmt"
+	"time"
+
+	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/pipeline"
@@ -32,21 +36,17 @@ func (c passCells) firstRow(j int) int {
 // buffer.
 func (c passCells) buffered(i, j int) bool { return c != fullCells && i > j }
 
-// openPass snapshots the buffer residency and opens the pass's block stream:
-// non-empty cells in consumption order, minus secondary cells expected to hit
-// the buffer, and — under SEM — cells of rows the activity bitmap proves
-// dead, which never enqueue a read at all. (A dead-row upper-triangle cell
-// that the cross-iteration phase turns out to need is loaded synchronously
-// by the consumer.) Residency is only sampled here — the stream's fetch
-// workers never touch the buffer, so a mid-pass eviction costs the consumer a
-// synchronous load rather than a data race.
-func (e *Engine) openPass(cells passCells) *blockStream[[]graph.Edge] {
-	resident := make(map[buffer.Key]bool)
-	if cells != fullCells {
-		for _, k := range e.buf.Keys() {
-			resident[k] = true
-		}
-	}
+// openPass opens the pass's block stream: non-empty cells in consumption
+// order, minus secondary cells expected to hit the buffer, and — under SEM —
+// cells of rows the activity bitmap proves dead, which never enqueue a read
+// at all. (A dead-row upper-triangle cell that the cross-iteration phase
+// turns out to need is loaded synchronously by the consumer.) Residency is
+// only sampled here — the stream's fetch workers never touch the buffer, so a
+// mid-pass eviction costs the consumer a synchronous load rather than a data
+// race. On a sparse pass the cells that bypass the buffer arrive as run views
+// (see sparsePass); buffered ones are always decoded, since the buffer keeps
+// them.
+func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	var reqs []pipeline.Request
 	for j := 0; j < e.p; j++ {
 		for i := cells.firstRow(j); i < e.p; i++ {
@@ -56,13 +56,30 @@ func (e *Engine) openPass(cells passCells) *blockStream[[]graph.Edge] {
 			if e.sem != nil && !e.sem.rowLive(i) {
 				continue
 			}
-			if cells.buffered(i, j) && resident[buffer.Key{I: i, J: j}] {
+			if cells.buffered(i, j) && e.buf.Contains(buffer.Key{I: i, J: j}) {
 				continue
 			}
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, e.src.full)
+	sparse := e.sparsePass()
+	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
+		if sparse && !cells.buffered(i, j) {
+			return e.src.viewed(i, j)
+		}
+		edges, err := e.src.full(i, j)
+		return block{edges: edges}, err
+	})
+}
+
+// sparsePass reports whether the pass about to open should take its
+// unbuffered cells as run views: the frontier it scatters from holds at most
+// one vertex in sparseViewDensity, and the blocks are delta-coded payloads
+// straight off the device — no overlay to merge, no shared cache that wants
+// the decoded edges. Everything else decodes in full, as before.
+func (e *Engine) sparsePass() bool {
+	return e.active.Count()*sparseViewDensity <= e.n &&
+		e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
 }
 
 // passBlock returns sub-block (i, j) for a full-model pass. Secondary
@@ -70,14 +87,39 @@ func (e *Engine) openPass(cells passCells) *blockStream[[]graph.Edge] {
 // bufferedBlock) at a priority equal to their current active-edge count, as a
 // delta payload under SEM; the buffer is touched on the consumer only, so its
 // hit/miss statistics are unchanged by pipelining.
-func (e *Engine) passBlock(st *blockStream[[]graph.Edge], cells passCells, i, j int) ([]graph.Edge, error) {
+func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
 	if !cells.buffered(i, j) {
 		return st.take(i, j)
 	}
 	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
-		return nil, nil
+		return block{}, nil
 	}
-	return e.bufferedBlock(st, buffer.Key{I: i, J: j}, e.opts.SEM, e.offerPriority)
+	edges, err := e.bufferedBlock(func(i, j int) ([]graph.Edge, error) {
+		blk, err := st.take(i, j)
+		return blk.edges, err
+	}, buffer.Key{I: i, J: j}, e.opts.SEM, e.offerPriority)
+	return block{edges: edges}, err
+}
+
+// scatterBlock is scatter over a pass block. From a run view it first decodes
+// the runs of the sources in filter — this scatter's own filter, so each of a
+// block's scatters sees exactly the edges the kernel's filter test would have
+// kept of the whole block, in the same order — into the engine's scratch
+// slice; that is decode time, not compute.
+func (e *Engine) scatterBlock(blk block, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) error {
+	edges := blk.edges
+	if rb := blk.runs; rb != nil {
+		t0 := time.Now()
+		var err error
+		e.runEdges, err = rb.view.AppendActive(e.runEdges[:0], filter.Words())
+		e.layout.AddDecodeTime(time.Since(t0))
+		if err != nil {
+			return fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", rb.i, rb.j, err)
+		}
+		edges = e.runEdges
+	}
+	e.scatter(edges, vals, filter, acc, touched, dstLo, dstHi)
+	return nil
 }
 
 // offerPriority is the active-edge count of edges under the current
@@ -113,7 +155,7 @@ func (e *Engine) runFCIUFirst() error {
 
 	for j := 0; j < e.p; j++ {
 		lo, hi := e.layout.Meta.Interval(j)
-		var diag []graph.Edge
+		var diag block
 		diagDeferred := false
 		for i := 0; i < e.p; i++ {
 			if err := e.checkCtx(); err != nil {
@@ -143,41 +185,53 @@ func (e *Engine) runFCIUFirst() error {
 					continue
 				}
 			}
-			edges, err := e.passBlock(st, fciuFirstCells, i, j)
+			blk, err := e.passBlock(st, fciuFirstCells, i, j)
 			if err != nil {
 				return err
 			}
-			if len(edges) == 0 {
+			if blk.empty() {
 				continue
 			}
 			// Current-iteration update (UserFunction over all edges whose
 			// source is active).
-			e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
-			switch {
-			case i < j:
+			if err := e.scatterBlock(blk, e.valPrev, e.active, e.acc, e.touched, lo, hi); err != nil {
+				return err
+			}
+			if i == j {
+				diag = blk
+				continue
+			}
+			if i < j {
 				// CrossIterUpdate: sources already updated in this
 				// iteration propagate their new value to iteration t+1.
-				e.scatter(edges, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
-			case i == j:
-				diag = edges
+				if err := e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
+					return err
+				}
 			}
+			e.src.release(blk)
 		}
 		e.applyBSP(j)
-		if diag != nil {
+		if !diag.empty() {
 			// Diagonal cross-iteration after interval j's own apply
 			// (Alg 3 lines 13–16).
-			e.scatter(diag, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
+			if err := e.scatterBlock(diag, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
+				return err
+			}
+			e.src.release(diag)
 		} else if diagDeferred {
 			// Dead-row diagonal: now that interval j is applied its t+1
 			// activations are final. Load only if there is something to
 			// propagate; the cell was left off the stream's list, so this
 			// rare load is synchronous.
 			if e.newActive.CountRange(lo, hi) > 0 {
-				edges, err := st.take(j, j)
+				blk, err := st.take(j, j)
 				if err != nil {
 					return err
 				}
-				e.scatter(edges, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
+				if err := e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
+					return err
+				}
+				e.src.release(blk)
 			} else {
 				e.semSkip(j, j)
 			}
@@ -237,11 +291,14 @@ func (e *Engine) runPass(cells passCells) error {
 				e.semSkip(i, j)
 				continue
 			}
-			edges, err := e.passBlock(st, cells, i, j)
+			blk, err := e.passBlock(st, cells, i, j)
 			if err != nil {
 				return err
 			}
-			e.scatter(edges, e.valPrev, e.active, e.acc, e.touched, lo, hi)
+			if err := e.scatterBlock(blk, e.valPrev, e.active, e.acc, e.touched, lo, hi); err != nil {
+				return err
+			}
+			e.src.release(blk)
 		}
 		e.applyBSP(j)
 	}

@@ -1,0 +1,178 @@
+package core_test
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/buffer"
+	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/gen"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
+)
+
+// decodedRoute returns opts with a shared cache of no capacity in front of the
+// full loads: it caches nothing, so every load still reads the device exactly
+// as without it, but loads through a shared cache are always decoded — the
+// way to run the decoded route on a layout that would otherwise get run views.
+func decodedRoute(opts core.Options) core.Options {
+	opts.SharedBlocks = buffer.NewShared(0)
+	return opts
+}
+
+func sameOutputBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for v := range want {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s: vertex %d = %v, want %v", what, v, got[v], want[v])
+		}
+	}
+}
+
+// TestRunViewRouteMatchesDecodedRoute runs every program both ways over one
+// delta layout — sparse full passes through run views (with released views
+// poisoned), and everything decoded — and holds the view run to the decoded
+// one: same outputs by bits, same iterations through the same paths, the same
+// device traffic and pipeline deliveries in every iteration, the same buffer
+// outcomes. A raw layout of the same graph gives the same outputs without a
+// single view. Views appear on exactly the passes that should have them: full
+// passes over a frontier of at most one vertex in SparseViewDensity, never on
+// on-demand iterations, second FCIU halves (all buffered cells) or PageRank.
+func TestRunViewRouteMatchesDecodedRoute(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := gen.Weighted(gen.Grid(48), 16, 3)
+	programs := []struct {
+		name   string
+		g      *graph.Graph
+		prog   func() core.Program
+		sparse bool // forced full, some pass is sure to see a narrow frontier
+	}{
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true},
+		{"bfs-rmat", rmat, func() core.Program { return &algorithms.BFS{Source: 0} }, true},
+		{"cc-rmat", rmat, func() core.Program { return &algorithms.ConnectedComponents{} }, false},
+		{"cc-lattice", lattice, func() core.Program { return &algorithms.ConnectedComponents{} }, true},
+		{"prdelta-rmat", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 30} }, false},
+		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 4} }, false},
+	}
+	for _, pc := range programs {
+		const p = 4
+		delta := codecLayout(t, pc.g, p, graph.CodecDelta)
+		raw := codecLayout(t, pc.g, p, graph.CodecRaw)
+		n := pc.g.NumVertices
+		for _, forced := range []bool{false, true} {
+			for _, sem := range []bool{false, true} {
+				for _, buffered := range []bool{false, true} {
+					for _, depth := range []int{0, -1} {
+						if depth == -1 && (sem || !forced) {
+							continue // synchronous loads: one corner is enough
+						}
+						opts := core.Options{SEM: sem, DefaultBuffer: buffered, PrefetchDepth: depth, Threads: 1}
+						if forced {
+							opts.ForceModel = core.ForceFull
+						}
+						name := fmt.Sprintf("%s/forced=%t/sem=%t/buffer=%t/depth=%d", pc.name, forced, sem, buffered, depth)
+						t.Run(name, func(t *testing.T) {
+							got, views, err := core.RunCountingViews(delta, pc.prog(), opts, true)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, err := core.Run(delta, pc.prog(), decodedRoute(opts))
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameOutputBits(t, "view route vs decoded route", got.Outputs, want.Outputs)
+							if got.Iterations != want.Iterations || got.Converged != want.Converged {
+								t.Fatalf("run shape: %d iterations converged=%t, decoded route %d/%t", got.Iterations, got.Converged, want.Iterations, want.Converged)
+							}
+							if got.Buffer != want.Buffer {
+								t.Errorf("buffer stats %+v, decoded route %+v", got.Buffer, want.Buffer)
+							}
+							total := int64(0)
+							for k, st := range got.IterStats {
+								ref := want.IterStats[k]
+								if st.Path != ref.Path || st.Active != ref.Active {
+									t.Fatalf("iteration %d: %s over %d active, decoded route %s over %d", k, st.Path, st.Active, ref.Path, ref.Active)
+								}
+								if st.IO != ref.IO {
+									t.Errorf("iteration %d (%s): device traffic %+v, decoded route %+v", k, st.Path, st.IO, ref.IO)
+								}
+								if a, b := st.Pipeline, ref.Pipeline; a.Blocks != b.Blocks || a.Bytes != b.Bytes || a.Skipped != b.Skipped || a.SkippedBytes != b.SkippedBytes || a.Fallbacks != b.Fallbacks {
+									t.Errorf("iteration %d (%s): pipeline %+v, decoded route %+v", k, st.Path, st.Pipeline, ref.Pipeline)
+								}
+								fullPass := st.Path == "fciu-1" || st.Path == "full-single"
+								sparse := st.Active*core.SparseViewDensity <= n
+								switch {
+								case !(fullPass && sparse) && views[k] != 0:
+									t.Errorf("iteration %d (%s, %d of %d active): %d view blocks, want none", k, st.Path, st.Active, n, views[k])
+								case fullPass && sparse && !sem && st.Active > 0 && views[k] == 0:
+									// Under SEM a live row's unbuffered cells can all be empty.
+									t.Errorf("iteration %d (%s, %d of %d active): no view blocks on a sparse full pass", k, st.Path, st.Active, n)
+								}
+								total += views[k]
+							}
+							if forced && pc.sparse && total == 0 {
+								t.Errorf("no view blocks over the whole run")
+							}
+							if got.DecodeTime <= 0 {
+								t.Errorf("no decode time reported")
+							}
+
+							plain, rawViews, err := core.RunCountingViews(raw, pc.prog(), opts, true)
+							if err != nil {
+								t.Fatal(err)
+							}
+							sameOutputBits(t, "delta layout vs raw layout", got.Outputs, plain.Outputs)
+							for k, v := range rawViews {
+								if v != 0 {
+									t.Fatalf("raw layout: %d view blocks in iteration %d", v, k)
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestViewBlockFaultDegradesLikeAnyOther: a transient fault on a prefetched
+// view block degrades the rest of the pass to synchronous loads — view blocks
+// still — counted once each, and changes no output.
+func TestViewBlockFaultDegradesLikeAnyOther(t *testing.T) {
+	opts := core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}
+	clean, _, err := core.RunCountingViews(faultLayoutCodec(t, graph.CodecDelta), &algorithms.BFS{Source: 0}, opts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, failIdx := range []int{0, 3} {
+		l := faultLayoutCodec(t, graph.CodecDelta)
+		cells := nonEmptyColumnMajor(&l.Meta)
+		if len(cells) <= failIdx+1 {
+			t.Fatalf("layout too sparse: %d non-empty cells", len(cells))
+		}
+		failOnce(l, "read", partition.SubBlockName(cells[failIdx][0], cells[failIdx][1]))
+		// BFS opens on a one-vertex frontier: the first pass, the one the
+		// injector hits, takes every cell as a run view.
+		res, views, err := core.RunCountingViews(l, &algorithms.BFS{Source: 0}, opts, true)
+		if err != nil {
+			t.Fatalf("fault at request %d: degraded run failed: %v", failIdx, err)
+		}
+		// (Blocks the pipeline had fetched ahead of the fault are fetched
+		// again, so the source may have built more views than there are cells.)
+		if views[0] < int64(len(cells)) {
+			t.Fatalf("fault at request %d: %d view blocks in the first pass, want every one of %d cells", failIdx, views[0], len(cells))
+		}
+		if want := len(cells) - failIdx; res.Pipeline.Fallbacks != want {
+			t.Fatalf("fault at request %d: Fallbacks = %d, want exactly %d", failIdx, res.Pipeline.Fallbacks, want)
+		}
+		sameOutputBits(t, "degraded run vs clean run", res.Outputs, clean.Outputs)
+	}
+}

@@ -20,8 +20,10 @@ import (
 // a whole sub-block (full) or for a frontier's edge runs (selective) and gets
 // back edges it may read but not mutate; which cache tier answered, in which
 // representation, through which pooled buffer, is the source's business, and
-// so are the counters that record it. Safe for concurrent use: prefetch
-// workers call it while the consumer does.
+// so are the counters that record it. A full-model pass over a sparse
+// frontier asks for its blocks undecoded (viewed) and decodes, per scatter,
+// only the runs it needs. Safe for concurrent use: prefetch workers call it
+// while the consumer does.
 type blockSource struct {
 	layout *partition.Layout
 	shared *buffer.Shared // cross-job cache in front of full loads; may be nil
@@ -31,6 +33,14 @@ type blockSource struct {
 	// diagonal, shared cache), and since every decoder allocates exactly once,
 	// exactly its size, recycling them measured no gain (DESIGN.md §17).
 	ioBufs sync.Pool
+
+	// views pools the payload and directory memory of run-view blocks (see
+	// viewed). Unlike decoded edges these are never retained: the pass that
+	// took a view block releases it after its last scatter from it.
+	views sync.Pool
+	// poison makes release scribble over a view block's payload before
+	// pooling it, so that a test catches a scatter from a released block.
+	poison bool
 
 	// indexes holds the per-sub-block vertex indexes once loaded; they are
 	// immutable, so they are kept for the whole run.
@@ -44,6 +54,8 @@ type blockSource struct {
 	sharedHits, sharedMisses              atomic.Int64
 	compHits, compBytes, compDecodedBytes atomic.Int64
 	decodeNanos                           atomic.Int64
+	// viewBlocks counts the blocks delivered as run views.
+	viewBlocks atomic.Int64
 }
 
 func newBlockSource(layout *partition.Layout, shared *buffer.Shared) *blockSource {
@@ -114,6 +126,79 @@ func (s *blockSource) getBuf() *[]byte {
 		return bufp
 	}
 	return new([]byte)
+}
+
+// block is what a full-model pass scatters from: the sub-block's decoded
+// edges or, on a pass over a sparse frontier, a run view of it (edges is then
+// nil). The zero value is an empty sub-block.
+type block struct {
+	edges []graph.Edge
+	runs  *runBlock
+}
+
+func (b block) empty() bool { return b.runs == nil && len(b.edges) == 0 }
+
+// runBlock is sub-block (i, j) left undecoded: its CRC-verified payload, read
+// through buf, and the run directory over it. Both belong to the source's
+// pool; whoever was handed the block owns them until it calls release.
+type runBlock struct {
+	i, j int
+	view graph.RunView
+	buf  []byte
+}
+
+// viewed is the device route of full stopping short of the decode: the same
+// sequential read and CRC verify, then one scan that builds the block's run
+// directory (graph.RunView.Scan) where read would expand every edge. It is for
+// delta layouts with no overlay and no shared cache in front; the engine asks
+// for it only on passes whose frontier is sparse (sparsePass). A payload the
+// scan declines — sources not ascending, or damage — goes to the full decoder,
+// which decodes it or says what is wrong with it, so the caller gets edges or
+// the decoded route's error. Scan and fallback are charged as decode time.
+func (s *blockSource) viewed(i, j int) (block, error) {
+	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
+		return block{}, nil
+	}
+	rb, _ := s.views.Get().(*runBlock)
+	if rb == nil {
+		rb = new(runBlock)
+	}
+	payload, err := s.layout.LoadSubBlockPayloadInto(i, j, rb.buf)
+	if err != nil {
+		s.views.Put(rb)
+		return block{}, err
+	}
+	rb.i, rb.j, rb.buf = i, j, payload
+	iLo, _ := s.layout.Meta.Interval(i)
+	jLo, _ := s.layout.Meta.Interval(j)
+	t0 := time.Now()
+	if rb.view.Scan(payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted) {
+		s.layout.AddDecodeTime(time.Since(t0))
+		s.viewBlocks.Add(1)
+		return block{runs: rb}, nil
+	}
+	edges, err := graph.AppendDeltaBlock(nil, payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	s.layout.AddDecodeTime(time.Since(t0))
+	s.views.Put(rb)
+	if err != nil {
+		return block{}, fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", i, j, err)
+	}
+	return block{edges: edges}, nil
+}
+
+// release ends the consumer's use of b: a run view's payload and directory go
+// back to the pool for the next block. Decoded edges are not pooled (see
+// ioBufs), so for them this is a no-op.
+func (s *blockSource) release(b block) {
+	if b.runs == nil {
+		return
+	}
+	if s.poison {
+		for k := range b.runs.buf {
+			b.runs.buf[k] = 0xff // no varint ends: every later decode fails
+		}
+	}
+	s.views.Put(b.runs)
 }
 
 func (s *blockSource) noteShared(hit bool) {
@@ -306,17 +391,17 @@ func (s *blockStream[T]) close() {
 // is served from memory — decoded edges as they are, a delta payload (SEM's
 // compressed tier) decoded on the spot; every CRC, count and range check ran
 // when the block was loaded, and a hit serves those verified edges again.
-// Anything else is taken from st and offered at priority(edges), in the
-// representation packed selects. Like every buffer access it belongs to the
-// goroutine running the schedule.
-func (e *Engine) bufferedBlock(st *blockStream[[]graph.Edge], k buffer.Key, packed bool, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
+// Anything else comes from take — the caller's block stream — and is offered
+// at priority(edges), in the representation packed selects. Like every buffer
+// access it belongs to the goroutine running the schedule.
+func (e *Engine) bufferedBlock(take func(i, j int) ([]graph.Edge, error), k buffer.Key, packed bool, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
 	if edges, payload, ok := e.buf.GetEntry(k); ok {
 		if payload != nil {
 			return e.src.unpack(k.I, k.J, payload)
 		}
 		return edges, nil
 	}
-	edges, err := st.take(k.I, k.J)
+	edges, err := take(k.I, k.J)
 	if err != nil {
 		return nil, err
 	}

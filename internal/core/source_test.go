@@ -3,9 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/gen"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/pipeline"
 	"github.com/graphsd/graphsd/internal/storage"
 )
@@ -149,5 +154,60 @@ func TestBlockStreamCancelledWhileWaiting(t *testing.T) {
 	st.close()
 	if total.Fallbacks != 0 || total.Blocks != 1 {
 		t.Fatalf("stats after cancel: %+v", total)
+	}
+}
+
+// TestViewBlockPoolDiscipline walks a view block through its life: the source
+// hands out the whole block's runs, release gives its memory back, and — with
+// poison on, as every engine test of the view route runs — a decode from the
+// released block fails instead of quietly reading the next block's payload.
+// A block the scan declines (sources descending) comes back decoded, and its
+// memory returns to the pool at once.
+func TestViewBlockPoolDiscipline(t *testing.T) {
+	dev, err := storage.OpenDevice(t.TempDir(), storage.ScaledHDD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := partition.Build(dev, gen.Weighted(gen.Grid(16), 8, 1), 2, partition.WithCodec(graph.CodecDelta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newBlockSource(l, nil)
+	s.poison = true
+	everyone := bitset.NewActiveSet(l.Meta.NumVertices)
+	everyone.ActivateAll()
+
+	blk, err := s.viewed(0, 0)
+	if err != nil || blk.runs == nil {
+		t.Fatalf("viewed(0,0) = %+v, %v; want a run view", blk, err)
+	}
+	want, err := l.LoadSubBlock(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := blk.runs.view.AppendActive(nil, everyone.Words())
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("view decodes %d edges, %v; the decoded route %d", len(got), err, len(want))
+	}
+	s.release(blk)
+	if got, err := blk.runs.view.AppendActive(nil, everyone.Words()); err == nil {
+		t.Fatalf("released block still decodes %d edges", len(got))
+	}
+
+	// Rewrite the block with its runs in descending source order, checksum
+	// and all: still a valid delta block, but one with no per-source
+	// directory.
+	slices.Reverse(want)
+	payload := graph.EncodeDeltaBlock(nil, want, 0, 0, true)
+	if err := dev.WriteFile(l.Meta.BlockName(0, 0), payload); err != nil {
+		t.Fatal(err)
+	}
+	l.Meta.BlockBytes[0][0], l.Meta.BlockSums[0][0] = int64(len(payload)), partition.Checksum(payload)
+	blk, err = s.viewed(0, 0)
+	if err != nil || blk.runs != nil || !slices.Equal(blk.edges, want) {
+		t.Fatalf("descending block: view %t, %d edges, %v; want the %d decoded edges", blk.runs != nil, len(blk.edges), err, len(want))
+	}
+	if n := s.viewBlocks.Load(); n != 1 {
+		t.Fatalf("viewBlocks = %d, want 1", n)
 	}
 }

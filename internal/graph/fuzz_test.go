@@ -119,3 +119,33 @@ func minSrc(edges []Edge, base VertexID) VertexID {
 	}
 	return base
 }
+
+// FuzzRunView feeds arbitrary bytes to the run-view scan: it may decline them
+// — that is a fallback to the full decoder — but must never panic or hold a
+// directory larger than the payload pays for, and a view it builds must agree
+// with AppendDeltaBlock on the verdict and, filtered by pick's choice of its
+// sources, on every edge.
+func FuzzRunView(f *testing.F) {
+	sorted := EncodeDeltaBlock(nil, []Edge{{Src: 5, Dst: 9}, {Src: 5, Dst: 11}, {Src: 70, Dst: 2}, {Src: 200, Dst: 1 << 20}}, 0, 0, false)
+	f.Add([]byte{}, uint32(0), uint32(0), false, uint64(0))
+	f.Add(sorted, uint32(0), uint32(0), false, uint64(0b101))
+	f.Add(sorted[:len(sorted)-1], uint32(0), uint32(0), false, ^uint64(0))
+	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 9, Dst: 1}, {Src: 4, Dst: 2}}, 0, 0, false), uint32(0), uint32(0), false, ^uint64(0))
+	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 4, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true), uint32(4), uint32(1<<21), true, uint64(2))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, ^uint32(0), uint32(0), true, uint64(1))
+	f.Add([]byte{1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0}, uint32(0), uint32(0), false, uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, srcBase, dstBase uint32, weighted bool, pick uint64) {
+		var v RunView
+		if !v.Scan(data, VertexID(srcBase), VertexID(dstBase), weighted) {
+			checkViewAgainstBlock(t, &v, data, VertexID(srcBase), VertexID(dstBase), weighted)
+			return
+		}
+		var chosen []VertexID
+		for k, r := range v.runs[:len(v.runs)-1] {
+			if pick>>(k%64)&1 != 0 {
+				chosen = append(chosen, r.Src)
+			}
+		}
+		checkViewAgainstBlock(t, &v, data, VertexID(srcBase), VertexID(dstBase), weighted, chosen, []VertexID{VertexID(srcBase)})
+	})
+}

@@ -1,0 +1,197 @@
+package graph
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/bits"
+)
+
+// runSpan locates one source's run inside the run section of a delta block.
+type runSpan struct {
+	Src VertexID // the run's source vertex
+	Off uint32   // byte offset of the run's header in the run section
+	Rec uint32   // record offset: how many edges the runs before it hold
+}
+
+// RunView is a delta block left undecoded: its run section and weight column
+// as they sit in the payload, plus a directory of where each source's run
+// starts. A pass over a narrow frontier decodes only the runs whose source is
+// active (AppendActive) instead of expanding every edge and then dropping
+// most of them in the scatter's filter test.
+//
+// The zero value is an empty view. A RunView is reused across blocks: Scan
+// keeps the directory's memory. It aliases the payload it scanned, which
+// must not change while the view is in use.
+type RunView struct {
+	// runs holds one span per run, sources strictly ascending, and a final
+	// sentinel whose Off is the run section's length and Rec the edge count,
+	// so run k spans [runs[k], runs[k+1]) in bytes and in records.
+	runs             []runSpan
+	body, weights    []byte
+	srcBase, dstBase VertexID
+}
+
+// Scan makes v a view of the delta block in data and reports whether it
+// could: false means "decode this block with AppendDeltaBlock", which then
+// accepts it or names what is wrong with it. One pass over the run section
+// checks everything that does not need a gap's value — the header count
+// against the payload and the weight column, every run's source (in uint32,
+// strictly above the previous run's), every run's length (at least one, within
+// the bytes left and the edges still owed to the header), that each of its
+// gaps terminates inside the section, and that the runs add up to the header
+// count — so the directory never points outside the payload. What a gap
+// decodes to (a varint over ten bytes, a destination outside uint32) is
+// checked by AppendActive when, and if, the run is decoded.
+//
+// A block whose sources repeat or descend is valid for AppendDeltaBlock but
+// has no per-source directory, and a zero-length run is nothing the encoder
+// writes: both answer false rather than an error.
+func (v *RunView) Scan(data []byte, srcBase, dstBase VertexID, weighted bool) bool {
+	*v = RunView{runs: v.runs[:0], srcBase: srcBase, dstBase: dstBase}
+	if !v.scan(data, weighted) {
+		*v = RunView{runs: v.runs[:0]} // a declined view is an empty one
+		return false
+	}
+	return true
+}
+
+func (v *RunView) scan(data []byte, weighted bool) bool {
+	srcBase := v.srcBase
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)) || uint64(len(data)) > math.MaxUint32 {
+		return false
+	}
+	body := data[k:]
+	if weighted {
+		weightBytes := int(n) * WeightBytes
+		if weightBytes > len(body) {
+			return false
+		}
+		body, v.weights = body[:len(body)-weightBytes], body[len(body)-weightBytes:]
+	}
+	var rec uint64
+	prev := int64(-1)
+	for off := 0; off < len(body); {
+		start := off
+		srcRel, k := binary.Uvarint(body[off:])
+		if k <= 0 || srcRel > math.MaxUint32-uint64(srcBase) {
+			return false
+		}
+		off += k
+		src := srcBase + VertexID(srcRel)
+		if int64(src) <= prev {
+			return false
+		}
+		prev = int64(src)
+		runLen, k := binary.Uvarint(body[off:])
+		if k <= 0 {
+			return false
+		}
+		off += k
+		if runLen == 0 || runLen > uint64(len(body)-off) || runLen > n-rec {
+			return false
+		}
+		// Step over runLen varints: a byte below 0x80 ends one. Eight bytes
+		// at a time while at least eight gaps remain, since eight bytes end
+		// at most eight.
+		left := int(runLen)
+		for ; left >= 8 && len(body)-off >= 8; off += 8 {
+			left -= bits.OnesCount64(^binary.LittleEndian.Uint64(body[off:]) & 0x8080808080808080)
+		}
+		for ; left > 0; off++ {
+			if off == len(body) {
+				return false
+			}
+			if body[off] < 0x80 {
+				left--
+			}
+		}
+		v.runs = append(v.runs, runSpan{Src: src, Off: uint32(start), Rec: uint32(rec)})
+		rec += runLen
+	}
+	if rec != n {
+		return false
+	}
+	v.runs = append(v.runs, runSpan{Off: uint32(len(body)), Rec: uint32(n)})
+	v.body = body
+	return true
+}
+
+// AppendActive decodes the runs whose source's bit is set in filter (bit s of
+// filter[s/64]; sources beyond it count as clear) and appends their edges to
+// dst, in block order — exactly the edges a scatter filtered by the same set
+// would keep of AppendDeltaBlock's output, weights included. Runs are located
+// by walking the filter's set bits and galloping through the directory, so a
+// call costs in proportion to the active sources, not to the block. On error
+// dst comes back at its original length.
+func (v *RunView) AppendActive(dst []Edge, filter []uint64) ([]Edge, error) {
+	if len(v.runs) < 2 {
+		return dst, nil
+	}
+	runs := v.runs[:len(v.runs)-1] // without the sentinel
+	base := len(dst)
+	pos := 0
+	loW := int(runs[0].Src >> 6)
+	hiW := min(int(runs[len(runs)-1].Src>>6)+1, len(filter))
+	for w := loW; w < hiW; w++ {
+		for word := filter[w]; word != 0; word &= word - 1 {
+			s := VertexID(w<<6 + bits.TrailingZeros64(word))
+			if pos = seekRun(runs, pos, s); pos == len(runs) {
+				return dst, nil
+			}
+			if runs[pos].Src != s {
+				continue
+			}
+			var err error
+			if dst, err = v.appendRun(dst, pos); err != nil {
+				return dst[:base], err
+			}
+			pos++
+		}
+	}
+	return dst, nil
+}
+
+// seekRun returns the first index at or after pos whose source is >= s, or
+// len(runs): doubling steps, then a binary search inside the last one.
+func seekRun(runs []runSpan, pos int, s VertexID) int {
+	if pos == len(runs) || runs[pos].Src >= s {
+		return pos
+	}
+	// Invariant: runs[lo].Src < s, and hi == len(runs) or runs[hi].Src >= s.
+	lo, step := pos, 1
+	for lo+step < len(runs) && runs[lo+step].Src < s {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(runs))
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); runs[mid].Src < s {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// appendRun decodes run k through the one run decoder, which repeats the
+// header checks and makes the ones Scan deferred.
+func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
+	r, next := v.runs[k], v.runs[k+1]
+	want := int(next.Rec - r.Rec)
+	var weights []byte
+	if v.weights != nil {
+		weights = v.weights[int(r.Rec)*WeightBytes:]
+	}
+	before := len(dst)
+	dst, err := decodeDeltaRuns(dst, v.body[r.Off:next.Off], weights, want, v.srcBase, v.dstBase)
+	if err != nil {
+		return dst, err
+	}
+	if got := len(dst) - before; got != want {
+		return dst[:before], fmt.Errorf("graph: run view: run of source %d decoded %d edges, directory says %d", r.Src, got, want)
+	}
+	return dst, nil
+}

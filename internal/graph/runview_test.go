@@ -1,0 +1,343 @@
+package graph
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"runtime/debug"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// A filter is indexed by absolute vertex ID, as the engine's frontier bitmaps
+// are, so one that reaches the top of the ID space spans 512 MiB. The tests
+// share a single such slice — allocated on first need, never written outside
+// the few words a case sets and clears again, so almost none of it is ever
+// resident — and use small private slices for everything below wideFrom.
+const wideFrom = 1 << 22
+
+var (
+	wideOnce   sync.Once
+	wideFilter []uint64
+	wideMu     sync.Mutex
+)
+
+// withFilter calls f with a filter holding exactly srcs.
+func withFilter(srcs []VertexID, f func(filter []uint64)) {
+	top := VertexID(0)
+	for _, s := range srcs {
+		top = max(top, s)
+	}
+	var filter []uint64
+	if top < wideFrom {
+		filter = make([]uint64, top>>6+1)
+	} else {
+		wideOnce.Do(func() { wideFilter = make([]uint64, 1<<26) })
+		wideMu.Lock()
+		defer wideMu.Unlock()
+		filter = wideFilter
+	}
+	fill := func(set bool) {
+		for _, s := range srcs {
+			filter[s>>6] &^= 1 << (s & 63)
+			if set {
+				filter[s>>6] |= 1 << (s & 63)
+			}
+		}
+	}
+	fill(true)
+	defer fill(false)
+	f(filter)
+}
+
+// viewLen is the edge count a view's directory records.
+func viewLen(v *RunView) int {
+	if len(v.runs) == 0 {
+		return 0
+	}
+	return int(v.runs[len(v.runs)-1].Rec)
+}
+
+// filtered is the reference for AppendActive: the edges of a full decode whose
+// source's bit is set in filter, the way every scatter kernel tests it.
+func filtered(edges []Edge, filter []uint64) []Edge {
+	var out []Edge
+	for _, e := range edges {
+		if w := int(e.Src >> 6); w < len(filter) && filter[w]&(1<<(e.Src&63)) != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// checkViewAgainstBlock holds a run view of data to the full decoder. A view
+// Scan declines is a fallback to that decoder and always allowed; one it
+// builds must give, under a filter of all its sources, the full decoder's
+// verdict and edges, and under every other filter (a list of sources each)
+// either an error the full decoder gives too or exactly the filtered edges —
+// behind an untouched prefix either way.
+func checkViewAgainstBlock(t testing.TB, v *RunView, data []byte, srcBase, dstBase VertexID, weighted bool, filters ...[]VertexID) (viewed bool) {
+	t.Helper()
+	full, fullErr := AppendDeltaBlock(nil, data, srcBase, dstBase, weighted)
+	if !v.Scan(data, srcBase, dstBase, weighted) {
+		if got, err := v.AppendActive(nil, []uint64{^uint64(0)}); viewLen(v) != 0 || err != nil || len(got) != 0 {
+			t.Fatalf("declined view holds %d edges, decodes %d, %v", viewLen(v), len(got), err)
+		}
+		return false
+	}
+	// A run costs the payload at least three bytes (two header varints and a
+	// gap), so no count the scan had not checked sized the directory.
+	if len(v.runs) > len(data)/3+1 {
+		t.Fatalf("directory of %d spans over %d payload bytes", len(v.runs), len(data))
+	}
+	if !slices.IsSortedFunc(v.runs[:len(v.runs)-1], func(a, b runSpan) int {
+		if a.Src < b.Src {
+			return -1
+		}
+		return 1 // equal sources are out of order too
+	}) {
+		t.Fatalf("directory sources do not strictly ascend")
+	}
+	prefix := []Edge{{Src: 3, Dst: 4, Weight: 5}}
+	check := func(filter []uint64, whole bool) {
+		got, err := v.AppendActive(slices.Clone(prefix), filter)
+		switch {
+		case err != nil && fullErr == nil:
+			t.Fatalf("view decode: %v, full decoder accepts", err)
+		case err == nil && fullErr != nil && whole:
+			t.Fatalf("view decode of every run accepts, full decoder: %v", fullErr)
+		case err != nil:
+			if !sameEdgeBits(got, prefix) {
+				t.Fatalf("failed view decode returned %d edges, want the prefix back", len(got))
+			}
+		case fullErr == nil:
+			want := filtered(full, filter)
+			if !sameEdgeBits(got[:1], prefix) || !sameEdgeBits(got[1:], want) {
+				t.Fatalf("view gives %d edges, the filtered full decode %d", len(got)-1, len(want))
+			}
+		}
+		// err == nil && fullErr != nil under a partial filter: the damage
+		// sits in a run the filter leaves alone.
+	}
+	var every []VertexID
+	for _, r := range v.runs[:len(v.runs)-1] {
+		every = append(every, r.Src)
+	}
+	withFilter(every, func(f []uint64) { check(f, true) })
+	if fullErr == nil && viewLen(v) != len(full) {
+		t.Fatalf("view reports %d edges, full decoder %d", viewLen(v), len(full))
+	}
+	for _, srcs := range filters {
+		withFilter(srcs, func(f []uint64) { check(f, false) })
+	}
+	return true
+}
+
+// cellSources lists the distinct sources of edges in order of appearance.
+func cellSources(edges []Edge) []VertexID {
+	var srcs []VertexID
+	seen := make(map[VertexID]bool)
+	for _, e := range edges {
+		if !seen[e.Src] {
+			seen[e.Src] = true
+			srcs = append(srcs, e.Src)
+		}
+	}
+	return srcs
+}
+
+// cellFilters draws the source sets the differential tests hold a cell's view
+// to: none, about 1% of its sources, all of them, everything below a 64-bit
+// word boundary inside the cell, everything from it on, the two IDs either
+// side of it, and an ID past the cell's last source.
+func cellFilters(rng *rand.Rand, edges []Edge) [][]VertexID {
+	srcs := cellSources(edges)
+	lo, hi := slices.Min(srcs), slices.Max(srcs)
+	sparse := []VertexID{srcs[rng.Intn(len(srcs))]}
+	for _, s := range srcs {
+		if rng.Intn(100) == 0 {
+			sparse = append(sparse, s)
+		}
+	}
+	boundary := max((lo+(hi-lo)/2)&^63, 1)
+	var below, above []VertexID
+	for _, s := range srcs {
+		if s < boundary {
+			below = append(below, s)
+		} else {
+			above = append(above, s)
+		}
+	}
+	return [][]VertexID{nil, sparse, srcs, below, above, {boundary - 1, boundary}, {min(hi, math.MaxUint32-1) + 1}}
+}
+
+func TestRunViewMatchesFilteredBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var v RunView // one view across every cell, as a pool hands it out
+	for _, bases := range [][2]VertexID{{0, 0}, {100, 300}, {math.MaxUint32 - 1<<14, math.MaxUint32 - 64}, {math.MaxUint32, math.MaxUint32}} {
+		for _, maxRun := range []int{1, 8, 4096} {
+			for gapBytes := 1; gapBytes <= 5; gapBytes++ {
+				for _, sorted := range []bool{true, false} {
+					for _, weighted := range []bool{false, true} {
+						runs := 1 + rng.Intn(200)
+						if maxRun > 8 {
+							runs = 1 + rng.Intn(12) // long runs: enough edges already
+						}
+						edges := genDeltaCell(rng, runs, maxRun, gapBytes, sorted, weighted, bases[0], bases[1])
+						data := EncodeDeltaBlock(nil, edges, bases[0], bases[1], weighted)
+						viewed := checkViewAgainstBlock(t, &v, data, bases[0], bases[1], weighted, cellFilters(rng, edges)...)
+						// The encoder folds consecutive equal sources into one
+						// run, so a sorted cell's runs strictly ascend.
+						if sorted && !viewed {
+							t.Fatalf("bases %v maxRun %d gapBytes %d weighted %t: a cell with ascending sources got no view", bases, maxRun, gapBytes, weighted)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRunViewStopsAtTheFilter: a frontier bitmap is sized by the vertex count,
+// but the view must not read past whatever it is handed — sources beyond the
+// filter count as inactive.
+func TestRunViewStopsAtTheFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	edges := genDeltaCell(rng, 300, 4, 2, true, true, 64, 0)
+	data := EncodeDeltaBlock(nil, edges, 64, 0, true)
+	var v RunView
+	if !v.Scan(data, 64, 0, true) {
+		t.Fatal("no view")
+	}
+	withFilter(cellSources(edges), func(all []uint64) {
+		for n := 0; n <= len(all); n++ {
+			got, err := v.AppendActive(nil, all[:n])
+			if want := filtered(edges, all[:n]); err != nil || !sameEdgeBits(got, want) {
+				t.Fatalf("filter of %d words: %d edges, %v; want %d", n, len(got), err, len(want))
+			}
+		}
+	})
+}
+
+// TestRunViewFallsBackOnUnorderedSources: a block the full decoder accepts but
+// whose runs do not ascend — descending, or one source split over two runs —
+// is declined, not failed, and so is a run of length zero.
+func TestRunViewFallsBackOnUnorderedSources(t *testing.T) {
+	run := func(b []byte, srcRel, runLen uint64, gaps ...int64) []byte {
+		b = binary.AppendUvarint(b, srcRel)
+		b = binary.AppendUvarint(b, runLen)
+		for _, g := range gaps {
+			b = binary.AppendVarint(b, g)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"descending", EncodeDeltaBlock(nil, []Edge{{Src: 9, Dst: 1}, {Src: 4, Dst: 2}}, 0, 0, false)},
+		{"split source", run(run(binary.AppendUvarint(nil, 2), 5, 1, 7), 5, 1, 8)},
+		{"empty run", run(run(binary.AppendUvarint(nil, 1), 2, 0), 5, 1, 8)},
+	} {
+		if _, err := AppendDeltaBlock(nil, c.data, 0, 0, false); err != nil {
+			t.Fatalf("%s: full decoder rejects: %v", c.name, err)
+		}
+		var v RunView
+		if v.Scan(c.data, 0, 0, false) {
+			t.Errorf("%s: viewed", c.name)
+		}
+	}
+}
+
+// TestRunViewMalformedMatchesBlock cuts a block at every offset and damages
+// every byte of it three ways: each result is viewed with the full decoder's
+// verdict or declined, never a panic.
+func TestRunViewMalformedMatchesBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	var v RunView
+	for _, weighted := range []bool{false, true} {
+		for _, sorted := range []bool{true, false} {
+			edges := genDeltaCell(rng, 12, 6, 4, sorted, weighted, 100, 300)
+			data := EncodeDeltaBlock(nil, edges, 100, 300, weighted)
+			filters := cellFilters(rng, edges)
+			for cut := 0; cut < len(data); cut++ {
+				checkViewAgainstBlock(t, &v, data[:cut], 100, 300, weighted, filters...)
+			}
+			for at := range data {
+				for _, flip := range []byte{0x01, 0x80, 0xff} {
+					bad := slices.Clone(data)
+					bad[at] ^= flip
+					checkViewAgainstBlock(t, &v, bad, 100, 300, weighted, filters...)
+					// Near the top of the ID space the same damage also
+					// overflows sources and destinations.
+					checkViewAgainstBlock(t, &v, bad, math.MaxUint32-200, math.MaxUint32-400, weighted)
+				}
+			}
+		}
+	}
+	// What damage rarely produces, the checks the scan defers among them.
+	block := func(n, srcRel, runLen uint64, gaps ...int64) []byte {
+		b := binary.AppendUvarint(nil, n)
+		b = binary.AppendUvarint(b, srcRel)
+		b = binary.AppendUvarint(b, runLen)
+		for _, g := range gaps {
+			b = binary.AppendVarint(b, g)
+		}
+		return b
+	}
+	elevenByteGap := append(block(1, 0, 1), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00)
+	for _, c := range []struct {
+		name             string
+		srcBase, dstBase VertexID
+		data             []byte
+	}{
+		{"source past uint32", math.MaxUint32, 0, block(1, 1, 1, 0)},
+		{"source wraps uint64", 5, 0, block(1, math.MaxUint64-4, 1, 0)},
+		{"destination past uint32", 0, math.MaxUint32, block(1, 0, 1, 1)},
+		{"destination below zero", 0, 0, block(1, 0, 1, -1)},
+		{"gap wraps int64", 0, 1, block(1, 0, 1, math.MaxInt64)},
+		{"gap of eleven bytes", 0, 0, elevenByteGap},
+		{"run longer than the header count", 0, 0, block(1, 0, 2, 0, 0)},
+		{"runs shorter than the header count", 0, 0, block(3, 0, 2, 0, 0)},
+		{"run longer than the bytes left", 0, 0, block(4, 0, 4, 0)},
+		{"count past the payload", 0, 0, block(1<<40, 0, 1, 0)},
+	} {
+		if _, err := AppendDeltaBlock(nil, c.data, c.srcBase, c.dstBase, false); err == nil {
+			t.Fatalf("%s: full decoder accepts", c.name)
+		}
+		checkViewAgainstBlock(t, &v, c.data, c.srcBase, c.dstBase, false)
+	}
+}
+
+// TestRunViewReusesItsMemory pins the pooled cost: a view that has seen a
+// block of this shape scans the next one, and decodes its active runs into a
+// scratch slice that has held as many, without allocating.
+func TestRunViewReusesItsMemory(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(5))
+	for _, weighted := range []bool{false, true} {
+		edges := genDeltaCell(rng, 2000, 16, 2, true, weighted, 0, 0)
+		data := EncodeDeltaBlock(nil, edges, 0, 0, weighted)
+		withFilter(cellFilters(rng, edges)[1], func(filter []uint64) {
+			var v RunView
+			var scratch []Edge
+			step := func() {
+				if !v.Scan(data, 0, 0, weighted) {
+					t.Fatal("no view")
+				}
+				var err error
+				if scratch, err = v.AppendActive(scratch[:0], filter); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step()
+			if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+				t.Errorf("weighted=%t: %v allocations per scan + active decode, want 0", weighted, allocs)
+			}
+			if want := filtered(edges, filter); len(want) == 0 || !sameEdgeBits(scratch, want) {
+				t.Errorf("weighted=%t: %d active edges, want %d", weighted, len(scratch), len(want))
+			}
+		})
+	}
+}

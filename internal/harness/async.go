@@ -141,9 +141,16 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		base, err := core.Run(l, wl.alg.New(wl.source), core.Options{DefaultBuffer: true})
+		// BSP needs one iteration per hop, and the road chain is as long as
+		// the graph: the programs' own bound (1 000 for the traversals) stops
+		// short of the fixed point at full scale. No run needs more than one
+		// iteration per vertex.
+		base, err := core.Run(l, wl.alg.New(wl.source), core.Options{DefaultBuffer: true, MaxIterations: l.Meta.NumVertices})
 		if err != nil {
 			return err
+		}
+		if !base.Converged {
+			return fmt.Errorf("harness: BSP %s did not converge in %d iterations, so there is no fixed point to hold async to", wl.alg.Name, base.Iterations)
 		}
 		async, err := core.Run(l, wl.alg.New(wl.source), core.Options{Async: true, DefaultBuffer: true})
 		if err != nil {

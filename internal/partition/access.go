@@ -96,6 +96,16 @@ func (l *Layout) readBlockVerified(i, j int, buf []byte) ([]byte, error) {
 // interval bases of (i, j). Empty sub-blocks return a nil payload and no
 // I/O.
 func (l *Layout) LoadSubBlockPayload(i, j int) ([]byte, error) {
+	return l.LoadSubBlockPayloadInto(i, j, nil)
+}
+
+// LoadSubBlockPayloadInto is LoadSubBlockPayload reading the block through
+// buf, grown only when too small. On a delta layout with no overlay on the
+// block the result is buf's memory holding the verified on-disk bytes, the
+// caller's to reuse once it is done with the payload; a merged or transcoded
+// payload is freshly allocated. Whoever decodes the payload reports the time
+// through AddDecodeTime.
+func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
 	if l.Meta.SubBlockEdges(i, j) == 0 {
 		return nil, nil
 	}
@@ -117,7 +127,7 @@ func (l *Layout) LoadSubBlockPayload(i, j int) ([]byte, error) {
 		l.noteDecode(t0)
 		return payload, nil
 	}
-	buf, err := l.readBlockVerified(i, j, nil)
+	buf, err := l.readBlockVerified(i, j, buf)
 	if err != nil {
 		return nil, err
 	}

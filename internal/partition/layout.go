@@ -143,7 +143,12 @@ type Layout struct {
 }
 
 // noteDecode charges decode wall time since t0.
-func (l *Layout) noteDecode(t0 time.Time) { l.decodeNanos.Add(time.Since(t0).Nanoseconds()) }
+func (l *Layout) noteDecode(t0 time.Time) { l.AddDecodeTime(time.Since(t0)) }
+
+// AddDecodeTime charges d of decode work done outside this package on a
+// payload LoadSubBlockPayloadInto handed out, so that DecodeTime covers a
+// block's decode wherever it ran.
+func (l *Layout) AddDecodeTime(d time.Duration) { l.decodeNanos.Add(d.Nanoseconds()) }
 
 // DecodeTime returns the cumulative payload decode time of this layout.
 // With pipelined prefetch the decodes run on fetch workers, so this can
