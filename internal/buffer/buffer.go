@@ -1,13 +1,22 @@
 // Package buffer implements GraphSD's sub-block buffering scheme (paper
-// §4.3): sub-blocks a run will need again are cached in a bounded in-memory
-// buffer. Each cached sub-block carries a priority the engine assigns — how
-// much pending work it holds; when space is needed the lowest-priority
-// resident is evicted, and a candidate whose priority is below every
-// resident's is simply not cached. The engine has two users of it: the FCIU
-// passes keep secondary sub-blocks (the strictly-lower-triangle grid cells
-// the model must read twice), prioritised by active-edge count, and the
-// async row step keeps the blocks of the rows its scheduler ranks highest,
-// prioritised by the row's queue key.
+// §4.3): sub-blocks that will be needed again are kept in a bounded
+// in-memory store. Each resident carries a priority — how much it is worth
+// keeping; when space is needed the lowest-priority resident is evicted, and a
+// candidate whose priority is below every resident's is simply not cached.
+//
+// There is one store and two doors to it, which differ in who supplies the
+// priority:
+//
+//   - Buffer, the per-run buffer, takes it from the engine: the FCIU passes
+//     keep secondary sub-blocks (the strictly-lower-triangle grid cells the
+//     model must read twice) prioritised by active-edge count, and the async
+//     row step keeps the blocks of the rows its scheduler ranks highest,
+//     prioritised by the row's queue key.
+//   - Shared, the cross-job cache, has no single frontier to rank blocks by,
+//     so it feeds in a clock: a resident's priority is the tick of its last
+//     use. A block just loaded holds the newest tick, so it is never turned
+//     away, and the lowest-priority resident is the least recently used one —
+//     the paper's rule with recency as the priority is LRU.
 package buffer
 
 import (
@@ -35,6 +44,92 @@ func (k Key) String() string {
 	return fmt.Sprintf("(%d,%d)", k.I, k.J)
 }
 
+// Block is a resident sub-block in the form it was offered in: decoded Edges,
+// or — the semi-external-memory compressed tier — the delta-coded Payload,
+// which holds 2–5× more graph per RAM byte and which whoever is handed the
+// block decodes, in its own goroutine. At most one of the two is set (neither:
+// an empty sub-block). The store never looks inside either and never writes to
+// them: a slice handed out stays valid and unchanged after its entry is
+// evicted, so holders must treat it as read-only.
+type Block struct {
+	Edges   []graph.Edge
+	Payload []byte
+}
+
+// entry is one resident: the block, its capacity charge, what a hit on it is
+// credited with saving, and its rank.
+type entry struct {
+	blk      Block
+	size     int64
+	saved    int64
+	priority int64
+	seq      int64 // insertion order, the tie-break among equal priorities
+}
+
+// store is the bounded priority store under both doors. It is not safe for
+// concurrent use: Buffer confines it to one goroutine, Shared to its mutex.
+type store struct {
+	capacity int64
+	used     int64
+	seq      int64
+	entries  map[Key]*entry
+
+	insertions, evictions, rejections int64
+}
+
+func newStore(capacity int64) store {
+	return store{capacity: capacity, entries: make(map[Key]*entry)}
+}
+
+// put offers blk under k, charged size bytes of capacity. If k is already
+// resident only its priority is refreshed. To make room, residents with
+// priority strictly below the candidate's are evicted lowest-first; if that
+// cannot free enough space — or the block is larger than the whole store —
+// the candidate is rejected. Reports whether k is resident afterwards.
+func (s *store) put(k Key, blk Block, size, saved, priority int64) bool {
+	if e, ok := s.entries[k]; ok {
+		e.priority = priority
+		return true
+	}
+	if size > s.capacity || size < 0 {
+		s.rejections++
+		return false
+	}
+	for s.used+size > s.capacity {
+		victim, ok := s.lowestPriorityBelow(priority)
+		if !ok {
+			s.rejections++
+			return false
+		}
+		s.used -= s.entries[victim].size
+		delete(s.entries, victim)
+		s.evictions++
+	}
+	s.seq++
+	s.entries[k] = &entry{blk: blk, size: size, saved: saved, priority: priority, seq: s.seq}
+	s.used += size
+	s.insertions++
+	return true
+}
+
+// lowestPriorityBelow returns the resident with the smallest priority
+// strictly below limit, tie-broken by insertion order so that eviction —
+// and therefore every engine run — is fully deterministic.
+func (s *store) lowestPriorityBelow(limit int64) (Key, bool) {
+	var bestKey Key
+	var best *entry
+	for k, e := range s.entries {
+		if e.priority >= limit {
+			continue
+		}
+		if best == nil || e.priority < best.priority ||
+			(e.priority == best.priority && e.seq < best.seq) {
+			best, bestKey = e, k
+		}
+	}
+	return bestKey, best != nil
+}
+
 // Stats counts buffer outcomes for the Figure 12 experiment.
 type Stats struct {
 	Hits       int64
@@ -60,34 +155,7 @@ func (s Stats) Add(o Stats) Stats {
 	}
 }
 
-// Policy selects the eviction discipline.
-type Policy int
-
-const (
-	// PriorityPolicy evicts the resident with the fewest active edges, the
-	// paper's scheme (§4.3).
-	PriorityPolicy Policy = iota
-	// FIFOPolicy evicts the oldest resident regardless of priority — the
-	// naive alternative the paper argues against; kept for the
-	// buffer-policy ablation experiment.
-	FIFOPolicy
-)
-
-type entry struct {
-	// Exactly one of edges/payload is set: decoded entries hold edges,
-	// compressed-tier entries hold the delta-coded payload instead.
-	edges   []graph.Edge
-	payload []byte
-	// size is the capacity charge (decoded bytes for edge entries, encoded
-	// bytes for payload entries); saved is the device volume a hit avoids
-	// (the sub-block's on-disk size in either tier).
-	size     int64
-	saved    int64
-	priority int64
-	seq      int64 // insertion order, for FIFO
-}
-
-// Buffer is a bounded priority cache of decoded sub-blocks.
+// Buffer is the per-run door: the bare store plus hit/miss accounting.
 //
 // Concurrency contract: Buffer is single-writer, zero-reader — it must only
 // be accessed from one goroutine at a time, with no concurrent readers. In
@@ -98,208 +166,85 @@ type entry struct {
 // goroutines — such as the job server deduplicating sub-block loads between
 // concurrent engines — must use the mutex-guarded Shared type instead.
 type Buffer struct {
-	capacity int64
-	used     int64
-	policy   Policy
-	seq      int64
-	entries  map[Key]*entry
-	stats    Stats
+	st                       store
+	hits, misses, bytesSaved int64
 }
 
-// New returns a buffer holding at most capacity bytes of sub-block payload
-// under the paper's priority eviction scheme. A zero or negative capacity
-// yields a buffer that caches nothing, which is how the "buffering
-// disabled" ablation is expressed.
-func New(capacity int64) *Buffer {
-	return NewWithPolicy(capacity, PriorityPolicy)
-}
-
-// NewWithPolicy returns a buffer with an explicit eviction policy.
-func NewWithPolicy(capacity int64, policy Policy) *Buffer {
-	return &Buffer{capacity: capacity, policy: policy, entries: make(map[Key]*entry)}
-}
+// New returns a buffer holding at most capacity bytes of sub-blocks. A zero
+// or negative capacity yields a buffer that caches nothing, which is how the
+// "buffering disabled" ablation is expressed.
+func New(capacity int64) *Buffer { return &Buffer{st: newStore(capacity)} }
 
 // Capacity returns the configured byte capacity.
-func (b *Buffer) Capacity() int64 { return b.capacity }
+func (b *Buffer) Capacity() int64 { return b.st.capacity }
 
 // Used returns the bytes currently cached.
-func (b *Buffer) Used() int64 { return b.used }
+func (b *Buffer) Used() int64 { return b.st.used }
 
 // Len returns the number of cached sub-blocks.
-func (b *Buffer) Len() int { return len(b.entries) }
+func (b *Buffer) Len() int { return len(b.st.entries) }
 
 // Stats returns the accumulated outcome counters.
-func (b *Buffer) Stats() Stats { return b.stats }
-
-// Get returns the cached edges for k, if resident as a decoded entry. A
-// hit records the avoided I/O volume in the stats. Payload entries miss:
-// callers on the decoded path cannot use them (use GetEntry instead).
-func (b *Buffer) Get(k Key) ([]graph.Edge, bool) {
-	e, ok := b.entries[k]
-	if !ok || e.payload != nil {
-		b.stats.Misses++
-		return nil, false
+func (b *Buffer) Stats() Stats {
+	return Stats{
+		Hits: b.hits, Misses: b.misses, BytesSaved: b.bytesSaved,
+		Insertions: b.st.insertions, Evictions: b.st.evictions, Rejections: b.st.rejections,
 	}
-	b.stats.Hits++
-	b.stats.BytesSaved += e.saved
-	return e.edges, true
 }
 
-// GetEntry returns whichever form sub-block k is resident in — decoded
-// edges or a delta-coded payload (exactly one is non-nil on a hit). Hit and
-// saved-bytes accounting matches Get.
-func (b *Buffer) GetEntry(k Key) (edges []graph.Edge, payload []byte, ok bool) {
-	e, found := b.entries[k]
-	if !found {
-		b.stats.Misses++
-		return nil, nil, false
+// Get returns sub-block k in whichever form it is resident. A hit records the
+// device volume it avoided in the stats.
+func (b *Buffer) Get(k Key) (Block, bool) {
+	e, ok := b.st.entries[k]
+	if !ok {
+		b.misses++
+		return Block{}, false
 	}
-	b.stats.Hits++
-	b.stats.BytesSaved += e.saved
-	return e.edges, e.payload, true
+	b.hits++
+	b.bytesSaved += e.saved
+	return e.blk, true
 }
 
-// Peek returns the cached edges for k without touching the hit/miss
-// counters. Used by the engine to recompute priorities after an iteration.
-// Payload entries return (nil, false) like Get; use PeekEntry to see both
-// forms.
-func (b *Buffer) Peek(k Key) ([]graph.Edge, bool) {
-	e, ok := b.entries[k]
-	if !ok || e.payload != nil {
-		return nil, false
+// Peek is Get without touching the hit/miss counters.
+func (b *Buffer) Peek(k Key) (Block, bool) {
+	e, ok := b.st.entries[k]
+	if !ok {
+		return Block{}, false
 	}
-	return e.edges, true
-}
-
-// PeekEntry returns sub-block k in whichever form it is resident, without
-// touching the hit/miss counters.
-func (b *Buffer) PeekEntry(k Key) (edges []graph.Edge, payload []byte, ok bool) {
-	e, found := b.entries[k]
-	if !found {
-		return nil, nil, false
-	}
-	return e.edges, e.payload, true
-}
-
-// Keys returns the keys of all resident sub-blocks in unspecified order.
-func (b *Buffer) Keys() []Key {
-	out := make([]Key, 0, len(b.entries))
-	for k := range b.entries {
-		out = append(out, k)
-	}
-	return out
+	return e.blk, true
 }
 
 // Contains reports residency without touching the hit/miss counters.
 func (b *Buffer) Contains(k Key) bool {
-	_, ok := b.entries[k]
+	_, ok := b.st.entries[k]
 	return ok
 }
 
-// Put offers sub-block k to the buffer as decoded edges: size is the capacity
-// charge (the decoded bytes the edges occupy), saved the on-disk bytes a
-// future hit avoids reading — the two differ on compressed layouts. If k is
-// already resident only its priority is refreshed. To make room, resident
-// sub-blocks with priority strictly below the candidate's are evicted
-// lowest-first; if that cannot free enough space the candidate is rejected.
-// Returns whether the sub-block is resident afterwards.
-func (b *Buffer) Put(k Key, edges []graph.Edge, size, saved int64, priority int64) bool {
-	return b.put(k, &entry{edges: edges, size: size, saved: saved, priority: priority})
+// Put offers sub-block k to the buffer at the given priority, under the
+// store's admission rule (see store.put). Decoded edges are charged decoded —
+// the bytes they occupy — and a payload its own length; saved is the on-disk
+// bytes a future hit avoids reading, which differs from both on compressed
+// layouts. Returns whether the sub-block is resident afterwards.
+func (b *Buffer) Put(k Key, blk Block, decoded, saved, priority int64) bool {
+	size := decoded
+	if blk.Payload != nil {
+		size = int64(len(blk.Payload))
+	}
+	return b.st.put(k, blk, size, saved, priority)
 }
 
-// PutBytes offers sub-block k to the buffer as a delta-coded payload — the
-// semi-external-memory compressed tier. Capacity is charged by the encoded
-// size (len(payload)); saved is, as for Put, the on-disk bytes a future hit
-// avoids reading. Admission and eviction follow Put exactly.
-func (b *Buffer) PutBytes(k Key, payload []byte, saved int64, priority int64) bool {
-	return b.put(k, &entry{payload: payload, size: int64(len(payload)), saved: saved, priority: priority})
-}
-
-func (b *Buffer) put(k Key, cand *entry) bool {
-	if e, ok := b.entries[k]; ok {
-		e.priority = cand.priority
-		return true
-	}
-	if cand.size > b.capacity || cand.size < 0 {
-		b.stats.Rejections++
-		return false
-	}
-	for b.used+cand.size > b.capacity {
-		victim, ok := b.pickVictim(cand.priority)
-		if !ok {
-			b.stats.Rejections++
-			return false
-		}
-		b.evict(victim)
-	}
-	b.seq++
-	cand.seq = b.seq
-	b.entries[k] = cand
-	b.used += cand.size
-	b.stats.Insertions++
-	return true
-}
-
-// pickVictim selects an evictable resident: the lowest-priority one with
-// priority strictly below the candidate's under PriorityPolicy, or the
-// oldest resident under FIFOPolicy.
-func (b *Buffer) pickVictim(limit int64) (Key, bool) {
-	if b.policy == FIFOPolicy {
-		var bestKey Key
-		var best *entry
-		for k, e := range b.entries {
-			if best == nil || e.seq < best.seq {
-				best, bestKey = e, k
-			}
-		}
-		return bestKey, best != nil
-	}
-	return b.lowestPriorityBelow(limit)
-}
-
-// UpdatePriority sets the priority of k if resident, as the paper requires
-// after a secondary sub-block is processed in FCIU's first iteration.
+// UpdatePriority sets the priority of k if resident.
 func (b *Buffer) UpdatePriority(k Key, priority int64) {
-	if e, ok := b.entries[k]; ok {
+	if e, ok := b.st.entries[k]; ok {
 		e.priority = priority
 	}
 }
 
-// Remove drops k from the buffer if resident.
-func (b *Buffer) Remove(k Key) {
-	if e, ok := b.entries[k]; ok {
-		b.used -= e.size
-		delete(b.entries, k)
+// Reprioritize sets every resident's priority to rank of it, as the paper
+// requires once FCIU's first iteration has processed the secondary sub-blocks.
+// rank sees each resident once, in unspecified order.
+func (b *Buffer) Reprioritize(rank func(Key, Block) int64) {
+	for k, e := range b.st.entries {
+		e.priority = rank(k, e.blk)
 	}
-}
-
-// Clear empties the buffer, keeping the statistics.
-func (b *Buffer) Clear() {
-	b.entries = make(map[Key]*entry)
-	b.used = 0
-}
-
-// lowestPriorityBelow returns the resident with the smallest priority
-// strictly below limit, tie-broken by insertion order so that eviction —
-// and therefore every engine run — is fully deterministic.
-func (b *Buffer) lowestPriorityBelow(limit int64) (Key, bool) {
-	var bestKey Key
-	var best *entry
-	for k, e := range b.entries {
-		if e.priority >= limit {
-			continue
-		}
-		if best == nil || e.priority < best.priority ||
-			(e.priority == best.priority && e.seq < best.seq) {
-			best, bestKey = e, k
-		}
-	}
-	return bestKey, best != nil
-}
-
-func (b *Buffer) evict(k Key) {
-	e := b.entries[k]
-	b.used -= e.size
-	delete(b.entries, k)
-	b.stats.Evictions++
 }

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -29,11 +30,11 @@ func TestEmptyBufferMisses(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	b := New(1000)
 	e := edges(5)
-	if !b.Put(Key{I: 1, J: 2}, e, 40, 40, 10) {
+	if !b.Put(Key{I: 1, J: 2}, Block{Edges: e}, 40, 40, 10) {
 		t.Fatal("Put rejected with ample space")
 	}
 	got, ok := b.Get(Key{I: 1, J: 2})
-	if !ok || len(got) != 5 {
+	if !ok || len(got.Edges) != 5 {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	s := b.Stats()
@@ -47,7 +48,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestZeroCapacityCachesNothing(t *testing.T) {
 	b := New(0)
-	if b.Put(Key{I: 0, J: 0}, edges(1), 8, 8, 100) {
+	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 8, 8, 100) {
 		t.Fatal("zero-capacity buffer accepted an entry")
 	}
 	if b.Stats().Rejections != 1 {
@@ -57,20 +58,20 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 
 func TestOversizeRejected(t *testing.T) {
 	b := New(100)
-	if b.Put(Key{I: 0, J: 0}, edges(20), 160, 160, 1) {
+	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(20)}, 160, 160, 1) {
 		t.Fatal("oversize entry accepted")
 	}
-	if b.Put(Key{I: 0, J: 0}, nil, -1, -1, 1) {
+	if b.Put(Key{I: 0, J: 0}, Block{}, -1, -1, 1) {
 		t.Fatal("negative size accepted")
 	}
 }
 
 func TestEvictsLowestPriority(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 5)  // low priority
-	b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 50) // high priority
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)  // low priority
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50) // high priority
 	// Needs 40 bytes; must evict (0,0), not (1,0).
-	if !b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 20) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 20) {
 		t.Fatal("insertion with evictable victim rejected")
 	}
 	if b.Contains(Key{I: 0, J: 0}) {
@@ -86,27 +87,27 @@ func TestEvictsLowestPriority(t *testing.T) {
 
 func TestRejectsWhenAllResidentsHigherPriority(t *testing.T) {
 	b := New(80)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 100)
-	b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 90)
-	if b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 10) {
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90)
+	if b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10) {
 		t.Fatal("low-priority candidate displaced higher-priority residents")
 	}
 	if !b.Contains(Key{I: 0, J: 0}) || !b.Contains(Key{I: 1, J: 0}) {
 		t.Fatal("residents were disturbed")
 	}
 	// Equal priority must not displace either (strict inequality).
-	if b.Put(Key{I: 3, J: 0}, edges(1), 40, 40, 90) {
+	if b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 90) {
 		t.Fatal("equal-priority candidate displaced a resident")
 	}
 }
 
 func TestEvictsMultipleVictims(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, edges(1), 30, 30, 1)
-	b.Put(Key{I: 1, J: 0}, edges(1), 30, 30, 2)
-	b.Put(Key{I: 2, J: 0}, edges(1), 30, 30, 3)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 30, 30, 1)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 30, 30, 2)
+	b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 30, 30, 3)
 	// 90 bytes used; an 80-byte candidate at priority 10 must evict all three.
-	if !b.Put(Key{I: 3, J: 0}, edges(1), 80, 80, 10) {
+	if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 80, 80, 10) {
 		t.Fatal("multi-victim insertion rejected")
 	}
 	if b.Len() != 1 || b.Used() != 80 {
@@ -119,17 +120,17 @@ func TestEvictsMultipleVictims(t *testing.T) {
 
 func TestPutExistingRefreshesPriority(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 1)
-	b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 50)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 1)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50)
 	// Refresh (0,0) to a high priority; no new insertion recorded.
-	if !b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 60) {
+	if !b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 60) {
 		t.Fatal("refresh rejected")
 	}
 	if b.Stats().Insertions != 2 {
 		t.Fatalf("insertions = %d", b.Stats().Insertions)
 	}
 	// Now (1,0) is the lowest priority and must be the victim.
-	if !b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 55) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 55) {
 		t.Fatal("insertion rejected")
 	}
 	if b.Contains(Key{I: 1, J: 0}) || !b.Contains(Key{I: 0, J: 0}) {
@@ -139,11 +140,11 @@ func TestPutExistingRefreshesPriority(t *testing.T) {
 
 func TestUpdatePriority(t *testing.T) {
 	b := New(80)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 100)
-	b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 90)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90)
 	b.UpdatePriority(Key{I: 0, J: 0}, 1)
 	// (0,0) now evictable by a priority-10 candidate.
-	if !b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 10) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10) {
 		t.Fatal("insertion after priority downgrade rejected")
 	}
 	if b.Contains(Key{I: 0, J: 0}) {
@@ -153,66 +154,20 @@ func TestUpdatePriority(t *testing.T) {
 	b.UpdatePriority(Key{I: 9, J: 9}, 5)
 }
 
-func TestRemoveAndClear(t *testing.T) {
-	b := New(100)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 1)
-	b.Remove(Key{I: 0, J: 0})
-	if b.Contains(Key{I: 0, J: 0}) || b.Used() != 0 {
-		t.Fatal("Remove failed")
-	}
-	b.Remove(Key{I: 0, J: 0}) // absent: no-op
-	b.Put(Key{I: 1, J: 1}, edges(1), 40, 40, 1)
-	b.Clear()
-	if b.Len() != 0 || b.Used() != 0 {
-		t.Fatal("Clear failed")
-	}
-	if b.Stats().Insertions != 2 {
-		t.Fatal("Clear dropped stats")
-	}
-}
-
 func TestPriorityTiesBreakByInsertionOrder(t *testing.T) {
 	// Equal priorities: the earliest-inserted entry must be the victim,
 	// deterministically, regardless of map iteration order.
 	for trial := 0; trial < 20; trial++ {
 		b := New(120)
-		b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 5)
-		b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 5)
-		b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 5)
-		if !b.Put(Key{I: 3, J: 0}, edges(1), 40, 40, 9) {
+		b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
+		b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
+		b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
+		if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 9) {
 			t.Fatal("insertion rejected")
 		}
 		if b.Contains(Key{I: 0, J: 0}) || !b.Contains(Key{I: 1, J: 0}) || !b.Contains(Key{I: 2, J: 0}) {
 			t.Fatalf("trial %d: wrong victim among ties", trial)
 		}
-	}
-}
-
-func TestFIFOPolicyEvictsOldest(t *testing.T) {
-	b := NewWithPolicy(80, FIFOPolicy)
-	b.Put(Key{I: 0, J: 0}, edges(1), 40, 40, 1000) // oldest, highest priority
-	b.Put(Key{I: 1, J: 0}, edges(1), 40, 40, 1)
-	// FIFO ignores priority: (0,0) goes first despite priority 1000.
-	if !b.Put(Key{I: 2, J: 0}, edges(1), 40, 40, 5) {
-		t.Fatal("FIFO insertion rejected")
-	}
-	if b.Contains(Key{I: 0, J: 0}) {
-		t.Fatal("FIFO kept the oldest entry")
-	}
-	if !b.Contains(Key{I: 1, J: 0}) || !b.Contains(Key{I: 2, J: 0}) {
-		t.Fatal("FIFO evicted the wrong entry")
-	}
-}
-
-func TestFIFONeverRejectsFittingEntry(t *testing.T) {
-	b := NewWithPolicy(40, FIFOPolicy)
-	for i := 0; i < 10; i++ {
-		if !b.Put(Key{I: i, J: 0}, edges(1), 40, 40, int64(i)) {
-			t.Fatalf("FIFO rejected fitting entry %d", i)
-		}
-	}
-	if b.Len() != 1 {
-		t.Fatalf("FIFO holds %d entries in a one-slot buffer", b.Len())
 	}
 }
 
@@ -224,14 +179,12 @@ func TestPropertyUsedWithinCapacity(t *testing.T) {
 		b := New(capacity)
 		for _, op := range ops {
 			k := Key{I: int(op % 7), J: int(op / 7 % 7)}
-			switch op % 4 {
+			switch op % 3 {
 			case 0:
-				b.Put(k, nil, int64(op%200), int64(op%200), int64(op%13))
+				b.Put(k, Block{}, int64(op%200), int64(op%200), int64(op%13))
 			case 1:
 				b.Get(k)
 			case 2:
-				b.Remove(k)
-			case 3:
 				b.UpdatePriority(k, int64(op%29))
 			}
 			if b.Used() > capacity || b.Used() < 0 {
@@ -245,19 +198,45 @@ func TestPropertyUsedWithinCapacity(t *testing.T) {
 	}
 }
 
-// A hit saves what the device would have moved, not what the entry occupies:
-// the two are given separately and only the first reaches BytesSaved.
-func TestBytesSavedIsTheOnDiskSize(t *testing.T) {
-	b := New(100)
-	if !b.Put(Key{I: 1, J: 0}, edges(5), 60, 20, 1) {
-		t.Fatal("Put rejected with ample space")
-	}
-	if b.Used() != 60 {
-		t.Fatalf("Used = %d, want the decoded 60", b.Used())
-	}
-	b.Get(Key{I: 1, J: 0})
-	b.GetEntry(Key{I: 1, J: 0})
-	if s := b.Stats(); s.Hits != 2 || s.BytesSaved != 40 {
-		t.Fatalf("stats = %+v, want 2 hits saving 2×20 on-disk bytes", s)
+// A Block comes back from the buffer in the form it went in, charged what that
+// form occupies — the decoded bytes for edges, its own length for a payload —
+// while a hit saves what the device would have moved: the on-disk size, given
+// separately, the only one of the three that reaches BytesSaved.
+func TestBlockRoundTripsInEitherForm(t *testing.T) {
+	const decoded, onDisk = 60, 20
+	for _, tc := range []struct {
+		name   string
+		blk    Block
+		charge int64
+	}{
+		{"decoded edges", Block{Edges: edges(5)}, decoded},
+		{"delta payload", Block{Payload: []byte{1, 2, 3, 4}}, 4},
+		{"empty sub-block", Block{}, decoded},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := New(100)
+			k := Key{I: 1, J: 0}
+			if !b.Put(k, tc.blk, decoded, onDisk, 5) {
+				t.Fatal("Put rejected with room to spare")
+			}
+			if b.Used() != tc.charge {
+				t.Fatalf("Used = %d, want %d", b.Used(), tc.charge)
+			}
+			same := func(got Block) bool { return reflect.DeepEqual(got, tc.blk) }
+			if got, ok := b.Peek(k); !ok || !same(got) {
+				t.Fatalf("Peek = (%+v, %t)", got, ok)
+			}
+			if st := b.Stats(); st.Hits != 0 || st.Misses != 0 {
+				t.Fatalf("Peek touched the counters: %+v", st)
+			}
+			for n := 0; n < 2; n++ {
+				if got, ok := b.Get(k); !ok || !same(got) {
+					t.Fatalf("Get = (%+v, %t)", got, ok)
+				}
+			}
+			if st := b.Stats(); st.Hits != 2 || st.BytesSaved != 2*onDisk || st.Insertions != 1 {
+				t.Fatalf("stats = %+v, want 2 hits saving 2×%d on-disk bytes", st, onDisk)
+			}
+		})
 	}
 }

@@ -8,56 +8,17 @@ import (
 	"github.com/graphsd/graphsd/internal/graph"
 )
 
-// The compressed tier: payload entries in the per-run Buffer (PutBytes /
-// GetEntry / PeekEntry) and the Shared compressed mode (NewSharedCompressed /
-// GetOrLoadBytes), plus the Peek aliasing contract under concurrent eviction.
-
-func TestBufferPayloadEntries(t *testing.T) {
-	b := New(100)
-	k := Key{I: 1, J: 0}
-	payload := []byte{1, 2, 3, 4}
-	if !b.PutBytes(k, payload, 40, 5) {
-		t.Fatal("payload rejected with room to spare")
-	}
-	// Capacity is charged at the encoded size, not the decoded size.
-	if b.Used() != int64(len(payload)) {
-		t.Fatalf("used %d, want encoded size %d", b.Used(), len(payload))
-	}
-
-	// The decoded-path accessors must miss: they cannot hand a payload to
-	// a caller expecting edges.
-	if _, ok := b.Get(k); ok {
-		t.Fatal("Get returned a payload entry")
-	}
-	if _, ok := b.Peek(k); ok {
-		t.Fatal("Peek returned a payload entry")
-	}
-
-	// The entry accessors see it, with hit accounting at the saved (on-disk)
-	// size it was put with.
-	gotE, gotP, ok := b.GetEntry(k)
-	if !ok || gotE != nil || string(gotP) != string(payload) {
-		t.Fatalf("GetEntry = (%v, %v, %t)", gotE, gotP, ok)
-	}
-	if st := b.Stats(); st.Hits != 1 || st.BytesSaved != 40 {
-		t.Fatalf("after payload hit: hits=%d saved=%d, want 1/40", st.Hits, st.BytesSaved)
-	}
-	peekE, peekP, ok := b.PeekEntry(k)
-	if !ok || peekE != nil || string(peekP) != string(payload) {
-		t.Fatalf("PeekEntry = (%v, %v, %t)", peekE, peekP, ok)
-	}
-	if st := b.Stats(); st.Hits != 1 {
-		t.Fatal("PeekEntry touched the hit counter")
-	}
-}
+// The compressed tier: payload blocks in the per-run Buffer and the Shared
+// compressed mode (NewSharedCompressed / GetOrLoadBlock), plus the aliasing
+// contract of handed-out slices under concurrent eviction.
 
 func TestBufferPayloadEviction(t *testing.T) {
 	b := New(10)
-	if !b.PutBytes(Key{I: 1, J: 0}, make([]byte, 6), 60, 1) {
+	if !b.Put(Key{I: 1, J: 0}, Block{Payload: make([]byte, 6)}, 600, 60, 1) {
 		t.Fatal("first payload rejected")
 	}
 	// A higher-priority candidate evicts the low-priority payload resident.
-	if !b.PutBytes(Key{I: 2, J: 0}, make([]byte, 8), 80, 9) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 9) {
 		t.Fatal("higher-priority payload rejected")
 	}
 	if b.Contains(Key{I: 1, J: 0}) {
@@ -67,7 +28,7 @@ func TestBufferPayloadEviction(t *testing.T) {
 		t.Fatalf("evictions=%d, want 1", st.Evictions)
 	}
 	// A lower-priority candidate that doesn't fit is rejected.
-	if b.PutBytes(Key{I: 3, J: 0}, make([]byte, 8), 80, 1) {
+	if b.Put(Key{I: 3, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 1) {
 		t.Fatal("low-priority payload displaced a higher-priority resident")
 	}
 }
@@ -84,18 +45,18 @@ func TestSharedCompressedRoundTrip(t *testing.T) {
 	k := Key{I: 0, J: 1}
 	payload := []byte{9, 8, 7}
 	loads := 0
-	load := func() ([]byte, int64, error) {
+	load := func() (Block, int64, error) {
 		loads++
-		return payload, 30, nil
+		return Block{Payload: payload}, 30, nil
 	}
 
-	got, hit, err := s.GetOrLoadBytes(k, load)
-	if err != nil || hit || string(got) != string(payload) {
-		t.Fatalf("cold GetOrLoadBytes = (%v, %t, %v)", got, hit, err)
+	got, hit, err := s.GetOrLoadBlock(k, load)
+	if err != nil || hit || string(got.Payload) != string(payload) || got.Edges != nil {
+		t.Fatalf("cold GetOrLoadBlock = (%v, %t, %v)", got, hit, err)
 	}
-	got, hit, err = s.GetOrLoadBytes(k, load)
-	if err != nil || !hit || string(got) != string(payload) {
-		t.Fatalf("warm GetOrLoadBytes = (%v, %t, %v)", got, hit, err)
+	got, hit, err = s.GetOrLoadBlock(k, load)
+	if err != nil || !hit || string(got.Payload) != string(payload) || got.Edges != nil {
+		t.Fatalf("warm GetOrLoadBlock = (%v, %t, %v)", got, hit, err)
 	}
 	if loads != 1 {
 		t.Fatalf("load ran %d times, want 1", loads)
@@ -118,12 +79,6 @@ func TestSharedCompressedRoundTrip(t *testing.T) {
 	if d := s.Stats().DecodeTime; d != 5*time.Millisecond {
 		t.Fatalf("decode time %v, want 5ms", d)
 	}
-
-	// Peek never exposes payload entries: there are no decoded edges to
-	// alias.
-	if _, ok := s.Peek(k); ok {
-		t.Fatal("Peek returned a compressed entry")
-	}
 }
 
 func TestSharedCompressedDedup(t *testing.T) {
@@ -137,15 +92,15 @@ func TestSharedCompressedDedup(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			p, _, err := s.GetOrLoadBytes(Key{I: 5, J: 5}, func() ([]byte, int64, error) {
+			blk, _, err := s.GetOrLoadBlock(Key{I: 5, J: 5}, func() (Block, int64, error) {
 				loads++ // single flight: only one goroutine runs this
 				<-release
-				return []byte{42}, 10, nil
+				return Block{Payload: []byte{42}}, 10, nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			results[c] = p
+			results[c] = blk.Payload
 		}(c)
 	}
 	// Let the callers pile up on the single flight, then release it.
@@ -167,19 +122,16 @@ func TestSharedCompressedDedup(t *testing.T) {
 	}
 }
 
-// TestSharedPeekSurvivesEviction exercises the documented aliasing contract
-// under the race detector: a slice returned by Peek stays valid and unchanged
-// while concurrent loads evict the entry it came from.
-func TestSharedPeekSurvivesEviction(t *testing.T) {
+// TestSharedSliceSurvivesEviction exercises GetOrLoad's aliasing contract
+// under the race detector: a slice it handed out stays valid and unchanged
+// while concurrent loads evict the entry it came from and load it again.
+func TestSharedSliceSurvivesEviction(t *testing.T) {
 	rec := int64(graph.EdgeBytes)
 	s := NewShared(4 * rec) // room for ~4 single-edge blocks
 	loadOne := func(i, j int) func() ([]graph.Edge, int64, error) {
 		return func() ([]graph.Edge, int64, error) {
 			return []graph.Edge{{Src: graph.VertexID(i), Dst: graph.VertexID(j)}}, rec, nil
 		}
-	}
-	if _, _, err := s.GetOrLoad(Key{I: 0, J: 0}, loadOne(0, 0)); err != nil {
-		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
@@ -195,19 +147,28 @@ func TestSharedPeekSurvivesEviction(t *testing.T) {
 			default:
 			}
 			s.GetOrLoad(Key{I: i % 64, J: 1}, loadOne(i%64, 1))
-			s.GetOrLoad(Key{I: 0, J: 0}, loadOne(0, 0))
 		}
 	}()
-	// Readers: peek and then keep reading the returned slice after the
-	// entry may have been evicted. Any write-after-evict would trip -race.
+	// Readers: take the block and keep reading every slice they were ever
+	// handed, long after its entry may have been evicted. Any write-after-evict
+	// or reuse of a handed-out slice would trip -race or the check.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var held [][]graph.Edge
 			for n := 0; n < 2000; n++ {
-				if edges, ok := s.Peek(Key{I: 0, J: 0}); ok {
-					if edges[0].Src != 0 || edges[0].Dst != 0 {
-						t.Error("peeked slice mutated after eviction")
+				edges, _, err := s.GetOrLoad(Key{I: 0, J: 0}, loadOne(0, 0))
+				if err != nil || len(edges) != 1 {
+					t.Errorf("GetOrLoad: edges=%d err=%v", len(edges), err)
+					return
+				}
+				if len(held) == 0 || &held[len(held)-1][0] != &edges[0] {
+					held = append(held, edges)
+				}
+				for _, h := range held {
+					if h[0].Src != 0 || h[0].Dst != 0 {
+						t.Error("handed-out slice mutated after eviction")
 						return
 					}
 				}
@@ -217,4 +178,7 @@ func TestSharedPeekSurvivesEviction(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 	close(stop)
 	wg.Wait()
+	if st := s.Stats(); st.Evictions == 0 {
+		t.Fatalf("the churn evicted nothing: %+v", st)
+	}
 }

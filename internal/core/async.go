@@ -503,8 +503,9 @@ func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 		}
 		// Peek, not get: the buffer's counters describe whole-block requests,
 		// and what this saves is a few runs of the block, not the block.
-		edges, ok := e.buf.Peek(buffer.Key{I: i, J: j})
-		if !ok {
+		blk, ok := e.buf.Peek(buffer.Key{I: i, J: j})
+		edges := blk.Edges
+		if !ok || blk.Payload != nil {
 			// The frozen frontier holds exactly this row's active vertices.
 			// Each block is applied before the next is read, so one block's
 			// memory serves the whole row.

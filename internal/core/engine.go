@@ -167,8 +167,8 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		newActive:    bitset.NewActiveSet(n),
 		prescattered: bitset.NewActiveSet(n),
 		src:          newBlockSource(layout, opts.SharedBlocks),
+		buf:          buffer.New(bufBytes),
 	}
-	e.buf = buffer.NewWithPolicy(bufBytes, opts.BufferPolicy)
 	if prog.HasAux() {
 		e.aux = make([]float64, n)
 	}

@@ -245,19 +245,12 @@ func (e *Engine) runFCIUFirst() error {
 	// from their row's active fraction instead of being decoded. Either
 	// estimate is clamped to ≥1 while the block bitmap says the block is
 	// live, so sampling can never demote a hot block to dead.
-	for _, k := range e.buf.Keys() {
-		edges, payload, ok := e.buf.PeekEntry(k)
-		if !ok {
-			continue
+	e.buf.Reprioritize(func(k buffer.Key, blk buffer.Block) int64 {
+		if blk.Payload != nil {
+			return e.payloadPriority(k, e.newActive)
 		}
-		var est int64
-		if payload != nil {
-			est = e.payloadPriority(k, e.newActive)
-		} else {
-			est = clampedActiveEdgeEstimate(edges, e.newActive, &e.layout.Meta, k.I)
-		}
-		e.buf.UpdatePriority(k, est)
-	}
+		return clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I)
+	})
 	e.layout.ChargeVertexValueWrite()
 	return nil
 }

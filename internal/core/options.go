@@ -39,9 +39,6 @@ type Options struct {
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
 	// is zero.
 	DefaultBuffer bool
-	// BufferPolicy selects the buffer eviction discipline; the zero value
-	// is the paper's priority scheme, FIFOPolicy the naive ablation.
-	BufferPolicy buffer.Policy
 	// SCIUCacheBudget bounds the bytes of active-vertex edges SCIU may
 	// keep resident for cross-iteration propagation. Zero means the
 	// on-demand working set is assumed to fit memory (the paper's
@@ -72,13 +69,6 @@ type Options struct {
 	// and for the job server's status endpoint. It runs on the engine
 	// goroutine; keep it cheap.
 	OnIteration func(IterStat)
-	// DisableCalibration turns off the scheduler's prediction-vs-actual
-	// feedback loop: no per-iteration Observe, no EWMA correction of the
-	// cost estimates, no hysteresis. The zero value calibrates — the raw
-	// formulas are systematically biased on real frontiers (non-uniform
-	// per-edge disk bytes, partial block coverage) and the corrections are
-	// what keeps the adaptive engine on the Figure 10 lower envelope.
-	DisableCalibration bool
 	// SEM enables the semi-external-memory fast path. Block-level active
 	// bitmaps let every full-model pass (and its prefetch pipeline) skip
 	// non-empty sub-blocks whose source interval holds no active vertex —
@@ -224,8 +214,7 @@ type Result struct {
 	// SchedulerOverhead its cumulative cost (Figure 11). SchedAccuracy
 	// summarises the calibration loop's prediction quality: observed
 	// iterations, mean/max/last misprediction ratio and the final EWMA
-	// correction factors (all zero-observation defaults when
-	// Options.DisableCalibration is set).
+	// correction factors.
 	Decisions         []iosched.Decision
 	SchedulerOverhead time.Duration
 	SchedAccuracy     iosched.Accuracy
@@ -317,8 +306,7 @@ type IterStat struct {
 	// Predicted is the scheduler's corrected cost estimate for the executed
 	// model and Mispredict the relative error against IOTime. Both stay zero
 	// for unobserved iterations (fciu-2, which executes the second half of
-	// the previous decision's pass, and all iterations when
-	// Options.DisableCalibration is set).
+	// the previous decision's pass).
 	Predicted  time.Duration
 	Mispredict float64
 }

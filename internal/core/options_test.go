@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
-	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 )
@@ -86,26 +85,5 @@ func TestSCIUCacheBudgetIncreasesIO(t *testing.T) {
 	if starved.IO.ReadBytes() < unlimited.IO.ReadBytes() {
 		t.Fatalf("starved cache read less (%d) than unlimited (%d)",
 			starved.IO.ReadBytes(), unlimited.IO.ReadBytes())
-	}
-}
-
-func TestBufferPolicyOption(t *testing.T) {
-	g, err := gen.RMAT(8, 10, gen.Graph500, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
-	want, _ := core.RunReference(g, prog(), 0)
-	for _, policy := range []buffer.Policy{buffer.PriorityPolicy, buffer.FIFOPolicy} {
-		layout := buildLayout(t, g, 4)
-		res, err := core.Run(layout, prog(), core.Options{
-			ForceModel:   core.ForceFull,
-			BufferBytes:  1 << 16, // small enough to force evictions
-			BufferPolicy: policy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareOutputs(t, "policy", res.Outputs, want, 1e-9)
 	}
 }

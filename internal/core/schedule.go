@@ -111,7 +111,7 @@ func (b *bspSchedule) step(iter int, st *IterStat) error {
 // calibration loop. fciu-2 consumes the second half of the previous
 // decision's pass, so it carries no decision of its own to observe.
 func (b *bspSchedule) measured(st *IterStat) {
-	if st.Path == "fciu-2" || b.e.opts.DisableCalibration {
+	if st.Path == "fciu-2" {
 		return
 	}
 	executed := iosched.FullIO

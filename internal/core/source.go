@@ -77,34 +77,28 @@ func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
 	}
 	key := buffer.Key{I: i, J: j, Gen: s.layout.BlockVersion(i, j)}
 	size := s.layout.Meta.SubBlockBytes(i, j)
-	if !s.shared.Compressed() {
-		edges, hit, err := s.shared.GetOrLoad(key, func() ([]graph.Edge, int64, error) {
-			edges, err := s.read(i, j)
-			return edges, size, err
-		})
-		if err != nil {
-			return nil, err
+	packed := s.shared.Compressed()
+	blk, hit, err := s.shared.GetOrLoadBlock(key, func() (blk buffer.Block, _ int64, err error) {
+		if packed {
+			blk.Payload, err = s.layout.LoadSubBlockPayload(i, j)
+		} else {
+			blk.Edges, err = s.read(i, j)
 		}
-		s.noteShared(hit)
-		return edges, nil
-	}
-	payload, hit, err := s.shared.GetOrLoadBytes(key, func() ([]byte, int64, error) {
-		p, err := s.layout.LoadSubBlockPayload(i, j)
-		return p, size, err
+		return blk, size, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.noteShared(hit)
-	if payload == nil {
-		return nil, nil
+	if blk.Payload == nil {
+		return blk.Edges, nil
 	}
 	if !hit {
-		s.notePacked(payload, size)
-		return s.decode(i, j, payload)
+		s.notePacked(blk.Payload, size)
+		return s.decode(i, j, blk.Payload)
 	}
 	t0 := time.Now()
-	edges, err := s.unpack(i, j, payload)
+	edges, err := s.unpack(i, j, blk.Payload)
 	if err == nil {
 		s.shared.NoteDecode(time.Since(t0))
 	}
@@ -395,11 +389,11 @@ func (s *blockStream[T]) close() {
 // at priority(edges), in the representation packed selects. Like every buffer
 // access it belongs to the goroutine running the schedule.
 func (e *Engine) bufferedBlock(take func(i, j int) ([]graph.Edge, error), k buffer.Key, packed bool, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
-	if edges, payload, ok := e.buf.GetEntry(k); ok {
-		if payload != nil {
-			return e.src.unpack(k.I, k.J, payload)
+	if blk, ok := e.buf.Get(k); ok {
+		if blk.Payload != nil {
+			return e.src.unpack(k.I, k.J, blk.Payload)
 		}
-		return edges, nil
+		return blk.Edges, nil
 	}
 	edges, err := take(k.I, k.J)
 	if err != nil {
@@ -423,13 +417,13 @@ func (e *Engine) offer(k buffer.Key, edges []graph.Edge, packed bool, priority f
 	case size > capacity && (!packed || capacity <= 0):
 		// A packed entry is charged its encoded size, known only once
 		// encoded; but no payload fits a buffer of no capacity.
-		e.buf.Put(k, edges, size, disk, 0)
+		e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, 0)
 	case packed:
 		payload := e.src.pack(k.I, k.J, edges)
-		if e.buf.PutBytes(k, payload, disk, priority(edges)) {
+		if e.buf.Put(k, buffer.Block{Payload: payload}, size, disk, priority(edges)) {
 			e.src.notePacked(payload, size)
 		}
 	default:
-		e.buf.Put(k, edges, size, disk, priority(edges))
+		e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, priority(edges))
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/graphsd/graphsd/internal/buffer"
-	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/iosched"
 	"github.com/graphsd/graphsd/internal/metrics"
 	"github.com/graphsd/graphsd/internal/storage"
@@ -67,56 +65,6 @@ func runExtStorage(cfg *Config, w io.Writer) error {
 			fmt.Sprintf("%d/%d", onDemandIters, len(adaptive.Decisions)))
 	}
 	t.AddNote("cheaper seeks → more on-demand iterations; adaptive stays at the lower envelope on every device")
-	return t.Render(w)
-}
-
-// runExtBufferPolicy compares the paper's priority eviction against naive
-// FIFO caching for the secondary sub-block buffer, the design choice §4.3
-// argues for. With a buffer smaller than the secondary working set, FIFO
-// churns blocks regardless of their active-edge count while the priority
-// scheme pins the profitable ones.
-func runExtBufferPolicy(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("ukunion-sim")
-	if err != nil {
-		return err
-	}
-	e, err := newEnv(cfg, ds)
-	if err != nil {
-		return err
-	}
-	l, err := e.layout("graphsd", false)
-	if err != nil {
-		return err
-	}
-	// A quarter of the secondary triangle: forces eviction decisions.
-	var secondaryBytes int64
-	for i := 0; i < l.Meta.P; i++ {
-		for j := 0; j < i; j++ {
-			secondaryBytes += l.Meta.SubBlockBytes(i, j)
-		}
-	}
-	capacity := secondaryBytes / 4
-	t := metrics.NewTable("ext-buffer-policy — CC on "+ds.Name+
-		fmt.Sprintf(" (buffer = %s, secondary = %s)", storage.FormatBytes(capacity), storage.FormatBytes(secondaryBytes)),
-		"policy", "exec time", "buffer hits", "bytes saved")
-	alg := PaperAlgorithms()[2] // CC
-	for _, pol := range []struct {
-		name   string
-		policy buffer.Policy
-	}{
-		{"priority (paper)", buffer.PriorityPolicy},
-		{"fifo", buffer.FIFOPolicy},
-	} {
-		res, err := core.Run(l, alg.New(e.source), core.Options{
-			BufferBytes:  capacity,
-			BufferPolicy: pol.policy,
-		})
-		if err != nil {
-			return err
-		}
-		t.AddRow(pol.name, metrics.Dur(res.ExecTime()),
-			fmt.Sprint(res.Buffer.Hits), storage.FormatBytes(res.Buffer.BytesSaved))
-	}
 	return t.Render(w)
 }
 

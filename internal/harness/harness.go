@@ -300,7 +300,6 @@ func Experiments() []Experiment {
 		{"fig-async", "Asynchronous execution: priority sub-block scheduling vs the BSP engine", runFigAsync},
 		{"ext-storage", "Extension: device-class sensitivity (HDD/SSD/PMem, per the paper's future work)", runExtStorage},
 		{"ext-psweep", "Extension: interval-count (P) sweep", runExtPSweep},
-		{"ext-buffer-policy", "Extension: priority vs FIFO buffer eviction (§4.3 design choice)", runExtBufferPolicy},
 	}
 }
 

@@ -83,7 +83,7 @@ func TestPaperAlgorithms(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	ids := []string{"table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig10-sched", "fig11", "fig12", "fig-sem", "fig-async", "ext-storage", "ext-psweep", "ext-buffer-policy"}
+	ids := []string{"table3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig10-sched", "fig11", "fig12", "fig-sem", "fig-async", "ext-storage", "ext-psweep"}
 	exps := Experiments()
 	if len(exps) != len(ids) {
 		t.Fatalf("%d experiments, want %d", len(exps), len(ids))

@@ -187,32 +187,38 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Shared sub-block cache, per graph.
+	// Shared sub-block cache, per graph: one snapshot per graph per scrape, so
+	// the counters describe one instant and a ratio between them (hits over
+	// hits + misses) is a ratio of one state.
+	shared := make([]buffer.SharedStats, len(s.names))
+	for i, name := range s.names {
+		shared[i] = s.graphs[name].shared.Stats()
+	}
 	p.Header("graphsd_shared_cache_hits_total", "counter", "Sub-block loads served from the cross-job shared cache (incl. single-flight dedup waits).")
-	for _, name := range s.names {
-		p.Int("graphsd_shared_cache_hits_total", s.graphs[name].shared.Stats().Hits, metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Int("graphsd_shared_cache_hits_total", shared[i].Hits, metrics.L("graph", name))
 	}
 	p.Header("graphsd_shared_cache_misses_total", "counter", "Sub-block loads that went to the device.")
-	for _, name := range s.names {
-		p.Int("graphsd_shared_cache_misses_total", s.graphs[name].shared.Stats().Misses, metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Int("graphsd_shared_cache_misses_total", shared[i].Misses, metrics.L("graph", name))
 	}
 	p.Header("graphsd_shared_cache_bytes_saved_total", "counter", "Decoded sub-block bytes served by shared-cache hits (the device read less than this on compressed layouts).")
-	for _, name := range s.names {
-		p.Int("graphsd_shared_cache_bytes_saved_total", s.graphs[name].shared.Stats().BytesSaved, metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Int("graphsd_shared_cache_bytes_saved_total", shared[i].BytesSaved, metrics.L("graph", name))
 	}
 	p.Header("graphsd_shared_cache_evictions_total", "counter", "Shared-cache LRU evictions.")
-	for _, name := range s.names {
-		p.Int("graphsd_shared_cache_evictions_total", s.graphs[name].shared.Stats().Evictions, metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Int("graphsd_shared_cache_evictions_total", shared[i].Evictions, metrics.L("graph", name))
 	}
 	p.Header("graphsd_shared_cache_compressed_hits_total", "counter", "Shared-cache hits served from the compressed (delta-coded) tier.")
-	for _, name := range s.names {
-		p.Int("graphsd_shared_cache_compressed_hits_total", s.graphs[name].shared.Stats().CompressedHits, metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Int("graphsd_shared_cache_compressed_hits_total", shared[i].CompressedHits, metrics.L("graph", name))
 	}
 	p.Header("graphsd_shared_cache_decode_seconds_total", "counter", "Wall time spent decoding compressed-tier hits (overlapped with compute).")
-	for _, name := range s.names {
-		p.Val("graphsd_shared_cache_decode_seconds_total", s.graphs[name].shared.Stats().DecodeTime.Seconds(), metrics.L("graph", name))
+	for i, name := range s.names {
+		p.Val("graphsd_shared_cache_decode_seconds_total", shared[i].DecodeTime.Seconds(), metrics.L("graph", name))
 	}
-	p.Header("graphsd_shared_cache_used_bytes", "gauge", "Decoded bytes resident in the shared cache.")
+	p.Header("graphsd_shared_cache_used_bytes", "gauge", "Bytes resident in the shared cache: decoded edges, or encoded payloads on a compressed cache.")
 	for _, name := range s.names {
 		p.Int("graphsd_shared_cache_used_bytes", s.graphs[name].shared.Used(), metrics.L("graph", name))
 	}
