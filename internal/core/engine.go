@@ -220,6 +220,7 @@ func (e *Engine) run() (*Result, error) {
 		e.ctx = context.Background()
 	}
 	defer e.stopParallel()
+	defer e.src.close()
 	dev := e.layout.Dev
 	ioBase := dev.Stats()
 	decodeStart := e.layout.DecodeTime()

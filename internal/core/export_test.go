@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
@@ -60,4 +62,35 @@ func RunCountingViews(layout *partition.Layout, prog Program, opts Options, pois
 	}
 	res, err := e.run()
 	return res, views, err
+}
+
+// MaxOpenBlocks is the number of block descriptors a run keeps open.
+const MaxOpenBlocks = maxOpenBlocks
+
+// HandleStats is what a finished run's block handles came to hold.
+type HandleStats struct {
+	Handles              int
+	IndexBytes, DirBytes int64
+}
+
+// RunWithHandleCap is RunContext with the run's descriptor bound set to
+// maxOpen — 0 makes every load open and close its file, as loads did before
+// handles — that also reports what the handles held when the run returned.
+func RunWithHandleCap(ctx context.Context, layout *partition.Layout, prog Program, opts Options, maxOpen int) (*Result, HandleStats, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, HandleStats{}, err
+	}
+	e.ctx = ctx
+	e.src.maxOpen = maxOpen
+	res, err := e.run()
+	var st HandleStats
+	for _, h := range e.src.handles {
+		st.Handles++
+		if h.idx != nil {
+			st.IndexBytes += int64(cap(h.idx.Rec)+cap(h.idx.Off)) * 8
+		}
+		st.DirBytes += h.dir.Bytes()
+	}
+	return res, st, err
 }

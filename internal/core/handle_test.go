@@ -1,0 +1,239 @@
+package core_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"hash/fnv"
+	"maps"
+	"os"
+	"slices"
+	"sync"
+	"testing"
+
+	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/gen"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/iosched"
+	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/storage"
+)
+
+// TestFaultHookSeesTheSameOperations pins what a run announces to the device's
+// fault hook — and so what chaos can fail, and what the device accounts — to
+// what it announced when every load opened its own file: whole-block loads are
+// one "read" each and nothing else, a selective pass is one "open" and one
+// "readat" per run it reads, whether or not the descriptor was already there.
+// The figures were recorded on the commit before block handles (a3633b3) by
+// this same test.
+func TestFaultHookSeesTheSameOperations(t *testing.T) {
+	lattice := gen.Weighted(gen.Grid(40), 16, 5)
+	for _, c := range []struct {
+		name   string
+		force  *iosched.Model
+		ops    map[string]int
+		digest uint64
+	}{
+		{name: "full", force: core.ForceFull, ops: map[string]int{"read": 305}, digest: 0x1168bb38d789e548},
+		{name: "on-demand", force: core.ForceOnDemand, ops: map[string]int{"read": 11, "open": 541, "readat": 11192}, digest: 0xa284d0a9b075ca5f},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := codecLayout(t, lattice, 4, graph.CodecDelta)
+			var mu sync.Mutex
+			seen := make(map[string]int)
+			ops := make(map[string]int)
+			l.Dev.SetFaultInjector(func(op, name string) error {
+				mu.Lock()
+				seen[op+" "+name]++
+				ops[op]++
+				mu.Unlock()
+				return nil
+			})
+			if _, err := core.Run(l, &algorithms.SSSP{Source: 0}, core.Options{ForceModel: c.force, DefaultBuffer: true}); err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for k, n := range seen {
+				lines = append(lines, fmt.Sprintf("%s %d", k, n))
+			}
+			slices.Sort(lines)
+			h := fnv.New64a()
+			for _, line := range lines {
+				h.Write([]byte(line + "\n"))
+			}
+			if got := h.Sum64(); got != c.digest || !maps.Equal(ops, c.ops) {
+				t.Fatalf("hook saw %v, digest %#x; before handles %v, digest %#x", ops, got, c.ops, c.digest)
+			}
+		})
+	}
+}
+
+// openDescriptors counts the process's open file descriptors.
+func openDescriptors(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd to count descriptors in: %v", err)
+	}
+	return len(fds)
+}
+
+// TestRunReleasesItsDescriptors: block handles keep files open for the length
+// of a run and no longer — however the run ends.
+func TestRunReleasesItsDescriptors(t *testing.T) {
+	lattice := gen.Weighted(gen.Grid(40), 16, 5)
+	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T, l *partition.Layout) error
+	}{
+		{"bsp", func(t *testing.T, l *partition.Layout) error {
+			// While it runs, a run of 16 blocks holds some of them open.
+			held := 0
+			base := openDescriptors(t)
+			_, err := core.Run(l, sssp(), core.Options{DefaultBuffer: true, OnIteration: func(core.IterStat) {
+				held = max(held, openDescriptors(t)-base)
+			}})
+			if held == 0 {
+				t.Errorf("no descriptor held between iterations")
+			}
+			return err
+		}},
+		{"bsp on demand, no prefetch", func(t *testing.T, l *partition.Layout) error {
+			_, err := core.Run(l, sssp(), core.Options{ForceModel: core.ForceOnDemand, PrefetchDepth: -1})
+			return err
+		}},
+		{"async", func(t *testing.T, l *partition.Layout) error {
+			_, err := core.Run(l, sssp(), core.Options{DefaultBuffer: true, Async: true})
+			return err
+		}},
+		{"cancelled mid-prefetch", func(t *testing.T, l *partition.Layout) error {
+			// The fourth block read cancels the run from inside a fetch, with
+			// others in flight beside it.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			reads := 0
+			var mu sync.Mutex
+			l.Dev.SetFaultInjector(func(op, name string) error {
+				mu.Lock()
+				defer mu.Unlock()
+				if reads++; reads == 6 {
+					cancel()
+				}
+				return nil
+			})
+			defer l.Dev.SetFaultInjector(nil)
+			_, err := core.RunContext(ctx, l, sssp(), core.Options{ForceModel: core.ForceFull, PrefetchDepth: 4})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("cancelled run returned %v", err)
+			}
+			return nil
+		}},
+		{"failed by chaos", func(t *testing.T, l *partition.Layout) error {
+			chaos := storage.NewChaos(storage.ChaosOptions{Seed: 3, TransientReadProb: 0.2, Match: func(op, name string) bool {
+				return op == "read" || op == "readat"
+			}})
+			l.Dev.SetFaultInjector(chaos.Injector())
+			defer l.Dev.SetFaultInjector(nil)
+			// No retry budget and no prefetch to degrade from: the first
+			// fault fails the run.
+			_, err := core.Run(l, sssp(), core.Options{DefaultBuffer: true, PrefetchDepth: -1})
+			if err == nil {
+				t.Errorf("run survived chaos without a retry budget")
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := codecLayout(t, lattice, 4, graph.CodecDelta)
+			before := openDescriptors(t)
+			if err := c.run(t, l); err != nil {
+				t.Fatal(err)
+			}
+			if after := openDescriptors(t); after != before {
+				t.Fatalf("%d descriptors open after the run, %d before it", after, before)
+			}
+		})
+	}
+}
+
+// TestMoreBlocksThanDescriptors runs a 24×24 grid — 576 blocks, more than a run
+// may keep open — under the bound and with the bound forced to zero, where
+// every load opens and closes its file as loads did before handles: outputs,
+// iterations, device counters and buffer outcomes must agree to the last bit
+// and byte on every engine route, and the bounded run must stay under its
+// bound while it runs.
+func TestMoreBlocksThanDescriptors(t *testing.T) {
+	rmat, err := gen.RMAT(11, 16, gen.Graph500, 24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gen.Weighted(rmat, 16, 2)
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		l := codecLayout(t, g, 24, codec)
+		for _, c := range []struct {
+			name string
+			prog func() core.Program
+			opts core.Options
+		}{
+			{"sssp", func() core.Program { return &algorithms.SSSP{Source: 0} }, core.Options{DefaultBuffer: true}},
+			{"sssp full", func() core.Program { return &algorithms.SSSP{Source: 0} }, core.Options{ForceModel: core.ForceFull}},
+			{"bfs on demand", func() core.Program { return &algorithms.BFS{Source: 0} }, core.Options{ForceModel: core.ForceOnDemand}},
+			{"cc async", func() core.Program { return &algorithms.ConnectedComponents{} }, core.Options{DefaultBuffer: true, Async: true}},
+			{"pr no prefetch", func() core.Program { return &algorithms.PageRank{Iterations: 3} }, core.Options{PrefetchDepth: -1}},
+		} {
+			t.Run(c.name+"/"+codec.String(), func(t *testing.T) {
+				base := openDescriptors(t)
+				most := 0
+				opts := c.opts
+				opts.OnIteration = func(core.IterStat) { most = max(most, openDescriptors(t)-base) }
+				bounded, held, err := core.RunWithHandleCap(context.Background(), l, c.prog(), opts, core.MaxOpenBlocks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if held.Handles <= core.MaxOpenBlocks {
+					t.Fatalf("the run touched %d blocks, not more than the %d it may keep open", held.Handles, core.MaxOpenBlocks)
+				}
+				if most == 0 || most > core.MaxOpenBlocks {
+					t.Fatalf("%d descriptors held between iterations, want 1..%d", most, core.MaxOpenBlocks)
+				}
+				perLoad, _, err := core.RunWithHandleCap(context.Background(), l, c.prog(), c.opts, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameOutputBits(t, "bounded against open-per-load", bounded.Outputs, perLoad.Outputs)
+				if bounded.Iterations != perLoad.Iterations || bounded.IO != perLoad.IO || bounded.Buffer != perLoad.Buffer || bounded.Async != perLoad.Async {
+					t.Fatalf("bounded run: %d iterations, I/O %+v, buffer %+v, async %+v\nopen per load: %d iterations, I/O %+v, buffer %+v, async %+v",
+						bounded.Iterations, bounded.IO, bounded.Buffer, bounded.Async, perLoad.Iterations, perLoad.IO, perLoad.Buffer, perLoad.Async)
+				}
+			})
+		}
+	}
+}
+
+// TestAdmissionCoversBlockHandles: what a run's handles hold when it returns —
+// after a forced on-demand run, which loads every touched block's index, and a
+// forced full run over sparse frontiers, which keeps every viewed block's
+// directory — stays within core.HandleBytes, the figure admission charges.
+func TestAdmissionCoversBlockHandles(t *testing.T) {
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		l := codecLayout(t, gen.Weighted(gen.Grid(48), 16, 3), 4, codec)
+		bound := core.HandleBytes(&l.Meta)
+		var total core.HandleStats
+		for _, force := range []*iosched.Model{core.ForceOnDemand, core.ForceFull} {
+			_, held, err := core.RunWithHandleCap(context.Background(), l, &algorithms.SSSP{Source: 0}, core.Options{ForceModel: force}, core.MaxOpenBlocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.IndexBytes = max(total.IndexBytes, held.IndexBytes)
+			total.DirBytes = max(total.DirBytes, held.DirBytes)
+		}
+		if total.IndexBytes == 0 || (codec == graph.CodecDelta) != (total.DirBytes > 0) {
+			t.Fatalf("[%s] the two runs kept %d index and %d directory bytes: routes not exercised", codec, total.IndexBytes, total.DirBytes)
+		}
+		if got := total.IndexBytes + total.DirBytes; got > bound {
+			t.Fatalf("[%s] handles hold %d bytes (indexes %d, directories %d), admission charges %d", codec, got, total.IndexBytes, total.DirBytes, bound)
+		}
+	}
+}

@@ -42,10 +42,12 @@ type blockSource struct {
 	// pooling it, so that a test catches a scatter from a released block.
 	poison bool
 
-	// indexes holds the per-sub-block vertex indexes once loaded; they are
-	// immutable, so they are kept for the whole run.
-	idxMu   sync.Mutex
-	indexes map[buffer.Key]*partition.Index
+	// handles holds what the run keeps of each sub-block it has touched, keyed
+	// by grid cell and file generation — the resolved file name, unbuilt. The
+	// first maxOpen of them keep their descriptor open between loads.
+	hMu     sync.Mutex
+	handles map[buffer.Key]*blockHandle
+	maxOpen int
 
 	// sharedHits/sharedMisses count full loads served by / missed in the
 	// shared cache. The comp* counters are the compressed tiers' accounting
@@ -59,7 +61,78 @@ type blockSource struct {
 }
 
 func newBlockSource(layout *partition.Layout, shared *buffer.Shared) *blockSource {
-	return &blockSource{layout: layout, shared: shared, indexes: make(map[buffer.Key]*partition.Index)}
+	return &blockSource{layout: layout, shared: shared, handles: make(map[buffer.Key]*blockHandle), maxOpen: maxOpenBlocks}
+}
+
+// maxOpenBlocks bounds the descriptors one run keeps open. Handles past the
+// bound open and close their file around every load, as every load once did.
+const maxOpenBlocks = 256
+
+// blockHandle is what a run keeps of one sub-block between loads, immutable
+// while the block's file is: the file's reader (name resolved once; descriptor
+// kept, for the first maxOpenBlocks handles), the vertex index of the selective
+// route and the run directory of the view route's first scan — a re-read is one
+// pread and one CRC verify. The bytes are not kept (the caches' job), nor are
+// decoded edges (see ioBufs). The engine closes the handles as the run returns.
+type blockHandle struct {
+	// mu is held across each load through the handle: loads of one block take
+	// turns, so a selective pass classifies its own reads only and a handle
+	// past the bound closes a descriptor nobody else is reading.
+	mu   sync.Mutex
+	r    *storage.Reader // nil: the block has no base file (partition.BlockReader)
+	keep bool
+	idx  *partition.Index
+	dir  graph.RunDir
+}
+
+// HandleBytes bounds what the handles of a run over a layout of manifest m
+// come to hold: per non-empty sub-block and per vertex of its source interval
+// (plus one), a record offset, under the delta codec a byte offset too, and a
+// directory span of 12 bytes. Admission charges it (server.estimateBytes).
+func HandleBytes(m *partition.Manifest) int64 {
+	per := int64(8)
+	if m.BlockCodec() == graph.CodecDelta {
+		per = 8 + 8 + 12
+	}
+	var total int64
+	for i, blocks := range m.NonEmptyBlocksPerRow() {
+		total += int64(blocks) * int64(m.IntervalLen(i)+1) * per
+	}
+	return total
+}
+
+// handle returns sub-block (i, j)'s handle, locked; the caller ends its load
+// with done.
+func (s *blockSource) handle(i, j int) *blockHandle {
+	k := buffer.Key{I: i, J: j, Gen: int64(s.layout.Meta.BlockGen(i, j))}
+	s.hMu.Lock()
+	h := s.handles[k]
+	if h == nil {
+		h = &blockHandle{r: s.layout.BlockReader(i, j), keep: len(s.handles) < s.maxOpen}
+		s.handles[k] = h
+	}
+	s.hMu.Unlock()
+	h.mu.Lock()
+	return h
+}
+
+func (s *blockSource) done(h *blockHandle) {
+	if !h.keep {
+		h.r.Close()
+	}
+	h.mu.Unlock()
+}
+
+// close releases the handles' descriptors. The run's block streams are closed
+// by now, and a closed stream has no fetch in flight.
+func (s *blockSource) close() {
+	s.hMu.Lock()
+	defer s.hMu.Unlock()
+	for _, h := range s.handles {
+		h.mu.Lock()
+		h.keep = false
+		s.done(h)
+	}
 }
 
 // full returns sub-block (i, j) decoded in full, overlay mutations merged in.
@@ -80,7 +153,9 @@ func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
 	packed := s.shared.Compressed()
 	blk, hit, err := s.shared.GetOrLoadBlock(key, func() (blk buffer.Block, _ int64, err error) {
 		if packed {
-			blk.Payload, err = s.layout.LoadSubBlockPayload(i, j)
+			h := s.handle(i, j)
+			blk.Payload, err = s.layout.LoadSubBlockPayloadFrom(h.r, i, j, nil)
+			s.done(h)
 		} else {
 			blk.Edges, err = s.read(i, j)
 		}
@@ -109,7 +184,9 @@ func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
 // buffer, CRC verify, decode and overlay merge, all inside the layout.
 func (s *blockSource) read(i, j int) ([]graph.Edge, error) {
 	bufp := s.getBuf()
-	edges, buf, err := s.layout.LoadSubBlockInto(i, j, nil, *bufp)
+	h := s.handle(i, j)
+	edges, buf, err := s.layout.LoadSubBlockFrom(h.r, i, j, nil, *bufp)
+	s.done(h)
 	*bufp = buf
 	s.ioBufs.Put(bufp)
 	return edges, err
@@ -142,11 +219,13 @@ type runBlock struct {
 }
 
 // viewed is the device route of full stopping short of the decode: the same
-// sequential read and CRC verify, then one scan that builds the block's run
-// directory (graph.RunView.Scan) where read would expand every edge. It is for
-// delta layouts with no overlay and no shared cache in front; the engine asks
-// for it only on passes whose frontier is sparse (sparsePass). A payload the
-// scan declines — sources not ascending, or damage — goes to the full decoder,
+// sequential read and CRC verify, then the block's run directory over the
+// payload where read would expand every edge — built by one scan
+// (graph.RunView.Scan) the first time the run views the block, kept in its
+// handle and re-attached to the verified bytes every time after. It is for delta
+// layouts with no overlay and no shared cache in front; the engine asks for it
+// only on passes whose frontier is sparse (sparsePass). A payload the scan
+// declines — sources not ascending, or damage — goes to the full decoder,
 // which decodes it or says what is wrong with it, so the caller gets edges or
 // the decoded route's error. Scan and fallback are charged as decode time.
 func (s *blockSource) viewed(i, j int) (block, error) {
@@ -157,8 +236,10 @@ func (s *blockSource) viewed(i, j int) (block, error) {
 	if rb == nil {
 		rb = new(runBlock)
 	}
-	payload, err := s.layout.LoadSubBlockPayloadInto(i, j, rb.buf)
+	h := s.handle(i, j)
+	payload, err := s.layout.LoadSubBlockPayloadFrom(h.r, i, j, rb.buf)
 	if err != nil {
+		s.done(h)
 		s.views.Put(rb)
 		return block{}, err
 	}
@@ -166,7 +247,14 @@ func (s *blockSource) viewed(i, j int) (block, error) {
 	iLo, _ := s.layout.Meta.Interval(i)
 	jLo, _ := s.layout.Meta.Interval(j)
 	t0 := time.Now()
-	if rb.view.Scan(payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted) {
+	ok := rb.view.Attach(h.dir, payload)
+	if !ok {
+		if ok = rb.view.Scan(payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted); ok {
+			h.dir = rb.view.Dir()
+		}
+	}
+	s.done(h)
+	if ok {
 		s.layout.AddDecodeTime(time.Since(t0))
 		s.viewBlocks.Add(1)
 		return block{runs: rb}, nil
@@ -220,27 +308,30 @@ type selectiveBlock struct {
 
 // selective reads only the edges of sub-block (i, j) whose source is in
 // frontier, located through the block's vertex index, so runs of consecutive
-// frontier vertices become sequential reads. Each call owns its reader, which
-// keeps the sequential/random classification of AutoReadAt per sub-block
-// whether the call runs on a prefetch worker or on the consumer. frontier
-// must not change during the call. The result is appended to into (reset to
-// length zero); pass the zero value unless the previous block is dead.
+// frontier vertices become sequential reads. Each call is one pass over the
+// block's reader (Restart): AutoReadAt's sequential/random classification is
+// per call, on a prefetch worker or on the consumer. frontier must not change
+// during the call. The result is appended to into (reset to length zero); pass
+// the zero value unless the previous block is dead.
 func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selectiveBlock) (selectiveBlock, error) {
 	blk := selectiveBlock{edges: into.edges[:0], runs: into.runs[:0]}
 	idx, err := s.index(i, j)
 	if err != nil {
 		return blk, err
 	}
-	r, err := s.layout.OpenSubBlock(i, j)
-	if err != nil {
-		return blk, err
+	h := s.handle(i, j)
+	defer s.done(h)
+	if h.r != nil { // nil reader: the block lives entirely in the overlay
+		if err := h.r.Restart(); err != nil {
+			return blk, fmt.Errorf("core: opening sub-block (%d,%d): %w", i, j, err)
+		}
 	}
 	bufp := s.getBuf()
 	lo, hi := s.layout.Meta.Interval(i)
 	var loopErr error
 	frontier.ForEachRange(lo, hi, func(v int) bool {
 		var edges []graph.Edge
-		edges, *bufp, loopErr = s.layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), *bufp)
+		edges, *bufp, loopErr = s.layout.ReadVertexEdges(h.r, idx, i, graph.VertexID(v), *bufp)
 		if loopErr != nil {
 			return false
 		}
@@ -251,31 +342,25 @@ func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selec
 		return true
 	})
 	s.ioBufs.Put(bufp)
-	var closeErr error
-	if r != nil { // nil reader: the block lives entirely in the overlay
-		closeErr = r.Close()
-	}
 	if loopErr != nil {
 		return blk, fmt.Errorf("core: selective read of sub-block (%d,%d): %w", i, j, loopErr)
 	}
-	return blk, closeErr
+	return blk, nil
 }
 
-// index returns the vertex index of sub-block (i, j), loading and caching it
-// on first use.
+// index returns the vertex index of sub-block (i, j), loading it on first use
+// and keeping it in the block's handle.
 func (s *blockSource) index(i, j int) (*partition.Index, error) {
-	s.idxMu.Lock()
-	defer s.idxMu.Unlock()
-	k := buffer.Key{I: i, J: j}
-	if idx, ok := s.indexes[k]; ok {
-		return idx, nil
+	h := s.handle(i, j)
+	defer s.done(h)
+	if h.idx == nil {
+		idx, err := s.layout.LoadIndex(i, j)
+		if err != nil {
+			return nil, err
+		}
+		h.idx = idx
 	}
-	idx, err := s.layout.LoadIndex(i, j)
-	if err != nil {
-		return nil, err
-	}
-	s.indexes[k] = idx
-	return idx, nil
+	return h.idx, nil
 }
 
 // pack delta-codes a decoded sub-block for a compressed cache tier.

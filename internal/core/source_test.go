@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,6 +175,7 @@ func TestViewBlockPoolDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newBlockSource(l, nil)
+	defer s.close()
 	s.poison = true
 	everyone := bitset.NewActiveSet(l.Meta.NumVertices)
 	everyone.ActivateAll()
@@ -203,11 +206,171 @@ func TestViewBlockPoolDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Meta.BlockBytes[0][0], l.Meta.BlockSums[0][0] = int64(len(payload)), partition.Checksum(payload)
-	blk, err = s.viewed(0, 0)
+	// A file is immutable under its name, which is what lets a run keep its
+	// descriptor and directory: the source that saw the old bytes still reads
+	// them, and the manifest's new sum rejects them.
+	if blk, err := s.viewed(0, 0); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("replaced file under a kept handle: block %+v, %v; want a checksum mismatch", blk, err)
+	}
+	s2 := newBlockSource(l, nil)
+	defer s2.close()
+	blk, err = s2.viewed(0, 0)
 	if err != nil || blk.runs != nil || !slices.Equal(blk.edges, want) {
 		t.Fatalf("descending block: view %t, %d edges, %v; want the %d decoded edges", blk.runs != nil, len(blk.edges), err, len(want))
 	}
-	if n := s.viewBlocks.Load(); n != 1 {
+	if n := s.viewBlocks.Load() + s2.viewBlocks.Load(); n != 1 {
 		t.Fatalf("viewBlocks = %d, want 1", n)
 	}
+}
+
+// nonEmptyCells lists the grid cells of l that hold edges, row-major.
+func nonEmptyCells(l *partition.Layout) [][2]int {
+	var cells [][2]int
+	for i := 0; i < l.Meta.P; i++ {
+		for j := 0; j < l.Meta.P; j++ {
+			if l.Meta.SubBlockEdges(i, j) > 0 {
+				cells = append(cells, [2]int{i, j})
+			}
+		}
+	}
+	return cells
+}
+
+// TestViewedAdoptsAndScansThroughOnePool interleaves the two ways a pooled view
+// block comes by its directory: each block new to the run is scanned right
+// after a block seen before has re-attached its kept directory — on a single
+// goroutine, so mostly through the very same pooled runBlock — and then every
+// block seen so far is viewed again, released blocks poisoned throughout. A
+// scan that wrote into a directory its view had only adopted would show as a
+// wrong decode or an error on the next visit.
+func TestViewedAdoptsAndScansThroughOnePool(t *testing.T) {
+	dev, err := storage.OpenDevice(t.TempDir(), storage.ScaledHDD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := partition.Build(dev, gen.Weighted(gen.Grid(24), 8, 2), 3, partition.WithCodec(graph.CodecDelta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newBlockSource(l, nil)
+	defer s.close()
+	s.poison = true
+	everyone := bitset.NewActiveSet(l.Meta.NumVertices)
+	everyone.ActivateAll()
+	view := func(c [2]int) {
+		t.Helper()
+		blk, err := s.viewed(c[0], c[1])
+		if err != nil || blk.runs == nil {
+			t.Fatalf("viewed%v = %+v, %v; want a run view", c, blk, err)
+		}
+		want, err := l.LoadSubBlock(c[0], c[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := blk.runs.view.AppendActive(nil, everyone.Words()); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("view of %v decodes %d edges, %v; the decoded route %d", c, len(got), err, len(want))
+		}
+		s.release(blk)
+	}
+	cells := nonEmptyCells(l)
+	if len(cells) < 3 {
+		t.Fatalf("%d non-empty cells", len(cells))
+	}
+	view(cells[0])
+	for k := 1; k < len(cells); k++ {
+		view(cells[0]) // adopts
+		view(cells[k]) // scans, likely in the block that just adopted
+		for _, c := range cells[:k+1] {
+			view(c)
+		}
+	}
+	for _, c := range cells {
+		if h := s.handle(c[0], c[1]); h.dir.Bytes() == 0 {
+			t.Errorf("no directory kept for %v", c)
+		} else {
+			s.done(h)
+		}
+	}
+}
+
+// rereadLayout is one 128×128 weighted lattice cut 8 ways, delta-coded: its
+// diagonal blocks are what sssp_bsp re-reads every iteration.
+func rereadLayout(tb testing.TB) *partition.Layout {
+	tb.Helper()
+	dev, err := storage.OpenDevice(tb.TempDir(), storage.ScaledHDD)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l, err := partition.Build(dev, gen.Weighted(gen.Grid(128), 16, 1), 8, partition.WithCodec(graph.CodecDelta))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return l
+}
+
+// TestHandleRereadAllocatesNothing: once a run has seen a block, reading it
+// again as a view — handle lookup, pread through the kept descriptor into the
+// pooled buffer, CRC verify, directory re-attached — allocates nothing.
+func TestHandleRereadAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	s := newBlockSource(rereadLayout(t), nil)
+	defer s.close()
+	step := func() {
+		blk, err := s.viewed(3, 3)
+		if err != nil || blk.runs == nil {
+			t.Fatalf("viewed(3,3) = %+v, %v; want a run view", blk, err)
+		}
+		s.release(blk)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("%v allocations per re-read of a viewed block, want 0", allocs)
+	}
+}
+
+// BenchmarkBlockReread prices one more read of a block the run has read
+// before: by name, as every load was made before handles (resolve the name,
+// open, stat, read, verify, close); through the block's kept handle; and
+// through the handle as a run view, directory re-attached. The first two
+// deliver the verified payload, the third what a sparse pass scatters from.
+func BenchmarkBlockReread(b *testing.B) {
+	l := rereadLayout(b)
+	const i, j = 3, 3
+	b.SetBytes(l.Meta.SubBlockDiskBytes(i, j))
+	b.Run("by-name", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for n := 0; n < b.N; n++ {
+			payload, err := l.LoadSubBlockPayloadInto(i, j, buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = payload
+		}
+	})
+	b.Run("handle", func(b *testing.B) {
+		b.ReportAllocs()
+		r := l.BlockReader(i, j)
+		defer r.Close()
+		var buf []byte
+		for n := 0; n < b.N; n++ {
+			payload, err := l.LoadSubBlockPayloadFrom(r, i, j, buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf = payload
+		}
+	})
+	b.Run("handle-view", func(b *testing.B) {
+		b.ReportAllocs()
+		s := newBlockSource(l, nil)
+		defer s.close()
+		for n := 0; n < b.N; n++ {
+			blk, err := s.viewed(i, j)
+			if err != nil || blk.runs == nil {
+				b.Fatalf("viewed = %+v, %v", blk, err)
+			}
+			s.release(blk)
+		}
+	})
 }

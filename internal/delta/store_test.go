@@ -81,11 +81,11 @@ func assertEqualLayouts(t *testing.T, got, want *partition.Layout) {
 					t.Fatalf("block (%d,%d) edge %d: %+v, want %+v", i, j, k, ge[k], we[k])
 				}
 			}
-			gp, err := got.LoadSubBlockPayload(i, j)
+			gp, err := got.LoadSubBlockPayloadInto(i, j, nil)
 			if err != nil {
 				t.Fatalf("block (%d,%d) payload: %v", i, j, err)
 			}
-			wp, err := want.LoadSubBlockPayload(i, j)
+			wp, err := want.LoadSubBlockPayloadInto(i, j, nil)
 			if err != nil {
 				t.Fatalf("block (%d,%d) payload: %v", i, j, err)
 			}

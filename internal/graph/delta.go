@@ -190,21 +190,9 @@ func EncodeDeltaBlock(buf []byte, edges []Edge, srcBase, dstBase VertexID, weigh
 // anything is reserved, and the reservation never exceeds 12 bytes per
 // payload byte.
 func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weighted bool) ([]Edge, error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return dst, fmt.Errorf("graph: delta block: bad count varint")
-	}
-	if n > uint64(len(data)) {
-		return dst, fmt.Errorf("graph: delta block: count %d exceeds %d payload bytes", n, len(data))
-	}
-	body := data[k:]
-	var weights []byte
-	if weighted {
-		weightBytes := int(n) * WeightBytes
-		if weightBytes > len(body) {
-			return dst, fmt.Errorf("graph: delta block: weight column truncated")
-		}
-		body, weights = body[:len(body)-weightBytes], body[len(body)-weightBytes:]
+	n, body, weights, ok := cutDeltaBlock(data, weighted)
+	if !ok {
+		return dst, fmt.Errorf("graph: delta block: no edge count that fits %d payload bytes (weighted %t)", len(data), weighted)
 	}
 	base := len(dst)
 	dst, err := decodeDeltaRuns(reserve(dst, int(n)), body, weights, int(n), srcBase, dstBase)
@@ -215,4 +203,23 @@ func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weight
 		return dst[:base], fmt.Errorf("graph: delta block: decoded %d edges, header says %d", got, n)
 	}
 	return dst, nil
+}
+
+// cutDeltaBlock splits a delta block into its header count, run section and
+// weight column; ok is false when no count is there or the payload cannot hold
+// that many gaps, or that many weights.
+func cutDeltaBlock(data []byte, weighted bool) (n uint64, body, weights []byte, ok bool) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)) {
+		return 0, nil, nil, false
+	}
+	body = data[k:]
+	if weighted {
+		weightBytes := int(n) * WeightBytes
+		if weightBytes > len(body) {
+			return 0, nil, nil, false
+		}
+		body, weights = body[:len(body)-weightBytes], body[len(body)-weightBytes:]
+	}
+	return n, body, weights, true
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -132,6 +133,7 @@ func FuzzRunView(f *testing.F) {
 	f.Add(sorted[:len(sorted)-1], uint32(0), uint32(0), false, ^uint64(0))
 	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 9, Dst: 1}, {Src: 4, Dst: 2}}, 0, 0, false), uint32(0), uint32(0), false, ^uint64(0))
 	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 4, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true), uint32(4), uint32(1<<21), true, uint64(2))
+	f.Add(sorted, uint32(0), uint32(0), false, uint64(1<<8|0b1111)) // swaps the first run's source under the kept directory
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, ^uint32(0), uint32(0), true, uint64(1))
 	f.Add([]byte{1, 0, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0}, uint32(0), uint32(0), false, uint64(1))
 	f.Fuzz(func(t *testing.T, data []byte, srcBase, dstBase uint32, weighted bool, pick uint64) {
@@ -145,6 +147,20 @@ func FuzzRunView(f *testing.F) {
 			if pick>>(k%64)&1 != 0 {
 				chosen = append(chosen, r.Src)
 			}
+		}
+		// The directory under a payload one byte off from the one it was
+		// scanned from — which the caller's checksum rules out, so only this
+		// much is asked: declined, an error, or runs that begin and end with a
+		// source asked for, without a panic or a read outside the payload.
+		swapped := slices.Clone(data)
+		swapped[pick>>8%uint64(len(data))] ^= byte(pick) | 1
+		var w RunView
+		if w.Attach(v.Dir(), swapped) && len(chosen) > 0 {
+			withFilter(chosen, func(filter []uint64) {
+				if got, _ := w.AppendActive(nil, filter); len(got) > 0 && len(filtered([]Edge{got[0], got[len(got)-1]}, filter)) != 2 {
+					t.Fatalf("swapped payload under a kept directory: edges of sources %d..%d, neither asked for", got[0].Src, got[len(got)-1].Src)
+				}
+			})
 		}
 		checkViewAgainstBlock(t, &v, data, VertexID(srcBase), VertexID(dstBase), weighted, chosen, []VertexID{VertexID(srcBase)})
 	})

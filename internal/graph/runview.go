@@ -26,10 +26,53 @@ type runSpan struct {
 type RunView struct {
 	// runs holds one span per run, sources strictly ascending, and a final
 	// sentinel whose Off is the run section's length and Rec the edge count,
-	// so run k spans [runs[k], runs[k+1]) in bytes and in records.
-	runs             []runSpan
+	// so run k spans [runs[k], runs[k+1]) in bytes and in records: own after
+	// Scan, a RunDir's memory after Attach.
+	runs []runSpan
+	// own is the memory Scan writes the directory to. Attach leaves it alone,
+	// so a view that adopted a RunDir and then scans another block never
+	// writes into the RunDir.
+	own              []runSpan
 	body, weights    []byte
 	srcBase, dstBase VertexID
+}
+
+// RunDir is a scanned block's directory on its own, in memory of exactly its
+// size (12 bytes per run) that no view writes to: what is worth keeping of a
+// Scan when the same block will be read again. The zero value holds none.
+type RunDir struct {
+	runs             []runSpan
+	srcBase, dstBase VertexID
+	weighted         bool
+}
+
+// Bytes returns the memory the directory occupies.
+func (d RunDir) Bytes() int64 { return int64(len(d.runs)) * 12 }
+
+// Dir returns a copy of the directory v's last Scan built.
+func (v *RunView) Dir() RunDir {
+	runs := make([]runSpan, len(v.runs)) // append would round the capacity up
+	copy(runs, v.runs)
+	return RunDir{runs: runs, srcBase: v.srcBase, dstBase: v.dstBase, weighted: v.weights != nil}
+}
+
+// Attach makes v a view of data under d, the directory an earlier Scan of the
+// same bytes built, and reports whether it could: false means "Scan it". That
+// data is those bytes again is for the caller to know — the same file, its
+// checksum verified once more; Attach holds only the shape to d: header count,
+// run section length, weight column. Every run decoded through the view is
+// still checked against its directory entry (appendRun).
+func (v *RunView) Attach(d RunDir, data []byte) bool {
+	*v = RunView{own: v.own}
+	n, body, weights, ok := cutDeltaBlock(data, d.weighted)
+	if !ok || len(d.runs) == 0 {
+		return false
+	}
+	if end := d.runs[len(d.runs)-1]; n != uint64(end.Rec) || len(body) != int(end.Off) {
+		return false
+	}
+	*v = RunView{own: v.own, runs: d.runs, body: body, weights: weights, srcBase: d.srcBase, dstBase: d.dstBase}
+	return true
 }
 
 // Scan makes v a view of the delta block in data and reports whether it
@@ -48,28 +91,22 @@ type RunView struct {
 // has no per-source directory, and a zero-length run is nothing the encoder
 // writes: both answer false rather than an error.
 func (v *RunView) Scan(data []byte, srcBase, dstBase VertexID, weighted bool) bool {
-	*v = RunView{runs: v.runs[:0], srcBase: srcBase, dstBase: dstBase}
+	*v = RunView{own: v.own[:0], srcBase: srcBase, dstBase: dstBase}
 	if !v.scan(data, weighted) {
-		*v = RunView{runs: v.runs[:0]} // a declined view is an empty one
+		*v = RunView{own: v.own[:0]} // a declined view is an empty one
 		return false
 	}
+	v.runs = v.own
 	return true
 }
 
 func (v *RunView) scan(data []byte, weighted bool) bool {
 	srcBase := v.srcBase
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)) || uint64(len(data)) > math.MaxUint32 {
+	n, body, weights, ok := cutDeltaBlock(data, weighted)
+	if !ok || uint64(len(data)) > math.MaxUint32 {
 		return false
 	}
-	body := data[k:]
-	if weighted {
-		weightBytes := int(n) * WeightBytes
-		if weightBytes > len(body) {
-			return false
-		}
-		body, v.weights = body[:len(body)-weightBytes], body[len(body)-weightBytes:]
-	}
+	v.weights = weights
 	var rec uint64
 	prev := int64(-1)
 	for off := 0; off < len(body); {
@@ -107,13 +144,13 @@ func (v *RunView) scan(data []byte, weighted bool) bool {
 				left--
 			}
 		}
-		v.runs = append(v.runs, runSpan{Src: src, Off: uint32(start), Rec: uint32(rec)})
+		v.own = append(v.own, runSpan{Src: src, Off: uint32(start), Rec: uint32(rec)})
 		rec += runLen
 	}
 	if rec != n {
 		return false
 	}
-	v.runs = append(v.runs, runSpan{Off: uint32(len(body)), Rec: uint32(n)})
+	v.own = append(v.own, runSpan{Off: uint32(len(body)), Rec: uint32(n)})
 	v.body = body
 	return true
 }
@@ -177,7 +214,8 @@ func seekRun(runs []runSpan, pos int, s VertexID) int {
 }
 
 // appendRun decodes run k through the one run decoder, which repeats the
-// header checks and makes the ones Scan deferred.
+// header checks and makes the ones Scan deferred; count and source are held to
+// the directory, which may be older than the payload (Attach).
 func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 	r, next := v.runs[k], v.runs[k+1]
 	want := int(next.Rec - r.Rec)
@@ -192,6 +230,9 @@ func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 	}
 	if got := len(dst) - before; got != want {
 		return dst[:before], fmt.Errorf("graph: run view: run of source %d decoded %d edges, directory says %d", r.Src, got, want)
+	}
+	if first, last := dst[before].Src, dst[len(dst)-1].Src; first != r.Src || last != r.Src {
+		return dst[:before], fmt.Errorf("graph: run view: sources %d..%d in the run the directory gives source %d", first, last, r.Src)
 	}
 	return dst, nil
 }

@@ -76,7 +76,9 @@ func filtered(edges []Edge, filter []uint64) []Edge {
 // builds must give, under a filter of all its sources, the full decoder's
 // verdict and edges, and under every other filter (a list of sources each)
 // either an error the full decoder gives too or exactly the filtered edges —
-// behind an untouched prefix either way.
+// behind an untouched prefix either way. A second view that adopts the first
+// one's directory over the same bytes is held to all of it again, and v — which
+// is then made to scan something else — must leave that directory as it was.
 func checkViewAgainstBlock(t testing.TB, v *RunView, data []byte, srcBase, dstBase VertexID, weighted bool, filters ...[]VertexID) (viewed bool) {
 	t.Helper()
 	full, fullErr := AppendDeltaBlock(nil, data, srcBase, dstBase, weighted)
@@ -99,9 +101,26 @@ func checkViewAgainstBlock(t testing.TB, v *RunView, data []byte, srcBase, dstBa
 	}) {
 		t.Fatalf("directory sources do not strictly ascend")
 	}
+	dir := v.Dir()
+	kept := slices.Clone(dir.runs)
+	var adopted RunView
+	if dir.Bytes() != int64(12*len(v.runs)) || !adopted.Attach(dir, data) {
+		t.Fatalf("a directory of %d bytes for %d spans does not attach to the bytes it was scanned from", dir.Bytes(), len(v.runs))
+	}
+	defer func() {
+		// v adopts the directory, as a pooled view would have, and goes on to
+		// another block: the kept directory is not its scratch memory.
+		other := EncodeDeltaBlock(nil, []Edge{{Src: srcBase, Dst: dstBase}, {Src: srcBase, Dst: dstBase}}, srcBase, dstBase, weighted)
+		if !v.Attach(dir, data) || !v.Scan(other, srcBase, dstBase, weighted) || !slices.Equal(dir.runs, kept) {
+			t.Fatalf("a view that adopted a directory and scanned another block changed the directory")
+		}
+	}()
 	prefix := []Edge{{Src: 3, Dst: 4, Weight: 5}}
 	check := func(filter []uint64, whole bool) {
 		got, err := v.AppendActive(slices.Clone(prefix), filter)
+		if again, againErr := adopted.AppendActive(slices.Clone(prefix), filter); (err == nil) != (againErr == nil) || !sameEdgeBits(again, got) {
+			t.Fatalf("adopted directory gives %d edges, %v; the fresh scan %d, %v", len(again), againErr, len(got), err)
+		}
 		switch {
 		case err != nil && fullErr == nil:
 			t.Fatalf("view decode: %v, full decoder accepts", err)
@@ -337,6 +356,73 @@ func TestRunViewReusesItsMemory(t *testing.T) {
 			}
 			if want := filtered(edges, filter); len(want) == 0 || !sameEdgeBits(scratch, want) {
 				t.Errorf("weighted=%t: %d active edges, want %d", weighted, len(scratch), len(want))
+			}
+		})
+	}
+}
+
+// TestRunViewAttachHoldsTheShape: a directory attaches only to a payload of
+// the shape it was scanned from — header count, run section length, weight
+// column — so bytes of any other shape are scanned afresh; and a payload of the
+// same shape but another block's content, which Attach cannot tell apart (the
+// caller's checksum does), decodes a run to an error or to the count the
+// directory names, beginning and ending with the source it names.
+func TestRunViewAttachHoldsTheShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for _, weighted := range []bool{false, true} {
+		a := genDeltaCell(rng, 40, 6, 2, true, weighted, 100, 300)
+		dataA := EncodeDeltaBlock(nil, a, 100, 300, weighted)
+		var v RunView
+		if !v.Scan(dataA, 100, 300, weighted) {
+			t.Fatal("no view")
+		}
+		dir := v.Dir()
+
+		var zero RunDir
+		if v.Attach(zero, dataA) {
+			t.Fatal("the zero directory attached")
+		}
+		for name, other := range map[string][]byte{
+			"another block":   EncodeDeltaBlock(nil, genDeltaCell(rng, 41, 6, 2, true, weighted, 100, 300), 100, 300, weighted),
+			"an edge fewer":   EncodeDeltaBlock(nil, a[:len(a)-1], 100, 300, weighted),
+			"a byte short":    dataA[:len(dataA)-1],
+			"a byte over":     append(slices.Clone(dataA), 0),
+			"no header":       nil,
+			"the other codec": EncodeDeltaBlock(nil, a, 100, 300, !weighted),
+		} {
+			if v.Attach(dir, other) {
+				t.Errorf("weighted=%t: directory attached to %s", weighted, name)
+			}
+			if got, err := v.AppendActive(nil, []uint64{^uint64(0)}); len(got) != 0 || err != nil {
+				t.Errorf("weighted=%t: view declined for %s still decodes %d edges, %v", weighted, name, len(got), err)
+			}
+		}
+
+		// Same shape, other content: every destination gap of A rewritten, then
+		// each run's source moved in turn.
+		withFilter(cellSources(a), func(filter []uint64) {
+			moved := slices.Clone(a)
+			for k := range moved {
+				moved[k].Dst ^= 1
+			}
+			dataB := EncodeDeltaBlock(nil, moved, 100, 300, weighted)
+			if len(dataB) != len(dataA) || !v.Attach(dir, dataB) {
+				t.Fatalf("weighted=%t: a block with A's runs and other destinations, %d bytes for A's %d, declined", weighted, len(dataB), len(dataA))
+			}
+			if got, err := v.AppendActive(nil, filter); err != nil || !sameEdgeBits(got, moved) {
+				t.Fatalf("weighted=%t: block with A's runs and other destinations: %d edges, %v", weighted, len(got), err)
+			}
+			for _, r := range dir.runs[:len(dir.runs)-1] {
+				bad := slices.Clone(dataA)
+				body := bad[len(bad)-len(v.weights)-len(v.body):]
+				body[r.Off] ^= 1 // the run's source varint: one byte for these cells
+				if !v.Attach(dir, bad) {
+					t.Fatal("same shape declined")
+				}
+				got, err := v.AppendActive(nil, filter)
+				if err == nil {
+					t.Fatalf("weighted=%t: run of source %d re-sourced in the payload decoded to %d edges under the old directory", weighted, r.Src, len(got))
+				}
 			}
 		})
 	}

@@ -27,20 +27,43 @@ func (l *Layout) LoadSubBlock(i, j int) ([]graph.Edge, error) {
 // under the delta codec, that worker also runs the decompression, so decode
 // overlaps compute exactly like the reads themselves.
 func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
+	r := l.BlockReader(i, j)
+	defer r.Close()
+	return l.LoadSubBlockFrom(r, i, j, dst, buf)
+}
+
+// BlockReader returns a reader of sub-block (i, j)'s base file, or nil when
+// there is none: the block is empty or — only one the overlay has mutated can
+// be — lives in the overlay alone. The reader opens the file at its first read;
+// the caller closes it, after one load or after every load of a run.
+func (l *Layout) BlockReader(i, j int) *storage.Reader {
+	if l.Meta.SubBlockEdges(i, j) == 0 {
+		return nil
+	}
+	name := l.Meta.BlockName(i, j)
+	if l.overlayDelta(i, j) != nil && !l.Dev.Exists(name) {
+		return nil
+	}
+	return l.Dev.Reader(name)
+}
+
+// LoadSubBlockFrom is LoadSubBlockInto through r, the block's BlockReader:
+// kept across loads, it makes each one pread — charge, CRC and merge the same.
+func (l *Layout) LoadSubBlockFrom(r *storage.Reader, i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	dst = dst[:0]
-	od := l.overlayDelta(i, j)
 	if l.Meta.SubBlockEdges(i, j) == 0 {
 		// With an overlay, Meta carries the merged count: zero means the
 		// tombstones erased every base edge, so there is nothing to read.
 		return dst, buf, nil
 	}
+	od := l.overlayDelta(i, j)
 	if od == nil {
-		return l.loadBaseBlockInto(i, j, dst, buf)
+		return l.loadBaseBlockInto(r, i, j, dst, buf)
 	}
 	var base []graph.Edge
-	if l.Dev.Exists(l.Meta.BlockName(i, j)) {
+	if r != nil {
 		var err error
-		base, buf, err = l.loadBaseBlockInto(i, j, nil, buf)
+		base, buf, err = l.loadBaseBlockInto(r, i, j, nil, buf)
 		if err != nil {
 			return dst, buf, err
 		}
@@ -52,9 +75,9 @@ func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gra
 }
 
 // loadBaseBlockInto reads and decodes sub-block (i, j)'s base payload —
-// LoadSubBlockInto without the overlay merge.
-func (l *Layout) loadBaseBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	buf, err := l.readBlockVerified(i, j, buf)
+// LoadSubBlockFrom without the overlay merge.
+func (l *Layout) loadBaseBlockInto(r *storage.Reader, i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
+	buf, err := l.readBlockVerified(r, i, j, buf)
 	if err != nil {
 		return dst, buf, err
 	}
@@ -73,11 +96,11 @@ func (l *Layout) loadBaseBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gr
 	return dst, buf, nil
 }
 
-// readBlockVerified reads sub-block (i, j)'s on-disk payload through buf in
-// one sequential stream and checks it against the manifest's CRC: the step
-// every whole-block read starts with.
-func (l *Layout) readBlockVerified(i, j int, buf []byte) ([]byte, error) {
-	buf, err := l.Dev.ReadFileInto(l.Meta.BlockName(i, j), buf)
+// readBlockVerified reads sub-block (i, j)'s on-disk payload from r through
+// buf in one sequential stream and checks it against the manifest's CRC: the
+// step every whole-block read starts with.
+func (l *Layout) readBlockVerified(r *storage.Reader, i, j int, buf []byte) ([]byte, error) {
+	buf, err := r.ReadFileInto(buf)
 	if err != nil {
 		return buf, fmt.Errorf("partition: loading sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
 	}
@@ -87,25 +110,24 @@ func (l *Layout) readBlockVerified(i, j int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// LoadSubBlockPayload reads sub-block (i, j) in full and returns its edges
-// as a delta-coded payload *without* decoding it into edges — the form the
-// semi-external-memory compressed cache tier stores. Under the delta codec
-// the verified on-disk bytes are returned verbatim (zero transcode cost);
-// raw layouts are decoded and re-encoded once, with the transcode charged as
-// decode time. Decode the result with graph.AppendDeltaBlock using the
-// interval bases of (i, j). Empty sub-blocks return a nil payload and no
-// I/O.
-func (l *Layout) LoadSubBlockPayload(i, j int) ([]byte, error) {
-	return l.LoadSubBlockPayloadInto(i, j, nil)
+// LoadSubBlockPayloadInto reads sub-block (i, j) in full, through buf (grown
+// only when too small), and returns its edges as a delta-coded payload
+// *without* decoding it — the form the compressed cache tier stores and a run
+// view scans. On a delta layout with no overlay on the block the result is
+// buf's memory holding the verified on-disk bytes, the caller's to reuse once
+// done with the payload; a merged payload, or a raw block's (re-encoded once,
+// charged as decode time), is freshly allocated. Decode it with
+// graph.AppendDeltaBlock using the interval bases of (i, j), reporting the time
+// through AddDecodeTime. Empty sub-blocks return a nil payload and no I/O.
+func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
+	r := l.BlockReader(i, j)
+	defer r.Close()
+	return l.LoadSubBlockPayloadFrom(r, i, j, buf)
 }
 
-// LoadSubBlockPayloadInto is LoadSubBlockPayload reading the block through
-// buf, grown only when too small. On a delta layout with no overlay on the
-// block the result is buf's memory holding the verified on-disk bytes, the
-// caller's to reuse once it is done with the payload; a merged or transcoded
-// payload is freshly allocated. Whoever decodes the payload reports the time
-// through AddDecodeTime.
-func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
+// LoadSubBlockPayloadFrom is LoadSubBlockPayloadInto through r, the block's
+// BlockReader.
+func (l *Layout) LoadSubBlockPayloadFrom(r *storage.Reader, i, j int, buf []byte) ([]byte, error) {
 	if l.Meta.SubBlockEdges(i, j) == 0 {
 		return nil, nil
 	}
@@ -113,7 +135,7 @@ func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
 		// Mutated blocks synthesize the merged payload: the compressed
 		// cache tier stores the merged view, keyed by content version like
 		// every other cache entry.
-		edges, _, err := l.LoadSubBlockInto(i, j, nil, nil)
+		edges, _, err := l.LoadSubBlockFrom(r, i, j, nil, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +149,7 @@ func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
 		l.noteDecode(t0)
 		return payload, nil
 	}
-	buf, err := l.readBlockVerified(i, j, buf)
+	buf, err := l.readBlockVerified(r, i, j, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -184,18 +206,34 @@ type Index struct {
 }
 
 // LoadIndex reads the per-vertex offset index of sub-block (i, j). The
-// index has IntervalLen(i)+1 entries (see Index). The read is charged
-// sequentially: indexes are small and loaded in one stream, matching the
-// 2|V|·N index/value term of the paper's C_r model.
+// index has IntervalLen(i)+1 entries (see Index): that, and the rest of what
+// the selective path subscripts and seeks by, is checked here — a well-formed
+// index of the wrong shape is an error now, not a panic later. The read is
+// charged sequentially, matching the 2|V|·N index/value term of the paper's
+// C_r model.
 func (l *Layout) LoadIndex(i, j int) (*Index, error) {
-	data, err := l.Dev.ReadFile(l.Meta.BlockIndexName(i, j))
+	name := l.Meta.BlockIndexName(i, j)
+	data, err := l.Dev.ReadFile(name)
 	if err != nil {
 		return nil, fmt.Errorf("partition: loading index (%d,%d): %w", i, j, err)
 	}
-	delta := l.Meta.BlockCodec() == graph.CodecDelta
-	rec, off, err := decodeIndexData(data, delta)
+	rec, off, err := decodeIndexData(data, l.Meta.BlockCodec() == graph.CodecDelta)
+	// Offsets ascend by construction, so the ends bound the rest.
+	switch last := l.Meta.IntervalLen(i); {
+	case err != nil:
+	case len(rec) != last+1:
+		err = fmt.Errorf("%d entries, interval %d needs %d", len(rec), i, last+1)
+	case rec[0] != 0:
+		err = fmt.Errorf("records start at %d, not 0", rec[0])
+	case l.Overlay != nil:
+		// The manifest's counts are merged ones, not the base file's.
+	case rec[last] != l.Meta.SubBlockEdges(i, j):
+		err = fmt.Errorf("records end at %d, the block holds %d edges", rec[last], l.Meta.SubBlockEdges(i, j))
+	case off != nil && off[last] > l.Meta.SubBlockDiskBytes(i, j):
+		err = fmt.Errorf("run bytes end at %d, the block holds %d bytes", off[last], l.Meta.SubBlockDiskBytes(i, j))
+	}
 	if err != nil {
-		return nil, fmt.Errorf("partition: index (%d,%d): %w", i, j, err)
+		return nil, fmt.Errorf("partition: index (%d,%d) in %s: %w", i, j, name, err)
 	}
 	iLo, _ := l.Meta.Interval(i)
 	jLo, _ := l.Meta.Interval(j)
@@ -258,19 +296,15 @@ func decodeMonotoneDeltas(data []byte, n int) ([]int64, int, error) {
 }
 
 // OpenSubBlock opens sub-block (i, j) for positional reads. The caller must
-// Close the reader. Opening an empty sub-block returns (nil, nil) — as does
-// a block whose merged count is positive but whose base file is absent
-// (pure-overlay content): ReadVertexEdges serves those vertices from the
-// overlay alone and tolerates a nil reader.
+// Close the reader. Opening a block with no base file (see BlockReader)
+// returns (nil, nil): ReadVertexEdges serves those vertices from the overlay
+// alone and tolerates a nil reader.
 func (l *Layout) OpenSubBlock(i, j int) (*storage.Reader, error) {
-	if l.Meta.SubBlockEdges(i, j) == 0 {
+	r := l.BlockReader(i, j)
+	if r == nil {
 		return nil, nil
 	}
-	name := l.Meta.BlockName(i, j)
-	if l.Overlay != nil && !l.Dev.Exists(name) {
-		return nil, nil
-	}
-	r, err := l.Dev.Open(name)
+	r, err := l.Dev.Open(r.Name())
 	if err != nil {
 		return nil, fmt.Errorf("partition: opening sub-block (%d,%d): %w", i, j, err)
 	}

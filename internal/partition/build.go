@@ -1,10 +1,11 @@
 package partition
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -113,12 +114,8 @@ func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOpti
 	// Copy 2: column blocks by destination interval, sorted by destination.
 	cols := bucketEdges(g, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })
 	for j := 0; j < p; j++ {
-		sort.Slice(cols[j], func(a, b int) bool {
-			x, y := cols[j][a], cols[j][b]
-			if x.Dst != y.Dst {
-				return x.Dst < y.Dst
-			}
-			return x.Src < y.Src
+		slices.SortFunc(cols[j], func(a, b graph.Edge) int {
+			return compareEdgeKeys(a.Dst, a.Src, a.Weight, b.Dst, b.Src, b.Weight)
 		})
 		sum, err := writeEdges(dev, bt, ColName(j), cols[j], g.Weighted)
 		if err != nil {
@@ -238,13 +235,26 @@ func bucketEdges(g *graph.Graph, p int, key func(graph.Edge) int) [][]graph.Edge
 	return buckets
 }
 
+// sortEdgesBySrc sorts a cell by (source, destination, weight bits). The
+// order is total, so what a layout's bytes are does not hang on how an
+// unstable sort leaves parallel edges: Build, BuildExternal and a merge of the
+// same edge set write the same files.
 func sortEdgesBySrc(edges []graph.Edge) {
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a].Src != edges[b].Src {
-			return edges[a].Src < edges[b].Src
-		}
-		return edges[a].Dst < edges[b].Dst
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		return compareEdgeKeys(a.Src, a.Dst, a.Weight, b.Src, b.Dst, b.Weight)
 	})
+}
+
+// compareEdgeKeys orders two edges by a major and a minor endpoint, then by
+// the bits of their weights.
+func compareEdgeKeys(aMajor, aMinor graph.VertexID, aWeight float32, bMajor, bMinor graph.VertexID, bWeight float32) int {
+	if aMajor != bMajor {
+		return cmp.Compare(aMajor, bMajor)
+	}
+	if aMinor != bMinor {
+		return cmp.Compare(aMinor, bMinor)
+	}
+	return cmp.Compare(math.Float32bits(aWeight), math.Float32bits(bWeight))
 }
 
 // buildVertexIndex returns CSR-style offsets over a sorted edge slice: for

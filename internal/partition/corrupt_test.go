@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -47,6 +48,89 @@ func TestCorruptIndexRejected(t *testing.T) {
 	}
 	if _, err := l.LoadIndex(0, 0); err == nil {
 		t.Fatal("corrupt index accepted")
+	}
+}
+
+// TestMisshapenIndexRejected: an index that parses but does not describe its
+// block — too few entries (the three bytes {1,0,0} that used to load and then
+// panic ReadVertexEdges), too many, or record and byte totals that are not the
+// block's — is an error of LoadIndex naming the file, on both codecs.
+func TestMisshapenIndexRejected(t *testing.T) {
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		t.Run(codec.String(), func(t *testing.T) {
+			dev := testDevice(t)
+			l, err := Build(dev, gen.Weighted(gen.Grid(8), 4, 1), 2, WithCodec(codec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			good, err := l.LoadIndex(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bt := newBuildTimer()
+			shifted := func(vals []int64, by int64) []int64 {
+				out := slices.Clone(vals)
+				for k := range out {
+					out[k] += by
+				}
+				return out
+			}
+			cases := map[string]func() error{
+				"one entry": func() error {
+					one := []byte{1, 0}
+					if good.Off != nil {
+						one = append(one, 0)
+					}
+					return dev.WriteFile(IndexName(0, 0), one)
+				},
+				"an entry short": func() error {
+					n := len(good.Rec) - 1
+					var off []int64
+					if good.Off != nil {
+						off = good.Off[:n]
+					}
+					return writeIndex(dev, bt, IndexName(0, 0), good.Rec[:n], off)
+				},
+				"an entry over": func() error {
+					var off []int64
+					if good.Off != nil {
+						off = append(slices.Clone(good.Off), good.Off[len(good.Off)-1])
+					}
+					return writeIndex(dev, bt, IndexName(0, 0), append(slices.Clone(good.Rec), good.Rec[len(good.Rec)-1]), off)
+				},
+				"records from one": func() error {
+					return writeIndex(dev, bt, IndexName(0, 0), shifted(good.Rec, 1), good.Off)
+				},
+				"a record too many": func() error {
+					rec := slices.Clone(good.Rec)
+					rec[len(rec)-1]++
+					return writeIndex(dev, bt, IndexName(0, 0), rec, good.Off)
+				},
+			}
+			if good.Off != nil {
+				cases["bytes past the block"] = func() error {
+					return writeIndex(dev, bt, IndexName(0, 0), good.Rec, shifted(good.Off, l.Meta.SubBlockDiskBytes(0, 0)))
+				}
+			}
+			for name, write := range cases {
+				if err := write(); err != nil {
+					t.Fatal(err)
+				}
+				idx, err := l.LoadIndex(0, 0)
+				if err == nil {
+					t.Fatalf("%s: accepted, %d entries", name, len(idx.Rec))
+				}
+				if !strings.Contains(err.Error(), IndexName(0, 0)) {
+					t.Fatalf("%s: error %q does not name the file", name, err)
+				}
+			}
+			if err := writeIndex(dev, bt, IndexName(0, 0), good.Rec, good.Off); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.LoadIndex(0, 0); err != nil {
+				t.Fatalf("restored index: %v", err)
+			}
+		})
 	}
 }
 

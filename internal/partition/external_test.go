@@ -2,6 +2,8 @@ package partition
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/gen"
@@ -219,5 +221,90 @@ func TestExternalLayoutRunsIdentically(t *testing.T) {
 	}
 	if reloaded.Meta.System != "graphsd" || reloaded.Meta.NumEdges != l.Meta.NumEdges {
 		t.Fatalf("reloaded manifest: %+v", reloaded.Meta)
+	}
+}
+
+// TestLayoutBytesIgnoreInputOrder: cells are sorted under a total order
+// (source, destination, weight bits), so a weighted multigraph with parallel
+// edges — where an unstable sort by (source, destination) alone is free to
+// leave either copy first — preprocesses to the same bytes from any input
+// order, in memory or externally, on both codecs; and merging an overlay into
+// such a cell gives the cell a fresh preprocess of the merged set would.
+func TestLayoutBytesIgnoreInputOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	g := &graph.Graph{NumVertices: 64, Weighted: true}
+	for k := 0; k < 4000; k++ {
+		// 64 × 64 keys under 4000 edges: most keys are taken several times.
+		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(rng.Intn(64)), Dst: graph.VertexID(rng.Intn(64)), Weight: float32(rng.Intn(5))})
+	}
+	shuffled := func() *graph.Graph {
+		c := *g
+		c.Edges = slices.Clone(g.Edges)
+		rng.Shuffle(len(c.Edges), func(a, b int) { c.Edges[a], c.Edges[b] = c.Edges[b], c.Edges[a] })
+		return &c
+	}
+	const p = 3
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		files := func(build func(dev *storage.Device, g *graph.Graph) (*Layout, error)) map[string][]byte {
+			dev := testDevice(t)
+			if _, err := build(dev, shuffled()); err != nil {
+				t.Fatal(err)
+			}
+			names, err := dev.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make(map[string][]byte)
+			for _, name := range names {
+				if out[name], err = dev.ReadFile(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return out
+		}
+		want := files(func(dev *storage.Device, g *graph.Graph) (*Layout, error) {
+			return Build(dev, g, p, WithCodec(codec))
+		})
+		for name, build := range map[string]func(dev *storage.Device, g *graph.Graph) (*Layout, error){
+			"Build": func(dev *storage.Device, g *graph.Graph) (*Layout, error) {
+				return Build(dev, g, p, WithCodec(codec))
+			},
+			"BuildExternal": func(dev *storage.Device, g *graph.Graph) (*Layout, error) {
+				return BuildExternal(dev, graph.NewSliceStream(g.Edges), g.NumVertices, true, p, WithCodec(codec))
+			},
+		} {
+			got := files(build)
+			if len(got) != len(want) {
+				t.Fatalf("%s [%s]: %d files, want %d", name, codec, len(got), len(want))
+			}
+			for file, data := range want {
+				if !bytes.Equal(got[file], data) {
+					t.Fatalf("%s [%s]: %s differs between two input orders", name, codec, file)
+				}
+			}
+		}
+	}
+
+	base := slices.Clone(g.Edges[:3000])
+	sortEdgesBySrc(base)
+	taken := make(map[[2]graph.VertexID]bool)
+	for _, e := range base {
+		taken[[2]graph.VertexID{e.Src, e.Dst}] = true
+	}
+	fresh := slices.Clone(base)
+	var overlay []OverlayEdge
+	for _, e := range g.Edges[3000:] {
+		if key := [2]graph.VertexID{e.Src, e.Dst}; !taken[key] {
+			taken[key] = true
+			overlay = append(overlay, OverlayEdge{Edge: e})
+			fresh = append(fresh, e)
+		}
+	}
+	slices.SortFunc(overlay, func(a, b OverlayEdge) int {
+		return compareEdgeKeys(a.Edge.Src, a.Edge.Dst, 0, b.Edge.Src, b.Edge.Dst, 0)
+	})
+	sortEdgesBySrc(fresh)
+	if merged := MergeOverlay(nil, base, overlay); len(overlay) == 0 || !slices.Equal(merged, fresh) {
+		t.Fatalf("merging %d inserts into a cell with parallel edges differs from sorting the merged set", len(overlay))
 	}
 }

@@ -123,7 +123,7 @@ type Layout struct {
 	Meta Manifest
 	// Overlay, when non-nil, is a pinned set of pending edge mutations
 	// (sealed delta layers plus a frozen memtable snapshot) merged into
-	// every read: LoadSubBlockInto, LoadSubBlockPayload, ReadVertexEdges
+	// every read: LoadSubBlockInto, LoadSubBlockPayloadInto, ReadVertexEdges
 	// and LoadDegrees all return the merged view. In that
 	// case Meta must be the *merged* manifest — EdgeCounts, NumEdges and
 	// BlockBytes adjusted for the overlay — while BlockSums keep the base

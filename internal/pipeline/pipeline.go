@@ -124,6 +124,11 @@ type Prefetcher[T any] struct {
 	firstErr error
 	failSeq  int // sequence position of the first fetch error
 	stats    Stats
+
+	// abandoned is the slot a cancelled NextCtx had already taken off order
+	// when it gave up; Close waits for its fetch like for any other. Only the
+	// consumer's goroutine touches it.
+	abandoned *slot[T]
 }
 
 // New starts a prefetcher over reqs. The fetch function loads and decodes
@@ -281,9 +286,9 @@ func (p *Prefetcher[T]) NextCtx(ctx context.Context) (Request, T, error) {
 	select {
 	case <-s.done:
 	case <-ctx.Done():
-		// Put the slot back conceptually: its depth/byte reservations are
-		// released by Close's drain once the fetch lands. Dropping it here
-		// is safe because a cancelled consumer never calls Next again.
+		// A cancelled consumer never calls Next again, so the slot is not
+		// put back; Close waits out its fetch.
+		p.abandoned = s
 		return Request{}, zero, ctx.Err()
 	}
 	stall := time.Since(t0)
@@ -305,9 +310,13 @@ func (p *Prefetcher[T]) NextCtx(ctx context.Context) (Request, T, error) {
 
 // Close cancels every not-yet-started fetch and releases waiters. It is
 // idempotent and safe to call while fetches are in flight; in-flight fetch
-// calls run to completion but their results are discarded.
+// calls run to completion — Close returns after they have — but their results
+// are discarded.
 func (p *Prefetcher[T]) Close() {
 	p.cancel(nil, 0)
+	if s := p.abandoned; s != nil {
+		<-s.done
+	}
 	// Drain delivered-but-unconsumed slots so their goroutines' results
 	// are released; the order channel is buffered so this never blocks.
 	for {

@@ -534,7 +534,10 @@ func (s *Server) resumableCheckpoint(dir, progName string, async bool, g *graphE
 // bitsets, and the aux array of a program that keeps one), the default
 // per-run sub-block buffer (1/4 of edge data: FCIU's secondary sub-blocks
 // under BSP, the blocks of the scheduler's highest-ranked rows under async),
-// and the default prefetch window.
+// what the run's block source keeps of every sub-block it touches until the
+// run returns (vertex indexes and run directories, core.HandleBytes — at
+// scale 14, P=8, delta, more than the vertex arrays), and the default prefetch
+// window.
 func (s *Server) estimateBytes(req jobs.Request) int64 {
 	g, ok := s.graphs[req.Graph]
 	if !ok {
@@ -546,7 +549,7 @@ func (s *Server) estimateBytes(req jobs.Request) int64 {
 	if prog, err := algorithms.ByName(req.Algorithm, graph.VertexID(req.Source)); err == nil && prog.HasAux() {
 		perVertex += 8
 	}
-	return n*perVertex + m.EdgeBytesTotal()/4 + 16<<20
+	return n*perVertex + m.EdgeBytesTotal()/4 + core.HandleBytes(&m) + 16<<20
 }
 
 // validate rejects a request the scheduler would accept but the runner

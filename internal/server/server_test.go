@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/jobs"
@@ -310,6 +311,12 @@ func TestServerAdmissionControl(t *testing.T) {
 	prd := s.estimateBytes(jobs.Request{Graph: "g", Algorithm: "prd"})
 	if want := int64(8 * g.NumVertices); prd-pr != want {
 		t.Fatalf("prd estimate %d − pr estimate %d = %d, want the aux array's %d bytes", prd, pr, prd-pr, want)
+	}
+	// So must it what the run's block handles keep until it returns: the
+	// estimate is the vertex arrays on top of everything else it lists.
+	m := s.graphs["g"].manifest()
+	if handles, rest := core.HandleBytes(&m), m.EdgeBytesTotal()/4+16<<20; handles == 0 || pr != int64(34*g.NumVertices)+handles+rest {
+		t.Fatalf("pr estimate %d with %d handle bytes and %d of buffer and window: the handles are not charged", pr, handles, rest)
 	}
 }
 

@@ -225,48 +225,12 @@ func (d *Device) ReadFile(name string) ([]byte, error) {
 }
 
 // ReadFileInto is ReadFile reading into buf, growing it only when its
-// capacity is insufficient. Accounting and fault semantics are identical;
-// the buffer reuse is what lets the I/O pipeline's fetch workers load block
-// after block without allocating.
+// capacity is insufficient. It is Reader.ReadFileInto around one open and
+// close; a caller that reads name again and again keeps the Reader instead.
 func (d *Device) ReadFileInto(name string, buf []byte) ([]byte, error) {
-	p, err := d.path(name)
-	if err != nil {
-		return nil, err
-	}
-	var size int64
-	retries, backoff, err := d.retryRead(func() error {
-		if err := d.checkFault("read", name); err != nil {
-			return err
-		}
-		f, err := os.Open(p)
-		if err != nil {
-			return fmt.Errorf("storage: reading %s: %w", name, err)
-		}
-		defer f.Close()
-		fi, err := f.Stat()
-		if err != nil {
-			return fmt.Errorf("storage: reading %s: %w", name, err)
-		}
-		size = fi.Size()
-		if int64(cap(buf)) < size {
-			buf = make([]byte, size)
-		}
-		buf = buf[:size]
-		if size > 0 {
-			if _, err := io.ReadFull(f, buf); err != nil {
-				return fmt.Errorf("storage: reading %s: %w", name, err)
-			}
-		}
-		return nil
-	})
-	d.stats.addRetries(int64(retries))
-	if err != nil {
-		return nil, err
-	}
-	cost := d.prof.SeqCost(SeqRead, size) + d.prof.SeekLatency + backoff
-	d.stats.add(SeqRead, size, cost)
-	d.emit("read", SeqRead, name, -1, size, cost, retries)
-	return buf, nil
+	r := d.Reader(name)
+	defer r.Close()
+	return r.ReadFileInto(buf)
 }
 
 // Remove deletes name. Removing a missing file is an error.
@@ -349,25 +313,23 @@ func (d *Device) Create(name string) (*Writer, error) {
 	return &Writer{dev: d, name: name, f: f}, nil
 }
 
-// Open opens name for reading.
+// Reader returns a reader of name that opens the file at its first read and
+// keeps it open until Close: the caller decides whether a descriptor serves
+// one read, one pass or every read of a run.
+func (d *Device) Reader(name string) *Reader {
+	return &Reader{dev: d, name: name, lastEnd: -1}
+}
+
+// Open opens name for positional reads.
 func (d *Device) Open(name string) (*Reader, error) {
-	if err := d.checkFault("open", name); err != nil {
+	r := d.Reader(name)
+	if err := r.Restart(); err != nil {
 		return nil, err
 	}
-	p, err := d.path(name)
-	if err != nil {
+	if _, _, err := r.file(); err != nil {
 		return nil, err
 	}
-	f, err := os.Open(p)
-	if err != nil {
-		return nil, fmt.Errorf("storage: opening %s: %w", name, err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("storage: stat %s: %w", name, err)
-	}
-	return &Reader{dev: d, name: name, f: f, size: fi.Size(), lastEnd: -1}, nil
+	return r, nil
 }
 
 // Writer is a sequential file writer on a Device. Writes are charged as
@@ -408,28 +370,63 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Reader is a positional file reader on a Device. The caller states the
-// access class of every read; the engines classify contiguous active-edge
-// runs as sequential and scattered ones as random, exactly the S_seq/S_ran
-// split of the paper's cost model. Reader is safe for concurrent ReadAt
-// calls (accounting is atomic, classification is per-call).
+// Reader reads one file of a Device, whole (ReadFileInto) or positionally. Of
+// a positional read the caller states the access class; the engines classify
+// contiguous active-edge runs as sequential and scattered ones as random,
+// exactly the S_seq/S_ran split of the paper's cost model. The first read
+// opens the file, Close closes it, and a read after that opens it again. Reads
+// may run concurrently (accounting is atomic, classification is per call).
 type Reader struct {
 	dev  *Device
 	name string
-	f    *os.File
-	size int64
 
+	// f is the open file, or nil, and size its length when it was opened.
 	// lastEnd tracks the end offset of the previous read for AutoReadAt's
 	// contiguity detection. Guarded by mu.
 	mu      sync.Mutex
+	f       *os.File
+	size    int64
 	lastEnd int64
 }
 
-// Size returns the file size in bytes.
-func (r *Reader) Size() int64 { return r.size }
+// file returns the open file and its size, opening it if need be.
+func (r *Reader) file() (*os.File, int64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.f == nil {
+		p, err := r.dev.path(r.name)
+		if err != nil {
+			return nil, 0, err
+		}
+		f, err := os.Open(p)
+		if err != nil {
+			return nil, 0, fmt.Errorf("storage: opening %s: %w", r.name, err)
+		}
+		fi, err := f.Stat()
+		if err != nil {
+			f.Close()
+			return nil, 0, fmt.Errorf("storage: opening %s: %w", r.name, err)
+		}
+		r.f, r.size = f, fi.Size()
+	}
+	return r.f, r.size, nil
+}
 
 // Name returns the device-relative file name.
 func (r *Reader) Name() string { return r.name }
+
+// Restart begins a new pass of positional reads: it consults the fault injector
+// under "open", descriptor there or not, and forgets where the last read ended,
+// so AutoReadAt classifies the next as random — as on a Reader fresh from Open.
+func (r *Reader) Restart() error {
+	if err := r.dev.checkFault("open", r.name); err != nil {
+		return err
+	}
+	r.mu.Lock()
+	r.lastEnd = -1
+	r.mu.Unlock()
+	return nil
+}
 
 // ReadAt reads len(p) bytes at off, charging class c.
 func (r *Reader) ReadAt(p []byte, off int64, c Class) (int, error) {
@@ -442,8 +439,12 @@ func (r *Reader) ReadAt(p []byte, off int64, c Class) (int, error) {
 		if err := r.dev.checkFault("readat", r.name); err != nil {
 			return err
 		}
+		f, _, err := r.file()
+		if err != nil {
+			return err
+		}
 		var rerr error
-		n, rerr = r.f.ReadAt(p, off)
+		n, rerr = f.ReadAt(p, off)
 		if rerr != nil && rerr != io.EOF {
 			return fmt.Errorf("storage: reading %s@%d: %w", r.name, off, rerr)
 		}
@@ -481,29 +482,30 @@ func (r *Reader) AutoReadAt(p []byte, off int64) (int, error) {
 	return r.ReadAt(p, off, c)
 }
 
-// ReadAll reads the remaining whole file sequentially (one seek + stream).
-func (r *Reader) ReadAll() ([]byte, error) {
-	return r.ReadAllInto(nil)
-}
-
-// ReadAllInto reads the whole file sequentially into buf, growing it only
-// when its capacity is insufficient, and returns the filled slice. The
-// accounting is identical to ReadAll (one seek + sequential stream); the
-// buffer reuse is what lets the I/O pipeline's fetch workers read block
-// after block without allocating.
-func (r *Reader) ReadAllInto(buf []byte) ([]byte, error) {
-	if int64(cap(buf)) < r.size {
-		buf = make([]byte, r.size)
-	}
-	buf = buf[:r.size]
-	if r.size == 0 {
-		return buf, nil
-	}
+// ReadFileInto reads the whole file as one sequential stream into buf, growing
+// it only when its capacity is insufficient, and charges a sequential read
+// plus one positioning seek. The length is the one recorded when the file was
+// opened: fewer bytes are an error, never a shorter payload. Reusing buf, fetch
+// workers load block after block without allocating.
+func (r *Reader) ReadFileInto(buf []byte) ([]byte, error) {
+	var size int64
 	retries, backoff, err := r.dev.retryRead(func() error {
-		if err := r.dev.checkFault("readat", r.name); err != nil {
+		if err := r.dev.checkFault("read", r.name); err != nil {
 			return err
 		}
-		if _, err := r.f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		f, n, err := r.file()
+		if err != nil {
+			return err
+		}
+		size = n
+		if int64(cap(buf)) < size {
+			buf = make([]byte, size)
+		}
+		buf = buf[:size]
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return fmt.Errorf("storage: reading %s: %w", r.name, err)
 		}
 		return nil
@@ -512,18 +514,25 @@ func (r *Reader) ReadAllInto(buf []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost := r.dev.prof.SeqCost(SeqRead, r.size) + r.dev.prof.SeekLatency + backoff
-	r.dev.stats.add(SeqRead, r.size, cost)
-	r.dev.emit("readall", SeqRead, r.name, 0, r.size, cost, retries)
-	r.mu.Lock()
-	r.lastEnd = r.size
-	r.mu.Unlock()
+	cost := r.dev.prof.SeqCost(SeqRead, size) + r.dev.prof.SeekLatency + backoff
+	r.dev.stats.add(SeqRead, size, cost)
+	r.dev.emit("read", SeqRead, r.name, -1, size, cost, retries)
 	return buf, nil
 }
 
-// Close closes the underlying file.
+// Close closes the underlying file, if it is open; a nil Reader has none.
 func (r *Reader) Close() error {
-	if err := r.f.Close(); err != nil {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	f := r.f
+	r.f = nil
+	r.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("storage: closing %s: %w", r.name, err)
 	}
 	return nil

@@ -190,8 +190,8 @@ func TestReaderClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Size() != 4096 || r.Name() != "f.bin" {
-		t.Fatalf("Size=%d Name=%s", r.Size(), r.Name())
+	if r.Name() != "f.bin" {
+		t.Fatalf("Name=%s", r.Name())
 	}
 
 	buf := make([]byte, 100)
@@ -252,9 +252,9 @@ func TestReadAllAndEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	all, err := r.ReadAll()
+	all, err := r.ReadFileInto(nil)
 	if err != nil || string(all) != "abcdef" {
-		t.Fatalf("ReadAll = %q, %v", all, err)
+		t.Fatalf("ReadFileInto = %q, %v", all, err)
 	}
 	// Read past EOF returns io.EOF with partial data.
 	buf := make([]byte, 10)
@@ -262,7 +262,7 @@ func TestReadAllAndEOF(t *testing.T) {
 	if n != 3 || err != io.EOF {
 		t.Fatalf("ReadAt past EOF = %d, %v", n, err)
 	}
-	// Empty file ReadAll.
+	// Empty file, whole.
 	if err := d.WriteFile("empty.bin", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -271,9 +271,9 @@ func TestReadAllAndEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	b, err := re.ReadAll()
+	b, err := re.ReadFileInto(nil)
 	if err != nil || len(b) != 0 {
-		t.Fatalf("empty ReadAll = %v, %v", b, err)
+		t.Fatalf("empty ReadFileInto = %v, %v", b, err)
 	}
 }
 
