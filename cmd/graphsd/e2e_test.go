@@ -81,6 +81,17 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("run output: %s", out)
 	}
 
+	// Dead sub-blocks are skipped on every run, so the summary says so
+	// whenever there were any — no -sem needed — and never otherwise.
+	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "bfs", "-force-model", "full", "-top", "0")
+	if !strings.Contains(out, "skipped: ") || strings.Contains(out, "sem: ") {
+		t.Fatalf("bfs run without -sem: want a skipped: line and no sem: line:\n%s", out)
+	}
+	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr", "-top", "0")
+	if strings.Contains(out, "skipped: ") {
+		t.Fatalf("pr run skipped sub-blocks:\n%s", out)
+	}
+
 	// Analyze the trace.
 	out = run(t, graphsdBin, "trace", "-file", tracePath, "-top", "2")
 	if !strings.Contains(out, "sequential ops") {

@@ -104,9 +104,12 @@ type Engine struct {
 	// plStats accumulates block-stream outcomes across all passes.
 	plStats pipeline.Stats
 
-	// sem is the per-pass block-level activity bitmap (Options.SEM),
-	// rebuilt by semBegin at every pass start; nil when SEM is off.
-	sem *semBitmap
+	// rowLive[i] says source interval i holds an active vertex of the
+	// frontier the pass in progress scatters from; semBegin refills it at every
+	// pass start. allLive is a test seam: every row counts as live, so a pass
+	// reads every cell it would without skipping.
+	rowLive []bool
+	allLive bool
 
 	computeTime time.Duration
 }
@@ -128,12 +131,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		EdgeBytesOnDemand: layout.Meta.SelectiveDiskBytesTotal(),
 		P:                 layout.Meta.P,
 		BlocksPerRow:      layout.Meta.NonEmptyBlocksPerRow(),
-	}
-	if opts.SEM {
-		// The full model now skips dead rows, so its cost must be priced
-		// per frontier rather than as a constant.
-		schedCfg.SEM = true
-		schedCfg.RowDiskBytes = layout.Meta.RowDiskBytes()
+		RowDiskBytes:      layout.Meta.RowDiskBytes(),
 	}
 	sched, err := iosched.New(schedCfg)
 	if err != nil {
@@ -166,6 +164,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		active:       bitset.NewActiveSet(n),
 		newActive:    bitset.NewActiveSet(n),
 		prescattered: bitset.NewActiveSet(n),
+		rowLive:      make([]bool, layout.Meta.P),
 		src:          newBlockSource(layout, opts.SharedBlocks),
 		buf:          buffer.New(bufBytes),
 	}
@@ -571,8 +570,8 @@ func activeEdgeEstimate(edges []graph.Edge, active *bitset.ActiveSet) int64 {
 	return c * int64(len(edges)) / sampled
 }
 
-// clampedActiveEdgeEstimate is activeEdgeEstimate clamped to ≥1 while the
-// block-activity bitmap says source row i is live: stride sampling can miss
+// clampedActiveEdgeEstimate is activeEdgeEstimate clamped to ≥1 while source
+// row i holds an active vertex: stride sampling can miss
 // every active source of a live block and return 0, which would demote a
 // hot block to the bottom of the eviction order even though it still holds
 // active edges.

@@ -315,6 +315,55 @@ func TestSelectiveLoadsLessThanFull(t *testing.T) {
 	compareOutputs(t, "adaptive-vs-full", adaptive.Outputs, full.Outputs, 1e-9)
 }
 
+// TestAdaptiveTakesSCIUOnScatteredFrontier: dead-row skipping makes the full
+// model cheap whenever the frontier is clustered, so the on-demand model now
+// wins only where every source interval holds an active vertex and few of
+// them do. On such a frontier the adaptive engine must still choose it: every
+// row is live (nothing for a full pass to skip), SCIU iterations run, the
+// device moves a fraction of the forced-full bytes, and outputs are
+// bit-identical.
+func TestAdaptiveTakesSCIUOnScatteredFrontier(t *testing.T) {
+	const p, steps = 4, 12
+	g, err := gen.Braid(p, 2048, steps, 60000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := func() core.Program { return &algorithms.BFS{Source: 0} }
+	for _, buffered := range []bool{false, true} {
+		opts := core.Options{DefaultBuffer: buffered}
+		adaptive, err := core.Run(buildLayoutProf(t, g, p, storage.ScaledHDD), prog(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.ForceModel = core.ForceFull
+		full, err := core.Run(buildLayoutProf(t, g, p, storage.ScaledHDD), prog(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Iteration 0 is vertex 0 alone: three rows are dead and the full model
+		// is priced for the one live row, yet four edges are still cheaper
+		// fetched selectively. Every later frontier is one vertex per interval.
+		for _, st := range adaptive.IterStats {
+			if st.Path != "sciu" || st.Active > p {
+				t.Fatalf("buffered=%t: iteration %d ran %s over %d active vertices, want sciu over at most %d", buffered, st.Index, st.Path, st.Active, p)
+			}
+		}
+		if d := adaptive.Decisions; len(d) < 2 || d[0].CostFull >= d[1].CostFull {
+			t.Fatalf("buffered=%t: C_s not priced per frontier: %d decisions, first two %+v", buffered, len(d), d[:min(2, len(d))])
+		}
+		if full.SEM.BlocksSkipped > p*(p-1) {
+			t.Fatalf("buffered=%t: forced-full skipped %d blocks; only iteration 0 has dead rows", buffered, full.SEM.BlocksSkipped)
+		}
+		if adaptive.IO.ReadBytes()*2 > full.IO.ReadBytes() {
+			t.Fatalf("buffered=%t: adaptive read %d bytes, forced-full %d", buffered, adaptive.IO.ReadBytes(), full.IO.ReadBytes())
+		}
+		if adaptive.Iterations != full.Iterations {
+			t.Fatalf("buffered=%t: adaptive ran %d iterations, forced-full %d", buffered, adaptive.Iterations, full.Iterations)
+		}
+		requireIdenticalOutputs(t, full.Outputs, adaptive.Outputs)
+	}
+}
+
 func TestCrossIterationReducesIO(t *testing.T) {
 	// PageRank under forced-full I/O: FCIU reads upper-triangle sub-blocks
 	// once per two iterations, so disabling cross-iteration (b1) must read

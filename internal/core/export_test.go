@@ -4,8 +4,10 @@ import (
 	"context"
 
 	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/pipeline"
 )
 
 // Scatterer drives Engine.scatter over caller-built arrays, with no layout
@@ -93,4 +95,70 @@ func RunWithHandleCap(ctx context.Context, layout *partition.Layout, prog Progra
 		st.DirBytes += h.dir.Bytes()
 	}
 	return res, st, err
+}
+
+// RunAllRowsLive is Run with every source interval counted as live on every
+// pass: no sub-block is skipped for want of an active vertex, so a full-model
+// pass reads every non-empty cell of its kind. It is the oracle the skipping
+// tests hold a run to — same outputs by bits, and the device traffic skipping
+// is measured against. (The scheduler still prices the frontier's rows; pin
+// the model.)
+func RunAllRowsLive(layout *partition.Layout, prog Program, opts Options) (*Result, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.allLive = true
+	return e.run()
+}
+
+// PassCells names a full-model pass for RunPassFrom.
+type PassCells = passCells
+
+const (
+	FCIUFirstPass  = fciuFirstCells
+	FCIUSecondPass = fciuSecondCells
+	FullPass       = fullCells
+)
+
+// RunPassFrom readies an engine as run does up to its first step, replaces
+// the frontier with the vertices in frontier, loads the cells in resident into
+// the per-run buffer the way a pass offers them, then runs one pass over cells
+// and returns what it recorded of its block stream.
+func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells PassCells, frontier []int, resident [][2]int) (pipeline.Stats, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	s, err := e.newSchedule()
+	if err != nil {
+		return pipeline.Stats{}, err
+	}
+	e.ctx = context.Background()
+	defer e.stopParallel()
+	defer e.src.close()
+	if e.degrees, err = layout.LoadDegrees(); err != nil {
+		return pipeline.Stats{}, err
+	}
+	e.prog.Init(e.n, e.valPrev, e.aux, e.active)
+	if _, err := s.start(nil, 1); err != nil {
+		return pipeline.Stats{}, err
+	}
+	e.active.Reset()
+	for _, v := range frontier {
+		e.active.Activate(v)
+	}
+	for _, c := range resident {
+		edges, err := e.src.full(c[0], c[1])
+		if err != nil {
+			return pipeline.Stats{}, err
+		}
+		e.offer(buffer.Key{I: c[0], J: c[1]}, edges, e.opts.SEM, e.offerPriority)
+	}
+	if cells == fciuFirstCells {
+		err = e.runFCIUFirst()
+	} else {
+		err = e.runPass(cells)
+	}
+	return e.plStats, err
 }

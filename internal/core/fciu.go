@@ -36,11 +36,17 @@ func (c passCells) firstRow(j int) int {
 // buffer.
 func (c passCells) buffered(i, j int) bool { return c != fullCells && i > j }
 
+// resident reports whether the pass would be served cell (i, j) by the per-run
+// buffer as it stands.
+func (e *Engine) resident(cells passCells, i, j int) bool {
+	return cells.buffered(i, j) && e.buf.Contains(buffer.Key{I: i, J: j})
+}
+
 // openPass opens the pass's block stream: non-empty cells in consumption
-// order, minus secondary cells expected to hit the buffer, and — under SEM —
-// cells of rows the activity bitmap proves dead, which never enqueue a read
-// at all. (A dead-row upper-triangle cell that the cross-iteration phase
-// turns out to need is loaded synchronously by the consumer.) Residency is
+// order, minus secondary cells expected to hit the buffer and cells of rows
+// the frontier proves dead (semBegin), which never enqueue a read at all. (A
+// dead-row upper-triangle cell that the cross-iteration phase turns out to
+// need is loaded synchronously by the consumer.) Residency is
 // only sampled here — the stream's fetch workers never touch the buffer, so a
 // mid-pass eviction costs the consumer a synchronous load rather than a data
 // race. On a sparse pass the cells that bypass the buffer arrive as run views
@@ -53,10 +59,7 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
-			if e.sem != nil && !e.sem.rowLive(i) {
-				continue
-			}
-			if cells.buffered(i, j) && e.buf.Contains(buffer.Key{I: i, J: j}) {
+			if !e.rowLive[i] || e.resident(cells, i, j) {
 				continue
 			}
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
@@ -85,8 +88,8 @@ func (e *Engine) sparsePass() bool {
 // passBlock returns sub-block (i, j) for a full-model pass. Secondary
 // sub-blocks of a buffered pass go through the priority buffer (see
 // bufferedBlock) at a priority equal to their current active-edge count, as a
-// delta payload under SEM; the buffer is touched on the consumer only, so its
-// hit/miss statistics are unchanged by pipelining.
+// delta payload under Options.SEM; the buffer is touched on the consumer only,
+// so its hit/miss statistics are unchanged by pipelining.
 func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
 	if !cells.buffered(i, j) {
 		return st.take(i, j)
@@ -161,21 +164,21 @@ func (e *Engine) runFCIUFirst() error {
 			if err := e.checkCtx(); err != nil {
 				return err
 			}
-			if e.sem != nil && !e.sem.rowLive(i) {
+			if !e.rowLive[i] {
 				// The t-scatter of every cell in this row is a guaranteed
 				// no-op: the active filter excludes all of its edges. Only
 				// the cross-iteration scatter can still need the cell.
 				switch {
 				case i > j:
 					// Secondary cells scatter from the active filter only.
-					e.semSkip(i, j)
+					e.semSkip(fciuFirstCells, i, j)
 					continue
 				case i < j:
 					// Interval i is already applied, so newActive∩interval(i)
 					// is final: skip when it is empty, otherwise fall through
 					// and load for the cross-iteration scatter alone.
 					if riLo, riHi := e.layout.Meta.Interval(i); e.newActive.CountRange(riLo, riHi) == 0 {
-						e.semSkip(i, j)
+						e.semSkip(fciuFirstCells, i, j)
 						continue
 					}
 				default:
@@ -233,7 +236,7 @@ func (e *Engine) runFCIUFirst() error {
 				}
 				e.src.release(blk)
 			} else {
-				e.semSkip(j, j)
+				e.semSkip(fciuFirstCells, j, j)
 			}
 		}
 	}
@@ -243,8 +246,8 @@ func (e *Engine) runFCIUFirst() error {
 	// for t+1 is known, refresh every resident's priority. Large residents
 	// are sampled rather than rescanned; compressed residents are estimated
 	// from their row's active fraction instead of being decoded. Either
-	// estimate is clamped to ≥1 while the block bitmap says the block is
-	// live, so sampling can never demote a hot block to dead.
+	// estimate is clamped to ≥1 while the block's row holds an active vertex,
+	// so sampling can never demote a hot block to dead.
 	e.buf.Reprioritize(func(k buffer.Key, blk buffer.Block) int64 {
 		if blk.Payload != nil {
 			return e.payloadPriority(k, e.newActive)
@@ -278,10 +281,10 @@ func (e *Engine) runPass(cells passCells) error {
 			if err := e.checkCtx(); err != nil {
 				return err
 			}
-			if e.sem != nil && !e.sem.rowLive(i) {
+			if !e.rowLive[i] {
 				// Every cell here scatters only from the active filter; a
 				// dead row contributes nothing.
-				e.semSkip(i, j)
+				e.semSkip(cells, i, j)
 				continue
 			}
 			blk, err := e.passBlock(st, cells, i, j)

@@ -69,17 +69,15 @@ type Options struct {
 	// and for the job server's status endpoint. It runs on the engine
 	// goroutine; keep it cheap.
 	OnIteration func(IterStat)
-	// SEM enables the semi-external-memory fast path. Block-level active
-	// bitmaps let every full-model pass (and its prefetch pipeline) skip
-	// non-empty sub-blocks whose source interval holds no active vertex —
-	// no bytes, no seeks — and the cost model prices the full model per
-	// frontier accordingly. The FCIU passes keep their buffer residents in
-	// the compressed tier: delta-coded payloads decoded on hit, so the same
+	// SEM keeps the FCIU passes' buffer residents in the semi-external-memory
+	// compressed tier: delta-coded payloads decoded on hit, so the same
 	// BufferBytes holds 2–5× more graph (the async row step keeps decoded
-	// edges — there a hit exists to skip the decode). Results are
-	// bit-identical to a SEM-off run of the same forced path; under the
-	// adaptive scheduler the cheaper full model may flip some iterations
-	// from SCIU to FCIU.
+	// edges — there a hit exists to skip the decode). It changes which
+	// secondary sub-blocks a second FCIU half finds resident, never a result.
+	// It is not what skips dead sub-blocks: every full-model pass of every
+	// run leaves out the cells of a source interval with no active vertex,
+	// and the cost model prices the full model per frontier accordingly
+	// (DESIGN.md §11).
 	SEM bool
 	// SharedBlocks, when non-nil, routes full sub-block loads (pipelined
 	// and synchronous) through a concurrency-safe cache shared with other
@@ -242,9 +240,9 @@ type Result struct {
 	ResumedFrom int
 	Checkpoints int
 
-	// SEM reports the semi-external-memory outcomes: blocks and bytes the
-	// activity bitmap skipped, and the compressed cache tier's hit/decode
-	// and effective-capacity accounting.
+	// SEM reports the blocks and bytes the run skipped because their source
+	// interval held no active vertex, and the compressed cache tier's
+	// hit/decode and effective-capacity accounting.
 	SEM SEMStats
 
 	// Async reports the asynchronous engine's outcomes; zero-valued (with

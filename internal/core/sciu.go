@@ -42,19 +42,13 @@ func (e *Engine) runSCIU() error {
 		dropped = make(map[graph.VertexID]bool)
 	}
 
-	// Build the selective-load sequence. Under SEM the dead-row check
-	// consults the block-activity bitmap (built once per pass) instead of
-	// recounting the frontier per row; the skip semantics are identical, so
-	// SCIU traffic is unchanged either way.
+	// Build the selective-load sequence over the rows that hold an active
+	// vertex.
 	e.semBegin()
 	var reqs []pipeline.Request
 	for i := 0; i < e.p; i++ {
 		lo, hi := e.layout.Meta.Interval(i)
-		if e.sem != nil {
-			if !e.sem.rowLive(i) {
-				continue
-			}
-		} else if e.active.CountRange(lo, hi) == 0 {
+		if !e.rowLive[i] {
 			continue
 		}
 		for j := 0; j < e.p; j++ {

@@ -5,50 +5,31 @@ import (
 
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
-	"github.com/graphsd/graphsd/internal/partition"
 )
 
-// semBitmap is the semi-external-memory activity summary consulted on every
-// sub-block skip decision: a P-bit "interval has any active vertex" row
-// vector. A sub-block in a dead row scatters nothing (the scatter filter
-// excludes every one of its edges), so skipping its read cannot change any
-// result. All vertex state is in RAM, so the row vector is derived in
-// O(P · interval/64) bitset popcounts — no per-vertex index walk — and
-// rebuilt at the start of every pass, which is exactly when activity flips:
-// the frontier a pass scatters from is frozen for the whole pass
-// (applyInterval mutates touched/newActive, never active).
-type semBitmap struct{ rows []bool }
-
-// newSEMBitmap derives the row-activity vector of set.
-func newSEMBitmap(meta *partition.Manifest, set *bitset.ActiveSet) *semBitmap {
-	rows := make([]bool, meta.P)
-	for i := 0; i < meta.P; i++ {
-		lo, hi := meta.Interval(i)
-		rows[i] = set.CountRange(lo, hi) > 0
-	}
-	return &semBitmap{rows: rows}
-}
-
-// rowLive reports whether source interval i holds any active vertex.
-func (b *semBitmap) rowLive(i int) bool { return b.rows[i] }
-
-// semBegin rebuilds the block-activity bitmap from the pass's frontier, or
-// clears it when SEM is off. Every pass driver calls this before building
-// its prefetch sequence, so the pipeline and the consumer skip by the same
-// bitmap.
+// semBegin refills the engine's row-activity vector from the frontier the
+// pass about to start scatters from: rowLive[i] says source interval i holds
+// an active vertex. A sub-block in a dead row scatters nothing (the scatter
+// filter excludes every one of its edges), so skipping its read cannot change
+// any result. All vertex state is in RAM, so the vector costs O(P ·
+// interval/64) popcounts — no per-vertex index walk — and the start of a pass
+// is exactly when activity flips: the frontier is frozen for the whole pass
+// (applyInterval mutates touched/newActive, never active). Every pass driver
+// calls this before building its prefetch sequence, so the pipeline and the
+// consumer skip by the same vector.
 func (e *Engine) semBegin() {
-	if e.opts.SEM {
-		e.sem = newSEMBitmap(&e.layout.Meta, e.active)
-	} else {
-		e.sem = nil
+	for i := range e.rowLive {
+		lo, hi := e.layout.Meta.Interval(i)
+		e.rowLive[i] = e.allLive || e.active.CountRange(lo, hi) > 0
 	}
 }
 
-// semSkip records that non-empty sub-block (i, j) was proven dead by the
-// bitmap and never read: no bytes, no seek. Empty blocks cost no I/O on any
-// path and are not counted.
-func (e *Engine) semSkip(i, j int) {
-	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
+// semSkip records that the pass over cells never read sub-block (i, j) of a
+// dead row. It counts device traffic avoided — no bytes, no seek — so an empty
+// block, which costs no I/O on any path, is not counted, and neither is a
+// resident one: a cell the pass would have been served by the per-run buffer.
+func (e *Engine) semSkip(cells passCells, i, j int) {
+	if e.layout.Meta.SubBlockEdges(i, j) == 0 || e.resident(cells, i, j) {
 		return
 	}
 	e.plStats.Skipped++
@@ -72,14 +53,15 @@ func (e *Engine) payloadPriority(k buffer.Key, set *bitset.ActiveSet) int64 {
 	return est
 }
 
-// SEMStats reports a run's semi-external-memory outcomes.
+// SEMStats reports a run's state-aware skipping and compressed-tier outcomes.
 type SEMStats struct {
-	// Enabled reports that the run used the SEM fast path: Options.SEM
-	// and/or a compressed shared cache.
+	// Enabled reports that the run kept blocks in a compressed cache tier:
+	// Options.SEM and/or a compressed shared cache.
 	Enabled bool
-	// BlocksSkipped counts non-empty sub-blocks never read because the
-	// block-activity bitmap proved them dead; BytesSkipped is their summed
-	// on-disk size — device traffic the bitmap avoided.
+	// BlocksSkipped counts non-empty sub-blocks never read because their
+	// source interval held no active vertex (every run skips them, Enabled
+	// or not); BytesSkipped is their summed on-disk size — device traffic
+	// avoided, so a dead-row cell resident in the per-run buffer is not in it.
 	BlocksSkipped int64
 	BytesSkipped  int64
 	// CompressedHits counts sub-block loads served from a compressed cache

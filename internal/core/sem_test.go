@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,78 +13,231 @@ import (
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// Semi-external-memory equivalence suite. The contract: SEM is an I/O
-// optimisation only — with the I/O model pinned, a SEM run must produce
-// outputs bit-identical to a SEM-off run on every path and codec, while
-// demonstrably skipping dead sub-blocks on sparse frontiers.
+// State-aware skipping and compressed-tier equivalence suite. The contract:
+// skipping the sub-blocks of a source interval with no active vertex is an I/O
+// optimisation only — with the I/O model pinned, a run must produce outputs
+// bit-identical to one that reads every cell (core.RunAllRowsLive) on every
+// path and codec, while demonstrably skipping dead sub-blocks on sparse
+// frontiers — and Options.SEM, the compressed buffer tier, changes no output
+// either.
 
-// semOn returns opts with the SEM fast path enabled.
+// semOn returns opts with the compressed buffer tier enabled.
 func semOn(opts core.Options) core.Options {
 	opts.SEM = true
 	return opts
 }
 
 func TestSEMBitIdenticalAndSkips(t *testing.T) {
+	bfs := func() core.Program { return &algorithms.BFS{Source: 0} }
 	paths := []struct {
 		name string
 		prog func() core.Program
 		opts core.Options
-		// sparse FCIU-family paths must record skips and read strictly
-		// fewer device bytes; SCIU already skips dead rows without SEM.
+		// sparse full-model paths must record skips and read strictly fewer
+		// device bytes; SCIU never reads a dead row's cells in the first place.
 		wantSkips bool
 	}{
-		{"fciu", func() core.Program { return &algorithms.BFS{Source: 0} },
-			core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}, true},
-		{"full-single", func() core.Program { return &algorithms.BFS{Source: 0} },
-			core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}, true},
-		{"sciu", func() core.Program { return &algorithms.BFS{Source: 0} },
-			core.Options{ForceModel: core.ForceOnDemand}, false},
+		{"fciu", bfs, core.Options{ForceModel: core.ForceFull}, true},
+		{"full-single", bfs, core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}, true},
+		{"sciu", bfs, core.Options{ForceModel: core.ForceOnDemand}, false},
 		{"fciu-dense", func() core.Program { return &algorithms.PageRank{Iterations: 5} },
-			core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}, false},
+			core.Options{ForceModel: core.ForceFull}, false},
+	}
+	buffers := []struct {
+		name string
+		set  func(*core.Options)
+	}{
+		{"nobuffer", func(*core.Options) {}},
+		{"buffer", func(o *core.Options) { o.DefaultBuffer = true }},
+		{"buffer-sem", func(o *core.Options) { o.DefaultBuffer, o.SEM = true, true }},
 	}
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		for _, p := range paths {
-			t.Run(p.name+"/"+codec.String(), func(t *testing.T) {
-				base, err := core.Run(chaosLayout(t, codec, 11), p.prog(), p.opts)
-				if err != nil {
-					t.Fatal(err)
+			for _, b := range buffers {
+				for _, depth := range []int{0, -1} {
+					opts := p.opts
+					b.set(&opts)
+					opts.PrefetchDepth = depth
+					t.Run(fmt.Sprintf("%s/%s/%s/depth=%d", p.name, codec, b.name, depth), func(t *testing.T) {
+						all, err := core.RunAllRowsLive(chaosLayout(t, codec, 11), p.prog(), opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := core.Run(chaosLayout(t, codec, 11), p.prog(), opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if res.Iterations != all.Iterations || res.Converged != all.Converged {
+							t.Fatalf("skipping run: %d iters converged=%t, all rows live: %d iters converged=%t",
+								res.Iterations, res.Converged, all.Iterations, all.Converged)
+						}
+						requireIdenticalOutputs(t, all.Outputs, res.Outputs)
+						if res.SEM.Enabled != opts.SEM {
+							t.Fatalf("SEM.Enabled = %t with Options.SEM = %t", res.SEM.Enabled, opts.SEM)
+						}
+						if all.SEM.BlocksSkipped != 0 {
+							t.Fatalf("all-rows-live run skipped %d blocks", all.SEM.BlocksSkipped)
+						}
+						read, allRead := res.IO.ReadBytes(), all.IO.ReadBytes()
+						if p.wantSkips {
+							if res.SEM.BlocksSkipped == 0 {
+								t.Fatal("sparse-frontier run skipped no blocks")
+							}
+							if res.SEM.BytesSkipped <= 0 {
+								t.Fatalf("skipped %d blocks but %d bytes", res.SEM.BlocksSkipped, res.SEM.BytesSkipped)
+							}
+							if read >= allRead {
+								t.Fatalf("read %d device bytes, all rows live %d — skips bought nothing", read, allRead)
+							}
+						} else {
+							// SCIU reads active vertices' edges only, and under
+							// PageRank every vertex stays active: nothing to skip,
+							// and not a byte moves differently.
+							if res.SEM.BlocksSkipped != 0 {
+								t.Fatalf("%s run skipped %d blocks", p.name, res.SEM.BlocksSkipped)
+							}
+							if read != allRead {
+								t.Fatalf("read %d device bytes, all rows live %d", read, allRead)
+							}
+						}
+						if !opts.DefaultBuffer && read+res.SEM.BytesSkipped != allRead {
+							// With no buffer in front, every cell a pass does not
+							// read is one the all-rows-live pass read from the
+							// device: the counter is that difference exactly.
+							t.Fatalf("read %d + skipped %d = %d bytes, all rows live read %d",
+								read, res.SEM.BytesSkipped, read+res.SEM.BytesSkipped, allRead)
+						}
+					})
 				}
-				res, err := core.Run(chaosLayout(t, codec, 11), p.prog(), semOn(p.opts))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if res.Iterations != base.Iterations || res.Converged != base.Converged {
-					t.Fatalf("SEM run: %d iters converged=%t, SEM-off: %d iters converged=%t",
-						res.Iterations, res.Converged, base.Iterations, base.Converged)
-				}
-				requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-				if !res.SEM.Enabled {
-					t.Fatal("SEM run not marked enabled")
-				}
-				if base.SEM.BlocksSkipped != 0 {
-					t.Fatalf("SEM-off run skipped %d blocks", base.SEM.BlocksSkipped)
-				}
-				if p.wantSkips {
-					if res.SEM.BlocksSkipped == 0 {
-						t.Fatal("sparse-frontier SEM run skipped no blocks")
+			}
+		}
+	}
+}
+
+// TestSkipCountsDeviceTrafficOnly: BytesSkipped is "device traffic avoided",
+// so a dead-row secondary cell that sits in the per-run buffer — the pass
+// would have been served it from memory — is not in it. Before this was
+// fixed a second FCIU half counted every dead cell, resident or not.
+func TestSkipCountsDeviceTrafficOnly(t *testing.T) {
+	for _, sem := range []bool{false, true} {
+		l := chaosLayout(t, graph.CodecDelta, 11)
+		m := &l.Meta
+		if m.P != 4 {
+			t.Fatalf("layout has %d intervals, the test is written for 4", m.P)
+		}
+		for _, c := range [][2]int{{1, 0}, {2, 0}, {2, 1}} {
+			if m.SubBlockEdges(c[0], c[1]) == 0 {
+				t.Fatalf("cell %v is empty; pick another layout", c)
+			}
+		}
+		// Frontier: one vertex of the last interval. Rows 0–2 are dead, so of
+		// the secondary cells (i > j) the pass reads row 3's and skips (1,0),
+		// (2,0) and (2,1) — the last two resident.
+		lo, _ := m.Interval(3)
+		opts := core.Options{BufferBytes: m.EdgeBytesTotal(), SEM: sem}
+		resident := [][2]int{{2, 0}, {2, 1}}
+		for _, pass := range []struct {
+			name  string
+			cells core.PassCells
+		}{{"fciu-2", core.FCIUSecondPass}, {"fciu-1", core.FCIUFirstPass}} {
+			st, err := core.RunPassFrom(l, &algorithms.BFS{Source: 0}, opts, pass.cells, []int{lo}, resident)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBlocks, wantBytes := 1, m.SubBlockDiskBytes(1, 0)
+			if pass.cells == core.FCIUFirstPass {
+				// The first half also meets the dead rows' diagonal and
+				// upper-triangle cells, none of them buffered, and nothing
+				// activates in a dead row for the cross-iteration scatter to
+				// need them.
+				for i := 0; i < 3; i++ {
+					for j := i; j < m.P; j++ {
+						if m.SubBlockEdges(i, j) > 0 {
+							wantBlocks++
+							wantBytes += m.SubBlockDiskBytes(i, j)
+						}
 					}
-					if res.SEM.BytesSkipped <= 0 {
-						t.Fatalf("skipped %d blocks but %d bytes", res.SEM.BlocksSkipped, res.SEM.BytesSkipped)
-					}
-					if res.IO.ReadBytes() >= base.IO.ReadBytes() {
-						t.Fatalf("SEM read %d device bytes, SEM-off %d — skips bought nothing",
-							res.IO.ReadBytes(), base.IO.ReadBytes())
-					}
-				} else if p.name == "fciu-dense" {
-					// Every vertex stays active under PageRank: nothing to skip.
-					if res.SEM.BlocksSkipped != 0 {
-						t.Fatalf("dense run skipped %d blocks", res.SEM.BlocksSkipped)
-					}
 				}
-			})
+			}
+			if st.Skipped != wantBlocks || st.SkippedBytes != wantBytes {
+				t.Errorf("%s sem=%t: skipped %d blocks / %d bytes, want %d / %d (resident dead cells are not device traffic)",
+					pass.name, sem, st.Skipped, st.SkippedBytes, wantBlocks, wantBytes)
+			}
+		}
+	}
+}
+
+// TestFullPassReadsExactlyTheLiveRows is the skip contract as a property over
+// random frontiers: a plain full pass reads each non-empty cell of a row that
+// holds an active vertex once, reads nothing else, and counts every other
+// non-empty cell — blocks and on-disk bytes — as skipped.
+func TestFullPassReadsExactlyTheLiveRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		l := chaosLayout(t, codec, 11)
+		m := &l.Meta
+		cellOf := make(map[string][2]int)
+		for _, c := range nonEmptyColumnMajor(m) {
+			cellOf[partition.SubBlockName(c[0], c[1])] = c
+		}
+		var mu sync.Mutex
+		reads := make(map[[2]int]int)
+		l.Dev.SetFaultInjector(func(op, name string) error {
+			if c, ok := cellOf[name]; ok && op == "read" {
+				mu.Lock()
+				reads[c]++
+				mu.Unlock()
+			}
+			return nil
+		})
+		for trial := 0; trial < 40; trial++ {
+			// Frontiers from empty through a few clustered vertices to dense:
+			// pick some intervals, then some vertices inside each.
+			var frontier []int
+			for i := 0; i < m.P; i++ {
+				if rng.Intn(2) == 0 {
+					continue
+				}
+				lo, hi := m.Interval(i)
+				for k := rng.Intn(1 + (hi-lo)>>uint(rng.Intn(8))); k >= 0; k-- {
+					frontier = append(frontier, lo+rng.Intn(hi-lo))
+				}
+			}
+			clear(reads)
+			opts := core.Options{PrefetchDepth: -(trial % 2)}
+			st, err := core.RunPassFrom(l, &algorithms.BFS{Source: 0}, opts, core.FullPass, frontier, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := make([]bool, m.P)
+			for i := range live {
+				lo, hi := m.Interval(i)
+				for _, v := range frontier {
+					live[i] = live[i] || (lo <= v && v < hi)
+				}
+			}
+			skipped, skippedBytes := 0, int64(0)
+			for _, c := range cellOf {
+				switch got := reads[c]; {
+				case live[c[0]] && got != 1:
+					t.Fatalf("trial %d: live-row cell %v read %d times, want once", trial, c, got)
+				case !live[c[0]] && got != 0:
+					t.Fatalf("trial %d: cell %v read %d times though interval %d holds no active vertex", trial, c, got, c[0])
+				case !live[c[0]]:
+					skipped++
+					skippedBytes += m.SubBlockDiskBytes(c[0], c[1])
+				}
+			}
+			if len(reads)+st.Skipped != len(cellOf) {
+				t.Fatalf("trial %d: %d blocks read + %d skipped != %d non-empty cells", trial, len(reads), st.Skipped, len(cellOf))
+			}
+			if st.Skipped != skipped || st.SkippedBytes != skippedBytes {
+				t.Fatalf("trial %d: counted %d blocks / %d bytes skipped, the dead rows hold %d / %d", trial, st.Skipped, st.SkippedBytes, skipped, skippedBytes)
+			}
 		}
 	}
 }

@@ -265,6 +265,37 @@ func Grid(side int) *graph.Graph {
 	return g
 }
 
+// Braid returns p chains woven through p equal intervals of per vertices
+// (vertex ids interval*per + offset): offset t of interval i links to offset
+// t+1 of interval (i+1)%p for 1 ≤ t < steps, and vertex 0 links to offset 1
+// of every interval. A traversal from vertex 0 therefore holds exactly one
+// active vertex in every interval at every step — a small frontier with no
+// dead source interval, where only selective reads save I/O. The upper half
+// of each interval is filler the traversal never reaches, joined by fill
+// random edges, so every grid cell has bulk for a full pass to stream.
+func Braid(p, per, steps, fill int, seed int64) (*graph.Graph, error) {
+	if p <= 0 || steps <= 0 || per < 2*(steps+1) {
+		return nil, fmt.Errorf("gen: braid needs positive p and steps, and intervals of at least 2*(steps+1) vertices")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g := &graph.Graph{NumVertices: p * per}
+	at := func(interval, offset int) graph.VertexID { return graph.VertexID(interval*per + offset) }
+	for i := 0; i < p; i++ {
+		g.Edges = append(g.Edges, graph.Edge{Src: 0, Dst: at(i, 1)})
+		for t := 1; t < steps; t++ {
+			g.Edges = append(g.Edges, graph.Edge{Src: at(i, t), Dst: at((i+1)%p, t+1)})
+		}
+	}
+	half := per / 2
+	for k := 0; k < fill; k++ {
+		g.Edges = append(g.Edges, graph.Edge{
+			Src: at(rng.Intn(p), half+rng.Intn(per-half)),
+			Dst: at(rng.Intn(p), half+rng.Intn(per-half)),
+		})
+	}
+	return g, nil
+}
+
 // Complete returns the complete directed graph on n vertices (no loops).
 func Complete(n int) *graph.Graph {
 	g := &graph.Graph{NumVertices: n}

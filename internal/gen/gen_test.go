@@ -205,6 +205,50 @@ func TestClustered(t *testing.T) {
 	}
 }
 
+// TestBraidFrontier walks the braid breadth-first from vertex 0: after the
+// first step every level is one vertex per interval, for steps levels, and
+// the filler half is never reached.
+func TestBraidFrontier(t *testing.T) {
+	const p, per, steps = 5, 64, 9
+	g, err := Braid(p, per, steps, 300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices != p*per || g.NumEdges() != p*steps+300 || g.Validate() != nil {
+		t.Fatalf("braid: %d vertices, %d edges", g.NumVertices, g.NumEdges())
+	}
+	out := make(map[graph.VertexID][]graph.VertexID)
+	for _, e := range g.Edges {
+		out[e.Src] = append(out[e.Src], e.Dst)
+	}
+	level := []graph.VertexID{0}
+	for step := 1; step <= steps; step++ {
+		var next []graph.VertexID
+		seen := make(map[int]bool)
+		for _, v := range level {
+			for _, d := range out[v] {
+				if int(d)%per != step || seen[int(d)/per] {
+					t.Fatalf("step %d: reached vertex %d (interval %d, offset %d)", step, d, int(d)/per, int(d)%per)
+				}
+				seen[int(d)/per] = true
+				next = append(next, d)
+			}
+		}
+		if len(next) != p {
+			t.Fatalf("step %d: %d vertices, want one in each of %d intervals", step, len(next), p)
+		}
+		level = next
+	}
+	for _, v := range level {
+		if len(out[v]) != 0 {
+			t.Fatalf("vertex %d at the last step has out-edges", v)
+		}
+	}
+	if _, err := Braid(p, 2*steps, steps, 0, 0); err == nil {
+		t.Error("chains longer than half an interval accepted")
+	}
+}
+
 func TestWeighted(t *testing.T) {
 	g := Chain(100)
 	Weighted(g, 10, 4)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	_ "embed"
+	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -35,9 +37,53 @@ func runTable3(cfg *Config, w io.Writer) error {
 	return t.Render(w)
 }
 
+// fig5Winners is the committed testdata/fig5_winners.json: the system with
+// the least simulated device time (Result.IOTime) in each Figure 5 cell at
+// quick scale. That clock is deterministic and is 86–98% of a plain run's
+// execution time; the measured-compute remainder is the host's (under the race
+// detector it flips close cells at random), so the gate does not read it. The
+// file is kept by hand: a cell changes when a PR means to change who wins it.
+type fig5Winners struct {
+	Seed  int64        `json:"seed"`
+	Quick bool         `json:"quick"`
+	Cells []fig5Winner `json:"cells"`
+}
+
+type fig5Winner struct {
+	Dataset   string `json:"dataset"`
+	Algorithm string `json:"algorithm"`
+	Winner    string `json:"winner"`
+}
+
+//go:embed testdata/fig5_winners.json
+var fig5WinnersJSON []byte
+
+// checkFig5Winners fails, naming the cell, if GraphSD is no longer fastest on
+// the device clock in a cell the committed file says it held. Like the async
+// gate it is enforced only when the run reproduces the file's configuration;
+// cells the run left out (a -datasets filter) are not checked.
+func checkFig5Winners(cfg *Config, got []fig5Winner) error {
+	var committed fig5Winners
+	if err := json.Unmarshal(fig5WinnersJSON, &committed); err != nil {
+		return fmt.Errorf("harness: corrupt committed Figure 5 winners: %w", err)
+	}
+	if cfg.Quick != committed.Quick || cfg.Seed != committed.Seed || cfg.profile() != storage.ScaledHDD {
+		return nil
+	}
+	for _, held := range committed.Cells {
+		for _, c := range got {
+			if held.Winner == "graphsd" && c.Dataset == held.Dataset && c.Algorithm == held.Algorithm && c.Winner != "graphsd" {
+				return fmt.Errorf("harness: Figure 5 cell %s/%s: GraphSD held it, now %s has the least device time",
+					c.Dataset, c.Algorithm, c.Winner)
+			}
+		}
+	}
+	return nil
+}
+
 // runFig5 regenerates Figure 5 (normalized execution time of GraphSD,
 // HUS-Graph and Lumos on every dataset × algorithm) and Table 4 (absolute
-// GraphSD times).
+// GraphSD times), then holds the run to the committed per-cell winners.
 func runFig5(cfg *Config, w io.Writer) error {
 	dss, err := cfg.selectedDatasets()
 	if err != nil {
@@ -50,6 +96,7 @@ func runFig5(cfg *Config, w io.Writer) error {
 	var worstHUS, worstLumos float64
 	var sumHUS, sumLumos float64
 	var count int
+	var winners []fig5Winner
 	for _, ds := range dss {
 		e, err := newEnv(cfg, ds)
 		if err != nil {
@@ -69,6 +116,13 @@ func runFig5(cfg *Config, w io.Writer) error {
 			if err != nil {
 				return err
 			}
+			winner := fig5Winner{ds.Name, alg.Name, "graphsd"}
+			if hus.IOTime() < gsd.IOTime() && hus.IOTime() <= lum.IOTime() {
+				winner.Winner = "husgraph"
+			} else if lum.IOTime() < gsd.IOTime() {
+				winner.Winner = "lumos"
+			}
+			winners = append(winners, winner)
 			g, h, l := gsd.ExecTime(), hus.ExecTime(), lum.ExecTime()
 			norm.AddRow(ds.Name, alg.Name, "1.00x", metrics.Ratio(h, g), metrics.Ratio(l, g))
 			absRow = append(absRow, metrics.Dur(g))
@@ -93,7 +147,10 @@ func runFig5(cfg *Config, w io.Writer) error {
 	if err := norm.Render(w); err != nil {
 		return err
 	}
-	return abs.Render(w)
+	if err := abs.Render(w); err != nil {
+		return err
+	}
+	return checkFig5Winners(cfg, winners)
 }
 
 // runFig6 regenerates Figure 6: the I/O vs vertex-update breakdown of each
@@ -217,7 +274,9 @@ func runFig8(cfg *Config, w io.Writer) error {
 
 // runFig9 regenerates Figure 9: GraphSD against its own ablations b1
 // (no cross-iteration updates) and b2 (no selective loading) on the
-// Twitter stand-in, in execution time and I/O traffic.
+// Twitter stand-in, in execution time and I/O traffic. b2 pins the full
+// model, which here reads live rows only: it is not the paper's b2, which
+// streams every block.
 func runFig9(cfg *Config, w io.Writer) error {
 	ds, err := cfg.dataset("twitter-sim")
 	if err != nil {
@@ -248,6 +307,7 @@ func runFig9(cfg *Config, w io.Writer) error {
 		}
 	}
 	t.AddNote("paper: GraphSD outruns b1 by 1.7x and b2 by 2.8x; traffic 1.6x / 5.4x lower")
+	t.AddNote("b2 here is the full model over live rows — every full pass skips source intervals with no active vertex — not the paper's read-everything b2")
 	return t.Render(w)
 }
 
@@ -277,7 +337,7 @@ func runFig10(cfg *Config, w io.Writer) error {
 		return err
 	}
 	t := metrics.NewTable("Figure 10 — per-iteration time, CC on "+ds.Name,
-		"iteration", "active", "adaptive", "path", "full-only (b3)", "on-demand-only (b4)")
+		"iteration", "active", "adaptive", "path", "full, live rows (b3)", "on-demand-only (b4)")
 	iters := len(adaptive.IterStats)
 	if len(full.IterStats) > iters {
 		iters = len(full.IterStats)
@@ -312,7 +372,7 @@ func runFig10(cfg *Config, w io.Writer) error {
 		t.AddRow(fmt.Sprint(i), active, cell(adaptive.IterStats, i), path,
 			cell(full.IterStats, i), cell(ondemand.IterStats, i))
 	}
-	t.AddNote("totals — adaptive %v, full-only %v, on-demand-only %v",
+	t.AddNote("totals — adaptive %v, full model over live rows %v, on-demand-only %v",
 		metrics.Dur(adaptive.ExecTime()), metrics.Dur(full.ExecTime()), metrics.Dur(ondemand.ExecTime()))
 	t.AddNote("adaptive tracked the per-iteration lower envelope in %d/%d comparable iterations", wins, iters)
 	return t.Render(w)
@@ -330,7 +390,7 @@ func runFig11(cfg *Config, w io.Writer) error {
 		return err
 	}
 	t := metrics.NewTable("Figure 11 — scheduling overhead vs reduced I/O time on "+ds.Name,
-		"algorithm", "evaluation overhead", "I/O saved vs full-only", "I/O saved vs on-demand-only")
+		"algorithm", "evaluation overhead", "I/O saved vs full, live rows", "I/O saved vs on-demand-only")
 	for _, alg := range PaperAlgorithms() {
 		adaptive, err := e.run("graphsd", alg)
 		if err != nil {
@@ -349,6 +409,7 @@ func runFig11(cfg *Config, w io.Writer) error {
 		t.AddRow(alg.Name, metrics.Dur(adaptive.SchedulerOverhead), metrics.Dur(savedFull), metrics.Dur(savedOD))
 	}
 	t.AddNote("paper: overhead negligible (e.g. PR-D: 3.4s evaluation vs 158s I/O saved)")
+	t.AddNote("the full model here reads live rows only, not every block as the paper's does, so the first column is smaller than the paper's saving")
 	return t.Render(w)
 }
 

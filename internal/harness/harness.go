@@ -296,7 +296,7 @@ func Experiments() []Experiment {
 		{"fig10-sched", "Figure 10 companion: scheduler prediction accuracy and adaptive I/O envelope", runSchedAccuracy},
 		{"fig11", "Figure 11: scheduling overhead vs reduced I/O time", runFig11},
 		{"fig12", "Figure 12: effect of the buffering scheme (UKUnion)", runFig12},
-		{"fig-sem", "Semi-external-memory fast path: dead-block skipping and the compressed cache tier", runFigSEM},
+		{"fig-sem", "State-aware skipping on every full pass, and the semi-external-memory compressed cache tier", runFigSEM},
 		{"fig-async", "Asynchronous execution: priority sub-block scheduling vs the BSP engine", runFigAsync},
 		{"ext-storage", "Extension: device-class sensitivity (HDD/SSD/PMem, per the paper's future work)", runExtStorage},
 		{"ext-psweep", "Extension: interval-count (P) sweep", runExtPSweep},

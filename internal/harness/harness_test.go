@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -169,8 +171,39 @@ func TestAllExperimentsQuick(t *testing.T) {
 	}
 }
 
-// TestSEMExperiment runs the semi-external-memory study on its own: it
-// enforces the skip/byte-reduction and effective-capacity floors.
+// TestFig5WinnersGate: the gate TestAllExperimentsQuick runs Figure 5 under
+// names the cell when GraphSD loses one the committed file says it held, and
+// is silent on the committed winners themselves and on configurations the file
+// was not recorded under.
+func TestFig5WinnersGate(t *testing.T) {
+	cfg := quickConfig(t)
+	var committed fig5Winners
+	if err := json.Unmarshal(fig5WinnersJSON, &committed); err != nil {
+		t.Fatal(err)
+	}
+	cells := committed.Cells
+	held := slices.IndexFunc(cells, func(c fig5Winner) bool { return c.Winner == "graphsd" })
+	if len(cells) != 20 || held < 0 {
+		t.Fatalf("committed file has %d cells (want 5 datasets × 4 algorithms), GraphSD holds one: %t", len(cells), held >= 0)
+	}
+	if err := checkFig5Winners(cfg, cells); err != nil {
+		t.Fatalf("gate trips on the committed winners: %v", err)
+	}
+	lost := cells[held]
+	cells[held].Winner = "husgraph"
+	err := checkFig5Winners(cfg, cells)
+	if err == nil || !strings.Contains(err.Error(), lost.Dataset+"/"+lost.Algorithm) {
+		t.Fatalf("GraphSD lost %s/%s: gate said %v", lost.Dataset, lost.Algorithm, err)
+	}
+	full := *cfg
+	full.Quick = false
+	if err := checkFig5Winners(&full, cells); err != nil {
+		t.Fatalf("gate enforced at a scale the file was not recorded at: %v", err)
+	}
+}
+
+// TestSEMExperiment runs the skipping and compressed-tier study on its own:
+// it enforces the skip/byte-reduction and effective-capacity floors.
 func TestSEMExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment is slow; skipped with -short")
@@ -185,7 +218,7 @@ func TestSEMExperiment(t *testing.T) {
 		t.Fatalf("%v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"Semi-external-memory", "sparse", "dense", "effective capacity", "compressed hits"} {
+	for _, want := range []string{"State-aware skipping", "read + skipped", "sparse", "dense", "effective capacity", "compressed hits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -232,7 +265,7 @@ func TestSchedAccuracyExperiment(t *testing.T) {
 		t.Fatalf("%v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"Scheduler accuracy", "envelope", "mispredict", "corrections"} {
+	for _, want := range []string{"Scheduler accuracy", "envelope", "mispredict", "corrections", "Scattered frontier", "sciu"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/metrics"
 )
@@ -27,7 +28,7 @@ const (
 )
 
 // runSchedAccuracy is the Figure-10 companion study for the self-calibrating
-// scheduler. Two checks, both hard-enforced:
+// scheduler. Three checks, all hard-enforced:
 //
 //  1. Envelope — the adaptive scheduler's total simulated I/O on CC must
 //     track min(always-full, always-on-demand) within schedEnvelopeTol.
@@ -37,6 +38,11 @@ const (
 //     observations. The final iteration is excluded: a trailing
 //     full-single pass starts from a different buffer state than the
 //     steady fciu cadence the correction factor was trained on.
+//  3. Scattered frontier — dead-row skipping leaves the on-demand model one
+//     niche, a small frontier with an active vertex in every interval, and
+//     no paper dataset's traversal stays in it. BFS over gen.Braid does for
+//     its whole length: the adaptive run must take SCIU there, beat the full
+//     model, and return forced-full's outputs bit for bit.
 //
 // Everything is measured in simulated device time, so the assertions are
 // deterministic across hosts.
@@ -107,12 +113,15 @@ func runSchedAccuracy(cfg *Config, w io.Writer) error {
 			metrics.Dur(st.IOTime), fmt.Sprintf("%.1f%%", 100*st.Mispredict), mark)
 	}
 	acc := prRes.SchedAccuracy
-	t.AddNote("CC totals — adaptive %v, full-only %v, on-demand-only %v: envelope %.2fx (tolerance %.2fx)",
+	t.AddNote("CC totals — adaptive %v, full model over live rows %v, on-demand-only %v: envelope %.2fx (tolerance %.2fx)",
 		metrics.Dur(adaptive.IOTime()), metrics.Dur(full.IOTime()), metrics.Dur(ondemand.IOTime()),
 		envelope, schedEnvelopeTol)
 	t.AddNote("post-warmup worst mispredict %.1f%% (tolerance %.1f%%); corrections full=%.2f on-demand=%.2f",
 		100*worst, 100*schedMispredictTol, acc.CorrFull, acc.CorrOnDemand)
 	if err := t.Render(w); err != nil {
+		return err
+	}
+	if err := runScatteredFrontier(cfg, w); err != nil {
 		return err
 	}
 
@@ -127,6 +136,63 @@ func runSchedAccuracy(cfg *Config, w io.Writer) error {
 	if worst > schedMispredictTol {
 		return fmt.Errorf("harness: iteration %d mispredicted by %.1f%% after calibration warmup, tolerance %.1f%%",
 			worstIter, 100*worst, 100*schedMispredictTol)
+	}
+	return nil
+}
+
+// runScatteredFrontier is check 3 of runSchedAccuracy.
+func runScatteredFrontier(cfg *Config, w io.Writer) error {
+	p, per, steps, fill := 8, 8192, 24, 600000
+	if cfg.Quick {
+		p, per, steps, fill = 4, 2048, 12, 60000
+	}
+	e, err := newEnv(cfg, Dataset{Name: "braid", Build: func(s int64) (*graph.Graph, error) {
+		return gen.Braid(p, per, steps, fill, s)
+	}})
+	if err != nil {
+		return err
+	}
+	e.p, e.source = p, 0 // the braid's own intervals, and the vertex its chains start from
+	bfs := Algorithm{"BFS", false, func(src graph.VertexID) core.Program { return &algorithms.BFS{Source: src} }}
+	adaptive, err := e.run("graphsd", bfs)
+	if err != nil {
+		return err
+	}
+	full, err := e.run("graphsd-b3", bfs)
+	if err != nil {
+		return err
+	}
+
+	t := metrics.NewTable(fmt.Sprintf("Scattered frontier — BFS on braid (%d chains through %d intervals)", p, p),
+		"iteration", "active", "adaptive", "path", "C_s", "C_r", "full, live rows (b3)")
+	sciu, next := 0, 0
+	for i, st := range adaptive.IterStats {
+		if st.Path == "sciu" {
+			sciu++
+		}
+		cs, cr, fullIO := "—", "—", "—"
+		if d := adaptive.Decisions; next < len(d) && d[next].Iteration == st.Index {
+			cs, cr = metrics.Dur(d[next].CostFull), metrics.Dur(d[next].CostOnDemand)
+			next++
+		}
+		if i < len(full.IterStats) {
+			fullIO = metrics.Dur(full.IterStats[i].IOTime)
+		}
+		t.AddRow(fmt.Sprint(st.Index), fmt.Sprint(st.Active), metrics.Dur(st.IOTime), st.Path, cs, cr, fullIO)
+	}
+	t.AddNote("totals — adaptive %v in %d/%d on-demand iterations, full model over live rows %v (%d dead sub-blocks skipped: every interval holds an active vertex after iteration 0)",
+		metrics.Dur(adaptive.IOTime()), sciu, adaptive.Iterations, metrics.Dur(full.IOTime()), full.SEM.BlocksSkipped)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	if sciu < steps {
+		return fmt.Errorf("harness: adaptive BFS on the braid took SCIU in %d of %d iterations, want at least %d", sciu, adaptive.Iterations, steps)
+	}
+	if adaptive.IOTime() >= full.IOTime() {
+		return fmt.Errorf("harness: adaptive I/O %v on the braid, full model %v — selective reads bought nothing", adaptive.IOTime(), full.IOTime())
+	}
+	if !identicalOutputs(adaptive.Outputs, full.Outputs) || adaptive.Iterations != full.Iterations {
+		return fmt.Errorf("harness: adaptive BFS on the braid differs from the forced-full run")
 	}
 	return nil
 }

@@ -100,6 +100,7 @@ func schedulerFor(t *testing.T, l *partition.Layout) *iosched.Scheduler {
 		EdgeBytesOnDemand: l.Meta.SelectiveDiskBytesTotal(),
 		P:                 l.Meta.P,
 		BlocksPerRow:      l.Meta.NonEmptyBlocksPerRow(),
+		RowDiskBytes:      l.Meta.RowDiskBytes(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,10 @@
 //	C_s = (|V|·N + |E|·(M+W)) / B_sr + |V|·N / B_sw
 //	C_r = S_ran/B_rr + S_seq/B_sr + 2|V|·N/B_sr + |V|·N/B_sw
 //
-// with the S_seq/S_ran split computed in one O(|A|) pass over the active
+// C_s is priced per frontier: a full pass never reads a sub-block whose source
+// interval holds no active vertex, so its edge term sums the on-disk bytes of
+// the rows that do (CostFullFor), and the paper's constant is the case of every
+// row live. The S_seq/S_ran split is computed in one O(|A|) pass over the active
 // set and the degree table. A maximal run of consecutively-numbered
 // edge-bearing active vertices is split at interval boundaries (each
 // interval's sub-blocks are separate files with their own readers) into
@@ -134,13 +137,12 @@ type Config struct {
 	// interval i seeks at most BlocksPerRow[i] times — empty sub-blocks are
 	// never opened. Nil assumes fully-populated rows (P blocks each).
 	BlocksPerRow []int
-	// SEM enables semi-external-memory costing: the full model skips every
-	// sub-block of a source interval with no active vertex, so its cost is
-	// the summed RowDiskBytes of active rows, not the whole edge set.
-	// RowDiskBytes (length P) holds each source row's on-disk payload and
-	// must be set when SEM is. The on-demand formula is untouched — SCIU
-	// already reads only active vertices' edges.
-	SEM          bool
+	// RowDiskBytes, when non-nil, holds each source interval's on-disk edge
+	// payload (length P). The full model skips every sub-block of a source
+	// interval with no active vertex, so its cost for a frontier is the summed
+	// RowDiskBytes of the live rows. Nil prices every frontier at the whole
+	// edge set, the paper's constant C_s. The on-demand formula is untouched —
+	// SCIU reads only active vertices' edges.
 	RowDiskBytes []int64
 }
 
@@ -215,9 +217,6 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	if c.SEM && len(c.RowDiskBytes) != c.P {
-		return fmt.Errorf("iosched: SEM costing needs row disk bytes for all %d rows, got %d", c.P, len(c.RowDiskBytes))
-	}
 	if c.RowDiskBytes != nil && len(c.RowDiskBytes) != c.P {
 		return fmt.Errorf("iosched: row-disk-bytes length %d != P %d", len(c.RowDiskBytes), c.P)
 	}
@@ -254,25 +253,26 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// CostFull returns C_s, the constant full-model cost per iteration. The
-// edge term uses on-disk bytes: a compressed layout streams fewer bytes, so
-// its full-model cost genuinely drops and the SCIU/FCIU break-even point
-// shifts with it.
-func (s *Scheduler) CostFull() time.Duration {
+// CostFull returns C_s with every row live — the paper's constant, and the
+// most a full pass costs. The edge term uses on-disk bytes: a compressed
+// layout streams fewer bytes, so its full-model cost genuinely drops and the
+// SCIU/FCIU break-even point shifts with it.
+func (s *Scheduler) CostFull() time.Duration { return s.costFull(s.cfg.edgeBytesOnDisk()) }
+
+// costFull is C_s for a pass that streams eBytes of edge payload.
+func (s *Scheduler) costFull(eBytes int64) time.Duration {
 	p := s.cfg.Profile
 	vBytes := int64(s.cfg.NumVertices) * graph.VertexValueBytes
-	eBytes := s.cfg.edgeBytesOnDisk()
 	return p.SeqCost(storage.SeqRead, vBytes+eBytes) + p.SeqCost(storage.SeqWrite, vBytes)
 }
 
-// CostFullFor returns the full-model cost for a specific frontier. Without
-// SEM costing (or without an active set to inspect) it is CostFull — the
-// full model reads everything regardless of activity. With SEM, the engine
+// CostFullFor returns the full-model cost for a specific frontier: the engine
 // skips every sub-block of a source interval holding no active vertex, so
-// only active rows' on-disk bytes are charged: no bytes and no seeks for
-// skipped blocks.
+// only live rows' on-disk bytes are charged — no bytes and no seeks for
+// skipped blocks. Without RowDiskBytes (or without an active set to inspect)
+// it is CostFull.
 func (s *Scheduler) CostFullFor(active *bitset.ActiveSet) time.Duration {
-	if !s.cfg.SEM || s.cfg.RowDiskBytes == nil || active == nil {
+	if s.cfg.RowDiskBytes == nil || active == nil {
 		return s.CostFull()
 	}
 	per := s.cfg.intervalLen()
@@ -290,9 +290,7 @@ func (s *Scheduler) CostFullFor(active *bitset.ActiveSet) time.Duration {
 			eBytes += s.cfg.RowDiskBytes[i]
 		}
 	}
-	p := s.cfg.Profile
-	vBytes := int64(s.cfg.NumVertices) * graph.VertexValueBytes
-	return p.SeqCost(storage.SeqRead, vBytes+eBytes) + p.SeqCost(storage.SeqWrite, vBytes)
+	return s.costFull(eBytes)
 }
 
 // EstimateOnDemand computes the S_seq/S_ran split and the seek count for

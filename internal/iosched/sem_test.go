@@ -8,18 +8,17 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// semConfig is testConfig with SEM costing enabled: 4 rows of equal on-disk
+// rowConfig is testConfig with per-row costing: 4 rows of equal on-disk
 // payload summing to the full edge set.
-func semConfig(numV int, numE int64) Config {
+func rowConfig(numV int, numE int64) Config {
 	cfg := testConfig(numV, numE)
-	cfg.SEM = true
 	per := numE * int64(graph.EdgeBytes) / int64(cfg.P)
 	cfg.RowDiskBytes = []int64{per, per, per, per}
 	return cfg
 }
 
 func TestCostFullForSkipsDeadRows(t *testing.T) {
-	cfg := semConfig(1000, 50000)
+	cfg := rowConfig(1000, 50000)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +28,7 @@ func TestCostFullForSkipsDeadRows(t *testing.T) {
 	all := bitset.NewActiveSet(1000)
 	all.ActivateAll()
 	if got, want := s.CostFullFor(all), s.CostFull(); got != want {
-		t.Fatalf("all-active SEM cost %v != CostFull %v", got, want)
+		t.Fatalf("all-active cost %v != CostFull %v", got, want)
 	}
 
 	// One active vertex: only its row's bytes are charged, so the cost
@@ -39,59 +38,75 @@ func TestCostFullForSkipsDeadRows(t *testing.T) {
 	one.Activate(0)
 	sparse := s.CostFullFor(one)
 	if sparse >= s.CostFull() {
-		t.Fatalf("single-row SEM cost %v not below CostFull %v", sparse, s.CostFull())
+		t.Fatalf("single-row cost %v not below CostFull %v", sparse, s.CostFull())
 	}
 	p := cfg.Profile
 	vBytes := int64(1000) * graph.VertexValueBytes
 	want := p.SeqCost(storage.SeqRead, vBytes+cfg.RowDiskBytes[0]) + p.SeqCost(storage.SeqWrite, vBytes)
 	if sparse != want {
-		t.Fatalf("single-row SEM cost %v, want %v", sparse, want)
+		t.Fatalf("single-row cost %v, want %v", sparse, want)
 	}
 
 	// Empty frontier: vertex arrays only.
 	none := bitset.NewActiveSet(1000)
 	floor := p.SeqCost(storage.SeqRead, vBytes) + p.SeqCost(storage.SeqWrite, vBytes)
 	if got := s.CostFullFor(none); got != floor {
-		t.Fatalf("empty-frontier SEM cost %v, want vertex-array floor %v", got, floor)
+		t.Fatalf("empty-frontier cost %v, want vertex-array floor %v", got, floor)
 	}
 }
 
-func TestCostFullForWithoutSEMIsConstant(t *testing.T) {
-	s, err := New(testConfig(1000, 50000))
+// TestNilRowDiskBytesPricesTheConstant: a config that carries no per-row
+// bytes (bench/replay.go builds one) validates, and prices every frontier at
+// the paper's constant C_s.
+func TestNilRowDiskBytesPricesTheConstant(t *testing.T) {
+	cfg := testConfig(1000, 50000)
+	if cfg.RowDiskBytes != nil {
+		t.Fatal("testConfig carries RowDiskBytes; the test needs one that does not")
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("config without RowDiskBytes rejected: %v", err)
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	one := bitset.NewActiveSet(1000)
 	one.Activate(7)
 	if got, want := s.CostFullFor(one), s.CostFull(); got != want {
-		t.Fatalf("non-SEM CostFullFor %v != CostFull %v", got, want)
+		t.Fatalf("CostFullFor %v != CostFull %v without RowDiskBytes", got, want)
 	}
-	if got, want := s.CostFullFor(nil), s.CostFull(); got != want {
-		t.Fatalf("nil-frontier CostFullFor %v != CostFull %v", got, want)
+	if d := s.Decide(0, one, uniformDegrees(1000, 50)); d.CostFull != s.CostFull() {
+		t.Fatalf("decision CostFull %v, want the constant %v", d.CostFull, s.CostFull())
+	}
+	// No frontier to inspect: the constant, with or without per-row bytes.
+	rows, err := New(rowConfig(1000, 50000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sched := range []*Scheduler{s, rows} {
+		if got, want := sched.CostFullFor(nil), sched.CostFull(); got != want {
+			t.Fatalf("nil-frontier CostFullFor %v != CostFull %v", got, want)
+		}
 	}
 }
 
-func TestSEMConfigValidation(t *testing.T) {
+func TestRowDiskBytesValidation(t *testing.T) {
 	bad := testConfig(1000, 50000)
-	bad.SEM = true
-	if err := bad.Validate(); err == nil {
-		t.Error("SEM without RowDiskBytes accepted")
-	}
 	bad.RowDiskBytes = []int64{1, 2}
 	if err := bad.Validate(); err == nil {
 		t.Error("short RowDiskBytes accepted")
 	}
-	ok := semConfig(1000, 50000)
+	ok := rowConfig(1000, 50000)
 	if err := ok.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestDecideUsesFrontierFullCost pins the Decision plumbing: under SEM a
-// sparse frontier must be offered the reduced full cost, which can flip the
-// model choice relative to the frontier-blind constant.
+// TestDecideUsesFrontierFullCost pins the Decision plumbing: a sparse
+// frontier must be offered the reduced full cost, which can flip the model
+// choice relative to the frontier-blind constant.
 func TestDecideUsesFrontierFullCost(t *testing.T) {
-	cfg := semConfig(1000, 50000)
+	cfg := rowConfig(1000, 50000)
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

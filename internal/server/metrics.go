@@ -271,11 +271,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, a := range aggs {
 		p.Int("graphsd_pipeline_fallbacks_total", int64(a.pipe.Fallbacks), metrics.L("graph", a.name))
 	}
-	p.Header("graphsd_sem_blocks_skipped_total", "counter", "Non-empty sub-blocks never read because the SEM block-activity bitmap proved them dead.")
+	p.Header("graphsd_sem_blocks_skipped_total", "counter", "Non-empty sub-blocks never read because their source interval held no active vertex (every job skips them, -sem or not).")
 	for _, a := range aggs {
 		p.Int("graphsd_sem_blocks_skipped_total", int64(a.pipe.Skipped), metrics.L("graph", a.name))
 	}
-	p.Header("graphsd_sem_bytes_skipped_total", "counter", "On-disk bytes of SEM-skipped sub-blocks — device traffic the bitmap avoided.")
+	p.Header("graphsd_sem_bytes_skipped_total", "counter", "On-disk bytes of skipped sub-blocks that the per-run buffer did not hold — device traffic avoided.")
 	for _, a := range aggs {
 		p.Int("graphsd_sem_bytes_skipped_total", a.pipe.SkippedBytes, metrics.L("graph", a.name))
 	}

@@ -62,8 +62,9 @@ type GraphConfig struct {
 	// Retries, when positive, retries transient read faults on the
 	// graph's device under exponential backoff.
 	Retries int
-	// SEM runs every job on this graph through the semi-external-memory
-	// fast path (block-activity bitmaps skip dead sub-blocks).
+	// SEM keeps the per-run buffer of every job on this graph in the
+	// compressed tier (core.Options.SEM). Dead sub-blocks are skipped either
+	// way.
 	SEM bool
 	// Compressed stores the shared sub-block cache delta-coded, trading a
 	// per-hit decode for roughly double the effective capacity.
