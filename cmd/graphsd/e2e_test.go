@@ -167,6 +167,18 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "weights") {
 		t.Fatalf("error output: %s", out)
 	}
+	// A 24-byte binary graph whose header claims 2^36 edges is an error, not
+	// an 824 GB allocation that kills the process.
+	hostile := filepath.Join(dir, "hostile.bin")
+	hdr := append([]byte("GSDG"), make([]byte, 20)...)
+	hdr[8], hdr[20] = 10, 1<<(36-32)
+	if err := os.WriteFile(hostile, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = runExpectFail(t, graphsdBin, "preprocess", "-graph", hostile, "-layout", filepath.Join(dir, "hostile-layout"))
+	if !strings.Contains(out, "loading graph") || strings.Contains(out, "out of memory") {
+		t.Fatalf("preprocess of a hostile header: %s", out)
+	}
 }
 
 // TestEndToEndDeltaCodec: the delta-compressed workflow — generate a delta

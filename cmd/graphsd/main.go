@@ -477,57 +477,38 @@ func cmdCompare(args []string) error {
 
 	t := metrics.NewTable(fmt.Sprintf("system comparison: %s on %s (P=%d)", *alg, *graphPath, *p),
 		"system", "exec time", "io time", "compute", "traffic", "iterations")
-	addRow := func(name string, res *core.Result) {
-		t.AddRow(name, metrics.Dur(res.ExecTime()), metrics.Dur(res.IOTime()),
+	for _, sys := range []struct {
+		name  string
+		build func(*storage.Device, *graph.Graph, int, ...partition.BuildOption) (*partition.Layout, error)
+		run   func(*partition.Layout, core.Program) (*core.Result, error)
+	}{
+		{"graphsd", partition.Build, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
+			return core.Run(l, prog, core.Options{DefaultBuffer: true})
+		}},
+		{"husgraph", partition.BuildHUSGraph, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
+			return baseline.RunHUSGraph(l, prog, baseline.Options{})
+		}},
+		{"lumos", partition.BuildLumos, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
+			return baseline.RunLumos(l, prog, baseline.Options{})
+		}},
+	} {
+		dev, err := storage.OpenDevice(dir+"/"+sys.name, prof)
+		if err != nil {
+			return err
+		}
+		l, err := sys.build(dev, g, *p)
+		if err != nil {
+			return err
+		}
+		prog, _ := mkProg()
+		res, err := sys.run(l, prog)
+		if err != nil {
+			return err
+		}
+		t.AddRow(sys.name, metrics.Dur(res.ExecTime()), metrics.Dur(res.IOTime()),
 			metrics.Dur(res.ComputeTime), storage.FormatBytes(res.IO.TotalBytes()),
 			fmt.Sprint(res.Iterations))
 	}
-
-	gsdDev, err := storage.OpenDevice(dir+"/graphsd", prof)
-	if err != nil {
-		return err
-	}
-	gsdL, err := partition.Build(gsdDev, g, *p)
-	if err != nil {
-		return err
-	}
-	prog, _ := mkProg()
-	res, err := core.Run(gsdL, prog, core.Options{DefaultBuffer: true})
-	if err != nil {
-		return err
-	}
-	addRow("graphsd", res)
-
-	husDev, err := storage.OpenDevice(dir+"/husgraph", prof)
-	if err != nil {
-		return err
-	}
-	husL, err := partition.BuildHUSGraph(husDev, g, *p)
-	if err != nil {
-		return err
-	}
-	prog, _ = mkProg()
-	res, err = baseline.RunHUSGraph(husL, prog, baseline.Options{})
-	if err != nil {
-		return err
-	}
-	addRow("husgraph", res)
-
-	lumDev, err := storage.OpenDevice(dir+"/lumos", prof)
-	if err != nil {
-		return err
-	}
-	lumL, err := partition.BuildLumos(lumDev, g, *p)
-	if err != nil {
-		return err
-	}
-	prog, _ = mkProg()
-	res, err = baseline.RunLumos(lumL, prog, baseline.Options{})
-	if err != nil {
-		return err
-	}
-	addRow("lumos", res)
-
 	return t.Render(os.Stdout)
 }
 

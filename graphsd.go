@@ -5,11 +5,13 @@
 // The implementation lives under internal/ (see DESIGN.md for the module
 // inventory) and is driven through the commands in cmd/:
 //
-//	cmd/graphsd     — preprocess, run, compare, stats, measure
+//	cmd/graphsd     — preprocess, run, serve, ingest, bench-serve, compare,
+//	                  verify, stats, trace, measure
 //	cmd/graphgen    — synthetic dataset generator
 //	cmd/graphbench  — regenerates every table and figure of the paper
 //
-// The benchmarks in bench_test.go at this package's root regenerate the
-// paper's evaluation artifacts under `go test -bench`; EXPERIMENTS.md
-// records measured-vs-paper outcomes.
+// `graphbench -experiment all` regenerates the paper's evaluation artifacts
+// (internal/harness; its quick scale runs under `go test` as
+// TestAllExperimentsQuick); EXPERIMENTS.md records measured-vs-paper
+// outcomes. Speed is measured by the benchmark in bench/ (BENCHMARK.json).
 package graphsd

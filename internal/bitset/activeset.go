@@ -7,8 +7,7 @@ package bitset
 // sub-block decision.
 //
 // ActiveSet is not safe for concurrent mutation; the engine activates
-// vertices from a single goroutine per interval (or uses per-worker sets
-// that are merged with UnionFrom).
+// vertices from a single goroutine per interval.
 type ActiveSet struct {
 	bits  *Bitset
 	count int
@@ -82,21 +81,10 @@ func (s *ActiveSet) ActivateAll() {
 	s.count = s.bits.Len()
 }
 
-// Clone returns a deep copy of the set.
-func (s *ActiveSet) Clone() *ActiveSet {
-	return &ActiveSet{bits: s.bits.Clone(), count: s.count}
-}
-
 // CopyFrom overwrites the receiver with src. Capacities must match.
 func (s *ActiveSet) CopyFrom(src *ActiveSet) {
 	s.bits.CopyFrom(src.bits)
 	s.count = src.count
-}
-
-// UnionFrom activates every vertex active in other. Capacities must match.
-func (s *ActiveSet) UnionFrom(other *ActiveSet) {
-	s.bits.Union(other.bits)
-	s.count = s.bits.Count()
 }
 
 // Subtract deactivates every vertex active in other. Capacities must match.

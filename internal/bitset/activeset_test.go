@@ -67,15 +67,10 @@ func TestActiveSetRangeOps(t *testing.T) {
 	}
 }
 
-func TestActiveSetCloneAndCopy(t *testing.T) {
+func TestActiveSetCopyFrom(t *testing.T) {
 	s := NewActiveSet(50)
 	s.Activate(3)
 	s.Activate(40)
-	c := s.Clone()
-	c.Activate(5)
-	if s.Contains(5) {
-		t.Fatal("clone mutation leaked into original")
-	}
 	d := NewActiveSet(50)
 	d.CopyFrom(s)
 	if d.Count() != 2 || !d.Contains(3) || !d.Contains(40) {
@@ -83,16 +78,13 @@ func TestActiveSetCloneAndCopy(t *testing.T) {
 	}
 }
 
-func TestActiveSetUnionSubtract(t *testing.T) {
+func TestActiveSetSubtract(t *testing.T) {
 	a, b := NewActiveSet(30), NewActiveSet(30)
 	a.Activate(1)
 	a.Activate(2)
+	a.Activate(3)
 	b.Activate(2)
 	b.Activate(3)
-	a.UnionFrom(b)
-	if a.Count() != 3 {
-		t.Fatalf("union count = %d, want 3 (%v)", a.Count(), a.Slice())
-	}
 	a.Subtract(b)
 	if a.Count() != 1 || !a.Contains(1) {
 		t.Fatalf("subtract result wrong: %v", a.Slice())

@@ -157,16 +157,6 @@ func rangeMask(lo, hi uint) uint64 {
 	return (^uint64(0) << lo) & ((1 << hi) - 1)
 }
 
-// None reports whether no bits are set.
-func (b *Bitset) None() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Reset clears every bit.
 func (b *Bitset) Reset() {
 	for i := range b.words {
@@ -200,13 +190,6 @@ func (b *Bitset) SetWords(words []uint64) error {
 	return nil
 }
 
-// Clone returns a deep copy of the bitset.
-func (b *Bitset) Clone() *Bitset {
-	c := &Bitset{words: make([]uint64, len(b.words)), n: b.n}
-	copy(c.words, b.words)
-	return c
-}
-
 // CopyFrom overwrites the receiver with the contents of src.
 // The two bitsets must have the same capacity.
 func (b *Bitset) CopyFrom(src *Bitset) {
@@ -214,26 +197,6 @@ func (b *Bitset) CopyFrom(src *Bitset) {
 		panic(fmt.Sprintf("bitset: CopyFrom capacity mismatch %d != %d", b.n, src.n))
 	}
 	copy(b.words, src.words)
-}
-
-// Union sets the receiver to b ∪ other. Capacities must match.
-func (b *Bitset) Union(other *Bitset) {
-	if b.n != other.n {
-		panic(fmt.Sprintf("bitset: Union capacity mismatch %d != %d", b.n, other.n))
-	}
-	for i, w := range other.words {
-		b.words[i] |= w
-	}
-}
-
-// Intersect sets the receiver to b ∩ other. Capacities must match.
-func (b *Bitset) Intersect(other *Bitset) {
-	if b.n != other.n {
-		panic(fmt.Sprintf("bitset: Intersect capacity mismatch %d != %d", b.n, other.n))
-	}
-	for i, w := range other.words {
-		b.words[i] &= w
-	}
 }
 
 // AndNot clears every bit in the receiver that is set in other.
@@ -244,28 +207,6 @@ func (b *Bitset) AndNot(other *Bitset) {
 	for i, w := range other.words {
 		b.words[i] &^= w
 	}
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (b *Bitset) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	w := i / wordBits
-	word := b.words[w] >> (uint(i) % wordBits)
-	if word != 0 {
-		return i + bits.TrailingZeros64(word)
-	}
-	for w++; w < len(b.words); w++ {
-		if b.words[w] != 0 {
-			return w*wordBits + bits.TrailingZeros64(b.words[w])
-		}
-	}
-	return -1
 }
 
 // ForEach calls fn for every set bit in ascending order. If fn returns

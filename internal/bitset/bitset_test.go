@@ -16,9 +16,6 @@ func TestNewEmpty(t *testing.T) {
 	if b.Count() != 0 {
 		t.Fatalf("Count = %d, want 0", b.Count())
 	}
-	if !b.None() {
-		t.Fatal("None() = false for fresh bitset")
-	}
 }
 
 func TestNewNegativePanics(t *testing.T) {
@@ -100,31 +97,8 @@ func TestResetClearsAll(t *testing.T) {
 	b := New(100)
 	b.Fill()
 	b.Reset()
-	if !b.None() {
+	if b.Count() != 0 {
 		t.Fatal("bits remain set after Reset")
-	}
-}
-
-func TestNextSet(t *testing.T) {
-	b := New(300)
-	for _, i := range []int{5, 64, 130, 299} {
-		b.Set(i)
-	}
-	cases := []struct{ from, want int }{
-		{0, 5}, {5, 5}, {6, 64}, {64, 64}, {65, 130}, {131, 299}, {299, 299},
-		{-10, 5},
-	}
-	for _, c := range cases {
-		if got := b.NextSet(c.from); got != c.want {
-			t.Errorf("NextSet(%d) = %d, want %d", c.from, got, c.want)
-		}
-	}
-	if got := b.NextSet(300); got != -1 {
-		t.Errorf("NextSet(300) = %d, want -1", got)
-	}
-	b.Clear(299)
-	if got := b.NextSet(131); got != -1 {
-		t.Errorf("NextSet(131) after clearing = %d, want -1", got)
 	}
 }
 
@@ -240,22 +214,11 @@ func TestSetOps(t *testing.T) {
 		b.Set(i)
 	}
 
-	u := a.Clone()
-	u.Union(b)
-	inter := a.Clone()
-	inter.Intersect(b)
-	diff := a.Clone()
-	diff.AndNot(b)
+	a.AndNot(b)
 
 	for i := 0; i < 100; i++ {
 		ea, eb := i%2 == 0, i%3 == 0
-		if u.Test(i) != (ea || eb) {
-			t.Errorf("union bit %d wrong", i)
-		}
-		if inter.Test(i) != (ea && eb) {
-			t.Errorf("intersect bit %d wrong", i)
-		}
-		if diff.Test(i) != (ea && !eb) {
+		if a.Test(i) != (ea && !eb) {
 			t.Errorf("andnot bit %d wrong", i)
 		}
 	}
@@ -264,10 +227,8 @@ func TestSetOps(t *testing.T) {
 func TestSetOpsCapacityMismatchPanics(t *testing.T) {
 	a, b := New(10), New(20)
 	for name, fn := range map[string]func(){
-		"Union":     func() { a.Union(b) },
-		"Intersect": func() { a.Intersect(b) },
-		"AndNot":    func() { a.AndNot(b) },
-		"CopyFrom":  func() { a.CopyFrom(b) },
+		"AndNot":   func() { a.AndNot(b) },
+		"CopyFrom": func() { a.CopyFrom(b) },
 	} {
 		func() {
 			defer func() {
@@ -277,19 +238,6 @@ func TestSetOpsCapacityMismatchPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := New(64)
-	a.Set(7)
-	c := a.Clone()
-	c.Set(8)
-	if a.Test(8) {
-		t.Fatal("mutating clone affected original")
-	}
-	if !c.Test(7) {
-		t.Fatal("clone lost original bit")
 	}
 }
 
@@ -347,33 +295,6 @@ func TestPropertyCountMatchesTest(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: NextSet walks exactly the set bits, in order.
-func TestPropertyNextSetEnumerates(t *testing.T) {
-	f := func(raw []uint16) bool {
-		const n = 1000
-		b := New(n)
-		ref := make(map[int]bool)
-		for _, r := range raw {
-			idx := int(r) % n
-			b.Set(idx)
-			ref[idx] = true
-		}
-		seen := 0
-		prev := -1
-		for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
-			if i <= prev || !ref[i] {
-				return false
-			}
-			prev = i
-			seen++
-		}
-		return seen == len(ref)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

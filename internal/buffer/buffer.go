@@ -178,9 +178,6 @@ func New(capacity int64) *Buffer { return &Buffer{st: newStore(capacity)} }
 // Capacity returns the configured byte capacity.
 func (b *Buffer) Capacity() int64 { return b.st.capacity }
 
-// Used returns the bytes currently cached.
-func (b *Buffer) Used() int64 { return b.st.used }
-
 // Len returns the number of cached sub-blocks.
 func (b *Buffer) Len() int { return len(b.st.entries) }
 

@@ -41,8 +41,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if s.Hits != 1 || s.Insertions != 1 || s.BytesSaved != 40 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if b.Used() != 40 || b.Len() != 1 || b.Capacity() != 1000 {
-		t.Fatalf("Used=%d Len=%d Cap=%d", b.Used(), b.Len(), b.Capacity())
+	if b.st.used != 40 || b.Len() != 1 || b.Capacity() != 1000 {
+		t.Fatalf("Used=%d Len=%d Cap=%d", b.st.used, b.Len(), b.Capacity())
 	}
 }
 
@@ -110,8 +110,8 @@ func TestEvictsMultipleVictims(t *testing.T) {
 	if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 80, 80, 10) {
 		t.Fatal("multi-victim insertion rejected")
 	}
-	if b.Len() != 1 || b.Used() != 80 {
-		t.Fatalf("Len=%d Used=%d", b.Len(), b.Used())
+	if b.Len() != 1 || b.st.used != 80 {
+		t.Fatalf("Len=%d Used=%d", b.Len(), b.st.used)
 	}
 	if b.Stats().Evictions != 3 {
 		t.Fatalf("evictions = %d", b.Stats().Evictions)
@@ -187,7 +187,7 @@ func TestPropertyUsedWithinCapacity(t *testing.T) {
 			case 2:
 				b.UpdatePriority(k, int64(op%29))
 			}
-			if b.Used() > capacity || b.Used() < 0 {
+			if b.st.used > capacity || b.st.used < 0 {
 				return false
 			}
 		}
@@ -219,8 +219,8 @@ func TestBlockRoundTripsInEitherForm(t *testing.T) {
 			if !b.Put(k, tc.blk, decoded, onDisk, 5) {
 				t.Fatal("Put rejected with room to spare")
 			}
-			if b.Used() != tc.charge {
-				t.Fatalf("Used = %d, want %d", b.Used(), tc.charge)
+			if b.st.used != tc.charge {
+				t.Fatalf("Used = %d, want %d", b.st.used, tc.charge)
 			}
 			same := func(got Block) bool { return reflect.DeepEqual(got, tc.blk) }
 			if got, ok := b.Peek(k); !ok || !same(got) {

@@ -155,10 +155,5 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 		}
 		e.offer(buffer.Key{I: c[0], J: c[1]}, edges, e.opts.SEM, e.offerPriority)
 	}
-	if cells == fciuFirstCells {
-		err = e.runFCIUFirst()
-	} else {
-		err = e.runPass(cells)
-	}
-	return e.plStats, err
+	return e.plStats, e.runPass(cells)
 }

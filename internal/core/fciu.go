@@ -11,12 +11,13 @@ import (
 )
 
 // passCells names the grid cells a full-model pass reads from disk, which is
-// exactly the set the pass's block stream prefetches.
+// exactly the set the pass's block stream prefetches, and with them the
+// pass's shape across iterations.
 type passCells int
 
 const (
 	// fciuFirstCells: every cell, column-major; secondary cells (i > j) go
-	// through the priority buffer.
+	// through the priority buffer, the others also scatter iteration t+1.
 	fciuFirstCells passCells = iota
 	// fciuSecondCells: secondary cells only, through the priority buffer.
 	fciuSecondCells
@@ -31,6 +32,10 @@ func (c passCells) firstRow(j int) int {
 	}
 	return 0
 }
+
+// crossIter reports whether the pass computes iteration t+1 contributions
+// from the cells on and above the diagonal as it goes (see runPass).
+func (c passCells) crossIter() bool { return c == fciuFirstCells }
 
 // buffered reports whether the pass serves cell (i, j) through the priority
 // buffer.
@@ -134,61 +139,65 @@ func (e *Engine) offerPriority(edges []graph.Edge) int64 {
 	return activeEdgeCount(edges, e.active)
 }
 
-// runFCIUFirst executes the first half of a full cross-iteration update
-// pass (paper Algorithm 3, lines 1–17): stream every sub-block in
-// column-major order, updating iteration t, and exploit the dependency
-// structure of the grid to compute iteration t+1 contributions in the same
-// pass:
+// runPass executes one full-model pass: read the pass's cells column by
+// column, scatter iteration t from the active frontier, apply each interval.
 //
-//   - sub-block (i, j) with i < j: interval i was applied before column j
-//     is processed, so the sources' t-values are final — scatter t+1
-//     contributions immediately after the t-scatter;
-//   - the diagonal sub-block (j, j) is held in memory until column j is
-//     applied, then scatters its t+1 contributions;
-//   - sub-blocks with i > j ("secondary") cannot propagate in this pass
-//     and are offered to the priority buffer for the second half.
+//   - fciuFirstCells is the first half of a full cross-iteration update pass
+//     (paper Algorithm 3, lines 1–17): every sub-block, and — crossIter — the
+//     grid's dependency structure is used to compute iteration t+1
+//     contributions in the same pass. Sub-block (i, j) with i < j: interval i
+//     was applied before column j is processed, so the sources' t-values are
+//     final and it scatters t+1 right after its t-scatter. The diagonal (j, j)
+//     is held until column j is applied, then scatters t+1. Sub-blocks with
+//     i > j ("secondary") cannot propagate in this pass and are offered to the
+//     priority buffer for the second half, which the schedule runs next.
+//   - fciuSecondCells is that second half (lines 18–26): iteration t+1 already
+//     holds the staged contributions from every sub-block with i <= j, so only
+//     the secondary sub-blocks are read — from the buffer when resident.
+//   - fullCells is one plain full-I/O iteration, used when cross-iteration is
+//     disabled (ablation b1) and when a single iteration remains in the
+//     budget.
 //
 // Sub-block reads run ahead of the scatter/apply work on the block stream.
-// The driver then runs the fciuSecondCells pass as the next iteration.
-func (e *Engine) runFCIUFirst() error {
+func (e *Engine) runPass(cells passCells) error {
 	e.layout.ChargeVertexValueRead()
 	e.semBegin()
-	st := e.openPass(fciuFirstCells)
+	st := e.openPass(cells)
 	defer st.close()
+	cross := cells.crossIter()
+	// crossScatter is CrossIterUpdate: sources already updated in this
+	// iteration propagate their new value to iteration t+1.
+	crossScatter := func(blk block, lo, hi int) error {
+		return e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
+	}
 
 	for j := 0; j < e.p; j++ {
 		lo, hi := e.layout.Meta.Interval(j)
 		var diag block
 		diagDeferred := false
-		for i := 0; i < e.p; i++ {
+		for i := cells.firstRow(j); i < e.p; i++ {
 			if err := e.checkCtx(); err != nil {
 				return err
 			}
 			if !e.rowLive[i] {
 				// The t-scatter of every cell in this row is a guaranteed
-				// no-op: the active filter excludes all of its edges. Only
-				// the cross-iteration scatter can still need the cell.
-				switch {
-				case i > j:
-					// Secondary cells scatter from the active filter only.
-					e.semSkip(fciuFirstCells, i, j)
-					continue
-				case i < j:
-					// Interval i is already applied, so newActive∩interval(i)
-					// is final: skip when it is empty, otherwise fall through
-					// and load for the cross-iteration scatter alone.
-					if riLo, riHi := e.layout.Meta.Interval(i); e.newActive.CountRange(riLo, riHi) == 0 {
-						e.semSkip(fciuFirstCells, i, j)
-						continue
-					}
-				default:
-					// Diagonal: newActive∩interval(j) is final only after
-					// applyInterval(j); defer the load decision until then.
+				// no-op: the active filter excludes all of its edges. Only a
+				// cross-iteration scatter can still need the cell.
+				if cross && i == j {
+					// newActive∩interval(j) is final only after interval j is
+					// applied; defer the load decision until then.
 					diagDeferred = true
 					continue
 				}
+				// Above the diagonal interval i is already applied, so
+				// newActive∩interval(i) is final: load for the cross-iteration
+				// scatter alone when it is non-empty.
+				if !cross || i > j || e.newActive.CountRange(e.layout.Meta.Interval(i)) == 0 {
+					e.semSkip(cells, i, j)
+					continue
+				}
 			}
-			blk, err := e.passBlock(st, fciuFirstCells, i, j)
+			blk, err := e.passBlock(st, cells, i, j)
 			if err != nil {
 				return err
 			}
@@ -200,103 +209,56 @@ func (e *Engine) runFCIUFirst() error {
 			if err := e.scatterBlock(blk, e.valPrev, e.active, e.acc, e.touched, lo, hi); err != nil {
 				return err
 			}
-			if i == j {
+			if cross && i == j {
 				diag = blk
 				continue
 			}
-			if i < j {
-				// CrossIterUpdate: sources already updated in this
-				// iteration propagate their new value to iteration t+1.
-				if err := e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
+			if cross && i < j {
+				if err := crossScatter(blk, lo, hi); err != nil {
 					return err
 				}
 			}
 			e.src.release(blk)
 		}
 		e.applyBSP(j)
-		if !diag.empty() {
-			// Diagonal cross-iteration after interval j's own apply
-			// (Alg 3 lines 13–16).
-			if err := e.scatterBlock(diag, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
-				return err
-			}
-			e.src.release(diag)
-		} else if diagDeferred {
+		if diagDeferred {
 			// Dead-row diagonal: now that interval j is applied its t+1
 			// activations are final. Load only if there is something to
 			// propagate; the cell was left off the stream's list, so this
 			// rare load is synchronous.
-			if e.newActive.CountRange(lo, hi) > 0 {
-				blk, err := st.take(j, j)
-				if err != nil {
-					return err
-				}
-				if err := e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi); err != nil {
-					return err
-				}
-				e.src.release(blk)
+			if e.newActive.CountRange(lo, hi) == 0 {
+				e.semSkip(cells, j, j)
 			} else {
-				e.semSkip(fciuFirstCells, j, j)
+				var err error
+				if diag, err = st.take(j, j); err != nil {
+					return err
+				}
 			}
+		}
+		if !diag.empty() {
+			// Diagonal cross-iteration after interval j's own apply
+			// (Alg 3 lines 13–16).
+			if err := crossScatter(diag, lo, hi); err != nil {
+				return err
+			}
+			e.src.release(diag)
 		}
 	}
 
-	// The paper updates each buffered secondary sub-block's priority after
-	// the first iteration processes it; now that the full activation set
-	// for t+1 is known, refresh every resident's priority. Large residents
-	// are sampled rather than rescanned; compressed residents are estimated
-	// from their row's active fraction instead of being decoded. Either
-	// estimate is clamped to ≥1 while the block's row holds an active vertex,
-	// so sampling can never demote a hot block to dead.
-	e.buf.Reprioritize(func(k buffer.Key, blk buffer.Block) int64 {
-		if blk.Payload != nil {
-			return e.payloadPriority(k, e.newActive)
-		}
-		return clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I)
-	})
-	e.layout.ChargeVertexValueWrite()
-	return nil
-}
-
-// runPass executes one full-model pass with no cross-iteration computation:
-// read the pass's cells column by column, scatter iteration t from the active
-// frontier, apply each interval.
-//
-//   - fciuSecondCells is the second half of an FCIU pass (Algorithm 3, lines
-//     18–26): iteration t+1 already holds the staged contributions from every
-//     sub-block with i <= j, so only the secondary sub-blocks (i > j) are
-//     read — from the buffer when resident.
-//   - fullCells is one plain full-I/O iteration, used when cross-iteration is
-//     disabled (ablation b1) and when a single iteration remains in the
-//     budget.
-func (e *Engine) runPass(cells passCells) error {
-	e.layout.ChargeVertexValueRead()
-	e.semBegin()
-	st := e.openPass(cells)
-	defer st.close()
-
-	for j := 0; j < e.p; j++ {
-		lo, hi := e.layout.Meta.Interval(j)
-		for i := cells.firstRow(j); i < e.p; i++ {
-			if err := e.checkCtx(); err != nil {
-				return err
+	if cross {
+		// The paper updates each buffered secondary sub-block's priority after
+		// the first iteration processes it; now that the full activation set
+		// for t+1 is known, refresh every resident's priority. Large residents
+		// are sampled rather than rescanned; compressed residents are estimated
+		// from their row's active fraction instead of being decoded. Either
+		// estimate is clamped to ≥1 while the block's row holds an active vertex,
+		// so sampling can never demote a hot block to dead.
+		e.buf.Reprioritize(func(k buffer.Key, blk buffer.Block) int64 {
+			if blk.Payload != nil {
+				return e.payloadPriority(k, e.newActive)
 			}
-			if !e.rowLive[i] {
-				// Every cell here scatters only from the active filter; a
-				// dead row contributes nothing.
-				e.semSkip(cells, i, j)
-				continue
-			}
-			blk, err := e.passBlock(st, cells, i, j)
-			if err != nil {
-				return err
-			}
-			if err := e.scatterBlock(blk, e.valPrev, e.active, e.acc, e.touched, lo, hi); err != nil {
-				return err
-			}
-			e.src.release(blk)
-		}
-		e.applyBSP(j)
+			return clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I)
+		})
 	}
 	e.layout.ChargeVertexValueWrite()
 	return nil

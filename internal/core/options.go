@@ -39,12 +39,6 @@ type Options struct {
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
 	// is zero.
 	DefaultBuffer bool
-	// SCIUCacheBudget bounds the bytes of active-vertex edges SCIU may
-	// keep resident for cross-iteration propagation. Zero means the
-	// on-demand working set is assumed to fit memory (the paper's
-	// assumption). When the budget is exhausted, further vertices simply
-	// lose the cross-iteration shortcut — correctness is unaffected.
-	SCIUCacheBudget int64
 	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS. Batches
 	// below serialScatterThreshold edges or serialApplyThreshold vertices
 	// run on the calling goroutine whatever the value. Outputs are

@@ -37,53 +37,3 @@ func TestOnIterationHook(t *testing.T) {
 		})
 	}
 }
-
-func TestSCIUCacheBudgetPreservesCorrectness(t *testing.T) {
-	// A tiny cross-iteration cache budget disables most prescattering;
-	// results must be unchanged, only more edges re-read.
-	g, err := gen.RMAT(8, 8, gen.Graph500, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := func() core.Program { return &algorithms.ConnectedComponents{} }
-	want, _ := core.RunReference(g, prog(), 0)
-
-	for _, budget := range []int64{0, 1, 64, 1 << 20} {
-		layout := buildLayout(t, g, 4)
-		res, err := core.Run(layout, prog(), core.Options{
-			ForceModel:      core.ForceOnDemand,
-			SCIUCacheBudget: budget,
-		})
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		compareOutputs(t, "budget", res.Outputs, want, 1e-9)
-	}
-}
-
-func TestSCIUCacheBudgetIncreasesIO(t *testing.T) {
-	// With prescattering suppressed by a 1-byte budget, re-activated
-	// vertices' edges must be re-read next iteration: traffic can only
-	// grow (or stay equal when no vertex ever re-activates).
-	g, err := gen.Clustered(4, 30, 200, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layoutA := buildLayout(t, g, 3)
-	unlimited, err := core.Run(layoutA, &algorithms.ConnectedComponents{}, core.Options{ForceModel: core.ForceOnDemand})
-	if err != nil {
-		t.Fatal(err)
-	}
-	layoutB := buildLayout(t, g, 3)
-	starved, err := core.Run(layoutB, &algorithms.ConnectedComponents{}, core.Options{
-		ForceModel:      core.ForceOnDemand,
-		SCIUCacheBudget: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if starved.IO.ReadBytes() < unlimited.IO.ReadBytes() {
-		t.Fatalf("starved cache read less (%d) than unlimited (%d)",
-			starved.IO.ReadBytes(), unlimited.IO.ReadBytes())
-	}
-}

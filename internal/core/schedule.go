@@ -81,7 +81,7 @@ func (b *bspSchedule) step(iter int, st *IterStat) error {
 		err = e.runSCIU()
 	case !e.opts.DisableCrossIteration && iter+1 < b.maxIter:
 		st.Path = "fciu-1"
-		err = e.runFCIUFirst()
+		err = e.runPass(fciuFirstCells)
 		// The second half applies staged contributions and scatters
 		// the secondary sub-blocks from the new frontier; if the
 		// first half activated nothing, both are no-ops and the

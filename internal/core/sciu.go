@@ -30,17 +30,7 @@ func (e *Engine) runSCIU() error {
 	if cross {
 		e.sciuCache = make(map[graph.VertexID][]graph.Edge)
 	}
-	// Cache budget enforcement must be all-or-nothing per vertex: a vertex
-	// is removed from the next frontier only if ALL of its edges were
-	// resident for the cross-iteration scatter. A vertex whose caching is
-	// ever declined has any partial pieces evicted and is marked dropped.
-	var cachedBytes int64
 	recBytes := int64(e.layout.Meta.EdgeRecordBytes())
-	budget := e.opts.SCIUCacheBudget
-	var dropped map[graph.VertexID]bool
-	if cross && budget > 0 {
-		dropped = make(map[graph.VertexID]bool)
-	}
 
 	// Build the selective-load sequence over the rows that hold an active
 	// vertex.
@@ -76,7 +66,9 @@ func (e *Engine) runSCIU() error {
 	})
 	defer st.close()
 
-	// Scatter: sub-block by sub-block in request order. Cache bookkeeping
+	// Scatter: sub-block by sub-block in request order. The on-demand
+	// working set is assumed to fit memory (the paper's assumption), so every
+	// loaded vertex's edges stay for the cross-iteration scatter; the cache
 	// stays on the consumer.
 	for _, req := range reqs {
 		blk, err := st.take(req.I, req.J)
@@ -86,22 +78,8 @@ func (e *Engine) runSCIU() error {
 		if cross {
 			start := 0
 			for _, run := range blk.runs {
-				edges := blk.edges[start:run.end]
+				e.sciuCache[run.v] = append(e.sciuCache[run.v], blk.edges[start:run.end]...)
 				start = run.end
-				vid := run.v
-				switch {
-				case dropped != nil && dropped[vid]:
-					// Already over budget for this vertex.
-				case budget > 0 && cachedBytes+int64(len(edges))*recBytes > budget:
-					dropped[vid] = true
-					if prev, ok := e.sciuCache[vid]; ok {
-						cachedBytes -= int64(len(prev)) * recBytes
-						delete(e.sciuCache, vid)
-					}
-				default:
-					e.sciuCache[vid] = append(e.sciuCache[vid], edges...)
-					cachedBytes += int64(len(edges)) * recBytes
-				}
 			}
 		}
 		jLo, jHi := e.layout.Meta.Interval(req.J)

@@ -341,7 +341,9 @@ func BenchmarkBlockReread(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
 		for n := 0; n < b.N; n++ {
-			payload, err := l.LoadSubBlockPayloadInto(i, j, buf)
+			r := l.BlockReader(i, j)
+			payload, err := l.LoadSubBlockPayloadFrom(r, i, j, buf)
+			r.Close()
 			if err != nil {
 				b.Fatal(err)
 			}

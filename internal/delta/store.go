@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -267,7 +268,7 @@ func (s *Store) loadLayer(ref partition.LayerRef) (*layer, error) {
 func encodeLayerBlock(upserts, tombs []graph.Edge, srcBase, dstBase graph.VertexID, weighted bool) []byte {
 	up := graph.EncodeDeltaBlock(nil, upserts, srcBase, dstBase, weighted)
 	buf := make([]byte, 0, len(up)+16)
-	buf = appendUvarint(buf, uint64(len(up)))
+	buf = binary.AppendUvarint(buf, uint64(len(up)))
 	buf = append(buf, up...)
 	return graph.EncodeDeltaBlock(buf, tombs, srcBase, dstBase, false)
 }
@@ -275,7 +276,7 @@ func encodeLayerBlock(upserts, tombs []graph.Edge, srcBase, dstBase graph.Vertex
 func (s *Store) decodeLayerBlock(data []byte, b partition.LayerBlock) ([]partition.OverlayEdge, error) {
 	srcLo, _ := s.meta.Interval(b.I)
 	dstLo, _ := s.meta.Interval(b.J)
-	upLen, n := uvarint(data)
+	upLen, n := binary.Uvarint(data)
 	if n <= 0 || upLen > uint64(len(data)-n) {
 		return nil, fmt.Errorf("delta: layer block (%d,%d): corrupt section header", b.I, b.J)
 	}
@@ -813,13 +814,6 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Weighted reports whether the underlying graph carries edge weights.
-func (s *Store) Weighted() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.meta.Weighted
-}
-
 // NumVertices returns the (fixed) vertex count of the layout.
 func (s *Store) NumVertices() int {
 	s.mu.Lock()
@@ -837,30 +831,4 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	return s.log.Close()
-}
-
-// uvarint/appendUvarint keep the varint dependency local to this package's
-// layer framing.
-func uvarint(data []byte) (uint64, int) {
-	var x uint64
-	var sh uint
-	for i, b := range data {
-		if b < 0x80 {
-			return x | uint64(b)<<sh, i + 1
-		}
-		x |= uint64(b&0x7f) << sh
-		sh += 7
-		if sh > 63 {
-			return 0, -1
-		}
-	}
-	return 0, 0
-}
-
-func appendUvarint(buf []byte, x uint64) []byte {
-	for x >= 0x80 {
-		buf = append(buf, byte(x)|0x80)
-		x >>= 7
-	}
-	return append(buf, byte(x))
 }

@@ -81,14 +81,16 @@ func assertEqualLayouts(t *testing.T, got, want *partition.Layout) {
 					t.Fatalf("block (%d,%d) edge %d: %+v, want %+v", i, j, k, ge[k], we[k])
 				}
 			}
-			gp, err := got.LoadSubBlockPayloadInto(i, j, nil)
-			if err != nil {
-				t.Fatalf("block (%d,%d) payload: %v", i, j, err)
+			payload := func(l *partition.Layout) []byte {
+				r := l.BlockReader(i, j)
+				defer r.Close()
+				p, err := l.LoadSubBlockPayloadFrom(r, i, j, nil)
+				if err != nil {
+					t.Fatalf("block (%d,%d) payload: %v", i, j, err)
+				}
+				return p
 			}
-			wp, err := want.LoadSubBlockPayloadInto(i, j, nil)
-			if err != nil {
-				t.Fatalf("block (%d,%d) payload: %v", i, j, err)
-			}
+			gp, wp := payload(got), payload(want)
 			if !bytes.Equal(gp, wp) {
 				t.Fatalf("block (%d,%d): payloads differ (%d vs %d bytes)", i, j, len(gp), len(wp))
 			}

@@ -1,7 +1,6 @@
 package delta
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -237,26 +236,4 @@ func (s *Store) gcLocked() {
 		}
 	}
 	s.retiredFiles = keep
-}
-
-// SortedBlockKeys is a test helper exposing which blocks a view's overlay
-// touches, in grid order.
-func (v *View) SortedBlockKeys() [][2]int {
-	seen := make(map[blockKey]bool)
-	for _, l := range v.layers {
-		for bk := range l.blocks {
-			seen[bk] = true
-		}
-	}
-	for bk := range v.mem {
-		seen[bk] = true
-	}
-	out := make([][2]int, 0, len(seen))
-	for bk := range seen {
-		out = append(out, [2]int{bk.i, bk.j})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		return out[a][0] < out[b][0] || (out[a][0] == out[b][0] && out[a][1] < out[b][1])
-	})
-	return out
 }

@@ -23,10 +23,15 @@ import (
 //	[4:8]  dst uint32
 //	[8:12] weight float32
 
-// streamBlockBytes is the block size used by the bulk binary readers
-// (ReadBinary, BinaryStream): records are read and decoded a block at a
-// time instead of one ReadFull call per 8/12-byte record.
+// streamBlockBytes is the block size of the binary interchange reader
+// (BinaryStream): records are read and decoded a block at a time instead of
+// one ReadFull call per 8/12-byte record.
 const streamBlockBytes = 1 << 20
+
+// readGrowth bounds ReadBinary's edge slice to this multiple of the edges
+// actually read. At 8 the re-copies on the way up total a seventh of the
+// final slice.
+const readGrowth = 8
 
 // EncodeEdge appends the binary encoding of e to buf and returns the
 // extended slice. If weighted is false the weight column is omitted.
@@ -146,92 +151,36 @@ func WriteBinaryCodec(w io.Writer, g *Graph, codec Codec) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads a graph in the binary interchange format.
+// ReadBinary reads a whole graph in the binary interchange format: it drains
+// a BinaryStream. The header's edge count is a hint, not a fact — the edge
+// slice grows towards it only as edges arrive, never past readGrowth times
+// what the stream has delivered (plus one block to start from) — so a header
+// that promises more than the file holds costs an error, not the promised
+// allocation, while an honest file still ends in a slice of exactly its size.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
+	s, err := NewBinaryStream(r)
+	if err != nil {
+		return nil, err
 	}
-	if string(hdr[0:4]) != "GSDG" {
-		return nil, fmt.Errorf("graph: bad magic %q", hdr[0:4])
-	}
-	flags := binary.LittleEndian.Uint32(hdr[4:8])
-	weighted := flags&1 != 0
-	delta := flags&2 != 0
-	numV := binary.LittleEndian.Uint64(hdr[8:16])
-	numE := binary.LittleEndian.Uint64(hdr[16:24])
-	const maxReasonable = 1 << 40
-	if numV > maxReasonable || numE > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible header counts v=%d e=%d", numV, numE)
-	}
-	g := &Graph{NumVertices: int(numV), Weighted: weighted, Edges: make([]Edge, 0, numE)}
-	if delta {
-		if err := readBinaryDelta(br, g, numE); err != nil {
-			return nil, err
+	g := &Graph{NumVertices: s.NumVertices, Weighted: s.Weighted}
+	for {
+		e, ok, err := s.Next()
+		if err != nil {
+			return nil, fmt.Errorf("%w (edge %d of %d)", err, len(g.Edges), s.NumEdges)
 		}
-		if err := g.Validate(); err != nil {
-			return nil, err
+		if !ok {
+			break
 		}
-		return g, nil
-	}
-	rec := EdgeBytes
-	if weighted {
-		rec += WeightBytes
-	}
-	// Read and decode in large blocks rather than one ReadFull per record;
-	// the per-call overhead dominates on multi-million-edge graphs.
-	perBlock := streamBlockBytes / rec
-	buf := make([]byte, perBlock*rec)
-	for remaining := int64(numE); remaining > 0; {
-		n := int64(perBlock)
-		if n > remaining {
-			n = remaining
+		if len(g.Edges) == cap(g.Edges) {
+			owed := s.NumEdges - uint64(len(g.Edges))
+			g.Edges = reserve(g.Edges, int(min(owed, uint64((readGrowth-1)*len(g.Edges)+streamBlockBytes/EdgeBytes))))
 		}
-		chunk := buf[:n*int64(rec)]
-		if _, err := io.ReadFull(br, chunk); err != nil {
-			return nil, fmt.Errorf("graph: reading edges at %d: %w", int64(numE)-remaining, err)
-		}
-		var err error
-		if g.Edges, err = AppendEdges(g.Edges, chunk, weighted); err != nil {
-			return nil, err
-		}
-		remaining -= n
+		g.Edges = append(g.Edges, e)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
-}
-
-// readBinaryDelta decodes the delta-flagged interchange edge stream.
-func readBinaryDelta(br *bufio.Reader, g *Graph, numE uint64) error {
-	var prevSrc, prevDst int64
-	wbuf := make([]byte, WeightBytes)
-	for i := uint64(0); i < numE; i++ {
-		sGap, err := binary.ReadVarint(br)
-		if err != nil {
-			return fmt.Errorf("graph: reading delta edge %d src: %w", i, err)
-		}
-		dGap, err := binary.ReadVarint(br)
-		if err != nil {
-			return fmt.Errorf("graph: reading delta edge %d dst: %w", i, err)
-		}
-		prevSrc += sGap
-		prevDst += dGap
-		if prevSrc < 0 || prevSrc > math.MaxUint32 || prevDst < 0 || prevDst > math.MaxUint32 {
-			return fmt.Errorf("graph: delta edge %d out of uint32 range (%d, %d)", i, prevSrc, prevDst)
-		}
-		e := Edge{Src: VertexID(prevSrc), Dst: VertexID(prevDst)}
-		if g.Weighted {
-			if _, err := io.ReadFull(br, wbuf); err != nil {
-				return fmt.Errorf("graph: reading delta edge %d weight: %w", i, err)
-			}
-			e.Weight = bitsToFloat(binary.LittleEndian.Uint32(wbuf))
-		}
-		g.Edges = append(g.Edges, e)
-	}
-	return nil
 }
 
 // ReadEdgeList parses a whitespace-separated text edge list, the common

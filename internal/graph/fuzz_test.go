@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -163,5 +165,110 @@ func FuzzRunView(f *testing.F) {
 			})
 		}
 		checkViewAgainstBlock(t, &v, data, VertexID(srcBase), VertexID(dstBase), weighted, chosen, []VertexID{VertexID(srcBase)})
+	})
+}
+
+// hostileHeader is a 24-byte GSDG file: 10 vertices and an edge count of 2³⁶
+// with no edge behind it. A reader that sizes its output from the header asks
+// the runtime for 824 GB.
+func hostileHeader(flags uint32) []byte {
+	hdr := append([]byte("GSDG"), make([]byte, 20)...)
+	binary.LittleEndian.PutUint32(hdr[4:], flags)
+	binary.LittleEndian.PutUint64(hdr[8:], 10)
+	binary.LittleEndian.PutUint64(hdr[16:], 1<<36)
+	return hdr
+}
+
+// drainBinary reads every edge of a GSDG file through the stream.
+func drainBinary(data []byte) (*Graph, error) {
+	st, err := NewBinaryStream(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	g := &Graph{NumVertices: st.NumVertices, Weighted: st.Weighted}
+	for {
+		e, ok, err := st.Next()
+		if err != nil || !ok {
+			return g, err
+		}
+		g.Edges = append(g.Edges, e)
+	}
+}
+
+// TestReadBinaryHostileHeader: a header that promises more edges than the
+// file holds is an error from both readers — raw and delta-flagged — and
+// costs no allocation on the header's say-so; counts no machine can hold are
+// refused before any edge is read.
+func TestReadBinaryHostileHeader(t *testing.T) {
+	for _, flags := range []uint32{0, 2} {
+		data := hostileHeader(flags)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ReadBinary(bytes.NewReader(data)); err == nil {
+			t.Fatalf("flags %d: ReadBinary accepted 2^36 edges out of a 24-byte file", flags)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+			t.Fatalf("flags %d: ReadBinary allocated %d bytes on the header's word", flags, grew)
+		}
+		if _, err := drainBinary(data); err == nil {
+			t.Fatalf("flags %d: stream drained 2^36 edges out of a 24-byte file", flags)
+		}
+		binary.LittleEndian.PutUint64(data[16:], 1<<41)
+		if _, err := NewBinaryStream(bytes.NewReader(data)); err == nil {
+			t.Fatalf("flags %d: stream accepted an edge count of 2^41", flags)
+		}
+		binary.LittleEndian.PutUint64(data[16:], 0)
+		binary.LittleEndian.PutUint64(data[8:], 1<<63)
+		if _, err := NewBinaryStream(bytes.NewReader(data)); err == nil {
+			t.Fatalf("flags %d: stream accepted a vertex count of 2^63", flags)
+		}
+	}
+}
+
+// FuzzBinaryStream feeds arbitrary bytes to the GSDG interchange reader: it
+// may reject them but must never panic or allocate on a header's word, and
+// ReadBinary must be exactly a drained stream followed by Graph.Validate —
+// same verdict, same edges.
+func FuzzBinaryStream(f *testing.F) {
+	for _, seed := range []struct {
+		weighted bool
+		codec    Codec
+	}{{false, CodecRaw}, {false, CodecDelta}, {true, CodecRaw}, {true, CodecDelta}} {
+		g := &Graph{NumVertices: 300, Weighted: seed.weighted, Edges: []Edge{{Src: 0, Dst: 299}, {Src: 7, Dst: 7}, {Src: 7, Dst: 2}, {Src: 299, Dst: 0}}}
+		if seed.weighted {
+			for i := range g.Edges {
+				g.Edges[i].Weight = float32(i) + 0.5
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteBinaryCodec(&buf, g, seed.codec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(hostileHeader(0))
+	f.Add(hostileHeader(3))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := drainBinary(data)
+		if err == nil {
+			err = want.Validate()
+		}
+		got, rerr := ReadBinary(bytes.NewReader(data))
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("drained stream: %v; ReadBinary: %v", err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		if got.NumVertices != want.NumVertices || got.Weighted != want.Weighted || len(got.Edges) != len(want.Edges) {
+			t.Fatalf("ReadBinary: %d vertices, weighted %v, %d edges; stream: %d, %v, %d",
+				got.NumVertices, got.Weighted, len(got.Edges), want.NumVertices, want.Weighted, len(want.Edges))
+		}
+		for i, e := range want.Edges {
+			if g := got.Edges[i]; g.Src != e.Src || g.Dst != e.Dst || floatBits(g.Weight) != floatBits(e.Weight) {
+				t.Fatalf("edge %d: ReadBinary %+v, stream %+v", i, g, e)
+			}
+		}
 	})
 }

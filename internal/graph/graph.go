@@ -109,28 +109,6 @@ func (g *Graph) Bytes() int64 {
 	return per * int64(len(g.Edges))
 }
 
-// EdgeRecordBytes returns the per-edge record size for this graph:
-// M (+W if weighted) in the paper's notation.
-func (g *Graph) EdgeRecordBytes() int {
-	if g.Weighted {
-		return EdgeBytes + WeightBytes
-	}
-	return EdgeBytes
-}
-
-// RemoveSelfLoops returns a copy of g without self-loop edges. Generators
-// sampling endpoints independently produce loops; some algorithms (e.g.
-// PageRank mass conservation arguments) prefer them gone.
-func RemoveSelfLoops(g *Graph) *Graph {
-	out := &Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
-	for _, e := range g.Edges {
-		if e.Src != e.Dst {
-			out.Edges = append(out.Edges, e)
-		}
-	}
-	return out
-}
-
 // Dedupe returns a copy of g with exact duplicate edges removed (same
 // source, destination and weight), preserving first-occurrence order.
 func Dedupe(g *Graph) *Graph {
@@ -202,11 +180,6 @@ func BuildCSR(g *Graph) *CSR {
 	return &CSR{NumVertices: n, Offsets: offsets, Dst: dst, Weight: weight}
 }
 
-// OutDegree returns the out-degree of v.
-func (c *CSR) OutDegree(v VertexID) int {
-	return int(c.Offsets[v+1] - c.Offsets[v])
-}
-
 // Neighbors returns the destination slice for v's outgoing edges.
 // The returned slice aliases internal storage and must not be modified.
 func (c *CSR) Neighbors(v VertexID) []VertexID {
@@ -221,6 +194,3 @@ func (c *CSR) Weights(v VertexID) []float32 {
 	}
 	return c.Weight[c.Offsets[v]:c.Offsets[v+1]]
 }
-
-// NumEdges returns the number of edges in the CSR.
-func (c *CSR) NumEdges() int { return len(c.Dst) }

@@ -65,12 +65,18 @@ func NewBinaryStream(r io.Reader) (*BinaryStream, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	hdr := make([]byte, 24)
 	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading stream header: %w", err)
+		return nil, fmt.Errorf("graph: reading header: %w", err)
 	}
 	if string(hdr[0:4]) != "GSDG" {
 		return nil, fmt.Errorf("graph: bad magic %q", hdr[0:4])
 	}
 	flags := binary.LittleEndian.Uint32(hdr[4:8])
+	numV := binary.LittleEndian.Uint64(hdr[8:16])
+	numE := binary.LittleEndian.Uint64(hdr[16:24])
+	const maxReasonable = 1 << 40
+	if numV > maxReasonable || numE > maxReasonable || uint64(int(numV)) != numV {
+		return nil, fmt.Errorf("graph: implausible header counts v=%d e=%d", numV, numE)
+	}
 	weighted := flags&1 != 0
 	rec := EdgeBytes
 	if weighted {
@@ -78,13 +84,13 @@ func NewBinaryStream(r io.Reader) (*BinaryStream, error) {
 	}
 	return &BinaryStream{
 		br:          br,
-		remaining:   binary.LittleEndian.Uint64(hdr[16:24]),
+		remaining:   numE,
 		rec:         rec,
 		delta:       flags&2 != 0,
 		wbuf:        make([]byte, WeightBytes),
-		NumVertices: int(binary.LittleEndian.Uint64(hdr[8:16])),
+		NumVertices: int(numV),
 		Weighted:    weighted,
-		NumEdges:    binary.LittleEndian.Uint64(hdr[16:24]),
+		NumEdges:    numE,
 	}, nil
 }
 

@@ -2,27 +2,6 @@ package graph
 
 import "testing"
 
-func TestRemoveSelfLoops(t *testing.T) {
-	g := &Graph{
-		NumVertices: 3,
-		Edges: []Edge{
-			{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 1, Dst: 1}, {Src: 2, Dst: 0},
-		},
-	}
-	out := RemoveSelfLoops(g)
-	if out.NumEdges() != 2 {
-		t.Fatalf("edges = %d, want 2", out.NumEdges())
-	}
-	for _, e := range out.Edges {
-		if e.Src == e.Dst {
-			t.Fatalf("loop %v survived", e)
-		}
-	}
-	if g.NumEdges() != 4 {
-		t.Fatal("input mutated")
-	}
-}
-
 func TestDedupe(t *testing.T) {
 	g := &Graph{
 		NumVertices: 3,

@@ -532,12 +532,3 @@ func (s *Scheduler) TotalOverhead() time.Duration {
 	}
 	return t
 }
-
-// Reset clears the decision history and the calibration state.
-func (s *Scheduler) Reset() {
-	s.history = s.history[:0]
-	s.factor[FullIO] = 1
-	s.factor[OnDemandIO] = 1
-	s.observed = [2]int{}
-	s.mispredictSum, s.mispredictMax, s.mispredictLast = 0, 0, 0
-}

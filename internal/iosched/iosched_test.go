@@ -209,10 +209,6 @@ func TestHistoryAndOverhead(t *testing.T) {
 	if s.TotalOverhead() < 0 {
 		t.Fatal("negative overhead")
 	}
-	s.Reset()
-	if len(s.History()) != 0 {
-		t.Fatal("Reset did not clear history")
-	}
 }
 
 func TestModelString(t *testing.T) {
@@ -508,14 +504,6 @@ func TestObserveCalibratesEWMA(t *testing.T) {
 	s.Observe(OnDemandIO, 1000*d2.CostOnDemand)
 	if got := s.factor[OnDemandIO]; got != correctionMax {
 		t.Fatalf("factor = %v, want clamped to %v", got, correctionMax)
-	}
-
-	s.Reset()
-	if len(s.History()) != 0 {
-		t.Fatal("Reset kept history")
-	}
-	if a := s.Accuracy(); a.Observed != 0 || a.CorrOnDemand != 1 || a.MaxMispredict != 0 {
-		t.Fatalf("Reset kept calibration state: %+v", a)
 	}
 }
 

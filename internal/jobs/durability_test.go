@@ -114,7 +114,7 @@ func TestRecoveryAfterKill(t *testing.T) {
 	s2 := New(Config{Workers: 1, QueueDepth: 8, Run: r3.run, Journal: jr2, CheckpointRoot: ckRoot})
 	defer func() { s2.Close(context.Background()); jr2.Close() }()
 
-	rec := s2.Recovery()
+	rec := s2.Snapshot().Recovery
 	if rec.Recovered != 1 || rec.Requeued != 2 || rec.Lost != 0 {
 		t.Fatalf("recovery = %+v, want recovered=1 requeued=2 lost=0", rec)
 	}
@@ -194,7 +194,7 @@ func TestRecoveryTornFinal(t *testing.T) {
 	s2 := New(Config{Workers: 1, QueueDepth: 4, Run: r2.run, Journal: jr2})
 	defer func() { s2.Close(context.Background()); jr2.Close() }()
 
-	rec := s2.Recovery()
+	rec := s2.Snapshot().Recovery
 	if rec.Requeued != 1 || rec.Recovered != 0 || rec.Lost != 0 {
 		t.Fatalf("recovery = %+v, want the torn-final job requeued", rec)
 	}
@@ -227,7 +227,7 @@ func TestRecoveryDuplicateFinal(t *testing.T) {
 	if j.Err() != nil {
 		t.Fatalf("late duplicate's error leaked in: %v", j.Err())
 	}
-	rec := s.Recovery()
+	rec := s.Snapshot().Recovery
 	if rec.Recovered != 1 || rec.Requeued != 0 || rec.Lost != 0 {
 		t.Fatalf("recovery = %+v", rec)
 	}
@@ -252,8 +252,8 @@ func TestDeadlineExpiry(t *testing.T) {
 		if !errors.Is(j.Err(), ErrDeadlineExpired) {
 			t.Fatalf("err = %v, want ErrDeadlineExpired", j.Err())
 		}
-		if s.ExpiredDeadline() != 1 {
-			t.Fatalf("expired counter = %d", s.ExpiredDeadline())
+		if s.Snapshot().ExpiredDeadline != 1 {
+			t.Fatalf("expired counter = %d", s.Snapshot().ExpiredDeadline)
 		}
 	})
 
@@ -296,7 +296,7 @@ func TestDeadlineExpiry(t *testing.T) {
 		if !ok || j.State() != Expired {
 			t.Fatalf("replayed past-deadline job: ok=%v state=%v, want expired", ok, j.State())
 		}
-		rec := s.Recovery()
+		rec := s.Snapshot().Recovery
 		if rec.Expired != 1 || rec.Requeued != 0 || rec.Lost != 0 {
 			t.Fatalf("recovery = %+v", rec)
 		}
@@ -307,7 +307,7 @@ func TestDeadlineExpiry(t *testing.T) {
 		jr3 := openJournal(t, filepath.Join(dir, "wal"))
 		s3 := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr3})
 		defer func() { s3.Close(context.Background()); jr3.Close() }()
-		if rec := s3.Recovery(); rec.Recovered != 1 || rec.Expired != 0 {
+		if rec := s3.Snapshot().Recovery; rec.Recovered != 1 || rec.Expired != 0 {
 			t.Fatalf("second restart recovery = %+v, want the expiry already terminal", rec)
 		}
 	})
@@ -343,8 +343,8 @@ func TestTransientRetry(t *testing.T) {
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("attempts = %v, want [1 2 3]", got)
 	}
-	if s.Retried() != 2 {
-		t.Fatalf("Retried() = %d, want 2", s.Retried())
+	if s.Snapshot().Retried != 2 {
+		t.Fatalf("Retried() = %d, want 2", s.Snapshot().Retried)
 	}
 	if st := j.Status(); st.Attempt != 3 {
 		t.Fatalf("status attempt = %d, want 3", st.Attempt)
@@ -358,8 +358,8 @@ func TestTransientRetry(t *testing.T) {
 	defer s2.Close(context.Background())
 	j2, _ := s2.Submit(Request{Graph: "g", Algorithm: "pr"})
 	waitState(t, j2, Failed)
-	if s2.Retried() != 1 {
-		t.Fatalf("exhausted Retried() = %d, want 1", s2.Retried())
+	if s2.Snapshot().Retried != 1 {
+		t.Fatalf("exhausted Retried() = %d, want 1", s2.Snapshot().Retried)
 	}
 
 	// Permanent failures don't retry.
@@ -372,8 +372,8 @@ func TestTransientRetry(t *testing.T) {
 	defer s3.Close(context.Background())
 	j3, _ := s3.Submit(Request{Graph: "g", Algorithm: "pr"})
 	waitState(t, j3, Failed)
-	if calls != 1 || s3.Retried() != 0 {
-		t.Fatalf("permanent failure ran %d times, retried %d", calls, s3.Retried())
+	if calls != 1 || s3.Snapshot().Retried != 0 {
+		t.Fatalf("permanent failure ran %d times, retried %d", calls, s3.Snapshot().Retried)
 	}
 }
 
@@ -418,7 +418,7 @@ func TestDrainDeterministic(t *testing.T) {
 	if _, err := s.Submit(Request{Graph: "g", Algorithm: "pr"}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit during drain: %v", err)
 	}
-	if used, _ := s.MemReserved(); used != 0 {
+	if used := s.Snapshot().MemUsed; used != 0 {
 		t.Fatalf("memory still reserved after drain: %d", used)
 	}
 	jr.Close()
@@ -427,7 +427,7 @@ func TestDrainDeterministic(t *testing.T) {
 	jr2 := openJournal(t, filepath.Join(dir, "wal"))
 	s2 := New(Config{Workers: 1, QueueDepth: 8, Run: r.run, Journal: jr2})
 	defer func() { s2.Close(context.Background()); jr2.Close() }()
-	rec := s2.Recovery()
+	rec := s2.Snapshot().Recovery
 	if rec.Recovered != 5 || rec.Requeued != 0 || rec.Lost != 0 {
 		t.Fatalf("post-drain recovery = %+v, want 5 recovered", rec)
 	}
@@ -518,7 +518,7 @@ func TestOrphanCheckpointPruning(t *testing.T) {
 	if !checkpointDirExists(filepath.Join(ckRoot, "j00002-live")) {
 		t.Fatal("requeued job's checkpoint was pruned")
 	}
-	if rec := s.Recovery(); rec.Resumable != 1 {
+	if rec := s.Snapshot().Recovery; rec.Resumable != 1 {
 		t.Fatalf("resumable = %d, want 1", rec.Resumable)
 	}
 }
@@ -590,7 +590,7 @@ func TestRecoveryLostInvariantUnderChaos(t *testing.T) {
 
 		jr2 := openJournal(t, wal)
 		s2 := New(Config{Workers: 1, QueueDepth: 16, Run: r.run, Journal: jr2})
-		rec := s2.Recovery()
+		rec := s2.Snapshot().Recovery
 		if rec.Lost != 0 {
 			t.Fatalf("crashAt=%d: %d jobs lost (recovery %+v)", crashAt, rec.Lost, rec)
 		}

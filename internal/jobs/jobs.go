@@ -25,9 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -72,7 +69,7 @@ func (s State) String() string {
 
 // stateByName inverts String, for journal replay.
 func stateByName(name string) (State, bool) {
-	for _, s := range States {
+	for s := Queued; s <= Expired; s++ {
 		if s.String() == name {
 			return s, true
 		}
@@ -84,9 +81,6 @@ func stateByName(name string) (State, bool) {
 func (s State) Final() bool {
 	return s == Done || s == Failed || s == Cancelled || s == Expired
 }
-
-// States lists every lifecycle state, for metrics enumeration.
-var States = []State{Queued, Running, Done, Failed, Cancelled, Expired}
 
 // Request describes one job submission.
 type Request struct {
@@ -379,24 +373,6 @@ func (j *Job) Err() error {
 	return j.err
 }
 
-// RecoveryStats reports what a restarted scheduler's journal replay did.
-// Lost is the accounting invariant: submitted jobs the replay could neither
-// finish nor re-queue — always zero unless the journal itself is corrupt
-// beyond a torn tail.
-type RecoveryStats struct {
-	// Recovered counts journaled jobs that were already terminal; Requeued
-	// those re-queued for (re-)execution, of which Resumable had started
-	// before the crash and hold an engine checkpoint to resume from.
-	Recovered int64 `json:"recovered"`
-	Requeued  int64 `json:"requeued"`
-	Resumable int64 `json:"resumable"`
-	// Expired counts jobs whose deadline passed while the server was down.
-	Expired int64 `json:"expired"`
-	Lost    int64 `json:"lost"`
-	// ReplaySeconds is the journal replay wall clock.
-	ReplaySeconds float64 `json:"replay_seconds"`
-}
-
 // Scheduler is the bounded worker pool. Create with New, submit with
 // Submit, stop with Close.
 type Scheduler struct {
@@ -420,11 +396,11 @@ type Scheduler struct {
 	seq      int64
 	memUsed  int64
 	closed   bool
-	killed   bool            // abandoned by Kill: workers stop without journaling
-	finished map[State]int64 // terminal-state counts, monotonic
-	retried  int64           // job-level retry attempts
-	expired  int64           // jobs expired past their deadline
-	keptCk   []string        // terminal jobs whose checkpoint dirs are retained
+	killed   bool               // abandoned by Kill: workers stop without journaling
+	finished [Expired + 1]int64 // terminal-state counts, monotonic
+	retried  int64              // job-level retry attempts
+	expired  int64              // jobs expired past their deadline
+	keptCk   []string           // terminal jobs whose checkpoint dirs are retained
 	recovery RecoveryStats
 
 	wg sync.WaitGroup
@@ -451,12 +427,11 @@ func New(cfg Config) *Scheduler {
 		cfg.CheckpointEvery = 1
 	}
 	s := &Scheduler{
-		cfg:      cfg,
-		depth:    cfg.QueueDepth,
-		tenants:  make(map[string]*tenantState),
-		strict:   len(cfg.Tenants) > 0,
-		jobs:     make(map[string]*Job),
-		finished: make(map[State]int64),
+		cfg:     cfg,
+		depth:   cfg.QueueDepth,
+		tenants: make(map[string]*tenantState),
+		strict:  len(cfg.Tenants) > 0,
+		jobs:    make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for _, tc := range cfg.Tenants {
@@ -478,182 +453,6 @@ func New(cfg Config) *Scheduler {
 		go s.worker()
 	}
 	return s
-}
-
-// replay folds the journal's records into the job table and returns the
-// jobs to re-queue, in submission order. Called before the workers start,
-// so no locking is needed beyond the job constructors.
-func (s *Scheduler) replay(recs []Record) []*Job {
-	start := time.Now()
-	var finOrder []string // terminal jobs in final-record (finish) order
-	for _, rec := range recs {
-		switch rec.Type {
-		case RecSubmit:
-			if rec.Req == nil || rec.ID == "" {
-				continue
-			}
-			if _, dup := s.jobs[rec.ID]; dup {
-				continue
-			}
-			est := int64(0)
-			if s.cfg.EstimateBytes != nil {
-				est = s.cfg.EstimateBytes(*rec.Req)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			j := &Job{
-				id:        rec.ID,
-				req:       *rec.Req,
-				state:     Queued,
-				submitted: rec.Time,
-				estBytes:  est,
-				recovered: true,
-				ctx:       ctx,
-				cancel:    cancel,
-			}
-			s.jobs[j.id] = j
-			s.order = append(s.order, j.id)
-			if rec.Seq > s.seq {
-				s.seq = rec.Seq
-			}
-		case RecStart:
-			if j := s.jobs[rec.ID]; j != nil && !j.state.Final() {
-				j.wasRunning = true
-				if rec.Attempt > j.attempt {
-					j.attempt = rec.Attempt
-				}
-			}
-		case RecProgress:
-			if j := s.jobs[rec.ID]; j != nil && !j.state.Final() {
-				j.iterations = rec.Iter
-			}
-		case RecFinal:
-			j := s.jobs[rec.ID]
-			if j == nil || j.state.Final() {
-				// Duplicate finals (a retried journal append that landed
-				// twice) are idempotently ignored: the first final wins.
-				continue
-			}
-			st, ok := stateByName(rec.State)
-			if !ok || !st.Final() {
-				continue
-			}
-			j.state = st
-			j.finished = rec.Time
-			if rec.Error != "" {
-				j.err = errors.New(rec.Error)
-			}
-			j.cancel()
-			finOrder = append(finOrder, j.id)
-		}
-	}
-
-	now := time.Now()
-	var requeue []*Job
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j.state.Final() {
-			s.recovery.Recovered++
-			s.finished[j.state]++
-			continue
-		}
-		if j.req.deadlinePassed(now) {
-			s.expireLocked(j, now)
-			s.recovery.Expired++
-			continue
-		}
-		s.memUsed += j.estBytes
-		s.recovery.Requeued++
-		if j.wasRunning && s.cfg.CheckpointRoot != "" && checkpointDirExists(s.checkpointDir(j.id)) {
-			s.recovery.Resumable++
-		}
-		requeue = append(requeue, j)
-	}
-	// The invariant the chaos suite asserts: every journaled submit is
-	// accounted for. Computed before retention eviction mutates the tables.
-	s.recovery.Lost = int64(len(s.order)) - (s.recovery.Recovered + s.recovery.Requeued + s.recovery.Expired)
-	s.recovery.ReplaySeconds = time.Since(start).Seconds()
-	s.gcOrphanCheckpoints(requeue)
-	// Retention replays too: terminal jobs enter the eviction ring in
-	// finish order (expiries detected above already did, via expireLocked),
-	// and the same bound an uninterrupted server enforces is applied.
-	for _, id := range finOrder {
-		if j := s.jobs[id]; j != nil && j.state.Final() {
-			s.noteTerminalLocked(j)
-		}
-	}
-	s.evictTerminalLocked()
-	return requeue
-}
-
-// expireLocked moves a non-running job to Expired and journals it. Caller
-// guarantees no worker owns the job (replay, or the job was Queued under
-// its own lock).
-func (s *Scheduler) expireLocked(j *Job, now time.Time) {
-	j.state = Expired
-	j.err = ErrDeadlineExpired
-	j.finished = now
-	j.cancel()
-	s.finished[Expired]++
-	s.expired++
-	s.journalFinal(j, Expired, ErrDeadlineExpired)
-	s.gcCheckpointLocked(j.id)
-	s.noteTerminalLocked(j)
-}
-
-// checkpointDir returns the job's private checkpoint directory.
-func (s *Scheduler) checkpointDir(id string) string {
-	return filepath.Join(s.cfg.CheckpointRoot, id)
-}
-
-func checkpointDirExists(dir string) bool {
-	fi, err := os.Stat(dir)
-	return err == nil && fi.IsDir()
-}
-
-// gcOrphanCheckpoints removes checkpoint directories that belong to no
-// re-queued job: terminal jobs' leftovers (beyond CheckpointKeep, newest
-// first) and directories of jobs the journal has never heard of.
-func (s *Scheduler) gcOrphanCheckpoints(requeue []*Job) {
-	if s.cfg.CheckpointRoot == "" {
-		return
-	}
-	entries, err := os.ReadDir(s.cfg.CheckpointRoot)
-	if err != nil {
-		return
-	}
-	live := make(map[string]bool, len(requeue))
-	for _, j := range requeue {
-		live[j.id] = true
-	}
-	var terminal []string
-	for _, e := range entries {
-		if !e.IsDir() || live[e.Name()] {
-			continue
-		}
-		if j, ok := s.jobs[e.Name()]; ok && j.state.Final() {
-			terminal = append(terminal, e.Name())
-			continue
-		}
-		os.RemoveAll(filepath.Join(s.cfg.CheckpointRoot, e.Name()))
-	}
-	// Terminal leftovers: keep the newest CheckpointKeep by submission
-	// order, prune the rest.
-	sort.Slice(terminal, func(a, b int) bool { return jobSeq(terminal[a]) < jobSeq(terminal[b]) })
-	keepFrom := len(terminal) - s.cfg.CheckpointKeep
-	if keepFrom < 0 {
-		keepFrom = 0
-	}
-	for _, id := range terminal[:keepFrom] {
-		os.RemoveAll(filepath.Join(s.cfg.CheckpointRoot, id))
-	}
-	s.keptCk = append(s.keptCk, terminal[keepFrom:]...)
-}
-
-// jobSeq parses the sequence number out of a job ID (j<seq>-<hash>).
-func jobSeq(id string) int64 {
-	var seq int64
-	fmt.Sscanf(id, "j%d-", &seq)
-	return seq
 }
 
 // Submit admits req, returning the queued job or an admission error
@@ -745,84 +544,19 @@ func (s *Scheduler) Get(id string) (*Job, bool) {
 // Jobs returns all retained jobs in submission order. Terminal jobs beyond
 // the retention bound have been evicted and are absent.
 func (s *Scheduler) Jobs() []*Job {
-	jobs, _ := s.JobsPage(0, -1)
-	return jobs
-}
-
-// JobsPage returns retained jobs [offset, offset+limit) in submission
-// order, plus the total retained count. A negative limit means "through the
-// end"; an offset past the end returns an empty page.
-func (s *Scheduler) JobsPage(offset, limit int) ([]*Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jobsLocked()
+}
+
+func (s *Scheduler) jobsLocked() []*Job {
 	live := make([]*Job, 0, len(s.jobs))
 	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
+		if j, ok := s.jobs[id]; ok { // absent: evicted by retention
 			live = append(live, j)
 		}
 	}
-	total := len(live)
-	if offset < 0 {
-		offset = 0
-	}
-	if offset > total {
-		offset = total
-	}
-	end := total
-	if limit >= 0 && offset+limit < end {
-		end = offset + limit
-	}
-	return live[offset:end], total
-}
-
-// Evicted returns the total terminal jobs dropped by the retention policy.
-func (s *Scheduler) Evicted() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.evicted
-}
-
-// Retained returns the jobs currently held in memory.
-func (s *Scheduler) Retained() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.jobs)
-}
-
-// noteTerminalLocked appends j to the terminal ring in finish order. Called
-// with s.mu held, exactly once per job at its terminal edge (or at replay).
-func (s *Scheduler) noteTerminalLocked(j *Job) {
-	s.terminal = append(s.terminal, j.id)
-}
-
-// evictTerminalLocked enforces Config.RetainJobs: the oldest-finished jobs
-// beyond the bound are dropped from the tables, result payloads and all.
-// Their journal records stay — a replayed journal rebuilds and re-evicts
-// them identically. Called with s.mu held.
-func (s *Scheduler) evictTerminalLocked() {
-	if s.cfg.RetainJobs <= 0 {
-		return
-	}
-	for len(s.terminal) > s.cfg.RetainJobs {
-		id := s.terminal[0]
-		s.terminal[0] = ""
-		s.terminal = s.terminal[1:]
-		if _, ok := s.jobs[id]; ok {
-			delete(s.jobs, id)
-			s.evicted++
-		}
-	}
-	// s.order keeps evicted IDs until it is mostly tombstones, then
-	// compacts, so listing stays O(live) amortised without eager splicing.
-	if len(s.order) > 2*len(s.jobs)+16 {
-		live := s.order[:0]
-		for _, id := range s.order {
-			if _, ok := s.jobs[id]; ok {
-				live = append(live, id)
-			}
-		}
-		s.order = live
-	}
+	return live
 }
 
 // Cancel requests cancellation of the job: a queued job is marked cancelled
@@ -833,147 +567,56 @@ func (s *Scheduler) Cancel(id string) error {
 	if !ok {
 		return ErrNotFound
 	}
-	j.mu.Lock()
-	if j.state == Queued {
-		j.state = Cancelled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		j.mu.Unlock()
-		j.cancel()
-		s.finishQueued(j, Cancelled, context.Canceled)
-		return nil
+	if !s.finish(j, Queued, Cancelled, context.Canceled, nil) {
+		j.cancel() // running: engine observes ctx; finished: no-op
 	}
-	j.mu.Unlock()
-	j.cancel() // running: engine observes ctx; finished: no-op
 	return nil
 }
 
-// finishQueued accounts a job that went terminal without ever running:
-// journal, checkpoint GC, reservation release, counter, retention.
-func (s *Scheduler) finishQueued(j *Job, final State, err error) {
-	s.mu.Lock()
-	s.journalFinal(j, final, err)
-	s.gcCheckpointLocked(j.id)
-	s.memUsed -= j.estBytes
-	s.finished[final]++
-	if final == Expired {
-		s.expired++
-	}
-	s.noteTerminalLocked(j)
-	s.evictTerminalLocked()
-	s.mu.Unlock()
+// Snapshot is the scheduler's counters and gauges at one instant: every
+// field was read under one acquisition of the scheduler's lock, so sums and
+// ratios across them (Σ Tenants[i].Queued == QueueLen) hold exactly.
+type Snapshot struct {
+	// Current counts retained jobs by present state; Finished is the
+	// monotonic count per terminal state since the scheduler started,
+	// including terminal jobs recovered from the journal. Both index by State.
+	Current, Finished [Expired + 1]int64
+	// Retried counts job-level retry attempts after transient failures;
+	// ExpiredDeadline jobs expired past their deadline, at replay or runtime.
+	Retried, ExpiredDeadline int64
+	// Retained is the jobs held in memory, Evicted the terminal jobs the
+	// retention policy dropped.
+	Retained int
+	Evicted  int64
+	// QueueLen of QueueCap admitted jobs are waiting for a worker. A job
+	// cancelled while queued leaves Current[Queued] at once but QueueLen
+	// only when a worker pops it.
+	QueueLen, QueueCap int
+	// MemUsed is the summed memory estimates of queued and running jobs,
+	// MemBudget the admission bound (0 = unlimited).
+	MemUsed, MemBudget int64
+	// Recovery is what the startup journal replay did; the zero value
+	// without a journal.
+	Recovery RecoveryStats
+	// Tenants lists every tenant seen (configured or auto-created), by name.
+	Tenants []TenantSnapshot
 }
 
-// journalFinal appends the job's terminal record. Called with s.mu held.
-// Journal failure here is deliberately tolerated: the job still finishes in
-// memory, and a restart will simply re-run it — duplicate execution, never
-// a lost job.
-func (s *Scheduler) journalFinal(j *Job, final State, err error) {
-	if s.cfg.Journal == nil || s.killed {
-		return
-	}
-	rec := Record{Type: RecFinal, ID: j.id, Time: time.Now(), State: final.String()}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.cfg.Journal.Append(rec)
-}
-
-// gcCheckpointLocked prunes the job's checkpoint directory once its
-// terminal record is durable, retaining the last CheckpointKeep terminal
-// jobs' directories for debugging. Called with s.mu held.
-func (s *Scheduler) gcCheckpointLocked(id string) {
-	if s.cfg.CheckpointRoot == "" || s.killed {
-		return
-	}
-	if s.cfg.CheckpointKeep > 0 {
-		s.keptCk = append(s.keptCk, id)
-		if len(s.keptCk) <= s.cfg.CheckpointKeep {
-			return
-		}
-		id, s.keptCk = s.keptCk[0], s.keptCk[1:]
-	}
-	os.RemoveAll(s.checkpointDir(id))
-}
-
-// Counts returns the number of jobs currently in each state.
-func (s *Scheduler) Counts() map[State]int64 {
-	out := make(map[State]int64, len(States))
-	for _, j := range s.Jobs() {
-		out[j.State()]++
-	}
-	return out
-}
-
-// QueueDepth returns (queued jobs, admission capacity).
-func (s *Scheduler) QueueDepth() (int, int) {
+// Snapshot reads the scheduler's state under one lock acquisition.
+func (s *Scheduler) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queuedLen, s.depth
-}
-
-// MemReserved returns the summed memory estimates of queued and running
-// jobs, and the configured budget (0 = unlimited).
-func (s *Scheduler) MemReserved() (used, budget int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.memUsed, s.cfg.MemBudget
-}
-
-// release returns a finished job's memory reservation and tallies its
-// terminal state (and fair-share Done count). Idempotence is guaranteed by
-// callers: it runs exactly once per job, at the single Running→terminal
-// edge.
-func (s *Scheduler) release(j *Job, final State) {
-	s.mu.Lock()
-	s.memUsed -= j.estBytes
-	s.finished[final]++
-	if final == Expired {
-		s.expired++
+	snap := Snapshot{
+		Finished: s.finished, Retried: s.retried, ExpiredDeadline: s.expired,
+		Retained: len(s.jobs), Evicted: s.evicted,
+		QueueLen: s.queuedLen, QueueCap: s.depth,
+		MemUsed: s.memUsed, MemBudget: s.cfg.MemBudget,
+		Recovery: s.recovery, Tenants: s.tenantsLocked(),
 	}
-	if final == Done {
-		s.tenantLocked(j.req.Tenant).done++
+	for _, j := range s.jobs {
+		snap.Current[j.State()]++
 	}
-	s.noteTerminalLocked(j)
-	s.evictTerminalLocked()
-	s.mu.Unlock()
-}
-
-// FinishedCounts returns the monotonic terminal-state totals (done, failed,
-// cancelled, expired) since the scheduler started, including terminal jobs
-// recovered from the journal — counter semantics for /metrics.
-func (s *Scheduler) FinishedCounts() map[State]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[State]int64, len(s.finished))
-	for k, v := range s.finished {
-		out[k] = v
-	}
-	return out
-}
-
-// Retried returns the total job-level retry attempts after transient
-// failures.
-func (s *Scheduler) Retried() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.retried
-}
-
-// ExpiredDeadline returns the total jobs expired past their deadline,
-// including expiries detected at replay.
-func (s *Scheduler) ExpiredDeadline() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired
-}
-
-// Recovery returns what the startup journal replay did; the zero value when
-// no journal is configured.
-func (s *Scheduler) Recovery() RecoveryStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.recovery
+	return snap
 }
 
 func (s *Scheduler) worker() {
@@ -1019,22 +662,13 @@ func (s *Scheduler) next() *Job {
 
 func (s *Scheduler) runJob(j *Job) {
 	now := time.Now()
+	if j.req.deadlinePassed(now) {
+		s.finish(j, Queued, Expired, ErrDeadlineExpired, nil)
+		return
+	}
 	j.mu.Lock()
 	if j.state != Queued { // cancelled while queued
 		j.mu.Unlock()
-		return
-	}
-	if j.req.deadlinePassed(now) {
-		j.state = Expired
-		j.err = ErrDeadlineExpired
-		j.finished = now
-		j.mu.Unlock()
-		j.cancel()
-		s.mu.Lock()
-		s.journalFinal(j, Expired, ErrDeadlineExpired)
-		s.gcCheckpointLocked(j.id)
-		s.mu.Unlock()
-		s.release(j, Expired)
 		return
 	}
 	j.state = Running
@@ -1065,7 +699,6 @@ func (s *Scheduler) runJob(j *Job) {
 	for _, c := range cancels {
 		c()
 	}
-	j.cancel() // release the job context either way
 
 	final := Done
 	switch {
@@ -1078,17 +711,7 @@ func (s *Scheduler) runJob(j *Job) {
 	default:
 		final = Failed
 	}
-	j.mu.Lock()
-	j.state = final
-	j.err = err
-	j.res = res
-	j.finished = time.Now()
-	j.mu.Unlock()
-	s.mu.Lock()
-	s.journalFinal(j, final, err)
-	s.gcCheckpointLocked(j.id)
-	s.mu.Unlock()
-	s.release(j, final)
+	s.finish(j, Running, final, err, res)
 }
 
 // runAttempts executes the job, retrying transient storage failures up to
@@ -1169,12 +792,7 @@ func (s *Scheduler) Close(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, id := range s.order {
-		if j := s.jobs[id]; j != nil { // nil: evicted by retention
-			jobs = append(jobs, j)
-		}
-	}
+	jobs := s.jobsLocked()
 	s.mu.Unlock()
 
 	// First pass, in submission order: flip every still-Queued job to
@@ -1182,20 +800,8 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	// yet — cancelling one frees its worker, which could dequeue and start a
 	// later queued job before this loop reached it. A worker that dequeues
 	// one of these afterwards sees state != Queued and skips it.
-	now := time.Now()
 	for _, j := range jobs {
-		j.mu.Lock()
-		queued := j.state == Queued
-		if queued {
-			j.state = Cancelled
-			j.err = ErrClosed
-			j.finished = now
-		}
-		j.mu.Unlock()
-		if queued {
-			j.cancel()
-			s.finishQueued(j, Cancelled, ErrClosed)
-		}
+		s.finish(j, Queued, Cancelled, ErrClosed, nil)
 	}
 	// Second pass: every queued job is terminal and journaled, so now stop
 	// the running ones promptly (terminal jobs: no-op).

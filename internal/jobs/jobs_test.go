@@ -77,7 +77,7 @@ func TestJobLifecycleDone(t *testing.T) {
 	if got := j.Status(); got.State != "done" || !got.Converged {
 		t.Fatalf("status: %+v", got)
 	}
-	if c := s.FinishedCounts(); c[Done] != 1 {
+	if c := s.Snapshot().Finished; c[Done] != 1 {
 		t.Fatalf("finished counts: %v", c)
 	}
 }
@@ -168,9 +168,8 @@ func TestMemBudgetAdmission(t *testing.T) {
 	if _, err := s.Submit(Request{Graph: "b", Algorithm: "pr"}); !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("err = %v, want ErrMemBudget", err)
 	}
-	used, budget := s.MemReserved()
-	if used != 60 || budget != 100 {
-		t.Fatalf("reserved %d/%d", used, budget)
+	if snap := s.Snapshot(); snap.MemUsed != 60 || snap.MemBudget != 100 {
+		t.Fatalf("reserved %d/%d", snap.MemUsed, snap.MemBudget)
 	}
 	// Finishing the first job releases its reservation.
 	<-r.started
@@ -293,12 +292,12 @@ func TestSchedulerStress(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatal(err)
 	}
-	counts := s.FinishedCounts()
+	counts := s.Snapshot().Finished
 	var total int64
 	for _, c := range counts {
 		total += c
 	}
-	if used, _ := s.MemReserved(); used != 0 {
+	if used := s.Snapshot().MemUsed; used != 0 {
 		t.Fatalf("memory still reserved after close: %d", used)
 	}
 	t.Logf("finished: %v (total %d)", counts, total)

@@ -92,7 +92,7 @@ type Journal struct {
 // OpenJournal opens (creating if needed) the journal in dir, replays every
 // existing segment, and starts a fresh active segment for this process's
 // appends. segBytes is the rotation threshold (0: DefaultSegmentBytes).
-// The replayed records are available from Replayed until ConsumeReplay.
+// The replayed records are handed out once, by ConsumeReplay.
 func OpenJournal(dir string, segBytes int64) (*Journal, error) {
 	log, err := wal.Open(dir, wal.Options{
 		Prefix:       "journal",
@@ -121,12 +121,8 @@ func OpenJournal(dir string, segBytes int64) (*Journal, error) {
 	return j, nil
 }
 
-// Replayed returns the records recovered when the journal was opened, in
-// append order.
-func (j *Journal) Replayed() []Record { return j.replayed }
-
-// ConsumeReplay returns the replayed records and releases the journal's
-// reference to them.
+// ConsumeReplay returns the records recovered when the journal was opened,
+// in append order, and releases the journal's reference to them.
 func (j *Journal) ConsumeReplay() []Record {
 	recs := j.replayed
 	j.replayed = nil
@@ -157,9 +153,6 @@ func (j *Journal) Stats() JournalStats {
 // Err returns the sticky failure that made the journal unavailable, nil
 // while it is healthy.
 func (j *Journal) Err() error { return j.log.Err() }
-
-// Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.log.Dir() }
 
 // Append journals rec. Submit, start, and final records are fsynced before
 // returning; progress records are buffered by the OS (their loss costs only

@@ -134,8 +134,8 @@ func (s *Scheduler) nextLocked() *Job {
 	return j
 }
 
-// TenantSnapshot is a point-in-time view of one tenant's scheduler state,
-// for /metrics and fairness audits.
+// TenantSnapshot is one tenant's scheduler state inside a Snapshot, for
+// /metrics and fairness audits.
 type TenantSnapshot struct {
 	Name      string `json:"name"`
 	Weight    int    `json:"weight"`
@@ -145,11 +145,9 @@ type TenantSnapshot struct {
 	Done      int64  `json:"done"`
 }
 
-// Tenants returns a snapshot of every tenant the scheduler has seen
-// (configured or auto-created), sorted by name.
-func (s *Scheduler) Tenants() []TenantSnapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// tenantsLocked snapshots every tenant the scheduler has seen (configured or
+// auto-created), sorted by name. Called with s.mu held.
+func (s *Scheduler) tenantsLocked() []TenantSnapshot {
 	out := make([]TenantSnapshot, 0, len(s.tnames))
 	for _, name := range s.tnames {
 		t := s.tenants[name]

@@ -169,12 +169,12 @@ func TestTenantRunningQuota(t *testing.T) {
 	close(r.release) // everything drains; a's second job now runs
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if c := s.FinishedCounts(); c[Done] == 3 {
+		if c := s.Snapshot().Finished; c[Done] == 3 {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("jobs did not drain: %v", s.FinishedCounts())
+	t.Fatalf("jobs did not drain: %v", s.Snapshot().Finished)
 }
 
 func TestUnknownTenantRejected(t *testing.T) {
@@ -207,7 +207,7 @@ func TestTenantSnapshots(t *testing.T) {
 	s.Submit(Request{Graph: "g", Algorithm: "pr", Tenant: "a", Source: 1})
 	s.Submit(Request{Graph: "g", Algorithm: "pr", Tenant: "b"})
 
-	snaps := s.Tenants()
+	snaps := s.Snapshot().Tenants
 	if len(snaps) != 2 || snaps[0].Name != "a" || snaps[1].Name != "b" {
 		t.Fatalf("snapshots: %+v", snaps)
 	}
@@ -225,12 +225,12 @@ func drainDone(t *testing.T, s *Scheduler, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if c := s.FinishedCounts(); c[Done] >= n {
+		if c := s.Snapshot().Finished; c[Done] >= n {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("only %v done, want %d", s.FinishedCounts(), n)
+	t.Fatalf("only %v done, want %d", s.Snapshot().Finished, n)
 }
 
 // TestRetentionEvictsTerminalJobs: the leak regression — a bounded scheduler
@@ -253,10 +253,10 @@ func TestRetentionEvictsTerminalJobs(t *testing.T) {
 		drainDone(t, s, int64(i+1)) // sequential: finish order == submission order
 	}
 
-	if got := s.Retained(); got != 2 {
+	if got := s.Snapshot().Retained; got != 2 {
 		t.Fatalf("retained %d jobs, want 2", got)
 	}
-	if got := s.Evicted(); got != 3 {
+	if got := s.Snapshot().Evicted; got != 3 {
 		t.Fatalf("evicted %d, want 3", got)
 	}
 	for _, id := range ids[:3] {
@@ -274,40 +274,11 @@ func TestRetentionEvictsTerminalJobs(t *testing.T) {
 		}
 	}
 	// The monotonic counters survive eviction; the listing shrinks.
-	if c := s.FinishedCounts(); c[Done] != 5 {
+	if c := s.Snapshot().Finished; c[Done] != 5 {
 		t.Fatalf("finished counts: %v", c)
 	}
-	if jobs, total := s.JobsPage(0, -1); total != 2 || len(jobs) != 2 || jobs[0].ID() != ids[3] || jobs[1].ID() != ids[4] {
-		t.Fatalf("listing after eviction: total=%d %v", total, jobs)
-	}
-}
-
-func TestJobsPage(t *testing.T) {
-	run := func(ctx context.Context, req Request, info RunInfo) (*core.Result, error) {
-		return &core.Result{Iterations: 1, Converged: true}, nil
-	}
-	s := New(Config{Workers: 1, QueueDepth: 16, Run: run})
-	defer s.Close(context.Background())
-	var ids []string
-	for i := 0; i < 7; i++ {
-		j, err := s.Submit(Request{Graph: "g", Algorithm: "pr", Source: uint32(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, j.ID())
-	}
-	page, total := s.JobsPage(2, 3)
-	if total != 7 || len(page) != 3 || page[0].ID() != ids[2] || page[2].ID() != ids[4] {
-		t.Fatalf("page(2,3): total=%d len=%d", total, len(page))
-	}
-	if page, total := s.JobsPage(100, 3); total != 7 || len(page) != 0 {
-		t.Fatalf("page past end: total=%d len=%d", total, len(page))
-	}
-	if page, _ := s.JobsPage(5, -1); len(page) != 2 {
-		t.Fatalf("open-ended page: len=%d", len(page))
-	}
-	if page, _ := s.JobsPage(3, 0); len(page) != 0 {
-		t.Fatalf("limit-0 page: len=%d", len(page))
+	if jobs := s.Jobs(); len(jobs) != 2 || jobs[0].ID() != ids[3] || jobs[1].ID() != ids[4] {
+		t.Fatalf("listing after eviction: %v", jobs)
 	}
 }
 
@@ -348,7 +319,7 @@ func TestRetentionJournalConsistent(t *testing.T) {
 
 	s2, jr2 := open()
 	defer func() { s2.Close(context.Background()); jr2.Close() }()
-	rec := s2.Recovery()
+	rec := s2.Snapshot().Recovery
 	if rec.Lost != 0 || rec.Recovered != 5 || rec.Requeued != 0 {
 		t.Fatalf("recovery: %+v", rec)
 	}
@@ -359,7 +330,7 @@ func TestRetentionJournalConsistent(t *testing.T) {
 	if len(after) != 2 || after[0] != retained[0] || after[1] != retained[1] {
 		t.Fatalf("retained set diverged across restart: %v vs %v", after, retained)
 	}
-	if got := s2.Evicted(); got != 3 {
+	if got := s2.Snapshot().Evicted; got != 3 {
 		t.Fatalf("replay evicted %d, want 3", got)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // scraped from the server's /metrics endpoint. It is a minimal writer, not
 // a client library: callers emit a Header once per metric family and then
 // one Val per labelled sample, in family order. The first write error is
-// latched and reported by Err; later calls are no-ops, so call sites stay
-// unconditional.
+// latched and later calls are no-ops — the client went away mid-scrape,
+// nothing recoverable — so call sites stay unconditional.
 type Prom struct {
 	w   io.Writer
 	err error
@@ -21,9 +21,6 @@ type Prom struct {
 
 // NewProm returns a Prometheus text writer over w.
 func NewProm(w io.Writer) *Prom { return &Prom{w: w} }
-
-// Err returns the first write error, if any.
-func (p *Prom) Err() error { return p.err }
 
 func (p *Prom) printf(format string, args ...any) {
 	if p.err != nil {
@@ -48,6 +45,16 @@ func L(name, value string) Label { return Label{Name: name, Value: value} }
 // Val emits one sample line: name{labels} value. NaN and ±Inf render in
 // Prometheus spelling.
 func (p *Prom) Val(name string, value float64, labels ...Label) {
+	p.sample(name, formatPromFloat(value), labels)
+}
+
+// Int is Val for integer-valued counters and gauges, avoiding float
+// formatting artifacts on large counts.
+func (p *Prom) Int(name string, value int64, labels ...Label) {
+	p.sample(name, strconv.FormatInt(value, 10), labels)
+}
+
+func (p *Prom) sample(name, value string, labels []Label) {
 	if p.err != nil {
 		return
 	}
@@ -67,33 +74,8 @@ func (p *Prom) Val(name string, value float64, labels ...Label) {
 		b.WriteByte('}')
 	}
 	b.WriteByte(' ')
-	b.WriteString(formatPromFloat(value))
+	b.WriteString(value)
 	b.WriteByte('\n')
-	_, p.err = io.WriteString(p.w, b.String())
-}
-
-// Int is Val for integer-valued counters and gauges, avoiding float
-// formatting artifacts on large counts.
-func (p *Prom) Int(name string, value int64, labels ...Label) {
-	if p.err != nil {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	if len(labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l.Name)
-			b.WriteString(`="`)
-			b.WriteString(escapeLabel(l.Value))
-			b.WriteByte('"')
-		}
-		b.WriteByte('}')
-	}
-	fmt.Fprintf(&b, " %d\n", value)
 	_, p.err = io.WriteString(p.w, b.String())
 }
 

@@ -15,7 +15,7 @@ func TestPromOutput(t *testing.T) {
 	p.Header("graphsd_cache_ratio", "gauge", "Hit ratio.")
 	p.Val("graphsd_cache_ratio", 0.25, L("graph", "g1"))
 	p.Val("graphsd_uptime_seconds", 12.5)
-	if err := p.Err(); err != nil {
+	if err := p.err; err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -38,7 +38,7 @@ func TestPromEscaping(t *testing.T) {
 	p := NewProm(&b)
 	p.Header("m", "gauge", "line1\nline2 \\slash")
 	p.Val("m", 1, L("path", `a"b\c`+"\n"))
-	if err := p.Err(); err != nil {
+	if err := p.err; err != nil {
 		t.Fatal(err)
 	}
 	got := b.String()
@@ -67,13 +67,13 @@ func TestPromSpecialFloats(t *testing.T) {
 func TestPromErrLatched(t *testing.T) {
 	p := NewProm(failingWriter{})
 	p.Header("m", "gauge", "h")
-	first := p.Err()
+	first := p.err
 	if first == nil {
 		t.Fatal("expected write error")
 	}
 	p.Val("m", 1)
 	p.Int("m", 1)
-	if p.Err() != first {
+	if p.err != first {
 		t.Fatal("error not latched")
 	}
 }

@@ -110,23 +110,16 @@ func (l *Layout) readBlockVerified(r *storage.Reader, i, j int, buf []byte) ([]b
 	return buf, nil
 }
 
-// LoadSubBlockPayloadInto reads sub-block (i, j) in full, through buf (grown
-// only when too small), and returns its edges as a delta-coded payload
-// *without* decoding it — the form the compressed cache tier stores and a run
-// view scans. On a delta layout with no overlay on the block the result is
-// buf's memory holding the verified on-disk bytes, the caller's to reuse once
-// done with the payload; a merged payload, or a raw block's (re-encoded once,
-// charged as decode time), is freshly allocated. Decode it with
-// graph.AppendDeltaBlock using the interval bases of (i, j), reporting the time
-// through AddDecodeTime. Empty sub-blocks return a nil payload and no I/O.
-func (l *Layout) LoadSubBlockPayloadInto(i, j int, buf []byte) ([]byte, error) {
-	r := l.BlockReader(i, j)
-	defer r.Close()
-	return l.LoadSubBlockPayloadFrom(r, i, j, buf)
-}
-
-// LoadSubBlockPayloadFrom is LoadSubBlockPayloadInto through r, the block's
-// BlockReader.
+// LoadSubBlockPayloadFrom reads sub-block (i, j) in full from r, the block's
+// BlockReader, through buf (grown only when too small), and returns its edges
+// as a delta-coded payload *without* decoding it — the form the compressed
+// cache tier stores and a run view scans. On a delta layout with no overlay on
+// the block the result is buf's memory holding the verified on-disk bytes, the
+// caller's to reuse once done with the payload; a merged payload, or a raw
+// block's (re-encoded once, charged as decode time), is freshly allocated.
+// Decode it with graph.AppendDeltaBlock using the interval bases of (i, j),
+// reporting the time through AddDecodeTime. Empty sub-blocks return a nil
+// payload and no I/O.
 func (l *Layout) LoadSubBlockPayloadFrom(r *storage.Reader, i, j int, buf []byte) ([]byte, error) {
 	if l.Meta.SubBlockEdges(i, j) == 0 {
 		return nil, nil
@@ -423,14 +416,8 @@ func (l *Layout) LoadDegrees() ([]uint32, error) {
 	return deg, nil
 }
 
-// LoadRow reads HUS-Graph/Lumos row block i in full.
-func (l *Layout) LoadRow(i int) ([]graph.Edge, error) {
-	edges, _, err := l.LoadRowInto(i, nil, nil)
-	return edges, err
-}
-
-// LoadRowInto reads row block i like LoadRow, decoding into dst and
-// reading through buf like LoadSubBlockInto — the per-iteration loop of
+// LoadRowInto reads HUS-Graph/Lumos row block i in full, decoding into dst
+// and reading through buf like LoadSubBlockInto — the per-iteration loop of
 // the row-major baselines reuses both instead of allocating per block.
 // Row blocks are always raw: the row-major preprocessors reject delta.
 func (l *Layout) LoadRowInto(i int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
@@ -463,13 +450,7 @@ func (l *Layout) OpenRow(i int) (*storage.Reader, error) {
 	return r, nil
 }
 
-// LoadCol reads HUS-Graph column block j in full.
-func (l *Layout) LoadCol(j int) ([]graph.Edge, error) {
-	edges, _, err := l.LoadColInto(j, nil, nil)
-	return edges, err
-}
-
-// LoadColInto reads column block j like LoadCol, with the same buffer
+// LoadColInto reads HUS-Graph column block j in full, with the same buffer
 // reuse as LoadRowInto.
 func (l *Layout) LoadColInto(j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	return l.loadRawFileInto(ColName(j), "column", j, l.Meta.ColSums, dst, buf)

@@ -244,7 +244,7 @@ func TestLoadRowColInto(t *testing.T) {
 	var edges []graph.Edge
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		want, err := l.LoadRow(i)
+		want, _, err := l.LoadRowInto(i, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestLoadRowColInto(t *testing.T) {
 				t.Fatalf("row %d edge %d: %v vs %v", i, k, edges[k], want[k])
 			}
 		}
-		want, err = l.LoadCol(i)
+		want, _, err = l.LoadColInto(i, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

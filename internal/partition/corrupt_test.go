@@ -16,11 +16,11 @@ func TestLoadRowColMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := l.LoadRow(0)
+	row, _, err := l.LoadRowInto(0, nil, nil)
 	if err != nil || row != nil {
 		t.Fatalf("LoadRow on grid layout = %v, %v", row, err)
 	}
-	col, err := l.LoadCol(0)
+	col, _, err := l.LoadColInto(0, nil, nil)
 	if err != nil || col != nil {
 		t.Fatalf("LoadCol on grid layout = %v, %v", col, err)
 	}

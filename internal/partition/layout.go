@@ -123,7 +123,7 @@ type Layout struct {
 	Meta Manifest
 	// Overlay, when non-nil, is a pinned set of pending edge mutations
 	// (sealed delta layers plus a frozen memtable snapshot) merged into
-	// every read: LoadSubBlockInto, LoadSubBlockPayloadInto, ReadVertexEdges
+	// every read: LoadSubBlockInto, LoadSubBlockPayloadFrom, ReadVertexEdges
 	// and LoadDegrees all return the merged view. In that
 	// case Meta must be the *merged* manifest — EdgeCounts, NumEdges and
 	// BlockBytes adjusted for the overlay — while BlockSums keep the base
@@ -146,7 +146,7 @@ type Layout struct {
 func (l *Layout) noteDecode(t0 time.Time) { l.AddDecodeTime(time.Since(t0)) }
 
 // AddDecodeTime charges d of decode work done outside this package on a
-// payload LoadSubBlockPayloadInto handed out, so that DecodeTime covers a
+// payload LoadSubBlockPayloadFrom handed out, so that DecodeTime covers a
 // block's decode wherever it ran.
 func (l *Layout) AddDecodeTime(d time.Duration) { l.decodeNanos.Add(d.Nanoseconds()) }
 

@@ -272,7 +272,7 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 		t.Fatalf("system = %s", l.Meta.System)
 	}
 	// Row 0 holds edges with src in {0,1,2}, sorted by src.
-	row0, err := l.LoadRow(0)
+	row0, _, err := l.LoadRowInto(0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 		t.Fatalf("vertex 2 edge count via index = %d", idx.Rec[3]-idx.Rec[2])
 	}
 	// Column 1 holds edges with dst in {3,4,5}, sorted by dst.
-	col1, err := l.LoadCol(1)
+	col1, _, err := l.LoadColInto(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,8 +311,8 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 	// Both copies exist: total written edge records ~ 2x graph size.
 	total := int64(0)
 	for i := 0; i < 2; i++ {
-		row, _ := l.LoadRow(i)
-		col, _ := l.LoadCol(i)
+		row, _, _ := l.LoadRowInto(i, nil, nil)
+		col, _, _ := l.LoadColInto(i, nil, nil)
 		total += int64(len(row) + len(col))
 	}
 	if total != 16 {

@@ -64,7 +64,7 @@ func TestServerAsync(t *testing.T) {
 
 	g := asyncSrv.graphs["rmat9"]
 	g.mu.Lock()
-	asyncRuns, asyncSteps := g.asyncRuns, g.asyncSteps
+	asyncRuns, asyncSteps := g.agg.asyncRuns, g.agg.asyncSteps
 	g.mu.Unlock()
 	if asyncRuns != 1 {
 		t.Fatalf("async runs folded = %d, want 1 (bfs async, pr BSP fallback)", asyncRuns)

@@ -4,13 +4,18 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/buffer"
+	"github.com/graphsd/graphsd/internal/delta"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/jobs"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -94,4 +99,155 @@ func TestMetricsSharedCacheOneSnapshot(t *testing.T) {
 	if line, _, _ := strings.Cut(body[i+len(help):], "\n"); strings.HasPrefix(line, "Decoded bytes") || !strings.Contains(line, "encoded") {
 		t.Fatalf("used_bytes help on a compressed cache: %q", line)
 	}
+}
+
+// scrapeBody returns one /metrics exposition.
+func scrapeBody(t *testing.T, s *Server) string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics: HTTP %d", rec.Code)
+	}
+	return rec.Body.String()
+}
+
+// expositionCfg is a server showing every metric family: two tenants, a
+// journal, one mutable graph and one read-only graph.
+func expositionCfg(t *testing.T) Config {
+	t.Helper()
+	mdir, _ := buildLayoutDir(t, 8, 3, 2)
+	rdir, _ := buildLayoutDir(t, 8, 4, 2)
+	return Config{
+		Graphs: []GraphConfig{
+			{Name: "m", Dir: mdir, Profile: storage.SSD, Mutable: true, MemtableBytes: 1},
+			{Name: "r", Dir: rdir, Profile: storage.HDD},
+		},
+		Tenants:    []jobs.Tenant{{Name: "alice", Token: "tok-alice"}, {Name: "bob", Token: "tok-bob", Weight: 2}},
+		JournalDir: t.TempDir(),
+		Workers:    2, QueueDepth: 64, RetainJobs: 32,
+	}
+}
+
+// TestMetricsExpositionPinned pins what a scraper keys on: the ordered
+// `# HELP` / `# TYPE` lines and, under each, the ordered series with their
+// label sets (values stripped). testdata/metrics_exposition.golden was
+// recorded from the hand-unrolled renderer this table replaced; a change to
+// it is a change to the server's monitoring contract.
+func TestMetricsExpositionPinned(t *testing.T) {
+	s, _ := newTestServer(t, expositionCfg(t))
+	for _, req := range []jobs.Request{
+		{Graph: "m", Tenant: "alice", Algorithm: "pr", MaxIterations: 2},
+		{Graph: "r", Tenant: "bob", Algorithm: "cc"},
+	} {
+		j, err := s.Scheduler().Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.State().Final() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var got strings.Builder
+	for _, line := range strings.Split(strings.TrimSuffix(scrapeBody(t, s), "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			line = line[:strings.LastIndexByte(line, ' ')]
+		}
+		got.WriteString(line + "\n")
+	}
+	const golden = "testdata/metrics_exposition.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("exposition line %d:\n got %q\nwant %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("exposition has %d lines, golden %d", len(gl), len(wl))
+	}
+}
+
+// TestMetricsScrapeIsOneInstant scrapes while jobs are submitted, run and
+// cancelled and a mutable graph is written, sealed and compacted. Inside one
+// scrape the numbers that are one fact under one lock must agree: the queue
+// depth is the sum of the tenants' queues (Scheduler.mu), and a delta store
+// has sealed layers exactly when it has sealed bytes (Store.mu). A renderer
+// that takes each source's lock once per series shows them apart.
+func TestMetricsScrapeIsOneInstant(t *testing.T) {
+	s, _ := newTestServer(t, expositionCfg(t))
+	store := s.Store("m")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w, tenant := range []string{"alice", "bob"} {
+		wg.Add(1)
+		go func(w int, tenant string) { // submit / cancel / complete
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				j, err := s.Scheduler().Submit(jobs.Request{Graph: "r", Tenant: tenant, Algorithm: "bfs", Source: uint32(n % 64), MaxIterations: 2})
+				if err != nil { // queue full: let the workers catch up
+					time.Sleep(time.Millisecond)
+					continue
+				}
+				if n%3 == w {
+					s.Scheduler().Cancel(j.ID())
+				}
+			}
+		}(w, tenant)
+	}
+	wg.Add(1)
+	go func() { // mutate (every batch seals) / compact
+		defer wg.Done()
+		for n := graph.VertexID(0); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := store.Apply([]delta.Mutation{{Op: delta.OpInsert, Src: n % 200, Dst: (n*7 + 1) % 200}}); err != nil {
+				t.Error(err)
+				return
+			}
+			if n%8 == 7 {
+				if err := store.Compact(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+
+	sample := regexp.MustCompile(`(?m)^(graphsd_\w+)(?:\{[^}]*\})? (\d+)$`)
+	for n := 0; n < 200; n++ {
+		sum := map[string]int64{}
+		for _, m := range sample.FindAllStringSubmatch(scrapeBody(t, s), -1) {
+			v, _ := strconv.ParseInt(m[2], 10, 64)
+			sum[m[1]] += v
+		}
+		if q, d := sum["graphsd_tenant_jobs_queued"], sum["graphsd_queue_depth"]; q != d {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("scrape %d: tenants hold %d queued jobs, queue depth %d", n, q, d)
+		}
+		if l, b := sum["graphsd_delta_layers"], sum["graphsd_delta_bytes"]; (l == 0) != (b == 0) {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("scrape %d: %d delta layers holding %d bytes", n, l, b)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -146,8 +146,13 @@ type graphEntry struct {
 	async    bool
 	asyncEps float64
 
-	mu       sync.Mutex
-	jobsRun  int64 // completed (Done) jobs folded into the aggregates
+	mu  sync.Mutex
+	agg aggregates
+}
+
+// aggregates is what completed jobs on a graph fold into /metrics.
+type aggregates struct {
+	jobsRun  int64 // completed (Done) jobs folded in
 	buffer   buffer.Stats
 	pipeline pipeline.Stats
 	// Async aggregates across completed async runs: runs, scheduler steps,
@@ -183,29 +188,46 @@ func (g *graphEntry) manifest() partition.Manifest {
 	return g.meta
 }
 
+// meanMispredict is the observation-weighted mean misprediction ratio across
+// the folded runs.
+func (a aggregates) meanMispredict() float64 {
+	if a.schedObserved == 0 {
+		return 0
+	}
+	return a.schedMispredict / float64(a.schedObserved)
+}
+
+// folded returns what fold has accumulated, as of one instant.
+func (g *graphEntry) folded() aggregates {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.agg
+}
+
 // fold accumulates a completed run's per-job stats into the graph's
 // aggregates for /metrics.
 func (g *graphEntry) fold(res *core.Result) {
 	g.mu.Lock()
-	g.jobsRun++
-	g.buffer = g.buffer.Add(res.Buffer)
-	g.pipeline = g.pipeline.Add(res.Pipeline)
+	defer g.mu.Unlock()
+	a := &g.agg
+	a.jobsRun++
+	a.buffer = a.buffer.Add(res.Buffer)
+	a.pipeline = a.pipeline.Add(res.Pipeline)
 	if res.Async.Enabled {
-		g.asyncRuns++
-		g.asyncSteps += int64(res.Async.Steps)
-		g.asyncBlocks += res.Async.BlocksScheduled
-		g.asyncReacts += res.Async.Reactivations
+		a.asyncRuns++
+		a.asyncSteps += int64(res.Async.Steps)
+		a.asyncBlocks += res.Async.BlocksScheduled
+		a.asyncReacts += res.Async.Reactivations
 	}
 	if acc := res.SchedAccuracy; acc.Observed > 0 {
-		g.schedObserved += int64(acc.Observed)
-		g.schedMispredict += acc.MeanMispredict * float64(acc.Observed)
-		if acc.MaxMispredict > g.schedMaxMispred {
-			g.schedMaxMispred = acc.MaxMispredict
+		a.schedObserved += int64(acc.Observed)
+		a.schedMispredict += acc.MeanMispredict * float64(acc.Observed)
+		if acc.MaxMispredict > a.schedMaxMispred {
+			a.schedMaxMispred = acc.MaxMispredict
 		}
-		g.schedCorrFull = acc.CorrFull
-		g.schedCorrOnDemand = acc.CorrOnDemand
+		a.schedCorrFull = acc.CorrFull
+		a.schedCorrOnDemand = acc.CorrOnDemand
 	}
-	g.mu.Unlock()
 }
 
 // Server is the resident job server. Create with New, serve its Handler,
@@ -394,7 +416,7 @@ func (s *Server) compactLoop(g *graphEntry) {
 func (s *Server) Journal() *jobs.Journal { return s.journal }
 
 // Recovery reports what the startup journal replay did.
-func (s *Server) Recovery() jobs.RecoveryStats { return s.sched.Recovery() }
+func (s *Server) Recovery() jobs.RecoveryStats { return s.sched.Snapshot().Recovery }
 
 // Handler returns the server's HTTP handler (wrapped in bearer-token
 // auth when tenants are configured).

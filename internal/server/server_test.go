@@ -289,7 +289,7 @@ func TestServerAdmissionControl(t *testing.T) {
 		}
 	}
 	for {
-		if n, _ := s.Scheduler().QueueDepth(); n == 1 {
+		if s.Scheduler().Snapshot().QueueLen == 1 {
 			break
 		}
 		if time.Now().After(deadline) {

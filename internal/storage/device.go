@@ -357,9 +357,6 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return n, nil
 }
 
-// BytesWritten returns the number of bytes written so far.
-func (w *Writer) BytesWritten() int64 { return w.n }
-
 // Close flushes the file to stable storage and closes it.
 func (w *Writer) Close() error {
 	serr := w.f.Sync()

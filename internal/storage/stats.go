@@ -85,18 +85,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return out
 }
 
-// Add returns the counter-wise sum of s and other.
-func (s Snapshot) Add(other Snapshot) Snapshot {
-	var out Snapshot
-	for c := 0; c < int(numClasses); c++ {
-		out.Bytes[c] = s.Bytes[c] + other.Bytes[c]
-		out.Ops[c] = s.Ops[c] + other.Ops[c]
-		out.Time[c] = s.Time[c] + other.Time[c]
-	}
-	out.Retries = s.Retries + other.Retries
-	return out
-}
-
 // String renders the snapshot compactly for logs and reports.
 func (s Snapshot) String() string {
 	var b strings.Builder

@@ -159,9 +159,6 @@ func TestWriterAccumulates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.BytesWritten() != 1000 {
-		t.Fatalf("BytesWritten = %d", w.BytesWritten())
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +295,6 @@ func TestSnapshotArithmetic(t *testing.T) {
 	delta := d.Stats().Sub(before)
 	if delta.Bytes[SeqRead] != 50 || delta.Bytes[RandWrite] != 10 {
 		t.Fatalf("delta = %+v", delta)
-	}
-	sum := delta.Add(before)
-	if sum.Bytes[SeqRead] != 150 {
-		t.Fatalf("sum = %+v", sum)
 	}
 	if delta.TotalBytes() != 60 || delta.ReadBytes() != 50 || delta.WriteBytes() != 10 {
 		t.Fatalf("aggregates wrong: %+v", delta)

@@ -104,7 +104,7 @@ type Log struct {
 
 // Open opens (creating if needed) the log in dir, replays every existing
 // segment, and starts a fresh active segment for this process's appends.
-// The replayed payloads are available from Replayed until ConsumeReplay.
+// The replayed payloads are handed out once, by ConsumeReplay.
 func Open(dir string, opt Options) (*Log, error) {
 	if opt.Prefix == "" {
 		return nil, fmt.Errorf("wal: empty segment prefix")
@@ -207,16 +207,8 @@ func (l *Log) openSegment() error {
 	return nil
 }
 
-// Replayed returns the payloads recovered when the log was opened, in
-// append order.
-func (l *Log) Replayed() [][]byte {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.replayed
-}
-
-// ConsumeReplay returns the replayed payloads and releases the log's
-// reference to them.
+// ConsumeReplay returns the payloads recovered when the log was opened, in
+// append order, and releases the log's reference to them.
 func (l *Log) ConsumeReplay() [][]byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -251,9 +243,6 @@ func (l *Log) Err() error {
 	defer l.mu.Unlock()
 	return l.failed
 }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
 
 // Append frames payload and writes it to the active segment. With sync set
 // the frame is fsynced before returning (durability precedes

@@ -81,12 +81,11 @@ func TestRoundTripAcrossRotation(t *testing.T) {
 	}
 
 	l2 := mustOpen(t, dir, opt)
-	wantFrames(t, l2.Replayed(), want...)
+	wantFrames(t, l2.ConsumeReplay(), want...)
 	if rs := l2.Stats(); rs.ReplayRecords != 20 || rs.ReplayTruncated != 0 {
 		t.Fatalf("replay stats %+v", rs)
 	}
-	wantFrames(t, l2.ConsumeReplay(), want...)
-	if l2.Replayed() != nil {
+	if l2.ConsumeReplay() != nil {
 		t.Fatal("ConsumeReplay left the frames referenced")
 	}
 }
@@ -120,7 +119,7 @@ func TestTornTailTruncated(t *testing.T) {
 			writeSegment(t, dir, 1, append(append([]byte(nil), good...), tc.tail...))
 			writeSegment(t, dir, 2, frame("next-run"))
 			l := mustOpen(t, dir, testOpts)
-			wantFrames(t, l.Replayed(), append(tc.keep, "next-run")...)
+			wantFrames(t, l.ConsumeReplay(), append(tc.keep, "next-run")...)
 			wantTorn := 0
 			if tc.torn {
 				wantTorn = 1
@@ -141,7 +140,7 @@ func TestCorruptMiddleFrameStopsSegment(t *testing.T) {
 	l := mustOpen(t, dir, testOpts)
 	// The frame after the corrupt one is unreachable — its boundary is only
 	// known through the frame before it — but the one before survives.
-	wantFrames(t, l.Replayed(), "first")
+	wantFrames(t, l.ConsumeReplay(), "first")
 	if st := l.Stats(); st.ReplayTruncated != 1 {
 		t.Fatalf("ReplayTruncated = %d, want 1", st.ReplayTruncated)
 	}
@@ -156,7 +155,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	big := string(bytes.Repeat([]byte{'x'}, 17))
 	writeSegment(t, dir, 1, append(frame("ok"), frame(big)...))
 	l := mustOpen(t, dir, opt)
-	wantFrames(t, l.Replayed(), "ok")
+	wantFrames(t, l.ConsumeReplay(), "ok")
 	if st := l.Stats(); st.ReplayTruncated != 1 {
 		t.Fatalf("ReplayTruncated = %d, want 1", st.ReplayTruncated)
 	}
@@ -170,7 +169,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 	}
 	mustAppend(t, l, "exactly-16-bytes")
 	l.Close()
-	wantFrames(t, mustOpen(t, dir, opt).Replayed(), "ok", "exactly-16-bytes")
+	wantFrames(t, mustOpen(t, dir, opt).ConsumeReplay(), "ok", "exactly-16-bytes")
 }
 
 func TestAcceptRejectsLikeTornTail(t *testing.T) {
@@ -178,7 +177,7 @@ func TestAcceptRejectsLikeTornTail(t *testing.T) {
 	writeSegment(t, dir, 1, append(append(frame("ok"), frame("BAD")...), frame("ok2")...))
 	opt := testOpts
 	opt.Accept = func(p []byte) bool { return string(p) != "BAD" }
-	wantFrames(t, mustOpen(t, dir, opt).Replayed(), "ok")
+	wantFrames(t, mustOpen(t, dir, opt).ConsumeReplay(), "ok")
 
 	// Both real callers reject empty payloads this way, which is what turns
 	// a zero-filled tail (well-formed empty frames to the log itself) into a
@@ -187,7 +186,7 @@ func TestAcceptRejectsLikeTornTail(t *testing.T) {
 	writeSegment(t, zeros, 1, append(frame("ok"), make([]byte, 24)...))
 	opt.Accept = func(p []byte) bool { return len(p) > 0 }
 	l := mustOpen(t, zeros, opt)
-	wantFrames(t, l.Replayed(), "ok")
+	wantFrames(t, l.ConsumeReplay(), "ok")
 	if st := l.Stats(); st.ReplayTruncated != 1 {
 		t.Fatalf("ReplayTruncated = %d, want 1", st.ReplayTruncated)
 	}
@@ -233,7 +232,7 @@ func TestStickyErrAfterAppendFault(t *testing.T) {
 			// The torn half-frame is discarded at replay; nothing acknowledged
 			// is lost either way.
 			l2 := mustOpen(t, dir, testOpts)
-			wantFrames(t, l2.Replayed(), "before")
+			wantFrames(t, l2.ConsumeReplay(), "before")
 			wantTorn := 0
 			if errors.Is(tc.fault, storage.ErrTornWrite) {
 				wantTorn = 1
