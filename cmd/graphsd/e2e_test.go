@@ -179,6 +179,24 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "loading graph") || strings.Contains(out, "out of memory") {
 		t.Fatalf("preprocess of a hostile header: %s", out)
 	}
+	// A HUS-Graph row index of the wrong shape — one entry, or vertex 0 owning
+	// 2^55 records — is an error naming the file, not a panic in the on-demand
+	// path (BFS from vertex 0 starts on it).
+	rmat := filepath.Join(dir, "rmat.bin")
+	run(t, graphgenBin, "-kind", "rmat", "-scale", "10", "-edgefactor", "8", "-seed", "17", "-o", rmat)
+	husDir := filepath.Join(dir, "hus")
+	run(t, graphsdBin, "preprocess", "-graph", rmat, "-layout", husDir, "-p", "4", "-system", "husgraph")
+	run(t, graphsdBin, "run", "-layout", husDir, "-algorithm", "bfs", "-top", "0")
+	huge := append([]byte{0x81, 0x02, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40}, make([]byte, 255)...)
+	for name, idx := range map[string][]byte{"one entry": {1, 0}, "2^55 records": huge} {
+		if err := os.WriteFile(filepath.Join(husDir, "rows", "r_0000.idx"), idx, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out = runExpectFail(t, graphsdBin, "run", "-layout", husDir, "-algorithm", "bfs", "-top", "0")
+		if !strings.Contains(out, "rows/r_0000.idx") || strings.Contains(out, "panic") {
+			t.Fatalf("%s: run over a hostile row index: %s", name, out)
+		}
+	}
 }
 
 // TestEndToEndDeltaCodec: the delta-compressed workflow — generate a delta

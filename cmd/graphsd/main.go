@@ -122,6 +122,16 @@ func loadGraph(path string) (*graph.Graph, error) {
 	return graph.ReadEdgeList(f, false)
 }
 
+// openLayout opens the preprocessed layout in dir on a device of the given
+// profile; the device is the layout's Dev.
+func openLayout(dir string, prof storage.Profile) (*partition.Layout, error) {
+	dev, err := storage.OpenDevice(dir, prof)
+	if err != nil {
+		return nil, err
+	}
+	return partition.Load(dev)
+}
+
 func cmdPreprocess(args []string) error {
 	fs := flag.NewFlagSet("preprocess", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "input graph (binary or text edge list)")
@@ -160,25 +170,20 @@ func cmdPreprocess(args []string) error {
 	if err != nil {
 		return err
 	}
-	var build func(*storage.Device, *graph.Graph, int, ...partition.BuildOption) (*partition.Layout, error)
-	switch {
-	case *external && *system == "graphsd":
-		build = func(dev *storage.Device, g *graph.Graph, p int, opts ...partition.BuildOption) (*partition.Layout, error) {
+	sys, err := baseline.SystemByName(*system)
+	if err != nil {
+		return err
+	}
+	if *external {
+		if sys.Name != "graphsd" {
+			return fmt.Errorf("-external is only implemented for the graphsd layout")
+		}
+		sys.Build = func(dev *storage.Device, g *graph.Graph, p int, opts ...partition.BuildOption) (*partition.Layout, error) {
 			return partition.BuildExternal(dev, graph.NewSliceStream(g.Edges), g.NumVertices, g.Weighted, p, opts...)
 		}
-	case *external:
-		return fmt.Errorf("-external is only implemented for the graphsd layout")
-	case *system == "graphsd":
-		build = partition.Build
-	case *system == "husgraph":
-		build = partition.BuildHUSGraph
-	case *system == "lumos":
-		build = partition.BuildLumos
-	default:
-		return fmt.Errorf("unknown system %q", *system)
 	}
 	start := time.Now()
-	l, err := build(dev, g, intervals, partition.WithCodec(codec))
+	l, err := sys.Build(dev, g, intervals, partition.WithCodec(codec))
 	if err != nil {
 		return err
 	}
@@ -228,14 +233,11 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	dev, err := storage.OpenDevice(*layoutDir, prof)
+	l, err := openLayout(*layoutDir, prof)
 	if err != nil {
 		return err
 	}
-	l, err := partition.Load(dev)
-	if err != nil {
-		return err
-	}
+	dev := l.Dev
 	prog, err := algorithms.ByName(*alg, graph.VertexID(*source))
 	if err != nil {
 		return err
@@ -243,8 +245,8 @@ func cmdRun(args []string) error {
 	if *resume && *ckDir == "" {
 		return fmt.Errorf("run: -resume requires -checkpoint")
 	}
-	if *ckDir != "" && l.Meta.System != "graphsd" {
-		return fmt.Errorf("run: -checkpoint is only supported for graphsd layouts (this one is %q)", l.Meta.System)
+	if (*ckDir != "" || *async) && l.Meta.System != "graphsd" {
+		return fmt.Errorf("run: -checkpoint and -async are only supported for graphsd layouts (this one is %q)", l.Meta.System)
 	}
 	if *ckDir != "" && *ckEvery <= 0 {
 		return fmt.Errorf("run: -checkpoint-every must be positive")
@@ -290,9 +292,6 @@ func cmdRun(args []string) error {
 	if (*asyncEps != 0 || *asyncSeed != 0) && !*async {
 		return fmt.Errorf("run: -async-eps and -async-seed require -async")
 	}
-	if *async && l.Meta.System != "graphsd" {
-		return fmt.Errorf("run: -async is only supported for graphsd layouts (this one is %q)", l.Meta.System)
-	}
 	if *progress > 0 {
 		every := *progress
 		start := time.Now()
@@ -325,17 +324,11 @@ func cmdRun(args []string) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	var res *core.Result
-	switch l.Meta.System {
-	case "graphsd":
-		res, err = core.RunContext(ctx, l, prog, opts)
-	case "husgraph":
-		res, err = baseline.RunHUSGraph(l, prog, baseline.Options{MaxIterations: *iters})
-	case "lumos":
-		res, err = baseline.RunLumos(l, prog, baseline.Options{MaxIterations: *iters})
-	default:
-		return fmt.Errorf("layout has unknown system %q", l.Meta.System)
+	sys, err := baseline.SystemByName(l.Meta.System)
+	if err != nil {
+		return err
 	}
+	res, err := sys.Run(ctx, l, prog, opts)
 	if err != nil {
 		return err
 	}
@@ -477,35 +470,21 @@ func cmdCompare(args []string) error {
 
 	t := metrics.NewTable(fmt.Sprintf("system comparison: %s on %s (P=%d)", *alg, *graphPath, *p),
 		"system", "exec time", "io time", "compute", "traffic", "iterations")
-	for _, sys := range []struct {
-		name  string
-		build func(*storage.Device, *graph.Graph, int, ...partition.BuildOption) (*partition.Layout, error)
-		run   func(*partition.Layout, core.Program) (*core.Result, error)
-	}{
-		{"graphsd", partition.Build, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
-			return core.Run(l, prog, core.Options{DefaultBuffer: true})
-		}},
-		{"husgraph", partition.BuildHUSGraph, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
-			return baseline.RunHUSGraph(l, prog, baseline.Options{})
-		}},
-		{"lumos", partition.BuildLumos, func(l *partition.Layout, prog core.Program) (*core.Result, error) {
-			return baseline.RunLumos(l, prog, baseline.Options{})
-		}},
-	} {
-		dev, err := storage.OpenDevice(dir+"/"+sys.name, prof)
+	for _, sys := range baseline.Systems() {
+		dev, err := storage.OpenDevice(dir+"/"+sys.Name, prof)
 		if err != nil {
 			return err
 		}
-		l, err := sys.build(dev, g, *p)
+		l, err := sys.Build(dev, g, *p)
 		if err != nil {
 			return err
 		}
 		prog, _ := mkProg()
-		res, err := sys.run(l, prog)
+		res, err := sys.Run(context.Background(), l, prog, core.Options{DefaultBuffer: true})
 		if err != nil {
 			return err
 		}
-		t.AddRow(sys.name, metrics.Dur(res.ExecTime()), metrics.Dur(res.IOTime()),
+		t.AddRow(sys.Name, metrics.Dur(res.ExecTime()), metrics.Dur(res.IOTime()),
 			metrics.Dur(res.ComputeTime), storage.FormatBytes(res.IO.TotalBytes()),
 			fmt.Sprint(res.Iterations))
 	}
@@ -527,11 +506,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	dev, err := storage.OpenDevice(*layoutDir, storage.ScaledHDD)
-	if err != nil {
-		return err
-	}
-	l, err := partition.Load(dev)
+	l, err := openLayout(*layoutDir, storage.ScaledHDD)
 	if err != nil {
 		return err
 	}
@@ -543,10 +518,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	oracleProg, err := algorithms.ByName(*alg, graph.VertexID(*source))
-	if err != nil {
-		return err
-	}
+	oracleProg, _ := algorithms.ByName(*alg, graph.VertexID(*source)) // the name just resolved
 	res, err := core.Run(l, prog, core.Options{DefaultBuffer: true})
 	if err != nil {
 		return err
@@ -596,11 +568,7 @@ func cmdStats(args []string) error {
 	if *layoutDir == "" {
 		return fmt.Errorf("stats: -layout is required")
 	}
-	dev, err := storage.OpenDevice(*layoutDir, storage.ScaledHDD)
-	if err != nil {
-		return err
-	}
-	l, err := partition.Load(dev)
+	l, err := openLayout(*layoutDir, storage.ScaledHDD)
 	if err != nil {
 		return err
 	}
@@ -638,7 +606,7 @@ func cmdStats(args []string) error {
 		// The manifest's MutationsTotal covers sealed mutations only; the
 		// store's view folds in whatever the mutation WAL replays into the
 		// memtable.
-		if s, err := delta.Open(dev, delta.Options{}); err == nil {
+		if s, err := delta.Open(l.Dev, delta.Options{}); err == nil {
 			st := s.Stats()
 			fmt.Printf("mutations:  %d applied over the layout's lifetime\n", st.MutationsTotal)
 			fmt.Printf("memtable:   %d keys, ~%s unsealed (replayed from the mutation WAL)\n",

@@ -1,7 +1,10 @@
 package baseline_test
 
 import (
+	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
@@ -9,6 +12,7 @@ import (
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/iosched"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
 )
@@ -161,5 +165,39 @@ func TestSystemIOOrdering(t *testing.T) {
 	}
 	if lumB <= husB {
 		t.Errorf("Lumos read %d <= HUS-Graph %d on a small frontier", lumB, husB)
+	}
+}
+
+// TestHUSGraphRejectsHostileRowIndex: the on-demand path subscripts and sizes
+// its reads by the row index, so a well-formed index of the wrong shape has to
+// fail at load. A delta of 2⁵⁵ used to die in makeslice, a one-entry index on
+// idx.Rec[v-lo+1]; both are errors naming the file.
+func TestHUSGraphRejectsHostileRowIndex(t *testing.T) {
+	g, err := gen.RMAT(10, 8, gen.Graph500, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := buildWith(t, partition.BuildHUSGraph, g, 4, storage.ScaledHDD)
+	bfs := func() core.Program { return &algorithms.BFS{Source: 0} }
+	res, err := baseline.RunHUSGraph(l, bfs(), baseline.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(res.Decisions, func(d iosched.Decision) bool { return d.Model == iosched.OnDemandIO }) {
+		t.Fatal("BFS never took the on-demand path, so the row index is never read")
+	}
+	// Entry 0 is 0, entry 1 is 2⁵⁵ and so are the rest: vertex 0, the source,
+	// owns 2⁵⁵ records.
+	huge := binary.AppendUvarint(nil, uint64(l.Meta.IntervalLen(0)+1))
+	huge = binary.AppendUvarint(append(huge, 0), 1<<55)
+	huge = append(huge, make([]byte, l.Meta.IntervalLen(0)-1)...)
+	for name, idx := range map[string][]byte{"a delta of 2^55": huge, "one entry": {1, 0}} {
+		if err := l.Dev.WriteFile(partition.RowIndexName(0), idx); err != nil {
+			t.Fatal(err)
+		}
+		_, err := baseline.RunHUSGraph(l, bfs(), baseline.Options{})
+		if err == nil || !strings.Contains(err.Error(), partition.RowIndexName(0)) {
+			t.Errorf("%s: RunHUSGraph said %v, want an error naming %s", name, err, partition.RowIndexName(0))
+		}
 	}
 }

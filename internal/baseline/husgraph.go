@@ -97,7 +97,6 @@ func husOnDemand(layout *partition.Layout, s *bspState, rowIndex map[int]*partit
 	dev.Charge(storage.SeqRead, int64(s.n)*graph.VertexValueBytes)
 	defer dev.Charge(storage.SeqWrite, int64(s.n)*graph.VertexValueBytes)
 
-	rec := int64(layout.Meta.EdgeRecordBytes())
 	var readBuf []byte
 	for i := 0; i < layout.Meta.P; i++ {
 		lo, hi := layout.Meta.Interval(i)
@@ -123,25 +122,10 @@ func husOnDemand(layout *partition.Layout, s *bspState, rowIndex map[int]*partit
 		var batch []graph.Edge
 		var loopErr error
 		s.active.ForEachRange(lo, hi, func(v int) bool {
-			startOff, endOff := idx.Rec[v-lo], idx.Rec[v-lo+1]
-			if startOff == endOff {
-				return true
-			}
-			nBytes := (endOff - startOff) * rec
-			if int64(cap(readBuf)) < nBytes {
-				readBuf = make([]byte, nBytes)
-			}
-			buf := readBuf[:nBytes]
-			if _, loopErr = r.AutoReadAt(buf, startOff*rec); loopErr != nil {
-				return false
-			}
 			var edges []graph.Edge
-			edges, loopErr = graph.DecodeEdges(buf, layout.Meta.Weighted)
-			if loopErr != nil {
-				return false
-			}
+			edges, readBuf, loopErr = layout.ReadVertexEdges(r, idx, i, graph.VertexID(v), readBuf)
 			batch = append(batch, edges...)
-			return true
+			return loopErr == nil
 		})
 		closeErr := r.Close()
 		if loopErr != nil {

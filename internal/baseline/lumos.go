@@ -63,11 +63,17 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 		}
 		s.promoteStaged()
 
-		if secondaryPending {
-			// Second half: only the lower-triangle cells remain.
+		if secondaryPending || iter+1 >= maxIter {
+			// The second half of an out-of-order pass, where only the
+			// lower-triangle cells remain, or — with a single iteration left in
+			// the budget — a plain full pass: stream the due cells of each column.
 			chargeValues()
 			for j := 0; j < p; j++ {
-				for i := j + 1; i < p; i++ {
+				first := 0
+				if secondaryPending {
+					first = j + 1
+				}
+				for i := first; i < p; i++ {
 					edges, buf, err = layout.LoadSubBlockInto(i, j, edges, buf)
 					if err != nil {
 						return nil, err
@@ -79,7 +85,7 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 			}
 			chargeValuesBack()
 			secondaryPending = false
-		} else if iter+1 < maxIter {
+		} else {
 			// Full out-of-order pass: iteration t plus staged t+1 values.
 			chargeValues()
 			for j := 0; j < p; j++ {
@@ -113,21 +119,6 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 			}
 			chargeValuesBack()
 			secondaryPending = !s.newActive.Empty() || !s.touchedNext.Empty()
-		} else {
-			// Single iteration left in the budget: plain full pass.
-			chargeValues()
-			for j := 0; j < p; j++ {
-				for i := 0; i < p; i++ {
-					edges, buf, err = layout.LoadSubBlockInto(i, j, edges, buf)
-					if err != nil {
-						return nil, err
-					}
-					s.scatter(edges, s.valPrev, s.active, s.acc, s.touched)
-				}
-				lo, hi := layout.Meta.Interval(j)
-				s.applyRange(lo, hi)
-			}
-			chargeValuesBack()
 		}
 
 		s.advance()

@@ -41,13 +41,7 @@ func (s *Store) Compact() error {
 			touched[blockKey{b.I, b.J}] += b.EdgeDelta
 		}
 	}
-	keys := make([]blockKey, 0, len(touched))
-	for bk := range touched {
-		keys = append(keys, bk)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		return keys[a].i < keys[b].i || (keys[a].i == keys[b].i && keys[a].j < keys[b].j)
-	})
+	keys := sortedBlockKeys(touched)
 
 	base := &partition.Layout{Dev: s.dev, Meta: *baseMeta}
 	var edgeDelta int64
@@ -56,7 +50,7 @@ func (s *Store) Compact() error {
 		if err != nil {
 			return fmt.Errorf("delta: compacting block (%d,%d): %w", bk.i, bk.j, err)
 		}
-		merged := partition.MergeOverlay(nil, cell, resolveLayerStack(fold, bk))
+		merged := partition.MergeOverlay(nil, cell, resolveLayerStack(fold, bk, nil))
 		if want := baseMeta.EdgeCounts[bk.i][bk.j] + touched[bk]; int64(len(merged)) != want {
 			return fmt.Errorf("delta: compacting block (%d,%d): merged to %d edges, accounting says %d",
 				bk.i, bk.j, len(merged), want)
@@ -120,30 +114,45 @@ func (s *Store) Compact() error {
 	return nil
 }
 
-// resolveLayerStack merges one block's overlay entries across layers,
-// newest layer winning per key, into sorted order.
-func resolveLayerStack(fold []*layer, bk blockKey) []partition.OverlayEdge {
-	var only []partition.OverlayEdge
-	var acc map[uint64]partition.OverlayEdge
-	for _, l := range fold {
-		lb := l.blocks[bk]
-		if len(lb) == 0 {
-			continue
-		}
-		if only == nil && acc == nil {
-			only = lb
-			continue
-		}
-		if acc == nil {
-			acc = overlayMap(only)
-			only = nil
-		}
-		for _, e := range lb {
-			acc[uint64(e.Edge.Src)<<32|uint64(e.Edge.Dst)] = e
+// sortedBlockKeys returns m's keys in (i, j) order: the order layers list
+// their blocks in and compaction rewrites them in.
+func sortedBlockKeys[V any](m map[blockKey]V) []blockKey {
+	keys := make([]blockKey, 0, len(m))
+	for bk := range m {
+		keys = append(keys, bk)
+	}
+	sort.Slice(keys, func(a, b int) bool {
+		return keys[a].i < keys[b].i || (keys[a].i == keys[b].i && keys[a].j < keys[b].j)
+	})
+	return keys
+}
+
+// resolveLayerStack is the one newest-wins fold: one block's overlay entries
+// across layers, oldest first, with mem — a memtable's entries for the block,
+// nil for none — as the newest source, resolved so each key appears once, in
+// sorted order. A block only one source touches (the common case) reuses that
+// source's sorted slice.
+func resolveLayerStack(layers []*layer, bk blockKey, mem map[uint64]memVal) []partition.OverlayEdge {
+	var sources [][]partition.OverlayEdge
+	for _, l := range layers {
+		if lb := l.blocks[bk]; len(lb) > 0 {
+			sources = append(sources, lb)
 		}
 	}
-	if acc == nil {
-		return only
+	if len(mem) > 0 {
+		sources = append(sources, resolveMem(mem))
+	}
+	switch len(sources) {
+	case 0:
+		return nil
+	case 1:
+		return sources[0]
+	}
+	acc := make(map[uint64]partition.OverlayEdge)
+	for _, src := range sources {
+		for _, e := range src {
+			acc[uint64(e.Edge.Src)<<32|uint64(e.Edge.Dst)] = e
+		}
 	}
 	od := make([]partition.OverlayEdge, 0, len(acc))
 	for _, e := range acc {

@@ -654,14 +654,7 @@ func (s *Store) sealLocked() error {
 	id := s.meta.LastLayerID + 1
 	ref := partition.LayerRef{ID: id, Mutations: s.mem.mutations}
 	blocks := make(map[blockKey][]partition.OverlayEdge, len(s.mem.blocks))
-	keys := make([]blockKey, 0, len(s.mem.blocks))
-	for bk := range s.mem.blocks {
-		keys = append(keys, bk)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		return keys[a].i < keys[b].i || (keys[a].i == keys[b].i && keys[a].j < keys[b].j)
-	})
-	for _, bk := range keys {
+	for _, bk := range sortedBlockKeys(s.mem.blocks) {
 		od := resolveMem(s.mem.blocks[bk])
 		var upserts, tombs []graph.Edge
 		for _, e := range od {

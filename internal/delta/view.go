@@ -3,7 +3,6 @@ package delta
 import (
 	"sync"
 
-	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 )
 
@@ -96,68 +95,12 @@ func (v *View) BlockDelta(i, j int) []partition.OverlayEdge {
 	if od, ok := v.resolved[bk]; ok {
 		return od
 	}
-	var od []partition.OverlayEdge
-	single := true
-	var acc map[uint64]partition.OverlayEdge
-	for _, l := range v.layers {
-		lb := l.blocks[bk]
-		if len(lb) == 0 {
-			continue
-		}
-		if od == nil && acc == nil {
-			od = lb // common case: one source, reuse its sorted slice
-			continue
-		}
-		single = false
-		if acc == nil {
-			acc = overlayMap(od)
-			od = nil
-		}
-		for _, e := range lb {
-			acc[uint64(e.Edge.Src)<<32|uint64(e.Edge.Dst)] = e
-		}
-	}
-	if vals := v.mem[bk]; len(vals) > 0 {
-		if od == nil && acc == nil {
-			od = resolveMem(vals)
-		} else {
-			single = false
-			if acc == nil {
-				acc = overlayMap(od)
-				od = nil
-			}
-			for key, val := range vals {
-				acc[key] = partition.OverlayEdge{
-					Edge: graph.Edge{
-						Src:    graph.VertexID(key >> 32),
-						Dst:    graph.VertexID(key & 0xffffffff),
-						Weight: val.w,
-					},
-					Del: val.del,
-				}
-			}
-		}
-	}
-	if !single {
-		od = make([]partition.OverlayEdge, 0, len(acc))
-		for _, e := range acc {
-			od = append(od, e)
-		}
-		sortOverlay(od)
-	}
+	od := resolveLayerStack(v.layers, bk, v.mem[bk])
 	if v.resolved == nil {
 		v.resolved = make(map[blockKey][]partition.OverlayEdge)
 	}
 	v.resolved[bk] = od
 	return od
-}
-
-func overlayMap(od []partition.OverlayEdge) map[uint64]partition.OverlayEdge {
-	acc := make(map[uint64]partition.OverlayEdge, len(od))
-	for _, e := range od {
-		acc[uint64(e.Edge.Src)<<32|uint64(e.Edge.Dst)] = e
-	}
-	return acc
 }
 
 // BlockVersion implements partition.Overlay: the logical content version

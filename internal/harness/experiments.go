@@ -1,8 +1,6 @@
 package harness
 
 import (
-	_ "embed"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -37,53 +35,12 @@ func runTable3(cfg *Config, w io.Writer) error {
 	return t.Render(w)
 }
 
-// fig5Winners is the committed testdata/fig5_winners.json: the system with
-// the least simulated device time (Result.IOTime) in each Figure 5 cell at
-// quick scale. That clock is deterministic and is 86–98% of a plain run's
-// execution time; the measured-compute remainder is the host's (under the race
-// detector it flips close cells at random), so the gate does not read it. The
-// file is kept by hand: a cell changes when a PR means to change who wins it.
-type fig5Winners struct {
-	Seed  int64        `json:"seed"`
-	Quick bool         `json:"quick"`
-	Cells []fig5Winner `json:"cells"`
-}
-
-type fig5Winner struct {
-	Dataset   string `json:"dataset"`
-	Algorithm string `json:"algorithm"`
-	Winner    string `json:"winner"`
-}
-
-//go:embed testdata/fig5_winners.json
-var fig5WinnersJSON []byte
-
-// checkFig5Winners fails, naming the cell, if GraphSD is no longer fastest on
-// the device clock in a cell the committed file says it held. Like the async
-// gate it is enforced only when the run reproduces the file's configuration;
-// cells the run left out (a -datasets filter) are not checked.
-func checkFig5Winners(cfg *Config, got []fig5Winner) error {
-	var committed fig5Winners
-	if err := json.Unmarshal(fig5WinnersJSON, &committed); err != nil {
-		return fmt.Errorf("harness: corrupt committed Figure 5 winners: %w", err)
-	}
-	if cfg.Quick != committed.Quick || cfg.Seed != committed.Seed || cfg.profile() != storage.ScaledHDD {
-		return nil
-	}
-	for _, held := range committed.Cells {
-		for _, c := range got {
-			if held.Winner == "graphsd" && c.Dataset == held.Dataset && c.Algorithm == held.Algorithm && c.Winner != "graphsd" {
-				return fmt.Errorf("harness: Figure 5 cell %s/%s: GraphSD held it, now %s has the least device time",
-					c.Dataset, c.Algorithm, c.Winner)
-			}
-		}
-	}
-	return nil
-}
+// comparison is Figure 5's, 6's and 7's column order.
+var comparison = []string{"graphsd", "husgraph", "lumos"}
 
 // runFig5 regenerates Figure 5 (normalized execution time of GraphSD,
 // HUS-Graph and Lumos on every dataset × algorithm) and Table 4 (absolute
-// GraphSD times), then holds the run to the committed per-cell winners.
+// GraphSD times), then holds each cell's device time to the expectation table.
 func runFig5(cfg *Config, w io.Writer) error {
 	dss, err := cfg.selectedDatasets()
 	if err != nil {
@@ -96,34 +53,22 @@ func runFig5(cfg *Config, w io.Writer) error {
 	var worstHUS, worstLumos float64
 	var sumHUS, sumLumos float64
 	var count int
-	var winners []fig5Winner
+	var obs []observation
 	for _, ds := range dss {
-		e, err := newEnv(cfg, ds)
+		e, err := cfg.env(ds.Name)
 		if err != nil {
 			return err
 		}
 		absRow := []string{ds.Name}
 		for _, alg := range PaperAlgorithms() {
-			gsd, err := e.run("graphsd", alg)
+			rs, err := e.runEach(alg, comparison...)
 			if err != nil {
 				return err
 			}
-			hus, err := e.run("husgraph", alg)
-			if err != nil {
-				return err
+			for k, sys := range comparison {
+				obs = append(obs, observation{ds.Name, alg.Name, sys, "device_time", float64(rs[k].IOTime())})
 			}
-			lum, err := e.run("lumos", alg)
-			if err != nil {
-				return err
-			}
-			winner := fig5Winner{ds.Name, alg.Name, "graphsd"}
-			if hus.IOTime() < gsd.IOTime() && hus.IOTime() <= lum.IOTime() {
-				winner.Winner = "husgraph"
-			} else if lum.IOTime() < gsd.IOTime() {
-				winner.Winner = "lumos"
-			}
-			winners = append(winners, winner)
-			g, h, l := gsd.ExecTime(), hus.ExecTime(), lum.ExecTime()
+			g, h, l := rs[0].ExecTime(), rs[1].ExecTime(), rs[2].ExecTime()
 			norm.AddRow(ds.Name, alg.Name, "1.00x", metrics.Ratio(h, g), metrics.Ratio(l, g))
 			absRow = append(absRow, metrics.Dur(g))
 			rh := float64(h) / float64(g)
@@ -150,45 +95,34 @@ func runFig5(cfg *Config, w io.Writer) error {
 	if err := abs.Render(w); err != nil {
 		return err
 	}
-	return checkFig5Winners(cfg, winners)
+	return cfg.hold("fig5", obs)
 }
 
 // runFig6 regenerates Figure 6: the I/O vs vertex-update breakdown of each
-// system's execution time on the Twitter stand-in.
+// system's execution time on the Twitter stand-in — Figure 5's cells again.
 func runFig6(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("twitter-sim")
+	e, err := cfg.env("twitter-sim")
 	if err != nil {
 		return err
 	}
-	e, err := newEnv(cfg, ds)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("Figure 6 — runtime breakdown on "+ds.Name,
+	t := metrics.NewTable("Figure 6 — runtime breakdown on "+e.ds.Name,
 		"algorithm", "system", "total", "disk I/O", "I/O share", "vertex update")
-	var gsdIO, husIO, lumIO time.Duration
+	var io [3]time.Duration // by comparison column
 	for _, alg := range PaperAlgorithms() {
-		for _, sys := range []string{"graphsd", "husgraph", "lumos"} {
-			res, err := e.run(sys, alg)
-			if err != nil {
-				return err
-			}
-			t.AddRow(alg.Name, sys, metrics.Dur(res.ExecTime()),
+		rs, err := e.runEach(alg, comparison...)
+		if err != nil {
+			return err
+		}
+		for k, res := range rs {
+			t.AddRow(alg.Name, comparison[k], metrics.Dur(res.ExecTime()),
 				metrics.Dur(res.IOTime()), metrics.Pct(res.IOTime(), res.ExecTime()),
 				metrics.Dur(res.ComputeTime))
-			switch sys {
-			case "graphsd":
-				gsdIO += res.IOTime()
-			case "husgraph":
-				husIO += res.IOTime()
-			case "lumos":
-				lumIO += res.IOTime()
-			}
+			io[k] += res.IOTime()
 		}
 	}
-	if husIO > 0 && lumIO > 0 {
+	if io[1] > 0 && io[2] > 0 {
 		t.AddNote("GraphSD disk I/O time is %.0f%% of HUS-Graph and %.0f%% of Lumos (paper: 73%% and 49%%)",
-			100*float64(gsdIO)/float64(husIO), 100*float64(gsdIO)/float64(lumIO))
+			100*float64(io[0])/float64(io[1]), 100*float64(io[0])/float64(io[2]))
 	}
 	return t.Render(w)
 }
@@ -199,34 +133,25 @@ func runFig7(cfg *Config, w io.Writer) error {
 		"dataset", "algorithm", "GraphSD", "HUS-Graph", "Lumos")
 	var sumHUS, sumLumos float64
 	var count int
+	var obs []observation
 	for _, name := range []string{"twitter-sim", "uk-sim"} {
-		ds, err := cfg.dataset(name)
-		if err != nil {
-			return err
-		}
-		e, err := newEnv(cfg, ds)
+		e, err := cfg.env(name)
 		if err != nil {
 			return err
 		}
 		for _, alg := range PaperAlgorithms() {
-			gsd, err := e.run("graphsd", alg)
+			rs, err := e.runEach(alg, comparison...)
 			if err != nil {
 				return err
 			}
-			hus, err := e.run("husgraph", alg)
-			if err != nil {
-				return err
+			row := []string{name, alg.Name}
+			for k, res := range rs {
+				row = append(row, storage.FormatBytes(res.IO.TotalBytes()))
+				obs = append(obs, observation{name, alg.Name, comparison[k], "device_bytes", float64(res.IO.TotalBytes())})
 			}
-			lum, err := e.run("lumos", alg)
-			if err != nil {
-				return err
-			}
-			t.AddRow(name, alg.Name,
-				storage.FormatBytes(gsd.IO.TotalBytes()),
-				storage.FormatBytes(hus.IO.TotalBytes()),
-				storage.FormatBytes(lum.IO.TotalBytes()))
-			sumHUS += float64(hus.IO.TotalBytes()) / float64(gsd.IO.TotalBytes())
-			sumLumos += float64(lum.IO.TotalBytes()) / float64(gsd.IO.TotalBytes())
+			t.AddRow(row...)
+			sumHUS += float64(rs[1].IO.TotalBytes()) / float64(rs[0].IO.TotalBytes())
+			sumLumos += float64(rs[2].IO.TotalBytes()) / float64(rs[0].IO.TotalBytes())
 			count++
 		}
 	}
@@ -234,7 +159,10 @@ func runFig7(cfg *Config, w io.Writer) error {
 		t.AddNote("traffic vs GraphSD: HUS-Graph avg %.2fx, Lumos avg %.2fx (paper: 1.6x and 5.5x)",
 			sumHUS/float64(count), sumLumos/float64(count))
 	}
-	return t.Render(w)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	return cfg.hold("fig7", obs)
 }
 
 // runFig8 regenerates Figure 8: preprocessing cost per system. The
@@ -247,25 +175,21 @@ func runFig8(cfg *Config, w io.Writer) error {
 	}
 	t := metrics.NewTable("Figure 8 — preprocessing time",
 		"dataset", "system", "time", "written", "vs lumos")
+	systems := []string{"husgraph", "graphsd", "lumos"}
 	for _, ds := range dss {
-		e, err := newEnv(cfg, ds)
+		e, err := cfg.env(ds.Name)
 		if err != nil {
 			return err
 		}
-		times := map[string]time.Duration{}
-		written := map[string]int64{}
-		for _, sys := range []string{"husgraph", "graphsd", "lumos"} {
+		for _, sys := range systems {
 			if _, err := e.layout(sys, false); err != nil {
 				return err
 			}
-			p := e.preps[sys]
-			times[sys] = p.simTime
-			written[sys] = p.io.WriteBytes()
 		}
-		for _, sys := range []string{"husgraph", "graphsd", "lumos"} {
-			t.AddRow(ds.Name, sys, metrics.Dur(times[sys]),
-				storage.FormatBytes(written[sys]),
-				metrics.Ratio(times[sys], times["lumos"]))
+		for _, sys := range systems {
+			p := e.preps[sys]
+			t.AddRow(ds.Name, sys, metrics.Dur(p.simTime), storage.FormatBytes(p.io.WriteBytes()),
+				metrics.Ratio(p.simTime, e.preps["lumos"].simTime))
 		}
 	}
 	t.AddNote("paper: HUS-Graph ≈ 1.8x and GraphSD ≈ 1.3x the preprocessing time of Lumos")
@@ -278,65 +202,52 @@ func runFig8(cfg *Config, w io.Writer) error {
 // model, which here reads live rows only: it is not the paper's b2, which
 // streams every block.
 func runFig9(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("twitter-sim")
+	e, err := cfg.env("twitter-sim")
 	if err != nil {
 		return err
 	}
-	e, err := newEnv(cfg, ds)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("Figure 9 — update-strategy ablations on "+ds.Name,
+	t := metrics.NewTable("Figure 9 — update-strategy ablations on "+e.ds.Name,
 		"algorithm", "variant", "exec time", "vs graphsd", "I/O traffic", "traffic ratio")
+	var obs []observation
 	for _, alg := range PaperAlgorithms() {
-		base, err := e.run("graphsd", alg)
+		rows := []string{"graphsd", "graphsd-b1", "graphsd-b2"}
+		rs, err := e.runEach(alg, rows...)
 		if err != nil {
 			return err
 		}
-		t.AddRow(alg.Name, "graphsd", metrics.Dur(base.ExecTime()), "1.00x",
-			storage.FormatBytes(base.IO.TotalBytes()), "1.00x")
-		for _, variant := range []string{"graphsd-b1", "graphsd-b2"} {
-			res, err := e.run(variant, alg)
-			if err != nil {
-				return err
-			}
-			t.AddRow(alg.Name, variant, metrics.Dur(res.ExecTime()),
+		base := rs[0]
+		for k, res := range rs {
+			t.AddRow(alg.Name, rows[k], metrics.Dur(res.ExecTime()),
 				metrics.Ratio(res.ExecTime(), base.ExecTime()),
 				storage.FormatBytes(res.IO.TotalBytes()),
 				metrics.RatioF(float64(res.IO.TotalBytes()), float64(base.IO.TotalBytes())))
 		}
+		obs = append(obs, observation{e.ds.Name, alg.Name, "graphsd-b1", "bytes_over_graphsd",
+			float64(rs[1].IO.TotalBytes()) / float64(base.IO.TotalBytes())})
 	}
 	t.AddNote("paper: GraphSD outruns b1 by 1.7x and b2 by 2.8x; traffic 1.6x / 5.4x lower")
 	t.AddNote("b2 here is the full model over live rows — every full pass skips source intervals with no active vertex — not the paper's read-everything b2")
-	return t.Render(w)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	return cfg.hold("fig9", obs)
 }
 
 // runFig10 regenerates Figure 10: per-iteration execution time of CC on
 // the UKUnion stand-in under the adaptive scheduler versus the two forced
 // models; the adaptive line must track the lower envelope.
 func runFig10(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("ukunion-sim")
-	if err != nil {
-		return err
-	}
-	e, err := newEnv(cfg, ds)
+	e, err := cfg.env("ukunion-sim")
 	if err != nil {
 		return err
 	}
 	alg := PaperAlgorithms()[2] // CC
-	adaptive, err := e.run("graphsd", alg)
+	rs, err := e.runEach(alg, "graphsd", "graphsd-b2", "graphsd-b4")
 	if err != nil {
 		return err
 	}
-	full, err := e.run("graphsd-b3", alg)
-	if err != nil {
-		return err
-	}
-	ondemand, err := e.run("graphsd-b4", alg)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("Figure 10 — per-iteration time, CC on "+ds.Name,
+	adaptive, full, ondemand := rs[0], rs[1], rs[2]
+	t := metrics.NewTable("Figure 10 — per-iteration time, CC on "+e.ds.Name,
 		"iteration", "active", "adaptive", "path", "full, live rows (b3)", "on-demand-only (b4)")
 	iters := len(adaptive.IterStats)
 	if len(full.IterStats) > iters {
@@ -357,14 +268,11 @@ func runFig10(cfg *Config, w io.Writer) error {
 		if i < len(adaptive.IterStats) {
 			active = fmt.Sprint(adaptive.IterStats[i].Active)
 			path = adaptive.IterStats[i].Path
-			better := adaptive.IterStats[i].Time()
 			if i < len(full.IterStats) && i < len(ondemand.IterStats) {
-				lower := full.IterStats[i].Time()
-				if ondemand.IterStats[i].Time() < lower {
-					lower = ondemand.IterStats[i].Time()
-				}
+				// On the device clock, so the count is the same on every host.
 				// Allow 25% slack: iteration boundaries of FCIU pairs shift.
-				if float64(better) <= 1.25*float64(lower) {
+				lower := min(full.IterStats[i].IOTime, ondemand.IterStats[i].IOTime)
+				if float64(adaptive.IterStats[i].IOTime) <= 1.25*float64(lower) {
 					wins++
 				}
 			}
@@ -374,74 +282,70 @@ func runFig10(cfg *Config, w io.Writer) error {
 	}
 	t.AddNote("totals — adaptive %v, full model over live rows %v, on-demand-only %v",
 		metrics.Dur(adaptive.ExecTime()), metrics.Dur(full.ExecTime()), metrics.Dur(ondemand.ExecTime()))
-	t.AddNote("adaptive tracked the per-iteration lower envelope in %d/%d comparable iterations", wins, iters)
-	return t.Render(w)
+	t.AddNote("adaptive tracked the per-iteration lower envelope of device time in %d/%d comparable iterations", wins, iters)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	return cfg.hold("fig10", []observation{{e.ds.Name, alg.Name, "graphsd", "envelope_iterations", float64(wins)}})
 }
 
 // runFig11 regenerates Figure 11: the CPU overhead of the benefit
 // evaluation against the I/O time it saves relative to the forced models.
 func runFig11(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("twitter-sim")
+	e, err := cfg.env("twitter-sim")
 	if err != nil {
 		return err
 	}
-	e, err := newEnv(cfg, ds)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("Figure 11 — scheduling overhead vs reduced I/O time on "+ds.Name,
+	t := metrics.NewTable("Figure 11 — scheduling overhead vs reduced I/O time on "+e.ds.Name,
 		"algorithm", "evaluation overhead", "I/O saved vs full, live rows", "I/O saved vs on-demand-only")
+	var obs []observation
 	for _, alg := range PaperAlgorithms() {
-		adaptive, err := e.run("graphsd", alg)
+		rs, err := e.runEach(alg, "graphsd", "graphsd-b2", "graphsd-b4")
 		if err != nil {
 			return err
 		}
-		full, err := e.run("graphsd-b3", alg)
-		if err != nil {
-			return err
-		}
-		ondemand, err := e.run("graphsd-b4", alg)
-		if err != nil {
-			return err
-		}
+		adaptive, full, ondemand := rs[0], rs[1], rs[2]
 		savedFull := full.IOTime() - adaptive.IOTime()
 		savedOD := ondemand.IOTime() - adaptive.IOTime()
 		t.AddRow(alg.Name, metrics.Dur(adaptive.SchedulerOverhead), metrics.Dur(savedFull), metrics.Dur(savedOD))
+		obs = append(obs, observation{e.ds.Name, alg.Name, "graphsd", "io_saved_vs_on_demand_ns", float64(savedOD)})
 	}
 	t.AddNote("paper: overhead negligible (e.g. PR-D: 3.4s evaluation vs 158s I/O saved)")
 	t.AddNote("the full model here reads live rows only, not every block as the paper's does, so the first column is smaller than the paper's saving")
-	return t.Render(w)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	return cfg.hold("fig11", obs)
 }
 
 // runFig12 regenerates Figure 12: execution time with and without the
 // secondary sub-block buffering scheme on the UKUnion stand-in.
 func runFig12(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("ukunion-sim")
+	e, err := cfg.env("ukunion-sim")
 	if err != nil {
 		return err
 	}
-	e, err := newEnv(cfg, ds)
-	if err != nil {
-		return err
-	}
-	t := metrics.NewTable("Figure 12 — buffering scheme on "+ds.Name,
+	t := metrics.NewTable("Figure 12 — buffering scheme on "+e.ds.Name,
 		"algorithm", "with buffering", "without", "improvement", "buffer hits", "bytes saved")
+	var obs []observation
 	for _, alg := range PaperAlgorithms() {
-		with, err := e.run("graphsd", alg)
+		rs, err := e.runEach(alg, "graphsd", "graphsd-nobuf")
 		if err != nil {
 			return err
 		}
-		without, err := e.run("graphsd-nobuf", alg)
-		if err != nil {
-			return err
-		}
+		with, without := rs[0], rs[1]
 		imp := "—"
 		if without.ExecTime() > 0 {
 			imp = fmt.Sprintf("%.0f%%", 100*(1-float64(with.ExecTime())/float64(without.ExecTime())))
 		}
 		t.AddRow(alg.Name, metrics.Dur(with.ExecTime()), metrics.Dur(without.ExecTime()),
 			imp, fmt.Sprint(with.Buffer.Hits), storage.FormatBytes(with.Buffer.BytesSaved))
+		obs = append(obs, observation{e.ds.Name, alg.Name, "graphsd", "bytes_over_unbuffered",
+			float64(with.IO.TotalBytes()) / float64(without.IO.TotalBytes())})
 	}
 	t.AddNote("paper: buffering improves performance by up to 21%%")
-	return t.Render(w)
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	return cfg.hold("fig12", obs)
 }

@@ -19,12 +19,8 @@ import (
 // device. The full model reads live rows only, so on CC's clustered frontier
 // it is the better one on all three and the on-demand count stays at zero.
 func runExtStorage(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("ukunion-sim")
-	if err != nil {
-		return err
-	}
 	alg := PaperAlgorithms()[2] // CC
-	t := metrics.NewTable("ext-storage — CC on "+ds.Name+" across device classes",
+	t := metrics.NewTable("ext-storage — CC on ukunion-sim across device classes",
 		"device", "adaptive", "full, live rows", "on-demand-only", "on-demand iters")
 	for _, dev := range []struct {
 		name string
@@ -35,24 +31,16 @@ func runExtStorage(cfg *Config, w io.Writer) error {
 		{"pmem", storage.PMem},
 	} {
 		sub := *cfg
-		sub.Profile = &dev.prof
-		sub.WorkDir = cfg.WorkDir + "/ext-" + dev.name
-		e, err := newEnv(&sub, ds)
+		sub.envs, sub.Profile, sub.WorkDir = nil, &dev.prof, cfg.WorkDir+"/ext-"+dev.name
+		e, err := sub.env("ukunion-sim")
 		if err != nil {
 			return err
 		}
-		adaptive, err := e.run("graphsd", alg)
+		rs, err := e.runEach(alg, "graphsd", "graphsd-b2", "graphsd-b4")
 		if err != nil {
 			return err
 		}
-		full, err := e.run("graphsd-b3", alg)
-		if err != nil {
-			return err
-		}
-		ondemand, err := e.run("graphsd-b4", alg)
-		if err != nil {
-			return err
-		}
+		adaptive, full, ondemand := rs[0], rs[1], rs[2]
 		onDemandIters := 0
 		for _, d := range adaptive.Decisions {
 			if d.Model == iosched.OnDemandIO {
@@ -73,17 +61,13 @@ func runExtStorage(cfg *Config, w io.Writer) error {
 // a smaller fraction of edges eligible for cross-iteration propagation
 // (the diagonal shrinks as 1/P).
 func runExtPSweep(cfg *Config, w io.Writer) error {
-	ds, err := cfg.dataset("uk-sim")
-	if err != nil {
-		return err
-	}
 	alg := PaperAlgorithms()[2] // CC
-	t := metrics.NewTable("ext-psweep — CC on "+ds.Name+" over interval counts",
+	t := metrics.NewTable("ext-psweep — CC on uk-sim over interval counts",
 		"P", "exec time", "I/O traffic", "iterations")
 	for _, p := range []int{2, 4, 8, 16} {
 		sub := *cfg
-		sub.WorkDir = fmt.Sprintf("%s/ext-p%d", cfg.WorkDir, p)
-		e, err := newEnv(&sub, ds)
+		sub.envs, sub.WorkDir = nil, fmt.Sprintf("%s/ext-p%d", cfg.WorkDir, p)
+		e, err := sub.env("uk-sim")
 		if err != nil {
 			return err
 		}

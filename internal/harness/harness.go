@@ -6,6 +6,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -35,6 +36,12 @@ type Config struct {
 	Quick bool
 	// Datasets restricts the datasets by name when non-empty.
 	Datasets []string
+
+	// systems overrides rows of baseline.Systems by name; tests substitute a
+	// broken engine here to see the expectation gate fail.
+	systems []baseline.System
+	// envs holds the one env per dataset every figure of this Config reads.
+	envs map[string]*env
 }
 
 func (c *Config) profile() storage.Profile {
@@ -79,19 +86,14 @@ func Datasets(quick bool) []Dataset {
 
 // selectedDatasets applies the Config's dataset filter.
 func (c *Config) selectedDatasets() ([]Dataset, error) {
-	all := Datasets(c.Quick)
 	if len(c.Datasets) == 0 {
-		return all, nil
-	}
-	byName := map[string]Dataset{}
-	for _, d := range all {
-		byName[d.Name] = d
+		return Datasets(c.Quick), nil
 	}
 	var out []Dataset
 	for _, name := range c.Datasets {
-		d, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("harness: unknown dataset %q", name)
+		d, err := c.dataset(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, d)
 	}
@@ -107,6 +109,37 @@ func (c *Config) dataset(name string) (Dataset, error) {
 	return Dataset{}, fmt.Errorf("harness: unknown dataset %q", name)
 }
 
+// env returns this Config's env for the named dataset, generating it on first
+// use: every figure reads the same layouts and the same measured cells.
+func (c *Config) env(name string) (*env, error) {
+	if e, ok := c.envs[name]; ok {
+		return e, nil
+	}
+	ds, err := c.dataset(name)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEnv(c, ds)
+	if err != nil {
+		return nil, err
+	}
+	if c.envs == nil {
+		c.envs = map[string]*env{}
+	}
+	c.envs[name] = e
+	return e, nil
+}
+
+// system returns the comparison-table row for name.
+func (c *Config) system(name string) (baseline.System, error) {
+	for _, s := range c.systems {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return baseline.SystemByName(name)
+}
+
 // Algorithm couples a paper workload with its program constructor. src is
 // the source vertex for traversal algorithms (the harness passes the
 // highest-out-degree vertex so traversals cover the graph, since the paper
@@ -116,6 +149,9 @@ type Algorithm struct {
 	Weighted bool
 	New      func(src graph.VertexID) core.Program
 }
+
+// bfs is the traversal the studies beyond the paper's figures run.
+var bfs = Algorithm{"BFS", false, func(src graph.VertexID) core.Program { return &algorithms.BFS{Source: src} }}
 
 // PaperAlgorithms returns the paper's four workloads with its parameters:
 // PR for 5 iterations, PR-D for 20, CC and SSSP until convergence. The
@@ -144,20 +180,22 @@ func chooseP(g *graph.Graph, quick bool) int {
 
 // env carries the materialized layouts of one dataset.
 type env struct {
-	ds       Dataset
-	g        *graph.Graph // unweighted variant
-	gw       *graph.Graph // weighted variant (same topology)
-	p        int
-	cfg      *Config
-	profiles storage.Profile
-	source   graph.VertexID // traversal source: the highest-out-degree vertex
+	ds     Dataset
+	g      *graph.Graph // unweighted variant
+	gw     *graph.Graph // weighted variant (same topology)
+	p      int
+	cfg    *Config
+	source graph.VertexID // traversal source: the highest-out-degree vertex
 
 	layouts map[string]*partition.Layout // key: system + "/w" for weighted
 	preps   map[string]prepStats
+	// cells memoises one engine run per (system or variant, algorithm): every
+	// figure is a projection of these, so two figures that print a cell print
+	// one measurement.
+	cells map[string]*core.Result
 }
 
 type prepStats struct {
-	wall    time.Duration
 	io      storage.Snapshot
 	simTime time.Duration
 }
@@ -177,15 +215,15 @@ func newEnv(cfg *Config, ds Dataset) (*env, error) {
 		}
 	}
 	return &env{
-		ds:       ds,
-		g:        g,
-		gw:       gw,
-		p:        chooseP(g, cfg.Quick),
-		cfg:      cfg,
-		profiles: cfg.profile(),
-		source:   hub,
-		layouts:  map[string]*partition.Layout{},
-		preps:    map[string]prepStats{},
+		ds:      ds,
+		g:       g,
+		gw:      gw,
+		p:       chooseP(g, cfg.Quick),
+		cfg:     cfg,
+		source:  hub,
+		layouts: map[string]*partition.Layout{},
+		preps:   map[string]prepStats{},
+		cells:   map[string]*core.Result{},
 	}, nil
 }
 
@@ -202,7 +240,7 @@ func (e *env) layout(system string, weighted bool) (*partition.Layout, error) {
 	if err := os.RemoveAll(dir); err != nil {
 		return nil, fmt.Errorf("harness: cleaning %s: %w", dir, err)
 	}
-	dev, err := storage.OpenDevice(dir, e.profiles)
+	dev, err := storage.OpenDevice(dir, e.cfg.profile())
 	if err != nil {
 		return nil, err
 	}
@@ -210,70 +248,72 @@ func (e *env) layout(system string, weighted bool) (*partition.Layout, error) {
 	if weighted {
 		g = e.gw
 	}
-	var build func(*storage.Device, *graph.Graph, int, ...partition.BuildOption) (*partition.Layout, error)
-	switch system {
-	case "graphsd":
-		build = partition.Build
-	case "husgraph":
-		build = partition.BuildHUSGraph
-	case "lumos":
-		build = partition.BuildLumos
-	default:
-		return nil, fmt.Errorf("harness: unknown system %q", system)
+	sys, err := e.cfg.system(system)
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-	l, err := build(dev, g, e.p)
+	l, err := sys.Build(dev, g, e.p)
 	if err != nil {
 		return nil, fmt.Errorf("harness: preprocessing %s for %s: %w", e.ds.Name, system, err)
 	}
 	io := dev.Stats()
 	// Preprocessing "time" is reported like execution time: simulated I/O
 	// plus measured in-memory CPU (bucket/sort/encode). Host wall time is
-	// kept for reference but is dominated by per-file syscall noise at
-	// this scale.
-	e.preps[key] = prepStats{wall: time.Since(start), io: io, simTime: io.TotalTime() + l.PrepCPU}
+	// dominated by per-file syscall noise at this scale.
+	e.preps[key] = prepStats{io: io, simTime: io.TotalTime() + l.PrepCPU}
 	e.layouts[key] = l
 	return l, nil
 }
 
-// run executes an algorithm on the dataset under the named system.
-// System names: graphsd, graphsd-b1, graphsd-b2 (= b3, forced full),
-// graphsd-b4 (forced on-demand), graphsd-nobuf, husgraph, lumos.
-func (e *env) run(system string, alg Algorithm) (*core.Result, error) {
-	prog := alg.New(e.source)
-	switch system {
-	case "graphsd", "graphsd-b1", "graphsd-b2", "graphsd-b3", "graphsd-b4", "graphsd-nobuf":
-		l, err := e.layout("graphsd", alg.Weighted)
-		if err != nil {
-			return nil, err
-		}
-		opts := core.Options{DefaultBuffer: true}
-		switch system {
-		case "graphsd-b1":
-			opts.DisableCrossIteration = true
-		case "graphsd-b2", "graphsd-b3":
-			opts.ForceModel = core.ForceFull
-		case "graphsd-b4":
-			opts.ForceModel = core.ForceOnDemand
-		case "graphsd-nobuf":
-			opts.DefaultBuffer = false
-		}
-		return core.Run(l, prog, opts)
-	case "husgraph":
-		l, err := e.layout("husgraph", alg.Weighted)
-		if err != nil {
-			return nil, err
-		}
-		return baseline.RunHUSGraph(l, prog, baseline.Options{})
-	case "lumos":
-		l, err := e.layout("lumos", alg.Weighted)
-		if err != nil {
-			return nil, err
-		}
-		return baseline.RunLumos(l, prog, baseline.Options{})
-	default:
-		return nil, fmt.Errorf("harness: unknown system %q", system)
+// variants are GraphSD's ablations: core.Options over the graphsd row of the
+// system table. b2 pins the full model, which is also the paper's b3.
+var variants = map[string]core.Options{
+	"graphsd":       {DefaultBuffer: true},
+	"graphsd-b1":    {DefaultBuffer: true, DisableCrossIteration: true},
+	"graphsd-b2":    {DefaultBuffer: true, ForceModel: core.ForceFull},
+	"graphsd-b4":    {DefaultBuffer: true, ForceModel: core.ForceOnDemand},
+	"graphsd-nobuf": {},
+}
+
+// run returns the dataset's measured cell for alg under a system of the table
+// (husgraph, lumos) or a GraphSD variant, running the engine the first time the
+// cell is asked for.
+func (e *env) run(variant string, alg Algorithm) (*core.Result, error) {
+	key := variant + "/" + alg.Name
+	if res, ok := e.cells[key]; ok {
+		return res, nil
 	}
+	system := variant
+	opts, ablation := variants[variant]
+	if ablation {
+		system = "graphsd"
+	}
+	sys, err := e.cfg.system(system)
+	if err != nil {
+		return nil, err
+	}
+	l, err := e.layout(system, alg.Weighted)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sys.Run(context.Background(), l, alg.New(e.source), opts)
+	if err != nil {
+		return nil, err
+	}
+	e.cells[key] = res
+	return res, nil
+}
+
+// runEach returns alg's cells under each of variants, in order.
+func (e *env) runEach(alg Algorithm, variants ...string) ([]*core.Result, error) {
+	out := make([]*core.Result, len(variants))
+	for k, v := range variants {
+		var err error
+		if out[k], err = e.run(v, alg); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Experiment regenerates one paper table or figure.

@@ -2,11 +2,16 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
+	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"testing"
 
+	"github.com/graphsd/graphsd/internal/baseline"
+	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -172,33 +177,45 @@ func TestAllExperimentsQuick(t *testing.T) {
 }
 
 // TestFig5WinnersGate: the gate TestAllExperimentsQuick runs Figure 5 under
-// names the cell when GraphSD loses one the committed file says it held, and
-// is silent on the committed winners themselves and on configurations the file
-// was not recorded under.
+// names the cell when a system loses one the expectation table says it held,
+// and is silent on the committed winners themselves and on configurations the
+// rows were not recorded under.
 func TestFig5WinnersGate(t *testing.T) {
 	cfg := quickConfig(t)
-	var committed fig5Winners
-	if err := json.Unmarshal(fig5WinnersJSON, &committed); err != nil {
+	rows, err := cfg.expectations("fig5")
+	if err != nil {
 		t.Fatal(err)
 	}
-	cells := committed.Cells
-	held := slices.IndexFunc(cells, func(c fig5Winner) bool { return c.Winner == "graphsd" })
-	if len(cells) != 20 || held < 0 {
-		t.Fatalf("committed file has %d cells (want 5 datasets × 4 algorithms), GraphSD holds one: %t", len(cells), held >= 0)
+	held := slices.IndexFunc(rows, func(r expectation) bool { return r.Least == "graphsd" })
+	if len(rows) != 20 || held < 0 {
+		t.Fatalf("the table has %d Figure 5 rows (want 5 datasets × 4 algorithms), GraphSD holds one: %t", len(rows), held >= 0)
 	}
-	if err := checkFig5Winners(cfg, cells); err != nil {
+	// A run in which every cell's recorded holder reads 1 and the others 2.
+	observe := func(lost int) []observation {
+		var obs []observation
+		for k, r := range rows {
+			for _, sys := range comparison {
+				v := 2.0
+				if (sys == r.Least) != (k == lost) {
+					v = 1
+				}
+				obs = append(obs, observation{r.Dataset, r.Algorithm, sys, r.Metric, v})
+			}
+		}
+		return obs
+	}
+	if err := cfg.hold("fig5", observe(-1)); err != nil {
 		t.Fatalf("gate trips on the committed winners: %v", err)
 	}
-	lost := cells[held]
-	cells[held].Winner = "husgraph"
-	err := checkFig5Winners(cfg, cells)
-	if err == nil || !strings.Contains(err.Error(), lost.Dataset+"/"+lost.Algorithm) {
+	lost := rows[held]
+	err = cfg.hold("fig5", observe(held))
+	if err == nil || !strings.Contains(err.Error(), "fig5 "+lost.Dataset+"/"+lost.Algorithm) {
 		t.Fatalf("GraphSD lost %s/%s: gate said %v", lost.Dataset, lost.Algorithm, err)
 	}
-	full := *cfg
-	full.Quick = false
-	if err := checkFig5Winners(&full, cells); err != nil {
-		t.Fatalf("gate enforced at a scale the file was not recorded at: %v", err)
+	reseeded := *cfg
+	reseeded.Seed = 2
+	if err := reseeded.hold("fig5", observe(held)); err != nil {
+		t.Fatalf("gate enforced at a seed the rows were not recorded at: %v", err)
 	}
 }
 
@@ -268,6 +285,95 @@ func TestSchedAccuracyExperiment(t *testing.T) {
 	for _, want := range []string{"Scheduler accuracy", "envelope", "mispredict", "corrections", "Scattered frontier", "sciu"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFiguresShareCells: the figures are projections of one set of measured
+// cells. Every system's runner is counted through the table, and after RunAll
+// no (layout, program, options) was run twice; and Figure 6 prints for
+// (twitter-sim, graphsd, PR) the total Table 4 printed, measured compute and all.
+func TestFiguresShareCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite is slow; skipped with -short")
+	}
+	cfg := quickConfig(t)
+	ran := map[string]int{}
+	for _, sys := range baseline.Systems() {
+		run := sys.Run
+		sys.Run = func(ctx context.Context, l *partition.Layout, prog core.Program, opts core.Options) (*core.Result, error) {
+			ran[fmt.Sprintf("%s %T%+v %+v", l.Dev.Dir(), prog, prog, opts)]++
+			return run(ctx, l, prog, opts)
+		}
+		cfg.systems = append(cfg.systems, sys)
+	}
+	var buf bytes.Buffer
+	if err := RunAll(cfg, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) < 78 {
+		t.Errorf("%d cells ran through the table, Figures 5–12 alone need 78", len(ran))
+	}
+	for cell, n := range ran {
+		if n != 1 {
+			t.Errorf("cell %s ran %d times", cell, n)
+		}
+	}
+	field := func(section, rowPrefix string, k int) string {
+		t.Helper()
+		_, rest, ok := strings.Cut(buf.String(), section)
+		if !ok {
+			t.Fatalf("no %q in the output", section)
+		}
+		for _, line := range strings.Split(rest, "\n") {
+			if f := strings.Fields(line); strings.HasPrefix(strings.Join(f, " "), rowPrefix) {
+				return f[k]
+			}
+		}
+		t.Fatalf("no row %q under %q", rowPrefix, section)
+		return ""
+	}
+	fig5 := field("== Table 4", "twitter-sim", 1)
+	fig6 := field("== Figure 6", "PR graphsd", 2)
+	if fig5 != fig6 {
+		t.Errorf("twitter-sim/graphsd/PR total: Table 4 printed %s, Figure 6 %s", fig5, fig6)
+	}
+}
+
+// TestBrokenEngineFailsByFigure: the expectation table is a gate on the engine,
+// not on the harness. A graphsd row that takes the on-demand model whenever the
+// scheduler would have chosen fails Figures 10 and 11; one that never computes
+// across iterations fails Figure 9 — each naming its figure.
+func TestBrokenEngineFailsByFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow; skipped with -short")
+	}
+	for _, tc := range []struct {
+		name    string
+		breakIt func(*core.Options)
+		figures []string
+	}{
+		{"always on-demand", func(o *core.Options) {
+			if o.ForceModel == nil {
+				o.ForceModel = core.ForceOnDemand
+			}
+		}, []string{"fig10", "fig11"}},
+		{"no cross-iteration", func(o *core.Options) { o.DisableCrossIteration = true }, []string{"fig9"}},
+	} {
+		for _, id := range tc.figures {
+			cfg := quickConfig(t)
+			cfg.systems = []baseline.System{{Name: "graphsd", Build: partition.Build, Run: func(ctx context.Context, l *partition.Layout, prog core.Program, opts core.Options) (*core.Result, error) {
+				tc.breakIt(&opts)
+				return core.RunContext(ctx, l, prog, opts)
+			}}}
+			exp, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = exp.Run(cfg, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), "expectation "+id+" ") {
+				t.Errorf("%s: %s said %v, want a missed expectation naming it", tc.name, id, err)
+			}
 		}
 	}
 }

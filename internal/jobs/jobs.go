@@ -785,13 +785,24 @@ func (s *Scheduler) journalProgress(id string, iter int) {
 // drain), then cancels running jobs' contexts (a cancelled engine stops at
 // the next sub-block, so shutdown is prompt), and waits for the workers. It
 // returns ctx.Err() if the workers outlive ctx.
-func (s *Scheduler) Close(ctx context.Context) error {
+func (s *Scheduler) Close(ctx context.Context) error { return s.shutdown(ctx, false) }
+
+// Kill abandons the scheduler the way SIGKILL would: job contexts are
+// cancelled so the engine aborts mid-run, but nothing further is journaled
+// and no checkpoint is pruned — the on-disk state freezes exactly as a
+// crash would leave it. Restart tests reopen the journal afterwards and
+// assert full recovery. It waits for the workers within ctx's deadline.
+func (s *Scheduler) Kill(ctx context.Context) error { return s.shutdown(ctx, true) }
+
+// shutdown is Close, or with kill set Kill: they differ in whether the queued
+// jobs are journaled as cancelled first.
+func (s *Scheduler) shutdown(ctx context.Context, kill bool) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	s.closed = true
+	s.closed, s.killed = true, kill
 	jobs := s.jobsLocked()
 	s.mu.Unlock()
 
@@ -800,11 +811,13 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	// yet — cancelling one frees its worker, which could dequeue and start a
 	// later queued job before this loop reached it. A worker that dequeues
 	// one of these afterwards sees state != Queued and skips it.
-	for _, j := range jobs {
-		s.finish(j, Queued, Cancelled, ErrClosed, nil)
+	if !kill {
+		for _, j := range jobs {
+			s.finish(j, Queued, Cancelled, ErrClosed, nil)
+		}
 	}
-	// Second pass: every queued job is terminal and journaled, so now stop
-	// the running ones promptly (terminal jobs: no-op).
+	// Second pass: every queued job is terminal and journaled (or, killed, left
+	// as it was), so now stop the running ones promptly (terminal jobs: no-op).
 	for _, j := range jobs {
 		j.cancel()
 	}
@@ -814,44 +827,6 @@ func (s *Scheduler) Close(ctx context.Context) error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Kill abandons the scheduler the way SIGKILL would: job contexts are
-// cancelled so the engine aborts mid-run, but nothing further is journaled
-// and no checkpoint is pruned — the on-disk state freezes exactly as a
-// crash would leave it. Restart tests reopen the journal afterwards and
-// assert full recovery. It waits for the workers within ctx's deadline.
-func (s *Scheduler) Kill(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.killed = true
-	jobs := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-
-	for _, j := range jobs {
-		j.cancel()
-	}
-	s.mu.Lock()
-	s.cond.Broadcast()
-	s.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()

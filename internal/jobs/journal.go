@@ -66,21 +66,9 @@ var journalMagic = [8]byte{'G', 'S', 'D', 'J', 'R', 'N', '0', '1'}
 // zero.
 const DefaultSegmentBytes = wal.DefaultSegmentBytes
 
-// JournalStats describes a journal's activity, for /metrics.
-type JournalStats struct {
-	// Records and Bytes count appends by this process (frames, not payloads).
-	Records int64
-	Bytes   int64
-	// Segments is the number of segment files on disk, including the active
-	// one.
-	Segments int
-	// ReplayRecords is the number of records recovered at open;
-	// ReplayTruncated counts segments whose tail was torn or corrupt and was
-	// discarded; ReplayTime is the wall clock the replay took.
-	ReplayRecords   int64
-	ReplayTruncated int
-	ReplayTime      time.Duration
-}
+// JournalStats describes a journal's activity, for /metrics: the counters of
+// the write-ahead log under it.
+type JournalStats = wal.Stats
 
 // Journal is the append-side handle. Safe for concurrent use; appends are
 // serialised.
@@ -138,17 +126,7 @@ func (j *Journal) ConsumeReplay() []Record {
 func (j *Journal) SetFaultInjector(fn func(op, name string) error) { j.log.SetFaultInjector(fn) }
 
 // Stats returns a snapshot of the journal's counters.
-func (j *Journal) Stats() JournalStats {
-	s := j.log.Stats()
-	return JournalStats{
-		Records:         s.Records,
-		Bytes:           s.Bytes,
-		Segments:        s.Segments,
-		ReplayRecords:   s.ReplayRecords,
-		ReplayTruncated: s.ReplayTruncated,
-		ReplayTime:      s.ReplayTime,
-	}
-}
+func (j *Journal) Stats() JournalStats { return j.log.Stats() }
 
 // Err returns the sticky failure that made the journal unavailable, nil
 // while it is healthy.

@@ -198,39 +198,53 @@ type Index struct {
 	blockJ int
 }
 
-// LoadIndex reads the per-vertex offset index of sub-block (i, j). The
-// index has IntervalLen(i)+1 entries (see Index): that, and the rest of what
-// the selective path subscripts and seeks by, is checked here — a well-formed
-// index of the wrong shape is an error now, not a panic later. The read is
+// LoadIndex reads the per-vertex offset index of sub-block (i, j). The read is
 // charged sequentially, matching the 2|V|·N index/value term of the paper's
 // C_r model.
 func (l *Layout) LoadIndex(i, j int) (*Index, error) {
-	name := l.Meta.BlockIndexName(i, j)
+	// With an overlay the manifest's counts and sizes are merged ones, not the
+	// base file's, so the index's ends have nothing to be held to.
+	records, diskBytes := l.Meta.SubBlockEdges(i, j), l.Meta.SubBlockDiskBytes(i, j)
+	if l.Overlay != nil {
+		records = -1
+	}
+	rec, off, err := l.loadIndexFile(l.Meta.BlockIndexName(i, j), i, l.Meta.BlockCodec() == graph.CodecDelta, records, diskBytes)
+	if err != nil {
+		return nil, err
+	}
+	iLo, _ := l.Meta.Interval(i)
+	jLo, _ := l.Meta.Interval(j)
+	return &Index{Rec: rec, Off: off, srcBase: graph.VertexID(iLo), dstBase: graph.VertexID(jLo), blockJ: j}, nil
+}
+
+// loadIndexFile reads an index of interval i — a sub-block's or a HUS-Graph
+// row's — and checks what the selective paths subscript, size and seek by: it
+// has IntervalLen(i)+1 entries (see Index), starts at 0, and ends at the file's
+// record count (unless records < 0) and inside its diskBytes. Offsets ascend by
+// construction, so the ends bound the rest. A well-formed index of the wrong
+// shape is an error naming the file here, not a panic later.
+func (l *Layout) loadIndexFile(name string, i int, delta bool, records, diskBytes int64) (rec, off []int64, err error) {
 	data, err := l.Dev.ReadFile(name)
 	if err != nil {
-		return nil, fmt.Errorf("partition: loading index (%d,%d): %w", i, j, err)
+		return nil, nil, fmt.Errorf("partition: loading index %s: %w", name, err)
 	}
-	rec, off, err := decodeIndexData(data, l.Meta.BlockCodec() == graph.CodecDelta)
-	// Offsets ascend by construction, so the ends bound the rest.
+	rec, off, err = decodeIndexData(data, delta)
 	switch last := l.Meta.IntervalLen(i); {
 	case err != nil:
 	case len(rec) != last+1:
 		err = fmt.Errorf("%d entries, interval %d needs %d", len(rec), i, last+1)
 	case rec[0] != 0:
 		err = fmt.Errorf("records start at %d, not 0", rec[0])
-	case l.Overlay != nil:
-		// The manifest's counts are merged ones, not the base file's.
-	case rec[last] != l.Meta.SubBlockEdges(i, j):
-		err = fmt.Errorf("records end at %d, the block holds %d edges", rec[last], l.Meta.SubBlockEdges(i, j))
-	case off != nil && off[last] > l.Meta.SubBlockDiskBytes(i, j):
-		err = fmt.Errorf("run bytes end at %d, the block holds %d bytes", off[last], l.Meta.SubBlockDiskBytes(i, j))
+	case records < 0:
+	case rec[last] != records:
+		err = fmt.Errorf("records end at %d, the file holds %d edges", rec[last], records)
+	case off != nil && off[last] > diskBytes:
+		err = fmt.Errorf("run bytes end at %d, the file holds %d bytes", off[last], diskBytes)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("partition: index (%d,%d) in %s: %w", i, j, name, err)
+		return nil, nil, fmt.Errorf("partition: index %s: %w", name, err)
 	}
-	iLo, _ := l.Meta.Interval(i)
-	jLo, _ := l.Meta.Interval(j)
-	return &Index{Rec: rec, Off: off, srcBase: graph.VertexID(iLo), dstBase: graph.VertexID(jLo), blockJ: j}, nil
+	return rec, off, nil
 }
 
 // decodeIndexData parses an index file: a uvarint count followed by uvarint
@@ -396,15 +410,20 @@ func (l *Layout) readVertexEdgesDelta(r *storage.Reader, idx *Index, v graph.Ver
 	return edges, buf, nil
 }
 
-// LoadDegrees reads the per-vertex out-degree table, folding in the
-// overlay's adjustments when one is pinned.
+// LoadDegrees reads the per-vertex out-degree table and verifies it against
+// the manifest's checksum, then folds in the overlay's adjustments when one is
+// pinned.
 func (l *Layout) LoadDegrees() ([]uint32, error) {
-	data, err := l.Dev.ReadFile(l.Meta.DegreesFile())
+	name := l.Meta.DegreesFile()
+	data, err := l.Dev.ReadFile(name)
 	if err != nil {
 		return nil, fmt.Errorf("partition: loading degrees: %w", err)
 	}
 	if len(data) != l.Meta.NumVertices*4 {
-		return nil, fmt.Errorf("partition: degrees size %d, want %d", len(data), l.Meta.NumVertices*4)
+		return nil, fmt.Errorf("partition: degree table %s has %d bytes, want %d", name, len(data), l.Meta.NumVertices*4)
+	}
+	if err := verifySum(*l.Meta.DegreesSum, data); err != nil {
+		return nil, fmt.Errorf("partition: degree table %s: %w", name, err)
 	}
 	deg := make([]uint32, l.Meta.NumVertices)
 	for v := range deg {
@@ -424,15 +443,12 @@ func (l *Layout) LoadRowInto(i int, dst []graph.Edge, buf []byte) ([]graph.Edge,
 	return l.loadRawFileInto(RowName(i), "row", i, l.Meta.RowSums, dst, buf)
 }
 
-// LoadRowIndex reads the per-vertex index of HUS-Graph row block i.
+// LoadRowIndex reads the per-vertex index of HUS-Graph row block i, held to
+// the row's recorded edge count as LoadIndex holds a sub-block's.
 func (l *Layout) LoadRowIndex(i int) (*Index, error) {
-	data, err := l.Dev.ReadFile(RowIndexName(i))
+	rec, _, err := l.loadIndexFile(RowIndexName(i), i, false, l.Meta.EdgeCounts[i][0], 0)
 	if err != nil {
-		return nil, fmt.Errorf("partition: loading row index %d: %w", i, err)
-	}
-	rec, _, err := decodeIndexData(data, false)
-	if err != nil {
-		return nil, fmt.Errorf("partition: row index %d: %w", i, err)
+		return nil, err
 	}
 	lo, _ := l.Meta.Interval(i)
 	return &Index{Rec: rec, srcBase: graph.VertexID(lo), blockJ: -1}, nil

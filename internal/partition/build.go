@@ -12,30 +12,6 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// buildTimer separates a preprocessor's in-memory CPU time (bucketing,
-// sorting, encoding) from the time spent in device writes, so experiment
-// reports can combine the CPU share with *simulated* write time instead of
-// host filesystem wall time (which is dominated by per-file syscall
-// overhead at laptop scale and by bandwidth at the paper's scale).
-type buildTimer struct {
-	start    time.Time
-	devWalls time.Duration
-}
-
-func newBuildTimer() *buildTimer { return &buildTimer{start: time.Now()} }
-
-// write performs dev.WriteFile while excluding its wall time from the CPU
-// measurement.
-func (t *buildTimer) write(dev *storage.Device, name string, data []byte) error {
-	w0 := time.Now()
-	err := dev.WriteFile(name, data)
-	t.devWalls += time.Since(w0)
-	return err
-}
-
-// cpu returns the wall time elapsed outside device writes.
-func (t *buildTimer) cpu() time.Duration { return time.Since(t.start) - t.devWalls }
-
 // BuildOption configures a preprocessor run.
 type BuildOption func(*gridOptions)
 
@@ -48,23 +24,12 @@ func WithCodec(c graph.Codec) BuildOption {
 	return func(o *gridOptions) { o.codec = c }
 }
 
-// Build runs GraphSD's preprocessing (paper §3.2): bucket the edges into a
-// P×P grid by (source interval, destination interval), sort each sub-block
-// by source vertex, write the sub-block payloads plus a per-vertex offset
-// index for each, and persist per-vertex out-degrees for the I/O cost
-// model. The raw-graph read and all writes are charged to the device, so
-// the Figure 8 preprocessing comparison can be reproduced from device
-// stats.
-func Build(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOption) (*Layout, error) {
-	return buildGrid(dev, g, p, applyBuildOptions(gridOptions{system: "graphsd", sort: true, index: true}, opts))
-}
-
-// BuildLumos writes the Lumos-style layout: the same grid bucketing but
-// with edges left in input order and no per-vertex indexes. Lumos streams
-// whole blocks and never queries individual vertices, so it skips the sort
-// — which is why it has the shortest preprocessing time in Figure 8.
-func BuildLumos(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOption) (*Layout, error) {
-	return buildGrid(dev, g, p, applyBuildOptions(gridOptions{system: "lumos", sort: false, index: false}, opts))
+type gridOptions struct {
+	system   string
+	rowMajor bool // HUS-Graph's row and column files, not a grid of cells
+	sort     bool
+	index    bool
+	codec    graph.Codec
 }
 
 func applyBuildOptions(o gridOptions, opts []BuildOption) gridOptions {
@@ -74,6 +39,28 @@ func applyBuildOptions(o gridOptions, opts []BuildOption) gridOptions {
 	return o
 }
 
+// graphsdGrid is what Build and BuildExternal write: src-sorted, indexed cells.
+var graphsdGrid = gridOptions{system: "graphsd", sort: true, index: true}
+
+// Build runs GraphSD's preprocessing (paper §3.2): bucket the edges into a
+// P×P grid by (source interval, destination interval), sort each sub-block
+// by source vertex, write the sub-block payloads plus a per-vertex offset
+// index for each, and persist per-vertex out-degrees for the I/O cost
+// model. The raw-graph read and all writes are charged to the device, so
+// the Figure 8 preprocessing comparison can be reproduced from device
+// stats.
+func Build(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOption) (*Layout, error) {
+	return buildGrid(dev, g, p, applyBuildOptions(graphsdGrid, opts))
+}
+
+// BuildLumos writes the Lumos-style layout: the same grid bucketing but
+// with edges left in input order and no per-vertex indexes. Lumos streams
+// whole blocks and never queries individual vertices, so it skips the sort
+// — which is why it has the shortest preprocessing time in Figure 8.
+func BuildLumos(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOption) (*Layout, error) {
+	return buildGrid(dev, g, p, applyBuildOptions(gridOptions{system: "lumos"}, opts))
+}
+
 // BuildHUSGraph writes the HUS-Graph-style layout: two complete copies of
 // the edge set — row blocks grouped by source interval and sorted by source
 // (with per-vertex indexes, for the on-demand path), and column blocks
@@ -81,154 +68,64 @@ func applyBuildOptions(o gridOptions, opts []BuildOption) gridOptions {
 // streaming path). Double copy + double sort is why HUS-Graph preprocessing
 // is the slowest in Figure 8.
 func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOption) (*Layout, error) {
-	if o := applyBuildOptions(gridOptions{}, opts); o.codec != graph.CodecRaw {
-		return nil, fmt.Errorf("partition: codec %q requires the graphsd grid layout", o.codec)
+	opt := applyBuildOptions(gridOptions{system: "husgraph", rowMajor: true}, opts)
+	if opt.codec != graph.CodecRaw {
+		return nil, fmt.Errorf("partition: codec %q requires the graphsd grid layout", opt.codec)
 	}
-	if err := validateBuild(g, p); err != nil {
+	w, err := newGraphWriter(dev, opt, g, p)
+	if err != nil {
 		return nil, err
 	}
-	chargeRawRead(dev, g)
-	bt := newBuildTimer()
-
-	m := newManifest("husgraph", g, p)
-	m.RowSums = make([]uint32, p)
-	m.ColSums = make([]uint32, p)
+	m := w.m
 
 	// Copy 1: row blocks by source interval, sorted by source vertex.
-	rows := bucketEdges(g, p, func(e graph.Edge) int { return m.IntervalOf(e.Src) })
+	rows := bucketEdges(g.Edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Src) })
 	for i := 0; i < p; i++ {
 		sortEdgesBySrc(rows[i])
 		m.EdgeCounts[i][0] = int64(len(rows[i]))
-		sum, err := writeEdges(dev, bt, RowName(i), rows[i], g.Weighted)
-		if err != nil {
+		if m.RowSums[i], err = w.writeRawEdges(RowName(i), rows[i]); err != nil {
 			return nil, err
 		}
-		m.RowSums[i] = sum
 		lo, hi := m.Interval(i)
-		idx := buildVertexIndex(rows[i], lo, hi, func(e graph.Edge) graph.VertexID { return e.Src })
-		if err := writeIndex(dev, bt, rowIndexName(i), idx, nil); err != nil {
+		if err := w.write(RowIndexName(i), encodeIndex(buildVertexIndex(rows[i], lo, hi), nil)); err != nil {
 			return nil, err
 		}
 	}
 
 	// Copy 2: column blocks by destination interval, sorted by destination.
-	cols := bucketEdges(g, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })
+	cols := bucketEdges(g.Edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })
 	for j := 0; j < p; j++ {
 		slices.SortFunc(cols[j], func(a, b graph.Edge) int {
 			return compareEdgeKeys(a.Dst, a.Src, a.Weight, b.Dst, b.Src, b.Weight)
 		})
-		sum, err := writeEdges(dev, bt, ColName(j), cols[j], g.Weighted)
-		if err != nil {
+		if m.ColSums[j], err = w.writeRawEdges(ColName(j), cols[j]); err != nil {
 			return nil, err
 		}
-		m.ColSums[j] = sum
 	}
-
-	if err := writeDegrees(dev, bt, g); err != nil {
-		return nil, err
-	}
-	if err := saveManifest(dev, m); err != nil {
-		return nil, err
-	}
-	return &Layout{Dev: dev, Meta: *m, PrepCPU: bt.cpu()}, nil
+	return w.finish(g.OutDegrees())
 }
 
-// rowIndexName returns the index file for HUS-Graph row block i.
-func rowIndexName(i int) string { return fmt.Sprintf("rows/r_%04d.idx", i) }
-
-// RowIndexName exposes rowIndexName for the baseline engines.
-func RowIndexName(i int) string { return rowIndexName(i) }
-
-type gridOptions struct {
-	system string
-	sort   bool
-	index  bool
-	codec  graph.Codec
-}
-
-func validateBuild(g *graph.Graph, p int) error {
-	if err := g.Validate(); err != nil {
-		return err
-	}
-	if p <= 0 {
-		return fmt.Errorf("partition: interval count must be positive, got %d", p)
-	}
-	if g.NumVertices == 0 && len(g.Edges) > 0 {
-		return fmt.Errorf("partition: edges without vertices")
-	}
-	return nil
-}
-
-// chargeRawRead charges the sequential read of the raw input graph, the
-// first step of the paper's preprocessing accounting.
-func chargeRawRead(dev *storage.Device, g *graph.Graph) {
-	dev.Charge(storage.SeqRead, g.Bytes())
-}
-
-func newManifest(system string, g *graph.Graph, p int) *Manifest {
-	m := &Manifest{
-		FormatVersion: FormatVersion,
-		System:        system,
-		NumVertices:   g.NumVertices,
-		NumEdges:      int64(len(g.Edges)),
-		P:             p,
-		Weighted:      g.Weighted,
-		EdgeCounts:    make([][]int64, p),
-	}
-	for i := range m.EdgeCounts {
-		m.EdgeCounts[i] = make([]int64, p)
-	}
-	return m
-}
+// RowIndexName returns the index file for HUS-Graph row block i.
+func RowIndexName(i int) string { return fmt.Sprintf("rows/r_%04d.idx", i) }
 
 func buildGrid(dev *storage.Device, g *graph.Graph, p int, opt gridOptions) (*Layout, error) {
-	if err := validateBuild(g, p); err != nil {
+	w, err := newGraphWriter(dev, opt, g, p)
+	if err != nil {
 		return nil, err
 	}
-	if opt.codec == graph.CodecDelta && !opt.sort {
-		return nil, fmt.Errorf("partition: codec %q requires src-sorted sub-blocks", opt.codec)
-	}
-	chargeRawRead(dev, g)
-	bt := newBuildTimer()
-
-	m := newManifest(opt.system, g, p)
-	m.Codec = opt.codec.String()
-	m.BlockBytes = newGridInt64(p)
-	m.BlockSums = newGridUint32(p)
-
-	// Bucket edges into the P×P grid.
-	grid := make([][]graph.Edge, p*p)
-	for _, e := range g.Edges {
-		i, j := m.IntervalOf(e.Src), m.IntervalOf(e.Dst)
-		grid[i*p+j] = append(grid[i*p+j], e)
-	}
-
+	// One pass over the edges buckets them into the P×P grid.
+	grid := bucketEdges(g.Edges, p*p, func(e graph.Edge) int { return w.m.IntervalOf(e.Src)*p + w.m.IntervalOf(e.Dst) })
 	for i := 0; i < p; i++ {
-		lo, hi := m.Interval(i)
-		for j := 0; j < p; j++ {
-			cell := grid[i*p+j]
-			m.EdgeCounts[i][j] = int64(len(cell))
-			if opt.sort {
-				sortEdgesBySrc(cell)
-			}
-			if err := writeCell(dev, bt, m, opt, i, j, lo, hi, cell, g.Weighted); err != nil {
-				return nil, err
-			}
+		if err := w.writeRow(i, grid[i*p:(i+1)*p]); err != nil {
+			return nil, err
 		}
 	}
-
-	if err := writeDegrees(dev, bt, g); err != nil {
-		return nil, err
-	}
-	if err := saveManifest(dev, m); err != nil {
-		return nil, err
-	}
-	return &Layout{Dev: dev, Meta: *m, PrepCPU: bt.cpu()}, nil
+	return w.finish(g.OutDegrees())
 }
 
-func bucketEdges(g *graph.Graph, p int, key func(graph.Edge) int) [][]graph.Edge {
-	buckets := make([][]graph.Edge, p)
-	for _, e := range g.Edges {
+func bucketEdges(edges []graph.Edge, n int, key func(graph.Edge) int) [][]graph.Edge {
+	buckets := make([][]graph.Edge, n)
+	for _, e := range edges {
 		k := key(e)
 		buckets[k] = append(buckets[k], e)
 	}
@@ -257,13 +154,13 @@ func compareEdgeKeys(aMajor, aMinor graph.VertexID, aWeight float32, bMajor, bMi
 	return cmp.Compare(math.Float32bits(aWeight), math.Float32bits(bWeight))
 }
 
-// buildVertexIndex returns CSR-style offsets over a sorted edge slice: for
-// each vertex v in [lo, hi), edges[idx[v-lo]:idx[v-lo+1]] are v's edges (as
-// selected by key). len(idx) == hi-lo+1.
-func buildVertexIndex(edges []graph.Edge, lo, hi int, key func(graph.Edge) graph.VertexID) []int64 {
+// buildVertexIndex returns CSR-style offsets over a src-sorted edge slice: for
+// each vertex v in [lo, hi), edges[idx[v-lo]:idx[v-lo+1]] are v's out-edges.
+// len(idx) == hi-lo+1.
+func buildVertexIndex(edges []graph.Edge, lo, hi int) []int64 {
 	idx := make([]int64, hi-lo+1)
 	for _, e := range edges {
-		idx[int(key(e))-lo+1]++
+		idx[int(e.Src)-lo+1]++
 	}
 	for v := 0; v < hi-lo; v++ {
 		idx[v+1] += idx[v]
@@ -271,54 +168,171 @@ func buildVertexIndex(edges []graph.Edge, lo, hi int, key func(graph.Edge) graph
 	return idx
 }
 
-// newGridInt64 allocates a zeroed P×P int64 grid.
-func newGridInt64(p int) [][]int64 {
-	g := make([][]int64, p)
+// newGrid allocates a zeroed P×P grid.
+func newGrid[T any](p int) [][]T {
+	g := make([][]T, p)
 	for i := range g {
-		g[i] = make([]int64, p)
+		g[i] = make([]T, p)
 	}
 	return g
 }
 
-// newGridUint32 allocates a zeroed P×P uint32 grid.
-func newGridUint32(p int) [][]uint32 {
-	g := make([][]uint32, p)
-	for i := range g {
-		g[i] = make([]uint32, p)
-	}
-	return g
+// layoutWriter is the one route from edges in memory to a layout's files and
+// the manifest entries that describe them, at one generation: the in-memory
+// builds and BuildExternal write generation 0 through it, compaction
+// (RewriteBlock, WriteDegreesAt) a later one into a manifest it already has. It
+// also keeps a preprocessor's in-memory CPU time (bucketing, sorting,
+// encoding) apart from the time spent in device writes, so experiment reports
+// can combine the CPU share with *simulated* write time instead of host
+// filesystem wall time (which is dominated by per-file syscall overhead at
+// laptop scale and by bandwidth at the paper's scale).
+type layoutWriter struct {
+	dev         *storage.Device
+	m           *Manifest
+	gen         int
+	sort, index bool
+	start       time.Time
+	devWalls    time.Duration
 }
 
-// writeCell writes one grid cell's payload and per-vertex index in the
-// manifest's codec, recording the on-disk payload size in BlockBytes.
-func writeCell(dev *storage.Device, bt *buildTimer, m *Manifest, opt gridOptions, i, j, lo, hi int, cell []graph.Edge, weighted bool) error {
-	var rec, off []int64
-	if opt.index || opt.codec == graph.CodecDelta {
-		rec = buildVertexIndex(cell, lo, hi, func(e graph.Edge) graph.VertexID { return e.Src })
+// newLayoutWriter starts a generation-0 layout of numVertices vertices in p
+// intervals. Grid systems record per-cell sizes and sums, a row-major one a sum
+// per row and column file.
+func newLayoutWriter(dev *storage.Device, opt gridOptions, numVertices int, weighted bool, p int) (*layoutWriter, error) {
+	if p <= 0 {
+		return nil, fmt.Errorf("partition: interval count must be positive, got %d", p)
 	}
-	if opt.codec == graph.CodecDelta {
-		off = make([]int64, len(rec))
+	if numVertices < 0 {
+		return nil, fmt.Errorf("partition: negative vertex count %d", numVertices)
 	}
-	if len(cell) > 0 {
-		var payload []byte
-		if opt.codec == graph.CodecDelta {
-			dstLo, _ := m.Interval(j)
-			payload = encodeDeltaCell(cell, rec, lo, dstLo, weighted, off)
-		} else {
-			payload = encodeRawEdges(cell, weighted)
+	if opt.codec == graph.CodecDelta && !opt.sort {
+		return nil, fmt.Errorf("partition: codec %q requires src-sorted sub-blocks", opt.codec)
+	}
+	m := &Manifest{
+		FormatVersion: FormatVersion,
+		System:        opt.system,
+		NumVertices:   numVertices,
+		P:             p,
+		Weighted:      weighted,
+		EdgeCounts:    newGrid[int64](p),
+	}
+	if opt.rowMajor {
+		m.RowSums, m.ColSums = make([]uint32, p), make([]uint32, p)
+	} else {
+		m.Codec = opt.codec.String()
+		m.BlockBytes = newGrid[int64](p)
+		m.BlockSums = newGrid[uint32](p)
+	}
+	return &layoutWriter{dev: dev, m: m, sort: opt.sort, index: opt.index, start: time.Now()}, nil
+}
+
+// newGraphWriter is newLayoutWriter for a graph held in memory: it validates
+// the graph and charges the sequential read of the raw input, the first step
+// of the paper's preprocessing accounting, before the CPU clock starts.
+func newGraphWriter(dev *storage.Device, opt gridOptions, g *graph.Graph, p int) (*layoutWriter, error) {
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	dev.Charge(storage.SeqRead, g.Bytes())
+	w, err := newLayoutWriter(dev, opt, g.NumVertices, g.Weighted, p)
+	if err == nil {
+		w.m.NumEdges = int64(len(g.Edges))
+	}
+	return w, err
+}
+
+// write performs dev.WriteFile while excluding its wall time from the CPU
+// measurement.
+func (w *layoutWriter) write(name string, data []byte) error {
+	w0 := time.Now()
+	err := w.dev.WriteFile(name, data)
+	w.devWalls += time.Since(w0)
+	if err != nil {
+		return fmt.Errorf("partition: writing %s: %w", name, err)
+	}
+	return nil
+}
+
+// writeRow sorts (for a sorted grid) and writes row i's cells, one per
+// destination interval.
+func (w *layoutWriter) writeRow(i int, cells [][]graph.Edge) error {
+	for j, cell := range cells {
+		if w.sort {
+			sortEdgesBySrc(cell)
 		}
-		m.BlockBytes[i][j] = int64(len(payload))
-		m.BlockSums[i][j] = Checksum(payload)
-		if err := bt.write(dev, SubBlockName(i, j), payload); err != nil {
-			return err
-		}
-	}
-	if opt.index {
-		if err := writeIndex(dev, bt, IndexName(i, j), rec, off); err != nil {
+		if err := w.writeCell(i, j, cell); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// writeCell writes sub-block (i, j) at the writer's generation: the payload in
+// the manifest's codec — no file for an empty cell — then the per-vertex index
+// of an indexed grid, and the manifest's EdgeCounts, BlockBytes, BlockSums and
+// (past generation 0) BlockGens entries. cell must be src-sorted wherever an
+// index or the delta codec is asked for.
+func (w *layoutWriter) writeCell(i, j int, cell []graph.Edge) error {
+	m := w.m
+	delta := m.BlockCodec() == graph.CodecDelta
+	var rec, off []int64
+	lo, hi := m.Interval(i)
+	if w.index || delta {
+		rec = buildVertexIndex(cell, lo, hi)
+	}
+	if delta {
+		off = make([]int64, len(rec))
+	}
+	var payload []byte
+	if len(cell) > 0 {
+		if delta {
+			dstLo, _ := m.Interval(j)
+			payload = encodeDeltaCell(cell, rec, lo, dstLo, m.Weighted, off)
+		} else {
+			payload = encodeRawEdges(cell, m.Weighted)
+		}
+		if err := w.write(SubBlockNameAt(w.gen, i, j), payload); err != nil {
+			return err
+		}
+	}
+	if w.index {
+		if err := w.write(IndexNameAt(w.gen, i, j), encodeIndex(rec, off)); err != nil {
+			return err
+		}
+	}
+	m.EdgeCounts[i][j] = int64(len(cell))
+	m.BlockBytes[i][j] = int64(len(payload))
+	m.BlockSums[i][j] = Checksum(payload)
+	if w.gen > 0 {
+		if m.BlockGens == nil {
+			m.BlockGens = newGrid[int](m.P)
+		}
+		m.BlockGens[i][j] = w.gen
+	}
+	return nil
+}
+
+// writeDegrees writes deg as the out-degree table of the writer's generation
+// and records its name and CRC32C in the manifest.
+func (w *layoutWriter) writeDegrees(deg []uint32) error {
+	buf := make([]byte, 0, len(deg)*4)
+	for _, d := range deg {
+		buf = binary.LittleEndian.AppendUint32(buf, d)
+	}
+	sum := Checksum(buf)
+	w.m.DegreesGen, w.m.DegreesSum = w.gen, &sum
+	return w.write(DegreesNameAt(w.gen), buf)
+}
+
+// finish writes the degree table, publishes the manifest and returns the layout.
+func (w *layoutWriter) finish(deg []uint32) (*Layout, error) {
+	if err := w.writeDegrees(deg); err != nil {
+		return nil, err
+	}
+	if err := SaveManifest(w.dev, w.m); err != nil {
+		return nil, err
+	}
+	return &Layout{Dev: w.dev, Meta: *w.m, PrepCPU: time.Since(w.start) - w.devWalls}, nil
 }
 
 // encodeDeltaCell encodes a src-sorted cell with the delta codec. rec is
@@ -354,23 +368,23 @@ func encodeRawEdges(edges []graph.Edge, weighted bool) []byte {
 	return buf
 }
 
-// writeEdges writes a raw edge file and returns its payload checksum.
-func writeEdges(dev *storage.Device, bt *buildTimer, name string, edges []graph.Edge, weighted bool) (uint32, error) {
-	payload := encodeRawEdges(edges, weighted)
-	return Checksum(payload), bt.write(dev, name, payload)
+// writeRawEdges writes a raw edge file and returns its payload checksum.
+func (w *layoutWriter) writeRawEdges(name string, edges []graph.Edge) (uint32, error) {
+	payload := encodeRawEdges(edges, w.m.Weighted)
+	return Checksum(payload), w.write(name, payload)
 }
 
-// writeIndex writes a per-vertex index in the v2 format: a uvarint entry
+// encodeIndex returns a per-vertex index in the v2 format: a uvarint entry
 // count, then the record offsets as uvarint deltas (the sequence is
 // monotone, so deltas are non-negative), then — for delta-codec blocks —
 // the run byte offsets, delta-encoded the same way.
-func writeIndex(dev *storage.Device, bt *buildTimer, name string, rec, off []int64) error {
+func encodeIndex(rec, off []int64) []byte {
 	buf := binary.AppendUvarint(nil, uint64(len(rec)))
 	buf = appendMonotoneDeltas(buf, rec)
 	if off != nil {
 		buf = appendMonotoneDeltas(buf, off)
 	}
-	return bt.write(dev, name, buf)
+	return buf
 }
 
 func appendMonotoneDeltas(buf []byte, vals []int64) []byte {
@@ -380,13 +394,4 @@ func appendMonotoneDeltas(buf []byte, vals []int64) []byte {
 		prev = v
 	}
 	return buf
-}
-
-func writeDegrees(dev *storage.Device, bt *buildTimer, g *graph.Graph) error {
-	deg := g.OutDegrees()
-	buf := make([]byte, 0, len(deg)*4)
-	for _, d := range deg {
-		buf = binary.LittleEndian.AppendUint32(buf, d)
-	}
-	return bt.write(dev, DegreesName, buf)
 }

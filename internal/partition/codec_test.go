@@ -285,6 +285,7 @@ func TestManifestValidateRequiresSizesAndSums(t *testing.T) {
 		Codec:      "delta",
 		EdgeCounts: [][]int64{{1}},
 		BlockSums:  [][]uint32{{0}},
+		DegreesSum: new(uint32),
 	}
 	if err := m.Validate(); err == nil {
 		t.Error("delta manifest without block_bytes accepted")
@@ -297,5 +298,23 @@ func TestManifestValidateRequiresSizesAndSums(t *testing.T) {
 	m.BlockSums = [][]uint32{{0}}
 	if err := m.Validate(); err != nil {
 		t.Errorf("valid delta manifest rejected: %v", err)
+	}
+	// Every per-cell table is subscripted [i][j] without a look: a short row
+	// has to fail here.
+	for name, short := range map[string]func(*Manifest){
+		"edge_counts": func(m *Manifest) { m.EdgeCounts, m.NumEdges = [][]int64{{}}, 0 },
+		"block_bytes": func(m *Manifest) { m.BlockBytes = [][]int64{{}} },
+		"block_sums":  func(m *Manifest) { m.BlockSums = [][]uint32{{}} },
+		"block_gens":  func(m *Manifest) { m.BlockGens = [][]int{{}} },
+	} {
+		bad := m
+		short(&bad)
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), "row 0 has 0 entries") {
+			t.Errorf("manifest with a short %s row accepted", name)
+		}
+	}
+	m.DegreesSum = nil
+	if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "rebuild") {
+		t.Errorf("manifest without degrees_sum: %v, want an error that says to rebuild", err)
 	}
 }

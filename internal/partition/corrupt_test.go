@@ -67,7 +67,6 @@ func TestMisshapenIndexRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bt := newBuildTimer()
 			shifted := func(vals []int64, by int64) []int64 {
 				out := slices.Clone(vals)
 				for k := range out {
@@ -89,27 +88,27 @@ func TestMisshapenIndexRejected(t *testing.T) {
 					if good.Off != nil {
 						off = good.Off[:n]
 					}
-					return writeIndex(dev, bt, IndexName(0, 0), good.Rec[:n], off)
+					return dev.WriteFile(IndexName(0, 0), encodeIndex(good.Rec[:n], off))
 				},
 				"an entry over": func() error {
 					var off []int64
 					if good.Off != nil {
 						off = append(slices.Clone(good.Off), good.Off[len(good.Off)-1])
 					}
-					return writeIndex(dev, bt, IndexName(0, 0), append(slices.Clone(good.Rec), good.Rec[len(good.Rec)-1]), off)
+					return dev.WriteFile(IndexName(0, 0), encodeIndex(append(slices.Clone(good.Rec), good.Rec[len(good.Rec)-1]), off))
 				},
 				"records from one": func() error {
-					return writeIndex(dev, bt, IndexName(0, 0), shifted(good.Rec, 1), good.Off)
+					return dev.WriteFile(IndexName(0, 0), encodeIndex(shifted(good.Rec, 1), good.Off))
 				},
 				"a record too many": func() error {
 					rec := slices.Clone(good.Rec)
 					rec[len(rec)-1]++
-					return writeIndex(dev, bt, IndexName(0, 0), rec, good.Off)
+					return dev.WriteFile(IndexName(0, 0), encodeIndex(rec, good.Off))
 				},
 			}
 			if good.Off != nil {
 				cases["bytes past the block"] = func() error {
-					return writeIndex(dev, bt, IndexName(0, 0), good.Rec, shifted(good.Off, l.Meta.SubBlockDiskBytes(0, 0)))
+					return dev.WriteFile(IndexName(0, 0), encodeIndex(good.Rec, shifted(good.Off, l.Meta.SubBlockDiskBytes(0, 0))))
 				}
 			}
 			for name, write := range cases {
@@ -124,7 +123,7 @@ func TestMisshapenIndexRejected(t *testing.T) {
 					t.Fatalf("%s: error %q does not name the file", name, err)
 				}
 			}
-			if err := writeIndex(dev, bt, IndexName(0, 0), good.Rec, good.Off); err != nil {
+			if err := dev.WriteFile(IndexName(0, 0), encodeIndex(good.Rec, good.Off)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := l.LoadIndex(0, 0); err != nil {
@@ -134,17 +133,31 @@ func TestMisshapenIndexRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptDegreesRejected: the degree table is held to the manifest's
+// checksum, not to its length alone. One flipped bit per entry — the right
+// size, plausible degrees, and before degrees_sum a PageRank that returned
+// nil and 378 of 512 outputs changed — is an error naming the file.
 func TestCorruptDegreesRejected(t *testing.T) {
 	dev := testDevice(t)
 	l, err := Build(dev, gen.Chain(8), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.WriteFile(DegreesName, []byte{1, 2, 3}); err != nil {
+	good, err := dev.ReadFile(DegreesName)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.LoadDegrees(); err == nil {
-		t.Fatal("corrupt degree table accepted")
+	flipped := slices.Clone(good)
+	for k := 0; k < len(flipped); k += 4 {
+		flipped[k] ^= 1
+	}
+	for name, damage := range map[string][]byte{"wrong size": {1, 2, 3}, "same size": flipped} {
+		if err := dev.WriteFile(DegreesName, damage); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.LoadDegrees(); err == nil || !strings.Contains(err.Error(), DegreesName) {
+			t.Fatalf("%s: LoadDegrees said %v, want an error naming %s", name, err, DegreesName)
+		}
 	}
 }
 

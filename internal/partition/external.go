@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -19,42 +18,28 @@ import (
 //     throughout the system, as in the paper).
 //  2. Per row: read back one row's run (which fits the memory budget —
 //     that is precisely how P is chosen, cf. ChooseP), bucket it into its
-//     P cells, sort each by source, and write the sub-block payload and
-//     vertex index.
+//     P cells, and hand them to the row step Build runs: sort each by
+//     source, write the sub-block payload and vertex index.
 //
 // The result is byte-identical to Build's layout; tests assert that. The
 // spill traffic (one extra sequential write + read of the edge data) is
 // charged to the device like every other preprocessing I/O.
 func BuildExternal(dev *storage.Device, src graph.EdgeStream, numVertices int, weighted bool, p int, opts ...BuildOption) (*Layout, error) {
-	if p <= 0 {
-		return nil, fmt.Errorf("partition: interval count must be positive, got %d", p)
+	w, err := newLayoutWriter(dev, applyBuildOptions(graphsdGrid, opts), numVertices, weighted, p)
+	if err != nil {
+		return nil, err
 	}
-	if numVertices < 0 {
-		return nil, fmt.Errorf("partition: negative vertex count %d", numVertices)
-	}
-	opt := applyBuildOptions(gridOptions{system: "graphsd", sort: true, index: true}, opts)
-	bt := newBuildTimer()
-	m := newManifest("graphsd", &graph.Graph{NumVertices: numVertices, Weighted: weighted}, p)
-	m.Codec = opt.codec.String()
-	m.BlockBytes = newGridInt64(p)
-	m.BlockSums = newGridUint32(p)
+	m := w.m
 
 	// Pass 1: spill edges into per-source-interval run files.
 	spills := make([]*storage.Writer, p)
 	for i := range spills {
-		w, err := dev.Create(spillName(i))
-		if err != nil {
+		if spills[i], err = dev.Create(spillName(i)); err != nil {
 			return nil, err
 		}
-		spills[i] = w
 	}
 	degrees := make([]uint32, numVertices)
-	rec := graph.EdgeBytes
-	if weighted {
-		rec += graph.WeightBytes
-	}
-	encBuf := make([]byte, 0, rec)
-	var numEdges int64
+	encBuf := make([]byte, 0, m.EdgeRecordBytes())
 	for {
 		e, ok, err := src.Next()
 		if err != nil {
@@ -67,18 +52,17 @@ func BuildExternal(dev *storage.Device, src graph.EdgeStream, numVertices int, w
 			return nil, fmt.Errorf("partition: edge %d->%d out of range [0,%d)", e.Src, e.Dst, numVertices)
 		}
 		degrees[e.Src]++
-		numEdges++
+		m.NumEdges++
 		encBuf = graph.EncodeEdge(encBuf[:0], e, weighted)
 		if _, err := spills[m.IntervalOf(e.Src)].Write(encBuf); err != nil {
 			return nil, err
 		}
 	}
-	for _, w := range spills {
-		if err := w.Close(); err != nil {
+	for _, s := range spills {
+		if err := s.Close(); err != nil {
 			return nil, err
 		}
 	}
-	m.NumEdges = numEdges
 
 	// Pass 2: per row, read the run back, bucket into cells, sort, write.
 	for i := 0; i < p; i++ {
@@ -90,36 +74,14 @@ func BuildExternal(dev *storage.Device, src graph.EdgeStream, numVertices int, w
 		if err != nil {
 			return nil, fmt.Errorf("partition: decoding spill run %d: %w", i, err)
 		}
-		cells := make([][]graph.Edge, p)
-		for _, e := range edges {
-			j := m.IntervalOf(e.Dst)
-			cells[j] = append(cells[j], e)
-		}
-		lo, hi := m.Interval(i)
-		for j := 0; j < p; j++ {
-			sortEdgesBySrc(cells[j])
-			m.EdgeCounts[i][j] = int64(len(cells[j]))
-			if err := writeCell(dev, bt, m, opt, i, j, lo, hi, cells[j], weighted); err != nil {
-				return nil, err
-			}
+		if err := w.writeRow(i, bucketEdges(edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })); err != nil {
+			return nil, err
 		}
 		if err := dev.Remove(spillName(i)); err != nil {
 			return nil, err
 		}
 	}
-
-	// Degree table accumulated during the scan.
-	degBuf := make([]byte, 0, len(degrees)*4)
-	for _, d := range degrees {
-		degBuf = binary.LittleEndian.AppendUint32(degBuf, d)
-	}
-	if err := bt.write(dev, DegreesName, degBuf); err != nil {
-		return nil, err
-	}
-	if err := saveManifest(dev, m); err != nil {
-		return nil, err
-	}
-	return &Layout{Dev: dev, Meta: *m, PrepCPU: bt.cpu()}, nil
+	return w.finish(degrees)
 }
 
 func spillName(i int) string { return fmt.Sprintf("spill/run_%04d.tmp", i) }

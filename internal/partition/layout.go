@@ -63,6 +63,12 @@ type Manifest struct {
 	// DegreesGen versions the out-degree table the same way; compactions
 	// that fold delta-layer degree adjustments rewrite it under a new name.
 	DegreesGen int `json:"degrees_gen,omitempty"`
+	// DegreesSum is the CRC32C of the current out-degree table, verified by
+	// LoadDegrees: the table sizes every scheduler estimate and divides every
+	// PageRank contribution, and its length alone says nothing about its
+	// content. Written by every builder and by compaction, required by
+	// Validate; a layout from before it existed has to be rebuilt.
+	DegreesSum *uint32 `json:"degrees_sum,omitempty"`
 	// DeltaLayers lists the sealed, not-yet-compacted mutation layers
 	// overlaying the base grid, oldest first. The counts, sizes and sums
 	// above always describe the base blocks only; readers overlay the
@@ -362,30 +368,20 @@ func (m *Manifest) Validate() error {
 	} else if m.BlockSums == nil {
 		return fmt.Errorf("partition: grid manifest without block checksums")
 	}
+	if m.DegreesSum == nil {
+		return fmt.Errorf("partition: manifest without a degree-table checksum (degrees_sum): rebuild the layout")
+	}
 	if codec == graph.CodecDelta && m.BlockBytes == nil {
 		return fmt.Errorf("partition: codec %q without recorded block sizes", m.Codec)
 	}
-	if m.BlockBytes != nil {
-		if len(m.BlockBytes) != m.P {
-			return fmt.Errorf("partition: block size rows %d != P %d", len(m.BlockBytes), m.P)
-		}
-		for i, row := range m.BlockBytes {
-			for _, b := range row {
-				if b < 0 {
-					return fmt.Errorf("partition: negative block size in row %d", i)
-				}
-			}
-		}
+	if m.P <= 0 {
+		return fmt.Errorf("partition: non-positive interval count %d", m.P)
 	}
-	if m.BlockSums != nil {
-		if len(m.BlockSums) != m.P {
-			return fmt.Errorf("partition: block checksum rows %d != P %d", len(m.BlockSums), m.P)
-		}
-		for i, row := range m.BlockSums {
-			if len(row) != m.P {
-				return fmt.Errorf("partition: block checksum row %d has %d entries, want %d", i, len(row), m.P)
-			}
-		}
+	if err := checkGrid("block size", m.BlockBytes, m.P, func(b int64) bool { return b >= 0 }); err != nil {
+		return err
+	}
+	if err := checkGrid("block checksum", m.BlockSums, m.P, nil); err != nil {
+		return err
 	}
 	if m.RowSums != nil && len(m.RowSums) != m.P {
 		return fmt.Errorf("partition: row checksums %d != P %d", len(m.RowSums), m.P)
@@ -396,18 +392,15 @@ func (m *Manifest) Validate() error {
 	if m.NumVertices < 0 || m.NumEdges < 0 {
 		return fmt.Errorf("partition: negative counts v=%d e=%d", m.NumVertices, m.NumEdges)
 	}
-	if m.P <= 0 {
-		return fmt.Errorf("partition: non-positive interval count %d", m.P)
+	if m.EdgeCounts == nil {
+		return fmt.Errorf("partition: manifest without edge counts")
 	}
-	if len(m.EdgeCounts) != m.P {
-		return fmt.Errorf("partition: edge count rows %d != P %d", len(m.EdgeCounts), m.P)
+	if err := checkGrid("edge count", m.EdgeCounts, m.P, func(c int64) bool { return c >= 0 }); err != nil {
+		return err
 	}
 	var total int64
-	for i, row := range m.EdgeCounts {
+	for _, row := range m.EdgeCounts {
 		for _, c := range row {
-			if c < 0 {
-				return fmt.Errorf("partition: negative edge count in row %d", i)
-			}
 			total += c
 		}
 	}
@@ -417,20 +410,8 @@ func (m *Manifest) Validate() error {
 	if m.Generation < 0 || m.DegreesGen < 0 || m.DegreesGen > m.Generation {
 		return fmt.Errorf("partition: bad generations gen=%d degrees=%d", m.Generation, m.DegreesGen)
 	}
-	if m.BlockGens != nil {
-		if len(m.BlockGens) != m.P {
-			return fmt.Errorf("partition: block generation rows %d != P %d", len(m.BlockGens), m.P)
-		}
-		for i, row := range m.BlockGens {
-			if len(row) != m.P {
-				return fmt.Errorf("partition: block generation row %d has %d entries, want %d", i, len(row), m.P)
-			}
-			for _, g := range row {
-				if g < 0 || g > m.Generation {
-					return fmt.Errorf("partition: block generation %d outside [0,%d] in row %d", g, m.Generation, i)
-				}
-			}
-		}
+	if err := checkGrid("block generation", m.BlockGens, m.P, func(g int) bool { return g >= 0 && g <= m.Generation }); err != nil {
+		return err
 	}
 	lastID := 0
 	for k, l := range m.DeltaLayers {
@@ -447,6 +428,25 @@ func (m *Manifest) Validate() error {
 			}
 			if b.Bytes < 0 || b.Upserts < 0 || b.Tombs < 0 {
 				return fmt.Errorf("partition: delta layer %d block (%d,%d) negative sizes", l.ID, b.I, b.J)
+			}
+		}
+	}
+	return nil
+}
+
+// checkGrid checks that g, one of the manifest's per-cell tables, is absent or
+// p×p with every entry passing ok — the shape every accessor subscripts by.
+func checkGrid[T any](what string, g [][]T, p int, ok func(T) bool) error {
+	if g != nil && len(g) != p {
+		return fmt.Errorf("partition: %s rows %d != P %d", what, len(g), p)
+	}
+	for i, row := range g {
+		if len(row) != p {
+			return fmt.Errorf("partition: %s row %d has %d entries, want %d", what, i, len(row), p)
+		}
+		for _, v := range row {
+			if ok != nil && !ok(v) {
+				return fmt.Errorf("partition: bad %s %v in row %d", what, v, i)
 			}
 		}
 	}
@@ -594,24 +594,19 @@ func ChooseP(totalEdgeBytes, memBudget int64, maxP int) int {
 	return p
 }
 
-// saveManifest writes the manifest to the device.
-func saveManifest(dev *storage.Device, m *Manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("partition: encoding manifest: %w", err)
-	}
-	return dev.WriteFile(ManifestName, data)
-}
-
 // SaveManifest atomically publishes m as the device's manifest — the single
-// commit point for delta-layer seals and compactions: WriteFile stages the
-// bytes in a temp file and renames, so readers observe either the old or
+// commit point for builds, delta-layer seals and compactions: WriteFile stages
+// the bytes in a temp file and renames, so readers observe either the old or
 // the new manifest, never a prefix.
 func SaveManifest(dev *storage.Device, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	return saveManifest(dev, m)
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("partition: encoding manifest: %w", err)
+	}
+	return dev.WriteFile(ManifestName, data)
 }
 
 // Load opens an existing layout on the device.

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -10,53 +9,15 @@ import (
 
 // RewriteBlock writes sub-block (i, j)'s merged content at generation gen —
 // the compaction write path. cell must be src-then-dst sorted and lie
-// entirely inside the block's intervals. The payload and per-vertex index
-// are encoded exactly as Build would (same codec, same formats), and m's
-// EdgeCounts, BlockBytes, BlockSums and BlockGens entries are updated in
-// place; the caller publishes the updated manifest with SaveManifest once
-// every rewritten block is on the device. Like Build, an empty cell writes
-// no payload file, only the index.
+// entirely inside the block's intervals. It is Build's cell writer pointed at
+// a manifest that already exists: m's EdgeCounts, BlockBytes, BlockSums and
+// BlockGens entries are updated in place, and the caller publishes the updated
+// manifest with SaveManifest once every rewritten block is on the device.
 func RewriteBlock(dev *storage.Device, m *Manifest, gen, i, j int, cell []graph.Edge) error {
 	if gen <= 0 {
 		return fmt.Errorf("partition: rewrite generation must be positive, got %d", gen)
 	}
-	lo, hi := m.Interval(i)
-	rec := buildVertexIndex(cell, lo, hi, func(e graph.Edge) graph.VertexID { return e.Src })
-	var off []int64
-	if m.BlockCodec() == graph.CodecDelta {
-		off = make([]int64, len(rec))
-	}
-	var payload []byte
-	if len(cell) > 0 {
-		if m.BlockCodec() == graph.CodecDelta {
-			dstLo, _ := m.Interval(j)
-			payload = encodeDeltaCell(cell, rec, lo, dstLo, m.Weighted, off)
-		} else {
-			payload = encodeRawEdges(cell, m.Weighted)
-		}
-		if err := dev.WriteFile(SubBlockNameAt(gen, i, j), payload); err != nil {
-			return fmt.Errorf("partition: rewriting sub-block (%d,%d)@g%d: %w", i, j, gen, err)
-		}
-	}
-	buf := binary.AppendUvarint(nil, uint64(len(rec)))
-	buf = appendMonotoneDeltas(buf, rec)
-	if off != nil {
-		buf = appendMonotoneDeltas(buf, off)
-	}
-	if err := dev.WriteFile(IndexNameAt(gen, i, j), buf); err != nil {
-		return fmt.Errorf("partition: rewriting index (%d,%d)@g%d: %w", i, j, gen, err)
-	}
-	if m.BlockGens == nil {
-		m.BlockGens = make([][]int, m.P)
-		for k := range m.BlockGens {
-			m.BlockGens[k] = make([]int, m.P)
-		}
-	}
-	m.EdgeCounts[i][j] = int64(len(cell))
-	m.BlockBytes[i][j] = int64(len(payload))
-	m.BlockSums[i][j] = Checksum(payload)
-	m.BlockGens[i][j] = gen
-	return nil
+	return (&layoutWriter{dev: dev, m: m, gen: gen, index: true}).writeCell(i, j, cell)
 }
 
 // WriteDegreesAt writes deg as the out-degree table at generation gen and
@@ -67,13 +28,5 @@ func WriteDegreesAt(dev *storage.Device, m *Manifest, gen int, deg []uint32) err
 	if len(deg) != m.NumVertices {
 		return fmt.Errorf("partition: degree table has %d entries, want %d", len(deg), m.NumVertices)
 	}
-	buf := make([]byte, 0, len(deg)*4)
-	for _, d := range deg {
-		buf = binary.LittleEndian.AppendUint32(buf, d)
-	}
-	if err := dev.WriteFile(DegreesNameAt(gen), buf); err != nil {
-		return fmt.Errorf("partition: rewriting degrees@g%d: %w", gen, err)
-	}
-	m.DegreesGen = gen
-	return nil
+	return (&layoutWriter{dev: dev, m: m, gen: gen}).writeDegrees(deg)
 }
