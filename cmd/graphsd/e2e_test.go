@@ -82,10 +82,11 @@ func TestEndToEndWorkflow(t *testing.T) {
 	}
 
 	// Dead sub-blocks are skipped on every run, so the summary says so
-	// whenever there were any — no -sem needed — and never otherwise.
+	// whenever there were any, and never otherwise. A raw layout's buffer
+	// keeps decoded edges: no compressed tier, no sem: line.
 	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "bfs", "-force-model", "full", "-top", "0")
 	if !strings.Contains(out, "skipped: ") || strings.Contains(out, "sem: ") {
-		t.Fatalf("bfs run without -sem: want a skipped: line and no sem: line:\n%s", out)
+		t.Fatalf("bfs run on a raw layout: want a skipped: line and no sem: line:\n%s", out)
 	}
 	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr", "-top", "0")
 	if strings.Contains(out, "skipped: ") {
@@ -225,6 +226,12 @@ func TestEndToEndDeltaCodec(t *testing.T) {
 	if !strings.Contains(out, "decode") {
 		t.Fatalf("trace missing decode column: %s", out)
 	}
+	// On a delta layout the buffer keeps FCIU's secondaries as payloads, and
+	// PageRank's second halves are served from them.
+	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr", "-force-model", "full", "-top", "0")
+	if !strings.Contains(out, "sem: compressed tier") || strings.Contains(out, "sem: compressed tier 0 hits") {
+		t.Fatalf("pr run on a delta layout: want a sem: line with hits:\n%s", out)
+	}
 
 	out = run(t, graphsdBin, "verify", "-graph", graphPath, "-layout", layoutDir, "-algorithm", "cc")
 	if !strings.Contains(out, "OK:") {
@@ -273,6 +280,24 @@ func TestEndToEndCheckpointResume(t *testing.T) {
 		"-iterations", "6", "-checkpoint", ckDir, "-resume", "-top", "1")
 	if !strings.Contains(out, "resumed from checkpoint at iteration 6") {
 		t.Fatalf("resumed run output: %s", out)
+	}
+
+	// A CRC-valid checkpoint whose value count overflows a length check is an
+	// error naming the checkpoint, not a crash.
+	hostile, err := os.ReadFile(filepath.Join("..", "..", "internal", "checkpoint", "testdata", "hostile_count.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badDir := filepath.Join(dir, "bad")
+	if err := os.MkdirAll(badDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(badDir, "checkpoint.bin"), hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = runExpectFail(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr", "-checkpoint", badDir, "-resume")
+	if !strings.Contains(out, "checkpoint: truncated or corrupt values") || strings.Contains(out, "panic") {
+		t.Fatalf("hostile checkpoint resume output: %s", out)
 	}
 
 	// -resume needs a checkpoint dir; checkpoints need a graphsd layout.

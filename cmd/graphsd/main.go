@@ -220,7 +220,6 @@ func cmdRun(args []string) error {
 	ckEvery := fs.Int("checkpoint-every", 4, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint in -checkpoint, if present")
 	retries := fs.Int("retries", 0, "retry transient read faults up to N times with exponential backoff")
-	sem := fs.Bool("sem", false, "semi-external-memory tier: keep the per-run buffer's sub-blocks delta-coded, decoded per hit (dead sub-blocks are skipped with or without it)")
 	async := fs.Bool("async", false, "asynchronous execution: priority scheduling over sub-block rows (monotonic algorithms: prd, cc, sssp, bfs)")
 	asyncEps := fs.Float64("async-eps", 0, "stop an -async run once total pending residual falls to this (0: run to frontier drain)")
 	asyncSeed := fs.Uint64("async-seed", 0, "tie-break seed for the -async scheduler (fixed seed: reproducible schedule)")
@@ -283,7 +282,6 @@ func cmdRun(args []string) error {
 		opts.BufferBytes = *bufBytes
 	}
 	opts.DisableCrossIteration = *noCross
-	opts.SEM = *sem
 	opts.Async = *async
 	opts.AsyncEpsilon = *asyncEps
 	opts.AsyncSeed = *asyncSeed
@@ -357,9 +355,9 @@ func cmdRun(args []string) error {
 	if s := res.SEM; s.BlocksSkipped > 0 {
 		fmt.Printf("skipped: %d dead sub-blocks (%s never read)\n", s.BlocksSkipped, storage.FormatBytes(s.BytesSkipped))
 	}
-	if s := res.SEM; s.CompressedBytes > 0 {
-		fmt.Printf("sem: compressed tier %d hits decode=%v effective-capacity=%.2fx\n",
-			s.CompressedHits, s.DecodeTime.Round(time.Microsecond), s.EffectiveCapacityRatio())
+	if s := res.SEM; s.CompressedBytes > 0 || s.CompressedHits > 0 {
+		fmt.Printf("sem: compressed tier %d hits (decoded on the prefetch workers) effective-capacity=%.2fx\n",
+			s.CompressedHits, s.EffectiveCapacityRatio())
 	}
 	if a := res.Async; a.Enabled {
 		fmt.Printf("async: %d steps (%d selective), %d sub-blocks scheduled (%d served from memory), %d reactivations, final residual %.3e\n",

@@ -49,7 +49,6 @@ func cmdServe(args []string) error {
 	cache := fs.Int64("cache", 0, "shared sub-block cache bytes per graph (0: half the edge data)")
 	profile := fs.String("profile", "scaled-hdd", "disk model: hdd, scaled-hdd, ssd, pmem")
 	retries := fs.Int("retries", 0, "retry transient read faults up to N times per graph device")
-	sem := fs.Bool("sem", false, "semi-external-memory tier: jobs keep their per-run buffer's sub-blocks delta-coded (dead sub-blocks are skipped with or without it)")
 	compressed := fs.Bool("compressed-cache", false, "store the shared sub-block cache delta-coded (decode per hit, ~2x capacity)")
 	async := fs.Bool("async", false, "run monotonic algorithms (prd, cc, sssp, bfs) through the asynchronous priority scheduler")
 	asyncEps := fs.Float64("async-eps", 0, "residual stop threshold for -async runs (0: run to frontier drain)")
@@ -75,7 +74,6 @@ func cmdServe(args []string) error {
 		graphs[i].Profile = prof
 		graphs[i].CacheBytes = *cache
 		graphs[i].Retries = *retries
-		graphs[i].SEM = *sem
 		graphs[i].Compressed = *compressed
 		graphs[i].Async = *async
 		graphs[i].AsyncEpsilon = *asyncEps

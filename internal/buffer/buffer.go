@@ -181,6 +181,9 @@ func (b *Buffer) Capacity() int64 { return b.st.capacity }
 // Len returns the number of cached sub-blocks.
 func (b *Buffer) Len() int { return len(b.st.entries) }
 
+// Used returns the capacity its residents are charged.
+func (b *Buffer) Used() int64 { return b.st.used }
+
 // Stats returns the accumulated outcome counters.
 func (b *Buffer) Stats() Stats {
 	return Stats{

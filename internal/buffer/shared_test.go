@@ -117,7 +117,9 @@ func TestSharedSingleFlight(t *testing.T) {
 		t.Fatalf("load ran %d times, want 1 (single-flight)", n)
 	}
 	st := s.Stats()
-	if st.Misses != 1 || st.Hits+st.DedupWaits != callers-1 {
+	// Every caller but the loader was served without a load: from residency,
+	// or by waiting on the flight, which counts as a dedup wait and a hit.
+	if st.Misses != 1 || st.Hits != callers-1 || st.DedupWaits > st.Hits {
 		t.Fatalf("stats after single-flight fan-in: %+v", st)
 	}
 }

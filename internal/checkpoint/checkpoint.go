@@ -138,6 +138,11 @@ func Load(dir string) (*State, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
+	return decode(data)
+}
+
+// decode validates and parses the bytes of a checkpoint file.
+func decode(data []byte) (*State, error) {
 	if len(data) < len(magic)+4 {
 		return nil, fmt.Errorf("checkpoint: file truncated at %d bytes", len(data))
 	}
@@ -336,12 +341,11 @@ func (r *reader) bytes(n int, what string) []byte {
 }
 
 func (r *reader) floats(what string) []float64 {
-	n := r.uvarint(what)
-	raw := r.bytes(int(n)*8, what)
+	raw := r.array(what)
 	if r.err != nil {
 		return nil
 	}
-	vals := make([]float64, n)
+	vals := make([]float64, len(raw)/8)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 	}
@@ -349,14 +353,26 @@ func (r *reader) floats(what string) []float64 {
 }
 
 func (r *reader) words(what string) []uint64 {
-	n := r.uvarint(what)
-	raw := r.bytes(int(n)*8, what)
+	raw := r.array(what)
 	if r.err != nil {
 		return nil
 	}
-	words := make([]uint64, n)
+	words := make([]uint64, len(raw)/8)
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(raw[i*8:])
 	}
 	return words
+}
+
+// array reads a count-prefixed array of 8-byte elements and returns its raw
+// bytes. The count is held to the bytes left before it is multiplied: a count
+// of 2^61+1 would otherwise wrap to 8 bytes, pass the length check and size
+// the slice at 2^61+1 elements.
+func (r *reader) array(what string) []byte {
+	n := r.uvarint(what)
+	if r.err == nil && n > uint64(len(r.data))/8 {
+		r.fail(what)
+		return nil
+	}
+	return r.bytes(int(n)*8, what)
 }

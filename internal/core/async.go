@@ -451,9 +451,9 @@ func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
 // scatterRowStreamed processes row i block by block: a block resident in the
 // per-run buffer is scattered from memory, the others are streamed whole
-// through a block stream and offered to the buffer as decoded edges — under
-// SEM too: the point of a hit here is to skip the decode. Each block is
-// scattered and applied before the next is consumed.
+// through a block stream and offered to the buffer as decoded edges — on a
+// delta layout too: the point of a hit here is to skip the decode. Each block
+// is scattered and applied before the next is consumed.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
@@ -474,7 +474,7 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	defer st.close()
 	var applied int64
 	for _, j := range cols {
-		edges, err := e.bufferedBlock(st.take, buffer.Key{I: i, J: j}, false, topPriority)
+		edges, err := e.bufferedBlock(st.take, buffer.Key{I: i, J: j}, topPriority)
 		if err != nil {
 			return applied, err
 		}
@@ -505,7 +505,7 @@ func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 		// and what this saves is a few runs of the block, not the block.
 		blk, ok := e.buf.Peek(buffer.Key{I: i, J: j})
 		edges := blk.Edges
-		if !ok || blk.Payload != nil {
+		if !ok {
 			// The frozen frontier holds exactly this row's active vertices.
 			// Each block is applied before the next is read, so one block's
 			// memory serves the whole row.

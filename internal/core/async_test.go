@@ -19,7 +19,7 @@ import (
 // Async engine properties under test: every monotonic program converges to
 // the same fixed point the BSP engine reaches (bit-exact labels for the
 // min-programs, within tolerance for PageRank-Delta), on every codec, with
-// and without SEM, under transient faults; the schedule is deterministic for
+// and without a buffer, under transient faults; the schedule is deterministic for
 // a fixed seed; and a run resumed from a checkpoint is bit-identical to one
 // that was never interrupted.
 
@@ -107,8 +107,10 @@ func TestAsyncSSSPMatchesBSP(t *testing.T) {
 	requireIdenticalOutputs(t, base.Outputs, res.Outputs)
 }
 
-// TestAsyncCodecSEMMatrix runs the async engine across both sub-block codecs
-// and SEM on/off. Min-program labels must be bit-identical across all four
+// TestAsyncCodecSEMMatrix runs the async engine across both sub-block codecs,
+// with and without a per-run buffer, against BSP runs on the same layout —
+// whose buffer keeps payloads on the delta layout, the compressed tier that
+// was Options.SEM. Min-program labels must be bit-identical across all four
 // configurations (and to BSP); PRD must stay within tolerance of BSP.
 func TestAsyncCodecSEMMatrix(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
@@ -121,12 +123,12 @@ func TestAsyncCodecSEMMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sem := range []bool{false, true} {
+		for _, buffered := range []bool{false, true} {
 			opts := asyncOpts()
-			opts.SEM = sem
+			opts.DefaultBuffer = buffered
 			label := codec.String()
-			if sem {
-				label += "/sem"
+			if buffered {
+				label += "/buffered"
 			}
 			res, err := core.Run(l, &algorithms.BFS{Source: 0}, opts)
 			if err != nil {

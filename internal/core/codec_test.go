@@ -124,30 +124,24 @@ func TestDeltaLowersEngineTraffic(t *testing.T) {
 // TestBufferBytesSavedAreDeviceBytes: Buffer.BytesSaved is on-disk bytes. On a
 // delta layout — where a block occupies 2–5× more decoded than on the device —
 // what a buffered full-model run reports saved is exactly what it read less
-// than the same run without a buffer, in the decoded tier and in SEM's
-// compressed tier alike.
+// than the same run without a buffer, in the decoded tier (a raw layout) and
+// in the payload tier (a delta layout) alike.
 func TestBufferBytesSavedAreDeviceBytes(t *testing.T) {
 	g, err := gen.RMAT(9, 8, gen.Graph500, 29)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := codecLayout(t, g, 4, graph.CodecDelta)
-	runs := map[string]struct {
-		prog func() core.Program
-		opts core.Options
-	}{
-		"fciu":     {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{ForceModel: core.ForceFull}},
-		"fciu/sem": {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{ForceModel: core.ForceFull, SEM: true}},
-	}
-	for name, r := range runs {
-		t.Run(name, func(t *testing.T) {
-			without, err := core.Run(l, r.prog(), r.opts)
+	prog := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		t.Run("fciu/"+codec.String(), func(t *testing.T) {
+			l := codecLayout(t, g, 4, codec)
+			opts := core.Options{ForceModel: core.ForceFull}
+			without, err := core.Run(l, prog(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := r.opts
 			opts.BufferBytes = 2 * l.Meta.EdgeBytesTotal()
-			with, err := core.Run(l, r.prog(), opts)
+			with, err := core.Run(l, prog(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

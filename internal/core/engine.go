@@ -24,7 +24,7 @@ const serialScatterThreshold = 1 << 17
 
 // sparseViewDensity is how sparse a full-model pass's frontier must be — at
 // most one active vertex in this many — for the pass to take its blocks as run
-// views and decode only the active sources' runs (fciu.go, sparsePass). A view
+// views and decode only the active sources' runs (fciu.go, openPass). A view
 // costs one directory scan per block (1.1–3.4 ns/edge) and a per-run decode of
 // the active edges on the consumer, per scatter, where the decoded route pays
 // 8.8 ns/edge once on a prefetch worker (BenchmarkRunView,
@@ -49,6 +49,16 @@ type Engine struct {
 	opts   Options
 	sched  *iosched.Scheduler
 	buf    *buffer.Buffer
+
+	// payloads: the per-run buffer keeps FCIU's secondary sub-blocks as their
+	// delta payloads, which a hit decodes on a prefetch worker (or, over a
+	// narrow frontier, views on the consumer) — the rule under BSP on a
+	// delta-coded layout. Otherwise (raw layouts, the async row step) it keeps
+	// decoded edges, served to the consumer as they are (DESIGN.md §9).
+	// held[i*p+j] is the payload openPass found resident for cell (i, j) of
+	// the pass in progress, nil for a miss.
+	payloads bool
+	held     [][]byte
 
 	// src is where every driver gets its edges from (see source.go).
 	src *blockSource
@@ -141,10 +151,6 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	if err != nil {
 		return nil, err
 	}
-	bufBytes := opts.BufferBytes
-	if bufBytes == 0 && opts.DefaultBuffer {
-		bufBytes = layout.Meta.EdgeBytesTotal() / 4
-	}
 	n := layout.Meta.NumVertices
 	e := &Engine{
 		layout:       layout,
@@ -166,10 +172,14 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		prescattered: bitset.NewActiveSet(n),
 		rowLive:      make([]bool, layout.Meta.P),
 		src:          newBlockSource(layout, opts.SharedBlocks),
-		buf:          buffer.New(bufBytes),
+		buf:          buffer.New(opts.bufferBytes(&layout.Meta)),
 	}
 	if prog.HasAux() {
 		e.aux = make([]float64, n)
+	}
+	if opts.payloads(&layout.Meta) {
+		e.payloads = true
+		e.held = make([][]byte, e.p*e.p)
 	}
 	id := prog.Identity()
 	for v := 0; v < n; v++ {
@@ -318,13 +328,12 @@ func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart ti
 	e.computeTime += time.Since(tOut)
 
 	src := e.src
-	cacheDecode := time.Duration(src.decodeNanos.Load())
 	return &Result{
 		Algorithm:         e.prog.Name(),
 		Outputs:           outputs,
 		WallTime:          time.Since(start),
 		ComputeTime:       e.computeTime,
-		DecodeTime:        e.layout.DecodeTime() - decodeStart + cacheDecode,
+		DecodeTime:        e.layout.DecodeTime() - decodeStart,
 		Codec:             e.layout.Meta.BlockCodec().String(),
 		CompressRatio:     compressRatio(&e.layout.Meta),
 		IO:                e.layout.Dev.Stats().Sub(ioBase),
@@ -336,11 +345,9 @@ func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart ti
 		Buffer:            e.buf.Stats(),
 		Pipeline:          e.plStats,
 		SEM: SEMStats{
-			Enabled:         e.opts.SEM || (src.shared != nil && src.shared.Compressed()),
 			BlocksSkipped:   int64(e.plStats.Skipped),
 			BytesSkipped:    e.plStats.SkippedBytes,
 			CompressedHits:  src.compHits.Load(),
-			DecodeTime:      cacheDecode,
 			CompressedBytes: src.compBytes.Load(),
 			DecodedBytes:    src.compDecodedBytes.Load(),
 		},

@@ -457,26 +457,31 @@ func TestForcedModelStillRecordsDecisions(t *testing.T) {
 }
 
 // TestUnbufferableOffersStillCounted: a secondary sub-block that cannot fit
-// the buffer is offered without its priority (or, under SEM, its payload)
-// being computed, and must still show up as the miss and the rejection it
-// always was.
+// the buffer is offered without its priority being computed — and, on a delta
+// layout, without its payload being kept: it is read through the pooled
+// buffers — and must still show up as the miss and the rejection it always
+// was.
 func TestUnbufferableOffersStillCounted(t *testing.T) {
 	g, err := gen.RMAT(8, 8, gen.Graph500, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range map[string]core.Options{
-		"no-capacity":     {ForceModel: core.ForceFull},
-		"no-capacity-sem": {ForceModel: core.ForceFull, SEM: true},
-		"too-small":       {ForceModel: core.ForceFull, BufferBytes: 1},
-	} {
-		res, err := core.Run(buildLayout(t, g, 4), &algorithms.PageRank{Iterations: 4}, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		b := res.Buffer
-		if b.Misses == 0 || b.Rejections != b.Misses || b.Hits != 0 || b.Insertions != 0 {
-			t.Errorf("%s: buffer stats %+v, want every secondary load a miss and a rejection", name, b)
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		for name, opts := range map[string]core.Options{
+			"no-capacity": {ForceModel: core.ForceFull},
+			"too-small":   {ForceModel: core.ForceFull, BufferBytes: 1},
+		} {
+			res, err := core.Run(codecLayout(t, g, 4, codec), &algorithms.PageRank{Iterations: 4}, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", codec, name, err)
+			}
+			b := res.Buffer
+			if b.Misses == 0 || b.Rejections != b.Misses || b.Hits != 0 || b.Insertions != 0 {
+				t.Errorf("%s/%s: buffer stats %+v, want every secondary load a miss and a rejection", codec, name, b)
+			}
+			if res.SEM.CompressedBytes != 0 {
+				t.Errorf("%s/%s: %d payload bytes admitted to a buffer that holds none", codec, name, res.SEM.CompressedBytes)
+			}
 		}
 	}
 }

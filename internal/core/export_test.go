@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"unsafe"
 
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
@@ -64,6 +66,18 @@ func RunCountingViews(layout *partition.Layout, prog Program, opts Options, pois
 	}
 	res, err := e.run()
 	return res, views, err
+}
+
+// RunKeepingBuffer is Run, with release poisoning as RunCountingViews' does,
+// that also hands back the per-run buffer as the run left it.
+func RunKeepingBuffer(layout *partition.Layout, prog Program, opts Options, poison bool) (*Result, *buffer.Buffer, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.src.poison = poison
+	res, err := e.run()
+	return res, e.buf, err
 }
 
 // MaxOpenBlocks is the number of block descriptors a run keeps open.
@@ -149,11 +163,68 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 		e.active.Activate(v)
 	}
 	for _, c := range resident {
+		k := buffer.Key{I: c[0], J: c[1]}
+		if e.payloads {
+			blk, err := e.src.secondary(c[0], c[1], false, true)
+			if err != nil {
+				return pipeline.Stats{}, err
+			}
+			e.offerPayload(k, blk)
+			e.src.release(blk)
+			continue
+		}
 		edges, err := e.src.full(c[0], c[1])
 		if err != nil {
 			return pipeline.Stats{}, err
 		}
-		e.offer(buffer.Key{I: c[0], J: c[1]}, edges, e.opts.SEM, e.offerPriority)
+		e.offer(k, edges, e.offerPriority)
 	}
 	return e.plStats, e.runPass(cells)
+}
+
+// VertexStateBytes is the per-vertex item of RunBytes.
+func VertexStateBytes(m *partition.Manifest, async, aux bool) int64 {
+	return vertexStateBytes(m, async, aux)
+}
+
+// EngineArrayBytes is what the per-vertex state of a run of prog under opts
+// comes to, from the arrays themselves: every numeric slice and vertex set the
+// engine and its schedule hold once run has loaded the degree table — found by
+// walking their fields, so that an array either gains is counted without being
+// named here — plus the degree file run reads the table from and the outputs
+// result allocates.
+func EngineArrayBytes(layout *partition.Layout, prog Program, opts Options) (int64, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return 0, err
+	}
+	s, err := e.newSchedule()
+	if err != nil {
+		return 0, err
+	}
+	if e.degrees, err = layout.LoadDegrees(); err != nil {
+		return 0, err
+	}
+	n := int64(e.n)
+	return arrayBytes(reflect.ValueOf(e).Elem()) + arrayBytes(reflect.ValueOf(s).Elem()) + 4*n + 8*n, nil
+}
+
+// arrayBytes sums the numeric slices (by capacity) and vertex sets of struct v.
+func arrayBytes(v reflect.Value) int64 {
+	setType := reflect.TypeOf((*bitset.ActiveSet)(nil))
+	var total int64
+	for k := 0; k < v.NumField(); k++ {
+		f := v.Field(k)
+		switch {
+		case f.Kind() == reflect.Slice:
+			switch f.Type().Elem().Kind() {
+			case reflect.Float64, reflect.Uint32, reflect.Uint64, reflect.Int:
+				total += int64(f.Cap()) * int64(f.Type().Elem().Size())
+			}
+		case f.Type() == setType && !f.IsNil():
+			set := reflect.NewAt(setType, unsafe.Pointer(f.UnsafeAddr())).Elem().Interface().(*bitset.ActiveSet)
+			total += int64(len(set.Words())) * 8
+		}
+	}
+	return total
 }

@@ -48,31 +48,63 @@ func (e *Engine) resident(cells passCells, i, j int) bool {
 }
 
 // openPass opens the pass's block stream: non-empty cells in consumption
-// order, minus secondary cells expected to hit the buffer and cells of rows
-// the frontier proves dead (semBegin), which never enqueue a read at all. (A
-// dead-row upper-triangle cell that the cross-iteration phase turns out to
-// need is loaded synchronously by the consumer.) Residency is
-// only sampled here — the stream's fetch workers never touch the buffer, so a
-// mid-pass eviction costs the consumer a synchronous load rather than a data
-// race. On a sparse pass the cells that bypass the buffer arrive as run views
-// (see sparsePass); buffered ones are always decoded, since the buffer keeps
-// them.
+// order, minus cells of rows the frontier proves dead (semBegin), which never
+// enqueue a read at all. (A dead-row upper-triangle cell that the
+// cross-iteration phase turns out to need is loaded synchronously by the
+// consumer.) Residency is only sampled here, on the consumer, and the stream's
+// fetch workers never touch the buffer:
+//
+//   - A buffer of decoded edges (raw layouts) serves its residents to the
+//     consumer as they are, so they stay off the stream; a mid-pass eviction
+//     costs the consumer a synchronous load rather than a data race.
+//   - A buffer of payloads (Engine.payloads) is asked for every live secondary
+//     cell here — hits and misses are counted at the pass's start — and its
+//     residents are served from the payload captured in held, which is
+//     immutable, so a mid-pass eviction changes nothing. They go on the stream,
+//     where a worker decodes them like any other block, unless the frontier is
+//     narrow: then the consumer serves them itself when it takes them — on a
+//     sparse pass as run views, an O(1) attach — since a pass that reads
+//     only a few blocks gains less from overlapping them than starting the
+//     pipeline costs (DESIGN.md §17).
+//
+// A pass is sparse when its frontier is narrow — at most one vertex in
+// sparseViewDensity — and its blocks are delta-coded payloads straight off the
+// device or out of the per-run buffer: no overlay to merge, no shared cache
+// that wants the decoded edges. Every cell of a sparse pass arrives as a run
+// view; everything else decodes in full.
 func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	var reqs []pipeline.Request
+	narrow := e.active.Count()*sparseViewDensity <= e.n
+	sparse := narrow && e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
+	clear(e.held)
 	for j := 0; j < e.p; j++ {
 		for i := cells.firstRow(j); i < e.p; i++ {
-			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
+			if e.layout.Meta.SubBlockEdges(i, j) == 0 || !e.rowLive[i] {
 				continue
 			}
-			if !e.rowLive[i] || e.resident(cells, i, j) {
-				continue
+			if cells.buffered(i, j) {
+				if e.payloads {
+					blk, _ := e.buf.Get(buffer.Key{I: i, J: j})
+					e.held[i*e.p+j] = blk.Payload
+					if blk.Payload != nil && narrow {
+						continue // the stream's take serves it on the consumer
+					}
+				} else if e.resident(cells, i, j) {
+					continue
+				}
 			}
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	sparse := e.sparsePass()
+	capacity := e.buf.Capacity()
 	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
-		if sparse && !cells.buffered(i, j) {
+		switch {
+		case e.payloads && cells.buffered(i, j):
+			if payload := e.held[i*e.p+j]; payload != nil {
+				return e.src.resident(i, j, payload, sparse)
+			}
+			return e.src.secondary(i, j, sparse, e.layout.Meta.SubBlockDiskBytes(i, j) <= capacity)
+		case sparse:
 			return e.src.viewed(i, j)
 		}
 		edges, err := e.src.full(i, j)
@@ -80,21 +112,12 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	})
 }
 
-// sparsePass reports whether the pass about to open should take its
-// unbuffered cells as run views: the frontier it scatters from holds at most
-// one vertex in sparseViewDensity, and the blocks are delta-coded payloads
-// straight off the device — no overlay to merge, no shared cache that wants
-// the decoded edges. Everything else decodes in full, as before.
-func (e *Engine) sparsePass() bool {
-	return e.active.Count()*sparseViewDensity <= e.n &&
-		e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
-}
-
 // passBlock returns sub-block (i, j) for a full-model pass. Secondary
-// sub-blocks of a buffered pass go through the priority buffer (see
-// bufferedBlock) at a priority equal to their current active-edge count, as a
-// delta payload under Options.SEM; the buffer is touched on the consumer only,
-// so its hit/miss statistics are unchanged by pipelining.
+// sub-blocks of a buffered pass go through the priority buffer: a buffer of
+// decoded edges through bufferedBlock, at a priority equal to their current
+// active-edge count; a buffer of payloads (see openPass) by offering each
+// block the stream delivered for a miss (offerPayload). The buffer is touched
+// on the consumer only, so its statistics are unchanged by pipelining.
 func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
 	if !cells.buffered(i, j) {
 		return st.take(i, j)
@@ -102,11 +125,19 @@ func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (b
 	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return block{}, nil
 	}
-	edges, err := e.bufferedBlock(func(i, j int) ([]graph.Edge, error) {
-		blk, err := st.take(i, j)
-		return blk.edges, err
-	}, buffer.Key{I: i, J: j}, e.opts.SEM, e.offerPriority)
-	return block{edges: edges}, err
+	k := buffer.Key{I: i, J: j}
+	if !e.payloads {
+		edges, err := e.bufferedBlock(func(i, j int) ([]graph.Edge, error) {
+			blk, err := st.take(i, j)
+			return blk.edges, err
+		}, k, e.offerPriority)
+		return block{edges: edges}, err
+	}
+	blk, err := st.take(i, j)
+	if err == nil && e.held[i*e.p+j] == nil {
+		e.offerPayload(k, blk)
+	}
+	return blk, err
 }
 
 // scatterBlock is scatter over a pass block. From a run view it first decodes
@@ -249,7 +280,7 @@ func (e *Engine) runPass(cells passCells) error {
 		// The paper updates each buffered secondary sub-block's priority after
 		// the first iteration processes it; now that the full activation set
 		// for t+1 is known, refresh every resident's priority. Large residents
-		// are sampled rather than rescanned; compressed residents are estimated
+		// are sampled rather than rescanned; payload residents are estimated
 		// from their row's active fraction instead of being decoded. Either
 		// estimate is clamped to ≥1 while the block's row holds an active vertex,
 		// so sampling can never demote a hot block to dead.

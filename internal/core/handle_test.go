@@ -242,3 +242,45 @@ func TestAdmissionCoversBlockHandles(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBytesCoversEngineArrays holds the per-vertex item of core.RunBytes —
+// what admission charges a job for its engine's state — to the arrays an engine
+// and its schedule actually allocate, found by walking their fields: equal
+// under BSP, and under async short only by the frontier's vertex list, which
+// grows during the run to at most an interval. (The server once charged 34
+// bytes a vertex against the 48.6 a BSP engine holds.)
+func TestRunBytesCoversEngineArrays(t *testing.T) {
+	g, err := gen.RMAT(10, 8, gen.Graph500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := codecLayout(t, g, 4, graph.CodecDelta)
+	var span int64
+	for i := 0; i < l.Meta.P; i++ {
+		span = max(span, int64(l.Meta.IntervalLen(i)))
+	}
+	for _, async := range []bool{false, true} {
+		for _, prog := range []func() core.Program{
+			func() core.Program { return &algorithms.ConnectedComponents{} },
+			func() core.Program { return &algorithms.PageRankDelta{} }, // keeps an aux array
+		} {
+			p := prog()
+			held, err := core.EngineArrayBytes(l, p, core.Options{Async: async})
+			if err != nil {
+				t.Fatal(err)
+			}
+			charged := core.VertexStateBytes(&l.Meta, async, p.HasAux())
+			want := held
+			if async {
+				want += 8 * span
+			}
+			if charged != want {
+				t.Errorf("%s async=%t: RunBytes charges %d bytes of vertex state, the engine's arrays come to %d (+ %d of frontier list under async)",
+					p.Name(), async, charged, held, want-held)
+			}
+			if n := int64(l.Meta.NumVertices); charged < 48*n {
+				t.Errorf("%s async=%t: %d bytes for %d vertices, below 48 a vertex", p.Name(), async, charged, n)
+			}
+		}
+	}
+}

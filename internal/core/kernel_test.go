@@ -258,13 +258,13 @@ func TestParallelScatterExactForMin(t *testing.T) {
 }
 
 // kernelPaths are the drivers that scatter: FCIU, SCIU, the single full
-// pass, the adaptive engine under SEM and the async row step.
+// pass, the adaptive engine and the async row step.
 func kernelPaths() map[string]core.Options {
 	return map[string]core.Options{
 		"fciu":        {ForceModel: core.ForceFull, DefaultBuffer: true},
 		"sciu":        {ForceModel: core.ForceOnDemand},
 		"full-single": {ForceModel: core.ForceFull, DisableCrossIteration: true},
-		"adaptive":    {DefaultBuffer: true, SEM: true},
+		"adaptive":    {DefaultBuffer: true},
 		"async":       {Async: true, DefaultBuffer: true},
 	}
 }

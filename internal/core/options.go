@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"github.com/graphsd/graphsd/internal/buffer"
+	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/iosched"
+	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/pipeline"
 	"github.com/graphsd/graphsd/internal/storage"
 )
@@ -30,10 +32,13 @@ type Options struct {
 	ForceModel *iosched.Model
 	// BufferBytes is the capacity of the per-run sub-block buffer: under BSP
 	// it keeps FCIU's secondary sub-blocks between the two halves of a pass,
-	// ranked by active-edge count; under Async it keeps the blocks of the
-	// rows the scheduler ranks highest, ranked by the row's queue key. Zero
-	// disables buffering (the Figure 12 "without buffering" variant)
-	// unless DefaultBuffer is set, in which case a capacity of 1/4 of the
+	// ranked by active-edge count — on a delta-coded layout as their verified
+	// payloads, charged their on-disk bytes and decoded per hit off the
+	// consumer (the semi-external-memory compressed tier), on a raw layout as
+	// decoded edges; under Async it keeps the decoded blocks of the rows the
+	// scheduler ranks highest, ranked by the row's queue key. Zero disables
+	// buffering (the Figure 12 "without buffering" variant) unless
+	// DefaultBuffer is set, in which case a capacity of 1/4 of the decoded
 	// edge data is used.
 	BufferBytes int64
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
@@ -63,16 +68,6 @@ type Options struct {
 	// and for the job server's status endpoint. It runs on the engine
 	// goroutine; keep it cheap.
 	OnIteration func(IterStat)
-	// SEM keeps the FCIU passes' buffer residents in the semi-external-memory
-	// compressed tier: delta-coded payloads decoded on hit, so the same
-	// BufferBytes holds 2–5× more graph (the async row step keeps decoded
-	// edges — there a hit exists to skip the decode). It changes which
-	// secondary sub-blocks a second FCIU half finds resident, never a result.
-	// It is not what skips dead sub-blocks: every full-model pass of every
-	// run leaves out the cells of a source interval with no active vertex,
-	// and the cost model prices the full model per frontier accordingly
-	// (DESIGN.md §11).
-	SEM bool
 	// SharedBlocks, when non-nil, routes full sub-block loads (pipelined
 	// and synchronous) through a concurrency-safe cache shared with other
 	// engines on the same layout, deduplicating device reads between
@@ -80,7 +75,8 @@ type Options struct {
 	// it. The per-run priority buffer (BufferBytes) still operates in front
 	// of it. A cache built with buffer.NewSharedCompressed stores delta
 	// payloads; the engine decodes hits in the loading worker and reports
-	// the decode time back.
+	// the decode time back, and on a delta layout the per-run buffer keeps
+	// such an entry as its resident rather than a copy.
 	SharedBlocks *buffer.Shared
 	// Checkpoint configures crash-safe iteration checkpointing and resume.
 	Checkpoint CheckpointOptions
@@ -127,6 +123,20 @@ type CheckpointOptions struct {
 }
 
 func (c CheckpointOptions) saveEnabled() bool { return c.Every > 0 && c.Dir != "" }
+
+// bufferBytes is the per-run buffer's capacity over a layout of manifest m.
+func (o Options) bufferBytes(m *partition.Manifest) int64 {
+	if o.BufferBytes == 0 && o.DefaultBuffer {
+		return m.EdgeBytesTotal() / 4
+	}
+	return o.BufferBytes
+}
+
+// payloads reports whether the per-run buffer keeps payloads over a layout of
+// manifest m: under BSP on a delta-coded layout (see Engine.payloads).
+func (o Options) payloads(m *partition.Manifest) bool {
+	return !o.Async && m.BlockCodec() == graph.CodecDelta
+}
 
 func (o Options) threads() int {
 	if o.Threads > 0 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
 )
@@ -36,10 +34,11 @@ func (e *Engine) semSkip(cells passCells, i, j int) {
 	e.plStats.SkippedBytes += e.layout.Meta.SubBlockDiskBytes(i, j)
 }
 
-// payloadPriority estimates the active-edge count of a compressed-tier
-// resident without decoding it: the block's edge count scaled by its source
-// interval's active fraction, clamped to ≥1 while the bitmap says the block
-// is live so a hot block is never demoted to dead by estimation.
+// payloadPriority estimates the active-edge count of a payload the per-run
+// buffer holds or is offered, without decoding it: the block's edge count
+// scaled by its source interval's active fraction, clamped to ≥1 while the
+// bitmap says the block is live so a hot block is never demoted to dead by
+// estimation.
 func (e *Engine) payloadPriority(k buffer.Key, set *bitset.ActiveSet) int64 {
 	lo, hi := e.layout.Meta.Interval(k.I)
 	act := int64(set.CountRange(lo, hi))
@@ -54,27 +53,24 @@ func (e *Engine) payloadPriority(k buffer.Key, set *bitset.ActiveSet) int64 {
 }
 
 // SEMStats reports a run's state-aware skipping and compressed-tier outcomes.
+// The compressed tiers are a per-run buffer of payloads — every BSP run on a
+// delta-coded layout keeps FCIU's secondaries that way — and a shared cache
+// built with buffer.NewSharedCompressed.
 type SEMStats struct {
-	// Enabled reports that the run kept blocks in a compressed cache tier:
-	// Options.SEM and/or a compressed shared cache.
-	Enabled bool
 	// BlocksSkipped counts non-empty sub-blocks never read because their
-	// source interval held no active vertex (every run skips them, Enabled
-	// or not); BytesSkipped is their summed on-disk size — device traffic
-	// avoided, so a dead-row cell resident in the per-run buffer is not in it.
+	// source interval held no active vertex (every run skips them);
+	// BytesSkipped is their summed on-disk size — device traffic avoided, so
+	// a dead-row cell resident in the per-run buffer is not in it.
 	BlocksSkipped int64
 	BytesSkipped  int64
-	// CompressedHits counts sub-block loads served from a compressed cache
-	// tier (per-run buffer or shared), each paying a decode instead of a
-	// device read; DecodeTime is the wall clock all compressed-tier encode
-	// round-trips spent decoding (overlapped with compute when the hit
-	// lands on a pipeline worker).
+	// CompressedHits counts sub-block loads served from a compressed tier,
+	// each paying a decode (or, on a sparse pass, a run view) on the prefetch
+	// worker instead of a device read. The decode is in Result.DecodeTime.
 	CompressedHits int64
-	DecodeTime     time.Duration
 	// CompressedBytes / DecodedBytes sum the encoded and decoded sizes of
-	// every payload the run offered to a compressed tier. Their ratio is
-	// the tier's effective-capacity multiplier: how many bytes of decoded
-	// graph one RAM byte holds.
+	// every payload a compressed tier admitted. Their ratio is the tier's
+	// effective-capacity multiplier: how many bytes of decoded graph one RAM
+	// byte holds.
 	CompressedBytes int64
 	DecodedBytes    int64
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/core"
+	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
@@ -22,14 +24,8 @@ import (
 // optimisation only — with the I/O model pinned, a run must produce outputs
 // bit-identical to one that reads every cell (core.RunAllRowsLive) on every
 // path and codec, while demonstrably skipping dead sub-blocks on sparse
-// frontiers — and Options.SEM, the compressed buffer tier, changes no output
-// either.
-
-// semOn returns opts with the compressed buffer tier enabled.
-func semOn(opts core.Options) core.Options {
-	opts.SEM = true
-	return opts
-}
+// frontiers — and the compressed buffer tier, which is what a per-run buffer
+// is on a delta layout, changes no output either.
 
 func TestSEMBitIdenticalAndSkips(t *testing.T) {
 	bfs := func() core.Program { return &algorithms.BFS{Source: 0} }
@@ -52,8 +48,15 @@ func TestSEMBitIdenticalAndSkips(t *testing.T) {
 		set  func(*core.Options)
 	}{
 		{"nobuffer", func(*core.Options) {}},
+		// Decoded residents on the raw layout, payloads on the delta one.
 		{"buffer", func(o *core.Options) { o.DefaultBuffer = true }},
-		{"buffer-sem", func(o *core.Options) { o.DefaultBuffer, o.SEM = true, true }},
+		// The delta layout's residents are a compressed shared cache's entries
+		// instead of the device's bytes. The cache holds nothing, so each run
+		// reads the device exactly as without it.
+		{"buffer-shared", func(o *core.Options) {
+			o.DefaultBuffer = true
+			o.SharedBlocks = buffer.NewSharedCompressed(0)
+		}},
 	}
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		for _, p := range paths {
@@ -76,9 +79,6 @@ func TestSEMBitIdenticalAndSkips(t *testing.T) {
 								res.Iterations, res.Converged, all.Iterations, all.Converged)
 						}
 						requireIdenticalOutputs(t, all.Outputs, res.Outputs)
-						if res.SEM.Enabled != opts.SEM {
-							t.Fatalf("SEM.Enabled = %t with Options.SEM = %t", res.SEM.Enabled, opts.SEM)
-						}
 						if all.SEM.BlocksSkipped != 0 {
 							t.Fatalf("all-rows-live run skipped %d blocks", all.SEM.BlocksSkipped)
 						}
@@ -123,8 +123,8 @@ func TestSEMBitIdenticalAndSkips(t *testing.T) {
 // would have been served it from memory — is not in it. Before this was
 // fixed a second FCIU half counted every dead cell, resident or not.
 func TestSkipCountsDeviceTrafficOnly(t *testing.T) {
-	for _, sem := range []bool{false, true} {
-		l := chaosLayout(t, graph.CodecDelta, 11)
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		l := chaosLayout(t, codec, 11)
 		m := &l.Meta
 		if m.P != 4 {
 			t.Fatalf("layout has %d intervals, the test is written for 4", m.P)
@@ -138,7 +138,7 @@ func TestSkipCountsDeviceTrafficOnly(t *testing.T) {
 		// the secondary cells (i > j) the pass reads row 3's and skips (1,0),
 		// (2,0) and (2,1) — the last two resident.
 		lo, _ := m.Interval(3)
-		opts := core.Options{BufferBytes: m.EdgeBytesTotal(), SEM: sem}
+		opts := core.Options{BufferBytes: m.EdgeBytesTotal()}
 		resident := [][2]int{{2, 0}, {2, 1}}
 		for _, pass := range []struct {
 			name  string
@@ -164,8 +164,8 @@ func TestSkipCountsDeviceTrafficOnly(t *testing.T) {
 				}
 			}
 			if st.Skipped != wantBlocks || st.SkippedBytes != wantBytes {
-				t.Errorf("%s sem=%t: skipped %d blocks / %d bytes, want %d / %d (resident dead cells are not device traffic)",
-					pass.name, sem, st.Skipped, st.SkippedBytes, wantBlocks, wantBytes)
+				t.Errorf("%s %s: skipped %d blocks / %d bytes, want %d / %d (resident dead cells are not device traffic)",
+					pass.name, codec, st.Skipped, st.SkippedBytes, wantBlocks, wantBytes)
 			}
 		}
 	}
@@ -242,9 +242,9 @@ func TestFullPassReadsExactlyTheLiveRows(t *testing.T) {
 	}
 }
 
-// TestSEMCheckpointResumeBitIdentical crashes a SEM checkpointed run
-// mid-flight and resumes it under SEM; the result must match an
-// uninterrupted SEM-off run bit for bit.
+// TestSEMCheckpointResumeBitIdentical crashes a buffered checkpointed run —
+// its buffer a compressed tier on the delta layout — mid-flight and resumes it;
+// the result must match an uninterrupted unbuffered run bit for bit.
 func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -257,14 +257,15 @@ func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 
 			ckDir := t.TempDir()
 			power := errors.New("power loss")
-			_, err = core.Run(l, prog(), semOn(core.Options{
-				Checkpoint: core.CheckpointOptions{Every: 2, Dir: ckDir},
+			_, err = core.Run(l, prog(), core.Options{
+				DefaultBuffer: true,
+				Checkpoint:    core.CheckpointOptions{Every: 2, Dir: ckDir},
 				OnIteration: func(st core.IterStat) {
 					if st.Index == 3 {
 						l.Dev.SetFaultInjector(func(op, name string) error { return power })
 					}
 				},
-			}))
+			})
 			l.Dev.SetFaultInjector(nil)
 			if !errors.Is(err, power) {
 				t.Fatalf("crashed run returned %v, want injected power loss", err)
@@ -273,9 +274,10 @@ func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 				t.Fatal("no checkpoint survived the crash")
 			}
 
-			res, err := core.Run(l, prog(), semOn(core.Options{
-				Checkpoint: core.CheckpointOptions{Every: 2, Dir: ckDir, Resume: true},
-			}))
+			res, err := core.Run(l, prog(), core.Options{
+				DefaultBuffer: true,
+				Checkpoint:    core.CheckpointOptions{Every: 2, Dir: ckDir, Resume: true},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -287,9 +289,9 @@ func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSEMChaosBitIdentical injects 5% transient read faults into a SEM run;
-// retries recover it and the outputs must match the fault-free SEM-off
-// baseline, with skips still recorded.
+// TestSEMChaosBitIdentical injects 5% transient read faults into a buffered
+// run; retries recover it and the outputs must match the fault-free baseline,
+// with skips still recorded.
 func TestSEMChaosBitIdentical(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -315,11 +317,11 @@ func TestSEMChaosBitIdentical(t *testing.T) {
 				MaxDelay:   50 * time.Millisecond,
 				Seed:       1,
 			})
-			res, err := core.Run(l, prog(), semOn(opts))
+			res, err := core.Run(l, prog(), opts)
 			l.Dev.SetFaultInjector(nil)
 			l.Dev.SetRetryPolicy(storage.RetryPolicy{})
 			if err != nil {
-				t.Fatalf("SEM chaos run did not survive: %v", err)
+				t.Fatalf("chaos run did not survive: %v", err)
 			}
 			if chaos.Stats().Transient == 0 {
 				t.Fatal("chaos injected no faults — harness not exercised")
@@ -328,7 +330,7 @@ func TestSEMChaosBitIdentical(t *testing.T) {
 				t.Fatal("faults injected but device recorded no retries")
 			}
 			if res.SEM.BlocksSkipped == 0 {
-				t.Fatal("SEM chaos run skipped no blocks")
+				t.Fatal("chaos run skipped no blocks")
 			}
 			requireIdenticalOutputs(t, base.Outputs, res.Outputs)
 		})
@@ -353,9 +355,6 @@ func TestSEMSharedCompressedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalOutputs(t, base.Outputs, cold.Outputs)
-	if !cold.SEM.Enabled {
-		t.Fatal("compressed-shared run not marked SEM-enabled")
-	}
 	if cold.SEM.CompressedBytes <= 0 || cold.SEM.DecodedBytes <= 0 {
 		t.Fatalf("cold run recorded no compressed-tier volume: %+v", cold.SEM)
 	}
@@ -377,5 +376,157 @@ func TestSEMSharedCompressedCache(t *testing.T) {
 	}
 	if st.DecodeTime <= 0 {
 		t.Fatal("compressed hits reported no decode time")
+	}
+}
+
+// secondaryCells returns the non-empty strictly-lower-triangle cells of m —
+// FCIU's secondary sub-blocks — and their summed on-disk and decoded bytes.
+func secondaryCells(m *partition.Manifest) (cells [][2]int, disk, decoded int64) {
+	for i := 1; i < m.P; i++ {
+		for j := 0; j < i; j++ {
+			if m.SubBlockEdges(i, j) > 0 {
+				cells = append(cells, [2]int{i, j})
+				disk += m.SubBlockDiskBytes(i, j)
+				decoded += m.SubBlockBytes(i, j)
+			}
+		}
+	}
+	return cells, disk, decoded
+}
+
+// requireVerifiedResidents checks that buf holds every secondary cell of l as
+// its on-disk bytes — no decoded edges — charged exactly those bytes.
+func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buffer) {
+	t.Helper()
+	cells, disk, _ := secondaryCells(&l.Meta)
+	for _, c := range cells {
+		blk, ok := buf.Peek(buffer.Key{I: c[0], J: c[1]})
+		if !ok {
+			t.Fatalf("secondary %v not resident", c)
+		}
+		onDisk, err := l.Dev.ReadFile(l.Meta.BlockName(c[0], c[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blk.Edges != nil || !bytes.Equal(blk.Payload, onDisk) {
+			t.Fatalf("secondary %v resident as %d edges / %d payload bytes, not its %d verified on-disk bytes",
+				c, len(blk.Edges), len(blk.Payload), len(onDisk))
+		}
+	}
+	if buf.Len() != len(cells) || buf.Used() != disk {
+		t.Fatalf("buffer holds %d blocks charged %d bytes, want the %d secondaries' %d on-disk bytes", buf.Len(), buf.Used(), len(cells), disk)
+	}
+}
+
+// TestBufferKeepsVerifiedPayloads: under BSP on a delta layout the per-run
+// buffer keeps FCIU's secondaries as the verified payloads the device
+// returned, charged their disk bytes, so a buffer sized to those payloads —
+// too small for the same blocks decoded — holds every one of them: the second
+// half of every FCIU pass reads no sub-block, and the outputs are those of the
+// raw layout (whose buffer of the same size must evict) and of an unbuffered
+// run, bit for bit. Over a lattice, where every pass is sparse, the residents
+// are served as run views — attached, never pooled or poisoned — pass after
+// pass with release poisoning on, and stay byte-equal to the disk.
+func TestBufferKeepsVerifiedPayloads(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		g      *graph.Graph
+		prog   func() core.Program
+		sparse bool
+	}{
+		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false},
+		{"sssp-lattice", gen.Weighted(gen.Grid(48), 16, 7), func() core.Program { return &algorithms.SSSP{Source: 0} }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			l := codecLayout(t, c.g, 4, graph.CodecDelta)
+			cellOf := make(map[string][2]int)
+			for _, cell := range nonEmptyColumnMajor(&l.Meta) {
+				cellOf[l.Meta.BlockName(cell[0], cell[1])] = cell
+			}
+			cells, disk, decoded := secondaryCells(&l.Meta)
+			if len(cells) == 0 || disk >= decoded {
+				t.Fatalf("%d secondaries, %d bytes on disk, %d decoded: nothing to show", len(cells), disk, decoded)
+			}
+			opts := core.Options{ForceModel: core.ForceFull, BufferBytes: disk, Threads: 1}
+
+			// Whole-block reads per iteration, through the device's fault hook.
+			var mu sync.Mutex
+			var iter int
+			reads := map[int]int{}
+			l.Dev.SetFaultInjector(func(op, name string) error {
+				if _, ok := cellOf[name]; ok && op == "read" {
+					mu.Lock()
+					reads[iter]++
+					mu.Unlock()
+				}
+				return nil
+			})
+			var paths []string
+			opts.OnIteration = func(st core.IterStat) {
+				mu.Lock()
+				paths = append(paths, st.Path)
+				iter++
+				mu.Unlock()
+			}
+			res, buf, err := core.RunKeepingBuffer(l, c.prog(), opts, true)
+			l.Dev.SetFaultInjector(nil)
+			opts.OnIteration = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireVerifiedResidents(t, l, buf)
+			if res.Buffer.Evictions != 0 || res.Buffer.Hits == 0 {
+				t.Fatalf("buffer %+v, want hits and no eviction", res.Buffer)
+			}
+			second := 0
+			for k, path := range paths {
+				if path == "fciu-2" {
+					second++
+					if reads[k] != 0 {
+						t.Fatalf("iteration %d (fciu-2) read %d sub-blocks, want none: every secondary is resident", k, reads[k])
+					}
+				}
+			}
+			if second == 0 {
+				t.Fatal("no second FCIU half ran")
+			}
+
+			unbuffered := opts
+			unbuffered.BufferBytes = 0
+			plain, err := core.Run(l, c.prog(), unbuffered)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
+			raw, err := core.Run(codecLayout(t, c.g, 4, graph.CodecRaw), c.prog(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalOutputs(t, raw.Outputs, res.Outputs)
+			if raw.Buffer.Hits >= res.Buffer.Hits {
+				t.Fatalf("raw layout: %d hits decoded, delta layout %d as payloads — the payloads should hold more", raw.Buffer.Hits, res.Buffer.Hits)
+			}
+
+			if c.sparse {
+				viewed, views, err := core.RunCountingViews(l, c.prog(), opts, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalOutputs(t, plain.Outputs, viewed.Outputs)
+				resident := 0
+				for k, st := range viewed.IterStats {
+					if st.Path == "fciu-2" && views[k] > 0 {
+						resident++
+					}
+				}
+				if resident < 2 {
+					t.Fatalf("%d second halves took views of resident payloads, want repeated ones", resident)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,17 +30,28 @@ type blockSource struct {
 	shared *buffer.Shared // cross-job cache in front of full loads; may be nil
 
 	// ioBufs pools the raw byte buffers device reads go through. Decoded edge
-	// slices are not pooled: consumers may retain them (priority buffer, FCIU
-	// diagonal, shared cache), and since every decoder allocates exactly once,
-	// exactly its size, recycling them measured no gain (DESIGN.md §17).
+	// slices are pooled in one case only (edgeBufs): elsewhere consumers may
+	// retain them (the decoded buffer tier, the FCIU diagonal, the shared
+	// cache), and since every decoder allocates exactly once, exactly its size,
+	// recycling them measured no gain (DESIGN.md §17).
 	ioBufs sync.Pool
+
+	// edgeBufs pools the slices a dense pass decodes its secondary cells into
+	// when the per-run buffer keeps payloads (Engine.payloads): the buffer
+	// holds the payload, never these edges, and the pass scatters a secondary
+	// once and retains nothing of it, so the consumer hands the slice back
+	// right after that scatter (release). Without the pool every buffer hit
+	// allocated its block's decoded size again (DESIGN.md §17).
+	edgeBufs sync.Pool
 
 	// views pools the payload and directory memory of run-view blocks (see
 	// viewed). Unlike decoded edges these are never retained: the pass that
-	// took a view block releases it after its last scatter from it.
+	// took a view block releases it after its last scatter from it. A view
+	// over a payload the per-run buffer keeps is not pooled (runBlock.kept).
 	views sync.Pool
-	// poison makes release scribble over a view block's payload before
-	// pooling it, so that a test catches a scatter from a released block.
+	// poison makes release scribble over a pooled block's memory — a view's
+	// payload, a pooled decoded slice — before pooling it, so that a test
+	// catches a scatter from a released block.
 	poison bool
 
 	// handles holds what the run keeps of each sub-block it has touched, keyed
@@ -51,11 +63,10 @@ type blockSource struct {
 
 	// sharedHits/sharedMisses count full loads served by / missed in the
 	// shared cache. The comp* counters are the compressed tiers' accounting
-	// (see SEMStats): hits decoded, payload and decoded bytes admitted, and
-	// the wall clock spent decoding.
+	// (see SEMStats): hits served from a payload, and payload and decoded
+	// bytes admitted.
 	sharedHits, sharedMisses              atomic.Int64
 	compHits, compBytes, compDecodedBytes atomic.Int64
-	decodeNanos                           atomic.Int64
 	// viewBlocks counts the blocks delivered as run views.
 	viewBlocks atomic.Int64
 }
@@ -99,6 +110,70 @@ func HandleBytes(m *partition.Manifest) int64 {
 		total += int64(blocks) * int64(m.IntervalLen(i)+1) * per
 	}
 	return total
+}
+
+// RunBytes bounds the memory a run under opts over a layout of manifest m holds
+// at its peak — what admission charges a job (server.estimateBytes); aux says
+// the program keeps an aux array (Program.HasAux). It adds up
+//
+//   - the per-vertex state: NewEngine's four float64 arrays and five vertex
+//     sets, the aux array, the async schedule's two more sets and its
+//     frontier's vertex list (at most an interval), and what run adds — the
+//     uint32 degree table, the file it is read from, the float64 outputs;
+//   - the per-run buffer's capacity, the prefetch window and what the block
+//     handles keep (HandleBytes);
+//   - under payload residency (Engine.payloads) the edgeBufs slices: one per
+//     block a dense pass has in flight plus the consumer's, each up to the
+//     largest secondary's decoded size;
+//   - the parallel scatter's private accumulators, an interval's worth per
+//     thread beyond the first.
+//
+// TestRunBytesCoversEngineArrays holds the first item to what an engine
+// allocates.
+func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
+	span := longestInterval(m)
+	total := vertexStateBytes(m, opts.Async, aux) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
+	slices := int64(1)
+	if opts.prefetchEnabled() {
+		po := opts.prefetchOptions()
+		total += po.Bytes
+		slices += int64(po.Depth)
+	}
+	if opts.payloads(m) {
+		var largest int64
+		for i := 1; i < m.P; i++ {
+			for j := 0; j < i; j++ {
+				largest = max(largest, m.SubBlockBytes(i, j))
+			}
+		}
+		total += slices * largest
+	}
+	if t := int64(opts.threads()); t > 1 {
+		total += (t - 1) * (8*span + (span+63)/64*8)
+	}
+	return total
+}
+
+// vertexStateBytes is RunBytes' first item: the per-vertex state of a run.
+func vertexStateBytes(m *partition.Manifest, async, aux bool) int64 {
+	n := int64(m.NumVertices)
+	set := (n + 63) / 64 * 8
+	total := 4*8*n + 5*set + (4+4+8)*n
+	if aux {
+		total += 8 * n
+	}
+	if async {
+		total += 2*set + 8*longestInterval(m)
+	}
+	return total
+}
+
+func longestInterval(m *partition.Manifest) int64 {
+	var span int64
+	for i := 0; i < m.P; i++ {
+		span = max(span, int64(m.IntervalLen(i)))
+	}
+	return span
 }
 
 // handle returns sub-block (i, j)'s handle, locked; the caller ends its load
@@ -146,8 +221,19 @@ func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
 		return nil, nil
 	}
 	if s.shared == nil {
-		return s.read(i, j)
+		return s.read(i, j, nil)
 	}
+	blk, hit, err := s.fromShared(i, j)
+	if err != nil || blk.Payload == nil {
+		return blk.Edges, err
+	}
+	return s.unpack(i, j, blk.Payload, hit, nil)
+}
+
+// fromShared is a full load through the shared cache: sub-block (i, j) in the
+// cache's form — decoded edges, or a compressed cache's payload — loaded from
+// the device on a miss, and whether the cache served it.
+func (s *blockSource) fromShared(i, j int) (buffer.Block, bool, error) {
 	key := buffer.Key{I: i, J: j, Gen: s.layout.BlockVersion(i, j)}
 	size := s.layout.Meta.SubBlockBytes(i, j)
 	packed := s.shared.Compressed()
@@ -157,35 +243,42 @@ func (s *blockSource) full(i, j int) ([]graph.Edge, error) {
 			blk.Payload, err = s.layout.LoadSubBlockPayloadFrom(h.r, i, j, nil)
 			s.done(h)
 		} else {
-			blk.Edges, err = s.read(i, j)
+			blk.Edges, err = s.read(i, j, nil)
 		}
 		return blk, size, err
 	})
 	if err != nil {
-		return nil, err
+		return blk, false, err
 	}
 	s.noteShared(hit)
-	if blk.Payload == nil {
-		return blk.Edges, nil
-	}
-	if !hit {
+	switch {
+	case blk.Payload == nil:
+	case hit:
+		s.compHits.Add(1)
+	default:
 		s.notePacked(blk.Payload, size)
-		return s.decode(i, j, blk.Payload)
 	}
+	return blk, hit, nil
+}
+
+// unpack decodes a compressed shared cache's payload into dst, reporting a
+// hit's decode time to the cache.
+func (s *blockSource) unpack(i, j int, payload []byte, hit bool, dst []graph.Edge) ([]graph.Edge, error) {
 	t0 := time.Now()
-	edges, err := s.unpack(i, j, blk.Payload)
-	if err == nil {
+	edges, err := s.decode(i, j, payload, dst)
+	if hit && err == nil {
 		s.shared.NoteDecode(time.Since(t0))
 	}
 	return edges, err
 }
 
 // read is the device route of full: one sequential read through a pooled raw
-// buffer, CRC verify, decode and overlay merge, all inside the layout.
-func (s *blockSource) read(i, j int) ([]graph.Edge, error) {
+// buffer, CRC verify, decode into dst (reset) and overlay merge, all inside the
+// layout.
+func (s *blockSource) read(i, j int, dst []graph.Edge) ([]graph.Edge, error) {
 	bufp := s.getBuf()
 	h := s.handle(i, j)
-	edges, buf, err := s.layout.LoadSubBlockFrom(h.r, i, j, nil, *bufp)
+	edges, buf, err := s.layout.LoadSubBlockFrom(h.r, i, j, dst, *bufp)
 	s.done(h)
 	*bufp = buf
 	s.ioBufs.Put(bufp)
@@ -205,29 +298,34 @@ func (s *blockSource) getBuf() *[]byte {
 type block struct {
 	edges []graph.Edge
 	runs  *runBlock
+	// pooled is the edgeBufs slice edges were decoded into, handed back by
+	// release; nil when the edges are not the source's to reuse.
+	pooled *[]graph.Edge
+	// payload is a secondary cell's delta payload, loaded for the consumer to
+	// offer to the per-run buffer (Engine.offerPayload): memory of its own,
+	// never the source's pools, and nil when the buffer could not hold it.
+	payload []byte
 }
 
 func (b block) empty() bool { return b.runs == nil && len(b.edges) == 0 }
 
 // runBlock is sub-block (i, j) left undecoded: its CRC-verified payload, read
 // through buf, and the run directory over it. Both belong to the source's
-// pool; whoever was handed the block owns them until it calls release.
+// pool — whoever was handed the block owns them until it calls release —
+// unless kept says buf is a payload the per-run buffer keeps, which nothing
+// may write to: such a runBlock is left to the garbage collector.
 type runBlock struct {
 	i, j int
 	view graph.RunView
 	buf  []byte
+	kept bool
 }
 
 // viewed is the device route of full stopping short of the decode: the same
-// sequential read and CRC verify, then the block's run directory over the
-// payload where read would expand every edge — built by one scan
-// (graph.RunView.Scan) the first time the run views the block, kept in its
-// handle and re-attached to the verified bytes every time after. It is for delta
-// layouts with no overlay and no shared cache in front; the engine asks for it
-// only on passes whose frontier is sparse (sparsePass). A payload the scan
-// declines — sources not ascending, or damage — goes to the full decoder,
-// which decodes it or says what is wrong with it, so the caller gets edges or
-// the decoded route's error. Scan and fallback are charged as decode time.
+// sequential read and CRC verify into a pooled buffer, then a run view of the
+// payload (view). It is for delta layouts with no overlay and no shared cache
+// in front; the engine asks for it only on passes whose frontier is sparse
+// (openPass).
 func (s *blockSource) viewed(i, j int) (block, error) {
 	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return block{}, nil
@@ -243,13 +341,26 @@ func (s *blockSource) viewed(i, j int) (block, error) {
 		s.views.Put(rb)
 		return block{}, err
 	}
-	rb.i, rb.j, rb.buf = i, j, payload
+	rb.buf = payload
+	return s.view(h, i, j, rb)
+}
+
+// view makes a pass block of rb.buf, sub-block (i, j)'s verified delta payload:
+// the block's run directory over it where a decode would expand every edge —
+// built by one scan (graph.RunView.Scan) the first time the run views the
+// block, kept in its handle and re-attached to the bytes every time after. A
+// payload the scan declines — sources not ascending, or damage — goes to the
+// full decoder, which decodes it or says what is wrong with it, so the caller
+// gets edges or the decoded route's error. Scan and fallback are charged as
+// decode time. h is the block's handle, locked; view ends the load through it.
+func (s *blockSource) view(h *blockHandle, i, j int, rb *runBlock) (block, error) {
+	rb.i, rb.j = i, j
 	iLo, _ := s.layout.Meta.Interval(i)
 	jLo, _ := s.layout.Meta.Interval(j)
 	t0 := time.Now()
-	ok := rb.view.Attach(h.dir, payload)
+	ok := rb.view.Attach(h.dir, rb.buf)
 	if !ok {
-		if ok = rb.view.Scan(payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted); ok {
+		if ok = rb.view.Scan(rb.buf, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted); ok {
 			h.dir = rb.view.Dir()
 		}
 	}
@@ -259,20 +370,118 @@ func (s *blockSource) viewed(i, j int) (block, error) {
 		s.viewBlocks.Add(1)
 		return block{runs: rb}, nil
 	}
-	edges, err := graph.AppendDeltaBlock(nil, payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	edges, err := graph.AppendDeltaBlock(nil, rb.buf, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
 	s.layout.AddDecodeTime(time.Since(t0))
-	s.views.Put(rb)
+	if !rb.kept {
+		s.views.Put(rb)
+	}
 	if err != nil {
 		return block{}, fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", i, j, err)
 	}
 	return block{edges: edges}, nil
 }
 
-// release ends the consumer's use of b: a run view's payload and directory go
-// back to the pool for the next block. Decoded edges are not pooled (see
-// ioBufs), so for them this is a no-op.
+// secondary loads buffered cell (i, j) for a pass whose per-run buffer keeps
+// delta payloads (Engine.payloads): decoded into a pooled slice or, on a sparse
+// pass, as a run view — and, when keep says the buffer could hold it, with the
+// payload the consumer offers it: the verified bytes the device returned, read
+// into memory of their own rather than a pooled buffer; a compressed shared
+// cache's entry; or, behind a raw shared cache, the edges encoded here, on the
+// prefetch worker. (On a layout with an overlay the device's payload is the
+// merged block, encoded by the layout.)
+func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
+	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
+		return block{}, nil
+	}
+	if s.shared != nil {
+		blk, hit, err := s.fromShared(i, j)
+		if err != nil {
+			return block{}, err
+		}
+		if blk.Payload == nil {
+			out := block{edges: blk.Edges} // the cache's: not pooled
+			if keep {
+				t0 := time.Now()
+				out.payload = s.pack(i, j, blk.Edges)
+				s.layout.AddDecodeTime(time.Since(t0))
+			}
+			return out, nil
+		}
+		out, err := s.pooled(func(dst []graph.Edge) ([]graph.Edge, error) { return s.unpack(i, j, blk.Payload, hit, dst) })
+		if keep {
+			out.payload = blk.Payload
+		}
+		return out, err
+	}
+	switch {
+	case !keep && sparse:
+		return s.viewed(i, j)
+	case !keep:
+		return s.pooled(func(dst []graph.Edge) ([]graph.Edge, error) { return s.read(i, j, dst) })
+	}
+	h := s.handle(i, j)
+	payload, err := s.layout.LoadSubBlockPayloadFrom(h.r, i, j, nil)
+	s.done(h)
+	if err != nil {
+		return block{}, err
+	}
+	out, err := s.expand(i, j, payload, sparse)
+	out.payload = payload
+	return out, err
+}
+
+// resident serves buffered cell (i, j) from payload, the per-run buffer's
+// resident copy — on a prefetch worker, or on the consumer when openPass left
+// it off the stream: a hit costs a decode or a view, never a read. The payload
+// was verified when it was loaded.
+func (s *blockSource) resident(i, j int, payload []byte, sparse bool) (block, error) {
+	blk, err := s.expand(i, j, payload, sparse)
+	if err == nil {
+		s.compHits.Add(1)
+	}
+	return blk, err
+}
+
+// expand makes a pass block of payload, which the per-run buffer keeps or
+// may keep: a run view over it on a sparse pass — never pooled or poisoned —
+// or its edges decoded into a pooled slice.
+func (s *blockSource) expand(i, j int, payload []byte, sparse bool) (block, error) {
+	if sparse {
+		return s.view(s.handle(i, j), i, j, &runBlock{buf: payload, kept: true})
+	}
+	return s.pooled(func(dst []graph.Edge) ([]graph.Edge, error) { return s.decode(i, j, payload, dst) })
+}
+
+// pooled runs fill over a slice of edgeBufs and returns the edges it produced
+// as a block whose consumer hands the slice back through release.
+func (s *blockSource) pooled(fill func(dst []graph.Edge) ([]graph.Edge, error)) (block, error) {
+	p, _ := s.edgeBufs.Get().(*[]graph.Edge)
+	if p == nil {
+		p = new([]graph.Edge)
+	}
+	edges, err := fill((*p)[:0])
+	if err != nil {
+		s.edgeBufs.Put(p)
+		return block{}, err
+	}
+	*p = edges
+	return block{edges: edges, pooled: p}, nil
+}
+
+// release ends the consumer's use of b: a pooled decoded slice, or a run
+// view's payload and directory, go back to their pool for the next block.
+// Other decoded edges are not the source's (see ioBufs), and a kept view's
+// payload is the per-run buffer's: for them this is a no-op.
 func (s *blockSource) release(b block) {
-	if b.runs == nil {
+	if b.pooled != nil {
+		if s.poison {
+			for k := range b.edges {
+				b.edges[k] = graph.Edge{Src: math.MaxUint32, Dst: math.MaxUint32} // outside every interval
+			}
+		}
+		s.edgeBufs.Put(b.pooled)
+	}
+	if b.runs == nil || b.runs.kept {
 		return
 	}
 	if s.poison {
@@ -363,7 +572,7 @@ func (s *blockSource) index(i, j int) (*partition.Index, error) {
 	return h.idx, nil
 }
 
-// pack delta-codes a decoded sub-block for a compressed cache tier.
+// pack delta-codes a decoded sub-block for the per-run buffer's payload tier.
 func (s *blockSource) pack(i, j int, edges []graph.Edge) []byte {
 	iLo, _ := s.layout.Meta.Interval(i)
 	jLo, _ := s.layout.Meta.Interval(j)
@@ -377,26 +586,16 @@ func (s *blockSource) notePacked(payload []byte, decodedSize int64) {
 	s.compDecodedBytes.Add(decodedSize)
 }
 
-// unpack decodes a payload a compressed cache tier was hit for, paying a
-// decode instead of a device read.
-func (s *blockSource) unpack(i, j int, payload []byte) ([]graph.Edge, error) {
-	edges, err := s.decode(i, j, payload)
-	if err == nil {
-		s.compHits.Add(1)
-	}
-	return edges, err
-}
-
-// decode turns a delta-coded payload back into edges.
-// EncodeDeltaBlock/AppendDeltaBlock round-trip any edge order exactly with
-// bit-preserved weights, so the scatter consumes the identical edge sequence
-// the device would have delivered.
-func (s *blockSource) decode(i, j int, payload []byte) ([]graph.Edge, error) {
+// decode turns a delta-coded payload back into edges, appended to dst (reset),
+// charged as the layout's decode time. EncodeDeltaBlock/AppendDeltaBlock
+// round-trip any edge order exactly with bit-preserved weights, so the scatter
+// consumes the identical edge sequence the device would have delivered.
+func (s *blockSource) decode(i, j int, payload []byte, dst []graph.Edge) ([]graph.Edge, error) {
 	iLo, _ := s.layout.Meta.Interval(i)
 	jLo, _ := s.layout.Meta.Interval(j)
 	t0 := time.Now()
-	edges, err := graph.AppendDeltaBlock(nil, payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
-	s.decodeNanos.Add(time.Since(t0).Nanoseconds())
+	edges, err := graph.AppendDeltaBlock(dst[:0], payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	s.layout.AddDecodeTime(time.Since(t0))
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding cached sub-block (%d,%d): %w", i, j, err)
 	}
@@ -465,50 +664,55 @@ func (s *blockStream[T]) close() {
 	}
 }
 
-// bufferedBlock is the one get → miss → offer route through the per-run
-// buffer, under the FCIU passes and the async row step alike. A resident block
-// is served from memory — decoded edges as they are, a delta payload (SEM's
-// compressed tier) decoded on the spot; every CRC, count and range check ran
-// when the block was loaded, and a hit serves those verified edges again.
-// Anything else comes from take — the caller's block stream — and is offered
-// at priority(edges), in the representation packed selects. Like every buffer
-// access it belongs to the goroutine running the schedule.
-func (e *Engine) bufferedBlock(take func(i, j int) ([]graph.Edge, error), k buffer.Key, packed bool, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
+// bufferedBlock is the get → miss → offer route through a per-run buffer of
+// decoded edges: FCIU's on a raw layout, the async row step's on any. A
+// resident block is served from memory as it is — every CRC, count and range
+// check ran when the block was loaded, and a hit serves those verified edges
+// again. Anything else comes from take — the caller's block stream — and is
+// offered at priority(edges). Like every buffer access it belongs to the
+// goroutine running the schedule.
+func (e *Engine) bufferedBlock(take func(i, j int) ([]graph.Edge, error), k buffer.Key, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
 	if blk, ok := e.buf.Get(k); ok {
-		if blk.Payload != nil {
-			return e.src.unpack(k.I, k.J, blk.Payload)
-		}
 		return blk.Edges, nil
 	}
 	edges, err := take(k.I, k.J)
 	if err != nil {
 		return nil, err
 	}
-	e.offer(k, edges, packed, priority)
+	e.offer(k, edges, priority)
 	return edges, nil
 }
 
-// offer offers the just-loaded sub-block k to the per-run buffer: packed as a
-// delta payload charged its encoded size, or as the decoded edges themselves.
-// A hit saves the block's on-disk bytes either way. The priority — for FCIU a
-// scan of the block's edges — and the payload are computed only when they can
-// decide the admission: an entry larger than the whole buffer is rejected,
-// and counted, by Put before it looks at either.
-func (e *Engine) offer(k buffer.Key, edges []graph.Edge, packed bool, priority func([]graph.Edge) int64) {
+// offer offers the just-loaded sub-block k to the per-run buffer as decoded
+// edges, charged their decoded size; a hit saves the block's on-disk bytes.
+// The priority — for FCIU a scan of the block's edges — is computed only when
+// it can decide the admission: an entry larger than the whole buffer is
+// rejected, and counted, by Put before it looks at it.
+func (e *Engine) offer(k buffer.Key, edges []graph.Edge, priority func([]graph.Edge) int64) {
 	size := e.layout.Meta.SubBlockBytes(k.I, k.J)
 	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
-	capacity := e.buf.Capacity()
-	switch {
-	case size > capacity && (!packed || capacity <= 0):
-		// A packed entry is charged its encoded size, known only once
-		// encoded; but no payload fits a buffer of no capacity.
-		e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, 0)
-	case packed:
-		payload := e.src.pack(k.I, k.J, edges)
-		if e.buf.Put(k, buffer.Block{Payload: payload}, size, disk, priority(edges)) {
-			e.src.notePacked(payload, size)
-		}
-	default:
-		e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, priority(edges))
+	var rank int64
+	if size <= e.buf.Capacity() {
+		rank = priority(edges)
+	}
+	e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, rank)
+}
+
+// offerPayload offers the secondary cell k a pass just loaded to a per-run
+// buffer of payloads (Engine.payloads): its delta payload, charged its length —
+// the on-disk size of a verified payload — at the active-edge estimate the
+// buffer's residents are re-ranked by (payloadPriority), which needs no scan
+// of the edges and is the same whichever route delivered the block. A hit saves
+// the block's on-disk bytes. A block the loader did not keep (larger than the
+// whole buffer) comes without a payload and is still offered, so that Put
+// rejects and counts it.
+func (e *Engine) offerPayload(k buffer.Key, blk block) {
+	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
+	if blk.payload == nil {
+		e.buf.Put(k, buffer.Block{}, disk, disk, 0)
+		return
+	}
+	if e.buf.Put(k, buffer.Block{Payload: blk.payload}, disk, disk, e.payloadPriority(k, e.active)) {
+		e.src.notePacked(blk.payload, e.layout.Meta.SubBlockBytes(k.I, k.J))
 	}
 }

@@ -13,24 +13,25 @@ import (
 
 // engineMatrix enumerates the execution configurations a mutated layout
 // must be bit-identical under: forced FCIU, forced SCIU (selective
-// per-vertex reads through the overlay), the adaptive scheduler, SEM
-// block-skipping with the compressed buffer tier, and the asynchronous
-// engine.
+// per-vertex reads through the overlay), the adaptive scheduler, FCIU with a
+// buffer that holds every secondary — on the delta codec as payloads, the
+// merged blocks encoded on the prefetch workers — and the asynchronous engine
+// without and with its buffer.
 func engineMatrix() map[string]core.Options {
 	return map[string]core.Options{
-		"fciu":      {ForceModel: core.ForceFull, DefaultBuffer: true},
-		"sciu":      {ForceModel: core.ForceOnDemand},
-		"adaptive":  {DefaultBuffer: true},
-		"sem":       {SEM: true, DefaultBuffer: true},
-		"async":     {Async: true},
-		"async-sem": {Async: true, SEM: true, DefaultBuffer: true},
+		"fciu":           {ForceModel: core.ForceFull, DefaultBuffer: true},
+		"sciu":           {ForceModel: core.ForceOnDemand},
+		"adaptive":       {DefaultBuffer: true},
+		"fciu-resident":  {ForceModel: core.ForceFull, BufferBytes: 1 << 30},
+		"async":          {Async: true},
+		"async-buffered": {Async: true, DefaultBuffer: true},
 	}
 }
 
 // TestMutatedRunsMatchFreshLayout is the acceptance matrix: a query over
 // base + delta layers + memtable must produce bit-identical outputs to the
 // same query over a freshly preprocessed layout of the merged edge set,
-// across update models, codecs, SEM, and BSP/async execution.
+// across update models, codecs, buffer residency, and BSP/async execution.
 func TestMutatedRunsMatchFreshLayout(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -263,9 +264,10 @@ func TestSharedCacheAcrossMutations(t *testing.T) {
 		}
 	}
 
-	// Compressed tier (SEM) with its own cache: same discipline.
+	// Compressed tiers — a compressed shared cache, and the per-run buffer of
+	// payloads (delta codec) taking its entries: same discipline.
 	scc := buffer.NewSharedCompressed(64 << 20)
-	r2 := run(v1.Layout(), core.Options{SharedBlocks: scc, SEM: true, DefaultBuffer: true})
+	r2 := run(v1.Layout(), core.Options{SharedBlocks: scc, DefaultBuffer: true})
 	for vid := range w1.Outputs {
 		if r2.Outputs[vid] != w1.Outputs[vid] {
 			t.Fatalf("compressed tier: vertex %d mismatch", vid)

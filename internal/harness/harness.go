@@ -227,6 +227,10 @@ func newEnv(cfg *Config, ds Dataset) (*env, error) {
 	}, nil
 }
 
+// graphsdDelta names, to env.layout, GraphSD's layout with delta-coded blocks:
+// the graphsd row's preprocessor with partition.WithCodec(graph.CodecDelta).
+const graphsdDelta = "graphsd-delta"
+
 // layout returns (building on first use) the dataset's layout for a system.
 func (e *env) layout(system string, weighted bool) (*partition.Layout, error) {
 	key := system
@@ -248,11 +252,15 @@ func (e *env) layout(system string, weighted bool) (*partition.Layout, error) {
 	if weighted {
 		g = e.gw
 	}
+	var build []partition.BuildOption
+	if system == graphsdDelta {
+		system, build = "graphsd", []partition.BuildOption{partition.WithCodec(graph.CodecDelta)}
+	}
 	sys, err := e.cfg.system(system)
 	if err != nil {
 		return nil, err
 	}
-	l, err := sys.Build(dev, g, e.p)
+	l, err := sys.Build(dev, g, e.p, build...)
 	if err != nil {
 		return nil, fmt.Errorf("harness: preprocessing %s for %s: %w", e.ds.Name, system, err)
 	}

@@ -220,7 +220,8 @@ func TestFig5WinnersGate(t *testing.T) {
 }
 
 // TestSEMExperiment runs the skipping and compressed-tier study on its own:
-// it enforces the skip/byte-reduction and effective-capacity floors.
+// it enforces the skip/byte-reduction and effective-capacity floors, and that
+// the delta layout's payload buffer serves no fewer hits than the raw one.
 func TestSEMExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment is slow; skipped with -short")
@@ -235,7 +236,7 @@ func TestSEMExperiment(t *testing.T) {
 		t.Fatalf("%v\noutput:\n%s", err, buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"State-aware skipping", "read + skipped", "sparse", "dense", "effective capacity", "compressed hits"} {
+	for _, want := range []string{"State-aware skipping", "read + skipped", "sparse", "dense", "hits raw / delta", "effective capacity", "compressed hits"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

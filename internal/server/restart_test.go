@@ -316,6 +316,63 @@ func TestServerRestartModeMismatch(t *testing.T) {
 	}
 }
 
+// TestServerRestartHostileCheckpoint: a CRC-valid checkpoint whose value count
+// overflowed the reader's length check used to panic in checkpoint.Load, and
+// with it the restarted server. It must be discarded like any corrupt one: the
+// recovered job re-runs from scratch, nothing is lost, the result is exact.
+func TestServerRestartHostileCheckpoint(t *testing.T) {
+	layoutDir, _ := buildLayoutDir(t, 11, 3, 4)
+	req := jobs.Request{Graph: "g", Algorithm: "pr"}
+	ref := refOutputs(t, layoutDir, false, req)
+	hostile, err := os.ReadFile(filepath.Join("..", "checkpoint", "testdata", "hostile_count.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jdir := t.TempDir()
+	s1, err := New(durableConfig(layoutDir, jdir, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := s1.Scheduler().Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	killMidRun(t, s1, j, 1)
+	if !checkpointDirExists(t, jdir, j.ID()) {
+		t.Fatal("no checkpoint on disk after kill")
+	}
+	if err := os.WriteFile(filepath.Join(jdir, "checkpoints", j.ID(), "checkpoint.bin"), hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(durableConfig(layoutDir, jdir, false))
+	if err != nil {
+		t.Fatalf("restart over a hostile checkpoint: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s2.Close(ctx)
+	}()
+	if rec := s2.Recovery(); rec.Requeued != 1 || rec.Lost != 0 {
+		t.Fatalf("recovery = %+v, want requeued=1 lost=0", rec)
+	}
+	j2, _ := s2.Scheduler().Get(j.ID())
+	waitJob(t, j2, jobs.Done)
+	res := j2.Result()
+	if res == nil {
+		t.Fatal("no result after the re-run")
+	}
+	if res.Resumed {
+		t.Fatal("the job resumed a checkpoint Load must reject")
+	}
+	for i := range ref {
+		if res.Outputs[i] != ref[i] {
+			t.Fatalf("vertex %d: %v != %v after the re-run", i, res.Outputs[i], ref[i])
+		}
+	}
+}
+
 // TestServerRestartCrashPoints sweeps a seeded crash point across the job
 // journal's append stream — including the very first submit append — kills
 // the server at each, restarts it, and asserts the accounting invariant:

@@ -62,9 +62,10 @@ type GraphConfig struct {
 	// Retries, when positive, retries transient read faults on the
 	// graph's device under exponential backoff.
 	Retries int
-	// SEM keeps the per-run buffer of every job on this graph in the
-	// compressed tier (core.Options.SEM). Dead sub-blocks are skipped either
-	// way.
+	// SEM is ignored. It used to put every job's per-run buffer in the
+	// compressed tier; that tier is now what the buffer is on a delta-coded
+	// layout, and dead sub-blocks are skipped on every layout. The field stays
+	// until the benchmark module, which sets it, is next edited.
 	SEM bool
 	// Compressed stores the shared sub-block cache delta-coded, trading a
 	// per-hit decode for roughly double the effective capacity.
@@ -142,7 +143,6 @@ type graphEntry struct {
 	// new request must go through manifest(), not meta.
 	meta     partition.Manifest
 	shared   *buffer.Shared
-	sem      bool
 	async    bool
 	asyncEps float64
 
@@ -331,7 +331,6 @@ func New(cfg Config) (*Server, error) {
 			store:    store,
 			meta:     meta,
 			shared:   newShared(cache),
-			sem:      gc.SEM,
 			async:    gc.Async,
 			asyncEps: gc.AsyncEpsilon,
 		}
@@ -505,19 +504,9 @@ func (s *Server) runJob(ctx context.Context, req jobs.Request, info jobs.RunInfo
 		defer v.Release()
 		layout = v.Layout()
 	}
-	opts := core.Options{
-		MaxIterations: req.MaxIterations,
-		DefaultBuffer: true,
-		SharedBlocks:  g.shared,
-		SEM:           g.sem,
-		OnIteration:   info.OnIteration,
-	}
-	// Async applies only to monotonic programs; others (pr, widestpath)
-	// silently run BSP so one server flag serves mixed workloads.
-	if _, mono := prog.(core.Monotonic); mono && g.async {
-		opts.Async = true
-		opts.AsyncEpsilon = g.asyncEps
-	}
+	opts := g.jobOptions(prog)
+	opts.MaxIterations = req.MaxIterations
+	opts.OnIteration = info.OnIteration
 	if info.CheckpointDir != "" {
 		opts.Checkpoint = core.CheckpointOptions{
 			Every:  info.CheckpointEvery,
@@ -552,27 +541,32 @@ func (s *Server) resumableCheckpoint(dir, progName string, async bool, g *graphE
 	return false
 }
 
+// jobOptions is how a job runs prog on graph g: with the default per-run
+// buffer, behind the graph's shared cache and — for a monotonic program on an
+// async graph — under the async schedule. Other programs (pr, widestpath)
+// silently run BSP so one server flag serves mixed workloads. prog may be nil.
+func (g *graphEntry) jobOptions(prog core.Program) core.Options {
+	opts := core.Options{DefaultBuffer: true, SharedBlocks: g.shared}
+	if _, mono := prog.(core.Monotonic); mono && g.async {
+		opts.Async = true
+		opts.AsyncEpsilon = g.asyncEps
+	}
+	return opts
+}
+
 // estimateBytes predicts a job's peak engine memory for admission control:
-// the BSP vertex arrays (two float64 values, two accumulators, two
-// bitsets, and the aux array of a program that keeps one), the default
-// per-run sub-block buffer (1/4 of edge data: FCIU's secondary sub-blocks
-// under BSP, the blocks of the scheduler's highest-ranked rows under async),
-// what the run's block source keeps of every sub-block it touches until the
-// run returns (vertex indexes and run directories, core.HandleBytes — at
-// scale 14, P=8, delta, more than the vertex arrays), and the default prefetch
-// window.
+// core.RunBytes of the options the job will run under, over the graph's live
+// manifest (mutable graphs' edge volume drifts).
 func (s *Server) estimateBytes(req jobs.Request) int64 {
 	g, ok := s.graphs[req.Graph]
 	if !ok {
 		return 0
 	}
-	m := g.manifest() // live snapshot: mutable graphs' edge volume drifts
-	n := int64(m.NumVertices)
-	perVertex := int64(4*8 + 2) // valPrev/valCur/acc/accNext + 2 bitsets
-	if prog, err := algorithms.ByName(req.Algorithm, graph.VertexID(req.Source)); err == nil && prog.HasAux() {
-		perVertex += 8
-	}
-	return n*perVertex + m.EdgeBytesTotal()/4 + core.HandleBytes(&m) + 16<<20
+	m := g.manifest()
+	// An unknown algorithm fails validate; until then it is priced as a BSP
+	// program without an aux array.
+	prog, _ := algorithms.ByName(req.Algorithm, graph.VertexID(req.Source))
+	return core.RunBytes(&m, g.jobOptions(prog), prog != nil && prog.HasAux())
 }
 
 // validate rejects a request the scheduler would accept but the runner

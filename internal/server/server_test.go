@@ -312,11 +312,18 @@ func TestServerAdmissionControl(t *testing.T) {
 	if want := int64(8 * g.NumVertices); prd-pr != want {
 		t.Fatalf("prd estimate %d − pr estimate %d = %d, want the aux array's %d bytes", prd, pr, prd-pr, want)
 	}
-	// So must it what the run's block handles keep until it returns: the
-	// estimate is the vertex arrays on top of everything else it lists.
+	// So must it what the run's block handles keep until it returns, and the
+	// per-vertex state the engine allocates — which the server does not spell
+	// out itself: it is core.RunBytes of the job's options (held to the
+	// engine's arrays by TestRunBytesCoversEngineArrays), at least 48 bytes a
+	// vertex on top of the handles, the buffer and the window. (The hand copy
+	// it replaced charged 34.)
 	m := s.graphs["g"].manifest()
-	if handles, rest := core.HandleBytes(&m), m.EdgeBytesTotal()/4+16<<20; handles == 0 || pr != int64(34*g.NumVertices)+handles+rest {
-		t.Fatalf("pr estimate %d with %d handle bytes and %d of buffer and window: the handles are not charged", pr, handles, rest)
+	if handles, rest := core.HandleBytes(&m), m.EdgeBytesTotal()/4+16<<20; handles == 0 || pr < int64(48*g.NumVertices)+handles+rest {
+		t.Fatalf("pr estimate %d with %d handle bytes and %d of buffer and window: the vertex state or the handles are not charged", pr, handles, rest)
+	}
+	if want := core.RunBytes(&m, core.Options{DefaultBuffer: true, SharedBlocks: s.graphs["g"].shared}, false); pr != want {
+		t.Fatalf("pr estimate %d, core.RunBytes of the job's options %d", pr, want)
 	}
 }
 
