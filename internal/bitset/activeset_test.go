@@ -1,7 +1,6 @@
 package bitset
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -167,48 +166,30 @@ func TestPropertyActiveSetIntervalCounts(t *testing.T) {
 }
 
 // TestActiveSetWordsAddCount checks the raw-word activation the engine's
-// parallel loops use: workers setting bits in word-disjoint ranges through
-// Words, plus one AddCount of the bits that were new, must be
-// indistinguishable from serial Activate calls.
+// scatter and apply loops use: bits set through Words, plus one AddCount of
+// the bits that were new, must be indistinguishable from Activate calls.
 func TestActiveSetWordsAddCount(t *testing.T) {
 	const n = 1024
 	s := NewActiveSet(n)
 	s.Activate(5)
 	s.Activate(700)
 
-	// Two workers over 64-aligned halves, with duplicates.
 	words := s.Words()
-	var wg sync.WaitGroup
-	newly := make([]int, 2)
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := w*512, (w+1)*512
-			cnt := 0
-			for _, v := range []int{lo, lo + 5, lo + 5, lo + 188, hi - 1} {
-				if m := uint64(1) << (v % 64); words[v/64]&m == 0 {
-					words[v/64] |= m
-					cnt++
-				}
-			}
-			newly[w] = cnt
-		}(w)
+	newly := 0
+	for _, v := range []int{0, 5, 5, 188, 511, 512, 517, 517, 700, 1023} {
+		if m := uint64(1) << (v % 64); words[v/64]&m == 0 {
+			words[v/64] |= m
+			newly++
+		}
 	}
-	wg.Wait()
-	s.AddCount(newly[0] + newly[1])
+	s.AddCount(newly)
 
 	want := NewActiveSet(n)
 	for _, v := range []int{5, 700, 0, 5, 188, 511, 512, 517, 700, 1023} {
 		want.Activate(v)
 	}
-	if s.Count() != want.Count() {
-		t.Fatalf("count = %d, want %d", s.Count(), want.Count())
-	}
-	for v := 0; v < n; v++ {
-		if s.Contains(v) != want.Contains(v) {
-			t.Fatalf("vertex %d: contains = %t, want %t", v, s.Contains(v), want.Contains(v))
-		}
+	if !equal(s, want) {
+		t.Fatalf("set %s count %d, want %s count %d", render(s), s.Count(), render(want), want.Count())
 	}
 }
 
@@ -227,7 +208,7 @@ func TestPropertyActiveSetClearRange(t *testing.T) {
 		for v := max(lo, 0); v < min(hi, n); v++ {
 			want.Deactivate(v)
 		}
-		return got.Count() == want.Count() && got.Bits().Equal(want.Bits()) && got.Count() == got.Bits().Count()
+		return equal(got, want) && got.Count() == bitsSet(got)
 	}
 	f := func(size uint16, members []uint16, a, b uint16, edge uint8) bool {
 		n := int(size)%1000 + 1
@@ -255,8 +236,34 @@ func TestPropertyActiveSetClearRange(t *testing.T) {
 		s := NewActiveSet(200)
 		s.ActivateAll()
 		s.ClearRange(r[0], r[1])
-		if want := 200 - (r[1] - r[0]); s.Count() != want || s.Bits().Count() != want || s.CountRange(r[0], r[1]) != 0 {
-			t.Fatalf("ClearRange(%d,%d) of a full set: count %d, bits %d, want %d", r[0], r[1], s.Count(), s.Bits().Count(), want)
+		if want := 200 - (r[1] - r[0]); s.Count() != want || bitsSet(s) != want || s.CountRange(r[0], r[1]) != 0 {
+			t.Fatalf("ClearRange(%d,%d) of a full set: count %d, bits %d, want %d", r[0], r[1], s.Count(), bitsSet(s), want)
+		}
+	}
+}
+
+// TestActiveSetLoadWords: a Words snapshot loads back with its count, and a
+// snapshot of the wrong length, or with a bit beyond the capacity, is refused
+// and leaves the set as it was.
+func TestActiveSetLoadWords(t *testing.T) {
+	src := NewActiveSet(100)
+	for _, v := range []int{0, 63, 64, 99} {
+		src.Activate(v)
+	}
+	dst := NewActiveSet(100)
+	dst.Activate(7)
+	if err := dst.LoadWords(append([]uint64(nil), src.Words()...)); err != nil || !equal(dst, src) {
+		t.Fatalf("LoadWords of a snapshot: %v, set %s count %d, want %s", err, render(dst), dst.Count(), render(src))
+	}
+	for name, words := range map[string][]uint64{
+		"short":           {1},
+		"beyond capacity": {1, 1 << 36},
+	} {
+		if err := dst.LoadWords(words); err == nil {
+			t.Errorf("%s snapshot loaded", name)
+		}
+		if !equal(dst, src) {
+			t.Errorf("%s snapshot changed the set to %s", name, render(dst))
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -8,55 +9,84 @@ import (
 	"testing/quick"
 )
 
+// equal reports whether a and b have the same capacity, the same words and
+// the same cached count.
+func equal(a, b *ActiveSet) bool {
+	return a.n == b.n && a.count == b.count && slices.Equal(a.words, b.words)
+}
+
+// render lists a small set's vertices for failure messages.
+func render(s *ActiveSet) string {
+	const maxShown = 32
+	out := "{"
+	shown := 0
+	s.ForEach(func(v int) bool {
+		if shown > 0 {
+			out += " "
+		}
+		if shown == maxShown {
+			out += "..."
+			return false
+		}
+		out += fmt.Sprint(v)
+		shown++
+		return true
+	})
+	return out + "}"
+}
+
+// bitsSet is the population count of the words, against which the cached
+// count is checked.
+func bitsSet(s *ActiveSet) int { return s.CountRange(0, s.Len()) }
+
 func TestNewEmpty(t *testing.T) {
-	b := New(130)
-	if b.Len() != 130 {
-		t.Fatalf("Len = %d, want 130", b.Len())
+	s := NewActiveSet(130)
+	if s.Len() != 130 {
+		t.Fatalf("Len = %d, want 130", s.Len())
 	}
-	if b.Count() != 0 {
-		t.Fatalf("Count = %d, want 0", b.Count())
+	if s.Count() != 0 || bitsSet(s) != 0 {
+		t.Fatalf("Count = %d, bits set %d, want 0", s.Count(), bitsSet(s))
 	}
 }
 
 func TestNewNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(-1) did not panic")
+			t.Fatal("NewActiveSet(-1) did not panic")
 		}
 	}()
-	New(-1)
+	NewActiveSet(-1)
 }
 
 func TestSetTestClear(t *testing.T) {
-	b := New(200)
-	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
-		if b.Test(i) {
-			t.Fatalf("bit %d set before Set", i)
+	s := NewActiveSet(200)
+	for _, v := range []int{0, 1, 63, 64, 65, 127, 128, 199} {
+		if s.Contains(v) {
+			t.Fatalf("vertex %d active before Activate", v)
 		}
-		b.Set(i)
-		if !b.Test(i) {
-			t.Fatalf("bit %d clear after Set", i)
+		s.Activate(v)
+		if !s.Contains(v) {
+			t.Fatalf("vertex %d inactive after Activate", v)
 		}
 	}
-	if got := b.Count(); got != 8 {
-		t.Fatalf("Count = %d, want 8", got)
+	if got := s.Count(); got != 8 || bitsSet(s) != 8 {
+		t.Fatalf("Count = %d, bits set %d, want 8", got, bitsSet(s))
 	}
-	b.Clear(64)
-	if b.Test(64) {
-		t.Fatal("bit 64 still set after Clear")
+	s.Deactivate(64)
+	if s.Contains(64) {
+		t.Fatal("vertex 64 still active after Deactivate")
 	}
-	if got := b.Count(); got != 7 {
-		t.Fatalf("Count = %d, want 7", got)
+	if got := s.Count(); got != 7 || bitsSet(s) != 7 {
+		t.Fatalf("Count = %d, bits set %d, want 7", got, bitsSet(s))
 	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {
-	b := New(10)
+	s := NewActiveSet(10)
 	for name, fn := range map[string]func(){
-		"Set":        func() { b.Set(10) },
-		"Clear":      func() { b.Clear(-1) },
-		"Test":       func() { b.Test(11) },
-		"TestAndSet": func() { b.TestAndSet(10) },
+		"Activate":   func() { s.Activate(10) },
+		"Deactivate": func() { s.Deactivate(-1) },
+		"Contains":   func() { s.Contains(11) },
 	} {
 		func() {
 			defer func() {
@@ -68,62 +98,69 @@ func TestOutOfRangePanics(t *testing.T) {
 			fn()
 		}()
 	}
+	if s.Count() != 0 || bitsSet(s) != 0 {
+		t.Fatalf("out-of-range calls changed the set: count %d, bits set %d", s.Count(), bitsSet(s))
+	}
 }
 
 func TestTestAndSet(t *testing.T) {
-	b := New(70)
-	if b.TestAndSet(69) {
-		t.Fatal("TestAndSet returned true on clear bit")
+	s := NewActiveSet(70)
+	if !s.Activate(69) {
+		t.Fatal("Activate reported an inactive vertex active")
 	}
-	if !b.TestAndSet(69) {
-		t.Fatal("TestAndSet returned false on set bit")
+	if s.Activate(69) {
+		t.Fatal("Activate reported an active vertex new")
 	}
-	if b.Count() != 1 {
-		t.Fatalf("Count = %d, want 1", b.Count())
+	if s.Count() != 1 || bitsSet(s) != 1 {
+		t.Fatalf("Count = %d, bits set %d, want 1", s.Count(), bitsSet(s))
 	}
 }
 
 func TestFillRespectsCapacity(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128} {
-		b := New(n)
-		b.Fill()
-		if got := b.Count(); got != n {
-			t.Errorf("n=%d: Count after Fill = %d", n, got)
+		s := NewActiveSet(n)
+		s.ActivateAll()
+		if s.Count() != n || bitsSet(s) != n {
+			t.Errorf("n=%d: Count after ActivateAll = %d, bits set %d", n, s.Count(), bitsSet(s))
+		}
+		ones := 0
+		for _, w := range s.Words() {
+			for ; w != 0; w &= w - 1 {
+				ones++
+			}
+		}
+		if ones != n {
+			t.Errorf("n=%d: %d bits set in the words, some beyond the capacity", n, ones)
 		}
 	}
 }
 
 func TestResetClearsAll(t *testing.T) {
-	b := New(100)
-	b.Fill()
-	b.Reset()
-	if b.Count() != 0 {
-		t.Fatal("bits remain set after Reset")
+	s := NewActiveSet(100)
+	s.ActivateAll()
+	s.Reset()
+	if s.Count() != 0 || bitsSet(s) != 0 {
+		t.Fatal("vertices remain active after Reset")
 	}
 }
 
 func TestForEachOrderAndEarlyStop(t *testing.T) {
-	b := New(150)
+	s := NewActiveSet(150)
 	want := []int{3, 64, 65, 100, 149}
-	for _, i := range want {
-		b.Set(i)
+	for _, v := range want {
+		s.Activate(v)
 	}
 	var got []int
-	b.ForEach(func(i int) bool {
-		got = append(got, i)
+	s.ForEach(func(v int) bool {
+		got = append(got, v)
 		return true
 	})
-	if len(got) != len(want) {
+	if !slices.Equal(got, want) {
 		t.Fatalf("visited %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("visited %v, want %v", got, want)
-		}
 	}
 	// Early stop after two elements.
 	count := 0
-	b.ForEach(func(i int) bool {
+	s.ForEach(func(int) bool {
 		count++
 		return count < 2
 	})
@@ -133,48 +170,42 @@ func TestForEachOrderAndEarlyStop(t *testing.T) {
 }
 
 func TestForEachRange(t *testing.T) {
-	b := New(200)
-	for i := 0; i < 200; i += 10 {
-		b.Set(i)
+	s := NewActiveSet(200)
+	for v := 0; v < 200; v += 10 {
+		s.Activate(v)
 	}
 	var got []int
-	b.ForEachRange(25, 75, func(i int) bool {
-		got = append(got, i)
+	s.ForEachRange(25, 75, func(v int) bool {
+		got = append(got, v)
 		return true
 	})
-	want := []int{30, 40, 50, 60, 70}
-	if len(got) != len(want) {
+	if want := []int{30, 40, 50, 60, 70}; !slices.Equal(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
 	}
 }
 
-// TestPropertyForEachRange: the word-at-a-time walk visits exactly the set
-// bits of the clamped range, ascending, and stops when told to.
+// TestPropertyForEachRange: the word-at-a-time walk visits exactly the
+// active vertices of the clamped range, ascending, and stops when told to.
 func TestPropertyForEachRange(t *testing.T) {
 	f := func(size uint16, members []uint16, a, b int16, stopAfter uint8) bool {
 		n := int(size)%700 + 1
-		bs := New(n)
+		s := NewActiveSet(n)
 		for _, m := range members {
-			bs.Set(int(m) % n)
+			s.Activate(int(m) % n)
 		}
 		lo, hi := int(a)%(n+80)-40, int(b)%(n+80)-40
 		var want []int
-		for i := max(lo, 0); i < min(hi, n); i++ {
-			if bs.Test(i) {
-				want = append(want, i)
+		for v := max(lo, 0); v < min(hi, n); v++ {
+			if s.Contains(v) {
+				want = append(want, v)
 			}
 		}
 		if k := int(stopAfter); k > 0 && k < len(want) {
 			want = want[:k]
 		}
 		var got []int
-		bs.ForEachRange(lo, hi, func(i int) bool {
-			got = append(got, i)
+		s.ForEachRange(lo, hi, func(v int) bool {
+			got = append(got, v)
 			return len(got) != int(stopAfter)
 		})
 		return slices.Equal(got, want)
@@ -185,49 +216,56 @@ func TestPropertyForEachRange(t *testing.T) {
 }
 
 func TestCountRange(t *testing.T) {
-	b := New(256)
-	for i := 0; i < 256; i += 3 {
-		b.Set(i)
+	s := NewActiveSet(256)
+	for v := 0; v < 256; v += 3 {
+		s.Activate(v)
 	}
 	for _, c := range []struct{ lo, hi int }{
 		{0, 256}, {0, 0}, {10, 10}, {0, 1}, {0, 64}, {63, 65},
 		{64, 128}, {100, 101}, {5, 250}, {-5, 300}, {250, 200},
 	} {
 		want := 0
-		for i := max(0, c.lo); i < min(256, c.hi); i++ {
-			if b.Test(i) {
+		for v := max(0, c.lo); v < min(256, c.hi); v++ {
+			if s.Contains(v) {
 				want++
 			}
 		}
-		if got := b.CountRange(c.lo, c.hi); got != want {
+		if got := s.CountRange(c.lo, c.hi); got != want {
 			t.Errorf("CountRange(%d,%d) = %d, want %d", c.lo, c.hi, got, want)
 		}
 	}
 }
 
 func TestSetOps(t *testing.T) {
-	a, b := New(100), New(100)
-	for i := 0; i < 100; i += 2 {
-		a.Set(i)
+	a, b := NewActiveSet(100), NewActiveSet(100)
+	for v := 0; v < 100; v += 2 {
+		a.Activate(v)
 	}
-	for i := 0; i < 100; i += 3 {
-		b.Set(i)
+	for v := 0; v < 100; v += 3 {
+		b.Activate(v)
 	}
 
-	a.AndNot(b)
+	a.Subtract(b)
 
-	for i := 0; i < 100; i++ {
-		ea, eb := i%2 == 0, i%3 == 0
-		if a.Test(i) != (ea && !eb) {
-			t.Errorf("andnot bit %d wrong", i)
+	want := 0
+	for v := 0; v < 100; v++ {
+		ea, eb := v%2 == 0, v%3 == 0
+		if a.Contains(v) != (ea && !eb) {
+			t.Errorf("subtract vertex %d wrong", v)
 		}
+		if ea && !eb {
+			want++
+		}
+	}
+	if a.Count() != want || bitsSet(a) != want {
+		t.Errorf("Count after Subtract = %d, bits set %d, want %d", a.Count(), bitsSet(a), want)
 	}
 }
 
 func TestSetOpsCapacityMismatchPanics(t *testing.T) {
-	a, b := New(10), New(20)
+	a, b := NewActiveSet(10), NewActiveSet(20)
 	for name, fn := range map[string]func(){
-		"AndNot":   func() { a.AndNot(b) },
+		"Subtract": func() { a.Subtract(b) },
 		"CopyFrom": func() { a.CopyFrom(b) },
 	} {
 		func() {
@@ -242,55 +280,55 @@ func TestSetOpsCapacityMismatchPanics(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a, b := New(90), New(90)
-	if !a.Equal(b) {
-		t.Fatal("fresh equal-capacity bitsets not Equal")
+	a, b := NewActiveSet(90), NewActiveSet(90)
+	if !equal(a, b) {
+		t.Fatal("fresh equal-capacity sets not equal")
 	}
-	a.Set(89)
-	if a.Equal(b) {
-		t.Fatal("different bitsets reported Equal")
+	a.Activate(89)
+	if equal(a, b) {
+		t.Fatal("different sets reported equal")
 	}
-	b.Set(89)
-	if !a.Equal(b) {
-		t.Fatal("identical bitsets not Equal")
+	b.Activate(89)
+	if !equal(a, b) {
+		t.Fatal("identical sets not equal")
 	}
-	if a.Equal(New(91)) {
-		t.Fatal("different capacities reported Equal")
+	if equal(a, NewActiveSet(91)) {
+		t.Fatal("different capacities reported equal")
 	}
 }
 
 func TestStringSmall(t *testing.T) {
-	b := New(10)
-	b.Set(1)
-	b.Set(4)
-	if got := b.String(); got != "{1 4}" {
-		t.Fatalf("String() = %q, want {1 4}", got)
+	s := NewActiveSet(10)
+	s.Activate(1)
+	s.Activate(4)
+	if got := render(s); got != "{1 4}" {
+		t.Fatalf("render = %q, want {1 4}", got)
 	}
 }
 
-// Property: Count always equals the number of indices for which Test is true,
-// under any sequence of Set/Clear operations.
+// Property: the cached count and the bits set both equal the number of
+// vertices for which Contains is true, under any sequence of
+// Activate/Deactivate operations.
 func TestPropertyCountMatchesTest(t *testing.T) {
-	f := func(ops []uint16, setBits []bool) bool {
+	f := func(ops []uint16, activate []bool) bool {
 		const n = 512
-		b := New(n)
+		s := NewActiveSet(n)
 		ref := make(map[int]bool)
 		for i, op := range ops {
-			idx := int(op) % n
-			set := i < len(setBits) && setBits[i]
-			if set {
-				b.Set(idx)
-				ref[idx] = true
+			v := int(op) % n
+			if i < len(activate) && activate[i] {
+				s.Activate(v)
+				ref[v] = true
 			} else {
-				b.Clear(idx)
-				delete(ref, idx)
+				s.Deactivate(v)
+				delete(ref, v)
 			}
 		}
-		if b.Count() != len(ref) {
+		if s.Count() != len(ref) || bitsSet(s) != len(ref) {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			if b.Test(i) != ref[i] {
+		for v := 0; v < n; v++ {
+			if s.Contains(v) != ref[v] {
 				return false
 			}
 		}
@@ -305,10 +343,10 @@ func TestPropertyCountMatchesTest(t *testing.T) {
 func TestPropertyCountRangePartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	const n = 777
-	b := New(n)
-	for i := 0; i < n; i++ {
+	s := NewActiveSet(n)
+	for v := 0; v < n; v++ {
 		if rng.Intn(3) == 0 {
-			b.Set(i)
+			s.Activate(v)
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
@@ -316,9 +354,9 @@ func TestPropertyCountRangePartition(t *testing.T) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		total := b.CountRange(0, lo) + b.CountRange(lo, hi) + b.CountRange(hi, n)
-		if total != b.Count() {
-			t.Fatalf("partition counts %d != total %d (lo=%d hi=%d)", total, b.Count(), lo, hi)
+		total := s.CountRange(0, lo) + s.CountRange(lo, hi) + s.CountRange(hi, n)
+		if total != s.Count() {
+			t.Fatalf("partition counts %d != total %d (lo=%d hi=%d)", total, s.Count(), lo, hi)
 		}
 	}
 }

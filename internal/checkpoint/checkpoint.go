@@ -68,9 +68,10 @@ type State struct {
 	EnqueueSteps []uint64
 	Consumed     []uint64
 	// Threads is the scatter parallelism of the run that wrote the
-	// checkpoint. A parallel floating-point sum associates by thread count,
-	// so a resume adopts it to stay bit-identical on a host with a different
-	// core count. Zero in checkpoints written before it was recorded.
+	// checkpoint: 1 for every run since the engine scatters on one
+	// goroutine, more for files from older parallel runs, zero in files
+	// written before it was recorded. The engine writes 1 and ignores it on
+	// resume; it stays so that the format does not change.
 	Threads int
 }
 

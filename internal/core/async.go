@@ -20,13 +20,13 @@
 // every destination interval, so no per-(vertex, column) pushed-mass matrix
 // is needed. For min-programs row atomicity is merely the natural grain.
 //
-// Determinism contract: for a fixed Options.AsyncSeed and thread count the
-// pop sequence — and therefore every result bit — is reproducible. Row
-// priorities are always recomputed canonically (ascending vertex order over
-// the live frontier) rather than maintained incrementally, ties break by a
-// seeded hash then the row index, aging is a pure function of the persisted
-// step counter, and checkpoints capture the step counter and per-row
-// enqueue steps, so a resumed run replays the identical schedule.
+// Determinism contract: for a fixed Options.AsyncSeed the pop sequence — and
+// therefore every result bit — is reproducible. Row priorities are always
+// recomputed canonically (ascending vertex order over the live frontier)
+// rather than maintained incrementally, ties break by a seeded hash then the
+// row index, aging is a pure function of the persisted step counter, and
+// checkpoints capture the step counter and per-row enqueue steps, so a
+// resumed run replays the identical schedule.
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps decoded blocks of
 // the rows the scheduler ranks highest — a resident block's priority is its
@@ -549,9 +549,6 @@ func (a *asyncRun) scatterApplyBlock(edges []graph.Edge, j int) int64 {
 // applySpan applies the touched vertices of [lo, hi) in ascending order. It
 // leaves touched alone: the caller clears the whole interval.
 func (a *asyncRun) applySpan(lo, hi int) (out applied) {
-	if lo >= hi {
-		return out
-	}
 	e := a.e
 	id := e.prog.Identity()
 	active, consumed := e.active.Words(), a.consumed.Words()

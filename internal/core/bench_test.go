@@ -68,62 +68,10 @@ func BenchmarkEngineBFS(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineThreads runs PageRank at 1–8 threads on both sides of the
-// fan-out thresholds: "serial-blocks" cuts a small graph so that every
-// sub-block and interval stays below them and all thread counts run the
-// serial kernel; "fanout-blocks" cuts a larger one in two, so that both
-// intervals and the sub-blocks holding nine edges in ten fan out.
-func BenchmarkEngineThreads(b *testing.B) {
-	for _, c := range []struct {
-		name             string
-		scale, degree, p int
-		fanOut           bool
-	}{
-		{"serial-blocks", 13, 16, 4, false},
-		{"fanout-blocks", 17, 16, 2, true},
-	} {
-		g, err := gen.RMAT(c.scale, c.degree, gen.Graph500, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(c.name+"/"+benchName(threads), func(b *testing.B) {
-				l := benchLayout(b, g, c.p)
-				var above int64
-				for i := 0; i < c.p; i++ {
-					for j := 0; j < c.p; j++ {
-						if m := l.Meta.SubBlockEdges(i, j); m >= core.SerialScatterThreshold {
-							above += m
-						}
-					}
-				}
-				if lo, hi := l.Meta.Interval(0); c.fanOut != (10*above >= 9*l.Meta.NumEdges) || c.fanOut != (hi-lo >= core.SerialApplyThreshold) {
-					b.Fatalf("%d of %d edges in sub-blocks that fan out, intervals of %d vertices: the layout is on the wrong side of the thresholds",
-						above, l.Meta.NumEdges, hi-lo)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := core.Run(l, &algorithms.PageRank{Iterations: 3}, core.Options{Threads: threads})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(res.ComputeTime.Microseconds())/1000, "compute-ms")
-				}
-			})
-		}
-	}
-}
-
-func benchName(threads int) string {
-	return "threads-" + string(rune('0'+threads))
-}
-
 // BenchmarkScatterKernel times Engine.scatter alone, per scatter loop: one op
 // scatters the four sub-blocks of one destination column of the pr_fit graph
-// cut four ways — sub-blocks large enough that two threads fan out — with
-// every source active or one in a hundred, at one and two threads. It
-// reports ns per edge examined and fails if the steady state allocates.
+// cut four ways, with every source active or one in a hundred. It reports ns
+// per edge examined and fails if the steady state allocates.
 func BenchmarkScatterKernel(b *testing.B) {
 	const p, column = 4, 1
 	rmat, err := gen.RMAT(17, 16, gen.Graph500, 7)
@@ -142,18 +90,12 @@ func BenchmarkScatterKernel(b *testing.B) {
 			blocks[int(ed.Src)/per] = append(blocks[int(ed.Src)/per], ed)
 		}
 	}
-	edges, fanOut := 0, 0
+	edges := 0
 	for _, blk := range blocks {
 		slices.SortFunc(blk, func(x, y graph.Edge) int {
 			return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
 		})
 		edges += len(blk)
-		if len(blk) >= core.SerialScatterThreshold {
-			fanOut += len(blk)
-		}
-	}
-	if 2*fanOut < edges {
-		b.Fatalf("only %d of %d edges are in sub-blocks large enough to fan out", fanOut, edges)
 	}
 	degrees := g.OutDegrees()
 	vals := make([]float64, n)
@@ -181,36 +123,32 @@ func BenchmarkScatterKernel(b *testing.B) {
 			name   string
 			filter *bitset.ActiveSet
 		}{{"dense", dense}, {"active-1pct", sparse}} {
-			for _, threads := range []int{1, 2} {
-				b.Run(pr.name+"/"+f.name+"/"+benchName(threads), func(b *testing.B) {
-					s, err := core.NewScatterer(pr.prog, threads, degrees)
-					if err != nil {
-						b.Fatal(err)
+			b.Run(pr.name+"/"+f.name, func(b *testing.B) {
+				s, err := core.NewScatterer(pr.prog, degrees)
+				if err != nil {
+					b.Fatal(err)
+				}
+				acc := make([]float64, n)
+				for v := range acc {
+					acc[v] = pr.prog.Identity()
+				}
+				touched := bitset.NewActiveSet(n)
+				op := func() {
+					for _, blk := range blocks {
+						s.Scatter(blk, vals, f.filter, acc, touched, lo, hi)
 					}
-					defer s.Close()
-					acc := make([]float64, n)
-					for v := range acc {
-						acc[v] = pr.prog.Identity()
-					}
-					touched := bitset.NewActiveSet(n)
-					op := func() {
-						for _, blk := range blocks {
-							s.Scatter(blk, vals, f.filter, acc, touched, lo, hi)
-						}
-						touched.ClearRange(lo, hi)
-					}
-					op() // start the helpers and size their private arrays
-					if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
-						b.Fatalf("%v allocations per op; the scatter path must not allocate", allocs)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						op()
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
-				})
-			}
+					touched.ClearRange(lo, hi)
+				}
+				if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
+					b.Fatalf("%v allocations per op; the scatter path must not allocate", allocs)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+			})
 		}
 	}
 }

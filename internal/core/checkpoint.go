@@ -24,7 +24,7 @@ func (e *Engine) capture(n int, s schedule) *checkpoint.State {
 		AccNext:     e.accNext,
 		Active:      e.active.Words(),
 		TouchedNext: e.touchedNext.Words(),
-		Threads:     e.threads,
+		Threads:     1, // every run scatters on one goroutine; restore ignores it
 	}
 	s.capture(ck)
 	return ck
@@ -66,13 +66,6 @@ func (e *Engine) restore(ck *checkpoint.State) error {
 	}
 	if err := e.touchedNext.LoadWords(ck.TouchedNext); err != nil {
 		return fmt.Errorf("core: checkpoint touched set: %w", err)
-	}
-	// Scatter on as many threads as the run that wrote the checkpoint,
-	// whatever Options.Threads resolves to here: the parallel reduce
-	// associates a sum by thread count, and a resume must not change the
-	// bits. Checkpoints from before the count was recorded carry 0.
-	if ck.Threads > 0 {
-		e.threads = ck.Threads
 	}
 	return nil
 }

@@ -15,13 +15,6 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// serialScatterThreshold is the edge count below which scatter runs
-// single-threaded. A fan-out has a fixed cost — about 10µs to wake a parked
-// helper, then a reduce over the destination interval — against roughly 3ns
-// of kernel work per edge. The value is the smallest power of two at which
-// two threads measured no slower than one (CHANGES.md, PR 13).
-const serialScatterThreshold = 1 << 17
-
 // sparseViewDensity is how sparse a full-model pass's frontier must be — at
 // most one active vertex in this many — for the pass to take its blocks as run
 // views and decode only the active sources' runs (fciu.go, openPass). A view
@@ -34,11 +27,6 @@ const serialScatterThreshold = 1 << 17
 // most blocks twice, between one in 4 and one in 8; this is the first power of
 // two at which views measured faster on all four (CHANGES.md, PR 18).
 const sparseViewDensity = 8
-
-// serialApplyThreshold is the vertex count below which the apply phase runs
-// single-threaded, chosen the same way: one wake against roughly 6ns per
-// applied vertex.
-const serialApplyThreshold = 1 << 16
 
 // Engine executes a vertex program over a partitioned on-disk graph using
 // GraphSD's state- and dependency-aware update strategy. Create one with
@@ -98,16 +86,10 @@ type Engine struct {
 	// kernel is the scatter loop the program declared (see kernel.go).
 	kernel EdgeKernel
 
-	// threads is Options.Threads resolved; par is the parallel scatter/apply
-	// state, nil until a batch is large enough to fan out. run stops its
-	// helpers before returning.
-	threads int
-	par     *parallel
-
-	// applySpan is the schedule's per-vertex apply loop over one span of an
-	// interval, bound once by newSchedule so that applyInterval allocates
-	// nothing; applyEvery makes it (and applyInterval) visit every vertex
-	// rather than the touched ones.
+	// applySpan is the schedule's per-vertex apply loop over an interval,
+	// bound once by newSchedule so that applyInterval allocates nothing;
+	// applyEvery makes it (and applyInterval) visit every vertex rather than
+	// the touched ones.
 	applySpan  func(lo, hi int) applied
 	applyEvery bool
 
@@ -156,7 +138,6 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		layout:       layout,
 		prog:         prog,
 		kernel:       kernel,
-		threads:      opts.threads(),
 		opts:         opts,
 		sched:        sched,
 		n:            n,
@@ -228,7 +209,6 @@ func (e *Engine) run() (*Result, error) {
 	if e.ctx == nil {
 		e.ctx = context.Background()
 	}
-	defer e.stopParallel()
 	defer e.src.close()
 	dev := e.layout.Dev
 	ioBase := dev.Stats()
@@ -374,7 +354,7 @@ func (e *Engine) decide(iter int) iosched.Model {
 	return d.Model
 }
 
-// applied is what applying one span of an interval did: vertices newly set
+// applied is what applying an interval did: vertices newly set
 // in the schedule's frontier, and — async only — how many of those had been
 // consumed before and whether any vertex asked to be active at all.
 type applied struct {
@@ -386,17 +366,13 @@ type applied struct {
 // schedule's applySpan over interval j — over every vertex of it for
 // always-active programs under BSP, otherwise over those in touched — and
 // restores the accumulator identity invariant: touched is cleared here, the
-// accumulators by the span. It returns how many vertices it applied and the
-// spans' summed outcome. Apply is embarrassingly parallel per vertex — each
-// touches only its own value, accumulator and aux slot — so large intervals
-// are cut at word boundaries across Options.Threads workers, each setting
-// its own words of the frontier and counting its own span; the sums are
-// therefore the same at every thread count.
+// accumulators by applySpan. It returns how many vertices it applied and
+// what applying them did.
 //
 // The per-vertex loop is the schedule's, bound once in applySpan, not a
-// callback per vertex: one indirect call per span keeps Apply/AsyncApply
+// callback per vertex: one indirect call per interval keeps Apply/AsyncApply
 // the only dynamic call in the loop.
-func (e *Engine) applyInterval(j int) (count int, total applied) {
+func (e *Engine) applyInterval(j int) (count int, out applied) {
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()
 	defer func() { e.computeTime += time.Since(t0) }()
@@ -406,36 +382,17 @@ func (e *Engine) applyInterval(j int) (count int, total applied) {
 		count = e.touched.CountRange(lo, hi)
 	}
 	if count == 0 {
-		return 0, total
+		return 0, out
 	}
-	if count < serialApplyThreshold || e.threads <= 1 {
-		total = e.applySpan(lo, hi)
-	} else {
-		p := e.parallelState()
-		p.lo, p.hi = lo, hi
-		p.pool.run(p.applyTask)
-		for _, out := range p.applied {
-			total.woken += out.woken
-			total.reacts += out.reacts
-			total.any = total.any || out.any
-		}
-	}
+	out = e.applySpan(lo, hi)
 	e.touched.ClearRange(lo, hi)
-	return count, total
-}
-
-func (e *Engine) applyWorker(w int) {
-	p := e.par
-	p.applied[w] = e.applySpan(spanCut(p.lo, p.hi, w, p.pool.n))
+	return count, out
 }
 
 // applySpanBSP applies the vertices of [lo, hi) in ascending order — all of
 // them, or those in touched — into valCur, and counts those it newly set in
 // newActive. It leaves touched alone: applyInterval clears the whole interval.
 func (e *Engine) applySpanBSP(lo, hi int) (out applied) {
-	if lo >= hi {
-		return out
-	}
 	id := e.prog.Identity()
 	newActive := e.newActive.Words()
 	apply := func(v int) bool {
@@ -464,46 +421,12 @@ func (e *Engine) applyBSP(j int) {
 }
 
 // scatter merges the contributions of edges whose source is in filter into
-// acc/touched, reading source values from vals. dstLo/dstHi bound the
-// destinations of edges: the touched bits the call sets are counted over that
-// range, before and after, and it sizes the parallel path's private
-// accumulators — (Threads-1)·8·(dstHi-dstLo) bytes kept for the rest of the
-// run, so this is for sub-block batches, whose destinations are one interval.
-//
-// Small batches and Threads=1 go to scatterSerial. Larger ones cut the edges
-// into one contiguous chunk per worker: worker 0 runs the kernel into
-// acc/touched, every other worker into private arrays spanning the
-// destination interval that hold the identity everywhere between calls.
-// After a barrier the destination span is cut at word boundaries and each
-// worker folds its cut of every private array into acc/touched, in worker
-// order, restoring the identity as it goes. A destination's contributions
-// are therefore merged as (chunk 0 in edge order) ⊕ chunk 1's total ⊕
-// chunk 2's total …: fixed for a fixed thread count, and equal to the serial
-// result whenever Merge is exact (min); a floating-point sum may differ from
-// it in the last bits.
+// acc/touched, reading source values from vals: the program's kernel over all
+// edges, in order, on the calling goroutine, so a destination's contributions
+// merge in edge order on every host. dstLo/dstHi bound the destinations of
+// edges; the touched bits the call sets are counted over that range, before
+// and after. It keeps no memory, whatever the range.
 func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
-	if len(edges) < serialScatterThreshold || e.threads <= 1 {
-		e.scatterSerial(edges, vals, filter, acc, touched, dstLo, dstHi)
-		return
-	}
-	t0 := time.Now()
-	before := touched.CountRange(dstLo, dstHi)
-	p := e.parallelState()
-	p.edges = edges
-	p.args = scatterArgs{vals: vals, degrees: e.degrees, filter: filter.Words(), acc: acc, touched: touched.Words()}
-	p.base = dstLo &^ 63
-	p.span = dstHi - p.base
-	p.pool.run(p.scatterTask)
-	p.pool.run(p.reduceTask)
-	p.edges, p.args = nil, scatterArgs{}
-	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
-	e.computeTime += time.Since(t0)
-}
-
-// scatterSerial is scatter on the calling goroutine alone: the program's
-// kernel over all edges, in order, straight into acc/touched. It keeps no
-// memory, whatever the destination range.
-func (e *Engine) scatterSerial(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	if len(edges) == 0 {
 		return
 	}
@@ -512,33 +435,6 @@ func (e *Engine) scatterSerial(edges []graph.Edge, vals []float64, filter *bitse
 	runKernel(e.kernel, e.prog, edges, scatterArgs{vals: vals, degrees: e.degrees, filter: filter.Words(), acc: acc, touched: touched.Words()})
 	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
 	e.computeTime += time.Since(t0)
-}
-
-// scatterWorker runs the kernel over worker w's chunk of the edges.
-func (e *Engine) scatterWorker(w int) {
-	p := e.par
-	chunk := (len(p.edges) + p.pool.n - 1) / p.pool.n
-	lo, hi := min(w*chunk, len(p.edges)), min((w+1)*chunk, len(p.edges))
-	args := p.args
-	if w > 0 {
-		mine := &p.privates[w]
-		mine.grow(p.span, e.prog.Identity())
-		args.acc, args.touched, args.base = mine.acc, mine.touched, p.base
-	}
-	runKernel(e.kernel, e.prog, p.edges[lo:hi], args)
-}
-
-// reduceWorker folds worker w's cut of the destination span out of every
-// private array, in worker order.
-func (e *Engine) reduceWorker(w int) {
-	p := e.par
-	words := (p.span + 63) >> 6
-	per := (words + p.pool.n - 1) / p.pool.n
-	loW, hiW := min(w*per, words), min((w+1)*per, words)
-	id := e.prog.Identity()
-	for k := 1; k < p.pool.n; k++ {
-		p.privates[k].reduce(e.kernel, e.prog, loW, hiW, p.args.acc, p.args.touched, p.base>>6, id)
-	}
 }
 
 // activeEdgeCount returns how many of edges have an active source, the

@@ -16,14 +16,13 @@ import (
 // behind it, for the kernel tests and BenchmarkScatterKernel.
 type Scatterer struct{ e *Engine }
 
-// NewScatterer prepares prog's declared scatter loop at the given thread
-// count. Close stops the helper goroutines a parallel scatter started.
-func NewScatterer(prog Program, threads int, degrees []uint32) (*Scatterer, error) {
+// NewScatterer prepares prog's declared scatter loop.
+func NewScatterer(prog Program, degrees []uint32) (*Scatterer, error) {
 	k, err := kernelOf(prog)
 	if err != nil {
 		return nil, err
 	}
-	return &Scatterer{&Engine{prog: prog, kernel: k, threads: threads, degrees: degrees}}, nil
+	return &Scatterer{&Engine{prog: prog, kernel: k, degrees: degrees}}, nil
 }
 
 func (s *Scatterer) Kernel() EdgeKernel { return s.e.kernel }
@@ -31,14 +30,6 @@ func (s *Scatterer) Kernel() EdgeKernel { return s.e.kernel }
 func (s *Scatterer) Scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	s.e.scatter(edges, vals, filter, acc, touched, dstLo, dstHi)
 }
-
-func (s *Scatterer) Close() { s.e.stopParallel() }
-
-// The batch sizes from which a scatter and an apply fan out.
-const (
-	SerialScatterThreshold = serialScatterThreshold
-	SerialApplyThreshold   = serialApplyThreshold
-)
 
 // SparseViewDensity is the frontier density at or below which a full-model
 // pass takes run views.
@@ -149,7 +140,6 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 		return pipeline.Stats{}, err
 	}
 	e.ctx = context.Background()
-	defer e.stopParallel()
 	defer e.src.close()
 	if e.degrees, err = layout.LoadDegrees(); err != nil {
 		return pipeline.Stats{}, err

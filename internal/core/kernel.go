@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/graphsd/graphsd/internal/graph"
 )
@@ -51,17 +50,14 @@ func kernelOf(prog Program) (EdgeKernel, error) {
 }
 
 // scatterArgs is what every scatter loop reads and writes. filter and touched
-// are the raw words of the source filter and the touched set. Destination d
-// lands in acc[d-base] and bit d-base of touched: base is 0 when they are the
-// engine's own arrays and the 64-aligned start of the destination interval
-// when they are a worker's private ones.
+// are the raw words of the source filter and the touched set; destination d
+// lands in acc[d] and bit d of touched.
 type scatterArgs struct {
 	vals    []float64
 	degrees []uint32
 	filter  []uint64
 	acc     []float64
 	touched []uint64
-	base    int
 }
 
 // hasBit reports whether bit i of words is set.
@@ -114,14 +110,14 @@ func scatterGeneric(prog Program, edges []graph.Edge, a scatterArgs) {
 			continue
 		}
 		g := prog.Gather(a.vals[ed.Src], ed, a.degrees[ed.Src])
-		d := int(ed.Dst) - a.base
+		d := int(ed.Dst)
 		a.acc[d] = prog.Merge(a.acc[d], g)
 		markBit(a.touched, d)
 	}
 }
 
 func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
-	vals, degrees, filter, acc, touched, base := a.vals, a.degrees, a.filter, a.acc, a.touched, a.base
+	vals, degrees, filter, acc, touched := a.vals, a.degrees, a.filter, a.acc, a.touched
 	for _, ed := range edges {
 		if !hasBit(filter, uint32(ed.Src)) {
 			continue
@@ -130,7 +126,7 @@ func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
 		if deg := degrees[ed.Src]; deg != 0 {
 			g = vals[ed.Src] / float64(deg)
 		}
-		d := int(ed.Dst) - base
+		d := int(ed.Dst)
 		acc[d] += g
 		markBit(touched, d)
 	}
@@ -143,83 +139,37 @@ func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
 // min gives NaN — a pair an SSSP over non-finite input weights can produce.
 
 func scatterMinCopy(edges []graph.Edge, a scatterArgs) {
-	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	vals, filter, acc, touched := a.vals, a.filter, a.acc, a.touched
 	for _, ed := range edges {
 		if !hasBit(filter, uint32(ed.Src)) {
 			continue
 		}
-		d := int(ed.Dst) - base
+		d := int(ed.Dst)
 		acc[d] = min(acc[d], vals[ed.Src])
 		markBit(touched, d)
 	}
 }
 
 func scatterMinPlusOne(edges []graph.Edge, a scatterArgs) {
-	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	vals, filter, acc, touched := a.vals, a.filter, a.acc, a.touched
 	for _, ed := range edges {
 		if !hasBit(filter, uint32(ed.Src)) {
 			continue
 		}
-		d := int(ed.Dst) - base
+		d := int(ed.Dst)
 		acc[d] = min(acc[d], vals[ed.Src]+1)
 		markBit(touched, d)
 	}
 }
 
 func scatterMinPlusWeight(edges []graph.Edge, a scatterArgs) {
-	vals, filter, acc, touched, base := a.vals, a.filter, a.acc, a.touched, a.base
+	vals, filter, acc, touched := a.vals, a.filter, a.acc, a.touched
 	for _, ed := range edges {
 		if !hasBit(filter, uint32(ed.Src)) {
 			continue
 		}
-		d := int(ed.Dst) - base
+		d := int(ed.Dst)
 		acc[d] = min(acc[d], vals[ed.Src]+float64(ed.Weight))
 		markBit(touched, d)
-	}
-}
-
-// private is one parallel-scatter worker's own accumulators over the current
-// destination interval. Between scatter calls every acc slot holds the
-// program's identity and every touched word is zero.
-type private struct {
-	acc     []float64
-	touched []uint64
-}
-
-// grow makes p span at least n destinations, filling new slots with id.
-func (p *private) grow(n int, id float64) {
-	if len(p.acc) >= n {
-		return
-	}
-	p.acc = make([]float64, n)
-	for k := range p.acc {
-		p.acc[k] = id
-	}
-	p.touched = make([]uint64, (n+63)/64)
-}
-
-// reduce folds words [loW, hiW) of p into acc/touched — whose destination
-// base sits at word baseW — and restores p's invariant over them.
-func (p *private) reduce(k EdgeKernel, prog Program, loW, hiW int, acc []float64, touched []uint64, baseW int, id float64) {
-	for w := loW; w < hiW; w++ {
-		word := p.touched[w]
-		if word == 0 {
-			continue
-		}
-		p.touched[w] = 0
-		touched[baseW+w] |= word
-		for ; word != 0; word &= word - 1 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			d := baseW<<6 + s
-			switch k {
-			case KernelSumOverOutDegree:
-				acc[d] += p.acc[s]
-			case KernelMinCopy, KernelMinPlusOne, KernelMinPlusWeight:
-				acc[d] = min(acc[d], p.acc[s])
-			default:
-				acc[d] = prog.Merge(acc[d], p.acc[s])
-			}
-			p.acc[s] = id
-		}
 	}
 }

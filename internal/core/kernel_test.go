@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -45,19 +47,19 @@ func TestBuiltinsDeclareDistinctKernels(t *testing.T) {
 		"cc": core.KernelMinCopy, "bfs": core.KernelMinPlusOne, "sssp": core.KernelMinPlusWeight,
 	}
 	for name, mk := range kernelPrograms() {
-		s, err := core.NewScatterer(mk(), 1, nil)
+		s, err := core.NewScatterer(mk(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Kernel() != want[name] {
 			t.Errorf("%s: kernel %d, want %d", name, s.Kernel(), want[name])
 		}
-		if s, _ := core.NewScatterer(hideKernel(mk()), 1, nil); s.Kernel() != core.KernelGeneric {
+		if s, _ := core.NewScatterer(hideKernel(mk()), nil); s.Kernel() != core.KernelGeneric {
 			t.Errorf("%s: hidden kernel still visible", name)
 		}
 	}
 	for _, p := range []core.Program{&algorithms.WidestPath{}, &algorithms.Reachability{}} {
-		if s, _ := core.NewScatterer(p, 1, nil); s.Kernel() != core.KernelGeneric {
+		if s, _ := core.NewScatterer(p, nil); s.Kernel() != core.KernelGeneric {
 			t.Errorf("%s declares kernel %d; it has none", p.Name(), s.Kernel())
 		}
 	}
@@ -186,74 +188,39 @@ func (c scatterCase) run(s *core.Scatterer) ([]float64, *bitset.ActiveSet) {
 // TestKernelMatchesGenericLoop is the differential test of kernel.go: for
 // every built-in that declares a kernel, over random blocks and filters, the
 // specialised loop and the generic Gather/Merge loop leave the same bits in
-// acc, the same touched words and the same touched count. It holds at any
-// one thread count, because the parallel reduce is the same for both; at
-// more than one thread it also checks that a second call finds the private
-// accumulators restored.
+// acc, the same touched words and the same touched count. One trial in ten
+// scatters a batch of 128 Ki edges or more, the size of a large sub-block.
 func TestKernelMatchesGenericLoop(t *testing.T) {
 	for name, mk := range kernelPrograms() {
-		for _, threads := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/threads-%d", name, threads), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(len(name)*31 + threads)))
-				prog := mk()
-				for trial := 0; trial < 60; trial++ {
-					numEdges := rng.Intn(600)
-					if trial%10 == 0 { // large enough to fan out
-						numEdges = core.SerialScatterThreshold + rng.Intn(4000)
-					}
-					c := drawScatterCase(rng, prog.Identity(), prog.Weighted(), numEdges)
-					kerneled, err := core.NewScatterer(prog, threads, c.degrees)
-					if err != nil {
-						t.Fatal(err)
-					}
-					generic, _ := core.NewScatterer(hideKernel(prog), threads, c.degrees)
-					wantAcc, wantTouched := c.run(generic)
-					for call := 0; call < 2; call++ {
-						gotAcc, gotTouched := c.run(kerneled)
-						for v := range wantAcc {
-							if !sameFloat(gotAcc[v], wantAcc[v]) {
-								t.Fatalf("trial %d call %d: acc[%d] = %v, generic loop left %v", trial, call, v, gotAcc[v], wantAcc[v])
-							}
-						}
-						if !gotTouched.Bits().Equal(wantTouched.Bits()) {
-							t.Fatalf("trial %d call %d: touched %v, generic loop left %v", trial, call, gotTouched.Bits(), wantTouched.Bits())
-						}
-						if gotTouched.Count() != wantTouched.Count() || gotTouched.Count() != gotTouched.Bits().Count() {
-							t.Fatalf("trial %d call %d: touched count %d, generic %d, bits set %d",
-								trial, call, gotTouched.Count(), wantTouched.Count(), gotTouched.Bits().Count())
-						}
-					}
-					kerneled.Close()
-					generic.Close()
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name)*31 + 1)))
+			prog := mk()
+			for trial := 0; trial < 60; trial++ {
+				numEdges := rng.Intn(600)
+				if trial%10 == 0 {
+					numEdges = 1<<17 + rng.Intn(4000)
 				}
-			})
-		}
-	}
-}
-
-// TestParallelScatterExactForMin: the privatised-accumulator reduce merges a
-// destination's chunks in a different association than the serial loop, which
-// a min cannot see.
-func TestParallelScatterExactForMin(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, name := range []string{"cc", "bfs", "sssp"} {
-		prog := kernelPrograms()[name]()
-		c := drawScatterCase(rng, prog.Identity(), prog.Weighted(), 2*core.SerialScatterThreshold)
-		serial, _ := core.NewScatterer(prog, 1, c.degrees)
-		wantAcc, wantTouched := c.run(serial)
-		for _, threads := range []int{2, 4, 7} {
-			par, _ := core.NewScatterer(prog, threads, c.degrees)
-			gotAcc, gotTouched := c.run(par)
-			par.Close()
-			for v := range wantAcc {
-				if !sameFloat(gotAcc[v], wantAcc[v]) {
-					t.Fatalf("%s threads=%d: acc[%d] = %v, serial scatter left %v", name, threads, v, gotAcc[v], wantAcc[v])
+				c := drawScatterCase(rng, prog.Identity(), prog.Weighted(), numEdges)
+				kerneled, err := core.NewScatterer(prog, c.degrees)
+				if err != nil {
+					t.Fatal(err)
+				}
+				generic, _ := core.NewScatterer(hideKernel(prog), c.degrees)
+				wantAcc, wantTouched := c.run(generic)
+				gotAcc, gotTouched := c.run(kerneled)
+				for v := range wantAcc {
+					if !sameFloat(gotAcc[v], wantAcc[v]) {
+						t.Fatalf("trial %d: acc[%d] = %v, generic loop left %v", trial, v, gotAcc[v], wantAcc[v])
+					}
+				}
+				if !slices.Equal(gotTouched.Words(), wantTouched.Words()) {
+					t.Fatalf("trial %d: touched %v, generic loop left %v", trial, gotTouched.Slice(), wantTouched.Slice())
+				}
+				if set := gotTouched.CountRange(0, c.n); gotTouched.Count() != wantTouched.Count() || gotTouched.Count() != set {
+					t.Fatalf("trial %d: touched count %d, generic %d, bits set %d", trial, gotTouched.Count(), wantTouched.Count(), set)
 				}
 			}
-			if !gotTouched.Bits().Equal(wantTouched.Bits()) || gotTouched.Count() != wantTouched.Count() {
-				t.Fatalf("%s threads=%d: touched set differs from the serial scatter's", name, threads)
-			}
-		}
+		})
 	}
 }
 
@@ -270,8 +237,8 @@ func kernelPaths() map[string]core.Options {
 }
 
 // forKernelRuns calls fn for every built-in with a kernel on every path it
-// can run, with a function that runs a program at a thread count over g.
-func forKernelRuns(t *testing.T, g *graph.Graph, p int, paths []string, fn func(t *testing.T, mk func() core.Program, run func(core.Program, int) *core.Result)) {
+// can run, with a function that runs a program over g.
+func forKernelRuns(t *testing.T, g *graph.Graph, p int, paths []string, fn func(t *testing.T, mk func() core.Program, run func(core.Program) *core.Result)) {
 	for pname, mk := range kernelPrograms() {
 		for _, path := range paths {
 			opts := kernelPaths()[path]
@@ -280,10 +247,8 @@ func forKernelRuns(t *testing.T, g *graph.Graph, p int, paths []string, fn func(
 			}
 			t.Run(pname+"/"+path, func(t *testing.T) {
 				layout := buildLayout(t, g, p)
-				fn(t, mk, func(prog core.Program, threads int) *core.Result {
-					o := opts
-					o.Threads = threads
-					res, err := core.Run(layout, prog, o)
+				fn(t, mk, func(prog core.Program) *core.Result {
+					res, err := core.Run(layout, prog, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -296,15 +261,15 @@ func forKernelRuns(t *testing.T, g *graph.Graph, p int, paths []string, fn func(
 
 // TestEngineKernelMatchesGenericOutputs runs each built-in with and without
 // its kernel on every driver and demands bit-identical outputs, iteration
-// counts and device traffic at one thread.
+// counts and device traffic.
 func TestEngineKernelMatchesGenericOutputs(t *testing.T) {
 	rmat, err := gen.RMAT(9, 10, gen.Graph500, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	paths := []string{"fciu", "sciu", "full-single", "adaptive", "async"}
-	forKernelRuns(t, gen.Weighted(rmat, 7, 3), 4, paths, func(t *testing.T, mk func() core.Program, run func(core.Program, int) *core.Result) {
-		want, got := run(hideKernel(mk()), 1), run(mk(), 1)
+	forKernelRuns(t, gen.Weighted(rmat, 7, 3), 4, paths, func(t *testing.T, mk func() core.Program, run func(core.Program) *core.Result) {
+		want, got := run(hideKernel(mk())), run(mk())
 		bitIdentical(t, "kernel vs generic", got.Outputs, want.Outputs)
 		if got.Iterations != want.Iterations || got.IO.TotalBytes() != want.IO.TotalBytes() {
 			t.Fatalf("kernel run: %d iterations, %d device bytes; generic: %d, %d",
@@ -314,9 +279,10 @@ func TestEngineKernelMatchesGenericOutputs(t *testing.T) {
 }
 
 // fanOutGraph is a weighted graph whose one sub-block (at P=1) and one
-// interval are large enough for scatter and apply to fan out: an R-MAT graph
-// plus a binary tree, so that every vertex has an in-edge and is touched
-// while the diameter stays small.
+// interval are large enough that a parallel scatter and apply — 128 Ki edges
+// and 64 Ki vertices were the thresholds of the one this engine had — would
+// fan out: an R-MAT graph plus a binary tree, so that every vertex has an
+// in-edge and is touched while the diameter stays small.
 func fanOutGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	rmat, err := gen.RMAT(16, 2, gen.Graph500, 22)
@@ -328,62 +294,54 @@ func fanOutGraph(t *testing.T) *graph.Graph {
 	for v := 0; v < n; v++ {
 		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID((v + n - 1) % n / 2), Dst: graph.VertexID(v)})
 	}
-	if len(g.Edges) < core.SerialScatterThreshold || n < core.SerialApplyThreshold {
-		t.Fatalf("test graph (%d vertices, %d edges) no longer reaches the fan-out thresholds", n, len(g.Edges))
+	if len(g.Edges) < 1<<17 || n < 1<<16 {
+		t.Fatalf("test graph (%d vertices, %d edges) is smaller than a fan-out", n, len(g.Edges))
 	}
 	return gen.Weighted(g, 7, 4)
 }
 
-// TestEngineParallelDeterministic runs fanOutGraph at four threads: two runs
-// agree bit for bit, the kernel agrees with the generic loop, and the min
-// programs agree with the one-thread run. Under -race it is also the check
-// that the workers share nothing they write.
-func TestEngineParallelDeterministic(t *testing.T) {
-	forKernelRuns(t, fanOutGraph(t), 1, []string{"fciu", "sciu", "async"}, func(t *testing.T, mk func() core.Program, run func(core.Program, int) *core.Result) {
-		first := run(mk(), 4)
-		bitIdentical(t, "threads=4 run to run", run(mk(), 4).Outputs, first.Outputs)
-		bitIdentical(t, "threads=4 kernel vs generic", run(hideKernel(mk()), 4).Outputs, first.Outputs)
-		if mk().Identity() != 0 { // a min program
-			bitIdentical(t, "threads=4 vs threads=1", first.Outputs, run(mk(), 1).Outputs)
-		}
-	})
-}
-
-// TestResumeAdoptsCheckpointThreads: a parallel sum associates by thread
-// count, so a checkpoint records the count and a resume on a host that
-// resolves Threads differently scatters on the recorded one — its outputs
-// are those of the uninterrupted run, not of a run at the new count.
-func TestResumeAdoptsCheckpointThreads(t *testing.T) {
+// TestResultsIgnoreCoreCount: a job's outputs do not depend on the host.
+// Floating-point sums — PageRank over full passes and over SCIU with its
+// cross-iteration batch, PageRank-Delta under async — keep the order their
+// contributions merge in, so on fanOutGraph every run at GOMAXPROCS 1 and 4
+// and at Options.Threads 0, 1 and 4 leaves the same bits. A resume from a
+// checkpoint whose header records Threads: 4, as a parallel run once wrote,
+// equals the uninterrupted run bit for bit too.
+func TestResultsIgnoreCoreCount(t *testing.T) {
 	g := fanOutGraph(t)
 	for name, c := range map[string]struct {
 		prog func() core.Program
 		opts core.Options
 	}{
 		"bsp":   {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}},
-		"async": {func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }, core.Options{Async: true, AsyncEpsilon: 1e-7}},
+		"sciu":  {func() core.Program { return &algorithms.PageRank{Iterations: 4} }, core.Options{ForceModel: core.ForceOnDemand}},
+		"async": {func() core.Program { return &algorithms.PageRankDelta{Iterations: 12} }, core.Options{Async: true}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := buildLayout(t, g, 1)
-			run := func(threads int, ck core.CheckpointOptions, onIter func(core.IterStat)) (*core.Result, error) {
+			run := func(procs, threads int, ck core.CheckpointOptions, onIter func(core.IterStat)) (*core.Result, error) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				o := c.opts
 				o.Threads, o.Checkpoint, o.OnIteration = threads, ck, onIter
 				return core.Run(l, c.prog(), o)
 			}
-			at4, err := run(4, core.CheckpointOptions{}, nil)
+			want, err := run(1, 1, core.CheckpointOptions{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			at2, err := run(2, core.CheckpointOptions{}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if slices.Equal(at4.Outputs, at2.Outputs) {
-				t.Fatal("outputs at 2 and 4 threads are equal: this graph no longer tells the thread counts apart")
+			for _, procs := range []int{1, 4} {
+				for _, threads := range []int{0, 1, 4} {
+					res, err := run(procs, threads, core.CheckpointOptions{}, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bitIdentical(t, fmt.Sprintf("GOMAXPROCS=%d Threads=%d vs GOMAXPROCS=1 Threads=1", procs, threads), res.Outputs, want.Outputs)
+				}
 			}
 
 			ckDir := t.TempDir()
 			power := errors.New("power loss")
-			_, err = run(4, core.CheckpointOptions{Every: 1, Dir: ckDir}, func(st core.IterStat) {
+			_, err = run(1, 1, core.CheckpointOptions{Every: 1, Dir: ckDir}, func(st core.IterStat) {
 				if st.Index == 2 {
 					l.Dev.SetFaultInjector(func(op, name string) error { return power })
 				}
@@ -392,46 +350,40 @@ func TestResumeAdoptsCheckpointThreads(t *testing.T) {
 			if !errors.Is(err, power) {
 				t.Fatalf("crashed run returned %v, want injected power loss", err)
 			}
-			res, err := run(2, core.CheckpointOptions{Dir: ckDir, Resume: true}, nil)
+			ck, err := checkpoint.Load(ckDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Threads = 4
+			if err := checkpoint.Save(ckDir, ck); err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(4, 0, core.CheckpointOptions{Dir: ckDir, Resume: true}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !res.Resumed {
 				t.Fatal("run did not resume from the checkpoint")
 			}
-			bitIdentical(t, "resumed at Threads=2 vs uninterrupted at Threads=4", res.Outputs, at4.Outputs)
+			bitIdentical(t, "resumed from a Threads: 4 checkpoint vs uninterrupted", res.Outputs, want.Outputs)
 		})
 	}
 }
 
-// TestCrossIterationBatchScattersSerially: SCIU's cross-iteration batch lands
-// anywhere in [0, n), so it must not take the parallel path, whose private
-// accumulators would span every vertex per helper. With every sub-block below
-// the fan-out threshold and only that batch above it, a sum program's outputs
-// at four threads are then those of one thread, bit for bit.
-func TestCrossIterationBatchScattersSerially(t *testing.T) {
-	g, err := gen.RMAT(14, 10, gen.Graph500, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const p = 4
-	l := buildLayout(t, g, p)
-	for i := 0; i < p; i++ {
-		for j := 0; j < p; j++ {
-			if l.Meta.SubBlockEdges(i, j) >= core.SerialScatterThreshold {
-				t.Fatalf("sub-block (%d,%d) fans out by itself", i, j)
-			}
+// TestEngineIgnoresCoreCount carries TestResultsIgnoreCoreCount across the
+// engine matrix: every built-in with a kernel, on every driver that scatters
+// over fanOutGraph, leaves the same bits at GOMAXPROCS 1 and 4 with Threads
+// at its default, with or without its kernel. Under -race it is also the
+// check that the prefetch workers share nothing the engine goroutine writes.
+func TestEngineIgnoresCoreCount(t *testing.T) {
+	paths := []string{"fciu", "sciu", "full-single", "async"}
+	forKernelRuns(t, fanOutGraph(t), 1, paths, func(t *testing.T, mk func() core.Program, run func(core.Program) *core.Result) {
+		at := func(procs int, prog core.Program) []float64 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return run(prog).Outputs
 		}
-	}
-	if len(g.Edges) < core.SerialScatterThreshold {
-		t.Fatalf("a batch of all %d edges would not fan out", len(g.Edges))
-	}
-	run := func(threads int) []float64 {
-		res, err := core.Run(l, &algorithms.PageRank{Iterations: 5}, core.Options{ForceModel: core.ForceOnDemand, Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Outputs
-	}
-	bitIdentical(t, "threads=4 vs threads=1", run(4), run(1))
+		want := at(1, mk())
+		bitIdentical(t, "GOMAXPROCS=4 vs GOMAXPROCS=1", at(4, mk()), want)
+		bitIdentical(t, "GOMAXPROCS=4 generic loop vs GOMAXPROCS=1 kernel", at(4, hideKernel(mk())), want)
+	})
 }

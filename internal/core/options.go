@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/buffer"
@@ -44,12 +43,10 @@ type Options struct {
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
 	// is zero.
 	DefaultBuffer bool
-	// Threads is the scatter/apply parallelism; 0 means GOMAXPROCS. Batches
-	// below serialScatterThreshold edges or serialApplyThreshold vertices
-	// run on the calling goroutine whatever the value. Outputs are
-	// reproducible for a fixed value; see Engine.scatter for how they relate
-	// across values. A run resumed from a checkpoint uses the value the
-	// checkpoint records instead, so that the resume changes no bit.
+	// Threads is ignored: every run scatters and applies on the engine
+	// goroutine, so its outputs do not depend on the host's core count, and
+	// the prefetch workers own the other cores. The field stays until the
+	// benchmark module, which sets it, is next edited.
 	Threads int
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero
@@ -136,13 +133,6 @@ func (o Options) bufferBytes(m *partition.Manifest) int64 {
 // manifest m: under BSP on a delta-coded layout (see Engine.payloads).
 func (o Options) payloads(m *partition.Manifest) bool {
 	return !o.Async && m.BlockCodec() == graph.CodecDelta
-}
-
-func (o Options) threads() int {
-	if o.Threads > 0 {
-		return o.Threads
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // defaultPrefetchDepth and defaultPrefetchBytes size the I/O pipeline's

@@ -111,38 +111,3 @@ func TestEnginePrefetchErrorMidStream(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelScatterMatchesSerial stress-tests the parallel scatter
-// against the single-threaded path on a graph large enough that every
-// configuration exceeds the serial threshold. Run under -race this doubles
-// as the data-race check for the private accumulators and their reduce.
-func TestParallelScatterMatchesSerial(t *testing.T) {
-	g, err := gen.RMAT(14, 12, gen.Graph500, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Edges) < core.SerialScatterThreshold {
-		t.Fatalf("test graph has %d edges, fewer than the fan-out threshold", len(g.Edges))
-	}
-	for pname, mk := range testPrograms(0) {
-		layout := buildLayout(t, g, 1)
-		serial, err := core.Run(layout, mk(), core.Options{Threads: 1})
-		if err != nil {
-			t.Fatalf("%s/serial: %v", pname, err)
-		}
-		for _, threads := range []int{4, 8} {
-			layout := buildLayout(t, g, 1)
-			par, err := core.Run(layout, mk(), core.Options{Threads: threads})
-			if err != nil {
-				t.Fatalf("%s/t%d: %v", pname, threads, err)
-			}
-			// Merge is commutative and associative for every test program,
-			// but float addition picks up reassociation noise — compare
-			// with a tight tolerance rather than bit-exactly.
-			compareOutputs(t, pname+"/threads", par.Outputs, serial.Outputs, 1e-12)
-			if par.Iterations != serial.Iterations {
-				t.Fatalf("%s/t%d: %d iterations, serial %d", pname, threads, par.Iterations, serial.Iterations)
-			}
-		}
-	}
-}

@@ -96,9 +96,7 @@ func (e *Engine) runSCIU() error {
 		// their just-computed value to iteration t+1 now. Their cached
 		// edges are scattered as one batch, in vertex order: a scatter's
 		// fixed costs (timing, counting the touched bits over [0, n)) are
-		// paid once, not per vertex. The batch goes anywhere in [0, n), so it
-		// is scattered serially: private accumulators spanning every vertex,
-		// per helper, are memory an out-of-core run does not have.
+		// paid once, not per vertex.
 		batch := e.crossEdges[:0]
 		e.newActive.ForEach(func(v int) bool {
 			if edges := e.sciuCache[graph.VertexID(v)]; len(edges) > 0 && e.active.Contains(v) {
@@ -107,7 +105,7 @@ func (e *Engine) runSCIU() error {
 			}
 			return true
 		})
-		e.scatterSerial(batch, e.valCur, e.newActive, e.accNext, e.touchedNext, 0, e.n)
+		e.scatter(batch, e.valCur, e.newActive, e.accNext, e.touchedNext, 0, e.n)
 		e.crossEdges = batch
 		e.sciuCache = nil
 	}

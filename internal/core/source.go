@@ -124,14 +124,11 @@ func HandleBytes(m *partition.Manifest) int64 {
 //     handles keep (HandleBytes);
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
 //     block a dense pass has in flight plus the consumer's, each up to the
-//     largest secondary's decoded size;
-//   - the parallel scatter's private accumulators, an interval's worth per
-//     thread beyond the first.
+//     largest secondary's decoded size.
 //
 // TestRunBytesCoversEngineArrays holds the first item to what an engine
 // allocates.
 func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
-	span := longestInterval(m)
 	total := vertexStateBytes(m, opts.Async, aux) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
 	slices := int64(1)
 	if opts.prefetchEnabled() {
@@ -147,9 +144,6 @@ func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
 			}
 		}
 		total += slices * largest
-	}
-	if t := int64(opts.threads()); t > 1 {
-		total += (t - 1) * (8*span + (span+63)/64*8)
 	}
 	return total
 }

@@ -1,13 +1,17 @@
 package delta_test
 
 import (
+	"context"
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/delta"
+	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/server"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -157,6 +161,61 @@ func TestTornWALTailTruncatedCleanly(t *testing.T) {
 	defer v2.Release()
 	assertEqualLayouts(t, v2.Layout(),
 		freshLayout(t, delta.ApplyToGraph(g, flatten(batches)), 2, graph.CodecRaw))
+}
+
+// TestHostileWALFrameNotReplayed plants a CRC-valid batch frame that Apply
+// would have refused — an insert from a vertex beyond the graph — after an
+// acknowledged batch. Replay must treat it as a bad tail, not resolve it
+// against the grid: the store opens with the acknowledged batch alone and
+// keeps accepting writes, and a server over the same directory starts.
+func TestHostileWALFrameNotReplayed(t *testing.T) {
+	g, err := gen.RMAT(7, 4, gen.Graph500, 46)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	dev, err := storage.OpenDevice(dir, storage.SSD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := partition.Build(dev, g, 3); err != nil {
+		t.Fatal(err)
+	}
+	s := openStore(t, dev, delta.Options{})
+	batches := mutationScript(g, 2, 10, 47)
+	if err := s.Apply(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats().MutationsTotal
+	s.Close()
+	hostile := []delta.Mutation{{Op: delta.OpInsert, Src: graph.VertexID(g.NumVertices + 1000), Dst: 0}}
+	if err := delta.AppendWALBatch(filepath.Join(dir, "wal"), 2, hostile, g.Weighted); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openStore(t, dev, delta.Options{})
+	st := s2.Stats()
+	if st.MutationsTotal != before {
+		t.Fatalf("MutationsTotal %d after reopening, want %d: the hostile frame was applied", st.MutationsTotal, before)
+	}
+	if st.WAL.ReplayTruncated == 0 {
+		t.Fatal("replay did not report the rejected frame")
+	}
+	if err := s2.Apply(batches[1]); err != nil {
+		t.Fatalf("Apply after reopening: %v", err)
+	}
+	v := s2.Snapshot()
+	assertEqualLayouts(t, v.Layout(), freshLayout(t, delta.ApplyToGraph(g, flatten(batches)), 3, graph.CodecRaw))
+	v.Release()
+	s2.Close()
+
+	srv, err := server.New(server.Config{Graphs: []server.GraphConfig{{Name: "m", Dir: dir, Profile: storage.SSD, Mutable: true}}})
+	if err != nil {
+		t.Fatalf("server.New over the directory: %v", err)
+	}
+	if err := srv.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestCompactionCrashLeavesOldGeneration crashes the device partway

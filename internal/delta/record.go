@@ -94,10 +94,12 @@ func encodeSeal(buf []byte, through int64) []byte {
 	return binary.AppendUvarint(buf, uint64(through))
 }
 
-// decodeRecord parses one WAL payload. Used both for replay and as the
-// WAL's Accept hook (a CRC-valid frame that does not decode is treated as
-// tail corruption).
-func decodeRecord(data []byte, weighted bool) (record, error) {
+// decodeRecord parses one WAL payload of a graph with numVertices vertices.
+// Used both for replay and as the WAL's Accept hook (a CRC-valid frame that
+// does not decode is treated as tail corruption). Every mutation must pass
+// Validate, the rule Apply enforces before framing a batch, so a frame replay
+// accepts never reaches the store with a vertex outside the graph.
+func decodeRecord(data []byte, numVertices int, weighted bool) (record, error) {
 	var rec record
 	if len(data) == 0 {
 		return rec, fmt.Errorf("delta: empty record")
@@ -150,8 +152,8 @@ func decodeRecord(data []byte, weighted bool) (record, error) {
 				m.Weight = math.Float32frombits(binary.LittleEndian.Uint32(data))
 				data = data[4:]
 			}
-			if m.Op != OpInsert && m.Op != OpDelete {
-				return rec, fmt.Errorf("delta: unknown op %d", m.Op)
+			if err := m.Validate(numVertices, weighted); err != nil {
+				return rec, err
 			}
 			rec.muts = append(rec.muts, m)
 		}

@@ -216,13 +216,12 @@ func Open(dev *storage.Device, opts Options) (*Store, error) {
 		s.layers = append(s.layers, l)
 		s.addLayerDegrees(ref, 1)
 	}
-	weighted := m.Weighted
 	log, err := wal.Open(s.opts.WALDir, wal.Options{
 		Prefix:       "mutations",
 		Magic:        mutationMagic,
 		SegmentBytes: s.opts.SegmentBytes,
 		Accept: func(payload []byte) bool {
-			_, err := decodeRecord(payload, weighted)
+			_, err := decodeRecord(payload, m.NumVertices, m.Weighted)
 			return err == nil
 		},
 	})
@@ -333,7 +332,7 @@ func (s *Store) replay(payloads [][]byte) error {
 	}
 	var batches []batch
 	for _, p := range payloads {
-		rec, err := decodeRecord(p, s.meta.Weighted)
+		rec, err := decodeRecord(p, s.meta.NumVertices, s.meta.Weighted)
 		if err != nil {
 			// Accept validated every replayed frame; this is a bug.
 			return fmt.Errorf("delta: wal replay: %w", err)
