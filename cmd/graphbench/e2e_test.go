@@ -68,3 +68,31 @@ func TestUnknownExperimentFails(t *testing.T) {
 		t.Fatalf("unknown profile succeeded:\n%s", out)
 	}
 }
+
+// TestRecordReproducesTheCommittedRows: -record over a copy of the committed
+// table rewrites Figure 8's quick rows from the run, which reproduces them, so
+// the file comes back byte for byte; a dataset filter, which would record part
+// of a figure, is refused and leaves the file alone.
+func TestRecordReproducesTheCommittedRows(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join("..", "..", "internal", "harness", "testdata", "expectations.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := filepath.Join(t.TempDir(), "expectations.json")
+	if err := os.WriteFile(table, committed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(benchBin, "-quick", "-experiment", "fig8", "-record", table).CombinedOutput(); err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	if out, err := exec.Command(benchBin, "-quick", "-experiment", "fig8", "-datasets", "twitter-sim", "-record", table).CombinedOutput(); err == nil {
+		t.Fatalf("recording a filtered run succeeded:\n%s", out)
+	}
+	got, err := os.ReadFile(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(committed) {
+		t.Fatalf("recording Figure 8 changed the committed table:\n%s", got)
+	}
+}

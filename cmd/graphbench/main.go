@@ -6,7 +6,12 @@
 //
 //	graphbench -experiment all [-quick] [-seed N] [-workdir DIR]
 //	graphbench -experiment fig5 -datasets twitter-sim,uk-sim
+//	graphbench -experiment all [-quick] -record internal/harness/testdata/expectations.json
 //	graphbench -list
+//
+// Every run is held to the expectation table's rows for its seed and scale;
+// -record instead rewrites those rows of the named table from the run, figure
+// by figure.
 package main
 
 import (
@@ -28,6 +33,7 @@ func main() {
 		workdir    = flag.String("workdir", "", "layout scratch directory (default: temp dir)")
 		datasets   = flag.String("datasets", "", "comma-separated dataset filter (e.g. twitter-sim,uk-sim)")
 		profile    = flag.String("profile", "scaled-hdd", "disk model: scaled-hdd, hdd, ssd")
+		record     = flag.String("record", "", "rewrite this expectation table's rows for -seed and -quick from the run instead of holding the run to them")
 	)
 	flag.Parse()
 
@@ -71,20 +77,37 @@ func main() {
 	if *datasets != "" {
 		cfg.Datasets = strings.Split(*datasets, ",")
 	}
+	var table []byte
+	if *record != "" {
+		var err error
+		if table, err = os.ReadFile(*record); err != nil {
+			fatalf("%v", err)
+		}
+		cfg.Record = true
+	}
 
 	if *experiment == "all" {
 		if err := harness.RunAll(cfg, os.Stdout); err != nil {
 			fatalf("%v", err)
 		}
-		return
+	} else {
+		exp, err := harness.ByID(*experiment)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Printf("### %s — %s\n\n", exp.ID, exp.Title)
+		if err := exp.Run(cfg, os.Stdout); err != nil {
+			fatalf("%v", err)
+		}
 	}
-	exp, err := harness.ByID(*experiment)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Printf("### %s — %s\n\n", exp.ID, exp.Title)
-	if err := exp.Run(cfg, os.Stdout); err != nil {
-		fatalf("%v", err)
+	if *record != "" {
+		out, err := cfg.RecordedTable(table)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if err := os.WriteFile(*record, out, 0o644); err != nil {
+			fatalf("%v", err)
+		}
 	}
 }
 

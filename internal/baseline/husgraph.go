@@ -48,29 +48,15 @@ func RunHUSGraph(layout *partition.Layout, prog core.Program, opts Options) (*co
 	}
 
 	s := newBSPState(layout.Meta.NumVertices, prog, degrees)
+	h := newHUSRun(layout, s)
 	maxIter := s.maxIterations(opts)
-
-	// Row indexes are immutable; cache them once loaded.
-	rowIndex := make(map[int]*partition.Index)
-	// Column streaming reuses one decode buffer pair across blocks and
-	// iterations instead of allocating per LoadCol call.
-	var colEdges []graph.Edge
-	var colBuf []byte
-
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		if s.active.Empty() {
 			break
 		}
-		dec := sched.Decide(iter, s.active, degrees)
-		if dec.Model == iosched.OnDemandIO {
-			if err := husOnDemand(layout, s, rowIndex); err != nil {
-				return nil, err
-			}
-		} else {
-			if colEdges, colBuf, err = husFull(layout, s, colEdges, colBuf); err != nil {
-				return nil, err
-			}
+		if err := h.iterate(sched.Decide(iter, s.active, degrees).Model); err != nil {
+			return nil, err
 		}
 		s.advance()
 	}
@@ -88,29 +74,78 @@ func RunHUSGraph(layout *partition.Layout, prog core.Program, opts Options) (*co
 	}, nil
 }
 
-// husOnDemand selectively loads each active vertex's contiguous edge run
-// from its row block via the row index.
-func husOnDemand(layout *partition.Layout, s *bspState, rowIndex map[int]*partition.Index) error {
-	dev := layout.Dev
-	// Modelled index consult + vertex value read/write, as in C_r.
-	dev.Charge(storage.SeqRead, int64(s.n)*graph.IndexEntryBytes)
-	dev.Charge(storage.SeqRead, int64(s.n)*graph.VertexValueBytes)
-	defer dev.Charge(storage.SeqWrite, int64(s.n)*graph.VertexValueBytes)
+// husRun is what a HUS-Graph run keeps from one iteration to the next.
+type husRun struct {
+	layout *partition.Layout
+	s      *bspState
+
+	// rowIndex caches the row indexes, which are immutable, once loaded.
+	rowIndex map[int]*partition.Index
+	// Column streaming reuses one decode buffer pair across blocks and
+	// iterations instead of allocating per LoadCol call.
+	colEdges []graph.Edge
+	colBuf   []byte
+
+	// live[i] says source interval i holds an active vertex of the iteration in
+	// progress; applied[j] that its apply phase visited interval j. They are
+	// the iteration's value traffic, as a GraphSD pass's (DESIGN.md §11).
+	live, applied []bool
+}
+
+func newHUSRun(layout *partition.Layout, s *bspState) *husRun {
+	return &husRun{
+		layout:   layout,
+		s:        s,
+		rowIndex: make(map[int]*partition.Index),
+		live:     make([]bool, layout.Meta.P),
+		applied:  make([]bool, layout.Meta.P),
+	}
+}
+
+// iterate runs one iteration under model m. HUS-Graph is active-aware, so it
+// pays for the values it touches as GraphSD does: it reads the live rows'
+// values and those of every interval it applies, and writes the latter back.
+func (h *husRun) iterate(m iosched.Model) error {
+	for i := range h.live {
+		lo, hi := h.layout.Meta.Interval(i)
+		h.live[i] = h.s.active.CountRange(lo, hi) > 0
+	}
+	h.layout.ChargeValues(storage.SeqRead, func(i int) bool { return h.live[i] })
+	var err error
+	if m == iosched.OnDemandIO {
+		err = h.onDemand()
+	} else {
+		err = h.full()
+	}
+	if err != nil {
+		return err
+	}
+	h.layout.ChargeValues(storage.SeqRead, func(i int) bool { return h.applied[i] && !h.live[i] })
+	h.layout.ChargeValues(storage.SeqWrite, func(i int) bool { return h.applied[i] })
+	return nil
+}
+
+// onDemand selectively loads each active vertex's contiguous edge run from
+// its row block via the row index, then applies every interval.
+func (h *husRun) onDemand() error {
+	layout, s := h.layout, h.s
+	// Modelled index consult, as in C_r.
+	layout.Dev.Charge(storage.SeqRead, int64(s.n)*graph.IndexEntryBytes)
 
 	var readBuf []byte
 	for i := 0; i < layout.Meta.P; i++ {
-		lo, hi := layout.Meta.Interval(i)
-		if s.active.CountRange(lo, hi) == 0 {
+		if !h.live[i] {
 			continue
 		}
-		idx, ok := rowIndex[i]
+		lo, hi := layout.Meta.Interval(i)
+		idx, ok := h.rowIndex[i]
 		if !ok {
 			var err error
 			idx, err = layout.LoadRowIndex(i)
 			if err != nil {
 				return err
 			}
-			rowIndex[i] = idx
+			h.rowIndex[i] = idx
 		}
 		r, err := layout.OpenRow(i)
 		if err != nil {
@@ -136,27 +171,26 @@ func husOnDemand(layout *partition.Layout, s *bspState, rowIndex map[int]*partit
 		}
 		s.scatter(batch, s.valPrev, s.active, s.acc, s.touched)
 	}
-	s.applyAll()
+	for j := range h.applied {
+		lo, hi := layout.Meta.Interval(j)
+		h.applied[j] = s.applyRange(lo, hi) > 0
+	}
 	return nil
 }
 
-// husFull streams the destination-major column blocks, applying each
-// interval as soon as its column has been consumed. The decode buffers are
-// threaded through and returned so callers reuse them across iterations.
-func husFull(layout *partition.Layout, s *bspState, edges []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	dev := layout.Dev
-	dev.Charge(storage.SeqRead, int64(s.n)*graph.VertexValueBytes)
-	defer dev.Charge(storage.SeqWrite, int64(s.n)*graph.VertexValueBytes)
-
+// full streams the destination-major column blocks, applying each interval
+// as soon as its column has been consumed.
+func (h *husRun) full() error {
+	layout, s := h.layout, h.s
 	for j := 0; j < layout.Meta.P; j++ {
 		var err error
-		edges, buf, err = layout.LoadColInto(j, edges, buf)
+		h.colEdges, h.colBuf, err = layout.LoadColInto(j, h.colEdges, h.colBuf)
 		if err != nil {
-			return edges, buf, err
+			return err
 		}
-		s.scatter(edges, s.valPrev, s.active, s.acc, s.touched)
+		s.scatter(h.colEdges, s.valPrev, s.active, s.acc, s.touched)
 		lo, hi := layout.Meta.Interval(j)
-		s.applyRange(lo, hi)
+		h.applied[j] = s.applyRange(lo, hi) > 0
 	}
-	return edges, buf, nil
+	return nil
 }

@@ -41,12 +41,8 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 	maxIter := s.maxIterations(opts)
 	p := layout.Meta.P
 
-	chargeValues := func() {
-		dev.Charge(storage.SeqRead, int64(s.n)*graph.VertexValueBytes)
-	}
-	chargeValuesBack := func() {
-		dev.Charge(storage.SeqWrite, int64(s.n)*graph.VertexValueBytes)
-	}
+	// Not state-aware, Lumos touches every interval's values on every pass.
+	every := func(int) bool { return true }
 
 	// Off-diagonal cells decode into one reused buffer pair. The diagonal
 	// gets its own pair because its edges stay live past the inner loop
@@ -67,7 +63,7 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 			// The second half of an out-of-order pass, where only the
 			// lower-triangle cells remain, or — with a single iteration left in
 			// the budget — a plain full pass: stream the due cells of each column.
-			chargeValues()
+			layout.ChargeValues(storage.SeqRead, every)
 			for j := 0; j < p; j++ {
 				first := 0
 				if secondaryPending {
@@ -83,11 +79,11 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 				lo, hi := layout.Meta.Interval(j)
 				s.applyRange(lo, hi)
 			}
-			chargeValuesBack()
+			layout.ChargeValues(storage.SeqWrite, every)
 			secondaryPending = false
 		} else {
 			// Full out-of-order pass: iteration t plus staged t+1 values.
-			chargeValues()
+			layout.ChargeValues(storage.SeqRead, every)
 			for j := 0; j < p; j++ {
 				var diagEdges []graph.Edge
 				for i := 0; i < p; i++ {
@@ -117,7 +113,7 @@ func RunLumos(layout *partition.Layout, prog core.Program, opts Options) (*core.
 					s.scatter(diagEdges, s.valCur, s.newActive, s.accNext, s.touchedNext)
 				}
 			}
-			chargeValuesBack()
+			layout.ChargeValues(storage.SeqWrite, every)
 			secondaryPending = !s.newActive.Empty() || !s.touchedNext.Empty()
 		}
 

@@ -91,8 +91,9 @@ func (s *bspState) scatter(edges []graph.Edge, vals []float64, filter *bitset.Ac
 }
 
 // applyRange applies every touched vertex in [lo, hi) (every vertex when
-// the program is always-active), resetting consumed accumulators.
-func (s *bspState) applyRange(lo, hi int) {
+// the program is always-active), resetting consumed accumulators, and returns
+// how many vertices it applied.
+func (s *bspState) applyRange(lo, hi int) int {
 	t0 := time.Now()
 	id := s.prog.Identity()
 	applyOne := func(v int) {
@@ -104,6 +105,7 @@ func (s *bspState) applyRange(lo, hi int) {
 		s.acc[v] = id
 		s.touched.Deactivate(v)
 	}
+	n := hi - lo
 	if s.prog.AlwaysActive() {
 		for v := lo; v < hi; v++ {
 			applyOne(v)
@@ -117,11 +119,11 @@ func (s *bspState) applyRange(lo, hi int) {
 		for _, v := range pending {
 			applyOne(v)
 		}
+		n = len(pending)
 	}
 	s.computeTime += time.Since(t0)
+	return n
 }
-
-func (s *bspState) applyAll() { s.applyRange(0, s.n) }
 
 // promoteStaged swaps the staged next-iteration accumulators into the
 // current slots (the outgoing ones are identity-clean after apply).

@@ -387,9 +387,10 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	e.computeTime += time.Since(t0)
 
 	// Per-step value traffic: the frozen interval's values stream in once;
-	// the applied destinations write back. BSP charges the full |V| array
-	// both ways every iteration — this per-interval accounting is where the
-	// async device-byte win on sparse frontiers comes from.
+	// the applied destinations write back. A BSP pass pays by interval too —
+	// its live rows and the intervals its apply visits, each whole (semEnd) —
+	// and runs every live row at once, where a step runs one and writes back
+	// only the vertices it applied.
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.VertexValueBytes)
 	if applied > 0 {
 		e.layout.Dev.Charge(storage.SeqWrite, applied*graph.VertexValueBytes)

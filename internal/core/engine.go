@@ -99,9 +99,12 @@ type Engine struct {
 	// rowLive[i] says source interval i holds an active vertex of the
 	// frontier the pass in progress scatters from; semBegin refills it at every
 	// pass start. allLive is a test seam: every row counts as live, so a pass
-	// reads every cell it would without skipping.
+	// reads every cell it would without skipping. applied[j] says the BSP apply
+	// phase of the pass in progress visited interval j (applyBSP sets it for
+	// every interval). The two sets are the pass's value traffic (semEnd).
 	rowLive []bool
 	allLive bool
+	applied []bool
 
 	computeTime time.Duration
 }
@@ -124,6 +127,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		P:                 layout.Meta.P,
 		BlocksPerRow:      layout.Meta.NonEmptyBlocksPerRow(),
 		RowDiskBytes:      layout.Meta.RowDiskBytes(),
+		EdgeCounts:        layout.Meta.EdgeCounts,
 	}
 	sched, err := iosched.New(schedCfg)
 	if err != nil {
@@ -152,6 +156,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		newActive:    bitset.NewActiveSet(n),
 		prescattered: bitset.NewActiveSet(n),
 		rowLive:      make([]bool, layout.Meta.P),
+		applied:      make([]bool, layout.Meta.P),
 		src:          newBlockSource(layout, opts.SharedBlocks),
 		buf:          buffer.New(opts.bufferBytes(&layout.Meta)),
 	}
@@ -414,10 +419,12 @@ func (e *Engine) applySpanBSP(lo, hi int) (out applied) {
 	return out
 }
 
-// applyBSP runs the apply phase of interval j into newActive.
+// applyBSP runs the apply phase of interval j into newActive and records
+// whether it visited the interval.
 func (e *Engine) applyBSP(j int) {
-	_, out := e.applyInterval(j)
+	count, out := e.applyInterval(j)
 	e.newActive.AddCount(out.woken)
+	e.applied[j] = count > 0
 }
 
 // scatter merges the contributions of edges whose source is in filter into

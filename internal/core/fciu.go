@@ -191,7 +191,6 @@ func (e *Engine) offerPriority(edges []graph.Edge) int64 {
 //
 // Sub-block reads run ahead of the scatter/apply work on the block stream.
 func (e *Engine) runPass(cells passCells) error {
-	e.layout.ChargeVertexValueRead()
 	e.semBegin()
 	st := e.openPass(cells)
 	defer st.close()
@@ -291,6 +290,6 @@ func (e *Engine) runPass(cells passCells) error {
 			return clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I)
 		})
 	}
-	e.layout.ChargeVertexValueWrite()
+	e.semEnd()
 	return nil
 }

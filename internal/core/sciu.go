@@ -20,12 +20,6 @@ import (
 // request's byte size is the sub-block's active-run total, so the window
 // budget meters what is actually read.
 func (e *Engine) runSCIU() error {
-	// Modelled per-iteration I/O: the index consultation and the vertex
-	// value array read/write-back (the 2|V|·N/B_sr + |V|·N/B_sw terms of
-	// the paper's C_r).
-	e.layout.Dev.Charge(storage.SeqRead, int64(e.n)*graph.IndexEntryBytes)
-	e.layout.ChargeVertexValueRead()
-
 	cross := !e.opts.DisableCrossIteration
 	if cross {
 		e.sciuCache = make(map[graph.VertexID][]graph.Edge)
@@ -33,14 +27,18 @@ func (e *Engine) runSCIU() error {
 	recBytes := int64(e.layout.Meta.EdgeRecordBytes())
 
 	// Build the selective-load sequence over the rows that hold an active
-	// vertex.
+	// vertex. Besides the values (semBegin, semEnd), the pass is charged the
+	// index those rows' runs are found through — the paper's C_r charges the
+	// whole index and value array (2|V|·N/B_sr + |V|·N/B_sw).
 	e.semBegin()
 	var reqs []pipeline.Request
+	var indexed int64
 	for i := 0; i < e.p; i++ {
 		lo, hi := e.layout.Meta.Interval(i)
 		if !e.rowLive[i] {
 			continue
 		}
+		indexed += int64(hi - lo)
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
@@ -58,6 +56,9 @@ func (e *Engine) runSCIU() error {
 			// FCIU requests, since the window bounds memory residency.
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: n * recBytes})
 		}
+	}
+	if indexed > 0 {
+		e.layout.Dev.Charge(storage.SeqRead, indexed*graph.IndexEntryBytes)
 	}
 	// The frontier is not mutated until the apply phase, so the stream's
 	// fetch workers may read it.
@@ -109,6 +110,6 @@ func (e *Engine) runSCIU() error {
 		e.crossEdges = batch
 		e.sciuCache = nil
 	}
-	e.layout.ChargeVertexValueWrite()
+	e.semEnd()
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // semBegin refills the engine's row-activity vector from the frontier the
@@ -15,11 +16,26 @@ import (
 // (applyInterval mutates touched/newActive, never active). Every pass driver
 // calls this before building its prefetch sequence, so the pipeline and the
 // consumer skip by the same vector.
+//
+// Values follow the same state (DESIGN.md §11): the pass reads the values of
+// its live rows, charged here, and of the intervals its apply phase visits,
+// charged with their write-back by semEnd.
 func (e *Engine) semBegin() {
 	for i := range e.rowLive {
 		lo, hi := e.layout.Meta.Interval(i)
 		e.rowLive[i] = e.allLive || e.active.CountRange(lo, hi) > 0
 	}
+	e.layout.ChargeValues(storage.SeqRead, func(i int) bool { return e.rowLive[i] })
+}
+
+// semEnd charges the rest of a finished pass's value traffic: the read of every
+// interval its apply phase visited that semBegin did not charge as a live row,
+// and the write-back of every interval it visited. A pass over an all-active
+// frontier — every interval live and applied — pays the whole array both ways,
+// in one transfer each, as the paper's formulas do.
+func (e *Engine) semEnd() {
+	e.layout.ChargeValues(storage.SeqRead, func(i int) bool { return e.applied[i] && !e.rowLive[i] })
+	e.layout.ChargeValues(storage.SeqWrite, func(i int) bool { return e.applied[i] })
 }
 
 // semSkip records that the pass over cells never read sub-block (i, j) of a

@@ -134,7 +134,7 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 			obs = append(obs, observation{config, wl.alg.Name, "graphsd-async", "fixed_point_gap", maxDiff})
 		}
 	}
-	t.AddNote("BSP baseline is the adaptive scheduler; async charges value traffic per touched interval instead of full sweeps")
+	t.AddNote("BSP baseline is the adaptive scheduler; both pay value traffic by the intervals they touch, BSP per pass over all its live rows, async per step over one")
 	if err := t.Render(w); err != nil {
 		return err
 	}

@@ -36,12 +36,17 @@ type Config struct {
 	Quick bool
 	// Datasets restricts the datasets by name when non-empty.
 	Datasets []string
+	// Record makes every figure record its rows of the expectation table at
+	// this seed and scale (RecordedTable) instead of being held to them.
+	Record bool
 
 	// systems overrides rows of baseline.Systems by name; tests substitute a
 	// broken engine here to see the expectation gate fail.
 	systems []baseline.System
 	// envs holds the one env per dataset every figure of this Config reads.
 	envs map[string]*env
+	// recorded holds, under Record, each figure's rows as its run recorded them.
+	recorded map[string][]expectation
 }
 
 func (c *Config) profile() storage.Profile {

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -377,4 +378,98 @@ func TestBrokenEngineFailsByFigure(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRecordRewritesTheFiguresItRan: a Record run is held to the always rows
+// only, and the table it returns swaps in — for its seed and scale, figure by
+// figure — the rows its observations call for: the least and most system of
+// an ordered cell, a bound at the observed value rounded outward (slack only
+// on a positive one). Everything else in the table, the committed layout
+// included, comes back as it was.
+func TestRecordRewritesTheFiguresItRan(t *testing.T) {
+	committed, err := parseTable(expectationsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := committed.marshal(); err != nil || string(out) != string(expectationsJSON) {
+		t.Fatalf("the committed table is not in the layout -record writes (err %v)", err)
+	}
+
+	cfg := quickConfig(t)
+	cfg.Record = true
+	// Figure 8 with lumos writing the most of all: the committed rows would
+	// fail it, a recording run takes it down.
+	if err := cfg.hold("fig8", []observation{
+		{"twitter-sim", "", "husgraph", "written_bytes", 2},
+		{"twitter-sim", "", "graphsd", "written_bytes", 1},
+		{"twitter-sim", "", "lumos", "written_bytes", 3},
+	}); err != nil {
+		t.Fatalf("a recording run was held to the recorded rows: %v", err)
+	}
+	if err := cfg.hold("fig11", []observation{
+		{"twitter-sim", "PR", "graphsd", "io_saved_vs_on_demand_ns", 1234.5678},
+		{"twitter-sim", "CC", "graphsd", "io_saved_vs_on_demand_ns", -7.0001},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := cfg.RecordedTable(expectationsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := parseTable(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := func(v float64) *float64 { return &v }
+	want := map[string][]expectation{
+		"fig8": {{Figure: "fig8", Dataset: "twitter-sim", Metric: "written_bytes", Least: "graphsd", Most: "lumos"}},
+		"fig11": {
+			{Figure: "fig11", Dataset: "twitter-sim", Algorithm: "PR", Metric: "io_saved_vs_on_demand_ns", AtLeast: f(1234.567), Slack: 2},
+			{Figure: "fig11", Dataset: "twitter-sim", Algorithm: "CC", Metric: "io_saved_vs_on_demand_ns", AtLeast: f(-7.001)},
+		},
+	}
+	for k, blk := range got.Recorded {
+		old := committed.Recorded[k]
+		if blk.Seed != old.Seed || blk.Quick != old.Quick {
+			t.Fatalf("block %d is now seed %d quick %t", k, blk.Seed, blk.Quick)
+		}
+		for _, e := range Experiments() {
+			rows, ran := want[e.ID]
+			if !ran || !cfg.recordsAt(blk) {
+				rows = slices.DeleteFunc(slices.Clone(old.Rows), func(r expectation) bool { return r.Figure != e.ID })
+			}
+			have := slices.DeleteFunc(slices.Clone(blk.Rows), func(r expectation) bool { return r.Figure != e.ID })
+			if fmt.Sprint(jsonRows(t, have)) != fmt.Sprint(jsonRows(t, rows)) {
+				t.Errorf("seed %d quick %t %s: rows %s, want %s", blk.Seed, blk.Quick, e.ID, jsonRows(t, have), jsonRows(t, rows))
+			}
+		}
+	}
+
+	// The committed Figure 8 rows hold a run by its least and its most writer.
+	held := quickConfig(t)
+	obs := []observation{
+		{"twitter-sim", "", "husgraph", "written_bytes", 3},
+		{"twitter-sim", "", "graphsd", "written_bytes", 2},
+		{"twitter-sim", "", "lumos", "written_bytes", 1},
+	}
+	if err := held.hold("fig8", obs); err != nil {
+		t.Fatalf("gate trips on the committed order: %v", err)
+	}
+	obs[1].value = 4
+	if err := held.hold("fig8", obs); err == nil || !strings.Contains(err.Error(), "fig8 twitter-sim/ written_bytes: husgraph held the most") {
+		t.Fatalf("graphsd out-wrote husgraph: gate said %v", err)
+	}
+}
+
+func jsonRows(t *testing.T, rows []expectation) []string {
+	t.Helper()
+	var out []string
+	for _, r := range rows {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(b))
+	}
+	return out
 }

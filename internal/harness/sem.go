@@ -73,7 +73,8 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 		}
 		// No buffer under the byte columns: every cell a pass does not read is
 		// then one a read-everything pass reads from the device, so read +
-		// skipped is that pass's traffic exactly.
+		// skipped is that pass's edge traffic exactly, plus the values of the
+		// intervals this run touched.
 		opts := core.Options{ForceModel: core.ForceFull}
 		res, err := core.Run(l, wl.alg.New(e.source), opts)
 		if err != nil {
@@ -121,7 +122,8 @@ func runFigSEM(cfg *Config, w io.Writer) error {
 				wl.alg.Name, delta.Buffer.Hits, buffered.Buffer.Hits)
 		}
 	}
-	t.AddNote("byte columns are from a run with no per-run buffer, where read + skipped is exactly what a pass that skipped nothing reads; " +
+	t.AddNote("byte columns are from a run with no per-run buffer, where read + skipped is exactly the edges a pass that skipped nothing reads, " +
+		"plus the values of the intervals the run touched — a read-everything pass reads every interval's (DESIGN.md §11); " +
 		"identical compares it with runs whose buffer holds 1/8 of the decoded edges, on the raw layout (residents decoded) and on the " +
 		"delta layout of the same graph (residents kept as payloads) — the latter's buffer may not serve fewer hits")
 

@@ -12,7 +12,15 @@
 // C_s is priced per frontier: a full pass never reads a sub-block whose source
 // interval holds no active vertex, so its edge term sums the on-disk bytes of
 // the rows that do (CostFullFor), and the paper's constant is the case of every
-// row live. The S_seq/S_ran split is computed in one O(|A|) pass over the active
+// row live. The value terms of both formulas are priced the same way: a pass
+// reads and writes back the values of the intervals it touches, not of every
+// vertex (Config.EdgeCounts). C_r's index term stays the paper's |V|·N, though
+// SCIU consults only its live rows' slice: priced per row too, it made a
+// lattice's narrow fronts leave FCIU for SCIU pass by pass, each choice right
+// on its own iteration and the run dearer, since a per-iteration comparison
+// does not see the buffered second half an FCIU first half buys.
+//
+// The S_seq/S_ran split is computed in one O(|A|) pass over the active
 // set and the degree table. A maximal run of consecutively-numbered
 // edge-bearing active vertices is split at interval boundaries (each
 // interval's sub-blocks are separate files with their own readers) into
@@ -141,9 +149,18 @@ type Config struct {
 	// payload (length P). The full model skips every sub-block of a source
 	// interval with no active vertex, so its cost for a frontier is the summed
 	// RowDiskBytes of the live rows. Nil prices every frontier at the whole
-	// edge set, the paper's constant C_s. The on-demand formula is untouched —
+	// edge set, the paper's constant C_s. The on-demand edge term is untouched —
 	// SCIU reads only active vertices' edges.
 	RowDiskBytes []int64
+	// EdgeCounts, when non-nil, holds every sub-block's edge count (P×P,
+	// [source interval][destination interval], as the manifest's). A pass
+	// reads the values of its live rows and writes back those of the intervals
+	// its apply phase visits, reading them too; the destination intervals the
+	// live rows reach through a non-empty sub-block bound that set (staged
+	// cross-iteration contributions aside), so both formulas price those value
+	// bytes for a frontier. Nil prices every
+	// frontier at the whole value array both ways, the paper's constants.
+	EdgeCounts [][]int64
 }
 
 // edgeBytesOnDisk resolves the EdgeBytesOnDisk fallback.
@@ -220,6 +237,16 @@ func (c Config) Validate() error {
 	if c.RowDiskBytes != nil && len(c.RowDiskBytes) != c.P {
 		return fmt.Errorf("iosched: row-disk-bytes length %d != P %d", len(c.RowDiskBytes), c.P)
 	}
+	if c.EdgeCounts != nil {
+		if len(c.EdgeCounts) != c.P {
+			return fmt.Errorf("iosched: edge counts have %d rows, want P=%d", len(c.EdgeCounts), c.P)
+		}
+		for i, row := range c.EdgeCounts {
+			if len(row) != c.P {
+				return fmt.Errorf("iosched: edge-count row %d has %d cells, want P=%d", i, len(row), c.P)
+			}
+		}
+	}
 	return nil
 }
 
@@ -240,6 +267,9 @@ type Scheduler struct {
 	mispredictSum  float64
 	mispredictMax  float64
 	mispredictLast float64
+
+	// live and reached are span's per-interval scratch (with EdgeCounts only).
+	live, reached []bool
 }
 
 // New returns a Scheduler for the given configuration.
@@ -250,47 +280,102 @@ func New(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{cfg: cfg}
 	s.factor[FullIO] = 1
 	s.factor[OnDemandIO] = 1
+	if cfg.EdgeCounts != nil {
+		s.live, s.reached = make([]bool, cfg.P), make([]bool, cfg.P)
+	}
 	return s, nil
+}
+
+// passSpan is what a pass over one frontier touches, in the units of the cost
+// formulas: the on-disk edge bytes of the rows it streams, and the vertices
+// whose values it reads and writes back.
+type passSpan struct {
+	edgeBytes     int64
+	read, written int64
+}
+
+// span returns the pass span of active: every row live, every value read and
+// written back — the paper's constants — unless the Config carries per-row
+// bytes (then only live rows stream) or edge counts (then values are read over
+// the live rows and the intervals they reach, and written back over the
+// latter). A nil active set is the constants.
+func (s *Scheduler) span(active *bitset.ActiveSet) passSpan {
+	n := int64(s.cfg.NumVertices)
+	sp := passSpan{edgeBytes: s.cfg.edgeBytesOnDisk(), read: n, written: n}
+	rows, cells := s.cfg.RowDiskBytes, s.cfg.EdgeCounts
+	if active == nil || (rows == nil && cells == nil) {
+		return sp
+	}
+	if rows != nil {
+		sp.edgeBytes = 0
+	}
+	if cells != nil {
+		sp.read, sp.written = 0, 0
+		clear(s.live)
+		clear(s.reached)
+	}
+	per := s.cfg.intervalLen()
+	interval := func(i int) (lo, hi int) {
+		lo = min(i*per, s.cfg.NumVertices)
+		return lo, min(lo+per, s.cfg.NumVertices)
+	}
+	for i := 0; i < s.cfg.P; i++ {
+		lo, hi := interval(i)
+		if lo >= hi {
+			break
+		}
+		if active.CountRange(lo, hi) == 0 {
+			continue
+		}
+		if rows != nil {
+			sp.edgeBytes += rows[i]
+		}
+		if cells != nil {
+			s.live[i] = true
+			for j, c := range cells[i] {
+				if c > 0 {
+					s.reached[j] = true
+				}
+			}
+		}
+	}
+	if cells != nil {
+		for i := 0; i < s.cfg.P; i++ {
+			lo, hi := interval(i)
+			if s.reached[i] {
+				sp.written += int64(hi - lo)
+			}
+			if s.reached[i] || s.live[i] {
+				sp.read += int64(hi - lo)
+			}
+		}
+	}
+	return sp
 }
 
 // CostFull returns C_s with every row live — the paper's constant, and the
 // most a full pass costs. The edge term uses on-disk bytes: a compressed
 // layout streams fewer bytes, so its full-model cost genuinely drops and the
 // SCIU/FCIU break-even point shifts with it.
-func (s *Scheduler) CostFull() time.Duration { return s.costFull(s.cfg.edgeBytesOnDisk()) }
+func (s *Scheduler) CostFull() time.Duration { return s.costFull(s.span(nil)) }
 
-// costFull is C_s for a pass that streams eBytes of edge payload.
-func (s *Scheduler) costFull(eBytes int64) time.Duration {
+// costFull is C_s for a pass of span sp: its edge bytes and its values read,
+// then its values written back.
+func (s *Scheduler) costFull(sp passSpan) time.Duration {
 	p := s.cfg.Profile
-	vBytes := int64(s.cfg.NumVertices) * graph.VertexValueBytes
-	return p.SeqCost(storage.SeqRead, vBytes+eBytes) + p.SeqCost(storage.SeqWrite, vBytes)
+	return p.SeqCost(storage.SeqRead, sp.read*graph.VertexValueBytes+sp.edgeBytes) +
+		p.SeqCost(storage.SeqWrite, sp.written*graph.VertexValueBytes)
 }
 
 // CostFullFor returns the full-model cost for a specific frontier: the engine
 // skips every sub-block of a source interval holding no active vertex, so
 // only live rows' on-disk bytes are charged — no bytes and no seeks for
-// skipped blocks. Without RowDiskBytes (or without an active set to inspect)
-// it is CostFull.
+// skipped blocks — and, with EdgeCounts, only the values of the intervals the
+// pass touches. Without either (or without an active set to inspect) it is
+// CostFull; over an all-active frontier that reaches every interval it is
+// CostFull to the nanosecond.
 func (s *Scheduler) CostFullFor(active *bitset.ActiveSet) time.Duration {
-	if s.cfg.RowDiskBytes == nil || active == nil {
-		return s.CostFull()
-	}
-	per := s.cfg.intervalLen()
-	var eBytes int64
-	for i := 0; i < s.cfg.P; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > s.cfg.NumVertices {
-			hi = s.cfg.NumVertices
-		}
-		if lo >= hi {
-			break
-		}
-		if active.CountRange(lo, hi) > 0 {
-			eBytes += s.cfg.RowDiskBytes[i]
-		}
-	}
-	return s.costFull(eBytes)
+	return s.costFull(s.span(active))
 }
 
 // EstimateOnDemand computes the S_seq/S_ran split and the seek count for
@@ -361,16 +446,22 @@ func gapHasEdges(degrees []uint32, lo, hi int) bool {
 	return false
 }
 
-// CostOnDemand returns C_r for a precomputed split.
-func (s *Scheduler) CostOnDemand(seqBytes, ranBytes, seeks int64) time.Duration {
+// CostOnDemand returns C_r for a precomputed split of active's edges: the
+// whole index, and with EdgeCounts the values of the intervals the pass
+// touches (see CostFullFor) — otherwise, and over an all-active frontier that
+// reaches every interval, the paper's 2|V|·N read and |V|·N write-back.
+func (s *Scheduler) CostOnDemand(seqBytes, ranBytes, seeks int64, active *bitset.ActiveSet) time.Duration {
+	return s.costOnDemand(seqBytes, ranBytes, seeks, s.span(active))
+}
+
+func (s *Scheduler) costOnDemand(seqBytes, ranBytes, seeks int64, sp passSpan) time.Duration {
 	p := s.cfg.Profile
-	vBytes := int64(s.cfg.NumVertices) * graph.VertexValueBytes
-	c := p.SeqCost(storage.RandRead, ranBytes) +
+	index := int64(s.cfg.NumVertices) * graph.IndexEntryBytes
+	return p.SeqCost(storage.RandRead, ranBytes) +
 		time.Duration(seeks)*p.SeekLatency +
 		p.SeqCost(storage.SeqRead, seqBytes) +
-		p.SeqCost(storage.SeqRead, 2*vBytes) + // index + vertex values
-		p.SeqCost(storage.SeqWrite, vBytes)
-	return c
+		p.SeqCost(storage.SeqRead, index+sp.read*graph.VertexValueBytes) +
+		p.SeqCost(storage.SeqWrite, sp.written*graph.VertexValueBytes)
 }
 
 // BlockCost prices streaming one sub-block: a seek plus the sequential read
@@ -414,14 +505,15 @@ func scaleCost(c time.Duration, factor float64) time.Duration {
 func (s *Scheduler) Decide(iteration int, active *bitset.ActiveSet, degrees []uint32) Decision {
 	start := time.Now()
 	seqB, ranB, seeks := s.EstimateOnDemand(active, degrees)
+	sp := s.span(active)
 	d := Decision{
 		Iteration:    iteration,
 		ActiveCount:  active.Count(),
 		SeqBytes:     seqB,
 		RanBytes:     ranB,
 		Seeks:        seeks,
-		CostFull:     s.CostFullFor(active),
-		CostOnDemand: s.CostOnDemand(seqB, ranB, seeks),
+		CostFull:     s.costFull(sp),
+		CostOnDemand: s.costOnDemand(seqB, ranB, seeks, sp),
 		CorrFull:     s.factor[FullIO],
 		CorrOnDemand: s.factor[OnDemandIO],
 	}

@@ -2,6 +2,7 @@ package iosched
 
 import (
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -119,5 +120,70 @@ func TestDecideUsesFrontierFullCost(t *testing.T) {
 	}
 	if d.CostFull >= s.CostFull() {
 		t.Fatalf("sparse-frontier decision cost %v not below constant %v", d.CostFull, s.CostFull())
+	}
+}
+
+// TestValueTermFollowsTheFrontier: with EdgeCounts both formulas price the
+// values of the live rows and of the intervals they reach through a non-empty
+// sub-block (written back too); C_r's index term stays the whole index. Over
+// an all-active frontier reaching every interval they are the paper's
+// constants to the nanosecond, as they are without EdgeCounts.
+func TestValueTermFollowsTheFrontier(t *testing.T) {
+	cfg := rowConfig(1000, 50000)
+	// Row 0 reaches interval 2 only; every interval is reached by some row.
+	cfg.EdgeCounts = [][]int64{{0, 0, 7, 0}, {0, 3, 0, 0}, {1, 1, 1, 1}, {0, 0, 0, 9}}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := New(rowConfig(1000, 50000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := cfg.Profile
+	deg := uniformDegrees(1000, 50)
+	vBytes := int64(1000) * graph.VertexValueBytes
+	paperOnDemand := func(seqB, ranB, seeks int64) time.Duration {
+		return p.SeqCost(storage.RandRead, ranB) + time.Duration(seeks)*p.SeekLatency +
+			p.SeqCost(storage.SeqRead, seqB) + p.SeqCost(storage.SeqRead, 2*vBytes) + p.SeqCost(storage.SeqWrite, vBytes)
+	}
+
+	all := bitset.NewActiveSet(1000)
+	all.ActivateAll()
+	seqB, ranB, seeks := s.EstimateOnDemand(all, deg)
+	for name, sched := range map[string]*Scheduler{"edge counts": s, "no edge counts": plain} {
+		if got, want := sched.CostFullFor(all), sched.CostFull(); got != want {
+			t.Errorf("%s: all-active C_s %v, want the constant %v", name, got, want)
+		}
+		if got, want := sched.CostOnDemand(seqB, ranB, seeks, all), paperOnDemand(seqB, ranB, seeks); got != want {
+			t.Errorf("%s: all-active C_r %v, want the paper's %v", name, got, want)
+		}
+	}
+
+	// One vertex of interval 0: its values and interval 2's are read, interval
+	// 2's written back — 250 vertices each — and the whole index consulted.
+	one := bitset.NewActiveSet(1000)
+	one.Activate(0)
+	iv := int64(250) * graph.VertexValueBytes
+	wantFull := p.SeqCost(storage.SeqRead, 2*iv+cfg.RowDiskBytes[0]) + p.SeqCost(storage.SeqWrite, iv)
+	if got := s.CostFullFor(one); got != wantFull {
+		t.Errorf("one-interval C_s %v, want %v", got, wantFull)
+	}
+	seqB, ranB, seeks = s.EstimateOnDemand(one, deg)
+	wantOnDemand := p.SeqCost(storage.RandRead, ranB) + time.Duration(seeks)*p.SeekLatency +
+		p.SeqCost(storage.SeqRead, seqB) + p.SeqCost(storage.SeqRead, 1000*graph.IndexEntryBytes+2*iv) +
+		p.SeqCost(storage.SeqWrite, iv)
+	if got := s.CostOnDemand(seqB, ranB, seeks, one); got != wantOnDemand {
+		t.Errorf("one-interval C_r %v, want %v", got, wantOnDemand)
+	}
+	if d := s.Decide(0, one, deg); d.CostFull != wantFull || d.CostOnDemand != wantOnDemand {
+		t.Errorf("decision priced %v / %v, want %v / %v", d.CostFull, d.CostOnDemand, wantFull, wantOnDemand)
+	}
+
+	for _, bad := range [][][]int64{{{1, 1, 1, 1}}, {{1}, {1}, {1}, {1}}} {
+		cfg.EdgeCounts = bad
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("edge counts shaped %dx%d accepted for P=4", len(bad), len(bad[0]))
+		}
 	}
 }

@@ -496,16 +496,21 @@ func (l *Layout) loadRawFileInto(name, kind string, i int, sums []uint32, dst []
 	return dst, buf, nil
 }
 
-// ChargeVertexValueRead charges the sequential read of the whole vertex
-// value array (the |V|·N read term shared by both of the paper's I/O cost
-// formulas). Vertex values live in memory in this implementation, but the
-// paper's model accounts them, so engines call this once per iteration.
-func (l *Layout) ChargeVertexValueRead() {
-	l.Dev.Charge(storage.SeqRead, int64(l.Meta.NumVertices)*graph.VertexValueBytes)
-}
-
-// ChargeVertexValueWrite charges the sequential write-back of the vertex
-// value array (the |V|·N / B_sw term of both cost formulas).
-func (l *Layout) ChargeVertexValueWrite() {
-	l.Dev.Charge(storage.SeqWrite, int64(l.Meta.NumVertices)*graph.VertexValueBytes)
+// ChargeValues charges one sequential transfer in class c — SeqRead for the
+// read, SeqWrite for the write-back — of the vertex values of every interval i
+// for which in(i) holds: the |V|·N terms of both of the paper's I/O cost
+// formulas, paid for the intervals a pass touches (DESIGN.md §11). Vertex
+// values live in memory in this implementation, but the paper's model accounts
+// them. Over every interval it charges the whole array, the paper's constant;
+// over none it charges nothing.
+func (l *Layout) ChargeValues(c storage.Class, in func(i int) bool) {
+	var n int64
+	for i := 0; i < l.Meta.P; i++ {
+		if in(i) {
+			n += int64(l.Meta.IntervalLen(i))
+		}
+	}
+	if n > 0 {
+		l.Dev.Charge(c, n*graph.VertexValueBytes)
+	}
 }

@@ -401,19 +401,32 @@ func TestManifestValidateRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestChargeVertexValueIO(t *testing.T) {
+// TestChargeValues: one transfer per call of exactly the chosen intervals'
+// values; every interval is the whole array, none is no transfer at all.
+func TestChargeValues(t *testing.T) {
 	dev := testDevice(t)
 	l, err := Build(dev, paperGraph(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := dev.Stats()
-	l.ChargeVertexValueRead()
-	l.ChargeVertexValueWrite()
-	s := dev.Stats().Sub(base)
-	want := int64(6 * graph.VertexValueBytes)
-	if s.Bytes[storage.SeqRead] != want || s.Bytes[storage.SeqWrite] != want {
-		t.Fatalf("vertex value charges wrong: %+v", s)
+	for _, c := range []struct {
+		name   string
+		in     func(int) bool
+		vertex int64
+	}{
+		{"every interval", func(int) bool { return true }, 6},
+		{"the second", func(i int) bool { return i == 1 }, int64(l.Meta.IntervalLen(1))},
+		{"none", func(int) bool { return false }, 0},
+	} {
+		base := dev.Stats()
+		l.ChargeValues(storage.SeqRead, c.in)
+		l.ChargeValues(storage.SeqWrite, c.in)
+		s := dev.Stats().Sub(base)
+		want, ops := c.vertex*graph.VertexValueBytes, min(c.vertex, 1)
+		if s.Bytes[storage.SeqRead] != want || s.Bytes[storage.SeqWrite] != want ||
+			s.Ops[storage.SeqRead] != ops || s.Ops[storage.SeqWrite] != ops {
+			t.Errorf("%s: charged %+v, want %d bytes in %d op each way", c.name, s, want, ops)
+		}
 	}
 }
 
