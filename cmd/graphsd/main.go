@@ -48,8 +48,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "ingest":
 		err = cmdIngest(os.Args[2:])
-	case "bench-serve":
-		err = cmdBenchServe(os.Args[2:])
 	case "compare":
 		err = cmdCompare(os.Args[2:])
 	case "verify":
@@ -80,7 +78,6 @@ subcommands:
   run         execute an algorithm over a preprocessed layout
   serve       run the resident job server with an HTTP API
   ingest      stream edge mutations into a running 'serve -mutable' server
-  bench-serve closed-loop load generator against a running server (SLO report)
   compare     run one algorithm under every system and print a comparison
   verify      check an out-of-core run against the in-memory BSP oracle
   stats       describe a preprocessed layout

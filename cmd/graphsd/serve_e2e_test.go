@@ -1,16 +1,13 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os/exec"
+	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
-	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -19,6 +16,8 @@ import (
 // TestServeEndToEnd is the serving smoke test: boot the real `graphsd
 // serve` binary, submit two concurrent jobs over HTTP, read their results,
 // scrape /metrics, then SIGTERM and require a clean exit within 5 seconds.
+// Then boot it again with `-tenants FILE -retain-jobs N` and check
+// authentication and cross-tenant isolation.
 func TestServeEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	graphPath := filepath.Join(dir, "g.bin")
@@ -26,71 +25,8 @@ func TestServeEndToEnd(t *testing.T) {
 	run(t, graphgenBin, "-kind", "rmat", "-scale", "10", "-edgefactor", "8", "-o", graphPath)
 	run(t, graphsdBin, "preprocess", "-graph", graphPath, "-layout", layoutDir, "-p", "4")
 
-	cmd := exec.Command(graphsdBin, "serve",
-		"-listen", "127.0.0.1:0",
-		"-graph", "rmat10="+layoutDir,
-		"-workers", "2", "-queue", "8", "-retries", "3")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Reap the process on any exit path so a failed test doesn't leak it.
-	procDone := make(chan error, 1)
-	var outBuf bytes.Buffer
-	var outMu sync.Mutex
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		<-procDone
-	})
-
-	// First line announces the bound address; keep draining after it so
-	// the child never blocks on a full pipe.
-	addrCh := make(chan string, 1)
-	go func() {
-		buf := make([]byte, 4096)
-		var pending []byte
-		announced := false
-		for {
-			n, err := stdout.Read(buf)
-			if n > 0 {
-				outMu.Lock()
-				outBuf.Write(buf[:n])
-				outMu.Unlock()
-				if !announced {
-					pending = append(pending, buf[:n]...)
-					if m := regexp.MustCompile(`serving on ([^ ]+)`).FindSubmatch(pending); m != nil {
-						addrCh <- string(m[1])
-						announced = true
-					}
-				}
-			}
-			if err != nil {
-				if !announced {
-					close(addrCh)
-				}
-				procDone <- cmd.Wait()
-				return
-			}
-		}
-	}()
-
-	var base string
-	select {
-	case addr, ok := <-addrCh:
-		if !ok {
-			outMu.Lock()
-			out := outBuf.String()
-			outMu.Unlock()
-			t.Fatalf("server exited before announcing address:\n%s", out)
-		}
-		base = "http://" + addr
-	case <-time.After(30 * time.Second):
-		t.Fatal("server never announced its address")
-	}
+	p := startServe(t, "-graph", "rmat10="+layoutDir, "-workers", "2", "-queue", "8", "-retries", "3")
+	base := p.base
 
 	// Liveness.
 	if resp, err := http.Get(base + "/healthz"); err != nil || resp.StatusCode != 200 {
@@ -187,22 +123,71 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Graceful shutdown: SIGTERM, clean exit within 5s.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
-	case err := <-procDone:
-		outMu.Lock()
-		out := outBuf.String()
-		outMu.Unlock()
+	case err := <-p.done:
+		out := p.output()
+		p.done <- nil // let the cleanup's receive proceed
 		if err != nil {
 			t.Fatalf("server exited with error: %v\n%s", err, out)
 		}
 		if !strings.Contains(out, "shutdown complete") {
 			t.Fatalf("no clean shutdown message:\n%s", out)
 		}
-		procDone <- nil // let the cleanup's receive proceed
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not exit within 5s of SIGTERM")
+	}
+
+	// The same layout served multi-tenant from a tenants file: a request
+	// without a token is 401, a job round-trips with one, and the other
+	// tenant gets the same 404 for that job as for a bogus ID.
+	tenantsPath := filepath.Join(dir, "tenants.json")
+	tenants := `{"tenants":[{"name":"alpha","token":"tok-alpha"},{"name":"beta","token":"tok-beta"}]}`
+	if err := os.WriteFile(tenantsPath, []byte(tenants), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mt := startServe(t, "-graph", "rmat10="+layoutDir, "-tenants", tenantsPath, "-retain-jobs", "4")
+	call := func(method, path, token, body string, v any) int {
+		t.Helper()
+		req, err := http.NewRequest(method, mt.base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if v != nil {
+			json.NewDecoder(resp.Body).Decode(v)
+		}
+		return resp.StatusCode
+	}
+	job := `{"graph":"rmat10","algorithm":"bfs","source":1}`
+	if code := call("POST", "/v1/jobs", "", job, nil); code != http.StatusUnauthorized {
+		t.Fatalf("submit without a token: HTTP %d, want 401", code)
+	}
+	var st jobStatus
+	if code := call("POST", "/v1/jobs", "tok-alpha", job, &st); code != http.StatusAccepted || st.ID == "" {
+		t.Fatalf("alpha's submit: HTTP %d, %+v", code, st)
+	}
+	for deadline := time.Now().Add(60 * time.Second); st.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if code := call("GET", "/v1/jobs/"+st.ID, "tok-alpha", "", &st); code != http.StatusOK {
+			t.Fatalf("alpha's status: HTTP %d", code)
+		}
+		if st.State == "failed" || st.State == "cancelled" || time.Now().After(deadline) {
+			t.Fatalf("alpha's job: %+v", st)
+		}
+	}
+	if code := call("GET", "/v1/jobs/"+st.ID+"/result?top=3", "tok-alpha", "", nil); code != http.StatusOK {
+		t.Fatalf("alpha's result: HTTP %d", code)
+	}
+	if code := call("GET", "/v1/jobs/"+st.ID, "tok-beta", "", nil); code != http.StatusNotFound {
+		t.Fatalf("beta reading alpha's job: HTTP %d, want 404", code)
 	}
 }

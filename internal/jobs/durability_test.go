@@ -1,11 +1,14 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -208,10 +211,11 @@ func TestRecoveryDuplicateFinal(t *testing.T) {
 	dir := t.TempDir()
 	jr := openJournal(t, filepath.Join(dir, "wal"))
 	req := Request{Graph: "g", Algorithm: "pr"}
+	id := jobID(1, req)
 	appendAll(t, jr,
-		Record{Type: RecSubmit, ID: "j00001-x", Time: time.Now(), Seq: 1, Req: &req},
-		Record{Type: RecFinal, ID: "j00001-x", State: "done"},
-		Record{Type: RecFinal, ID: "j00001-x", State: "failed", Error: "late duplicate"},
+		Record{Type: RecSubmit, ID: id, Time: time.Now(), Seq: 1, Req: &req},
+		Record{Type: RecFinal, ID: id, State: "done"},
+		Record{Type: RecFinal, ID: id, State: "failed", Error: "late duplicate"},
 	)
 	jr.Close()
 
@@ -220,7 +224,7 @@ func TestRecoveryDuplicateFinal(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr2})
 	defer func() { s.Close(context.Background()); jr2.Close() }()
 
-	j, ok := s.Get("j00001-x")
+	j, ok := s.Get(id)
 	if !ok || j.State() != Done {
 		t.Fatalf("duplicate final replay: ok=%v state=%v, want done (first final wins)", ok, j.State())
 	}
@@ -284,7 +288,7 @@ func TestDeadlineExpiry(t *testing.T) {
 		jr := openJournal(t, filepath.Join(dir, "wal"))
 		dl := time.Now().Add(30 * time.Millisecond)
 		req := Request{Graph: "g", Algorithm: "pr", Deadline: &dl}
-		appendAll(t, jr, Record{Type: RecSubmit, ID: "j00001-x", Time: time.Now(), Seq: 1, Req: &req})
+		appendAll(t, jr, Record{Type: RecSubmit, ID: jobID(1, req), Time: time.Now(), Seq: 1, Req: &req})
 		jr.Close()
 		time.Sleep(50 * time.Millisecond) // the "server down" window outlives the deadline
 
@@ -292,7 +296,7 @@ func TestDeadlineExpiry(t *testing.T) {
 		r := newCheckpointingRunner()
 		s := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr2})
 		defer func() { s.Close(context.Background()); jr2.Close() }()
-		j, ok := s.Get("j00001-x")
+		j, ok := s.Get(jobID(1, req))
 		if !ok || j.State() != Expired {
 			t.Fatalf("replayed past-deadline job: ok=%v state=%v, want expired", ok, j.State())
 		}
@@ -491,14 +495,15 @@ func TestOrphanCheckpointPruning(t *testing.T) {
 	ckRoot := filepath.Join(dir, "ck")
 	jr := openJournal(t, filepath.Join(dir, "wal"))
 	req := Request{Graph: "g", Algorithm: "pr"}
+	done, live := jobID(1, req), jobID(2, req)
 	appendAll(t, jr,
-		Record{Type: RecSubmit, ID: "j00001-done", Time: time.Now(), Seq: 1, Req: &req},
-		Record{Type: RecFinal, ID: "j00001-done", State: "done"},
-		Record{Type: RecSubmit, ID: "j00002-live", Time: time.Now(), Seq: 2, Req: &req},
-		Record{Type: RecStart, ID: "j00002-live", Attempt: 1},
+		Record{Type: RecSubmit, ID: done, Time: time.Now(), Seq: 1, Req: &req},
+		Record{Type: RecFinal, ID: done, State: "done"},
+		Record{Type: RecSubmit, ID: live, Time: time.Now(), Seq: 2, Req: &req},
+		Record{Type: RecStart, ID: live, Attempt: 1},
 	)
 	jr.Close()
-	for _, id := range []string{"j00001-done", "j00002-live", "j99999-orphan"} {
+	for _, id := range []string{done, live, "j99999-orphan"} {
 		if err := os.MkdirAll(filepath.Join(ckRoot, id), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -512,10 +517,10 @@ func TestOrphanCheckpointPruning(t *testing.T) {
 	if checkpointDirExists(filepath.Join(ckRoot, "j99999-orphan")) {
 		t.Fatal("orphan checkpoint dir survived replay")
 	}
-	if checkpointDirExists(filepath.Join(ckRoot, "j00001-done")) {
+	if checkpointDirExists(filepath.Join(ckRoot, done)) {
 		t.Fatal("terminal job's checkpoint survived with CheckpointKeep=0")
 	}
-	if !checkpointDirExists(filepath.Join(ckRoot, "j00002-live")) {
+	if !checkpointDirExists(filepath.Join(ckRoot, live)) {
 		t.Fatal("requeued job's checkpoint was pruned")
 	}
 	if rec := s.Snapshot().Recovery; rec.Resumable != 1 {
@@ -531,7 +536,7 @@ func TestRecoveryKeepTerminalCheckpoints(t *testing.T) {
 	jr := openJournal(t, filepath.Join(dir, "wal"))
 	req := Request{Graph: "g", Algorithm: "pr"}
 	for i := 1; i <= 3; i++ {
-		id := fmt.Sprintf("j%05d-t", i)
+		id := jobID(int64(i), req)
 		appendAll(t, jr,
 			Record{Type: RecSubmit, ID: id, Time: time.Now(), Seq: int64(i), Req: &req},
 			Record{Type: RecFinal, ID: id, State: "done"},
@@ -548,11 +553,104 @@ func TestRecoveryKeepTerminalCheckpoints(t *testing.T) {
 	defer func() { close(r.release); s.Close(context.Background()); jr2.Close() }()
 
 	for i := 1; i <= 3; i++ {
-		id := fmt.Sprintf("j%05d-t", i)
+		id := jobID(int64(i), req)
 		exists := checkpointDirExists(filepath.Join(ckRoot, id))
 		if want := i == 3; exists != want { // newest survives
 			t.Fatalf("terminal checkpoint %s: exists=%v, want %v", id, exists, want)
 		}
+	}
+}
+
+// waitAllFinal waits until every job the scheduler holds is terminal.
+func waitAllFinal(t *testing.T, s *Scheduler) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, j := range s.Jobs() {
+		for !j.State().Final() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s stuck in %s", j.ID(), j.State())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// insideRoot reports whether dir lies strictly inside root.
+func insideRoot(root, dir string) bool {
+	return strings.HasPrefix(dir, root+string(filepath.Separator))
+}
+
+// TestReplayRejectsForeignJobID: a job's ID names its checkpoint directory,
+// so replay trusts only the ID Submit derives from the record's sequence and
+// request. A CRC-valid submit naming "../../victim", "..", the journal
+// directory itself, an absolute path, or any ID but its own is skipped like a
+// submit without a request — never handed to a runner as its checkpoint
+// directory, never pruned when it finishes.
+func TestReplayRejectsForeignJobID(t *testing.T) {
+	req := Request{Graph: "g", Algorithm: "pr"}
+	other := Request{Graph: "g", Algorithm: "cc"}
+	for _, tc := range []struct {
+		name string
+		// forged returns the ID of the submit at sequence 1, given the
+		// test's temp directory.
+		forged func(dir string) string
+	}{
+		{"parent-escape", func(string) string { return "../../victim" }},
+		{"journal-dir", func(string) string { return ".." }},
+		{"absolute", func(dir string) string { return filepath.Join(dir, "victim") }},
+		{"nested", func(string) string { return jobID(1, req) + "/../../../victim" }},
+		{"other-seq", func(string) string { return jobID(2, req) }},
+		{"other-request", func(string) string { return jobID(1, other) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jdir := filepath.Join(dir, "journal")
+			root := filepath.Join(jdir, "checkpoints") // the layout `serve -journal` uses
+			sentinel := filepath.Join(dir, "victim", "keep")
+			if err := os.MkdirAll(filepath.Dir(sentinel), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(sentinel, []byte("x"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			forged, genuine := tc.forged(dir), jobID(3, req)
+			jr := openJournal(t, jdir)
+			appendAll(t, jr,
+				Record{Type: RecSubmit, ID: forged, Time: time.Now(), Seq: 1, Req: &req},
+				Record{Type: RecStart, ID: forged, Attempt: 1},
+				Record{Type: RecSubmit, ID: genuine, Time: time.Now(), Seq: 3, Req: &req},
+			)
+			jr.Close()
+
+			jr2 := openJournal(t, jdir)
+			r := newCheckpointingRunner()
+			close(r.release)
+			s := New(Config{Workers: 1, QueueDepth: 4, Run: r.run, Journal: jr2, CheckpointRoot: root})
+			rec := s.Snapshot().Recovery
+			waitAllFinal(t, s)
+			_, replayed := s.Get(forged)
+			s.Close(context.Background())
+			jr2.Close()
+
+			if rec.Requeued != 1 || rec.Lost != 0 || replayed {
+				t.Fatalf("recovery = %+v, forged %q replayed=%v; want only the genuine submit requeued", rec, forged, replayed)
+			}
+			runs := r.runs()
+			if len(runs) != 1 || runs[0].ID != genuine {
+				t.Fatalf("runs %+v, want the genuine job alone", runs)
+			}
+			for _, info := range runs {
+				if !insideRoot(root, info.CheckpointDir) {
+					t.Fatalf("job %q ran with checkpoint directory %s, outside %s", info.ID, info.CheckpointDir, root)
+				}
+			}
+			if _, err := os.Stat(sentinel); err != nil {
+				t.Fatalf("a directory beside the journal was pruned: %v", err)
+			}
+			if !checkpointDirExists(jdir) {
+				t.Fatal("the journal directory was pruned")
+			}
+		})
 	}
 }
 
@@ -604,4 +702,92 @@ func TestRecoveryLostInvariantUnderChaos(t *testing.T) {
 		s2.Close(context.Background())
 		jr2.Close()
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary records through Journal.Append — one JSON
+// payload per line of the input, up to 64 — and replays them into a
+// scheduler under a CheckpointRoot. Whatever the journal holds, replay must
+// not panic, must account for every submit it accepts (Lost == 0), must hand
+// no runner a checkpoint directory outside the root, and must prune nothing
+// beside it.
+func FuzzJournalReplay(f *testing.F) {
+	req := Request{Graph: "g", Algorithm: "pr"}
+	id := jobID(1, req)
+	lines := func(recs ...Record) []byte {
+		var out [][]byte
+		for _, rec := range recs {
+			b, err := json.Marshal(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, b)
+		}
+		return bytes.Join(out, []byte("\n"))
+	}
+	f.Add(lines(
+		Record{Type: RecSubmit, ID: id, Seq: 1, Req: &req},
+		Record{Type: RecStart, ID: id, Attempt: 1},
+		Record{Type: RecFinal, ID: id, State: "done"},
+	))
+	f.Add(lines(
+		Record{Type: RecSubmit, ID: "../victim", Seq: 1, Req: &req},
+		Record{Type: RecStart, ID: "../victim", Attempt: 1},
+	))
+	f.Add([]byte(`{"type":"submit","id":"` + id + `","seq":1,"req":null}`))
+	f.Add(lines(Record{Type: RecSubmit, ID: "..", Seq: 1, Req: &req}))
+	f.Add(lines(Record{Type: RecSubmit, ID: id + "/../../victim", Seq: 1, Req: &req}))
+	f.Add(lines( // a well-formed ID under another sequence, then a duplicate
+		Record{Type: RecSubmit, ID: jobID(2, req), Seq: 1, Req: &req},
+		Record{Type: RecSubmit, ID: id, Seq: 1, Req: &req},
+		Record{Type: RecSubmit, ID: id, Seq: 1, Req: &req},
+	))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		jdir := filepath.Join(dir, "journal")
+		root := filepath.Join(dir, "checkpoints")
+		victim := filepath.Join(dir, "victim")
+		if err := os.MkdirAll(victim, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		jr := openJournal(t, jdir)
+		for i, line := range bytes.Split(data, []byte("\n")) {
+			if i == 64 {
+				break
+			}
+			var rec Record
+			if json.Unmarshal(line, &rec) != nil {
+				continue
+			}
+			jr.Append(rec) // a record Append cannot encode is simply not journaled
+		}
+		jr.Close()
+
+		jr2 := openJournal(t, jdir)
+		var mu sync.Mutex
+		var dirs []string
+		s := New(Config{Workers: 1, QueueDepth: 4, Journal: jr2, CheckpointRoot: root,
+			Run: func(ctx context.Context, req Request, info RunInfo) (*core.Result, error) {
+				mu.Lock()
+				dirs = append(dirs, info.CheckpointDir)
+				mu.Unlock()
+				return &core.Result{Algorithm: req.Algorithm, Converged: true}, nil
+			}})
+		rec := s.Snapshot().Recovery
+		waitAllFinal(t, s)
+		s.Close(context.Background())
+		jr2.Close()
+
+		if rec.Lost != 0 {
+			t.Fatalf("replay lost %d jobs: %+v", rec.Lost, rec)
+		}
+		for _, d := range dirs {
+			if !insideRoot(root, d) {
+				t.Fatalf("runner handed checkpoint directory %s, outside %s", d, root)
+			}
+		}
+		if !checkpointDirExists(victim) {
+			t.Fatal("replay pruned a directory beside the checkpoint root")
+		}
+	})
 }

@@ -39,7 +39,11 @@ func (s *Scheduler) replay(recs []Record) []*Job {
 	for _, rec := range recs {
 		switch rec.Type {
 		case RecSubmit:
-			if rec.Req == nil || rec.ID == "" {
+			// A job's ID names its checkpoint directory, so only the ID
+			// Submit would have derived is trusted: a CRC-valid record naming
+			// "../x" must not point a runner, or checkpoint GC, outside the
+			// root.
+			if rec.Req == nil || rec.ID != jobID(rec.Seq, *rec.Req) {
 				continue
 			}
 			if _, dup := s.jobs[rec.ID]; dup {

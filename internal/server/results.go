@@ -52,7 +52,7 @@ func (p resultPage) bounds() (lo, hi, next int) {
 		lo = p.total // offset past the end: an empty page, not an error
 	}
 	hi = p.total
-	if p.limit >= 0 && lo+p.limit < hi {
+	if p.limit >= 0 && p.limit < hi-lo { // not lo+limit, which overflows on a huge limit
 		hi = lo + p.limit
 	}
 	next = -1

@@ -638,20 +638,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Meter the batch against the tenant's mutation-bytes budget before
-	// reading it — an over-quota tenant costs the server one header parse,
-	// not a decode of up to 8 MiB.
-	if n := r.ContentLength; n > 0 {
-		if ok, retry := s.admitMutation(r, n); !ok {
-			w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds()+0.5)))
-			writeError(w, http.StatusTooManyRequests, "tenant %q over its mutation rate; retry in %v", tenantFrom(r), retry.Round(time.Millisecond))
-			return
-		}
+	src, ok := s.meterMutation(w, r, http.MaxBytesReader(w, r.Body, 8<<20))
+	if !ok {
+		return
 	}
 	var body struct {
 		Mutations []mutationReq `json:"mutations"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -819,7 +813,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		offset = total
 	}
 	end := total
-	if offset+limit < end {
+	if limit < total-offset { // not offset+limit, which overflows on a huge limit
 		end = offset + limit
 	}
 	out := map[string]any{

@@ -12,11 +12,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -129,10 +132,10 @@ func (s *Server) visible(r *http.Request, st jobs.Status) bool {
 // land one rate-sized batch immediately; a batch larger than the burst is
 // admitted whenever the bucket is full and drives the balance negative,
 // which delays the tenant's next batch proportionally instead of making
-// oversized batches unsendable.
+// oversized batches unsendable. Only metered tenants have one.
 type rateBucket struct {
 	mu     sync.Mutex
-	rate   float64 // bytes per second; <= 0 means unlimited
+	rate   float64 // bytes per second, positive
 	burst  float64
 	tokens float64
 	last   time.Time
@@ -147,9 +150,6 @@ func newRateBucket(bytesPerSec int64) *rateBucket {
 // admit charges n bytes. When the bucket cannot cover them it charges
 // nothing and returns the wait until it could.
 func (b *rateBucket) admit(n int64, now time.Time) (ok bool, retryAfter time.Duration) {
-	if b == nil || b.rate <= 0 {
-		return true, 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
@@ -174,11 +174,33 @@ func (b *rateBucket) admit(n int64, now time.Time) (ok bool, retryAfter time.Dur
 	return false, wait
 }
 
-// admitMutation applies the request tenant's mutation-bytes budget to a
-// batch of n bytes. True when auth is off or the tenant is unmetered.
-func (s *Server) admitMutation(r *http.Request, n int64) (ok bool, retryAfter time.Duration) {
-	if !s.authOn {
-		return true, 0
+// meterMutation charges a mutation batch to the request tenant's
+// mutation-bytes budget before it is decoded, and returns the reader to
+// decode the batch from. With auth off, or for an unmetered tenant, body
+// passes straight through. A body of declared length is charged by that
+// length, so an over-quota tenant costs the server one header parse. A
+// chunked body declares none, so a metered tenant's is read first (within
+// the handler's size cap) and charged by the bytes that arrived. When the
+// budget cannot cover the batch, meterMutation writes the 429 with
+// Retry-After and returns false.
+func (s *Server) meterMutation(w http.ResponseWriter, r *http.Request, body io.Reader) (io.Reader, bool) {
+	b := s.buckets[tenantFrom(r)]
+	if b == nil || r.ContentLength == 0 {
+		return body, true
 	}
-	return s.buckets[tenantFrom(r)].admit(n, time.Now())
+	n := r.ContentLength
+	if n < 0 {
+		data, err := io.ReadAll(body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "reading request: %v", err)
+			return nil, false
+		}
+		n, body = int64(len(data)), bytes.NewReader(data)
+	}
+	if ok, retry := b.admit(n, time.Now()); !ok {
+		w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds()+0.5)))
+		writeError(w, http.StatusTooManyRequests, "tenant %q over its mutation rate; retry in %v", tenantFrom(r), retry.Round(time.Millisecond))
+		return nil, false
+	}
+	return body, true
 }
