@@ -105,6 +105,20 @@ func TestEndToEndWorkflow(t *testing.T) {
 		t.Fatalf("verify output: %s", out)
 	}
 
+	// The baselines' layouts run, trace and verify through the same engine.
+	for sys, path := range map[string]string{"husgraph": "husgraph-full", "lumos": "lumos-1"} {
+		dir := filepath.Join(dir, sys)
+		run(t, graphsdBin, "preprocess", "-graph", graphPath, "-layout", dir, "-p", "4", "-system", sys)
+		out = run(t, graphsdBin, "run", "-layout", dir, "-algorithm", "cc", "-trace", "-top", "0")
+		if !strings.Contains(out, "converged=true") || !strings.Contains(out, path) {
+			t.Fatalf("%s run output, want a %s iteration in the trace: %s", sys, path, out)
+		}
+		out = run(t, graphsdBin, "verify", "-graph", graphPath, "-layout", dir, "-algorithm", "cc")
+		if !strings.Contains(out, "OK:") {
+			t.Fatalf("%s verify output: %s", sys, out)
+		}
+	}
+
 	// Layout stats.
 	out = run(t, graphsdBin, "stats", "-layout", layoutDir)
 	if !strings.Contains(out, "vertices:  1024") {

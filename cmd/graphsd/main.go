@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
-	"github.com/graphsd/graphsd/internal/baseline"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/delta"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -167,7 +166,7 @@ func cmdPreprocess(args []string) error {
 	if err != nil {
 		return err
 	}
-	sys, err := baseline.SystemByName(*system)
+	sys, err := core.SystemByName(*system)
 	if err != nil {
 		return err
 	}
@@ -240,9 +239,6 @@ func cmdRun(args []string) error {
 	}
 	if *resume && *ckDir == "" {
 		return fmt.Errorf("run: -resume requires -checkpoint")
-	}
-	if (*ckDir != "" || *async) && l.Meta.System != "graphsd" {
-		return fmt.Errorf("run: -checkpoint and -async are only supported for graphsd layouts (this one is %q)", l.Meta.System)
 	}
 	if *ckDir != "" && *ckEvery <= 0 {
 		return fmt.Errorf("run: -checkpoint-every must be positive")
@@ -319,11 +315,7 @@ func cmdRun(args []string) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	sys, err := baseline.SystemByName(l.Meta.System)
-	if err != nil {
-		return err
-	}
-	res, err := sys.Run(ctx, l, prog, opts)
+	res, err := core.RunContext(ctx, l, prog, opts)
 	if err != nil {
 		return err
 	}
@@ -465,7 +457,7 @@ func cmdCompare(args []string) error {
 
 	t := metrics.NewTable(fmt.Sprintf("system comparison: %s on %s (P=%d)", *alg, *graphPath, *p),
 		"system", "exec time", "io time", "compute", "traffic", "iterations")
-	for _, sys := range baseline.Systems() {
+	for _, sys := range core.Systems() {
 		dev, err := storage.OpenDevice(dir+"/"+sys.Name, prof)
 		if err != nil {
 			return err
@@ -489,7 +481,7 @@ func cmdCompare(args []string) error {
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "original input graph (binary or text edge list)")
-	layoutDir := fs.String("layout", "", "preprocessed graphsd layout")
+	layoutDir := fs.String("layout", "", "preprocessed layout (any system)")
 	alg := fs.String("algorithm", "bfs", "algorithm: pr, prd, cc, sssp, bfs, widestpath, reach")
 	source := fs.Uint("source", 0, "source vertex for traversal algorithms")
 	tol := fs.Float64("tolerance", 1e-9, "relative tolerance for sum-based algorithms")

@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
-	"github.com/graphsd/graphsd/internal/baseline"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/metrics"
@@ -43,16 +42,14 @@ func main() {
 	const p = 8
 	prof := storage.ScaledHDD
 
-	// Preprocess once per system format.
-	gsdDev := mustDevice(dir+"/graphsd", prof)
-	gsdLayout, err := partition.Build(gsdDev, g, p)
-	must(err)
-	husDev := mustDevice(dir+"/husgraph", prof)
-	husLayout, err := partition.BuildHUSGraph(husDev, g, p)
-	must(err)
-	lumDev := mustDevice(dir+"/lumos", prof)
-	lumLayout, err := partition.BuildLumos(lumDev, g, p)
-	must(err)
+	// Preprocess once per system format; core.Run runs each layout under its
+	// system's schedule.
+	systems := core.Systems()
+	layouts := make([]*partition.Layout, len(systems))
+	for k, sys := range systems {
+		layouts[k], err = sys.Build(mustDevice(dir+"/"+sys.Name, prof), g, p)
+		must(err)
+	}
 
 	for _, alg := range []struct {
 		name string
@@ -62,20 +59,16 @@ func main() {
 		{"PageRank-Delta (20 iters)", func() core.Program { return &algorithms.PageRankDelta{Iterations: 20, Tolerance: 1e-6} }},
 	} {
 		t := metrics.NewTable(alg.name, "system", "exec time", "I/O traffic", "vs graphsd")
-		gsd, err := core.Run(gsdLayout, alg.mk(), core.Options{DefaultBuffer: true})
-		must(err)
-		t.AddRow("graphsd", metrics.Dur(gsd.ExecTime()), storage.FormatBytes(gsd.IO.TotalBytes()), "1.00x")
-
-		hus, err := baseline.RunHUSGraph(husLayout, alg.mk(), baseline.Options{})
-		must(err)
-		t.AddRow("husgraph", metrics.Dur(hus.ExecTime()), storage.FormatBytes(hus.IO.TotalBytes()),
-			metrics.Ratio(hus.ExecTime(), gsd.ExecTime()))
-
-		lum, err := baseline.RunLumos(lumLayout, alg.mk(), baseline.Options{})
-		must(err)
-		t.AddRow("lumos", metrics.Dur(lum.ExecTime()), storage.FormatBytes(lum.IO.TotalBytes()),
-			metrics.Ratio(lum.ExecTime(), gsd.ExecTime()))
-
+		var gsd *core.Result
+		for k, sys := range systems {
+			res, err := core.Run(layouts[k], alg.mk(), core.Options{DefaultBuffer: true})
+			must(err)
+			if gsd == nil {
+				gsd = res // GraphSD is the table's first row
+			}
+			t.AddRow(sys.Name, metrics.Dur(res.ExecTime()), storage.FormatBytes(res.IO.TotalBytes()),
+				metrics.Ratio(res.ExecTime(), gsd.ExecTime()))
+		}
 		must(t.Render(os.Stdout))
 	}
 }

@@ -29,8 +29,10 @@ import (
 const sparseViewDensity = 8
 
 // Engine executes a vertex program over a partitioned on-disk graph using
-// GraphSD's state- and dependency-aware update strategy. Create one with
-// NewEngine and call Run once; an Engine is single-use.
+// GraphSD's state- and dependency-aware update strategy — or, over a layout
+// the paper's comparison systems built, HUS-Graph's or Lumos's (husgraph.go,
+// lumos.go). Create one with NewEngine and call Run once; an Engine is
+// single-use.
 type Engine struct {
 	layout *partition.Layout
 	prog   Program
@@ -109,25 +111,38 @@ type Engine struct {
 	computeTime time.Duration
 }
 
-// NewEngine prepares an engine for one run of prog over layout.
+// NewEngine prepares an engine for one run of prog over layout, under the
+// schedule of the system that built it (newSchedule). The baselines' layouts
+// run BSP without checkpoints and read no other option but MaxIterations,
+// OnIteration and, on HUS-Graph's decision, ForceModel.
 func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, error) {
-	if layout.Meta.System != "graphsd" {
-		return nil, fmt.Errorf("core: layout built for %q, want graphsd (use partition.Build)", layout.Meta.System)
-	}
-	if prog.Weighted() && !layout.Meta.Weighted {
-		return nil, fmt.Errorf("core: program %s needs edge weights but layout is unweighted", prog.Name())
-	}
+	m := &layout.Meta
 	schedCfg := iosched.Config{
-		Profile:           layout.Dev.Profile(),
-		NumVertices:       layout.Meta.NumVertices,
-		NumEdges:          layout.Meta.NumEdges,
-		EdgeRecordBytes:   layout.Meta.EdgeRecordBytes(),
-		EdgeBytesOnDisk:   layout.Meta.EdgeDiskBytesTotal(),
-		EdgeBytesOnDemand: layout.Meta.SelectiveDiskBytesTotal(),
-		P:                 layout.Meta.P,
-		BlocksPerRow:      layout.Meta.NonEmptyBlocksPerRow(),
-		RowDiskBytes:      layout.Meta.RowDiskBytes(),
-		EdgeCounts:        layout.Meta.EdgeCounts,
+		Profile:         layout.Dev.Profile(),
+		NumVertices:     m.NumVertices,
+		NumEdges:        m.NumEdges,
+		EdgeRecordBytes: m.EdgeRecordBytes(),
+	}
+	switch m.System {
+	case "graphsd", "lumos":
+		schedCfg.EdgeBytesOnDisk = m.EdgeDiskBytesTotal()
+		schedCfg.EdgeBytesOnDemand = m.SelectiveDiskBytesTotal()
+		schedCfg.P = m.P
+		schedCfg.BlocksPerRow = m.NonEmptyBlocksPerRow()
+		schedCfg.RowDiskBytes = m.RowDiskBytes()
+		schedCfg.EdgeCounts = m.EdgeCounts
+	case "husgraph":
+		// HUS-Graph's row blocks keep each vertex's whole edge list
+		// contiguous, so an active run costs a single positioning seek.
+		schedCfg.P = 1
+	default:
+		return nil, fmt.Errorf("core: layout built for unknown system %q", m.System)
+	}
+	if m.System != "graphsd" && (opts.Async || opts.Checkpoint != (CheckpointOptions{})) {
+		return nil, fmt.Errorf("core: Options.Async and Options.Checkpoint are only supported for graphsd layouts (this one is %q)", m.System)
+	}
+	if prog.Weighted() && !m.Weighted {
+		return nil, fmt.Errorf("core: program %s needs edge weights but layout is unweighted", prog.Name())
 	}
 	sched, err := iosched.New(schedCfg)
 	if err != nil {
@@ -196,13 +211,43 @@ func RunContext(ctx context.Context, layout *partition.Layout, prog Program, opt
 	return e.run()
 }
 
+// System is one row of the paper's comparison: the name a layout's manifest
+// records, the preprocessor that writes that layout and the runner, RunContext
+// in every row — the manifest picks the schedule. The CLI (preprocess, compare)
+// and the experiment harness pick builders here and nowhere else; the harness's
+// tests substitute a row's Run.
+type System struct {
+	Name  string
+	Build func(dev *storage.Device, g *graph.Graph, p int, opts ...partition.BuildOption) (*partition.Layout, error)
+	Run   func(ctx context.Context, l *partition.Layout, prog Program, opts Options) (*Result, error)
+}
+
+// Systems returns the comparison table, GraphSD first.
+func Systems() []System {
+	return []System{
+		{"graphsd", partition.Build, RunContext},
+		{"husgraph", partition.BuildHUSGraph, RunContext},
+		{"lumos", partition.BuildLumos, RunContext},
+	}
+}
+
+// SystemByName returns the table row called name.
+func SystemByName(name string) (System, error) {
+	for _, s := range Systems() {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return System{}, fmt.Errorf("core: unknown system %q", name)
+}
+
 // checkCtx reports the run's cancellation state; called between sub-blocks
 // and at iteration boundaries so a cancelled run stops promptly without
 // tearing down mid-scatter.
 func (e *Engine) checkCtx() error { return e.ctx.Err() }
 
 // run is the engine's one loop: set-up, resume, then step after step of the
-// schedule Options.Async selects, each measured as deltas over the engine's
+// schedule newSchedule selects, each measured as deltas over the engine's
 // counters, reported to OnIteration and checkpointed on the configured
 // cadence.
 func (e *Engine) run() (*Result, error) {

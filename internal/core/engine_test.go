@@ -231,6 +231,8 @@ func TestEngineUnreachableVerticesStayInf(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsWrongLayout: a baseline's layout runs BSP without
+// checkpoints, and a layout of a system with no schedule does not run at all.
 func TestNewEngineRejectsWrongLayout(t *testing.T) {
 	dev, err := storage.OpenDevice(t.TempDir(), storage.HDD)
 	if err != nil {
@@ -240,8 +242,17 @@ func TestNewEngineRejectsWrongLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for name, opts := range map[string]core.Options{
+		"async":      {Async: true},
+		"checkpoint": {Checkpoint: core.CheckpointOptions{Dir: t.TempDir(), Every: 1}},
+	} {
+		if _, err := core.NewEngine(l, &algorithms.BFS{}, opts); err == nil {
+			t.Errorf("%s accepted on a lumos layout", name)
+		}
+	}
+	l.Meta.System = "pregel"
 	if _, err := core.NewEngine(l, &algorithms.PageRank{}, core.Options{}); err == nil {
-		t.Fatal("lumos layout accepted by GraphSD engine")
+		t.Fatal("layout of an unknown system accepted")
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/iosched"
+	"github.com/graphsd/graphsd/internal/partition"
 )
 
-// schedule is what differs between the two ways Engine.run's loop can be
-// driven: bspSchedule (the paper's Algorithm 1, one iteration per step) and
-// asyncRun (Options.Async, one popped grid row per step). Everything else —
+// schedule is what differs between the ways Engine.run's loop can be driven:
+// bspSchedule (the paper's Algorithm 1, one iteration per step), asyncRun
+// (Options.Async, one popped grid row per step) and the comparison systems'
+// iterations, husSchedule and lumosSchedule. Everything else —
 // set-up, resume, the step bound, per-step statistics, the OnIteration hook,
 // the checkpoint cadence, the Result — is the loop's.
 type schedule interface {
@@ -28,13 +30,21 @@ type schedule interface {
 	finish(res *Result)
 }
 
-// newSchedule returns the schedule Options.Async selects, bound to e.
+// newSchedule returns the schedule of the layout's system — for GraphSD's,
+// the one Options.Async selects — bound to e.
 func (e *Engine) newSchedule() (schedule, error) {
 	if e.opts.Async {
 		return newAsyncRun(e)
 	}
 	e.applySpan, e.applyEvery = e.applySpanBSP, e.prog.AlwaysActive()
-	return &bspSchedule{e: e}, nil
+	b := bspSchedule{e: e}
+	switch e.layout.Meta.System {
+	case "husgraph":
+		return &husSchedule{bspSchedule: b, rowIndex: make([]*partition.Index, e.p)}, nil
+	case "lumos":
+		return &lumosSchedule{bspSchedule: b}, nil
+	}
+	return &b, nil
 }
 
 // bspSchedule is the synchronous driver: each step is one iteration, run
@@ -64,12 +74,7 @@ func (b *bspSchedule) pending() bool {
 
 func (b *bspSchedule) step(iter int, st *IterStat) error {
 	e := b.e
-	// Promote staged next-iteration contributions to current. The
-	// outgoing acc/touched were fully consumed (and identity-reset) by
-	// the previous apply phase.
-	e.acc, e.accNext = e.accNext, e.acc
-	e.touched, e.touchedNext = e.touchedNext, e.touched
-
+	e.promote()
 	var err error
 	switch {
 	case b.secondaryPending:
@@ -94,17 +99,28 @@ func (b *bspSchedule) step(iter int, st *IterStat) error {
 	if err != nil {
 		return err
 	}
+	e.advance()
+	return nil
+}
 
-	// Advance the BSP frontier: next actives are this iteration's
-	// activations minus vertices whose next scatter was already
-	// performed by cross-iteration computation.
+// promote opens a BSP iteration, GraphSD's or a baseline's: the staged
+// next-iteration contributions become current. The outgoing acc/touched were
+// fully consumed (and identity-reset) by the previous apply phase.
+func (e *Engine) promote() {
+	e.acc, e.accNext = e.accNext, e.acc
+	e.touched, e.touchedNext = e.touchedNext, e.touched
+}
+
+// advance closes a BSP iteration: the next frontier is its activations minus
+// the vertices whose next scatter cross-iteration computation already did,
+// and the values it computed become the ones the next scatters read.
+func (e *Engine) advance() {
 	e.active.CopyFrom(e.newActive)
 	e.active.Subtract(e.prescattered)
 	e.newActive.Reset()
 	e.prescattered.Reset()
 	e.valPrev, e.valCur = e.valCur, e.valPrev
 	copy(e.valCur, e.valPrev)
-	return nil
 }
 
 // measured feeds the step's measured I/O charge back into the scheduler's

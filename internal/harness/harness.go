@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
-	"github.com/graphsd/graphsd/internal/baseline"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -40,9 +39,9 @@ type Config struct {
 	// this seed and scale (RecordedTable) instead of being held to them.
 	Record bool
 
-	// systems overrides rows of baseline.Systems by name; tests substitute a
+	// systems overrides rows of core.Systems by name; tests substitute a
 	// broken engine here to see the expectation gate fail.
-	systems []baseline.System
+	systems []core.System
 	// envs holds the one env per dataset every figure of this Config reads.
 	envs map[string]*env
 	// recorded holds, under Record, each figure's rows as its run recorded them.
@@ -136,13 +135,13 @@ func (c *Config) env(name string) (*env, error) {
 }
 
 // system returns the comparison-table row for name.
-func (c *Config) system(name string) (baseline.System, error) {
+func (c *Config) system(name string) (core.System, error) {
 	for _, s := range c.systems {
 		if s.Name == name {
 			return s, nil
 		}
 	}
-	return baseline.SystemByName(name)
+	return core.SystemByName(name)
 }
 
 // Algorithm couples a paper workload with its program constructor. src is

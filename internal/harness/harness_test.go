@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/graphsd/graphsd/internal/baseline"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
@@ -301,7 +300,7 @@ func TestFiguresShareCells(t *testing.T) {
 	}
 	cfg := quickConfig(t)
 	ran := map[string]int{}
-	for _, sys := range baseline.Systems() {
+	for _, sys := range core.Systems() {
 		run := sys.Run
 		sys.Run = func(ctx context.Context, l *partition.Layout, prog core.Program, opts core.Options) (*core.Result, error) {
 			ran[fmt.Sprintf("%s %T%+v %+v", l.Dev.Dir(), prog, prog, opts)]++
@@ -364,7 +363,7 @@ func TestBrokenEngineFailsByFigure(t *testing.T) {
 	} {
 		for _, id := range tc.figures {
 			cfg := quickConfig(t)
-			cfg.systems = []baseline.System{{Name: "graphsd", Build: partition.Build, Run: func(ctx context.Context, l *partition.Layout, prog core.Program, opts core.Options) (*core.Result, error) {
+			cfg.systems = []core.System{{Name: "graphsd", Build: partition.Build, Run: func(ctx context.Context, l *partition.Layout, prog core.Program, opts core.Options) (*core.Result, error) {
 				tc.breakIt(&opts)
 				return core.RunContext(ctx, l, prog, opts)
 			}}}

@@ -14,7 +14,8 @@ import (
 // loaders' shape check is what stands between a durable file and the selective
 // path's subscripts, buffer sizes and seeks, so the property is: an error or
 // edges, never a panic. The seed corpus (run by every `go test`) holds each
-// layout's real index and the two files that used to kill RunHUSGraph.
+// layout's real index and the two files that used to kill HUS-Graph's
+// on-demand path.
 func FuzzLoadIndex(f *testing.F) {
 	g := gen.Weighted(gen.Grid(8), 4, 1)
 	type target struct {

@@ -422,6 +422,11 @@ func (m *Manifest) Validate() error {
 		if len(l.DegVertices) != len(l.DegDeltas) {
 			return fmt.Errorf("partition: delta layer %d degree arrays disagree (%d vs %d)", l.ID, len(l.DegVertices), len(l.DegDeltas))
 		}
+		for _, v := range l.DegVertices {
+			if int(v) >= m.NumVertices {
+				return fmt.Errorf("partition: delta layer %d adjusts the degree of vertex %d of %d", l.ID, v, m.NumVertices)
+			}
+		}
 		for _, b := range l.Blocks {
 			if b.I < 0 || b.I >= m.P || b.J < 0 || b.J >= m.P {
 				return fmt.Errorf("partition: delta layer %d block (%d,%d) outside grid", l.ID, b.I, b.J)
@@ -430,6 +435,11 @@ func (m *Manifest) Validate() error {
 				return fmt.Errorf("partition: delta layer %d block (%d,%d) negative sizes", l.ID, b.I, b.J)
 			}
 		}
+	}
+	// The next seal writes its files under LastLayerID+1, so an ID below a
+	// listed layer's would overwrite that live layer's files.
+	if m.LastLayerID < lastID {
+		return fmt.Errorf("partition: last_layer_id %d below listed delta layer %d", m.LastLayerID, lastID)
 	}
 	return nil
 }
