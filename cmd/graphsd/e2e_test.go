@@ -241,10 +241,13 @@ func TestEndToEndDeltaCodec(t *testing.T) {
 		t.Fatalf("trace missing decode column: %s", out)
 	}
 	// On a delta layout the buffer keeps FCIU's secondaries as payloads, and
-	// PageRank's second halves are served from them.
-	out = run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr", "-force-model", "full", "-top", "0")
-	if !strings.Contains(out, "sem: compressed tier") || strings.Contains(out, "sem: compressed tier 0 hits") {
-		t.Fatalf("pr run on a delta layout: want a sem: line with hits:\n%s", out)
+	// PageRank's second halves are served from them; under -async it keeps the
+	// row step's blocks the same way.
+	for _, args := range [][]string{{"-algorithm", "pr", "-force-model", "full"}, {"-algorithm", "cc", "-async"}} {
+		out = run(t, graphsdBin, append([]string{"run", "-layout", layoutDir, "-top", "0"}, args...)...)
+		if !strings.Contains(out, "sem: compressed tier") || strings.Contains(out, "sem: compressed tier 0 hits") {
+			t.Fatalf("run %v on a delta layout: want a sem: line with hits:\n%s", args, out)
+		}
 	}
 
 	out = run(t, graphsdBin, "verify", "-graph", graphPath, "-layout", layoutDir, "-algorithm", "cc")

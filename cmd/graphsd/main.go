@@ -345,7 +345,7 @@ func cmdRun(args []string) error {
 		fmt.Printf("skipped: %d dead sub-blocks (%s never read)\n", s.BlocksSkipped, storage.FormatBytes(s.BytesSkipped))
 	}
 	if s := res.SEM; s.CompressedBytes > 0 || s.CompressedHits > 0 {
-		fmt.Printf("sem: compressed tier %d hits (decoded on the prefetch workers) effective-capacity=%.2fx\n",
+		fmt.Printf("sem: compressed tier %d hits effective-capacity=%.2fx\n",
 			s.CompressedHits, s.EffectiveCapacityRatio())
 	}
 	if a := res.Async; a.Enabled {

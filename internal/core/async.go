@@ -28,9 +28,11 @@
 // checkpoints capture the step counter and per-row enqueue steps, so a
 // resumed run replays the identical schedule.
 //
-// Residency: the per-run buffer (Options.BufferBytes) keeps decoded blocks of
-// the rows the scheduler ranks highest — a resident block's priority is its
-// row's queue key, so the buffer evicts what the queue will pop last. The
+// Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
+// rows the scheduler ranks highest, in the form the codec gives it — verified
+// payloads on a delta layout, served as run views over a narrow frozen
+// frontier; decoded edges on a raw one — and a resident block's priority is
+// its row's queue key, so the buffer evicts what the queue will pop last. The
 // queue key itself never looks at the buffer: checkpoints do not carry it, a
 // resumed run starts cold, and it has to pop the same rows in the same order.
 // Residency changes which bytes move, never which row runs.
@@ -450,89 +452,120 @@ func (a *asyncRun) missCost(i int) time.Duration {
 // topPriority admits the blocks of the row being processed (see processRow).
 func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
-// scatterRowStreamed processes row i block by block: a block resident in the
-// per-run buffer is scattered from memory, the others are streamed whole
-// through a block stream and offered to the buffer as decoded edges — on a
-// delta layout too: the point of a hit here is to skip the decode. Each block
-// is scattered and applied before the next is consumed.
+// scatterRowStreamed processes row i through the per-run buffer in the form
+// the codec gives it — on a delta layout FCIU's payload route (holdPayload,
+// takePayload), whose hits over a narrow frozen frontier are run views that
+// decode only the active sources' runs; on a raw layout decoded edges
+// (bufferedBlock). Misses stream through a block stream and are offered at the
+// row in hand's priority.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
 	if len(a.frontList) == 0 {
 		return 0, nil
 	}
-	var reqs []pipeline.Request // the non-resident cells
+	lo, hi := e.layout.Meta.Interval(i)
+	narrow := len(a.frontList)*sparseViewDensity <= hi-lo
+	sparse := narrow && e.viewable()
+	var reqs []pipeline.Request
 	for _, j := range cols {
-		if e.buf.Contains(buffer.Key{I: i, J: j}) {
+		if e.payloads {
+			if !e.holdPayload(i, j, narrow) {
+				continue
+			}
+		} else if e.buf.Contains(buffer.Key{I: i, J: j}) {
 			continue
-		}
-		if reqs == nil {
-			reqs = make([]pipeline.Request, 0, len(cols))
 		}
 		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 	}
-	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, e.src.full)
-	defer st.close()
-	var applied int64
-	for _, j := range cols {
-		edges, err := e.bufferedBlock(st.take, buffer.Key{I: i, J: j}, topPriority)
-		if err != nil {
-			return applied, err
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
+		if e.payloads {
+			return e.heldBlock(i, j, sparse)
 		}
-		applied += a.scatterApplyBlock(edges, j)
-	}
-	return applied, nil
+		edges, err := e.src.full(i, j)
+		return block{edges: edges}, err
+	})
+	defer st.close()
+	return a.scatterRow(i, func(j int) (blk block, err error) {
+		k := buffer.Key{I: i, J: j}
+		if e.payloads {
+			return e.takePayload(st, k, math.MaxInt64)
+		}
+		blk.edges, err = e.bufferedBlock(st, k, topPriority)
+		return blk, err
+	})
 }
 
 // scatterRowOnDemand processes row i by reading only the frozen frontier's
 // edge runs through each sub-block's vertex index — the async analogue of
 // SCIU's on-demand loads; a resident block is scattered from memory through
-// the same frontier filter instead. It runs synchronously: frontier rows
-// this sparse spend their time seeking, not streaming, and the frozen
-// frontier keeps the reads deterministic.
+// the same frontier filter instead, a payload as a run view where the layout
+// allows one. It runs synchronously: frontier rows this sparse spend their
+// time seeking, not streaming, and the frozen frontier keeps the reads
+// deterministic.
 func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 	e := a.e
 	// Modelled per-step index consultation, the per-interval slice of
 	// SCIU's 2|V| term.
 	lo, hi := e.layout.Meta.Interval(i)
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
+	return a.scatterRow(i, func(j int) (block, error) { return a.onDemandBlock(i, j) })
+}
 
+// scatterRow scatters and applies row i's blocks in column order, each taken
+// from get once the previous one is applied, and returns the number of
+// vertices applied.
+func (a *asyncRun) scatterRow(i int, get func(j int) (block, error)) (int64, error) {
 	var applied int64
 	for _, j := range a.rowBlocks[i] {
-		if err := e.checkCtx(); err != nil {
+		if err := a.e.checkCtx(); err != nil {
 			return applied, err
 		}
-		// Peek, not get: the buffer's counters describe whole-block requests,
-		// and what this saves is a few runs of the block, not the block.
-		blk, ok := e.buf.Peek(buffer.Key{I: i, J: j})
-		edges := blk.Edges
-		if !ok {
-			// The frozen frontier holds exactly this row's active vertices.
-			// Each block is applied before the next is read, so one block's
-			// memory serves the whole row.
-			blk, err := e.src.selective(i, j, a.frontier, a.selBlock)
-			if err != nil {
-				return applied, err
-			}
-			a.selBlock = blk
-			edges = blk.edges
+		blk, err := get(j)
+		if err == nil {
+			var n int64
+			n, err = a.scatterApplyBlock(blk, j)
+			applied += n
 		}
-		applied += a.scatterApplyBlock(edges, j)
+		if err != nil {
+			return applied, err
+		}
 	}
 	return applied, nil
 }
 
-// scatterApplyBlock scatters one sub-block's edges from the frozen snapshot
-// and immediately applies the touched destinations of interval j into the
-// live values, returning the number of vertices applied.
-func (a *asyncRun) scatterApplyBlock(edges []graph.Edge, j int) int64 {
+// onDemandBlock is cell (i, j) for the selective path: the resident block
+// through a Peek, not a Get — the buffer's counters describe whole-block
+// requests, and what this saves is a few runs of the block — or else the
+// frozen frontier's runs, read into the memory one block at a time reuses.
+func (a *asyncRun) onDemandBlock(i, j int) (blk block, err error) {
+	res, ok := a.e.buf.Peek(buffer.Key{I: i, J: j})
+	switch {
+	case res.Payload != nil:
+		return a.e.src.expand(i, j, res.Payload, a.e.viewable())
+	case ok:
+		return block{edges: res.Edges}, nil
+	}
+	a.selBlock, err = a.e.src.selective(i, j, a.frontier, a.selBlock)
+	return block{edges: a.selBlock.edges}, err
+}
+
+// scatterApplyBlock scatters one sub-block from the frozen snapshot — from a
+// run view, only the frozen frontier's runs — releases it and immediately
+// applies the touched destinations of interval j into the live values,
+// returning the number of vertices applied.
+func (a *asyncRun) scatterApplyBlock(blk block, j int) (int64, error) {
 	e := a.e
 	a.blocks++
-	if len(edges) == 0 {
-		return 0
+	if blk.empty() {
+		return 0, nil
 	}
 	jLo, jHi := e.layout.Meta.Interval(j)
-	e.scatter(edges, e.valCur, a.frontier, e.acc, e.touched, jLo, jHi)
+	err := e.scatterBlock(blk, e.valCur, a.frontier, e.acc, e.touched, jLo, jHi)
+	e.src.release(blk)
+	if err != nil {
+		return 0, err
+	}
 
 	// Fold interval j's touched accumulators into the live values with
 	// AsyncApply (applySpan, under the shared apply frame): woken vertices
@@ -544,7 +577,7 @@ func (a *asyncRun) scatterApplyBlock(edges []graph.Edge, j int) int64 {
 	if out.any {
 		a.dirty[j] = true
 	}
-	return int64(count)
+	return int64(count), nil
 }
 
 // applySpan applies the touched vertices of [lo, hi) in ascending order. It

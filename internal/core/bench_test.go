@@ -261,7 +261,7 @@ func BenchmarkEngineCompressed(b *testing.B) {
 // SSSP over a weighted row-major lattice, delta-coded — the shape of bench/'s
 // sssp_async, whose wavefront returns to the same few diagonal blocks step
 // after step — with and without the per-run buffer that keeps those blocks
-// decoded. Device bytes, block activations and the buffer's hit ratio are
+// (as payloads, here). Device bytes, block activations and the buffer's hit ratio are
 // reported alongside wall time — bytes are the figure the fig-async
 // experiment asserts on, wall time the one bench/ does.
 func BenchmarkEngineAsync(b *testing.B) {

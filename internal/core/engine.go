@@ -40,13 +40,13 @@ type Engine struct {
 	sched  *iosched.Scheduler
 	buf    *buffer.Buffer
 
-	// payloads: the per-run buffer keeps FCIU's secondary sub-blocks as their
-	// delta payloads, which a hit decodes on a prefetch worker (or, over a
-	// narrow frontier, views on the consumer) — the rule under BSP on a
-	// delta-coded layout. Otherwise (raw layouts, the async row step) it keeps
-	// decoded edges, served to the consumer as they are (DESIGN.md §9).
-	// held[i*p+j] is the payload openPass found resident for cell (i, j) of
-	// the pass in progress, nil for a miss.
+	// payloads: the per-run buffer keeps its sub-blocks — FCIU's secondaries,
+	// the async row step's cells — as their delta payloads, which a hit
+	// decodes on a prefetch worker (or, over a narrow frontier, views on the
+	// consumer): the rule on a delta-coded layout, whatever the schedule. On a
+	// raw layout it keeps decoded edges, served to the consumer as they are
+	// (DESIGN.md §9). held[i*p+j] is the payload holdPayload found resident for
+	// cell (i, j) of the stream in progress, nil for a miss.
 	payloads bool
 	held     [][]byte
 

@@ -159,7 +159,7 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 			if err != nil {
 				return pipeline.Stats{}, err
 			}
-			e.offerPayload(k, blk)
+			e.offerPayload(k, blk, e.payloadPriority(k, e.active))
 			e.src.release(blk)
 			continue
 		}

@@ -57,25 +57,17 @@ func (e *Engine) resident(cells passCells, i, j int) bool {
 //   - A buffer of decoded edges (raw layouts) serves its residents to the
 //     consumer as they are, so they stay off the stream; a mid-pass eviction
 //     costs the consumer a synchronous load rather than a data race.
-//   - A buffer of payloads (Engine.payloads) is asked for every live secondary
-//     cell here — hits and misses are counted at the pass's start — and its
-//     residents are served from the payload captured in held, which is
-//     immutable, so a mid-pass eviction changes nothing. They go on the stream,
-//     where a worker decodes them like any other block, unless the frontier is
-//     narrow: then the consumer serves them itself when it takes them — on a
-//     sparse pass as run views, an O(1) attach — since a pass that reads
-//     only a few blocks gains less from overlapping them than starting the
-//     pipeline costs (DESIGN.md §17).
+//   - A buffer of payloads (Engine.payloads) is sampled for every live
+//     secondary cell here, and takes the miss's payload back in passBlock, at
+//     its estimated active-edge count (holdPayload, takePayload).
 //
-// A pass is sparse when its frontier is narrow — at most one vertex in
-// sparseViewDensity — and its blocks are delta-coded payloads straight off the
-// device or out of the per-run buffer: no overlay to merge, no shared cache
-// that wants the decoded edges. Every cell of a sparse pass arrives as a run
-// view; everything else decodes in full.
+// A pass is narrow when its frontier holds at most one vertex in
+// sparseViewDensity, and sparse when it is narrow over viewable blocks: every
+// cell of a sparse pass arrives as a run view; everything else decodes in full.
 func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	var reqs []pipeline.Request
 	narrow := e.active.Count()*sparseViewDensity <= e.n
-	sparse := narrow && e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
+	sparse := narrow && e.viewable()
 	clear(e.held)
 	for j := 0; j < e.p; j++ {
 		for i := cells.firstRow(j); i < e.p; i++ {
@@ -84,10 +76,8 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 			}
 			if cells.buffered(i, j) {
 				if e.payloads {
-					blk, _ := e.buf.Get(buffer.Key{I: i, J: j})
-					e.held[i*e.p+j] = blk.Payload
-					if blk.Payload != nil && narrow {
-						continue // the stream's take serves it on the consumer
+					if !e.holdPayload(i, j, narrow) {
+						continue
 					}
 				} else if e.resident(cells, i, j) {
 					continue
@@ -96,14 +86,10 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	capacity := e.buf.Capacity()
 	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
 		switch {
 		case e.payloads && cells.buffered(i, j):
-			if payload := e.held[i*e.p+j]; payload != nil {
-				return e.src.resident(i, j, payload, sparse)
-			}
-			return e.src.secondary(i, j, sparse, e.layout.Meta.SubBlockDiskBytes(i, j) <= capacity)
+			return e.heldBlock(i, j, sparse)
 		case sparse:
 			return e.src.viewed(i, j)
 		}
@@ -115,9 +101,9 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 // passBlock returns sub-block (i, j) for a full-model pass. Secondary
 // sub-blocks of a buffered pass go through the priority buffer: a buffer of
 // decoded edges through bufferedBlock, at a priority equal to their current
-// active-edge count; a buffer of payloads (see openPass) by offering each
-// block the stream delivered for a miss (offerPayload). The buffer is touched
-// on the consumer only, so its statistics are unchanged by pipelining.
+// active-edge count; a buffer of payloads through takePayload, at the
+// estimate of it (payloadPriority). The buffer is touched on the consumer
+// only, so its statistics are unchanged by pipelining.
 func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
 	if !cells.buffered(i, j) {
 		return st.take(i, j)
@@ -126,18 +112,11 @@ func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (b
 		return block{}, nil
 	}
 	k := buffer.Key{I: i, J: j}
-	if !e.payloads {
-		edges, err := e.bufferedBlock(func(i, j int) ([]graph.Edge, error) {
-			blk, err := st.take(i, j)
-			return blk.edges, err
-		}, k, e.offerPriority)
-		return block{edges: edges}, err
+	if e.payloads {
+		return e.takePayload(st, k, e.payloadPriority(k, e.active))
 	}
-	blk, err := st.take(i, j)
-	if err == nil && e.held[i*e.p+j] == nil {
-		e.offerPayload(k, blk)
-	}
-	return blk, err
+	edges, err := e.bufferedBlock(st, k, e.offerPriority)
+	return block{edges: edges}, err
 }
 
 // scatterBlock is scatter over a pass block. From a run view it first decodes

@@ -284,3 +284,43 @@ func TestRunBytesCoversEngineArrays(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBytesPricesAsyncPooledSlices: on a delta layout a dense pass decodes
+// its buffered cells into pooled slices, and so does an async row step — whose
+// buffered cells are all of them, where FCIU's are the secondaries. Over a
+// layout whose largest cell sits above the diagonal, RunBytes must price each
+// slice at that cell's decoded size under async, and at the largest
+// secondary's under BSP: one slice per block the window holds plus the
+// consumer's.
+func TestRunBytesPricesAsyncPooledSlices(t *testing.T) {
+	g := &graph.Graph{NumVertices: 256}
+	for u := 0; u < 64; u++ {
+		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(64 + u), Dst: graph.VertexID(u)}) // secondary (1,0)
+		for v := 192; v < 256; v++ {
+			g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(v)}) // (0,3)
+		}
+	}
+	l := codecLayout(t, g, 4, graph.CodecDelta)
+	m := &l.Meta
+	largest, secondary := m.SubBlockBytes(0, 3), m.SubBlockBytes(1, 0)
+	if secondary == 0 || largest <= 8*secondary {
+		t.Fatalf("cell (0,3) holds %d decoded bytes, secondary (1,0) %d: the layout does not show the case", largest, secondary)
+	}
+	for _, async := range []bool{false, true} {
+		slice := secondary
+		if async {
+			slice = largest
+		}
+		for _, w := range []struct {
+			depth  int
+			window int64
+		}{{-1, 0}, {2, 1 << 20}} {
+			opts := core.Options{Async: async, PrefetchDepth: w.depth, PrefetchBytes: w.window}
+			slices := int64(1 + max(w.depth, 0))
+			want := core.VertexStateBytes(m, async, false) + core.HandleBytes(m) + w.window + slices*slice
+			if got := core.RunBytes(m, opts, false); got != want {
+				t.Errorf("async=%t depth=%d: RunBytes %d, want %d with %d slices of %d bytes", async, w.depth, got, want, slices, slice)
+			}
+		}
+	}
+}

@@ -31,14 +31,14 @@ type Options struct {
 	ForceModel *iosched.Model
 	// BufferBytes is the capacity of the per-run sub-block buffer: under BSP
 	// it keeps FCIU's secondary sub-blocks between the two halves of a pass,
-	// ranked by active-edge count — on a delta-coded layout as their verified
-	// payloads, charged their on-disk bytes and decoded per hit off the
-	// consumer (the semi-external-memory compressed tier), on a raw layout as
-	// decoded edges; under Async it keeps the decoded blocks of the rows the
-	// scheduler ranks highest, ranked by the row's queue key. Zero disables
-	// buffering (the Figure 12 "without buffering" variant) unless
-	// DefaultBuffer is set, in which case a capacity of 1/4 of the decoded
-	// edge data is used.
+	// ranked by active-edge count; under Async the blocks of the rows the
+	// scheduler ranks highest, ranked by the row's queue key. The codec alone
+	// picks the form: on a delta-coded layout the blocks' verified payloads,
+	// charged their on-disk bytes and decoded per hit off the consumer, or
+	// viewed on it over a narrow frontier (the semi-external-memory compressed
+	// tier); on a raw layout decoded edges. Zero disables buffering (the
+	// Figure 12 "without buffering" variant) unless DefaultBuffer is set, in
+	// which case a capacity of 1/4 of the decoded edge data is used.
 	BufferBytes int64
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
 	// is zero.
@@ -85,8 +85,8 @@ type Options struct {
 	// same fixed point as BSP (bit-exact labels for min-programs, within
 	// Program tolerance for PR-Delta) but the iteration trace, paths, and
 	// traffic differ. ForceModel is ignored. The per-run buffer (BufferBytes)
-	// keeps hot rows' blocks decoded in memory; its size changes which bytes
-	// move, never which row runs next.
+	// keeps hot rows' blocks in memory; its size changes which bytes move,
+	// never which row runs next.
 	Async bool
 	// AsyncEpsilon stops an async run once the total pending residual over
 	// active vertices falls to or below it. Zero means run until the
@@ -130,9 +130,9 @@ func (o Options) bufferBytes(m *partition.Manifest) int64 {
 }
 
 // payloads reports whether the per-run buffer keeps payloads over a layout of
-// manifest m: under BSP on a delta-coded layout (see Engine.payloads).
+// manifest m: on a delta-coded layout (see Engine.payloads).
 func (o Options) payloads(m *partition.Manifest) bool {
-	return !o.Async && m.BlockCodec() == graph.CodecDelta
+	return m.BlockCodec() == graph.CodecDelta
 }
 
 // defaultPrefetchDepth and defaultPrefetchBytes size the I/O pipeline's

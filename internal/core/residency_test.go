@@ -140,6 +140,73 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 	}
 }
 
+// torus is the side×side 4-neighbour lattice with its edges wrapped around at
+// the borders, weighted. Cut into intervals of whole lattice rows it looks the
+// same from every interval: every grid row of sub-blocks has the same shape,
+// and so the same on-disk bytes under either codec. The async queue prices a
+// row by what streaming it costs, so over a torus it ranks rows by pending
+// mass alone, on a raw layout as on a delta one.
+func torus(side int) *graph.Graph {
+	g := &graph.Graph{NumVertices: side * side}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			for _, d := range [][2]int{{1, 0}, {side - 1, 0}, {0, 1}, {0, side - 1}} {
+				g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(r*side + c), Dst: graph.VertexID((r+d[0])%side*side + (c+d[1])%side)})
+			}
+		}
+	}
+	return gen.Weighted(g, 16, 5)
+}
+
+// TestAsyncPayloadResidency: on a delta layout the async row step keeps the
+// verified payloads, and which form the buffer holds changes bytes, never the
+// schedule. Async over one torus as a delta layout whose buffer keeps
+// payloads, the same layout with no buffer, and a raw layout (whose buffer
+// keeps decoded edges) must give bit-identical outputs through the identical
+// pop sequence: every step's residual, blocks, active count and reactivations.
+// Only Path may differ, because missCost sees what is resident.
+func TestAsyncPayloadResidency(t *testing.T) {
+	g := torus(48)
+	delta := codecLayout(t, g, 8, graph.CodecDelta)
+	raw := codecLayout(t, g, 8, graph.CodecRaw)
+	for name, prog := range map[string]func() core.Program{
+		"sssp": func() core.Program { return &algorithms.SSSP{Source: 0} },
+		"cc":   func() core.Program { return &algorithms.ConnectedComponents{} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(l *partition.Layout, capacity int64) *core.Result {
+				res, err := core.Run(l, prog(), core.Options{Async: true, BufferBytes: capacity})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			payloads := run(delta, delta.Meta.EdgeBytesTotal()/4)
+			if s := payloads.SEM; s.CompressedHits == 0 || s.CompressedBytes == 0 || s.EffectiveCapacityRatio() <= 1 {
+				t.Fatalf("delta layout: compressed tier %+v, want payloads kept and served", s)
+			}
+			unbuffered := run(delta, 0)
+			if got, want := payloads.IO.TotalBytes(), unbuffered.IO.TotalBytes(); got >= want {
+				t.Fatalf("payload residents moved %d device bytes, no buffer %d", got, want)
+			}
+			for other, res := range map[string]*core.Result{"unbuffered delta": unbuffered, "raw": run(raw, raw.Meta.EdgeBytesTotal()/4)} {
+				requireIdenticalOutputs(t, res.Outputs, payloads.Outputs)
+				if len(res.IterStats) != len(payloads.IterStats) || res.Async.Reactivations != payloads.Async.Reactivations {
+					t.Fatalf("%s: %+v, payload residents %+v", other, res.Async, payloads.Async)
+				}
+				for k, st := range payloads.IterStats {
+					want := res.IterStats[k]
+					if math.Float64bits(st.Residual) != math.Float64bits(want.Residual) || st.Blocks != want.Blocks ||
+						st.Active != want.Active || st.Reactivations != want.Reactivations {
+						t.Fatalf("step %d is (residual %v, %d blocks, %d active), %s (%v, %d, %d): a different row was popped",
+							k, st.Residual, st.Blocks, st.Active, other, want.Residual, want.Blocks, want.Active)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestAsyncResidencyResumeStartsCold stops a buffered async run right before
 // a step it would have served entirely from memory and resumes it: the
 // resumed run has an empty buffer, so it reads that step's blocks from the

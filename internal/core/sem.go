@@ -69,8 +69,8 @@ func (e *Engine) payloadPriority(k buffer.Key, set *bitset.ActiveSet) int64 {
 }
 
 // SEMStats reports a run's state-aware skipping and compressed-tier outcomes.
-// The compressed tiers are a per-run buffer of payloads — every BSP run on a
-// delta-coded layout keeps FCIU's secondaries that way — and a shared cache
+// The compressed tiers are a per-run buffer of payloads — every run on a
+// delta-coded layout keeps its buffered blocks that way — and a shared cache
 // built with buffer.NewSharedCompressed.
 type SEMStats struct {
 	// BlocksSkipped counts non-empty sub-blocks never read because their
@@ -80,8 +80,9 @@ type SEMStats struct {
 	BlocksSkipped int64
 	BytesSkipped  int64
 	// CompressedHits counts sub-block loads served from a compressed tier,
-	// each paying a decode (or, on a sparse pass, a run view) on the prefetch
-	// worker instead of a device read. The decode is in Result.DecodeTime.
+	// each paying a decode or, over a narrow frontier, a run view — on a
+	// prefetch worker or the consumer — instead of a device read. Either is in
+	// Result.DecodeTime.
 	CompressedHits int64
 	// CompressedBytes / DecodedBytes sum the encoded and decoded sizes of
 	// every payload a compressed tier admitted. Their ratio is the tier's

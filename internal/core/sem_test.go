@@ -393,9 +393,16 @@ func TestSEMSharedCompressedCache(t *testing.T) {
 // secondaryCells returns the non-empty strictly-lower-triangle cells of m —
 // FCIU's secondary sub-blocks — and their summed on-disk and decoded bytes.
 func secondaryCells(m *partition.Manifest) (cells [][2]int, disk, decoded int64) {
-	for i := 1; i < m.P; i++ {
-		for j := 0; j < i; j++ {
-			if m.SubBlockEdges(i, j) > 0 {
+	return bufferedCells(m, false)
+}
+
+// bufferedCells returns the non-empty cells of m a schedule keeps in the
+// per-run buffer — every one under async, the secondaries under BSP — and
+// their summed on-disk and decoded bytes.
+func bufferedCells(m *partition.Manifest, async bool) (cells [][2]int, disk, decoded int64) {
+	for i := 0; i < m.P; i++ {
+		for j := 0; j < m.P; j++ {
+			if m.SubBlockEdges(i, j) > 0 && (async || i > j) {
 				cells = append(cells, [2]int{i, j})
 				disk += m.SubBlockDiskBytes(i, j)
 				decoded += m.SubBlockBytes(i, j)
@@ -405,52 +412,58 @@ func secondaryCells(m *partition.Manifest) (cells [][2]int, disk, decoded int64)
 	return cells, disk, decoded
 }
 
-// requireVerifiedResidents checks that buf holds every secondary cell of l as
-// its on-disk bytes — no decoded edges — charged exactly those bytes.
-func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buffer) {
+// requireVerifiedResidents checks that buf holds every cell of l the schedule
+// buffers as its on-disk bytes — no decoded edges — charged exactly those
+// bytes.
+func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buffer, async bool) {
 	t.Helper()
-	cells, disk, _ := secondaryCells(&l.Meta)
+	cells, disk, _ := bufferedCells(&l.Meta, async)
 	for _, c := range cells {
 		blk, ok := buf.Peek(buffer.Key{I: c[0], J: c[1]})
 		if !ok {
-			t.Fatalf("secondary %v not resident", c)
+			t.Fatalf("buffered cell %v not resident", c)
 		}
 		onDisk, err := l.Dev.ReadFile(l.Meta.BlockName(c[0], c[1]))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if blk.Edges != nil || !bytes.Equal(blk.Payload, onDisk) {
-			t.Fatalf("secondary %v resident as %d edges / %d payload bytes, not its %d verified on-disk bytes",
+			t.Fatalf("buffered cell %v resident as %d edges / %d payload bytes, not its %d verified on-disk bytes",
 				c, len(blk.Edges), len(blk.Payload), len(onDisk))
 		}
 	}
 	if buf.Len() != len(cells) || buf.Used() != disk {
-		t.Fatalf("buffer holds %d blocks charged %d bytes, want the %d secondaries' %d on-disk bytes", buf.Len(), buf.Used(), len(cells), disk)
+		t.Fatalf("buffer holds %d blocks charged %d bytes, want the %d buffered cells' %d on-disk bytes", buf.Len(), buf.Used(), len(cells), disk)
 	}
 }
 
-// TestBufferKeepsVerifiedPayloads: under BSP on a delta layout the per-run
-// buffer keeps FCIU's secondaries as the verified payloads the device
-// returned, charged their disk bytes, so a buffer sized to those payloads —
-// too small for the same blocks decoded — holds every one of them: the second
-// half of every FCIU pass reads no sub-block, and the outputs are those of the
-// raw layout (whose buffer of the same size must evict) and of an unbuffered
-// run, bit for bit. Over a lattice, where every pass is sparse, the residents
-// are served as run views — attached, never pooled or poisoned — pass after
-// pass with release poisoning on, and stay byte-equal to the disk.
+// TestBufferKeepsVerifiedPayloads: on a delta layout the per-run buffer keeps
+// its blocks — under BSP FCIU's secondaries, under async every cell of the
+// rows it steps — as the verified payloads the device returned, charged their
+// disk bytes, so a buffer sized to those payloads — too small for the same
+// blocks decoded — holds every one of them: the second half of every FCIU pass
+// reads no sub-block, an async run reads no sub-block twice, and the outputs
+// are those of the raw layout (whose buffer of the same size must evict) and
+// of an unbuffered run, bit for bit. Over a lattice, where every pass and
+// nearly every row step is sparse, the residents are served as run views —
+// attached, never pooled or poisoned — step after step with release poisoning
+// on, and stay byte-equal to the disk.
 func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 	rmat, err := gen.RMAT(9, 8, gen.Graph500, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lattice := gen.Weighted(gen.Grid(48), 16, 7)
 	for _, c := range []struct {
 		name   string
 		g      *graph.Graph
 		prog   func() core.Program
 		sparse bool
+		async  bool
 	}{
-		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false},
-		{"sssp-lattice", gen.Weighted(gen.Grid(48), 16, 7), func() core.Program { return &algorithms.SSSP{Source: 0} }, true},
+		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false, false},
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false},
+		{"sssp-lattice-async", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			l := codecLayout(t, c.g, 4, graph.CodecDelta)
@@ -458,20 +471,23 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 			for _, cell := range nonEmptyColumnMajor(&l.Meta) {
 				cellOf[l.Meta.BlockName(cell[0], cell[1])] = cell
 			}
-			cells, disk, decoded := secondaryCells(&l.Meta)
+			cells, disk, decoded := bufferedCells(&l.Meta, c.async)
 			if len(cells) == 0 || disk >= decoded {
-				t.Fatalf("%d secondaries, %d bytes on disk, %d decoded: nothing to show", len(cells), disk, decoded)
+				t.Fatalf("%d buffered cells, %d bytes on disk, %d decoded: nothing to show", len(cells), disk, decoded)
 			}
-			opts := core.Options{ForceModel: core.ForceFull, BufferBytes: disk, Threads: 1}
+			opts := core.Options{ForceModel: core.ForceFull, BufferBytes: disk, Threads: 1, Async: c.async}
 
-			// Whole-block reads per iteration, through the device's fault hook.
+			// Whole-block reads per iteration and per cell, through the
+			// device's fault hook.
 			var mu sync.Mutex
 			var iter int
 			reads := map[int]int{}
+			readsOf := map[string]int{}
 			l.Dev.SetFaultInjector(func(op, name string) error {
 				if _, ok := cellOf[name]; ok && op == "read" {
 					mu.Lock()
 					reads[iter]++
+					readsOf[name]++
 					mu.Unlock()
 				}
 				return nil
@@ -489,21 +505,29 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireVerifiedResidents(t, l, buf)
+			requireVerifiedResidents(t, l, buf, c.async)
 			if res.Buffer.Evictions != 0 || res.Buffer.Hits == 0 {
 				t.Fatalf("buffer %+v, want hits and no eviction", res.Buffer)
 			}
-			second := 0
-			for k, path := range paths {
-				if path == "fciu-2" {
-					second++
-					if reads[k] != 0 {
-						t.Fatalf("iteration %d (fciu-2) read %d sub-blocks, want none: every secondary is resident", k, reads[k])
+			if c.async {
+				for name, n := range readsOf {
+					if n > 1 {
+						t.Fatalf("%s read %d times, want once: every cell stays resident", name, n)
 					}
 				}
-			}
-			if second == 0 {
-				t.Fatal("no second FCIU half ran")
+			} else {
+				second := 0
+				for k, path := range paths {
+					if path == "fciu-2" {
+						second++
+						if reads[k] != 0 {
+							t.Fatalf("iteration %d (fciu-2) read %d sub-blocks, want none: every secondary is resident", k, reads[k])
+						}
+					}
+				}
+				if second == 0 {
+					t.Fatal("no second FCIU half ran")
+				}
 			}
 
 			unbuffered := opts
@@ -528,14 +552,21 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireIdenticalOutputs(t, plain.Outputs, viewed.Outputs)
+				// Every interval has the same length: an async step that reads
+				// no more than its row's values read every block from memory.
+				valueBytes := int64(l.Meta.IntervalLen(0)) * graph.VertexValueBytes
 				resident := 0
 				for k, st := range viewed.IterStats {
-					if st.Path == "fciu-2" && views[k] > 0 {
+					fromMemory := st.Path == "fciu-2"
+					if c.async {
+						fromMemory = st.Blocks > 0 && st.IO.ReadBytes() == valueBytes
+					}
+					if fromMemory && views[k] > 0 {
 						resident++
 					}
 				}
 				if resident < 2 {
-					t.Fatalf("%d second halves took views of resident payloads, want repeated ones", resident)
+					t.Fatalf("%d steps took views of resident payloads alone, want repeated ones", resident)
 				}
 			}
 		})

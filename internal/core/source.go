@@ -36,12 +36,13 @@ type blockSource struct {
 	// recycling them measured no gain (DESIGN.md §17).
 	ioBufs sync.Pool
 
-	// edgeBufs pools the slices a dense pass decodes its secondary cells into
-	// when the per-run buffer keeps payloads (Engine.payloads): the buffer
-	// holds the payload, never these edges, and the pass scatters a secondary
-	// once and retains nothing of it, so the consumer hands the slice back
-	// right after that scatter (release). Without the pool every buffer hit
-	// allocated its block's decoded size again (DESIGN.md §17).
+	// edgeBufs pools the slices a dense pass or async row decodes its buffered
+	// cells into when the per-run buffer keeps payloads (Engine.payloads): the
+	// buffer holds the payload, never these edges, and the pass scatters a
+	// secondary — the row step any cell — once and retains nothing of it, so
+	// the consumer hands the slice back right after that scatter (release).
+	// Without the pool every buffer hit allocated its block's decoded size
+	// again (DESIGN.md §17).
 	edgeBufs sync.Pool
 
 	// views pools the payload and directory memory of run-view blocks (see
@@ -123,8 +124,9 @@ func HandleBytes(m *partition.Manifest) int64 {
 //   - the per-run buffer's capacity, the prefetch window and what the block
 //     handles keep (HandleBytes);
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
-//     block a dense pass has in flight plus the consumer's, each up to the
-//     largest secondary's decoded size.
+//     block a dense pass or row has in flight plus the consumer's, each up to
+//     the decoded size of the largest cell that goes through the buffer — a
+//     secondary under BSP, any cell under Async.
 //
 // TestRunBytesCoversEngineArrays holds the first item to what an engine
 // allocates.
@@ -138,9 +140,11 @@ func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
 	}
 	if opts.payloads(m) {
 		var largest int64
-		for i := 1; i < m.P; i++ {
-			for j := 0; j < i; j++ {
-				largest = max(largest, m.SubBlockBytes(i, j))
+		for i := 0; i < m.P; i++ {
+			for j := 0; j < m.P; j++ {
+				if opts.Async || i > j {
+					largest = max(largest, m.SubBlockBytes(i, j))
+				}
 			}
 		}
 		total += slices * largest
@@ -295,8 +299,8 @@ type block struct {
 	// pooled is the edgeBufs slice edges were decoded into, handed back by
 	// release; nil when the edges are not the source's to reuse.
 	pooled *[]graph.Edge
-	// payload is a secondary cell's delta payload, loaded for the consumer to
-	// offer to the per-run buffer (Engine.offerPayload): memory of its own,
+	// payload is a buffered cell's delta payload, loaded for the consumer to
+	// offer to the per-run buffer (Engine.takePayload): memory of its own,
 	// never the source's pools, and nil when the buffer could not hold it.
 	payload []byte
 }
@@ -375,14 +379,14 @@ func (s *blockSource) view(h *blockHandle, i, j int, rb *runBlock) (block, error
 	return block{edges: edges}, nil
 }
 
-// secondary loads buffered cell (i, j) for a pass whose per-run buffer keeps
+// secondary loads buffered cell (i, j) for a stream whose per-run buffer keeps
 // delta payloads (Engine.payloads): decoded into a pooled slice or, on a sparse
-// pass, as a run view — and, when keep says the buffer could hold it, with the
-// payload the consumer offers it: the verified bytes the device returned, read
-// into memory of their own rather than a pooled buffer; a compressed shared
-// cache's entry; or, behind a raw shared cache, the edges encoded here, on the
-// prefetch worker. (On a layout with an overlay the device's payload is the
-// merged block, encoded by the layout.)
+// pass or row, as a run view — and, when keep says the buffer could hold it,
+// with the payload the consumer offers it: the verified bytes the device
+// returned, read into memory of their own rather than a pooled buffer; a
+// compressed shared cache's entry; or, behind a raw shared cache, the edges
+// encoded here, on the prefetch worker. (On a layout with an overlay the
+// device's payload is the merged block, encoded by the layout.)
 func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return block{}, nil
@@ -425,9 +429,9 @@ func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 }
 
 // resident serves buffered cell (i, j) from payload, the per-run buffer's
-// resident copy — on a prefetch worker, or on the consumer when openPass left
-// it off the stream: a hit costs a decode or a view, never a read. The payload
-// was verified when it was loaded.
+// resident copy — on a prefetch worker, or on the consumer when holdPayload
+// left it off the stream: a hit costs a decode or a view, never a read. The
+// payload was verified when it was loaded.
 func (s *blockSource) resident(i, j int, payload []byte, sparse bool) (block, error) {
 	blk, err := s.expand(i, j, payload, sparse)
 	if err == nil {
@@ -659,22 +663,65 @@ func (s *blockStream[T]) close() {
 }
 
 // bufferedBlock is the get → miss → offer route through a per-run buffer of
-// decoded edges: FCIU's on a raw layout, the async row step's on any. A
-// resident block is served from memory as it is — every CRC, count and range
-// check ran when the block was loaded, and a hit serves those verified edges
-// again. Anything else comes from take — the caller's block stream — and is
-// offered at priority(edges). Like every buffer access it belongs to the
-// goroutine running the schedule.
-func (e *Engine) bufferedBlock(take func(i, j int) ([]graph.Edge, error), k buffer.Key, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
+// decoded edges, FCIU's and the async row step's on a raw layout. A resident
+// block is served from memory as it is — every CRC, count and range check ran
+// when the block was loaded, and a hit serves those verified edges again.
+// Anything else comes from the caller's block stream, which left the resident
+// cells off its list, and is offered at priority(edges). Like every buffer
+// access it belongs to the goroutine running the schedule.
+func (e *Engine) bufferedBlock(st *blockStream[block], k buffer.Key, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
 	if blk, ok := e.buf.Get(k); ok {
 		return blk.Edges, nil
 	}
-	edges, err := take(k.I, k.J)
+	blk, err := st.take(k.I, k.J)
 	if err != nil {
 		return nil, err
 	}
-	e.offer(k, edges, priority)
-	return edges, nil
+	e.offer(k, blk.edges, priority)
+	return blk.edges, nil
+}
+
+// viewable reports whether the run's blocks can reach a scatter as run views:
+// delta-coded payloads straight off the device or out of the per-run buffer,
+// with no overlay to merge and no shared cache that wants the decoded edges.
+func (e *Engine) viewable() bool {
+	return e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
+}
+
+// holdPayload and takePayload are the route through a per-run buffer of
+// payloads (Engine.payloads), FCIU's and the async row step's alike.
+// holdPayload runs as a block stream is listed: it asks the buffer for cell
+// (i, j), counting the hit or miss, and captures a hit's payload in held —
+// immutable, so a later eviction changes nothing. It reports whether the cell
+// goes on the list: a miss or, over a dense frontier, a hit, for a worker to
+// load or decode (heldBlock). A hit over a narrow frontier stays off, and the
+// stream's take serves it on the consumer — as a run view, an O(1) attach,
+// where the blocks are viewable — since overlapping a few blocks gains less
+// than starting the pipeline costs (DESIGN.md §17).
+func (e *Engine) holdPayload(i, j int, narrow bool) bool {
+	blk, _ := e.buf.Get(buffer.Key{I: i, J: j})
+	e.held[i*e.p+j] = blk.Payload
+	return blk.Payload == nil || !narrow
+}
+
+// heldBlock is the block stream's load of a cell holdPayload sampled, on a
+// prefetch worker or on the consumer: a hit from the held payload, a miss from
+// the device with the payload to offer when the buffer could hold it.
+func (e *Engine) heldBlock(i, j int, sparse bool) (block, error) {
+	if payload := e.held[i*e.p+j]; payload != nil {
+		return e.src.resident(i, j, payload, sparse)
+	}
+	return e.src.secondary(i, j, sparse, e.layout.Meta.SubBlockDiskBytes(i, j) <= e.buf.Capacity())
+}
+
+// takePayload takes cell k from st and offers a miss's payload to the buffer
+// at priority.
+func (e *Engine) takePayload(st *blockStream[block], k buffer.Key, priority int64) (block, error) {
+	blk, err := st.take(k.I, k.J)
+	if err == nil && e.held[k.I*e.p+k.J] == nil {
+		e.offerPayload(k, blk, priority)
+	}
+	return blk, err
 }
 
 // offer offers the just-loaded sub-block k to the per-run buffer as decoded
@@ -692,21 +739,20 @@ func (e *Engine) offer(k buffer.Key, edges []graph.Edge, priority func([]graph.E
 	e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, rank)
 }
 
-// offerPayload offers the secondary cell k a pass just loaded to a per-run
-// buffer of payloads (Engine.payloads): its delta payload, charged its length —
-// the on-disk size of a verified payload — at the active-edge estimate the
-// buffer's residents are re-ranked by (payloadPriority), which needs no scan
-// of the edges and is the same whichever route delivered the block. A hit saves
-// the block's on-disk bytes. A block the loader did not keep (larger than the
+// offerPayload offers the cell k a stream just loaded to a per-run buffer of
+// payloads (Engine.payloads): its delta payload, charged its length — the
+// on-disk size of a verified payload — at priority, which needs no scan of the
+// edges and is the same whichever route delivered the block. A hit saves the
+// block's on-disk bytes. A block the loader did not keep (larger than the
 // whole buffer) comes without a payload and is still offered, so that Put
 // rejects and counts it.
-func (e *Engine) offerPayload(k buffer.Key, blk block) {
+func (e *Engine) offerPayload(k buffer.Key, blk block, priority int64) {
 	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
 	if blk.payload == nil {
 		e.buf.Put(k, buffer.Block{}, disk, disk, 0)
 		return
 	}
-	if e.buf.Put(k, buffer.Block{Payload: blk.payload}, disk, disk, e.payloadPriority(k, e.active)) {
+	if e.buf.Put(k, buffer.Block{Payload: blk.payload}, disk, disk, priority) {
 		e.src.notePacked(blk.payload, e.layout.Meta.SubBlockBytes(k.I, k.J))
 	}
 }

@@ -168,6 +168,66 @@ func FuzzRunView(f *testing.F) {
 	})
 }
 
+// attachSeeds returns two delta blocks of one shape — edge count, run section
+// length, no weight column — that differ inside the first run's span: a holds
+// one run of source 5 there, b three runs, of sources 5, 6 and 5, so a's
+// directory attaches to b and its first entry's span begins and ends with the
+// source it names.
+func attachSeeds() (a, b []byte) {
+	tail := EncodeDeltaRun(nil, []Edge{{Src: 70, Dst: 4}}, 0, 0)
+	a = EncodeDeltaRun(binary.AppendUvarint(nil, 4), []Edge{{Src: 5, Dst: 100}, {Src: 5, Dst: 200}, {Src: 5, Dst: 10200}}, 0, 0)
+	b = binary.AppendUvarint(nil, 4)
+	for _, s := range []VertexID{5, 6, 5} {
+		b = EncodeDeltaRun(b, []Edge{{Src: s, Dst: 1}}, 0, 0)
+	}
+	return append(a, tail...), append(b, tail...)
+}
+
+// FuzzRunViewAttach holds a kept directory to the bytes it is attached to, as
+// the engine re-attaches one on every narrow async step and sparse pass: a view
+// scans payload a, a second view attaches a's directory to b and decodes the
+// sources of a fuzzed filter (bit s of bits, little-endian). Whatever b holds,
+// that must not panic and must not return an edge whose source is outside the
+// filter; when b is a, it must return exactly the edges of a full decode of a
+// that the filter keeps.
+func FuzzRunViewAttach(f *testing.F) {
+	a, b := attachSeeds()
+	f.Add(a, a, uint32(0), uint32(0), false, []byte{1 << 5})
+	f.Add(a, b, uint32(0), uint32(0), false, []byte{1 << 5})
+	f.Add(a, b, uint32(0), uint32(0), false, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	w := EncodeDeltaBlock(nil, []Edge{{Src: 4, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true)
+	f.Add(w, w, uint32(4), uint32(1<<21), true, []byte{1 << 1, 1 << 1})
+	f.Add(w, append(slices.Clone(w[:len(w)-1]), 0x40), uint32(4), uint32(1<<21), true, []byte{0xff, 0xff})
+	f.Fuzz(func(t *testing.T, a, b []byte, srcBase, dstBase uint32, weighted bool, bits []byte) {
+		var v RunView
+		if !v.Scan(a, VertexID(srcBase), VertexID(dstBase), weighted) {
+			return
+		}
+		filter := make([]uint64, (len(bits)+7)/8)
+		for k, c := range bits {
+			filter[k/8] |= uint64(c) << (8 * (k % 8))
+		}
+		var w RunView
+		if !w.Attach(v.Dir(), b) {
+			return
+		}
+		got, err := w.AppendActive(nil, filter)
+		if kept := filtered(got, filter); len(kept) != len(got) {
+			t.Fatalf("a's directory over b: %d edges, %d of them of a source outside the filter", len(got), len(got)-len(kept))
+		}
+		if !bytes.Equal(a, b) {
+			return
+		}
+		full, fullErr := AppendDeltaBlock(nil, a, VertexID(srcBase), VertexID(dstBase), weighted)
+		if fullErr != nil {
+			return
+		}
+		if want := filtered(full, filter); err != nil || !sameEdgeBits(got, want) {
+			t.Fatalf("a's directory over a: %d edges, %v; the filtered full decode %d", len(got), err, len(want))
+		}
+	})
+}
+
 // hostileHeader is a 24-byte GSDG file: 10 vertices and an edge count of 2³⁶
 // with no edge behind it. A reader that sizes its output from the header asks
 // the runtime for 824 GB.

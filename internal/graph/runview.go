@@ -214,8 +214,9 @@ func seekRun(runs []runSpan, pos int, s VertexID) int {
 }
 
 // appendRun decodes run k through the one run decoder, which repeats the
-// header checks and makes the ones Scan deferred; count and source are held to
-// the directory, which may be older than the payload (Attach).
+// header checks and makes the ones Scan deferred; count and every edge's source
+// are held to the directory, which may be older than the payload (Attach) —
+// bytes of the same shape can hold several runs in one entry's span.
 func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 	r, next := v.runs[k], v.runs[k+1]
 	want := int(next.Rec - r.Rec)
@@ -231,8 +232,10 @@ func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 	if got := len(dst) - before; got != want {
 		return dst[:before], fmt.Errorf("graph: run view: run of source %d decoded %d edges, directory says %d", r.Src, got, want)
 	}
-	if first, last := dst[before].Src, dst[len(dst)-1].Src; first != r.Src || last != r.Src {
-		return dst[:before], fmt.Errorf("graph: run view: sources %d..%d in the run the directory gives source %d", first, last, r.Src)
+	for _, e := range dst[before:] {
+		if e.Src != r.Src {
+			return dst[:before], fmt.Errorf("graph: run view: source %d in the run the directory gives source %d", e.Src, r.Src)
+		}
 	}
 	return dst, nil
 }
