@@ -289,7 +289,7 @@ func TestEndToEndCheckpointResume(t *testing.T) {
 	ckDir := filepath.Join(dir, "ck")
 	out := run(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "pr",
 		"-iterations", "6", "-checkpoint", ckDir, "-checkpoint-every", "2", "-retries", "3", "-top", "1")
-	if !strings.Contains(out, "checkpoints: 3 written") {
+	if !strings.Contains(out, "checkpoints: 3 taken, newest in "+ckDir) {
 		t.Fatalf("checkpointed run output: %s", out)
 	}
 

@@ -188,18 +188,21 @@ func TestServeSIGKILLRestart(t *testing.T) {
 	journalDir := filepath.Join(dir, "journal")
 	run(t, graphgenBin, "-kind", "rmat", "-scale", "12", "-edgefactor", "8", "-o", graphPath)
 	run(t, graphsdBin, "preprocess", "-graph", graphPath, "-layout", layoutDir, "-p", "4")
-	// The hdd profile keeps iterations slow enough that the SIGKILL below
-	// cannot race the whole run to completion.
 	serveArgs := []string{"-graph", "g=" + layoutDir, "-workers", "1", "-profile", "hdd", "-journal", journalDir}
+	// The device model charges simulated time and never sleeps, so what keeps
+	// the SIGKILL below from racing the whole run to completion is the run's
+	// length: 300 iterations, hundreds of milliseconds after iteration 2.
+	longReq := `{"graph":"g","algorithm":"pr","max_iterations":300}`
 
 	p1 := startServe(t, serveArgs...)
 	quick := p1.submit(t, `{"graph":"g","algorithm":"bfs","source":1,"max_iterations":2}`)
 	p1.waitDone(t, quick.ID)
-	long := p1.submit(t, `{"graph":"g","algorithm":"pr"}`)
+	long := p1.submit(t, longReq)
 
-	// Checkpoints publish after each iteration's status update, so iteration
-	// N's checkpoint is durable once the status shows N+1. Wait for 2, then
-	// SIGKILL — no drain, no final records, exactly a crash.
+	// An iteration's checkpoint is taken before its status update, and taking
+	// it waits for the previous one's write, so iteration N's checkpoint is
+	// durable once the status shows N+1. Wait for 2, then SIGKILL — no drain,
+	// no final records, exactly a crash.
 	deadline := time.Now().Add(60 * time.Second)
 	for p1.status(t, long.ID).Iterations < 2 {
 		if time.Now().After(deadline) {
@@ -245,7 +248,7 @@ func TestServeSIGKILLRestart(t *testing.T) {
 
 	// A fresh submission of the identical request recomputes the values;
 	// they must be byte-identical to the resumed run's.
-	fresh := p2.submit(t, `{"graph":"g","algorithm":"pr"}`)
+	fresh := p2.submit(t, longReq)
 	if fresh.ID == long.ID {
 		t.Fatalf("fresh submission reused job ID %s", fresh.ID)
 	}

@@ -3,7 +3,9 @@
 // recomputing every completed iteration. The file is written crash-safely
 // (write-temp + fsync + rename, then directory fsync) and carries a magic
 // header plus a CRC32C of the body, so a torn or corrupted checkpoint is
-// detected at load rather than resumed from.
+// detected at load rather than resumed from. Save writes one synchronously; a
+// running engine hands its images to a Writer, which writes them the same way
+// while the next step runs.
 //
 // The checkpoint directory is a plain host directory, deliberately outside
 // the simulated storage.Device: checkpoints are operational state of the
@@ -97,25 +99,30 @@ func Remove(dir string) error {
 // data path is temp file → fsync → rename → directory fsync; a crash at any
 // point leaves either the previous checkpoint or the new one, never a torn
 // file under the final name.
-func Save(dir string, s *State) error {
+func Save(dir string, s *State) error { return publish(dir, encode(nil, s)) }
+
+// encode builds s's file image — magic, CRC32C of the body, body — in buf,
+// reusing its capacity, and returns it.
+func encode(buf []byte, s *State) []byte {
+	buf = append(buf[:0], magic[:]...)
+	buf = append(buf, 0, 0, 0, 0)
+	buf = s.appendBody(buf)
+	binary.LittleEndian.PutUint32(buf[len(magic):], crc32.Checksum(buf[len(magic)+4:], castagnoli))
+	return buf
+}
+
+// publish makes image the checkpoint in dir, crash-safely (see Save).
+func publish(dir string, image []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating dir: %w", err)
 	}
-	body := s.appendBody(nil)
-	head := make([]byte, 0, len(magic)+4)
-	head = append(head, magic[:]...)
-	head = binary.LittleEndian.AppendUint32(head, crc32.Checksum(body, castagnoli))
-
 	p := Path(dir)
 	tmp := p + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	_, werr := f.Write(head)
-	if werr == nil {
-		_, werr = f.Write(body)
-	}
+	_, werr := f.Write(image)
 	serr := f.Sync()
 	cerr := f.Close()
 	if err := errors.Join(werr, serr, cerr); err != nil {

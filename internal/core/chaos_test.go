@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -340,19 +341,26 @@ func TestGoldenCheckpointsResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The uninterrupted run checkpoints at the same step, and must
-			// write the very bytes the old loop wrote there.
+			// A run stopped right after the checkpoint at the same step must
+			// write the very bytes the old loop wrote there: its return
+			// drains the background writer.
 			ckDir := t.TempDir()
 			opts := c.opts
 			opts.Checkpoint = core.CheckpointOptions{Every: c.from, Dir: ckDir}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			opts.OnIteration = func(st core.IterStat) {
-				if st.Index != c.from {
-					return
-				}
-				if now, err := os.ReadFile(checkpoint.Path(ckDir)); err != nil || !bytes.Equal(now, data) {
-					t.Errorf("checkpoint after step %d differs from testdata/%s (read error: %v)", c.from, c.file, err)
+				if st.Index == c.from-1 {
+					cancel()
 				}
 			}
+			if _, err := core.RunContext(ctx, l, c.prog(), opts); !errors.Is(err, context.Canceled) {
+				t.Fatalf("stopped run returned %v, want context.Canceled", err)
+			}
+			if now, err := os.ReadFile(checkpoint.Path(ckDir)); err != nil || !bytes.Equal(now, data) {
+				t.Errorf("checkpoint after step %d differs from testdata/%s (read error: %v)", c.from, c.file, err)
+			}
+			opts.OnIteration = nil
 			base, err := core.Run(l, c.prog(), opts)
 			if err != nil {
 				t.Fatal(err)

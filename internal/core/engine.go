@@ -248,8 +248,10 @@ func (e *Engine) checkCtx() error { return e.ctx.Err() }
 
 // run is the engine's one loop: set-up, resume, then step after step of the
 // schedule newSchedule selects, each measured as deltas over the engine's
-// counters, reported to OnIteration and checkpointed on the configured
-// cadence.
+// counters, checkpointed on the configured cadence and reported to
+// OnIteration. A checkpoint is written while the next step runs and taking
+// one waits for the write before it, so a reported step's images are all on
+// disk but the newest; every return drains the writer (CheckpointOptions).
 func (e *Engine) run() (*Result, error) {
 	s, err := e.newSchedule()
 	if err != nil {
@@ -299,6 +301,11 @@ func (e *Engine) run() (*Result, error) {
 	var st IterStat
 	var iterStats []IterStat
 	checkpoints := 0
+	var ckw *checkpoint.Writer
+	if ck.saveEnabled() {
+		ckw = checkpoint.NewWriter(ck.Dir)
+		defer ckw.Close() // on an error return, the run's own error wins
+	}
 	for n < bound {
 		if err := e.checkCtx(); err != nil {
 			return nil, err
@@ -324,15 +331,19 @@ func (e *Engine) run() (*Result, error) {
 		st.Pipeline = e.plStats.Sub(plBefore)
 		s.measured(&st)
 		iterStats = append(iterStats, st)
-		if e.opts.OnIteration != nil {
-			e.opts.OnIteration(st)
-		}
-
-		if ck.saveEnabled() && n%ck.Every == 0 {
-			if err := checkpoint.Save(ck.Dir, e.capture(n, s)); err != nil {
+		if ckw != nil && n%ck.Every == 0 {
+			if err := ckw.Put(e.capture(n, s)); err != nil {
 				return nil, err
 			}
 			checkpoints++
+		}
+		if e.opts.OnIteration != nil {
+			e.opts.OnIteration(st)
+		}
+	}
+	if ckw != nil {
+		if err := ckw.Close(); err != nil {
+			return nil, err
 		}
 	}
 

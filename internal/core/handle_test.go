@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -320,6 +321,41 @@ func TestRunBytesPricesAsyncPooledSlices(t *testing.T) {
 			want := core.VertexStateBytes(m, async, false) + core.HandleBytes(m) + w.window + slices*slice
 			if got := core.RunBytes(m, opts, false); got != want {
 				t.Errorf("async=%t depth=%d: RunBytes %d, want %d with %d slices of %d bytes", async, w.depth, got, want, slices, slice)
+			}
+		}
+	}
+}
+
+// TestRunBytesPricesCheckpointImage: a checkpointing run's writer keeps one
+// encoded image for the whole run, so RunBytes with checkpointing on must
+// exceed RunBytes with it off by at least the file the run writes, and by no
+// more than the header bound beyond it.
+func TestRunBytesPricesCheckpointImage(t *testing.T) {
+	g, err := gen.RMAT(10, 8, gen.Graph500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := buildLayout(t, g, 4)
+	for _, async := range []bool{false, true} {
+		for _, prog := range []func() core.Program{
+			func() core.Program { return &algorithms.BFS{Source: 0} },
+			func() core.Program { return &algorithms.PageRankDelta{} }, // keeps an aux array
+		} {
+			p := prog()
+			dir := t.TempDir()
+			opts := core.Options{Async: async, MaxIterations: 3}
+			off := core.RunBytes(&l.Meta, opts, p.HasAux())
+			opts.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir}
+			price := core.RunBytes(&l.Meta, opts, p.HasAux()) - off
+			if _, err := core.Run(l, p, opts); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(checkpoint.Path(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if price < fi.Size() || price > fi.Size()+256 {
+				t.Errorf("%s async=%t: RunBytes prices the checkpoint image at %d bytes, the run wrote %d", p.Name(), async, price, fi.Size())
 			}
 		}
 	}

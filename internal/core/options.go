@@ -104,8 +104,15 @@ type Options struct {
 // values, staged cross-iteration accumulators, frontier bitsets, and under
 // Async the scheduler's step state), so a run resumed from it produces
 // results bit-identical to one that was never interrupted.
+//
+// The state is encoded at the step boundary and written in the background
+// while the next step runs; the next image waits for that write, not the
+// step. Every return from the run — success, error or cancellation — waits
+// for the last write, so the directory then holds the last image taken. A
+// process that dies mid-run leaves the last image taken or the one before it;
+// a resume from either is bit-identical all the same.
 type CheckpointOptions struct {
-	// Every saves a checkpoint after every Every completed iterations (under
+	// Every takes a checkpoint after every Every completed iterations (under
 	// Async: scheduler steps).
 	// Zero (with Resume unset) disables checkpointing.
 	Every int
@@ -229,7 +236,8 @@ type Result struct {
 
 	// Resumed reports that the run restored a checkpoint; ResumedFrom is
 	// the completed-iteration count it picked up at. Checkpoints counts
-	// the checkpoints written during this run.
+	// the checkpoint images this run took, one every Every steps; the newest
+	// is on disk when the run returns.
 	Resumed     bool
 	ResumedFrom int
 	Checkpoints int

@@ -126,12 +126,17 @@ func HandleBytes(m *partition.Manifest) int64 {
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
 //     block a dense pass or row has in flight plus the consumer's, each up to
 //     the decoded size of the largest cell that goes through the buffer — a
-//     secondary under BSP, any cell under Async.
+//     secondary under BSP, any cell under Async;
+//   - with checkpointing on, the encoded image its checkpoint.Writer keeps
+//     for the whole run (checkpointBytes).
 //
 // TestRunBytesCoversEngineArrays holds the first item to what an engine
-// allocates.
+// allocates, TestRunBytesPricesCheckpointImage the last to the file it writes.
 func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
 	total := vertexStateBytes(m, opts.Async, aux) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
+	if opts.Checkpoint.saveEnabled() {
+		total += checkpointBytes(m, opts.Async, aux)
+	}
 	slices := int64(1)
 	if opts.prefetchEnabled() {
 		po := opts.prefetchOptions()
@@ -162,6 +167,23 @@ func vertexStateBytes(m *partition.Manifest, async, aux bool) int64 {
 	}
 	if async {
 		total += 2*set + 8*longestInterval(m)
+	}
+	return total
+}
+
+// checkpointBytes bounds a run's encoded checkpoint image: 8 bytes an element
+// of what capture hands the writer — values, accumulators, aux, the frontier
+// and touched sets, under Async the P enqueue steps and the consumed set —
+// and 256 for the magic, CRC, program name, counts and length prefixes.
+func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
+	n := int64(m.NumVertices)
+	set := (n + 63) / 64 * 8
+	total := 2*8*n + 2*set + 256
+	if aux {
+		total += 8 * n
+	}
+	if async {
+		total += 8*int64(m.P) + set
 	}
 	return total
 }

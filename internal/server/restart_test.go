@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/jobs"
 	"github.com/graphsd/graphsd/internal/storage"
 )
@@ -510,5 +511,86 @@ func TestServerRecoveredResultGone(t *testing.T) {
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/"+j.ID()+"/result", nil); code != 410 {
 		t.Fatalf("recovered result: HTTP %d, want 410 Gone", code)
+	}
+}
+
+// TestPrunedCheckpointDirsStayGone: a job's checkpoint directory is pruned
+// right after its final record, so no checkpoint write of the job may land
+// after its run returns — one would recreate the directory. Journaled jobs
+// checkpoint every step here, one after another on the one worker; each
+// job's directory must be gone once the next job is done too, which is long
+// after any write its run could have left behind.
+func TestPrunedCheckpointDirsStayGone(t *testing.T) {
+	layoutDir, _ := buildLayoutDir(t, 10, 3, 4)
+	jdir := t.TempDir()
+	cfg := durableConfig(layoutDir, jdir, false)
+	cfg.CheckpointEvery = 1
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		s.Close(ctx)
+	}()
+	var prev *jobs.Job
+	for i := 0; i < 16; i++ {
+		j, err := s.Scheduler().Submit(jobs.Request{Graph: "g", Algorithm: "pr"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j, jobs.Done)
+		if res := j.Result(); res == nil || res.Checkpoints == 0 {
+			t.Fatalf("job %d took no checkpoints: %+v", i, res)
+		}
+		if prev != nil && checkpointDirExists(t, jdir, prev.ID()) {
+			t.Fatalf("job %s's checkpoint directory is back after it was pruned", prev.ID())
+		}
+		prev = j
+	}
+}
+
+// TestJournaledEstimatePricesCheckpoint: a journaled job's checkpoint writer
+// keeps an encoded image for the whole run, so admission must price it: a
+// journaled server's estimate for a request exceeds an unjournaled one's by
+// at least the checkpoint file the job writes.
+func TestJournaledEstimatePricesCheckpoint(t *testing.T) {
+	layoutDir, _ := buildLayoutDir(t, 10, 3, 4)
+	jdir := t.TempDir()
+	cfg := durableConfig(layoutDir, jdir, false)
+	cfg.CheckpointKeep = 2 // keep the finished jobs' files to measure
+	plainCfg := cfg
+	plainCfg.JournalDir = ""
+	var servers []*Server
+	for _, c := range []Config{cfg, plainCfg} {
+		s, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		for _, s := range servers {
+			s.Close(ctx)
+		}
+	}()
+	s, plain := servers[0], servers[1]
+	for _, alg := range []string{"pr", "prd"} {
+		req := jobs.Request{Graph: "g", Algorithm: alg}
+		j, err := s.Scheduler().Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j, jobs.Done)
+		fi, err := os.Stat(checkpoint.Path(filepath.Join(jdir, "checkpoints", j.ID())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if price := s.estimateBytes(req) - plain.estimateBytes(req); price < fi.Size() {
+			t.Errorf("%s: a journaled job is priced %d bytes above an unjournaled one, its checkpoint image is %d", alg, price, fi.Size())
+		}
 	}
 }

@@ -237,6 +237,7 @@ type Server struct {
 	names   []string // sorted, for deterministic /metrics output
 	sched   *jobs.Scheduler
 	journal *jobs.Journal // nil without Config.JournalDir
+	ckRoot  string        // the jobs' checkpoint root; empty without a journal
 	mux     *http.ServeMux
 	handler http.Handler // mux, behind auth when tenants are configured
 	start   time.Time
@@ -368,8 +369,9 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.journal = jr
+		s.ckRoot = filepath.Join(cfg.JournalDir, "checkpoints")
 		jcfg.Journal = jr
-		jcfg.CheckpointRoot = filepath.Join(cfg.JournalDir, "checkpoints")
+		jcfg.CheckpointRoot = s.ckRoot
 		jcfg.CheckpointEvery = cfg.CheckpointEvery
 		jcfg.CheckpointKeep = cfg.CheckpointKeep
 	}
@@ -566,7 +568,13 @@ func (s *Server) estimateBytes(req jobs.Request) int64 {
 	// An unknown algorithm fails validate; until then it is priced as a BSP
 	// program without an aux array.
 	prog, _ := algorithms.ByName(req.Algorithm, graph.VertexID(req.Source))
-	return core.RunBytes(&m, g.jobOptions(prog), prog != nil && prog.HasAux())
+	opts := g.jobOptions(prog)
+	if s.ckRoot != "" {
+		// A journaled job checkpoints into a directory of its own under
+		// ckRoot (runJob); which one, and how often, does not move the price.
+		opts.Checkpoint = core.CheckpointOptions{Every: 1, Dir: s.ckRoot}
+	}
+	return core.RunBytes(&m, opts, prog != nil && prog.HasAux())
 }
 
 // validate rejects a request the scheduler would accept but the runner
