@@ -8,10 +8,11 @@
 // priority:
 //
 //   - Buffer, the per-run buffer, takes it from the engine: the FCIU passes
-//     keep secondary sub-blocks (the strictly-lower-triangle grid cells the
-//     model must read twice) prioritised by active-edge count, and the async
-//     row step keeps the blocks of the rows its scheduler ranks highest,
-//     prioritised by the row's queue key.
+//     offer every sub-block they read, prioritised by active-edge count with
+//     the secondaries (the strictly-lower-triangle grid cells the model must
+//     read twice) ranked above every other cell, so the others fill only the
+//     room the secondaries leave; the async row step keeps the blocks of the
+//     rows its scheduler ranks highest, prioritised by the row's queue key.
 //   - Shared, the cross-job cache, has no single frontier to rank blocks by,
 //     so it feeds in a clock: a resident's priority is the tick of its last
 //     use. A block just loaded holds the newest tick, so it is never turned

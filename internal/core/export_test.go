@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"unsafe"
 
 	"github.com/graphsd/graphsd/internal/bitset"
@@ -69,6 +72,44 @@ func RunKeepingBuffer(layout *partition.Layout, prog Program, opts Options, pois
 	e.src.poison = poison
 	res, err := e.run()
 	return res, e.buf, err
+}
+
+// PoolStats is what a run's pool of decoded slices (blockSource.edgeBufs) came
+// to: the slices it allocated and the most edges any of them grew to hold.
+type PoolStats struct {
+	Slices, MaxEdges int
+}
+
+// RunCountingPooledSlices is Run, with release poisoning as RunCountingViews'
+// does, that reports what the decoded-slice pool allocated. It runs on one P
+// with the collector off, so the pool keeps every slice handed back to it and
+// allocates only when more slices are out at once than ever before: Slices is
+// the most the run held at once (outside the race detector, which drops some
+// of what the pool is handed back).
+func RunCountingPooledSlices(layout *partition.Layout, prog Program, opts Options) (*Result, PoolStats, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, PoolStats{}, err
+	}
+	e.src.poison = true
+	var mu sync.Mutex
+	var made []*[]graph.Edge
+	e.src.edgeBufs.New = func() any {
+		p := new([]graph.Edge)
+		mu.Lock()
+		made = append(made, p)
+		mu.Unlock()
+		return p
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res, err := e.run()
+	st := PoolStats{Slices: len(made)}
+	for _, p := range made {
+		st.MaxEdges = max(st.MaxEdges, cap(*p))
+	}
+	return res, st, err
 }
 
 // MaxOpenBlocks is the number of block descriptors a run keeps open.
@@ -159,7 +200,7 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 			if err != nil {
 				return pipeline.Stats{}, err
 			}
-			e.offerPayload(k, blk, e.payloadPriority(k, e.active))
+			e.offerPayload(k, blk, passPriority(k, e.payloadPriority(k, e.active)))
 			e.src.release(blk)
 			continue
 		}
@@ -167,7 +208,7 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 		if err != nil {
 			return pipeline.Stats{}, err
 		}
-		e.offer(k, edges, e.offerPriority)
+		e.offer(k, edges, func(edges []graph.Edge) int64 { return passPriority(k, e.offerPriority(edges)) })
 	}
 	return e.plStats, e.runPass(cells)
 }

@@ -16,10 +16,10 @@ import (
 type passCells int
 
 const (
-	// fciuFirstCells: every cell, column-major; secondary cells (i > j) go
-	// through the priority buffer, the others also scatter iteration t+1.
+	// fciuFirstCells: every cell, column-major, through the priority buffer;
+	// the cells on and above the diagonal also scatter iteration t+1.
 	fciuFirstCells passCells = iota
-	// fciuSecondCells: secondary cells only, through the priority buffer.
+	// fciuSecondCells: secondary cells (i > j) only, through the buffer.
 	fciuSecondCells
 	// fullCells: every cell; the priority buffer is not consulted.
 	fullCells
@@ -37,29 +37,29 @@ func (c passCells) firstRow(j int) int {
 // from the cells on and above the diagonal as it goes (see runPass).
 func (c passCells) crossIter() bool { return c == fciuFirstCells }
 
-// buffered reports whether the pass serves cell (i, j) through the priority
-// buffer.
-func (c passCells) buffered(i, j int) bool { return c != fullCells && i > j }
+// buffered reports whether the pass serves its cells through the priority
+// buffer: every cell of an FCIU pass, ranked by passPriority.
+func (c passCells) buffered() bool { return c != fullCells }
 
 // resident reports whether the pass would be served cell (i, j) by the per-run
 // buffer as it stands.
 func (e *Engine) resident(cells passCells, i, j int) bool {
-	return cells.buffered(i, j) && e.buf.Contains(buffer.Key{I: i, J: j})
+	return cells.buffered() && e.buf.Contains(buffer.Key{I: i, J: j})
 }
 
 // openPass opens the pass's block stream: non-empty cells in consumption
 // order, minus cells of rows the frontier proves dead (semBegin), which never
-// enqueue a read at all. (A dead-row upper-triangle cell that the
-// cross-iteration phase turns out to need is loaded synchronously by the
-// consumer.) Residency is only sampled here, on the consumer, and the stream's
-// fetch workers never touch the buffer:
+// enqueue a read at all. (A dead-row cell on or above the diagonal that the
+// cross-iteration phase turns out to need is loaded by the consumer, from the
+// buffer when resident, else synchronously.) Residency is only sampled on the
+// consumer, and the stream's fetch workers never touch the buffer:
 //
 //   - A buffer of decoded edges (raw layouts) serves its residents to the
 //     consumer as they are, so they stay off the stream; a mid-pass eviction
 //     costs the consumer a synchronous load rather than a data race.
-//   - A buffer of payloads (Engine.payloads) is sampled for every live
-//     secondary cell here, and takes the miss's payload back in passBlock, at
-//     its estimated active-edge count (holdPayload, takePayload).
+//   - A buffer of payloads (Engine.payloads) is sampled for every live cell
+//     here, and takes the miss's payload back in passBlock, at its estimated
+//     active-edge count (holdPayload, takePayload).
 //
 // A pass is narrow when its frontier holds at most one vertex in
 // sparseViewDensity, and sparse when it is narrow over viewable blocks: every
@@ -74,7 +74,7 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 || !e.rowLive[i] {
 				continue
 			}
-			if cells.buffered(i, j) {
+			if cells.buffered() {
 				if e.payloads {
 					if !e.holdPayload(i, j, narrow) {
 						continue
@@ -88,7 +88,7 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	}
 	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
 		switch {
-		case e.payloads && cells.buffered(i, j):
+		case e.payloads && cells.buffered():
 			return e.heldBlock(i, j, sparse)
 		case sparse:
 			return e.src.viewed(i, j)
@@ -98,14 +98,15 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	})
 }
 
-// passBlock returns sub-block (i, j) for a full-model pass. Secondary
-// sub-blocks of a buffered pass go through the priority buffer: a buffer of
-// decoded edges through bufferedBlock, at a priority equal to their current
-// active-edge count; a buffer of payloads through takePayload, at the
-// estimate of it (payloadPriority). The buffer is touched on the consumer
-// only, so its statistics are unchanged by pipelining.
+// passBlock returns sub-block (i, j) for a full-model pass. Every sub-block of
+// an FCIU pass goes through the priority buffer, ranked by passPriority: a
+// buffer of decoded edges through bufferedBlock, over their current
+// active-edge count; a buffer of payloads through takePayload, over the
+// estimate of it (payloadPriority). A dead row's cell was left off the
+// stream's list, so a buffer of payloads is sampled for it here. The buffer is
+// touched on the consumer only, so its statistics are unchanged by pipelining.
 func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
-	if !cells.buffered(i, j) {
+	if !cells.buffered() {
 		return st.take(i, j)
 	}
 	if e.layout.Meta.SubBlockEdges(i, j) == 0 {
@@ -113,9 +114,12 @@ func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (b
 	}
 	k := buffer.Key{I: i, J: j}
 	if e.payloads {
-		return e.takePayload(st, k, e.payloadPriority(k, e.active))
+		if !e.rowLive[i] {
+			e.holdPayload(i, j, true)
+		}
+		return e.takePayload(st, k, passPriority(k, e.payloadPriority(k, e.active)))
 	}
-	edges, err := e.bufferedBlock(st, k, e.offerPriority)
+	edges, err := e.bufferedBlock(st, k, func(edges []graph.Edge) int64 { return passPriority(k, e.offerPriority(edges)) })
 	return block{edges: edges}, err
 }
 
@@ -159,8 +163,9 @@ func (e *Engine) offerPriority(edges []graph.Edge) int64 {
 //     was applied before column j is processed, so the sources' t-values are
 //     final and it scatters t+1 right after its t-scatter. The diagonal (j, j)
 //     is held until column j is applied, then scatters t+1. Sub-blocks with
-//     i > j ("secondary") cannot propagate in this pass and are offered to the
-//     priority buffer for the second half, which the schedule runs next.
+//     i > j ("secondary") cannot propagate in this pass and are read again by
+//     the second half, which the schedule runs next. Every cell is offered to
+//     the priority buffer, and a secondary outranks every other (passPriority).
 //   - fciuSecondCells is that second half (lines 18–26): iteration t+1 already
 //     holds the staged contributions from every sub-block with i <= j, so only
 //     the secondary sub-blocks are read — from the buffer when resident.
@@ -234,12 +239,12 @@ func (e *Engine) runPass(cells passCells) error {
 			// Dead-row diagonal: now that interval j is applied its t+1
 			// activations are final. Load only if there is something to
 			// propagate; the cell was left off the stream's list, so this
-			// rare load is synchronous.
+			// rare load is served by the buffer or is synchronous.
 			if e.newActive.CountRange(lo, hi) == 0 {
 				e.semSkip(cells, j, j)
 			} else {
 				var err error
-				if diag, err = st.take(j, j); err != nil {
+				if diag, err = e.passBlock(st, cells, j, j); err != nil {
 					return err
 				}
 			}
@@ -264,9 +269,9 @@ func (e *Engine) runPass(cells passCells) error {
 		// so sampling can never demote a hot block to dead.
 		e.buf.Reprioritize(func(k buffer.Key, blk buffer.Block) int64 {
 			if blk.Payload != nil {
-				return e.payloadPriority(k, e.newActive)
+				return passPriority(k, e.payloadPriority(k, e.newActive))
 			}
-			return clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I)
+			return passPriority(k, clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I))
 		})
 	}
 	e.semEnd()

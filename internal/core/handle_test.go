@@ -32,7 +32,10 @@ import (
 // reads the sub-blocks of a source interval without an active vertex, and a
 // lattice's SSSP front crosses one or two of the four intervals at a time, so
 // 305 whole-block reads became 194. Every one of the 194 is a read the old
-// run made too — same names, fewer repeats.
+// run made too — same names, fewer repeats. They were re-recorded again when
+// FCIU began offering its primary cells (i ≤ j) to the per-run buffer beside
+// the secondaries: a primary resident from an earlier pass is not read again,
+// so 194 became 103, again the same names with fewer repeats.
 func TestFaultHookSeesTheSameOperations(t *testing.T) {
 	lattice := gen.Weighted(gen.Grid(40), 16, 5)
 	for _, c := range []struct {
@@ -41,7 +44,7 @@ func TestFaultHookSeesTheSameOperations(t *testing.T) {
 		ops    map[string]int
 		digest uint64
 	}{
-		{name: "full", force: core.ForceFull, ops: map[string]int{"read": 194}, digest: 0xf04e1e73880da6f7},
+		{name: "full", force: core.ForceFull, ops: map[string]int{"read": 103}, digest: 0xfcb8810ef30053e1},
 		{name: "on-demand", force: core.ForceOnDemand, ops: map[string]int{"read": 11, "open": 541, "readat": 11192}, digest: 0xa284d0a9b075ca5f},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -286,14 +289,13 @@ func TestRunBytesCoversEngineArrays(t *testing.T) {
 	}
 }
 
-// TestRunBytesPricesAsyncPooledSlices: on a delta layout a dense pass decodes
-// its buffered cells into pooled slices, and so does an async row step — whose
-// buffered cells are all of them, where FCIU's are the secondaries. Over a
-// layout whose largest cell sits above the diagonal, RunBytes must price each
-// slice at that cell's decoded size under async, and at the largest
-// secondary's under BSP: one slice per block the window holds plus the
-// consumer's.
-func TestRunBytesPricesAsyncPooledSlices(t *testing.T) {
+// TestRunBytesPricesPooledSlices: on a delta layout a dense pass decodes its
+// buffered cells into pooled slices, and so does an async row step — and
+// either buffers every cell it reads. Over a layout whose largest cell sits
+// above the diagonal, RunBytes must price each slice at that cell's decoded
+// size: one slice per block the window holds plus the consumer's, and under
+// BSP one more, for the diagonal FCIU holds until its column is applied.
+func TestRunBytesPricesPooledSlices(t *testing.T) {
 	g := &graph.Graph{NumVertices: 256}
 	for u := 0; u < 64; u++ {
 		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(64 + u), Dst: graph.VertexID(u)}) // secondary (1,0)
@@ -308,20 +310,66 @@ func TestRunBytesPricesAsyncPooledSlices(t *testing.T) {
 		t.Fatalf("cell (0,3) holds %d decoded bytes, secondary (1,0) %d: the layout does not show the case", largest, secondary)
 	}
 	for _, async := range []bool{false, true} {
-		slice := secondary
-		if async {
-			slice = largest
-		}
 		for _, w := range []struct {
 			depth  int
 			window int64
 		}{{-1, 0}, {2, 1 << 20}} {
 			opts := core.Options{Async: async, PrefetchDepth: w.depth, PrefetchBytes: w.window}
 			slices := int64(1 + max(w.depth, 0))
-			want := core.VertexStateBytes(m, async, false) + core.HandleBytes(m) + w.window + slices*slice
-			if got := core.RunBytes(m, opts, false); got != want {
-				t.Errorf("async=%t depth=%d: RunBytes %d, want %d with %d slices of %d bytes", async, w.depth, got, want, slices, slice)
+			if !async {
+				slices++
 			}
+			want := core.VertexStateBytes(m, async, false) + core.HandleBytes(m) + w.window + slices*largest
+			if got := core.RunBytes(m, opts, false); got != want {
+				t.Errorf("async=%t depth=%d: RunBytes %d, want %d with %d slices of %d bytes", async, w.depth, got, want, slices, largest)
+			}
+		}
+	}
+}
+
+// TestPooledSlicesStayWithinRunBytes runs PageRank over an R-MAT graph on a
+// delta layout with a buffer of 1/8 of its decoded edges, as the out-of-core
+// benchmark does — every pass decodes most cells into pooled slices and holds
+// each column's diagonal across the column — with release poisoning on. The
+// pool must never hand out more slices than RunBytes prices, none may grow
+// past the largest cell, and the outputs must be an unbuffered run's.
+func TestPooledSlicesStayWithinRunBytes(t *testing.T) {
+	g, err := gen.RMAT(11, 16, gen.Graph500, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := codecLayout(t, g, 8, graph.CodecDelta)
+	m := &l.Meta
+	var largest int64
+	for i := 0; i < m.P; i++ {
+		for j := 0; j < m.P; j++ {
+			largest = max(largest, m.EdgeCounts[i][j])
+		}
+	}
+	largestBytes := largest * int64(m.EdgeRecordBytes())
+	prog := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
+	plain, err := core.Run(l, prog(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{-1, 2, 4} {
+		opts := core.Options{BufferBytes: m.EdgeBytesTotal() / 8, PrefetchDepth: depth, PrefetchBytes: 1 << 20}
+		res, pool, err := core.RunCountingPooledSlices(l, prog(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
+		priced := core.RunBytes(m, opts, false) - core.VertexStateBytes(m, false, false) - core.HandleBytes(m) - opts.BufferBytes
+		if depth > 0 {
+			priced -= opts.PrefetchBytes
+		}
+		if pool.Slices == 0 || priced%largestBytes != 0 {
+			t.Fatalf("depth %d: the pool handed out %d slices, RunBytes prices %d bytes of them: not whole slices of %d", depth, pool.Slices, priced, largestBytes)
+		}
+		// Under the race detector the pool drops values handed back to it, so
+		// its allocations bound nothing there; the slices' size still holds.
+		if (!raceEnabled && int64(pool.Slices) > priced/largestBytes) || int64(pool.MaxEdges) > largest {
+			t.Fatalf("depth %d: the pool handed out %d slices, up to %d edges; RunBytes prices %d of %d edges", depth, pool.Slices, pool.MaxEdges, priced/largestBytes, largest)
 		}
 	}
 }

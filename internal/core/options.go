@@ -30,8 +30,9 @@ type Options struct {
 	// state-aware scheduler (ablations GraphSD-b3 / GraphSD-b4).
 	ForceModel *iosched.Model
 	// BufferBytes is the capacity of the per-run sub-block buffer: under BSP
-	// it keeps FCIU's secondary sub-blocks between the two halves of a pass,
-	// ranked by active-edge count; under Async the blocks of the rows the
+	// it keeps the sub-blocks FCIU passes read, ranked by active-edge count
+	// with the secondaries, which the pass reads twice, above every other
+	// cell; under Async the blocks of the rows the
 	// scheduler ranks highest, ranked by the row's queue key. The codec alone
 	// picks the form: on a delta-coded layout the blocks' verified payloads,
 	// charged their on-disk bytes and decoded per hit off the consumer, or
@@ -219,8 +220,9 @@ type Result struct {
 	SchedAccuracy     iosched.Accuracy
 
 	// Buffer reports the per-run sub-block buffer's outcomes over whole-block
-	// requests: FCIU's secondary sub-blocks (Figure 12) or, under Async, the
-	// blocks of streamed rows. BytesSaved is on-disk bytes.
+	// requests: every cell an FCIU pass reads, primaries and secondaries
+	// (Figure 12), or, under Async, the blocks of streamed rows. BytesSaved is
+	// on-disk bytes.
 	Buffer buffer.Stats
 
 	// Pipeline aggregates the I/O–compute pipeline outcomes across all

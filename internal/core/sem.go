@@ -50,6 +50,18 @@ func (e *Engine) semSkip(cells passCells, i, j int) {
 	e.plStats.SkippedBytes += e.layout.Meta.SubBlockDiskBytes(i, j)
 }
 
+// passPriority ranks FCIU cell k, whose active-edge estimate is est, in the
+// per-run buffer — at admission and at the refresh after fciu-1 alike. A
+// secondary (i > j), which the pass reads twice, ranks a tier above every
+// primary, dead or not, so the store evicts primaries first and keeps the
+// secondaries a buffer of secondaries alone would keep.
+func passPriority(k buffer.Key, est int64) int64 {
+	if k.I > k.J {
+		return 1<<62 + est // an estimate never exceeds its cell's edge count
+	}
+	return est
+}
+
 // payloadPriority estimates the active-edge count of a payload the per-run
 // buffer holds or is offered, without decoding it: the block's edge count
 // scaled by its source interval's active fraction, clamped to ≥1 while the

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -67,6 +68,14 @@ func TestSEMBitIdenticalAndSkips(t *testing.T) {
 					opts.PrefetchDepth = depth
 					t.Run(fmt.Sprintf("%s/%s/%s/depth=%d", p.name, codec, b.name, depth), func(t *testing.T) {
 						allLayout, l := chaosLayout(t, codec, 11), chaosLayout(t, codec, 11)
+						opts := opts
+						if p.name == "fciu" && codec == graph.CodecDelta && opts.DefaultBuffer {
+							// The default buffer holds this graph whole as payloads,
+							// so either run reads each cell once and skips could buy
+							// nothing. Sized to the secondaries, it leaves both runs
+							// reading primaries from the device.
+							_, opts.BufferBytes, _ = secondaryCells(&l.Meta)
+						}
 						var allCharges, charges stepCharges
 						all, err := core.RunAllRowsLive(allLayout, p.prog(), allCharges.watch(allLayout, opts))
 						if err != nil {
@@ -255,7 +264,11 @@ func TestFullPassReadsExactlyTheLiveRows(t *testing.T) {
 
 // TestSEMCheckpointResumeBitIdentical crashes a buffered checkpointed run —
 // its buffer a compressed tier on the delta layout — mid-flight and resumes it;
-// the result must match an uninterrupted unbuffered run bit for bit.
+// the result must match an uninterrupted unbuffered run bit for bit. On the raw
+// layout the crash is a device fault on the next read. On the delta layout the
+// buffer holds every cell as a payload after the first pass, so there is no
+// read left to fail: the crash comes through the run's context, at the step
+// boundary, as in TestAsyncCrashResumeBitIdentical.
 func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -268,18 +281,28 @@ func TestSEMCheckpointResumeBitIdentical(t *testing.T) {
 
 			ckDir := t.TempDir()
 			power := errors.New("power loss")
-			_, err = core.Run(l, prog(), core.Options{
+			ctx, powerLoss := context.WithCancel(context.Background())
+			defer powerLoss()
+			want := power
+			if codec == graph.CodecDelta {
+				want = context.Canceled
+			}
+			_, err = core.RunContext(ctx, l, prog(), core.Options{
 				DefaultBuffer: true,
 				Checkpoint:    core.CheckpointOptions{Every: 2, Dir: ckDir},
 				OnIteration: func(st core.IterStat) {
-					if st.Index == 3 {
+					switch {
+					case st.Index != 3:
+					case codec == graph.CodecDelta:
+						powerLoss()
+					default:
 						l.Dev.SetFaultInjector(func(op, name string) error { return power })
 					}
 				},
 			})
 			l.Dev.SetFaultInjector(nil)
-			if !errors.Is(err, power) {
-				t.Fatalf("crashed run returned %v, want injected power loss", err)
+			if !errors.Is(err, want) {
+				t.Fatalf("crashed run returned %v, want %v", err, want)
 			}
 			if !checkpoint.Exists(ckDir) {
 				t.Fatal("no checkpoint survived the crash")
@@ -396,9 +419,9 @@ func secondaryCells(m *partition.Manifest) (cells [][2]int, disk, decoded int64)
 	return bufferedCells(m, false)
 }
 
-// bufferedCells returns the non-empty cells of m a schedule keeps in the
-// per-run buffer — every one under async, the secondaries under BSP — and
-// their summed on-disk and decoded bytes.
+// bufferedCells returns the non-empty cells of m a buffer sized to them keeps
+// to the end of a run — every one under async, the secondaries under BSP,
+// which outrank the primaries — and their summed on-disk and decoded bytes.
 func bufferedCells(m *partition.Manifest, async bool) (cells [][2]int, disk, decoded int64) {
 	for i := 0; i < m.P; i++ {
 		for j := 0; j < m.P; j++ {
@@ -441,13 +464,14 @@ func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buf
 // its blocks — under BSP FCIU's secondaries, under async every cell of the
 // rows it steps — as the verified payloads the device returned, charged their
 // disk bytes, so a buffer sized to those payloads — too small for the same
-// blocks decoded — holds every one of them: the second half of every FCIU pass
-// reads no sub-block, an async run reads no sub-block twice, and the outputs
-// are those of the raw layout (whose buffer of the same size must evict) and
-// of an unbuffered run, bit for bit. Over a lattice, where every pass and
-// nearly every row step is sparse, the residents are served as run views —
-// attached, never pooled or poisoned — step after step with release poisoning
-// on, and stay byte-equal to the disk.
+// blocks decoded — holds every one of them at the end: the primaries FCIU
+// offers beside them are evicted first, so no secondary is, the second half of
+// every FCIU pass reads no sub-block, an async run reads no sub-block twice,
+// and the outputs are those of the raw layout (whose buffer of the same size
+// must evict) and of an unbuffered run, bit for bit. Over a lattice, where
+// every pass and nearly every row step is sparse, the residents are served as
+// run views — attached, never pooled or poisoned — step after step with
+// release poisoning on, and stay byte-equal to the disk.
 func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 	rmat, err := gen.RMAT(9, 8, gen.Graph500, 31)
 	if err != nil {
@@ -506,16 +530,27 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireVerifiedResidents(t, l, buf, c.async)
-			if res.Buffer.Evictions != 0 || res.Buffer.Hits == 0 {
-				t.Fatalf("buffer %+v, want hits and no eviction", res.Buffer)
+			if res.Buffer.Hits == 0 {
+				t.Fatalf("buffer %+v, want hits", res.Buffer)
 			}
 			if c.async {
+				if res.Buffer.Evictions != 0 {
+					t.Fatalf("buffer %+v, want no eviction", res.Buffer)
+				}
 				for name, n := range readsOf {
 					if n > 1 {
 						t.Fatalf("%s read %d times, want once: every cell stays resident", name, n)
 					}
 				}
 			} else {
+				// FCIU offers its primaries too, into the room the secondaries
+				// leave, and evicts them first: no secondary is evicted, so
+				// none is read twice.
+				for _, cell := range cells {
+					if n := readsOf[l.Meta.BlockName(cell[0], cell[1])]; n > 1 {
+						t.Fatalf("secondary %v read %d times, want once: no secondary is evicted", cell, n)
+					}
+				}
 				second := 0
 				for k, path := range paths {
 					if path == "fciu-2" {
@@ -570,5 +605,71 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBufferHoldingTheGraphReadsEachCellOnce: every cell an FCIU pass reads is
+// offered to the per-run buffer, primaries as well as secondaries, so a buffer
+// that can hold the whole grid — decoded on the raw layout, as payloads on the
+// delta one — serves every cell from memory after its first read. Through a
+// forced-full SSSP over a lattice, whose dead-row cells are read for the
+// cross-iteration scatter alone, and PageRank over R-MAT, each non-empty cell
+// is read from the device at most once a run, and the outputs are an
+// unbuffered run's, bit for bit.
+func TestBufferHoldingTheGraphReadsEachCellOnce(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := gen.Weighted(gen.Grid(48), 16, 7)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		prog func() core.Program
+	}{
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }},
+		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }},
+	} {
+		for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+			for _, depth := range []int{0, -1} {
+				t.Run(fmt.Sprintf("%s/%s/depth=%d", c.name, codec, depth), func(t *testing.T) {
+					l := codecLayout(t, c.g, 4, codec)
+					cellOf := make(map[string][2]int)
+					for _, cell := range nonEmptyColumnMajor(&l.Meta) {
+						cellOf[l.Meta.BlockName(cell[0], cell[1])] = cell
+					}
+					var mu sync.Mutex
+					reads := make(map[[2]int]int)
+					l.Dev.SetFaultInjector(func(op, name string) error {
+						if cell, ok := cellOf[name]; ok && op == "read" {
+							mu.Lock()
+							reads[cell]++
+							mu.Unlock()
+						}
+						return nil
+					})
+					opts := core.Options{ForceModel: core.ForceFull, PrefetchDepth: depth, BufferBytes: l.Meta.EdgeBytesTotal()}
+					res, err := core.Run(l, c.prog(), opts)
+					l.Dev.SetFaultInjector(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(reads) == 0 || res.Buffer.Hits == 0 {
+						t.Fatalf("%d cells read, buffer %+v: nothing exercised", len(reads), res.Buffer)
+					}
+					for cell, n := range reads {
+						if n > 1 {
+							t.Fatalf("cell %v read %d times, want once: the buffer holds the whole grid (%+v)", cell, n, res.Buffer)
+						}
+					}
+					opts.BufferBytes = 0
+					plain, err := core.Run(l, c.prog(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
+				})
+			}
+		}
 	}
 }

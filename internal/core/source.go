@@ -38,11 +38,11 @@ type blockSource struct {
 
 	// edgeBufs pools the slices a dense pass or async row decodes its buffered
 	// cells into when the per-run buffer keeps payloads (Engine.payloads): the
-	// buffer holds the payload, never these edges, and the pass scatters a
-	// secondary — the row step any cell — once and retains nothing of it, so
-	// the consumer hands the slice back right after that scatter (release).
-	// Without the pool every buffer hit allocated its block's decoded size
-	// again (DESIGN.md §17).
+	// buffer holds the payload, never these edges, and the consumer hands the
+	// slice back right after its last scatter from it (release) — an FCIU
+	// pass's diagonal after its column's apply, any other cell after its
+	// scatters. Without the pool every buffer hit allocated its block's decoded
+	// size again (DESIGN.md §17).
 	edgeBufs sync.Pool
 
 	// views pools the payload and directory memory of run-view blocks (see
@@ -124,9 +124,10 @@ func HandleBytes(m *partition.Manifest) int64 {
 //   - the per-run buffer's capacity, the prefetch window and what the block
 //     handles keep (HandleBytes);
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
-//     block a dense pass or row has in flight plus the consumer's, each up to
-//     the decoded size of the largest cell that goes through the buffer — a
-//     secondary under BSP, any cell under Async;
+//     block a dense pass or row has in flight plus the consumer's — and under
+//     BSP the diagonal an FCIU pass holds across its column — each up to the
+//     decoded size of the largest cell, since every cell of either goes
+//     through the buffer;
 //   - with checkpointing on, the encoded image its checkpoint.Writer keeps
 //     for the whole run (checkpointBytes).
 //
@@ -144,12 +145,13 @@ func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
 		slices += int64(po.Depth)
 	}
 	if opts.payloads(m) {
+		if !opts.Async {
+			slices++
+		}
 		var largest int64
 		for i := 0; i < m.P; i++ {
 			for j := 0; j < m.P; j++ {
-				if opts.Async || i > j {
-					largest = max(largest, m.SubBlockBytes(i, j))
-				}
+				largest = max(largest, m.SubBlockBytes(i, j))
 			}
 		}
 		total += slices * largest
