@@ -9,8 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -160,6 +162,99 @@ func TestHUSGraphRejectsHostileRowIndex(t *testing.T) {
 			t.Errorf("%s: Run said %v, want an error naming %s", name, err, partition.RowIndexName(0))
 		}
 	}
+}
+
+// TestHostileRecordOnPositionalRead: a positional per-vertex read is never
+// CRC-verified, so a damaged record in the file it reads — vertex 0's edge to 1
+// made an edge to 2²⁰ on a 64-vertex chain — must be an error naming the file,
+// not a kernel subscript. It used to panic with index out of range [1048576] in
+// HUS-Graph's on-demand row and in SCIU on a raw GraphSD cell.
+func TestHostileRecordOnPositionalRead(t *testing.T) {
+	for _, c := range []struct{ system, file string }{
+		{"husgraph", partition.RowName(0)},
+		{"graphsd", partition.SubBlockName(0, 0)},
+	} {
+		t.Run(c.system, func(t *testing.T) {
+			l := buildSystem(t, c.system, gen.Chain(64), 4, storage.HDD)
+			data, err := l.Dev.ReadFile(c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := graph.DecodeEdge(data, false); e != (graph.Edge{Src: 0, Dst: 1}) {
+				t.Fatalf("record 0 of %s is %+v, want 0->1", c.file, e)
+			}
+			binary.LittleEndian.PutUint32(data[4:], 1<<20)
+			if err := l.Dev.WriteFile(c.file, data); err != nil {
+				t.Fatal(err)
+			}
+			_, err = core.Run(l, &algorithms.BFS{Source: 0}, core.Options{ForceModel: core.ForceOnDemand})
+			if err == nil || !strings.Contains(err.Error(), c.file) {
+				t.Fatalf("Run said %v, want an error naming %s", err, c.file)
+			}
+		})
+	}
+}
+
+// TestLumosReadsThroughTheBlockStream: Lumos's passes are GraphSD's full-model
+// passes with state-awareness off, so its cells come through the same block
+// stream — prefetched ahead of the scatter, and degraded to synchronous loads
+// past a transient fault without a change to the outputs — and, since NewEngine
+// gives a baseline no buffer, a per-run buffer or a shared cache asked for
+// changes none of its device traffic.
+func TestLumosReadsThroughTheBlockStream(t *testing.T) {
+	g, err := gen.RMAT(9, 8, gen.Graph500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := buildSystem(t, "lumos", g, 4, storage.ScaledHDD)
+	prog := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
+	plain, err := core.Run(l, prog(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("prefetched", func(t *testing.T) {
+		if plain.Pipeline.Blocks == 0 {
+			t.Fatalf("no block prefetched under the default depth: %+v", plain.Pipeline)
+		}
+	})
+
+	t.Run("chaos", func(t *testing.T) {
+		chaos := storage.NewChaos(storage.ChaosOptions{
+			Seed:              42,
+			TransientReadProb: 0.05,
+			Match:             func(op, name string) bool { return op == "read" || op == "readat" },
+		})
+		l.Dev.SetFaultInjector(chaos.Injector())
+		l.Dev.SetRetryPolicy(storage.RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: 1})
+		res, err := core.Run(l, prog(), core.Options{})
+		l.Dev.SetFaultInjector(nil)
+		l.Dev.SetRetryPolicy(storage.RetryPolicy{})
+		if err != nil {
+			t.Fatalf("chaos run did not survive: %v", err)
+		}
+		if cs := chaos.Stats(); cs.Transient == 0 {
+			t.Fatalf("chaos injected no faults over %d ops", cs.Ops)
+		}
+		if res.Iterations != plain.Iterations {
+			t.Fatalf("faulty run took %d iterations, fault-free %d", res.Iterations, plain.Iterations)
+		}
+		requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
+	})
+
+	t.Run("unbuffered", func(t *testing.T) {
+		shared := buffer.NewShared(l.Meta.EdgeBytesTotal() * 2)
+		for run := 0; run < 2; run++ { // the second run finds the shared cache warm, were it used
+			res, err := core.Run(l, prog(), core.Options{DefaultBuffer: true, SharedBlocks: shared})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.IO != plain.IO || res.Buffer.Hits != 0 || res.SharedHits != 0 {
+				t.Fatalf("run %d: IO %+v, buffer hits %d, shared hits %d; want a plain run's IO %+v and no hits",
+					run, res.IO, res.Buffer.Hits, res.SharedHits, plain.IO)
+			}
+		}
+	})
 }
 
 // modelled counts the bytes l's device is charged, by class, for transfers

@@ -100,8 +100,9 @@ type Engine struct {
 
 	// rowLive[i] says source interval i holds an active vertex of the
 	// frontier the pass in progress scatters from; semBegin refills it at every
-	// pass start. allLive is a test seam: every row counts as live, so a pass
-	// reads every cell it would without skipping. applied[j] says the BSP apply
+	// pass start. allLive is Lumos's policy, not state-aware: every row counts
+	// as live, so a pass reads every cell it is due without skipping and writes
+	// every interval's values back (semEnd). applied[j] says the BSP apply
 	// phase of the pass in progress visited interval j (applyBSP sets it for
 	// every interval). The two sets are the pass's value traffic (semEnd).
 	rowLive []bool
@@ -113,8 +114,10 @@ type Engine struct {
 
 // NewEngine prepares an engine for one run of prog over layout, under the
 // schedule of the system that built it (newSchedule). The baselines' layouts
-// run BSP without checkpoints and read no other option but MaxIterations,
-// OnIteration and, on HUS-Graph's decision, ForceModel.
+// run BSP without checkpoints, unbuffered — NewEngine drops BufferBytes,
+// DefaultBuffer and SharedBlocks for them — and read no other option but
+// MaxIterations, OnIteration, on HUS-Graph's decision ForceModel and, on
+// Lumos's block stream, PrefetchDepth and PrefetchBytes.
 func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, error) {
 	m := &layout.Meta
 	schedCfg := iosched.Config{
@@ -138,8 +141,11 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	default:
 		return nil, fmt.Errorf("core: layout built for unknown system %q", m.System)
 	}
-	if m.System != "graphsd" && (opts.Async || opts.Checkpoint != (CheckpointOptions{})) {
-		return nil, fmt.Errorf("core: Options.Async and Options.Checkpoint are only supported for graphsd layouts (this one is %q)", m.System)
+	if m.System != "graphsd" {
+		if opts.Async || opts.Checkpoint != (CheckpointOptions{}) {
+			return nil, fmt.Errorf("core: Options.Async and Options.Checkpoint are only supported for graphsd layouts (this one is %q)", m.System)
+		}
+		opts.BufferBytes, opts.DefaultBuffer, opts.SharedBlocks = 0, false, nil
 	}
 	if prog.Weighted() && !m.Weighted {
 		return nil, fmt.Errorf("core: program %s needs edge weights but layout is unweighted", prog.Name())
@@ -172,6 +178,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		prescattered: bitset.NewActiveSet(n),
 		rowLive:      make([]bool, layout.Meta.P),
 		applied:      make([]bool, layout.Meta.P),
+		allLive:      m.System == "lumos",
 		src:          newBlockSource(layout, opts.SharedBlocks),
 		buf:          buffer.New(opts.bufferBytes(&layout.Meta)),
 	}

@@ -144,11 +144,12 @@ func RunWithHandleCap(ctx context.Context, layout *partition.Layout, prog Progra
 }
 
 // RunAllRowsLive is Run with every source interval counted as live on every
-// pass: no sub-block is skipped for want of an active vertex, so a full-model
-// pass reads every non-empty cell of its kind. It is the oracle the skipping
-// tests hold a run to — same outputs by bits, and the device traffic skipping
-// is measured against. (The scheduler still prices the frontier's rows; pin
-// the model.)
+// pass — Lumos's policy (Engine.allLive) on a GraphSD layout: no sub-block is
+// skipped for want of an active vertex, so a full-model pass reads every
+// non-empty cell of its kind, and writes every interval's values back. It is
+// the oracle the skipping tests hold a run to — same outputs by bits, and the
+// device traffic skipping is measured against. (The scheduler still prices the
+// frontier's rows; pin the model.)
 func RunAllRowsLive(layout *partition.Layout, prog Program, opts Options) (*Result, error) {
 	e, err := NewEngine(layout, prog, opts)
 	if err != nil {

@@ -282,8 +282,10 @@ type AsyncStats struct {
 // (whole-row streaming) or "async-sel" (selective per-vertex loads).
 type IterStat struct {
 	Index int
-	// Path is the executed update path: "sciu", "fciu-1", "fciu-2",
-	// "full-single", "async" or "async-sel".
+	// Path is the executed update path: GraphSD's "sciu", "fciu-1",
+	// "fciu-2", "full-single", "async" or "async-sel"; Lumos's "lumos-1",
+	// "lumos-2" or "lumos-full"; HUS-Graph's "husgraph-on-demand" or
+	// "husgraph-full".
 	Path string
 	// Active is the number of active vertices entering the iteration.
 	Active int

@@ -32,10 +32,11 @@ func (e *Engine) semBegin() {
 // interval its apply phase visited that semBegin did not charge as a live row,
 // and the write-back of every interval it visited. A pass over an all-active
 // frontier — every interval live and applied — pays the whole array both ways,
-// in one transfer each, as the paper's formulas do.
+// in one transfer each, as the paper's formulas do, and so does every pass of
+// an engine that is not state-aware (Engine.allLive).
 func (e *Engine) semEnd() {
 	e.layout.ChargeValues(storage.SeqRead, func(i int) bool { return e.applied[i] && !e.rowLive[i] })
-	e.layout.ChargeValues(storage.SeqWrite, func(i int) bool { return e.applied[i] })
+	e.layout.ChargeValues(storage.SeqWrite, func(i int) bool { return e.allLive || e.applied[i] })
 }
 
 // semSkip records that the pass over cells never read sub-block (i, j) of a

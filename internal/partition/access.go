@@ -22,10 +22,10 @@ func (l *Layout) LoadSubBlock(i, j int) ([]graph.Edge, error) {
 // into dst (reset to length zero) and reads the raw bytes through buf,
 // growing either only when too small. The possibly-grown slices are
 // returned; the I/O charge and fault semantics are identical to
-// LoadSubBlock. This is the async-friendly variant the prefetch pipeline
-// uses: each fetch worker owns a dst/buf pair and reuses it across blocks —
-// under the delta codec, that worker also runs the decompression, so decode
-// overlaps compute exactly like the reads themselves.
+// LoadSubBlock. It opens and closes the block's file around the one load, so
+// it suits one-off whole-block reads — LoadSubBlock, compaction, a replay
+// loop reusing one dst/buf pair; an engine run reads through kept
+// BlockReaders (LoadSubBlockFrom) instead.
 func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	r := l.BlockReader(i, j)
 	defer r.Close()
@@ -352,11 +352,33 @@ func (l *Layout) ReadVertexEdges(r *storage.Reader, idx *Index, i int, v graph.V
 }
 
 // readVertexBase reads vertex v's base run — ReadVertexEdges without the
-// overlay merge.
+// overlay merge. Positional reads are never CRC-verified, so every edge read is
+// held to the cell it came from: its source is v and its destination lies in
+// the block's destination interval (any vertex, for a row index). A damaged
+// record is an error naming the file, never a subscript for the kernel.
 func (l *Layout) readVertexBase(r *storage.Reader, idx *Index, v graph.VertexID, lo int, buf []byte) ([]graph.Edge, []byte, error) {
+	read := l.readVertexEdgesRaw
 	if idx.Off != nil {
-		return l.readVertexEdgesDelta(r, idx, v, lo, buf)
+		read = l.readVertexEdgesDelta
 	}
+	edges, buf, err := read(r, idx, v, lo, buf)
+	if err != nil {
+		return nil, buf, err
+	}
+	dLo, dHi := 0, l.Meta.NumVertices
+	if idx.blockJ >= 0 {
+		dLo, dHi = l.Meta.Interval(idx.blockJ)
+	}
+	for _, e := range edges {
+		if e.Src != v || int(e.Dst) < dLo || int(e.Dst) >= dHi {
+			return nil, buf, fmt.Errorf("partition: %s [%s]: vertex %d read edge %d->%d, outside its cell (destinations [%d,%d))", r.Name(), l.Meta.BlockCodec(), v, e.Src, e.Dst, dLo, dHi)
+		}
+	}
+	return edges, buf, nil
+}
+
+// readVertexEdgesRaw is the raw-codec arm of readVertexBase.
+func (l *Layout) readVertexEdgesRaw(r *storage.Reader, idx *Index, v graph.VertexID, lo int, buf []byte) ([]graph.Edge, []byte, error) {
 	start, end := idx.Rec[int(v)-lo], idx.Rec[int(v)-lo+1]
 	if start == end {
 		return nil, buf, nil
@@ -377,7 +399,7 @@ func (l *Layout) readVertexBase(r *storage.Reader, idx *Index, v graph.VertexID,
 	return edges, buf, nil
 }
 
-// readVertexEdgesDelta is the delta-codec arm of ReadVertexEdges.
+// readVertexEdgesDelta is the delta-codec arm of readVertexBase.
 func (l *Layout) readVertexEdgesDelta(r *storage.Reader, idx *Index, v graph.VertexID, lo int, buf []byte) ([]graph.Edge, []byte, error) {
 	k := int(v) - lo
 	o0, o1 := idx.Off[k], idx.Off[k+1]
