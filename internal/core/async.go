@@ -335,6 +335,7 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 		e.valCur[v] = e.valPrev[v]
 		return true
 	})
+	e.fillTerms(e.termCur, e.valCur, lo, hi)
 	for k := range a.dirty {
 		a.dirty[k] = false
 	}
@@ -524,7 +525,7 @@ func (a *asyncRun) scatterRow(i int, get func(j int) (block, error)) (int64, err
 		blk, err := get(j)
 		if err == nil {
 			var n int64
-			n, err = a.scatterApplyBlock(blk, j)
+			n, err = a.scatterApplyBlock(blk, i, j)
 			applied += n
 		}
 		if err != nil {
@@ -550,18 +551,18 @@ func (a *asyncRun) onDemandBlock(i, j int) (blk block, err error) {
 	return block{edges: a.selBlock.edges}, err
 }
 
-// scatterApplyBlock scatters one sub-block from the frozen snapshot — from a
-// run view, only the frozen frontier's runs — releases it and immediately
+// scatterApplyBlock scatters sub-block (i, j) from the frozen snapshot — from
+// a run view, only the frozen frontier's runs — releases it and immediately
 // applies the touched destinations of interval j into the live values,
 // returning the number of vertices applied.
-func (a *asyncRun) scatterApplyBlock(blk block, j int) (int64, error) {
+func (a *asyncRun) scatterApplyBlock(blk block, i, j int) (int64, error) {
 	e := a.e
 	a.blocks++
 	if blk.empty() {
 		return 0, nil
 	}
 	jLo, jHi := e.layout.Meta.Interval(j)
-	err := e.scatterBlock(blk, e.valCur, a.frontier, e.acc, e.touched, jLo, jHi)
+	err := e.scatterBlock(blk, e.from(e.valCur, e.termCur, a.frontier, i), e.acc, e.touched, jLo, jHi)
 	e.src.release(blk)
 	if err != nil {
 		return 0, err

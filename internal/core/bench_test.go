@@ -68,76 +68,102 @@ func BenchmarkEngineBFS(b *testing.B) {
 	}
 }
 
+// scatterCell is one sub-block of a benchmark graph: its edges, in the
+// layout's order (by source, then destination), and its source interval.
+type scatterCell struct {
+	edges        []graph.Edge
+	srcLo, srcHi int
+}
+
+// cutCells returns sub-blocks (i, j) of g cut p ways, for every i in rows.
+func cutCells(g *graph.Graph, p, j int, rows ...int) (cells []scatterCell, lo, hi int) {
+	n := g.NumVertices
+	per := (n + p - 1) / p
+	lo, hi = j*per, min(n, (j+1)*per)
+	for _, i := range rows {
+		c := scatterCell{srcLo: i * per, srcHi: min(n, (i+1)*per)}
+		for _, ed := range g.Edges {
+			if s, d := int(ed.Src), int(ed.Dst); s >= c.srcLo && s < c.srcHi && d >= lo && d < hi {
+				c.edges = append(c.edges, ed)
+			}
+		}
+		slices.SortFunc(c.edges, func(x, y graph.Edge) int {
+			return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
+		})
+		cells = append(cells, c)
+	}
+	return cells, lo, hi
+}
+
 // BenchmarkScatterKernel times Engine.scatter alone, per scatter loop: one op
 // scatters the four sub-blocks of one destination column of the pr_fit graph
-// cut four ways, with every source active or one in a hundred. It reports ns
-// per edge examined and fails if the steady state allocates.
+// cut four ways, with every source active or one in a hundred — and, for the
+// sum loop, cell (1, 2) of the same graph cut eight ways, with every source
+// active or one in four. The sum loop's terms are filled before the clock
+// starts, as a pass fills them once for all its cells. A dense filter holds
+// each cell's whole source row, so the sum loop runs without its filter test.
+// It reports ns per edge examined and fails if the steady state allocates.
 func BenchmarkScatterKernel(b *testing.B) {
-	const p, column = 4, 1
 	rmat, err := gen.RMAT(17, 16, gen.Graph500, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := gen.Weighted(rmat, 9, 8)
 	n := g.NumVertices
-	per := (n + p - 1) / p
-	lo, hi := column*per, min(n, (column+1)*per)
-	// Sub-block (i, column) holds the edges from interval i into the column,
-	// in the layout's order: by source, then destination.
-	blocks := make([][]graph.Edge, p)
-	for _, ed := range g.Edges {
-		if d := int(ed.Dst); d >= lo && d < hi {
-			blocks[int(ed.Src)/per] = append(blocks[int(ed.Src)/per], ed)
-		}
-	}
-	edges := 0
-	for _, blk := range blocks {
-		slices.SortFunc(blk, func(x, y graph.Edge) int {
-			return cmp.Or(cmp.Compare(x.Src, y.Src), cmp.Compare(x.Dst, y.Dst))
-		})
-		edges += len(blk)
-	}
 	degrees := g.OutDegrees()
 	vals := make([]float64, n)
 	for v := range vals {
 		vals[v] = float64(v%97) + 1
 	}
-	dense, sparse := bitset.NewActiveSet(n), bitset.NewActiveSet(n)
-	dense.ActivateAll()
-	for v := 0; v < n; v += 100 {
-		sparse.Activate(v)
+	every := func(k int) *bitset.ActiveSet {
+		set := bitset.NewActiveSet(n)
+		for v := 0; v < n; v += k {
+			set.Activate(v)
+		}
+		return set
 	}
-
-	progs := []struct {
+	type filter struct {
 		name string
-		prog core.Program
-	}{
-		{"generic", hideKernel(&algorithms.SSSP{})},
-		{"sum-over-out-degree", &algorithms.PageRank{}},
-		{"min-copy", &algorithms.ConnectedComponents{}},
-		{"min-plus-one", &algorithms.BFS{}},
-		{"min-plus-weight", &algorithms.SSSP{}},
+		set  *bitset.ActiveSet
 	}
-	for _, pr := range progs {
-		for _, f := range []struct {
-			name   string
-			filter *bitset.ActiveSet
-		}{{"dense", dense}, {"active-1pct", sparse}} {
-			b.Run(pr.name+"/"+f.name, func(b *testing.B) {
-				s, err := core.NewScatterer(pr.prog, degrees)
+	column, lo, hi := cutCells(g, 4, 1, 0, 1, 2, 3)
+	cell, cellLo, cellHi := cutCells(g, 8, 2, 1)
+	cases := []struct {
+		name         string
+		prog         core.Program
+		cells        []scatterCell
+		lo, hi       int
+		dense, other filter
+	}{
+		{"generic", hideKernel(&algorithms.SSSP{}), column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+		{"sum-over-out-degree", &algorithms.PageRank{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+		{"sum-over-out-degree/cell-p8", &algorithms.PageRank{}, cell, cellLo, cellHi, filter{"dense", every(1)}, filter{"active-quarter", every(4)}},
+		{"min-copy", &algorithms.ConnectedComponents{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+		{"min-plus-one", &algorithms.BFS{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+		{"min-plus-weight", &algorithms.SSSP{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+	}
+	for _, c := range cases {
+		edges := 0
+		for _, cl := range c.cells {
+			edges += len(cl.edges)
+		}
+		for _, f := range []filter{c.dense, c.other} {
+			b.Run(c.name+"/"+f.name, func(b *testing.B) {
+				s, err := core.NewScatterer(c.prog, degrees)
 				if err != nil {
 					b.Fatal(err)
 				}
+				s.Fill(vals)
 				acc := make([]float64, n)
 				for v := range acc {
-					acc[v] = pr.prog.Identity()
+					acc[v] = c.prog.Identity()
 				}
 				touched := bitset.NewActiveSet(n)
 				op := func() {
-					for _, blk := range blocks {
-						s.Scatter(blk, vals, f.filter, acc, touched, lo, hi)
+					for _, cl := range c.cells {
+						s.Scatter(cl.edges, vals, f.set, acc, touched, cl.srcLo, cl.srcHi, c.lo, c.hi)
 					}
-					touched.ClearRange(lo, hi)
+					touched.ClearRange(c.lo, c.hi)
 				}
 				if allocs := testing.AllocsPerRun(10, op); allocs != 0 {
 					b.Fatalf("%v allocations per op; the scatter path must not allocate", allocs)

@@ -72,6 +72,10 @@ type Engine struct {
 	newActive       *bitset.ActiveSet
 	prescattered    *bitset.ActiveSet
 
+	// termPrev/termCur: the sum kernel's Gather of valPrev/valCur (fillTerms),
+	// refilled before every scatter that reads them, so never checkpointed.
+	termPrev, termCur []float64
+
 	// sciuCache holds the edges of this iteration's active vertices so the
 	// cross-iteration phase can reuse them without re-reading (Alg 2,
 	// lines 15–23).
@@ -184,6 +188,9 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	}
 	if prog.HasAux() {
 		e.aux = make([]float64, n)
+	}
+	if kernel == KernelSumOverOutDegree {
+		e.termPrev, e.termCur = make([]float64, n), make([]float64, n)
 	}
 	if opts.payloads(&layout.Meta) {
 		e.payloads = true
@@ -490,19 +497,50 @@ func (e *Engine) applyBSP(j int) {
 	e.applied[j] = count > 0
 }
 
-// scatter merges the contributions of edges whose source is in filter into
-// acc/touched, reading source values from vals: the program's kernel over all
-// edges, in order, on the calling goroutine, so a destination's contributions
-// merge in edge order on every host. dstLo/dstHi bound the destinations of
-// edges; the touched bits the call sets are counted over that range, before
-// and after. It keeps no memory, whatever the range.
-func (e *Engine) scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
+// fillTerms sets terms[v] to KernelSumOverOutDegree's Gather of vals[v] for
+// every v in [lo, hi), once the values a scatter's filter picks there are
+// final: at a pass's start, an interval's apply, an async step's freeze. The
+// terms of vertices outside the filter are never read; skipping them would
+// cost a bit test per vertex, more than the division it saves.
+func (e *Engine) fillTerms(terms, vals []float64, lo, hi int) {
+	if e.kernel != KernelSumOverOutDegree {
+		return
+	}
+	t0 := time.Now()
+	terms, vals = terms[lo:hi], vals[lo:hi]
+	for k, deg := range e.degrees[lo:hi] {
+		t := 0.0
+		if deg != 0 {
+			t = vals[k] / float64(deg)
+		}
+		terms[k] = t
+	}
+	e.computeTime += time.Since(t0)
+}
+
+// from is a scatter's source side: vals (terms, for the sum kernel) over filter
+// from source interval i, full when the sum loop may skip its filter test
+// because filter holds all of interval i; i < 0: any interval.
+func (e *Engine) from(vals, terms []float64, filter *bitset.ActiveSet, i int) scatterArgs {
+	full := i >= 0 && e.kernel == KernelSumOverOutDegree &&
+		filter.CountRange(e.layout.Meta.Interval(i)) == e.layout.Meta.IntervalLen(i)
+	return scatterArgs{vals: vals, terms: terms, degrees: e.degrees, filter: filter.Words(), full: full}
+}
+
+// scatter merges the contributions of edges whose source is in src's filter
+// into acc/touched: the program's kernel over all edges, in order, on the
+// calling goroutine, so a destination's contributions merge in edge order on
+// every host. dstLo/dstHi bound the destinations of edges; the touched bits
+// the call sets are counted over that range, before and after. It keeps no
+// memory, whatever the range.
+func (e *Engine) scatter(edges []graph.Edge, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	if len(edges) == 0 {
 		return
 	}
 	t0 := time.Now()
 	before := touched.CountRange(dstLo, dstHi)
-	runKernel(e.kernel, e.prog, edges, scatterArgs{vals: vals, degrees: e.degrees, filter: filter.Words(), acc: acc, touched: touched.Words()})
+	src.acc, src.touched = acc, touched.Words()
+	runKernel(e.kernel, e.prog, edges, src)
 	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
 	e.computeTime += time.Since(t0)
 }

@@ -25,13 +25,20 @@ func NewScatterer(prog Program, degrees []uint32) (*Scatterer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Scatterer{&Engine{prog: prog, kernel: k, degrees: degrees}}, nil
+	return &Scatterer{&Engine{prog: prog, kernel: k, degrees: degrees, termPrev: make([]float64, len(degrees))}}, nil
 }
 
 func (s *Scatterer) Kernel() EdgeKernel { return s.e.kernel }
 
-func (s *Scatterer) Scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
-	s.e.scatter(edges, vals, filter, acc, touched, dstLo, dstHi)
+// Fill fills the terms Scatter reads from vals, as a pass's start does.
+func (s *Scatterer) Fill(vals []float64) { s.e.fillTerms(s.e.termPrev, vals, 0, len(vals)) }
+
+// Scatter scatters edges, whose sources lie in [srcLo, srcHi), from vals and
+// the terms Fill filled of them over filter, as a pass scatters a cell of that
+// source interval: without the filter test when filter holds all of it.
+func (s *Scatterer) Scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, srcLo, srcHi, dstLo, dstHi int) {
+	src := scatterArgs{vals: vals, terms: s.e.termPrev, degrees: s.e.degrees, filter: filter.Words(), full: filter.CountRange(srcLo, srcHi) == srcHi-srcLo}
+	s.e.scatter(edges, src, acc, touched, dstLo, dstHi)
 }
 
 // SparseViewDensity is the frontier density at or below which a full-model
@@ -215,8 +222,8 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 }
 
 // VertexStateBytes is the per-vertex item of RunBytes.
-func VertexStateBytes(m *partition.Manifest, async, aux bool) int64 {
-	return vertexStateBytes(m, async, aux)
+func VertexStateBytes(m *partition.Manifest, async bool, prog Program) int64 {
+	return vertexStateBytes(m, async, prog)
 }
 
 // EngineArrayBytes is what the per-vertex state of a run of prog under opts

@@ -124,23 +124,23 @@ func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (b
 }
 
 // scatterBlock is scatter over a pass block. From a run view it first decodes
-// the runs of the sources in filter — this scatter's own filter, so each of a
-// block's scatters sees exactly the edges the kernel's filter test would have
-// kept of the whole block, in the same order — into the engine's scratch
+// the runs of the sources in the filter — this scatter's own filter, so each
+// of a block's scatters sees exactly the edges the kernel's filter test would
+// have kept of the whole block, in the same order — into the engine's scratch
 // slice; that is decode time, not compute.
-func (e *Engine) scatterBlock(blk block, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) error {
+func (e *Engine) scatterBlock(blk block, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) error {
 	edges := blk.edges
 	if rb := blk.runs; rb != nil {
 		t0 := time.Now()
 		var err error
-		e.runEdges, err = rb.view.AppendActive(e.runEdges[:0], filter.Words())
+		e.runEdges, err = rb.view.AppendActive(e.runEdges[:0], src.filter)
 		e.layout.AddDecodeTime(time.Since(t0))
 		if err != nil {
 			return fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", rb.i, rb.j, err)
 		}
 		edges = e.runEdges
 	}
-	e.scatter(edges, vals, filter, acc, touched, dstLo, dstHi)
+	e.scatter(edges, src, acc, touched, dstLo, dstHi)
 	return nil
 }
 
@@ -179,10 +179,10 @@ func (e *Engine) runPass(cells passCells) error {
 	st := e.openPass(cells)
 	defer st.close()
 	cross := cells.crossIter()
-	// crossScatter is CrossIterUpdate: sources already updated in this
-	// iteration propagate their new value to iteration t+1.
-	crossScatter := func(blk block, lo, hi int) error {
-		return e.scatterBlock(blk, e.valCur, e.newActive, e.accNext, e.touchedNext, lo, hi)
+	// crossScatter is CrossIterUpdate: sources of interval i already updated
+	// in this iteration propagate their new value to iteration t+1.
+	crossScatter := func(blk block, i, lo, hi int) error {
+		return e.scatterBlock(blk, e.from(e.valCur, e.termCur, e.newActive, i), e.accNext, e.touchedNext, lo, hi)
 	}
 
 	for j := 0; j < e.p; j++ {
@@ -220,7 +220,7 @@ func (e *Engine) runPass(cells passCells) error {
 			}
 			// Current-iteration update (UserFunction over all edges whose
 			// source is active).
-			if err := e.scatterBlock(blk, e.valPrev, e.active, e.acc, e.touched, lo, hi); err != nil {
+			if err := e.scatterBlock(blk, e.from(e.valPrev, e.termPrev, e.active, i), e.acc, e.touched, lo, hi); err != nil {
 				return err
 			}
 			if cross && i == j {
@@ -228,13 +228,16 @@ func (e *Engine) runPass(cells passCells) error {
 				continue
 			}
 			if cross && i < j {
-				if err := crossScatter(blk, lo, hi); err != nil {
+				if err := crossScatter(blk, i, lo, hi); err != nil {
 					return err
 				}
 			}
 			e.src.release(blk)
 		}
 		e.applyBSP(j)
+		if cross {
+			e.fillTerms(e.termCur, e.valCur, lo, hi) // for row j's cross scatters
+		}
 		if diagDeferred {
 			// Dead-row diagonal: now that interval j is applied its t+1
 			// activations are final. Load only if there is something to
@@ -252,7 +255,7 @@ func (e *Engine) runPass(cells passCells) error {
 		if !diag.empty() {
 			// Diagonal cross-iteration after interval j's own apply
 			// (Alg 3 lines 13–16).
-			if err := crossScatter(diag, lo, hi); err != nil {
+			if err := crossScatter(diag, j, lo, hi); err != nil {
 				return err
 			}
 			e.src.release(diag)

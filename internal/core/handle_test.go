@@ -252,7 +252,9 @@ func TestAdmissionCoversBlockHandles(t *testing.T) {
 // and its schedule actually allocate, found by walking their fields: equal
 // under BSP, and under async short only by the frontier's vertex list, which
 // grows during the run to at most an interval. (The server once charged 34
-// bytes a vertex against the 48.6 a BSP engine holds.)
+// bytes a vertex against the 48.6 a BSP engine holds.) PageRank and
+// PageRank-Delta scatter through KernelSumOverOutDegree, whose two term
+// arrays the engine holds beside the values.
 func TestRunBytesCoversEngineArrays(t *testing.T) {
 	g, err := gen.RMAT(10, 8, gen.Graph500, 5)
 	if err != nil {
@@ -266,14 +268,18 @@ func TestRunBytesCoversEngineArrays(t *testing.T) {
 	for _, async := range []bool{false, true} {
 		for _, prog := range []func() core.Program{
 			func() core.Program { return &algorithms.ConnectedComponents{} },
+			func() core.Program { return &algorithms.PageRank{} },
 			func() core.Program { return &algorithms.PageRankDelta{} }, // keeps an aux array
 		} {
 			p := prog()
+			if _, mono := p.(core.Monotonic); async && !mono {
+				continue
+			}
 			held, err := core.EngineArrayBytes(l, p, core.Options{Async: async})
 			if err != nil {
 				t.Fatal(err)
 			}
-			charged := core.VertexStateBytes(&l.Meta, async, p.HasAux())
+			charged := core.VertexStateBytes(&l.Meta, async, p)
 			want := held
 			if async {
 				want += 8 * span
@@ -319,8 +325,8 @@ func TestRunBytesPricesPooledSlices(t *testing.T) {
 			if !async {
 				slices++
 			}
-			want := core.VertexStateBytes(m, async, false) + core.HandleBytes(m) + w.window + slices*largest
-			if got := core.RunBytes(m, opts, false); got != want {
+			want := core.VertexStateBytes(m, async, nil) + core.HandleBytes(m) + w.window + slices*largest
+			if got := core.RunBytes(m, opts, nil); got != want {
 				t.Errorf("async=%t depth=%d: RunBytes %d, want %d with %d slices of %d bytes", async, w.depth, got, want, slices, largest)
 			}
 		}
@@ -359,7 +365,7 @@ func TestPooledSlicesStayWithinRunBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
-		priced := core.RunBytes(m, opts, false) - core.VertexStateBytes(m, false, false) - core.HandleBytes(m) - opts.BufferBytes
+		priced := core.RunBytes(m, opts, prog()) - core.VertexStateBytes(m, false, prog()) - core.HandleBytes(m) - opts.BufferBytes
 		if depth > 0 {
 			priced -= opts.PrefetchBytes
 		}
@@ -392,9 +398,9 @@ func TestRunBytesPricesCheckpointImage(t *testing.T) {
 			p := prog()
 			dir := t.TempDir()
 			opts := core.Options{Async: async, MaxIterations: 3}
-			off := core.RunBytes(&l.Meta, opts, p.HasAux())
+			off := core.RunBytes(&l.Meta, opts, p)
 			opts.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir}
-			price := core.RunBytes(&l.Meta, opts, p.HasAux()) - off
+			price := core.RunBytes(&l.Meta, opts, p) - off
 			if _, err := core.Run(l, p, opts); err != nil {
 				t.Fatal(err)
 			}

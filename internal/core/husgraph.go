@@ -96,7 +96,7 @@ func (h *husSchedule) onDemand() error {
 		if err != nil {
 			return fmt.Errorf("core: husgraph row %d: %w", i, err)
 		}
-		e.scatter(batch, e.valPrev, e.active, e.acc, e.touched, 0, e.n)
+		e.scatter(batch, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, 0, e.n)
 	}
 	for j := 0; j < e.p; j++ {
 		e.applyBSP(j)
@@ -114,7 +114,7 @@ func (h *husSchedule) full() error {
 			return err
 		}
 		lo, hi := e.layout.Meta.Interval(j)
-		e.scatter(h.col, e.valPrev, e.active, e.acc, e.touched, lo, hi)
+		e.scatter(h.col, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, lo, hi)
 		e.applyBSP(j)
 	}
 	return nil

@@ -22,7 +22,8 @@ const (
 	// KernelGeneric is the zero value: no specialised loop.
 	KernelGeneric EdgeKernel = iota
 	// KernelSumOverOutDegree: Gather is srcVal/outdeg(src), or 0 for a source
-	// of out-degree zero; Merge is a+b (PageRank, PageRank-Delta).
+	// of out-degree zero; Merge is a+b (PageRank, PageRank-Delta). The engine
+	// takes Gather once per source (fillTerms), the loop adds it per edge.
 	KernelSumOverOutDegree
 	// KernelMinCopy: Gather is srcVal; Merge is the built-in min (label
 	// propagation).
@@ -51,13 +52,14 @@ func kernelOf(prog Program) (EdgeKernel, error) {
 
 // scatterArgs is what every scatter loop reads and writes. filter and touched
 // are the raw words of the source filter and the touched set; destination d
-// lands in acc[d] and bit d of touched.
+// lands in acc[d] and bit d of touched. The sum loop reads terms, not vals.
 type scatterArgs struct {
-	vals    []float64
-	degrees []uint32
-	filter  []uint64
-	acc     []float64
-	touched []uint64
+	vals, terms []float64
+	degrees     []uint32
+	filter      []uint64
+	full        bool
+	acc         []float64
+	touched     []uint64
 }
 
 // hasBit reports whether bit i of words is set.
@@ -84,11 +86,12 @@ func markBit(words []uint64, i int) {
 // runKernel scatters the edges whose source is in the filter. Every
 // specialised loop performs the floating-point operations of
 // Merge(acc, Gather(val, e, deg)) for its algebra, in edge order, so its
-// results are bit-identical to the generic loop's. No loop counts the touched
-// bits it sets: a running count is one live value too many for the register
-// allocator, which then keeps it in memory and chains every edge to the last
-// through a store and a load (15–25% of the loop, measured). The
-// caller takes the difference of two population counts instead.
+// results are bit-identical to the generic loop's (the sum loop's divisions
+// ran in fillTerms). No loop counts the touched bits it sets: a running count
+// is one live value too many for the register allocator, which then keeps it
+// in memory and chains every edge to the last through a store and a load
+// (15–25% of the loop, measured). The caller takes the difference of two
+// population counts instead.
 func runKernel(k EdgeKernel, prog Program, edges []graph.Edge, a scatterArgs) {
 	switch k {
 	case KernelSumOverOutDegree:
@@ -117,17 +120,21 @@ func scatterGeneric(prog Program, edges []graph.Edge, a scatterArgs) {
 }
 
 func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
-	vals, degrees, filter, acc, touched := a.vals, a.degrees, a.filter, a.acc, a.touched
+	terms, filter, acc, touched := a.terms, a.filter, a.acc, a.touched
+	if a.full {
+		for _, ed := range edges {
+			d := int(ed.Dst)
+			acc[d] += terms[ed.Src]
+			markBit(touched, d)
+		}
+		return
+	}
 	for _, ed := range edges {
 		if !hasBit(filter, uint32(ed.Src)) {
 			continue
 		}
-		var g float64
-		if deg := degrees[ed.Src]; deg != 0 {
-			g = vals[ed.Src] / float64(deg)
-		}
 		d := int(ed.Dst)
-		acc[d] += g
+		acc[d] += terms[ed.Src]
 		markBit(touched, d)
 	}
 }

@@ -76,15 +76,16 @@ func TestUnknownKernelRejected(t *testing.T) {
 	}
 }
 
-// scatterCase is one randomly drawn scatter call: a block of edges into the
-// destination interval [lo, hi) of an n-vertex graph, with the state the
-// call reads.
+// scatterCase is one randomly drawn scatter call: a block of edges from the
+// source interval [srcLo, srcHi) into the destination interval [lo, hi) of an
+// n-vertex graph, with the state the call reads.
 type scatterCase struct {
-	n, lo, hi int
-	edges     []graph.Edge
-	vals      []float64
-	degrees   []uint32
-	filter    *bitset.ActiveSet
+	n, lo, hi    int
+	srcLo, srcHi int
+	edges        []graph.Edge
+	vals         []float64
+	degrees      []uint32
+	filter       *bitset.ActiveSet
 	// acc0/touched0 are the accumulators before the call: the identity
 	// except where an earlier block of the pass already landed.
 	acc0     []float64
@@ -107,6 +108,8 @@ func drawScatterCase(rng *rand.Rand, id float64, weighted bool, numEdges int) sc
 			c.vals[v] = math.Inf(-1)
 		case 5:
 			c.vals[v] = math.NaN()
+		case 6:
+			c.vals[v] = math.Copysign(0, -1)
 		default:
 			c.vals[v] = rng.Float64() * 100
 		}
@@ -115,9 +118,10 @@ func drawScatterCase(rng *rand.Rand, id float64, weighted bool, numEdges int) sc
 		}
 	}
 	c.filter = bitset.NewActiveSet(c.n)
-	switch rng.Intn(4) {
+	c.srcLo, c.srcHi = 0, c.n
+	switch f := rng.Intn(5); f {
 	case 0: // empty
-	case 1:
+	case 1: // full: the full-row path over every source
 		c.filter.ActivateAll()
 	case 2:
 		for v := 0; v < c.n; v += 1 + rng.Intn(100) {
@@ -129,11 +133,18 @@ func drawScatterCase(rng *rand.Rand, id float64, weighted bool, numEdges int) sc
 				c.filter.Activate(v)
 			}
 		}
+		if f == 4 { // half, but whole over the edges' source row: the full-row path
+			c.srcLo = rng.Intn(c.n / 2)
+			c.srcHi = c.srcLo + 1 + rng.Intn(c.n-c.srcLo)
+			for v := c.srcLo; v < c.srcHi; v++ {
+				c.filter.Activate(v)
+			}
+		}
 	}
 	// Unsorted, with duplicates and self-loops.
 	c.edges = make([]graph.Edge, numEdges)
 	for k := range c.edges {
-		ed := graph.Edge{Src: graph.VertexID(rng.Intn(c.n)), Dst: graph.VertexID(c.lo + rng.Intn(c.hi-c.lo))}
+		ed := graph.Edge{Src: graph.VertexID(c.srcLo + rng.Intn(c.srcHi-c.srcLo)), Dst: graph.VertexID(c.lo + rng.Intn(c.hi-c.lo))}
 		switch {
 		case k > 0 && rng.Intn(10) == 0:
 			ed = c.edges[rng.Intn(k)]
@@ -174,22 +185,27 @@ func sameFloat(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// run scatters the case through s and returns the accumulators it leaves.
+// run scatters the case through s, its terms filled first, and returns the
+// accumulators it leaves.
 func (c scatterCase) run(s *core.Scatterer) ([]float64, *bitset.ActiveSet) {
 	acc := append([]float64(nil), c.acc0...)
 	touched := bitset.NewActiveSet(c.n)
 	for _, v := range c.touched0 {
 		touched.Activate(v)
 	}
-	s.Scatter(c.edges, c.vals, c.filter, acc, touched, c.lo, c.hi)
+	s.Fill(c.vals)
+	s.Scatter(c.edges, c.vals, c.filter, acc, touched, c.srcLo, c.srcHi, c.lo, c.hi)
 	return acc, touched
 }
 
 // TestKernelMatchesGenericLoop is the differential test of kernel.go: for
 // every built-in that declares a kernel, over random blocks and filters, the
 // specialised loop and the generic Gather/Merge loop leave the same bits in
-// acc, the same touched words and the same touched count. One trial in ten
-// scatters a batch of 128 Ki edges or more, the size of a large sub-block.
+// acc, the same touched words and the same touched count. The sum loop reads
+// the terms Fill made of the values, and runs without the filter test when
+// the filter holds the whole source row: over every source, or over one row
+// of a half filter. One trial in ten scatters a batch of 128 Ki edges or
+// more, the size of a large sub-block.
 func TestKernelMatchesGenericLoop(t *testing.T) {
 	for name, mk := range kernelPrograms() {
 		t.Run(name, func(t *testing.T) {

@@ -84,7 +84,7 @@ func (e *Engine) runSCIU() error {
 			}
 		}
 		jLo, jHi := e.layout.Meta.Interval(req.J)
-		e.scatter(blk.edges, e.valPrev, e.active, e.acc, e.touched, jLo, jHi)
+		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, req.I), e.acc, e.touched, jLo, jHi)
 	}
 
 	for j := 0; j < e.p; j++ {
@@ -98,6 +98,12 @@ func (e *Engine) runSCIU() error {
 		// edges are scattered as one batch, in vertex order: a scatter's
 		// fixed costs (timing, counting the touched bits over [0, n)) are
 		// paid once, not per vertex.
+		for i, live := range e.rowLive { // the batch's sources are active
+			if live {
+				lo, hi := e.layout.Meta.Interval(i)
+				e.fillTerms(e.termCur, e.valCur, lo, hi)
+			}
+		}
 		batch := e.crossEdges[:0]
 		e.newActive.ForEach(func(v int) bool {
 			if edges := e.sciuCache[graph.VertexID(v)]; len(edges) > 0 && e.active.Contains(v) {
@@ -106,7 +112,7 @@ func (e *Engine) runSCIU() error {
 			}
 			return true
 		})
-		e.scatter(batch, e.valCur, e.newActive, e.accNext, e.touchedNext, 0, e.n)
+		e.scatter(batch, e.from(e.valCur, e.termCur, e.newActive, -1), e.accNext, e.touchedNext, 0, e.n)
 		e.crossEdges = batch
 		e.sciuCache = nil
 	}

@@ -19,11 +19,15 @@ import (
 //
 // Values follow the same state (DESIGN.md §11): the pass reads the values of
 // its live rows, charged here, and of the intervals its apply phase visits,
-// charged with their write-back by semEnd.
+// charged with their write-back by semEnd. So do the terms the pass's
+// scatters read (fillTerms): the live rows' values are final.
 func (e *Engine) semBegin() {
 	for i := range e.rowLive {
 		lo, hi := e.layout.Meta.Interval(i)
 		e.rowLive[i] = e.allLive || e.active.CountRange(lo, hi) > 0
+		if e.rowLive[i] {
+			e.fillTerms(e.termPrev, e.valPrev, lo, hi)
+		}
 	}
 	e.layout.ChargeValues(storage.SeqRead, func(i int) bool { return e.rowLive[i] })
 }

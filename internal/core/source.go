@@ -113,12 +113,13 @@ func HandleBytes(m *partition.Manifest) int64 {
 	return total
 }
 
-// RunBytes bounds the memory a run under opts over a layout of manifest m holds
-// at its peak — what admission charges a job (server.estimateBytes); aux says
-// the program keeps an aux array (Program.HasAux). It adds up
+// RunBytes bounds the memory a run of prog (nil: no aux array, no kernel) under
+// opts over a layout of manifest m holds at its peak — what admission charges
+// a job (server.estimateBytes). It adds up
 //
 //   - the per-vertex state: NewEngine's four float64 arrays and five vertex
-//     sets, the aux array, the async schedule's two more sets and its
+//     sets, the aux array (Program.HasAux), the two term arrays of a program
+//     on KernelSumOverOutDegree, the async schedule's two more sets and its
 //     frontier's vertex list (at most an interval), and what run adds — the
 //     uint32 degree table, the file it is read from, the float64 outputs;
 //   - the per-run buffer's capacity, the prefetch window and what the block
@@ -133,10 +134,10 @@ func HandleBytes(m *partition.Manifest) int64 {
 //
 // TestRunBytesCoversEngineArrays holds the first item to what an engine
 // allocates, TestRunBytesPricesCheckpointImage the last to the file it writes.
-func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
-	total := vertexStateBytes(m, opts.Async, aux) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
+func RunBytes(m *partition.Manifest, opts Options, prog Program) int64 {
+	total := vertexStateBytes(m, opts.Async, prog) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
 	if opts.Checkpoint.saveEnabled() {
-		total += checkpointBytes(m, opts.Async, aux)
+		total += checkpointBytes(m, opts.Async, prog != nil && prog.HasAux())
 	}
 	slices := int64(1)
 	if opts.prefetchEnabled() {
@@ -160,12 +161,15 @@ func RunBytes(m *partition.Manifest, opts Options, aux bool) int64 {
 }
 
 // vertexStateBytes is RunBytes' first item: the per-vertex state of a run.
-func vertexStateBytes(m *partition.Manifest, async, aux bool) int64 {
+func vertexStateBytes(m *partition.Manifest, async bool, prog Program) int64 {
 	n := int64(m.NumVertices)
 	set := (n + 63) / 64 * 8
 	total := 4*8*n + 5*set + (4+4+8)*n
-	if aux {
+	if prog != nil && prog.HasAux() {
 		total += 8 * n
+	}
+	if k, _ := kernelOf(prog); k == KernelSumOverOutDegree {
+		total += 2 * 8 * n
 	}
 	if async {
 		total += 2*set + 8*longestInterval(m)
@@ -371,18 +375,18 @@ func (s *blockSource) viewed(i, j int) (block, error) {
 // the block's run directory over it where a decode would expand every edge —
 // built by one scan (graph.RunView.Scan) the first time the run views the
 // block, kept in its handle and re-attached to the bytes every time after. A
-// payload the scan declines — sources not ascending, or damage — goes to the
-// full decoder, which decodes it or says what is wrong with it, so the caller
-// gets edges or the decoded route's error. Scan and fallback are charged as
-// decode time. h is the block's handle, locked; view ends the load through it.
+// payload the scan declines — sources not ascending or outside the cell, or
+// damage — goes to the full decoder, which decodes it or says what is wrong
+// with it, so the caller gets edges or the decoded route's error. Scan and
+// fallback are charged as decode time. h is the block's handle, locked; view
+// ends the load through it.
 func (s *blockSource) view(h *blockHandle, i, j int, rb *runBlock) (block, error) {
 	rb.i, rb.j = i, j
-	iLo, _ := s.layout.Meta.Interval(i)
-	jLo, _ := s.layout.Meta.Interval(j)
+	cell := s.layout.Meta.Cell(i, j)
 	t0 := time.Now()
 	ok := rb.view.Attach(h.dir, rb.buf)
 	if !ok {
-		if ok = rb.view.Scan(rb.buf, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted); ok {
+		if ok = rb.view.ScanCell(rb.buf, cell, s.layout.Meta.Weighted); ok {
 			h.dir = rb.view.Dir()
 		}
 	}
@@ -392,7 +396,7 @@ func (s *blockSource) view(h *blockHandle, i, j int, rb *runBlock) (block, error
 		s.viewBlocks.Add(1)
 		return block{runs: rb}, nil
 	}
-	edges, err := graph.AppendDeltaBlock(nil, rb.buf, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	edges, err := graph.AppendDeltaCell(nil, rb.buf, cell, s.layout.Meta.Weighted)
 	s.layout.AddDecodeTime(time.Since(t0))
 	if !rb.kept {
 		s.views.Put(rb)
@@ -596,9 +600,8 @@ func (s *blockSource) index(i, j int) (*partition.Index, error) {
 
 // pack delta-codes a decoded sub-block for the per-run buffer's payload tier.
 func (s *blockSource) pack(i, j int, edges []graph.Edge) []byte {
-	iLo, _ := s.layout.Meta.Interval(i)
-	jLo, _ := s.layout.Meta.Interval(j)
-	return graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	c := s.layout.Meta.Cell(i, j)
+	return graph.EncodeDeltaBlock(nil, edges, graph.VertexID(c.SrcLo), graph.VertexID(c.DstLo), s.layout.Meta.Weighted)
 }
 
 // notePacked records that a compressed tier admitted payload in place of
@@ -609,14 +612,12 @@ func (s *blockSource) notePacked(payload []byte, decodedSize int64) {
 }
 
 // decode turns a delta-coded payload back into edges, appended to dst (reset),
-// charged as the layout's decode time. EncodeDeltaBlock/AppendDeltaBlock
+// charged as the layout's decode time. EncodeDeltaBlock/AppendDeltaCell
 // round-trip any edge order exactly with bit-preserved weights, so the scatter
 // consumes the identical edge sequence the device would have delivered.
 func (s *blockSource) decode(i, j int, payload []byte, dst []graph.Edge) ([]graph.Edge, error) {
-	iLo, _ := s.layout.Meta.Interval(i)
-	jLo, _ := s.layout.Meta.Interval(j)
 	t0 := time.Now()
-	edges, err := graph.AppendDeltaBlock(dst[:0], payload, graph.VertexID(iLo), graph.VertexID(jLo), s.layout.Meta.Weighted)
+	edges, err := graph.AppendDeltaCell(dst[:0], payload, s.layout.Meta.Cell(i, j), s.layout.Meta.Weighted)
 	s.layout.AddDecodeTime(time.Since(t0))
 	if err != nil {
 		return nil, fmt.Errorf("core: decoding cached sub-block (%d,%d): %w", i, j, err)

@@ -276,32 +276,22 @@ func encodeLayerBlock(upserts, tombs []graph.Edge, srcBase, dstBase graph.Vertex
 // checksum can still name edges outside its cell, which readers index vertex
 // arrays by, so every upsert and tombstone must lie in the cell.
 func (s *Store) decodeLayerBlock(data []byte, id int, b partition.LayerBlock) ([]partition.OverlayEdge, error) {
-	srcLo, srcHi := s.meta.Interval(b.I)
-	dstLo, dstHi := s.meta.Interval(b.J)
 	upLen, n := binary.Uvarint(data)
 	if n <= 0 || upLen > uint64(len(data)-n) {
 		return nil, fmt.Errorf("delta: layer %d block (%d,%d): corrupt section header", id, b.I, b.J)
 	}
-	upserts, err := graph.AppendDeltaBlock(nil, data[n:n+int(upLen)],
-		graph.VertexID(srcLo), graph.VertexID(dstLo), s.meta.Weighted)
+	cell := s.meta.Cell(b.I, b.J)
+	upserts, err := graph.AppendDeltaCell(nil, data[n:n+int(upLen)], cell, s.meta.Weighted)
 	if err != nil {
 		return nil, fmt.Errorf("delta: layer %d block (%d,%d) upserts: %w", id, b.I, b.J, err)
 	}
-	tombs, err := graph.AppendDeltaBlock(nil, data[n+int(upLen):],
-		graph.VertexID(srcLo), graph.VertexID(dstLo), false)
+	tombs, err := graph.AppendDeltaCell(nil, data[n+int(upLen):], cell, false)
 	if err != nil {
 		return nil, fmt.Errorf("delta: layer %d block (%d,%d) tombstones: %w", id, b.I, b.J, err)
 	}
 	if int64(len(upserts)) != b.Upserts || int64(len(tombs)) != b.Tombs {
 		return nil, fmt.Errorf("delta: layer %d block (%d,%d): %d upserts/%d tombstones, manifest says %d/%d",
 			id, b.I, b.J, len(upserts), len(tombs), b.Upserts, b.Tombs)
-	}
-	for _, edges := range [][]graph.Edge{upserts, tombs} {
-		for _, e := range edges {
-			if int(e.Src) < srcLo || int(e.Src) >= srcHi || int(e.Dst) < dstLo || int(e.Dst) >= dstHi {
-				return nil, fmt.Errorf("delta: layer %d block (%d,%d): edge %d→%d lies outside the cell", id, b.I, b.J, e.Src, e.Dst)
-			}
-		}
 	}
 	od := make([]partition.OverlayEdge, 0, len(upserts)+len(tombs))
 	for _, e := range upserts {

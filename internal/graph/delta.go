@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -88,7 +87,23 @@ func EncodeDeltaRun(buf []byte, edges []Edge, srcBase, dstBase VertexID) []byte 
 // the byte range is known to cover whole runs. Weights are left zero: the
 // selective path fetches them from the weight column by record offset.
 func AppendDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge, error) {
-	return decodeDeltaRuns(dst, data, nil, len(data), srcBase, dstBase)
+	return decodeDeltaRuns(dst, data, nil, len(data), srcBase, dstBase, anyCell)
+}
+
+// Cell is a grid cell's vertex ranges, sources [SrcLo, SrcHi) and destinations
+// [DstLo, DstHi); a block of the cell is delta-coded at bases SrcLo and DstLo.
+type Cell struct{ SrcLo, SrcHi, DstLo, DstHi uint64 }
+
+var anyCell = Cell{SrcHi: 1 << 32, DstHi: 1 << 32} // every edge a uint32 names
+
+// Check returns an error naming the first of edges outside c.
+func (c Cell) Check(edges []Edge) error {
+	for _, e := range edges {
+		if uint64(e.Src)-c.SrcLo >= c.SrcHi-c.SrcLo || uint64(e.Dst)-c.DstLo >= c.DstHi-c.DstLo {
+			return fmt.Errorf("graph: edge %d->%d outside cell [%d,%d)x[%d,%d)", e.Src, e.Dst, c.SrcLo, c.SrcHi, c.DstLo, c.DstHi)
+		}
+	}
+	return nil
 }
 
 // decodeDeltaRuns is the one delta-run decoder: it decodes the runs of body
@@ -98,18 +113,19 @@ func AppendDeltaRuns(dst []Edge, data []byte, srcBase, dstBase VertexID) ([]Edge
 // a decoded edge is written once and never revisited. dst is grown only when
 // a run does not fit its spare capacity, and only by a run length already
 // checked against the bytes left (a gap takes at least one), so no
-// unvalidated count sizes an allocation. On error dst comes back at its
-// original length.
-func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase VertexID) ([]Edge, error) {
+// unvalidated count sizes an allocation. Every edge is held to cell c, by the
+// compare a uint32 range check costs. On error dst comes back at its length.
+func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase VertexID, c Cell) ([]Edge, error) {
 	base := len(dst)
+	srcSpan, dstSpan := c.SrcHi-uint64(srcBase), c.DstHi-c.DstLo
 	for off := 0; off < len(body); {
 		srcRel, k := binary.Uvarint(body[off:])
 		if k <= 0 {
 			return dst[:base], fmt.Errorf("graph: delta run: bad source varint")
 		}
 		off += k
-		if srcRel > math.MaxUint32-uint64(srcBase) {
-			return dst[:base], fmt.Errorf("graph: delta run: source %d+%d overflows uint32", srcBase, srcRel)
+		if srcRel >= srcSpan {
+			return dst[:base], fmt.Errorf("graph: delta run: source %d+%d outside [%d,%d)", srcBase, srcRel, c.SrcLo, c.SrcHi)
 		}
 		src := srcBase + VertexID(srcRel)
 		runLen, k := binary.Uvarint(body[off:])
@@ -147,8 +163,8 @@ func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase
 				off += k
 			}
 			prev += int64(ux>>1) ^ -int64(ux&1)
-			if uint64(prev) > math.MaxUint32 {
-				return dst[:base], fmt.Errorf("graph: delta run: destination %d out of uint32 range", prev)
+			if uint64(prev)-c.DstLo >= dstSpan {
+				return dst[:base], fmt.Errorf("graph: delta run: destination %d outside [%d,%d)", prev, c.DstLo, c.DstHi)
 			}
 			run[i] = Edge{Src: src, Dst: VertexID(prev)}
 			if weights != nil {
@@ -190,12 +206,22 @@ func EncodeDeltaBlock(buf []byte, edges []Edge, srcBase, dstBase VertexID, weigh
 // anything is reserved, and the reservation never exceeds 12 bytes per
 // payload byte.
 func AppendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, weighted bool) ([]Edge, error) {
+	return appendDeltaBlock(dst, data, srcBase, dstBase, anyCell, weighted)
+}
+
+// AppendDeltaCell is AppendDeltaBlock for a block of cell c: it refuses an edge
+// outside c, which a checksum does not rule out and a scatter indexes by.
+func AppendDeltaCell(dst []Edge, data []byte, c Cell, weighted bool) ([]Edge, error) {
+	return appendDeltaBlock(dst, data, VertexID(c.SrcLo), VertexID(c.DstLo), c, weighted)
+}
+
+func appendDeltaBlock(dst []Edge, data []byte, srcBase, dstBase VertexID, c Cell, weighted bool) ([]Edge, error) {
 	n, body, weights, ok := cutDeltaBlock(data, weighted)
 	if !ok {
 		return dst, fmt.Errorf("graph: delta block: no edge count that fits %d payload bytes (weighted %t)", len(data), weighted)
 	}
 	base := len(dst)
-	dst, err := decodeDeltaRuns(reserve(dst, int(n)), body, weights, int(n), srcBase, dstBase)
+	dst, err := decodeDeltaRuns(reserve(dst, int(n)), body, weights, int(n), srcBase, dstBase, c)
 	if err != nil {
 		return dst, err
 	}

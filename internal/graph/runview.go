@@ -35,6 +35,7 @@ type RunView struct {
 	own              []runSpan
 	body, weights    []byte
 	srcBase, dstBase VertexID
+	cell             Cell
 }
 
 // RunDir is a scanned block's directory on its own, in memory of exactly its
@@ -43,6 +44,7 @@ type RunView struct {
 type RunDir struct {
 	runs             []runSpan
 	srcBase, dstBase VertexID
+	cell             Cell
 	weighted         bool
 }
 
@@ -53,7 +55,7 @@ func (d RunDir) Bytes() int64 { return int64(len(d.runs)) * 12 }
 func (v *RunView) Dir() RunDir {
 	runs := make([]runSpan, len(v.runs)) // append would round the capacity up
 	copy(runs, v.runs)
-	return RunDir{runs: runs, srcBase: v.srcBase, dstBase: v.dstBase, weighted: v.weights != nil}
+	return RunDir{runs: runs, srcBase: v.srcBase, dstBase: v.dstBase, cell: v.cell, weighted: v.weights != nil}
 }
 
 // Attach makes v a view of data under d, the directory an earlier Scan of the
@@ -71,7 +73,7 @@ func (v *RunView) Attach(d RunDir, data []byte) bool {
 	if end := d.runs[len(d.runs)-1]; n != uint64(end.Rec) || len(body) != int(end.Off) {
 		return false
 	}
-	*v = RunView{own: v.own, runs: d.runs, body: body, weights: weights, srcBase: d.srcBase, dstBase: d.dstBase}
+	*v = RunView{own: v.own, runs: d.runs, body: body, weights: weights, srcBase: d.srcBase, dstBase: d.dstBase, cell: d.cell}
 	return true
 }
 
@@ -91,7 +93,17 @@ func (v *RunView) Attach(d RunDir, data []byte) bool {
 // has no per-source directory, and a zero-length run is nothing the encoder
 // writes: both answer false rather than an error.
 func (v *RunView) Scan(data []byte, srcBase, dstBase VertexID, weighted bool) bool {
-	*v = RunView{own: v.own[:0], srcBase: srcBase, dstBase: dstBase}
+	return v.scanIn(data, srcBase, dstBase, anyCell, weighted)
+}
+
+// ScanCell is Scan for a block of cell c: a source outside c declines the view,
+// a destination outside c fails its run's decode.
+func (v *RunView) ScanCell(data []byte, c Cell, weighted bool) bool {
+	return v.scanIn(data, VertexID(c.SrcLo), VertexID(c.DstLo), c, weighted)
+}
+
+func (v *RunView) scanIn(data []byte, srcBase, dstBase VertexID, c Cell, weighted bool) bool {
+	*v = RunView{own: v.own[:0], srcBase: srcBase, dstBase: dstBase, cell: c}
 	if !v.scan(data, weighted) {
 		*v = RunView{own: v.own[:0]} // a declined view is an empty one
 		return false
@@ -101,7 +113,7 @@ func (v *RunView) Scan(data []byte, srcBase, dstBase VertexID, weighted bool) bo
 }
 
 func (v *RunView) scan(data []byte, weighted bool) bool {
-	srcBase := v.srcBase
+	srcBase, srcSpan := v.srcBase, v.cell.SrcHi-uint64(v.srcBase)
 	n, body, weights, ok := cutDeltaBlock(data, weighted)
 	if !ok || uint64(len(data)) > math.MaxUint32 {
 		return false
@@ -112,7 +124,7 @@ func (v *RunView) scan(data []byte, weighted bool) bool {
 	for off := 0; off < len(body); {
 		start := off
 		srcRel, k := binary.Uvarint(body[off:])
-		if k <= 0 || srcRel > math.MaxUint32-uint64(srcBase) {
+		if k <= 0 || srcRel >= srcSpan {
 			return false
 		}
 		off += k
@@ -225,7 +237,7 @@ func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 		weights = v.weights[int(r.Rec)*WeightBytes:]
 	}
 	before := len(dst)
-	dst, err := decodeDeltaRuns(dst, v.body[r.Off:next.Off], weights, want, v.srcBase, v.dstBase)
+	dst, err := decodeDeltaRuns(dst, v.body[r.Off:next.Off], weights, want, v.srcBase, v.dstBase, v.cell)
 	if err != nil {
 		return dst, err
 	}

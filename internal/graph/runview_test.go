@@ -427,3 +427,54 @@ func TestRunViewAttachHoldsTheShape(t *testing.T) {
 		})
 	}
 }
+
+// TestCellBoundsEveryDecode: under a cell, the block decoder refuses a source
+// or a destination outside it, wherever in the block it sits; a scan declines
+// a run whose source is outside, and a view's decode refuses the run holding a
+// destination outside — while the same bytes decode unbounded, and a block
+// inside its cell decodes the same either way.
+func TestCellBoundsEveryDecode(t *testing.T) {
+	c := Cell{SrcLo: 64, SrcHi: 128, DstLo: 1000, DstHi: 1100}
+	inside := []Edge{{Src: 64, Dst: 1000, Weight: 1}, {Src: 64, Dst: 1099, Weight: 2}, {Src: 127, Dst: 1050, Weight: 3}}
+	data := EncodeDeltaBlock(nil, inside, 64, 1000, true)
+	if got, err := AppendDeltaCell(nil, data, c, true); err != nil || !sameEdgeBits(got, inside) {
+		t.Fatalf("block inside its cell: %v, %v", got, err)
+	}
+	if err := c.Check(inside); err != nil {
+		t.Fatalf("Check of a block inside its cell: %v", err)
+	}
+	for name, bad := range map[string]Edge{
+		"source above":      {Src: 128, Dst: 1000},
+		"destination below": {Src: 100, Dst: 999},
+		"destination above": {Src: 100, Dst: 1100},
+	} {
+		edges := append(slices.Clone(inside[:2]), bad, Edge{Src: 127, Dst: 1050})
+		slices.SortStableFunc(edges, func(x, y Edge) int { return int(x.Src) - int(y.Src) })
+		data := EncodeDeltaBlock(nil, edges, 64, 1000, false)
+		if _, err := AppendDeltaBlock(nil, data, 64, 1000, false); err != nil {
+			t.Fatalf("%s: unbounded decode: %v", name, err)
+		}
+		if _, err := AppendDeltaCell(nil, data, c, false); err == nil {
+			t.Errorf("%s: AppendDeltaCell accepted %d->%d", name, bad.Src, bad.Dst)
+		}
+		if err := c.Check(edges); err == nil {
+			t.Errorf("%s: Check accepted %d->%d", name, bad.Src, bad.Dst)
+		}
+		var v RunView
+		if !v.Scan(data, 64, 1000, false) {
+			t.Fatalf("%s: unbounded scan declined", name)
+		}
+		if !v.ScanCell(data, c, false) {
+			if bad.Src < 128 {
+				t.Errorf("%s: a scan under the cell declined a destination", name)
+			}
+			continue // the caller decodes with AppendDeltaCell
+		}
+		if bad.Src >= 128 {
+			t.Errorf("%s: a scan under the cell accepted source %d", name, bad.Src)
+		}
+		if _, err := v.AppendActive(nil, []uint64{0, ^uint64(0)}); err == nil {
+			t.Errorf("%s: a view under the cell decoded %d->%d", name, bad.Src, bad.Dst)
+		}
+	}
+}

@@ -75,7 +75,8 @@ func (l *Layout) LoadSubBlockFrom(r *storage.Reader, i, j int, dst []graph.Edge,
 }
 
 // loadBaseBlockInto reads and decodes sub-block (i, j)'s base payload —
-// LoadSubBlockFrom without the overlay merge.
+// LoadSubBlockFrom without the overlay merge. Either codec refuses an edge
+// outside the cell, which a checksum does not rule out and a scatter indexes by.
 func (l *Layout) loadBaseBlockInto(r *storage.Reader, i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	buf, err := l.readBlockVerified(r, i, j, buf)
 	if err != nil {
@@ -83,11 +84,12 @@ func (l *Layout) loadBaseBlockInto(r *storage.Reader, i, j int, dst []graph.Edge
 	}
 	t0 := time.Now()
 	if l.Meta.BlockCodec() == graph.CodecDelta {
-		iLo, _ := l.Meta.Interval(i)
-		jLo, _ := l.Meta.Interval(j)
-		dst, err = graph.AppendDeltaBlock(dst, buf, graph.VertexID(iLo), graph.VertexID(jLo), l.Meta.Weighted)
+		dst, err = graph.AppendDeltaCell(dst, buf, l.Meta.Cell(i, j), l.Meta.Weighted)
 	} else {
-		dst, err = graph.AppendEdges(dst, buf, l.Meta.Weighted)
+		base := len(dst)
+		if dst, err = graph.AppendEdges(dst, buf, l.Meta.Weighted); err == nil {
+			err = l.Meta.Cell(i, j).Check(dst[base:])
+		}
 	}
 	l.noteDecode(t0)
 	if err != nil {
@@ -136,9 +138,8 @@ func (l *Layout) LoadSubBlockPayloadFrom(r *storage.Reader, i, j int, buf []byte
 			return nil, nil
 		}
 		t0 := time.Now()
-		iLo, _ := l.Meta.Interval(i)
-		jLo, _ := l.Meta.Interval(j)
-		payload := graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), l.Meta.Weighted)
+		c := l.Meta.Cell(i, j)
+		payload := graph.EncodeDeltaBlock(nil, edges, graph.VertexID(c.SrcLo), graph.VertexID(c.DstLo), l.Meta.Weighted)
 		l.noteDecode(t0)
 		return payload, nil
 	}
@@ -150,14 +151,13 @@ func (l *Layout) LoadSubBlockPayloadFrom(r *storage.Reader, i, j int, buf []byte
 		return buf, nil
 	}
 	t0 := time.Now()
+	c := l.Meta.Cell(i, j)
 	edges, err := graph.AppendEdges(nil, buf, l.Meta.Weighted)
 	if err != nil {
 		l.noteDecode(t0)
 		return nil, fmt.Errorf("partition: decoding sub-block (%d,%d) [raw]: %w", i, j, err)
 	}
-	iLo, _ := l.Meta.Interval(i)
-	jLo, _ := l.Meta.Interval(j)
-	payload := graph.EncodeDeltaBlock(nil, edges, graph.VertexID(iLo), graph.VertexID(jLo), l.Meta.Weighted)
+	payload := graph.EncodeDeltaBlock(nil, edges, graph.VertexID(c.SrcLo), graph.VertexID(c.DstLo), l.Meta.Weighted)
 	l.noteDecode(t0)
 	return payload, nil
 }
@@ -369,10 +369,8 @@ func (l *Layout) readVertexBase(r *storage.Reader, idx *Index, v graph.VertexID,
 	if idx.blockJ >= 0 {
 		dLo, dHi = l.Meta.Interval(idx.blockJ)
 	}
-	for _, e := range edges {
-		if e.Src != v || int(e.Dst) < dLo || int(e.Dst) >= dHi {
-			return nil, buf, fmt.Errorf("partition: %s [%s]: vertex %d read edge %d->%d, outside its cell (destinations [%d,%d))", r.Name(), l.Meta.BlockCodec(), v, e.Src, e.Dst, dLo, dHi)
-		}
+	if err := (graph.Cell{SrcLo: uint64(v), SrcHi: uint64(v) + 1, DstLo: uint64(dLo), DstHi: uint64(dHi)}).Check(edges); err != nil {
+		return nil, buf, fmt.Errorf("partition: %s [%s]: vertex %d: %w", r.Name(), l.Meta.BlockCodec(), v, err)
 	}
 	return edges, buf, nil
 }

@@ -193,6 +193,13 @@ func (m *Manifest) Interval(i int) (lo, hi int) {
 	return lo, hi
 }
 
+// Cell returns sub-block (i, j)'s vertex ranges: intervals i and j.
+func (m *Manifest) Cell(i, j int) graph.Cell {
+	iLo, iHi := m.Interval(i)
+	jLo, jHi := m.Interval(j)
+	return graph.Cell{SrcLo: uint64(iLo), SrcHi: uint64(iHi), DstLo: uint64(jLo), DstHi: uint64(jHi)}
+}
+
 // IntervalOf returns the interval that vertex v belongs to.
 func (m *Manifest) IntervalOf(v graph.VertexID) int {
 	per := (m.NumVertices + m.P - 1) / m.P

@@ -574,7 +574,7 @@ func (s *Server) estimateBytes(req jobs.Request) int64 {
 		// ckRoot (runJob); which one, and how often, does not move the price.
 		opts.Checkpoint = core.CheckpointOptions{Every: 1, Dir: s.ckRoot}
 	}
-	return core.RunBytes(&m, opts, prog != nil && prog.HasAux())
+	return core.RunBytes(&m, opts, prog)
 }
 
 // validate rejects a request the scheduler would accept but the runner

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -322,7 +323,7 @@ func TestServerAdmissionControl(t *testing.T) {
 	if handles, rest := core.HandleBytes(&m), m.EdgeBytesTotal()/4+16<<20; handles == 0 || pr < int64(48*g.NumVertices)+handles+rest {
 		t.Fatalf("pr estimate %d with %d handle bytes and %d of buffer and window: the vertex state or the handles are not charged", pr, handles, rest)
 	}
-	if want := core.RunBytes(&m, core.Options{DefaultBuffer: true, SharedBlocks: s.graphs["g"].shared}, false); pr != want {
+	if want := core.RunBytes(&m, core.Options{DefaultBuffer: true, SharedBlocks: s.graphs["g"].shared}, &algorithms.PageRank{}); pr != want {
 		t.Fatalf("pr estimate %d, core.RunBytes of the job's options %d", pr, want)
 	}
 }
