@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,72 +10,107 @@ import (
 	"github.com/graphsd/graphsd/internal/graph"
 )
 
-// benchCell returns sub-block (0, 0) of the R-MAT graph bench/ partitions
-// (scale 17, edge factor 16, P = 8): the densest cell of a skewed grid, sorted
-// the way the partitioner writes it — about 8 edges per run, mostly 1-2 byte
-// gaps.
-func benchCell(b *testing.B, weighted bool) []graph.Edge {
+// benchGrid returns the sub-blocks of the R-MAT graph bench/ partitions (scale
+// 17, edge factor 16, P = 8), row-major, each sorted the way the partitioner
+// writes it, with the cell's source and destination bases.
+func benchGrid(b *testing.B) (cells [][]graph.Edge, bases [][2]graph.VertexID) {
 	b.Helper()
 	g, err := gen.RMAT(17, 16, gen.Graph500, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	const span = 1 << 17 / 8
-	var cell []graph.Edge
+	const p, span = 8, 1 << 17 / 8
+	cells = make([][]graph.Edge, p*p)
 	for _, e := range g.Edges {
-		if e.Src < span && e.Dst < span {
-			if weighted {
-				e.Weight = float32(len(cell)%97) + 0.5
+		k := int(e.Src/span)*p + int(e.Dst/span)
+		cells[k] = append(cells[k], e)
+	}
+	for k, cell := range cells {
+		sort.Slice(cell, func(x, y int) bool {
+			if cell[x].Src != cell[y].Src {
+				return cell[x].Src < cell[y].Src
 			}
-			cell = append(cell, e)
+			return cell[x].Dst < cell[y].Dst
+		})
+		bases = append(bases, [2]graph.VertexID{graph.VertexID(k / p * span), graph.VertexID(k % p * span)})
+	}
+	return cells, bases
+}
+
+// benchCell returns a copy of sub-block (0, 0) of benchGrid's cells, weighted
+// if asked: the densest cell of a skewed grid — about 8 edges per run, mostly
+// 1-2 byte gaps.
+func benchCell(b *testing.B, cells [][]graph.Edge, weighted bool) []graph.Edge {
+	b.Helper()
+	cell := slices.Clone(cells[0])
+	if weighted {
+		for k := range cell {
+			cell[k].Weight = float32(k%97) + 0.5
 		}
 	}
-	sort.Slice(cell, func(x, y int) bool {
-		if cell[x].Src != cell[y].Src {
-			return cell[x].Src < cell[y].Src
-		}
-		return cell[x].Dst < cell[y].Dst
-	})
 	if len(cell) < 100_000 {
 		b.Fatalf("cell has %d edges, want >= 100000", len(cell))
 	}
 	return cell
 }
 
+// decodeBench decodes every block of blocks per op, into a reused dst or,
+// with fresh set, a nil one, and reports ns per decoded edge.
+func decodeBench(b *testing.B, blocks [][]byte, bases [][2]graph.VertexID, edges int, weighted, fresh bool) {
+	dst := make([]graph.Edge, 0, edges)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n := 0
+		for k, data := range blocks {
+			if fresh {
+				dst = nil
+			}
+			var err error
+			if dst, err = graph.AppendDeltaBlock(dst[:0], data, bases[k][0], bases[k][1], weighted); err != nil {
+				b.Fatal(err)
+			}
+			n += len(dst)
+		}
+		if n != edges {
+			b.Fatalf("decoded %d edges, want %d", n, edges)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(edges), "ns/edge")
+}
+
 // BenchmarkDecodeDeltaBlock is the engine's decode cost per full load:
 // nil-dst is what blockSource and the cache tiers pay (one allocation of 12
 // bytes per edge, nothing else), reused-dst what a caller holding a buffer
-// pays (none).
+// pays (none). lattice is a weighted block of 2-4 edges per run, the sssp
+// workloads' shape; grid decodes every cell of benchGrid once per op, the mix
+// of run lengths and gap widths a full R-MAT pass decodes.
 func BenchmarkDecodeDeltaBlock(b *testing.B) {
+	cells, bases := benchGrid(b)
 	for _, column := range []string{"unweighted", "weighted"} {
 		weighted := column == "weighted"
-		cell := benchCell(b, weighted)
+		cell := benchCell(b, cells, weighted)
 		data := graph.EncodeDeltaBlock(nil, cell, 0, 0, weighted)
 		for _, into := range []string{"nil-dst", "reused-dst"} {
-			reuse := into == "reused-dst"
 			b.Run(into+"/"+column, func(b *testing.B) {
-				var dst []graph.Edge
-				if reuse {
-					dst = make([]graph.Edge, 0, len(cell))
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if !reuse {
-						dst = nil
-					}
-					var err error
-					if dst, err = graph.AppendDeltaBlock(dst[:0], data, 0, 0, weighted); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if len(dst) != len(cell) {
-					b.Fatalf("decoded %d edges, want %d", len(dst), len(cell))
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cell)), "ns/edge")
+				decodeBench(b, [][]byte{data}, [][2]graph.VertexID{{}}, len(cell), weighted, into == "nil-dst")
 			})
 		}
 	}
+	lattice := latticeCell()
+	b.Run("lattice", func(b *testing.B) {
+		data := graph.EncodeDeltaBlock(nil, lattice, 0, 0, true)
+		decodeBench(b, [][]byte{data}, [][2]graph.VertexID{{}}, len(lattice), true, false)
+	})
+	b.Run("grid", func(b *testing.B) {
+		var blocks [][]byte
+		edges := 0
+		for k, cell := range cells {
+			blocks = append(blocks, graph.EncodeDeltaBlock(nil, cell, bases[k][0], bases[k][1], false))
+			edges += len(cell)
+		}
+		decodeBench(b, blocks, bases, edges, false, false)
+	})
 }
 
 // latticeCell returns the first diagonal sub-block of the 128×128 weighted
@@ -99,12 +135,13 @@ func latticeCell() []graph.Edge {
 // as the engine's pool and scratch slice hold it. The crossover the engine's
 // sparseViewDensity sits at follows from these and the full decode's ns/edge.
 func BenchmarkRunView(b *testing.B) {
+	cells, _ := benchGrid(b)
 	for _, c := range []struct {
 		name string
 		cell []graph.Edge
 	}{
 		{"lattice", latticeCell()},
-		{"rmat", benchCell(b, true)},
+		{"rmat", benchCell(b, cells, true)},
 	} {
 		data := graph.EncodeDeltaBlock(nil, c.cell, 0, 0, true)
 		var v graph.RunView

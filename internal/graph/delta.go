@@ -109,17 +109,22 @@ func (c Cell) Check(edges []Edge) error {
 // decodeDeltaRuns is the one delta-run decoder: it decodes the runs of body
 // until body is exhausted, appending at most max edges to dst. When weights
 // is non-nil the k-th edge appended takes its weight from record k of that
-// column in the same pass (the caller has checked it holds max records), so
-// a decoded edge is written once and never revisited. dst is grown only when
-// a run does not fit its spare capacity, and only by a run length already
-// checked against the bytes left (a gap takes at least one), so no
-// unvalidated count sizes an allocation. Every edge is held to cell c, by the
-// compare a uint32 range check costs. On error dst comes back at its length.
+// column (the caller has checked it holds max records), filled run by run
+// after the gaps. dst is grown only when a run does not fit its spare
+// capacity, and only by a run length already checked against the bytes left
+// (a gap takes at least one), so no unvalidated count sizes an allocation.
+// Every edge is held to cell c, by the compare a uint32 range check costs. On
+// error dst comes back at its length. A varint of one or two bytes is read by
+// shortUvarint, any other by binary.Uvarint; both read the first kind to the
+// same value, so every verdict is binary.Uvarint's.
 func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase VertexID, c Cell) ([]Edge, error) {
 	base := len(dst)
-	srcSpan, dstSpan := c.SrcHi-uint64(srcBase), c.DstHi-c.DstLo
+	srcSpan := c.SrcHi - uint64(srcBase)
 	for off := 0; off < len(body); {
-		srcRel, k := binary.Uvarint(body[off:])
+		srcRel, k := shortUvarint(body, off)
+		if k == 0 {
+			srcRel, k = binary.Uvarint(body[off:])
+		}
 		if k <= 0 {
 			return dst[:base], fmt.Errorf("graph: delta run: bad source varint")
 		}
@@ -128,7 +133,10 @@ func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase
 			return dst[:base], fmt.Errorf("graph: delta run: source %d+%d outside [%d,%d)", srcBase, srcRel, c.SrcLo, c.SrcHi)
 		}
 		src := srcBase + VertexID(srcRel)
-		runLen, k := binary.Uvarint(body[off:])
+		runLen, k := shortUvarint(body, off)
+		if k == 0 {
+			runLen, k = binary.Uvarint(body[off:])
+		}
 		if k <= 0 {
 			return dst[:base], fmt.Errorf("graph: delta run: bad length varint")
 		}
@@ -144,36 +152,53 @@ func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase
 			dst = slices.Grow(dst, int(runLen))
 		}
 		run := dst[len(dst) : len(dst)+int(runLen)]
-		prev := int64(dstBase)
-		for i := range run {
-			// Zigzag gap: 1-3 byte varints inline (a gap inside a sub-block's
-			// destination interval rarely needs more), the rest and every
-			// varint near the end of body through binary.Uvarint.
-			var ux uint64
-			if b := body[off:]; len(b) >= 3 && b[0] < 0x80 {
-				ux, off = uint64(b[0]), off+1
-			} else if len(b) >= 3 && b[1] < 0x80 {
-				ux, off = uint64(b[0]&0x7f)|uint64(b[1])<<7, off+2
-			} else if len(b) >= 3 && b[2] < 0x80 {
-				ux, off = uint64(b[0]&0x7f)|uint64(b[1]&0x7f)<<7|uint64(b[2])<<14, off+3
-			} else {
-				if ux, k = binary.Uvarint(b); k <= 0 {
-					return dst[:base], fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
-				}
-				off += k
-			}
-			prev += int64(ux>>1) ^ -int64(ux&1)
-			if uint64(prev)-c.DstLo >= dstSpan {
-				return dst[:base], fmt.Errorf("graph: delta run: destination %d outside [%d,%d)", prev, c.DstLo, c.DstHi)
-			}
-			run[i] = Edge{Src: src, Dst: VertexID(prev)}
-			if weights != nil {
-				run[i].Weight = bitsToFloat(binary.LittleEndian.Uint32(weights[(done+i)*WeightBytes:]))
+		var err error
+		if off, err = decodeGaps(run, body, off, src, int64(dstBase), c); err != nil {
+			return dst[:base], err
+		}
+		if weights != nil {
+			col := weights[done*WeightBytes:]
+			for i := range run {
+				run[i].Weight = bitsToFloat(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
 			}
 		}
 		dst = dst[:len(dst)+len(run)]
 	}
 	return dst, nil
+}
+
+// decodeGaps is decodeDeltaRuns' gap loop, a function of its own so that its
+// state fits in registers; it returns the offset past run's gaps.
+func decodeGaps(run []Edge, body []byte, off int, src VertexID, prev int64, c Cell) (int, error) {
+	lo, span := c.DstLo, c.DstHi-c.DstLo
+	for i := range run {
+		ux, k := shortUvarint(body, off)
+		if k == 0 {
+			if ux, k = binary.Uvarint(body[off:]); k <= 0 {
+				return off, fmt.Errorf("graph: delta run: bad gap varint at edge %d", i)
+			}
+		}
+		off += k
+		prev += int64(ux>>1) ^ -int64(ux&1) // zigzag
+		if uint64(prev)-lo >= span {
+			return off, fmt.Errorf("graph: delta run: destination %d outside [%d,%d)", prev, c.DstLo, c.DstHi)
+		}
+		run[i] = Edge{Src: src, Dst: VertexID(prev)}
+	}
+	return off, nil
+}
+
+// shortUvarint reads a uvarint of one or two bytes at b[off:], its second byte
+// inside b, without a branch on which (gaps at P = 8 are a mix of both): the
+// length is 1 plus the first byte's top bit, which also masks the second byte
+// in. A length of 0 means it is not such a varint.
+func shortUvarint(b []byte, off int) (uint64, int) {
+	if off+2 > len(b) || b[off]&b[off+1] >= 0x80 {
+		return 0, 0
+	}
+	b0, b1 := uint64(b[off]), uint64(b[off+1])
+	two := b0 >> 7
+	return b0&0x7f | b1<<7&-two, 1 + int(two)
 }
 
 // EncodeDeltaBlock appends the delta encoding of a whole block to buf:

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime/debug"
@@ -238,5 +239,124 @@ func TestDeltaBlockRejectsOutOfRange(t *testing.T) {
 	// left before it sizes anything.
 	if out, err := AppendDeltaRuns(nil, []byte{0x00, 0x03, 0x00}, 0, 0); err == nil || cap(out) != 0 {
 		t.Errorf("3-edge run over 1 byte: capacity %d, error %v", cap(out), err)
+	}
+}
+
+// readerBoundary is a block whose one interesting varint sits where the
+// decoder's varint reader changes its mind: body is its run section.
+type readerBoundary struct {
+	name     string
+	data     []byte
+	body     []byte
+	weighted bool
+	zeroRun  bool // the block holds a run of length 0, which a view declines
+}
+
+// readerBoundaries builds, for a gap, a source header and a length header,
+// a block with each of these varints there: one byte, two bytes, the
+// non-canonical 0x80 0x00, a second byte that continues (three bytes), ten
+// bytes holding the largest value, eleven bytes (overlong) — none of them at
+// the end of the run section — and each one's first byte as the section's
+// last byte. The weight column's bytes have their top bit clear, so a reader
+// that looked past the run section would find a varint's end there.
+func readerBoundaries() []readerBoundary {
+	varints := []struct {
+		name string
+		v    []byte
+	}{
+		{"one byte", []byte{0x06}},
+		{"two bytes", []byte{0x86, 0x01}},
+		{"non-canonical 0x80 0x00", []byte{0x80, 0x00}},
+		{"second byte continues", []byte{0x80, 0x80, 0x01}},
+		{"ten bytes", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}},
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00}},
+	}
+	var out []readerBoundary
+	for _, at := range []string{"gap", "source", "length"} {
+		for _, last := range []bool{false, true} {
+			for _, c := range varints {
+				v, name := c.v, at+"/"+c.name
+				if last {
+					v, name = v[:1], at+"/last byte/"+c.name
+				}
+				// Runs of source 1, or v, whose other gaps are +1 (0x02); a
+				// run length v is followed by v gaps, up to 1<<15, or by one.
+				var body []byte
+				zeroRun := false
+				switch {
+				case at == "gap" && !last:
+					body = append(append([]byte{0x01, 0x02}, v...), 0x02)
+				case at == "gap":
+					body = append([]byte{0x01, 0x01}, v...)
+				case at == "source" && !last:
+					body = append(slices.Clone(v), 0x01, 0x02)
+				case at == "source":
+					body = append([]byte{0x01, 0x01, 0x02}, v...)
+				case !last:
+					body = append([]byte{0x01}, v...)
+					gaps := uint64(1)
+					if n, k := binary.Uvarint(v); k > 0 && n <= 1<<15 {
+						gaps, zeroRun = n, n == 0
+					}
+					for ; gaps > 0; gaps-- {
+						body = append(body, 0x02)
+					}
+				default:
+					body = append([]byte{0x01, 0x01, 0x02, 0x07}, v...)
+				}
+				n := 1
+				if edges, err := oracleDeltaRuns(nil, body, 0, 0); err == nil {
+					n = len(edges)
+				}
+				for _, weighted := range []bool{false, true} {
+					data := binary.AppendUvarint(nil, uint64(n))
+					k := len(data)
+					data = append(data, body...)
+					for w := 0; weighted && w < n; w++ {
+						data = append(data, 0x01, 0x02, 0x03, 0x04)
+					}
+					out = append(out, readerBoundary{name, data, data[k : k+len(body)], weighted, zeroRun})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestDeltaVarintReaderBoundaries holds the decoder's varint reader to the
+// oracle on every branch it takes — a one- or two-byte varint read whole, a
+// longer one, and one at the end of the run section, each handed to
+// binary.Uvarint — as a gap, a source and a run length, in a block and in a
+// bare run section; and a view under a cell to the full decoder's verdict.
+func TestDeltaVarintReaderBoundaries(t *testing.T) {
+	prefix := []Edge{{Src: 7, Dst: 9, Weight: 2.5}}
+	cell := Cell{SrcHi: 1 << 32, DstHi: 1 << 32}
+	accepted := map[bool]int{}
+	for _, c := range readerBoundaries() {
+		name := fmt.Sprintf("%s weighted=%t", c.name, c.weighted)
+		checkBlockAgainstOracle(t, prefix, c.data, 0, 0, c.weighted)
+		checkRunsAgainstOracle(t, prefix, c.body, 0, 0)
+		full, fullErr := AppendDeltaCell(nil, c.data, cell, c.weighted)
+		accepted[fullErr == nil]++
+		var v RunView
+		if !v.ScanCell(c.data, cell, c.weighted) {
+			if fullErr == nil && !c.zeroRun {
+				t.Errorf("%s: the view declines a block the decoder accepts", name)
+			}
+			continue
+		}
+		var every []VertexID
+		for _, r := range v.runs[:len(v.runs)-1] {
+			every = append(every, r.Src)
+		}
+		withFilter(every, func(filter []uint64) {
+			got, err := v.AppendActive(nil, filter)
+			if (err == nil) != (fullErr == nil) || (err == nil && !sameEdgeBits(got, full)) {
+				t.Errorf("%s: view decodes %d edges, %v; the decoder %d, %v", name, len(got), err, len(full), fullErr)
+			}
+		})
+	}
+	if accepted[true] == 0 || accepted[false] == 0 {
+		t.Fatalf("%d blocks accepted, %d refused: the cases no longer reach both verdicts", accepted[true], accepted[false])
 	}
 }

@@ -94,6 +94,9 @@ func FuzzDeltaBlockDecode(f *testing.F) {
 	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 5, Dst: 9}, {Src: 5, Dst: 11}}, 0, 0, false), uint32(0), uint32(0), false)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}, uint32(0), uint32(0), true)
 	f.Add(EncodeDeltaBlock(nil, []Edge{{Src: 9, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true), uint32(4), uint32(1<<21), true)
+	for _, c := range readerBoundaries() {
+		f.Add(c.data, uint32(0), uint32(0), c.weighted)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, srcBase, dstBase uint32, weighted bool) {
 		prefix := []Edge{{Src: 1, Dst: 2, Weight: 3}}
 		checkBlockAgainstOracle(t, prefix, data, VertexID(srcBase), VertexID(dstBase), weighted)

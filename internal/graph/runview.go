@@ -123,7 +123,10 @@ func (v *RunView) scan(data []byte, weighted bool) bool {
 	prev := int64(-1)
 	for off := 0; off < len(body); {
 		start := off
-		srcRel, k := binary.Uvarint(body[off:])
+		srcRel, k := shortUvarint(body, off)
+		if k == 0 {
+			srcRel, k = binary.Uvarint(body[off:])
+		}
 		if k <= 0 || srcRel >= srcSpan {
 			return false
 		}
@@ -133,7 +136,10 @@ func (v *RunView) scan(data []byte, weighted bool) bool {
 			return false
 		}
 		prev = int64(src)
-		runLen, k := binary.Uvarint(body[off:])
+		runLen, k := shortUvarint(body, off)
+		if k == 0 {
+			runLen, k = binary.Uvarint(body[off:])
+		}
 		if k <= 0 {
 			return false
 		}

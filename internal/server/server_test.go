@@ -22,7 +22,7 @@ import (
 
 // buildLayoutDir preprocesses a small RMAT graph into a fresh directory and
 // returns it, for registering with a test server.
-func buildLayoutDir(t *testing.T, scale int, seed int64, p int) (string, *graph.Graph) {
+func buildLayoutDir(t testing.TB, scale int, seed int64, p int) (string, *graph.Graph) {
 	t.Helper()
 	g, err := gen.RMAT(scale, 8, gen.Graph500, seed)
 	if err != nil {
@@ -39,7 +39,7 @@ func buildLayoutDir(t *testing.T, scale int, seed int64, p int) (string, *graph.
 	return dir, g
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
