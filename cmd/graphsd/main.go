@@ -327,8 +327,8 @@ func cmdRun(args []string) error {
 			res.Codec, res.CompressRatio, res.DecodeTime.Round(time.Microsecond))
 	}
 	if pl := res.Pipeline; pl.Blocks > 0 {
-		fmt.Printf("pipeline: %d blocks (%s) prefetched, stall=%v overlap=%v\n",
-			pl.Blocks, storage.FormatBytes(pl.Bytes),
+		fmt.Printf("pipeline: %d blocks (%s): %d prefetched, %d loaded inline, stall=%v overlap=%v\n",
+			pl.Blocks, storage.FormatBytes(pl.Bytes), pl.Blocks-pl.Inline, pl.Inline,
 			pl.Stall.Round(time.Microsecond), pl.Overlap.Round(time.Microsecond))
 	}
 	if res.Resumed {
@@ -371,7 +371,7 @@ func cmdRun(args []string) error {
 		}
 	}
 	if *trace {
-		tr := metrics.NewTable("per-iteration trace", "iter", "path", "active", "bytes", "skipped", "io time", "compute", "decode", "stall", "overlap", "predicted", "mispredict")
+		tr := metrics.NewTable("per-iteration trace", "iter", "path", "active", "bytes", "skipped", "wall", "io time", "compute", "decode", "stall", "overlap", "predicted", "mispredict")
 		for _, st := range res.IterStats {
 			pred, mis := "-", "-"
 			if st.Predicted > 0 {
@@ -383,7 +383,7 @@ func cmdRun(args []string) error {
 				skipped = fmt.Sprintf("%d (%s)", st.Pipeline.Skipped, storage.FormatBytes(st.Pipeline.SkippedBytes))
 			}
 			tr.AddRow(fmt.Sprint(st.Index), st.Path, fmt.Sprint(st.Active),
-				storage.FormatBytes(st.IO.TotalBytes()), skipped, metrics.Dur(st.IOTime), metrics.Dur(st.ComputeTime),
+				storage.FormatBytes(st.IO.TotalBytes()), skipped, metrics.Dur(st.Wall), metrics.Dur(st.IOTime), metrics.Dur(st.ComputeTime),
 				metrics.DurZ(st.DecodeTime), metrics.DurZ(st.Pipeline.Stall), metrics.DurZ(st.Pipeline.Overlap),
 				pred, mis)
 		}

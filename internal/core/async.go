@@ -6,7 +6,7 @@
 // its whole grid row atomically: the row's frontier is frozen, the frozen
 // vertices' live values are snapshotted, every non-empty sub-block (i, j)
 // is served from the per-run buffer when resident there, and otherwise
-// streamed (through the prefetch pipeline and shared cache) or loaded
+// streamed (inline as run views, or through the prefetch pipeline) or loaded
 // selectively (per-vertex reads, when the row's frontier is sparse enough
 // that the cost model prices them below streaming what is not resident);
 // its contributions are scattered through the program's kernel and applied
@@ -30,12 +30,12 @@
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
 // rows the scheduler ranks highest, in the form the codec gives it — verified
-// payloads on a delta layout, served as run views over a narrow frozen
-// frontier; decoded edges on a raw one — and a resident block's priority is
-// its row's queue key, so the buffer evicts what the queue will pop last. The
-// queue key itself never looks at the buffer: checkpoints do not carry it, a
-// resumed run starts cold, and it has to pop the same rows in the same order.
-// Residency changes which bytes move, never which row runs.
+// payloads on a delta layout, which a sparse row takes as run views on the
+// consumer, like its misses; decoded edges on a raw one — and a resident block's
+// priority is its row's queue key, so the buffer evicts what the queue will
+// pop last. The queue key itself never looks at the buffer: checkpoints do not
+// carry it, a resumed run starts cold, and it has to pop the same rows in the
+// same order. Residency changes which bytes move, never which row runs.
 package core
 
 import (
@@ -455,10 +455,11 @@ func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
 // scatterRowStreamed processes row i through the per-run buffer in the form
 // the codec gives it — on a delta layout FCIU's payload route (holdPayload,
-// takePayload), whose hits over a narrow frozen frontier are run views that
-// decode only the active sources' runs; on a raw layout decoded edges
-// (bufferedBlock). Misses stream through a block stream and are offered at the
-// row in hand's priority.
+// takePayload); on a raw layout decoded edges (bufferedBlock). Misses stream
+// through a block stream and are offered at the row in hand's priority. Over
+// viewable blocks and a frozen frontier of at most one in rowViewDensity, every
+// cell, hit or miss, is a run view that decodes only that frontier's runs, on
+// an inline stream (viewRoute).
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
 	cols := a.rowBlocks[i]
@@ -466,8 +467,7 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 		return 0, nil
 	}
 	lo, hi := e.layout.Meta.Interval(i)
-	narrow := len(a.frontList)*sparseViewDensity <= hi-lo
-	sparse := narrow && e.viewable()
+	narrow, sparse := e.viewRoute(len(a.frontList), hi-lo, rowViewDensity)
 	var reqs []pipeline.Request
 	for _, j := range cols {
 		if e.payloads {
@@ -479,7 +479,7 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 		}
 		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 	}
-	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, sparse, func(i, j int) (block, error) {
 		if e.payloads {
 			return e.heldBlock(i, j, sparse)
 		}

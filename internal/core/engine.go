@@ -15,18 +15,26 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// sparseViewDensity is how sparse a full-model pass's frontier must be — at
-// most one active vertex in this many — for the pass to take its blocks as run
-// views and decode only the active sources' runs (fciu.go, openPass). A view
-// costs one directory scan per block (1.1–3.4 ns/edge) and a per-run decode of
-// the active edges on the consumer, per scatter, where the decoded route pays
-// 8.8 ns/edge once on a prefetch worker (BenchmarkRunView,
-// BenchmarkDecodeDeltaBlock). Timed pass by pass over frontiers drawn at a
-// fixed density, on an R-MAT and a lattice layout, a plain full pass crosses
-// over between one in 2 and one in 4 and an FCIU first pass, which scatters
-// most blocks twice, between one in 4 and one in 8; this is the first power of
-// two at which views measured faster on all four (CHANGES.md, PR 18).
-const sparseViewDensity = 8
+// sparseViewDensity is how sparse a BSP pass's frontier must be — at most one
+// active vertex in this many — for the pass to take its blocks as run views and
+// decode only the active sources' runs, and rowViewDensity how sparse an async
+// row's frozen frontier must be for the row to (viewRoute); sparseViewDensity
+// also bounds which resident hits stay off a pass's or row's stream
+// (holdPayload). A view costs one directory scan per block (1.1–3.4 ns/edge)
+// and a per-run decode of the active edges on the consumer, per scatter, where
+// the decoded route pays 8.8 ns/edge once on a prefetch worker
+// (BenchmarkRunView, BenchmarkDecodeDeltaBlock). Timed pass by pass over
+// frontiers drawn at a fixed density, on an R-MAT and a lattice layout, a plain
+// full pass crosses over between one in 2 and one in 4 and an FCIU first pass,
+// which scatters most blocks twice, between one in 4 and one in 8; this is the
+// first power of two at which views measured faster on all four (CHANGES.md). A
+// row scatters each cell once, so rowViewDensity is the plain pass's crossover
+// at its sparse end: R-MAT rows any denser ran up to 1.8× slower as views
+// (CHANGES.md).
+const (
+	sparseViewDensity = 8
+	rowViewDensity    = 4
+)
 
 // Engine executes a vertex program over a partitioned on-disk graph using
 // GraphSD's state- and dependency-aware update strategy — or, over a layout
@@ -42,8 +50,8 @@ type Engine struct {
 
 	// payloads: the per-run buffer keeps its sub-blocks — FCIU's secondaries,
 	// the async row step's cells — as their delta payloads, which a hit
-	// decodes on a prefetch worker (or, over a narrow frontier, views on the
-	// consumer): the rule on a delta-coded layout, whatever the schedule. On a
+	// decodes on a prefetch worker or views on the consumer (viewRoute):
+	// the rule on a delta-coded layout, whatever the schedule. On a
 	// raw layout it keeps decoded edges, served to the consumer as they are
 	// (DESIGN.md §9). held[i*p+j] is the payload holdPayload found resident for
 	// cell (i, j) of the stream in progress, nil for a miss.
@@ -333,9 +341,11 @@ func (e *Engine) run() (*Result, error) {
 		decodeBefore := e.layout.DecodeTime()
 
 		st = IterStat{Index: n, Active: e.active.Count()}
+		t0 := time.Now()
 		if err := s.step(n, &st); err != nil {
 			return nil, err
 		}
+		st.Wall = time.Since(t0)
 		n++
 
 		st.IO = dev.Stats().Sub(ioBefore)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -13,6 +14,7 @@ import (
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/pipeline"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // Scatterer drives Engine.scatter over caller-built arrays, with no layout
@@ -44,6 +46,62 @@ func (s *Scatterer) Scatter(edges []graph.Edge, vals []float64, filter *bitset.A
 // SparseViewDensity is the frontier density at or below which a full-model
 // pass takes run views.
 const SparseViewDensity = sparseViewDensity
+
+// RowViewDensity is the frozen-frontier density at or below which an async
+// row takes run views.
+const RowViewDensity = rowViewDensity
+
+// RunCountingRowViews is RunCountingViews, poisoning, under the async schedule
+// with no per-run buffer, that also reports per step the row whose cells it
+// read (-1: none) and that row's frozen frontier, the row's vertices active as
+// the step began (-1: not known — before the first step only a frontier of one
+// vertex, or of every vertex, tells it).
+func RunCountingRowViews(layout *partition.Layout, prog Program, opts Options) (res *Result, views []int64, rows, frozen []int, err error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	e.src.poison = true
+	var mu sync.Mutex
+	row := -1
+	layout.Dev.SetTracer(func(ev storage.TraceEvent) {
+		var i, j int
+		if _, err := fmt.Sscanf(ev.Name, "blocks/b_%04d_%04d.edges", &i, &j); err == nil {
+			mu.Lock()
+			row = i
+			mu.Unlock()
+		}
+	})
+	defer layout.Dev.SetTracer(nil)
+	var entering []int // active vertices per interval as the coming step begins
+	var seen int64
+	e.opts.OnIteration = func(st IterStat) {
+		now := e.src.viewBlocks.Load()
+		views, seen = append(views, now-seen), now
+		mu.Lock()
+		i := row
+		row = -1
+		mu.Unlock()
+		f := -1
+		switch {
+		case i < 0:
+		case entering != nil:
+			f = entering[i]
+		case st.Active == 1:
+			f = 1
+		case st.Active == e.n:
+			lo, hi := layout.Meta.Interval(i)
+			f = hi - lo
+		}
+		rows, frozen = append(rows, i), append(frozen, f)
+		entering = entering[:0]
+		for k := 0; k < e.p; k++ {
+			entering = append(entering, e.active.CountRange(layout.Meta.Interval(k)))
+		}
+	}
+	res, err = e.run()
+	return res, views, rows, frozen, err
+}
 
 // RunCountingViews is Run that also reports, per iteration, how many
 // sub-blocks reached the pass as run views. With poison set the source

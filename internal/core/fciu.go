@@ -61,13 +61,12 @@ func (e *Engine) resident(cells passCells, i, j int) bool {
 //     here, and takes the miss's payload back in passBlock, at its estimated
 //     active-edge count (holdPayload, takePayload).
 //
-// A pass is narrow when its frontier holds at most one vertex in
-// sparseViewDensity, and sparse when it is narrow over viewable blocks: every
-// cell of a sparse pass arrives as a run view; everything else decodes in full.
+// A pass is narrow and sparse as viewRoute says: every cell of a sparse pass
+// arrives as a run view, loaded inline; everything else decodes in full, on
+// the prefetch workers.
 func (e *Engine) openPass(cells passCells) *blockStream[block] {
 	var reqs []pipeline.Request
-	narrow := e.active.Count()*sparseViewDensity <= e.n
-	sparse := narrow && e.viewable()
+	narrow, sparse := e.viewRoute(e.active.Count(), e.n, sparseViewDensity)
 	clear(e.held)
 	for j := 0; j < e.p; j++ {
 		for i := cells.firstRow(j); i < e.p; i++ {
@@ -86,7 +85,7 @@ func (e *Engine) openPass(cells passCells) *blockStream[block] {
 			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (block, error) {
+	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, sparse, func(i, j int) (block, error) {
 		switch {
 		case e.payloads && cells.buffered():
 			return e.heldBlock(i, j, sparse)

@@ -304,8 +304,11 @@ type IterStat struct {
 	IOTime      time.Duration
 	ComputeTime time.Duration
 	DecodeTime  time.Duration
+	// Wall is the iteration's host wall-clock: its compute, its stall and
+	// what neither accounts for.
+	Wall time.Duration
 	// Pipeline is the iteration's share of the I/O–compute pipeline
-	// activity (stall and overlap wall-clock, blocks prefetched).
+	// activity (stall and overlap wall-clock, blocks delivered).
 	Pipeline pipeline.Stats
 	// Predicted is the scheduler's corrected cost estimate for the executed
 	// model and Mispredict the relative error against IOTime. Both stay zero

@@ -5,10 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
+	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
 )
 
 // TestOnIterationHook: under either schedule the hook fires once per
@@ -38,6 +41,47 @@ func TestOnIterationHook(t *testing.T) {
 				t.Fatalf("%d checkpoints over %d steps at Every=3", res.Checkpoints, res.Iterations)
 			}
 		})
+	}
+}
+
+// TestIterStatWallCoversComputeAndStall: the consumer computes and stalls one
+// after the other, so a step's wall-clock holds both, and the steps of a run
+// take no more than its wall-clock between them — under either schedule, over a
+// prefetch pipeline (PageRank's dense passes) and inline streams (SSSP's run
+// views).
+func TestIterStatWallCoversComputeAndStall(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := codecLayout(t, gen.Weighted(gen.Grid(48), 16, 3), 4, graph.CodecDelta)
+	for _, c := range []struct {
+		name   string
+		layout *partition.Layout
+		prog   core.Program
+		opts   core.Options
+	}{
+		{"pr-bsp", codecLayout(t, rmat, 4, graph.CodecDelta), &algorithms.PageRank{Iterations: 4}, core.Options{ForceModel: core.ForceFull}},
+		{"sssp-bsp", lattice, &algorithms.SSSP{Source: 0}, core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}},
+		{"sssp-async", lattice, &algorithms.SSSP{Source: 0}, core.Options{Async: true, DefaultBuffer: true}},
+	} {
+		res, err := core.Run(c.layout, c.prog, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum time.Duration
+		for _, st := range res.IterStats {
+			if st.Wall < st.ComputeTime+st.Pipeline.Stall {
+				t.Errorf("%s: step %d (%s) wall %v < compute %v + stall %v", c.name, st.Index, st.Path, st.Wall, st.ComputeTime, st.Pipeline.Stall)
+			}
+			sum += st.Wall
+		}
+		if sum <= 0 || sum > res.WallTime {
+			t.Errorf("%s: steps' wall %v, run's %v", c.name, sum, res.WallTime)
+		}
+		if res.Pipeline.Stall <= 0 {
+			t.Errorf("%s: no stall recorded: %+v", c.name, res.Pipeline)
+		}
 	}
 }
 

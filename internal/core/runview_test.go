@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
@@ -11,6 +13,7 @@ import (
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // decodedRoute returns opts with a shared cache of no capacity in front of the
@@ -201,6 +204,168 @@ func TestViewBlockFaultDegradesLikeAnyOther(t *testing.T) {
 		}
 		if want := len(cells) - failIdx; res.Pipeline.Fallbacks != want {
 			t.Fatalf("fault at request %d: Fallbacks = %d, want exactly %d", failIdx, res.Pipeline.Fallbacks, want)
+		}
+		sameOutputBits(t, "degraded run vs clean run", res.Outputs, clean.Outputs)
+	}
+}
+
+// TestAsyncViewRouteMatchesDecodedRoute holds the async row step on a delta
+// layout — a row over a frozen frontier of at most one vertex in
+// RowViewDensity takes its cells as run views, its stream loaded inline; a
+// denser row decodes them on the prefetch workers — to the decoded route: same
+// outputs by bits, the same steps through the same paths, the same device
+// traffic and stream deliveries in every step, the same buffer outcomes. A
+// step views every block it scatters or none. Unbuffered, where a step's row
+// shows in the files it reads, it views exactly when its frozen frontier is
+// that sparse: steps denser than SparseViewDensity included, and never a step
+// that freezes a whole row, as PageRank-Delta's first, entered with every
+// vertex active, does.
+func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lattice := gen.Weighted(gen.Grid(48), 16, 3)
+	for _, pc := range []struct {
+		name  string
+		g     *graph.Graph
+		prog  func() core.Program
+		band  bool // some step viewed is denser than SparseViewDensity
+		dense bool // some streamed step freezes a whole row
+	}{
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false},
+		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false},
+		{"prdelta-rmat", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 30} }, false, true},
+	} {
+		delta := codecLayout(t, pc.g, 4, graph.CodecDelta)
+		band, dense := false, false
+		for _, oracle := range []struct {
+			name  string
+			route func(core.Options) core.Options
+		}{{"encoded", decodedRoute}, {"cached", cachedRoute}} {
+			for _, buffered := range []bool{false, true} {
+				opts := core.Options{Async: true, DefaultBuffer: buffered}
+				t.Run(fmt.Sprintf("%s/oracle=%s/buffer=%t", pc.name, oracle.name, buffered), func(t *testing.T) {
+					var got *core.Result
+					var views []int64
+					var rows, frozen []int
+					var err error
+					if buffered {
+						got, views, err = core.RunCountingViews(delta, pc.prog(), opts, true)
+					} else {
+						got, views, rows, frozen, err = core.RunCountingRowViews(delta, pc.prog(), opts)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := core.Run(delta, pc.prog(), oracle.route(opts))
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameOutputBits(t, "view route vs decoded route", got.Outputs, want.Outputs)
+					if got.Iterations != want.Iterations || got.Converged != want.Converged {
+						t.Fatalf("run shape: %d steps converged=%t, decoded route %d/%t", got.Iterations, got.Converged, want.Iterations, want.Converged)
+					}
+					if got.Buffer != want.Buffer {
+						t.Errorf("buffer stats %+v, decoded route %+v", got.Buffer, want.Buffer)
+					}
+					for k, st := range got.IterStats {
+						ref := want.IterStats[k]
+						if st.Path != ref.Path || st.Active != ref.Active || st.Blocks != ref.Blocks {
+							t.Fatalf("step %d: %s over %d active, %d blocks; decoded route %s over %d, %d blocks", k, st.Path, st.Active, st.Blocks, ref.Path, ref.Active, ref.Blocks)
+						}
+						if st.IO != ref.IO {
+							t.Errorf("step %d (%s): device traffic %+v, decoded route %+v", k, st.Path, st.IO, ref.IO)
+						}
+						if a, b := st.Pipeline, ref.Pipeline; a.Blocks != b.Blocks || a.Bytes != b.Bytes || a.Skipped != b.Skipped || a.SkippedBytes != b.SkippedBytes || a.Fallbacks != b.Fallbacks {
+							t.Errorf("step %d (%s): pipeline %+v, decoded route %+v", k, st.Path, st.Pipeline, ref.Pipeline)
+						}
+						viewed := views[k] > 0
+						if viewed && views[k] != int64(st.Blocks) {
+							t.Errorf("step %d (%s): %d view blocks of %d scattered", k, st.Path, views[k], st.Blocks)
+						}
+						if inline := st.Pipeline.Inline; (viewed && inline != st.Pipeline.Blocks) || (!viewed && inline != 0) || ref.Pipeline.Inline != 0 {
+							t.Errorf("step %d (%s, viewed %t): %d of %d blocks inline, decoded route %d", k, st.Path, viewed, inline, st.Pipeline.Blocks, ref.Pipeline.Inline)
+						}
+						if frozen == nil || st.Path != "async" || st.Blocks == 0 || frozen[k] < 0 {
+							continue
+						}
+						lo, hi := delta.Meta.Interval(rows[k])
+						if f, span := frozen[k], hi-lo; viewed != (f*core.RowViewDensity <= span) {
+							t.Errorf("step %d: row %d freezes %d of %d vertices, viewed %t", k, rows[k], f, span, viewed)
+						} else {
+							band = band || (viewed && f*core.SparseViewDensity > span)
+							dense = dense || f == span
+						}
+					}
+				})
+			}
+		}
+		if band != pc.band || dense != pc.dense {
+			t.Errorf("%s: a step viewed over a frontier denser than 1 in %d: %t, want %t; a streamed step over a whole row: %t, want %t",
+				pc.name, core.SparseViewDensity, band, pc.band, dense, pc.dense)
+		}
+	}
+}
+
+// TestAsyncViewBlockFaultDegrades: a transient fault on a listed cell of an
+// async row — a stream of views, loaded inline — degrades the rest of that
+// row's list to synchronous loads, views still, each counted once, and
+// changes no output bit. The fault is armed for the first streamed step that
+// views its row, so it strikes that step's read and no earlier one.
+func TestAsyncViewBlockFaultDegrades(t *testing.T) {
+	// Unbuffered, every step lists every non-empty cell of its row.
+	prog := func() core.Program { return &algorithms.BFS{Source: 0} }
+	clean, cleanViews, rows, _, err := core.RunCountingRowViews(faultLayoutCodec(t, graph.CodecDelta), prog(), core.Options{Async: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := -1
+	for k, st := range clean.IterStats {
+		if st.Path == "async" && cleanViews[k] == int64(st.Blocks) && st.Pipeline.Inline >= 3 {
+			step = k
+			break
+		}
+	}
+	if step < 0 {
+		t.Fatal("clean run: no streamed step viewed a row of three listed cells or more")
+	}
+	for _, failIdx := range []int{0, 2} {
+		l := faultLayoutCodec(t, graph.CodecDelta)
+		var cells [][2]int
+		for _, c := range nonEmptyRowMajor(&l.Meta) {
+			if c[0] == rows[step] {
+				cells = append(cells, c)
+			}
+		}
+		if len(cells) != clean.IterStats[step].Pipeline.Inline {
+			t.Fatalf("step %d lists %d cells, row %d has %d", step, clean.IterStats[step].Pipeline.Inline, rows[step], len(cells))
+		}
+		target := partition.SubBlockName(cells[failIdx][0], cells[failIdx][1])
+		var armed, tripped atomic.Bool
+		armed.Store(step == 0)
+		l.Dev.SetFaultInjector(func(op, name string) error {
+			if op == "read" && name == target && armed.Load() && tripped.CompareAndSwap(false, true) {
+				return storage.Transient(errors.New("transient sector fault"))
+			}
+			return nil
+		})
+		opts := core.Options{Async: true, OnIteration: func(st core.IterStat) { armed.Store(st.Index+1 == step) }}
+		res, views, err := core.RunCountingViews(l, prog(), opts, true)
+		if err != nil {
+			t.Fatalf("fault at request %d: degraded run failed: %v", failIdx, err)
+		}
+		gone := len(cells) - failIdx
+		if !tripped.Load() || res.Pipeline.Fallbacks != gone {
+			t.Fatalf("fault at request %d of step %d: tripped %t, Fallbacks = %d, want exactly %d", failIdx, step, tripped.Load(), res.Pipeline.Fallbacks, gone)
+		}
+		if pl, c := res.Pipeline, clean.Pipeline; pl.Blocks != c.Blocks-gone || pl.Inline != c.Inline-gone {
+			t.Fatalf("fault at request %d: %d blocks listed, %d inline; clean run %d and %d", failIdx, pl.Blocks, pl.Inline, c.Blocks, c.Inline)
+		}
+		for k, st := range res.IterStats {
+			if views[k] != cleanViews[k] {
+				t.Fatalf("fault at request %d: step %d took %d view blocks of %d, clean run %d", failIdx, k, views[k], st.Blocks, cleanViews[k])
+			}
 		}
 		sameOutputBits(t, "degraded run vs clean run", res.Outputs, clean.Outputs)
 	}

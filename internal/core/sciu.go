@@ -62,7 +62,7 @@ func (e *Engine) runSCIU() error {
 	}
 	// The frontier is not mutated until the apply phase, so the stream's
 	// fetch workers may read it.
-	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, func(i, j int) (selectiveBlock, error) {
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, false, func(i, j int) (selectiveBlock, error) {
 		return e.src.selective(i, j, e.active, selectiveBlock{})
 	})
 	defer st.close()

@@ -457,8 +457,8 @@ func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 }
 
 // resident serves buffered cell (i, j) from payload, the per-run buffer's
-// resident copy — on a prefetch worker, or on the consumer when holdPayload
-// left it off the stream: a hit costs a decode or a view, never a read. The
+// resident copy — on a prefetch worker, or on the consumer when the stream is
+// inline or holdPayload left it off: a hit costs a decode or a view, never a read. The
 // payload was verified when it was loaded.
 func (s *blockSource) resident(i, j int, payload []byte, sparse bool) (block, error) {
 	blk, err := s.expand(i, j, payload, sparse)
@@ -627,33 +627,38 @@ func (s *blockSource) decode(i, j int, payload []byte, dst []graph.Edge) ([]grap
 
 // blockStream hands a driver the blocks it asks for, in the order it asks.
 // reqs is the driver's consumption order as far as it is known up front:
-// when prefetching is enabled those loads run ahead on an I/O pipeline, and a
-// take of the list's head is served from it. Any other take — prefetching
-// off, a cell left off the list, a block expected in a buffer and evicted
-// since — is a synchronous load.
+// when prefetching is enabled a take of the list's head is served from it —
+// run ahead on an I/O pipeline or, on a stream of run views, loaded inline.
+// Any other take — prefetching off, a cell left off the list, a block
+// expected in a buffer and evicted since — is a synchronous load.
 //
-// A transient fault on a prefetched block does not abort the pass: the
-// pipeline has cancelled its remaining admissions, so that block and every
-// listed one after it are loaded synchronously (which carries the device's
-// own retry policy). Those loads are the stream's fallbacks, counted into
-// total once per consumed request from the degrading one onward. Permanent
-// errors surface as-is.
+// A transient fault on a listed block does not abort the pass: the stream
+// degrades (a pipeline has cancelled its remaining admissions), so that block
+// and every listed one after it are loaded synchronously (which carries the
+// device's own retry policy). Those loads are the stream's fallbacks, counted
+// into total once per consumed request from the degrading one onward.
+// Permanent errors surface as-is.
 type blockStream[T any] struct {
 	ctx      context.Context
 	reqs     []pipeline.Request
 	load     func(i, j int) (T, error)
 	pf       *pipeline.Prefetcher[T] // nil: nothing is prefetched
-	next     int                     // reqs[next] is the pipeline's next delivery
+	inline   bool                    // the list's head is loaded on the consumer
+	next     int                     // reqs[next] is the list's next delivery
 	degraded bool
 	total    *pipeline.Stats
 }
 
 // openBlockStream starts a stream over reqs; load must be safe on pipeline
 // worker goroutines. close folds the pipeline's outcomes into total. A
-// sequence too short to overlap anything is not prefetched.
-func openBlockStream[T any](ctx context.Context, opts Options, total *pipeline.Stats, reqs []pipeline.Request, load func(i, j int) (T, error)) *blockStream[T] {
-	s := &blockStream[T]{ctx: ctx, reqs: reqs, load: load, total: total}
-	if opts.prefetchEnabled() && len(reqs) >= 2 {
+// sequence too short to overlap anything is not listed. A stream of views —
+// every cell arriving as a run view, on a lattice a few µs of work, less than
+// handing it to a worker costs (BenchmarkBlockStreamShortList) — loads its list
+// inline: counted as the pipeline counts a delivery, the whole load as stall.
+func openBlockStream[T any](ctx context.Context, opts Options, total *pipeline.Stats, reqs []pipeline.Request, views bool, load func(i, j int) (T, error)) *blockStream[T] {
+	listed := opts.prefetchEnabled() && len(reqs) >= 2
+	s := &blockStream[T]{ctx: ctx, reqs: reqs, load: load, inline: listed && views, total: total}
+	if listed && !views {
 		s.pf = pipeline.New(reqs, func(r pipeline.Request) (T, error) { return load(r.I, r.J) }, opts.prefetchOptions())
 	}
 	return s
@@ -665,10 +670,10 @@ func (s *blockStream[T]) take(i, j int) (T, error) {
 		var zero T
 		return zero, err
 	}
-	if s.pf != nil && s.next < len(s.reqs) && s.reqs[s.next].I == i && s.reqs[s.next].J == j {
+	if (s.pf != nil || s.inline) && s.next < len(s.reqs) && s.reqs[s.next].I == i && s.reqs[s.next].J == j {
 		s.next++
 		if !s.degraded {
-			_, blk, err := s.pf.NextCtx(s.ctx)
+			blk, err := s.head(s.reqs[s.next-1])
 			if err == nil || !storage.IsTransient(err) {
 				return blk, err
 			}
@@ -677,6 +682,20 @@ func (s *blockStream[T]) take(i, j int) (T, error) {
 		s.total.Fallbacks++
 	}
 	return s.load(i, j)
+}
+
+// head delivers the list's next request, r.
+func (s *blockStream[T]) head(r pipeline.Request) (T, error) {
+	if s.pf != nil {
+		_, blk, err := s.pf.NextCtx(s.ctx)
+		return blk, err
+	}
+	t0 := time.Now()
+	blk, err := s.load(r.I, r.J)
+	if d := time.Since(t0); err == nil {
+		*s.total = s.total.Add(pipeline.Stats{Blocks: 1, Inline: 1, Bytes: r.Bytes, Fetch: d, Stall: d})
+	}
+	return blk, err
 }
 
 // close shuts the pipeline down, cancelling any in-flight fetches.
@@ -713,16 +732,23 @@ func (e *Engine) viewable() bool {
 	return e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
 }
 
+// viewRoute is the route of a stream over a frontier of active of span
+// vertices: narrow by sparseViewDensity, and sparse — every cell a run view,
+// the stream inline — over viewable blocks at most one in density active.
+func (e *Engine) viewRoute(active, span, density int) (narrow, sparse bool) {
+	return active*sparseViewDensity <= span, active*density <= span && e.viewable()
+}
+
 // holdPayload and takePayload are the route through a per-run buffer of
 // payloads (Engine.payloads), FCIU's and the async row step's alike.
 // holdPayload runs as a block stream is listed: it asks the buffer for cell
 // (i, j), counting the hit or miss, and captures a hit's payload in held —
 // immutable, so a later eviction changes nothing. It reports whether the cell
-// goes on the list: a miss or, over a dense frontier, a hit, for a worker to
-// load or decode (heldBlock). A hit over a narrow frontier stays off, and the
-// stream's take serves it on the consumer — as a run view, an O(1) attach,
-// where the blocks are viewable — since overlapping a few blocks gains less
-// than starting the pipeline costs (DESIGN.md §17).
+// goes on the list: a miss or, over a dense frontier, a hit, for the stream to
+// load or decode (heldBlock), on a worker or, where every cell is a run view,
+// inline. A hit over a narrow frontier stays off, and the stream's take serves
+// it on the consumer uncounted: there a view is an O(1) attach, and a pipeline
+// overlaps a few blocks by less than starting it costs (DESIGN.md §17).
 func (e *Engine) holdPayload(i, j int, narrow bool) bool {
 	blk, _ := e.buf.Get(buffer.Key{I: i, J: j})
 	e.held[i*e.p+j] = blk.Payload

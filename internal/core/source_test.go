@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/gen"
@@ -46,6 +47,7 @@ func TestBlockStream(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		prefetch bool
+		views    bool     // a stream of run views: its list loads inline
 		listed   [][2]int // the stream's request list
 		consume  [][2]int // what the driver takes, in order
 		fail     map[[2]int]error
@@ -83,6 +85,25 @@ func TestBlockStream(t *testing.T) {
 		{name: "sync/unlisted", listed: [][2]int{cells[0], cells[2]}, consume: cells, calls: 5},
 		// A one-request list has nothing to overlap and is not prefetched.
 		{name: "prefetch/single", prefetch: true, listed: cells[:1], consume: cells[:2], calls: 2},
+
+		// A stream of views loads its list on the consumer, counted like
+		// prefetched blocks, each load its own fetch and stall. It degrades
+		// like a pipeline, and since no fetch races its call counts are exact:
+		// the failed load and its reload are both calls.
+		{name: "inline/clean", prefetch: true, views: true, listed: cells, consume: cells, prefetched: 5, calls: 5},
+		{name: "inline/transient-first", prefetch: true, views: true, listed: cells, consume: cells,
+			fail: map[[2]int]error{cells[0]: transient}, fallbacks: 5, prefetched: 0, calls: 6},
+		{name: "inline/transient-mid", prefetch: true, views: true, listed: cells, consume: cells,
+			fail: map[[2]int]error{cells[2]: transient}, fallbacks: 3, prefetched: 2, calls: 6},
+		{name: "inline/transient-last", prefetch: true, views: true, listed: cells, consume: cells,
+			fail: map[[2]int]error{cells[last]: transient}, fallbacks: 1, prefetched: 4, calls: 6},
+		{name: "inline/permanent", prefetch: true, views: true, listed: cells, consume: cells,
+			fail: map[[2]int]error{cells[2]: permanent}, wantErr: permanent, prefetched: 2, calls: 3},
+		{name: "inline/unlisted", prefetch: true, views: true, listed: [][2]int{cells[0], cells[2], cells[4]}, consume: cells,
+			prefetched: 3, calls: 5},
+		{name: "inline/single", prefetch: true, views: true, listed: cells[:1], consume: cells[:2], calls: 2},
+		// Prefetching off, a stream of views is synchronous like any other.
+		{name: "sync/views", views: true, listed: cells, consume: cells, calls: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ld := &streamLoader{failOnce: tc.fail}
@@ -95,7 +116,7 @@ func TestBlockStream(t *testing.T) {
 				reqs = append(reqs, pipeline.Request{I: c[0], J: c[1], Bytes: 1})
 			}
 			var total pipeline.Stats
-			st := openBlockStream(context.Background(), opts, &total, reqs, ld.load)
+			st := openBlockStream(context.Background(), opts, &total, reqs, tc.views, ld.load)
 			var err error
 			for _, c := range tc.consume {
 				var got int
@@ -113,11 +134,54 @@ func TestBlockStream(t *testing.T) {
 			if total.Fallbacks != tc.fallbacks || total.Blocks != tc.prefetched {
 				t.Fatalf("fallbacks %d prefetched %d, want %d and %d", total.Fallbacks, total.Blocks, tc.fallbacks, tc.prefetched)
 			}
+			inline := 0
+			if tc.views && tc.prefetch {
+				inline = tc.prefetched
+				if total.Stall != total.Fetch || total.Overlap != 0 {
+					t.Fatalf("inline stream: stall %v fetch %v overlap %v, want stall = fetch and no overlap", total.Stall, total.Fetch, total.Overlap)
+				}
+			}
+			if total.Inline != inline {
+				t.Fatalf("%d blocks loaded inline, want %d", total.Inline, inline)
+			}
 			// After a fault the pipeline's in-flight fetches make the call
 			// count racy; it is pinned where it is exact.
 			if tc.calls != 0 && ld.calls != tc.calls {
 				t.Fatalf("load called %d times, want %d", ld.calls, tc.calls)
 			}
+		})
+	}
+}
+
+// BenchmarkBlockStreamShortList prices the hand-off an inline stream saves
+// (openBlockStream): the time per take of a three-request list, the length of
+// a lattice's async row, whose loads each take about a microsecond, as a run
+// view of a lattice cell does — loaded inline on the consumer, and through a
+// prefetch pipeline started for the list.
+func BenchmarkBlockStreamShortList(b *testing.B) {
+	reqs := []pipeline.Request{{I: 0, J: 0, Bytes: 1}, {I: 0, J: 1, Bytes: 1}, {I: 0, J: 2, Bytes: 1}}
+	load := func(i, j int) (int, error) {
+		for t0 := time.Now(); time.Since(t0) < time.Microsecond; {
+		}
+		return i*100 + j, nil
+	}
+	for _, views := range []bool{true, false} {
+		name := "pipelined"
+		if views {
+			name = "inline"
+		}
+		b.Run(name, func(b *testing.B) {
+			var total pipeline.Stats
+			for n := 0; n < b.N; n++ {
+				st := openBlockStream(context.Background(), Options{}, &total, reqs, views, load)
+				for _, r := range reqs {
+					if _, err := st.take(r.I, r.J); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st.close()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reqs)), "ns/take")
 		})
 	}
 }
@@ -138,7 +202,7 @@ func TestBlockStreamCancelledWhileWaiting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reqs := []pipeline.Request{{I: 0}, {I: 1}, {I: 2}}
 	var total pipeline.Stats
-	st := openBlockStream(ctx, Options{PrefetchDepth: 1}, &total, reqs, load)
+	st := openBlockStream(ctx, Options{PrefetchDepth: 1}, &total, reqs, false, load)
 	if _, err := st.take(0, 0); err != nil {
 		t.Fatal(err)
 	}

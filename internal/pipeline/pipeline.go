@@ -32,6 +32,10 @@ type Request struct {
 type Stats struct {
 	Blocks int
 	Bytes  int64
+	// Inline counts the blocks of Blocks the consumer loaded itself, in
+	// order, where a pipeline would not pay for its hand-off: fetch and
+	// stall both carry their whole load time. The consumer maintains it.
+	Inline int
 	// Fallbacks counts blocks that were loaded synchronously after the
 	// consumer degraded from pipelined to synchronous reads on a transient
 	// fetch fault. The consumer increments it — the prefetcher itself only
@@ -53,6 +57,7 @@ func (s Stats) Add(o Stats) Stats {
 	return Stats{
 		Blocks:       s.Blocks + o.Blocks,
 		Bytes:        s.Bytes + o.Bytes,
+		Inline:       s.Inline + o.Inline,
 		Fallbacks:    s.Fallbacks + o.Fallbacks,
 		Skipped:      s.Skipped + o.Skipped,
 		SkippedBytes: s.SkippedBytes + o.SkippedBytes,
@@ -68,6 +73,7 @@ func (s Stats) Sub(o Stats) Stats {
 	return Stats{
 		Blocks:       s.Blocks - o.Blocks,
 		Bytes:        s.Bytes - o.Bytes,
+		Inline:       s.Inline - o.Inline,
 		Fallbacks:    s.Fallbacks - o.Fallbacks,
 		Skipped:      s.Skipped - o.Skipped,
 		SkippedBytes: s.SkippedBytes - o.SkippedBytes,

@@ -212,10 +212,10 @@ func TestOverlapAccounting(t *testing.T) {
 // TestStatsAddSub exercises the snapshot arithmetic the engine uses for
 // per-iteration attribution.
 func TestStatsAddSub(t *testing.T) {
-	a := Stats{Blocks: 3, Bytes: 30, Stall: 5, Fetch: 9, Overlap: 4}
-	b := Stats{Blocks: 1, Bytes: 10, Stall: 2, Fetch: 3, Overlap: 1}
+	a := Stats{Blocks: 3, Bytes: 30, Inline: 2, Stall: 5, Fetch: 9, Overlap: 4}
+	b := Stats{Blocks: 1, Bytes: 10, Inline: 1, Stall: 2, Fetch: 3, Overlap: 1}
 	sum := a.Add(b)
-	if sum.Blocks != 4 || sum.Bytes != 40 || sum.Stall != 7 || sum.Fetch != 12 || sum.Overlap != 5 {
+	if sum.Blocks != 4 || sum.Bytes != 40 || sum.Inline != 3 || sum.Stall != 7 || sum.Fetch != 12 || sum.Overlap != 5 {
 		t.Fatalf("Add = %+v", sum)
 	}
 	if diff := sum.Sub(b); diff != a {
