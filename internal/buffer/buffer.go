@@ -163,9 +163,9 @@ func (s Stats) Add(o Stats) Stats {
 // the engine that goroutine is the one running the schedule — the FCIU pass
 // driver or the async row step; the I/O pipeline's fetch workers never touch
 // the buffer (residency is sampled before a block stream opens, see
-// core.openPass and the async row step). Code that needs a cache shared across
-// goroutines — such as the job server deduplicating sub-block loads between
-// concurrent engines — must use the mutex-guarded Shared type instead.
+// core.openFetch). Code that needs a cache shared across goroutines — such as
+// the job server deduplicating sub-block loads between concurrent engines —
+// must use the mutex-guarded Shared type instead.
 type Buffer struct {
 	st                       store
 	hits, misses, bytesSaved int64

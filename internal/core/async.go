@@ -48,7 +48,6 @@ import (
 	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/graph"
-	"github.com/graphsd/graphsd/internal/pipeline"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -123,11 +122,11 @@ type asyncRun struct {
 	rows []*asyncRow
 	h    rowHeap
 
-	// rowBlocks lists each row's non-empty destination columns and
-	// rowStreamCost prices streaming all of them (blockCost each: seek +
-	// sequential read), the denominator of the priority key — which is
-	// static: what is resident never moves it.
-	rowBlocks     [][]int
+	// rowBlocks lists each row's non-empty cells and rowStreamCost prices
+	// streaming all of them (blockCost each: seek + sequential read), the
+	// denominator of the priority key — which is static: what is resident
+	// never moves it.
+	rowBlocks     [][]buffer.Key
 	rowStreamCost []time.Duration
 
 	// frontier is the frozen per-step row frontier (the scatter filter) and
@@ -157,7 +156,7 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 		e:             e,
 		mono:          mono,
 		rows:          make([]*asyncRow, e.p),
-		rowBlocks:     make([][]int, e.p),
+		rowBlocks:     make([][]buffer.Key, e.p),
 		rowStreamCost: make([]time.Duration, e.p),
 		frontier:      bitset.NewActiveSet(e.n),
 		consumed:      bitset.NewActiveSet(e.n),
@@ -170,7 +169,7 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
-			a.rowBlocks[i] = append(a.rowBlocks[i], j)
+			a.rowBlocks[i] = append(a.rowBlocks[i], buffer.Key{I: i, J: j})
 			a.rowStreamCost[i] += a.blockCost(i, j)
 		}
 	}
@@ -428,8 +427,8 @@ func (a *asyncRun) setResidentPriority(i int, priority int64) {
 	if a.e.buf.Len() == 0 {
 		return
 	}
-	for _, j := range a.rowBlocks[i] {
-		a.e.buf.UpdatePriority(buffer.Key{I: i, J: j}, priority)
+	for _, k := range a.rowBlocks[i] {
+		a.e.buf.UpdatePriority(k, priority)
 	}
 }
 
@@ -442,9 +441,9 @@ func (a *asyncRun) blockCost(i, j int) time.Duration {
 // the streamed path would read. With nothing resident it is rowStreamCost.
 func (a *asyncRun) missCost(i int) time.Duration {
 	var cost time.Duration
-	for _, j := range a.rowBlocks[i] {
-		if !a.e.buf.Contains(buffer.Key{I: i, J: j}) {
-			cost += a.blockCost(i, j)
+	for _, k := range a.rowBlocks[i] {
+		if !a.e.buf.Contains(k) {
+			cost += a.blockCost(k.I, k.J)
 		}
 	}
 	return cost
@@ -454,47 +453,20 @@ func (a *asyncRun) missCost(i int) time.Duration {
 func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
 // scatterRowStreamed processes row i through the per-run buffer in the form
-// the codec gives it — on a delta layout FCIU's payload route (holdPayload,
-// takePayload); on a raw layout decoded edges (bufferedBlock). Misses stream
-// through a block stream and are offered at the row in hand's priority. Over
-// viewable blocks and a frozen frontier of at most one in rowViewDensity, every
-// cell, hit or miss, is a run view that decodes only that frontier's runs, on
-// an inline stream (viewRoute).
+// the codec gives it, on FCIU's fetch plan (openFetch, takeBuffered): misses
+// stream through the row's block stream and are offered at the row in hand's
+// priority. Over viewable blocks and a frozen frontier of at most one in
+// rowViewDensity, every cell, hit or miss, is a run view that decodes only that
+// frontier's runs, on an inline stream.
 func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	e := a.e
-	cols := a.rowBlocks[i]
 	if len(a.frontList) == 0 {
 		return 0, nil
 	}
 	lo, hi := e.layout.Meta.Interval(i)
-	narrow, sparse := e.viewRoute(len(a.frontList), hi-lo, rowViewDensity)
-	var reqs []pipeline.Request
-	for _, j := range cols {
-		if e.payloads {
-			if !e.holdPayload(i, j, narrow) {
-				continue
-			}
-		} else if e.buf.Contains(buffer.Key{I: i, J: j}) {
-			continue
-		}
-		reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
-	}
-	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, sparse, func(i, j int) (block, error) {
-		if e.payloads {
-			return e.heldBlock(i, j, sparse)
-		}
-		edges, err := e.src.full(i, j)
-		return block{edges: edges}, err
-	})
+	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, a.rowBlocks[i])
 	defer st.close()
-	return a.scatterRow(i, func(j int) (blk block, err error) {
-		k := buffer.Key{I: i, J: j}
-		if e.payloads {
-			return e.takePayload(st, k, math.MaxInt64)
-		}
-		blk.edges, err = e.bufferedBlock(st, k, topPriority)
-		return blk, err
-	})
+	return a.scatterRow(i, func(k buffer.Key) (block, error) { return e.takeBuffered(st, k, topPriority) })
 }
 
 // scatterRowOnDemand processes row i by reading only the frozen frontier's
@@ -510,22 +482,22 @@ func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
 	// SCIU's 2|V| term.
 	lo, hi := e.layout.Meta.Interval(i)
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
-	return a.scatterRow(i, func(j int) (block, error) { return a.onDemandBlock(i, j) })
+	return a.scatterRow(i, a.onDemandBlock)
 }
 
 // scatterRow scatters and applies row i's blocks in column order, each taken
 // from get once the previous one is applied, and returns the number of
 // vertices applied.
-func (a *asyncRun) scatterRow(i int, get func(j int) (block, error)) (int64, error) {
+func (a *asyncRun) scatterRow(i int, get func(k buffer.Key) (block, error)) (int64, error) {
 	var applied int64
-	for _, j := range a.rowBlocks[i] {
+	for _, k := range a.rowBlocks[i] {
 		if err := a.e.checkCtx(); err != nil {
 			return applied, err
 		}
-		blk, err := get(j)
+		blk, err := get(k)
 		if err == nil {
 			var n int64
-			n, err = a.scatterApplyBlock(blk, i, j)
+			n, err = a.scatterApplyBlock(blk, k.I, k.J)
 			applied += n
 		}
 		if err != nil {
@@ -535,19 +507,19 @@ func (a *asyncRun) scatterRow(i int, get func(j int) (block, error)) (int64, err
 	return applied, nil
 }
 
-// onDemandBlock is cell (i, j) for the selective path: the resident block
+// onDemandBlock is cell k for the selective path: the resident block
 // through a Peek, not a Get — the buffer's counters describe whole-block
 // requests, and what this saves is a few runs of the block — or else the
 // frozen frontier's runs, read into the memory one block at a time reuses.
-func (a *asyncRun) onDemandBlock(i, j int) (blk block, err error) {
-	res, ok := a.e.buf.Peek(buffer.Key{I: i, J: j})
+func (a *asyncRun) onDemandBlock(k buffer.Key) (blk block, err error) {
+	res, ok := a.e.buf.Peek(k)
 	switch {
 	case res.Payload != nil:
-		return a.e.src.expand(i, j, res.Payload, a.e.viewable())
+		return a.e.src.expand(k.I, k.J, res.Payload, a.e.viewable())
 	case ok:
 		return block{edges: res.Edges}, nil
 	}
-	a.selBlock, err = a.e.src.selective(i, j, a.frontier, a.selBlock)
+	a.selBlock, err = a.e.src.selective(k.I, k.J, a.frontier, a.selBlock)
 	return block{edges: a.selBlock.edges}, err
 }
 

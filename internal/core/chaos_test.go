@@ -117,6 +117,32 @@ func TestChaosRunsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestOnDemandPageRankMatchesFull pins the order SCIU's cross-iteration
+// scatter feeds a destination its sources in: PageRank sums in edge order, so
+// on-demand and full-I/O runs agree bit for bit only while every destination
+// sees its sources in vertex order on both paths. TestChaosRunsBitIdentical
+// catches a change to that order only when its faults flip a PageRank run onto
+// SCIU; this runs SCIU on every iteration.
+func TestOnDemandPageRankMatchesFull(t *testing.T) {
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		t.Run(codec.String(), func(t *testing.T) {
+			l := chaosLayout(t, codec, 5)
+			full, err := core.Run(l, &algorithms.PageRank{Iterations: 6}, core.Options{ForceModel: core.ForceFull})
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDemand, err := core.Run(l, &algorithms.PageRank{Iterations: 6}, core.Options{ForceModel: core.ForceOnDemand})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if onDemand.Iterations != full.Iterations {
+				t.Fatalf("on-demand ran %d iterations, full %d", onDemand.Iterations, full.Iterations)
+			}
+			requireIdenticalOutputs(t, full.Outputs, onDemand.Outputs)
+		})
+	}
+}
+
 // TestFCIUPipelineDegradesToSync proves the prefetch pipeline degrades to
 // synchronous loads — counted in Pipeline.Fallbacks — rather than cancelling
 // the run, when a prefetched sub-block read faults transiently and the

@@ -18,9 +18,9 @@ import (
 // sparseViewDensity is how sparse a BSP pass's frontier must be — at most one
 // active vertex in this many — for the pass to take its blocks as run views and
 // decode only the active sources' runs, and rowViewDensity how sparse an async
-// row's frozen frontier must be for the row to (viewRoute); sparseViewDensity
-// also bounds which resident hits stay off a pass's or row's stream
-// (holdPayload). A view costs one directory scan per block (1.1–3.4 ns/edge)
+// row's frozen frontier must be for the row to; sparseViewDensity also bounds
+// which resident hits stay off a stream; drivers hand both to their fetch
+// plan (openFetch). A view costs one directory scan per block (1.1–3.4 ns/edge)
 // and a per-run decode of the active edges on the consumer, per scatter, where
 // the decoded route pays 8.8 ns/edge once on a prefetch worker
 // (BenchmarkRunView, BenchmarkDecodeDeltaBlock). Timed pass by pass over
@@ -50,13 +50,13 @@ type Engine struct {
 
 	// payloads: the per-run buffer keeps its sub-blocks — FCIU's secondaries,
 	// the async row step's cells — as their delta payloads, which a hit
-	// decodes on a prefetch worker or views on the consumer (viewRoute):
+	// decodes on a prefetch worker or views on the consumer (openFetch):
 	// the rule on a delta-coded layout, whatever the schedule. On a
 	// raw layout it keeps decoded edges, served to the consumer as they are
-	// (DESIGN.md §9). held[i*p+j] is the payload holdPayload found resident for
-	// cell (i, j) of the stream in progress, nil for a miss.
+	// (DESIGN.md §9). held[i*p+j] is what the fetch plan in progress found of
+	// cell (i, j) in a buffer of payloads (heldCell).
 	payloads bool
-	held     [][]byte
+	held     []heldCell
 
 	// src is where every driver gets its edges from (see source.go).
 	src *blockSource
@@ -83,15 +83,6 @@ type Engine struct {
 	// termPrev/termCur: the sum kernel's Gather of valPrev/valCur (fillTerms),
 	// refilled before every scatter that reads them, so never checkpointed.
 	termPrev, termCur []float64
-
-	// sciuCache holds the edges of this iteration's active vertices so the
-	// cross-iteration phase can reuse them without re-reading (Alg 2,
-	// lines 15–23).
-	sciuCache map[graph.VertexID][]graph.Edge
-
-	// crossEdges is runSCIU's reusable batch of the cached edges it scatters
-	// across the iteration boundary.
-	crossEdges []graph.Edge
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.
@@ -202,7 +193,7 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 	}
 	if opts.payloads(&layout.Meta) {
 		e.payloads = true
-		e.held = make([][]byte, e.p*e.p)
+		e.held = make([]heldCell, e.p*e.p)
 	}
 	id := prog.Identity()
 	for v := 0; v < n; v++ {

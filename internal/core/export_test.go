@@ -261,20 +261,18 @@ func RunPassFrom(layout *partition.Layout, prog Program, opts Options, cells Pas
 	}
 	for _, c := range resident {
 		k := buffer.Key{I: c[0], J: c[1]}
+		var blk block
+		var err error
 		if e.payloads {
-			blk, err := e.src.secondary(c[0], c[1], false, true)
-			if err != nil {
-				return pipeline.Stats{}, err
-			}
-			e.offerPayload(k, blk, passPriority(k, e.payloadPriority(k, e.active)))
-			e.src.release(blk)
-			continue
+			blk, err = e.src.secondary(c[0], c[1], false, true)
+		} else {
+			blk.edges, err = e.src.full(c[0], c[1])
 		}
-		edges, err := e.src.full(c[0], c[1])
 		if err != nil {
 			return pipeline.Stats{}, err
 		}
-		e.offer(k, edges, func(edges []graph.Edge) int64 { return passPriority(k, e.offerPriority(edges)) })
+		e.offer(k, blk, e.passRank(k))
+		e.src.release(blk)
 	}
 	return e.plStats, e.runPass(cells)
 }

@@ -7,7 +7,6 @@ import (
 	"github.com/graphsd/graphsd/internal/bitset"
 	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/graph"
-	"github.com/graphsd/graphsd/internal/pipeline"
 )
 
 // passCells names the grid cells a full-model pass reads from disk, which is
@@ -41,69 +40,26 @@ func (c passCells) crossIter() bool { return c == fciuFirstCells }
 // buffer: every cell of an FCIU pass, ranked by passPriority.
 func (c passCells) buffered() bool { return c != fullCells }
 
-// resident reports whether the pass would be served cell (i, j) by the per-run
-// buffer as it stands.
-func (e *Engine) resident(cells passCells, i, j int) bool {
-	return cells.buffered() && e.buf.Contains(buffer.Key{I: i, J: j})
-}
-
-// openPass opens the pass's block stream: non-empty cells in consumption
-// order, minus cells of rows the frontier proves dead (semBegin), which never
-// enqueue a read at all. (A dead-row cell on or above the diagonal that the
-// cross-iteration phase turns out to need is loaded by the consumer, from the
-// buffer when resident, else synchronously.) Residency is only sampled on the
-// consumer, and the stream's fetch workers never touch the buffer:
-//
-//   - A buffer of decoded edges (raw layouts) serves its residents to the
-//     consumer as they are, so they stay off the stream; a mid-pass eviction
-//     costs the consumer a synchronous load rather than a data race.
-//   - A buffer of payloads (Engine.payloads) is sampled for every live cell
-//     here, and takes the miss's payload back in passBlock, at its estimated
-//     active-edge count (holdPayload, takePayload).
-//
-// A pass is narrow and sparse as viewRoute says: every cell of a sparse pass
-// arrives as a run view, loaded inline; everything else decodes in full, on
-// the prefetch workers.
+// openPass opens the pass's fetch (openFetch): its non-empty cells in
+// consumption order, minus cells of rows the frontier proves dead (semBegin),
+// which never enqueue a read at all. (A dead-row cell on or above the diagonal
+// that the cross-iteration phase turns out to need is loaded by the consumer,
+// from the buffer when resident, else synchronously.)
 func (e *Engine) openPass(cells passCells) *blockStream[block] {
-	var reqs []pipeline.Request
-	narrow, sparse := e.viewRoute(e.active.Count(), e.n, sparseViewDensity)
-	clear(e.held)
+	var live []buffer.Key
 	for j := 0; j < e.p; j++ {
 		for i := cells.firstRow(j); i < e.p; i++ {
-			if e.layout.Meta.SubBlockEdges(i, j) == 0 || !e.rowLive[i] {
-				continue
+			if e.layout.Meta.SubBlockEdges(i, j) > 0 && e.rowLive[i] {
+				live = append(live, buffer.Key{I: i, J: j})
 			}
-			if cells.buffered() {
-				if e.payloads {
-					if !e.holdPayload(i, j, narrow) {
-						continue
-					}
-				} else if e.resident(cells, i, j) {
-					continue
-				}
-			}
-			reqs = append(reqs, pipeline.Request{I: i, J: j, Bytes: e.layout.Meta.SubBlockBytes(i, j)})
 		}
 	}
-	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, sparse, func(i, j int) (block, error) {
-		switch {
-		case e.payloads && cells.buffered():
-			return e.heldBlock(i, j, sparse)
-		case sparse:
-			return e.src.viewed(i, j)
-		}
-		edges, err := e.src.full(i, j)
-		return block{edges: edges}, err
-	})
+	return e.openFetch(e.active.Count(), e.n, sparseViewDensity, cells.buffered(), live)
 }
 
-// passBlock returns sub-block (i, j) for a full-model pass. Every sub-block of
-// an FCIU pass goes through the priority buffer, ranked by passPriority: a
-// buffer of decoded edges through bufferedBlock, over their current
-// active-edge count; a buffer of payloads through takePayload, over the
-// estimate of it (payloadPriority). A dead row's cell was left off the
-// stream's list, so a buffer of payloads is sampled for it here. The buffer is
-// touched on the consumer only, so its statistics are unchanged by pipelining.
+// passBlock returns sub-block (i, j) for a full-model pass. Every non-empty
+// sub-block of an FCIU pass goes through the priority buffer (takeBuffered),
+// ranked by passRank.
 func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (block, error) {
 	if !cells.buffered() {
 		return st.take(i, j)
@@ -112,14 +68,7 @@ func (e *Engine) passBlock(st *blockStream[block], cells passCells, i, j int) (b
 		return block{}, nil
 	}
 	k := buffer.Key{I: i, J: j}
-	if e.payloads {
-		if !e.rowLive[i] {
-			e.holdPayload(i, j, true)
-		}
-		return e.takePayload(st, k, passPriority(k, e.payloadPriority(k, e.active)))
-	}
-	edges, err := e.bufferedBlock(st, k, func(edges []graph.Edge) int64 { return passPriority(k, e.offerPriority(edges)) })
-	return block{edges: edges}, err
+	return e.takeBuffered(st, k, e.passRank(k))
 }
 
 // scatterBlock is scatter over a pass block. From a run view it first decodes
@@ -143,13 +92,20 @@ func (e *Engine) scatterBlock(blk block, src scatterArgs, acc []float64, touched
 	return nil
 }
 
-// offerPriority is the active-edge count of edges under the current
-// frontier: all of them when every vertex is active.
-func (e *Engine) offerPriority(edges []graph.Edge) int64 {
-	if e.active.Count() == e.n {
-		return int64(len(edges))
+// passRank ranks FCIU cell k for admission to the per-run buffer: passPriority
+// over its active-edge count under the current frontier, counted over decoded
+// edges (all of them when every vertex is active) and estimated for a payload
+// (payloadPriority).
+func (e *Engine) passRank(k buffer.Key) func([]graph.Edge) int64 {
+	return func(edges []graph.Edge) int64 {
+		switch {
+		case e.payloads:
+			return passPriority(k, e.payloadPriority(k, e.active))
+		case e.active.Count() == e.n:
+			return passPriority(k, int64(len(edges)))
+		}
+		return passPriority(k, activeEdgeCount(edges, e.active))
 	}
-	return activeEdgeCount(edges, e.active)
 }
 
 // runPass executes one full-model pass: read the pass's cells column by

@@ -21,9 +21,6 @@ import (
 // budget meters what is actually read.
 func (e *Engine) runSCIU() error {
 	cross := !e.opts.DisableCrossIteration
-	if cross {
-		e.sciuCache = make(map[graph.VertexID][]graph.Edge)
-	}
 	recBytes := int64(e.layout.Meta.EdgeRecordBytes())
 
 	// Build the selective-load sequence over the rows that hold an active
@@ -69,19 +66,15 @@ func (e *Engine) runSCIU() error {
 
 	// Scatter: sub-block by sub-block in request order. The on-demand
 	// working set is assumed to fit memory (the paper's assumption), so every
-	// loaded vertex's edges stay for the cross-iteration scatter; the cache
-	// stays on the consumer.
+	// block taken stays for the cross-iteration scatter.
+	var kept []selectiveBlock
 	for _, req := range reqs {
 		blk, err := st.take(req.I, req.J)
 		if err != nil {
 			return err
 		}
 		if cross {
-			start := 0
-			for _, run := range blk.runs {
-				e.sciuCache[run.v] = append(e.sciuCache[run.v], blk.edges[start:run.end]...)
-				start = run.end
-			}
+			kept = append(kept, blk)
 		}
 		jLo, jHi := e.layout.Meta.Interval(req.J)
 		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, req.I), e.acc, e.touched, jLo, jHi)
@@ -94,27 +87,30 @@ func (e *Engine) runSCIU() error {
 	if cross {
 		// Cross-iteration value computation (Alg 2 lines 15–23): vertices
 		// re-activated while their edges are memory-resident propagate
-		// their just-computed value to iteration t+1 now. Their cached
-		// edges are scattered as one batch, in vertex order: a scatter's
-		// fixed costs (timing, counting the touched bits over [0, n)) are
-		// paid once, not per vertex.
-		for i, live := range e.rowLive { // the batch's sources are active
+		// their just-computed value to iteration t+1 now, from the blocks
+		// already taken, each scattered through the t+1 frontier. A
+		// destination's in-edges from row i all sit in one block of column
+		// j, and rows ascend with vertex id, so in request order every
+		// destination still sees its sources in vertex order.
+		for i, live := range e.rowLive { // the kept blocks' sources are active
 			if live {
 				lo, hi := e.layout.Meta.Interval(i)
 				e.fillTerms(e.termCur, e.valCur, lo, hi)
 			}
 		}
-		batch := e.crossEdges[:0]
-		e.newActive.ForEach(func(v int) bool {
-			if edges := e.sciuCache[graph.VertexID(v)]; len(edges) > 0 && e.active.Contains(v) {
-				batch = append(batch, edges...)
-				e.prescattered.Activate(v)
+		for n, blk := range kept {
+			reactivated := false
+			for _, run := range blk.runs {
+				if e.newActive.Contains(int(run.v)) {
+					e.prescattered.Activate(int(run.v))
+					reactivated = true
+				}
 			}
-			return true
-		})
-		e.scatter(batch, e.from(e.valCur, e.termCur, e.newActive, -1), e.accNext, e.touchedNext, 0, e.n)
-		e.crossEdges = batch
-		e.sciuCache = nil
+			if reactivated { // else the filter passes none of its edges
+				jLo, jHi := e.layout.Meta.Interval(reqs[n].J)
+				e.scatter(blk.edges, e.from(e.valCur, e.termCur, e.newActive, reqs[n].I), e.accNext, e.touchedNext, jLo, jHi)
+			}
+		}
 	}
 	e.semEnd()
 	return nil

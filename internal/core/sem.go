@@ -48,7 +48,7 @@ func (e *Engine) semEnd() {
 // block, which costs no I/O on any path, is not counted, and neither is a
 // resident one: a cell the pass would have been served by the per-run buffer.
 func (e *Engine) semSkip(cells passCells, i, j int) {
-	if e.layout.Meta.SubBlockEdges(i, j) == 0 || e.resident(cells, i, j) {
+	if e.layout.Meta.SubBlockEdges(i, j) == 0 || cells.buffered() && e.buf.Contains(buffer.Key{I: i, J: j}) {
 		return
 	}
 	e.plStats.Skipped++

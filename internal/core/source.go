@@ -328,7 +328,7 @@ type block struct {
 	// release; nil when the edges are not the source's to reuse.
 	pooled *[]graph.Edge
 	// payload is a buffered cell's delta payload, loaded for the consumer to
-	// offer to the per-run buffer (Engine.takePayload): memory of its own,
+	// offer to the per-run buffer (Engine.takeBuffered): memory of its own,
 	// never the source's pools, and nil when the buffer could not hold it.
 	payload []byte
 }
@@ -350,8 +350,8 @@ type runBlock struct {
 // viewed is the device route of full stopping short of the decode: the same
 // sequential read and CRC verify into a pooled buffer, then a run view of the
 // payload (view). It is for delta layouts with no overlay and no shared cache
-// in front; the engine asks for it only on passes whose frontier is sparse
-// (openPass).
+// in front; the engine asks for it only on streams whose frontier is sparse
+// (openFetch).
 func (s *blockSource) viewed(i, j int) (block, error) {
 	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return block{}, nil
@@ -458,8 +458,8 @@ func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 
 // resident serves buffered cell (i, j) from payload, the per-run buffer's
 // resident copy — on a prefetch worker, or on the consumer when the stream is
-// inline or holdPayload left it off: a hit costs a decode or a view, never a read. The
-// payload was verified when it was loaded.
+// inline or its fetch plan left the cell off (openFetch): a hit costs a decode
+// or a view, never a read. The payload was verified when it was loaded.
 func (s *blockSource) resident(i, j int, payload []byte, sparse bool) (block, error) {
 	blk, err := s.expand(i, j, payload, sparse)
 	if err == nil {
@@ -535,7 +535,7 @@ type vertexRun struct {
 
 // selectiveBlock is the selectively-loaded content of one sub-block: the
 // frontier vertices' edge runs concatenated in vertex order, with per-vertex
-// boundaries for SCIU's cross-iteration cache.
+// boundaries for SCIU's cross-iteration scatter.
 type selectiveBlock struct {
 	edges []graph.Edge
 	runs  []vertexRun
@@ -706,25 +706,6 @@ func (s *blockStream[T]) close() {
 	}
 }
 
-// bufferedBlock is the get → miss → offer route through a per-run buffer of
-// decoded edges, FCIU's and the async row step's on a raw layout. A resident
-// block is served from memory as it is — every CRC, count and range check ran
-// when the block was loaded, and a hit serves those verified edges again.
-// Anything else comes from the caller's block stream, which left the resident
-// cells off its list, and is offered at priority(edges). Like every buffer
-// access it belongs to the goroutine running the schedule.
-func (e *Engine) bufferedBlock(st *blockStream[block], k buffer.Key, priority func([]graph.Edge) int64) ([]graph.Edge, error) {
-	if blk, ok := e.buf.Get(k); ok {
-		return blk.Edges, nil
-	}
-	blk, err := st.take(k.I, k.J)
-	if err != nil {
-		return nil, err
-	}
-	e.offer(k, blk.edges, priority)
-	return blk.edges, nil
-}
-
 // viewable reports whether the run's blocks can reach a scatter as run views:
 // delta-coded payloads straight off the device or out of the per-run buffer,
 // with no overlay to merge and no shared cache that wants the decoded edges.
@@ -732,78 +713,129 @@ func (e *Engine) viewable() bool {
 	return e.layout.Meta.BlockCodec() == graph.CodecDelta && e.layout.Overlay == nil && e.opts.SharedBlocks == nil
 }
 
-// viewRoute is the route of a stream over a frontier of active of span
-// vertices: narrow by sparseViewDensity, and sparse — every cell a run view,
-// the stream inline — over viewable blocks at most one in density active.
-func (e *Engine) viewRoute(active, span, density int) (narrow, sparse bool) {
-	return active*sparseViewDensity <= span, active*density <= span && e.viewable()
+// heldCell is a fetch plan's sample of one cell of a buffer of payloads
+// (Engine.held): whether the buffer was asked for the cell, and the payload it
+// answered with — immutable, so a later eviction changes nothing — or nil for a
+// miss.
+type heldCell struct {
+	payload []byte
+	sampled bool
 }
 
-// holdPayload and takePayload are the route through a per-run buffer of
-// payloads (Engine.payloads), FCIU's and the async row step's alike.
-// holdPayload runs as a block stream is listed: it asks the buffer for cell
-// (i, j), counting the hit or miss, and captures a hit's payload in held —
-// immutable, so a later eviction changes nothing. It reports whether the cell
-// goes on the list: a miss or, over a dense frontier, a hit, for the stream to
-// load or decode (heldBlock), on a worker or, where every cell is a run view,
-// inline. A hit over a narrow frontier stays off, and the stream's take serves
-// it on the consumer uncounted: there a view is an O(1) attach, and a pipeline
-// overlaps a few blocks by less than starting it costs (DESIGN.md §17).
-func (e *Engine) holdPayload(i, j int, narrow bool) bool {
-	blk, _ := e.buf.Get(buffer.Key{I: i, J: j})
-	e.held[i*e.p+j] = blk.Payload
-	return blk.Payload == nil || !narrow
+// openFetch is the fetch plan of one pass or async row: it opens the block
+// stream over cells, in the order the driver takes them, for a frontier of
+// active vertices out of span. It chooses the route once — narrow at most one
+// in sparseViewDensity active, sparse (every cell a run view, the stream
+// inline) at most one in density over viewable blocks — and lists the cells
+// the stream loads. Residency is sampled on the consumer only, and the
+// stream's loads never touch the buffer. Of a buffered stream's cells:
+//
+//   - A buffer of decoded edges (raw layouts) serves its residents to the
+//     consumer as they are (takeBuffered), so they stay off the list; a
+//     mid-pass eviction costs the consumer a synchronous load rather than a
+//     data race.
+//   - A buffer of payloads (Engine.payloads) is asked for every cell here, and
+//     the answer kept in held. A miss goes on the list, and so does a hit over
+//     a frontier that is not narrow. A narrow hit stays off, and the stream's
+//     take serves it on the consumer uncounted: there a view is an O(1) attach,
+//     and a pipeline overlaps a few blocks by less than starting it costs
+//     (DESIGN.md §17). Where no block is viewed — behind an overlay or a
+//     shared cache — narrow decides whether such a hit decodes on a worker or
+//     on the consumer.
+//
+// The stream's one load is a held payload's decode or view, or a miss's load
+// with the payload to offer (heldBlock); else a run view on a sparse stream,
+// else the block decoded in full.
+func (e *Engine) openFetch(active, span, density int, buffered bool, cells []buffer.Key) *blockStream[block] {
+	narrow := active*sparseViewDensity <= span
+	sparse := active*density <= span && e.viewable()
+	held := buffered && e.payloads
+	clear(e.held)
+	var reqs []pipeline.Request
+	for _, k := range cells {
+		switch {
+		case held:
+			res, _ := e.buf.Get(k)
+			e.held[k.I*e.p+k.J] = heldCell{payload: res.Payload, sampled: true}
+			if res.Payload != nil && narrow {
+				continue
+			}
+		case buffered && e.buf.Contains(k):
+			continue
+		}
+		reqs = append(reqs, pipeline.Request{I: k.I, J: k.J, Bytes: e.layout.Meta.SubBlockBytes(k.I, k.J)})
+	}
+	return openBlockStream(e.ctx, e.opts, &e.plStats, reqs, sparse, func(i, j int) (block, error) {
+		switch {
+		case held:
+			return e.heldBlock(i, j, sparse)
+		case sparse:
+			return e.src.viewed(i, j)
+		}
+		edges, err := e.src.full(i, j)
+		return block{edges: edges}, err
+	})
 }
 
-// heldBlock is the block stream's load of a cell holdPayload sampled, on a
+// heldBlock is a buffered stream's load of a cell openFetch sampled, on a
 // prefetch worker or on the consumer: a hit from the held payload, a miss from
 // the device with the payload to offer when the buffer could hold it.
 func (e *Engine) heldBlock(i, j int, sparse bool) (block, error) {
-	if payload := e.held[i*e.p+j]; payload != nil {
+	if payload := e.held[i*e.p+j].payload; payload != nil {
 		return e.src.resident(i, j, payload, sparse)
 	}
 	return e.src.secondary(i, j, sparse, e.layout.Meta.SubBlockDiskBytes(i, j) <= e.buf.Capacity())
 }
 
-// takePayload takes cell k from st and offers a miss's payload to the buffer
-// at priority.
-func (e *Engine) takePayload(st *blockStream[block], k buffer.Key, priority int64) (block, error) {
+// takeBuffered takes cell k of a buffered stream (openFetch) through the
+// per-run buffer, with one lookup per take. A buffer of decoded edges is asked
+// here and serves a resident as it is: every CRC, count and range check ran
+// when the block was loaded. A buffer of payloads was asked as the cell was
+// listed, or is asked here for a cell the plan was not handed — a dead row's,
+// which FCIU's cross scatter needs. Anything else comes from st and is offered
+// at rank. Like every buffer access it belongs to the goroutine running the
+// schedule, so the buffer's statistics are unchanged by pipelining.
+func (e *Engine) takeBuffered(st *blockStream[block], k buffer.Key, rank func([]graph.Edge) int64) (block, error) {
+	var hit bool
+	if !e.payloads {
+		if res, ok := e.buf.Get(k); ok {
+			return block{edges: res.Edges}, nil
+		}
+	} else {
+		h := &e.held[k.I*e.p+k.J]
+		if !h.sampled {
+			res, _ := e.buf.Get(k)
+			*h = heldCell{payload: res.Payload, sampled: true}
+		}
+		hit = h.payload != nil
+	}
 	blk, err := st.take(k.I, k.J)
-	if err == nil && e.held[k.I*e.p+k.J] == nil {
-		e.offerPayload(k, blk, priority)
+	if err == nil && !hit {
+		e.offer(k, blk, rank)
 	}
 	return blk, err
 }
 
-// offer offers the just-loaded sub-block k to the per-run buffer as decoded
-// edges, charged their decoded size; a hit saves the block's on-disk bytes.
-// The priority — for FCIU a scan of the block's edges — is computed only when
-// it can decide the admission: an entry larger than the whole buffer is
-// rejected, and counted, by Put before it looks at it.
-func (e *Engine) offer(k buffer.Key, edges []graph.Edge, priority func([]graph.Edge) int64) {
-	size := e.layout.Meta.SubBlockBytes(k.I, k.J)
+// offer offers the cell k a stream just loaded to the per-run buffer at
+// rank(edges), which is computed only when it can decide the admission: an
+// entry larger than the whole buffer is rejected, and counted, by Put before it
+// looks at it. A buffer of decoded edges is charged their decoded size; a
+// buffer of payloads (Engine.payloads) the block's delta payload, charged its
+// length — the on-disk size of a verified payload. A block the loader did not
+// keep (larger than the whole buffer) comes without a payload and is still
+// offered, so that Put rejects and counts it. A hit saves the block's on-disk
+// bytes.
+func (e *Engine) offer(k buffer.Key, blk block, rank func([]graph.Edge) int64) {
 	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
-	var rank int64
+	size, res := e.layout.Meta.SubBlockBytes(k.I, k.J), buffer.Block{Edges: blk.edges}
+	if e.payloads {
+		size, res = disk, buffer.Block{Payload: blk.payload}
+	}
+	var priority int64
 	if size <= e.buf.Capacity() {
-		rank = priority(edges)
+		priority = rank(blk.edges)
 	}
-	e.buf.Put(k, buffer.Block{Edges: edges}, size, disk, rank)
-}
-
-// offerPayload offers the cell k a stream just loaded to a per-run buffer of
-// payloads (Engine.payloads): its delta payload, charged its length — the
-// on-disk size of a verified payload — at priority, which needs no scan of the
-// edges and is the same whichever route delivered the block. A hit saves the
-// block's on-disk bytes. A block the loader did not keep (larger than the
-// whole buffer) comes without a payload and is still offered, so that Put
-// rejects and counts it.
-func (e *Engine) offerPayload(k buffer.Key, blk block, priority int64) {
-	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
-	if blk.payload == nil {
-		e.buf.Put(k, buffer.Block{}, disk, disk, 0)
-		return
-	}
-	if e.buf.Put(k, buffer.Block{Payload: blk.payload}, disk, disk, priority) {
-		e.src.notePacked(blk.payload, e.layout.Meta.SubBlockBytes(k.I, k.J))
+	if e.buf.Put(k, res, size, disk, priority) && res.Payload != nil {
+		e.src.notePacked(res.Payload, e.layout.Meta.SubBlockBytes(k.I, k.J))
 	}
 }
