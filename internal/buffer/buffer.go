@@ -51,7 +51,9 @@ func (k Key) String() string {
 // block decodes, in its own goroutine. At most one of the two is set (neither:
 // an empty sub-block). The store never looks inside either and never writes to
 // them: a slice handed out stays valid and unchanged after its entry is
-// evicted, so holders must treat it as read-only.
+// evicted, so holders must treat it as read-only — unless the per-run door's
+// caller took the evicted payload back (Put's spent) to reuse its memory,
+// which it does only once none of the slice's holders is left.
 type Block struct {
 	Edges   []graph.Edge
 	Payload []byte
@@ -86,8 +88,9 @@ func newStore(capacity int64) store {
 // resident only its priority is refreshed. To make room, residents with
 // priority strictly below the candidate's are evicted lowest-first; if that
 // cannot free enough space — or the block is larger than the whole store —
-// the candidate is rejected. Reports whether k is resident afterwards.
-func (s *store) put(k Key, blk Block, size, saved, priority int64) bool {
+// the candidate is rejected. Reports whether k is resident afterwards. When
+// spent is not nil the payload of every resident evicted is appended to it.
+func (s *store) put(k Key, blk Block, size, saved, priority int64, spent *[][]byte) bool {
 	if e, ok := s.entries[k]; ok {
 		e.priority = priority
 		return true
@@ -102,7 +105,11 @@ func (s *store) put(k Key, blk Block, size, saved, priority int64) bool {
 			s.rejections++
 			return false
 		}
-		s.used -= s.entries[victim].size
+		e := s.entries[victim]
+		if spent != nil && e.blk.Payload != nil {
+			*spent = append(*spent, e.blk.Payload)
+		}
+		s.used -= e.size
 		delete(s.entries, victim)
 		s.evictions++
 	}
@@ -225,13 +232,16 @@ func (b *Buffer) Contains(k Key) bool {
 // store's admission rule (see store.put). Decoded edges are charged decoded —
 // the bytes they occupy — and a payload its own length; saved is the on-disk
 // bytes a future hit avoids reading, which differs from both on compressed
-// layouts. Returns whether the sub-block is resident afterwards.
-func (b *Buffer) Put(k Key, blk Block, decoded, saved, priority int64) bool {
+// layouts. Returns whether the sub-block is resident afterwards. The payload of
+// every resident evicted to make room is appended to *spent (spent nil:
+// dropped): the buffer no longer refers to it, and it is the caller's to reuse
+// once nothing it handed it to still reads it.
+func (b *Buffer) Put(k Key, blk Block, decoded, saved, priority int64, spent *[][]byte) bool {
 	size := decoded
 	if blk.Payload != nil {
 		size = int64(len(blk.Payload))
 	}
-	return b.st.put(k, blk, size, saved, priority)
+	return b.st.put(k, blk, size, saved, priority, spent)
 }
 
 // UpdatePriority sets the priority of k if resident.

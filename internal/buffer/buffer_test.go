@@ -30,7 +30,7 @@ func TestEmptyBufferMisses(t *testing.T) {
 func TestPutGetRoundTrip(t *testing.T) {
 	b := New(1000)
 	e := edges(5)
-	if !b.Put(Key{I: 1, J: 2}, Block{Edges: e}, 40, 40, 10) {
+	if !b.Put(Key{I: 1, J: 2}, Block{Edges: e}, 40, 40, 10, nil) {
 		t.Fatal("Put rejected with ample space")
 	}
 	got, ok := b.Get(Key{I: 1, J: 2})
@@ -48,7 +48,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestZeroCapacityCachesNothing(t *testing.T) {
 	b := New(0)
-	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 8, 8, 100) {
+	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 8, 8, 100, nil) {
 		t.Fatal("zero-capacity buffer accepted an entry")
 	}
 	if b.Stats().Rejections != 1 {
@@ -58,20 +58,20 @@ func TestZeroCapacityCachesNothing(t *testing.T) {
 
 func TestOversizeRejected(t *testing.T) {
 	b := New(100)
-	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(20)}, 160, 160, 1) {
+	if b.Put(Key{I: 0, J: 0}, Block{Edges: edges(20)}, 160, 160, 1, nil) {
 		t.Fatal("oversize entry accepted")
 	}
-	if b.Put(Key{I: 0, J: 0}, Block{}, -1, -1, 1) {
+	if b.Put(Key{I: 0, J: 0}, Block{}, -1, -1, 1, nil) {
 		t.Fatal("negative size accepted")
 	}
 }
 
 func TestEvictsLowestPriority(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)  // low priority
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50) // high priority
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5, nil)  // low priority
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50, nil) // high priority
 	// Needs 40 bytes; must evict (0,0), not (1,0).
-	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 20) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 20, nil) {
 		t.Fatal("insertion with evictable victim rejected")
 	}
 	if b.Contains(Key{I: 0, J: 0}) {
@@ -87,27 +87,27 @@ func TestEvictsLowestPriority(t *testing.T) {
 
 func TestRejectsWhenAllResidentsHigherPriority(t *testing.T) {
 	b := New(80)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100)
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90)
-	if b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10) {
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100, nil)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90, nil)
+	if b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10, nil) {
 		t.Fatal("low-priority candidate displaced higher-priority residents")
 	}
 	if !b.Contains(Key{I: 0, J: 0}) || !b.Contains(Key{I: 1, J: 0}) {
 		t.Fatal("residents were disturbed")
 	}
 	// Equal priority must not displace either (strict inequality).
-	if b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 90) {
+	if b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 90, nil) {
 		t.Fatal("equal-priority candidate displaced a resident")
 	}
 }
 
 func TestEvictsMultipleVictims(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 30, 30, 1)
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 30, 30, 2)
-	b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 30, 30, 3)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 30, 30, 1, nil)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 30, 30, 2, nil)
+	b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 30, 30, 3, nil)
 	// 90 bytes used; an 80-byte candidate at priority 10 must evict all three.
-	if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 80, 80, 10) {
+	if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 80, 80, 10, nil) {
 		t.Fatal("multi-victim insertion rejected")
 	}
 	if b.Len() != 1 || b.st.used != 80 {
@@ -120,17 +120,17 @@ func TestEvictsMultipleVictims(t *testing.T) {
 
 func TestPutExistingRefreshesPriority(t *testing.T) {
 	b := New(100)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 1)
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 1, nil)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 50, nil)
 	// Refresh (0,0) to a high priority; no new insertion recorded.
-	if !b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 60) {
+	if !b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 60, nil) {
 		t.Fatal("refresh rejected")
 	}
 	if b.Stats().Insertions != 2 {
 		t.Fatalf("insertions = %d", b.Stats().Insertions)
 	}
 	// Now (1,0) is the lowest priority and must be the victim.
-	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 55) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 55, nil) {
 		t.Fatal("insertion rejected")
 	}
 	if b.Contains(Key{I: 1, J: 0}) || !b.Contains(Key{I: 0, J: 0}) {
@@ -140,11 +140,11 @@ func TestPutExistingRefreshesPriority(t *testing.T) {
 
 func TestUpdatePriority(t *testing.T) {
 	b := New(80)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100)
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90)
+	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100, nil)
+	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90, nil)
 	b.UpdatePriority(Key{I: 0, J: 0}, 1)
 	// (0,0) now evictable by a priority-10 candidate.
-	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10, nil) {
 		t.Fatal("insertion after priority downgrade rejected")
 	}
 	if b.Contains(Key{I: 0, J: 0}) {
@@ -159,10 +159,10 @@ func TestPriorityTiesBreakByInsertionOrder(t *testing.T) {
 	// deterministically, regardless of map iteration order.
 	for trial := 0; trial < 20; trial++ {
 		b := New(120)
-		b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
-		b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
-		b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 5)
-		if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 9) {
+		b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 5, nil)
+		b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 5, nil)
+		b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 5, nil)
+		if !b.Put(Key{I: 3, J: 0}, Block{Edges: edges(1)}, 40, 40, 9, nil) {
 			t.Fatal("insertion rejected")
 		}
 		if b.Contains(Key{I: 0, J: 0}) || !b.Contains(Key{I: 1, J: 0}) || !b.Contains(Key{I: 2, J: 0}) {
@@ -181,7 +181,7 @@ func TestPropertyUsedWithinCapacity(t *testing.T) {
 			k := Key{I: int(op % 7), J: int(op / 7 % 7)}
 			switch op % 3 {
 			case 0:
-				b.Put(k, Block{}, int64(op%200), int64(op%200), int64(op%13))
+				b.Put(k, Block{}, int64(op%200), int64(op%200), int64(op%13), nil)
 			case 1:
 				b.Get(k)
 			case 2:
@@ -216,7 +216,7 @@ func TestBlockRoundTripsInEitherForm(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			b := New(100)
 			k := Key{I: 1, J: 0}
-			if !b.Put(k, tc.blk, decoded, onDisk, 5) {
+			if !b.Put(k, tc.blk, decoded, onDisk, 5, nil) {
 				t.Fatal("Put rejected with room to spare")
 			}
 			if b.st.used != tc.charge {

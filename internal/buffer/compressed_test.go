@@ -14,11 +14,11 @@ import (
 
 func TestBufferPayloadEviction(t *testing.T) {
 	b := New(10)
-	if !b.Put(Key{I: 1, J: 0}, Block{Payload: make([]byte, 6)}, 600, 60, 1) {
+	if !b.Put(Key{I: 1, J: 0}, Block{Payload: make([]byte, 6)}, 600, 60, 1, nil) {
 		t.Fatal("first payload rejected")
 	}
 	// A higher-priority candidate evicts the low-priority payload resident.
-	if !b.Put(Key{I: 2, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 9) {
+	if !b.Put(Key{I: 2, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 9, nil) {
 		t.Fatal("higher-priority payload rejected")
 	}
 	if b.Contains(Key{I: 1, J: 0}) {
@@ -28,8 +28,45 @@ func TestBufferPayloadEviction(t *testing.T) {
 		t.Fatalf("evictions=%d, want 1", st.Evictions)
 	}
 	// A lower-priority candidate that doesn't fit is rejected.
-	if b.Put(Key{I: 3, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 1) {
+	if b.Put(Key{I: 3, J: 0}, Block{Payload: make([]byte, 8)}, 800, 80, 1, nil) {
 		t.Fatal("low-priority payload displaced a higher-priority resident")
+	}
+}
+
+// TestPutHandsBackEvictedPayloads: given spent, the per-run door appends the
+// payload of every resident it evicts, in eviction order, and nothing else —
+// not a decoded resident's edges, not the candidate it rejects — and leaves
+// every counter as a Put that drops them does.
+func TestPutHandsBackEvictedPayloads(t *testing.T) {
+	low, mid := make([]byte, 3), make([]byte, 4)
+	b, plain := New(10), New(10)
+	for _, c := range []struct {
+		k        Key
+		blk      Block
+		decoded  int64
+		priority int64
+	}{
+		{Key{I: 0}, Block{Payload: low}, 300, 1},
+		{Key{I: 1}, Block{Edges: make([]graph.Edge, 1)}, 3, 2},
+		{Key{I: 2}, Block{Payload: mid}, 400, 3},
+		{Key{I: 3}, Block{Payload: make([]byte, 10)}, 1000, 9}, // evicts all three
+		{Key{I: 4}, Block{Payload: make([]byte, 2)}, 200, 1},   // rejected
+	} {
+		var spent [][]byte
+		got := b.Put(c.k, c.blk, c.decoded, c.decoded, c.priority, &spent)
+		if want := plain.Put(c.k, c.blk, c.decoded, c.decoded, c.priority, nil); got != want {
+			t.Fatalf("%v: resident %t handing back, %t dropping", c.k, got, want)
+		}
+		if c.k.I == 3 {
+			if len(spent) != 2 || &spent[0][0] != &low[0] || &spent[1][0] != &mid[0] {
+				t.Fatalf("evicting two payloads and a decoded block handed back %d slices", len(spent))
+			}
+		} else if len(spent) != 0 {
+			t.Fatalf("%v: %d payloads handed back with nothing evicted", c.k, len(spent))
+		}
+	}
+	if b.Stats() != plain.Stats() || b.Used() != plain.Used() {
+		t.Fatalf("stats %+v, used %d handing back; %+v, %d dropping", b.Stats(), b.Used(), plain.Stats(), plain.Used())
 	}
 }
 

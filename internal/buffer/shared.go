@@ -192,7 +192,7 @@ func (s *Shared) GetOrLoadBlock(k Key, load func() (Block, int64, error)) (blk B
 			charge = int64(len(f.blk.Payload))
 		}
 		s.clock++
-		s.st.put(k, f.blk, charge, f.size, s.clock)
+		s.st.put(k, f.blk, charge, f.size, s.clock, nil) // its entries are every job's: none is handed back
 	}
 	s.mu.Unlock()
 	close(f.done)

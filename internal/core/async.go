@@ -465,7 +465,7 @@ func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
 	}
 	lo, hi := e.layout.Meta.Interval(i)
 	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, a.rowBlocks[i])
-	defer st.close()
+	defer e.endFetch(st)
 	return a.scatterRow(i, func(k buffer.Key) (block, error) { return e.takeBuffered(st, k, topPriority) })
 }
 

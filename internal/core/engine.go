@@ -57,6 +57,9 @@ type Engine struct {
 	// cell (i, j) in a buffer of payloads (heldCell).
 	payloads bool
 	held     []heldCell
+	// spent collects the payloads the buffer let go during the fetch plan in
+	// progress, for endFetch to make spares (offer).
+	spent [][]byte
 
 	// src is where every driver gets its edges from (see source.go).
 	src *blockSource

@@ -177,6 +177,29 @@ func RunCountingPooledSlices(layout *partition.Layout, prog Program, opts Option
 	return res, st, err
 }
 
+// SpareStats is what a run's payload spares (blockSource.spares) came to: the
+// most bytes they and the payloads collected for them held at once, the
+// buffered misses that read into one, and the per-run buffer's misses in all.
+type SpareStats struct {
+	HighBytes    int64
+	Hits, Misses int
+}
+
+// RunCountingSpares is Run, with release poisoning as RunCountingViews' does —
+// which scribbles every payload before it becomes a spare — that reports what
+// the run's payload spares came to.
+func RunCountingSpares(layout *partition.Layout, prog Program, opts Options) (*Result, SpareStats, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, SpareStats{}, err
+	}
+	e.src.poison = true
+	res, err := e.run()
+	e.src.spMu.Lock()
+	defer e.src.spMu.Unlock()
+	return res, SpareStats{HighBytes: e.src.spareHigh, Hits: e.src.spareHits, Misses: int(e.buf.Stats().Misses)}, err
+}
+
 // MaxOpenBlocks is the number of block descriptors a run keeps open.
 const MaxOpenBlocks = maxOpenBlocks
 

@@ -132,7 +132,7 @@ func (e *Engine) passRank(k buffer.Key) func([]graph.Edge) int64 {
 func (e *Engine) runPass(cells passCells) error {
 	e.semBegin()
 	st := e.openPass(cells)
-	defer st.close()
+	defer e.endFetch(st)
 	cross := cells.crossIter()
 	// crossScatter is CrossIterUpdate: sources of interval i already updated
 	// in this iteration propagate their new value to iteration t+1.

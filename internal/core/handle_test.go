@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/graphsd/graphsd/internal/algorithms"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
@@ -365,7 +366,9 @@ func TestPooledSlicesStayWithinRunBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
-		priced := core.RunBytes(m, opts, prog()) - core.VertexStateBytes(m, false, prog()) - core.HandleBytes(m) - opts.BufferBytes
+		// The buffer's capacity twice: its residents, then the spares its
+		// evictions and rejections leave (TestSparesStayWithinRunBytes).
+		priced := core.RunBytes(m, opts, prog()) - core.VertexStateBytes(m, false, prog()) - core.HandleBytes(m) - opts.BufferBytes - opts.BufferBytes
 		if depth > 0 {
 			priced -= opts.PrefetchBytes
 		}
@@ -376,6 +379,65 @@ func TestPooledSlicesStayWithinRunBytes(t *testing.T) {
 		// its allocations bound nothing there; the slices' size still holds.
 		if (!raceEnabled && int64(pool.Slices) > priced/largestBytes) || int64(pool.MaxEdges) > largest {
 			t.Fatalf("depth %d: the pool handed out %d slices, up to %d edges; RunBytes prices %d of %d edges", depth, pool.Slices, pool.MaxEdges, priced/largestBytes, largest)
+		}
+	}
+}
+
+// TestSparesStayWithinRunBytes: the payloads the per-run buffer lets go are
+// collected during a pass or row and then become spares that buffered misses
+// read into, never more bytes of them, collected and spare together, at once
+// than RunBytes prices — the buffer's capacity, a term that a shared cache,
+// whose payloads are not the run's, takes away. It runs the R-MAT PageRank of
+// TestPooledSlicesStayWithinRunBytes and SSSP over a weighted lattice under
+// both schedules, with the spares poisoned as they are made, and holds every
+// output to an unbuffered run's. On the lattice most misses find a spare.
+func TestSparesStayWithinRunBytes(t *testing.T) {
+	rmat, err := gen.RMAT(11, 16, gen.Graph500, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		prog    func() core.Program
+		buffer  func(m *partition.Manifest) core.Options
+		lattice bool // SSSP, under both schedules; PageRank runs BSP only
+	}{
+		{"rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} },
+			func(m *partition.Manifest) core.Options { return core.Options{BufferBytes: m.EdgeBytesTotal() / 8} }, false},
+		{"lattice", gen.Weighted(gen.Grid(128), 16, 1), func() core.Program { return &algorithms.SSSP{Source: 0} },
+			func(*partition.Manifest) core.Options { return core.Options{DefaultBuffer: true} }, true},
+	} {
+		l := codecLayout(t, c.g, 8, graph.CodecDelta)
+		m := &l.Meta
+		plain, err := core.Run(l, c.prog(), core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		schedules := []bool{false}
+		if c.lattice {
+			schedules = append(schedules, true)
+		}
+		for _, async := range schedules {
+			for _, depth := range []int{-1, 2} {
+				opts := c.buffer(m)
+				opts.Async, opts.PrefetchDepth = async, depth
+				shared := opts
+				shared.SharedBlocks = buffer.NewShared(1 << 20)
+				priced := core.RunBytes(m, opts, c.prog()) - core.RunBytes(m, shared, c.prog())
+				res, sp, err := core.RunCountingSpares(l, c.prog(), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
+				t.Logf("%s async=%t depth=%d: %d of %d misses read into a spare, spares up to %d of %d priced bytes", c.name, async, depth, sp.Hits, sp.Misses, sp.HighBytes, priced)
+				if priced <= 0 || sp.HighBytes > priced {
+					t.Errorf("%s async=%t depth=%d: spares held %d bytes at once, RunBytes prices %d", c.name, async, depth, sp.HighBytes, priced)
+				}
+				if c.lattice && (sp.HighBytes == 0 || 2*sp.Hits < sp.Misses) {
+					t.Errorf("%s async=%t depth=%d: %d of %d misses read into a spare", c.name, async, depth, sp.Hits, sp.Misses)
+				}
+			}
 		}
 	}
 }

@@ -33,7 +33,9 @@ type blockSource struct {
 	// slices are pooled in one case only (edgeBufs): elsewhere consumers may
 	// retain them (the decoded buffer tier, the FCIU diagonal, the shared
 	// cache), and since every decoder allocates exactly once, exactly its size,
-	// recycling them measured no gain (DESIGN.md §17).
+	// recycling them measured no gain (DESIGN.md §17). Nor are the payloads a
+	// buffered miss reads (secondary), which the per-run buffer may keep; those
+	// it lets go come back as spares.
 	ioBufs sync.Pool
 
 	// edgeBufs pools the slices a dense pass or async row decodes its buffered
@@ -70,6 +72,20 @@ type blockSource struct {
 	compHits, compBytes, compDecodedBytes atomic.Int64
 	// viewBlocks counts the blocks delivered as run views.
 	viewBlocks atomic.Int64
+
+	// spares is payload memory the per-run buffer let go — residents it
+	// evicted, offers it rejected — collected during a fetch plan (collect)
+	// and handed over once nothing reads it (recycle). A buffered miss reads
+	// into one whose capacity is exactly the cell's on-disk size (spare), so a
+	// resident never holds memory it is not charged for. spareBytes is their
+	// capacity and pendingBytes that of the payloads collected but not yet
+	// recycled; the two together stay at most the per-run buffer's capacity
+	// (RunBytes prices it). spareHigh is the most they came to and spareHits
+	// the misses the spares served, for the tests.
+	spMu                                sync.Mutex
+	spares                              [][]byte
+	spareBytes, pendingBytes, spareHigh int64
+	spareHits                           int
 }
 
 func newBlockSource(layout *partition.Layout, shared *buffer.Shared) *blockSource {
@@ -128,7 +144,9 @@ func HandleBytes(m *partition.Manifest) int64 {
 //     block a dense pass or row has in flight plus the consumer's — and under
 //     BSP the diagonal an FCIU pass holds across its column — each up to the
 //     decoded size of the largest cell, since every cell of either goes
-//     through the buffer;
+//     through the buffer — and, with no shared cache, the spares the buffer's
+//     evictions and rejections leave and the payloads collected for them
+//     (blockSource.spares): its capacity again;
 //   - with checkpointing on, the encoded image its checkpoint.Writer keeps
 //     for the whole run (checkpointBytes).
 //
@@ -146,6 +164,9 @@ func RunBytes(m *partition.Manifest, opts Options, prog Program) int64 {
 		slices += int64(po.Depth)
 	}
 	if opts.payloads(m) {
+		if opts.SharedBlocks == nil {
+			total += max(opts.bufferBytes(m), 0)
+		}
 		if !opts.Async {
 			slices++
 		}
@@ -411,10 +432,10 @@ func (s *blockSource) view(h *blockHandle, i, j int, rb *runBlock) (block, error
 // delta payloads (Engine.payloads): decoded into a pooled slice or, on a sparse
 // pass or row, as a run view — and, when keep says the buffer could hold it,
 // with the payload the consumer offers it: the verified bytes the device
-// returned, read into memory of their own rather than a pooled buffer; a
-// compressed shared cache's entry; or, behind a raw shared cache, the edges
-// encoded here, on the prefetch worker. (On a layout with an overlay the
-// device's payload is the merged block, encoded by the layout.)
+// returned, read into a spare of their size (with no overlay) or into memory
+// of their own, never a pooled buffer; a compressed shared cache's entry; or, behind a raw shared
+// cache, the edges encoded here, on the prefetch worker. (On a layout with an
+// overlay the device's payload is the merged block, encoded by the layout.)
 func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 	if s.layout.Meta.SubBlockEdges(i, j) == 0 {
 		return block{}, nil
@@ -446,7 +467,11 @@ func (s *blockSource) secondary(i, j int, sparse, keep bool) (block, error) {
 		return s.pooled(func(dst []graph.Edge) ([]graph.Edge, error) { return s.read(i, j, dst) })
 	}
 	h := s.handle(i, j)
-	payload, err := s.layout.LoadSubBlockPayloadFrom(h.r, i, j, nil)
+	var buf []byte
+	if s.layout.Overlay == nil { // else the payload may be the merged block, encoded afresh
+		buf = s.spare(s.layout.Meta.SubBlockDiskBytes(i, j))
+	}
+	payload, err := s.layout.LoadSubBlockPayloadFrom(h.r, i, j, buf)
 	s.done(h)
 	if err != nil {
 		return block{}, err
@@ -516,6 +541,60 @@ func (s *blockSource) release(b block) {
 		}
 	}
 	s.views.Put(b.runs)
+}
+
+// spare takes a spare of capacity exactly size, emptied, or returns nil.
+func (s *blockSource) spare(size int64) []byte {
+	s.spMu.Lock()
+	defer s.spMu.Unlock()
+	for k, p := range s.spares {
+		if int64(cap(p)) == size {
+			last := len(s.spares) - 1
+			s.spares[k], s.spares[last] = s.spares[last], nil
+			s.spares = s.spares[:last]
+			s.spareBytes -= size
+			s.spareHits++
+			return p[:0]
+		}
+	}
+	return nil
+}
+
+// collect keeps, of the payloads spent[n:] the buffer just let go, those that
+// fit beside the spares and the payloads already collected in limit bytes, and
+// drops the rest, which are garbage once their blocks are released.
+func (s *blockSource) collect(spent [][]byte, n int, limit int64) [][]byte {
+	s.spMu.Lock()
+	defer s.spMu.Unlock()
+	kept := spent[:n]
+	for _, p := range spent[n:] {
+		if s.spareBytes+s.pendingBytes+int64(cap(p)) <= limit {
+			kept = append(kept, p)
+			s.pendingBytes += int64(cap(p))
+		}
+	}
+	clear(spent[len(kept):])
+	s.spareHigh = max(s.spareHigh, s.spareBytes+s.pendingBytes)
+	return kept
+}
+
+// recycle makes the payloads collect kept spares: memory the per-run buffer
+// let go, which nothing reads any more. Under poison each is scribbled first,
+// so that a read of one after it was let go fails.
+func (s *blockSource) recycle(payloads [][]byte) {
+	s.spMu.Lock()
+	defer s.spMu.Unlock()
+	for _, p := range payloads {
+		if s.poison {
+			whole := p[:cap(p)]
+			for k := range whole {
+				whole[k] = 0xff // no varint ends: every later decode fails
+			}
+		}
+		s.spares = append(s.spares, p)
+	}
+	s.spareBytes += s.pendingBytes
+	s.pendingBytes = 0
 }
 
 func (s *blockSource) noteShared(hit bool) {
@@ -816,6 +895,17 @@ func (e *Engine) takeBuffered(st *blockStream[block], k buffer.Key, rank func([]
 	return blk, err
 }
 
+// endFetch closes the stream of a fetch plan (openFetch) and then makes the
+// payloads its offers collected the source's spares. Not before: until the
+// stream is closed and its blocks released, a view over one, a held sample of
+// one or FCIU's diagonal may still read it.
+func (e *Engine) endFetch(st *blockStream[block]) {
+	st.close()
+	e.src.recycle(e.spent)
+	clear(e.spent)
+	e.spent = e.spent[:0]
+}
+
 // offer offers the cell k a stream just loaded to the per-run buffer at
 // rank(edges), which is computed only when it can decide the admission: an
 // entry larger than the whole buffer is rejected, and counted, by Put before it
@@ -824,7 +914,9 @@ func (e *Engine) takeBuffered(st *blockStream[block], k buffer.Key, rank func([]
 // length — the on-disk size of a verified payload. A block the loader did not
 // keep (larger than the whole buffer) comes without a payload and is still
 // offered, so that Put rejects and counts it. A hit saves the block's on-disk
-// bytes.
+// bytes. With no shared cache — whose payloads are not the run's — the payloads
+// the buffer lets go, evicted or rejected, are collected for endFetch, as many
+// as fit beside the spares in the buffer's capacity (collect).
 func (e *Engine) offer(k buffer.Key, blk block, rank func([]graph.Edge) int64) {
 	disk := e.layout.Meta.SubBlockDiskBytes(k.I, k.J)
 	size, res := e.layout.Meta.SubBlockBytes(k.I, k.J), buffer.Block{Edges: blk.edges}
@@ -835,7 +927,20 @@ func (e *Engine) offer(k buffer.Key, blk block, rank func([]graph.Edge) int64) {
 	if size <= e.buf.Capacity() {
 		priority = rank(blk.edges)
 	}
-	if e.buf.Put(k, res, size, disk, priority) && res.Payload != nil {
+	var spent *[][]byte
+	if e.src.shared == nil {
+		spent = &e.spent
+	}
+	n := len(e.spent)
+	kept := e.buf.Put(k, res, size, disk, priority, spent)
+	switch {
+	case res.Payload == nil:
+	case kept:
 		e.src.notePacked(res.Payload, e.layout.Meta.SubBlockBytes(k.I, k.J))
+	case spent != nil:
+		e.spent = append(e.spent, res.Payload)
+	}
+	if spent != nil {
+		e.spent = e.src.collect(e.spent, n, e.buf.Capacity())
 	}
 }

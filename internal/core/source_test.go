@@ -392,11 +392,71 @@ func TestHandleRereadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// bufferedMiss is one buffered miss of cell (i, j) as a dense pass takes it:
+// the payload read to offer the buffer, its edges decoded into a pooled slice
+// the consumer then hands back.
+func bufferedMiss(tb testing.TB, s *blockSource, i, j int) []byte {
+	blk, err := s.secondary(i, j, false, true)
+	if err != nil || blk.payload == nil || len(blk.edges) == 0 {
+		tb.Fatalf("secondary(%d,%d) = %d edges, %d payload bytes, %v", i, j, len(blk.edges), len(blk.payload), err)
+	}
+	s.release(blk)
+	return blk.payload
+}
+
+// TestSpareMissAllocatesNothing: once a payload the buffer let go is a spare,
+// a buffered miss of a cell of the same on-disk size reads into it — handle
+// lookup, pread, CRC verify, decode into a pooled slice — and allocates
+// nothing, where a miss with no spare of its size allocates its payload.
+func TestSpareMissAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pools
+	l := rereadLayout(t)
+	s := newBlockSource(l, nil)
+	defer s.close()
+	// Two cells of one on-disk size where the lattice has them, else one.
+	a, b := [2]int{3, 3}, [2]int{3, 3}
+	bySize := map[int64][2]int{}
+	for _, c := range nonEmptyCells(l) {
+		size := l.Meta.SubBlockDiskBytes(c[0], c[1])
+		if o, ok := bySize[size]; ok {
+			a, b = o, c
+			break
+		}
+		bySize[size] = c
+	}
+	limit := l.Meta.SubBlockDiskBytes(a[0], a[1])
+	payload := bufferedMiss(t, s, a[0], a[1])
+	step := func() {
+		spent := payload // evicted, and its pass over
+		s.recycle(s.collect([][]byte{spent}, 0, limit))
+		if payload = bufferedMiss(t, s, b[0], b[1]); &payload[0] != &spent[0] {
+			t.Fatalf("a miss of %v did not read into the spare of its size", b)
+		}
+		a, b = b, a
+	}
+	step()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("%v allocations per buffered miss into a spare, want 0", allocs)
+	}
+	r := l.BlockReader(a[0], a[1])
+	defer r.Close()
+	want, err := l.LoadSubBlockPayloadFrom(r, a[0], a[1], nil)
+	if err != nil || !slices.Equal(bufferedMiss(t, s, a[0], a[1]), want) {
+		t.Fatalf("a miss of %v with no spare: not the verified payload (%v)", a, err)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { bufferedMiss(t, s, a[0], a[1]) }); allocs < 1 {
+		t.Errorf("%v allocations per buffered miss with no spare: its payload is not fresh memory", allocs)
+	}
+}
+
 // BenchmarkBlockReread prices one more read of a block the run has read
 // before: by name, as every load was made before handles (resolve the name,
-// open, stat, read, verify, close); through the block's kept handle; and
-// through the handle as a run view, directory re-attached. The first two
-// deliver the verified payload, the third what a sparse pass scatters from.
+// open, stat, read, verify, close); through the block's kept handle; through
+// the handle as a run view, directory re-attached; and as a buffered miss of a
+// dense pass (secondary with keep: the payload to offer, its edges decoded into
+// a pooled slice), into fresh memory or into a spare of the cell's size. The
+// first two deliver the verified payload, the third what a sparse pass
+// scatters from.
 func BenchmarkBlockReread(b *testing.B) {
 	l := rereadLayout(b)
 	const i, j = 3, 3
@@ -439,4 +499,21 @@ func BenchmarkBlockReread(b *testing.B) {
 			s.release(blk)
 		}
 	})
+	for _, spare := range []bool{false, true} {
+		name := "buffered-miss/fresh"
+		if spare {
+			name = "buffered-miss/spare"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			s := newBlockSource(l, nil)
+			defer s.close()
+			for n := 0; n < b.N; n++ {
+				payload := bufferedMiss(b, s, i, j)
+				if spare {
+					s.recycle(s.collect([][]byte{payload}, 0, l.Meta.SubBlockDiskBytes(i, j)))
+				}
+			}
+		})
+	}
 }

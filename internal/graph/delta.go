@@ -157,18 +157,16 @@ func decodeDeltaRuns(dst []Edge, body, weights []byte, max int, srcBase, dstBase
 			return dst[:base], err
 		}
 		if weights != nil {
-			col := weights[done*WeightBytes:]
-			for i := range run {
-				run[i].Weight = bitsToFloat(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
-			}
+			fillWeights(run, weights[done*WeightBytes:])
 		}
 		dst = dst[:len(dst)+len(run)]
 	}
 	return dst, nil
 }
 
-// decodeGaps is decodeDeltaRuns' gap loop, a function of its own so that its
-// state fits in registers; it returns the offset past run's gaps.
+// decodeGaps is the gap loop of decodeDeltaRuns and RunView.appendRun, a
+// function of its own so that its state fits in registers; it returns the
+// offset past run's gaps.
 func decodeGaps(run []Edge, body []byte, off int, src VertexID, prev int64, c Cell) (int, error) {
 	lo, span := c.DstLo, c.DstHi-c.DstLo
 	for i := range run {
@@ -186,6 +184,13 @@ func decodeGaps(run []Edge, body []byte, off int, src VertexID, prev int64, c Ce
 		run[i] = Edge{Src: src, Dst: VertexID(prev)}
 	}
 	return off, nil
+}
+
+// fillWeights gives run's edges, in order, the weights of col's records.
+func fillWeights(run []Edge, col []byte) {
+	for i := range run {
+		run[i].Weight = bitsToFloat(binary.LittleEndian.Uint32(col[i*WeightBytes:]))
+	}
 }
 
 // shortUvarint reads a uvarint of one or two bytes at b[off:], its second byte

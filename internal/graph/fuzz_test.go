@@ -186,6 +186,17 @@ func attachSeeds() (a, b []byte) {
 	return append(a, tail...), append(b, tail...)
 }
 
+// attachZeroLength returns two delta blocks of one shape whose first spans
+// differ: a holds one run of source 5, three edges; z the same run in fewer
+// bytes, then a zero-length run of source 5.
+func attachZeroLength() (a, z []byte) {
+	tail := EncodeDeltaRun(nil, []Edge{{Src: 70, Dst: 4}}, 0, 0)
+	a = EncodeDeltaRun(binary.AppendUvarint(nil, 4), []Edge{{Src: 5, Dst: 128}, {Src: 5, Dst: 256}, {Src: 5, Dst: 257}}, 0, 0)
+	z = EncodeDeltaRun(binary.AppendUvarint(nil, 4), []Edge{{Src: 5, Dst: 1}, {Src: 5, Dst: 2}, {Src: 5, Dst: 3}}, 0, 0)
+	z = append(z, 5, 0)
+	return append(a, tail...), append(z, tail...)
+}
+
 // FuzzRunViewAttach holds a kept directory to the bytes it is attached to, as
 // the engine re-attaches one on every narrow async step and sparse pass: a view
 // scans payload a, a second view attaches a's directory to b and decodes the
@@ -201,6 +212,11 @@ func FuzzRunViewAttach(f *testing.F) {
 	w := EncodeDeltaBlock(nil, []Edge{{Src: 4, Dst: 1 << 20, Weight: 1}, {Src: 9, Dst: 3, Weight: 2}}, 4, 1<<21, true)
 	f.Add(w, w, uint32(4), uint32(1<<21), true, []byte{1 << 1, 1 << 1})
 	f.Add(w, append(slices.Clone(w[:len(w)-1]), 0x40), uint32(4), uint32(1<<21), true, []byte{0xff, 0xff})
+	// The entry's run and then a zero-length run of its source, in a span of
+	// the same shape: the one run decoder once accepted it edge for edge,
+	// appendRun refuses it, since its gaps end before the next entry.
+	a, z := attachZeroLength()
+	f.Add(a, z, uint32(0), uint32(0), false, []byte{1 << 5})
 	f.Fuzz(func(t *testing.T, a, b []byte, srcBase, dstBase uint32, weighted bool, bits []byte) {
 		var v RunView
 		if !v.Scan(a, VertexID(srcBase), VertexID(dstBase), weighted) {

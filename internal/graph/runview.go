@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // runSpan locates one source's run inside the run section of a delta block.
@@ -177,7 +178,7 @@ func (v *RunView) scan(data []byte, weighted bool) bool {
 // filter[s/64]; sources beyond it count as clear) and appends their edges to
 // dst, in block order — exactly the edges a scatter filtered by the same set
 // would keep of AppendDeltaBlock's output, weights included. Runs are located
-// by walking the filter's set bits and galloping through the directory, so a
+// by walking the filter's set bits and seeking through the directory, so a
 // call costs in proportion to the active sources, not to the block. On error
 // dst comes back at its original length.
 func (v *RunView) AppendActive(dst []Edge, filter []uint64) ([]Edge, error) {
@@ -209,19 +210,23 @@ func (v *RunView) AppendActive(dst []Edge, filter []uint64) ([]Edge, error) {
 }
 
 // seekRun returns the first index at or after pos whose source is >= s, or
-// len(runs): doubling steps, then a binary search inside the last one.
+// len(runs). Sources strictly ascend, so that index is at most s - runs[pos].Src
+// entries past pos, and exactly that far when no source in between is missing:
+// on a dense cell one compare finds it, and otherwise a binary search inside
+// the bound does.
 func seekRun(runs []runSpan, pos int, s VertexID) int {
 	if pos == len(runs) || runs[pos].Src >= s {
 		return pos
 	}
 	// Invariant: runs[lo].Src < s, and hi == len(runs) or runs[hi].Src >= s.
-	lo, step := pos, 1
-	for lo+step < len(runs) && runs[lo+step].Src < s {
-		lo += step
-		step <<= 1
+	lo, hi := pos, len(runs)
+	if d := int(s - runs[pos].Src); d < hi-pos {
+		hi = pos + d
 	}
-	hi := min(lo+step, len(runs))
-	for hi-lo > 1 {
+	if runs[hi-1].Src < s {
+		return hi
+	}
+	for hi--; hi-lo > 1; {
 		if mid := int(uint(lo+hi) >> 1); runs[mid].Src < s {
 			lo = mid
 		} else {
@@ -231,29 +236,50 @@ func seekRun(runs []runSpan, pos int, s VertexID) int {
 	return hi
 }
 
-// appendRun decodes run k through the one run decoder, which repeats the
-// header checks and makes the ones Scan deferred; count and every edge's source
-// are held to the directory, which may be older than the payload (Attach) —
-// bytes of the same shape can hold several runs in one entry's span.
+// appendRun decodes run k and appends its edges to dst. The directory may be
+// older than the payload (Attach), so the run's header is held to its entry —
+// the source the entry names, inside the cell, and the entry's edge count —
+// and its gaps must end where the next entry begins. On error dst comes back
+// at its length.
 func (v *RunView) appendRun(dst []Edge, k int) ([]Edge, error) {
 	r, next := v.runs[k], v.runs[k+1]
-	want := int(next.Rec - r.Rec)
-	var weights []byte
-	if v.weights != nil {
-		weights = v.weights[int(r.Rec)*WeightBytes:]
+	body, off := v.body[:next.Off], int(r.Off)
+	srcRel, n := shortUvarint(body, off)
+	if n == 0 {
+		srcRel, n = binary.Uvarint(body[off:])
 	}
-	before := len(dst)
-	dst, err := decodeDeltaRuns(dst, v.body[r.Off:next.Off], weights, want, v.srcBase, v.dstBase, v.cell)
+	if n <= 0 {
+		return dst, fmt.Errorf("graph: run view: bad source varint in the run of source %d", r.Src)
+	}
+	off += n
+	if srcRel >= v.cell.SrcHi-uint64(v.srcBase) || v.srcBase+VertexID(srcRel) != r.Src {
+		return dst, fmt.Errorf("graph: run view: run of source %d+%d where the directory gives source %d", v.srcBase, srcRel, r.Src)
+	}
+	runLen, n := shortUvarint(body, off)
+	if n == 0 {
+		runLen, n = binary.Uvarint(body[off:])
+	}
+	if n <= 0 {
+		return dst, fmt.Errorf("graph: run view: bad length varint in the run of source %d", r.Src)
+	}
+	off += n
+	want := int(next.Rec - r.Rec)
+	if runLen != uint64(want) || want > len(body)-off {
+		return dst, fmt.Errorf("graph: run view: run of source %d holds %d edges in %d bytes, directory says %d", r.Src, runLen, len(body)-off, want)
+	}
+	if want > cap(dst)-len(dst) {
+		dst = slices.Grow(dst, want)
+	}
+	run := dst[len(dst) : len(dst)+want]
+	off, err := decodeGaps(run, body, off, r.Src, int64(v.dstBase), v.cell)
 	if err != nil {
 		return dst, err
 	}
-	if got := len(dst) - before; got != want {
-		return dst[:before], fmt.Errorf("graph: run view: run of source %d decoded %d edges, directory says %d", r.Src, got, want)
+	if off != len(body) {
+		return dst, fmt.Errorf("graph: run view: gaps of source %d end at byte %d, the next run begins at %d", r.Src, off, len(body))
 	}
-	for _, e := range dst[before:] {
-		if e.Src != r.Src {
-			return dst[:before], fmt.Errorf("graph: run view: source %d in the run the directory gives source %d", e.Src, r.Src)
-		}
+	if v.weights != nil {
+		fillWeights(run, v.weights[int(r.Rec)*WeightBytes:])
 	}
-	return dst, nil
+	return dst[:len(dst)+want], nil
 }

@@ -478,3 +478,97 @@ func TestCellBoundsEveryDecode(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekRunMatchesLinearScan holds seekRun to the first index at or after
+// pos whose source is at least s, found one entry at a time, over random
+// strictly ascending directories — dense, gapped, a single run — for every pos
+// up to and including the end and every s from below the first source to past
+// the last.
+func TestSeekRunMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	linear := func(runs []runSpan, pos int, s VertexID) int {
+		for pos < len(runs) && runs[pos].Src < s {
+			pos++
+		}
+		return pos
+	}
+	for trial := 0; trial < 300; trial++ {
+		n, maxGap := 1+rng.Intn(40), 1 // dense
+		switch trial % 3 {
+		case 1:
+			maxGap = 1 + rng.Intn(6) // gapped
+		case 2:
+			n = 1 // a single run
+		}
+		runs := make([]runSpan, n)
+		src := VertexID(rng.Intn(100))
+		for k := range runs {
+			runs[k].Src = src
+			src += VertexID(1 + rng.Intn(maxGap))
+		}
+		for pos := 0; pos <= n; pos++ {
+			for s := runs[0].Src - min(runs[0].Src, 2); s <= runs[n-1].Src+3; s++ {
+				if got, want := seekRun(runs, pos, s), linear(runs, pos, s); got != want {
+					t.Fatalf("sources %v from %d: seekRun(%d) = %d, a linear scan %d", runs, pos, s, got, want)
+				}
+			}
+		}
+	}
+}
+
+// attachedSpan builds a block of two runs, source 5 then source 70, whose
+// first run's span is the given bytes — its header and gaps, 7 bytes of them
+// — and attaches to it the directory scanned from the block whose first span
+// is 5, 3, then the gaps 0x82 0x01, 0x82 0x01 and 2: a payload of that shape
+// that the caller's checksum would have ruled out.
+func attachedSpan(t *testing.T, span []byte) *RunView {
+	t.Helper()
+	block := func(first []byte) []byte {
+		if len(first) != 7 {
+			t.Fatalf("a first span of %d bytes, want 7", len(first))
+		}
+		data := binary.AppendUvarint(nil, 4)
+		data = append(data, first...)
+		return append(data, 70, 1, 8) // source 70, one edge, gap +4
+	}
+	var scanned, v RunView
+	if !scanned.Scan(block([]byte{5, 3, 0x82, 0x01, 0x82, 0x01, 2}), 0, 0, false) {
+		t.Fatal("no view of the scanned block")
+	}
+	if !v.Attach(scanned.Dir(), block(span)) {
+		t.Fatalf("span % x: declined", span)
+	}
+	return &v
+}
+
+// TestRunViewHoldsTheHeaderToItsEntry: under an attached directory, a span
+// whose header names another source or another length than its entry, or
+// whose gaps end before or after the next entry, decodes to an error and the
+// caller's slice back as it was — never to edges. That includes the spans the
+// general run decoder would accept, edge for edge of the entry's source: a run
+// followed or preceded by a zero-length run, and the entry's run split in two.
+func TestRunViewHoldsTheHeaderToItsEntry(t *testing.T) {
+	v := attachedSpan(t, []byte{5, 3, 0x82, 0x01, 0x82, 0x01, 2})
+	if got, err := v.AppendActive(nil, []uint64{1 << 5}); err != nil || len(got) != 3 || got[2] != (Edge{Src: 5, Dst: 131}) {
+		t.Fatalf("the scanned bytes under their own directory: %v, %v", got, err)
+	}
+	for name, span := range map[string][]byte{
+		"another source":              {6, 3, 0x82, 0x01, 0x82, 0x01, 2},
+		"another length":              {5, 2, 0x82, 0x01, 0x82, 0x01, 2},
+		"a longer length":             {5, 4, 2, 2, 2, 2, 2},
+		"gaps ending before":          {5, 3, 2, 2, 2, 0xff, 0xff},
+		"gaps ending after":           {5, 3, 0x82, 0x01, 0x82, 0x01, 0x82},
+		"a trailing zero-length run":  {5, 3, 2, 2, 2, 5, 0},
+		"a zero-length run of 6":      {5, 3, 2, 2, 2, 6, 0},
+		"a leading zero-length run":   {5, 0, 5, 3, 2, 2, 2},
+		"the run split in two":        {5, 1, 2, 5, 2, 2, 2},
+		"a bad gap varint":            {5, 3, 0xff, 0xff, 0xff, 0xff, 0xff},
+		"a source outside the uint32": {0xff, 0xff, 0xff, 0xff, 0x7f, 3, 2},
+	} {
+		prefix := []Edge{{Src: 1, Dst: 2, Weight: 3}}
+		got, err := attachedSpan(t, span).AppendActive(slices.Clone(prefix), []uint64{1 << 5})
+		if err == nil || !sameEdgeBits(got, prefix) {
+			t.Errorf("%s (% x): %d edges after the prefix, %v; want an error and the prefix", name, span, len(got)-1, err)
+		}
+	}
+}
