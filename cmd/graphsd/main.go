@@ -335,7 +335,8 @@ func cmdRun(args []string) error {
 		fmt.Printf("resumed from checkpoint at iteration %d\n", res.ResumedFrom)
 	}
 	if res.Checkpoints > 0 {
-		fmt.Printf("checkpoints: %d taken, newest in %s\n", res.Checkpoints, *ckDir)
+		fmt.Printf("checkpoints: %d taken, newest in %s, step loop waited %v\n",
+			res.Checkpoints, *ckDir, res.CheckpointWait.Round(time.Microsecond))
 	}
 	if res.IO.Retries > 0 || res.Pipeline.Fallbacks > 0 {
 		fmt.Printf("fault recovery: %d retried reads, %d pipeline fallbacks to synchronous loads\n",

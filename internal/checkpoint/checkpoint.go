@@ -1,11 +1,15 @@
 // Package checkpoint persists engine execution state at iteration
 // boundaries so an interrupted out-of-core run can resume instead of
-// recomputing every completed iteration. The file is written crash-safely
-// (write-temp + fsync + rename, then directory fsync) and carries a magic
-// header plus a CRC32C of the body, so a torn or corrupted checkpoint is
-// detected at load rather than resumed from. Save writes one synchronously; a
-// running engine hands its images to a Writer, which writes them the same way
-// while the next step runs.
+// recomputing every completed iteration. An image carries a magic header plus
+// a CRC32C of the body, so a torn or corrupted image is detected at load
+// rather than resumed from.
+//
+// A checkpoint directory holds up to two image slots, FileName and a spare.
+// A running engine hands its images to a Writer, which overwrites in place the
+// slot that does not hold the newest valid image, then fsyncs it, while the
+// next step runs; Load returns the valid slot with the larger Iteration, so a
+// slot torn by a crash falls back to the image before it. Save writes one image
+// synchronously through temp file → fsync → rename → directory fsync.
 //
 // The checkpoint directory is a plain host directory, deliberately outside
 // the simulated storage.Device: checkpoints are operational state of the
@@ -23,8 +27,12 @@ import (
 	"path/filepath"
 )
 
-// FileName is the checkpoint file inside the checkpoint directory.
-const FileName = "checkpoint.bin"
+// FileName is the checkpoint directory's first image slot, and the file Save
+// writes. spareName is the second slot, which only a Writer writes.
+const (
+	FileName  = "checkpoint.bin"
+	spareName = "checkpoint.spare.bin"
+)
 
 // magic identifies a checkpoint file; the trailing digits are the format
 // version.
@@ -77,28 +85,40 @@ type State struct {
 	Threads int
 }
 
-// Path returns the checkpoint file path inside dir.
+// Path returns the path of the first image slot inside dir, FileName.
 func Path(dir string) string { return filepath.Join(dir, FileName) }
 
-// Exists reports whether dir holds a checkpoint file.
+// SparePath returns the path of the second image slot inside dir.
+func SparePath(dir string) string { return filepath.Join(dir, spareName) }
+
+// slotPaths returns dir's two image slots, FileName first.
+func slotPaths(dir string) [2]string { return [2]string{Path(dir), SparePath(dir)} }
+
+// Exists reports whether dir holds an image in either slot.
 func Exists(dir string) bool {
-	_, err := os.Stat(Path(dir))
-	return err == nil
+	for _, p := range slotPaths(dir) {
+		if _, err := os.Stat(p); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
-// Remove deletes the checkpoint in dir, if any.
+// Remove deletes the images in dir, if any.
 func Remove(dir string) error {
-	err := os.Remove(Path(dir))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("checkpoint: removing: %w", err)
+	for _, p := range slotPaths(dir) {
+		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("checkpoint: removing: %w", err)
+		}
 	}
 	return nil
 }
 
-// Save atomically writes s to dir, replacing any previous checkpoint. The
-// data path is temp file → fsync → rename → directory fsync; a crash at any
-// point leaves either the previous checkpoint or the new one, never a torn
-// file under the final name.
+// Save atomically makes s dir's only checkpoint image. The data path is temp
+// file → fsync → rename over FileName → removal of the spare slot → directory
+// fsync; a crash at any point leaves the previous images or the new one, never
+// a torn file under FileName. Load prefers the larger Iteration, so a crash
+// before the spare's removal is durable may leave a spare newer than s.
 func Save(dir string, s *State) error { return publish(dir, encode(nil, s)) }
 
 // encode builds s's file image — magic, CRC32C of the body, body — in buf,
@@ -111,7 +131,7 @@ func encode(buf []byte, s *State) []byte {
 	return buf
 }
 
-// publish makes image the checkpoint in dir, crash-safely (see Save).
+// publish makes image dir's only checkpoint image, crash-safely (see Save).
 func publish(dir string, image []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("checkpoint: creating dir: %w", err)
@@ -133,16 +153,62 @@ func publish(dir string, image []byte) error {
 		os.Remove(tmp)
 		return fmt.Errorf("checkpoint: publishing: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	if err := os.Remove(SparePath(dir)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("checkpoint: removing the spare: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir makes dir's entries durable: a rename, a removal, a created file.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: syncing dir: %w", err)
+	}
+	serr := d.Sync()
+	cerr := d.Close()
+	if err := errors.Join(serr, cerr); err != nil {
+		return fmt.Errorf("checkpoint: syncing dir: %w", err)
 	}
 	return nil
 }
 
-// Load reads and validates the checkpoint in dir.
+// Load reads dir's image slots and returns the valid one with the larger
+// Iteration, FileName's on a tie. A slot that is missing, torn or corrupt is
+// passed over; when no slot holds a valid image, the error is FileName's, or
+// the spare's when FileName is missing.
 func Load(dir string) (*State, error) {
-	data, err := os.ReadFile(Path(dir))
+	st, _, err := newest(dir)
+	return st, err
+}
+
+// newest loads both of dir's slots and returns the valid image with the
+// larger Iteration and its slot, as Load describes.
+func newest(dir string) (*State, int, error) {
+	var best *State
+	slot := -1
+	var errs [2]error
+	for i, p := range slotPaths(dir) {
+		st, err := loadFile(p)
+		if err != nil {
+			errs[i] = err
+		} else if best == nil || st.Iteration > best.Iteration {
+			best, slot = st, i
+		}
+	}
+	switch {
+	case best != nil:
+		return best, slot, nil
+	case errors.Is(errs[0], os.ErrNotExist) && !errors.Is(errs[1], os.ErrNotExist):
+		return nil, -1, errs[1]
+	default:
+		return nil, -1, errs[0]
+	}
+}
+
+// loadFile reads and validates the image at path.
+func loadFile(path string) (*State, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}

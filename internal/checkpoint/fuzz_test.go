@@ -79,3 +79,59 @@ func FuzzCheckpointLoad(f *testing.F) {
 		}
 	})
 }
+
+// FuzzCheckpointLoadSlots feeds two arbitrary slot files to Load — an empty
+// input stands for a missing file — which never panics, and a state it
+// returns is the valid image of the larger Iteration, FileName's on a tie.
+// Each input's CRC is re-stamped when its bit of stamp is set, so that both
+// valid images and images the CRC rejects reach the comparison.
+func FuzzCheckpointLoadSlots(f *testing.F) {
+	var seeds [][]byte
+	for _, name := range []string{
+		filepath.Join("..", "core", "testdata", "ckpt_bsp.bin"),
+		filepath.Join("..", "core", "testdata", "ckpt_async.bin"),
+		hostileCount,
+	} {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, data)
+	}
+	f.Add(seeds[0], seeds[1], uint8(0))
+	f.Add(seeds[1], seeds[0], uint8(0))
+	f.Add(seeds[0], seeds[2], uint8(3))
+	f.Add([]byte{}, seeds[1], uint8(1))
+	f.Fuzz(func(t *testing.T, first, spare []byte, stamp uint8) {
+		dir := t.TempDir()
+		var want *State
+		for i, data := range [][]byte{first, spare} {
+			if len(data) == 0 {
+				continue
+			}
+			if stamp&(1<<i) != 0 && len(data) >= len(magic)+4 {
+				data = bytes.Clone(data)
+				binary.LittleEndian.PutUint32(data[len(magic):], crc32.Checksum(data[len(magic)+4:], castagnoli))
+			}
+			if err := os.WriteFile(slotPaths(dir)[i], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := decode(data); err == nil && (want == nil || s.Iteration > want.Iteration) {
+				want = s
+			}
+		}
+		got, err := Load(dir)
+		if err != nil {
+			if want != nil {
+				t.Fatalf("Load failed (%v) beside a valid image at step %d", err, want.Iteration)
+			}
+			return
+		}
+		if want == nil {
+			t.Fatalf("Load returned a state at step %d from two invalid slots", got.Iteration)
+		}
+		if !bytes.Equal(got.appendBody(nil), want.appendBody(nil)) {
+			t.Fatalf("Load returned step %d, want the valid image at step %d", got.Iteration, want.Iteration)
+		}
+	})
+}

@@ -257,8 +257,9 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 
 // TestResumeValidation covers the resume edge cases under both schedules: an
 // empty directory starts fresh; a checkpoint from another algorithm, another
-// layout shape or the other schedule is refused; and a corrupted checkpoint
-// fails the run instead of silently restarting.
+// layout shape or the other schedule is refused; a corrupted newest image
+// resumes from the one before it, bit-identically; and with every image
+// corrupted the run fails instead of silently restarting.
 func TestResumeValidation(t *testing.T) {
 	for name, async := range map[string]bool{"bsp": false, "async": true} {
 		t.Run(name, func(t *testing.T) {
@@ -314,17 +315,138 @@ func TestResumeValidation(t *testing.T) {
 				t.Fatalf("checkpoint resumed under the other schedule: %v", err)
 			}
 
-			data, err := os.ReadFile(checkpoint.Path(ckDir))
+			if res.Checkpoints < 2 {
+				t.Fatalf("checkpointed run took %d images, want one in each slot", res.Checkpoints)
+			}
+			slots := [2]string{checkpoint.Path(ckDir), checkpoint.SparePath(ckDir)}
+			iters := [2]int{slotIteration(t, slots[0]), slotIteration(t, slots[1])}
+			newest := 0
+			if iters[1] > iters[0] {
+				newest = 1
+			}
+			corrupt := func(path string) {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data[len(data)-1] ^= 0xff
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corrupt(slots[newest])
+			again, err := core.Run(l, prog(), core.Options{
+				Async:      async,
+				Checkpoint: core.CheckpointOptions{Dir: ckDir, Resume: true},
+			})
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("newest image corrupt: %v", err)
 			}
-			data[len(data)-1] ^= 0xff
-			if err := os.WriteFile(checkpoint.Path(ckDir), data, 0o644); err != nil {
-				t.Fatal(err)
+			if !again.Resumed || again.ResumedFrom != iters[1-newest] {
+				t.Fatalf("newest image (step %d) corrupt: resumed=%t from %d, want the image before it, step %d",
+					iters[newest], again.Resumed, again.ResumedFrom, iters[1-newest])
 			}
+			requireIdenticalOutputs(t, res.Outputs, again.Outputs)
+
+			corrupt(slots[1-newest])
 			err = resume(l, prog(), async)
 			if err == nil || !strings.Contains(err.Error(), "crc32c") {
 				t.Fatalf("corrupt checkpoint resumed: %v", err)
+			}
+		})
+	}
+}
+
+// slotIteration returns the step of the image in the checkpoint slot at path,
+// read on its own.
+func slotIteration(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(checkpoint.Path(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ci, err := checkpoint.Inspect(dir)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return ci.Iteration
+}
+
+// TestFreshRunClearsEarlierImages: a run that does not resume, over a
+// directory whose images an earlier, longer run left at higher steps, never
+// leaves Load returning one of those once its own first image is on disk —
+// not during the run, not after a crash, not after it returns.
+func TestFreshRunClearsEarlierImages(t *testing.T) {
+	for name, async := range map[string]bool{"bsp": false, "async": true} {
+		t.Run(name, func(t *testing.T) {
+			l := chaosLayout(t, graph.CodecRaw, 8)
+			ckDir := t.TempDir()
+			prog := func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }
+			earlier, err := core.Run(l, prog(), core.Options{
+				Async:      async,
+				Checkpoint: core.CheckpointOptions{Every: 1, Dir: ckDir},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const steps = 4
+			if earlier.Iterations <= steps+1 {
+				t.Fatalf("earlier run took %d steps, want more than %d", earlier.Iterations, steps+1)
+			}
+
+			// Image n is on disk once Put n+1 returns, before step n+1's
+			// OnIteration; a newer image or none yet is fine, an older one or
+			// one past the step is the earlier run's.
+			loaded := func() (int, error) {
+				ck, err := checkpoint.Load(ckDir)
+				if err != nil {
+					return -1, err
+				}
+				return ck.Iteration, nil
+			}
+			check := func(step int) {
+				at, err := loaded()
+				if step == 0 && err != nil {
+					return
+				}
+				if err != nil || at < step || at > step+1 {
+					t.Fatalf("after step %d Load holds image %d (error %v), want this run's image %d or %d", step+1, at, err, step, step+1)
+				}
+			}
+			power := errors.New("power loss")
+			_, err = core.Run(l, prog(), core.Options{
+				Async:      async,
+				Checkpoint: core.CheckpointOptions{Every: 1, Dir: ckDir},
+				OnIteration: func(st core.IterStat) {
+					check(st.Index)
+					if st.Index == steps-1 {
+						l.Dev.SetFaultInjector(func(op, name string) error { return power })
+					}
+				},
+			})
+			l.Dev.SetFaultInjector(nil)
+			if !errors.Is(err, power) {
+				t.Fatalf("crashed run returned %v, want injected power loss", err)
+			}
+			if at, err := loaded(); err != nil || at != steps {
+				t.Fatalf("after the crash Load holds image %d (error %v), want the crashed run's image %d", at, err, steps)
+			}
+
+			res, err := core.Run(l, prog(), core.Options{
+				Async:         async,
+				MaxIterations: steps,
+				Checkpoint:    core.CheckpointOptions{Every: 1, Dir: ckDir},
+				OnIteration:   func(st core.IterStat) { check(st.Index) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if at, err := loaded(); err != nil || at != res.Iterations {
+				t.Fatalf("after the run Load holds image %d (error %v), want its last image %d", at, err, res.Iterations)
 			}
 		})
 	}
@@ -392,6 +514,10 @@ func TestGoldenCheckpointsResume(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// Alone in the directory: the uninterrupted run left newer images.
+			if err := checkpoint.Remove(ckDir); err != nil {
+				t.Fatal(err)
+			}
 			if err := os.WriteFile(checkpoint.Path(ckDir), data, 0o644); err != nil {
 				t.Fatal(err)
 			}

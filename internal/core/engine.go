@@ -317,8 +317,16 @@ func (e *Engine) run() (*Result, error) {
 	var st IterStat
 	var iterStats []IterStat
 	checkpoints := 0
+	var ckWait time.Duration // blocked in the writer's Put and Close
 	var ckw *checkpoint.Writer
 	if ck.saveEnabled() {
+		// A run that did not resume clears the images of an earlier one, which
+		// could outrank its own in Load.
+		if from == nil {
+			if err := checkpoint.Remove(ck.Dir); err != nil {
+				return nil, err
+			}
+		}
 		ckw = checkpoint.NewWriter(ck.Dir)
 		defer ckw.Close() // on an error return, the run's own error wins
 	}
@@ -350,9 +358,12 @@ func (e *Engine) run() (*Result, error) {
 		s.measured(&st)
 		iterStats = append(iterStats, st)
 		if ckw != nil && n%ck.Every == 0 {
-			if err := ckw.Put(e.capture(n, s)); err != nil {
+			img := e.capture(n, s)
+			t := time.Now()
+			if err := ckw.Put(img); err != nil {
 				return nil, err
 			}
+			ckWait += time.Since(t)
 			checkpoints++
 		}
 		if e.opts.OnIteration != nil {
@@ -360,9 +371,11 @@ func (e *Engine) run() (*Result, error) {
 		}
 	}
 	if ckw != nil {
+		t := time.Now()
 		if err := ckw.Close(); err != nil {
 			return nil, err
 		}
+		ckWait += time.Since(t)
 	}
 
 	res := e.result(start, ioBase, decodeStart)
@@ -372,6 +385,7 @@ func (e *Engine) run() (*Result, error) {
 	res.Resumed = from != nil
 	res.ResumedFrom = resumedFrom
 	res.Checkpoints = checkpoints
+	res.CheckpointWait = ckWait
 	s.finish(res)
 	return res, nil
 }

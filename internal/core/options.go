@@ -239,10 +239,13 @@ type Result struct {
 	// Resumed reports that the run restored a checkpoint; ResumedFrom is
 	// the completed-iteration count it picked up at. Checkpoints counts
 	// the checkpoint images this run took, one every Every steps; the newest
-	// is on disk when the run returns.
-	Resumed     bool
-	ResumedFrom int
-	Checkpoints int
+	// is on disk when the run returns. CheckpointWait is the wall-clock the
+	// step loop spent blocked in the checkpoint writer's Put and Close:
+	// waiting for the previous image's publish, and encoding each image.
+	Resumed        bool
+	ResumedFrom    int
+	Checkpoints    int
+	CheckpointWait time.Duration
 
 	// SEM reports the blocks and bytes the run skipped because their source
 	// interval held no active vertex, and the compressed cache tier's

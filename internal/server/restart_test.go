@@ -342,8 +342,12 @@ func TestServerRestartHostileCheckpoint(t *testing.T) {
 	if !checkpointDirExists(t, jdir, j.ID()) {
 		t.Fatal("no checkpoint on disk after kill")
 	}
-	if err := os.WriteFile(filepath.Join(jdir, "checkpoints", j.ID(), "checkpoint.bin"), hostile, 0o644); err != nil {
-		t.Fatal(err)
+	// In every slot: a valid image in the other would be resumed instead.
+	ckDir := filepath.Join(jdir, "checkpoints", j.ID())
+	for _, slot := range []string{checkpoint.Path(ckDir), checkpoint.SparePath(ckDir)} {
+		if err := os.WriteFile(slot, hostile, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	s2, err := New(durableConfig(layoutDir, jdir, false))
