@@ -200,61 +200,101 @@ func TestHostileRecordOnPositionalRead(t *testing.T) {
 // stream — prefetched ahead of the scatter, and degraded to synchronous loads
 // past a transient fault without a change to the outputs — and, since NewEngine
 // gives a baseline no buffer, a per-run buffer or a shared cache asked for
-// changes none of its device traffic.
+// changes none of its device traffic. HUS-Graph's full path streams its column
+// blocks the same way.
 func TestLumosReadsThroughTheBlockStream(t *testing.T) {
 	g, err := gen.RMAT(9, 8, gen.Graph500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := buildSystem(t, "lumos", g, 4, storage.ScaledHDD)
 	prog := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
-	plain, err := core.Run(l, prog(), core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	systems := []string{"lumos", "husgraph"}
+	layouts := make(map[string]*partition.Layout)
+	plain := make(map[string]*core.Result)
+	for _, sys := range systems {
+		layouts[sys] = buildSystem(t, sys, g, 4, storage.ScaledHDD)
+		if plain[sys], err = core.Run(layouts[sys], prog(), core.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	t.Run("prefetched", func(t *testing.T) {
-		if plain.Pipeline.Blocks == 0 {
-			t.Fatalf("no block prefetched under the default depth: %+v", plain.Pipeline)
+		for _, sys := range systems {
+			if plain[sys].Pipeline.Blocks == 0 {
+				t.Fatalf("%s: no block prefetched under the default depth: %+v", sys, plain[sys].Pipeline)
+			}
 		}
 	})
 
 	t.Run("chaos", func(t *testing.T) {
-		chaos := storage.NewChaos(storage.ChaosOptions{
-			Seed:              42,
-			TransientReadProb: 0.05,
-			Match:             func(op, name string) bool { return op == "read" || op == "readat" },
-		})
-		l.Dev.SetFaultInjector(chaos.Injector())
-		l.Dev.SetRetryPolicy(storage.RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: 1})
-		res, err := core.Run(l, prog(), core.Options{})
-		l.Dev.SetFaultInjector(nil)
-		l.Dev.SetRetryPolicy(storage.RetryPolicy{})
-		if err != nil {
-			t.Fatalf("chaos run did not survive: %v", err)
+		for _, sys := range systems {
+			l := layouts[sys]
+			chaos := storage.NewChaos(storage.ChaosOptions{
+				Seed:              42,
+				TransientReadProb: 0.05,
+				Match:             func(op, name string) bool { return op == "read" || op == "readat" },
+			})
+			l.Dev.SetFaultInjector(chaos.Injector())
+			l.Dev.SetRetryPolicy(storage.RetryPolicy{MaxRetries: 5, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, Seed: 1})
+			res, err := core.Run(l, prog(), core.Options{})
+			l.Dev.SetFaultInjector(nil)
+			l.Dev.SetRetryPolicy(storage.RetryPolicy{})
+			if err != nil {
+				t.Fatalf("%s: chaos run did not survive: %v", sys, err)
+			}
+			if cs := chaos.Stats(); cs.Transient == 0 {
+				t.Fatalf("%s: chaos injected no faults over %d ops", sys, cs.Ops)
+			}
+			if res.Iterations != plain[sys].Iterations {
+				t.Fatalf("%s: faulty run took %d iterations, fault-free %d", sys, res.Iterations, plain[sys].Iterations)
+			}
+			requireIdenticalOutputs(t, plain[sys].Outputs, res.Outputs)
 		}
-		if cs := chaos.Stats(); cs.Transient == 0 {
-			t.Fatalf("chaos injected no faults over %d ops", cs.Ops)
-		}
-		if res.Iterations != plain.Iterations {
-			t.Fatalf("faulty run took %d iterations, fault-free %d", res.Iterations, plain.Iterations)
-		}
-		requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
 	})
 
 	t.Run("unbuffered", func(t *testing.T) {
-		shared := buffer.NewShared(l.Meta.EdgeBytesTotal() * 2)
-		for run := 0; run < 2; run++ { // the second run finds the shared cache warm, were it used
-			res, err := core.Run(l, prog(), core.Options{DefaultBuffer: true, SharedBlocks: shared})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.IO != plain.IO || res.Buffer.Hits != 0 || res.SharedHits != 0 {
-				t.Fatalf("run %d: IO %+v, buffer hits %d, shared hits %d; want a plain run's IO %+v and no hits",
-					run, res.IO, res.Buffer.Hits, res.SharedHits, plain.IO)
+		for _, sys := range systems {
+			shared := buffer.NewShared(layouts[sys].Meta.EdgeBytesTotal() * 2)
+			for run := 0; run < 2; run++ { // the second run finds the shared cache warm, were it used
+				res, err := core.Run(layouts[sys], prog(), core.Options{DefaultBuffer: true, SharedBlocks: shared})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.IO != plain[sys].IO || res.Buffer.Hits != 0 || res.SharedHits != 0 {
+					t.Fatalf("%s run %d: IO %+v, buffer hits %d, shared hits %d; want a plain run's IO %+v and no hits",
+						sys, run, res.IO, res.Buffer.Hits, res.SharedHits, plain[sys].IO)
+				}
 			}
 		}
 	})
+}
+
+// TestHUSGraphMissingFileFails: every HUS-Graph row and column file is written,
+// empty or not, so one that is missing is damage — a run that reads it fails
+// naming the file, as the row or column it is, instead of reading it as empty.
+func TestHUSGraphMissingFileFails(t *testing.T) {
+	g, err := gen.RMAT(9, 8, gen.Graph500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		file, label string
+		force       *iosched.Model
+	}{
+		{partition.ColName(1), "column 1", core.ForceFull},
+		{partition.RowName(1), "row 1", core.ForceOnDemand},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			l := buildSystem(t, "husgraph", g, 4, storage.ScaledHDD)
+			if err := l.Dev.Remove(c.file); err != nil {
+				t.Fatal(err)
+			}
+			_, err := core.Run(l, &algorithms.ConnectedComponents{}, core.Options{ForceModel: c.force})
+			if err == nil || !strings.Contains(err.Error(), c.file) || !strings.Contains(err.Error(), c.label) || strings.Contains(err.Error(), "sub-block") {
+				t.Fatalf("Run said %v, want an error naming %s and %s", err, c.label, c.file)
+			}
+		})
+	}
 }
 
 // modelled counts the bytes l's device is charged, by class, for transfers
@@ -381,5 +421,38 @@ func TestBaselinesHonourCancellation(t *testing.T) {
 		if len(seen) != 1 || seen[0].Path != paths[name] {
 			t.Errorf("%s: ran %+v before stopping, want one %s iteration", name, seen, paths[name])
 		}
+	}
+
+	// Inside an iteration too: cancelled as it reads its second edge file (a
+	// cell, a column or a row), a run reads no other. Loads are synchronous, so
+	// no fetch is in flight beside the one that cancels.
+	for _, c := range []struct {
+		name  string
+		force *iosched.Model
+	}{{"husgraph", core.ForceFull}, {"husgraph", core.ForceOnDemand}, {"lumos", nil}} {
+		l := buildSystem(t, c.name, g, 8, storage.ScaledHDD)
+		ctx, cancel := context.WithCancel(context.Background())
+		var mu sync.Mutex
+		files := make(map[string]bool)
+		l.Dev.SetFaultInjector(func(op, name string) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if (op == "read" || op == "readat") && strings.HasSuffix(name, ".edges") {
+				if files[name] = true; len(files) == 2 {
+					cancel()
+				}
+			}
+			return nil
+		})
+		_, err := core.RunContext(ctx, l, &algorithms.PageRank{Iterations: 10}, core.Options{ForceModel: c.force, PrefetchDepth: -1})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: cancelled run returned %v, want context.Canceled", c.name, err)
+		}
+		mu.Lock()
+		if len(files) != 2 {
+			t.Errorf("%s %v: cancelled at its second edge file, the run read %d", c.name, c.force, len(files))
+		}
+		mu.Unlock()
 	}
 }

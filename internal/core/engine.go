@@ -123,7 +123,8 @@ type Engine struct {
 // run BSP without checkpoints, unbuffered — NewEngine drops BufferBytes,
 // DefaultBuffer and SharedBlocks for them — and read no other option but
 // MaxIterations, OnIteration, on HUS-Graph's decision ForceModel and, on
-// Lumos's block stream, PrefetchDepth and PrefetchBytes.
+// their block streams (Lumos's cells, HUS-Graph's columns), PrefetchDepth and
+// PrefetchBytes.
 func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, error) {
 	m := &layout.Meta
 	schedCfg := iosched.Config{

@@ -98,6 +98,24 @@ func TestRunReleasesItsDescriptors(t *testing.T) {
 		name string
 		run  func(t *testing.T, l *partition.Layout) error
 	}{
+		{"husgraph", func(t *testing.T, _ *partition.Layout) error {
+			// Both paths: rows keep their descriptors for the run, like
+			// columns, and the run closes both.
+			l := buildSystem(t, "husgraph", lattice, 4, storage.HDD)
+			held := 0
+			base := openDescriptors(t)
+			for _, m := range []*iosched.Model{core.ForceOnDemand, core.ForceFull} {
+				if _, err := core.Run(l, sssp(), core.Options{ForceModel: m, OnIteration: func(core.IterStat) {
+					held = max(held, openDescriptors(t)-base)
+				}}); err != nil {
+					return err
+				}
+			}
+			if held == 0 {
+				t.Errorf("no descriptor held between iterations")
+			}
+			return nil
+		}},
 		{"bsp", func(t *testing.T, l *partition.Layout) error {
 			// While it runs, a run of 16 blocks holds some of them open.
 			held := 0

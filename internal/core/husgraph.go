@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/iosched"
-	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/pipeline"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -23,14 +21,6 @@ import (
 // semEnd). It never calibrates: measured is a no-op.
 type husSchedule struct {
 	bspSchedule
-
-	// rowIndex caches the row indexes, which are immutable, once loaded.
-	rowIndex []*partition.Index
-	// The on-demand path gathers a row's active edges into batch through
-	// readBuf; column streaming decodes into col through colBuf. All four are
-	// reused across rows, columns and iterations.
-	batch, col      []graph.Edge
-	readBuf, colBuf []byte
 }
 
 func (h *husSchedule) step(iter int, st *IterStat) error {
@@ -56,47 +46,26 @@ func (h *husSchedule) step(iter int, st *IterStat) error {
 
 func (h *husSchedule) measured(*IterStat) {}
 
-// onDemand reads each active vertex's contiguous edge run from its row block
-// through the row index, scatters each live row's runs as one batch, then
-// applies every interval.
+// onDemand reads each live row's active edge runs through the row index — the
+// block source's selective read of row i, keyed (i, -1), whose handle keeps the
+// index for the run — scatters them as one batch, then applies every interval.
 func (h *husSchedule) onDemand() error {
 	e := h.e
 	// Modelled index consult, as in C_r: the whole index.
 	e.layout.Dev.Charge(storage.SeqRead, int64(e.n)*graph.IndexEntryBytes)
+	var blk selectiveBlock // one row's runs, dead once scattered
 	for i := 0; i < e.p; i++ {
 		if !e.rowLive[i] {
 			continue
 		}
-		if h.rowIndex[i] == nil {
-			idx, err := e.layout.LoadRowIndex(i)
-			if err != nil {
-				return err
-			}
-			h.rowIndex[i] = idx
-		}
-		r, err := e.layout.OpenRow(i)
-		if err != nil {
+		if err := e.checkCtx(); err != nil {
 			return err
 		}
-		if r == nil {
-			continue
+		var err error
+		if blk, err = e.src.selective(i, -1, e.active, blk); err != nil {
+			return err
 		}
-		batch := h.batch[:0]
-		lo, hi := e.layout.Meta.Interval(i)
-		e.active.ForEachRange(lo, hi, func(v int) bool {
-			var edges []graph.Edge
-			edges, h.readBuf, err = e.layout.ReadVertexEdges(r, h.rowIndex[i], i, graph.VertexID(v), h.readBuf)
-			batch = append(batch, edges...)
-			return err == nil
-		})
-		h.batch = batch
-		if closeErr := r.Close(); err == nil {
-			err = closeErr
-		}
-		if err != nil {
-			return fmt.Errorf("core: husgraph row %d: %w", i, err)
-		}
-		e.scatter(batch, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, 0, e.n)
+		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, 0, e.n)
 	}
 	for j := 0; j < e.p; j++ {
 		e.applyBSP(j)
@@ -104,18 +73,28 @@ func (h *husSchedule) onDemand() error {
 	return nil
 }
 
-// full streams the destination-major column blocks, applying each interval as
-// soon as its column has been scattered.
+// full streams the destination-major column blocks, keyed (-1, j), on a block
+// stream — each decoded into a pooled slice, run ahead under the prefetch
+// window — applying each interval as soon as its column has been scattered.
 func (h *husSchedule) full() error {
 	e := h.e
+	reqs := make([]pipeline.Request, e.p)
+	for j := range reqs {
+		reqs[j] = pipeline.Request{I: -1, J: j, Bytes: e.layout.ColumnBytes(j)}
+	}
+	st := openBlockStream(e.ctx, e.opts, &e.plStats, reqs, false, func(i, j int) (block, error) {
+		return e.src.pooled(func(dst []graph.Edge) ([]graph.Edge, error) { return e.src.read(i, j, dst) })
+	})
+	defer st.close()
 	for j := 0; j < e.p; j++ {
-		var err error
-		if h.col, h.colBuf, err = e.layout.LoadColInto(j, h.col, h.colBuf); err != nil {
+		blk, err := st.take(-1, j)
+		if err != nil {
 			return err
 		}
 		lo, hi := e.layout.Meta.Interval(j)
-		e.scatter(h.col, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, lo, hi)
+		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, lo, hi)
 		e.applyBSP(j)
+		e.src.release(blk)
 	}
 	return nil
 }

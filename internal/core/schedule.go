@@ -3,7 +3,6 @@ package core
 import (
 	"github.com/graphsd/graphsd/internal/checkpoint"
 	"github.com/graphsd/graphsd/internal/iosched"
-	"github.com/graphsd/graphsd/internal/partition"
 )
 
 // schedule is what differs between the ways Engine.run's loop can be driven:
@@ -40,7 +39,7 @@ func (e *Engine) newSchedule() (schedule, error) {
 	b := bspSchedule{e: e}
 	switch e.layout.Meta.System {
 	case "husgraph":
-		return &husSchedule{bspSchedule: b, rowIndex: make([]*partition.Index, e.p)}, nil
+		return &husSchedule{bspSchedule: b}, nil
 	case "lumos":
 		return &lumosSchedule{bspSchedule: b}, nil
 	}

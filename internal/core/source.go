@@ -58,8 +58,9 @@ type blockSource struct {
 	poison bool
 
 	// handles holds what the run keeps of each sub-block it has touched, keyed
-	// by grid cell and file generation — the resolved file name, unbuilt. The
-	// first maxOpen of them keep their descriptor open between loads.
+	// by grid cell and file generation — the resolved file name, unbuilt — and
+	// of each HUS-Graph row (i, -1) and column (-1, j) (partition.BlockLabel).
+	// The first maxOpen of them keep their descriptor open between loads.
 	hMu     sync.Mutex
 	handles map[buffer.Key]*blockHandle
 	maxOpen int
@@ -223,8 +224,8 @@ func longestInterval(m *partition.Manifest) int64 {
 	return span
 }
 
-// handle returns sub-block (i, j)'s handle, locked; the caller ends its load
-// with done.
+// handle returns block (i, j)'s handle — a sub-block's, a HUS-Graph row's or
+// column's — locked; the caller ends its load with done.
 func (s *blockSource) handle(i, j int) *blockHandle {
 	k := buffer.Key{I: i, J: j, Gen: int64(s.layout.Meta.BlockGen(i, j))}
 	s.hMu.Lock()
@@ -319,9 +320,9 @@ func (s *blockSource) unpack(i, j int, payload []byte, hit bool, dst []graph.Edg
 	return edges, err
 }
 
-// read is the device route of full: one sequential read through a pooled raw
-// buffer, CRC verify, decode into dst (reset) and overlay merge, all inside the
-// layout.
+// read is the device route of full, and HUS-Graph's column load (i < 0): one
+// sequential read through a pooled raw buffer, CRC verify, decode into dst
+// (reset) and overlay merge, all inside the layout.
 func (s *blockSource) read(i, j int, dst []graph.Edge) ([]graph.Edge, error) {
 	bufp := s.getBuf()
 	h := s.handle(i, j)
@@ -620,13 +621,14 @@ type selectiveBlock struct {
 	runs  []vertexRun
 }
 
-// selective reads only the edges of sub-block (i, j) whose source is in
-// frontier, located through the block's vertex index, so runs of consecutive
-// frontier vertices become sequential reads. Each call is one pass over the
-// block's reader (Restart): AutoReadAt's sequential/random classification is
-// per call, on a prefetch worker or on the consumer. frontier must not change
-// during the call. The result is appended to into (reset to length zero); pass
-// the zero value unless the previous block is dead.
+// selective reads only the edges of sub-block (i, j) — or of HUS-Graph row i,
+// (i, -1) — whose source is in frontier, located through the block's vertex
+// index, so runs of consecutive frontier vertices become sequential reads. Each
+// call is one pass over the block's reader (Restart): AutoReadAt's
+// sequential/random classification is per call, on a prefetch worker or on the
+// consumer. frontier must not change during the call. The result is appended
+// to into (reset to length zero); pass the zero value unless the previous
+// block is dead.
 func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selectiveBlock) (selectiveBlock, error) {
 	blk := selectiveBlock{edges: into.edges[:0], runs: into.runs[:0]}
 	idx, err := s.index(i, j)
@@ -637,7 +639,7 @@ func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selec
 	defer s.done(h)
 	if h.r != nil { // nil reader: the block lives entirely in the overlay
 		if err := h.r.Restart(); err != nil {
-			return blk, fmt.Errorf("core: opening sub-block (%d,%d): %w", i, j, err)
+			return blk, fmt.Errorf("core: opening %s: %w", partition.BlockLabel(i, j), err)
 		}
 	}
 	bufp := s.getBuf()
@@ -657,13 +659,13 @@ func (s *blockSource) selective(i, j int, frontier *bitset.ActiveSet, into selec
 	})
 	s.ioBufs.Put(bufp)
 	if loopErr != nil {
-		return blk, fmt.Errorf("core: selective read of sub-block (%d,%d): %w", i, j, loopErr)
+		return blk, fmt.Errorf("core: selective read of %s: %w", partition.BlockLabel(i, j), loopErr)
 	}
 	return blk, nil
 }
 
-// index returns the vertex index of sub-block (i, j), loading it on first use
-// and keeping it in the block's handle.
+// index returns the vertex index of sub-block (i, j) or row (i, -1), loading
+// it on first use and keeping it in the block's handle.
 func (s *blockSource) index(i, j int) (*partition.Index, error) {
 	h := s.handle(i, j)
 	defer s.done(h)

@@ -32,12 +32,34 @@ func (l *Layout) LoadSubBlockInto(i, j int, dst []graph.Edge, buf []byte) ([]gra
 	return l.LoadSubBlockFrom(r, i, j, dst, buf)
 }
 
+// BlockLabel names block (i, j) in errors. A run addresses a HUS-Graph
+// layout's files as it does sub-blocks — row block i as (i, -1), column block
+// j as (-1, j) — which BlockReader, LoadIndex (a row's) and LoadSubBlockFrom
+// (a column's) resolve; rows are read by vertex only, columns only whole. So
+// the label is "sub-block (i,j)", "row i" or "column j".
+func BlockLabel(i, j int) string {
+	switch {
+	case j < 0:
+		return fmt.Sprintf("row %d", i)
+	case i < 0:
+		return fmt.Sprintf("column %d", j)
+	}
+	return fmt.Sprintf("sub-block (%d,%d)", i, j)
+}
+
 // BlockReader returns a reader of sub-block (i, j)'s base file, or nil when
 // there is none: the block is empty or — only one the overlay has mutated can
-// be — lives in the overlay alone. The reader opens the file at its first read;
-// the caller closes it, after one load or after every load of a run.
+// be — lives in the overlay alone. A HUS-Graph row or column always has a
+// reader, so a missing file fails the first read, naming it. The reader opens
+// the file at its first read; the caller closes it, after one load or after
+// every load of a run.
 func (l *Layout) BlockReader(i, j int) *storage.Reader {
-	if l.Meta.SubBlockEdges(i, j) == 0 {
+	switch {
+	case j < 0:
+		return l.Dev.Reader(RowName(i))
+	case i < 0:
+		return l.Dev.Reader(ColName(j))
+	case l.Meta.SubBlockEdges(i, j) == 0:
 		return nil
 	}
 	name := l.Meta.BlockName(i, j)
@@ -49,8 +71,13 @@ func (l *Layout) BlockReader(i, j int) *storage.Reader {
 
 // LoadSubBlockFrom is LoadSubBlockInto through r, the block's BlockReader:
 // kept across loads, it makes each one pread — charge, CRC and merge the same.
+// A HUS-Graph column (i < 0) is never overlaid, and is read even when empty:
+// the manifest records no column's size.
 func (l *Layout) LoadSubBlockFrom(r *storage.Reader, i, j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
 	dst = dst[:0]
+	if i < 0 {
+		return l.loadBaseBlockInto(r, i, j, dst, buf)
+	}
 	if l.Meta.SubBlockEdges(i, j) == 0 {
 		// With an overlay, Meta carries the merged count: zero means the
 		// tombstones erased every base edge, so there is nothing to read.
@@ -93,9 +120,17 @@ func (l *Layout) loadBaseBlockInto(r *storage.Reader, i, j int, dst []graph.Edge
 	}
 	l.noteDecode(t0)
 	if err != nil {
-		return dst, buf, fmt.Errorf("partition: decoding sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+		return dst, buf, fmt.Errorf("partition: decoding %s [%s]: %w", BlockLabel(i, j), l.Meta.BlockCodec(), err)
 	}
 	return dst, buf, nil
+}
+
+// ColumnBytes is the decoded size of HUS-Graph column block j, which under the
+// raw codec is its file's length: found by a stat, which the device does not
+// charge, and 0 when the file is missing (its load then fails).
+func (l *Layout) ColumnBytes(j int) int64 {
+	n, _ := l.Dev.Size(ColName(j))
+	return n
 }
 
 // readBlockVerified reads sub-block (i, j)'s on-disk payload from r through
@@ -104,10 +139,10 @@ func (l *Layout) loadBaseBlockInto(r *storage.Reader, i, j int, dst []graph.Edge
 func (l *Layout) readBlockVerified(r *storage.Reader, i, j int, buf []byte) ([]byte, error) {
 	buf, err := r.ReadFileInto(buf)
 	if err != nil {
-		return buf, fmt.Errorf("partition: loading sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+		return buf, fmt.Errorf("partition: loading %s [%s]: %w", BlockLabel(i, j), l.Meta.BlockCodec(), err)
 	}
 	if err := l.Meta.VerifyBlockSum(i, j, buf); err != nil {
-		return buf, fmt.Errorf("partition: sub-block (%d,%d) [%s]: %w", i, j, l.Meta.BlockCodec(), err)
+		return buf, fmt.Errorf("partition: %s [%s]: %w", BlockLabel(i, j), l.Meta.BlockCodec(), err)
 	}
 	return buf, nil
 }
@@ -198,10 +233,18 @@ type Index struct {
 	blockJ int
 }
 
-// LoadIndex reads the per-vertex offset index of sub-block (i, j). The read is
-// charged sequentially, matching the 2|V|·N index/value term of the paper's
-// C_r model.
+// LoadIndex reads the per-vertex offset index of sub-block (i, j), or of
+// HUS-Graph row i (j < 0). The read is charged sequentially, matching the
+// 2|V|·N index/value term of the paper's C_r model.
 func (l *Layout) LoadIndex(i, j int) (*Index, error) {
+	iLo, _ := l.Meta.Interval(i)
+	if j < 0 { // rows are raw and never overlaid
+		rec, _, err := l.loadIndexFile(RowIndexName(i), i, false, l.Meta.EdgeCounts[i][0], 0)
+		if err != nil {
+			return nil, err
+		}
+		return &Index{Rec: rec, srcBase: graph.VertexID(iLo), blockJ: -1}, nil
+	}
 	// With an overlay the manifest's counts and sizes are merged ones, not the
 	// base file's, so the index's ends have nothing to be held to.
 	records, diskBytes := l.Meta.SubBlockEdges(i, j), l.Meta.SubBlockDiskBytes(i, j)
@@ -212,7 +255,6 @@ func (l *Layout) LoadIndex(i, j int) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	iLo, _ := l.Meta.Interval(i)
 	jLo, _ := l.Meta.Interval(j)
 	return &Index{Rec: rec, Off: off, srcBase: graph.VertexID(iLo), dstBase: graph.VertexID(jLo), blockJ: j}, nil
 }
@@ -453,67 +495,6 @@ func (l *Layout) LoadDegrees() ([]uint32, error) {
 		l.Overlay.AdjustDegrees(deg)
 	}
 	return deg, nil
-}
-
-// LoadRowInto reads HUS-Graph/Lumos row block i in full, decoding into dst
-// and reading through buf like LoadSubBlockInto — the per-iteration loop of
-// the row-major baselines reuses both instead of allocating per block.
-// Row blocks are always raw: the row-major preprocessors reject delta.
-func (l *Layout) LoadRowInto(i int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	return l.loadRawFileInto(RowName(i), "row", i, l.Meta.RowSums, dst, buf)
-}
-
-// LoadRowIndex reads the per-vertex index of HUS-Graph row block i, held to
-// the row's recorded edge count as LoadIndex holds a sub-block's.
-func (l *Layout) LoadRowIndex(i int) (*Index, error) {
-	rec, _, err := l.loadIndexFile(RowIndexName(i), i, false, l.Meta.EdgeCounts[i][0], 0)
-	if err != nil {
-		return nil, err
-	}
-	lo, _ := l.Meta.Interval(i)
-	return &Index{Rec: rec, srcBase: graph.VertexID(lo), blockJ: -1}, nil
-}
-
-// OpenRow opens row block i for positional reads; (nil, nil) if absent.
-func (l *Layout) OpenRow(i int) (*storage.Reader, error) {
-	if !l.Dev.Exists(RowName(i)) {
-		return nil, nil
-	}
-	r, err := l.Dev.Open(RowName(i))
-	if err != nil {
-		return nil, fmt.Errorf("partition: opening row %d: %w", i, err)
-	}
-	return r, nil
-}
-
-// LoadColInto reads HUS-Graph column block j in full, with the same buffer
-// reuse as LoadRowInto.
-func (l *Layout) LoadColInto(j int, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	return l.loadRawFileInto(ColName(j), "column", j, l.Meta.ColSums, dst, buf)
-}
-
-// loadRawFileInto reads a raw fixed-record edge file (row or column block)
-// through reusable buffers, verifying its payload against sums[i]; absent
-// files decode to zero edges.
-func (l *Layout) loadRawFileInto(name, kind string, i int, sums []uint32, dst []graph.Edge, buf []byte) ([]graph.Edge, []byte, error) {
-	dst = dst[:0]
-	if !l.Dev.Exists(name) {
-		return dst, buf, nil
-	}
-	buf, err := l.Dev.ReadFileInto(name, buf)
-	if err != nil {
-		return dst, buf, fmt.Errorf("partition: loading %s %d [raw]: %w", kind, i, err)
-	}
-	if err := verifySum(sums[i], buf); err != nil {
-		return dst, buf, fmt.Errorf("partition: %s %d [raw]: %w", kind, i, err)
-	}
-	t0 := time.Now()
-	dst, err = graph.AppendEdges(dst, buf, l.Meta.Weighted)
-	l.noteDecode(t0)
-	if err != nil {
-		return dst, buf, fmt.Errorf("partition: decoding %s %d [raw]: %w", kind, i, err)
-	}
-	return dst, buf, nil
 }
 
 // ChargeValues charges one sequential transfer in class c — SeqRead for the

@@ -83,7 +83,7 @@ func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOpti
 	for i := 0; i < p; i++ {
 		sortEdgesBySrc(rows[i])
 		m.EdgeCounts[i][0] = int64(len(rows[i]))
-		if m.RowSums[i], err = w.writeRawEdges(RowName(i), rows[i]); err != nil {
+		if err := w.write(RowName(i), encodeRawEdges(rows[i], m.Weighted)); err != nil {
 			return nil, err
 		}
 		lo, hi := m.Interval(i)
@@ -98,7 +98,9 @@ func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOpti
 		slices.SortFunc(cols[j], func(a, b graph.Edge) int {
 			return compareEdgeKeys(a.Dst, a.Src, a.Weight, b.Dst, b.Src, b.Weight)
 		})
-		if m.ColSums[j], err = w.writeRawEdges(ColName(j), cols[j]); err != nil {
+		payload := encodeRawEdges(cols[j], m.Weighted)
+		m.ColSums[j] = Checksum(payload)
+		if err := w.write(ColName(j), payload); err != nil {
 			return nil, err
 		}
 	}
@@ -217,7 +219,7 @@ func newLayoutWriter(dev *storage.Device, opt gridOptions, numVertices int, weig
 		EdgeCounts:    newGrid[int64](p),
 	}
 	if opt.rowMajor {
-		m.RowSums, m.ColSums = make([]uint32, p), make([]uint32, p)
+		m.ColSums = make([]uint32, p)
 	} else {
 		m.Codec = opt.codec.String()
 		m.BlockBytes = newGrid[int64](p)
@@ -366,12 +368,6 @@ func encodeRawEdges(edges []graph.Edge, weighted bool) []byte {
 		buf = graph.EncodeEdge(buf, e, weighted)
 	}
 	return buf
-}
-
-// writeRawEdges writes a raw edge file and returns its payload checksum.
-func (w *layoutWriter) writeRawEdges(name string, edges []graph.Edge) (uint32, error) {
-	payload := encodeRawEdges(edges, w.m.Weighted)
-	return Checksum(payload), w.write(name, payload)
 }
 
 // encodeIndex returns a per-vertex index in the v2 format: a uvarint entry

@@ -234,7 +234,9 @@ func TestV1LayoutRejected(t *testing.T) {
 	}
 }
 
-func TestLoadRowColInto(t *testing.T) {
+// TestLoadColumnInto: a HUS-Graph column loaded into reused buffers, through
+// the column's kept reader, is the column loaded afresh.
+func TestLoadColumnInto(t *testing.T) {
 	g := gen.Weighted(gen.Chain(40), 8, 9)
 	dev := testDevice(t)
 	l, err := BuildHUSGraph(dev, g, 3)
@@ -244,27 +246,13 @@ func TestLoadRowColInto(t *testing.T) {
 	var edges []graph.Edge
 	var buf []byte
 	for i := 0; i < 3; i++ {
-		want, _, err := l.LoadRowInto(i, nil, nil)
+		want, err := l.LoadSubBlock(-1, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edges, buf, err = l.LoadRowInto(i, edges, buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(edges) != len(want) {
-			t.Fatalf("row %d: %d vs %d edges", i, len(edges), len(want))
-		}
-		for k := range want {
-			if edges[k] != want[k] {
-				t.Fatalf("row %d edge %d: %v vs %v", i, k, edges[k], want[k])
-			}
-		}
-		want, _, err = l.LoadColInto(i, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges, buf, err = l.LoadColInto(i, edges, buf)
+		r := l.BlockReader(-1, i)
+		edges, buf, err = l.LoadSubBlockFrom(r, -1, i, edges, buf)
+		r.Close()
 		if err != nil {
 			t.Fatal(err)
 		}

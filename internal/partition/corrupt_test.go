@@ -10,26 +10,6 @@ import (
 	"github.com/graphsd/graphsd/internal/graph"
 )
 
-func TestLoadRowColMissing(t *testing.T) {
-	dev := testDevice(t)
-	l, err := Build(dev, gen.Chain(8), 2) // graphsd layout: no rows/cols
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, _, err := l.LoadRowInto(0, nil, nil)
-	if err != nil || row != nil {
-		t.Fatalf("LoadRow on grid layout = %v, %v", row, err)
-	}
-	col, _, err := l.LoadColInto(0, nil, nil)
-	if err != nil || col != nil {
-		t.Fatalf("LoadCol on grid layout = %v, %v", col, err)
-	}
-	r, err := l.OpenRow(0)
-	if err != nil || r != nil {
-		t.Fatalf("OpenRow on grid layout = %v, %v", r, err)
-	}
-}
-
 func TestLoadMissingManifest(t *testing.T) {
 	dev := testDevice(t)
 	if _, err := Load(dev); err == nil {

@@ -34,12 +34,8 @@ func FuzzLoadIndex(f *testing.F) {
 		return idx, r, err
 	}
 	row := func(l *Layout) (*Index, *storage.Reader, error) {
-		idx, err := l.LoadRowIndex(0)
-		if err != nil {
-			return nil, nil, err
-		}
-		r, err := l.OpenRow(0)
-		return idx, r, err
+		idx, err := l.LoadIndex(0, -1)
+		return idx, l.BlockReader(0, -1), err
 	}
 	var targets []target
 	for _, b := range []struct {
@@ -129,8 +125,8 @@ func FuzzReadVertexEdges(f *testing.F) {
 		}
 		tg := target{l: l, name: b.name}
 		if b.row {
-			tg.idx, err = l.LoadRowIndex(0)
-			tg.open = func() (*storage.Reader, error) { return l.OpenRow(0) }
+			tg.idx, err = l.LoadIndex(0, -1)
+			tg.open = func() (*storage.Reader, error) { return l.BlockReader(0, -1), nil }
 			tg.dstHi = g.NumVertices
 		} else {
 			tg.idx, err = l.LoadIndex(0, 0)

@@ -94,7 +94,11 @@ func TestFlippedByteFailsLoadWithCoordinates(t *testing.T) {
 	}
 }
 
-func TestFlippedByteFailsHUSGraphRowAndCol(t *testing.T) {
+// TestFlippedByteFailsHUSGraphColumn: a column block is verified against its
+// ColSums entry on every load, and held to its cell. Rows have no sum: they are only read by vertex,
+// held to their cell by the decoders — and a manifest written when they had
+// one (row_sums) still loads.
+func TestFlippedByteFailsHUSGraphColumn(t *testing.T) {
 	dev := testDevice(t)
 	g, err := gen.RMAT(8, 8, gen.Graph500, 12)
 	if err != nil {
@@ -103,24 +107,35 @@ func TestFlippedByteFailsHUSGraphRowAndCol(t *testing.T) {
 	if _, err := BuildHUSGraph(dev, g, 3); err != nil {
 		t.Fatal(err)
 	}
+	data, err := dev.ReadFile(ManifestName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = []byte(strings.Replace(string(data), `"col_sums"`, `"row_sums": [1, 2, 3], "col_sums"`, 1))
+	if err := dev.WriteFile(ManifestName, data); err != nil {
+		t.Fatal(err)
+	}
 	l, err := Load(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	flipByteOnDisk(t, dev, RowName(0), 5)
-	if _, _, err := l.LoadRowInto(0, nil, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("corrupted row load: %v", err)
-	}
 	flipByteOnDisk(t, dev, ColName(1), 5)
-	if _, _, err := l.LoadColInto(1, nil, nil); err == nil || !strings.Contains(err.Error(), "checksum") {
+	if _, err := l.LoadSubBlock(-1, 1); err == nil || !strings.Contains(err.Error(), "checksum") {
 		t.Fatalf("corrupted column load: %v", err)
 	}
 	// Untouched blocks still verify.
-	if _, _, err := l.LoadRowInto(1, nil, nil); err != nil {
-		t.Fatalf("intact row: %v", err)
-	}
-	if _, _, err := l.LoadColInto(0, nil, nil); err != nil {
+	if _, err := l.LoadSubBlock(-1, 0); err != nil {
 		t.Fatalf("intact column: %v", err)
+	}
+	// A column whose sum matches is still held to its destinations, which
+	// the scatter subscripts by: here an edge of column 0 in column 2.
+	bad := encodeRawEdges([]graph.Edge{{Src: 1, Dst: 0}}, false)
+	l.Meta.ColSums[2] = Checksum(bad)
+	if err := dev.WriteFile(ColName(2), bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.LoadSubBlock(-1, 2); err == nil || !strings.Contains(err.Error(), "column 2") || !strings.Contains(err.Error(), "outside cell") {
+		t.Fatalf("out-of-cell column load: %v", err)
 	}
 }
 

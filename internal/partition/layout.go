@@ -28,8 +28,9 @@ type Manifest struct {
 	NumEdges      int64  `json:"num_edges"`
 	P             int    `json:"p"` // number of vertex intervals
 	Weighted      bool   `json:"weighted"`
-	// EdgeCounts[i][j] is the number of edges in sub-block (i, j). For
-	// row-major layouts (husgraph, lumos) only EdgeCounts[i][0] is used.
+	// EdgeCounts[i][j] is the number of edges in sub-block (i, j). A
+	// HUS-Graph layout uses only EdgeCounts[i][0], row block i's count;
+	// Lumos's is a grid like GraphSD's.
 	EdgeCounts [][]int64 `json:"edge_counts"`
 	// Codec names the sub-block payload encoding: "raw" (fixed-width
 	// records, also the meaning of the empty string) or "delta"
@@ -44,10 +45,10 @@ type Manifest struct {
 	// corruption is reported at the block that caused it. Recorded by grid
 	// builds and required of them by Validate; nil in row-major layouts.
 	BlockSums [][]uint32 `json:"block_sums,omitempty"`
-	// RowSums[i] / ColSums[j] are the CRC32C checksums of row and column
-	// block payloads in row-major layouts (HUS-Graph writes both copies,
-	// Lumos uses the grid). Required of row-major layouts by Validate.
-	RowSums []uint32 `json:"row_sums,omitempty"`
+	// ColSums[j] is the CRC32C checksum of HUS-Graph column block j's
+	// payload, verified on every column load and required of a HUS-Graph
+	// layout by Validate. Its row blocks are only read by vertex, so have no
+	// sum (an older manifest's row_sums is ignored).
 	ColSums []uint32 `json:"col_sums,omitempty"`
 
 	// Generation counts compaction publishes of a mutable layout. Immutable
@@ -193,11 +194,16 @@ func (m *Manifest) Interval(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// Cell returns sub-block (i, j)'s vertex ranges: intervals i and j.
+// Cell returns sub-block (i, j)'s vertex ranges: intervals i and j — for
+// HUS-Graph column j, (-1, j), every source.
 func (m *Manifest) Cell(i, j int) graph.Cell {
-	iLo, iHi := m.Interval(i)
 	jLo, jHi := m.Interval(j)
-	return graph.Cell{SrcLo: uint64(iLo), SrcHi: uint64(iHi), DstLo: uint64(jLo), DstHi: uint64(jHi)}
+	c := graph.Cell{SrcHi: uint64(m.NumVertices), DstLo: uint64(jLo), DstHi: uint64(jHi)}
+	if i >= 0 {
+		iLo, iHi := m.Interval(i)
+		c.SrcLo, c.SrcHi = uint64(iLo), uint64(iHi)
+	}
+	return c
 }
 
 // IntervalOf returns the interval that vertex v belongs to.
@@ -343,8 +349,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 func Checksum(payload []byte) uint32 { return crc32.Checksum(payload, castagnoli) }
 
 // VerifyBlockSum checks payload against the recorded checksum of sub-block
-// (i, j) of a grid layout.
+// (i, j) of a grid layout, or of HUS-Graph column j, (-1, j).
 func (m *Manifest) VerifyBlockSum(i, j int, payload []byte) error {
+	if i < 0 {
+		return verifySum(m.ColSums[j], payload)
+	}
 	return verifySum(m.BlockSums[i][j], payload)
 }
 
@@ -369,8 +378,8 @@ func (m *Manifest) Validate() error {
 	// Every whole-block read is verified against a recorded sum, so a
 	// manifest without the sums of its layout shape is not loadable.
 	if m.System == "husgraph" {
-		if m.RowSums == nil || m.ColSums == nil {
-			return fmt.Errorf("partition: row-major manifest without row/column checksums")
+		if m.ColSums == nil {
+			return fmt.Errorf("partition: husgraph manifest without column checksums")
 		}
 	} else if m.BlockSums == nil {
 		return fmt.Errorf("partition: grid manifest without block checksums")
@@ -389,9 +398,6 @@ func (m *Manifest) Validate() error {
 	}
 	if err := checkGrid("block checksum", m.BlockSums, m.P, nil); err != nil {
 		return err
-	}
-	if m.RowSums != nil && len(m.RowSums) != m.P {
-		return fmt.Errorf("partition: row checksums %d != P %d", len(m.RowSums), m.P)
 	}
 	if m.ColSums != nil && len(m.ColSums) != m.P {
 		return fmt.Errorf("partition: column checksums %d != P %d", len(m.ColSums), m.P)
@@ -582,8 +588,8 @@ func (m *Manifest) DeltaDiskBytes() int64 {
 	return total
 }
 
-// RowName returns the file name of row block i in row-major layouts
-// (HUS-Graph and Lumos preprocessors).
+// RowName returns the file name of row block i (edges grouped by source
+// interval), the HUS-Graph layout's first edge copy.
 func RowName(i int) string { return fmt.Sprintf("rows/r_%04d.edges", i) }
 
 // ColName returns the file name of column block i (edges grouped by

@@ -272,10 +272,7 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 		t.Fatalf("system = %s", l.Meta.System)
 	}
 	// Row 0 holds edges with src in {0,1,2}, sorted by src.
-	row0, _, err := l.LoadRowInto(0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row0 := loadRow(t, l, 0)
 	if len(row0) != 5 {
 		t.Fatalf("row 0 has %d edges, want 5", len(row0))
 	}
@@ -284,7 +281,7 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 			t.Fatal("row 0 not sorted by source")
 		}
 	}
-	idx, err := l.LoadRowIndex(0)
+	idx, err := l.LoadIndex(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +293,7 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 		t.Fatalf("vertex 2 edge count via index = %d", idx.Rec[3]-idx.Rec[2])
 	}
 	// Column 1 holds edges with dst in {3,4,5}, sorted by dst.
-	col1, _, err := l.LoadColInto(1, nil, nil)
+	col1, err := l.LoadSubBlock(-1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,13 +308,30 @@ func TestBuildHUSGraphLayout(t *testing.T) {
 	// Both copies exist: total written edge records ~ 2x graph size.
 	total := int64(0)
 	for i := 0; i < 2; i++ {
-		row, _, _ := l.LoadRowInto(i, nil, nil)
-		col, _, _ := l.LoadColInto(i, nil, nil)
-		total += int64(len(row) + len(col))
+		col, err := l.LoadSubBlock(-1, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += int64(len(loadRow(t, l, i)) + len(col))
 	}
 	if total != 16 {
 		t.Fatalf("HUS layout stores %d records, want 16 (two copies)", total)
 	}
+}
+
+// loadRow decodes HUS-Graph row block i whole. A run never does — it reads
+// rows by vertex — so the layout offers no such load.
+func loadRow(t *testing.T, l *Layout, i int) []graph.Edge {
+	t.Helper()
+	data, err := l.Dev.ReadFile(RowName(i))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, err := graph.AppendEdges(nil, data, l.Meta.Weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return edges
 }
 
 func TestBuildLumosLayoutUnsorted(t *testing.T) {
