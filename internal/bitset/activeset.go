@@ -150,6 +150,19 @@ func (s *ActiveSet) clearMask(w int, mask uint64) int {
 	return c
 }
 
+// FillRange activates every vertex in [lo, hi), clamped to the capacity like
+// CountRange, and counts only the vertices it newly activates.
+func (s *ActiveSet) FillRange(lo, hi int) {
+	lo, hi = max(lo, 0), min(hi, s.n)
+	if lo >= hi {
+		return
+	}
+	s.count += hi - lo - s.CountRange(lo, hi)
+	for w := lo / wordBits; w*wordBits < hi; w++ {
+		s.words[w] |= rangeMask(uint(max(lo-w*wordBits, 0)), uint(min(hi-w*wordBits, wordBits)))
+	}
+}
+
 // rangeMask returns a mask with bits [lo, hi) set, hi <= 64.
 func rangeMask(lo, hi uint) uint64 {
 	if hi >= wordBits {

@@ -198,15 +198,46 @@ func TestActiveSetWordsAddCount(t *testing.T) {
 // inside a word, on a word boundary, in the same word, outside the set and
 // the wrong way round.
 func TestPropertyActiveSetClearRange(t *testing.T) {
+	checkRangeOp(t, (*ActiveSet).ClearRange, func(s *ActiveSet, v int) { s.Deactivate(v) })
+	// A full set makes every cleared bit count.
+	for _, r := range [][2]int{{0, 64}, {63, 65}, {64, 128}, {1, 63}, {0, 200}, {130, 131}, {128, 128}, {199, 200}} {
+		s := NewActiveSet(200)
+		s.ActivateAll()
+		s.ClearRange(r[0], r[1])
+		if want := 200 - (r[1] - r[0]); s.Count() != want || bitsSet(s) != want || s.CountRange(r[0], r[1]) != 0 {
+			t.Fatalf("ClearRange(%d,%d) of a full set: count %d, bits %d, want %d", r[0], r[1], s.Count(), bitsSet(s), want)
+		}
+	}
+}
+
+// TestPropertyActiveSetFillRange checks FillRange against the per-bit
+// Activate loop over the same ranges: same bits, same count.
+func TestPropertyActiveSetFillRange(t *testing.T) {
+	checkRangeOp(t, (*ActiveSet).FillRange, func(s *ActiveSet, v int) { s.Activate(v) })
+	// An empty set makes every filled bit count; a filled range is whole.
+	for _, r := range [][2]int{{0, 64}, {63, 65}, {64, 128}, {1, 63}, {0, 200}, {130, 131}, {128, 128}, {199, 200}} {
+		s := NewActiveSet(200)
+		s.FillRange(r[0], r[1])
+		if want := r[1] - r[0]; s.Count() != want || bitsSet(s) != want || s.CountRange(r[0], r[1]) != want {
+			t.Fatalf("FillRange(%d,%d) of an empty set: count %d, bits %d, want %d", r[0], r[1], s.Count(), bitsSet(s), want)
+		}
+	}
+}
+
+// checkRangeOp checks a range operation against the per-bit loop it stands
+// for, over random sets and ranges that start and end inside a word, on a word
+// boundary, in the same word, outside the set and the wrong way round.
+func checkRangeOp(t *testing.T, op func(s *ActiveSet, lo, hi int), perBit func(s *ActiveSet, v int)) {
+	t.Helper()
 	check := func(n int, members []uint16, lo, hi int) bool {
 		got, want := NewActiveSet(n), NewActiveSet(n)
 		for _, m := range members {
 			got.Activate(int(m) % n)
 			want.Activate(int(m) % n)
 		}
-		got.ClearRange(lo, hi)
+		op(got, lo, hi)
 		for v := max(lo, 0); v < min(hi, n); v++ {
-			want.Deactivate(v)
+			perBit(want, v)
 		}
 		return equal(got, want) && got.Count() == bitsSet(got)
 	}
@@ -230,15 +261,6 @@ func TestPropertyActiveSetClearRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
-	}
-	// A full set makes every cleared bit count.
-	for _, r := range [][2]int{{0, 64}, {63, 65}, {64, 128}, {1, 63}, {0, 200}, {130, 131}, {128, 128}, {199, 200}} {
-		s := NewActiveSet(200)
-		s.ActivateAll()
-		s.ClearRange(r[0], r[1])
-		if want := 200 - (r[1] - r[0]); s.Count() != want || bitsSet(s) != want || s.CountRange(r[0], r[1]) != 0 {
-			t.Fatalf("ClearRange(%d,%d) of a full set: count %d, bits %d, want %d", r[0], r[1], s.Count(), bitsSet(s), want)
-		}
 	}
 }
 

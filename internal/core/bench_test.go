@@ -9,6 +9,7 @@ import (
 
 	"github.com/graphsd/graphsd/internal/algorithms"
 	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/buffer"
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -40,18 +41,54 @@ func BenchmarkReferencePageRank(b *testing.B) {
 	}
 }
 
+// BenchmarkEnginePageRank times whole PageRank runs. "per-run-buffer" reads
+// through the default per-run buffer. "shared-cache" is shaped like bench/'s
+// pr_fit: an R-MAT graph cut eight ways and delta-coded, ten iterations, and a
+// raw buffer.Shared of twice the decoded graph warmed by one untimed run, so
+// every block is a shared hit and an op is the engine's scatter, apply and
+// scheduling; it reports their compute and the scheduler's overhead per op.
 func BenchmarkEnginePageRank(b *testing.B) {
-	g, err := gen.RMAT(12, 12, gen.Graph500, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := benchLayout(b, g, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Run(l, &algorithms.PageRank{Iterations: 5}, core.Options{DefaultBuffer: true}); err != nil {
+	b.Run("per-run-buffer", func(b *testing.B) {
+		g, err := gen.RMAT(12, 12, gen.Graph500, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		l := benchLayout(b, g, 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Run(l, &algorithms.PageRank{Iterations: 5}, core.Options{DefaultBuffer: true}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("shared-cache", func(b *testing.B) {
+		g, err := gen.RMAT(15, 16, gen.Graph500, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l := benchLayout(b, g, 8, partition.WithCodec(graph.CodecDelta))
+		opts := core.Options{Threads: 1, SharedBlocks: buffer.NewShared(2 * l.Meta.EdgeBytesTotal())}
+		run := func() *core.Result {
+			res, err := core.Run(l, &algorithms.PageRank{Iterations: 10}, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res
+		}
+		run() // warms the cache
+		var compute, sched time.Duration
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res := run()
+			if res.SharedMisses != 0 {
+				b.Fatalf("%d shared misses on a warm cache", res.SharedMisses)
+			}
+			compute += res.ComputeTime
+			sched += res.SchedulerOverhead
+		}
+		b.ReportMetric(float64(compute.Microseconds())/1000/float64(b.N), "compute-ms/op")
+		b.ReportMetric(float64(sched.Microseconds())/float64(b.N), "sched-us/op")
+	})
 }
 
 func BenchmarkEngineBFS(b *testing.B) {
@@ -101,8 +138,10 @@ func cutCells(g *graph.Graph, p, j int, rows ...int) (cells []scatterCell, lo, h
 // sum loop, cell (1, 2) of the same graph cut eight ways, with every source
 // active or one in four. The sum loop's terms are filled before the clock
 // starts, as a pass fills them once for all its cells. A dense filter holds
-// each cell's whole source row, so the sum loop runs without its filter test.
-// It reports ns per edge examined and fails if the steady state allocates.
+// each cell's whole source row, so the sum loop runs without its filter test;
+// "dense-always-active" scatters as a pass that applies every vertex (PageRank
+// under BSP), without the touched bit per edge either. It reports ns per edge
+// examined and fails if the steady state allocates.
 func BenchmarkScatterKernel(b *testing.B) {
 	rmat, err := gen.RMAT(17, 16, gen.Graph500, 7)
 	if err != nil {
@@ -123,35 +162,40 @@ func BenchmarkScatterKernel(b *testing.B) {
 		return set
 	}
 	type filter struct {
-		name string
-		set  *bitset.ActiveSet
+		name       string
+		set        *bitset.ActiveSet
+		applyEvery bool
 	}
+	dense, sparse := filter{"dense", every(1), false}, filter{"active-1pct", every(100), false}
 	column, lo, hi := cutCells(g, 4, 1, 0, 1, 2, 3)
 	cell, cellLo, cellHi := cutCells(g, 8, 2, 1)
 	cases := []struct {
-		name         string
-		prog         core.Program
-		cells        []scatterCell
-		lo, hi       int
-		dense, other filter
+		name    string
+		prog    core.Program
+		cells   []scatterCell
+		lo, hi  int
+		filters []filter
 	}{
-		{"generic", hideKernel(&algorithms.SSSP{}), column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
-		{"sum-over-out-degree", &algorithms.PageRank{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
-		{"sum-over-out-degree/cell-p8", &algorithms.PageRank{}, cell, cellLo, cellHi, filter{"dense", every(1)}, filter{"active-quarter", every(4)}},
-		{"min-copy", &algorithms.ConnectedComponents{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
-		{"min-plus-one", &algorithms.BFS{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
-		{"min-plus-weight", &algorithms.SSSP{}, column, lo, hi, filter{"dense", every(1)}, filter{"active-1pct", every(100)}},
+		{"generic", hideKernel(&algorithms.SSSP{}), column, lo, hi, []filter{dense, sparse}},
+		{"sum-over-out-degree", &algorithms.PageRank{}, column, lo, hi, []filter{dense, {"dense-always-active", every(1), true}, sparse}},
+		{"sum-over-out-degree/cell-p8", &algorithms.PageRank{}, cell, cellLo, cellHi, []filter{dense, {"active-quarter", every(4), false}}},
+		{"min-copy", &algorithms.ConnectedComponents{}, column, lo, hi, []filter{dense, sparse}},
+		{"min-plus-one", &algorithms.BFS{}, column, lo, hi, []filter{dense, sparse}},
+		{"min-plus-weight", &algorithms.SSSP{}, column, lo, hi, []filter{dense, sparse}},
 	}
 	for _, c := range cases {
 		edges := 0
 		for _, cl := range c.cells {
 			edges += len(cl.edges)
 		}
-		for _, f := range []filter{c.dense, c.other} {
+		for _, f := range c.filters {
 			b.Run(c.name+"/"+f.name, func(b *testing.B) {
 				s, err := core.NewScatterer(c.prog, degrees)
 				if err != nil {
 					b.Fatal(err)
+				}
+				if f.applyEvery {
+					s.ApplyEvery()
 				}
 				s.Fill(vals)
 				acc := make([]float64, n)

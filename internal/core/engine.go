@@ -539,11 +539,12 @@ func (e *Engine) fillTerms(terms, vals []float64, lo, hi int) {
 
 // from is a scatter's source side: vals (terms, for the sum kernel) over filter
 // from source interval i, full when the sum loop may skip its filter test
-// because filter holds all of interval i; i < 0: any interval.
+// because filter holds all of interval i, and untracked when the pass also
+// applies every vertex (applyEvery); i < 0: any interval.
 func (e *Engine) from(vals, terms []float64, filter *bitset.ActiveSet, i int) scatterArgs {
 	full := i >= 0 && e.kernel == KernelSumOverOutDegree &&
 		filter.CountRange(e.layout.Meta.Interval(i)) == e.layout.Meta.IntervalLen(i)
-	return scatterArgs{vals: vals, terms: terms, degrees: e.degrees, filter: filter.Words(), full: full}
+	return scatterArgs{vals: vals, terms: terms, degrees: e.degrees, filter: filter.Words(), full: full, untracked: full && e.applyEvery}
 }
 
 // scatter merges the contributions of edges whose source is in src's filter
@@ -552,15 +553,26 @@ func (e *Engine) from(vals, terms []float64, filter *bitset.ActiveSet, i int) sc
 // every host. dstLo/dstHi bound the destinations of edges; the touched bits
 // the call sets are counted over that range, before and after. It keeps no
 // memory, whatever the range.
+//
+// An untracked call instead marks all of [dstLo, dstHi) — the destination
+// interval, which the pass's apply visits whole whatever touched holds — so
+// touched stays non-empty exactly when the tracked loop would have left it so,
+// which is all that pending, an FCIU first half's secondaryPending and a
+// checkpoint's TouchedNext read of it under applyEvery.
 func (e *Engine) scatter(edges []graph.Edge, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
 	if len(edges) == 0 {
 		return
 	}
 	t0 := time.Now()
-	before := touched.CountRange(dstLo, dstHi)
 	src.acc, src.touched = acc, touched.Words()
-	runKernel(e.kernel, e.prog, edges, src)
-	touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
+	if src.untracked {
+		runKernel(e.kernel, e.prog, edges, src)
+		touched.FillRange(dstLo, dstHi)
+	} else {
+		before := touched.CountRange(dstLo, dstHi)
+		runKernel(e.kernel, e.prog, edges, src)
+		touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
+	}
 	e.computeTime += time.Since(t0)
 }
 

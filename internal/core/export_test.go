@@ -35,12 +35,29 @@ func (s *Scatterer) Kernel() EdgeKernel { return s.e.kernel }
 // Fill fills the terms Scatter reads from vals, as a pass's start does.
 func (s *Scatterer) Fill(vals []float64) { s.e.fillTerms(s.e.termPrev, vals, 0, len(vals)) }
 
+// ApplyEvery makes s scatter as under a pass that applies every vertex of an
+// always-active program (Engine.applyEvery): the sum loop over a full row then
+// takes its untracked path.
+func (s *Scatterer) ApplyEvery() { s.e.applyEvery = true }
+
 // Scatter scatters edges, whose sources lie in [srcLo, srcHi), from vals and
 // the terms Fill filled of them over filter, as a pass scatters a cell of that
 // source interval: without the filter test when filter holds all of it.
 func (s *Scatterer) Scatter(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched *bitset.ActiveSet, srcLo, srcHi, dstLo, dstHi int) {
-	src := scatterArgs{vals: vals, terms: s.e.termPrev, degrees: s.e.degrees, filter: filter.Words(), full: filter.CountRange(srcLo, srcHi) == srcHi-srcLo}
-	s.e.scatter(edges, src, acc, touched, dstLo, dstHi)
+	s.e.scatter(edges, s.args(vals, filter, srcLo, srcHi), acc, touched, dstLo, dstHi)
+}
+
+// Loop runs the scatter loop alone on the arguments Scatter would hand it,
+// over raw touched words: it neither counts touched bits nor marks intervals.
+func (s *Scatterer) Loop(edges []graph.Edge, vals []float64, filter *bitset.ActiveSet, acc []float64, touched []uint64, srcLo, srcHi int) {
+	a := s.args(vals, filter, srcLo, srcHi)
+	a.acc, a.touched = acc, touched
+	runKernel(s.e.kernel, s.e.prog, edges, a)
+}
+
+func (s *Scatterer) args(vals []float64, filter *bitset.ActiveSet, srcLo, srcHi int) scatterArgs {
+	full := s.e.kernel == KernelSumOverOutDegree && filter.CountRange(srcLo, srcHi) == srcHi-srcLo
+	return scatterArgs{vals: vals, terms: s.e.termPrev, degrees: s.e.degrees, filter: filter.Words(), full: full, untracked: full && s.e.applyEvery}
 }
 
 // SparseViewDensity is the frontier density at or below which a full-model

@@ -53,13 +53,17 @@ func kernelOf(prog Program) (EdgeKernel, error) {
 // scatterArgs is what every scatter loop reads and writes. filter and touched
 // are the raw words of the source filter and the touched set; destination d
 // lands in acc[d] and bit d of touched. The sum loop reads terms, not vals.
+// full: the filter holds the whole source row, so the sum loop skips its
+// filter test. untracked: full, and the pass applies every vertex of the
+// destination interval (Engine.applyEvery), so the sum loop sets no touched
+// bit either; Engine.scatter marks the interval instead.
 type scatterArgs struct {
-	vals, terms []float64
-	degrees     []uint32
-	filter      []uint64
-	full        bool
-	acc         []float64
-	touched     []uint64
+	vals, terms     []float64
+	degrees         []uint32
+	filter          []uint64
+	full, untracked bool
+	acc             []float64
+	touched         []uint64
 }
 
 // hasBit reports whether bit i of words is set.
@@ -91,7 +95,9 @@ func markBit(words []uint64, i int) {
 // is one live value too many for the register allocator, which then keeps it
 // in memory and chains every edge to the last through a store and a load
 // (15–25% of the loop, measured). The caller takes the difference of two
-// population counts instead.
+// population counts instead. On an untracked call the sum loop is the add
+// alone — the touched bit per edge was 14% of its time on pr_fit — and writes
+// no touched word; the caller marks the destination interval.
 func runKernel(k EdgeKernel, prog Program, edges []graph.Edge, a scatterArgs) {
 	switch k {
 	case KernelSumOverOutDegree:
@@ -121,6 +127,12 @@ func scatterGeneric(prog Program, edges []graph.Edge, a scatterArgs) {
 
 func scatterSumOverOutDegree(edges []graph.Edge, a scatterArgs) {
 	terms, filter, acc, touched := a.terms, a.filter, a.acc, a.touched
+	if a.untracked {
+		for _, ed := range edges {
+			acc[ed.Dst] += terms[ed.Src]
+		}
+		return
+	}
 	if a.full {
 		for _, ed := range edges {
 			d := int(ed.Dst)

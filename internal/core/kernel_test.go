@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // noKernel and noKernelMono hide a program's EdgeKernel method — embedding
@@ -236,6 +238,179 @@ func TestKernelMatchesGenericLoop(t *testing.T) {
 					t.Fatalf("trial %d: touched count %d, generic %d, bits set %d", trial, gotTouched.Count(), wantTouched.Count(), set)
 				}
 			}
+		})
+	}
+}
+
+// TestAlwaysActiveKernelMatchesTrackedLoop covers the sum loop's untracked
+// path: a full row scattered by a pass that applies every vertex of an
+// always-active program. On the blocks, filters and terms of
+// TestKernelMatchesGenericLoop it leaves the same acc bits as the tracked loop;
+// the loop itself writes no touched word; and Engine.scatter leaves the call's
+// whole destination interval marked over what touched held, with an exact
+// count — and an empty call marks nothing. Off a full row the path is the
+// tracked loop's, touched words and all.
+func TestAlwaysActiveKernelMatchesTrackedLoop(t *testing.T) {
+	for _, name := range []string{"pagerank", "prdelta"} {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(name)*17 + 3)))
+			prog := kernelPrograms()[name]()
+			untracked := 0
+			for trial := 0; trial < 60; trial++ {
+				numEdges := 1 + rng.Intn(600)
+				if trial%10 == 0 {
+					numEdges = 1<<17 + rng.Intn(4000)
+				}
+				c := drawScatterCase(rng, prog.Identity(), prog.Weighted(), numEdges)
+				tracked, err := core.NewScatterer(prog, c.degrees)
+				if err != nil {
+					t.Fatal(err)
+				}
+				every, _ := core.NewScatterer(prog, c.degrees)
+				every.ApplyEvery()
+				wantAcc, wantTouched := c.run(tracked)
+				gotAcc, gotTouched := c.run(every)
+				for v := range wantAcc {
+					if !sameFloat(gotAcc[v], wantAcc[v]) {
+						t.Fatalf("trial %d: acc[%d] = %v, tracked loop left %v", trial, v, gotAcc[v], wantAcc[v])
+					}
+				}
+				full := c.filter.CountRange(c.srcLo, c.srcHi) == c.srcHi-c.srcLo
+				if full {
+					untracked++
+					// touched0 lies inside [lo, hi): the interval is the whole set.
+					wantTouched = bitset.NewActiveSet(c.n)
+					wantTouched.FillRange(c.lo, c.hi)
+				}
+				if !slices.Equal(gotTouched.Words(), wantTouched.Words()) || gotTouched.Count() != wantTouched.Count() || gotTouched.Count() != gotTouched.CountRange(0, c.n) {
+					t.Fatalf("trial %d (full row %t): touched %d bits, count %d; want %d bits", trial, full, gotTouched.CountRange(0, c.n), gotTouched.Count(), wantTouched.Count())
+				}
+
+				// The loop alone, on words no set owns: a full row writes none.
+				words := make([]uint64, (c.n+63)/64)
+				for k := range words {
+					words[k] = 0xa5a5_5a5a_0ff0_f00f
+				}
+				seen := slices.Clone(words)
+				acc := slices.Clone(c.acc0)
+				every.Loop(c.edges, c.vals, c.filter, acc, words, c.srcLo, c.srcHi)
+				if full && !slices.Equal(words, seen) {
+					t.Fatalf("trial %d: the untracked loop wrote touched words", trial)
+				}
+
+				// An empty call marks nothing.
+				empty := bitset.NewActiveSet(c.n)
+				every.Scatter(nil, c.vals, c.filter, acc, empty, c.srcLo, c.srcHi, c.lo, c.hi)
+				if empty.Count() != 0 || empty.CountRange(0, c.n) != 0 {
+					t.Fatalf("trial %d: an empty call marked %d bits", trial, empty.CountRange(0, c.n))
+				}
+			}
+			if untracked == 0 {
+				t.Fatal("no trial drew a full row")
+			}
+		})
+	}
+}
+
+// TestAlwaysActivePassesRunToTheirBound: PageRank, always active, takes the
+// sum loop's untracked path on every full row, so the touched sets hold
+// whole marked intervals rather than the destinations its edges reached. On
+// fciu, full-single, SCIU with cross-iteration on and Lumos it must still run
+// to its iteration bound on the same paths, to the generic loop's bits. Over a
+// graph where every vertex has an out-edge SCIU prescatters every vertex, so
+// the next frontier is empty and only the staged touched set keeps the run
+// going. Resumed from an fciu-1 image, whose staged set must be non-empty,
+// and from an fciu-2 image, a run ends on the uninterrupted run's bits.
+func TestAlwaysActivePassesRunToTheirBound(t *testing.T) {
+	rmat, err := gen.RMAT(9, 8, gen.Graph500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &graph.Graph{NumVertices: rmat.NumVertices, Edges: rmat.Edges}
+	for v := 0; v < g.NumVertices; v++ {
+		g.Edges = append(g.Edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % g.NumVertices)})
+	}
+	const bound = 6
+	mk := func() core.Program { return &algorithms.PageRank{Iterations: bound} }
+	fciu := core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}
+	paths := func(res *core.Result) (out []string) {
+		for _, st := range res.IterStats {
+			out = append(out, st.Path)
+		}
+		return out
+	}
+	for name, c := range map[string]struct {
+		system string
+		opts   core.Options
+	}{
+		"fciu":            {"graphsd", fciu},
+		"full-single":     {"graphsd", core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}},
+		"sciu-prescatter": {"graphsd", core.Options{ForceModel: core.ForceOnDemand}},
+		"lumos":           {"lumos", core.Options{}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			l := buildSystem(t, c.system, g, 4, storage.HDD)
+			want, err := core.Run(l, hideKernel(mk()), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := core.Run(l, mk(), c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bitIdentical(t, "kernel vs generic", got.Outputs, want.Outputs)
+			if got.Iterations != bound || want.Iterations != bound || !slices.Equal(paths(got), paths(want)) {
+				t.Fatalf("kernel ran %d iterations %v, generic %d %v; want %d each", got.Iterations, paths(got), want.Iterations, paths(want), bound)
+			}
+			if name == "sciu-prescatter" && got.IterStats[1].Active != 0 {
+				t.Fatalf("%d vertices active after the first SCIU iteration; the graph must let it prescatter every vertex", got.IterStats[1].Active)
+			}
+		})
+	}
+
+	for _, at := range []string{"fciu-1", "fciu-2"} {
+		t.Run("resume-"+at, func(t *testing.T) {
+			l := buildLayout(t, g, 4)
+			base, err := core.Run(l, mk(), fciu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			stop := -1
+			o := fciu
+			o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir}
+			o.OnIteration = func(st core.IterStat) {
+				if stop < 0 && st.Index >= 2 && st.Path == at {
+					stop = st.Index + 1
+					cancel()
+				}
+			}
+			if _, err := core.RunContext(ctx, l, mk(), o); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
+			ck, err := checkpoint.Load(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			staged := bitset.NewActiveSet(g.NumVertices)
+			if err := staged.LoadWords(ck.TouchedNext); err != nil {
+				t.Fatal(err)
+			}
+			if ck.Iteration != stop || ck.SecondaryPending != (at == "fciu-1") || (at == "fciu-1" && staged.Empty()) {
+				t.Fatalf("image at iteration %d (want %d), secondary pending %t, %d staged vertices", ck.Iteration, stop, ck.SecondaryPending, staged.Count())
+			}
+			o = fciu
+			o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir, Resume: true}
+			res, err := core.Run(l, mk(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Resumed || res.ResumedFrom != stop || res.Iterations != bound {
+				t.Fatalf("resumed %t from %d, ran to %d; want from %d to %d", res.Resumed, res.ResumedFrom, res.Iterations, stop, bound)
+			}
+			bitIdentical(t, "resumed from "+at+" vs uninterrupted", res.Outputs, base.Outputs)
 		})
 	}
 }

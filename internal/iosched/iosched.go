@@ -270,7 +270,15 @@ type Scheduler struct {
 
 	// live and reached are span's per-interval scratch (with EdgeCounts only).
 	live, reached []bool
+
+	// allActive is EstimateOnDemand over an all-active frontier, nil until a
+	// Decide first sees one: it reads nothing but the degrees, which Decide is
+	// given the same on every call.
+	allActive *onDemandSplit
 }
+
+// onDemandSplit is one EstimateOnDemand result.
+type onDemandSplit struct{ seqBytes, ranBytes, seeks int64 }
 
 // New returns a Scheduler for the given configuration.
 func New(cfg Config) (*Scheduler, error) {
@@ -495,7 +503,9 @@ func scaleCost(c time.Duration, factor float64) time.Duration {
 
 // Decide runs the benefit evaluation for one iteration and records and
 // returns the decision. degrees must hold the global out-degree of every
-// vertex.
+// vertex, and must be the same on every call to one Scheduler: the estimate
+// over an all-active frontier is computed on the first such call and reused
+// by every later one.
 //
 // The models are compared by their corrected costs (raw formula × the
 // model's EWMA correction). Exact ties go to on-demand. Once calibration
@@ -504,7 +514,7 @@ func scaleCost(c time.Duration, factor float64) time.Duration {
 // correction nudges on a near-tie cannot make the choice oscillate.
 func (s *Scheduler) Decide(iteration int, active *bitset.ActiveSet, degrees []uint32) Decision {
 	start := time.Now()
-	seqB, ranB, seeks := s.EstimateOnDemand(active, degrees)
+	seqB, ranB, seeks := s.estimate(active, degrees)
 	sp := s.span(active)
 	d := Decision{
 		Iteration:    iteration,
@@ -544,6 +554,21 @@ func (s *Scheduler) Decide(iteration int, active *bitset.ActiveSet, degrees []ui
 	d.Overhead = time.Since(start)
 	s.history = append(s.history, d)
 	return d
+}
+
+// estimate is EstimateOnDemand, taken once per Scheduler over an all-active
+// frontier: a run that keeps every vertex active (PageRank) would otherwise
+// walk every vertex on every Decide to the same answer.
+func (s *Scheduler) estimate(active *bitset.ActiveSet, degrees []uint32) (seqBytes, ranBytes, seeks int64) {
+	if active.Count() != active.Len() {
+		return s.EstimateOnDemand(active, degrees)
+	}
+	if s.allActive == nil {
+		seq, ran, sk := s.EstimateOnDemand(active, degrees)
+		s.allActive = &onDemandSplit{seq, ran, sk}
+	}
+	a := s.allActive
+	return a.seqBytes, a.ranBytes, a.seeks
 }
 
 // Observe feeds the measured device charge delta of the iteration whose

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
+	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/storage"
 )
@@ -208,6 +209,73 @@ func TestHistoryAndOverhead(t *testing.T) {
 	}
 	if s.TotalOverhead() < 0 {
 		t.Fatal("negative overhead")
+	}
+}
+
+// TestAllActiveEstimateTakenOnce follows a PageRank run's scheduling — a
+// Decide over the all-active frontier and an Observe of its charge per
+// iteration — with one Scheduler and with one made to recompute its estimate
+// before every Decide. Every decision but its Overhead is the same on both,
+// and the first is a fresh Scheduler's; the all-active split is taken on the
+// first Decide and kept. A frontier missing one vertex is priced afresh and
+// leaves the kept split alone.
+func TestAllActiveEstimateTakenOnce(t *testing.T) {
+	g, err := gen.RMAT(12, 8, gen.Graph500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, deg := g.NumVertices, g.OutDegrees()
+	cfg := testConfig(n, int64(len(g.Edges)))
+	cfg.BlocksPerRow = []int{4, 3, 4, 2}
+	cached, _ := New(cfg)
+	recomputed, _ := New(cfg)
+	all := bitset.NewActiveSet(n)
+	all.ActivateAll()
+	var kept *onDemandSplit
+	for it := 0; it < 8; it++ {
+		recomputed.allActive = nil
+		got, want := cached.Decide(it, all, deg), recomputed.Decide(it, all, deg)
+		got.Overhead, want.Overhead = 0, 0
+		if got != want {
+			t.Fatalf("iteration %d: decision %+v, recomputed %+v", it, got, want)
+		}
+		if it == 0 {
+			fresh, _ := New(cfg)
+			first := fresh.Decide(0, all, deg)
+			first.Overhead = 0
+			if got != first {
+				t.Fatalf("first decision %+v, a fresh Scheduler's %+v", got, first)
+			}
+			kept = cached.allActive
+		} else if cached.allActive != kept {
+			t.Fatalf("iteration %d took the all-active split again", it)
+		}
+		// A charge off the prediction moves the correction factors.
+		actual := got.Predicted * time.Duration(10+it) / 9
+		cached.Observe(FullIO, actual)
+		recomputed.Observe(FullIO, actual)
+	}
+
+	most := bitset.NewActiveSet(n)
+	most.ActivateAll()
+	for v := n / 2; ; v++ {
+		if deg[v] > 0 {
+			most.Deactivate(v)
+			break
+		}
+	}
+	fresh, _ := New(cfg)
+	seq, ran, seeks := fresh.EstimateOnDemand(most, deg)
+	d := cached.Decide(8, most, deg)
+	if d.SeqBytes != seq || d.RanBytes != ran || d.Seeks != seeks {
+		t.Fatalf("one vertex short: split %d/%d/%d, want %d/%d/%d", d.SeqBytes, d.RanBytes, d.Seeks, seq, ran, seeks)
+	}
+	if d.SeqBytes+d.RanBytes == kept.seqBytes+kept.ranBytes {
+		t.Fatal("one vertex short: priced as the all-active frontier")
+	}
+	seq, ran, seeks = fresh.EstimateOnDemand(all, deg)
+	if cached.allActive != kept || *kept != (onDemandSplit{seq, ran, seeks}) {
+		t.Fatal("a partial frontier changed the kept all-active split")
 	}
 }
 
