@@ -84,8 +84,15 @@ type Engine struct {
 	prescattered    *bitset.ActiveSet
 
 	// termPrev/termCur: the sum kernel's Gather of valPrev/valCur (fillTerms),
-	// refilled before every scatter that reads them, so never checkpointed.
+	// filled before every scatter that reads them, so never checkpointed.
+	// advance swaps them with the values. termsAhead: the pass just run
+	// crossed iterations, so it filled termCur from valCur over every interval
+	// and the next pass's semBegin finds termPrev filled.
 	termPrev, termCur []float64
+	termsAhead        bool
+	// semBegun, when set, is called at the end of every semBegin: a test's
+	// view of the state a pass starts from.
+	semBegun func()
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.

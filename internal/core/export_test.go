@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -362,4 +363,35 @@ func arrayBytes(v reflect.Value) int64 {
 		}
 	}
 	return total
+}
+
+// RunCheckingTerms is RunContext that checks, at the start of every pass that
+// begins with semBegin, that the terms the pass's scatters read from agree to
+// the bit with fillTerms of valPrev over every live row. It returns the first
+// disagreement it saw as stale ("" when none) and how many passes it checked.
+func RunCheckingTerms(ctx context.Context, layout *partition.Layout, prog Program, opts Options) (res *Result, stale string, passes int, err error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	e.ctx = ctx
+	want := make([]float64, e.n)
+	e.semBegun = func() {
+		passes++
+		for i, live := range e.rowLive {
+			if !live || stale != "" {
+				continue
+			}
+			lo, hi := layout.Meta.Interval(i)
+			e.fillTerms(want, e.valPrev, lo, hi)
+			for v := lo; v < hi; v++ {
+				if math.Float64bits(e.termPrev[v]) != math.Float64bits(want[v]) {
+					stale = fmt.Sprintf("pass %d: term of vertex %d is %v, its value's term %v", passes, v, e.termPrev[v], want[v])
+					break
+				}
+			}
+		}
+	}
+	res, err = e.run()
+	return res, stale, passes, err
 }

@@ -232,6 +232,7 @@ func (e *Engine) runPass(cells passCells) error {
 			return passPriority(k, clampedActiveEdgeEstimate(blk.Edges, e.newActive, &e.layout.Meta, k.I))
 		})
 	}
+	e.termsAhead = cross // every interval's terms were filled as it was applied
 	e.semEnd()
 	return nil
 }

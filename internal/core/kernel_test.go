@@ -16,6 +16,7 @@ import (
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
@@ -412,6 +413,86 @@ func TestAlwaysActivePassesRunToTheirBound(t *testing.T) {
 			}
 			bitIdentical(t, "resumed from "+at+" vs uninterrupted", res.Outputs, base.Outputs)
 		})
+	}
+}
+
+// TestPassesStartOnFilledTerms: the sum kernel scatters from terms, each its
+// source's value over its out-degree, filled as values become final. An fciu-2
+// pass does not refill them: the fciu-1 pass before it filled every interval's
+// as it applied it, and advance hands them on with the values. At the start of
+// every pass — fciu, full-single, SCIU, HUS-Graph, Lumos, and runs resumed from
+// an fciu-1 and an fciu-2 image — the terms of every live row must be exactly
+// what filling them from the values the pass scatters would give.
+func TestPassesStartOnFilledTerms(t *testing.T) {
+	g, err := gen.RMAT(9, 8, gen.Graph500, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fciu := core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}
+	runs := map[string]struct {
+		system string
+		opts   core.Options
+		path   string // a path the run must take
+	}{
+		"fciu":        {"graphsd", fciu, "fciu-2"},
+		"full-single": {"graphsd", core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}, "full-single"},
+		"sciu":        {"graphsd", core.Options{ForceModel: core.ForceOnDemand}, "sciu"},
+		"husgraph":    {"husgraph", core.Options{}, "husgraph-full"},
+		"lumos":       {"lumos", core.Options{}, "lumos-2"},
+	}
+	for prog, mk := range map[string]func() core.Program{
+		"pagerank": func() core.Program { return &algorithms.PageRank{Iterations: 6} },
+		"prdelta":  func() core.Program { return &algorithms.PageRankDelta{Iterations: 8} },
+	} {
+		check := func(t *testing.T, ctx context.Context, l *partition.Layout, opts core.Options) *core.Result {
+			t.Helper()
+			res, stale, passes, err := core.RunCheckingTerms(ctx, l, mk(), opts)
+			if stale != "" {
+				t.Fatal(stale)
+			}
+			if err == nil && passes == 0 {
+				t.Fatal("no pass began")
+			}
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatal(err)
+			}
+			return res
+		}
+		for name, r := range runs {
+			t.Run(prog+"/"+name, func(t *testing.T) {
+				res := check(t, context.Background(), buildSystem(t, r.system, g, 4, storage.HDD), r.opts)
+				if !slices.ContainsFunc(res.IterStats, func(st core.IterStat) bool { return st.Path == r.path }) {
+					t.Fatalf("the run never took %s", r.path)
+				}
+			})
+		}
+		for _, at := range []string{"fciu-1", "fciu-2"} {
+			t.Run(prog+"/resume-"+at, func(t *testing.T) {
+				l := buildLayout(t, g, 4)
+				base := check(t, context.Background(), l, fciu)
+				dir := t.TempDir()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				o := fciu
+				o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir}
+				o.OnIteration = func(st core.IterStat) {
+					if st.Index >= 1 && st.Path == at {
+						cancel()
+					}
+				}
+				check(t, ctx, l, o)
+				if ctx.Err() == nil {
+					t.Fatalf("the run never took %s", at)
+				}
+				o = fciu
+				o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir, Resume: true}
+				res := check(t, context.Background(), l, o)
+				if !res.Resumed {
+					t.Fatal("the run did not resume")
+				}
+				bitIdentical(t, "resumed from "+at+" vs uninterrupted", res.Outputs, base.Outputs)
+			})
+		}
 	}
 }
 

@@ -112,13 +112,15 @@ func (e *Engine) promote() {
 
 // advance closes a BSP iteration: the next frontier is its activations minus
 // the vertices whose next scatter cross-iteration computation already did,
-// and the values it computed become the ones the next scatters read.
+// and the values it computed — with their terms — become the ones the next
+// scatters read.
 func (e *Engine) advance() {
 	e.active.CopyFrom(e.newActive)
 	e.active.Subtract(e.prescattered)
 	e.newActive.Reset()
 	e.prescattered.Reset()
 	e.valPrev, e.valCur = e.valCur, e.valPrev
+	e.termPrev, e.termCur = e.termCur, e.termPrev
 	copy(e.valCur, e.valPrev)
 }
 

@@ -20,16 +20,24 @@ import (
 // Values follow the same state (DESIGN.md §11): the pass reads the values of
 // its live rows, charged here, and of the intervals its apply phase visits,
 // charged with their write-back by semEnd. So do the terms the pass's
-// scatters read (fillTerms): the live rows' values are final.
+// scatters read (fillTerms): the live rows' values are final. After a pass
+// that crossed iterations (termsAhead) they are filled already: that pass
+// filled every interval's terms as it applied it, and advance handed them on
+// with the values.
 func (e *Engine) semBegin() {
+	filled := e.termsAhead
+	e.termsAhead = false
 	for i := range e.rowLive {
 		lo, hi := e.layout.Meta.Interval(i)
 		e.rowLive[i] = e.allLive || e.active.CountRange(lo, hi) > 0
-		if e.rowLive[i] {
+		if e.rowLive[i] && !filled {
 			e.fillTerms(e.termPrev, e.valPrev, lo, hi)
 		}
 	}
 	e.layout.ChargeValues(storage.SeqRead, func(i int) bool { return e.rowLive[i] })
+	if e.semBegun != nil {
+		e.semBegun()
+	}
 }
 
 // semEnd charges the rest of a finished pass's value traffic: the read of every

@@ -4,10 +4,7 @@
 // out-of-core engines.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // VertexID identifies a vertex. GraphSD uses dense 32-bit IDs in
 // [0, NumVertices); real-world graphs at the paper's scale (up to 1 B
@@ -79,17 +76,12 @@ func (g *Graph) InDegrees() []uint32 {
 	return deg
 }
 
-// SortBySrc sorts edges by (src, dst) in place. GraphSD's representation
-// requires source-major order within each sub-block so that a per-vertex
-// index can locate the contiguous edge list of any active vertex.
+// SortBySrc sorts edges in place by (src, dst, weight bits), the order of a
+// layout cell (EdgeSorter.BySrc). GraphSD's representation requires
+// source-major order within each sub-block so that a per-vertex index can
+// locate the contiguous edge list of any active vertex.
 func (g *Graph) SortBySrc() {
-	sort.Slice(g.Edges, func(i, j int) bool {
-		a, b := g.Edges[i], g.Edges[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
+	new(EdgeSorter).BySrc(g.Edges)
 }
 
 // Clone returns a deep copy of the graph.

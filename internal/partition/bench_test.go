@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
@@ -17,8 +19,28 @@ func benchGraph(b *testing.B) *graph.Graph {
 	return g
 }
 
-func BenchmarkBuildGraphSD(b *testing.B) {
-	g := benchGraph(b)
+// rmat17 is shaped like the benchmark module's PageRank input: R-MAT scale
+// 17, edge factor 16 (2.1 M edges). It is generated once per test binary.
+var rmat17 = sync.OnceValues(func() (*graph.Graph, error) { return gen.RMAT(17, 16, gen.Graph500, 1) })
+
+// benchBuilds runs build over the small graph and over rmat17.
+func benchBuilds(b *testing.B, build func(*storage.Device, *graph.Graph) (*Layout, error)) {
+	b.Run("rmat13", func(b *testing.B) { benchBuild(b, benchGraph(b), build) })
+	b.Run("rmat17", func(b *testing.B) {
+		g, err := rmat17()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchBuild(b, g, build)
+	})
+}
+
+// benchBuild times build over g, each run on a fresh device, and reports
+// prep-ns/edge: the builder's CPU time without its device writes
+// (Layout.PrepCPU) per input edge — the bucketing, sorting and encoding.
+func benchBuild(b *testing.B, g *graph.Graph, build func(*storage.Device, *graph.Graph) (*Layout, error)) {
+	b.ResetTimer() // generating g is not the build
+	var prep time.Duration
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dev, err := storage.OpenDevice(b.TempDir(), storage.HDD)
@@ -26,25 +48,26 @@ func BenchmarkBuildGraphSD(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := Build(dev, g, 8); err != nil {
+		l, err := build(dev, g)
+		if err != nil {
 			b.Fatal(err)
 		}
+		prep += l.PrepCPU
 	}
+	b.ReportMetric(float64(prep.Nanoseconds())/float64(b.N)/float64(len(g.Edges)), "prep-ns/edge")
+}
+
+// BenchmarkBuildGraphSD builds the delta-coded grid the benchmark module runs on.
+func BenchmarkBuildGraphSD(b *testing.B) {
+	benchBuilds(b, func(dev *storage.Device, g *graph.Graph) (*Layout, error) {
+		return Build(dev, g, 8, WithCodec(graph.CodecDelta))
+	})
 }
 
 func BenchmarkBuildHUSGraph(b *testing.B) {
-	g := benchGraph(b)
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		dev, err := storage.OpenDevice(b.TempDir(), storage.HDD)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := BuildHUSGraph(dev, g, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuilds(b, func(dev *storage.Device, g *graph.Graph) (*Layout, error) {
+		return BuildHUSGraph(dev, g, 8)
+	})
 }
 
 func BenchmarkBuildLumos(b *testing.B) {

@@ -1,11 +1,9 @@
 package partition
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/graph"
@@ -79,9 +77,10 @@ func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOpti
 	m := w.m
 
 	// Copy 1: row blocks by source interval, sorted by source vertex.
-	rows := bucketEdges(g.Edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Src) })
+	bySrc, byDst := intervalKeys(m)
+	rows := bucketEdges(g.Edges, p, bySrc)
 	for i := 0; i < p; i++ {
-		sortEdgesBySrc(rows[i])
+		w.sorter.BySrc(rows[i])
 		m.EdgeCounts[i][0] = int64(len(rows[i]))
 		if err := w.write(RowName(i), encodeRawEdges(rows[i], m.Weighted)); err != nil {
 			return nil, err
@@ -93,11 +92,9 @@ func BuildHUSGraph(dev *storage.Device, g *graph.Graph, p int, opts ...BuildOpti
 	}
 
 	// Copy 2: column blocks by destination interval, sorted by destination.
-	cols := bucketEdges(g.Edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })
+	cols := bucketEdges(g.Edges, p, byDst)
 	for j := 0; j < p; j++ {
-		slices.SortFunc(cols[j], func(a, b graph.Edge) int {
-			return compareEdgeKeys(a.Dst, a.Src, a.Weight, b.Dst, b.Src, b.Weight)
-		})
+		w.sorter.ByDst(cols[j])
 		payload := encodeRawEdges(cols[j], m.Weighted)
 		m.ColSums[j] = Checksum(payload)
 		if err := w.write(ColName(j), payload); err != nil {
@@ -116,7 +113,8 @@ func buildGrid(dev *storage.Device, g *graph.Graph, p int, opt gridOptions) (*La
 		return nil, err
 	}
 	// One pass over the edges buckets them into the P×P grid.
-	grid := bucketEdges(g.Edges, p*p, func(e graph.Edge) int { return w.m.IntervalOf(e.Src)*p + w.m.IntervalOf(e.Dst) })
+	bySrc, byDst := intervalKeys(w.m)
+	grid := bucketEdges(g.Edges, p*p, func(e graph.Edge) int { return bySrc(e)*p + byDst(e) })
 	for i := 0; i < p; i++ {
 		if err := w.writeRow(i, grid[i*p:(i+1)*p]); err != nil {
 			return nil, err
@@ -125,35 +123,39 @@ func buildGrid(dev *storage.Device, g *graph.Graph, p int, opt gridOptions) (*La
 	return w.finish(g.OutDegrees())
 }
 
+// bucketEdges groups edges into n buckets by key, each in input order. A
+// counting pass takes every edge's key once and sizes every bucket, so all of
+// them share one backing array allocated once.
 func bucketEdges(edges []graph.Edge, n int, key func(graph.Edge) int) [][]graph.Edge {
-	buckets := make([][]graph.Edge, n)
-	for _, e := range edges {
+	keys := make([]int32, len(edges))
+	next := make([]int, n)
+	for x, e := range edges {
 		k := key(e)
-		buckets[k] = append(buckets[k], e)
+		keys[x] = int32(k)
+		next[k]++
+	}
+	all := make([]graph.Edge, len(edges))
+	buckets := make([][]graph.Edge, n)
+	off := 0
+	for k, size := range next {
+		buckets[k] = all[off : off+size : off+size]
+		next[k] = off
+		off += size
+	}
+	for x, e := range edges {
+		k := keys[x]
+		all[next[k]] = e
+		next[k]++
 	}
 	return buckets
 }
 
-// sortEdgesBySrc sorts a cell by (source, destination, weight bits). The
-// order is total, so what a layout's bytes are does not hang on how an
-// unstable sort leaves parallel edges: Build, BuildExternal and a merge of the
-// same edge set write the same files.
-func sortEdgesBySrc(edges []graph.Edge) {
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		return compareEdgeKeys(a.Src, a.Dst, a.Weight, b.Src, b.Dst, b.Weight)
-	})
-}
-
-// compareEdgeKeys orders two edges by a major and a minor endpoint, then by
-// the bits of their weights.
-func compareEdgeKeys(aMajor, aMinor graph.VertexID, aWeight float32, bMajor, bMinor graph.VertexID, bWeight float32) int {
-	if aMajor != bMajor {
-		return cmp.Compare(aMajor, bMajor)
-	}
-	if aMinor != bMinor {
-		return cmp.Compare(aMinor, bMinor)
-	}
-	return cmp.Compare(math.Float32bits(aWeight), math.Float32bits(bWeight))
+// intervalKeys returns the key functions that bucket edges by the interval of
+// their source and of their destination.
+func intervalKeys(m *Manifest) (bySrc, byDst func(graph.Edge) int) {
+	per := uint32(m.intervalWidth())
+	return func(e graph.Edge) int { return int(uint32(e.Src) / per) },
+		func(e graph.Edge) int { return int(uint32(e.Dst) / per) }
 }
 
 // buildVertexIndex returns CSR-style offsets over a src-sorted edge slice: for
@@ -193,6 +195,7 @@ type layoutWriter struct {
 	m           *Manifest
 	gen         int
 	sort, index bool
+	sorter      graph.EdgeSorter // orders every cell the writer sorts
 	start       time.Time
 	devWalls    time.Duration
 }
@@ -260,7 +263,7 @@ func (w *layoutWriter) write(name string, data []byte) error {
 func (w *layoutWriter) writeRow(i int, cells [][]graph.Edge) error {
 	for j, cell := range cells {
 		if w.sort {
-			sortEdgesBySrc(cell)
+			w.sorter.BySrc(cell)
 		}
 		if err := w.writeCell(i, j, cell); err != nil {
 			return err

@@ -65,6 +65,7 @@ func BuildExternal(dev *storage.Device, src graph.EdgeStream, numVertices int, w
 	}
 
 	// Pass 2: per row, read the run back, bucket into cells, sort, write.
+	_, byDst := intervalKeys(m)
 	for i := 0; i < p; i++ {
 		data, err := dev.ReadFile(spillName(i))
 		if err != nil {
@@ -74,7 +75,7 @@ func BuildExternal(dev *storage.Device, src graph.EdgeStream, numVertices int, w
 		if err != nil {
 			return nil, fmt.Errorf("partition: decoding spill run %d: %w", i, err)
 		}
-		if err := w.writeRow(i, bucketEdges(edges, p, func(e graph.Edge) int { return m.IntervalOf(e.Dst) })); err != nil {
+		if err := w.writeRow(i, bucketEdges(edges, p, byDst)); err != nil {
 			return nil, err
 		}
 		if err := dev.Remove(spillName(i)); err != nil {

@@ -182,7 +182,7 @@ func (m *Manifest) Interval(i int) (lo, hi int) {
 	if i < 0 || i >= m.P {
 		panic(fmt.Sprintf("partition: interval %d out of range [0,%d)", i, m.P))
 	}
-	per := (m.NumVertices + m.P - 1) / m.P
+	per := m.intervalWidth()
 	lo = i * per
 	hi = lo + per
 	if hi > m.NumVertices {
@@ -208,9 +208,11 @@ func (m *Manifest) Cell(i, j int) graph.Cell {
 
 // IntervalOf returns the interval that vertex v belongs to.
 func (m *Manifest) IntervalOf(v graph.VertexID) int {
-	per := (m.NumVertices + m.P - 1) / m.P
-	return int(v) / per
+	return int(v) / m.intervalWidth()
 }
+
+// intervalWidth is the vertex count of every interval but perhaps the last.
+func (m *Manifest) intervalWidth() int { return (m.NumVertices + m.P - 1) / m.P }
 
 // IntervalLen returns the number of vertices in interval i.
 func (m *Manifest) IntervalLen(i int) int {
