@@ -49,6 +49,9 @@ func (p *PageRankDelta) AsyncApply(v graph.VertexID, cur, merged float64, aux []
 	return nv, math.Abs(nv) > p.tolerance()
 }
 
+// LabelCorrecting implements core.Monotonic: PageRank-Delta carries mass.
+func (p *PageRankDelta) LabelCorrecting() bool { return false }
+
 // AsyncConsume implements core.Monotonic: the scattered snapshot has been
 // pushed to every out-neighbor, so only mass that arrived mid-scatter
 // remains pending. Sub-tolerance remainders are parked (the vertex
@@ -80,6 +83,9 @@ func (c *ConnectedComponents) Residual(v graph.VertexID, val float64, aux []floa
 	return minResidual()
 }
 
+// LabelCorrecting implements core.Monotonic.
+func (c *ConnectedComponents) LabelCorrecting() bool { return true }
+
 // AsyncApply implements core.Monotonic.
 func (c *ConnectedComponents) AsyncApply(v graph.VertexID, cur, merged float64, aux []float64, n int) (float64, bool) {
 	return minAsyncApply(cur, merged)
@@ -95,6 +101,9 @@ func (s *SSSP) Residual(v graph.VertexID, val float64, aux []float64) float64 {
 	return minResidual()
 }
 
+// LabelCorrecting implements core.Monotonic.
+func (s *SSSP) LabelCorrecting() bool { return true }
+
 // AsyncApply implements core.Monotonic.
 func (s *SSSP) AsyncApply(v graph.VertexID, cur, merged float64, aux []float64, n int) (float64, bool) {
 	return minAsyncApply(cur, merged)
@@ -109,6 +118,9 @@ func (s *SSSP) AsyncConsume(v graph.VertexID, snapshot, cur float64, aux []float
 func (b *BFS) Residual(v graph.VertexID, val float64, aux []float64) float64 {
 	return minResidual()
 }
+
+// LabelCorrecting implements core.Monotonic.
+func (b *BFS) LabelCorrecting() bool { return true }
 
 // AsyncApply implements core.Monotonic.
 func (b *BFS) AsyncApply(v graph.VertexID, cur, merged float64, aux []float64, n int) (float64, bool) {

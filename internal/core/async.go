@@ -2,23 +2,31 @@
 // programs that replaces the BSP barrier with a priority queue over the P
 // source intervals of the sub-block grid.
 //
-// One scheduler step pops the pending-mass-richest interval and processes
-// its whole grid row atomically: the row's frontier is frozen, the frozen
-// vertices' live values are snapshotted, every non-empty sub-block (i, j)
-// is served from the per-run buffer when resident there, and otherwise
-// streamed (inline as run views, or through the prefetch pipeline) or loaded
-// selectively (per-vertex reads, when the row's frontier is sparse enough
-// that the cost model prices them below streaming what is not resident);
-// its contributions are scattered through the program's kernel and applied
-// immediately into the live values, and finally every frozen source is
-// settled with AsyncConsume. Rows whose pending mass changed are re-keyed in
-// the queue; the run converges when the queue drains or total residual falls
-// to Options.AsyncEpsilon.
+// One scheduler step pops the pending-mass-richest interval i and processes
+// its grid row atomically. A sweep freezes a frontier of interval i,
+// snapshots the frozen vertices' live values, scatters them through sub-blocks
+// of the row — each served from the per-run buffer when resident there, and
+// otherwise streamed (inline as run views, or through the prefetch pipeline)
+// or loaded selectively (per-vertex reads, when the frontier is sparse enough
+// that the cost model prices them below streaming what is not resident) —
+// applies the contributions immediately into the live values, and settles
+// every frozen source with AsyncConsume. How many sweeps a step makes depends
+// on the program's form (Monotonic.LabelCorrecting):
 //
-// Processing a whole row per pop is what keeps PR-Delta's mass accounting
-// exact: a source's residual is consumed only after it has been pushed to
-// every destination interval, so no per-(vertex, column) pushed-mass matrix
-// is needed. For min-programs row atomicity is merely the natural grain.
+//   - A mass-residual program (PR-Delta) sweeps its row's whole frontier
+//     through every cell of the row once. A source's residual is consumed only
+//     after it has been pushed to every destination interval, so no
+//     per-(vertex, column) pushed-mass matrix is needed.
+//   - A label-correcting program (cc, bfs, sssp) first drains interval i: it
+//     sweeps the frontier through the diagonal cell (i, i) alone, round after
+//     round, until no vertex of interval i is active — the diagonal block is
+//     taken once and held across the rounds — and then pushes every vertex any
+//     round froze, once, at its final value, through the row's other cells on
+//     one fetch plan. A wavefront thus crosses its own interval in one step
+//     instead of one hop per step, on edges already in memory.
+//
+// Rows whose pending mass changed are re-keyed in the queue; the run converges
+// when the queue drains or total residual falls to Options.AsyncEpsilon.
 //
 // Determinism contract: for a fixed Options.AsyncSeed the pop sequence — and
 // therefore every result bit — is reproducible. Row priorities are always
@@ -26,7 +34,8 @@
 // rather than maintained incrementally, ties break by a seeded hash then the
 // row index, aging is a pure function of the persisted step counter, and
 // checkpoints capture the step counter and per-row enqueue steps, so a
-// resumed run replays the identical schedule.
+// resumed run replays the identical schedule. A step's drain and push both
+// finish inside the step, so nothing else crosses a step boundary.
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
 // rows the scheduler ranks highest, in the form the codec gives it — verified
@@ -35,7 +44,8 @@
 // priority is its row's queue key, so the buffer evicts what the queue will
 // pop last. The queue key itself never looks at the buffer: checkpoints do not
 // carry it, a resumed run starts cold, and it has to pop the same rows in the
-// same order. Residency changes which bytes move, never which row runs.
+// same order. Residency changes which bytes move, never which row runs, how
+// many rounds a drain makes or what they compute.
 package core
 
 import (
@@ -118,6 +128,9 @@ func asyncTie(seed uint64, i int) uint64 {
 type asyncRun struct {
 	e    *Engine
 	mono Monotonic
+	// drains is the program's Monotonic.LabelCorrecting: a step drains its
+	// row's own interval before it pushes across.
+	drains bool
 
 	rows []*asyncRow
 	h    rowHeap
@@ -125,23 +138,32 @@ type asyncRun struct {
 	// rowBlocks lists each row's non-empty cells and rowStreamCost prices
 	// streaming all of them (blockCost each: seek + sequential read), the
 	// denominator of the priority key — which is static: what is resident
-	// never moves it.
+	// never moves it. For a draining program diag[i] is row i's diagonal cell
+	// (a slice of rowBlocks[i], nil when the cell is empty) and cross[i] the
+	// row's other cells, in column order.
 	rowBlocks     [][]buffer.Key
 	rowStreamCost []time.Duration
+	diag, cross   [][]buffer.Key
 
-	// frontier is the frozen per-step row frontier (the scatter filter) and
-	// frontList its ascending vertex list. consumed marks vertices settled
-	// at least once, for reactivation counting.
+	// frontier is the frozen frontier of the sweep in progress (the scatter
+	// filter) and frontList its ascending vertex list. pushed collects every
+	// vertex a drain froze, the push's frontier. consumed marks vertices
+	// settled at least once, for reactivation counting.
 	frontier  *bitset.ActiveSet
 	frontList []int
+	pushed    *bitset.ActiveSet
 	consumed  *bitset.ActiveSet
 	dirty     []bool // rows whose mass must be recomputed after the step
 
 	// selBlock is the selective path's reusable block.
 	selBlock selectiveBlock
 
-	blocks   int64 // sub-blocks processed
+	// selective says some sweep of the step in progress read selectively.
+	selective bool
+
+	blocks   int64 // sub-block sweeps: cells scattered, once per round for a drain's diagonal
 	reacts   int64 // consumed vertices re-entering the frontier
+	rounds   int64 // sweeps of a row's own interval
 	selSteps int   // steps that took the selective path
 }
 
@@ -155,22 +177,36 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 	a := &asyncRun{
 		e:             e,
 		mono:          mono,
+		drains:        mono.LabelCorrecting(),
 		rows:          make([]*asyncRow, e.p),
 		rowBlocks:     make([][]buffer.Key, e.p),
 		rowStreamCost: make([]time.Duration, e.p),
+		diag:          make([][]buffer.Key, e.p),
+		cross:         make([][]buffer.Key, e.p),
 		frontier:      bitset.NewActiveSet(e.n),
+		pushed:        bitset.NewActiveSet(e.n),
 		consumed:      bitset.NewActiveSet(e.n),
 		dirty:         make([]bool, e.p),
 	}
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
 		a.rows[i] = &asyncRow{i: i, tie: asyncTie(e.opts.AsyncSeed, i), pos: -1}
+		diag := -1
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
-			a.rowBlocks[i] = append(a.rowBlocks[i], buffer.Key{I: i, J: j})
+			k := buffer.Key{I: i, J: j}
+			if j == i {
+				diag = len(a.rowBlocks[i])
+			} else if a.drains {
+				a.cross[i] = append(a.cross[i], k)
+			}
+			a.rowBlocks[i] = append(a.rowBlocks[i], k)
 			a.rowStreamCost[i] += a.blockCost(i, j)
+		}
+		if a.drains && diag >= 0 {
+			a.diag[i] = a.rowBlocks[i][diag : diag+1]
 		}
 	}
 	return a, nil
@@ -238,6 +274,7 @@ func (a *asyncRun) finish(res *Result) {
 		Enabled:         true,
 		Steps:           res.Iterations,
 		SelectiveSteps:  a.selSteps,
+		Rounds:          a.rounds,
 		BlocksScheduled: a.blocks,
 		Reactivations:   a.reacts,
 		FinalResidual:   a.totalResidual(),
@@ -258,10 +295,15 @@ func (a *asyncRun) totalResidual() float64 {
 
 // rowMass recomputes row i's pending mass canonically: ascending vertex
 // order over the live frontier, so the same engine state always produces
-// the identical float — the bedrock of deterministic replay and resume.
+// the identical float — the bedrock of deterministic replay and resume. A
+// label-correcting program's residual is 1 a vertex, and the count is that
+// ascending sum of ones, bit for bit.
 func (a *asyncRun) rowMass(i int) float64 {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
+	if a.drains {
+		return float64(e.active.CountRange(lo, hi))
+	}
 	var mass float64
 	e.active.ForEachRange(lo, hi, func(v int) bool {
 		mass += a.mono.Residual(graph.VertexID(v), e.valPrev[v], e.aux)
@@ -315,84 +357,51 @@ func (a *asyncRun) popRow(step int64) *asyncRow {
 }
 
 // processRow runs scheduler step `step` on row i, returning the executed path
-// ("async" streamed, "async-sel" selective). See the package comment for
-// the step's phases and why the row is processed atomically.
+// ("async" streamed, "async-sel" when any sweep of the step read selectively).
+// See the package comment for the step's sweeps and why the row is processed
+// atomically.
 func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
-
-	// Freeze the row frontier and snapshot its values: every sub-block of
-	// the row scatters the identical inputs even though applies mutate the
-	// live values mid-row (the diagonal block feeds back into this very
-	// interval). The frozen set is also the scatter filter — e.active
-	// changes under the applies and must not filter the scatter.
-	a.frontList = a.frontList[:0]
-	a.frontier.Reset()
-	e.active.ForEachRange(lo, hi, func(v int) bool {
-		a.frontList = append(a.frontList, v)
-		a.frontier.Activate(v)
-		e.valCur[v] = e.valPrev[v]
-		return true
-	})
-	e.fillTerms(e.termCur, e.valCur, lo, hi)
+	defer a.frontier.ClearRange(lo, hi)
 	for k := range a.dirty {
 		a.dirty[k] = false
 	}
 	a.dirty[i] = true
+	a.selective = false
 
 	// The row in hand outranks every queued one: what it already holds in the
 	// buffer, and what it is about to offer, cannot be evicted by its own
 	// later cells.
 	a.setResidentPriority(i, math.MaxInt64)
 
-	// Pick the row's load path: stream every block that is not resident, or
-	// read the frontier's edges selectively through the per-vertex index;
-	// resident blocks are scattered from memory either way, and a row that is
-	// all resident has no device path to choose. The value terms are
-	// identical either way, so the comparison is edges-only.
-	path := "async"
-	selective := false
-	if len(a.frontList) > 0 {
-		if stream := a.missCost(i); stream > 0 {
-			seqB, ranB, seeks := e.sched.EstimateOnDemand(a.frontier, e.degrees)
-			if e.sched.RowSelectiveCost(seqB, ranB, seeks, hi-lo) < stream {
-				selective = true
-				path = "async-sel"
-			}
-		}
-	}
-
 	var applied int64
 	var err error
-	if selective {
-		a.selSteps++
-		applied, err = a.scatterRowOnDemand(i)
+	if a.drains {
+		applied, err = a.drainAndPush(i)
 	} else {
-		applied, err = a.scatterRowStreamed(i)
+		a.freeze(e.active, lo, hi)
+		a.rounds++
+		applied, err = a.sweep(i, a.rowBlocks[i])
+		if err == nil {
+			a.settle()
+		}
+	}
+	path := "async"
+	if a.selective {
+		path = "async-sel"
+		a.selSteps++
 	}
 	if err != nil {
 		return path, err
 	}
 
-	// Settle the frozen sources in ascending order: each one's snapshot has
-	// now been pushed along every out-edge, so consume it and keep the
-	// vertex active only if mass arrived underneath the scatter.
-	t0 := time.Now()
-	for _, v := range a.frontList {
-		nv, act := a.mono.AsyncConsume(graph.VertexID(v), e.valCur[v], e.valPrev[v], e.aux, e.n)
-		e.valPrev[v] = nv
-		if !act {
-			e.active.Deactivate(v)
-		}
-		a.consumed.Activate(v)
-	}
-	e.computeTime += time.Since(t0)
-
-	// Per-step value traffic: the frozen interval's values stream in once;
-	// the applied destinations write back. A BSP pass pays by interval too —
-	// its live rows and the intervals its apply visits, each whole (semEnd) —
-	// and runs every live row at once, where a step runs one and writes back
-	// only the vertices it applied.
+	// Per-step value traffic: the frozen interval's values stream in once and
+	// stay in memory for every sweep of the step, as an FCIU pass loads an
+	// interval once; every apply writes its destinations back. A BSP pass pays
+	// by interval too — its live rows and the intervals its apply visits, each
+	// whole (semEnd) — and runs every live row at once, where a step runs one
+	// and writes back only the vertices it applied.
 	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.VertexValueBytes)
 	if applied > 0 {
 		e.layout.Dev.Charge(storage.SeqWrite, applied*graph.VertexValueBytes)
@@ -408,6 +417,133 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 		}
 	}
 	return path, nil
+}
+
+// freeze makes the vertices of set in [lo, hi) the frozen frontier and
+// snapshots their live values: every cell a sweep scatters sees the identical
+// inputs even though applies mutate the live values mid-sweep (the diagonal
+// cell feeds back into this very interval). The frozen set is also the
+// scatter filter — e.active changes under the applies and must not filter
+// the scatter. It returns how many vertices it froze.
+func (a *asyncRun) freeze(set *bitset.ActiveSet, lo, hi int) int {
+	e := a.e
+	a.frontList = a.frontList[:0]
+	a.frontier.ClearRange(lo, hi)
+	set.ForEachRange(lo, hi, func(v int) bool {
+		a.frontList = append(a.frontList, v)
+		a.frontier.Activate(v)
+		e.valCur[v] = e.valPrev[v]
+		return true
+	})
+	e.fillTerms(e.termCur, e.valCur, lo, hi)
+	return len(a.frontList)
+}
+
+// settle settles the frozen sources in ascending order: each one's snapshot
+// has now been pushed along every out-edge the sweep covered, so consume it
+// and keep the vertex active only if mass arrived underneath the scatter.
+func (a *asyncRun) settle() {
+	e := a.e
+	t0 := time.Now()
+	for _, v := range a.frontList {
+		nv, act := a.mono.AsyncConsume(graph.VertexID(v), e.valCur[v], e.valPrev[v], e.aux, e.n)
+		e.valPrev[v] = nv
+		if !act {
+			e.active.Deactivate(v)
+		}
+		a.consumed.Activate(v)
+	}
+	e.computeTime += time.Since(t0)
+}
+
+// drainAndPush is a label-correcting program's step on row i. The drain
+// sweeps interval i's frontier through the diagonal cell, applies and settles
+// it, and repeats until the interval has no active vertex (drain bounds the
+// rounds for a program that breaks its contract); the push then
+// scatters every vertex a round froze, at its final value, through the row's
+// other cells. A min fold makes the push exact: a vertex frozen in several
+// rounds sends only its last, smallest value across, which is all the earlier
+// ones would have delivered. It returns the number of vertices applied.
+func (a *asyncRun) drainAndPush(i int) (int64, error) {
+	e := a.e
+	lo, hi := e.layout.Meta.Interval(i)
+	a.pushed.ClearRange(lo, hi)
+	applied, err := a.drain(i)
+	if err != nil {
+		return applied, err
+	}
+	a.freeze(a.pushed, lo, hi)
+	n, err := a.sweep(i, a.cross[i])
+	return applied + n, err
+}
+
+// drain runs the drain rounds of row i and returns the vertices they applied.
+// A round takes the diagonal block whole — and holds it for the drain's later
+// rounds — or, until one does, reads only its own frontier's runs, on the
+// route that frontier picks.
+//
+// No edge lowers the value it carries (Monotonic.LabelCorrecting), so a drain
+// never freezes a value below its first round's least — its floor — and a path
+// that improves a label has fewer edges than the interval has vertices: the
+// drain ends on an empty frontier within that many rounds. A negative cycle —
+// an SSSP weight below zero — would lower its labels on every round. The drain
+// stops at the first round that freezes a value below the floor, or else after
+// as many rounds as the interval has vertices, and leaves what is still active
+// to a later step; the run's step bound then ends the run, as it ends a BSP
+// run over the same cycle.
+func (a *asyncRun) drain(i int) (applied int64, err error) {
+	e := a.e
+	lo, hi := e.layout.Meta.Interval(i)
+	cell := a.diag[i]
+	var held block
+	var st *blockStream[block]
+	defer func() {
+		if st != nil {
+			e.src.release(held)
+			e.endFetch(st)
+		}
+	}()
+	var floor float64
+	for round := 0; round < hi-lo && a.freeze(e.active, lo, hi) > 0; round++ {
+		if err := e.checkCtx(); err != nil {
+			return applied, err
+		}
+		low := math.Inf(1)
+		for _, v := range a.frontList {
+			low = min(low, e.valCur[v])
+		}
+		if round == 0 {
+			floor = low
+		} else if low < floor {
+			break
+		}
+		a.rounds++
+		for _, v := range a.frontList {
+			a.pushed.Activate(v)
+		}
+		var n int64
+		switch {
+		case cell == nil:
+		case st == nil && a.selectiveRoute(i, cell):
+			n, err = a.scatterCells(cell, a.onDemandBlock)
+		default:
+			if st == nil {
+				st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
+				blk, err := e.takeBuffered(st, cell[0], topPriority)
+				if err != nil {
+					return applied, err
+				}
+				held = blk
+			}
+			n, err = a.scatterApply(held, i, i)
+		}
+		applied += n
+		if err != nil {
+			return applied, err
+		}
+		a.settle()
+	}
+	return applied, nil
 }
 
 // residentPriority is the eviction priority of the row's resident blocks: an
@@ -437,11 +573,11 @@ func (a *asyncRun) blockCost(i, j int) time.Duration {
 	return a.e.sched.BlockCost(a.e.layout.Meta.SubBlockDiskBytes(i, j))
 }
 
-// missCost prices streaming the blocks of row i that are not resident: what
-// the streamed path would read. With nothing resident it is rowStreamCost.
-func (a *asyncRun) missCost(i int) time.Duration {
+// missCost prices streaming the cells that are not resident: what the
+// streamed route would read. With nothing resident it is their stream cost.
+func (a *asyncRun) missCost(cells []buffer.Key) time.Duration {
 	var cost time.Duration
-	for _, k := range a.rowBlocks[i] {
+	for _, k := range cells {
 		if !a.e.buf.Contains(k) {
 			cost += a.blockCost(k.I, k.J)
 		}
@@ -449,55 +585,78 @@ func (a *asyncRun) missCost(i int) time.Duration {
 	return cost
 }
 
+// selectiveRoute picks the load route of a sweep of row i's frozen frontier
+// through cells: stream every cell that is not resident, or read the
+// frontier's edges selectively through the per-vertex index. Resident blocks
+// are scattered from memory either way, and cells all resident have no
+// device path to choose. The value terms are identical either way, so the
+// comparison is edges-only. Choosing the selective route charges the row's
+// index, once per step (the index consultation is the per-interval slice of
+// SCIU's 2|V| term).
+func (a *asyncRun) selectiveRoute(i int, cells []buffer.Key) bool {
+	e := a.e
+	if len(a.frontList) == 0 {
+		return false
+	}
+	stream := a.missCost(cells)
+	if stream <= 0 {
+		return false
+	}
+	lo, hi := e.layout.Meta.Interval(i)
+	seqB, ranB, seeks := e.sched.EstimateOnDemand(a.frontier, e.degrees)
+	if e.sched.RowSelectiveCost(seqB, ranB, seeks, hi-lo) >= stream {
+		return false
+	}
+	if !a.selective {
+		a.selective = true
+		e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
+	}
+	return true
+}
+
 // topPriority admits the blocks of the row being processed (see processRow).
 func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
-// scatterRowStreamed processes row i through the per-run buffer in the form
-// the codec gives it, on FCIU's fetch plan (openFetch, takeBuffered): misses
-// stream through the row's block stream and are offered at the row in hand's
-// priority. Over viewable blocks and a frozen frontier of at most one in
-// rowViewDensity, every cell, hit or miss, is a run view that decodes only that
-// frontier's runs, on an inline stream.
-func (a *asyncRun) scatterRowStreamed(i int) (int64, error) {
+// sweep scatters the frozen frontier through row i's cells on the route
+// selectiveRoute picks and applies each destination as its cell is done,
+// returning the number of vertices applied. The selective route reads only the
+// frozen frontier's edge runs through each sub-block's vertex index — the
+// async analogue of SCIU's on-demand loads — synchronously: frontiers this
+// sparse spend their time seeking, not streaming, and the frozen frontier
+// keeps the reads deterministic. The streamed route takes the cells through
+// the per-run buffer in the form the codec gives it, on FCIU's fetch plan
+// (openFetch, takeBuffered): misses stream through the sweep's block stream
+// and are offered at the row in hand's priority. Over viewable blocks and a
+// frozen frontier of at most one in rowViewDensity, every cell, hit or miss,
+// is a run view that decodes only that frontier's runs, on an inline stream.
+func (a *asyncRun) sweep(i int, cells []buffer.Key) (int64, error) {
 	e := a.e
-	if len(a.frontList) == 0 {
+	if a.selectiveRoute(i, cells) {
+		return a.scatterCells(cells, a.onDemandBlock)
+	}
+	if len(a.frontList) == 0 || len(cells) == 0 {
 		return 0, nil
 	}
 	lo, hi := e.layout.Meta.Interval(i)
-	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, a.rowBlocks[i])
+	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cells)
 	defer e.endFetch(st)
-	return a.scatterRow(i, func(k buffer.Key) (block, error) { return e.takeBuffered(st, k, topPriority) })
+	return a.scatterCells(cells, func(k buffer.Key) (block, error) { return e.takeBuffered(st, k, topPriority) })
 }
 
-// scatterRowOnDemand processes row i by reading only the frozen frontier's
-// edge runs through each sub-block's vertex index — the async analogue of
-// SCIU's on-demand loads; a resident block is scattered from memory through
-// the same frontier filter instead, a payload as a run view where the layout
-// allows one. It runs synchronously: frontier rows this sparse spend their
-// time seeking, not streaming, and the frozen frontier keeps the reads
-// deterministic.
-func (a *asyncRun) scatterRowOnDemand(i int) (int64, error) {
-	e := a.e
-	// Modelled per-step index consultation, the per-interval slice of
-	// SCIU's 2|V| term.
-	lo, hi := e.layout.Meta.Interval(i)
-	e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
-	return a.scatterRow(i, a.onDemandBlock)
-}
-
-// scatterRow scatters and applies row i's blocks in column order, each taken
-// from get once the previous one is applied, and returns the number of
-// vertices applied.
-func (a *asyncRun) scatterRow(i int, get func(k buffer.Key) (block, error)) (int64, error) {
+// scatterCells scatters and applies cells in column order, each taken from
+// get once the previous one is applied and released, and returns the number
+// of vertices applied.
+func (a *asyncRun) scatterCells(cells []buffer.Key, get func(k buffer.Key) (block, error)) (int64, error) {
 	var applied int64
-	for _, k := range a.rowBlocks[i] {
+	for _, k := range cells {
 		if err := a.e.checkCtx(); err != nil {
 			return applied, err
 		}
 		blk, err := get(k)
 		if err == nil {
 			var n int64
-			n, err = a.scatterApplyBlock(blk, k.I, k.J)
+			n, err = a.scatterApply(blk, k.I, k.J)
+			a.e.src.release(blk)
 			applied += n
 		}
 		if err != nil {
@@ -523,20 +682,18 @@ func (a *asyncRun) onDemandBlock(k buffer.Key) (blk block, err error) {
 	return block{edges: a.selBlock.edges}, err
 }
 
-// scatterApplyBlock scatters sub-block (i, j) from the frozen snapshot — from
-// a run view, only the frozen frontier's runs — releases it and immediately
-// applies the touched destinations of interval j into the live values,
-// returning the number of vertices applied.
-func (a *asyncRun) scatterApplyBlock(blk block, i, j int) (int64, error) {
+// scatterApply scatters sub-block (i, j) from the frozen snapshot — from a
+// run view, only the frozen frontier's runs — and immediately applies the
+// touched destinations of interval j into the live values, returning the
+// number of vertices applied. The caller still owns blk.
+func (a *asyncRun) scatterApply(blk block, i, j int) (int64, error) {
 	e := a.e
 	a.blocks++
 	if blk.empty() {
 		return 0, nil
 	}
 	jLo, jHi := e.layout.Meta.Interval(j)
-	err := e.scatterBlock(blk, e.from(e.valCur, e.termCur, a.frontier, i), e.acc, e.touched, jLo, jHi)
-	e.src.release(blk)
-	if err != nil {
+	if err := e.scatterBlock(blk, e.from(e.valCur, e.termCur, a.frontier, i), e.acc, e.touched, jLo, jHi); err != nil {
 		return 0, err
 	}
 

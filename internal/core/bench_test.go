@@ -331,9 +331,11 @@ func BenchmarkEngineCompressed(b *testing.B) {
 // SSSP over a weighted row-major lattice, delta-coded — the shape of bench/'s
 // sssp_async, whose wavefront returns to the same few diagonal blocks step
 // after step — with and without the per-run buffer that keeps those blocks
-// (as payloads, here). Device bytes, block activations and the buffer's hit ratio are
-// reported alongside wall time — bytes are the figure the fig-async
-// experiment asserts on, wall time the one bench/ does.
+// (as payloads, here) — and at bench/'s own size, a weighted 128×128 lattice
+// under the default buffer, the sssp_async case. Device bytes, block
+// activations and the buffer's hit ratio are reported alongside wall time —
+// bytes are the figure the fig-async experiment asserts on, wall time the one
+// bench/ does — and, under async, steps and drain rounds per run.
 func BenchmarkEngineAsync(b *testing.B) {
 	sparse := gen.Weighted(gen.Chain(4096), 7, 11)
 	rmat, err := gen.RMAT(12, 12, gen.Graph500, 4)
@@ -341,6 +343,7 @@ func BenchmarkEngineAsync(b *testing.B) {
 		b.Fatal(err)
 	}
 	lattice := gen.Weighted(gen.Grid(96), 16, 3)
+	benchLattice := gen.Weighted(gen.Grid(128), 16, 3)
 	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
 	prd := func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} }
 	cases := []struct {
@@ -357,6 +360,7 @@ func BenchmarkEngineAsync(b *testing.B) {
 		{"sssp-lattice/bsp", lattice, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
 		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
+		{"sssp_async", benchLattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -370,6 +374,8 @@ func BenchmarkEngineAsync(b *testing.B) {
 				b.ReportMetric(float64(res.IO.TotalBytes())/1024, "device-KiB")
 				b.ReportMetric(float64(res.WallTime.Microseconds())/1000, "wall-ms")
 				if res.Async.Enabled {
+					b.ReportMetric(float64(res.Async.Steps), "steps")
+					b.ReportMetric(float64(res.Async.Rounds), "rounds")
 					b.ReportMetric(float64(res.Async.BlocksScheduled), "blocks")
 					if asked := res.Buffer.Hits + res.Buffer.Misses; asked > 0 {
 						b.ReportMetric(float64(res.Buffer.Hits)/float64(asked), "hit-ratio")

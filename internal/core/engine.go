@@ -93,6 +93,9 @@ type Engine struct {
 	// semBegun, when set, is called at the end of every semBegin: a test's
 	// view of the state a pass starts from.
 	semBegun func()
+	// fetchOpened, when set, is called as openFetch opens a plan: a test's
+	// view of the frontier and cells a plan routes.
+	fetchOpened func(active, span int, cells []buffer.Key)
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.

@@ -15,7 +15,6 @@ import (
 	"github.com/graphsd/graphsd/internal/graph"
 	"github.com/graphsd/graphsd/internal/partition"
 	"github.com/graphsd/graphsd/internal/pipeline"
-	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // Scatterer drives Engine.scatter over caller-built arrays, with no layout
@@ -69,56 +68,49 @@ const SparseViewDensity = sparseViewDensity
 // row takes run views.
 const RowViewDensity = rowViewDensity
 
-// RunCountingRowViews is RunCountingViews, poisoning, under the async schedule
-// with no per-run buffer, that also reports per step the row whose cells it
-// read (-1: none) and that row's frozen frontier, the row's vertices active as
-// the step began (-1: not known — before the first step only a frontier of one
-// vertex, or of every vertex, tells it).
-func RunCountingRowViews(layout *partition.Layout, prog Program, opts Options) (res *Result, views []int64, rows, frozen []int, err error) {
+// FetchPlan is one fetch plan a step opened (Engine.openFetch): the frozen
+// frontier's size, the span of its row, the cells it was handed and how many
+// run views the source built from its opening to the next plan's, or the
+// step's end.
+type FetchPlan struct {
+	Frozen, Span int
+	Cells        [][2]int
+	Views        int64
+}
+
+// RunCountingPlanViews is RunCountingViews, poisoning, that also reports the
+// fetch plans each step opened.
+func RunCountingPlanViews(layout *partition.Layout, prog Program, opts Options) (res *Result, views []int64, plans [][]FetchPlan, err error) {
 	e, err := NewEngine(layout, prog, opts)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	e.src.poison = true
-	var mu sync.Mutex
-	row := -1
-	layout.Dev.SetTracer(func(ev storage.TraceEvent) {
-		var i, j int
-		if _, err := fmt.Sscanf(ev.Name, "blocks/b_%04d_%04d.edges", &i, &j); err == nil {
-			mu.Lock()
-			row = i
-			mu.Unlock()
+	var step []FetchPlan
+	var seen, cut int64 // views at the step's start and at the last plan boundary
+	mark := func() {
+		now := e.src.viewBlocks.Load()
+		if n := len(step); n > 0 {
+			step[n-1].Views = now - cut
 		}
-	})
-	defer layout.Dev.SetTracer(nil)
-	var entering []int // active vertices per interval as the coming step begins
-	var seen int64
+		cut = now
+	}
+	e.fetchOpened = func(active, span int, cells []buffer.Key) {
+		mark()
+		p := FetchPlan{Frozen: active, Span: span}
+		for _, k := range cells {
+			p.Cells = append(p.Cells, [2]int{k.I, k.J})
+		}
+		step = append(step, p)
+	}
 	e.opts.OnIteration = func(st IterStat) {
+		mark()
 		now := e.src.viewBlocks.Load()
 		views, seen = append(views, now-seen), now
-		mu.Lock()
-		i := row
-		row = -1
-		mu.Unlock()
-		f := -1
-		switch {
-		case i < 0:
-		case entering != nil:
-			f = entering[i]
-		case st.Active == 1:
-			f = 1
-		case st.Active == e.n:
-			lo, hi := layout.Meta.Interval(i)
-			f = hi - lo
-		}
-		rows, frozen = append(rows, i), append(frozen, f)
-		entering = entering[:0]
-		for k := 0; k < e.p; k++ {
-			entering = append(entering, e.active.CountRange(layout.Meta.Interval(k)))
-		}
+		plans, step = append(plans, step), nil
 	}
 	res, err = e.run()
-	return res, views, rows, frozen, err
+	return res, views, plans, err
 }
 
 // RunCountingViews is Run that also reports, per iteration, how many

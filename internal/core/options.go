@@ -262,13 +262,20 @@ type Result struct {
 // comparison with BSP, Result.Iterations holds the same count.
 type AsyncStats struct {
 	Enabled bool
-	// Steps counts scheduler pops; SelectiveSteps the subset that loaded
-	// the row's edges selectively (per-vertex reads) instead of streaming
-	// whole sub-blocks.
+	// Steps counts scheduler pops; SelectiveSteps the subset in which some
+	// sweep loaded the row's edges selectively (per-vertex reads) instead
+	// of streaming whole sub-blocks.
 	Steps          int
 	SelectiveSteps int
-	// BlocksScheduled counts sub-blocks actually processed across all
-	// steps — the async analogue of BSP's iterations × P² full-pass reads.
+	// Rounds counts the sweeps of a popped row's own interval: one a step for
+	// a mass-residual program, one a drain round — a sweep of the diagonal
+	// sub-block until the interval settles — for a label-correcting one.
+	Rounds int64
+	// BlocksScheduled counts sub-block sweeps across all steps — a drain's
+	// diagonal once a round, every other cell once a step — the async
+	// analogue of BSP's iterations × P² full-pass reads. It never depends on
+	// residency; how many of them took a block through the per-run buffer
+	// does (Buffer.Hits + Buffer.Misses).
 	BlocksScheduled int64
 	// Reactivations counts vertices re-entering the frontier after having
 	// been consumed at least once — the re-computation async trades for
@@ -282,7 +289,8 @@ type AsyncStats struct {
 
 // IterStat describes one logical iteration of an engine run. Under async
 // execution one IterStat is emitted per scheduler step with Path "async"
-// (whole-row streaming) or "async-sel" (selective per-vertex loads).
+// (whole sub-blocks streamed or served from memory) or "async-sel" (some
+// sweep of the step used selective per-vertex loads).
 type IterStat struct {
 	Index int
 	// Path is the executed update path: GraphSD's "sciu", "fciu-1",
@@ -292,7 +300,7 @@ type IterStat struct {
 	Path string
 	// Active is the number of active vertices entering the iteration.
 	Active int
-	// Blocks is the number of sub-blocks the step processed and
+	// Blocks is the number of sub-block sweeps the step made and
 	// Reactivations the number of previously-consumed vertices it woke;
 	// Residual is the total pending mass after the step. All three are
 	// async-only (zero under BSP).

@@ -15,11 +15,14 @@ import (
 )
 
 // TestOnIterationHook: under either schedule the hook fires once per
-// IterStat, in order, and a checkpoint is written every Every steps.
+// IterStat, in order, and a checkpoint is written every Every steps. The
+// chain is cut into 8 intervals: an async BFS step drains its interval's
+// stretch of the chain and pushes into the next, so it takes one step an
+// interval, and 8 steps make two checkpoints at Every=3.
 func TestOnIterationHook(t *testing.T) {
 	for name, async := range map[string]bool{"bsp": false, "async": true} {
 		t.Run(name, func(t *testing.T) {
-			layout := buildLayout(t, gen.Chain(40), 2)
+			layout := buildLayout(t, gen.Chain(40), 8)
 			var seen []core.IterStat
 			res, err := core.Run(layout, &algorithms.BFS{Source: 0}, core.Options{
 				Async:       async,

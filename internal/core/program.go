@@ -114,6 +114,17 @@ type Monotonic interface {
 	// active iff cur improved below snapshot; PR-Delta banks snapshot into
 	// the rank and keeps only the mass that arrived since.
 	AsyncConsume(v graph.VertexID, snapshot, cur float64, aux []float64, n int) (float64, bool)
+	// LabelCorrecting says which of the two forms above the program takes.
+	// True is the label-correcting form: Residual is 1 for every active
+	// vertex, AsyncApply/AsyncConsume fold by min, so pushing a value again
+	// changes nothing, and no edge carries a value below its source's (CC
+	// copies labels, BFS and SSSP add non-negative lengths). A step drains its
+	// row's own interval through the diagonal sub-block before it pushes
+	// across, and cuts the drain short where an edge breaks that last rule
+	// (async.go). False is the
+	// mass-residual form (PR-Delta): every sweep consumes the mass it pushed,
+	// and a step sweeps its row once.
+	LabelCorrecting() bool
 }
 
 // RunReference executes prog for up to maxIters BSP iterations on an

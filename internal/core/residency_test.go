@@ -69,7 +69,7 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 				var prevBytes int64
 				for _, capacity := range []int64{0, edgeBytes / 8, edgeBytes / 4, 2 * edgeBytes} {
 					reads, stop := countBlockReads(l)
-					res, err := core.Run(l, c.prog(), core.Options{Async: true, AsyncSeed: 7, BufferBytes: capacity})
+					res, _, plans, err := core.RunCountingPlanViews(l, c.prog(), core.Options{Async: true, AsyncSeed: 7, BufferBytes: capacity})
 					stop()
 					if err != nil {
 						t.Fatalf("capacity %d: %v", capacity, err)
@@ -77,19 +77,33 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 					if !res.Converged {
 						t.Fatalf("capacity %d: not converged after %d steps", capacity, res.Async.Steps)
 					}
-					var streamed, fullReads int
-					for _, st := range res.IterStats {
+					var streamed, planned, fullReads int
+					for k, st := range res.IterStats {
 						if st.Path == "async" {
 							streamed += st.Blocks
+						}
+						for _, p := range plans[k] {
+							planned += len(p.Cells)
 						}
 					}
 					for _, n := range reads {
 						fullReads += n
 					}
 					label := fmt.Sprintf("capacity %d", capacity)
-					// Every whole-block request is either a hit or a device read.
-					if got := int(res.Buffer.Hits) + fullReads; got != streamed {
-						t.Fatalf("%s: %d hits + %d block reads, want the %d blocks of streamed steps", label, res.Buffer.Hits, fullReads, streamed)
+					// Every cell of every fetch plan is taken once — a drain's
+					// diagonal once a step, however many rounds sweep it — and
+					// each take asks the buffer once: a hit or else one device
+					// read.
+					if int64(fullReads) != res.Buffer.Misses {
+						t.Fatalf("%s: %d block reads for %d misses", label, fullReads, res.Buffer.Misses)
+					}
+					if takes := res.Buffer.Hits + res.Buffer.Misses; takes != int64(planned) {
+						t.Fatalf("%s: %d hits + %d block reads, want the %d cells of the fetch plans", label, res.Buffer.Hits, fullReads, planned)
+					}
+					// One sweep a step: the plans list every block of a
+					// streamed step.
+					if !c.prog().(core.Monotonic).LabelCorrecting() && planned != streamed {
+						t.Fatalf("%s: %d cells planned, want the %d blocks of streamed steps", label, planned, streamed)
 					}
 
 					switch {
@@ -103,8 +117,8 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 						}
 					default:
 						requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-						if res.Async.Steps != base.Async.Steps || res.Async.BlocksScheduled != base.Async.BlocksScheduled ||
-							res.Async.Reactivations != base.Async.Reactivations {
+						if res.Async.Steps != base.Async.Steps || res.Async.Rounds != base.Async.Rounds ||
+							res.Async.BlocksScheduled != base.Async.BlocksScheduled || res.Async.Reactivations != base.Async.Reactivations {
 							t.Fatalf("%s moved the schedule: %+v, want %+v", label, res.Async, base.Async)
 						}
 						for k, st := range res.IterStats {

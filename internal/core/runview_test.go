@@ -210,16 +210,20 @@ func TestViewBlockFaultDegradesLikeAnyOther(t *testing.T) {
 }
 
 // TestAsyncViewRouteMatchesDecodedRoute holds the async row step on a delta
-// layout — a row over a frozen frontier of at most one vertex in
+// layout — a fetch plan over a frozen frontier of at most one vertex in
 // RowViewDensity takes its cells as run views, its stream loaded inline; a
-// denser row decodes them on the prefetch workers — to the decoded route: same
-// outputs by bits, the same steps through the same paths, the same device
+// denser plan decodes them on the prefetch workers — to the decoded route:
+// same outputs by bits, the same steps through the same paths, the same device
 // traffic and stream deliveries in every step, the same buffer outcomes. A
-// step views every block it scatters or none. Unbuffered, where a step's row
-// shows in the files it reads, it views exactly when its frozen frontier is
-// that sparse: steps denser than SparseViewDensity included, and never a step
-// that freezes a whole row, as PageRank-Delta's first, entered with every
-// vertex active, does.
+// step of a label-correcting program opens up to two plans, its drain's
+// diagonal and its push across the row, over different frontiers; PageRank-
+// Delta's step opens one. Every plan — a step's other phase may have read
+// selectively — views every cell it is handed or none, and it views exactly
+// when its frozen frontier is that sparse: plans denser than
+// SparseViewDensity included, and never a plan that freezes a whole row, as
+// PageRank-Delta's first, entered with every vertex active, does, and as a
+// lattice's push does once its drain has swept the wavefront across the whole
+// interval. SSSP over weighted R-MAT views plans in that band.
 func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 	rmat, err := gen.RMAT(9, 8, gen.Graph500, 23)
 	if err != nil {
@@ -230,15 +234,25 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 		name  string
 		g     *graph.Graph
 		prog  func() core.Program
-		band  bool // some step viewed is denser than SparseViewDensity
-		dense bool // some streamed step freezes a whole row
+		band  bool // some plan viewed is denser than SparseViewDensity
+		dense bool // some plan freezes a whole row
+		mixed bool // some step read selectively and opened a plan
 	}{
-		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false},
-		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false},
-		{"prdelta-rmat", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 30} }, false, true},
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, false, true, false},
+		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, true, false},
+		{"sssp-rmat", gen.Weighted(rmat, 16, 3), func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false, false},
+		{"prdelta-rmat", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 30} }, false, true, false},
+		// On the seek-heavy profile a sparse drain round reads selectively,
+		// in a step whose push streams.
+		{"bfs-rmat-seeky", nil, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false, true},
 	} {
-		delta := codecLayout(t, pc.g, 4, graph.CodecDelta)
-		band, dense := false, false
+		var delta *partition.Layout
+		if pc.g != nil {
+			delta = codecLayout(t, pc.g, 4, graph.CodecDelta)
+		} else {
+			delta = chaosLayout(t, graph.CodecDelta, 5)
+		}
+		band, dense, mixed := false, false, false
 		for _, oracle := range []struct {
 			name  string
 			route func(core.Options) core.Options
@@ -246,15 +260,7 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 			for _, buffered := range []bool{false, true} {
 				opts := core.Options{Async: true, DefaultBuffer: buffered}
 				t.Run(fmt.Sprintf("%s/oracle=%s/buffer=%t", pc.name, oracle.name, buffered), func(t *testing.T) {
-					var got *core.Result
-					var views []int64
-					var rows, frozen []int
-					var err error
-					if buffered {
-						got, views, err = core.RunCountingViews(delta, pc.prog(), opts, true)
-					} else {
-						got, views, rows, frozen, err = core.RunCountingRowViews(delta, pc.prog(), opts)
-					}
+					got, views, plans, err := core.RunCountingPlanViews(delta, pc.prog(), opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -280,30 +286,38 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 						if a, b := st.Pipeline, ref.Pipeline; a.Blocks != b.Blocks || a.Bytes != b.Bytes || a.Skipped != b.Skipped || a.SkippedBytes != b.SkippedBytes || a.Fallbacks != b.Fallbacks {
 							t.Errorf("step %d (%s): pipeline %+v, decoded route %+v", k, st.Path, st.Pipeline, ref.Pipeline)
 						}
-						viewed := views[k] > 0
-						if viewed && views[k] != int64(st.Blocks) {
+						if views[k] > int64(st.Blocks) {
 							t.Errorf("step %d (%s): %d view blocks of %d scattered", k, st.Path, views[k], st.Blocks)
 						}
-						if inline := st.Pipeline.Inline; (viewed && inline != st.Pipeline.Blocks) || (!viewed && inline != 0) || ref.Pipeline.Inline != 0 {
-							t.Errorf("step %d (%s, viewed %t): %d of %d blocks inline, decoded route %d", k, st.Path, viewed, inline, st.Pipeline.Blocks, ref.Pipeline.Inline)
+						// A listed stream of views loads inline, every block of it.
+						if inline := st.Pipeline.Inline; (views[k] == 0 && inline != 0) || inline > st.Pipeline.Blocks || ref.Pipeline.Inline != 0 {
+							t.Errorf("step %d (%s, %d views): %d of %d blocks inline, decoded route %d", k, st.Path, views[k], inline, st.Pipeline.Blocks, ref.Pipeline.Inline)
 						}
-						if frozen == nil || st.Path != "async" || st.Blocks == 0 || frozen[k] < 0 {
-							continue
+						allViewed := true
+						mixed = mixed || (st.Path == "async-sel" && len(plans[k]) > 0)
+						for _, p := range plans[k] {
+							viewed := p.Views > 0
+							allViewed = allViewed && viewed
+							if viewed && p.Views != int64(len(p.Cells)) {
+								t.Errorf("step %d: a plan viewed %d of its %d cells %v", k, p.Views, len(p.Cells), p.Cells)
+							}
+							if viewed != (p.Frozen*core.RowViewDensity <= p.Span) {
+								t.Errorf("step %d: a plan over %v freezes %d of %d vertices, viewed %t", k, p.Cells, p.Frozen, p.Span, viewed)
+							} else {
+								band = band || (viewed && p.Frozen*core.SparseViewDensity > p.Span)
+								dense = dense || p.Frozen == p.Span
+							}
 						}
-						lo, hi := delta.Meta.Interval(rows[k])
-						if f, span := frozen[k], hi-lo; viewed != (f*core.RowViewDensity <= span) {
-							t.Errorf("step %d: row %d freezes %d of %d vertices, viewed %t", k, rows[k], f, span, viewed)
-						} else {
-							band = band || (viewed && f*core.SparseViewDensity > span)
-							dense = dense || f == span
+						if allViewed && st.Pipeline.Inline != st.Pipeline.Blocks {
+							t.Errorf("step %d: every plan viewed, yet %d of %d blocks inline", k, st.Pipeline.Inline, st.Pipeline.Blocks)
 						}
 					}
 				})
 			}
 		}
-		if band != pc.band || dense != pc.dense {
-			t.Errorf("%s: a step viewed over a frontier denser than 1 in %d: %t, want %t; a streamed step over a whole row: %t, want %t",
-				pc.name, core.SparseViewDensity, band, pc.band, dense, pc.dense)
+		if band != pc.band || dense != pc.dense || mixed != pc.mixed {
+			t.Errorf("%s: a plan viewed over a frontier denser than 1 in %d: %t, want %t; a plan over a whole row: %t, want %t; a selective step's plan: %t, want %t",
+				pc.name, core.SparseViewDensity, band, pc.band, dense, pc.dense, mixed, pc.mixed)
 		}
 	}
 }
@@ -311,35 +325,33 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 // TestAsyncViewBlockFaultDegrades: a transient fault on a listed cell of an
 // async row — a stream of views, loaded inline — degrades the rest of that
 // row's list to synchronous loads, views still, each counted once, and
-// changes no output bit. The fault is armed for the first streamed step that
-// views its row, so it strikes that step's read and no earlier one.
+// changes no output bit. The fault is armed for the first streamed step whose
+// push views three cells or more, so it strikes that step's read and no
+// earlier one.
 func TestAsyncViewBlockFaultDegrades(t *testing.T) {
-	// Unbuffered, every step lists every non-empty cell of its row.
+	// Unbuffered, a push lists every non-empty cell of its row but the
+	// diagonal, which the drain took alone (a list of one is not listed).
 	prog := func() core.Program { return &algorithms.BFS{Source: 0} }
-	clean, cleanViews, rows, _, err := core.RunCountingRowViews(faultLayoutCodec(t, graph.CodecDelta), prog(), core.Options{Async: true})
+	clean, cleanViews, plans, err := core.RunCountingPlanViews(faultLayoutCodec(t, graph.CodecDelta), prog(), core.Options{Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := -1
+	var cells [][2]int
 	for k, st := range clean.IterStats {
-		if st.Path == "async" && cleanViews[k] == int64(st.Blocks) && st.Pipeline.Inline >= 3 {
-			step = k
-			break
+		for _, p := range plans[k] {
+			if st.Path == "async" && len(p.Cells) >= 3 && p.Views == int64(len(p.Cells)) && step < 0 {
+				step, cells = k, p.Cells
+			}
 		}
 	}
 	if step < 0 {
-		t.Fatal("clean run: no streamed step viewed a row of three listed cells or more")
+		t.Fatal("clean run: no streamed step viewed a push of three listed cells or more")
 	}
 	for _, failIdx := range []int{0, 2} {
 		l := faultLayoutCodec(t, graph.CodecDelta)
-		var cells [][2]int
-		for _, c := range nonEmptyRowMajor(&l.Meta) {
-			if c[0] == rows[step] {
-				cells = append(cells, c)
-			}
-		}
 		if len(cells) != clean.IterStats[step].Pipeline.Inline {
-			t.Fatalf("step %d lists %d cells, row %d has %d", step, clean.IterStats[step].Pipeline.Inline, rows[step], len(cells))
+			t.Fatalf("step %d lists %d cells, its push was handed %d", step, clean.IterStats[step].Pipeline.Inline, len(cells))
 		}
 		target := partition.SubBlockName(cells[failIdx][0], cells[failIdx][1])
 		var armed, tripped atomic.Bool

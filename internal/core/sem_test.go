@@ -471,7 +471,10 @@ func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buf
 // must evict) and of an unbuffered run, bit for bit. Over a lattice, where
 // every pass and nearly every row step is sparse, the residents are served as
 // run views — attached, never pooled or poisoned — step after step with
-// release poisoning on, and stay byte-equal to the disk.
+// release poisoning on, and stay byte-equal to the disk. The async case cuts
+// the lattice into 8 intervals: a drain crosses a whole interval in one step,
+// so at 4 the run pops each row about once and no buffer has anything to
+// serve twice.
 func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 	rmat, err := gen.RMAT(9, 8, gen.Graph500, 31)
 	if err != nil {
@@ -484,13 +487,14 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 		prog   func() core.Program
 		sparse bool
 		async  bool
+		p      int
 	}{
-		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false, false},
-		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false},
-		{"sssp-lattice-async", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, true},
+		{"pagerank-rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false, false, 4},
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false, 4},
+		{"sssp-lattice-async", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, true, true, 8},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			l := codecLayout(t, c.g, 4, graph.CodecDelta)
+			l := codecLayout(t, c.g, c.p, graph.CodecDelta)
 			cellOf := make(map[string][2]int)
 			for _, cell := range nonEmptyColumnMajor(&l.Meta) {
 				cellOf[l.Meta.BlockName(cell[0], cell[1])] = cell
@@ -572,7 +576,7 @@ func TestBufferKeepsVerifiedPayloads(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireIdenticalOutputs(t, plain.Outputs, res.Outputs)
-			raw, err := core.Run(codecLayout(t, c.g, 4, graph.CodecRaw), c.prog(), opts)
+			raw, err := core.Run(codecLayout(t, c.g, c.p, graph.CodecRaw), c.prog(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -136,7 +136,7 @@ func HandleBytes(m *partition.Manifest) int64 {
 //
 //   - the per-vertex state: NewEngine's four float64 arrays and five vertex
 //     sets, the aux array (Program.HasAux), the two term arrays of a program
-//     on KernelSumOverOutDegree, the async schedule's two more sets and its
+//     on KernelSumOverOutDegree, the async schedule's three more sets and its
 //     frontier's vertex list (at most an interval), and what run adds — the
 //     uint32 degree table, the file it is read from, the float64 outputs;
 //   - the per-run buffer's capacity, the prefetch window and what the block
@@ -194,7 +194,7 @@ func vertexStateBytes(m *partition.Manifest, async bool, prog Program) int64 {
 		total += 2 * 8 * n
 	}
 	if async {
-		total += 2*set + 8*longestInterval(m)
+		total += 3*set + 8*longestInterval(m)
 	}
 	return total
 }
@@ -828,6 +828,9 @@ type heldCell struct {
 // with the payload to offer (heldBlock); else a run view on a sparse stream,
 // else the block decoded in full.
 func (e *Engine) openFetch(active, span, density int, buffered bool, cells []buffer.Key) *blockStream[block] {
+	if e.fetchOpened != nil {
+		e.fetchOpened(active, span, cells)
+	}
 	narrow := active*sparseViewDensity <= span
 	sparse := active*density <= span && e.viewable()
 	held := buffered && e.payloads

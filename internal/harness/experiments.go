@@ -186,23 +186,24 @@ func runFig8(cfg *Config, w io.Writer) error {
 	t := metrics.NewTable("Figure 8 — preprocessing time",
 		"dataset", "system", "time", "written", "vs lumos")
 	systems := []string{"husgraph", "graphsd", "lumos"}
-	// The gate reads the written-bytes column; time mixes in measured CPU.
+	// The gate reads the written-bytes column; time mixes in measured
+	// in-memory time, the fastest of prepBuilds builds (env.prepTime).
 	var obs []observation
 	for _, ds := range dss {
 		e, err := cfg.env(ds.Name)
 		if err != nil {
 			return err
 		}
+		times := make(map[string]time.Duration, len(systems))
 		for _, sys := range systems {
-			if _, err := e.layout(sys, false); err != nil {
+			if times[sys], err = e.prepTime(sys); err != nil {
 				return err
 			}
 		}
 		for _, sys := range systems {
-			p := e.preps[sys]
-			t.AddRow(ds.Name, sys, metrics.Dur(p.simTime), storage.FormatBytes(p.io.WriteBytes()),
-				metrics.Ratio(p.simTime, e.preps["lumos"].simTime))
-			obs = append(obs, observation{ds.Name, "", sys, "written_bytes", float64(p.io.WriteBytes())})
+			written := e.preps[sys].io.WriteBytes()
+			t.AddRow(ds.Name, sys, metrics.Dur(times[sys]), storage.FormatBytes(written), metrics.Ratio(times[sys], times["lumos"]))
+			obs = append(obs, observation{ds.Name, "", sys, "written_bytes", float64(written)})
 		}
 	}
 	t.AddNote("paper: HUS-Graph ≈ 1.8x and GraphSD ≈ 1.3x the preprocessing time of Lumos")

@@ -173,8 +173,9 @@ var (
 		{"graphsd_buffer_hits_total", "counter", "Per-run priority-buffer hits, summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.buffer.Hits })},
 		{"graphsd_buffer_bytes_saved_total", "counter", "Device bytes avoided by per-run buffer hits, summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.buffer.BytesSaved })},
 		{"graphsd_async_runs_total", "counter", "Completed jobs executed by the asynchronous priority scheduler.", ints(func(g *graphScrape) int64 { return g.agg.asyncRuns })},
-		{"graphsd_async_steps_total", "counter", "Async scheduler pops (one source interval processed per step), summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncSteps })},
-		{"graphsd_async_blocks_scheduled_total", "counter", "Sub-blocks processed by async steps, summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncBlocks })},
+		{"graphsd_async_steps_total", "counter", "Async scheduler pops (one grid row processed per step: drained through its diagonal sub-block and pushed across, or swept once), summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncSteps })},
+		{"graphsd_async_rounds_total", "counter", "Sweeps of a popped row's own interval (drain rounds of label-correcting jobs, one per step otherwise), summed over completed async jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncRounds })},
+		{"graphsd_async_blocks_scheduled_total", "counter", "Sub-block sweeps by async steps (a drain's diagonal once per round), summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncBlocks })},
 		{"graphsd_async_reactivations_total", "counter", "Vertices re-entering the frontier after having been consumed, summed over completed async jobs.", ints(func(g *graphScrape) int64 { return g.agg.asyncReacts })},
 		{"graphsd_sched_observed_iterations_total", "counter", "Iterations fed back through the scheduler's calibration loop, summed over completed jobs.", ints(func(g *graphScrape) int64 { return g.agg.schedObserved })},
 		{"graphsd_sched_mispredict_mean_ratio", "gauge", "Observation-weighted mean |predicted-actual|/actual of the scheduler's iteration cost predictions.", floats(func(g *graphScrape) float64 { return g.agg.meanMispredict() })},

@@ -156,9 +156,11 @@ type aggregates struct {
 	buffer   buffer.Stats
 	pipeline pipeline.Stats
 	// Async aggregates across completed async runs: runs, scheduler steps,
-	// sub-blocks scheduled, and frontier reactivations.
+	// their own-interval rounds, sub-blocks scheduled, and frontier
+	// reactivations.
 	asyncRuns   int64
 	asyncSteps  int64
+	asyncRounds int64
 	asyncBlocks int64
 	asyncReacts int64
 	// Scheduler calibration accuracy, summed/held across completed runs:
@@ -216,6 +218,7 @@ func (g *graphEntry) fold(res *core.Result) {
 	if res.Async.Enabled {
 		a.asyncRuns++
 		a.asyncSteps += int64(res.Async.Steps)
+		a.asyncRounds += res.Async.Rounds
 		a.asyncBlocks += res.Async.BlocksScheduled
 		a.asyncReacts += res.Async.Reactivations
 	}
