@@ -182,6 +182,18 @@ func TestCLIErrors(t *testing.T) {
 	if !strings.Contains(out, "weights") {
 		t.Fatalf("error output: %s", out)
 	}
+	// Options the async schedule never reads are refused, not ignored.
+	for _, flags := range [][]string{{"-force-model", "full"}, {"-force-model", "on-demand"}, {"-no-cross-iteration"}} {
+		out = runExpectFail(t, graphsdBin, append([]string{"run", "-layout", layoutDir, "-algorithm", "cc", "-async"}, flags...)...)
+		if !strings.Contains(out, "no effect under -async") {
+			t.Fatalf("run -async %v: %s", flags, out)
+		}
+	}
+	// serve refuses -async-eps without -async before it listens.
+	out = runExpectFail(t, graphsdBin, "serve", "-listen", "127.0.0.1:0", "-graph", "g="+layoutDir, "-async-eps", "1e-6")
+	if !strings.Contains(out, "-async-eps requires -async") {
+		t.Fatalf("serve -async-eps without -async: %s", out)
+	}
 	// A 24-byte binary graph whose header claims 2^36 edges is an error, not
 	// an 824 GB allocation that kills the process.
 	hostile := filepath.Join(dir, "hostile.bin")

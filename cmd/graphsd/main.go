@@ -204,8 +204,8 @@ func cmdRun(args []string) error {
 	source := fs.Uint("source", 0, "source vertex for sssp/bfs")
 	iters := fs.Int("iterations", 0, "override the iteration bound")
 	profile := fs.String("profile", "scaled-hdd", "disk model: hdd, scaled-hdd, ssd, pmem")
-	noCross := fs.Bool("no-cross-iteration", false, "disable cross-iteration updates (ablation b1)")
-	force := fs.String("force-model", "", "pin the I/O model: full (b3) or on-demand (b4)")
+	noCross := fs.Bool("no-cross-iteration", false, "disable cross-iteration updates (ablation b1; not with -async)")
+	force := fs.String("force-model", "", "pin the I/O model: full (b3) or on-demand (b4); not with -async")
 	bufBytes := fs.Int64("buffer", -1, "per-run sub-block buffer bytes: FCIU's secondary sub-blocks, or with -async the hottest rows' blocks (-1: auto, 0: disabled)")
 	top := fs.Int("top", 10, "print the top-N vertices by output value")
 	trace := fs.Bool("trace", false, "print the per-iteration scheduler trace")
@@ -282,6 +282,9 @@ func cmdRun(args []string) error {
 	opts.PrefetchBytes = *prefetchBytes
 	if (*asyncEps != 0 || *asyncSeed != 0) && !*async {
 		return fmt.Errorf("run: -async-eps and -async-seed require -async")
+	}
+	if *async && (*force != "" || *noCross) {
+		return fmt.Errorf("run: -force-model and -no-cross-iteration have no effect under -async")
 	}
 	if *progress > 0 {
 		every := *progress

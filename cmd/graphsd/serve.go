@@ -66,6 +66,9 @@ func cmdServe(args []string) error {
 	if len(graphs) == 0 {
 		return fmt.Errorf("serve: at least one -graph name=layoutdir is required")
 	}
+	if *asyncEps != 0 && !*async {
+		return fmt.Errorf("serve: -async-eps requires -async")
+	}
 	prof, err := profileByName(*profile)
 	if err != nil {
 		return err

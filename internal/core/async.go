@@ -1,16 +1,16 @@
 // Asynchronous execution (Options.Async): a work-list engine for monotonic
-// programs that replaces the BSP barrier with a priority queue over the P
+// programs that replaces the BSP barrier with a priority order over the P
 // source intervals of the sub-block grid.
 //
-// One scheduler step pops the pending-mass-richest interval i and processes
-// its grid row atomically. A sweep freezes a frontier of interval i,
-// snapshots the frozen vertices' live values, scatters them through sub-blocks
-// of the row — each served from the per-run buffer when resident there, and
-// otherwise streamed (inline as run views, or through the prefetch pipeline)
-// or loaded selectively (per-vertex reads, when the frontier is sparse enough
-// that the cost model prices them below streaming what is not resident) —
-// applies the contributions immediately into the live values, and settles
-// every frozen source with AsyncConsume. How many sweeps a step makes depends
+// One scheduler step pops the interval i with the most pending mass per second
+// of row I/O and processes its grid row atomically. A sweep freezes a frontier
+// of interval i, snapshots the frozen vertices' live values, scatters them
+// through sub-blocks of the row — each served from the per-run buffer when
+// resident there, and otherwise streamed (inline as run views, or through the
+// prefetch pipeline) or loaded selectively (per-vertex reads, when the
+// frontier is sparse enough that the cost model prices them below streaming
+// what is not resident) — applies the contributions immediately into the live
+// values, and settles every frozen source with AsyncConsume. How many sweeps a step makes depends
 // on the program's form (Monotonic.LabelCorrecting):
 //
 //   - A mass-residual program (PR-Delta) sweeps its row's whole frontier
@@ -25,31 +25,34 @@
 //     one fetch plan. A wavefront thus crosses its own interval in one step
 //     instead of one hop per step, on edges already in memory.
 //
-// Rows whose pending mass changed are re-keyed in the queue; the run converges
-// when the queue drains or total residual falls to Options.AsyncEpsilon.
+// No queue is maintained. At each step boundary every row is re-ranked from the
+// live frontier (rank): its pending mass and key are recomputed, a row is
+// queued while its mass is above zero, and a pop scans the P rows for the one
+// ahead. The run converges when no row is queued or the total residual falls
+// to Options.AsyncEpsilon.
 //
 // Determinism contract: for a fixed Options.AsyncSeed the pop sequence — and
-// therefore every result bit — is reproducible. Row priorities are always
-// recomputed canonically (ascending vertex order over the live frontier)
-// rather than maintained incrementally, ties break by a seeded hash then the
-// row index, aging is a pure function of the persisted step counter, and
-// checkpoints capture the step counter and per-row enqueue steps, so a
-// resumed run replays the identical schedule. A step's drain and push both
-// finish inside the step, so nothing else crosses a step boundary.
+// therefore every result bit — is reproducible. Row masses are always
+// recomputed canonically (ascending vertex order over the live frontier), the
+// order is total — key descending, then a seeded tie hash, then the row index
+// — aging is a pure function of the persisted step counter, and checkpoints
+// capture the step counter and per-row enqueue steps, the one thing a ranking
+// cannot recompute, so a resumed run replays the identical schedule. A step's
+// drain and push both finish inside the step, so nothing else crosses a step
+// boundary. TestAsyncSchedulePinned holds the schedule across commits.
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
 // rows the scheduler ranks highest, in the form the codec gives it — verified
 // payloads on a delta layout, which a sparse row takes as run views on the
 // consumer, like its misses; decoded edges on a raw one — and a resident block's
-// priority is its row's queue key, so the buffer evicts what the queue will
-// pop last. The queue key itself never looks at the buffer: checkpoints do not
+// priority is its row's key (prioritize), so the buffer evicts what will pop
+// last. The key itself never looks at the buffer: checkpoints do not
 // carry it, a resumed run starts cold, and it has to pop the same rows in the
 // same order. Residency changes which bytes move, never which row runs, how
 // many rounds a drain makes or what they compute.
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -67,48 +70,13 @@ import (
 // asyncAgingEvery·P steps no matter how little mass it holds.
 const asyncAgingEvery = 16
 
-// asyncRow is one source interval's scheduling state.
+// asyncRow is one source interval's scheduling state. Only mass, key and enq
+// carry from one step to the next; rank derives the first two afresh.
 type asyncRow struct {
-	i    int     // interval (grid row) index
-	mass float64 // canonical pending mass, Σ Residual over the row's frontier
-	key  float64 // heap priority: mass per second of row I/O
-	tie  uint64  // seeded tie-break hash, fixed per (seed, i)
+	mass float64 // canonical pending mass, Σ Residual over the row's frontier; 0 when not queued
+	key  float64 // priority: mass per second of row I/O
+	tie  uint64  // seeded tie-break hash, fixed per (seed, row)
 	enq  int64   // step at which the row last entered the queue (aging)
-	pos  int     // heap position, -1 when not queued
-}
-
-// rowHeap is a max-heap over queued rows: key descending, then tie hash,
-// then row index — a total order, so heap extraction is deterministic.
-type rowHeap []*asyncRow
-
-func (h rowHeap) Len() int { return len(h) }
-func (h rowHeap) Less(a, b int) bool {
-	ra, rb := h[a], h[b]
-	if ra.key != rb.key {
-		return ra.key > rb.key
-	}
-	if ra.tie != rb.tie {
-		return ra.tie < rb.tie
-	}
-	return ra.i < rb.i
-}
-func (h rowHeap) Swap(a, b int) {
-	h[a], h[b] = h[b], h[a]
-	h[a].pos = a
-	h[b].pos = b
-}
-func (h *rowHeap) Push(x any) {
-	r := x.(*asyncRow)
-	r.pos = len(*h)
-	*h = append(*h, r)
-}
-func (h *rowHeap) Pop() any {
-	old := *h
-	r := old[len(old)-1]
-	r.pos = -1
-	old[len(old)-1] = nil
-	*h = old[:len(old)-1]
-	return r
 }
 
 // asyncTie is a splitmix64-style hash of (seed, row); equal-mass rows pop
@@ -132,8 +100,7 @@ type asyncRun struct {
 	// row's own interval before it pushes across.
 	drains bool
 
-	rows []*asyncRow
-	h    rowHeap
+	rows []asyncRow
 
 	// rowBlocks lists each row's non-empty cells and rowStreamCost prices
 	// streaming all of them (blockCost each: seek + sequential read), the
@@ -153,7 +120,6 @@ type asyncRun struct {
 	frontList []int
 	pushed    *bitset.ActiveSet
 	consumed  *bitset.ActiveSet
-	dirty     []bool // rows whose mass must be recomputed after the step
 
 	// selBlock is the selective path's reusable block.
 	selBlock selectiveBlock
@@ -178,7 +144,7 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 		e:             e,
 		mono:          mono,
 		drains:        mono.LabelCorrecting(),
-		rows:          make([]*asyncRow, e.p),
+		rows:          make([]asyncRow, e.p),
 		rowBlocks:     make([][]buffer.Key, e.p),
 		rowStreamCost: make([]time.Duration, e.p),
 		diag:          make([][]buffer.Key, e.p),
@@ -186,11 +152,10 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 		frontier:      bitset.NewActiveSet(e.n),
 		pushed:        bitset.NewActiveSet(e.n),
 		consumed:      bitset.NewActiveSet(e.n),
-		dirty:         make([]bool, e.p),
 	}
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
-		a.rows[i] = &asyncRow{i: i, tie: asyncTie(e.opts.AsyncSeed, i), pos: -1}
+		a.rows[i].tie = asyncTie(e.opts.AsyncSeed, i)
 		diag := -1
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
@@ -212,10 +177,10 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 	return a, nil
 }
 
-// start seeds the queue from the live frontier — or, after a resume, takes
-// the ever-consumed set and every row's enqueue step from the checkpoint and
-// rebuilds it: the queue itself is never saved, every row's mass is
-// recomputed canonically, reproducing identical keys.
+// start ranks the rows from the live frontier — and, after a resume, takes
+// the ever-consumed set and every row's enqueue step from the checkpoint: the
+// ranking itself is never saved, every row's mass is recomputed canonically,
+// reproducing identical keys.
 func (a *asyncRun) start(ck *checkpoint.State, maxIter int) (int, error) {
 	e := a.e
 	if ck != nil {
@@ -225,30 +190,28 @@ func (a *asyncRun) start(ck *checkpoint.State, maxIter int) (int, error) {
 		if err := a.consumed.LoadWords(ck.Consumed); err != nil {
 			return 0, fmt.Errorf("core: checkpoint consumed set: %w", err)
 		}
-		for i, r := range a.rows {
-			r.enq = int64(ck.EnqueueSteps[i])
-		}
 	}
-	for i := 0; i < e.p; i++ {
-		a.refreshRow(i, a.rows[i].enq)
+	a.rank(0)
+	if ck != nil {
+		for i := range a.rows {
+			a.rows[i].enq = int64(ck.EnqueueSteps[i])
+		}
 	}
 	// One BSP iteration touches up to P live rows, so the equivalent async
 	// step budget is maxIter rows per interval.
 	return maxIter * e.p, nil
 }
 
-// pending: the queue holds a row and the total residual is still above
-// Options.AsyncEpsilon.
+// pending: the total residual is still above Options.AsyncEpsilon, and
+// above zero, so some row is queued.
 func (a *asyncRun) pending() bool {
-	eps := a.e.opts.AsyncEpsilon
-	return a.h.Len() > 0 && !(eps > 0 && a.totalResidual() <= eps)
+	return a.totalResidual() > max(a.e.opts.AsyncEpsilon, 0)
 }
 
 func (a *asyncRun) step(n int, st *IterStat) error {
 	blocksBefore, reactsBefore := a.blocks, a.reacts
-	row := a.popRow(int64(n))
 	var err error
-	st.Path, err = a.processRow(row.i, int64(n))
+	st.Path, err = a.processRow(a.popRow(int64(n)), int64(n))
 	st.Blocks = int(a.blocks - blocksBefore)
 	st.Reactivations = a.reacts - reactsBefore
 	st.Residual = a.totalResidual()
@@ -263,8 +226,8 @@ func (a *asyncRun) measured(*IterStat) {}
 func (a *asyncRun) capture(ck *checkpoint.State) {
 	ck.Async = true
 	ck.EnqueueSteps = make([]uint64, len(a.rows))
-	for i, r := range a.rows {
-		ck.EnqueueSteps[i] = uint64(r.enq)
+	for i := range a.rows {
+		ck.EnqueueSteps[i] = uint64(a.rows[i].enq)
 	}
 	ck.Consumed = a.consumed.Words()
 }
@@ -285,10 +248,8 @@ func (a *asyncRun) finish(res *Result) {
 // hold the only non-zero masses).
 func (a *asyncRun) totalResidual() float64 {
 	var t float64
-	for _, r := range a.rows {
-		if r.pos >= 0 {
-			t += r.mass
-		}
+	for i := range a.rows {
+		t += a.rows[i].mass
 	}
 	return t
 }
@@ -312,48 +273,58 @@ func (a *asyncRun) rowMass(i int) float64 {
 	return mass
 }
 
-// refreshRow recomputes row i's mass and key and fixes its queue
-// membership: enqueue (recording enq as its entry step) when mass appeared,
-// re-key in place when it changed, remove when it drained.
-func (a *asyncRun) refreshRow(i int, enq int64) {
-	r := a.rows[i]
-	r.mass = a.rowMass(i)
-	if r.mass <= 0 {
-		if r.pos >= 0 {
-			heap.Remove(&a.h, r.pos)
+// rank re-ranks every row from the live frontier: its mass and key afresh,
+// and enq as the entry step of a row that was not queued and now is. A row
+// is queued while its mass is above zero. Every resident block then takes
+// its row's priority.
+func (a *asyncRun) rank(enq int64) {
+	for i := range a.rows {
+		r := &a.rows[i]
+		mass := a.rowMass(i)
+		if !(mass > 0) {
+			r.mass = 0
+			continue
 		}
-		return
+		if r.mass == 0 {
+			r.enq = enq
+		}
+		r.mass = mass
+		costSec := a.rowStreamCost[i].Seconds()
+		if costSec <= 0 {
+			// A row with no on-disk blocks is free to process; schedule it
+			// first so its (edge-less) frontier settles immediately.
+			costSec = 1e-12
+		}
+		r.key = mass / costSec
 	}
-	costSec := a.rowStreamCost[i].Seconds()
-	if costSec <= 0 {
-		// A row with no on-disk blocks is free to process; schedule it
-		// first so its (edge-less) frontier settles immediately.
-		costSec = 1e-12
-	}
-	r.key = r.mass / costSec
-	if r.pos >= 0 {
-		heap.Fix(&a.h, r.pos)
-		return
-	}
-	r.enq = enq
-	heap.Push(&a.h, r)
+	a.prioritize(-1)
 }
 
-// popRow extracts the next row to process: normally the heap maximum, but
-// every asyncAgingEvery-th step the longest-queued row, so low-mass rows
-// are never starved. Aging depends only on the persisted step counter.
-func (a *asyncRun) popRow(step int64) *asyncRow {
-	if (step+1)%asyncAgingEvery == 0 && a.h.Len() > 1 {
-		oldest := 0
-		for k := 1; k < len(a.h); k++ {
-			r, o := a.h[k], a.h[oldest]
-			if r.enq < o.enq || (r.enq == o.enq && r.i < o.i) {
-				oldest = k
-			}
+// popRow takes the next row to process off the queue and returns its index:
+// normally the row ahead in the total order key descending, then tie hash,
+// then row index; but every asyncAgingEvery-th step the longest-queued row
+// (lowest enq, then index), so low-mass rows are never starved. Aging depends
+// only on the persisted step counter. The popped row's mass is zeroed, so a
+// row still pending after its step re-enters the queue then.
+func (a *asyncRun) popRow(step int64) int {
+	aging := (step+1)%asyncAgingEvery == 0
+	best := -1
+	for i := range a.rows {
+		if r := &a.rows[i]; r.mass > 0 && (best < 0 || r.ahead(&a.rows[best], aging)) {
+			best = i
 		}
-		return heap.Remove(&a.h, oldest).(*asyncRow)
 	}
-	return heap.Pop(&a.h).(*asyncRow)
+	a.rows[best].mass = 0
+	return best
+}
+
+// ahead reports whether queued row r pops before queued row b, which has the
+// lower index.
+func (r *asyncRow) ahead(b *asyncRow, aging bool) bool {
+	if aging {
+		return r.enq < b.enq
+	}
+	return r.key > b.key || r.key == b.key && r.tie < b.tie
 }
 
 // processRow runs scheduler step `step` on row i, returning the executed path
@@ -364,16 +335,12 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 	defer a.frontier.ClearRange(lo, hi)
-	for k := range a.dirty {
-		a.dirty[k] = false
-	}
-	a.dirty[i] = true
 	a.selective = false
 
 	// The row in hand outranks every queued one: what it already holds in the
 	// buffer, and what it is about to offer, cannot be evicted by its own
 	// later cells.
-	a.setResidentPriority(i, math.MaxInt64)
+	a.prioritize(i)
 
 	var applied int64
 	var err error
@@ -407,15 +374,7 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 		e.layout.Dev.Charge(storage.SeqWrite, applied*graph.VertexValueBytes)
 	}
 
-	// Re-key every row whose mass moved: this row (consumed) and every
-	// destination row the applies activated into — and with each row the
-	// blocks of it the buffer holds.
-	for r := 0; r < e.p; r++ {
-		if a.dirty[r] {
-			a.refreshRow(r, step+1)
-			a.setResidentPriority(r, a.rows[r].residentPriority())
-		}
-	}
+	a.rank(step + 1)
 	return path, nil
 }
 
@@ -546,26 +505,21 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 	return applied, nil
 }
 
-// residentPriority is the eviction priority of the row's resident blocks: an
-// order-preserving image of its heap key (non-negative floats order as their
-// bit patterns do), so the buffer gives up the blocks of the row the queue
-// ranks last; a row that left the queue ranks below every queued one.
-func (r *asyncRow) residentPriority() int64 {
-	if r.pos < 0 {
+// prioritize hands every resident block its row's priority: the row in hand
+// (inHand, -1 for none) outranks every queued row; a queued row ranks by an
+// order-preserving image of its key (non-negative floats order as their bit
+// patterns do), so the buffer gives up the blocks of the row that pops last;
+// a row that is not queued ranks below them all.
+func (a *asyncRun) prioritize(inHand int) {
+	a.e.buf.Reprioritize(func(k buffer.Key, _ buffer.Block) int64 {
+		switch r := &a.rows[k.I]; {
+		case k.I == inHand:
+			return math.MaxInt64
+		case r.mass > 0:
+			return int64(math.Float64bits(r.key))
+		}
 		return 0
-	}
-	return int64(math.Float64bits(r.key))
-}
-
-// setResidentPriority re-prioritises whichever blocks of row i the buffer
-// holds.
-func (a *asyncRun) setResidentPriority(i int, priority int64) {
-	if a.e.buf.Len() == 0 {
-		return
-	}
-	for _, k := range a.rowBlocks[i] {
-		a.e.buf.UpdatePriority(k, priority)
-	}
+	})
 }
 
 // blockCost prices streaming sub-block (i, j) whole.
@@ -699,14 +653,11 @@ func (a *asyncRun) scatterApply(blk block, i, j int) (int64, error) {
 
 	// Fold interval j's touched accumulators into the live values with
 	// AsyncApply (applySpan, under the shared apply frame): woken vertices
-	// join the frontier, those that had already been consumed count as
-	// reactivations, and the row is marked for re-keying.
+	// join the frontier, and those that had already been consumed count as
+	// reactivations.
 	count, out := e.applyInterval(j)
 	e.active.AddCount(out.woken)
 	a.reacts += int64(out.reacts)
-	if out.any {
-		a.dirty[j] = true
-	}
 	return int64(count), nil
 }
 
@@ -719,13 +670,10 @@ func (a *asyncRun) applySpan(lo, hi int) (out applied) {
 	e.touched.ForEachRange(lo, hi, func(v int) bool {
 		nv, act := a.mono.AsyncApply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
 		e.valPrev[v] = nv
-		if act {
-			out.any = true
-			if setBit(active, v) == 1 {
-				out.woken++
-				if hasBit(consumed, uint32(v)) {
-					out.reacts++
-				}
+		if act && setBit(active, v) == 1 {
+			out.woken++
+			if hasBit(consumed, uint32(v)) {
+				out.reacts++
 			}
 		}
 		e.acc[v] = id

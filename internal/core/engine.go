@@ -458,12 +458,11 @@ func (e *Engine) decide(iter int) iosched.Model {
 	return d.Model
 }
 
-// applied is what applying an interval did: vertices newly set
-// in the schedule's frontier, and — async only — how many of those had been
-// consumed before and whether any vertex asked to be active at all.
+// applied is what applying an interval did: vertices newly set in the
+// schedule's frontier, and — async only — how many of those had been consumed
+// before.
 type applied struct {
 	woken, reacts int
-	any           bool
 }
 
 // applyInterval is the apply frame both schedules share. It runs the

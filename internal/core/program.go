@@ -97,7 +97,8 @@ type Monotonic interface {
 	// work the vertex still holds. Label-correcting programs return a
 	// constant 1 per active vertex; PR-Delta returns |val| (the residual
 	// itself). Must be non-negative and zero only when v has nothing left
-	// to push.
+	// to push. The engine never calls it for a LabelCorrecting program: it
+	// counts the row's active vertices, which is the same sum bit for bit.
 	Residual(v graph.VertexID, val float64, aux []float64) float64
 	// AsyncApply folds the merged contribution into v's current value,
 	// reporting v's new value and whether v became (or stays) active. It
