@@ -244,13 +244,6 @@ func (b *Buffer) Put(k Key, blk Block, decoded, saved, priority int64, spent *[]
 	return b.st.put(k, blk, size, saved, priority, spent)
 }
 
-// UpdatePriority sets the priority of k if resident.
-func (b *Buffer) UpdatePriority(k Key, priority int64) {
-	if e, ok := b.st.entries[k]; ok {
-		e.priority = priority
-	}
-}
-
 // Reprioritize sets every resident's priority to rank of it, as the paper
 // requires once FCIU's first iteration has processed the secondary sub-blocks.
 // rank sees each resident once, in unspecified order.

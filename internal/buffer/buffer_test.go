@@ -138,22 +138,6 @@ func TestPutExistingRefreshesPriority(t *testing.T) {
 	}
 }
 
-func TestUpdatePriority(t *testing.T) {
-	b := New(80)
-	b.Put(Key{I: 0, J: 0}, Block{Edges: edges(1)}, 40, 40, 100, nil)
-	b.Put(Key{I: 1, J: 0}, Block{Edges: edges(1)}, 40, 40, 90, nil)
-	b.UpdatePriority(Key{I: 0, J: 0}, 1)
-	// (0,0) now evictable by a priority-10 candidate.
-	if !b.Put(Key{I: 2, J: 0}, Block{Edges: edges(1)}, 40, 40, 10, nil) {
-		t.Fatal("insertion after priority downgrade rejected")
-	}
-	if b.Contains(Key{I: 0, J: 0}) {
-		t.Fatal("downgraded entry survived")
-	}
-	// Updating an absent key is a no-op.
-	b.UpdatePriority(Key{I: 9, J: 9}, 5)
-}
-
 func TestPriorityTiesBreakByInsertionOrder(t *testing.T) {
 	// Equal priorities: the earliest-inserted entry must be the victim,
 	// deterministically, regardless of map iteration order.
@@ -185,7 +169,7 @@ func TestPropertyUsedWithinCapacity(t *testing.T) {
 			case 1:
 				b.Get(k)
 			case 2:
-				b.UpdatePriority(k, int64(op%29))
+				b.Reprioritize(func(Key, Block) int64 { return int64(op % 29) })
 			}
 			if b.st.used > capacity || b.st.used < 0 {
 				return false

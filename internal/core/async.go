@@ -19,11 +19,20 @@
 //     per-(vertex, column) pushed-mass matrix is needed.
 //   - A label-correcting program (cc, bfs, sssp) first drains interval i: it
 //     sweeps the frontier through the diagonal cell (i, i) alone, round after
-//     round, until no vertex of interval i is active — the diagonal block is
-//     taken once and held across the rounds — and then pushes every vertex any
-//     round froze, once, at its final value, through the row's other cells on
-//     one fetch plan. A wavefront thus crosses its own interval in one step
-//     instead of one hop per step, on edges already in memory.
+//     round — the diagonal block is taken once and held across the rounds —
+//     until no vertex of interval i is active, or until a round's frozen
+//     frontier is narrow (at most one vertex in sparseViewDensity of the
+//     interval) and re-freezes a vertex an earlier round scattered. From that
+//     round on the drain settles the rest of the interval in value order: it
+//     pops the active vertex of least live value, scatters its diagonal run
+//     once and applies what that improves — Dijkstra's rule, exact under a min
+//     fold over edges that never lower the value they carry. A wider frontier
+//     keeps its rounds: a heap costs more than a few re-scatters over a
+//     frontier that covers the interval. The step then pushes every vertex the
+//     drain scattered, once, at its final value, through the row's other
+//     cells on one fetch plan. A wavefront thus crosses its own interval in
+//     one step instead of one hop per step, on edges already in memory, and a
+//     vertex the wavefront reaches along several paths is scattered once.
 //
 // No queue is maintained. At each step boundary every row is re-ranked from the
 // live frontier (rank): its pending mass and key are recomputed, a row is
@@ -49,12 +58,13 @@
 // last. The key itself never looks at the buffer: checkpoints do not
 // carry it, a resumed run starts cold, and it has to pop the same rows in the
 // same order. Residency changes which bytes move, never which row runs, how
-// many rounds a drain makes or what they compute.
+// many rounds a drain makes, which vertices it pops or what they compute.
 package core
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/graphsd/graphsd/internal/bitset"
@@ -127,7 +137,14 @@ type asyncRun struct {
 	// selective says some sweep of the step in progress read selectively.
 	selective bool
 
-	blocks   int64 // sub-block sweeps: cells scattered, once per round for a drain's diagonal
+	// order is the value-order phase's heap, diagOff the held diagonal's run
+	// offsets and diagEdges its edges placed in source order when the block
+	// holds them in another (indexRuns); every drain reuses them.
+	order     valueHeap
+	diagEdges []graph.Edge
+	diagOff   []int
+
+	blocks   int64 // sub-block sweeps: cells scattered, once per round and value-order phase for a drain's diagonal
 	reacts   int64 // consumed vertices re-entering the frontier
 	rounds   int64 // sweeps of a row's own interval
 	selSteps int   // steps that took the selective path
@@ -441,6 +458,12 @@ func (a *asyncRun) drainAndPush(i int) (int64, error) {
 // rounds — or, until one does, reads only its own frontier's runs, on the
 // route that frontier picks.
 //
+// A round whose frozen frontier is narrow — at most one vertex in
+// sparseViewDensity of the interval — and re-freezes a vertex an earlier round
+// of the drain scattered is the last: it takes the diagonal whole if no round
+// has, and settleInOrder settles the rest of the interval in value order. The
+// test reads the values alone, never residency or the route.
+//
 // No edge lowers the value it carries (Monotonic.LabelCorrecting), so a drain
 // never freezes a value below its first round's least — its floor — and a path
 // that improves a label has fewer edges than the interval has vertices: the
@@ -462,6 +485,13 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 			e.endFetch(st)
 		}
 	}()
+	hold := func() (err error) {
+		if st == nil {
+			st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
+			held, err = e.takeBuffered(st, cell[0], topPriority)
+		}
+		return err
+	}
 	var floor float64
 	for round := 0; round < hi-lo && a.freeze(e.active, lo, hi) > 0; round++ {
 		if err := e.checkCtx(); err != nil {
@@ -477,6 +507,13 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 			break
 		}
 		a.rounds++
+		if cell != nil && len(a.frontList)*sparseViewDensity <= hi-lo && a.refrozen(lo, hi) {
+			if err := hold(); err != nil {
+				return applied, err
+			}
+			n, err := a.settleInOrder(i, held, floor)
+			return applied + n, err
+		}
 		for _, v := range a.frontList {
 			a.pushed.Activate(v)
 		}
@@ -486,13 +523,8 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 		case st == nil && a.selectiveRoute(i, cell):
 			n, err = a.scatterCells(cell, a.onDemandBlock)
 		default:
-			if st == nil {
-				st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
-				blk, err := e.takeBuffered(st, cell[0], topPriority)
-				if err != nil {
-					return applied, err
-				}
-				held = blk
+			if err := hold(); err != nil {
+				return applied, err
 			}
 			n, err = a.scatterApply(held, i, i)
 		}
@@ -503,6 +535,219 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 		a.settle()
 	}
 	return applied, nil
+}
+
+// refrozen reports whether the frozen frontier of [lo, hi) holds a vertex the
+// drain has already scattered. The frontier has no bit outside the interval.
+func (a *asyncRun) refrozen(lo, hi int) bool {
+	f, p := a.frontier.Words(), a.pushed.Words()
+	for w := lo >> 6; w < (hi+63)>>6; w++ {
+		if f[w]&p[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// settleInOrder settles the rest of interval i in value order, from the
+// frontier of the round that switched (drain): it pops the active vertex of
+// least live value and scatters its diagonal run once (relax). A min fold and
+// edges that never lower the value they carry (Monotonic.LabelCorrecting) make
+// the least active value final, so no vertex pops twice — Dijkstra's rule. A
+// pop below floor, or of a vertex already popped, means an edge broke that
+// rule: the drain stops there and leaves what is still active to a later step,
+// as a round does. The runs come from held, the diagonal block the drain
+// holds, laid out by source once (indexRuns). The phase counts as one round
+// and one block scheduled. It returns the vertices it applied.
+func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error) {
+	e := a.e
+	lo, hi := e.layout.Meta.Interval(i)
+	a.blocks++
+	runs, err := a.indexRuns(held, lo, hi)
+	if err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	defer func() { e.computeTime += time.Since(t0) }()
+
+	// The frozen frontier seeds the heap; from here on the frontier set marks
+	// the vertices popped.
+	h := a.order[:0]
+	for _, v := range a.frontList {
+		h.push(valueEntry{e.valPrev[v], uint32(v)})
+	}
+	defer func() { a.order = h[:0] }()
+	a.frontier.ClearRange(lo, hi)
+	var applied int64
+	for pops := 0; len(h) > 0; pops++ {
+		top := h.pop()
+		v, s := int(top.v), top.val
+		if math.Float64bits(s) != math.Float64bits(e.valPrev[v]) || !e.active.Contains(v) {
+			continue // stale: improved since it was pushed, or settled
+		}
+		if s < floor || a.frontier.Contains(v) {
+			break
+		}
+		if pops%1024 == 0 {
+			if err := e.checkCtx(); err != nil {
+				return applied, err
+			}
+		}
+		a.frontier.Activate(v)
+		if e.popped != nil {
+			e.popped(v)
+		}
+		applied += a.relax(v, s, runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]], &h)
+	}
+	return applied, nil
+}
+
+// relax scatters popped vertex v's diagonal run from its value s — the
+// candidate each edge carries, through the program's kernel — applies every
+// destination the candidate strictly improves (the contract makes any other
+// AsyncApply a no-op), pushes each one it activates onto h, and then settles
+// v. It returns the vertices it applied.
+func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (applied int64) {
+	e := a.e
+	id := e.prog.Identity()
+	for _, ed := range run {
+		var c float64
+		switch e.kernel {
+		case KernelMinCopy:
+			c = s
+		case KernelMinPlusOne:
+			c = s + 1
+		case KernelMinPlusWeight:
+			c = s + float64(ed.Weight)
+		default:
+			c = e.prog.Merge(id, e.prog.Gather(s, ed, e.degrees[v]))
+		}
+		d := int(ed.Dst)
+		if !(c < e.valPrev[d]) {
+			continue
+		}
+		nv, act := a.mono.AsyncApply(graph.VertexID(d), e.valPrev[d], c, e.aux, e.n)
+		e.valPrev[d] = nv
+		applied++
+		if act {
+			if e.active.Activate(d) && a.consumed.Contains(d) {
+				a.reacts++
+			}
+			h.push(valueEntry{nv, uint32(d)})
+		}
+	}
+	nv, act := a.mono.AsyncConsume(graph.VertexID(v), s, e.valPrev[v], e.aux, e.n)
+	e.valPrev[v] = nv
+	if !act {
+		e.active.Deactivate(v)
+	}
+	a.consumed.Activate(v)
+	a.pushed.Activate(v)
+	return applied
+}
+
+// indexRuns lays held, the diagonal block of [lo, hi), out by source for
+// settleInOrder and returns its edges: decoded whole — from a run view, into
+// the engine's scratch slice — and counted per source, so that source v's run
+// is edges[diagOff[v-lo]:diagOff[v-lo+1]]. Edges already in source order, as
+// every layout writes them, are used where they lie; any other order is placed
+// in source order into diagEdges, each source's edges in block order.
+// Decoding the whole block once costs less than decoding each popped source's
+// run from the view, though about half the interval pops on a lattice.
+func (a *asyncRun) indexRuns(held block, lo, hi int) ([]graph.Edge, error) {
+	e := a.e
+	edges := held.edges
+	if rb := held.runs; rb != nil {
+		t0 := time.Now()
+		var err error
+		e.runEdges, err = graph.AppendDeltaCell(e.runEdges[:0], rb.buf, e.layout.Meta.Cell(rb.i, rb.j), e.layout.Meta.Weighted)
+		e.layout.AddDecodeTime(time.Since(t0))
+		if err != nil {
+			return nil, fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", rb.i, rb.j, err)
+		}
+		edges = e.runEdges
+	}
+	// Source v's count lands at off[v-lo+2], so after the prefix sums
+	// off[v-lo+1] is where its run starts and off[v-lo+2] where it ends.
+	off := slices.Grow(a.diagOff[:0], hi-lo+2)[:hi-lo+2]
+	a.diagOff = off
+	clear(off)
+	ordered := true
+	for k, ed := range edges {
+		off[int(ed.Src)-lo+2]++
+		ordered = ordered && (k == 0 || edges[k-1].Src <= ed.Src)
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	if ordered {
+		copy(off, off[1:])
+		return edges, nil
+	}
+	// Placing source v's run moves off[v-lo+1] from its start to its end.
+	placed := slices.Grow(a.diagEdges[:0], len(edges))[:len(edges)]
+	for _, ed := range edges {
+		k := int(ed.Src) - lo + 1
+		placed[off[k]] = ed
+		off[k]++
+	}
+	a.diagEdges = placed
+	return placed, nil
+}
+
+// valueEntry is a vertex of a value-order phase's heap at the live value it
+// held when pushed; it is stale once the vertex's live value moved or the
+// vertex was settled.
+type valueEntry struct {
+	val float64
+	v   uint32
+}
+
+// before orders entries by value, ties to the lower vertex.
+func (x valueEntry) before(y valueEntry) bool {
+	return x.val < y.val || x.val == y.val && x.v < y.v
+}
+
+// valueHeap is a binary min-heap of entries in before order.
+type valueHeap []valueEntry
+
+func (h *valueHeap) push(x valueEntry) {
+	*h = append(*h, x)
+	s := *h
+	for k := len(s) - 1; k > 0; {
+		p := (k - 1) / 2
+		if !s[k].before(s[p]) {
+			break
+		}
+		s[k], s[p] = s[p], s[k]
+		k = p
+	}
+}
+
+func (h *valueHeap) pop() valueEntry {
+	s := *h
+	top, last := s[0], len(s)-1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+func (h valueHeap) down(k int) {
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 // prioritize hands every resident block its row's priority: the row in hand

@@ -51,30 +51,30 @@ var pinnedAsync = map[string]string{
 	"bfs/rmat/raw/sixteenth/seed7":    "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 14 12 14 0] bytes=[104448 0 7872 0] ops=[36 0 7 0] ns=[232696314 0 56225 0] hash=bd19ab6a2eb111f7",
 	"bfs/rmat/raw/whole/seed0":        "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 7872 0] ops=[24 0 7 0] ns=[136389114 0 56225 0] hash=2c8a47186000d773",
 	"bfs/rmat/raw/whole/seed7":        "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 7872 0] ops=[24 0 7 0] ns=[136389114 0 56225 0] hash=2c8a47186000d773",
-	"cc/grid/delta/none/seed0":        "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[0 57 0 0 57 0] bytes=[86630 0 149680 0] ops=[79 0 21 0] ns=[464577512 0 1069130 0] hash=8034407391113a80",
-	"cc/grid/delta/none/seed7":        "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[0 52 0 0 52 0] bytes=[78863 0 143792 0] ops=[72 0 19 0] ns=[424525734 0 1027074 0] hash=8f6da8fb5e936e78",
-	"cc/grid/delta/sixteenth/seed0":   "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[0 57 57 54 0 0] bytes=[86630 0 149680 0] ops=[79 0 21 0] ns=[464577512 0 1069130 0] hash=8034407391113a80",
-	"cc/grid/delta/sixteenth/seed7":   "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[0 52 52 49 0 0] bytes=[78863 0 143792 0] ops=[72 0 19 0] ns=[424525734 0 1027074 0] hash=8f6da8fb5e936e78",
-	"cc/grid/delta/whole/seed0":       "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[35 22 22 0 0 37736] bytes=[48894 0 149680 0] ops=[44 0 21 0] ns=[184325943 0 1069130 0] hash=4b56f8a5be36ccf9",
-	"cc/grid/delta/whole/seed7":       "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[30 22 22 0 0 32017] bytes=[46846 0 143792 0] ops=[42 0 19 0] ns=[184312291 0 1027074 0] hash=1b6de894db6c9fb7",
-	"cc/grid/raw/none/seed0":          "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[0 57 0 0 57 0] bytes=[150304 0 149680 0] ops=[79 0 21 0] ns=[465002012 0 1069130 0] hash=452438bcdd1a9d9a",
-	"cc/grid/raw/none/seed7":          "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[0 52 0 0 52 0] bytes=[136544 0 143792 0] ops=[72 0 19 0] ns=[424910280 0 1027074 0] hash=dd3e528f13847657",
-	"cc/grid/raw/sixteenth/seed0":     "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[10 47 26 19 21 3840] bytes=[146464 0 149680 0] ops=[69 0 21 0] ns=[384976412 0 1069130 0] hash=3158b1c91cd93114",
-	"cc/grid/raw/sixteenth/seed7":     "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[12 40 21 14 19 4608] bytes=[131936 0 143792 0] ops=[60 0 19 0] ns=[328879560 0 1027074 0] hash=7b058121d654de66",
-	"cc/grid/raw/whole/seed0":         "steps=21 sel=0 rounds=239 blocks=275 reacts=1664 converged=true buf=[35 22 22 0 0 77088] bytes=[73216 0 149680 0] ops=[44 0 21 0] ns=[184488092 0 1069130 0] hash=f72237d6e3357367",
-	"cc/grid/raw/whole/seed7":         "steps=19 sel=0 rounds=231 blocks=264 reacts=1408 converged=true buf=[30 22 22 0 0 65376] bytes=[71168 0 143792 0] ops=[42 0 19 0] ns=[184474440 0 1027074 0] hash=e2b62a2f976d63ad",
-	"cc/rmat/delta/none/seed0":        "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13264 0] ops=[51 0 10 0] ns=[328436897 0 94738 0] hash=dc788704790ec384",
-	"cc/rmat/delta/none/seed7":        "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13264 0] ops=[51 0 10 0] ns=[328436897 0 94738 0] hash=dc788704790ec384",
-	"cc/rmat/delta/sixteenth/seed0":   "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13264 0] ops=[51 0 10 0] ns=[328436897 0 94738 0] hash=dc788704790ec384",
-	"cc/rmat/delta/sixteenth/seed7":   "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13264 0] ops=[51 0 10 0] ns=[328436897 0 94738 0] hash=dc788704790ec384",
-	"cc/rmat/delta/whole/seed0":       "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13264 0] ops=[27 0 10 0] ns=[136230927 0 94738 0] hash=132dd670e36d0795",
-	"cc/rmat/delta/whole/seed7":       "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13264 0] ops=[27 0 10 0] ns=[136230927 0 94738 0] hash=132dd670e36d0795",
-	"cc/rmat/raw/none/seed0":          "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13264 0] ops=[51 0 10 0] ns=[328859191 0 94738 0] hash=5c277e1e06c992bf",
-	"cc/rmat/raw/none/seed7":          "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13264 0] ops=[51 0 10 0] ns=[328859191 0 94738 0] hash=5c277e1e06c992bf",
-	"cc/rmat/raw/sixteenth/seed0":     "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13264 0] ops=[51 0 10 0] ns=[328859191 0 94738 0] hash=5c277e1e06c992bf",
-	"cc/rmat/raw/sixteenth/seed7":     "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13264 0] ops=[51 0 10 0] ns=[328859191 0 94738 0] hash=5c277e1e06c992bf",
-	"cc/rmat/raw/whole/seed0":         "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13264 0] ops=[27 0 10 0] ns=[136409592 0 94738 0] hash=e17c97e151467e80",
-	"cc/rmat/raw/whole/seed7":         "steps=10 sel=0 rounds=25 blocks=55 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13264 0] ops=[27 0 10 0] ns=[136409592 0 94738 0] hash=e17c97e151467e80",
+	"cc/grid/delta/none/seed0":        "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[0 57 0 0 57 0] bytes=[86630 0 148080 0] ops=[79 0 21 0] ns=[464577512 0 1057702 0] hash=60f7772ac55fc297",
+	"cc/grid/delta/none/seed7":        "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[0 52 0 0 52 0] bytes=[78863 0 142192 0] ops=[72 0 19 0] ns=[424525734 0 1015646 0] hash=d514f53d30c60803",
+	"cc/grid/delta/sixteenth/seed0":   "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[0 57 57 54 0 0] bytes=[86630 0 148080 0] ops=[79 0 21 0] ns=[464577512 0 1057702 0] hash=60f7772ac55fc297",
+	"cc/grid/delta/sixteenth/seed7":   "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[0 52 52 49 0 0] bytes=[78863 0 142192 0] ops=[72 0 19 0] ns=[424525734 0 1015646 0] hash=d514f53d30c60803",
+	"cc/grid/delta/whole/seed0":       "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[35 22 22 0 0 37736] bytes=[48894 0 148080 0] ops=[44 0 21 0] ns=[184325943 0 1057702 0] hash=48055641719b1b2a",
+	"cc/grid/delta/whole/seed7":       "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[30 22 22 0 0 32017] bytes=[46846 0 142192 0] ops=[42 0 19 0] ns=[184312291 0 1015646 0] hash=4ff465be67445490",
+	"cc/grid/raw/none/seed0":          "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[0 57 0 0 57 0] bytes=[150304 0 148080 0] ops=[79 0 21 0] ns=[465002012 0 1057702 0] hash=e1d54b08f2204e4b",
+	"cc/grid/raw/none/seed7":          "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[0 52 0 0 52 0] bytes=[136544 0 142192 0] ops=[72 0 19 0] ns=[424910280 0 1015646 0] hash=f87fdc0132087e2e",
+	"cc/grid/raw/sixteenth/seed0":     "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[10 47 26 19 21 3840] bytes=[146464 0 148080 0] ops=[69 0 21 0] ns=[384976412 0 1057702 0] hash=26c738116ba3bef5",
+	"cc/grid/raw/sixteenth/seed7":     "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[12 40 21 14 19 4608] bytes=[131936 0 142192 0] ops=[60 0 19 0] ns=[328879560 0 1015646 0] hash=f1a69279dcb6073b",
+	"cc/grid/raw/whole/seed0":         "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[35 22 22 0 0 77088] bytes=[73216 0 148080 0] ops=[44 0 21 0] ns=[184488092 0 1057702 0] hash=553a4070e1dee6c6",
+	"cc/grid/raw/whole/seed7":         "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[30 22 22 0 0 65376] bytes=[71168 0 142192 0] ops=[42 0 19 0] ns=[184474440 0 1015646 0] hash=69e0cbdf4fbb991c",
+	"cc/rmat/delta/none/seed0":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
+	"cc/rmat/delta/none/seed7":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
+	"cc/rmat/delta/sixteenth/seed0":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
+	"cc/rmat/delta/sixteenth/seed7":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
+	"cc/rmat/delta/whole/seed0":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13072 0] ops=[27 0 10 0] ns=[136230927 0 93367 0] hash=67be6e8d8a42bbe6",
+	"cc/rmat/delta/whole/seed7":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13072 0] ops=[27 0 10 0] ns=[136230927 0 93367 0] hash=67be6e8d8a42bbe6",
+	"cc/rmat/raw/none/seed0":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
+	"cc/rmat/raw/none/seed7":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
+	"cc/rmat/raw/sixteenth/seed0":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
+	"cc/rmat/raw/sixteenth/seed7":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
+	"cc/rmat/raw/whole/seed0":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13072 0] ops=[27 0 10 0] ns=[136409592 0 93367 0] hash=fa491be43982169e",
+	"cc/rmat/raw/whole/seed7":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13072 0] ops=[27 0 10 0] ns=[136409592 0 93367 0] hash=fa491be43982169e",
 	"prd/grid/delta/none/seed0":       "steps=744 sel=6 rounds=744 blocks=2033 reacts=2456 converged=true buf=[0 2017 0 0 2017 0] bytes=[2921971 288 866288 0] ops=[2784 40 744 0] ns=[16291479089 320002392 6187386 0] hash=94d0aae9daa26460",
 	"prd/grid/delta/none/seed7":       "steps=744 sel=6 rounds=744 blocks=2033 reacts=2456 converged=true buf=[0 2017 0 0 2017 0] bytes=[2921971 288 866288 0] ops=[2784 40 744 0] ns=[16291479089 320002392 6187386 0] hash=94d0aae9daa26460",
 	"prd/grid/delta/sixteenth/seed0":  "steps=744 sel=3 rounds=744 blocks=2033 reacts=2456 converged=true buf=[283 1741 1741 1738 0 297297] bytes=[2628216 138 866288 0] ops=[2498 16 744 0] ns=[14025520753 128001146 6187386 0] hash=c84dd15347298517",
@@ -99,30 +99,30 @@ var pinnedAsync = map[string]string{
 	"prd/rmat/raw/sixteenth/seed7":    "steps=216 sel=13 rounds=216 blocks=864 reacts=5336 converged=true buf=[7 805 344 342 461 8868] bytes=[3797689 11244 370592 0] ops=[1047 47 216 0] ns=[6569317748 376093700 2647024 0] hash=9196b67c9b298ecb",
 	"prd/rmat/raw/whole/seed0":        "steps=216 sel=0 rounds=216 blocks=864 reacts=5336 converged=true buf=[848 16 16 0 0 3738804] bytes=[272384 0 370592 0] ops=[233 0 216 0] ns=[137815748 0 2647024 0] hash=be1ef0a5d2467892",
 	"prd/rmat/raw/whole/seed7":        "steps=216 sel=0 rounds=216 blocks=864 reacts=5336 converged=true buf=[848 16 16 0 0 3738804] bytes=[272384 0 370592 0] ops=[233 0 216 0] ns=[137815748 0 2647024 0] hash=be1ef0a5d2467892",
-	"sssp/grid/delta/none/seed0":      "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 48632 0] ops=[53 0 14 0] ns=[312393826 0 347365 0] hash=cd8e0b124a5dcffa",
-	"sssp/grid/delta/none/seed7":      "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 48632 0] ops=[53 0 14 0] ns=[312393826 0 347365 0] hash=cd8e0b124a5dcffa",
-	"sssp/grid/delta/sixteenth/seed0": "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 48632 0] ops=[52 0 14 0] ns=[304392326 0 347365 0] hash=75f2d8a5436b9198",
-	"sssp/grid/delta/sixteenth/seed7": "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 48632 0] ops=[52 0 14 0] ns=[304392326 0 347365 0] hash=75f2d8a5436b9198",
-	"sssp/grid/delta/whole/seed0":     "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 48632 0] ops=[37 0 14 0] ns=[184278161 0 347365 0] hash=2ba37c9203c0cd7d",
-	"sssp/grid/delta/whole/seed7":     "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 48632 0] ops=[37 0 14 0] ns=[184278161 0 347365 0] hash=2ba37c9203c0cd7d",
-	"sssp/grid/raw/none/seed0":        "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 48632 0] ops=[53 0 14 0] ns=[312677110 0 347365 0] hash=b84343dc3d2cacab",
-	"sssp/grid/raw/none/seed7":        "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 48632 0] ops=[53 0 14 0] ns=[312677110 0 347365 0] hash=b84343dc3d2cacab",
-	"sssp/grid/raw/sixteenth/seed0":   "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 48632 0] ops=[47 0 14 0] ns=[264661750 0 347365 0] hash=57cabb7063f3bd7b",
-	"sssp/grid/raw/sixteenth/seed7":   "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 48632 0] ops=[47 0 14 0] ns=[264661750 0 347365 0] hash=57cabb7063f3bd7b",
-	"sssp/grid/raw/whole/seed0":       "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 48632 0] ops=[37 0 14 0] ns=[184440310 0 347365 0] hash=fb37e44630e5e099",
-	"sssp/grid/raw/whole/seed7":       "steps=14 sel=0 rounds=190 blocks=214 reacts=750 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 48632 0] ops=[37 0 14 0] ns=[184440310 0 347365 0] hash=fb37e44630e5e099",
-	"sssp/rmat/delta/none/seed0":      "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 11064 0] ops=[51 0 10 0] ns=[328489711 0 79024 0] hash=d40fa8fcd1925886",
-	"sssp/rmat/delta/none/seed7":      "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 11064 0] ops=[51 0 10 0] ns=[328489711 0 79024 0] hash=d40fa8fcd1925886",
-	"sssp/rmat/delta/sixteenth/seed0": "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 11064 0] ops=[51 0 10 0] ns=[328489711 0 79024 0] hash=d40fa8fcd1925886",
-	"sssp/rmat/delta/sixteenth/seed7": "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 11064 0] ops=[51 0 10 0] ns=[328489711 0 79024 0] hash=d40fa8fcd1925886",
-	"sssp/rmat/delta/whole/seed0":     "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 11064 0] ops=[27 0 10 0] ns=[136230927 0 79024 0] hash=40bdd4870bdf1b88",
-	"sssp/rmat/delta/whole/seed7":     "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 11064 0] ops=[27 0 10 0] ns=[136230927 0 79024 0] hash=40bdd4870bdf1b88",
-	"sssp/rmat/raw/none/seed0":        "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 11064 0] ops=[51 0 10 0] ns=[328982311 0 79024 0] hash=be61ffd19678e150",
-	"sssp/rmat/raw/none/seed7":        "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 11064 0] ops=[51 0 10 0] ns=[328982311 0 79024 0] hash=be61ffd19678e150",
-	"sssp/rmat/raw/sixteenth/seed0":   "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 11064 0] ops=[51 0 10 0] ns=[328982311 0 79024 0] hash=be61ffd19678e150",
-	"sssp/rmat/raw/sixteenth/seed7":   "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 11064 0] ops=[51 0 10 0] ns=[328982311 0 79024 0] hash=be61ffd19678e150",
-	"sssp/rmat/raw/whole/seed0":       "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 11064 0] ops=[27 0 10 0] ns=[136409592 0 79024 0] hash=afd72dd0626bd140",
-	"sssp/rmat/raw/whole/seed7":       "steps=10 sel=0 rounds=22 blocks=52 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 11064 0] ops=[27 0 10 0] ns=[136409592 0 79024 0] hash=afd72dd0626bd140",
+	"sssp/grid/delta/none/seed0":      "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38640 0] ops=[53 0 14 0] ns=[312393826 0 275994 0] hash=f0e374e0fff2e97a",
+	"sssp/grid/delta/none/seed7":      "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38640 0] ops=[53 0 14 0] ns=[312393826 0 275994 0] hash=f0e374e0fff2e97a",
+	"sssp/grid/delta/sixteenth/seed0": "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38640 0] ops=[52 0 14 0] ns=[304392326 0 275994 0] hash=0523bb4f9fa96b58",
+	"sssp/grid/delta/sixteenth/seed7": "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38640 0] ops=[52 0 14 0] ns=[304392326 0 275994 0] hash=0523bb4f9fa96b58",
+	"sssp/grid/delta/whole/seed0":     "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38640 0] ops=[37 0 14 0] ns=[184278161 0 275994 0] hash=485e6b64c5372d0d",
+	"sssp/grid/delta/whole/seed7":     "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38640 0] ops=[37 0 14 0] ns=[184278161 0 275994 0] hash=485e6b64c5372d0d",
+	"sssp/grid/raw/none/seed0":        "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38640 0] ops=[53 0 14 0] ns=[312677110 0 275994 0] hash=5d9a2cb7bdb2aeb0",
+	"sssp/grid/raw/none/seed7":        "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38640 0] ops=[53 0 14 0] ns=[312677110 0 275994 0] hash=5d9a2cb7bdb2aeb0",
+	"sssp/grid/raw/sixteenth/seed0":   "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38640 0] ops=[47 0 14 0] ns=[264661750 0 275994 0] hash=2ca993ee2b5face0",
+	"sssp/grid/raw/sixteenth/seed7":   "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38640 0] ops=[47 0 14 0] ns=[264661750 0 275994 0] hash=2ca993ee2b5face0",
+	"sssp/grid/raw/whole/seed0":       "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38640 0] ops=[37 0 14 0] ns=[184440310 0 275994 0] hash=ece5e73b0aeb29ce",
+	"sssp/grid/raw/whole/seed7":       "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38640 0] ops=[37 0 14 0] ns=[184440310 0 275994 0] hash=ece5e73b0aeb29ce",
+	"sssp/rmat/delta/none/seed0":      "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
+	"sssp/rmat/delta/none/seed7":      "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
+	"sssp/rmat/delta/sixteenth/seed0": "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
+	"sssp/rmat/delta/sixteenth/seed7": "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
+	"sssp/rmat/delta/whole/seed0":     "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 10784 0] ops=[27 0 10 0] ns=[136230927 0 77024 0] hash=66e4dec97533da0f",
+	"sssp/rmat/delta/whole/seed7":     "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 10784 0] ops=[27 0 10 0] ns=[136230927 0 77024 0] hash=66e4dec97533da0f",
+	"sssp/rmat/raw/none/seed0":        "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
+	"sssp/rmat/raw/none/seed7":        "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
+	"sssp/rmat/raw/sixteenth/seed0":   "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
+	"sssp/rmat/raw/sixteenth/seed7":   "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
+	"sssp/rmat/raw/whole/seed0":       "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 10784 0] ops=[27 0 10 0] ns=[136409592 0 77024 0] hash=0ae1e5fc5f7d2158",
+	"sssp/rmat/raw/whole/seed7":       "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 10784 0] ops=[27 0 10 0] ns=[136409592 0 77024 0] hash=0ae1e5fc5f7d2158",
 }
 
 // asyncPinLine renders an async run's pinned outcomes on one line.

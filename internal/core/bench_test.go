@@ -332,10 +332,13 @@ func BenchmarkEngineCompressed(b *testing.B) {
 // sssp_async, whose wavefront returns to the same few diagonal blocks step
 // after step — with and without the per-run buffer that keeps those blocks
 // (as payloads, here) — and at bench/'s own size, a weighted 128×128 lattice
-// under the default buffer, the sssp_async case. Device bytes, block
-// activations and the buffer's hit ratio are reported alongside wall time —
-// bytes are the figure the fig-async experiment asserts on, wall time the one
-// bench/ does — and, under async, steps and drain rounds per run.
+// under the default buffer, the sssp_async case — and cc and SSSP over a
+// weighted R-MAT (scale 14, edge factor 16), delta-coded under the default
+// buffer, the shape of bench/'s serve_mixed jobs, whose dense drains keep
+// their rounds where a lattice's narrow ones settle in value order. Device
+// bytes, block activations and the buffer's hit ratio are reported alongside
+// wall time — bytes are the figure the fig-async experiment asserts on, wall
+// time the one bench/ does — and, under async, steps and drain rounds per run.
 func BenchmarkEngineAsync(b *testing.B) {
 	sparse := gen.Weighted(gen.Chain(4096), 7, 11)
 	rmat, err := gen.RMAT(12, 12, gen.Graph500, 4)
@@ -344,7 +347,13 @@ func BenchmarkEngineAsync(b *testing.B) {
 	}
 	lattice := gen.Weighted(gen.Grid(96), 16, 3)
 	benchLattice := gen.Weighted(gen.Grid(128), 16, 3)
+	bigRMAT, err := gen.RMAT(14, 16, gen.Graph500, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	denseRMAT := gen.Weighted(bigRMAT, 16, 3)
 	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	cc := func() core.Program { return &algorithms.ConnectedComponents{} }
 	prd := func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} }
 	cases := []struct {
 		name  string
@@ -361,6 +370,8 @@ func BenchmarkEngineAsync(b *testing.B) {
 		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
 		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 		{"sssp_async", benchLattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
+		{"cc-rmat/async", denseRMAT, graph.CodecDelta, cc, core.Options{Async: true, DefaultBuffer: true}},
+		{"sssp-rmat/async", denseRMAT, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,6 +13,8 @@ import (
 	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/gen"
 	"github.com/graphsd/graphsd/internal/graph"
+	"github.com/graphsd/graphsd/internal/partition"
+	"github.com/graphsd/graphsd/internal/storage"
 )
 
 // The drain under test: a label-correcting program's async step sweeps its
@@ -257,6 +260,128 @@ func TestAsyncDrainNegativeCycleEnds(t *testing.T) {
 						t.Fatalf("%d rounds over %d steps, want one a step", a.Rounds, a.Steps)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestAsyncDrainValueOrder: a drain whose narrow frontier re-freezes a vertex
+// settles the rest of its interval in value order, so on a weighted lattice no
+// vertex pops twice in a step, the pops follow the values alone — the same
+// vertices in the same order at every buffer size — and the labels are the
+// reference's bit for bit on both codecs. On the seek-cheap ScaledHDD profile
+// some unbuffered drains read every round selectively, so their value-order
+// phase is the first to take the diagonal whole. An edge that breaks the
+// label-correcting rule ends a phase at the second pop of the vertex it lowers. On R-MAT 10/8 a drain switches only
+// once its frontier has narrowed — a dense one keeps its rounds — and how
+// many drains of a run switch is pinned.
+func TestAsyncDrainValueOrder(t *testing.T) {
+	lattice := gen.Weighted(gen.Grid(96), 16, 5)
+	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	want, _ := core.RunReference(lattice, sssp(), 0)
+	for _, dc := range []struct {
+		name    string
+		profile storage.Profile
+	}{{"hdd", storage.HDD}, {"scaled-hdd", storage.ScaledHDD}} {
+		for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+			t.Run("sssp-lattice/"+dc.name+"/"+codec.String(), func(t *testing.T) {
+				dev, err := storage.OpenDevice(t.TempDir(), dc.profile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := partition.Build(dev, lattice, 8, partition.WithCodec(codec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				edgeBytes := l.Meta.EdgeBytesTotal()
+				var base *core.Result
+				var basePops [][]int
+				for _, capacity := range []int64{0, edgeBytes / 8, 2 * edgeBytes} {
+					label := fmt.Sprintf("buffer %d", capacity)
+					res, pops, err := core.RunCountingPops(l, sssp(), core.Options{Async: true, BufferBytes: capacity})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameOutputBits(t, label+" vs reference", res.Outputs, want)
+					switched := 0
+					for k, step := range pops {
+						seen := make(map[int]bool, len(step))
+						for _, v := range step {
+							if seen[v] {
+								t.Fatalf("%s: step %d popped vertex %d twice", label, k, v)
+							}
+							seen[v] = true
+						}
+						if len(step) > 0 {
+							switched++
+						}
+					}
+					if switched == 0 {
+						t.Fatalf("%s: no drain switched to value order over %d steps", label, len(pops))
+					}
+					if base == nil {
+						base, basePops = res, pops
+						continue
+					}
+					requireSameSchedule(t, label, res, base)
+					for k := range pops {
+						if !slices.Equal(pops[k], basePops[k]) {
+							t.Fatalf("%s: step %d popped %d vertices, %d at buffer 0, or in another order", label, k, len(pops[k]), len(basePops[k]))
+						}
+					}
+				}
+			})
+		}
+	}
+
+	// A slight negative self-loop lowers vertex 37 on every pop: the phase
+	// stops at its second pop of the vertex instead of popping it until its
+	// label sinks below the floor.
+	t.Run("negative-loop", func(t *testing.T) {
+		g := gen.Weighted(gen.Grid(16), 16, 5)
+		g.Edges = append(g.Edges, graph.Edge{Src: 37, Dst: 37, Weight: -1.0 / 1024})
+		l := codecLayout(t, g, 4, graph.CodecDelta)
+		res, pops, err := core.RunCountingPops(l, sssp(), core.Options{Async: true, DefaultBuffer: true, MaxIterations: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switched := 0
+		for k, step := range pops {
+			n := 0
+			for _, v := range step {
+				if v == 37 {
+					n++
+				}
+			}
+			if n > 1 {
+				t.Fatalf("step %d popped vertex 37 %d times", k, n)
+			}
+			switched += n
+		}
+		if switched == 0 || res.Converged {
+			t.Fatalf("%d value-order phases popped vertex 37, converged=%t", switched, res.Converged)
+		}
+	})
+
+	cases := drainCases(t)
+	for name, switches := range map[string]int{"cc-rmat": 8, "bfs-rmat": 1, "sssp-rmat": 7} {
+		c := cases[name]
+		t.Run(name, func(t *testing.T) {
+			l := codecLayout(t, c.g, 8, graph.CodecDelta)
+			res, pops, err := core.RunCountingPops(l, c.prog(), core.Options{Async: true, DefaultBuffer: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := core.RunReference(c.g, c.prog(), 0)
+			sameOutputBits(t, "vs reference", res.Outputs, ref)
+			switched := 0
+			for _, step := range pops {
+				if len(step) > 0 {
+					switched++
+				}
+			}
+			if switched != switches {
+				t.Fatalf("%d of %d drains switched to value order, want %d", switched, len(pops), switches)
 			}
 		})
 	}

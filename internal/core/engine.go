@@ -96,6 +96,9 @@ type Engine struct {
 	// fetchOpened, when set, is called as openFetch opens a plan: a test's
 	// view of the frontier and cells a plan routes.
 	fetchOpened func(active, span int, cells []buffer.Key)
+	// popped, when set, is called as a drain's value-order phase pops a
+	// vertex: a test's view of the order (settleInOrder).
+	popped func(v int)
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.

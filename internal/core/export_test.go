@@ -113,6 +113,22 @@ func RunCountingPlanViews(layout *partition.Layout, prog Program, opts Options) 
 	return res, views, plans, err
 }
 
+// RunCountingPops is Run that also reports, per step, the vertices its drain's
+// value-order phase popped, in pop order (none for a step that did not switch).
+func RunCountingPops(layout *partition.Layout, prog Program, opts Options) (res *Result, pops [][]int, err error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var step []int
+	e.popped = func(v int) { step = append(step, v) }
+	e.opts.OnIteration = func(IterStat) {
+		pops, step = append(pops, step), nil
+	}
+	res, err = e.run()
+	return res, pops, err
+}
+
 // RunCountingViews is Run that also reports, per iteration, how many
 // sub-blocks reached the pass as run views. With poison set the source
 // scribbles over each view's payload as the pass releases it, so a scatter

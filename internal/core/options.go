@@ -269,13 +269,14 @@ type AsyncStats struct {
 	SelectiveSteps int
 	// Rounds counts the sweeps of a popped row's own interval: one a step for
 	// a mass-residual program, one a drain round — a sweep of the diagonal
-	// sub-block until the interval settles — for a label-correcting one.
+	// sub-block until the interval settles — for a label-correcting one, and
+	// one for a drain's value-order phase, however many vertices it pops.
 	Rounds int64
 	// BlocksScheduled counts sub-block sweeps across all steps — a drain's
-	// diagonal once a round, every other cell once a step — the async
-	// analogue of BSP's iterations × P² full-pass reads. It never depends on
-	// residency; how many of them took a block through the per-run buffer
-	// does (Buffer.Hits + Buffer.Misses).
+	// diagonal once a round and once for its value-order phase, every other
+	// cell once a step — the async analogue of BSP's iterations × P²
+	// full-pass reads. It never depends on residency; how many of them took a
+	// block through the per-run buffer does (Buffer.Hits + Buffer.Misses).
 	BlocksScheduled int64
 	// Reactivations counts vertices re-entering the frontier after having
 	// been consumed at least once — the re-computation async trades for

@@ -121,8 +121,10 @@ type Monotonic interface {
 	// changes nothing, and no edge carries a value below its source's (CC
 	// copies labels, BFS and SSSP add non-negative lengths). A step drains its
 	// row's own interval through the diagonal sub-block before it pushes
-	// across, and cuts the drain short where an edge breaks that last rule
-	// (async.go). False is the
+	// across. The last rule makes the least active value of an interval
+	// final, so a drain may settle the interval in value order, scattering
+	// each vertex once (Dijkstra's rule), and it cuts the drain short where an
+	// edge breaks the rule (async.go). False is the
 	// mass-residual form (PR-Delta): every sweep consumes the mass it pushed,
 	// and a step sweeps its row once.
 	LabelCorrecting() bool

@@ -148,6 +148,8 @@ func HandleBytes(m *partition.Manifest) int64 {
 //     through the buffer — and, with no shared cache, the spares the buffer's
 //     evictions and rejections leave and the payloads collected for them
 //     (blockSource.spares): its capacity again;
+//   - under Async, for a label-correcting program, what a drain's value-order
+//     phase lays out (drainBytes);
 //   - with checkpointing on, the encoded image its checkpoint.Writer keeps
 //     for the whole run (checkpointBytes).
 //
@@ -155,6 +157,9 @@ func HandleBytes(m *partition.Manifest) int64 {
 // allocates, TestRunBytesPricesCheckpointImage the last to the file it writes.
 func RunBytes(m *partition.Manifest, opts Options, prog Program) int64 {
 	total := vertexStateBytes(m, opts.Async, prog) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
+	if mono, ok := prog.(Monotonic); ok && opts.Async && mono.LabelCorrecting() {
+		total += drainBytes(m)
+	}
 	if opts.Checkpoint.saveEnabled() {
 		total += checkpointBytes(m, opts.Async, prog != nil && prog.HasAux())
 	}
@@ -214,6 +219,19 @@ func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
 		total += 8*int64(m.P) + set
 	}
 	return total
+}
+
+// drainBytes bounds what settleInOrder keeps: the largest diagonal cell
+// decoded twice — into the engine's scratch slice, then in source order — a run
+// offset a vertex of the longest interval, and a 16-byte heap entry a vertex
+// and a diagonal edge, one push per improvement.
+func drainBytes(m *partition.Manifest) int64 {
+	var cellBytes, cellEdges int64
+	for i := 0; i < m.P; i++ {
+		cellBytes, cellEdges = max(cellBytes, m.SubBlockBytes(i, i)), max(cellEdges, m.SubBlockEdges(i, i))
+	}
+	span := longestInterval(m)
+	return 2*cellBytes + 8*(span+2) + 16*(span+cellEdges)
 }
 
 func longestInterval(m *partition.Manifest) int64 {
