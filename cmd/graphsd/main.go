@@ -353,8 +353,8 @@ func cmdRun(args []string) error {
 			s.CompressedHits, s.EffectiveCapacityRatio())
 	}
 	if a := res.Async; a.Enabled {
-		fmt.Printf("async: %d steps (%d selective), %d rounds, %d sub-blocks scheduled (%d served from memory), %d reactivations, final residual %.3e\n",
-			a.Steps, a.SelectiveSteps, a.Rounds, a.BlocksScheduled, res.Buffer.Hits, a.Reactivations, a.FinalResidual)
+		fmt.Printf("async: %d steps (%d selective), %d rounds (%d vertices popped in value order), %d sub-blocks scheduled (%d served from memory), %d reactivations, final residual %.3e\n",
+			a.Steps, a.SelectiveSteps, a.Rounds, a.Popped, a.BlocksScheduled, res.Buffer.Hits, a.Reactivations, a.FinalResidual)
 	}
 	if acc := res.SchedAccuracy; acc.Observed > 0 {
 		fmt.Printf("scheduler accuracy: %d observed iterations, mispredict mean %.1f%% last %.1f%%, corrections full=%.2f on-demand=%.2f\n",

@@ -17,22 +17,16 @@
 //     through every cell of the row once. A source's residual is consumed only
 //     after it has been pushed to every destination interval, so no
 //     per-(vertex, column) pushed-mass matrix is needed.
-//   - A label-correcting program (cc, bfs, sssp) first drains interval i: it
-//     sweeps the frontier through the diagonal cell (i, i) alone, round after
-//     round — the diagonal block is taken once and held across the rounds —
-//     until no vertex of interval i is active, or until a round's frozen
-//     frontier is narrow (at most one vertex in sparseViewDensity of the
-//     interval) and re-freezes a vertex an earlier round scattered. From that
-//     round on the drain settles the rest of the interval in value order: it
-//     pops the active vertex of least live value, scatters its diagonal run
-//     once and applies what that improves — Dijkstra's rule, exact under a min
-//     fold over edges that never lower the value they carry. A wider frontier
-//     keeps its rounds: a heap costs more than a few re-scatters over a
-//     frontier that covers the interval. The step then pushes every vertex the
-//     drain scattered, once, at its final value, through the row's other
-//     cells on one fetch plan. A wavefront thus crosses its own interval in
-//     one step instead of one hop per step, on edges already in memory, and a
-//     vertex the wavefront reaches along several paths is scattered once.
+//   - A label-correcting program (cc, bfs, sssp) first drains interval i
+//     through the diagonal block, taken once and held (drain): a wide frozen
+//     frontier is swept through it as a round, and from the first narrow one
+//     the drain settles the rest of the interval in value order — Dijkstra's
+//     rule, exact under a min fold over edges that never lower the value they
+//     carry. The step then pushes every vertex the drain scattered, once, at
+//     its final value, through the row's other cells on one fetch plan. A
+//     wavefront thus crosses its own interval in one step instead of one hop
+//     per step, on edges already in memory, and a vertex the wavefront reaches
+//     along several paths is scattered once.
 //
 // No queue is maintained. At each step boundary every row is re-ranked from the
 // live frontier (rank): its pending mass and key are recomputed, a row is
@@ -131,22 +125,25 @@ type asyncRun struct {
 	pushed    *bitset.ActiveSet
 	consumed  *bitset.ActiveSet
 
-	// selBlock is the selective path's reusable block.
-	selBlock selectiveBlock
-
-	// selective says some sweep of the step in progress read selectively.
+	// selBlock is the selective path's reusable block, and selective says
+	// some sweep of the step in progress read selectively.
+	selBlock  selectiveBlock
 	selective bool
 
 	// order is the value-order phase's heap, diagOff the held diagonal's run
 	// offsets and diagEdges its edges placed in source order when the block
 	// holds them in another (indexRuns); every drain reuses them.
-	order     valueHeap
-	diagEdges []graph.Edge
-	diagOff   []int
+	// popsPerFrozen is what the last value-order phase popped per vertex it
+	// froze, the next phase's estimate (+Inf before any: decode whole).
+	order         valueHeap
+	diagEdges     []graph.Edge
+	diagOff       []int
+	popsPerFrozen float64
 
 	blocks   int64 // sub-block sweeps: cells scattered, once per round and value-order phase for a drain's diagonal
 	reacts   int64 // consumed vertices re-entering the frontier
 	rounds   int64 // sweeps of a row's own interval
+	pops     int64 // vertices value-order phases popped
 	selSteps int   // steps that took the selective path
 }
 
@@ -169,6 +166,7 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 		frontier:      bitset.NewActiveSet(e.n),
 		pushed:        bitset.NewActiveSet(e.n),
 		consumed:      bitset.NewActiveSet(e.n),
+		popsPerFrozen: math.Inf(1),
 	}
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
@@ -255,6 +253,7 @@ func (a *asyncRun) finish(res *Result) {
 		Steps:           res.Iterations,
 		SelectiveSteps:  a.selSteps,
 		Rounds:          a.rounds,
+		Popped:          a.pops,
 		BlocksScheduled: a.blocks,
 		Reactivations:   a.reacts,
 		FinalResidual:   a.totalResidual(),
@@ -416,8 +415,9 @@ func (a *asyncRun) freeze(set *bitset.ActiveSet, lo, hi int) int {
 }
 
 // settle settles the frozen sources in ascending order: each one's snapshot
-// has now been pushed along every out-edge the sweep covered, so consume it
-// and keep the vertex active only if mass arrived underneath the scatter.
+// has now been pushed along every out-edge the sweep covered, so consume it,
+// keep the vertex active only if mass arrived underneath the scatter, and
+// mark it pushed (a drain's push frontier).
 func (a *asyncRun) settle() {
 	e := a.e
 	t0 := time.Now()
@@ -428,18 +428,19 @@ func (a *asyncRun) settle() {
 			e.active.Deactivate(v)
 		}
 		a.consumed.Activate(v)
+		a.pushed.Activate(v)
 	}
 	e.computeTime += time.Since(t0)
 }
 
 // drainAndPush is a label-correcting program's step on row i. The drain
-// sweeps interval i's frontier through the diagonal cell, applies and settles
-// it, and repeats until the interval has no active vertex (drain bounds the
-// rounds for a program that breaks its contract); the push then
-// scatters every vertex a round froze, at its final value, through the row's
-// other cells. A min fold makes the push exact: a vertex frozen in several
-// rounds sends only its last, smallest value across, which is all the earlier
-// ones would have delivered. It returns the number of vertices applied.
+// settles interval i through the diagonal cell, in rounds and then in value
+// order, until the interval has no active vertex (drain bounds it for a
+// program that breaks its contract); the push then scatters every vertex the
+// drain scattered, at its final value, through the row's other cells. A min
+// fold makes the push exact: a vertex scattered in several rounds sends only
+// its last, smallest value across, which is all the earlier ones would have
+// delivered. It returns the number of vertices applied.
 func (a *asyncRun) drainAndPush(i int) (int64, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
@@ -453,16 +454,12 @@ func (a *asyncRun) drainAndPush(i int) (int64, error) {
 	return applied + n, err
 }
 
-// drain runs the drain rounds of row i and returns the vertices they applied.
-// A round takes the diagonal block whole — and holds it for the drain's later
-// rounds — or, until one does, reads only its own frontier's runs, on the
-// route that frontier picks.
-//
-// A round whose frozen frontier is narrow — at most one vertex in
-// sparseViewDensity of the interval — and re-freezes a vertex an earlier round
-// of the drain scattered is the last: it takes the diagonal whole if no round
-// has, and settleInOrder settles the rest of the interval in value order. The
-// test reads the values alone, never residency or the route.
+// drain settles row i's own interval and returns the vertices it applied. Its
+// first round takes the diagonal block, held to the end. A round whose frozen
+// frontier is narrow — at most one vertex in sparseViewDensity of the interval
+// — is the last: settleInOrder settles the rest of the interval in value order.
+// A wider one is swept through the held block, where a heap would cost more
+// than a few re-scatters. The rule reads the values alone, never residency.
 //
 // No edge lowers the value it carries (Monotonic.LabelCorrecting), so a drain
 // never freezes a value below its first round's least — its floor — and a path
@@ -485,13 +482,6 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 			e.endFetch(st)
 		}
 	}()
-	hold := func() (err error) {
-		if st == nil {
-			st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
-			held, err = e.takeBuffered(st, cell[0], topPriority)
-		}
-		return err
-	}
 	var floor float64
 	for round := 0; round < hi-lo && a.freeze(e.active, lo, hi) > 0; round++ {
 		if err := e.checkCtx(); err != nil {
@@ -507,68 +497,57 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 			break
 		}
 		a.rounds++
-		if cell != nil && len(a.frontList)*sparseViewDensity <= hi-lo && a.refrozen(lo, hi) {
-			if err := hold(); err != nil {
+		if cell != nil && st == nil {
+			st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
+			if held, err = e.takeBuffered(st, cell[0], topPriority); err != nil {
 				return applied, err
 			}
+		}
+		if cell != nil && len(a.frontList)*sparseViewDensity <= hi-lo {
 			n, err := a.settleInOrder(i, held, floor)
 			return applied + n, err
 		}
-		for _, v := range a.frontList {
-			a.pushed.Activate(v)
-		}
-		var n int64
-		switch {
-		case cell == nil:
-		case st == nil && a.selectiveRoute(i, cell):
-			n, err = a.scatterCells(cell, a.onDemandBlock)
-		default:
-			if err := hold(); err != nil {
+		if cell != nil {
+			n, err := a.scatterApply(held, i, i)
+			if applied += n; err != nil {
 				return applied, err
 			}
-			n, err = a.scatterApply(held, i, i)
-		}
-		applied += n
-		if err != nil {
-			return applied, err
 		}
 		a.settle()
 	}
 	return applied, nil
 }
 
-// refrozen reports whether the frozen frontier of [lo, hi) holds a vertex the
-// drain has already scattered. The frontier has no bit outside the interval.
-func (a *asyncRun) refrozen(lo, hi int) bool {
-	f, p := a.frontier.Words(), a.pushed.Words()
-	for w := lo >> 6; w < (hi+63)>>6; w++ {
-		if f[w]&p[w] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // settleInOrder settles the rest of interval i in value order, from the
-// frontier of the round that switched (drain): it pops the active vertex of
-// least live value and scatters its diagonal run once (relax). A min fold and
-// edges that never lower the value they carry (Monotonic.LabelCorrecting) make
-// the least active value final, so no vertex pops twice — Dijkstra's rule. A
-// pop below floor, or of a vertex already popped, means an edge broke that
-// rule: the drain stops there and leaves what is still active to a later step,
-// as a round does. The runs come from held, the diagonal block the drain
-// holds, laid out by source once (indexRuns). The phase counts as one round
-// and one block scheduled. It returns the vertices it applied.
+// frontier of the drain's narrow round: it pops the active vertex of least
+// live value and scatters its diagonal run once (relax). A min fold and edges
+// that never lower the value they carry (Monotonic.LabelCorrecting) make the
+// least active value final, so no vertex pops twice — Dijkstra's rule. A pop
+// below floor, or of a vertex already popped, means an edge broke that rule:
+// the drain stops there and leaves what is still active to a later step, as a
+// round does. The phase counts as one round and one block scheduled, and
+// returns the vertices it applied.
+//
+// The runs come from held, the diagonal block the drain holds: laid out by
+// source (indexRuns), or, from a run view whose phase is estimated to pop at
+// most one vertex in rowViewDensity of the interval (popsPerFrozen times its
+// frozen frontier) — where a row's run views beat decoding its blocks whole —
+// each popped source's run decoded as it pops, counted as compute: timing
+// each run would cost more than decoding it. The choice moves no pop.
 func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 	a.blocks++
-	runs, err := a.indexRuns(held, lo, hi)
-	if err != nil {
-		return 0, err
+	frozen := len(a.frontList)
+	view := held.runs
+	var runs []graph.Edge
+	if view == nil || a.popsPerFrozen*float64(frozen*rowViewDensity) > float64(hi-lo) {
+		view = nil
+		var err error
+		if runs, err = a.indexRuns(held, lo, hi); err != nil {
+			return 0, err
+		}
 	}
-	t0 := time.Now()
-	defer func() { e.computeTime += time.Since(t0) }()
 
 	// The frozen frontier seeds the heap; from here on the frontier set marks
 	// the vertices popped.
@@ -576,10 +555,11 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 	for _, v := range a.frontList {
 		h.push(valueEntry{e.valPrev[v], uint32(v)})
 	}
-	defer func() { a.order = h[:0] }()
 	a.frontier.ClearRange(lo, hi)
 	var applied int64
-	for pops := 0; len(h) > 0; pops++ {
+	pops := 0
+	t0 := time.Now()
+	for len(h) > 0 {
 		top := h.pop()
 		v, s := int(top.v), top.val
 		if math.Float64bits(s) != math.Float64bits(e.valPrev[v]) || !e.active.Contains(v) {
@@ -593,11 +573,30 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 				return applied, err
 			}
 		}
+		pops++
 		a.frontier.Activate(v)
 		if e.popped != nil {
 			e.popped(v)
 		}
-		applied += a.relax(v, s, runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]], &h)
+		var run []graph.Edge
+		if view == nil {
+			run = runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]]
+		} else {
+			var err error
+			e.runEdges, err = view.view.AppendSource(e.runEdges[:0], graph.VertexID(v))
+			if err != nil {
+				return applied, fmt.Errorf("core: decoding sub-block (%d,%d) [delta]: %w", i, i, err)
+			}
+			run = e.runEdges
+		}
+		applied += a.relax(v, s, run, &h)
+	}
+	a.order = h[:0]
+	a.pops += int64(pops)
+	a.popsPerFrozen = float64(pops) / float64(frozen)
+	e.computeTime += time.Since(t0)
+	if e.phaseEnded != nil {
+		e.phaseEnded(a)
 	}
 	return applied, nil
 }
@@ -652,8 +651,6 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (appl
 // is edges[diagOff[v-lo]:diagOff[v-lo+1]]. Edges already in source order, as
 // every layout writes them, are used where they lie; any other order is placed
 // in source order into diagEdges, each source's edges in block order.
-// Decoding the whole block once costs less than decoding each popped source's
-// run from the view, though about half the interval pops on a lattice.
 func (a *asyncRun) indexRuns(held block, lo, hi int) ([]graph.Edge, error) {
 	e := a.e
 	edges := held.edges
@@ -794,9 +791,6 @@ func (a *asyncRun) missCost(cells []buffer.Key) time.Duration {
 // SCIU's 2|V| term).
 func (a *asyncRun) selectiveRoute(i int, cells []buffer.Key) bool {
 	e := a.e
-	if len(a.frontList) == 0 {
-		return false
-	}
 	stream := a.missCost(cells)
 	if stream <= 0 {
 		return false
@@ -830,11 +824,11 @@ func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 // is a run view that decodes only that frontier's runs, on an inline stream.
 func (a *asyncRun) sweep(i int, cells []buffer.Key) (int64, error) {
 	e := a.e
-	if a.selectiveRoute(i, cells) {
-		return a.scatterCells(cells, a.onDemandBlock)
-	}
 	if len(a.frontList) == 0 || len(cells) == 0 {
 		return 0, nil
+	}
+	if a.selectiveRoute(i, cells) {
+		return a.scatterCells(cells, a.onDemandBlock)
 	}
 	lo, hi := e.layout.Meta.Interval(i)
 	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cells)

@@ -27,30 +27,30 @@ import (
 // recorded on amd64; a platform that fuses multiply-adds may round
 // PageRank-Delta differently.
 var pinnedAsync = map[string]string{
-	"bfs/grid/delta/none/seed0":       "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/delta/none/seed7":       "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/delta/sixteenth/seed0":  "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 19 0 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/delta/sixteenth/seed7":  "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 19 0 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/delta/whole/seed0":      "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/delta/whole/seed7":      "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[35582 0 23536 0] ops=[31 0 8 0] ns=[184237205 0 168108 0] hash=6ef0c2360f00aec0",
-	"bfs/grid/raw/none/seed0":         "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/grid/raw/none/seed7":         "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/grid/raw/sixteenth/seed0":    "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 14 7 8 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/grid/raw/sixteenth/seed7":    "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 14 7 8 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/grid/raw/whole/seed0":        "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/grid/raw/whole/seed7":        "steps=8 sel=0 rounds=63 blocks=77 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[59904 0 23536 0] ops=[31 0 8 0] ns=[184399354 0 168108 0] hash=6d098153b99cf976",
-	"bfs/rmat/delta/none/seed0":       "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[52395 0 7872 0] ops=[36 0 7 0] ns=[232349284 0 56225 0] hash=e1d7e2232e8bf1b7",
-	"bfs/rmat/delta/none/seed7":       "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[52395 0 7872 0] ops=[36 0 7 0] ns=[232349284 0 56225 0] hash=e1d7e2232e8bf1b7",
-	"bfs/rmat/delta/sixteenth/seed0":  "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 20 17 8 0] bytes=[52395 0 7872 0] ops=[36 0 7 0] ns=[232349284 0 56225 0] hash=e1d7e2232e8bf1b7",
-	"bfs/rmat/delta/sixteenth/seed7":  "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 20 17 8 0] bytes=[52395 0 7872 0] ops=[36 0 7 0] ns=[232349284 0 56225 0] hash=e1d7e2232e8bf1b7",
-	"bfs/rmat/delta/whole/seed0":      "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 20826] bytes=[31569 0 7872 0] ops=[24 0 7 0] ns=[136210449 0 56225 0] hash=4abd2899c4d758e2",
-	"bfs/rmat/delta/whole/seed7":      "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 20826] bytes=[31569 0 7872 0] ops=[24 0 7 0] ns=[136210449 0 56225 0] hash=4abd2899c4d758e2",
-	"bfs/rmat/raw/none/seed0":         "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[104448 0 7872 0] ops=[36 0 7 0] ns=[232696314 0 56225 0] hash=bd19ab6a2eb111f7",
-	"bfs/rmat/raw/none/seed7":         "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[104448 0 7872 0] ops=[36 0 7 0] ns=[232696314 0 56225 0] hash=bd19ab6a2eb111f7",
-	"bfs/rmat/raw/sixteenth/seed0":    "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 14 12 14 0] bytes=[104448 0 7872 0] ops=[36 0 7 0] ns=[232696314 0 56225 0] hash=bd19ab6a2eb111f7",
-	"bfs/rmat/raw/sixteenth/seed7":    "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[0 28 14 12 14 0] bytes=[104448 0 7872 0] ops=[36 0 7 0] ns=[232696314 0 56225 0] hash=bd19ab6a2eb111f7",
-	"bfs/rmat/raw/whole/seed0":        "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 7872 0] ops=[24 0 7 0] ns=[136389114 0 56225 0] hash=2c8a47186000d773",
-	"bfs/rmat/raw/whole/seed7":        "steps=7 sel=0 rounds=13 blocks=34 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 7872 0] ops=[24 0 7 0] ns=[136389114 0 56225 0] hash=2c8a47186000d773",
+	"bfs/grid/delta/none/seed0":       "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/delta/none/seed7":       "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/delta/sixteenth/seed0":  "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 19 0 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/delta/sixteenth/seed7":  "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 19 0 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/delta/whole/seed0":      "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/delta/whole/seed7":      "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[35582 0 22520 0] ops=[31 0 8 0] ns=[184237205 0 160851 0] hash=1107bb33d6a05a22",
+	"bfs/grid/raw/none/seed0":         "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/grid/raw/none/seed7":         "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 0 0 22 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/grid/raw/sixteenth/seed0":    "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 14 7 8 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/grid/raw/sixteenth/seed7":    "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 14 7 8 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/grid/raw/whole/seed0":        "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/grid/raw/whole/seed7":        "steps=8 sel=0 rounds=29 blocks=43 reacts=0 converged=true buf=[0 22 22 0 0 0] bytes=[59904 0 22520 0] ops=[31 0 8 0] ns=[184399354 0 160851 0] hash=21d59b9dfc3907c8",
+	"bfs/rmat/delta/none/seed0":       "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[52395 0 6760 0] ops=[36 0 7 0] ns=[232349284 0 48282 0] hash=4413476bd6dc5010",
+	"bfs/rmat/delta/none/seed7":       "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[52395 0 6760 0] ops=[36 0 7 0] ns=[232349284 0 48282 0] hash=4413476bd6dc5010",
+	"bfs/rmat/delta/sixteenth/seed0":  "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 20 17 8 0] bytes=[52395 0 6760 0] ops=[36 0 7 0] ns=[232349284 0 48282 0] hash=4413476bd6dc5010",
+	"bfs/rmat/delta/sixteenth/seed7":  "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 20 17 8 0] bytes=[52395 0 6760 0] ops=[36 0 7 0] ns=[232349284 0 48282 0] hash=4413476bd6dc5010",
+	"bfs/rmat/delta/whole/seed0":      "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[12 16 16 0 0 20826] bytes=[31569 0 6760 0] ops=[24 0 7 0] ns=[136210449 0 48282 0] hash=520d7e7efc186d3d",
+	"bfs/rmat/delta/whole/seed7":      "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[12 16 16 0 0 20826] bytes=[31569 0 6760 0] ops=[24 0 7 0] ns=[136210449 0 48282 0] hash=520d7e7efc186d3d",
+	"bfs/rmat/raw/none/seed0":         "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[104448 0 6760 0] ops=[36 0 7 0] ns=[232696314 0 48282 0] hash=3ae66dcb1d5c503a",
+	"bfs/rmat/raw/none/seed7":         "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 0 0 28 0] bytes=[104448 0 6760 0] ops=[36 0 7 0] ns=[232696314 0 48282 0] hash=3ae66dcb1d5c503a",
+	"bfs/rmat/raw/sixteenth/seed0":    "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 14 12 14 0] bytes=[104448 0 6760 0] ops=[36 0 7 0] ns=[232696314 0 48282 0] hash=3ae66dcb1d5c503a",
+	"bfs/rmat/raw/sixteenth/seed7":    "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[0 28 14 12 14 0] bytes=[104448 0 6760 0] ops=[36 0 7 0] ns=[232696314 0 48282 0] hash=3ae66dcb1d5c503a",
+	"bfs/rmat/raw/whole/seed0":        "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 6760 0] ops=[24 0 7 0] ns=[136389114 0 48282 0] hash=92aa43d8b8e03a49",
+	"bfs/rmat/raw/whole/seed7":        "steps=7 sel=0 rounds=10 blocks=31 reacts=4 converged=true buf=[12 16 16 0 0 46080] bytes=[58368 0 6760 0] ops=[24 0 7 0] ns=[136389114 0 48282 0] hash=92aa43d8b8e03a49",
 	"cc/grid/delta/none/seed0":        "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[0 57 0 0 57 0] bytes=[86630 0 148080 0] ops=[79 0 21 0] ns=[464577512 0 1057702 0] hash=60f7772ac55fc297",
 	"cc/grid/delta/none/seed7":        "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[0 52 0 0 52 0] bytes=[78863 0 142192 0] ops=[72 0 19 0] ns=[424525734 0 1015646 0] hash=d514f53d30c60803",
 	"cc/grid/delta/sixteenth/seed0":   "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[0 57 57 54 0 0] bytes=[86630 0 148080 0] ops=[79 0 21 0] ns=[464577512 0 1057702 0] hash=60f7772ac55fc297",
@@ -63,18 +63,18 @@ var pinnedAsync = map[string]string{
 	"cc/grid/raw/sixteenth/seed7":     "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[12 40 21 14 19 4608] bytes=[131936 0 142192 0] ops=[60 0 19 0] ns=[328879560 0 1015646 0] hash=f1a69279dcb6073b",
 	"cc/grid/raw/whole/seed0":         "steps=21 sel=0 rounds=219 blocks=255 reacts=1664 converged=true buf=[35 22 22 0 0 77088] bytes=[73216 0 148080 0] ops=[44 0 21 0] ns=[184488092 0 1057702 0] hash=553a4070e1dee6c6",
 	"cc/grid/raw/whole/seed7":         "steps=19 sel=0 rounds=211 blocks=244 reacts=1408 converged=true buf=[30 22 22 0 0 65376] bytes=[71168 0 142192 0] ops=[42 0 19 0] ns=[184474440 0 1015646 0] hash=69e0cbdf4fbb991c",
-	"cc/rmat/delta/none/seed0":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
-	"cc/rmat/delta/none/seed7":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
-	"cc/rmat/delta/sixteenth/seed0":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
-	"cc/rmat/delta/sixteenth/seed7":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 13072 0] ops=[51 0 10 0] ns=[328436897 0 93367 0] hash=eb882a3afc9bf353",
-	"cc/rmat/delta/whole/seed0":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13072 0] ops=[27 0 10 0] ns=[136230927 0 93367 0] hash=67be6e8d8a42bbe6",
-	"cc/rmat/delta/whole/seed7":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 13072 0] ops=[27 0 10 0] ns=[136230927 0 93367 0] hash=67be6e8d8a42bbe6",
-	"cc/rmat/raw/none/seed0":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
-	"cc/rmat/raw/none/seed7":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
-	"cc/rmat/raw/sixteenth/seed0":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
-	"cc/rmat/raw/sixteenth/seed7":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 13072 0] ops=[51 0 10 0] ns=[328859191 0 93367 0] hash=2fa5dc75ea0fc005",
-	"cc/rmat/raw/whole/seed0":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13072 0] ops=[27 0 10 0] ns=[136409592 0 93367 0] hash=fa491be43982169e",
-	"cc/rmat/raw/whole/seed7":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 13072 0] ops=[27 0 10 0] ns=[136409592 0 93367 0] hash=fa491be43982169e",
+	"cc/rmat/delta/none/seed0":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 12952 0] ops=[51 0 10 0] ns=[328436897 0 92511 0] hash=e63ed62ea746be8b",
+	"cc/rmat/delta/none/seed7":        "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[65538 0 12952 0] ops=[51 0 10 0] ns=[328436897 0 92511 0] hash=e63ed62ea746be8b",
+	"cc/rmat/delta/sixteenth/seed0":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 12952 0] ops=[51 0 10 0] ns=[328436897 0 92511 0] hash=e63ed62ea746be8b",
+	"cc/rmat/delta/sixteenth/seed7":   "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 30 27 10 0] bytes=[65538 0 12952 0] ops=[51 0 10 0] ns=[328436897 0 92511 0] hash=e63ed62ea746be8b",
+	"cc/rmat/delta/whole/seed0":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 12952 0] ops=[27 0 10 0] ns=[136230927 0 92511 0] hash=8310e3c6cba5555e",
+	"cc/rmat/delta/whole/seed7":       "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 30897] bytes=[34641 0 12952 0] ops=[27 0 10 0] ns=[136230927 0 92511 0] hash=8310e3c6cba5555e",
+	"cc/rmat/raw/none/seed0":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 12952 0] ops=[51 0 10 0] ns=[328859191 0 92511 0] hash=113aee48a98016ba",
+	"cc/rmat/raw/none/seed7":          "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 0 0 40 0] bytes=[128880 0 12952 0] ops=[51 0 10 0] ns=[328859191 0 92511 0] hash=113aee48a98016ba",
+	"cc/rmat/raw/sixteenth/seed0":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 12952 0] ops=[51 0 10 0] ns=[328859191 0 92511 0] hash=113aee48a98016ba",
+	"cc/rmat/raw/sixteenth/seed7":     "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[0 40 22 20 18 0] bytes=[128880 0 12952 0] ops=[51 0 10 0] ns=[328859191 0 92511 0] hash=113aee48a98016ba",
+	"cc/rmat/raw/whole/seed0":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 12952 0] ops=[27 0 10 0] ns=[136409592 0 92511 0] hash=7a7dcce627f41726",
+	"cc/rmat/raw/whole/seed7":         "steps=10 sel=0 rounds=23 blocks=53 reacts=286 converged=true buf=[24 16 16 0 0 67440] bytes=[61440 0 12952 0] ops=[27 0 10 0] ns=[136409592 0 92511 0] hash=7a7dcce627f41726",
 	"prd/grid/delta/none/seed0":       "steps=744 sel=6 rounds=744 blocks=2033 reacts=2456 converged=true buf=[0 2017 0 0 2017 0] bytes=[2921971 288 866288 0] ops=[2784 40 744 0] ns=[16291479089 320002392 6187386 0] hash=94d0aae9daa26460",
 	"prd/grid/delta/none/seed7":       "steps=744 sel=6 rounds=744 blocks=2033 reacts=2456 converged=true buf=[0 2017 0 0 2017 0] bytes=[2921971 288 866288 0] ops=[2784 40 744 0] ns=[16291479089 320002392 6187386 0] hash=94d0aae9daa26460",
 	"prd/grid/delta/sixteenth/seed0":  "steps=744 sel=3 rounds=744 blocks=2033 reacts=2456 converged=true buf=[283 1741 1741 1738 0 297297] bytes=[2628216 138 866288 0] ops=[2498 16 744 0] ns=[14025520753 128001146 6187386 0] hash=c84dd15347298517",
@@ -99,30 +99,30 @@ var pinnedAsync = map[string]string{
 	"prd/rmat/raw/sixteenth/seed7":    "steps=216 sel=13 rounds=216 blocks=864 reacts=5336 converged=true buf=[7 805 344 342 461 8868] bytes=[3797689 11244 370592 0] ops=[1047 47 216 0] ns=[6569317748 376093700 2647024 0] hash=9196b67c9b298ecb",
 	"prd/rmat/raw/whole/seed0":        "steps=216 sel=0 rounds=216 blocks=864 reacts=5336 converged=true buf=[848 16 16 0 0 3738804] bytes=[272384 0 370592 0] ops=[233 0 216 0] ns=[137815748 0 2647024 0] hash=be1ef0a5d2467892",
 	"prd/rmat/raw/whole/seed7":        "steps=216 sel=0 rounds=216 blocks=864 reacts=5336 converged=true buf=[848 16 16 0 0 3738804] bytes=[272384 0 370592 0] ops=[233 0 216 0] ns=[137815748 0 2647024 0] hash=be1ef0a5d2467892",
-	"sssp/grid/delta/none/seed0":      "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38640 0] ops=[53 0 14 0] ns=[312393826 0 275994 0] hash=f0e374e0fff2e97a",
-	"sssp/grid/delta/none/seed7":      "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38640 0] ops=[53 0 14 0] ns=[312393826 0 275994 0] hash=f0e374e0fff2e97a",
-	"sssp/grid/delta/sixteenth/seed0": "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38640 0] ops=[52 0 14 0] ns=[304392326 0 275994 0] hash=0523bb4f9fa96b58",
-	"sssp/grid/delta/sixteenth/seed7": "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38640 0] ops=[52 0 14 0] ns=[304392326 0 275994 0] hash=0523bb4f9fa96b58",
-	"sssp/grid/delta/whole/seed0":     "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38640 0] ops=[37 0 14 0] ns=[184278161 0 275994 0] hash=485e6b64c5372d0d",
-	"sssp/grid/delta/whole/seed7":     "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38640 0] ops=[37 0 14 0] ns=[184278161 0 275994 0] hash=485e6b64c5372d0d",
-	"sssp/grid/raw/none/seed0":        "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38640 0] ops=[53 0 14 0] ns=[312677110 0 275994 0] hash=5d9a2cb7bdb2aeb0",
-	"sssp/grid/raw/none/seed7":        "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38640 0] ops=[53 0 14 0] ns=[312677110 0 275994 0] hash=5d9a2cb7bdb2aeb0",
-	"sssp/grid/raw/sixteenth/seed0":   "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38640 0] ops=[47 0 14 0] ns=[264661750 0 275994 0] hash=2ca993ee2b5face0",
-	"sssp/grid/raw/sixteenth/seed7":   "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38640 0] ops=[47 0 14 0] ns=[264661750 0 275994 0] hash=2ca993ee2b5face0",
-	"sssp/grid/raw/whole/seed0":       "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38640 0] ops=[37 0 14 0] ns=[184440310 0 275994 0] hash=ece5e73b0aeb29ce",
-	"sssp/grid/raw/whole/seed7":       "steps=14 sel=0 rounds=78 blocks=102 reacts=472 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38640 0] ops=[37 0 14 0] ns=[184440310 0 275994 0] hash=ece5e73b0aeb29ce",
-	"sssp/rmat/delta/none/seed0":      "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
-	"sssp/rmat/delta/none/seed7":      "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
-	"sssp/rmat/delta/sixteenth/seed0": "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
-	"sssp/rmat/delta/sixteenth/seed7": "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 10784 0] ops=[51 0 10 0] ns=[328489711 0 77024 0] hash=b5f691a53728d305",
-	"sssp/rmat/delta/whole/seed0":     "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 10784 0] ops=[27 0 10 0] ns=[136230927 0 77024 0] hash=66e4dec97533da0f",
-	"sssp/rmat/delta/whole/seed7":     "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 10784 0] ops=[27 0 10 0] ns=[136230927 0 77024 0] hash=66e4dec97533da0f",
-	"sssp/rmat/raw/none/seed0":        "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
-	"sssp/rmat/raw/none/seed7":        "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
-	"sssp/rmat/raw/sixteenth/seed0":   "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
-	"sssp/rmat/raw/sixteenth/seed7":   "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 10784 0] ops=[51 0 10 0] ns=[328982311 0 77024 0] hash=d9f5266be34d2f43",
-	"sssp/rmat/raw/whole/seed0":       "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 10784 0] ops=[27 0 10 0] ns=[136409592 0 77024 0] hash=0ae1e5fc5f7d2158",
-	"sssp/rmat/raw/whole/seed7":       "steps=10 sel=0 rounds=20 blocks=50 reacts=96 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 10784 0] ops=[27 0 10 0] ns=[136409592 0 77024 0] hash=0ae1e5fc5f7d2158",
+	"sssp/grid/delta/none/seed0":      "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38064 0] ops=[53 0 14 0] ns=[312393826 0 271881 0] hash=7b9a578537c28b6d",
+	"sssp/grid/delta/none/seed7":      "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[0 38 0 0 38 0] bytes=[59076 0 38064 0] ops=[53 0 14 0] ns=[312393826 0 271881 0] hash=7b9a578537c28b6d",
+	"sssp/grid/delta/sixteenth/seed0": "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38064 0] ops=[52 0 14 0] ns=[304392326 0 271881 0] hash=15513e6ffd7aa1d3",
+	"sssp/grid/delta/sixteenth/seed7": "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[1 37 37 34 0 225] bytes=[58851 0 38064 0] ops=[52 0 14 0] ns=[304392326 0 271881 0] hash=15513e6ffd7aa1d3",
+	"sssp/grid/delta/whole/seed0":     "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38064 0] ops=[37 0 14 0] ns=[184278161 0 271881 0] hash=68047bbd8aff4f7c",
+	"sssp/grid/delta/whole/seed7":     "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[16 22 22 0 0 17350] bytes=[41726 0 38064 0] ops=[37 0 14 0] ns=[184278161 0 271881 0] hash=68047bbd8aff4f7c",
+	"sssp/grid/raw/none/seed0":        "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38064 0] ops=[53 0 14 0] ns=[312677110 0 271881 0] hash=50eb432ba2806ee1",
+	"sssp/grid/raw/none/seed7":        "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[0 38 0 0 38 0] bytes=[101568 0 38064 0] ops=[53 0 14 0] ns=[312677110 0 271881 0] hash=50eb432ba2806ee1",
+	"sssp/grid/raw/sixteenth/seed0":   "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38064 0] ops=[47 0 14 0] ns=[264661750 0 271881 0] hash=0f5b684dc60c5e2f",
+	"sssp/grid/raw/sixteenth/seed7":   "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[6 32 18 11 14 2304] bytes=[99264 0 38064 0] ops=[47 0 14 0] ns=[264661750 0 271881 0] hash=0f5b684dc60c5e2f",
+	"sssp/grid/raw/whole/seed0":       "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38064 0] ops=[37 0 14 0] ns=[184440310 0 271881 0] hash=45ee7c25589d2e2a",
+	"sssp/grid/raw/whole/seed7":       "steps=14 sel=0 rounds=63 blocks=87 reacts=470 converged=true buf=[16 22 22 0 0 35520] bytes=[66048 0 38064 0] ops=[37 0 14 0] ns=[184440310 0 271881 0] hash=45ee7c25589d2e2a",
+	"sssp/rmat/delta/none/seed0":      "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 9616 0] ops=[51 0 10 0] ns=[328489711 0 68681 0] hash=cb1d6ea78b2f4bca",
+	"sssp/rmat/delta/none/seed7":      "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 0 0 40 0] bytes=[73460 0 9616 0] ops=[51 0 10 0] ns=[328489711 0 68681 0] hash=cb1d6ea78b2f4bca",
+	"sssp/rmat/delta/sixteenth/seed0": "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 9616 0] ops=[51 0 10 0] ns=[328489711 0 68681 0] hash=cb1d6ea78b2f4bca",
+	"sssp/rmat/delta/sixteenth/seed7": "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 29 26 11 0] bytes=[73460 0 9616 0] ops=[51 0 10 0] ns=[328489711 0 68681 0] hash=cb1d6ea78b2f4bca",
+	"sssp/rmat/delta/whole/seed0":     "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 9616 0] ops=[27 0 10 0] ns=[136230927 0 68681 0] hash=45b0c4a632ba98f0",
+	"sssp/rmat/delta/whole/seed7":     "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[24 16 16 0 0 38819] bytes=[34641 0 9616 0] ops=[27 0 10 0] ns=[136230927 0 68681 0] hash=45b0c4a632ba98f0",
+	"sssp/rmat/raw/none/seed0":        "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 9616 0] ops=[51 0 10 0] ns=[328982311 0 68681 0] hash=275fe2d9ddfbe97b",
+	"sssp/rmat/raw/none/seed7":        "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 0 0 40 0] bytes=[147348 0 9616 0] ops=[51 0 10 0] ns=[328982311 0 68681 0] hash=275fe2d9ddfbe97b",
+	"sssp/rmat/raw/sixteenth/seed0":   "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 9616 0] ops=[51 0 10 0] ns=[328982311 0 68681 0] hash=275fe2d9ddfbe97b",
+	"sssp/rmat/raw/sixteenth/seed7":   "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[0 40 21 19 19 0] bytes=[147348 0 9616 0] ops=[51 0 10 0] ns=[328982311 0 68681 0] hash=275fe2d9ddfbe97b",
+	"sssp/rmat/raw/whole/seed0":       "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 9616 0] ops=[27 0 10 0] ns=[136409592 0 68681 0] hash=879c760422140963",
+	"sssp/rmat/raw/whole/seed7":       "steps=10 sel=0 rounds=15 blocks=45 reacts=94 converged=true buf=[24 16 16 0 0 85908] bytes=[61440 0 9616 0] ops=[27 0 10 0] ns=[136409592 0 68681 0] hash=879c760422140963",
 }
 
 // asyncPinLine renders an async run's pinned outcomes on one line.

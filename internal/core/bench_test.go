@@ -332,13 +332,14 @@ func BenchmarkEngineCompressed(b *testing.B) {
 // sssp_async, whose wavefront returns to the same few diagonal blocks step
 // after step — with and without the per-run buffer that keeps those blocks
 // (as payloads, here) — and at bench/'s own size, a weighted 128×128 lattice
-// under the default buffer, the sssp_async case — and cc and SSSP over a
-// weighted R-MAT (scale 14, edge factor 16), delta-coded under the default
-// buffer, the shape of bench/'s serve_mixed jobs, whose dense drains keep
-// their rounds where a lattice's narrow ones settle in value order. Device
-// bytes, block activations and the buffer's hit ratio are reported alongside
-// wall time — bytes are the figure the fig-async experiment asserts on, wall
-// time the one bench/ does — and, under async, steps and drain rounds per run.
+// under the default buffer, the sssp_bsp and sssp_async cases — and cc and
+// SSSP over a weighted R-MAT (scale 14, edge factor 16), delta-coded under the
+// default buffer, the shape of bench/'s serve_mixed jobs, whose dense drains
+// stream rounds until their frontier narrows. Every async case has its BSP
+// comparator. Device bytes, block activations and the buffer's hit ratio are
+// reported alongside wall time — bytes are the figure the fig-async experiment
+// asserts on, wall time the one bench/ does — and, under async, steps, drain
+// rounds and value-order pops per run.
 func BenchmarkEngineAsync(b *testing.B) {
 	sparse := gen.Weighted(gen.Chain(4096), 7, 11)
 	rmat, err := gen.RMAT(12, 12, gen.Graph500, 4)
@@ -369,8 +370,11 @@ func BenchmarkEngineAsync(b *testing.B) {
 		{"sssp-lattice/bsp", lattice, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
 		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
+		{"sssp_bsp", benchLattice, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp_async", benchLattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
+		{"cc-rmat/bsp", denseRMAT, graph.CodecDelta, cc, core.Options{DefaultBuffer: true}},
 		{"cc-rmat/async", denseRMAT, graph.CodecDelta, cc, core.Options{Async: true, DefaultBuffer: true}},
+		{"sssp-rmat/bsp", denseRMAT, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-rmat/async", denseRMAT, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},
 	}
 	for _, c := range cases {
@@ -387,6 +391,7 @@ func BenchmarkEngineAsync(b *testing.B) {
 				if res.Async.Enabled {
 					b.ReportMetric(float64(res.Async.Steps), "steps")
 					b.ReportMetric(float64(res.Async.Rounds), "rounds")
+					b.ReportMetric(float64(res.Async.Popped), "pops")
 					b.ReportMetric(float64(res.Async.BlocksScheduled), "blocks")
 					if asked := res.Buffer.Hits + res.Buffer.Misses; asked > 0 {
 						b.ReportMetric(float64(res.Buffer.Hits)/float64(asked), "hit-ratio")

@@ -265,16 +265,15 @@ func TestAsyncDrainNegativeCycleEnds(t *testing.T) {
 	}
 }
 
-// TestAsyncDrainValueOrder: a drain whose narrow frontier re-freezes a vertex
-// settles the rest of its interval in value order, so on a weighted lattice no
-// vertex pops twice in a step, the pops follow the values alone — the same
-// vertices in the same order at every buffer size — and the labels are the
-// reference's bit for bit on both codecs. On the seek-cheap ScaledHDD profile
-// some unbuffered drains read every round selectively, so their value-order
-// phase is the first to take the diagonal whole. An edge that breaks the
-// label-correcting rule ends a phase at the second pop of the vertex it lowers. On R-MAT 10/8 a drain switches only
-// once its frontier has narrowed — a dense one keeps its rounds — and how
-// many drains of a run switch is pinned.
+// TestAsyncDrainValueOrder: a drain settles the rest of its interval in value
+// order from its first narrow round, so on a weighted lattice no vertex pops
+// twice in a step, the pops follow the values alone — the same vertices in the
+// same order at every buffer size and on the seek-cheap ScaledHDD profile as
+// on HDD — and the labels are the reference's bit for bit on both codecs. An
+// edge that breaks the label-correcting rule ends a phase at the second pop of
+// the vertex it lowers. On R-MAT 10/8 a drain switches only once its frontier
+// has narrowed — a dense one keeps its rounds — and how many drains of a run
+// switch is pinned.
 func TestAsyncDrainValueOrder(t *testing.T) {
 	lattice := gen.Weighted(gen.Grid(96), 16, 5)
 	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
@@ -364,7 +363,7 @@ func TestAsyncDrainValueOrder(t *testing.T) {
 	})
 
 	cases := drainCases(t)
-	for name, switches := range map[string]int{"cc-rmat": 8, "bfs-rmat": 1, "sssp-rmat": 7} {
+	for name, switches := range map[string]int{"cc-rmat": 18, "bfs-rmat": 13, "sssp-rmat": 18} {
 		c := cases[name]
 		t.Run(name, func(t *testing.T) {
 			l := codecLayout(t, c.g, 8, graph.CodecDelta)
@@ -384,5 +383,91 @@ func TestAsyncDrainValueOrder(t *testing.T) {
 				t.Fatalf("%d of %d drains switched to value order, want %d", switched, len(pops), switches)
 			}
 		})
+	}
+}
+
+// TestAsyncDrainNarrowFromFirstRound: a wavefront one vertex wide from the
+// head of a chain never re-freezes a vertex, and still settles each interval
+// in one value-order phase, so a weighted 4 096-chain drains in at most two
+// rounds a step — on both codecs, with and without the per-run buffer — to the
+// reference's labels. The road shape, a chain with a shortcut every eight
+// vertices, pops in value order under BFS and SSSP alike.
+func TestAsyncDrainNarrowFromFirstRound(t *testing.T) {
+	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	// The reference takes one BSP iteration per hop, more than the program's
+	// own bound of 1 000.
+	chain := gen.Weighted(gen.Chain(4096), 7, 11)
+	want, _ := core.RunReference(chain, sssp(), chain.NumVertices)
+	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+		l := codecLayout(t, chain, 8, codec)
+		for _, opts := range []core.Options{{Async: true}, {Async: true, DefaultBuffer: true}} {
+			label := fmt.Sprintf("chain/%s/default-buffer=%t", codec, opts.DefaultBuffer)
+			res, err := core.Run(l, sssp(), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			sameOutputBits(t, label+" vs reference", res.Outputs, want)
+			if a := res.Async; a.Rounds > 2*int64(a.Steps) || a.Popped == 0 {
+				t.Fatalf("%s: %d rounds over %d steps, %d pops; want at most two rounds a step, in value order", label, a.Rounds, a.Steps, a.Popped)
+			}
+		}
+	}
+
+	road := gen.Chain(4096)
+	for v := 0; v+8 < road.NumVertices; v += 8 {
+		road.Edges = append(road.Edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 8)})
+	}
+	for name, c := range map[string]drainCase{
+		"bfs":  {road, func() core.Program { return &algorithms.BFS{Source: 0} }},
+		"sssp": {gen.Weighted(road.Clone(), 16, 5), sssp},
+	} {
+		t.Run("road/"+name, func(t *testing.T) {
+			l := codecLayout(t, c.g, 8, graph.CodecDelta)
+			res, pops, err := core.RunCountingPops(l, c.prog(), core.Options{Async: true, DefaultBuffer: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := core.RunReference(c.g, c.prog(), c.g.NumVertices)
+			sameOutputBits(t, "vs reference", res.Outputs, ref)
+			n := 0
+			for _, step := range pops {
+				n += len(step)
+			}
+			if n == 0 || int64(n) != res.Async.Popped {
+				t.Fatalf("value-order phases popped %d vertices, Popped says %d; want some", n, res.Async.Popped)
+			}
+		})
+	}
+}
+
+// TestAsyncDrainPhaseWithinDrainBytes: what a value-order phase holds as it
+// ends — its heap, the diagonal's run offsets, the edges it decoded or placed —
+// stays within drainBytes, the term RunBytes charges for it, on a lattice, a
+// chain and R-MAT 14/16, on both codecs.
+func TestAsyncDrainPhaseWithinDrainBytes(t *testing.T) {
+	rmat, err := gen.RMAT(14, 16, gen.Graph500, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
+	cc := func() core.Program { return &algorithms.ConnectedComponents{} }
+	for name, c := range map[string]drainCase{
+		"sssp-lattice": {gen.Weighted(gen.Grid(128), 16, 3), sssp},
+		"sssp-chain":   {gen.Weighted(gen.Chain(4096), 7, 11), sssp},
+		"sssp-rmat":    {gen.Weighted(rmat.Clone(), 16, 3), sssp},
+		"cc-rmat":      {rmat, cc},
+	} {
+		for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
+			t.Run(name+"/"+codec.String(), func(t *testing.T) {
+				l := codecLayout(t, c.g, 8, codec)
+				_, held, err := core.RunMeasuringPhases(l, c.prog(), core.Options{Async: true, DefaultBuffer: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bound := core.DrainBytes(&l.Meta); held == 0 || held > bound {
+					t.Fatalf("a value-order phase held %d bytes, drainBytes charges %d", held, bound)
+				}
+			})
+		}
 	}
 }

@@ -96,9 +96,11 @@ type Engine struct {
 	// fetchOpened, when set, is called as openFetch opens a plan: a test's
 	// view of the frontier and cells a plan routes.
 	fetchOpened func(active, span int, cells []buffer.Key)
-	// popped, when set, is called as a drain's value-order phase pops a
-	// vertex: a test's view of the order (settleInOrder).
-	popped func(v int)
+	// popped and phaseEnded, when set, are called as a drain's value-order
+	// phase pops a vertex and as it ends: a test's view of the order
+	// (settleInOrder) and of the memory the phase holds.
+	popped     func(v int)
+	phaseEnded func(a *asyncRun)
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.

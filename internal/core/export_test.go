@@ -129,6 +129,25 @@ func RunCountingPops(layout *partition.Layout, prog Program, opts Options) (res 
 	return res, pops, err
 }
 
+// DrainBytes is what RunBytes charges for a drain's value-order phases.
+func DrainBytes(m *partition.Manifest) int64 { return drainBytes(m) }
+
+// RunMeasuringPhases is Run that also reports the most memory a value-order
+// phase held as it ended: its heap's capacity, the run offsets, the diagonal's
+// placed edges and the engine's run scratch, which the phase decodes into.
+func RunMeasuringPhases(layout *partition.Layout, prog Program, opts Options) (res *Result, held int64, err error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	entry, edge := int64(unsafe.Sizeof(valueEntry{})), int64(unsafe.Sizeof(graph.Edge{}))
+	e.phaseEnded = func(a *asyncRun) {
+		held = max(held, entry*int64(cap(a.order))+8*int64(cap(a.diagOff))+edge*int64(cap(a.diagEdges)+cap(e.runEdges)))
+	}
+	res, err = e.run()
+	return res, held, err
+}
+
 // RunCountingViews is Run that also reports, per iteration, how many
 // sub-blocks reached the pass as run views. With poison set the source
 // scribbles over each view's payload as the pass releases it, so a scatter

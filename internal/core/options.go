@@ -268,10 +268,11 @@ type AsyncStats struct {
 	Steps          int
 	SelectiveSteps int
 	// Rounds counts the sweeps of a popped row's own interval: one a step for
-	// a mass-residual program, one a drain round — a sweep of the diagonal
-	// sub-block until the interval settles — for a label-correcting one, and
-	// one for a drain's value-order phase, however many vertices it pops.
+	// a mass-residual program; for a label-correcting one, one a wide drain
+	// round and one for the value-order phase a drain ends in at its first
+	// narrow round, whose pops Popped counts.
 	Rounds int64
+	Popped int64
 	// BlocksScheduled counts sub-block sweeps across all steps — a drain's
 	// diagonal once a round and once for its value-order phase, every other
 	// cell once a step — the async analogue of BSP's iterations × P²

@@ -209,6 +209,20 @@ func (v *RunView) AppendActive(dst []Edge, filter []uint64) ([]Edge, error) {
 	return dst, nil
 }
 
+// AppendSource decodes the run of source s, if the block holds one, and
+// appends its edges to dst: AppendActive over a filter of s alone, found by
+// one search of the directory. On error dst comes back at its length.
+func (v *RunView) AppendSource(dst []Edge, s VertexID) ([]Edge, error) {
+	if len(v.runs) < 2 {
+		return dst, nil
+	}
+	runs := v.runs[:len(v.runs)-1] // without the sentinel
+	if k := seekRun(runs, 0, s); k < len(runs) && runs[k].Src == s {
+		return v.appendRun(dst, k)
+	}
+	return dst, nil
+}
+
 // seekRun returns the first index at or after pos whose source is >= s, or
 // len(runs). Sources strictly ascend, so that index is at most s - runs[pos].Src
 // entries past pos, and exactly that far when no source in between is missing:

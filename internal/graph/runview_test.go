@@ -144,6 +144,18 @@ func checkViewAgainstBlock(t testing.TB, v *RunView, data []byte, srcBase, dstBa
 		every = append(every, r.Src)
 	}
 	withFilter(every, func(f []uint64) { check(f, true) })
+	// AppendSource is AppendActive over one source: every run's source, and
+	// the one after each, which may have no run.
+	for _, src := range every {
+		for _, s := range []VertexID{src, src + 1} {
+			got, err := v.AppendSource(slices.Clone(prefix), s)
+			withFilter([]VertexID{s}, func(f []uint64) {
+				if want, wantErr := v.AppendActive(slices.Clone(prefix), f); (err == nil) != (wantErr == nil) || !sameEdgeBits(got, want) {
+					t.Fatalf("source %d: AppendSource gives %d edges, %v; AppendActive %d, %v", s, len(got), err, len(want), wantErr)
+				}
+			})
+		}
+	}
 	if fullErr == nil && viewLen(v) != len(full) {
 		t.Fatalf("view reports %d edges, full decoder %d", viewLen(v), len(full))
 	}

@@ -43,6 +43,9 @@ func roadGraph(n int) *graph.Graph {
 //  3. Regression gate — at a recorded configuration, async device bytes
 //     must stay within the table's slack of the bytes recorded there.
 //
+// The traversals' drains start one vertex wide, so each must settle its
+// interval in value order: a run that pops no vertex (the pops column) fails.
+//
 // Device traffic is simulated, so every assertion is deterministic.
 func runFigAsync(cfg *Config, w io.Writer) error {
 	e, err := cfg.env("uk-sim")
@@ -73,7 +76,7 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 	}
 
 	t := metrics.NewTable("Asynchronous priority scheduling vs BSP",
-		"algorithm", "config", "frontier", "bsp bytes", "async bytes", "reduction", "blocks", "bsp iters×P²", "identical")
+		"algorithm", "config", "frontier", "bsp bytes", "async bytes", "reduction", "blocks", "bsp iters×P²", "pops", "identical")
 	var obs []observation
 	for _, wl := range workloads {
 		l, err := wl.env.layout("graphsd", wl.alg.Weighted)
@@ -111,13 +114,16 @@ func runFigAsync(cfg *Config, w io.Writer) error {
 		t.AddRow(wl.alg.Name, config, wl.frontier,
 			storage.FormatBytes(baseB), storage.FormatBytes(asyncB),
 			fmt.Sprintf("%.1f%%", reduction*100),
-			fmt.Sprint(blocks), fmt.Sprint(gridSweeps),
+			fmt.Sprint(blocks), fmt.Sprint(gridSweeps), fmt.Sprint(async.Async.Popped),
 			fmt.Sprint(identical))
 
 		switch wl.frontier {
 		case "sparse":
 			if !identical {
 				return fmt.Errorf("harness: async %s outputs differ from the BSP fixed point", wl.alg.Name)
+			}
+			if async.Async.Popped == 0 {
+				return fmt.Errorf("harness: async %s popped no vertex in value order: its narrow drains kept their rounds", wl.alg.Name)
 			}
 			obs = append(obs, observation{config, wl.alg.Name, "graphsd-async", "byte_reduction", reduction})
 		case "decaying":
