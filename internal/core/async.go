@@ -497,17 +497,17 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 			break
 		}
 		a.rounds++
-		if cell != nil && st == nil {
-			st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
-			if held, err = e.takeBuffered(st, cell[0], topPriority); err != nil {
-				return applied, err
-			}
-		}
-		if cell != nil && len(a.frontList)*sparseViewDensity <= hi-lo {
-			n, err := a.settleInOrder(i, held, floor)
-			return applied + n, err
-		}
 		if cell != nil {
+			if st == nil {
+				st = e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cell)
+				if held, err = e.takeBuffered(st, cell[0], topPriority); err != nil {
+					return applied, err
+				}
+			}
+			if len(a.frontList)*sparseViewDensity <= hi-lo {
+				n, err := a.settleInOrder(i, held, floor)
+				return applied + n, err
+			}
 			n, err := a.scatterApply(held, i, i)
 			if applied += n; err != nil {
 				return applied, err
