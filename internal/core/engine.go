@@ -82,6 +82,10 @@ type Engine struct {
 	active          *bitset.ActiveSet
 	newActive       *bitset.ActiveSet
 	prescattered    *bitset.ActiveSet
+	// crossWords is the t+1 frontier as an FCIU pass's helper reads it, copied
+	// from newActive interval by interval as each is applied (crossFilter);
+	// allocated by newSchedule for BSP schedules.
+	crossWords []uint64
 
 	// termPrev/termCur: the sum kernel's Gather of valPrev/valCur (fillTerms),
 	// filled before every scatter that reads them, so never checkpointed.
@@ -101,6 +105,11 @@ type Engine struct {
 	// (settleInOrder) and of the memory the phase holds.
 	popped     func(v int)
 	phaseEnded func(a *asyncRun)
+
+	// crossJoined, when set, is called as an FCIU pass joins its helper
+	// (crossHelper) with how many scatters it handed over and the helper's
+	// kernel time: a test's view of which passes the helper ran.
+	crossJoined func(handOffs int, compute time.Duration)
 
 	// runEdges is scatterBlock's reusable batch of the edges it decodes from a
 	// run view: those of the scatter's active sources, dead once scattered.
@@ -562,20 +571,26 @@ func (e *Engine) from(vals, terms []float64, filter *bitset.ActiveSet, i int) sc
 }
 
 // scatter merges the contributions of edges whose source is in src's filter
-// into acc/touched: the program's kernel over all edges, in order, on the
+// into acc/touched (timedScatter) and charges the time to the run's compute.
+func (e *Engine) scatter(edges []graph.Edge, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
+	e.computeTime += e.timedScatter(edges, src, acc, touched, dstLo, dstHi)
+}
+
+// timedScatter is the program's kernel over all edges, in order, on the
 // calling goroutine, so a destination's contributions merge in edge order on
-// every host. dstLo/dstHi bound the destinations of edges; the touched bits
-// the call sets are counted over that range, before and after. It keeps no
-// memory, whatever the range.
+// every host; it returns the time it took. dstLo/dstHi bound the destinations
+// of edges; the touched bits the call sets are counted over that range, before
+// and after. It keeps no memory, whatever the range, and writes nothing of the
+// engine's but acc and touched, so FCIU's helper runs it too (crossHelper).
 //
 // An untracked call instead marks all of [dstLo, dstHi) — the destination
 // interval, which the pass's apply visits whole whatever touched holds — so
 // touched stays non-empty exactly when the tracked loop would have left it so,
 // which is all that pending, an FCIU first half's secondaryPending and a
 // checkpoint's TouchedNext read of it under applyEvery.
-func (e *Engine) scatter(edges []graph.Edge, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) {
+func (e *Engine) timedScatter(edges []graph.Edge, src scatterArgs, acc []float64, touched *bitset.ActiveSet, dstLo, dstHi int) time.Duration {
 	if len(edges) == 0 {
-		return
+		return 0
 	}
 	t0 := time.Now()
 	src.acc, src.touched = acc, touched.Words()
@@ -587,7 +602,7 @@ func (e *Engine) scatter(edges []graph.Edge, src scatterArgs, acc []float64, tou
 		runKernel(e.kernel, e.prog, edges, src)
 		touched.AddCount(touched.CountRange(dstLo, dstHi) - before)
 	}
-	e.computeTime += time.Since(t0)
+	return time.Since(t0)
 }
 
 // activeEdgeCount returns how many of edges have an active source, the

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"time"
 	"unsafe"
 
 	"github.com/graphsd/graphsd/internal/bitset"
@@ -63,6 +64,10 @@ func (s *Scatterer) args(vals []float64, filter *bitset.ActiveSet, srcLo, srcHi 
 // SparseViewDensity is the frontier density at or below which a full-model
 // pass takes run views.
 const SparseViewDensity = sparseViewDensity
+
+// CrossQueue is how many handed-over cross scatters wait for an FCIU pass's
+// helper beside the one it runs.
+const CrossQueue = crossQueue
 
 // RowViewDensity is the frozen-frontier density at or below which an async
 // row takes run views.
@@ -170,6 +175,40 @@ func RunCountingViews(layout *partition.Layout, prog Program, opts Options, pois
 	}
 	res, err := e.run()
 	return res, views, err
+}
+
+// CrossStep is what RunCountingHandOffs saw of one iteration: how many
+// sub-blocks reached its pass as run views, how many cross scatters the pass
+// handed to the helper (crossHelper) and the helper's kernel time, which the
+// iteration's ComputeTime includes.
+type CrossStep struct {
+	Views, HandOffs int
+	HelperCompute   time.Duration
+}
+
+// RunCountingHandOffs is Run that reports a CrossStep per iteration. With
+// poison set the source scribbles over each pooled block as it is released, so
+// a scatter from a released block fails the run.
+func RunCountingHandOffs(layout *partition.Layout, prog Program, opts Options, poison bool) (*Result, []CrossStep, error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	e.src.poison = poison
+	var steps []CrossStep
+	var cur CrossStep
+	var seen int64
+	e.crossJoined = func(handOffs int, compute time.Duration) {
+		cur.HandOffs += handOffs
+		cur.HelperCompute += compute
+	}
+	e.opts.OnIteration = func(IterStat) {
+		now := e.src.viewBlocks.Load()
+		cur.Views, seen = int(now-seen), now
+		steps, cur = append(steps, cur), CrossStep{}
+	}
+	res, err := e.run()
+	return res, steps, err
 }
 
 // RunKeepingBuffer is Run, with release poisoning as RunCountingViews' does,

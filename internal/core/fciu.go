@@ -129,15 +129,34 @@ func (e *Engine) passRank(k buffer.Key) func([]graph.Edge) int64 {
 //     budget.
 //
 // Sub-block reads run ahead of the scatter/apply work on the block stream.
+// The cross-iteration scatters of a pass whose frontier is not narrow run on a
+// helper goroutine (crossHelper), in the order this loop hands them over.
 func (e *Engine) runPass(cells passCells) error {
 	e.semBegin()
 	st := e.openPass(cells)
 	defer e.endFetch(st)
 	cross := cells.crossIter()
+	var help *crossHelper
+	if cross && !narrowFrontier(e.active.Count(), e.n) {
+		help = e.startCross()
+		defer e.joinCross(help) // on an error or a cancel; the pass's end joins first
+	}
 	// crossScatter is CrossIterUpdate: sources of interval i already updated
-	// in this iteration propagate their new value to iteration t+1.
+	// in this iteration propagate their new value to iteration t+1. It ends
+	// the pass's use of blk.
 	crossScatter := func(blk block, i, lo, hi int) error {
-		return e.scatterBlock(blk, e.from(e.valCur, e.termCur, e.newActive, i), e.accNext, e.touchedNext, lo, hi)
+		src := e.from(e.valCur, e.termCur, e.newActive, i)
+		if help != nil {
+			src.filter = e.crossFilter(i)
+			help.jobs <- crossJob{blk: blk, src: src, lo: lo, hi: hi}
+			help.handOffs++
+			return nil
+		}
+		if err := e.scatterBlock(blk, src, e.accNext, e.touchedNext, lo, hi); err != nil {
+			return err
+		}
+		e.src.release(blk)
+		return nil
 	}
 
 	for j := 0; j < e.p; j++ {
@@ -186,12 +205,16 @@ func (e *Engine) runPass(cells passCells) error {
 				if err := crossScatter(blk, i, lo, hi); err != nil {
 					return err
 				}
+				continue
 			}
 			e.src.release(blk)
 		}
 		e.applyBSP(j)
 		if cross {
 			e.fillTerms(e.termCur, e.valCur, lo, hi) // for row j's cross scatters
+		}
+		if help != nil {
+			e.copyCrossFilter(j)
 		}
 		if diagDeferred {
 			// Dead-row diagonal: now that interval j is applied its t+1
@@ -213,10 +236,10 @@ func (e *Engine) runPass(cells passCells) error {
 			if err := crossScatter(diag, j, lo, hi); err != nil {
 				return err
 			}
-			e.src.release(diag)
 		}
 	}
 
+	e.joinCross(help)
 	if cross {
 		// The paper updates each buffered secondary sub-block's priority after
 		// the first iteration processes it; now that the full activation set
@@ -235,4 +258,88 @@ func (e *Engine) runPass(cells passCells) error {
 	e.termsAhead = cross // every interval's terms were filled as it was applied
 	e.semEnd()
 	return nil
+}
+
+// crossHelper runs the iteration t+1 scatters of an FCIU first pass on a
+// goroutine of its own, beside the engine goroutine's iteration t scatters and
+// applies (DESIGN.md §16). Each accumulator array keeps one writer, in the
+// serial order: from startCross to joinCross the helper alone writes
+// accNext/touchedNext, taking the scatters in the order runPass hands them
+// over, so outputs still do not depend on the host. A scatter is handed over
+// once what it reads is final: its sources' interval is applied, and its
+// filter is a copy of that interval's frontier words (crossFilter). The
+// helper releases each block after its scatter. Only a pass whose frontier is
+// not narrow has a helper, so no handed-over block is a run view, whose runs
+// decode into the engine's scratch.
+type crossHelper struct {
+	jobs chan crossJob
+	done chan struct{}
+	// handOffs counts the scatters handed over; compute is the helper's
+	// kernel time, added to the run's at the join.
+	handOffs int
+	compute  time.Duration
+}
+
+// crossJob is one handed-over cross scatter: blk's edges from src into the
+// destination interval [lo, hi).
+type crossJob struct {
+	blk    block
+	src    scatterArgs
+	lo, hi int
+}
+
+// crossQueue is how many handed-over scatters wait for the helper beside the
+// one it runs; the engine goroutine blocks on a full queue. On pr_fit a queue
+// of 4 ran about 8% faster than a queue of 1, which blocked the engine
+// goroutine whenever the helper had not yet woken for the last hand-off.
+const crossQueue = 4
+
+// narrowFrontier reports whether active vertices out of span make a narrow
+// frontier: at most one in sparseViewDensity, the fetch plan's rule.
+func narrowFrontier(active, span int) bool { return active*sparseViewDensity <= span }
+
+// startCross starts a pass's helper (crossHelper).
+func (e *Engine) startCross() *crossHelper {
+	h := &crossHelper{jobs: make(chan crossJob, crossQueue), done: make(chan struct{})}
+	acc, touched := e.accNext, e.touchedNext
+	go func() {
+		defer close(h.done)
+		for job := range h.jobs {
+			h.compute += e.timedScatter(job.blk.edges, job.src, acc, touched, job.lo, job.hi)
+			e.src.release(job.blk)
+		}
+	}()
+	return h
+}
+
+// joinCross waits for h's queue to drain and its goroutine to end, and adds
+// its kernel time to the run's; joining a nil or joined helper is a no-op.
+func (e *Engine) joinCross(h *crossHelper) {
+	if h == nil || h.jobs == nil {
+		return
+	}
+	close(h.jobs)
+	<-h.done
+	h.jobs = nil
+	e.computeTime += h.compute
+	if e.crossJoined != nil {
+		e.crossJoined(h.handOffs, h.compute)
+	}
+}
+
+// crossFilter is the filter of a cross scatter from interval i: word w of it
+// is crossWords' copy of word w of newActive (copyCrossFilter) for every w
+// that holds a bit of interval i. Interval i's copy sits i words past where
+// the words sit in newActive, so no two intervals' copies share a word: the
+// engine copies interval j's while the helper reads earlier ones.
+func (e *Engine) crossFilter(i int) []uint64 {
+	_, hi := e.layout.Meta.Interval(i)
+	return e.crossWords[i : i+(hi+63)>>6]
+}
+
+// copyCrossFilter copies interval i's words of newActive, final once the
+// interval is applied, into its crossFilter.
+func (e *Engine) copyCrossFilter(i int) {
+	lo, hi := e.layout.Meta.Interval(i)
+	copy(e.crossFilter(i)[lo>>6:], e.newActive.Words()[lo>>6:(hi+63)>>6])
 }

@@ -319,7 +319,8 @@ func TestRunBytesCoversEngineArrays(t *testing.T) {
 // either buffers every cell it reads. Over a layout whose largest cell sits
 // above the diagonal, RunBytes must price each slice at that cell's decoded
 // size: one slice per block the window holds plus the consumer's, and under
-// BSP one more, for the diagonal FCIU holds until its column is applied.
+// BSP one more for the diagonal FCIU holds until its column is applied, and
+// those its helper holds, queued and in flight.
 func TestRunBytesPricesPooledSlices(t *testing.T) {
 	g := &graph.Graph{NumVertices: 256}
 	for u := 0; u < 64; u++ {
@@ -342,7 +343,7 @@ func TestRunBytesPricesPooledSlices(t *testing.T) {
 			opts := core.Options{Async: async, PrefetchDepth: w.depth, PrefetchBytes: w.window}
 			slices := int64(1 + max(w.depth, 0))
 			if !async {
-				slices++
+				slices += 1 + core.CrossQueue + 1
 			}
 			want := core.VertexStateBytes(m, async, nil) + core.HandleBytes(m) + w.window + slices*largest
 			if got := core.RunBytes(m, opts, nil); got != want {

@@ -44,10 +44,12 @@ type Options struct {
 	// DefaultBuffer selects an automatic buffer capacity when BufferBytes
 	// is zero.
 	DefaultBuffer bool
-	// Threads is ignored: every run scatters and applies on the engine
-	// goroutine, so its outputs do not depend on the host's core count, and
-	// the prefetch workers own the other cores. The field stays until the
-	// benchmark module, which sets it, is next edited.
+	// Threads is ignored: a run uses at most two compute goroutines — the
+	// engine's, and during a dense FCIU first pass the helper that runs its
+	// iteration t+1 scatters — and each accumulator array has one writer, in
+	// the serial order, so its outputs do not depend on the host's core
+	// count. The field stays until the benchmark module, which sets it, is
+	// next edited.
 	Threads int
 	// PrefetchDepth is the number of sub-blocks the I/O pipeline may hold
 	// in flight ahead of the consumer (also its fetch concurrency). Zero

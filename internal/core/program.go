@@ -44,6 +44,11 @@ import (
 // without the calls (see kernel.go). The method is optional and changes no
 // result: a program without it, or one declaring KernelGeneric, runs the
 // Gather/Merge loop on every path.
+//
+// Gather and Merge may be called from two goroutines at once — an FCIU pass
+// runs its iteration t+1 scatters beside its iteration t ones — so they must
+// not write state of their own; Apply and the other methods are called from
+// one goroutine at a time.
 type Program interface {
 	// Name identifies the algorithm ("pagerank", "cc", ...).
 	Name() string

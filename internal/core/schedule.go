@@ -36,6 +36,7 @@ func (e *Engine) newSchedule() (schedule, error) {
 		return newAsyncRun(e)
 	}
 	e.applySpan, e.applyEvery = e.applySpanBSP, e.prog.AlwaysActive()
+	e.crossWords = make([]uint64, len(e.newActive.Words())+e.p)
 	b := bspSchedule{e: e}
 	switch e.layout.Meta.System {
 	case "husgraph":
@@ -113,7 +114,9 @@ func (e *Engine) promote() {
 // advance closes a BSP iteration: the next frontier is its activations minus
 // the vertices whose next scatter cross-iteration computation already did,
 // and the values it computed — with their terms — become the ones the next
-// scatters read.
+// scatters read. The next iteration's apply target starts as those values:
+// the two arrays differ only over the intervals the iteration applied
+// (applied, which applyBSP sets for every interval), so only those are copied.
 func (e *Engine) advance() {
 	e.active.CopyFrom(e.newActive)
 	e.active.Subtract(e.prescattered)
@@ -121,7 +124,12 @@ func (e *Engine) advance() {
 	e.prescattered.Reset()
 	e.valPrev, e.valCur = e.valCur, e.valPrev
 	e.termPrev, e.termCur = e.termCur, e.termPrev
-	copy(e.valCur, e.valPrev)
+	for j, ok := range e.applied {
+		if ok {
+			lo, hi := e.layout.Meta.Interval(j)
+			copy(e.valCur[lo:hi], e.valPrev[lo:hi])
+		}
+	}
 }
 
 // measured feeds the step's measured I/O charge back into the scheduler's

@@ -136,14 +136,17 @@ func HandleBytes(m *partition.Manifest) int64 {
 //
 //   - the per-vertex state: NewEngine's four float64 arrays and five vertex
 //     sets, the aux array (Program.HasAux), the two term arrays of a program
-//     on KernelSumOverOutDegree, the async schedule's three more sets and its
-//     frontier's vertex list (at most an interval), and what run adds — the
-//     uint32 degree table, the file it is read from, the float64 outputs;
+//     on KernelSumOverOutDegree, under BSP the copy of the t+1 frontier an FCIU
+//     pass's helper reads (Engine.crossWords), the async schedule's three more
+//     sets and its frontier's vertex list (at most an interval), and what run
+//     adds — the uint32 degree table, the file it is read from, the float64
+//     outputs;
 //   - the per-run buffer's capacity, the prefetch window and what the block
 //     handles keep (HandleBytes);
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
 //     block a dense pass or row has in flight plus the consumer's — and under
-//     BSP the diagonal an FCIU pass holds across its column — each up to the
+//     BSP the diagonal an FCIU pass holds across its column and the blocks its
+//     helper holds, queued and in flight (crossHelper) — each up to the
 //     decoded size of the largest cell, since every cell of either goes
 //     through the buffer — and, with no shared cache, the spares the buffer's
 //     evictions and rejections leave and the payloads collected for them
@@ -174,7 +177,7 @@ func RunBytes(m *partition.Manifest, opts Options, prog Program) int64 {
 			total += max(opts.bufferBytes(m), 0)
 		}
 		if !opts.Async {
-			slices++
+			slices += 1 + crossQueue + 1
 		}
 		var largest int64
 		for i := 0; i < m.P; i++ {
@@ -200,6 +203,8 @@ func vertexStateBytes(m *partition.Manifest, async bool, prog Program) int64 {
 	}
 	if async {
 		total += 3*set + 8*longestInterval(m)
+	} else {
+		total += set + 8*int64(m.P)
 	}
 	return total
 }
@@ -849,7 +854,7 @@ func (e *Engine) openFetch(active, span, density int, buffered bool, cells []buf
 	if e.fetchOpened != nil {
 		e.fetchOpened(active, span, cells)
 	}
-	narrow := active*sparseViewDensity <= span
+	narrow := narrowFrontier(active, span)
 	sparse := active*density <= span && e.viewable()
 	held := buffered && e.payloads
 	clear(e.held)
