@@ -76,9 +76,16 @@ func (p *PageRank) Merge(a, b float64) float64 { return a + b }
 // EdgeKernel declares the scatter loop that computes this Gather and Merge.
 func (p *PageRank) EdgeKernel() core.EdgeKernel { return core.KernelSumOverOutDegree }
 
+// AffineApply declares the apply loop that computes this Apply: over n
+// vertices, every vertex's new rank is base + scale*merged.
+func (p *PageRank) AffineApply(n int) (base, scale float64) {
+	return (1 - Damping) / float64(n), Damping
+}
+
 // Apply implements core.Program.
 func (p *PageRank) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
-	return (1-Damping)/float64(n) + Damping*merged, true
+	base, scale := p.AffineApply(n)
+	return base + scale*merged, true
 }
 
 // Output implements core.Program.

@@ -157,10 +157,19 @@ func (s *ActiveSet) FillRange(lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	s.count += hi - lo - s.CountRange(lo, hi)
+	s.count += FillWords(s.words, lo, hi)
+}
+
+// FillWords sets bits [lo, hi) of words, 0 <= lo < hi <= 64*len(words), and
+// returns how many of them were clear: FillRange over the words of a set whose
+// count the caller keeps.
+func FillWords(words []uint64, lo, hi int) (set int) {
 	for w := lo / wordBits; w*wordBits < hi; w++ {
-		s.words[w] |= rangeMask(uint(max(lo-w*wordBits, 0)), uint(min(hi-w*wordBits, wordBits)))
+		m := rangeMask(uint(max(lo-w*wordBits, 0)), uint(min(hi-w*wordBits, wordBits)))
+		set += bits.OnesCount64(m &^ words[w])
+		words[w] |= m
 	}
+	return set
 }
 
 // rangeMask returns a mask with bits [lo, hi) set, hi <= 64.

@@ -894,7 +894,7 @@ func (a *asyncRun) scatterApply(blk block, i, j int) (int64, error) {
 	// AsyncApply (applySpan, under the shared apply frame): woken vertices
 	// join the frontier, and those that had already been consumed count as
 	// reactivations.
-	count, out := e.applyInterval(j)
+	count, out := e.applyInterval(j, false)
 	e.active.AddCount(out.woken)
 	a.reacts += int64(out.reacts)
 	return int64(count), nil
@@ -902,7 +902,7 @@ func (a *asyncRun) scatterApply(blk block, i, j int) (int64, error) {
 
 // applySpan applies the touched vertices of [lo, hi) in ascending order. It
 // leaves touched alone: the caller clears the whole interval.
-func (a *asyncRun) applySpan(lo, hi int) (out applied) {
+func (a *asyncRun) applySpan(lo, hi int, _ bool) (out applied) {
 	e := a.e
 	id := e.prog.Identity()
 	active, consumed := e.active.Words(), a.consumed.Words()

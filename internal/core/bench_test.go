@@ -46,7 +46,9 @@ func BenchmarkReferencePageRank(b *testing.B) {
 // pr_fit: an R-MAT graph cut eight ways and delta-coded, ten iterations, and a
 // raw buffer.Shared of twice the decoded graph warmed by one untimed run, so
 // every block is a shared hit and an op is the engine's scatter, apply and
-// scheduling; it reports their compute and the scheduler's overhead per op.
+// scheduling; it reports their compute, the apply's share of it (with the
+// terms an FCIU first pass fills in the apply) and the scheduler's overhead
+// per op.
 func BenchmarkEnginePageRank(b *testing.B) {
 	b.Run("per-run-buffer", func(b *testing.B) {
 		g, err := gen.RMAT(12, 12, gen.Graph500, 1)
@@ -76,7 +78,7 @@ func BenchmarkEnginePageRank(b *testing.B) {
 			return res
 		}
 		run() // warms the cache
-		var compute, sched time.Duration
+		var compute, apply, sched time.Duration
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			res := run()
@@ -84,9 +86,11 @@ func BenchmarkEnginePageRank(b *testing.B) {
 				b.Fatalf("%d shared misses on a warm cache", res.SharedMisses)
 			}
 			compute += res.ComputeTime
+			apply += res.ApplyTime
 			sched += res.SchedulerOverhead
 		}
 		b.ReportMetric(float64(compute.Microseconds())/1000/float64(b.N), "compute-ms/op")
+		b.ReportMetric(float64(apply.Microseconds())/1000/float64(b.N), "apply-ms/op")
 		b.ReportMetric(float64(sched.Microseconds())/float64(b.N), "sched-us/op")
 	})
 	// The pr_ooc shape: a per-run buffer of 1/8 of the decoded graph, so every

@@ -115,14 +115,17 @@ type Engine struct {
 	// run view: those of the scatter's active sources, dead once scattered.
 	runEdges []graph.Edge
 
-	// kernel is the scatter loop the program declared (see kernel.go).
+	// kernel is the scatter loop the program declared, affine its apply (see
+	// kernel.go).
 	kernel EdgeKernel
+	affine affineApply
 
 	// applySpan is the schedule's per-vertex apply loop over an interval,
 	// bound once by newSchedule so that applyInterval allocates nothing;
 	// applyEvery makes it (and applyInterval) visit every vertex rather than
-	// the touched ones.
-	applySpan  func(lo, hi int) applied
+	// the touched ones. fill: fill termCur over the interval in the same loop
+	// (applyAffine).
+	applySpan  func(lo, hi int, fill bool) applied
 	applyEvery bool
 
 	// plStats accumulates block-stream outcomes across all passes.
@@ -139,7 +142,9 @@ type Engine struct {
 	allLive bool
 	applied []bool
 
-	computeTime time.Duration
+	// computeTime is the run's scatter, apply and fill time; applyTime is
+	// applyInterval's share of it.
+	computeTime, applyTime time.Duration
 }
 
 // NewEngine prepares an engine for one run of prog over layout, under the
@@ -190,10 +195,15 @@ func NewEngine(layout *partition.Layout, prog Program, opts Options) (*Engine, e
 		return nil, err
 	}
 	n := layout.Meta.NumVertices
+	affine, err := affineOf(prog, n)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		layout:       layout,
 		prog:         prog,
 		kernel:       kernel,
+		affine:       affine,
 		opts:         opts,
 		sched:        sched,
 		n:            n,
@@ -431,6 +441,7 @@ func (e *Engine) result(start time.Time, ioBase storage.Snapshot, decodeStart ti
 		Outputs:           outputs,
 		WallTime:          time.Since(start),
 		ComputeTime:       e.computeTime,
+		ApplyTime:         e.applyTime,
 		DecodeTime:        e.layout.DecodeTime() - decodeStart,
 		Codec:             e.layout.Meta.BlockCodec().String(),
 		CompressRatio:     compressRatio(&e.layout.Meta),
@@ -484,32 +495,37 @@ type applied struct {
 // always-active programs under BSP, otherwise over those in touched — and
 // restores the accumulator identity invariant: touched is cleared here, the
 // accumulators by applySpan. It returns how many vertices it applied and
-// what applying them did.
+// what applying them did. fill is handed to applySpan (applyBSP).
 //
 // The per-vertex loop is the schedule's, bound once in applySpan, not a
 // callback per vertex: one indirect call per interval keeps Apply/AsyncApply
-// the only dynamic call in the loop.
-func (e *Engine) applyInterval(j int) (count int, out applied) {
+// the only dynamic call in the loop, and an affine apply has none.
+func (e *Engine) applyInterval(j int, fill bool) (count int, out applied) {
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()
-	defer func() { e.computeTime += time.Since(t0) }()
-
 	count = hi - lo
 	if !e.applyEvery {
 		count = e.touched.CountRange(lo, hi)
 	}
-	if count == 0 {
-		return 0, out
+	if count > 0 {
+		out = e.applySpan(lo, hi, fill)
+		e.touched.ClearRange(lo, hi)
 	}
-	out = e.applySpan(lo, hi)
-	e.touched.ClearRange(lo, hi)
+	d := time.Since(t0)
+	e.computeTime += d
+	e.applyTime += d
 	return count, out
 }
 
 // applySpanBSP applies the vertices of [lo, hi) in ascending order — all of
 // them, or those in touched — into valCur, and counts those it newly set in
 // newActive. It leaves touched alone: applyInterval clears the whole interval.
-func (e *Engine) applySpanBSP(lo, hi int) (out applied) {
+// A program that declares an affine apply runs applyAffine, which alone takes
+// fill.
+func (e *Engine) applySpanBSP(lo, hi int, fill bool) (out applied) {
+	if e.affine.ok {
+		return e.applyAffine(lo, hi, fill)
+	}
 	id := e.prog.Identity()
 	newActive := e.newActive.Words()
 	apply := func(v int) bool {
@@ -531,12 +547,53 @@ func (e *Engine) applySpanBSP(lo, hi int) (out applied) {
 	return out
 }
 
+// applyAffine is applySpanBSP for a program that declares an affine apply
+// (always active, so every vertex of [lo, hi) is applied): one loop that
+// writes each value as base + scale*acc, resets acc to the identity and, with
+// fill, sets termCur as fillTerms would from the value just written. It then
+// sets the interval in newActive by range, counting only the bits it newly
+// sets. The floating-point operations are Apply's and fillTerms', on the same
+// operands in the same order, and the expression has Apply's shape, so a
+// compiler that fuses the multiply-add fuses both: the bits are theirs.
+func (e *Engine) applyAffine(lo, hi int, fill bool) applied {
+	base, scale, id := e.affine.base, e.affine.scale, e.prog.Identity()
+	acc, cur := e.acc[lo:hi], e.valCur[lo:hi]
+	cur = cur[:len(acc)] // one bounds check per slice, not per vertex
+	if fill {
+		terms, degrees := e.termCur[lo:hi], e.degrees[lo:hi]
+		terms, degrees = terms[:len(acc)], degrees[:len(acc)]
+		for k, m := range acc {
+			nv := base + scale*m
+			cur[k] = nv
+			acc[k] = id
+			t := 0.0
+			if d := degrees[k]; d != 0 {
+				t = nv / float64(d)
+			}
+			terms[k] = t
+		}
+	} else {
+		for k, m := range acc {
+			cur[k] = base + scale*m
+			acc[k] = id
+		}
+	}
+	return applied{woken: bitset.FillWords(e.newActive.Words(), lo, hi)}
+}
+
 // applyBSP runs the apply phase of interval j into newActive and records
-// whether it visited the interval.
-func (e *Engine) applyBSP(j int) {
-	count, out := e.applyInterval(j)
+// whether it visited the interval. fill: the pass scatters interval j's new
+// values next (runPass's cross scatters), so termCur is filled over it too —
+// inside an affine apply's loop, else right after it.
+func (e *Engine) applyBSP(j int, fill bool) {
+	fuse := fill && e.affine.ok && e.kernel == KernelSumOverOutDegree
+	count, out := e.applyInterval(j, fuse)
 	e.newActive.AddCount(out.woken)
 	e.applied[j] = count > 0
+	if fill && !fuse {
+		lo, hi := e.layout.Meta.Interval(j)
+		e.fillTerms(e.termCur, e.valCur, lo, hi)
+	}
 }
 
 // fillTerms sets terms[v] to KernelSumOverOutDegree's Gather of vals[v] for

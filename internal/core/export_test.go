@@ -61,6 +61,64 @@ func (s *Scatterer) args(vals []float64, filter *bitset.ActiveSet, srcLo, srcHi 
 	return scatterArgs{vals: vals, terms: s.e.termPrev, degrees: s.e.degrees, filter: filter.Words(), full: full, untracked: full && s.e.applyEvery}
 }
 
+// Applier drives the BSP apply phase (applyBSP) over caller-built arrays, for
+// the apply kernel tests: an engine of len(degrees) vertices cut into p
+// intervals, with no layout files behind it.
+type Applier struct{ e *Engine }
+
+// NewApplier prepares prog's apply from old values and merged accumulators.
+// A program with the sum kernel gets terms, each set to unfilled first.
+func NewApplier(prog Program, p int, degrees []uint32, old, merged []float64, unfilled float64) (*Applier, error) {
+	n := len(degrees)
+	k, err := kernelOf(prog)
+	if err != nil {
+		return nil, err
+	}
+	aff, err := affineOf(prog, n)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{
+		layout:     &partition.Layout{Meta: partition.Manifest{NumVertices: n, P: p}},
+		prog:       prog,
+		kernel:     k,
+		affine:     aff,
+		n:          n,
+		p:          p,
+		degrees:    degrees,
+		valPrev:    append([]float64(nil), old...),
+		valCur:     append([]float64(nil), old...),
+		acc:        append([]float64(nil), merged...),
+		touched:    bitset.NewActiveSet(n),
+		newActive:  bitset.NewActiveSet(n),
+		applied:    make([]bool, p),
+		applyEvery: prog.AlwaysActive(),
+	}
+	e.applySpan = e.applySpanBSP
+	if prog.HasAux() {
+		e.aux = make([]float64, n)
+	}
+	if k == KernelSumOverOutDegree {
+		e.termCur = make([]float64, n)
+		for v := range e.termCur {
+			e.termCur[v] = unfilled
+		}
+	}
+	return &Applier{e}, nil
+}
+
+// Affine reports whether the program's apply runs the affine loop.
+func (a *Applier) Affine() bool { return a.e.affine.ok }
+
+// Apply applies interval j as a pass does; fill as runPass's first FCIU pass.
+func (a *Applier) Apply(j int, fill bool) { a.e.applyBSP(j, fill) }
+
+// NewActive is the frontier the applies set.
+func (a *Applier) NewActive() *bitset.ActiveSet { return a.e.newActive }
+
+// State returns the values, accumulators and terms the applies left.
+func (a *Applier) State() (vals, acc, terms []float64) { return a.e.valCur, a.e.acc, a.e.termCur }
+
 // SparseViewDensity is the frontier density at or below which a full-model
 // pass takes run views.
 const SparseViewDensity = sparseViewDensity

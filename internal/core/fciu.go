@@ -209,10 +209,7 @@ func (e *Engine) runPass(cells passCells) error {
 			}
 			e.src.release(blk)
 		}
-		e.applyBSP(j)
-		if cross {
-			e.fillTerms(e.termCur, e.valCur, lo, hi) // for row j's cross scatters
-		}
+		e.applyBSP(j, cross) // with row j's terms for its cross scatters
 		if help != nil {
 			e.copyCrossFilter(j)
 		}

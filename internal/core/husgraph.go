@@ -68,7 +68,7 @@ func (h *husSchedule) onDemand() error {
 		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, 0, e.n)
 	}
 	for j := 0; j < e.p; j++ {
-		e.applyBSP(j)
+		e.applyBSP(j, false)
 	}
 	return nil
 }
@@ -93,7 +93,7 @@ func (h *husSchedule) full() error {
 		}
 		lo, hi := e.layout.Meta.Interval(j)
 		e.scatter(blk.edges, e.from(e.valPrev, e.termPrev, e.active, -1), e.acc, e.touched, lo, hi)
-		e.applyBSP(j)
+		e.applyBSP(j, false)
 		e.src.release(blk)
 	}
 	return nil

@@ -50,6 +50,35 @@ func kernelOf(prog Program) (EdgeKernel, error) {
 	return k, nil
 }
 
+// affineApply is what a program declared through the optional method
+//
+//	AffineApply(n int) (base, scale float64)
+//
+// by which it promises that, over n vertices, Apply returns
+// (base + scale*merged, true) for every vertex whatever its old value, and
+// writes no aux. Only an AlwaysActive program may declare it. The engine then
+// never calls Apply on the BSP path: applySpanBSP runs applyAffine instead.
+type affineApply struct {
+	ok          bool
+	base, scale float64
+}
+
+// affineOf returns the affine apply prog declares over n vertices, a zero
+// affineApply when it declares none.
+func affineOf(prog Program, n int) (affineApply, error) {
+	d, ok := prog.(interface {
+		AffineApply(n int) (base, scale float64)
+	})
+	if !ok {
+		return affineApply{}, nil
+	}
+	if !prog.AlwaysActive() {
+		return affineApply{}, fmt.Errorf("core: program %s declares an affine apply but is not always active", prog.Name())
+	}
+	base, scale := d.AffineApply(n)
+	return affineApply{ok: true, base: base, scale: scale}, nil
+}
+
 // scatterArgs is what every scatter loop reads and writes. filter and touched
 // are the raw words of the source filter and the touched set; destination d
 // lands in acc[d] and bit d of touched. The sum loop reads terms, not vals.

@@ -20,9 +20,10 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// noKernel and noKernelMono hide a program's EdgeKernel method — embedding
-// the interface promotes only the interface's own methods — so the engine
-// runs it through the generic Gather/Merge loop.
+// noKernel and noKernelMono hide a program's EdgeKernel and AffineApply
+// methods — embedding the interface promotes only the interface's own
+// methods — so the engine runs it through the generic Gather/Merge loop and
+// applies it through Apply.
 type noKernel struct{ core.Program }
 type noKernelMono struct{ core.Monotonic }
 
@@ -32,6 +33,18 @@ func hideKernel(p core.Program) core.Program {
 	}
 	return noKernel{p}
 }
+
+// noApply hides a program's AffineApply alone: the engine scatters it with
+// its EdgeKernel and applies it through Apply, filling the sum kernel's terms
+// after the apply rather than in its loop. No built-in with an affine apply is
+// monotonic.
+type noApply struct{ core.Program }
+
+func (p noApply) EdgeKernel() core.EdgeKernel {
+	return p.Program.(interface{ EdgeKernel() core.EdgeKernel }).EdgeKernel()
+}
+
+func hideApply(p core.Program) core.Program { return noApply{p} }
 
 // kernelPrograms are the built-in programs that declare a kernel.
 func kernelPrograms() map[string]func() core.Program {
@@ -72,10 +85,23 @@ type badKernel struct{ core.Program }
 
 func (badKernel) EdgeKernel() core.EdgeKernel { return 200 }
 
+// notAlwaysActive is PageRank declaring its affine apply while claiming not
+// to be always active, which the engine refuses: the affine loop applies every
+// vertex of an interval, touched or not.
+type notAlwaysActive struct{ *algorithms.PageRank }
+
+func (notAlwaysActive) AlwaysActive() bool { return false }
+
 func TestUnknownKernelRejected(t *testing.T) {
 	l := buildLayout(t, paperGraph(), 2)
 	if _, err := core.NewEngine(l, badKernel{&algorithms.PageRank{}}, core.Options{}); err == nil {
 		t.Fatal("NewEngine accepted a program declaring an unknown edge kernel")
+	}
+	if _, err := core.NewEngine(l, notAlwaysActive{&algorithms.PageRank{}}, core.Options{}); err == nil {
+		t.Fatal("NewEngine accepted an affine apply from a program that is not always active")
+	}
+	if _, err := core.NewEngine(l, hideApply(notAlwaysActive{&algorithms.PageRank{}}), core.Options{}); err != nil {
+		t.Fatalf("NewEngine refused the program without its affine apply: %v", err)
 	}
 }
 
@@ -533,20 +559,83 @@ func forKernelRuns(t *testing.T, g *graph.Graph, p int, paths []string, fn func(
 
 // TestEngineKernelMatchesGenericOutputs runs each built-in with and without
 // its kernel on every driver and demands bit-identical outputs, iteration
-// counts and device traffic.
+// counts and device traffic. PageRank also runs with its affine apply alone
+// hidden (hideApply) — on fciu, full-single, SCIU, HUS-Graph and Lumos, and
+// resumed under the affine loop from a checkpoint the Apply loop wrote — so
+// the affine loop and its fused fill meet Apply and fillTerms on every pass
+// that applies.
 func TestEngineKernelMatchesGenericOutputs(t *testing.T) {
 	rmat, err := gen.RMAT(9, 10, gen.Graph500, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := []string{"fciu", "sciu", "full-single", "adaptive", "async"}
-	forKernelRuns(t, gen.Weighted(rmat, 7, 3), 4, paths, func(t *testing.T, mk func() core.Program, run func(core.Program) *core.Result) {
-		want, got := run(hideKernel(mk())), run(mk())
+	g := gen.Weighted(rmat, 7, 3)
+	same := func(t *testing.T, got, want *core.Result) {
+		t.Helper()
 		bitIdentical(t, "kernel vs generic", got.Outputs, want.Outputs)
 		if got.Iterations != want.Iterations || got.IO.TotalBytes() != want.IO.TotalBytes() {
 			t.Fatalf("kernel run: %d iterations, %d device bytes; generic: %d, %d",
 				got.Iterations, got.IO.TotalBytes(), want.Iterations, want.IO.TotalBytes())
 		}
+	}
+	paths := []string{"fciu", "sciu", "full-single", "adaptive", "async"}
+	forKernelRuns(t, g, 4, paths, func(t *testing.T, mk func() core.Program, run func(core.Program) *core.Result) {
+		same(t, run(mk()), run(hideKernel(mk())))
+	})
+
+	pr := func() core.Program { return &algorithms.PageRank{Iterations: 6} }
+	fciu := core.Options{ForceModel: core.ForceFull, DefaultBuffer: true}
+	for name, c := range map[string]struct {
+		system string
+		opts   core.Options
+	}{
+		"fciu":        {"graphsd", fciu},
+		"full-single": {"graphsd", core.Options{ForceModel: core.ForceFull, DisableCrossIteration: true}},
+		"sciu":        {"graphsd", core.Options{ForceModel: core.ForceOnDemand}},
+		"husgraph":    {"husgraph", core.Options{}},
+		"lumos":       {"lumos", core.Options{}},
+	} {
+		t.Run("pagerank-apply/"+name, func(t *testing.T) {
+			l := buildSystem(t, c.system, g, 4, storage.HDD)
+			run := func(prog core.Program) *core.Result {
+				res, err := core.Run(l, prog, c.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			same(t, run(pr()), run(hideApply(pr())))
+		})
+	}
+	t.Run("pagerank-apply/resume", func(t *testing.T) {
+		l := buildLayout(t, g, 4)
+		want, err := core.Run(l, hideApply(pr()), fciu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		o := fciu
+		o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir}
+		o.OnIteration = func(st core.IterStat) {
+			if st.Index >= 2 && st.Path == "fciu-1" {
+				cancel()
+			}
+		}
+		if _, err := core.RunContext(ctx, l, hideApply(pr()), o); !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+		}
+		o = fciu
+		o.Checkpoint = core.CheckpointOptions{Every: 1, Dir: dir, Resume: true}
+		got, err := core.Run(l, pr(), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Resumed || got.ResumedFrom < 3 {
+			t.Fatalf("resumed %t from iteration %d, want a resume past the first fciu-1", got.Resumed, got.ResumedFrom)
+		}
+		bitIdentical(t, "affine loop resumed from the Apply loop's checkpoint vs uninterrupted Apply loop", got.Outputs, want.Outputs)
 	})
 }
 

@@ -194,6 +194,10 @@ type Result struct {
 	WallTime    time.Duration
 	ComputeTime time.Duration
 	IO          storage.Snapshot
+	// ApplyTime is the share of ComputeTime spent applying intervals
+	// (Engine.applyInterval), the terms an FCIU or Lumos first pass fills in
+	// its affine apply's loop included.
+	ApplyTime time.Duration
 
 	// SharedHits/SharedMisses count this run's full sub-block loads served
 	// from / missed in the cross-job shared cache (Options.SharedBlocks);

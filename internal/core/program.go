@@ -43,7 +43,15 @@ import (
 // which performs the same floating-point operations in the same order
 // without the calls (see kernel.go). The method is optional and changes no
 // result: a program without it, or one declaring KernelGeneric, runs the
-// Gather/Merge loop on every path.
+// Gather/Merge loop on every path. In the same way an AlwaysActive program
+// whose Apply returns (base + scale*merged, true) for every vertex may
+// implement
+//
+//	AffineApply(n int) (base, scale float64)
+//
+// and the engine applies each interval in one loop without calling Apply
+// under BSP (kernel.go); NewEngine refuses the method on a program that is not
+// always active.
 //
 // Gather and Merge may be called from two goroutines at once — an FCIU pass
 // runs its iteration t+1 scatters beside its iteration t ones — so they must

@@ -81,7 +81,7 @@ func (e *Engine) runSCIU() error {
 	}
 
 	for j := 0; j < e.p; j++ {
-		e.applyBSP(j)
+		e.applyBSP(j, false)
 	}
 
 	if cross {
