@@ -189,10 +189,16 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("run -async %v: %s", flags, out)
 		}
 	}
-	// serve refuses -async-eps without -async before it listens.
-	out = runExpectFail(t, graphsdBin, "serve", "-listen", "127.0.0.1:0", "-graph", "g="+layoutDir, "-async-eps", "1e-6")
-	if !strings.Contains(out, "-async-eps requires -async") {
-		t.Fatalf("serve -async-eps without -async: %s", out)
+	// Async runs label-correcting programs only, and has no residual stop.
+	out = runExpectFail(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "prd", "-async")
+	if !strings.Contains(out, "run it without -async") {
+		t.Fatalf("run -algorithm prd -async: %s", out)
+	}
+	for _, cmd := range []string{"run", "serve"} {
+		out = runExpectFail(t, graphsdBin, cmd, "-async", "-async-eps", "1e-6")
+		if !strings.Contains(out, "flag provided but not defined: -async-eps") {
+			t.Fatalf("%s -async-eps: %s", cmd, out)
+		}
 	}
 	// A 24-byte binary graph whose header claims 2^36 edges is an error, not
 	// an 824 GB allocation that kills the process.

@@ -200,7 +200,7 @@ func cmdPreprocess(args []string) error {
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	layoutDir := fs.String("layout", "", "preprocessed layout directory")
-	alg := fs.String("algorithm", "", "algorithm: pr, prd, cc, sssp, bfs")
+	alg := fs.String("algorithm", "", "algorithm: "+algorithms.Names)
 	source := fs.Uint("source", 0, "source vertex for sssp/bfs")
 	iters := fs.Int("iterations", 0, "override the iteration bound")
 	profile := fs.String("profile", "scaled-hdd", "disk model: hdd, scaled-hdd, ssd, pmem")
@@ -216,8 +216,7 @@ func cmdRun(args []string) error {
 	ckEvery := fs.Int("checkpoint-every", 4, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint in -checkpoint, if present")
 	retries := fs.Int("retries", 0, "retry transient read faults up to N times with exponential backoff")
-	async := fs.Bool("async", false, "asynchronous execution: priority scheduling over sub-block rows (monotonic algorithms: prd, cc, sssp, bfs)")
-	asyncEps := fs.Float64("async-eps", 0, "stop an -async run once total pending residual falls to this (0: run to frontier drain)")
+	async := fs.Bool("async", false, "asynchronous execution: priority scheduling over sub-block rows (label-correcting algorithms: cc, sssp, bfs)")
 	asyncSeed := fs.Uint64("async-seed", 0, "tie-break seed for the -async scheduler (fixed seed: reproducible schedule)")
 	progress := fs.Int("progress", 0, "print a one-line frontier/residual summary every N iterations (0: off)")
 	fs.Parse(args)
@@ -276,12 +275,11 @@ func cmdRun(args []string) error {
 	}
 	opts.DisableCrossIteration = *noCross
 	opts.Async = *async
-	opts.AsyncEpsilon = *asyncEps
 	opts.AsyncSeed = *asyncSeed
 	opts.PrefetchDepth = *prefetchDepth
 	opts.PrefetchBytes = *prefetchBytes
-	if (*asyncEps != 0 || *asyncSeed != 0) && !*async {
-		return fmt.Errorf("run: -async-eps and -async-seed require -async")
+	if *asyncSeed != 0 && !*async {
+		return fmt.Errorf("run: -async-seed requires -async")
 	}
 	if *async && (*force != "" || *noCross) {
 		return fmt.Errorf("run: -force-model and -no-cross-iteration have no effect under -async")
@@ -424,7 +422,7 @@ func printTop(values []float64, n int) {
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "input graph (binary or text edge list)")
-	alg := fs.String("algorithm", "bfs", "algorithm: pr, prd, cc, sssp, bfs")
+	alg := fs.String("algorithm", "bfs", "algorithm: "+algorithms.Names)
 	source := fs.Uint("source", 0, "source vertex for sssp/bfs")
 	p := fs.Int("p", 8, "number of vertex intervals")
 	profile := fs.String("profile", "scaled-hdd", "disk model")
@@ -486,7 +484,7 @@ func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "original input graph (binary or text edge list)")
 	layoutDir := fs.String("layout", "", "preprocessed layout (any system)")
-	alg := fs.String("algorithm", "bfs", "algorithm: pr, prd, cc, sssp, bfs, widestpath, reach")
+	alg := fs.String("algorithm", "bfs", "algorithm: "+algorithms.Names)
 	source := fs.Uint("source", 0, "source vertex for traversal algorithms")
 	tol := fs.Float64("tolerance", 1e-9, "relative tolerance for sum-based algorithms")
 	fs.Parse(args)

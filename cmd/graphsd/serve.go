@@ -50,8 +50,7 @@ func cmdServe(args []string) error {
 	profile := fs.String("profile", "scaled-hdd", "disk model: hdd, scaled-hdd, ssd, pmem")
 	retries := fs.Int("retries", 0, "retry transient read faults up to N times per graph device")
 	compressed := fs.Bool("compressed-cache", false, "store the shared sub-block cache delta-coded (decode per hit, ~2x capacity)")
-	async := fs.Bool("async", false, "run monotonic algorithms (prd, cc, sssp, bfs) through the asynchronous priority scheduler")
-	asyncEps := fs.Float64("async-eps", 0, "residual stop threshold for -async runs (0: run to frontier drain)")
+	async := fs.Bool("async", false, "run label-correcting algorithms (cc, sssp, bfs) through the asynchronous priority scheduler")
 	journal := fs.String("journal", "", "durability directory: job journal (WAL) and per-job engine checkpoints; a restarted server replays it and resumes unfinished jobs")
 	jobTimeout := fs.Duration("job-timeout", 0, "server-side running-time bound for jobs that carry no timeout of their own (0: none)")
 	jobRetries := fs.Int("job-retries", 0, "re-run a job up to N extra attempts after transient storage failures")
@@ -66,9 +65,6 @@ func cmdServe(args []string) error {
 	if len(graphs) == 0 {
 		return fmt.Errorf("serve: at least one -graph name=layoutdir is required")
 	}
-	if *asyncEps != 0 && !*async {
-		return fmt.Errorf("serve: -async-eps requires -async")
-	}
 	prof, err := profileByName(*profile)
 	if err != nil {
 		return err
@@ -79,7 +75,6 @@ func cmdServe(args []string) error {
 		graphs[i].Retries = *retries
 		graphs[i].Compressed = *compressed
 		graphs[i].Async = *async
-		graphs[i].AsyncEpsilon = *asyncEps
 		graphs[i].Mutable = *mutable
 		graphs[i].MemtableBytes = *memtableBytes
 		graphs[i].CompactThreshold = *compactThreshold

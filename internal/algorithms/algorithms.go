@@ -235,6 +235,10 @@ func (c *ConnectedComponents) Merge(a, b float64) float64 { return min(a, b) }
 // EdgeKernel declares the scatter loop that computes this Gather and Merge.
 func (c *ConnectedComponents) EdgeKernel() core.EdgeKernel { return core.KernelMinCopy }
 
+// LabelCorrecting marks the program core.Monotonic, so it runs under
+// Options.Async.
+func (c *ConnectedComponents) LabelCorrecting() {}
+
 // Apply implements core.Program.
 func (c *ConnectedComponents) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
 	if merged < old {
@@ -306,6 +310,10 @@ func (s *SSSP) Merge(a, b float64) float64 { return min(a, b) }
 // EdgeKernel declares the scatter loop that computes this Gather and Merge.
 func (s *SSSP) EdgeKernel() core.EdgeKernel { return core.KernelMinPlusWeight }
 
+// LabelCorrecting marks the program core.Monotonic, so it runs under
+// Options.Async.
+func (s *SSSP) LabelCorrecting() {}
+
 // Apply implements core.Program.
 func (s *SSSP) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
 	if merged < old {
@@ -372,6 +380,10 @@ func (b *BFS) Merge(x, y float64) float64 { return min(x, y) }
 // EdgeKernel declares the scatter loop that computes this Gather and Merge.
 func (b *BFS) EdgeKernel() core.EdgeKernel { return core.KernelMinPlusOne }
 
+// LabelCorrecting marks the program core.Monotonic, so it runs under
+// Options.Async.
+func (b *BFS) LabelCorrecting() {}
+
 // Apply implements core.Program.
 func (b *BFS) Apply(v graph.VertexID, old, merged float64, aux []float64, n int) (float64, bool) {
 	if merged < old {
@@ -382,6 +394,9 @@ func (b *BFS) Apply(v graph.VertexID, old, merged float64, aux []float64, n int)
 
 // Output implements core.Program.
 func (b *BFS) Output(v graph.VertexID, val float64, aux []float64) float64 { return val }
+
+// Names lists the CLI names ByName accepts, for flag helps and errors.
+const Names = "pr, prd, cc, sssp, bfs, widestpath, reach"
 
 // ByName constructs a program by its CLI name. src seeds the source vertex
 // of traversal algorithms.
@@ -402,6 +417,6 @@ func ByName(name string, src graph.VertexID) (core.Program, error) {
 	case "reach", "reachability":
 		return &Reachability{Source: src}, nil
 	default:
-		return nil, fmt.Errorf("algorithms: unknown algorithm %q (have pr, prd, cc, sssp, bfs, widestpath, reach)", name)
+		return nil, fmt.Errorf("algorithms: unknown algorithm %q (have %s)", name, Names)
 	}
 }

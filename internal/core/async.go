@@ -1,48 +1,42 @@
-// Asynchronous execution (Options.Async): a work-list engine for monotonic
-// programs that replaces the BSP barrier with a priority order over the P
-// source intervals of the sub-block grid.
+// Asynchronous execution (Options.Async): a work-list engine for
+// label-correcting programs (Monotonic) that replaces the BSP barrier with a
+// priority order over the P source intervals of the sub-block grid.
 //
-// One scheduler step pops the interval i with the most pending mass per second
-// of row I/O and processes its grid row atomically. A sweep freezes a frontier
-// of interval i, snapshots the frozen vertices' live values, scatters them
-// through sub-blocks of the row — each served from the per-run buffer when
-// resident there, and otherwise streamed (inline as run views, or through the
-// prefetch pipeline) or loaded selectively (per-vertex reads, when the
+// One scheduler step pops the interval i with the most active vertices per
+// second of row I/O and processes its grid row atomically. A sweep freezes a
+// frontier of interval i, snapshots the frozen vertices' live values, scatters
+// them through sub-blocks of the row — each served from the per-run buffer
+// when resident there, and otherwise streamed (inline as run views, or through
+// the prefetch pipeline) or loaded selectively (per-vertex reads, when the
 // frontier is sparse enough that the cost model prices them below streaming
 // what is not resident) — applies the contributions immediately into the live
-// values, and settles every frozen source with AsyncConsume. How many sweeps a step makes depends
-// on the program's form (Monotonic.LabelCorrecting):
+// values with the program's Apply, and settles every frozen source: it stays
+// active only if its live value dropped below the one it scattered.
 //
-//   - A mass-residual program (PR-Delta) sweeps its row's whole frontier
-//     through every cell of the row once. A source's residual is consumed only
-//     after it has been pushed to every destination interval, so no
-//     per-(vertex, column) pushed-mass matrix is needed.
-//   - A label-correcting program (cc, bfs, sssp) first drains interval i
-//     through the diagonal block, taken once and held (drain): a wide frozen
-//     frontier is swept through it as a round, and from the first narrow one
-//     the drain settles the rest of the interval in value order — Dijkstra's
-//     rule, exact under a min fold over edges that never lower the value they
-//     carry. The step then pushes every vertex the drain scattered, once, at
-//     its final value, through the row's other cells on one fetch plan. A
-//     wavefront thus crosses its own interval in one step instead of one hop
-//     per step, on edges already in memory, and a vertex the wavefront reaches
-//     along several paths is scattered once.
+// A step first drains interval i through the diagonal block, taken once and
+// held (drain): a wide frozen frontier is swept through it as a round, and
+// from the first narrow one the drain settles the rest of the interval in
+// value order — Dijkstra's rule, exact under a min fold over edges that never
+// lower the value they carry. The step then pushes every vertex the drain
+// scattered, once, at its final value, through the row's other cells on one
+// fetch plan. A wavefront thus crosses its own interval in one step instead of
+// one hop per step, on edges already in memory, and a vertex the wavefront
+// reaches along several paths is scattered once.
 //
 // No queue is maintained. At each step boundary every row is re-ranked from the
 // live frontier (rank): its pending mass and key are recomputed, a row is
 // queued while its mass is above zero, and a pop scans the P rows for the one
-// ahead. The run converges when no row is queued or the total residual falls
-// to Options.AsyncEpsilon.
+// ahead. The run converges when no row is queued.
 //
 // Determinism contract: for a fixed Options.AsyncSeed the pop sequence — and
-// therefore every result bit — is reproducible. Row masses are always
-// recomputed canonically (ascending vertex order over the live frontier), the
-// order is total — key descending, then a seeded tie hash, then the row index
-// — aging is a pure function of the persisted step counter, and checkpoints
-// capture the step counter and per-row enqueue steps, the one thing a ranking
-// cannot recompute, so a resumed run replays the identical schedule. A step's
-// drain and push both finish inside the step, so nothing else crosses a step
-// boundary. TestAsyncSchedulePinned holds the schedule across commits.
+// therefore every result bit — is reproducible. Row masses are counts of the
+// live frontier, recounted at every boundary, the order is total — key
+// descending, then a seeded tie hash, then the row index — aging is a pure
+// function of the persisted step counter, and checkpoints capture the step
+// counter and per-row enqueue steps, the one thing a ranking cannot recompute,
+// so a resumed run replays the identical schedule. A step's drain and push
+// both finish inside the step, so nothing else crosses a step boundary.
+// TestAsyncSchedulePinned holds the schedule across commits.
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
 // rows the scheduler ranks highest, in the form the codec gives it — verified
@@ -77,7 +71,7 @@ const asyncAgingEvery = 16
 // asyncRow is one source interval's scheduling state. Only mass, key and enq
 // carry from one step to the next; rank derives the first two afresh.
 type asyncRow struct {
-	mass float64 // canonical pending mass, Σ Residual over the row's frontier; 0 when not queued
+	mass float64 // pending mass, the row's active vertices; 0 when not queued
 	key  float64 // priority: mass per second of row I/O
 	tie  uint64  // seeded tie-break hash, fixed per (seed, row)
 	enq  int64   // step at which the row last entered the queue (aging)
@@ -99,20 +93,13 @@ func asyncTie(seed uint64, i int) uint64 {
 // Engine.run's loop pops one row and processes it.
 type asyncRun struct {
 	e    *Engine
-	mono Monotonic
-	// drains is the program's Monotonic.LabelCorrecting: a step drains its
-	// row's own interval before it pushes across.
-	drains bool
-
 	rows []asyncRow
 
-	// rowBlocks lists each row's non-empty cells and rowStreamCost prices
-	// streaming all of them (blockCost each: seek + sequential read), the
-	// denominator of the priority key — which is static: what is resident
-	// never moves it. For a draining program diag[i] is row i's diagonal cell
-	// (a slice of rowBlocks[i], nil when the cell is empty) and cross[i] the
-	// row's other cells, in column order.
-	rowBlocks     [][]buffer.Key
+	// rowStreamCost prices streaming each row's non-empty cells (blockCost
+	// each: seek + sequential read), the denominator of the priority key —
+	// which is static: what is resident never moves it. diag[i] is row i's
+	// diagonal cell (nil when the cell is empty) and cross[i] the row's other
+	// non-empty cells, in column order.
 	rowStreamCost []time.Duration
 	diag, cross   [][]buffer.Key
 
@@ -150,16 +137,12 @@ type asyncRun struct {
 // newAsyncRun builds the schedule's static state: the rows, their non-empty
 // columns and what streaming each row costs.
 func newAsyncRun(e *Engine) (*asyncRun, error) {
-	mono, ok := e.prog.(Monotonic)
-	if !ok {
-		return nil, fmt.Errorf("core: program %s is not monotonic; -async needs label-correcting or residual form (use prd instead of pr)", e.prog.Name())
+	if _, ok := e.prog.(Monotonic); !ok {
+		return nil, fmt.Errorf("core: program %s is not label-correcting; -async runs cc, sssp and bfs only, run it without -async", e.prog.Name())
 	}
 	a := &asyncRun{
 		e:             e,
-		mono:          mono,
-		drains:        mono.LabelCorrecting(),
 		rows:          make([]asyncRow, e.p),
-		rowBlocks:     make([][]buffer.Key, e.p),
 		rowStreamCost: make([]time.Duration, e.p),
 		diag:          make([][]buffer.Key, e.p),
 		cross:         make([][]buffer.Key, e.p),
@@ -171,22 +154,17 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
 		a.rows[i].tie = asyncTie(e.opts.AsyncSeed, i)
-		diag := -1
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
 			}
 			k := buffer.Key{I: i, J: j}
 			if j == i {
-				diag = len(a.rowBlocks[i])
-			} else if a.drains {
+				a.diag[i] = []buffer.Key{k}
+			} else {
 				a.cross[i] = append(a.cross[i], k)
 			}
-			a.rowBlocks[i] = append(a.rowBlocks[i], k)
 			a.rowStreamCost[i] += a.blockCost(i, j)
-		}
-		if a.drains && diag >= 0 {
-			a.diag[i] = a.rowBlocks[i][diag : diag+1]
 		}
 	}
 	return a, nil
@@ -217,10 +195,9 @@ func (a *asyncRun) start(ck *checkpoint.State, maxIter int) (int, error) {
 	return maxIter * e.p, nil
 }
 
-// pending: the total residual is still above Options.AsyncEpsilon, and
-// above zero, so some row is queued.
+// pending: some row is queued.
 func (a *asyncRun) pending() bool {
-	return a.totalResidual() > max(a.e.opts.AsyncEpsilon, 0)
+	return a.totalResidual() > 0
 }
 
 func (a *asyncRun) step(n int, st *IterStat) error {
@@ -260,8 +237,8 @@ func (a *asyncRun) finish(res *Result) {
 	}
 }
 
-// totalResidual sums the canonical pending mass over all rows (queued rows
-// hold the only non-zero masses).
+// totalResidual sums the pending mass over all rows, the active vertices of
+// the queued ones.
 func (a *asyncRun) totalResidual() float64 {
 	var t float64
 	for i := range a.rows {
@@ -270,23 +247,12 @@ func (a *asyncRun) totalResidual() float64 {
 	return t
 }
 
-// rowMass recomputes row i's pending mass canonically: ascending vertex
-// order over the live frontier, so the same engine state always produces
-// the identical float — the bedrock of deterministic replay and resume. A
-// label-correcting program's residual is 1 a vertex, and the count is that
-// ascending sum of ones, bit for bit.
+// rowMass is row i's pending mass: its active vertices, so the same engine
+// state always produces the identical key — the bedrock of deterministic
+// replay and resume.
 func (a *asyncRun) rowMass(i int) float64 {
-	e := a.e
-	lo, hi := e.layout.Meta.Interval(i)
-	if a.drains {
-		return float64(e.active.CountRange(lo, hi))
-	}
-	var mass float64
-	e.active.ForEachRange(lo, hi, func(v int) bool {
-		mass += a.mono.Residual(graph.VertexID(v), e.valPrev[v], e.aux)
-		return true
-	})
-	return mass
+	lo, hi := a.e.layout.Meta.Interval(i)
+	return float64(a.e.active.CountRange(lo, hi))
 }
 
 // rank re-ranks every row from the live frontier: its mass and key afresh,
@@ -345,8 +311,13 @@ func (r *asyncRow) ahead(b *asyncRow, aging bool) bool {
 
 // processRow runs scheduler step `step` on row i, returning the executed path
 // ("async" streamed, "async-sel" when any sweep of the step read selectively).
-// See the package comment for the step's sweeps and why the row is processed
-// atomically.
+// The drain settles interval i through the diagonal cell, in rounds and then
+// in value order, until the interval has no active vertex (drain bounds it for
+// a program that breaks its contract); the push then scatters every vertex the
+// drain scattered, at its final value, through the row's other cells. A min
+// fold makes the push exact: a vertex scattered in several rounds sends only
+// its last, smallest value across, which is all the earlier ones would have
+// delivered. See the package comment for why the row is processed atomically.
 func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
@@ -358,17 +329,13 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 	// later cells.
 	a.prioritize(i)
 
-	var applied int64
-	var err error
-	if a.drains {
-		applied, err = a.drainAndPush(i)
-	} else {
-		a.freeze(e.active, lo, hi)
-		a.rounds++
-		applied, err = a.sweep(i, a.rowBlocks[i])
-		if err == nil {
-			a.settle()
-		}
+	a.pushed.ClearRange(lo, hi)
+	applied, err := a.drain(i)
+	if err == nil {
+		a.freeze(a.pushed, lo, hi)
+		var pushed int64
+		pushed, err = a.sweep(i, a.cross[i])
+		applied += pushed
 	}
 	path := "async"
 	if a.selective {
@@ -415,43 +382,20 @@ func (a *asyncRun) freeze(set *bitset.ActiveSet, lo, hi int) int {
 }
 
 // settle settles the frozen sources in ascending order: each one's snapshot
-// has now been pushed along every out-edge the sweep covered, so consume it,
-// keep the vertex active only if mass arrived underneath the scatter, and
-// mark it pushed (a drain's push frontier).
+// has now been pushed along every out-edge the sweep covered, so keep the
+// vertex active only if its label improved underneath the scatter, and mark it
+// pushed (a drain's push frontier).
 func (a *asyncRun) settle() {
 	e := a.e
 	t0 := time.Now()
 	for _, v := range a.frontList {
-		nv, act := a.mono.AsyncConsume(graph.VertexID(v), e.valCur[v], e.valPrev[v], e.aux, e.n)
-		e.valPrev[v] = nv
-		if !act {
+		if !(e.valPrev[v] < e.valCur[v]) {
 			e.active.Deactivate(v)
 		}
 		a.consumed.Activate(v)
 		a.pushed.Activate(v)
 	}
 	e.computeTime += time.Since(t0)
-}
-
-// drainAndPush is a label-correcting program's step on row i. The drain
-// settles interval i through the diagonal cell, in rounds and then in value
-// order, until the interval has no active vertex (drain bounds it for a
-// program that breaks its contract); the push then scatters every vertex the
-// drain scattered, at its final value, through the row's other cells. A min
-// fold makes the push exact: a vertex scattered in several rounds sends only
-// its last, smallest value across, which is all the earlier ones would have
-// delivered. It returns the number of vertices applied.
-func (a *asyncRun) drainAndPush(i int) (int64, error) {
-	e := a.e
-	lo, hi := e.layout.Meta.Interval(i)
-	a.pushed.ClearRange(lo, hi)
-	applied, err := a.drain(i)
-	if err != nil {
-		return applied, err
-	}
-	a.freeze(a.pushed, lo, hi)
-	n, err := a.sweep(i, a.cross[i])
-	return applied + n, err
 }
 
 // drain settles row i's own interval and returns the vertices it applied. Its
@@ -461,10 +405,10 @@ func (a *asyncRun) drainAndPush(i int) (int64, error) {
 // A wider one is swept through the held block, where a heap would cost more
 // than a few re-scatters. The rule reads the values alone, never residency.
 //
-// No edge lowers the value it carries (Monotonic.LabelCorrecting), so a drain
-// never freezes a value below its first round's least — its floor — and a path
-// that improves a label has fewer edges than the interval has vertices: the
-// drain ends on an empty frontier within that many rounds. A negative cycle —
+// No edge lowers the value it carries (Monotonic), so a drain never freezes a
+// value below its first round's least — its floor — and a path that improves a
+// label has fewer edges than the interval has vertices: the drain ends on an
+// empty frontier within that many rounds. A negative cycle —
 // an SSSP weight below zero — would lower its labels on every round. The drain
 // stops at the first round that freezes a value below the floor, or else after
 // as many rounds as the interval has vertices, and leaves what is still active
@@ -521,8 +465,8 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 // settleInOrder settles the rest of interval i in value order, from the
 // frontier of the drain's narrow round: it pops the active vertex of least
 // live value and scatters its diagonal run once (relax). A min fold and edges
-// that never lower the value they carry (Monotonic.LabelCorrecting) make the
-// least active value final, so no vertex pops twice — Dijkstra's rule. A pop
+// that never lower the value they carry (Monotonic) make the least active
+// value final, so no vertex pops twice — Dijkstra's rule. A pop
 // below floor, or of a vertex already popped, means an edge broke that rule:
 // the drain stops there and leaves what is still active to a later step, as a
 // round does. The phase counts as one round and one block scheduled, and
@@ -604,8 +548,8 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 // relax scatters popped vertex v's diagonal run from its value s — the
 // candidate each edge carries, through the program's kernel — applies every
 // destination the candidate strictly improves (the contract makes any other
-// AsyncApply a no-op), pushes each one it activates onto h, and then settles
-// v. It returns the vertices it applied.
+// Apply a no-op), pushes each one it activates onto h, and then settles v. It
+// returns the vertices it applied.
 func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (applied int64) {
 	e := a.e
 	id := e.prog.Identity()
@@ -625,7 +569,7 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (appl
 		if !(c < e.valPrev[d]) {
 			continue
 		}
-		nv, act := a.mono.AsyncApply(graph.VertexID(d), e.valPrev[d], c, e.aux, e.n)
+		nv, act := e.prog.Apply(graph.VertexID(d), e.valPrev[d], c, e.aux, e.n)
 		e.valPrev[d] = nv
 		applied++
 		if act {
@@ -635,9 +579,7 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (appl
 			h.push(valueEntry{nv, uint32(d)})
 		}
 	}
-	nv, act := a.mono.AsyncConsume(graph.VertexID(v), s, e.valPrev[v], e.aux, e.n)
-	e.valPrev[v] = nv
-	if !act {
+	if !(e.valPrev[v] < s) {
 		e.active.Deactivate(v)
 	}
 	a.consumed.Activate(v)
@@ -890,8 +832,8 @@ func (a *asyncRun) scatterApply(blk block, i, j int) (int64, error) {
 		return 0, err
 	}
 
-	// Fold interval j's touched accumulators into the live values with
-	// AsyncApply (applySpan, under the shared apply frame): woken vertices
+	// Fold interval j's touched accumulators into the live values with Apply
+	// (applySpan, under the shared apply frame): woken vertices
 	// join the frontier, and those that had already been consumed count as
 	// reactivations.
 	count, out := e.applyInterval(j, false)
@@ -907,7 +849,7 @@ func (a *asyncRun) applySpan(lo, hi int, _ bool) (out applied) {
 	id := e.prog.Identity()
 	active, consumed := e.active.Words(), a.consumed.Words()
 	e.touched.ForEachRange(lo, hi, func(v int) bool {
-		nv, act := a.mono.AsyncApply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
+		nv, act := e.prog.Apply(graph.VertexID(v), e.valPrev[v], e.acc[v], e.aux, e.n)
 		e.valPrev[v] = nv
 		if act && setBit(active, v) == 1 {
 			out.woken++

@@ -16,27 +16,23 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// Async engine properties under test: every monotonic program converges to
-// the same fixed point the BSP engine reaches (bit-exact labels for the
-// min-programs, within tolerance for PageRank-Delta), on every codec, with
-// and without a buffer, under transient faults; the schedule is deterministic for
-// a fixed seed; and a run resumed from a checkpoint is bit-identical to one
-// that was never interrupted.
+// Async engine properties under test: every label-correcting program converges
+// to the fixed point the BSP engine reaches, bit for bit, on every codec, with
+// and without a buffer, under transient faults; every other program is refused;
+// the schedule is deterministic for a fixed seed; and a run resumed from a
+// checkpoint is bit-identical to one that was never interrupted.
 
 // asyncOpts returns the default async configuration for tests.
 func asyncOpts() core.Options {
 	return core.Options{Async: true, DefaultBuffer: true}
 }
 
-// asyncPrograms are the monotonic programs: min-label correcting (exact
-// fixed point) and PageRank-Delta (fixed point within tolerance). The PRD
-// iteration bound is generous so both engines run to frontier drain, not to
-// the step budget.
+// asyncPrograms are the unweighted label-correcting programs, whose fixed
+// point is exact.
 func asyncPrograms(src graph.VertexID) map[string]func() core.Program {
 	return map[string]func() core.Program{
-		"prdelta": func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} },
-		"cc":      func() core.Program { return &algorithms.ConnectedComponents{} },
-		"bfs":     func() core.Program { return &algorithms.BFS{Source: src} },
+		"cc":  func() core.Program { return &algorithms.ConnectedComponents{} },
+		"bfs": func() core.Program { return &algorithms.BFS{Source: src} },
 	}
 }
 
@@ -71,13 +67,9 @@ func TestAsyncMatchesBSPFixedPoint(t *testing.T) {
 					t.Fatalf("%s: async run did not converge (residual %v after %d steps)",
 						label, res.Async.FinalResidual, res.Async.Steps)
 				}
-				if pname == "prdelta" {
-					compareOutputs(t, label, res.Outputs, base.Outputs, 1e-6)
-				} else {
-					requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-					if res.Async.FinalResidual != 0 {
-						t.Fatalf("%s: drained min-program left residual %v", label, res.Async.FinalResidual)
-					}
+				requireIdenticalOutputs(t, base.Outputs, res.Outputs)
+				if res.Async.FinalResidual != 0 {
+					t.Fatalf("%s: drained run left %v vertices active", label, res.Async.FinalResidual)
 				}
 			}
 		}
@@ -110,16 +102,12 @@ func TestAsyncSSSPMatchesBSP(t *testing.T) {
 // TestAsyncCodecSEMMatrix runs the async engine across both sub-block codecs,
 // with and without a per-run buffer, against BSP runs on the same layout —
 // whose buffer keeps payloads on the delta layout, the compressed tier that
-// was Options.SEM. Min-program labels must be bit-identical across all four
-// configurations (and to BSP); PRD must stay within tolerance of BSP.
+// was Options.SEM. BFS labels must be bit-identical across all four
+// configurations (and to BSP).
 func TestAsyncCodecSEMMatrix(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		l := chaosLayout(t, codec, 5)
 		bfsBase, err := core.Run(l, &algorithms.BFS{Source: 0}, core.Options{DefaultBuffer: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prdBase, err := core.Run(l, &algorithms.PageRankDelta{Iterations: 400}, core.Options{DefaultBuffer: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,16 +123,6 @@ func TestAsyncCodecSEMMatrix(t *testing.T) {
 				t.Fatalf("%s bfs: %v", label, err)
 			}
 			requireIdenticalOutputs(t, bfsBase.Outputs, res.Outputs)
-
-			res, err = core.Run(l, &algorithms.PageRankDelta{Iterations: 400}, opts)
-			if err != nil {
-				t.Fatalf("%s prd: %v", label, err)
-			}
-			if !res.Converged {
-				t.Fatalf("%s prd: not converged after %d steps (residual %v)",
-					label, res.Async.Steps, res.Async.FinalResidual)
-			}
-			compareOutputs(t, label+"/prd", res.Outputs, prdBase.Outputs, 1e-6)
 		}
 	}
 }
@@ -184,12 +162,12 @@ func TestAsyncSelectivePathTaken(t *testing.T) {
 
 // TestAsyncDeterministicReplay: a fixed AsyncSeed reproduces the exact pop
 // sequence and bit pattern; a different seed explores a different schedule
-// but lands on the same exact fixed point for min-programs.
+// but lands on the same exact fixed point.
 func TestAsyncDeterministicReplay(t *testing.T) {
 	l := chaosLayout(t, graph.CodecDelta, 11)
 	opts := asyncOpts()
 	opts.AsyncSeed = 7
-	mk := func() core.Program { return &algorithms.PageRankDelta{Iterations: 400} }
+	mk := func() core.Program { return &algorithms.ConnectedComponents{} }
 
 	a, err := core.Run(l, mk(), opts)
 	if err != nil {
@@ -228,46 +206,13 @@ func TestAsyncDeterministicReplay(t *testing.T) {
 	requireIdenticalOutputs(t, base.Outputs, other.Outputs)
 }
 
-// TestAsyncEpsilonStopsEarly: a positive AsyncEpsilon converges a PRD run
-// once total pending mass falls to it, in strictly fewer steps than a full
-// frontier drain.
-func TestAsyncEpsilonStopsEarly(t *testing.T) {
-	l := chaosLayout(t, graph.CodecRaw, 12)
-	mk := func() core.Program { return &algorithms.PageRankDelta{Iterations: 400} }
-	full, err := core.Run(l, mk(), asyncOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !full.Converged {
-		t.Fatalf("full drain did not converge in %d steps", full.Async.Steps)
-	}
-
-	opts := asyncOpts()
-	opts.AsyncEpsilon = 1e-2
-	res, err := core.Run(l, mk(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("epsilon run reported not converged")
-	}
-	if res.Async.FinalResidual > opts.AsyncEpsilon {
-		t.Fatalf("stopped with residual %v above epsilon %v", res.Async.FinalResidual, opts.AsyncEpsilon)
-	}
-	if res.Async.Steps >= full.Async.Steps {
-		t.Fatalf("epsilon run took %d steps, full drain %d", res.Async.Steps, full.Async.Steps)
-	}
-	// The early stop is an approximation of the same fixed point.
-	compareOutputs(t, "epsilon", res.Outputs, full.Outputs, 1e-1)
-}
-
 // TestAsyncChaosBitIdentical subjects async runs to 5% transient read faults
 // (recovered by device retries and pipeline degradation); outputs must be
 // bit-identical to the fault-free async run on both codecs.
 func TestAsyncChaosBitIdentical(t *testing.T) {
 	progs := map[string]func() core.Program{
 		"bfs": func() core.Program { return &algorithms.BFS{Source: 0} },
-		"prd": func() core.Program { return &algorithms.PageRankDelta{Iterations: 400} },
+		"cc":  func() core.Program { return &algorithms.ConnectedComponents{} },
 	}
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		for pname, mk := range progs {
@@ -372,7 +317,7 @@ func TestAsyncCrashResumeBitIdentical(t *testing.T) {
 // -async and vice versa — each engine refuses the other's loop state.
 func TestAsyncCheckpointModeMismatch(t *testing.T) {
 	l := chaosLayout(t, graph.CodecRaw, 8)
-	mk := func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }
+	mk := func() core.Program { return &algorithms.ConnectedComponents{} }
 
 	bspDir := t.TempDir()
 	if _, err := core.Run(l, mk(), core.Options{
@@ -401,13 +346,33 @@ func TestAsyncCheckpointModeMismatch(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsUnsupported: non-monotonic programs are refused at run
-// start, not silently misexecuted.
+// TestAsyncRejectsUnsupported runs every program algorithms.ByName accepts
+// under async: exactly the label-correcting ones run, and every other is
+// refused at run start, with an error that says to run it without -async,
+// not silently misexecuted.
 func TestAsyncRejectsUnsupported(t *testing.T) {
-	l := chaosLayout(t, graph.CodecRaw, 9)
-	_, err := core.Run(l, &algorithms.PageRank{Iterations: 3}, asyncOpts())
-	if err == nil || !strings.Contains(err.Error(), "not monotonic") {
-		t.Fatalf("plain pagerank accepted under async: %v", err)
+	l := buildLayout(t, gen.Weighted(gen.Grid(8), 16, 5), 2)
+	runs := map[string]bool{"cc": true, "sssp": true, "bfs": true}
+	ran := 0
+	for _, name := range strings.Split(algorithms.Names, ", ") {
+		prog, err := algorithms.ByName(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run(l, prog, asyncOpts())
+		if runs[name] {
+			if err != nil || !res.Async.Enabled {
+				t.Errorf("%s under async: %v", name, err)
+			}
+			ran++
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "run it without -async") {
+			t.Errorf("%s accepted under async, or refused without saying what to do: %v", name, err)
+		}
+	}
+	if ran != len(runs) {
+		t.Errorf("algorithms.Names lists %d of cc, sssp and bfs: %s", ran, algorithms.Names)
 	}
 }
 

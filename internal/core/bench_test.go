@@ -351,9 +351,7 @@ func BenchmarkEngineCompressed(b *testing.B) {
 
 // BenchmarkEngineAsync compares asynchronous and BSP execution on the
 // workloads the scheduler targets: a sparse-frontier traversal (SSSP, where
-// async touches only live rows while BSP sweeps the grid), PageRank-Delta
-// run to a residual epsilon (where async retires mass richest-row-first), and
-// SSSP over a weighted row-major lattice, delta-coded — the shape of bench/'s
+// async touches only live rows while BSP sweeps the grid), SSSP over a weighted row-major lattice, delta-coded — the shape of bench/'s
 // sssp_async, whose wavefront returns to the same few diagonal blocks step
 // after step — with and without the per-run buffer that keeps those blocks
 // (as payloads, here) — and at bench/'s own size, a weighted 128×128 lattice
@@ -367,10 +365,6 @@ func BenchmarkEngineCompressed(b *testing.B) {
 // rounds and value-order pops per run.
 func BenchmarkEngineAsync(b *testing.B) {
 	sparse := gen.Weighted(gen.Chain(4096), 7, 11)
-	rmat, err := gen.RMAT(12, 12, gen.Graph500, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
 	lattice := gen.Weighted(gen.Grid(96), 16, 3)
 	benchLattice := gen.Weighted(gen.Grid(128), 16, 3)
 	bigRMAT, err := gen.RMAT(14, 16, gen.Graph500, 4)
@@ -380,7 +374,6 @@ func BenchmarkEngineAsync(b *testing.B) {
 	denseRMAT := gen.Weighted(bigRMAT, 16, 3)
 	sssp := func() core.Program { return &algorithms.SSSP{Source: 0} }
 	cc := func() core.Program { return &algorithms.ConnectedComponents{} }
-	prd := func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} }
 	cases := []struct {
 		name  string
 		g     *graph.Graph
@@ -390,8 +383,6 @@ func BenchmarkEngineAsync(b *testing.B) {
 	}{
 		{"sssp-sparse/bsp", sparse, graph.CodecRaw, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-sparse/async", sparse, graph.CodecRaw, sssp, core.Options{Async: true, DefaultBuffer: true}},
-		{"prd-epsilon/bsp", rmat, graph.CodecRaw, prd, core.Options{DefaultBuffer: true}},
-		{"prd-epsilon/async", rmat, graph.CodecRaw, prd, core.Options{Async: true, AsyncEpsilon: 1e-6, DefaultBuffer: true}},
 		{"sssp-lattice/bsp", lattice, graph.CodecDelta, sssp, core.Options{DefaultBuffer: true}},
 		{"sssp-lattice/async-nobuffer", lattice, graph.CodecDelta, sssp, core.Options{Async: true}},
 		{"sssp-lattice/async", lattice, graph.CodecDelta, sssp, core.Options{Async: true, DefaultBuffer: true}},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -255,17 +256,23 @@ func TestCrashAndResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeValidation covers the resume edge cases under both schedules: an
-// empty directory starts fresh; a checkpoint from another algorithm, another
-// layout shape or the other schedule is refused; a corrupted newest image
-// resumes from the one before it, bit-identically; and with every image
-// corrupted the run fails instead of silently restarting.
+// TestResumeValidation covers the resume edge cases under both schedules —
+// PageRank-Delta under BSP, CC under async: an empty directory starts fresh; a
+// checkpoint from another algorithm, another layout shape or the other
+// schedule is refused; a corrupted newest image resumes from the one before
+// it, bit-identically; and with every image corrupted the run fails instead of
+// silently restarting.
 func TestResumeValidation(t *testing.T) {
 	for name, async := range map[string]bool{"bsp": false, "async": true} {
 		t.Run(name, func(t *testing.T) {
 			l := chaosLayout(t, graph.CodecRaw, 8)
 			ckDir := t.TempDir()
 			prog := func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }
+			var otherAlg core.Program = &algorithms.ConnectedComponents{}
+			if async {
+				prog = func() core.Program { return &algorithms.ConnectedComponents{} }
+				otherAlg = &algorithms.BFS{}
+			}
 			resume := func(l *partition.Layout, p core.Program, async bool) error {
 				_, err := core.Run(l, p, core.Options{
 					Async:      async,
@@ -288,9 +295,9 @@ func TestResumeValidation(t *testing.T) {
 				t.Fatal("checkpointed run wrote no checkpoints")
 			}
 
-			err = resume(l, &algorithms.ConnectedComponents{}, async)
-			if err == nil || !strings.Contains(err.Error(), `checkpoint is for algorithm "pagerank-delta", running "cc"`) {
-				t.Fatalf("pagerank-delta checkpoint resumed by cc: %v", err)
+			err = resume(l, otherAlg, async)
+			if want := fmt.Sprintf("checkpoint is for algorithm %q, running %q", prog().Name(), otherAlg.Name()); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s checkpoint resumed by %s: %v", prog().Name(), otherAlg.Name(), err)
 			}
 
 			dev, err := storage.OpenDevice(t.TempDir(), storage.ScaledHDD)
@@ -310,7 +317,8 @@ func TestResumeValidation(t *testing.T) {
 				t.Fatalf("P=4 checkpoint resumed on a P=2 layout: %v", err)
 			}
 
-			err = resume(l, prog(), !async)
+			// CC runs under either schedule, and the schedule is checked first.
+			err = resume(l, &algorithms.ConnectedComponents{}, !async)
 			if want := map[bool]string{false: "taken by the BSP engine", true: "taken by the async engine"}[async]; err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("checkpoint resumed under the other schedule: %v", err)
 			}
@@ -379,13 +387,17 @@ func slotIteration(t *testing.T, path string) int {
 // TestFreshRunClearsEarlierImages: a run that does not resume, over a
 // directory whose images an earlier, longer run left at higher steps, never
 // leaves Load returning one of those once its own first image is on disk —
-// not during the run, not after a crash, not after it returns.
+// not during the run, not after a crash, not after it returns. PageRank-Delta
+// runs it under BSP, CC under async.
 func TestFreshRunClearsEarlierImages(t *testing.T) {
 	for name, async := range map[string]bool{"bsp": false, "async": true} {
 		t.Run(name, func(t *testing.T) {
 			l := chaosLayout(t, graph.CodecRaw, 8)
 			ckDir := t.TempDir()
 			prog := func() core.Program { return &algorithms.PageRankDelta{Iterations: 40} }
+			if async {
+				prog = func() core.Program { return &algorithms.ConnectedComponents{} }
+			}
 			earlier, err := core.Run(l, prog(), core.Options{
 				Async:      async,
 				Checkpoint: core.CheckpointOptions{Every: 1, Dir: ckDir},
@@ -452,13 +464,15 @@ func TestFreshRunClearsEarlierImages(t *testing.T) {
 	}
 }
 
-// TestGoldenCheckpointsResume resumes the two checkpoints in testdata, which
-// the commit before the engine-core merge wrote — one by its BSP loop (at an
-// FCIU second-half boundary), one by its async loop — and requires outputs
+// TestGoldenCheckpointsResume resumes two checkpoints in testdata — one the
+// commit before the engine-core merge wrote by its BSP loop (at an FCIU
+// second-half boundary), one of CC that the commit before async stopped
+// running PageRank-Delta wrote by its async loop — and requires outputs
 // bit-identical to an uninterrupted run, which in turn must write the same
-// bytes at that step: the single capture/restore reads what the two old pairs
-// wrote, and writes it. The files were written on amd64; a platform that
-// fuses multiply-adds may round PR-Delta differently.
+// bytes at that step: capture and restore still read what those commits wrote,
+// and write it. The files were written on amd64; a platform that fuses
+// multiply-adds may round PR-Delta differently. (ckpt_async.bin, a PR-Delta
+// image of the old async loop, stays as a seed of the checkpoint fuzzers.)
 func TestGoldenCheckpointsResume(t *testing.T) {
 	golden := []struct {
 		file string
@@ -468,8 +482,8 @@ func TestGoldenCheckpointsResume(t *testing.T) {
 	}{
 		{"ckpt_bsp.bin", func() core.Program { return &algorithms.PageRankDelta{Iterations: 12} },
 			core.Options{ForceModel: core.ForceFull, DefaultBuffer: true, Threads: 1}, 3},
-		{"ckpt_async.bin", func() core.Program { return &algorithms.PageRankDelta{Iterations: 200} },
-			core.Options{Async: true, DefaultBuffer: true, Threads: 1}, 8},
+		{"ckpt_async_cc.bin", func() core.Program { return &algorithms.ConnectedComponents{} },
+			core.Options{Async: true, DefaultBuffer: true, Threads: 1}, 5},
 	}
 	for _, c := range golden {
 		t.Run(c.file, func(t *testing.T) {

@@ -498,8 +498,8 @@ type applied struct {
 // what applying them did. fill is handed to applySpan (applyBSP).
 //
 // The per-vertex loop is the schedule's, bound once in applySpan, not a
-// callback per vertex: one indirect call per interval keeps Apply/AsyncApply
-// the only dynamic call in the loop, and an affine apply has none.
+// callback per vertex: one indirect call per interval keeps Apply the only
+// dynamic call in the loop, and an affine apply has none.
 func (e *Engine) applyInterval(j int, fill bool) (count int, out applied) {
 	lo, hi := e.layout.Meta.Interval(j)
 	t0 := time.Now()

@@ -477,6 +477,9 @@ func TestRunBytesPricesCheckpointImage(t *testing.T) {
 			func() core.Program { return &algorithms.PageRankDelta{} }, // keeps an aux array
 		} {
 			p := prog()
+			if _, mono := p.(core.Monotonic); async && !mono {
+				continue
+			}
 			dir := t.TempDir()
 			opts := core.Options{Async: async, MaxIterations: 3}
 			off := core.RunBytes(&l.Meta, opts, p)

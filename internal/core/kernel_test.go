@@ -663,9 +663,9 @@ func fanOutGraph(t *testing.T) *graph.Graph {
 
 // TestResultsIgnoreCoreCount: a job's outputs do not depend on the host.
 // Floating-point sums — PageRank over full passes and over SCIU with its
-// cross-iteration batch, PageRank-Delta under async — keep the order their
-// contributions merge in, so on fanOutGraph every run at GOMAXPROCS 1 and 4
-// and at Options.Threads 0, 1 and 4 leaves the same bits. A resume from a
+// cross-iteration batch — keep the order their contributions merge in, so on
+// fanOutGraph every run at GOMAXPROCS 1 and 4 and at Options.Threads 0, 1 and
+// 4 leaves the same bits. A resume from a
 // checkpoint whose header records Threads: 4, as a parallel run once wrote,
 // equals the uninterrupted run bit for bit too.
 func TestResultsIgnoreCoreCount(t *testing.T) {
@@ -674,9 +674,8 @@ func TestResultsIgnoreCoreCount(t *testing.T) {
 		prog func() core.Program
 		opts core.Options
 	}{
-		"bsp":   {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}},
-		"sciu":  {func() core.Program { return &algorithms.PageRank{Iterations: 4} }, core.Options{ForceModel: core.ForceOnDemand}},
-		"async": {func() core.Program { return &algorithms.PageRankDelta{Iterations: 12} }, core.Options{Async: true}},
+		"bsp":  {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}},
+		"sciu": {func() core.Program { return &algorithms.PageRank{Iterations: 4} }, core.Options{ForceModel: core.ForceOnDemand}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := buildLayout(t, g, 1)

@@ -81,21 +81,14 @@ type Options struct {
 	// Checkpoint configures crash-safe iteration checkpointing and resume.
 	Checkpoint CheckpointOptions
 	// Async replaces the BSP iteration loop with the asynchronous work-list
-	// engine: a priority queue over source intervals keyed by pending update
-	// mass, processed highest-mass first with no global barrier. Requires a
-	// program implementing Monotonic (label-correcting traversals, PR-Delta);
-	// non-monotonic programs are rejected at run start. Results reach the
-	// same fixed point as BSP (bit-exact labels for min-programs, within
-	// Program tolerance for PR-Delta) but the iteration trace, paths, and
-	// traffic differ. ForceModel is ignored. The per-run buffer (BufferBytes)
-	// keeps hot rows' blocks in memory; its size changes which bytes move,
-	// never which row runs next.
+	// engine: a priority order over source intervals keyed by active
+	// vertices, processed with no global barrier until the frontier drains.
+	// Requires a label-correcting program (Monotonic: cc, sssp, bfs); any
+	// other is rejected at run start. Results are bit-identical to BSP's, but
+	// the iteration trace, paths, and traffic differ. ForceModel is ignored.
+	// The per-run buffer (BufferBytes) keeps hot rows' blocks in memory; its
+	// size changes which bytes move, never which row runs next.
 	Async bool
-	// AsyncEpsilon stops an async run once the total pending residual over
-	// active vertices falls to or below it. Zero means run until the
-	// frontier drains (min-programs converge exactly; PR-Delta converges to
-	// its per-vertex tolerance).
-	AsyncEpsilon float64
 	// AsyncSeed seeds the scheduler's deterministic tie-breaking between
 	// equal-mass rows. A fixed seed reproduces the exact pop sequence, and
 	// therefore bit-identical results, across runs and checkpoint/resume.
@@ -273,10 +266,9 @@ type AsyncStats struct {
 	// of streaming whole sub-blocks.
 	Steps          int
 	SelectiveSteps int
-	// Rounds counts the sweeps of a popped row's own interval: one a step for
-	// a mass-residual program; for a label-correcting one, one a wide drain
-	// round and one for the value-order phase a drain ends in at its first
-	// narrow round, whose pops Popped counts.
+	// Rounds counts the sweeps of a popped row's own interval: one a wide
+	// drain round and one for the value-order phase a drain ends in at its
+	// first narrow round, whose pops Popped counts.
 	Rounds int64
 	Popped int64
 	// BlocksScheduled counts sub-block sweeps across all steps — a drain's
@@ -289,9 +281,8 @@ type AsyncStats struct {
 	// been consumed at least once — the re-computation async trades for
 	// skipped barriers.
 	Reactivations int64
-	// FinalResidual is the total pending mass when the run stopped: 0 when
-	// the frontier drained, otherwise ≤ Options.AsyncEpsilon (unless the
-	// step bound was hit first).
+	// FinalResidual counts the vertices still active when the run stopped: 0
+	// when the frontier drained, above it only if the step bound was hit.
 	FinalResidual float64
 }
 
@@ -310,7 +301,7 @@ type IterStat struct {
 	Active int
 	// Blocks is the number of sub-block sweeps the step made and
 	// Reactivations the number of previously-consumed vertices it woke;
-	// Residual is the total pending mass after the step. All three are
+	// Residual counts the vertices active after the step. All three are
 	// async-only (zero under BSP).
 	Blocks        int
 	Reactivations int64

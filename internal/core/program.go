@@ -92,55 +92,29 @@ type Program interface {
 }
 
 // Monotonic is the optional capability a Program implements to run under
-// the asynchronous engine (Options.Async). A monotonic program's state only
-// ever moves toward the fixed point — labels only shrink under a min-Merge,
-// or pending PageRank residual only drains into the rank — so sub-blocks may
-// be processed in any order, any number of times, without a global barrier,
-// and the fixed point reached is the same one BSP converges to.
+// the asynchronous engine (Options.Async): a marker that the program is label
+// correcting. Its Merge is min, its Apply keeps the smaller of the old value
+// and the merged one and reports the vertex active exactly when the value
+// dropped, and no edge carries a value below its source's (CC copies labels,
+// BFS and SSSP add non-negative lengths). Labels then only ever shrink, so
+// sub-blocks may be processed in any order, any number of times, without a
+// global barrier, and the fixed point reached is the one BSP converges to, bit
+// for bit.
 //
-// Under async execution the engine repeatedly picks the pending-mass-richest
-// source interval, scatters the frozen frontier's values through its
-// sub-blocks, applies contributions with AsyncApply, and then settles each
-// scattered source with AsyncConsume. Residual is the scheduling signal: the
-// run converges when the total residual over all active vertices falls to
-// Options.AsyncEpsilon or the frontier drains.
+// Under async execution the engine repeatedly picks the source interval with
+// the most active vertices per second of row I/O, drains it through its
+// diagonal sub-block and pushes what the drain scattered across the rest of
+// the row (async.go). It applies contributions with the program's own Apply
+// against the live value, and a scattered source stays active only if its
+// live value dropped below the one the scatter used. The last rule of the
+// contract makes the least active value of an interval final, so a drain may
+// settle the interval in value order, scattering each vertex once (Dijkstra's
+// rule), and it cuts the drain short where an edge breaks the rule. The run
+// converges when no vertex is active.
 type Monotonic interface {
 	Program
-	// Residual returns v's pending update mass — how much un-propagated
-	// work the vertex still holds. Label-correcting programs return a
-	// constant 1 per active vertex; PR-Delta returns |val| (the residual
-	// itself). Must be non-negative and zero only when v has nothing left
-	// to push. The engine never calls it for a LabelCorrecting program: it
-	// counts the row's active vertices, which is the same sum bit for bit.
-	Residual(v graph.VertexID, val float64, aux []float64) float64
-	// AsyncApply folds the merged contribution into v's current value,
-	// reporting v's new value and whether v became (or stays) active. It
-	// differs from Apply in that cur is v's live value, not the previous
-	// iteration's snapshot, and it must not finalize state that
-	// AsyncConsume settles (PR-Delta accumulates into the residual here
-	// and moves it to the rank only in AsyncConsume).
-	AsyncApply(v graph.VertexID, cur, merged float64, aux []float64, n int) (float64, bool)
-	// AsyncConsume settles a source vertex after the engine scattered
-	// snapshot (the value the scatter actually used) along all of v's
-	// out-edges: it returns v's post-consumption value and whether v
-	// remains active. cur is v's live value, which may differ from
-	// snapshot if contributions arrived mid-scatter — a min-program stays
-	// active iff cur improved below snapshot; PR-Delta banks snapshot into
-	// the rank and keeps only the mass that arrived since.
-	AsyncConsume(v graph.VertexID, snapshot, cur float64, aux []float64, n int) (float64, bool)
-	// LabelCorrecting says which of the two forms above the program takes.
-	// True is the label-correcting form: Residual is 1 for every active
-	// vertex, AsyncApply/AsyncConsume fold by min, so pushing a value again
-	// changes nothing, and no edge carries a value below its source's (CC
-	// copies labels, BFS and SSSP add non-negative lengths). A step drains its
-	// row's own interval through the diagonal sub-block before it pushes
-	// across. The last rule makes the least active value of an interval
-	// final, so a drain may settle the interval in value order, scattering
-	// each vertex once (Dijkstra's rule), and it cuts the drain short where an
-	// edge breaks the rule (async.go). False is the
-	// mass-residual form (PR-Delta): every sweep consumes the mass it pushed,
-	// and a step sweeps its row once.
-	LabelCorrecting() bool
+	// LabelCorrecting marks the contract above; the engine never calls it.
+	LabelCorrecting()
 }
 
 // RunReference executes prog for up to maxIters BSP iterations on an

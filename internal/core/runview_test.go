@@ -215,13 +215,11 @@ func TestViewBlockFaultDegradesLikeAnyOther(t *testing.T) {
 // denser plan decodes them on the prefetch workers — to the decoded route:
 // same outputs by bits, the same steps through the same paths, the same device
 // traffic and stream deliveries in every step, the same buffer outcomes. A
-// step of a label-correcting program opens up to two plans, its drain's
-// diagonal and its push across the row, over different frontiers; PageRank-
-// Delta's step opens one. Every plan — a step's other phase may have read
-// selectively — views every cell it is handed or none, and it views exactly
-// when its frozen frontier is that sparse: plans denser than
-// SparseViewDensity included, and never a plan that freezes a whole row, as
-// PageRank-Delta's first, entered with every vertex active, does, and as a
+// step opens up to two plans, its drain's diagonal and its push across the
+// row, over different frontiers. Every plan — a step's other phase may have
+// read selectively — views every cell it is handed or none, and it views
+// exactly when its frozen frontier is that sparse: plans denser than
+// SparseViewDensity included, and never a plan that freezes a whole row, as a
 // lattice's push does once its drain has swept the wavefront across the whole
 // interval. SSSP over weighted R-MAT views plans in that band.
 func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
@@ -241,7 +239,6 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, false, true, false},
 		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, true, false},
 		{"sssp-rmat", gen.Weighted(rmat, 16, 3), func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false, false},
-		{"prdelta-rmat", rmat, func() core.Program { return &algorithms.PageRankDelta{Iterations: 30} }, false, true, false},
 		// On the seek-heavy profile a sparse drain round reads selectively,
 		// in a step whose push streams.
 		{"bfs-rmat-seeky", nil, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false, true},

@@ -151,8 +151,7 @@ func HandleBytes(m *partition.Manifest) int64 {
 //     through the buffer — and, with no shared cache, the spares the buffer's
 //     evictions and rejections leave and the payloads collected for them
 //     (blockSource.spares): its capacity again;
-//   - under Async, for a label-correcting program, what a drain's value-order
-//     phase lays out (drainBytes);
+//   - under Async, what a drain's value-order phase lays out (drainBytes);
 //   - with checkpointing on, the encoded image its checkpoint.Writer keeps
 //     for the whole run (checkpointBytes).
 //
@@ -160,7 +159,7 @@ func HandleBytes(m *partition.Manifest) int64 {
 // allocates, TestRunBytesPricesCheckpointImage the last to the file it writes.
 func RunBytes(m *partition.Manifest, opts Options, prog Program) int64 {
 	total := vertexStateBytes(m, opts.Async, prog) + max(opts.bufferBytes(m), 0) + HandleBytes(m)
-	if mono, ok := prog.(Monotonic); ok && opts.Async && mono.LabelCorrecting() {
+	if _, ok := prog.(Monotonic); ok && opts.Async {
 		total += drainBytes(m)
 	}
 	if opts.Checkpoint.saveEnabled() {

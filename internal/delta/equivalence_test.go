@@ -28,6 +28,15 @@ func engineMatrix() map[string]core.Options {
 	}
 }
 
+// prdOrCC is the program a test runs beside its traversal under opts:
+// PageRank-Delta, or CC under async, which runs label-correcting programs only.
+func prdOrCC(opts core.Options, iters int) (string, func() core.Program) {
+	if opts.Async {
+		return "cc", func() core.Program { return &algorithms.ConnectedComponents{} }
+	}
+	return "pagerank-delta", func() core.Program { return &algorithms.PageRankDelta{Iterations: iters} }
+}
+
 // TestMutatedRunsMatchFreshLayout is the acceptance matrix: a query over
 // base + delta layers + memtable must produce bit-identical outputs to the
 // same query over a freshly preprocessed layout of the merged edge set,
@@ -57,11 +66,12 @@ func TestMutatedRunsMatchFreshLayout(t *testing.T) {
 
 			for name, opts := range engineMatrix() {
 				t.Run(name, func(t *testing.T) {
+					first, mk := prdOrCC(opts, 8)
 					for _, prog := range []struct {
 						name string
 						mk   func() core.Program
 					}{
-						{"pagerank-delta", func() core.Program { return &algorithms.PageRankDelta{Iterations: 8} }},
+						{first, mk},
 						{"bfs", func() core.Program { return &algorithms.BFS{Source: 0} }},
 					} {
 						got, err := core.Run(v.Layout(), prog.mk(), opts)
@@ -116,11 +126,12 @@ func TestMutatedRunsMatchAfterCompaction(t *testing.T) {
 
 	for name, opts := range engineMatrix() {
 		t.Run(name, func(t *testing.T) {
-			got, err := core.Run(v.Layout(), &algorithms.PageRankDelta{Iterations: 8}, opts)
+			_, mk := prdOrCC(opts, 8)
+			got, err := core.Run(v.Layout(), mk(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := core.Run(fresh, &algorithms.PageRankDelta{Iterations: 8}, opts)
+			want, err := core.Run(fresh, mk(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -24,10 +24,6 @@ func TestLongJobIsolatedFromWriteBurst(t *testing.T) {
 	burst := mutationScript(delta.ApplyToGraph(g, flatten(preBurst)), 6, 30, 33)
 	frozen := delta.ApplyToGraph(g, flatten(preBurst))
 
-	progs := map[string]func() core.Program{
-		"pagerank-delta": func() core.Program { return &algorithms.PageRankDelta{Iterations: 12} },
-		"bfs":            func() core.Program { return &algorithms.BFS{Source: 1} },
-	}
 	for _, mode := range []struct {
 		name string
 		opts core.Options
@@ -36,6 +32,11 @@ func TestLongJobIsolatedFromWriteBurst(t *testing.T) {
 		{"async", core.Options{Async: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
+			first, mk := prdOrCC(mode.opts, 12)
+			progs := map[string]func() core.Program{
+				first: mk,
+				"bfs": func() core.Program { return &algorithms.BFS{Source: 1} },
+			}
 			for progName, mk := range progs {
 				t.Run(progName, func(t *testing.T) {
 					dev := buildBase(t, g, 3, graph.CodecDelta)

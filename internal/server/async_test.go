@@ -2,19 +2,21 @@ package server
 
 import (
 	"bytes"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"github.com/graphsd/graphsd/internal/core"
 	"github.com/graphsd/graphsd/internal/jobs"
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// TestServerAsync serves a graph with the async scheduler enabled: monotonic
-// jobs run asynchronously and agree with a plain (BSP) server's outputs, a
-// non-monotonic job silently falls back to BSP instead of failing, and
-// /metrics exposes the graphsd_async_* counter family.
+// TestServerAsync serves a graph with the async scheduler enabled:
+// label-correcting jobs run asynchronously and agree with a plain (BSP)
+// server's outputs, any other job silently falls back to BSP instead of
+// failing, and /metrics exposes the graphsd_async_* counter family.
 func TestServerAsync(t *testing.T) {
 	dir, _ := buildLayoutDir(t, 9, 7, 4)
 	gc := GraphConfig{Name: "rmat9", Dir: dir, Profile: storage.HDD}
@@ -51,8 +53,8 @@ func TestServerAsync(t *testing.T) {
 		}
 	}
 
-	// Plain PageRank is not monotonic: the async server must fall back to
-	// BSP and still complete the job with matching outputs.
+	// Plain PageRank is not label-correcting: the async server must fall
+	// back to BSP and still complete the job with matching outputs.
 	pr := jobs.Request{Graph: "rmat9", Algorithm: "pr"}
 	wantPR := run(plainTS, pr)
 	gotPR := run(asyncTS, pr)
@@ -89,6 +91,38 @@ func TestServerAsync(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestServerAsyncRunsPRDeltaAsBSP: async runs label-correcting programs only,
+// so a prd job on an async graph runs BSP — it completes with the async stats
+// off and outputs bit-identical to the same job on a plain graph.
+func TestServerAsyncRunsPRDeltaAsBSP(t *testing.T) {
+	dir, _ := buildLayoutDir(t, 9, 7, 4)
+	gc := GraphConfig{Name: "rmat9", Dir: dir, Profile: storage.HDD}
+	plain, _ := newTestServer(t, Config{Graphs: []GraphConfig{gc}})
+	gc.Async = true
+	async, _ := newTestServer(t, Config{Graphs: []GraphConfig{gc}})
+
+	var res [2]*core.Result
+	for k, s := range []*Server{plain, async} {
+		j, err := s.Scheduler().Submit(jobs.Request{Graph: "rmat9", Algorithm: "prd"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j, jobs.Done)
+		res[k] = j.Result()
+	}
+	if res[1].Async.Enabled {
+		t.Fatalf("prd on an async graph ran async: %+v", res[1].Async)
+	}
+	if len(res[0].Outputs) == 0 || len(res[1].Outputs) != len(res[0].Outputs) {
+		t.Fatalf("output lengths: plain=%d async graph=%d", len(res[0].Outputs), len(res[1].Outputs))
+	}
+	for i, want := range res[0].Outputs {
+		if got := res[1].Outputs[i]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("prd vertex %d: plain=%v async graph=%v", i, want, got)
 		}
 	}
 }

@@ -70,12 +70,10 @@ type GraphConfig struct {
 	// Compressed stores the shared sub-block cache delta-coded, trading a
 	// per-hit decode for roughly double the effective capacity.
 	Compressed bool
-	// Async runs jobs whose program is monotonic (prd, cc, sssp, bfs)
+	// Async runs jobs whose program is label-correcting (cc, sssp, bfs)
 	// through the asynchronous priority scheduler; other programs fall back
-	// to BSP. AsyncEpsilon is the residual stop threshold for those runs
-	// (zero: run to frontier drain).
-	Async        bool
-	AsyncEpsilon float64
+	// to BSP.
+	Async bool
 	// Mutable opens the graph through the delta store: POST
 	// /v1/graphs/{name}/edges accepts mutations, jobs pin a snapshot at
 	// submission, and a background compactor folds delta layers into the
@@ -141,10 +139,9 @@ type graphEntry struct {
 	// bytes), used for cache sizing. Mutable graphs drift from it as
 	// mutations and compactions land — anything that sizes or validates a
 	// new request must go through manifest(), not meta.
-	meta     partition.Manifest
-	shared   *buffer.Shared
-	async    bool
-	asyncEps float64
+	meta   partition.Manifest
+	shared *buffer.Shared
+	async  bool
 
 	mu  sync.Mutex
 	agg aggregates
@@ -329,14 +326,13 @@ func New(cfg Config) (*Server, error) {
 			newShared = buffer.NewSharedCompressed
 		}
 		s.graphs[gc.Name] = &graphEntry{
-			name:     gc.Name,
-			dev:      dev,
-			layout:   l,
-			store:    store,
-			meta:     meta,
-			shared:   newShared(cache),
-			async:    gc.Async,
-			asyncEps: gc.AsyncEpsilon,
+			name:   gc.Name,
+			dev:    dev,
+			layout: l,
+			store:  store,
+			meta:   meta,
+			shared: newShared(cache),
+			async:  gc.Async,
 		}
 		s.names = append(s.names, gc.Name)
 	}
@@ -547,14 +543,14 @@ func (s *Server) resumableCheckpoint(dir, progName string, async bool, g *graphE
 }
 
 // jobOptions is how a job runs prog on graph g: with the default per-run
-// buffer, behind the graph's shared cache and — for a monotonic program on an
-// async graph — under the async schedule. Other programs (pr, widestpath)
-// silently run BSP so one server flag serves mixed workloads. prog may be nil.
+// buffer, behind the graph's shared cache and — for a label-correcting program
+// on an async graph — under the async schedule. Other programs (pr, prd,
+// widestpath, reach) silently run BSP so one server flag serves mixed
+// workloads. prog may be nil.
 func (g *graphEntry) jobOptions(prog core.Program) core.Options {
 	opts := core.Options{DefaultBuffer: true, SharedBlocks: g.shared}
 	if _, mono := prog.(core.Monotonic); mono && g.async {
 		opts.Async = true
-		opts.AsyncEpsilon = g.asyncEps
 	}
 	return opts
 }
