@@ -355,21 +355,25 @@ func TestAsyncRejectsUnsupported(t *testing.T) {
 	runs := map[string]bool{"cc": true, "sssp": true, "bfs": true}
 	ran := 0
 	for _, name := range strings.Split(algorithms.Names, ", ") {
-		prog, err := algorithms.ByName(name, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := core.Run(l, prog, asyncOpts())
 		if runs[name] {
-			if err != nil || !res.Async.Enabled {
-				t.Errorf("%s under async: %v", name, err)
-			}
 			ran++
-			continue
 		}
-		if err == nil || !strings.Contains(err.Error(), "run it without -async") {
-			t.Errorf("%s accepted under async, or refused without saying what to do: %v", name, err)
-		}
+		t.Run(name, func(t *testing.T) {
+			prog, err := algorithms.ByName(name, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := core.Run(l, prog, asyncOpts())
+			if runs[name] {
+				if err != nil || !res.Async.Enabled {
+					t.Errorf("%s under async: %v", name, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "run it without -async") {
+				t.Errorf("%s accepted under async, or refused without saying what to do: %v", name, err)
+			}
+		})
 	}
 	if ran != len(runs) {
 		t.Errorf("algorithms.Names lists %d of cc, sssp and bfs: %s", ran, algorithms.Names)

@@ -663,22 +663,26 @@ func fanOutGraph(t *testing.T) *graph.Graph {
 
 // TestResultsIgnoreCoreCount: a job's outputs do not depend on the host.
 // Floating-point sums — PageRank over full passes and over SCIU with its
-// cross-iteration batch — keep the order their contributions merge in, so on
-// fanOutGraph every run at GOMAXPROCS 1 and 4 and at Options.Threads 0, 1 and
-// 4 leaves the same bits. A resume from a
-// checkpoint whose header records Threads: 4, as a parallel run once wrote,
-// equals the uninterrupted run bit for bit too.
+// cross-iteration batch — keep the order their contributions merge in, and
+// the async schedule pops the same rows, so on fanOutGraph every run at
+// GOMAXPROCS 1 and 4 and at Options.Threads 0, 1 and 4 leaves the same bits.
+// A resume from a checkpoint whose header records Threads: 4, as a parallel
+// run once wrote, equals the uninterrupted run bit for bit too.
 func TestResultsIgnoreCoreCount(t *testing.T) {
 	g := fanOutGraph(t)
 	for name, c := range map[string]struct {
 		prog func() core.Program
 		opts core.Options
+		p    int
 	}{
-		"bsp":  {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}},
-		"sciu": {func() core.Program { return &algorithms.PageRank{Iterations: 4} }, core.Options{ForceModel: core.ForceOnDemand}},
+		"bsp":  {func() core.Program { return &algorithms.PageRank{Iterations: 6} }, core.Options{}, 1},
+		"sciu": {func() core.Program { return &algorithms.PageRank{Iterations: 4} }, core.Options{ForceModel: core.ForceOnDemand}, 1},
+		// Async pops one row a step: at P=1 the run is one step, too short
+		// to crash and resume; at P=4 it is 16.
+		"async": {func() core.Program { return &algorithms.SSSP{Source: 0} }, core.Options{Async: true}, 4},
 	} {
 		t.Run(name, func(t *testing.T) {
-			l := buildLayout(t, g, 1)
+			l := buildLayout(t, g, c.p)
 			run := func(procs, threads int, ck core.CheckpointOptions, onIter func(core.IterStat)) (*core.Result, error) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				o := c.opts

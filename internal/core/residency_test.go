@@ -23,7 +23,7 @@ import (
 
 // residencyCases pairs label-correcting programs with graphs whose async run is
 // long enough for blocks to be revisited: a weighted lattice for SSSP (the
-// shape of the sssp_async benchmark), an R-MAT graph for CC.
+// shape of the sssp_async benchmark), an R-MAT graph for CC and BFS.
 func residencyCases(t *testing.T) map[string]struct {
 	g    *graph.Graph
 	prog func() core.Program
@@ -39,6 +39,7 @@ func residencyCases(t *testing.T) map[string]struct {
 	}{
 		"sssp": {gen.Weighted(gen.Grid(48), 16, 5), func() core.Program { return &algorithms.SSSP{Source: 0} }},
 		"cc":   {rmat, func() core.Program { return &algorithms.ConnectedComponents{} }},
+		"bfs":  {rmat, func() core.Program { return &algorithms.BFS{Source: 0} }},
 	}
 }
 

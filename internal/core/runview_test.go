@@ -239,6 +239,7 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, false, true, false},
 		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, true, false},
 		{"sssp-rmat", gen.Weighted(rmat, 16, 3), func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false, false},
+		{"cc-rmat", rmat, func() core.Program { return &algorithms.ConnectedComponents{} }, false, true, true},
 		// On the seek-heavy profile a sparse drain round reads selectively,
 		// in a step whose push streams.
 		{"bfs-rmat-seeky", nil, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false, true},
