@@ -200,6 +200,11 @@ func TestCLIErrors(t *testing.T) {
 			t.Fatalf("%s -async-eps: %s", cmd, out)
 		}
 	}
+	// The next async row is a pure function of the frontier: there is no seed.
+	out = runExpectFail(t, graphsdBin, "run", "-layout", layoutDir, "-algorithm", "cc", "-async", "-async-seed", "7")
+	if !strings.Contains(out, "flag provided but not defined: -async-seed") {
+		t.Fatalf("run -async -async-seed 7: %s", out)
+	}
 	// A 24-byte binary graph whose header claims 2^36 edges is an error, not
 	// an 824 GB allocation that kills the process.
 	hostile := filepath.Join(dir, "hostile.bin")

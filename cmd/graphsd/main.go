@@ -216,9 +216,8 @@ func cmdRun(args []string) error {
 	ckEvery := fs.Int("checkpoint-every", 4, "iterations between checkpoints (with -checkpoint)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint in -checkpoint, if present")
 	retries := fs.Int("retries", 0, "retry transient read faults up to N times with exponential backoff")
-	async := fs.Bool("async", false, "asynchronous execution: priority scheduling over sub-block rows (label-correcting algorithms: cc, sssp, bfs)")
-	asyncSeed := fs.Uint64("async-seed", 0, "tie-break seed for the -async scheduler (fixed seed: reproducible schedule)")
-	progress := fs.Int("progress", 0, "print a one-line frontier/residual summary every N iterations (0: off)")
+	async := fs.Bool("async", false, "asynchronous execution: each step processes the sub-block row with the most active vertices (label-correcting algorithms: cc, sssp, bfs)")
+	progress := fs.Int("progress", 0, "print a one-line frontier summary every N iterations (0: off)")
 	fs.Parse(args)
 	if *layoutDir == "" || *alg == "" {
 		return fmt.Errorf("run: -layout and -algorithm are required")
@@ -275,12 +274,8 @@ func cmdRun(args []string) error {
 	}
 	opts.DisableCrossIteration = *noCross
 	opts.Async = *async
-	opts.AsyncSeed = *asyncSeed
 	opts.PrefetchDepth = *prefetchDepth
 	opts.PrefetchBytes = *prefetchBytes
-	if *asyncSeed != 0 && !*async {
-		return fmt.Errorf("run: -async-seed requires -async")
-	}
 	if *async && (*force != "" || *noCross) {
 		return fmt.Errorf("run: -force-model and -no-cross-iteration have no effect under -async")
 	}
@@ -293,7 +288,7 @@ func cmdRun(args []string) error {
 			}
 			line := fmt.Sprintf("[%7.1fs] iter %4d path=%-9s active=%d", time.Since(start).Seconds(), st.Index, st.Path, st.Active)
 			if *async {
-				line += fmt.Sprintf(" residual=%.3e blocks=%d", st.Residual, st.Blocks)
+				line += fmt.Sprintf(" active_after=%d blocks=%d", st.ActiveAfter, st.Blocks)
 			}
 			fmt.Fprintln(os.Stderr, line)
 		}
@@ -351,8 +346,8 @@ func cmdRun(args []string) error {
 			s.CompressedHits, s.EffectiveCapacityRatio())
 	}
 	if a := res.Async; a.Enabled {
-		fmt.Printf("async: %d steps (%d selective), %d rounds (%d vertices popped in value order), %d sub-blocks scheduled (%d served from memory), %d reactivations, final residual %.3e\n",
-			a.Steps, a.SelectiveSteps, a.Rounds, a.Popped, a.BlocksScheduled, res.Buffer.Hits, a.Reactivations, a.FinalResidual)
+		fmt.Printf("async: %d steps, %d rounds (%d vertices popped in value order), %d sub-blocks scheduled (%d served from memory), %d reactivations, final active %d\n",
+			a.Steps, a.Rounds, a.Popped, a.BlocksScheduled, res.Buffer.Hits, a.Reactivations, a.FinalActive)
 	}
 	if acc := res.SchedAccuracy; acc.Observed > 0 {
 		fmt.Printf("scheduler accuracy: %d observed iterations, mispredict mean %.1f%% last %.1f%%, corrections full=%.2f on-demand=%.2f\n",

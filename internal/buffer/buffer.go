@@ -12,7 +12,7 @@
 //     the secondaries (the strictly-lower-triangle grid cells the model must
 //     read twice) ranked above every other cell, so the others fill only the
 //     room the secondaries leave; the async row step keeps the blocks of the
-//     rows its scheduler ranks highest, prioritised by the row's queue key.
+//     rows with the most active vertices, prioritised by that count.
 //   - Shared, the cross-job cache, has no single frontier to rank blocks by,
 //     so it feeds in a clock: a resident's priority is the tick of its last
 //     use. A block just loaded holds the newest tick, so it is never turned
@@ -210,15 +210,6 @@ func (b *Buffer) Get(k Key) (Block, bool) {
 	}
 	b.hits++
 	b.bytesSaved += e.saved
-	return e.blk, true
-}
-
-// Peek is Get without touching the hit/miss counters.
-func (b *Buffer) Peek(k Key) (Block, bool) {
-	e, ok := b.st.entries[k]
-	if !ok {
-		return Block{}, false
-	}
 	return e.blk, true
 }
 

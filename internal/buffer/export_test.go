@@ -2,8 +2,17 @@ package buffer
 
 import "github.com/graphsd/graphsd/internal/graph"
 
-// Test-only views into a Shared cache; no caller outside this package's
-// tests ever needed them.
+// Test-only views into the two doors; no caller outside this package's
+// tests needs them.
+
+// Peek is Get without touching the hit/miss counters.
+func (b *Buffer) Peek(k Key) (Block, bool) {
+	e, ok := b.st.entries[k]
+	if !ok {
+		return Block{}, false
+	}
+	return e.blk, true
+}
 
 // Peek returns the cached edges for k without touching any counter or the
 // clock.

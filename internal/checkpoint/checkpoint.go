@@ -68,15 +68,14 @@ type State struct {
 	TouchedNext []uint64
 	// Async marks a checkpoint taken by the asynchronous engine, whose loop
 	// state differs from BSP's: Iteration doubles as the scheduler step
-	// counter, EnqueueSteps records the step at which each of the P interval
-	// rows last entered the priority queue (the aging input), and Consumed
-	// holds the ever-consumed bitset words (reactivation accounting). The
-	// queue itself is not stored — the engine rebuilds it canonically from
-	// Values/Active, reproducing identical priorities. BSP checkpoints leave
-	// all three zero, keeping the format backward compatible.
-	Async        bool
-	EnqueueSteps []uint64
-	Consumed     []uint64
+	// counter, and Consumed holds the ever-consumed bitset words
+	// (reactivation accounting). No schedule state is stored — the engine
+	// picks each next row from Active alone. BSP checkpoints leave both zero,
+	// keeping the format backward compatible. An async image also holds a
+	// per-row word slot before Consumed, where older engines kept their
+	// rows' enqueue steps: it is written empty and skipped on read.
+	Async    bool
+	Consumed []uint64
 	// Threads is the scatter parallelism of the run that wrote the
 	// checkpoint: 1 for every run since the engine scatters on one
 	// goroutine, more for files from older parallel runs, zero in files
@@ -303,7 +302,7 @@ func (s *State) appendBody(buf []byte) []byte {
 	buf = appendWords(buf, s.Active)
 	buf = appendWords(buf, s.TouchedNext)
 	if s.Async {
-		buf = appendWords(buf, s.EnqueueSteps)
+		buf = appendWords(buf, nil)
 		buf = appendWords(buf, s.Consumed)
 	}
 	if s.Threads > 0 {
@@ -331,7 +330,7 @@ func (s *State) parseBody(data []byte) error {
 	s.TouchedNext = r.words("touched bitset")
 	if flags&flagAsync != 0 {
 		s.Async = true
-		s.EnqueueSteps = r.words("enqueue steps")
+		r.words("enqueue steps")
 		s.Consumed = r.words("consumed bitset")
 	}
 	if flags&flagHasThreads != 0 {

@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -60,6 +61,32 @@ func TestNilAuxRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestAsyncEnqueueSlotSkipped: an async image written by an engine that kept
+// its rows' enqueue steps loads, with those steps skipped, and an image
+// written now holds that slot empty: the golden one of the ranked schedule
+// re-encodes one word a row shorter, and round-trips from there.
+func TestAsyncEnqueueSlotSkipped(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "core", "testdata", "ckpt_async_cc.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.Async || len(s.Consumed) == 0 {
+		t.Fatalf("golden async image decoded as async=%t with %d consumed words", s.Async, len(s.Consumed))
+	}
+	image := encode(nil, s)
+	if want := len(data) - 8*s.P; len(image) != want {
+		t.Fatalf("re-encoded image is %d bytes, want %d: the %d enqueue steps dropped", len(image), want, s.P)
+	}
+	again, err := decode(image)
+	if err != nil || !reflect.DeepEqual(again, s) {
+		t.Fatalf("re-encoded image decodes to %+v (%v), want %+v", again, err, s)
 	}
 }
 

@@ -17,6 +17,25 @@ import (
 // checkpoint → Inspect) and `graphsd run -resume`.
 var hostileCount = filepath.Join("testdata", "hostile_count.bin")
 
+// seedImages reads the checkpoint fuzzers' seeds: every golden checkpoint of
+// the core resume suite, testdata/ckpt_*.bin there, and the hostile count,
+// last.
+func seedImages(f *testing.F) [][]byte {
+	names, err := filepath.Glob(filepath.Join("..", "core", "testdata", "ckpt_*.bin"))
+	if err != nil || len(names) < 2 {
+		f.Fatalf("golden checkpoints %v (%v), want at least two", names, err)
+	}
+	var images [][]byte
+	for _, name := range append(names, hostileCount) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		images = append(images, data)
+	}
+	return images
+}
+
 func TestLoadRejectsOverflowingCount(t *testing.T) {
 	data, err := os.ReadFile(hostileCount)
 	if err != nil {
@@ -43,18 +62,10 @@ func TestLoadRejectsOverflowingCount(t *testing.T) {
 // is compared through the encoding because a value may be any NaN. Each input's
 // CRC is re-stamped over its body first, so that mutations reach the parser
 // rather than stopping at the checksum, as a hostile file's would. The seed
-// corpus (run by every `go test`) holds the two golden checkpoints of the core
+// corpus (run by every `go test`) holds every golden checkpoint of the core
 // resume suite and the hostile count above.
 func FuzzCheckpointLoad(f *testing.F) {
-	for _, name := range []string{
-		filepath.Join("..", "core", "testdata", "ckpt_bsp.bin"),
-		filepath.Join("..", "core", "testdata", "ckpt_async.bin"),
-		hostileCount,
-	} {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, data := range seedImages(f) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -86,22 +97,14 @@ func FuzzCheckpointLoad(f *testing.F) {
 // Each input's CRC is re-stamped when its bit of stamp is set, so that both
 // valid images and images the CRC rejects reach the comparison.
 func FuzzCheckpointLoadSlots(f *testing.F) {
-	var seeds [][]byte
-	for _, name := range []string{
-		filepath.Join("..", "core", "testdata", "ckpt_bsp.bin"),
-		filepath.Join("..", "core", "testdata", "ckpt_async.bin"),
-		hostileCount,
-	} {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, data)
+	seeds := seedImages(f)
+	hostile := seeds[len(seeds)-1]
+	for k, data := range seeds[:len(seeds)-1] {
+		next := seeds[(k+1)%(len(seeds)-1)]
+		f.Add(data, next, uint8(0))
+		f.Add(data, hostile, uint8(3))
+		f.Add([]byte{}, data, uint8(1))
 	}
-	f.Add(seeds[0], seeds[1], uint8(0))
-	f.Add(seeds[1], seeds[0], uint8(0))
-	f.Add(seeds[0], seeds[2], uint8(3))
-	f.Add([]byte{}, seeds[1], uint8(1))
 	f.Fuzz(func(t *testing.T, first, spare []byte, stamp uint8) {
 		dir := t.TempDir()
 		var want *State

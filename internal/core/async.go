@@ -1,17 +1,15 @@
 // Asynchronous execution (Options.Async): a work-list engine for
 // label-correcting programs (Monotonic) that replaces the BSP barrier with a
-// priority order over the P source intervals of the sub-block grid.
+// most-active-first order over the P source intervals of the sub-block grid.
 //
-// One scheduler step pops the interval i with the most active vertices per
-// second of row I/O and processes its grid row atomically. A sweep freezes a
-// frontier of interval i, snapshots the frozen vertices' live values, scatters
-// them through sub-blocks of the row — each served from the per-run buffer
-// when resident there, and otherwise streamed (inline as run views, or through
-// the prefetch pipeline) or loaded selectively (per-vertex reads, when the
-// frontier is sparse enough that the cost model prices them below streaming
-// what is not resident) — applies the contributions immediately into the live
-// values with the program's Apply, and settles every frozen source: it stays
-// active only if its live value dropped below the one it scattered.
+// One scheduler step pops the interval i with the most active vertices and
+// processes its grid row atomically. A sweep freezes a frontier of interval i,
+// snapshots the frozen vertices' live values, scatters them through sub-blocks
+// of the row — each served from the per-run buffer when resident there, and
+// otherwise streamed, inline as run views or through the prefetch pipeline —
+// applies the contributions immediately into the live values with the
+// program's Apply, and settles every frozen source: it stays active only if
+// its live value dropped below the one it scattered.
 //
 // A step first drains interval i through the diagonal block, taken once and
 // held (drain): a wide frozen frontier is swept through it as a round, and
@@ -23,30 +21,27 @@
 // one hop per step, on edges already in memory, and a vertex the wavefront
 // reaches along several paths is scattered once.
 //
-// No queue is maintained. At each step boundary every row is re-ranked from the
-// live frontier (rank): its pending mass and key are recomputed, a row is
-// queued while its mass is above zero, and a pop scans the P rows for the one
-// ahead. The run converges when no row is queued.
+// No queue is maintained. At each step boundary every row's active vertices
+// are recounted from the live frontier (count), and a pop scans the P counts
+// for the largest, ties to the lower row. The run converges when every count
+// is zero.
 //
-// Determinism contract: for a fixed Options.AsyncSeed the pop sequence — and
-// therefore every result bit — is reproducible. Row masses are counts of the
-// live frontier, recounted at every boundary, the order is total — key
-// descending, then a seeded tie hash, then the row index — aging is a pure
-// function of the persisted step counter, and checkpoints capture the step
-// counter and per-row enqueue steps, the one thing a ranking cannot recompute,
-// so a resumed run replays the identical schedule. A step's drain and push
-// both finish inside the step, so nothing else crosses a step boundary.
+// Determinism contract: the next row is a pure function of the frontier, so
+// the pop sequence — and therefore every result bit — is reproducible, and a
+// run resumed from a checkpoint, which carries the frontier, replays the
+// identical schedule with no schedule state of its own. A step's drain and
+// push both finish inside the step, so nothing else crosses a step boundary.
 // TestAsyncSchedulePinned holds the schedule across commits.
 //
 // Residency: the per-run buffer (Options.BufferBytes) keeps the blocks of the
-// rows the scheduler ranks highest, in the form the codec gives it — verified
-// payloads on a delta layout, which a sparse row takes as run views on the
-// consumer, like its misses; decoded edges on a raw one — and a resident block's
-// priority is its row's key (prioritize), so the buffer evicts what will pop
-// last. The key itself never looks at the buffer: checkpoints do not
-// carry it, a resumed run starts cold, and it has to pop the same rows in the
-// same order. Residency changes which bytes move, never which row runs, how
-// many rounds a drain makes, which vertices it pops or what they compute.
+// rows with the most active vertices, in the form the codec gives it —
+// verified payloads on a delta layout, which a sparse row takes as run views
+// on the consumer, like its misses; decoded edges on a raw one — and a
+// resident block's priority is its row's count (prioritize), so the buffer
+// evicts what will pop last. The count itself never looks at the buffer: a
+// resumed run starts cold, and it has to pop the same rows in the same order.
+// Residency changes which bytes move, never which row runs, how many rounds a
+// drain makes, which vertices it pops or what they compute.
 package core
 
 import (
@@ -62,46 +57,16 @@ import (
 	"github.com/graphsd/graphsd/internal/storage"
 )
 
-// asyncAgingEvery is the aging cadence: every asyncAgingEvery-th pop takes
-// the longest-queued row instead of the highest-keyed one, so a cold,
-// expensive, far-from-the-action row is processed at least once per
-// asyncAgingEvery·P steps no matter how little mass it holds.
-const asyncAgingEvery = 16
-
-// asyncRow is one source interval's scheduling state. Only mass, key and enq
-// carry from one step to the next; rank derives the first two afresh.
-type asyncRow struct {
-	mass float64 // pending mass, the row's active vertices; 0 when not queued
-	key  float64 // priority: mass per second of row I/O
-	tie  uint64  // seeded tie-break hash, fixed per (seed, row)
-	enq  int64   // step at which the row last entered the queue (aging)
-}
-
-// asyncTie is a splitmix64-style hash of (seed, row); equal-mass rows pop
-// in hash order so different seeds explore different (but each fully
-// reproducible) schedules.
-func asyncTie(seed uint64, i int) uint64 {
-	z := seed + uint64(i+1)*0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // asyncRun is the asynchronous schedule (see schedule.go): each step of
 // Engine.run's loop pops one row and processes it.
 type asyncRun struct {
-	e    *Engine
-	rows []asyncRow
+	e *Engine
 
-	// rowStreamCost prices streaming each row's non-empty cells (blockCost
-	// each: seek + sequential read), the denominator of the priority key —
-	// which is static: what is resident never moves it. diag[i] is row i's
-	// diagonal cell (nil when the cell is empty) and cross[i] the row's other
-	// non-empty cells, in column order.
-	rowStreamCost []time.Duration
-	diag, cross   [][]buffer.Key
+	// active[i] is row i's active vertices at the last step boundary. diag[i]
+	// is row i's diagonal cell (nil when the cell is empty) and cross[i] the
+	// row's other non-empty cells, in column order.
+	active      []int
+	diag, cross [][]buffer.Key
 
 	// frontier is the frozen frontier of the sweep in progress (the scatter
 	// filter) and frontList its ascending vertex list. pushed collects every
@@ -111,11 +76,6 @@ type asyncRun struct {
 	frontList []int
 	pushed    *bitset.ActiveSet
 	consumed  *bitset.ActiveSet
-
-	// selBlock is the selective path's reusable block, and selective says
-	// some sweep of the step in progress read selectively.
-	selBlock  selectiveBlock
-	selective bool
 
 	// order is the value-order phase's heap, diagOff the held diagonal's run
 	// offsets and diagEdges its edges placed in source order when the block
@@ -127,23 +87,21 @@ type asyncRun struct {
 	diagOff       []int
 	popsPerFrozen float64
 
-	blocks   int64 // sub-block sweeps: cells scattered, once per round and value-order phase for a drain's diagonal
-	reacts   int64 // consumed vertices re-entering the frontier
-	rounds   int64 // sweeps of a row's own interval
-	pops     int64 // vertices value-order phases popped
-	selSteps int   // steps that took the selective path
+	blocks int64 // sub-block sweeps: cells scattered, once per round and value-order phase for a drain's diagonal
+	reacts int64 // consumed vertices re-entering the frontier
+	rounds int64 // sweeps of a row's own interval
+	pops   int64 // vertices value-order phases popped
 }
 
-// newAsyncRun builds the schedule's static state: the rows, their non-empty
-// columns and what streaming each row costs.
+// newAsyncRun builds the schedule's static state: every row's non-empty
+// cells.
 func newAsyncRun(e *Engine) (*asyncRun, error) {
 	if _, ok := e.prog.(Monotonic); !ok {
 		return nil, fmt.Errorf("core: program %s is not label-correcting; -async runs cc, sssp and bfs only, run it without -async", e.prog.Name())
 	}
 	a := &asyncRun{
 		e:             e,
-		rows:          make([]asyncRow, e.p),
-		rowStreamCost: make([]time.Duration, e.p),
+		active:        make([]int, e.p),
 		diag:          make([][]buffer.Key, e.p),
 		cross:         make([][]buffer.Key, e.p),
 		frontier:      bitset.NewActiveSet(e.n),
@@ -153,7 +111,6 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 	}
 	e.applySpan = a.applySpan
 	for i := 0; i < e.p; i++ {
-		a.rows[i].tie = asyncTie(e.opts.AsyncSeed, i)
 		for j := 0; j < e.p; j++ {
 			if e.layout.Meta.SubBlockEdges(i, j) == 0 {
 				continue
@@ -164,63 +121,53 @@ func newAsyncRun(e *Engine) (*asyncRun, error) {
 			} else {
 				a.cross[i] = append(a.cross[i], k)
 			}
-			a.rowStreamCost[i] += a.blockCost(i, j)
 		}
 	}
 	return a, nil
 }
 
-// start ranks the rows from the live frontier — and, after a resume, takes
-// the ever-consumed set and every row's enqueue step from the checkpoint: the
-// ranking itself is never saved, every row's mass is recomputed canonically,
-// reproducing identical keys.
+// start counts the rows from the live frontier — and, after a resume, takes
+// the ever-consumed set from the checkpoint: the counts are never saved, as
+// the frontier they are counted from is.
 func (a *asyncRun) start(ck *checkpoint.State, maxIter int) (int, error) {
 	e := a.e
 	if ck != nil {
-		if len(ck.EnqueueSteps) != e.p {
-			return 0, fmt.Errorf("core: checkpoint enqueue steps sized %d, want P=%d", len(ck.EnqueueSteps), e.p)
-		}
 		if err := a.consumed.LoadWords(ck.Consumed); err != nil {
 			return 0, fmt.Errorf("core: checkpoint consumed set: %w", err)
 		}
 	}
-	a.rank(0)
-	if ck != nil {
-		for i := range a.rows {
-			a.rows[i].enq = int64(ck.EnqueueSteps[i])
-		}
-	}
+	a.count()
 	// One BSP iteration touches up to P live rows, so the equivalent async
 	// step budget is maxIter rows per interval.
 	return maxIter * e.p, nil
 }
 
-// pending: some row is queued.
+// pending: some row has an active vertex.
 func (a *asyncRun) pending() bool {
-	return a.totalResidual() > 0
+	return a.totalActive() > 0
 }
 
-func (a *asyncRun) step(n int, st *IterStat) error {
+func (a *asyncRun) step(_ int, st *IterStat) error {
 	blocksBefore, reactsBefore := a.blocks, a.reacts
-	var err error
-	st.Path, err = a.processRow(a.popRow(int64(n)), int64(n))
+	st.Path = "async"
+	i := a.popRow()
+	if a.e.rowPopped != nil {
+		a.e.rowPopped(i)
+	}
+	err := a.processRow(i)
 	st.Blocks = int(a.blocks - blocksBefore)
 	st.Reactivations = a.reacts - reactsBefore
-	st.Residual = a.totalResidual()
+	st.ActiveAfter = a.totalActive()
 	return err
 }
 
 func (a *asyncRun) measured(*IterStat) {}
 
-// capture adds the ever-consumed set and every row's enqueue step. The
-// staged arrays the loop captures are at identity/empty here: this schedule
-// never stages anything across a step boundary.
+// capture adds the ever-consumed set. The staged arrays the loop captures are
+// at identity/empty here: this schedule never stages anything across a step
+// boundary.
 func (a *asyncRun) capture(ck *checkpoint.State) {
 	ck.Async = true
-	ck.EnqueueSteps = make([]uint64, len(a.rows))
-	for i := range a.rows {
-		ck.EnqueueSteps[i] = uint64(a.rows[i].enq)
-	}
 	ck.Consumed = a.consumed.Words()
 }
 
@@ -228,103 +175,59 @@ func (a *asyncRun) finish(res *Result) {
 	res.Async = AsyncStats{
 		Enabled:         true,
 		Steps:           res.Iterations,
-		SelectiveSteps:  a.selSteps,
 		Rounds:          a.rounds,
 		Popped:          a.pops,
 		BlocksScheduled: a.blocks,
 		Reactivations:   a.reacts,
-		FinalResidual:   a.totalResidual(),
+		FinalActive:     a.totalActive(),
 	}
 }
 
-// totalResidual sums the pending mass over all rows, the active vertices of
-// the queued ones.
-func (a *asyncRun) totalResidual() float64 {
-	var t float64
-	for i := range a.rows {
-		t += a.rows[i].mass
+// totalActive sums the rows' active vertices at the last step boundary.
+func (a *asyncRun) totalActive() int {
+	t := 0
+	for _, c := range a.active {
+		t += c
 	}
 	return t
 }
 
-// rowMass is row i's pending mass: its active vertices, so the same engine
-// state always produces the identical key — the bedrock of deterministic
-// replay and resume.
-func (a *asyncRun) rowMass(i int) float64 {
-	lo, hi := a.e.layout.Meta.Interval(i)
-	return float64(a.e.active.CountRange(lo, hi))
-}
-
-// rank re-ranks every row from the live frontier: its mass and key afresh,
-// and enq as the entry step of a row that was not queued and now is. A row
-// is queued while its mass is above zero. Every resident block then takes
-// its row's priority.
-func (a *asyncRun) rank(enq int64) {
-	for i := range a.rows {
-		r := &a.rows[i]
-		mass := a.rowMass(i)
-		if !(mass > 0) {
-			r.mass = 0
-			continue
-		}
-		if r.mass == 0 {
-			r.enq = enq
-		}
-		r.mass = mass
-		costSec := a.rowStreamCost[i].Seconds()
-		if costSec <= 0 {
-			// A row with no on-disk blocks is free to process; schedule it
-			// first so its (edge-less) frontier settles immediately.
-			costSec = 1e-12
-		}
-		r.key = mass / costSec
+// count recounts every row's active vertices from the live frontier, and
+// every resident block then takes its row's count as its priority.
+func (a *asyncRun) count() {
+	for i := range a.active {
+		lo, hi := a.e.layout.Meta.Interval(i)
+		a.active[i] = a.e.active.CountRange(lo, hi)
 	}
 	a.prioritize(-1)
 }
 
-// popRow takes the next row to process off the queue and returns its index:
-// normally the row ahead in the total order key descending, then tie hash,
-// then row index; but every asyncAgingEvery-th step the longest-queued row
-// (lowest enq, then index), so low-mass rows are never starved. Aging depends
-// only on the persisted step counter. The popped row's mass is zeroed, so a
-// row still pending after its step re-enters the queue then.
-func (a *asyncRun) popRow(step int64) int {
-	aging := (step+1)%asyncAgingEvery == 0
-	best := -1
-	for i := range a.rows {
-		if r := &a.rows[i]; r.mass > 0 && (best < 0 || r.ahead(&a.rows[best], aging)) {
+// popRow returns the row with the most active vertices, ties to the lower
+// index. Some row has one (pending).
+func (a *asyncRun) popRow() int {
+	best := 0
+	for i, c := range a.active {
+		if c > a.active[best] {
 			best = i
 		}
 	}
-	a.rows[best].mass = 0
 	return best
 }
 
-// ahead reports whether queued row r pops before queued row b, which has the
-// lower index.
-func (r *asyncRow) ahead(b *asyncRow, aging bool) bool {
-	if aging {
-		return r.enq < b.enq
-	}
-	return r.key > b.key || r.key == b.key && r.tie < b.tie
-}
-
-// processRow runs scheduler step `step` on row i, returning the executed path
-// ("async" streamed, "async-sel" when any sweep of the step read selectively).
-// The drain settles interval i through the diagonal cell, in rounds and then
-// in value order, until the interval has no active vertex (drain bounds it for
-// a program that breaks its contract); the push then scatters every vertex the
-// drain scattered, at its final value, through the row's other cells. A min
-// fold makes the push exact: a vertex scattered in several rounds sends only
-// its last, smallest value across, which is all the earlier ones would have
-// delivered. See the package comment for why the row is processed atomically.
-func (a *asyncRun) processRow(i int, step int64) (string, error) {
+// processRow runs a scheduler step on row i. The drain settles interval i
+// through the diagonal cell, in rounds and then in value order, until the
+// interval has no active vertex (drain bounds it for a program that breaks its
+// contract); the push then scatters every vertex the drain scattered, at its
+// final value, through the row's other cells. A min fold makes the push exact:
+// a vertex scattered in several rounds sends only its last, smallest value
+// across, which is all the earlier ones would have delivered. See the package
+// comment for why the row is processed atomically.
+func (a *asyncRun) processRow(i int) error {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 	defer a.frontier.ClearRange(lo, hi)
-	a.selective = false
 
-	// The row in hand outranks every queued one: what it already holds in the
+	// The row in hand outranks every other: what it already holds in the
 	// buffer, and what it is about to offer, cannot be evicted by its own
 	// later cells.
 	a.prioritize(i)
@@ -337,13 +240,8 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 		pushed, err = a.sweep(i, a.cross[i])
 		applied += pushed
 	}
-	path := "async"
-	if a.selective {
-		path = "async-sel"
-		a.selSteps++
-	}
 	if err != nil {
-		return path, err
+		return err
 	}
 
 	// Per-step value traffic: the frozen interval's values stream in once and
@@ -357,8 +255,8 @@ func (a *asyncRun) processRow(i int, step int64) (string, error) {
 		e.layout.Dev.Charge(storage.SeqWrite, applied*graph.VertexValueBytes)
 	}
 
-	a.rank(step + 1)
-	return path, nil
+	a.count()
+	return nil
 }
 
 // freeze makes the vertices of set in [lo, hi) the frozen frontier and
@@ -690,108 +588,46 @@ func (h valueHeap) down(k int) {
 }
 
 // prioritize hands every resident block its row's priority: the row in hand
-// (inHand, -1 for none) outranks every queued row; a queued row ranks by an
-// order-preserving image of its key (non-negative floats order as their bit
-// patterns do), so the buffer gives up the blocks of the row that pops last;
-// a row that is not queued ranks below them all.
+// (inHand, -1 for none) outranks every other, and the rest rank by their
+// active vertices, so the buffer gives up the blocks of the row that pops last.
 func (a *asyncRun) prioritize(inHand int) {
 	a.e.buf.Reprioritize(func(k buffer.Key, _ buffer.Block) int64 {
-		switch r := &a.rows[k.I]; {
-		case k.I == inHand:
+		if k.I == inHand {
 			return math.MaxInt64
-		case r.mass > 0:
-			return int64(math.Float64bits(r.key))
 		}
-		return 0
+		return int64(a.active[k.I])
 	})
-}
-
-// blockCost prices streaming sub-block (i, j) whole.
-func (a *asyncRun) blockCost(i, j int) time.Duration {
-	return a.e.sched.BlockCost(a.e.layout.Meta.SubBlockDiskBytes(i, j))
-}
-
-// missCost prices streaming the cells that are not resident: what the
-// streamed route would read. With nothing resident it is their stream cost.
-func (a *asyncRun) missCost(cells []buffer.Key) time.Duration {
-	var cost time.Duration
-	for _, k := range cells {
-		if !a.e.buf.Contains(k) {
-			cost += a.blockCost(k.I, k.J)
-		}
-	}
-	return cost
-}
-
-// selectiveRoute picks the load route of a sweep of row i's frozen frontier
-// through cells: stream every cell that is not resident, or read the
-// frontier's edges selectively through the per-vertex index. Resident blocks
-// are scattered from memory either way, and cells all resident have no
-// device path to choose. The value terms are identical either way, so the
-// comparison is edges-only. Choosing the selective route charges the row's
-// index, once per step (the index consultation is the per-interval slice of
-// SCIU's 2|V| term).
-func (a *asyncRun) selectiveRoute(i int, cells []buffer.Key) bool {
-	e := a.e
-	stream := a.missCost(cells)
-	if stream <= 0 {
-		return false
-	}
-	lo, hi := e.layout.Meta.Interval(i)
-	seqB, ranB, seeks := e.sched.EstimateOnDemand(a.frontier, e.degrees)
-	if e.sched.RowSelectiveCost(seqB, ranB, seeks, hi-lo) >= stream {
-		return false
-	}
-	if !a.selective {
-		a.selective = true
-		e.layout.Dev.Charge(storage.SeqRead, int64(hi-lo)*graph.IndexEntryBytes)
-	}
-	return true
 }
 
 // topPriority admits the blocks of the row being processed (see processRow).
 func topPriority([]graph.Edge) int64 { return math.MaxInt64 }
 
-// sweep scatters the frozen frontier through row i's cells on the route
-// selectiveRoute picks and applies each destination as its cell is done,
-// returning the number of vertices applied. The selective route reads only the
-// frozen frontier's edge runs through each sub-block's vertex index — the
-// async analogue of SCIU's on-demand loads — synchronously: frontiers this
-// sparse spend their time seeking, not streaming, and the frozen frontier
-// keeps the reads deterministic. The streamed route takes the cells through
-// the per-run buffer in the form the codec gives it, on FCIU's fetch plan
-// (openFetch, takeBuffered): misses stream through the sweep's block stream
-// and are offered at the row in hand's priority. Over viewable blocks and a
-// frozen frontier of at most one in rowViewDensity, every cell, hit or miss,
-// is a run view that decodes only that frontier's runs, on an inline stream.
+// sweep scatters the frozen frontier through row i's cells in column order
+// and applies each destination as its cell is done, returning the number of
+// vertices applied. The cells come through the per-run buffer in the form the
+// codec gives it, on FCIU's fetch plan (openFetch, takeBuffered): misses
+// stream through the sweep's block stream and are offered at the row in
+// hand's priority. Over viewable blocks and a frozen frontier of at most one
+// in rowViewDensity, every cell, hit or miss, is a run view that decodes only
+// that frontier's runs, on an inline stream.
 func (a *asyncRun) sweep(i int, cells []buffer.Key) (int64, error) {
 	e := a.e
 	if len(a.frontList) == 0 || len(cells) == 0 {
 		return 0, nil
 	}
-	if a.selectiveRoute(i, cells) {
-		return a.scatterCells(cells, a.onDemandBlock)
-	}
 	lo, hi := e.layout.Meta.Interval(i)
 	st := e.openFetch(len(a.frontList), hi-lo, rowViewDensity, true, cells)
 	defer e.endFetch(st)
-	return a.scatterCells(cells, func(k buffer.Key) (block, error) { return e.takeBuffered(st, k, topPriority) })
-}
-
-// scatterCells scatters and applies cells in column order, each taken from
-// get once the previous one is applied and released, and returns the number
-// of vertices applied.
-func (a *asyncRun) scatterCells(cells []buffer.Key, get func(k buffer.Key) (block, error)) (int64, error) {
 	var applied int64
 	for _, k := range cells {
-		if err := a.e.checkCtx(); err != nil {
+		if err := e.checkCtx(); err != nil {
 			return applied, err
 		}
-		blk, err := get(k)
+		blk, err := e.takeBuffered(st, k, topPriority)
 		if err == nil {
 			var n int64
 			n, err = a.scatterApply(blk, k.I, k.J)
-			a.e.src.release(blk)
+			e.src.release(blk)
 			applied += n
 		}
 		if err != nil {
@@ -799,22 +635,6 @@ func (a *asyncRun) scatterCells(cells []buffer.Key, get func(k buffer.Key) (bloc
 		}
 	}
 	return applied, nil
-}
-
-// onDemandBlock is cell k for the selective path: the resident block
-// through a Peek, not a Get — the buffer's counters describe whole-block
-// requests, and what this saves is a few runs of the block — or else the
-// frozen frontier's runs, read into the memory one block at a time reuses.
-func (a *asyncRun) onDemandBlock(k buffer.Key) (blk block, err error) {
-	res, ok := a.e.buf.Peek(k)
-	switch {
-	case res.Payload != nil:
-		return a.e.src.expand(k.I, k.J, res.Payload, a.e.viewable())
-	case ok:
-		return block{edges: res.Edges}, nil
-	}
-	a.selBlock, err = a.e.src.selective(k.I, k.J, a.frontier, a.selBlock)
-	return block{edges: a.selBlock.edges}, err
 }
 
 // scatterApply scatters sub-block (i, j) from the frozen snapshot — from a

@@ -19,8 +19,8 @@ import (
 // Async engine properties under test: every label-correcting program converges
 // to the fixed point the BSP engine reaches, bit for bit, on every codec, with
 // and without a buffer, under transient faults; every other program is refused;
-// the schedule is deterministic for a fixed seed; and a run resumed from a
-// checkpoint is bit-identical to one that was never interrupted.
+// the schedule is deterministic; and a run resumed from a checkpoint is
+// bit-identical to one that was never interrupted.
 
 // asyncOpts returns the default async configuration for tests.
 func asyncOpts() core.Options {
@@ -64,12 +64,12 @@ func TestAsyncMatchesBSPFixedPoint(t *testing.T) {
 					t.Fatalf("%s: async run reported Async.Enabled=false", label)
 				}
 				if !res.Converged {
-					t.Fatalf("%s: async run did not converge (residual %v after %d steps)",
-						label, res.Async.FinalResidual, res.Async.Steps)
+					t.Fatalf("%s: async run did not converge (%d active after %d steps)",
+						label, res.Async.FinalActive, res.Async.Steps)
 				}
 				requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-				if res.Async.FinalResidual != 0 {
-					t.Fatalf("%s: drained run left %v vertices active", label, res.Async.FinalResidual)
+				if res.Async.FinalActive != 0 {
+					t.Fatalf("%s: drained run left %d vertices active", label, res.Async.FinalActive)
 				}
 			}
 		}
@@ -127,46 +127,11 @@ func TestAsyncCodecSEMMatrix(t *testing.T) {
 	}
 }
 
-// TestAsyncSelectivePathTaken checks that a sparse frontier actually takes
-// the selective (per-vertex index) path: BFS from a single source on a
-// seek-expensive device must price at least its first steps below streaming.
-func TestAsyncSelectivePathTaken(t *testing.T) {
-	l := chaosLayout(t, graph.CodecRaw, 5)
-	base, err := core.Run(l, &algorithms.BFS{Source: 0}, core.Options{DefaultBuffer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Run(l, &algorithms.BFS{Source: 0}, asyncOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Async.SelectiveSteps == 0 {
-		t.Fatal("single-source BFS on a seek-heavy profile never took the selective path")
-	}
-	var sawSel, sawStream bool
-	for _, st := range res.IterStats {
-		switch st.Path {
-		case "async-sel":
-			sawSel = true
-		case "async":
-			sawStream = true
-		default:
-			t.Fatalf("async run emitted BSP path %q", st.Path)
-		}
-	}
-	if !sawSel || !sawStream {
-		t.Fatalf("expected both async paths exercised, got selective=%t streamed=%t", sawSel, sawStream)
-	}
-	requireIdenticalOutputs(t, base.Outputs, res.Outputs)
-}
-
-// TestAsyncDeterministicReplay: a fixed AsyncSeed reproduces the exact pop
-// sequence and bit pattern; a different seed explores a different schedule
-// but lands on the same exact fixed point.
+// TestAsyncDeterministicReplay: a second run reproduces the exact pop
+// sequence and bit pattern of the first.
 func TestAsyncDeterministicReplay(t *testing.T) {
 	l := chaosLayout(t, graph.CodecDelta, 11)
 	opts := asyncOpts()
-	opts.AsyncSeed = 7
 	mk := func() core.Program { return &algorithms.ConnectedComponents{} }
 
 	a, err := core.Run(l, mk(), opts)
@@ -178,32 +143,7 @@ func TestAsyncDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireIdenticalOutputs(t, a.Outputs, b.Outputs)
-	if a.Async.Steps != b.Async.Steps || a.Async.BlocksScheduled != b.Async.BlocksScheduled ||
-		a.Async.Reactivations != b.Async.Reactivations {
-		t.Fatalf("same seed, different schedule: %+v vs %+v", a.Async, b.Async)
-	}
-	for i := range a.IterStats {
-		if a.IterStats[i].Path != b.IterStats[i].Path {
-			t.Fatalf("step %d path %q vs %q under identical seeds", i, a.IterStats[i].Path, b.IterStats[i].Path)
-		}
-	}
-
-	opts.AsyncSeed = 99
-	cc := func() core.Program { return &algorithms.ConnectedComponents{} }
-	base, err := core.Run(l, cc(), core.Options{DefaultBuffer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := core.Run(l, cc(), asyncOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := core.Run(l, cc(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalOutputs(t, base.Outputs, first.Outputs)
-	requireIdenticalOutputs(t, base.Outputs, other.Outputs)
+	requireSameSchedule(t, "second run", b, a)
 }
 
 // TestAsyncChaosBitIdentical subjects async runs to 5% transient read faults
@@ -264,11 +204,16 @@ func TestAsyncChaosBitIdentical(t *testing.T) {
 // finish bit-identical to a run that was never interrupted. The crash comes
 // through the run's context, at the step boundary after step 5, so it does not
 // depend on the run having a device read left to fail: on the delta layout
-// the buffer soon holds every block.
+// the buffer soon holds every block. The layout has P=8, so cc, which starts
+// with every vertex active, pops each row at least once.
 func TestAsyncCrashResumeBitIdentical(t *testing.T) {
+	g, err := gen.RMAT(9, 8, gen.Graph500, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
-			l := chaosLayout(t, codec, 7)
+			l := codecLayout(t, g, 8, codec)
 			mk := func() core.Program { return &algorithms.ConnectedComponents{} }
 			base, err := core.Run(l, mk(), asyncOpts())
 			if err != nil {
@@ -308,6 +253,7 @@ func TestAsyncCrashResumeBitIdentical(t *testing.T) {
 			if res.Iterations != base.Iterations {
 				t.Fatalf("resumed run took %d steps total, uninterrupted took %d", res.Iterations, base.Iterations)
 			}
+			requireSameSteps(t, "resumed run", res.IterStats, base.IterStats[res.ResumedFrom:])
 			requireIdenticalOutputs(t, base.Outputs, res.Outputs)
 		})
 	}

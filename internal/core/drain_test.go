@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -64,8 +63,8 @@ func requireSameSchedule(t *testing.T, label string, got, want *core.Result) {
 	requireSameSteps(t, label, got.IterStats, want.IterStats)
 }
 
-// requireSameSteps fails unless every step of got has the residual, blocks,
-// active count and reactivations of want's step in its place.
+// requireSameSteps fails unless every step of got has the active-after
+// count, blocks, active count and reactivations of want's step in its place.
 func requireSameSteps(t *testing.T, label string, got, want []core.IterStat) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -73,10 +72,10 @@ func requireSameSteps(t *testing.T, label string, got, want []core.IterStat) {
 	}
 	for k, st := range got {
 		ref := want[k]
-		if math.Float64bits(st.Residual) != math.Float64bits(ref.Residual) || st.Blocks != ref.Blocks ||
+		if st.ActiveAfter != ref.ActiveAfter || st.Blocks != ref.Blocks ||
 			st.Active != ref.Active || st.Reactivations != ref.Reactivations {
-			t.Fatalf("%s: step %d is (residual %v, %d blocks, %d active, %d reactivations), want (%v, %d, %d, %d)",
-				label, st.Index, st.Residual, st.Blocks, st.Active, st.Reactivations, ref.Residual, ref.Blocks, ref.Active, ref.Reactivations)
+			t.Fatalf("%s: step %d is (%d active after, %d blocks, %d active, %d reactivations), want (%d, %d, %d, %d)",
+				label, st.Index, st.ActiveAfter, st.Blocks, st.Active, st.Reactivations, ref.ActiveAfter, ref.Blocks, ref.Active, ref.Reactivations)
 		}
 	}
 }
@@ -99,8 +98,8 @@ func TestAsyncDrainMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
-					if !res.Converged || res.Async.FinalResidual != 0 {
-						t.Fatalf("%s: converged=%t, residual %v after %d steps", label, res.Converged, res.Async.FinalResidual, res.Async.Steps)
+					if !res.Converged || res.Async.FinalActive != 0 {
+						t.Fatalf("%s: converged=%t, %d active after %d steps", label, res.Converged, res.Async.FinalActive, res.Async.Steps)
 					}
 					sameOutputBits(t, label+" vs reference", res.Outputs, want)
 					if base == nil {
@@ -357,7 +356,7 @@ func TestAsyncDrainValueOrder(t *testing.T) {
 	})
 
 	cases := drainCases(t)
-	for name, switches := range map[string]int{"cc-rmat": 18, "bfs-rmat": 13, "sssp-rmat": 18} {
+	for name, switches := range map[string]int{"cc-rmat": 12, "bfs-rmat": 13, "sssp-rmat": 18} {
 		c := cases[name]
 		t.Run(name, func(t *testing.T) {
 			l := codecLayout(t, c.g, 8, graph.CodecDelta)

@@ -105,6 +105,9 @@ type Engine struct {
 	// (settleInOrder) and of the memory the phase holds.
 	popped     func(v int)
 	phaseEnded func(a *asyncRun)
+	// rowPopped, when set, is called as an async step pops row i, before it
+	// runs: a test's view of the schedule.
+	rowPopped func(i int)
 
 	// crossJoined, when set, is called as an FCIU pass joins its helper
 	// (crossHelper) with how many scatters it handed over and the helper's

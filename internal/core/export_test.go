@@ -192,6 +192,25 @@ func RunCountingPops(layout *partition.Layout, prog Program, opts Options) (res 
 	return res, pops, err
 }
 
+// RunCountingRows is Run that also reports, per step, the row it popped and
+// every row's active vertices as the step began, counted from the frontier.
+func RunCountingRows(layout *partition.Layout, prog Program, opts Options) (res *Result, rows []int, counts [][]int, err error) {
+	e, err := NewEngine(layout, prog, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	e.rowPopped = func(i int) {
+		c := make([]int, e.p)
+		for r := range c {
+			lo, hi := layout.Meta.Interval(r)
+			e.active.ForEachRange(lo, hi, func(int) bool { c[r]++; return true })
+		}
+		rows, counts = append(rows, i), append(counts, c)
+	}
+	res, err = e.run()
+	return res, rows, counts, err
+}
+
 // DrainBytes is what RunBytes charges for a drain's value-order phases.
 func DrainBytes(m *partition.Manifest) int64 { return drainBytes(m) }
 

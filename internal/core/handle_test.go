@@ -408,8 +408,9 @@ func TestPooledSlicesStayWithinRunBytes(t *testing.T) {
 // than RunBytes prices — the buffer's capacity, a term that a shared cache,
 // whose payloads are not the run's, takes away. It runs the R-MAT PageRank of
 // TestPooledSlicesStayWithinRunBytes and SSSP over a weighted lattice under
-// both schedules, with the spares poisoned as they are made, and holds every
-// output to an unbuffered run's. On the lattice most misses find a spare.
+// both schedules, each with a buffer of an eighth of its edge bytes, with the
+// spares poisoned as they are made, and holds every output to an unbuffered
+// run's. On the lattice most misses find a spare.
 func TestSparesStayWithinRunBytes(t *testing.T) {
 	rmat, err := gen.RMAT(11, 16, gen.Graph500, 9)
 	if err != nil {
@@ -419,13 +420,10 @@ func TestSparesStayWithinRunBytes(t *testing.T) {
 		name    string
 		g       *graph.Graph
 		prog    func() core.Program
-		buffer  func(m *partition.Manifest) core.Options
 		lattice bool // SSSP, under both schedules; PageRank runs BSP only
 	}{
-		{"rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} },
-			func(m *partition.Manifest) core.Options { return core.Options{BufferBytes: m.EdgeBytesTotal() / 8} }, false},
-		{"lattice", gen.Weighted(gen.Grid(128), 16, 1), func() core.Program { return &algorithms.SSSP{Source: 0} },
-			func(*partition.Manifest) core.Options { return core.Options{DefaultBuffer: true} }, true},
+		{"rmat", rmat, func() core.Program { return &algorithms.PageRank{Iterations: 6} }, false},
+		{"lattice", gen.Weighted(gen.Grid(128), 16, 1), func() core.Program { return &algorithms.SSSP{Source: 0} }, true},
 	} {
 		l := codecLayout(t, c.g, 8, graph.CodecDelta)
 		m := &l.Meta
@@ -439,8 +437,7 @@ func TestSparesStayWithinRunBytes(t *testing.T) {
 		}
 		for _, async := range schedules {
 			for _, depth := range []int{-1, 2} {
-				opts := c.buffer(m)
-				opts.Async, opts.PrefetchDepth = async, depth
+				opts := core.Options{BufferBytes: m.EdgeBytesTotal() / 8, Async: async, PrefetchDepth: depth}
 				shared := opts
 				shared.SharedBlocks = buffer.NewShared(1 << 20)
 				priced := core.RunBytes(m, opts, c.prog()) - core.RunBytes(m, shared, c.prog())

@@ -81,18 +81,14 @@ type Options struct {
 	// Checkpoint configures crash-safe iteration checkpointing and resume.
 	Checkpoint CheckpointOptions
 	// Async replaces the BSP iteration loop with the asynchronous work-list
-	// engine: a priority order over source intervals keyed by active
-	// vertices, processed with no global barrier until the frontier drains.
+	// engine: each step processes the source interval with the most active
+	// vertices, with no global barrier, until the frontier drains.
 	// Requires a label-correcting program (Monotonic: cc, sssp, bfs); any
 	// other is rejected at run start. Results are bit-identical to BSP's, but
 	// the iteration trace, paths, and traffic differ. ForceModel is ignored.
 	// The per-run buffer (BufferBytes) keeps hot rows' blocks in memory; its
 	// size changes which bytes move, never which row runs next.
 	Async bool
-	// AsyncSeed seeds the scheduler's deterministic tie-breaking between
-	// equal-mass rows. A fixed seed reproduces the exact pop sequence, and
-	// therefore bit-identical results, across runs and checkpoint/resume.
-	AsyncSeed uint64
 }
 
 // CheckpointOptions controls checkpoint/resume of an engine run. A
@@ -261,11 +257,8 @@ type Result struct {
 // comparison with BSP, Result.Iterations holds the same count.
 type AsyncStats struct {
 	Enabled bool
-	// Steps counts scheduler pops; SelectiveSteps the subset in which some
-	// sweep loaded the row's edges selectively (per-vertex reads) instead
-	// of streaming whole sub-blocks.
-	Steps          int
-	SelectiveSteps int
+	// Steps counts scheduler pops.
+	Steps int
 	// Rounds counts the sweeps of a popped row's own interval: one a wide
 	// drain round and one for the value-order phase a drain ends in at its
 	// first narrow round, whose pops Popped counts.
@@ -281,19 +274,17 @@ type AsyncStats struct {
 	// been consumed at least once — the re-computation async trades for
 	// skipped barriers.
 	Reactivations int64
-	// FinalResidual counts the vertices still active when the run stopped: 0
+	// FinalActive counts the vertices still active when the run stopped: 0
 	// when the frontier drained, above it only if the step bound was hit.
-	FinalResidual float64
+	FinalActive int
 }
 
 // IterStat describes one logical iteration of an engine run. Under async
-// execution one IterStat is emitted per scheduler step with Path "async"
-// (whole sub-blocks streamed or served from memory) or "async-sel" (some
-// sweep of the step used selective per-vertex loads).
+// execution one IterStat is emitted per scheduler step, with Path "async".
 type IterStat struct {
 	Index int
 	// Path is the executed update path: GraphSD's "sciu", "fciu-1",
-	// "fciu-2", "full-single", "async" or "async-sel"; Lumos's "lumos-1",
+	// "fciu-2", "full-single" or "async"; Lumos's "lumos-1",
 	// "lumos-2" or "lumos-full"; HUS-Graph's "husgraph-on-demand" or
 	// "husgraph-full".
 	Path string
@@ -301,11 +292,11 @@ type IterStat struct {
 	Active int
 	// Blocks is the number of sub-block sweeps the step made and
 	// Reactivations the number of previously-consumed vertices it woke;
-	// Residual counts the vertices active after the step. All three are
+	// ActiveAfter counts the vertices active after the step. All three are
 	// async-only (zero under BSP).
 	Blocks        int
 	Reactivations int64
-	Residual      float64
+	ActiveAfter   int
 	// IO is the device traffic attributed to the iteration; IOTime and
 	// ComputeTime are its simulated-disk and measured-CPU shares.
 	// DecodeTime is the payload decode wall-clock attributed to the

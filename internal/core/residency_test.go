@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -69,7 +68,7 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 				var prevBytes int64
 				for _, capacity := range []int64{0, edgeBytes / 8, edgeBytes / 4, 2 * edgeBytes} {
 					reads, stop := countBlockReads(l)
-					res, _, plans, err := core.RunCountingPlanViews(l, c.prog(), core.Options{Async: true, AsyncSeed: 7, BufferBytes: capacity})
+					res, _, plans, err := core.RunCountingPlanViews(l, c.prog(), core.Options{Async: true, BufferBytes: capacity})
 					stop()
 					if err != nil {
 						t.Fatalf("capacity %d: %v", capacity, err)
@@ -115,10 +114,10 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 						}
 						for k, st := range res.IterStats {
 							want := base.IterStats[k]
-							if math.Float64bits(st.Residual) != math.Float64bits(want.Residual) || st.Blocks != want.Blocks ||
+							if st.ActiveAfter != want.ActiveAfter || st.Blocks != want.Blocks ||
 								st.Active != want.Active || st.Reactivations != want.Reactivations {
-								t.Fatalf("%s: step %d is (residual %v, %d blocks, %d active), want (%v, %d, %d): a different row was popped",
-									label, k, st.Residual, st.Blocks, st.Active, want.Residual, want.Blocks, want.Active)
+								t.Fatalf("%s: step %d is (%d active after, %d blocks, %d active), want (%d, %d, %d): a different row was popped",
+									label, k, st.ActiveAfter, st.Blocks, st.Active, want.ActiveAfter, want.Blocks, want.Active)
 							}
 						}
 						if got := res.IO.TotalBytes(); got > prevBytes {
@@ -149,9 +148,7 @@ func TestAsyncResidencyNeverChangesSchedule(t *testing.T) {
 // torus is the side×side 4-neighbour lattice with its edges wrapped around at
 // the borders, weighted. Cut into intervals of whole lattice rows it looks the
 // same from every interval: every grid row of sub-blocks has the same shape,
-// and so the same on-disk bytes under either codec. The async queue prices a
-// row by what streaming it costs, so over a torus it ranks rows by pending
-// mass alone, on a raw layout as on a delta one.
+// and so the same on-disk bytes under either codec.
 func torus(side int) *graph.Graph {
 	g := &graph.Graph{NumVertices: side * side}
 	for r := 0; r < side; r++ {
@@ -169,17 +166,22 @@ func torus(side int) *graph.Graph {
 // schedule. Async over one torus as a delta layout whose buffer keeps
 // payloads, the same layout with no buffer, and a raw layout (whose buffer
 // keeps decoded edges) must give bit-identical outputs through the identical
-// pop sequence: every step's residual, blocks, active count and reactivations.
-// Only Path may differ, because missCost sees what is resident.
+// pop sequence: every step's active-after count, blocks, active count and
+// reactivations. SSSP runs over a torus, and cc over R-MAT 10/8: cc pops each
+// torus row once, so its buffer would never serve a block.
 func TestAsyncPayloadResidency(t *testing.T) {
-	g := torus(48)
-	delta := codecLayout(t, g, 8, graph.CodecDelta)
-	raw := codecLayout(t, g, 8, graph.CodecRaw)
-	for name, prog := range map[string]func() core.Program{
-		"sssp": func() core.Program { return &algorithms.SSSP{Source: 0} },
-		"cc":   func() core.Program { return &algorithms.ConnectedComponents{} },
+	rmat, err := gen.RMAT(10, 8, gen.Graph500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]drainCase{
+		"sssp": {torus(48), func() core.Program { return &algorithms.SSSP{Source: 0} }},
+		"cc":   {gen.Weighted(rmat, 16, 5), func() core.Program { return &algorithms.ConnectedComponents{} }},
 	} {
+		prog := c.prog
 		t.Run(name, func(t *testing.T) {
+			delta := codecLayout(t, c.g, 8, graph.CodecDelta)
+			raw := codecLayout(t, c.g, 8, graph.CodecRaw)
 			run := func(l *partition.Layout, capacity int64) *core.Result {
 				res, err := core.Run(l, prog(), core.Options{Async: true, BufferBytes: capacity})
 				if err != nil {
@@ -202,10 +204,10 @@ func TestAsyncPayloadResidency(t *testing.T) {
 				}
 				for k, st := range payloads.IterStats {
 					want := res.IterStats[k]
-					if math.Float64bits(st.Residual) != math.Float64bits(want.Residual) || st.Blocks != want.Blocks ||
+					if st.ActiveAfter != want.ActiveAfter || st.Blocks != want.Blocks ||
 						st.Active != want.Active || st.Reactivations != want.Reactivations {
-						t.Fatalf("step %d is (residual %v, %d blocks, %d active), %s (%v, %d, %d): a different row was popped",
-							k, st.Residual, st.Blocks, st.Active, other, want.Residual, want.Blocks, want.Active)
+						t.Fatalf("step %d is (%d active after, %d blocks, %d active), %s (%d, %d, %d): a different row was popped",
+							k, st.ActiveAfter, st.Blocks, st.Active, other, want.ActiveAfter, want.Blocks, want.Active)
 					}
 				}
 			}
@@ -276,9 +278,9 @@ func TestAsyncResidencyResumeStartsCold(t *testing.T) {
 		t.Fatalf("resumed run traced %d steps, want %d", len(res.IterStats), len(tail))
 	}
 	for k, st := range res.IterStats {
-		if math.Float64bits(st.Residual) != math.Float64bits(tail[k].Residual) || st.Blocks != tail[k].Blocks {
-			t.Fatalf("resumed step %d is (residual %v, %d blocks), uninterrupted (%v, %d)",
-				st.Index, st.Residual, st.Blocks, tail[k].Residual, tail[k].Blocks)
+		if st.ActiveAfter != tail[k].ActiveAfter || st.Blocks != tail[k].Blocks {
+			t.Fatalf("resumed step %d is (%d active after, %d blocks), uninterrupted (%d, %d)",
+				st.Index, st.ActiveAfter, st.Blocks, tail[k].ActiveAfter, tail[k].Blocks)
 		}
 	}
 	if res.Buffer.Hits == 0 {

@@ -216,8 +216,8 @@ func TestViewBlockFaultDegradesLikeAnyOther(t *testing.T) {
 // same outputs by bits, the same steps through the same paths, the same device
 // traffic and stream deliveries in every step, the same buffer outcomes. A
 // step opens up to two plans, its drain's diagonal and its push across the
-// row, over different frontiers. Every plan — a step's other phase may have
-// read selectively — views every cell it is handed or none, and it views
+// row, over different frontiers. Every plan views every cell it is handed or
+// none, and it views
 // exactly when its frozen frontier is that sparse: plans denser than
 // SparseViewDensity included, and never a plan that freezes a whole row, as a
 // lattice's push does once its drain has swept the wavefront across the whole
@@ -234,15 +234,13 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 		prog  func() core.Program
 		band  bool // some plan viewed is denser than SparseViewDensity
 		dense bool // some plan freezes a whole row
-		mixed bool // some step read selectively and opened a plan
 	}{
-		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, false, true, false},
-		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, true, false},
-		{"sssp-rmat", gen.Weighted(rmat, 16, 3), func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false, false},
-		{"cc-rmat", rmat, func() core.Program { return &algorithms.ConnectedComponents{} }, false, true, true},
-		// On the seek-heavy profile a sparse drain round reads selectively,
-		// in a step whose push streams.
-		{"bfs-rmat-seeky", nil, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false, true},
+		{"sssp-lattice", lattice, func() core.Program { return &algorithms.SSSP{Source: 0} }, false, true},
+		{"bfs-lattice", lattice, func() core.Program { return &algorithms.BFS{Source: 0} }, false, true},
+		{"sssp-rmat", gen.Weighted(rmat, 16, 3), func() core.Program { return &algorithms.SSSP{Source: 0} }, true, false},
+		{"cc-rmat", rmat, func() core.Program { return &algorithms.ConnectedComponents{} }, false, true},
+		// The seek-heavy profile's R-MAT.
+		{"bfs-rmat-seeky", nil, func() core.Program { return &algorithms.BFS{Source: 0} }, false, false},
 	} {
 		var delta *partition.Layout
 		if pc.g != nil {
@@ -250,7 +248,7 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 		} else {
 			delta = chaosLayout(t, graph.CodecDelta, 5)
 		}
-		band, dense, mixed := false, false, false
+		band, dense := false, false
 		for _, oracle := range []struct {
 			name  string
 			route func(core.Options) core.Options
@@ -292,7 +290,6 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 							t.Errorf("step %d (%s, %d views): %d of %d blocks inline, decoded route %d", k, st.Path, views[k], inline, st.Pipeline.Blocks, ref.Pipeline.Inline)
 						}
 						allViewed := true
-						mixed = mixed || (st.Path == "async-sel" && len(plans[k]) > 0)
 						for _, p := range plans[k] {
 							viewed := p.Views > 0
 							allViewed = allViewed && viewed
@@ -313,9 +310,9 @@ func TestAsyncViewRouteMatchesDecodedRoute(t *testing.T) {
 				})
 			}
 		}
-		if band != pc.band || dense != pc.dense || mixed != pc.mixed {
-			t.Errorf("%s: a plan viewed over a frontier denser than 1 in %d: %t, want %t; a plan over a whole row: %t, want %t; a selective step's plan: %t, want %t",
-				pc.name, core.SparseViewDensity, band, pc.band, dense, pc.dense, mixed, pc.mixed)
+		if band != pc.band || dense != pc.dense {
+			t.Errorf("%s: a plan viewed over a frontier denser than 1 in %d: %t, want %t; a plan over a whole row: %t, want %t",
+				pc.name, core.SparseViewDensity, band, pc.band, dense, pc.dense)
 		}
 	}
 }

@@ -437,12 +437,13 @@ func bufferedCells(m *partition.Manifest, async bool) (cells [][2]int, disk, dec
 
 // requireVerifiedResidents checks that buf holds every cell of l the schedule
 // buffers as its on-disk bytes — no decoded edges — charged exactly those
-// bytes.
+// bytes. buf's run has ended, its counters already copied into its Result, so
+// the check reads through Get.
 func requireVerifiedResidents(t *testing.T, l *partition.Layout, buf *buffer.Buffer, async bool) {
 	t.Helper()
 	cells, disk, _ := bufferedCells(&l.Meta, async)
 	for _, c := range cells {
-		blk, ok := buf.Peek(buffer.Key{I: c[0], J: c[1]})
+		blk, ok := buf.Get(buffer.Key{I: c[0], J: c[1]})
 		if !ok {
 			t.Fatalf("buffered cell %v not resident", c)
 		}

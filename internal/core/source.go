@@ -138,9 +138,10 @@ func HandleBytes(m *partition.Manifest) int64 {
 //     sets, the aux array (Program.HasAux), the two term arrays of a program
 //     on KernelSumOverOutDegree, under BSP the copy of the t+1 frontier an FCIU
 //     pass's helper reads (Engine.crossWords), the async schedule's three more
-//     sets and its frontier's vertex list (at most an interval), and what run
-//     adds — the uint32 degree table, the file it is read from, the float64
-//     outputs;
+//     sets and its frontier's vertex list (at most an interval), a word a
+//     row (crossWords' tail under BSP, the rows' active counts under async),
+//     and what run adds — the uint32 degree table, the file it is read from,
+//     the float64 outputs;
 //   - the per-run buffer's capacity, the prefetch window and what the block
 //     handles keep (HandleBytes);
 //   - under payload residency (Engine.payloads) the edgeBufs slices: one per
@@ -203,14 +204,14 @@ func vertexStateBytes(m *partition.Manifest, async bool, prog Program) int64 {
 	if async {
 		total += 3*set + 8*longestInterval(m)
 	} else {
-		total += set + 8*int64(m.P)
+		total += set
 	}
-	return total
+	return total + 8*int64(m.P)
 }
 
 // checkpointBytes bounds a run's encoded checkpoint image: 8 bytes an element
 // of what capture hands the writer — values, accumulators, aux, the frontier
-// and touched sets, under Async the P enqueue steps and the consumed set —
+// and touched sets, under Async the consumed set —
 // and 256 for the magic, CRC, program name, counts and length prefixes.
 func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
 	n := int64(m.NumVertices)
@@ -220,7 +221,7 @@ func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
 		total += 8 * n
 	}
 	if async {
-		total += 8*int64(m.P) + set
+		total += set
 	}
 	return total
 }

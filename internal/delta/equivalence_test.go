@@ -153,7 +153,7 @@ func TestMutatedRunsMatchAfterCompaction(t *testing.T) {
 // end: weights written by upserts flow through layers, the memtable, and
 // compaction into SSSP distances.
 func TestWeightedSSSPOverMutatedLayout(t *testing.T) {
-	g := graph.Dedupe(testGraph(t, 120, 700, 25))
+	g := dedupe(testGraph(t, 120, 700, 25))
 	g.Weighted = true
 	for k := range g.Edges {
 		g.Edges[k].Weight = float32(1 + (int(g.Edges[k].Src)+int(g.Edges[k].Dst))%9)

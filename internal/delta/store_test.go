@@ -163,6 +163,51 @@ func testGraph(t *testing.T, n, m int, seed int64) *graph.Graph {
 	return g
 }
 
+// dedupe returns a copy of g with exact duplicate edges removed (same
+// source, destination and weight), preserving first-occurrence order.
+func dedupe(g *graph.Graph) *graph.Graph {
+	out := &graph.Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
+	seen := make(map[graph.Edge]bool, len(g.Edges))
+	for _, e := range g.Edges {
+		if !seen[e] {
+			seen[e] = true
+			out.Edges = append(out.Edges, e)
+		}
+	}
+	return out
+}
+
+func TestDedupe(t *testing.T) {
+	g := &graph.Graph{
+		NumVertices: 3,
+		Weighted:    true,
+		Edges: []graph.Edge{
+			{Src: 0, Dst: 1, Weight: 2},
+			{Src: 0, Dst: 1, Weight: 2}, // exact duplicate
+			{Src: 0, Dst: 1, Weight: 3}, // same endpoints, different weight: kept
+			{Src: 1, Dst: 2, Weight: 1},
+			{Src: 0, Dst: 1, Weight: 2}, // duplicate again
+		},
+	}
+	out := dedupe(g)
+	if out.NumEdges() != 3 {
+		t.Fatalf("edges = %d, want 3", out.NumEdges())
+	}
+	if out.Edges[0] != (graph.Edge{Src: 0, Dst: 1, Weight: 2}) {
+		t.Fatalf("first-occurrence order broken: %v", out.Edges[0])
+	}
+	if out.Edges[1] != (graph.Edge{Src: 0, Dst: 1, Weight: 3}) {
+		t.Fatalf("distinct-weight edge dropped: %v", out.Edges[1])
+	}
+}
+
+func TestDedupeEmpty(t *testing.T) {
+	out := dedupe(&graph.Graph{NumVertices: 5})
+	if out.NumEdges() != 0 || out.NumVertices != 5 {
+		t.Fatalf("empty dedupe: %+v", out)
+	}
+}
+
 func TestApplyReadsMergedView(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecRaw, graph.CodecDelta} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -415,7 +460,7 @@ func TestWeightedMutations(t *testing.T) {
 	// Dedupe first: duplicate keys with distinct weights have no canonical
 	// order (both Build and the reference sort are unstable), so the
 	// bit-identical comparison is only defined on a duplicate-free base.
-	g := graph.Dedupe(testGraph(t, 60, 300, 14))
+	g := dedupe(testGraph(t, 60, 300, 14))
 	g.Weighted = true
 	rng := rand.New(rand.NewSource(15))
 	for k := range g.Edges {

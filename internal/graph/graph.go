@@ -101,38 +101,6 @@ func (g *Graph) Bytes() int64 {
 	return per * int64(len(g.Edges))
 }
 
-// Dedupe returns a copy of g with exact duplicate edges removed (same
-// source, destination and weight), preserving first-occurrence order.
-func Dedupe(g *Graph) *Graph {
-	out := &Graph{NumVertices: g.NumVertices, Weighted: g.Weighted}
-	seen := make(map[Edge]bool, len(g.Edges))
-	for _, e := range g.Edges {
-		if !seen[e] {
-			seen[e] = true
-			out.Edges = append(out.Edges, e)
-		}
-	}
-	return out
-}
-
-// Symmetrize returns a new graph with every edge mirrored (u→v adds v→u,
-// preserving the weight), turning directed inputs into undirected ones for
-// algorithms with undirected semantics (connected components in the
-// undirected sense). Existing reverse edges are not deduplicated — grid
-// layouts and label propagation are insensitive to parallel edges.
-func Symmetrize(g *Graph) *Graph {
-	out := &Graph{
-		NumVertices: g.NumVertices,
-		Weighted:    g.Weighted,
-		Edges:       make([]Edge, 0, 2*len(g.Edges)),
-	}
-	out.Edges = append(out.Edges, g.Edges...)
-	for _, e := range g.Edges {
-		out.Edges = append(out.Edges, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight})
-	}
-	return out
-}
-
 // CSR is a compressed sparse row view of a graph: for each source vertex,
 // the contiguous slice of its outgoing edges. It is the in-memory oracle
 // representation used by reference implementations and tests.

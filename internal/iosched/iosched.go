@@ -472,30 +472,6 @@ func (s *Scheduler) costOnDemand(seqBytes, ranBytes, seeks int64, sp passSpan) t
 		p.SeqCost(storage.SeqWrite, sp.written*graph.VertexValueBytes)
 }
 
-// BlockCost prices streaming one sub-block: a seek plus the sequential read
-// of its on-disk payload. The async engine divides a row's pending mass by
-// the summed cost of its live blocks, so equal mass prefers cheap rows, and
-// ages cold rows by pop count rather than letting expensive ones starve.
-func (s *Scheduler) BlockCost(diskBytes int64) time.Duration {
-	p := s.cfg.Profile
-	return p.SeekLatency + p.SeqCost(storage.SeqRead, diskBytes)
-}
-
-// RowSelectiveCost prices loading one source interval's frontier edges
-// selectively from a precomputed EstimateOnDemand split over that row's
-// frontier, plus one sequential pass over the interval's index (selective
-// reads need the per-vertex offsets; streaming a whole row does not). The
-// value-array terms are identical between the streaming and selective row
-// paths, so both this and BlockCost price edges only and the comparison
-// stays fair.
-func (s *Scheduler) RowSelectiveCost(seqBytes, ranBytes, seeks int64, intervalLen int) time.Duration {
-	p := s.cfg.Profile
-	return p.SeqCost(storage.RandRead, ranBytes) +
-		time.Duration(seeks)*p.SeekLatency +
-		p.SeqCost(storage.SeqRead, seqBytes) +
-		p.SeqCost(storage.SeqRead, int64(intervalLen)*graph.IndexEntryBytes)
-}
-
 // scaleCost applies a correction factor to a raw cost estimate.
 func scaleCost(c time.Duration, factor float64) time.Duration {
 	return time.Duration(float64(c) * factor)

@@ -632,46 +632,3 @@ func TestHysteresisSuppressesNearTieFlips(t *testing.T) {
 		t.Fatalf("decisive flip back suppressed: got %v", d5.Model)
 	}
 }
-
-// TestAsyncRowCosts covers the async scheduler's pricing primitives:
-// BlockCost is a seek plus the payload's sequential read, and
-// RowSelectiveCost prices a sparse frontier below streaming the row while a
-// dense frontier prices above it — the crossover the async engine's per-row
-// path choice rides on.
-func TestAsyncRowCosts(t *testing.T) {
-	s, err := New(testConfig(1000, 50000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof := storage.HDD
-	if got := s.BlockCost(0); got != prof.SeekLatency {
-		t.Fatalf("BlockCost(0) = %v, want bare seek %v", got, prof.SeekLatency)
-	}
-	if s.BlockCost(1<<20) <= s.BlockCost(1<<10) {
-		t.Fatal("BlockCost not increasing in payload bytes")
-	}
-
-	// One row of the 4×4 grid holds a quarter of the edges.
-	rowBytes := 50000 / 4 * int64(graph.EdgeBytes)
-	var stream time.Duration
-	for j := 0; j < 4; j++ {
-		stream += s.BlockCost(rowBytes / 4)
-	}
-	deg := uniformDegrees(1000, 50)
-
-	sparse := bitset.NewActiveSet(1000)
-	sparse.Activate(3)
-	seqB, ranB, seeks := s.EstimateOnDemand(sparse, deg)
-	if sel := s.RowSelectiveCost(seqB, ranB, seeks, 250); sel >= stream {
-		t.Fatalf("single-vertex frontier: selective %v not below streaming %v", sel, stream)
-	}
-
-	dense := bitset.NewActiveSet(1000)
-	for v := 0; v < 250; v++ {
-		dense.Activate(v)
-	}
-	seqB, ranB, seeks = s.EstimateOnDemand(dense, deg)
-	if sel := s.RowSelectiveCost(seqB, ranB, seeks, 250); sel <= stream {
-		t.Fatalf("full-interval frontier: selective %v not above streaming %v", sel, stream)
-	}
-}
