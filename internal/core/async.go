@@ -47,6 +47,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -77,12 +78,12 @@ type asyncRun struct {
 	pushed    *bitset.ActiveSet
 	consumed  *bitset.ActiveSet
 
-	// order is the value-order phase's heap, diagOff the held diagonal's run
+	// order is the value-order phase's queue, diagOff the held diagonal's run
 	// offsets and diagEdges its edges placed in source order when the block
 	// holds them in another (indexRuns); every drain reuses them.
 	// popsPerFrozen is what the last value-order phase popped per vertex it
 	// froze, the next phase's estimate (+Inf before any: decode whole).
-	order         valueHeap
+	order         valueQueue
 	diagEdges     []graph.Edge
 	diagOff       []int
 	popsPerFrozen float64
@@ -300,8 +301,9 @@ func (a *asyncRun) settle() {
 // first round takes the diagonal block, held to the end. A round whose frozen
 // frontier is narrow — at most one vertex in sparseViewDensity of the interval
 // — is the last: settleInOrder settles the rest of the interval in value order.
-// A wider one is swept through the held block, where a heap would cost more
-// than a few re-scatters. The rule reads the values alone, never residency.
+// A wider one is swept through the held block, where value order would cost
+// more than a few re-scatters. The rule reads the values alone, never
+// residency.
 //
 // No edge lowers the value it carries (Monotonic), so a drain never freezes a
 // value below its first round's least — its floor — and a path that improves a
@@ -370,20 +372,28 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 // round does. The phase counts as one round and one block scheduled, and
 // returns the vertices it applied.
 //
-// The runs come from held, the diagonal block the drain holds: laid out by
-// source (indexRuns), or, from a run view whose phase is estimated to pop at
-// most one vertex in rowViewDensity of the interval (popsPerFrozen times its
-// frozen frontier) — where a row's run views beat decoding its blocks whole —
-// each popped source's run decoded as it pops, counted as compute: timing
-// each run would cost more than decoding it. The choice moves no pop.
+// The runs come from held, the diagonal block the drain holds. A phase
+// estimated to pop at most one vertex in rowViewDensity of the interval
+// (popsPerFrozen times its frozen frontier) — where a row's run views beat
+// decoding its blocks whole — takes each popped source's run as it pops:
+// decoded from a run view, counted as compute (timing each run would cost
+// more than decoding it), or searched for in decoded edges that are in source
+// order (sourceRun). Any other phase lays the block out by source
+// (indexRuns). The choice moves no pop.
 func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 	a.blocks++
 	frozen := len(a.frontList)
+	few := a.popsPerFrozen*float64(frozen*rowViewDensity) <= float64(hi-lo)
 	view := held.runs
 	var runs []graph.Edge
-	if view == nil || a.popsPerFrozen*float64(frozen*rowViewDensity) > float64(hi-lo) {
+	search := view == nil && few && sourceOrdered(held.edges)
+	switch {
+	case search:
+		runs = held.edges
+	case view != nil && few:
+	default:
 		view = nil
 		var err error
 		if runs, err = a.indexRuns(held, lo, hi); err != nil {
@@ -391,18 +401,22 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 		}
 	}
 
-	// The frozen frontier seeds the heap; from here on the frontier set marks
+	// The frozen frontier seeds the queue; from here on the frontier set marks
 	// the vertices popped.
-	h := a.order[:0]
+	q := &a.order
+	q.reset()
 	for _, v := range a.frontList {
-		h.push(valueEntry{e.valPrev[v], uint32(v)})
+		q.push(e.valPrev[v], uint32(v))
 	}
 	a.frontier.ClearRange(lo, hi)
 	var applied int64
 	pops := 0
 	t0 := time.Now()
-	for len(h) > 0 {
-		top := h.pop()
+	for {
+		top, ok := q.pop()
+		if !ok {
+			break
+		}
 		v, s := int(top.v), top.val
 		if math.Float64bits(s) != math.Float64bits(e.valPrev[v]) || !e.active.Contains(v) {
 			continue // stale: improved since it was pushed, or settled
@@ -421,9 +435,12 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 			e.popped(v)
 		}
 		var run []graph.Edge
-		if view == nil {
+		switch {
+		case search:
+			run = sourceRun(runs, graph.VertexID(v))
+		case view == nil:
 			run = runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]]
-		} else {
+		default:
 			var err error
 			e.runEdges, err = view.view.AppendSource(e.runEdges[:0], graph.VertexID(v))
 			if err != nil {
@@ -431,9 +448,8 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 			}
 			run = e.runEdges
 		}
-		applied += a.relax(v, s, run, &h)
+		applied += a.relax(v, s, run, q)
 	}
-	a.order = h[:0]
 	a.pops += int64(pops)
 	a.popsPerFrozen = float64(pops) / float64(frozen)
 	e.computeTime += time.Since(t0)
@@ -446,9 +462,9 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 // relax scatters popped vertex v's diagonal run from its value s — the
 // candidate each edge carries, through the program's kernel — applies every
 // destination the candidate strictly improves (the contract makes any other
-// Apply a no-op), pushes each one it activates onto h, and then settles v. It
+// Apply a no-op), pushes each one it activates onto q, and then settles v. It
 // returns the vertices it applied.
-func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (applied int64) {
+func (a *asyncRun) relax(v int, s float64, run []graph.Edge, q *valueQueue) (applied int64) {
 	e := a.e
 	id := e.prog.Identity()
 	for _, ed := range run {
@@ -474,7 +490,7 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (appl
 			if e.active.Activate(d) && a.consumed.Contains(d) {
 				a.reacts++
 			}
-			h.push(valueEntry{nv, uint32(d)})
+			q.push(nv, uint32(d))
 		}
 	}
 	if !(e.valPrev[v] < s) {
@@ -483,6 +499,33 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, h *valueHeap) (appl
 	a.consumed.Activate(v)
 	a.pushed.Activate(v)
 	return applied
+}
+
+// sourceOrdered reports whether edges run in ascending source order, as every
+// layout writes its cells.
+func sourceOrdered(edges []graph.Edge) bool {
+	for k := 1; k < len(edges); k++ {
+		if edges[k].Src < edges[k-1].Src {
+			return false
+		}
+	}
+	return true
+}
+
+// sourceRun returns v's run of edges, which are in source order: a binary
+// search for its first edge, then a walk to its last.
+func sourceRun(edges []graph.Edge, v graph.VertexID) []graph.Edge {
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); edges[m].Src < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for hi = lo; hi < len(edges) && edges[hi].Src == v; hi++ {
+	}
+	return edges[lo:hi]
 }
 
 // indexRuns lays held, the diagonal block of [lo, hi), out by source for
@@ -532,59 +575,173 @@ func (a *asyncRun) indexRuns(held block, lo, hi int) ([]graph.Edge, error) {
 	return placed, nil
 }
 
-// valueEntry is a vertex of a value-order phase's heap at the live value it
+// valueEntry is a vertex of a value-order phase's queue at the live value it
 // held when pushed; it is stale once the vertex's live value moved or the
-// vertex was settled.
+// vertex was settled. next threads it into its bucket (valueQueue).
 type valueEntry struct {
-	val float64
-	v   uint32
+	val  float64
+	v    uint32
+	next uint32
 }
 
-// before orders entries by value, ties to the lower vertex.
-func (x valueEntry) before(y valueEntry) bool {
-	return x.val < y.val || x.val == y.val && x.v < y.v
+// noEntry ends a bucket's list.
+const noEntry = ^uint32(0)
+
+// valueQueue is a value-order phase's monotone radix queue (Ahuja, Mehlhorn,
+// Orlin and Tarjan, 1990): it pops entries least value first, ties to the
+// lower vertex — exactly a binary heap's order over (value, vertex) — without
+// comparing values. An entry's key is its value's order-preserving bits, -0
+// folded to +0. Every entry pushed in a phase lies in arena, threaded into one
+// of three places:
+//   - bucket b holds entries whose key first differs from last's, the last
+//     pop's, at bit b, listed from head[b], least key least[b]; mask marks the
+//     non-empty ones. When ties and below are empty, pop refills from the
+//     lowest: its least key becomes last and its entries move to lower
+//     buckets;
+//   - ties holds the entries whose key is last, as a min-heap of vertex<<32 |
+//     arena index, so they pop by lower vertex;
+//   - below lists entries pushed below last, which only an edge that lowers
+//     the value it carries makes: they pop first, least first, by a scan.
+type valueQueue struct {
+	arena []valueEntry
+	head  [64]uint32
+	least [64]uint64
+	mask  uint64
+	ties  []uint64
+	below uint32
+	last  uint64
 }
 
-// valueHeap is a binary min-heap of entries in before order.
-type valueHeap []valueEntry
+// orderKey maps a value to bits that order like it, -0 and +0 alike.
+func orderKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
 
-func (h *valueHeap) push(x valueEntry) {
-	*h = append(*h, x)
-	s := *h
-	for k := len(s) - 1; k > 0; {
+// reset empties the queue for a phase, keeping its memory.
+func (q *valueQueue) reset() {
+	q.arena, q.ties = q.arena[:0], q.ties[:0]
+	q.mask, q.below, q.last = 0, noEntry, 0
+	for b := range q.head {
+		q.head[b], q.least[b] = noEntry, math.MaxUint64
+	}
+}
+
+// push adds vertex v at value val.
+func (q *valueQueue) push(val float64, v uint32) {
+	k := uint32(len(q.arena))
+	q.arena = append(q.arena, valueEntry{val: val, v: v})
+	switch key := orderKey(val); {
+	case key == q.last:
+		q.pushTie(uint64(v)<<32 | uint64(k))
+	case key < q.last:
+		q.arena[k].next, q.below = q.below, k
+	default:
+		q.file(k, key)
+	}
+}
+
+// file links arena entry k, of a key above last, into its bucket.
+func (q *valueQueue) file(k uint32, key uint64) {
+	b := bits.Len64(key^q.last) - 1
+	q.arena[k].next, q.head[b] = q.head[b], k
+	q.least[b] = min(q.least[b], key)
+	q.mask |= 1 << b
+}
+
+// pop removes and returns the least entry; ok is false on an empty queue.
+func (q *valueQueue) pop() (e valueEntry, ok bool) {
+	if q.below != noEntry {
+		return q.popBelow(), true
+	}
+	if len(q.ties) == 0 {
+		if q.mask == 0 {
+			return e, false
+		}
+		q.refill()
+	}
+	return q.arena[uint32(q.popTie())], true
+}
+
+// popBelow unlinks and returns below's least entry.
+func (q *valueQueue) popBelow() valueEntry {
+	best, bestPrev := q.below, noEntry
+	for prev, k := q.below, q.arena[q.below].next; k != noEntry; prev, k = k, q.arena[k].next {
+		x, y := q.arena[k], q.arena[best]
+		if kx, ky := orderKey(x.val), orderKey(y.val); kx < ky || kx == ky && x.v < y.v {
+			best, bestPrev = k, prev
+		}
+	}
+	if bestPrev == noEntry {
+		q.below = q.arena[best].next
+	} else {
+		q.arena[bestPrev].next = q.arena[best].next
+	}
+	return q.arena[best]
+}
+
+// refill empties the lowest non-empty bucket: its least key becomes last, and
+// every entry moves to a lower bucket or, at that key, to ties.
+func (q *valueQueue) refill() {
+	b := bits.TrailingZeros64(q.mask)
+	k := q.head[b]
+	q.last = q.least[b]
+	q.mask &^= 1 << b
+	q.head[b], q.least[b] = noEntry, math.MaxUint64
+	for k != noEntry {
+		x := &q.arena[k]
+		next := x.next
+		if key := orderKey(x.val); key == q.last {
+			q.pushTie(uint64(x.v)<<32 | uint64(k))
+		} else {
+			q.file(k, key)
+		}
+		k = next
+	}
+}
+
+// pushTie and popTie keep ties a binary min-heap.
+func (q *valueQueue) pushTie(x uint64) {
+	q.ties = append(q.ties, x)
+	h := q.ties
+	for k := len(h) - 1; k > 0; {
 		p := (k - 1) / 2
-		if !s[k].before(s[p]) {
+		if h[p] <= h[k] {
 			break
 		}
-		s[k], s[p] = s[p], s[k]
+		h[k], h[p] = h[p], h[k]
 		k = p
 	}
 }
 
-func (h *valueHeap) pop() valueEntry {
-	s := *h
-	top, last := s[0], len(s)-1
-	s[0] = s[last]
-	*h = s[:last]
-	h.down(0)
-	return top
-}
-
-func (h valueHeap) down(k int) {
-	for {
+func (q *valueQueue) popTie() uint64 {
+	h := q.ties
+	if len(h) == 1 {
+		q.ties = h[:0]
+		return h[0]
+	}
+	top, last := h[0], len(h)-1
+	h[0] = h[last]
+	h = h[:last]
+	q.ties = h
+	for k := 0; ; {
 		c := 2*k + 1
 		if c >= len(h) {
-			return
+			break
 		}
-		if c+1 < len(h) && h[c+1].before(h[c]) {
+		if c+1 < len(h) && h[c+1] < h[c] {
 			c++
 		}
-		if !h[c].before(h[k]) {
-			return
+		if h[k] <= h[c] {
+			break
 		}
 		h[k], h[c] = h[c], h[k]
 		k = c
 	}
+	return top
 }
 
 // prioritize hands every resident block its row's priority: the row in hand

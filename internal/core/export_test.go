@@ -215,16 +215,20 @@ func RunCountingRows(layout *partition.Layout, prog Program, opts Options) (res 
 func DrainBytes(m *partition.Manifest) int64 { return drainBytes(m) }
 
 // RunMeasuringPhases is Run that also reports the most memory a value-order
-// phase held as it ended: its heap's capacity, the run offsets, the diagonal's
-// placed edges and the engine's run scratch, which the phase decodes into.
+// phase held as it ended: its queue — the struct with its bucket heads, the
+// entry arena's capacity, the ties heap's capacity; the below list is
+// threaded through the arena — the run offsets, the diagonal's placed edges
+// and the engine's run scratch, which the phase decodes into.
 func RunMeasuringPhases(layout *partition.Layout, prog Program, opts Options) (res *Result, held int64, err error) {
 	e, err := NewEngine(layout, prog, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	entry, edge := int64(unsafe.Sizeof(valueEntry{})), int64(unsafe.Sizeof(graph.Edge{}))
+	entry, tie, edge := int64(unsafe.Sizeof(valueEntry{})), int64(unsafe.Sizeof(uint64(0))), int64(unsafe.Sizeof(graph.Edge{}))
 	e.phaseEnded = func(a *asyncRun) {
-		held = max(held, entry*int64(cap(a.order))+8*int64(cap(a.diagOff))+edge*int64(cap(a.diagEdges)+cap(e.runEdges)))
+		q := &a.order
+		queue := int64(unsafe.Sizeof(*q)) + entry*int64(cap(q.arena)) + tie*int64(cap(q.ties))
+		held = max(held, queue+8*int64(cap(a.diagOff))+edge*int64(cap(a.diagEdges)+cap(e.runEdges)))
 	}
 	res, err = e.run()
 	return res, held, err

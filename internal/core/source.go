@@ -228,11 +228,18 @@ func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
 
 // drainBytes bounds what settleInOrder keeps: the largest diagonal cell
 // decoded twice — into the engine's scratch slice, then in source order — a run
-// offset a vertex of the longest interval, and a 16-byte heap entry a vertex
-// and a diagonal edge, one push per improvement. The heap term is the worst
-// case, one entry for every improving diagonal edge: value-order phases
-// measured as they ended held 5–657 KB against 33 KB–2.0 MB charged on a
-// lattice, a chain and R-MAT 14/16 (DESIGN.md §12).
+// offset a vertex of the longest interval, and 16 bytes a vertex and a
+// diagonal edge for its queue (valueQueue). The queue's arena takes one
+// 16-byte entry a push: a phase pushes its frozen frontier, at most one vertex
+// in sparseViewDensity of the interval, and then at most once a diagonal edge,
+// since no vertex's run is relaxed twice. Its ties heap holds at most one
+// 8-byte entry a vertex of the interval — a vertex's pushes carry strictly
+// falling values, so no two of them tie — and its bucket heads and least keys
+// are 840 bytes. That fits the 16 bytes a vertex and an edge for any interval
+// of 140 vertices or more, before append rounds the arena's and the heap's
+// capacities up. The term is the worst case, an entry for every diagonal edge:
+// value-order phases measured as they ended held 14–658 KB against 33 KB–2.0 MB
+// charged on a lattice, a chain and R-MAT 14/16 (DESIGN.md §12).
 func drainBytes(m *partition.Manifest) int64 {
 	var cellBytes, cellEdges int64
 	for i := 0; i < m.P; i++ {
