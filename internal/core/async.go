@@ -372,28 +372,20 @@ func (a *asyncRun) drain(i int) (applied int64, err error) {
 // round does. The phase counts as one round and one block scheduled, and
 // returns the vertices it applied.
 //
-// The runs come from held, the diagonal block the drain holds. A phase
-// estimated to pop at most one vertex in rowViewDensity of the interval
-// (popsPerFrozen times its frozen frontier) — where a row's run views beat
-// decoding its blocks whole — takes each popped source's run as it pops:
-// decoded from a run view, counted as compute (timing each run would cost
-// more than decoding it), or searched for in decoded edges that are in source
-// order (sourceRun). Any other phase lays the block out by source
-// (indexRuns). The choice moves no pop.
+// The runs come from held, the diagonal block the drain holds: laid out by
+// source (indexRuns), or, from a run view whose phase is estimated to pop at
+// most one vertex in rowViewDensity of the interval (popsPerFrozen times its
+// frozen frontier) — where a row's run views beat decoding its blocks whole —
+// each popped source's run decoded as it pops, counted as compute: timing
+// each run would cost more than decoding it. The choice moves no pop.
 func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error) {
 	e := a.e
 	lo, hi := e.layout.Meta.Interval(i)
 	a.blocks++
 	frozen := len(a.frontList)
-	few := a.popsPerFrozen*float64(frozen*rowViewDensity) <= float64(hi-lo)
 	view := held.runs
 	var runs []graph.Edge
-	search := view == nil && few && sourceOrdered(held.edges)
-	switch {
-	case search:
-		runs = held.edges
-	case view != nil && few:
-	default:
+	if view == nil || a.popsPerFrozen*float64(frozen*rowViewDensity) > float64(hi-lo) {
 		view = nil
 		var err error
 		if runs, err = a.indexRuns(held, lo, hi); err != nil {
@@ -404,7 +396,7 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 	// The frozen frontier seeds the queue; from here on the frontier set marks
 	// the vertices popped.
 	q := &a.order
-	q.reset()
+	q.reset(frozen+int(e.layout.Meta.SubBlockEdges(i, i)), hi-lo)
 	for _, v := range a.frontList {
 		q.push(e.valPrev[v], uint32(v))
 	}
@@ -435,12 +427,9 @@ func (a *asyncRun) settleInOrder(i int, held block, floor float64) (int64, error
 			e.popped(v)
 		}
 		var run []graph.Edge
-		switch {
-		case search:
-			run = sourceRun(runs, graph.VertexID(v))
-		case view == nil:
+		if view == nil {
 			run = runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]]
-		default:
+		} else {
 			var err error
 			e.runEdges, err = view.view.AppendSource(e.runEdges[:0], graph.VertexID(v))
 			if err != nil {
@@ -499,33 +488,6 @@ func (a *asyncRun) relax(v int, s float64, run []graph.Edge, q *valueQueue) (app
 	a.consumed.Activate(v)
 	a.pushed.Activate(v)
 	return applied
-}
-
-// sourceOrdered reports whether edges run in ascending source order, as every
-// layout writes its cells.
-func sourceOrdered(edges []graph.Edge) bool {
-	for k := 1; k < len(edges); k++ {
-		if edges[k].Src < edges[k-1].Src {
-			return false
-		}
-	}
-	return true
-}
-
-// sourceRun returns v's run of edges, which are in source order: a binary
-// search for its first edge, then a walk to its last.
-func sourceRun(edges []graph.Edge, v graph.VertexID) []graph.Edge {
-	lo, hi := 0, len(edges)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); edges[m].Src < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	for hi = lo; hi < len(edges) && edges[hi].Src == v; hi++ {
-	}
-	return edges[lo:hi]
 }
 
 // indexRuns lays held, the diagonal block of [lo, hi), out by source for
@@ -602,14 +564,19 @@ const noEntry = ^uint32(0)
 //     arena index, so they pop by lower vertex;
 //   - below lists entries pushed below last, which only an edge that lowers
 //     the value it carries makes: they pop first, least first, by a scan.
+//
+// arena and ties grow up to the most a phase can hold of each, pushes and
+// vertices (grow), so their capacities stay within drainBytes.
 type valueQueue struct {
-	arena []valueEntry
-	head  [64]uint32
-	least [64]uint64
-	mask  uint64
-	ties  []uint64
-	below uint32
-	last  uint64
+	arena    []valueEntry
+	head     [64]uint32
+	least    [64]uint64
+	mask     uint64
+	ties     []uint64
+	below    uint32
+	last     uint64
+	pushes   int
+	vertices int
 }
 
 // orderKey maps a value to bits that order like it, -0 and +0 alike.
@@ -621,9 +588,11 @@ func orderKey(f float64) uint64 {
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-// reset empties the queue for a phase, keeping its memory.
-func (q *valueQueue) reset() {
+// reset empties the queue for a phase of at most pushes pushes over an
+// interval of the given vertices, keeping its memory.
+func (q *valueQueue) reset(pushes, vertices int) {
 	q.arena, q.ties = q.arena[:0], q.ties[:0]
+	q.pushes, q.vertices = pushes, vertices
 	q.mask, q.below, q.last = 0, noEntry, 0
 	for b := range q.head {
 		q.head[b], q.least[b] = noEntry, math.MaxUint64
@@ -633,6 +602,9 @@ func (q *valueQueue) reset() {
 // push adds vertex v at value val.
 func (q *valueQueue) push(val float64, v uint32) {
 	k := uint32(len(q.arena))
+	if int(k) == cap(q.arena) {
+		q.arena = grow(q.arena, q.pushes)
+	}
 	q.arena = append(q.arena, valueEntry{val: val, v: v})
 	switch key := orderKey(val); {
 	case key == q.last:
@@ -705,6 +677,9 @@ func (q *valueQueue) refill() {
 
 // pushTie and popTie keep ties a binary min-heap.
 func (q *valueQueue) pushTie(x uint64) {
+	if len(q.ties) == cap(q.ties) {
+		q.ties = grow(q.ties, q.vertices)
+	}
 	q.ties = append(q.ties, x)
 	h := q.ties
 	for k := len(h) - 1; k > 0; {
@@ -742,6 +717,16 @@ func (q *valueQueue) popTie() uint64 {
 		k = c
 	}
 	return top
+}
+
+// grow returns full slice s with room for more: its capacity doubled, but
+// never past limit unless s already holds that many.
+func grow[E any](s []E, limit int) []E {
+	n := max(2*cap(s), 64)
+	if len(s) < limit {
+		n = min(n, limit)
+	}
+	return append(make([]E, 0, n), s...)
 }
 
 // prioritize hands every resident block its row's priority: the row in hand

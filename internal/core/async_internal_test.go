@@ -9,9 +9,8 @@ import (
 
 // TestIndexRunsAnyOrder: a value-order phase finds each source's diagonal run
 // through indexRuns whatever order the block holds its edges in. Layouts write
-// cells in source order, which indexRuns uses in place and sourceRun searches;
-// a block in any other order is placed by source, each source's edges kept in
-// block order.
+// cells in source order, which indexRuns uses in place; a block in any other
+// order is placed by source, each source's edges kept in block order.
 func TestIndexRunsAnyOrder(t *testing.T) {
 	const lo, hi = 64, 72
 	ordered := []graph.Edge{{Src: 64, Dst: 70}, {Src: 64, Dst: 65}, {Src: 66, Dst: 64, Weight: 2}, {Src: 71, Dst: 71}}
@@ -25,9 +24,6 @@ func TestIndexRunsAnyOrder(t *testing.T) {
 		if aliased := &runs[0] == &edges[0]; aliased != (name == "ordered") {
 			t.Errorf("%s: runs in the block's own memory: %t", name, aliased)
 		}
-		if sourceOrdered(edges) != (name == "ordered") {
-			t.Errorf("%s: sourceOrdered says %t", name, !(name == "ordered"))
-		}
 		for v := lo; v < hi; v++ {
 			var want []graph.Edge
 			for _, ed := range edges {
@@ -37,9 +33,6 @@ func TestIndexRunsAnyOrder(t *testing.T) {
 			}
 			if got := runs[a.diagOff[v-lo]:a.diagOff[v-lo+1]]; !slices.Equal(got, want) {
 				t.Errorf("%s: source %d's run is %v, want %v", name, v, got, want)
-			}
-			if got := sourceRun(edges, graph.VertexID(v)); name == "ordered" && !slices.Equal(got, want) {
-				t.Errorf("%s: sourceRun finds source %d's run as %v, want %v", name, v, got, want)
 			}
 		}
 	}

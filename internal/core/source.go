@@ -234,12 +234,13 @@ func checkpointBytes(m *partition.Manifest, async, aux bool) int64 {
 // in sparseViewDensity of the interval, and then at most once a diagonal edge,
 // since no vertex's run is relaxed twice. Its ties heap holds at most one
 // 8-byte entry a vertex of the interval — a vertex's pushes carry strictly
-// falling values, so no two of them tie — and its bucket heads and least keys
-// are 840 bytes. That fits the 16 bytes a vertex and an edge for any interval
-// of 140 vertices or more, before append rounds the arena's and the heap's
-// capacities up. The term is the worst case, an entry for every diagonal edge:
-// value-order phases measured as they ended held 14–658 KB against 33 KB–2.0 MB
-// charged on a lattice, a chain and R-MAT 14/16 (DESIGN.md §12).
+// falling values, so no two of them tie — and the struct, bucket heads and
+// least keys included, is 856 bytes. Neither slice grows past those counts
+// (grow), so the queue fits the 16 bytes a vertex and an edge for any
+// interval of 143 vertices or more, capacities and all. The term is the worst
+// case, an entry for every diagonal edge: value-order phases measured as they
+// ended held 14–667 KB against 33 KB–2.0 MB charged on a lattice, a chain and
+// R-MAT 14/16 (DESIGN.md §12).
 func drainBytes(m *partition.Manifest) int64 {
 	var cellBytes, cellEdges int64
 	for i := 0; i < m.P; i++ {

@@ -57,8 +57,10 @@ func FuzzValueQueue(f *testing.F) {
 	f.Add([]byte{5, 1, 0, 0, 0, 0, 0, 0, 0x40, 0, 5, 2, 0, 0, 0, 0, 0, 0, 0xc0, 0, 0, 0, 0})
 	f.Add([]byte{1, 9, 200, 0, 6, 3, 1, 4, 50, 0, 6, 1, 0, 0, 7, 1, 2, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Limits below what a long sequence pushes, so that grow also runs
+		// past them.
 		var q valueQueue
-		q.reset()
+		q.reset(8, 4)
 		var ref refHeap
 		last := 0.0
 		take := func() byte {
@@ -109,7 +111,7 @@ func FuzzValueQueue(f *testing.F) {
 			case 6:
 				val = last + float64(take())
 			case 7:
-				q.reset()
+				q.reset(8, 4)
 				ref, last = ref[:0], 0
 				continue
 			}
@@ -124,4 +126,40 @@ func FuzzValueQueue(f *testing.F) {
 			t.Fatal("queue still holds entries the reference does not")
 		}
 	})
+}
+
+// TestValueQueueGrowsToItsLimits: the arena and the ties heap never grow past
+// the pushes and vertices a phase declares, which drainBytes charges for, and
+// still take a push beyond them.
+func TestValueQueueGrowsToItsLimits(t *testing.T) {
+	var q valueQueue
+	q.reset(100, 10)
+	for v := range uint32(10) {
+		q.push(0, v)
+	}
+	for v := range uint32(90) {
+		q.push(float64(v+1), v)
+	}
+	// The first pop moves the ten entries at 0 to ties.
+	for want := range uint32(10) {
+		if e, _ := q.pop(); e.val != 0 || e.v != want {
+			t.Fatalf("pop %d is (%v, %d), want (0, %d)", want, e.val, e.v, want)
+		}
+		if want == 0 {
+			if cap(q.arena) != 100 || cap(q.ties) != 10 {
+				t.Fatalf("arena capacity %d, ties capacity %d; want 100 and 10", cap(q.arena), cap(q.ties))
+			}
+			q.push(1000, 0)
+		}
+	}
+	n := 10
+	for {
+		if _, ok := q.pop(); !ok {
+			break
+		}
+		n++
+	}
+	if n != 101 {
+		t.Fatalf("popped %d entries, pushed 101", n)
+	}
 }
